@@ -238,34 +238,6 @@ func TestCLIIndexStoreGC(t *testing.T) {
 	}
 }
 
-// TestCLIGoblastnIndexDirWarns: the satellite contract — goblastn
-// accepts -index-dir for script parity but must say, unconditionally,
-// that it does nothing, so users don't believe BLASTN runs warm-start.
-func TestCLIGoblastnIndexDirWarns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI integration test skipped in -short mode")
-	}
-	dir := t.TempDir()
-	runTool(t, "./cmd/bankgen", "-out", dir, "-scale", "256", "-q",
-		"-bank", "EST1", "-bank", "EST2")
-	_, stderr := runTool(t, "./cmd/goblastn",
-		"-d", filepath.Join(dir, "EST1.fasta"),
-		"-i", filepath.Join(dir, "EST2.fasta"),
-		"-o", filepath.Join(dir, "out.m8"),
-		"-index-dir", filepath.Join(dir, "ixstore"))
-	if !strings.Contains(stderr, "goblastn: warning: -index-dir has no effect") {
-		t.Errorf("no unconditional -index-dir warning on stderr:\n%s", stderr)
-	}
-	// Without the flag there is no warning noise.
-	_, clean := runTool(t, "./cmd/goblastn",
-		"-d", filepath.Join(dir, "EST1.fasta"),
-		"-i", filepath.Join(dir, "EST2.fasta"),
-		"-o", filepath.Join(dir, "out2.m8"))
-	if strings.Contains(clean, "warning") {
-		t.Errorf("spurious warning without -index-dir:\n%s", clean)
-	}
-}
-
 // TestCLIOutputWriteFailureExitsNonZero is the -o truncation
 // regression: a failing output sink (/dev/full returns ENOSPC on
 // flush) must exit non-zero with a write error on stderr — never exit

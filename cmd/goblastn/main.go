@@ -36,7 +36,6 @@ func main() {
 		gapExt   = flag.Int("E", 2, "gap extend penalty")
 		scanWord = flag.Int("scanword", 8, "probe word size for the db scan (classic BLASTN: 8)")
 		stride   = flag.Int("stride", 4, "db scan stride (classic BLASTN: 4, the packed-byte boundary)")
-		indexDir = flag.String("index-dir", "", "persistent index directory, accepted for flag parity with scoris so benchmark scripts can pass one flag set to both tools; the BLASTN baseline keeps no on-disk bank index (its db-side cost is the scan itself), so the directory is only created")
 		verbose  = flag.Bool("v", false, "print scan metrics to stderr")
 	)
 	flag.Var(&qPaths, "i", "query bank FASTA (repeatable — one db session serves every query bank)")
@@ -45,16 +44,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: goblastn -d bankA.fasta -i bankB.fasta [-i bankC.fasta ...] [flags]")
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-
-	// Parity with scoris -index-dir: validate/create the directory so
-	// shared invocation scripts work, but persist nothing — BLASTN has
-	// no bank index to store (DESIGN.md §7). Warn unconditionally:
-	// silently accepting the flag would let users believe BLASTN runs
-	// were warm-started when nothing of the sort happens.
-	if *indexDir != "" {
-		fatal(os.MkdirAll(*indexDir, 0o755))
-		fmt.Fprintln(os.Stderr, "goblastn: warning: -index-dir has no effect (the BLASTN baseline keeps no persistent bank index); the flag is accepted for script parity with scoris only")
 	}
 
 	db, err := scoris.LoadBank("db", *dbPath)

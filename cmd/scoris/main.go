@@ -233,8 +233,7 @@ func probeIndexFile(out io.Writer, path string) error {
 	fmt.Fprintf(out, "bank_crc: %016x\n", info.BankCRC)
 	fmt.Fprintf(out, "blocks: %d\n", len(info.Blocks))
 	// prefix_bytes is the append-invariant boundary: every byte before
-	// it survives an in-place append unchanged (v3; the whole file for
-	// v2, which appends never reuse in place).
+	// it survives an in-place append unchanged.
 	fmt.Fprintf(out, "prefix_bytes: %d\n", info.PayloadEnd)
 	fmt.Fprintf(out, "file_bytes: %d\n", fi.Size())
 	for i, bl := range info.Blocks {

@@ -2,25 +2,26 @@ package scoris
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/ixcache"
 	"repro/internal/ixdisk"
 	"repro/internal/server"
 	"repro/internal/simulate"
 )
 
 // TestGoldenM8ThroughHealAndV1 pins the corpus bytes through the two
-// surfaces PR 8 added: a server whose store holds a legacy v2 index
-// file (served once while healing it to v3, then again from the healed
-// v3 file), reached through the versioned /v1/ routes. Every leg must
-// reproduce testdata/golden/oris-default.m8 exactly — the disk format
-// generation and the API prefix are both invisible in the result
-// bytes.
+// surfaces PR 8 added: a server whose store holds files of the retired
+// v2 layout at both banks' key paths (rejected at the version gate,
+// rebuilt, and overwritten with current-format files), then a cold
+// server over the healed store, reached through the versioned /v1/
+// routes. Every leg must reproduce testdata/golden/oris-default.m8
+// exactly — what the store held and the API prefix are both invisible
+// in the result bytes.
 func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden", "oris-default.m8"))
 	if err != nil {
@@ -37,24 +38,27 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 	}
 	defer store.Close()
 
-	// Manufacture legacy state: both banks' indexes on disk as v2, the
-	// format a pre-upgrade deployment would have left behind. The
-	// server's options derivation must match what its compare will ask
-	// for, so prepare through the same core path.
-	opt := DefaultOptions()
-	cache := NewIndexCache(0)
-	p1, p2, err := Prepare(cache, est1, est2, opt)
+	// Manufacture legacy state: a real v2 file, as a pre-upgrade
+	// deployment would have left behind, planted where the server's
+	// compare will look for each bank's index. The version gate fires
+	// before any identity check, so one fixture serves both paths.
+	v2, err := os.ReadFile(filepath.Join("internal", "ixdisk", "testdata", "legacy-v2.orix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []*ixcache.Prepared{p1, p2} {
-		if err := ixdisk.SaveLegacyV2(store.Path(p.Bank, p.Ix.Options()), p); err != nil {
+	opt := DefaultOptions()
+	p1, p2, err := Prepare(NewIndexCache(0), est1, est2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyPaths := []string{store.Path(p1.Bank, p1.Ix.Options()), store.Path(p2.Bank, p2.Ix.Options())}
+	for _, path := range keyPaths {
+		if err := os.WriteFile(path, v2, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	v2Files := probeVersions(t, dir)
-	if v2Files[2] != 2 || v2Files[3] != 0 {
-		t.Fatalf("fixture store holds %v, want two v2 files", v2Files)
+		if _, err := ProbeIndexFile(path); !errors.Is(err, ixdisk.ErrVersion) {
+			t.Fatalf("probe of the planted v2 file: %v, want ErrVersion", err)
+		}
 	}
 
 	srv := server.New(server.Config{Store: store})
@@ -69,22 +73,28 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 
 	req := `{"db":"db","query":"q"}`
 
-	// Leg 1: served from the v2 files via /v1/, healing them in place.
+	// Leg 1: both v2 files are rejected, both indexes rebuilt, and the
+	// rebuilds written back over them.
 	status, healed := postBytes(t, ts.URL+"/v1/compare", req, "")
 	if status != http.StatusOK {
 		t.Fatalf("/v1/compare over v2 store: status %d: %s", status, healed)
 	}
 	if !bytes.Equal(healed, want) {
-		t.Errorf("output through the v2 heal path differs from golden (%d vs %d bytes)",
+		t.Errorf("output over the rejected v2 files differs from golden (%d vs %d bytes)",
 			len(healed), len(want))
 	}
-	afterHeal := probeVersions(t, dir)
-	if afterHeal[3] != 2 || afterHeal[2] != 0 {
-		t.Fatalf("store holds %v after serving, want both files healed to v3", afterHeal)
+	if st := srv.StatsSnapshot(); st.Cache.Builds != 2 || st.Cache.DiskErrors != 2 || st.Cache.DiskHits != 0 {
+		t.Errorf("over two v2 files: builds=%d disk_errors=%d disk_hits=%d, want 2/2/0",
+			st.Cache.Builds, st.Cache.DiskErrors, st.Cache.DiskHits)
+	}
+	for _, path := range keyPaths {
+		if info, err := ProbeIndexFile(path); err != nil || info.Version != 3 {
+			t.Fatalf("%s after serving: %+v, %v — want a v3 file", filepath.Base(path), info, err)
+		}
 	}
 
-	// Leg 2: a cold server over the healed v3 files, again via /v1/ —
-	// zero builds, same bytes.
+	// Leg 2: a cold server over the healed files, again via /v1/ — zero
+	// builds, same bytes.
 	srv2 := server.New(server.Config{Store: store})
 	if err := srv2.RegisterBank("db", est1, true); err != nil {
 		t.Fatal(err)
@@ -96,8 +106,12 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 	defer ts2.Close()
 	status, fromV3 := postBytes(t, ts2.URL+"/v1/compare", req, "")
 	if status != http.StatusOK || !bytes.Equal(fromV3, want) {
-		t.Errorf("output from the healed v3 store differs from golden (status %d, %d vs %d bytes)",
+		t.Errorf("output from the healed store differs from golden (status %d, %d vs %d bytes)",
 			status, len(fromV3), len(want))
+	}
+	if st := srv2.StatsSnapshot(); st.Cache.Builds != 0 || st.Cache.DiskHits != 2 {
+		t.Errorf("cold server over the healed store: builds=%d disk_hits=%d, want 0/2",
+			st.Cache.Builds, st.Cache.DiskHits)
 	}
 
 	// Leg 3: the deprecated bare alias answers the same bytes.
@@ -106,22 +120,4 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 		t.Errorf("legacy-alias output differs from golden (status %d, %d vs %d bytes)",
 			status, len(legacy), len(want))
 	}
-}
-
-// probeVersions counts the store's files by probed format version.
-func probeVersions(t *testing.T, dir string) map[int]int {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[int]int{}
-	for _, e := range ents {
-		info, err := ProbeIndexFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatalf("probing %s: %v", e.Name(), err)
-		}
-		out[info.Version]++
-	}
-	return out
 }

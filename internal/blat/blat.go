@@ -178,8 +178,8 @@ type tileProbe struct {
 }
 
 // probe handles one query window: dust test, then a flat walk of the
-// tile's contiguous CSR occurrence slice — sequential reads instead of
-// a Head/NextPos chain walk — extending only windows that beat the
+// tile's contiguous CSR occurrence slice — sequential reads, no
+// pointer-chasing chain walk — extending only windows that beat the
 // per-diagonal high-water mark.
 //
 //scorislint:hotpath

@@ -438,14 +438,9 @@ func BenchmarkExtendOrdered(b *testing.B) {
 	b2 := mkBank("y", mutate(rng, seqs[0], 0.05))
 	const w = 11
 	ix1 := index.Build(b1, index.Options{W: w})
-	code := seed.Code(0)
-	for c := 0; c < ix1.NumCodes(); c++ {
-		if ix1.Head(seed.Code(c)) >= 0 {
-			code = seed.Code(c)
-			break
-		}
-	}
-	p1 := ix1.Head(code)
+	// The lowest occupied code and its first occurrence.
+	code := ix1.Codes[0]
+	p1 := ix1.Occ(code)[0]
 	lo1, hi1 := b1.SeqBounds(0)
 	lo2, hi2 := b2.SeqBounds(0)
 	ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: 20, Ordered: true}

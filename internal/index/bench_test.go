@@ -157,13 +157,13 @@ func benchBankSeqs(count, seqLen int) *bank.Bank {
 }
 
 // BenchmarkIndexExtend measures the append-aware rebuild against the
-// cold full build it replaces (the acceptance shape of the store
-// lifecycle PR): a 4 Mb bank of 256 sequences grows by a suffix of 1,
-// 16, or 64 sequences, under the engine-default shape (W=11, dust on).
-// The extension pays the suffix scan/mask plus validation and memcpy
-// of the stored arrays, so its cost tracks the suffix size with a flat
-// bank-proportional floor (the copy), while the full build re-scans,
-// re-masks, and re-sorts the whole bank.
+// cold full build it replaces, on the route the store takes: a 4 Mb
+// bank of 256 sequences grows by a suffix of 1, 16, or 64 sequences,
+// under the engine-default shape (W=11, dust on). The extension builds
+// one block over the suffix (scan, mask, sort) and reassembles it with
+// the stored block (validation plus a copy of the stored arrays), so
+// its cost tracks the suffix size with a flat bank-proportional floor,
+// while the full build re-scans, re-masks, and re-sorts the whole bank.
 func BenchmarkIndexExtend(b *testing.B) {
 	const (
 		seqs   = 256
@@ -176,13 +176,16 @@ func BenchmarkIndexExtend(b *testing.B) {
 		b.Run(fmt.Sprintf("suffix%d", suffix), func(b *testing.B) {
 			// benchBankSeqs is deterministic, so the first k records of
 			// a fresh generation are exactly the full bank's prefix.
-			old := Build(benchBankSeqs(k, seqLen), opts).Parts()
-			boundary := full.PrefixLen(k)
+			stored := SplitBlocks(Build(benchBankSeqs(k, seqLen), opts), nil)
 			b.SetBytes(int64(suffix * seqLen))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ExtendFromParts(full, opts, old, boundary); err != nil {
+				tail, err := BuildBlock(full, opts, k, seqs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := FromBlocks(full, opts, append(stored[:1:1], tail)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,4 +1,4 @@
-// Block-structured index assembly for the .orix v3 on-disk format.
+// Block-structured index assembly for the .orix on-disk format.
 //
 // A block is a self-contained CSR slice of a bank's index over one
 // contiguous sequence range [SeqLo, SeqHi): every indexed occurrence
@@ -31,7 +31,7 @@ import (
 )
 
 // BlockParts is the serialized form of one index block — exactly what
-// one .orix v3 block section holds. Occurrences are in CSR order:
+// one .orix block section holds. Occurrences are in CSR order:
 // grouped by seed code (ascending, listed in Codes), position-sorted
 // inside each group, with Counts[i] occurrences of Codes[i].
 type BlockParts struct {
@@ -67,14 +67,22 @@ func checkCut(b *bank.Bank, seqLo, seqHi int) (dataLo, dataHi int, err error) {
 }
 
 // BuildBlock builds the index block for sequences [seqLo, seqHi) of b
-// by scanning only their Data range — the incremental unit of the v3
+// by scanning only their Data range — the incremental unit of the
 // append path: appending sequences to a stored bank costs one
 // BuildBlock over the suffix, never a rescan of the prefix. The result
-// is identical to the corresponding block of SplitBlocks(Build(b)):
-// sampling selects absolute Data residues, and dust masking splits runs
-// at invalid bytes (sentinels included), so masking the range in
-// isolation agrees with a whole-bank pass (the ExtendFromParts
-// append-stability argument, DESIGN.md §7).
+// is identical to the corresponding block of SplitBlocks(Build(b)),
+// and stays valid verbatim when the bank later grows, because
+// everything it depends on is append-stable (DESIGN.md §7):
+//
+//   - Coordinates: appended sequences land after the final sentinel, so
+//     no stored position, sequence index, or bound shifts, and no seed
+//     window straddles the boundary (a window containing the sentinel
+//     is invalid by construction).
+//   - Sampling: SampleStep/SamplePhase select absolute Data residues,
+//     which do not move.
+//   - Dust masking: the masker splits runs at invalid bytes (sentinels
+//     included), so masking the range in isolation agrees with a
+//     whole-bank pass.
 func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error) {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
@@ -235,27 +243,8 @@ func SplitBlocks(ix *Index, bounds []int) []BlockParts {
 // positions in block k all precede positions in block k+1, so the
 // concatenation is CSR order with no sorting — and the assembled parts
 // then pass the same full structural validation FromParts applies, so
-// a hostile block fails closed exactly like a hostile v2 file.
+// a hostile block fails closed.
 func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error) {
-	return assembleBlocks(b, opts, blocks, false)
-}
-
-// FromBlocksPartial assembles an index holding only the given blocks'
-// occurrences — the blocks must be ascending and non-overlapping but
-// need not tile the bank. The result is a structurally valid index of
-// b whose CSR arrays contain exactly the loaded blocks' content: a
-// seed code absent from every loaded block has an empty run, exactly
-// as if the bank's other sequences held no occurrences of it. This is
-// the block-served shape — a store answering LoadBlocks with a subset
-// of a file, or a fleet worker holding one shard of a large bank —
-// and the caller owns the semantic caveat that lookups only see the
-// loaded ranges. Validation is the same fail-closed pass FromBlocks
-// applies, minus the coverage requirement.
-func FromBlocksPartial(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error) {
-	return assembleBlocks(b, opts, blocks, true)
-}
-
-func assembleBlocks(b *bank.Bank, opts Options, blocks []BlockParts, partial bool) (*Index, error) {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
 		return nil, fmt.Errorf("index: FromBlocks: invalid W=%d", opts.W)
@@ -269,13 +258,7 @@ func assembleBlocks(b *bank.Bank, opts Options, blocks []BlockParts, partial boo
 	wantSeq := 0
 	for i := range blocks {
 		bp := &blocks[i]
-		if partial {
-			// Gaps are allowed; overlap and reordering are not.
-			if bp.SeqLo < wantSeq {
-				return nil, fmt.Errorf("index: FromBlocks: block %d covers sequences [%d,%d), overlapping earlier blocks ending at %d",
-					i, bp.SeqLo, bp.SeqHi, wantSeq)
-			}
-		} else if bp.SeqLo != wantSeq {
+		if bp.SeqLo != wantSeq {
 			return nil, fmt.Errorf("index: FromBlocks: block %d covers sequences [%d,%d), expected to start at %d",
 				i, bp.SeqLo, bp.SeqHi, wantSeq)
 		}
@@ -322,7 +305,7 @@ func assembleBlocks(b *bank.Bank, opts Options, blocks []BlockParts, partial boo
 		sampled += bp.SampledOut
 		wantSeq = bp.SeqHi
 	}
-	if !partial && wantSeq != b.NumSeqs() {
+	if wantSeq != b.NumSeqs() {
 		return nil, fmt.Errorf("index: FromBlocks: blocks cover %d sequences, bank has %d", wantSeq, b.NumSeqs())
 	}
 
@@ -376,7 +359,7 @@ func assembleBlocks(b *bank.Bank, opts Options, blocks []BlockParts, partial boo
 	}
 	// After the scatter, Starts[c+1] sits on the inclusive end of group
 	// c — the final CSR prefix-sum array.
-	if err := checkParts(b, opts, ix.Parts(), int32(len(b.Data))); err != nil {
+	if err := checkParts(b, opts, ix.Parts()); err != nil {
 		return nil, fmt.Errorf("index: FromBlocks: assembled parts invalid: %w", err)
 	}
 	return ix, nil

@@ -91,28 +91,37 @@ func TestBuildBlockMatchesSplit(t *testing.T) {
 	}
 }
 
-// TestAppendViaBlocksMatchesBuild is the end-to-end v3 append story at
-// the index layer: split the old bank's index, build one block over the
-// appended suffix, reassemble — identical to a cold build of the grown
-// bank.
+// TestAppendViaBlocksMatchesBuild is the end-to-end append story at the
+// index layer, for every option shape and every split point: take the
+// old bank's index as stored blocks, build one block over the appended
+// suffix, reassemble — identical to a cold build of the grown bank.
 func TestAppendViaBlocksMatchesBuild(t *testing.T) {
 	recs := extendRecs(5000)
-	old := bank.New("grow", recs[:3])
 	grown := bank.New("grow", recs)
 	for name, opts := range extendVariants() {
 		t.Run(name, func(t *testing.T) {
-			oldBlocks := SplitBlocks(Build(old, opts), []int{1})
-			// Stored blocks are valid verbatim for the grown bank:
-			// coordinates are append-stable.
-			suffix, err := BuildBlock(grown, opts, old.NumSeqs(), grown.NumSeqs())
-			if err != nil {
-				t.Fatal(err)
+			want := Build(grown, opts)
+			for k := 1; k < len(recs); k++ {
+				old := bank.New("grow", recs[:k])
+				if grown.PrefixLen(k) != len(old.Data) {
+					t.Fatalf("PrefixLen(%d)=%d, want %d", k, grown.PrefixLen(k), len(old.Data))
+				}
+				// Stored blocks are valid verbatim for the grown bank:
+				// coordinates are append-stable.
+				oldBlocks := SplitBlocks(Build(old, opts), []int{1})
+				suffix, err := BuildBlock(grown, opts, k, grown.NumSeqs())
+				if err != nil {
+					t.Fatalf("split %d: %v", k, err)
+				}
+				got, err := FromBlocks(grown, opts, append(oldBlocks, suffix))
+				if err != nil {
+					t.Fatalf("split %d: %v", k, err)
+				}
+				sameIndexT(t, want, got)
+				if got.Bank != grown || got.W != want.W {
+					t.Fatalf("split %d: appended index not bound to the grown bank", k)
+				}
 			}
-			got, err := FromBlocks(grown, opts, append(oldBlocks, suffix))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameIndexT(t, Build(grown, opts), got)
 		})
 	}
 }

@@ -175,34 +175,3 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// NextPos is now a shim (re-encode + binary search); pin its contract:
-// chain successor inside the occurrence list, -1 at the tail and for
-// positions the index never inserted.
-func TestNextPosShimContract(t *testing.T) {
-	b := randomBank(5, 3, 300)
-	const w = 5
-	ix := Build(b, Options{W: w, SampleStep: 2})
-	for c := 0; c < ix.NumCodes(); c++ {
-		occ := ix.Occ(seed.Code(c))
-		for i, p := range occ {
-			want := int32(-1)
-			if i+1 < len(occ) {
-				want = occ[i+1]
-			}
-			if got := ix.NextPos(p); got != want {
-				t.Fatalf("NextPos(%d) = %d, want %d", p, got, want)
-			}
-		}
-	}
-	// Odd positions are sampled out under phase 0, so NextPos must
-	// report them unchained even when their window is valid.
-	for p := int32(1); p < int32(len(b.Data)); p += 2 {
-		if _, ok := seed.Encode(b.Data[p:], w); !ok {
-			continue
-		}
-		if got := ix.NextPos(p); got != -1 {
-			t.Fatalf("NextPos(unindexed %d) = %d, want -1", p, got)
-		}
-	}
-}

@@ -76,95 +76,20 @@ func samePartsT(t *testing.T, want, got Parts) {
 	}
 }
 
-// TestExtendFromPartsMatchesBuild is the core equivalence property: for
-// every option shape and every split point, extending a prefix build by
-// the appended suffix is indistinguishable from a cold full build.
-func TestExtendFromPartsMatchesBuild(t *testing.T) {
-	recs := extendRecs(3000)
-	for name, opts := range extendVariants() {
-		t.Run(name, func(t *testing.T) {
-			full := bank.New("b", recs)
-			want := Build(full, opts)
-			for k := 1; k < len(recs); k++ {
-				prefix := bank.New("b", recs[:k])
-				boundary := full.PrefixLen(k)
-				if boundary != len(prefix.Data) {
-					t.Fatalf("PrefixLen(%d)=%d, want %d", k, boundary, len(prefix.Data))
-				}
-				got, err := ExtendFromParts(full, opts, Build(prefix, opts).Parts(), boundary)
-				if err != nil {
-					t.Fatalf("split %d: %v", k, err)
-				}
-				samePartsT(t, want.Parts(), got.Parts())
-				if got.Bank != full || got.W != want.W {
-					t.Fatalf("split %d: extended index not bound to the full bank", k)
-				}
-			}
-		})
-	}
-}
-
-// TestExtendFromPartsEmptySuffix: a boundary equal to len(Data) is the
-// degenerate append — the result must still equal the stored index.
-func TestExtendFromPartsEmptySuffix(t *testing.T) {
-	b := bank.New("b", extendRecs(1200))
-	opts := Options{W: 8}
-	built := Build(b, opts)
-	got, err := ExtendFromParts(b, opts, built.Parts(), len(b.Data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePartsT(t, built.Parts(), got.Parts())
-}
-
-func TestExtendFromPartsRejects(t *testing.T) {
-	recs := extendRecs(1200)
-	full := bank.New("b", recs)
-	prefix := bank.New("b", recs[:2])
-	opts := Options{W: 8}
-	old := Build(prefix, opts).Parts()
-	boundary := full.PrefixLen(2)
-
-	t.Run("bad-W", func(t *testing.T) {
-		if _, err := ExtendFromParts(full, Options{W: 0}, old, boundary); err == nil {
-			t.Error("invalid W accepted")
-		}
-	})
-	t.Run("boundary-not-sentinel", func(t *testing.T) {
-		for _, bad := range []int{0, boundary - 1, len(full.Data) + 1} {
-			if _, err := ExtendFromParts(full, opts, old, bad); err == nil {
-				t.Errorf("boundary %d accepted", bad)
-			}
-		}
-	})
-	t.Run("positions-beyond-boundary", func(t *testing.T) {
-		// A "prefix" file that actually indexes the whole bank: every
-		// occurrence is structurally valid for the full bank, but some
-		// lie beyond the claimed boundary — accepting it would double
-		// the suffix occurrences.
-		whole := Build(full, opts).Parts()
-		if _, err := ExtendFromParts(full, opts, whole, boundary); err == nil {
-			t.Error("stored occurrences beyond the boundary accepted")
-		}
-	})
-	t.Run("truncated-sidecar", func(t *testing.T) {
-		mangled := old
-		mangled.OccSeq = mangled.OccSeq[:len(mangled.OccSeq)/2]
-		if _, err := ExtendFromParts(full, opts, mangled, boundary); err == nil {
-			t.Error("inconsistent sidecar accepted")
-		}
-	})
-}
-
-// TestExtendPreservesAccessors spot-checks the merged index through the
-// public accessors against the full rebuild.
+// TestExtendPreservesAccessors spot-checks an appended-to index — the
+// stored prefix's block plus one block built over the suffix — through
+// the public accessors against the full rebuild.
 func TestExtendPreservesAccessors(t *testing.T) {
 	recs := extendRecs(2000)
 	full := bank.New("b", recs)
 	prefix := bank.New("b", recs[:3])
 	opts := Options{W: 6, Dust: dust.New(0, 0)}
 	want := Build(full, opts)
-	got, err := ExtendFromParts(full, opts, Build(prefix, opts).Parts(), full.PrefixLen(3))
+	tail, err := BuildBlock(full, opts, 3, full.NumSeqs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FromBlocks(full, opts, append(SplitBlocks(Build(prefix, opts), nil), tail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +104,10 @@ func TestExtendPreservesAccessors(t *testing.T) {
 				t.Fatalf("code %d: occ[%d] %d vs %d", c, i, w[i], g[i])
 			}
 		}
-		if want.Head(seed.Code(c)) != got.Head(seed.Code(c)) {
-			t.Fatalf("code %d: Head differs", c)
+		ws, we := want.OccRange(seed.Code(c))
+		gs, ge := got.OccRange(seed.Code(c))
+		if ws != gs || we != ge {
+			t.Fatalf("code %d: OccRange [%d,%d) vs [%d,%d)", c, ws, we, gs, ge)
 		}
 	}
 }

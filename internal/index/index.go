@@ -49,7 +49,6 @@ package index
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/bank"
@@ -381,7 +380,7 @@ func FromParts(b *bank.Bank, opts Options, p Parts) (*Index, error) {
 	if opts.W < 1 || opts.W > seed.MaxW {
 		return nil, fmt.Errorf("index: FromParts: invalid W=%d", opts.W)
 	}
-	if err := checkParts(b, opts, p, int32(len(b.Data))); err != nil {
+	if err := checkParts(b, opts, p); err != nil {
 		return nil, err
 	}
 	return &Index{
@@ -398,14 +397,10 @@ func FromParts(b *bank.Bank, opts Options, p Parts) (*Index, error) {
 // monotone prefix sum from 0 to Indexed, Codes exactly the occupied
 // directory, and every occurrence inside the bounds of the sequence its
 // sidecar entry names (with the sidecar bounds being that sequence's
-// real bounds). posLimit is an exclusive upper bound on occurrence
-// start positions: len(Data) for a whole-bank reassembly, the prefix
-// boundary for ExtendFromParts — which is how a hostile "prefix" file
-// claiming occurrences beyond its recorded boundary is rejected instead
-// of being double-inserted by the extension scan.
+// real bounds).
 //
 //scorislint:validator
-func checkParts(b *bank.Bank, opts Options, p Parts, posLimit int32) error {
+func checkParts(b *bank.Bank, opts Options, p Parts) error {
 	n := seed.NumCodes(opts.W)
 	if len(p.Starts) != n+1 {
 		return fmt.Errorf("index: FromParts: Starts has %d entries, want 4^%d+1=%d",
@@ -446,7 +441,7 @@ func checkParts(b *bank.Bank, opts Options, p Parts, posLimit int32) error {
 	// gathered up front and the parallel arrays re-sliced to a common
 	// length so the O(Indexed) sweep runs without per-element method
 	// calls or redundant bounds checks (this sweep is the validation
-	// cost of every disk load and every suffix extension).
+	// cost of every disk load).
 	numSeqs := b.NumSeqs()
 	lows := make([]int32, numSeqs)
 	his := make([]int32, numSeqs)
@@ -472,10 +467,6 @@ func checkParts(b *bank.Bank, opts Options, p Parts, posLimit int32) error {
 			return fmt.Errorf("index: FromParts: position %d (W=%d) outside its sequence bounds [%d,%d)",
 				pos[i], opts.W, lo, hi)
 		}
-		if pos[i] >= posLimit {
-			return fmt.Errorf("index: FromParts: position %d at or beyond the recorded data boundary %d",
-				pos[i], posLimit)
-		}
 	}
 	return nil
 }
@@ -492,33 +483,6 @@ func (ix *Index) Occ(c seed.Code) []int32 {
 // OccHi alongside the positions.
 func (ix *Index) OccRange(c seed.Code) (start, end int32) {
 	return ix.Starts[c], ix.Starts[c+1]
-}
-
-// Head returns the first (lowest) position of seed code c, or -1 — the
-// legacy chain-API shim over the CSR slice.
-func (ix *Index) Head(c seed.Code) int32 {
-	s, e := ix.Starts[c], ix.Starts[c+1]
-	if s == e {
-		return -1
-	}
-	return ix.Pos[s]
-}
-
-// NextPos returns the next-higher indexed position sharing p's seed
-// code, or -1. It is a compatibility shim over the CSR layout (re-encode
-// p's window, binary-search its occurrence slice); hot paths iterate
-// Occ/OccRange slices instead.
-func (ix *Index) NextPos(p int32) int32 {
-	c, ok := seed.Encode(ix.Bank.Data[p:], ix.W)
-	if !ok {
-		return -1
-	}
-	occ := ix.Occ(c)
-	i := sort.Search(len(occ), func(i int) bool { return occ[i] >= p })
-	if i < len(occ) && occ[i] == p && i+1 < len(occ) {
-		return occ[i+1]
-	}
-	return -1
 }
 
 // Occurrences returns a copy of every position of code c (ascending).

@@ -84,10 +84,10 @@ func TestEveryOccurrenceHasCorrectCode(t *testing.T) {
 	const w = 5
 	ix := Build(b, Options{W: w})
 	for c := 0; c < ix.NumCodes(); c++ {
-		for p := ix.Head(seed.Code(c)); p >= 0; p = ix.NextPos(p) {
+		for _, p := range ix.Occ(seed.Code(c)) {
 			got, ok := seed.Encode(b.Data[p:], w)
 			if !ok || got != seed.Code(c) {
-				t.Fatalf("position %d chained under code %d but encodes to %d (ok=%v)", p, c, got, ok)
+				t.Fatalf("position %d listed under code %d but encodes to %d (ok=%v)", p, c, got, ok)
 			}
 		}
 	}
@@ -123,8 +123,11 @@ func TestAbsentSeedHeadIsMinusOne(t *testing.T) {
 	b := mkBank("AAAA")
 	ix := Build(b, Options{W: 4})
 	cGGGG, _ := seed.Encode([]byte{3, 3, 3, 3}, 4)
-	if ix.Head(cGGGG) != -1 {
-		t.Errorf("GGGG head = %d, want -1", ix.Head(cGGGG))
+	if occ := ix.Occ(cGGGG); len(occ) != 0 {
+		t.Errorf("GGGG occurrences = %v, want none", occ)
+	}
+	if s, e := ix.OccRange(cGGGG); s != e {
+		t.Errorf("GGGG range = [%d,%d), want empty", s, e)
 	}
 }
 
@@ -193,7 +196,7 @@ func TestAsymmetricSamplingCoversAll11ntMatches(t *testing.T) {
 	for _, phase := range []int{0, 1} {
 		half := Build(b, Options{W: w, SampleStep: 2, SamplePhase: phase})
 		// For every position p that starts an 11-mer, one of p, p+1 must
-		// be in the index chain for its 10-mer code.
+		// be in the occurrence list of its 10-mer code.
 		miss := 0
 		seed.ForEach(b.Data, w+1, func(p int32, _ seed.Code) {
 			found := false
@@ -202,7 +205,7 @@ func TestAsymmetricSamplingCoversAll11ntMatches(t *testing.T) {
 				if !ok {
 					continue
 				}
-				for r := half.Head(c); r >= 0; r = half.NextPos(r) {
+				for _, r := range half.Occ(c) {
 					if r == q {
 						found = true
 						break

@@ -26,8 +26,8 @@ func randomBank(seedVal int64, nSeqs, maxLen int) *bank.Bank {
 	return bank.New("q", recs)
 }
 
-// Invariant: chains are strictly ascending, every chained position
-// encodes to its own code, and the chain total equals the number of
+// Invariant: occurrence lists are strictly ascending, every listed
+// position encodes to its own code, and the lists total the number of
 // valid windows.
 func TestQuickChainInvariants(t *testing.T) {
 	f := func(seedVal int64, nRaw, wRaw uint8) bool {
@@ -37,7 +37,7 @@ func TestQuickChainInvariants(t *testing.T) {
 		total := 0
 		for c := 0; c < ix.NumCodes(); c++ {
 			prev := int32(-1)
-			for p := ix.Head(seed.Code(c)); p >= 0; p = ix.NextPos(p) {
+			for _, p := range ix.Occ(seed.Code(c)) {
 				if p <= prev {
 					return false
 				}
@@ -68,14 +68,14 @@ func TestQuickSamplingPartition(t *testing.T) {
 		if p0.Indexed+p1.Indexed != full.Indexed {
 			return false
 		}
-		// Every chained position in p0 has even Data coordinate.
+		// Every position listed in p0 has even Data coordinate.
 		for c := 0; c < p0.NumCodes(); c++ {
-			for p := p0.Head(seed.Code(c)); p >= 0; p = p0.NextPos(p) {
+			for _, p := range p0.Occ(seed.Code(c)) {
 				if p%2 != 0 {
 					return false
 				}
 			}
-			for p := p1.Head(seed.Code(c)); p >= 0; p = p1.NextPos(p) {
+			for _, p := range p1.Occ(seed.Code(c)) {
 				if p%2 != 1 {
 					return false
 				}

@@ -161,46 +161,12 @@ var ErrSaveDeclined = errors.New("ixcache: store save declined by policy")
 // back, healing the store. Save may decline by policy with an error
 // wrapping ErrSaveDeclined. Implementations must be safe for concurrent
 // use; package ixdisk provides the on-disk implementation (whose Load
-// also satisfies a miss by suffix-extending a stored prefix index when
-// the bank has only been appended to — transparent to this interface).
+// also satisfies a miss from a stored relative of the bank — a stored
+// prefix completed by one appended block, or a larger file's covering
+// blocks — transparent to this interface).
 type Store interface {
 	Load(b *bank.Bank, opts index.Options) (*Prepared, error)
 	Save(p *Prepared) error
-}
-
-// SeqRange selects the contiguous sequence range [Lo, Hi) of a bank
-// for block-granular store operations.
-type SeqRange struct {
-	Lo, Hi int
-}
-
-// BlockStore is the block-aware store contract introduced with the
-// block-structured .orix v3 layout. It embeds Store — the whole-index
-// Load/Save pair remains the compat surface every consumer (this
-// cache included) can rely on — and adds the two block-granular
-// operations the monolithic interface could not express:
-//
-//   - LoadBlocks returns a *partial* Prepared holding only the stored
-//     blocks that intersect the given sequence ranges (nil or empty
-//     ranges mean all blocks, i.e. Load). The result is structurally
-//     valid and safe for every index operation, but lookups only see
-//     occurrences from the loaded ranges — the shape a fleet worker
-//     serving one shard of a large bank holds. Partial results must
-//     not be fed back into Save.
-//   - AppendBlock persists p — whose bank extends a previously stored
-//     bank that had oldNumSeqs sequences — by writing one new block
-//     over the stored file's footer instead of rewriting the file:
-//     O(suffix) bytes written. Implementations fall back to a full
-//     save when no appendable stored file exists, so the call is
-//     always as durable as Save (and may equally decline by policy
-//     with ErrSaveDeclined).
-//
-// Package ixdisk's DirStore implements BlockStore; the cache itself
-// only requires Store and discovers block counters via BlockCounters.
-type BlockStore interface {
-	Store
-	LoadBlocks(b *bank.Bank, opts index.Options, ranges []SeqRange) (*Prepared, error)
-	AppendBlock(p *Prepared, oldNumSeqs int) error
 }
 
 // BlockCounters is the optional observability face of a block-aware
@@ -390,7 +356,7 @@ type Counters struct {
 	DiskErrors    int64 `json:"disk_errors"`
 	SavesDeclined int64 `json:"saves_declined"`
 	// BlockLoads and BlockAppends come from the attached store when it
-	// implements BlockCounters (v3 block-granular I/O); zero otherwise.
+	// implements BlockCounters (block-granular I/O); zero otherwise.
 	BlockLoads   int64 `json:"block_loads"`
 	BlockAppends int64 `json:"block_appends"`
 	Entries      int   `json:"entries"`

@@ -2,6 +2,7 @@ package ixdisk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,76 +13,90 @@ import (
 	"repro/internal/seed"
 )
 
+// legacyV2Fixture is a real version-2 file, written once by the last
+// commit that had a v2 writer, for legacyBank() at W=4. No reader may
+// ever accept it.
+const legacyV2Fixture = "testdata/legacy-v2.orix"
+
 // fuzzSeedFile builds the canonical fuzz fixtures: a small bank, its
-// built index, and the valid .orix bytes both writers produce for it —
-// the current block-structured v3 frame and the legacy monolithic v2
-// frame, since both readers stay live. Every fuzz iteration validates
-// arbitrary mutations of these frames against the same (bank, options)
-// identity the seeds were saved under.
-func fuzzSeedFile(tb testing.TB) (v3, v2 []byte, b *bank.Bank, opts index.Options) {
+// built index, and the valid .orix bytes Save produces for it in both
+// shapes the readers distinguish — a multi-block file (merged into
+// fresh arrays by either reader) and a single-block file (aliased in
+// place by LoadMapped). Every fuzz iteration validates arbitrary
+// mutations of these frames against the same (bank, options) identity
+// the seeds were saved under.
+func fuzzSeedFile(tb testing.TB) (multi, single []byte, b *bank.Bank, opts index.Options) {
 	tb.Helper()
 	b = genBank(tb, "fz", 1024)
 	opts = index.Options{W: 8}
 	p := ixcache.Prepare(b, opts)
 	dir := tb.TempDir()
-	v3path := filepath.Join(dir, "seed3"+FileExt)
-	// Cut small so the v3 seed is multi-block: the directory, the
-	// inter-block boundaries, and the footer all get fuzz coverage.
-	if err := SaveBlocks(v3path, p, 2); err != nil {
-		tb.Fatal(err)
+	save := func(name string, blockSeqs int) []byte {
+		path := filepath.Join(dir, name+FileExt)
+		if err := SaveBlocks(path, p, blockSeqs); err != nil {
+			tb.Fatal(err)
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return buf
 	}
-	v2path := filepath.Join(dir, "seed2"+FileExt)
-	if err := saveV2(v2path, p); err != nil {
-		tb.Fatal(err)
-	}
-	v3, err := os.ReadFile(v3path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	v2, err = os.ReadFile(v2path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return v3, v2, b, opts
+	// Cut small so the multi-block seed's directory, inter-block
+	// boundaries, and footer all get fuzz coverage.
+	return save("multi", 2), save("single", 0), b, opts
 }
 
-// addFrameSeeds seeds the corpus with both valid frames and the
-// mutation classes the readers' validation ladders distinguish:
-// truncations at every framing boundary, bit-flips in the magics,
-// versions, length tables, bodies, and checksums of each format.
-func addFrameSeeds(f *testing.F, v3, v2 []byte) {
+// addFrameSeeds seeds the corpus with both valid frames, the mutation
+// classes the readers' validation ladder distinguishes — truncations at
+// every framing boundary, bit-flips in the magic, version, header CRC,
+// block headers and bodies, the footer directory and the trailer — and
+// the legacy v2 fixture, as written and relabelled as version 3, which
+// must be rejected every time.
+func addFrameSeeds(f *testing.F, multi, single []byte) {
 	f.Add([]byte{})
-	for _, valid := range [][]byte{v3, v2} {
+	for _, valid := range [][]byte{multi, single} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)-1])
 		f.Add(append(bytes.Clone(valid), 0))
 	}
-	// v2 frame: magic, version, section-length table, header boundary.
-	f.Add(v2[:headerSize/2])
-	f.Add(v2[:headerSize])
-	for _, off := range []int{0, 8, 12, 88, headerSize + 1, len(v2) - 1} {
-		mut := bytes.Clone(v2)
+	v2, err := os.ReadFile(legacyV2Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	relabelled := bytes.Clone(v2)
+	binary.LittleEndian.PutUint32(relabelled[8:], version3)
+	f.Add(bytes.Clone(relabelled))
+	binary.LittleEndian.PutUint32(relabelled[12:], headerSizeV3)
+	f.Add(relabelled)
+	// Header CRC, first block header, block body, footer directory
+	// region, and the fixed trailer (footerCRC, footerLen, endMagic).
+	f.Add(multi[:headerSizeV3])
+	f.Add(multi[:headerSizeV3+blockHdrSize])
+	for _, off := range []int{8, 44, headerSizeV3 + 1, headerSizeV3 + blockHdrSize,
+		len(multi) - trailerSize, len(multi) - 12, len(multi) - 8, len(multi) - dirEntSize - trailerSize} {
+		mut := bytes.Clone(multi)
 		mut[off] ^= 0x40
 		f.Add(mut)
 	}
-	// v3 frame: header CRC, first block header, block body, footer
-	// directory region, and the fixed trailer (footerCRC, footerLen,
-	// endMagic).
-	f.Add(v3[:headerSizeV3])
-	f.Add(v3[:headerSizeV3+blockHdrSize])
-	for _, off := range []int{8, 44, headerSizeV3 + 1, headerSizeV3 + blockHdrSize,
-		len(v3) - trailerSize, len(v3) - 12, len(v3) - 8, len(v3) - dirEntSize - trailerSize} {
-		mut := bytes.Clone(v3)
+	for _, off := range []int{44, headerSizeV3 + 1, headerSizeV3 + blockHdrSize,
+		len(single) - 12, len(single) - dirEntSize - trailerSize} {
+		mut := bytes.Clone(single)
 		mut[off] ^= 0x40
 		f.Add(mut)
 	}
 }
 
 // loadInvariants asserts what a successful load must always deliver: a
-// prepared index over the requesting bank whose occurrence lists are
-// addressable — the properties mid-parse corruption would break first.
-func loadInvariants(t *testing.T, p *ixcache.Prepared, b *bank.Bank, opts index.Options) {
+// version-3 input, and a prepared index over the requesting bank whose
+// occurrence lists are addressable — the properties mid-parse
+// corruption would break first.
+func loadInvariants(t *testing.T, data []byte, p *ixcache.Prepared, b *bank.Bank, opts index.Options) {
 	t.Helper()
+	if v := binary.LittleEndian.Uint32(data[8:]); v != version3 {
+		t.Fatalf("load accepted a version-%d file", v)
+	}
 	if p == nil || p.Ix == nil || p.Bank != b {
 		t.Fatal("load succeeded but returned an unusable Prepared")
 	}
@@ -109,8 +124,8 @@ func loadInvariants(t *testing.T, p *ixcache.Prepared, b *bank.Bank, opts index.
 // may be rejected with an error; none may panic, and an accepted input
 // must yield a structurally sound index.
 func FuzzLoad(f *testing.F) {
-	v3, v2, b, opts := fuzzSeedFile(f)
-	addFrameSeeds(f, v3, v2)
+	multi, single, b, opts := fuzzSeedFile(f)
+	addFrameSeeds(f, multi, single)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "f"+FileExt)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -120,7 +135,7 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		loadInvariants(t, p, b, opts)
+		loadInvariants(t, data, p, b, opts)
 	})
 }
 
@@ -128,8 +143,8 @@ func FuzzLoad(f *testing.F) {
 // no-panic/sound-on-success contract, plus the mapping must close
 // cleanly whatever the parse did.
 func FuzzLoadMapped(f *testing.F) {
-	v3, v2, b, opts := fuzzSeedFile(f)
-	addFrameSeeds(f, v3, v2)
+	multi, single, b, opts := fuzzSeedFile(f)
+	addFrameSeeds(f, multi, single)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "f"+FileExt)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -139,7 +154,7 @@ func FuzzLoadMapped(f *testing.F) {
 		if err != nil {
 			return
 		}
-		loadInvariants(t, p, b, opts)
+		loadInvariants(t, data, p, b, opts)
 		if err := m.Close(); err != nil {
 			t.Fatalf("closing mapping after successful load: %v", err)
 		}

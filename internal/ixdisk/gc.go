@@ -106,18 +106,18 @@ func (s *DirStore) SetGC(cfg GCConfig) {
 	s.mu.Unlock()
 }
 
-// GCStats reports one collection. Block counts come from each v3
-// file's footer directory (one cheap Probe per file — metadata only);
-// legacy v2 files count zero blocks.
+// GCStats reports one collection. Block counts come from each file's
+// footer directory (one cheap Probe per file — metadata only); a file
+// the probe rejects counts zero blocks.
 type GCStats struct {
 	Scanned         int   // .orix files examined
 	Removed         int   // .orix files deleted (age or size cap)
 	RemovedBytes    int64 // bytes those files held
-	RemovedBlocks   int   // v3 blocks those files held
+	RemovedBlocks   int   // blocks those files held
 	RemovedTmps     int   // stale .orix-tmp-* staging files swept
 	Remaining       int   // .orix files left
 	RemainingBytes  int64 // bytes they hold
-	RemainingBlocks int   // v3 blocks they hold
+	RemainingBlocks int   // blocks they hold
 }
 
 func (g GCStats) String() string {

@@ -6,29 +6,22 @@
 // index aligners treat their index — a database file built once per
 // bank, not a per-run allocation.
 //
-// # File formats
+// # File format
 //
-// The current format is version 3 — block-structured: an options-key
+// There is one format, version 3 — block-structured: an options-key
 // header, per-sequence-group CSR blocks each carrying its own CRC-32C,
 // and a footer holding the bank identity (content CRC-64, per-sequence
 // checksum vector) plus a directory of block offsets and ranges. The
 // full layout, append discipline, and partial-load rules live in v3.go
-// and DESIGN.md §7. The structure buys three things the monolithic
-// layout could not offer: appending to a bank writes exactly one new
-// block plus a footer (O(suffix), the file is never rewritten), a bank
-// that is a block-boundary prefix of a stored file loads by reading
-// only its covering blocks, and a fleet worker can hold a partial
-// index (DirStore.LoadBlocks).
+// and DESIGN.md §7. The structure buys two things a monolithic layout
+// cannot offer: appending to a bank writes exactly one new block plus a
+// footer (O(suffix), the file is never rewritten), and a bank that is a
+// block-boundary prefix of a stored file loads by reading only its
+// covering blocks.
 //
-// Version 2 — the monolithic layout: one 144-byte header carrying the
-// identity key and counters, seven whole-bank sections (SeqSums, then
-// the six CSR arrays), one trailing whole-file CRC-32C — remains fully
-// readable. An exact load of a v2 file heals it by rewrite: the
-// validated index is saved back in v3 under the same path, policy
-// permitting. saveV2 keeps the v2 writer byte-exact for the migration
-// tests. Version-1 files are rejected with ErrVersion like any other
-// unknown version — the store heals them by rebuild — rather than
-// being read without the per-sequence identity they lack.
+// Files of any other version (the monolithic v1 and v2 layouts earlier
+// releases wrote) are rejected with ErrVersion at the header — never
+// parsed — and the store heals them by rebuild, like any rejected file.
 //
 // # Invalidation and append-aware reuse
 //
@@ -52,7 +45,6 @@
 package ixdisk
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,18 +61,13 @@ import (
 	"time"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/index"
 	"repro/internal/ixcache"
-	"repro/internal/seed"
 )
 
-// Format constants. Version bumps whenever the layout changes; readers
-// reject anything they were not compiled for rather than guess.
+// File naming constants; the layout constants live with the codec in
+// v3.go.
 const (
-	magic      = "ORISIXDB"
-	version    = 2
-	headerSize = 144
 	// FileExt is the extension DirStore gives its index files.
 	FileExt = ".orix"
 	// tmpPattern is the os.CreateTemp pattern for Save's staging files;
@@ -112,33 +99,12 @@ func BankChecksum(b *bank.Bank) uint64 {
 	return crc64.Checksum(b.Data, crc64Table)
 }
 
-// header is the decoded fixed-size file header.
-type header struct {
-	bankCRC     uint64
-	dataLen     uint64
-	numSeqs     uint32
-	w           uint32
-	sampleStep  uint32
-	samplePhase uint32
-	dustOn      uint32
-	dustWindow  uint32
-	dustThresh  uint64 // float64 bits
-	indexed     uint64
-	maskedOut   uint64
-	sampledOut  uint64
-	secLen      [numSections]uint64 // element counts, not bytes
-}
-
-// Section order: SeqSums (8-byte elements), then the six 4-byte CSR
-// sections Starts, Pos, Codes, OccSeq, OccLo, OccHi.
-const numSections = 7
-
-// keySize is the identity region of the header: bankCRC through
-// dustThresh. Hashed for DirStore filenames, so the filename and the
-// in-file key can never disagree.
+// keySize is the length of the (bank identity, options) key DirStore
+// hashes into filenames. Its byte layout is frozen: changing it would
+// rename every stored file and turn a warm store cold.
 const keySize = 48
 
-// packKey serializes the identity fields in header order.
+// packKey serializes the filename key: bank identity, then options.
 func packKey(dst []byte, bankCRC, dataLen uint64, numSeqs uint32, o index.Options) {
 	o = o.Normalized()
 	binary.LittleEndian.PutUint64(dst[0:], bankCRC)
@@ -159,121 +125,15 @@ func packKey(dst []byte, bankCRC, dataLen uint64, numSeqs uint32, o index.Option
 	binary.LittleEndian.PutUint64(dst[40:], dt)
 }
 
-// indexOptions reconstructs the index.Options recorded in the header.
-func (h *header) indexOptions() index.Options {
-	o := index.Options{
-		W:           int(h.w),
-		SampleStep:  int(h.sampleStep),
-		SamplePhase: int(h.samplePhase),
-	}
-	if h.dustOn != 0 {
-		o.Dust = dust.New(int(h.dustWindow), math.Float64frombits(h.dustThresh))
-	}
-	return o
-}
-
-// Save writes p's index to path in the current format version (v3,
-// block-structured — see v3.go), atomically: the bytes go to a temp
-// file in the same directory which is renamed over path only after a
-// complete write, so a concurrent reader (or a crashed writer) can
-// never observe a half-written file under the final name. There is no
-// fsync — a torn file after power loss is caught by the checksums and
-// rebuilt, the store-heals-itself property.
+// Save writes p's index to path (block-structured — see v3.go),
+// atomically: the bytes go to a temp file in the same directory which
+// is renamed over path only after a complete write, so a concurrent
+// reader (or a crashed writer) can never observe a half-written file
+// under the final name. There is no fsync — a torn file after power
+// loss is caught by the checksums and rebuilt, the store-heals-itself
+// property.
 func Save(path string, p *ixcache.Prepared) error {
 	return SaveBlocks(path, p, DefaultBlockSeqs)
-}
-
-// SaveLegacyV2 writes the legacy version-2 monolithic layout. The
-// current writer is v3 (Save); this one is kept byte-exact so
-// migration tests — here and in dependent packages — can manufacture
-// real v2 files and prove the read-compat and heal-by-rewrite paths
-// against them. It has no production caller.
-func SaveLegacyV2(path string, p *ixcache.Prepared) error { return saveV2(path, p) }
-
-func saveV2(path string, p *ixcache.Prepared) error {
-	if p == nil || p.Bank == nil || p.Ix == nil || p.Ix.Bank != p.Bank {
-		return errors.New("ixdisk: Save: inconsistent prepared value")
-	}
-	ix := p.Ix
-	parts := ix.Parts()
-	seqSums := p.Bank.SeqChecksums()
-
-	hdr := make([]byte, headerSize)
-	copy(hdr[0:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:], version)
-	binary.LittleEndian.PutUint32(hdr[12:], headerSize)
-	packKey(hdr[16:16+keySize], BankChecksum(p.Bank), uint64(len(p.Bank.Data)),
-		uint32(p.Bank.NumSeqs()), ix.Options())
-	binary.LittleEndian.PutUint64(hdr[64:], uint64(parts.Indexed))
-	binary.LittleEndian.PutUint64(hdr[72:], uint64(parts.MaskedOut))
-	binary.LittleEndian.PutUint64(hdr[80:], uint64(parts.SampledOut))
-	for i, n := range []int{
-		len(seqSums),
-		len(parts.Starts), len(parts.Pos), len(parts.Codes),
-		len(parts.OccSeq), len(parts.OccLo), len(parts.OccHi),
-	} {
-		binary.LittleEndian.PutUint64(hdr[88+8*i:], uint64(n))
-	}
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, tmpPattern)
-	if err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmpName != "" {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-
-	bw := bufio.NewWriterSize(tmp, 256<<10)
-	sum := crc32.New(crc32Table)
-	w := io.MultiWriter(bw, sum)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := writeWords64(w, seqSums); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := writeWords(w, parts.Starts); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := writeWords(w, parts.Pos); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := writeWords(w, parts.Codes); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := writeWords(w, parts.OccSeq); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := writeWords(w, parts.OccLo); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := writeWords(w, parts.OccHi); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum.Sum32())
-	if _, err := bw.Write(tail[:]); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	tmpName = "" // committed; disarm cleanup
-	return nil
 }
 
 // word covers the two 4-byte element types of the CSR sections.
@@ -310,394 +170,8 @@ func decodeWords[T word](sec []byte) []T {
 	return out
 }
 
-// writeWords64 streams the per-sequence checksum section as
-// little-endian 8-byte elements.
-func writeWords64(w io.Writer, vals []uint64) error {
-	const chunk = 4096
-	var buf [8 * chunk]byte
-	for len(vals) > 0 {
-		n := len(vals)
-		if n > chunk {
-			n = chunk
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], vals[i])
-		}
-		if _, err := w.Write(buf[:8*n]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// sections holds the validated raw byte views of the seven sections,
-// aliasing the parsed buffer.
-type sections struct {
-	seqSums                                  []byte // 8-byte elements
-	starts, pos, codes, occSeq, occLo, occHi []byte // 4-byte elements
-}
-
-// decodeHeader parses and checks the fixed-size header alone — magic,
-// version, declared sizes — without touching (or requiring) the rest
-// of the file. Shared by parseFrame and the cheap prefix probe.
-//
-//scorislint:validator
-func decodeHeader(buf []byte) (*header, error) {
-	if len(buf) < headerSize {
-		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the %d-byte header",
-			ErrTruncated, len(buf), headerSize)
-	}
-	if string(buf[0:8]) != magic {
-		return nil, fmt.Errorf("ixdisk: %w: got %q", ErrBadMagic, buf[0:8])
-	}
-	if v := binary.LittleEndian.Uint32(buf[8:]); v != version {
-		return nil, fmt.Errorf("ixdisk: %w: file is version %d, reader supports %d",
-			ErrVersion, v, version)
-	}
-	if hs := binary.LittleEndian.Uint32(buf[12:]); hs != headerSize {
-		return nil, fmt.Errorf("ixdisk: %w: header size %d, want %d",
-			ErrVersion, hs, headerSize)
-	}
-
-	var h header
-	h.bankCRC = binary.LittleEndian.Uint64(buf[16:])
-	h.dataLen = binary.LittleEndian.Uint64(buf[24:])
-	h.numSeqs = binary.LittleEndian.Uint32(buf[32:])
-	h.w = binary.LittleEndian.Uint32(buf[36:])
-	h.sampleStep = binary.LittleEndian.Uint32(buf[40:])
-	h.samplePhase = binary.LittleEndian.Uint32(buf[44:])
-	h.dustOn = binary.LittleEndian.Uint32(buf[48:])
-	h.dustWindow = binary.LittleEndian.Uint32(buf[52:])
-	h.dustThresh = binary.LittleEndian.Uint64(buf[56:])
-	h.indexed = binary.LittleEndian.Uint64(buf[64:])
-	h.maskedOut = binary.LittleEndian.Uint64(buf[72:])
-	h.sampledOut = binary.LittleEndian.Uint64(buf[80:])
-	for i := range h.secLen {
-		h.secLen[i] = binary.LittleEndian.Uint64(buf[88+8*i:])
-		if h.secLen[i] > math.MaxInt32 {
-			return nil, fmt.Errorf("ixdisk: %w: section %d claims %d elements",
-				ErrTruncated, i, h.secLen[i])
-		}
-	}
-	if h.secLen[0] != uint64(h.numSeqs) {
-		return nil, fmt.Errorf("ixdisk: %w: %d per-sequence checksums for %d sequences",
-			ErrTruncated, h.secLen[0], h.numSeqs)
-	}
-	return &h, nil
-}
-
-// parseFrame checks everything below identity: framing (magic, version,
-// sizes), and the whole-file checksum. It returns byte views into buf;
-// converting them to typed slices is the caller's choice of copy (Load)
-// or alias (LoadMapped).
-//
-//scorislint:validator
-func parseFrame(buf []byte) (*header, *sections, error) {
-	if len(buf) < headerSize+4 {
-		return nil, nil, fmt.Errorf("ixdisk: %w: %d bytes is below the %d-byte minimum",
-			ErrTruncated, len(buf), headerSize+4)
-	}
-	h, err := decodeHeader(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	total := uint64(headerSize)
-	for i := range h.secLen {
-		total += sectionElemSize(i) * h.secLen[i]
-	}
-	total += 4 // trailing checksum
-	if uint64(len(buf)) != total {
-		return nil, nil, fmt.Errorf("ixdisk: %w: file is %d bytes, header implies %d",
-			ErrTruncated, len(buf), total)
-	}
-
-	want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if got := crc32.Checksum(buf[:len(buf)-4], crc32Table); got != want {
-		return nil, nil, fmt.Errorf("ixdisk: %w: computed %08x, file records %08x",
-			ErrChecksum, got, want)
-	}
-
-	var s sections
-	off := uint64(headerSize)
-	for i, dst := range []*[]byte{&s.seqSums, &s.starts, &s.pos, &s.codes, &s.occSeq, &s.occLo, &s.occHi} {
-		n := sectionElemSize(i) * h.secLen[i]
-		*dst = buf[off : off+n]
-		off += n
-	}
-	return h, &s, nil
-}
-
-// sectionElemSize returns the byte width of section i's elements.
-func sectionElemSize(i int) uint64 {
-	if i == 0 {
-		return 8 // SeqSums
-	}
-	return 4
-}
-
-// checkOptionsKey verifies the recorded options against the requesting
-// ones through the same projection the in-memory cache uses.
-//
-//scorislint:validator
-func (h *header) checkOptionsKey(opts index.Options) error {
-	if !ixcache.SameKey(h.indexOptions(), opts) {
-		o := opts.Normalized()
-		return fmt.Errorf("ixdisk: %w: file built with W=%d step=%d/%d dust=%v, "+
-			"requested W=%d step=%d/%d dust=%v",
-			ErrKeyMismatch, h.w, h.sampleStep, h.samplePhase, h.dustOn != 0,
-			o.W, o.SampleStep, o.SamplePhase, o.Dust != nil)
-	}
-	return nil
-}
-
-// checkExactBank verifies the recorded bank identity is exactly the
-// requesting bank: whole-content CRC, length, sequence count, and the
-// per-sequence checksum vector.
-//
-//scorislint:validator
-func (h *header) checkExactBank(s *sections, b *bank.Bank) error {
-	if h.dataLen != uint64(len(b.Data)) || h.numSeqs != uint32(b.NumSeqs()) ||
-		h.bankCRC != BankChecksum(b) {
-		return fmt.Errorf("ixdisk: %w: file indexes a different bank "+
-			"(crc %016x/%d bytes/%d seqs, requested bank %q is %016x/%d/%d)",
-			ErrKeyMismatch, h.bankCRC, h.dataLen, h.numSeqs,
-			b.Name, BankChecksum(b), len(b.Data), b.NumSeqs())
-	}
-	sums := b.SeqChecksums()
-	for i := range sums {
-		if binary.LittleEndian.Uint64(s.seqSums[8*i:]) != sums[i] {
-			return fmt.Errorf("ixdisk: %w: per-sequence checksum %d disagrees with requested bank %q",
-				ErrKeyMismatch, i, b.Name)
-		}
-	}
-	return nil
-}
-
-// checkPrefixBank verifies the recorded bank is a strict prefix of the
-// requesting bank: fewer sequences, recorded data length exactly the
-// prefix boundary, and every recorded per-sequence checksum matching
-// the request's prefix. On success it returns the recorded sequence
-// count k; the prefix boundary is then b.PrefixLen(k) == h.dataLen.
-//
-//scorislint:validator
-func (h *header) checkPrefixBank(s *sections, b *bank.Bank) (int, error) {
-	k := int(h.numSeqs)
-	if k < 1 || k >= b.NumSeqs() {
-		return 0, fmt.Errorf("ixdisk: %w: file records %d sequences, requested bank %q has %d",
-			ErrKeyMismatch, k, b.Name, b.NumSeqs())
-	}
-	if h.dataLen != uint64(b.PrefixLen(k)) {
-		return 0, fmt.Errorf("ixdisk: %w: file records %d data bytes, the first %d sequences of %q span %d",
-			ErrKeyMismatch, h.dataLen, k, b.Name, b.PrefixLen(k))
-	}
-	sums := b.SeqChecksums()
-	for i := 0; i < k; i++ {
-		if binary.LittleEndian.Uint64(s.seqSums[8*i:]) != sums[i] {
-			return 0, fmt.Errorf("ixdisk: %w: per-sequence checksum %d disagrees with the prefix of bank %q",
-				ErrKeyMismatch, i, b.Name)
-		}
-	}
-	return k, nil
-}
-
-// parseAndValidate is the exact-identity validation pass shared by Load
-// and LoadMapped: framing, checksum, then the identity key against the
-// requesting (bank, options).
-func parseAndValidate(buf []byte, b *bank.Bank, opts index.Options) (*header, *sections, error) {
-	h, s, err := parseFrame(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := h.checkExactBank(s, b); err != nil {
-		return nil, nil, err
-	}
-	if err := h.checkOptionsKey(opts); err != nil {
-		return nil, nil, err
-	}
-	return h, s, nil
-}
-
-// prepared assembles the final value from validated sections already
-// converted to typed slices.
-func (h *header) prepared(b *bank.Bank, starts, pos []int32, codes []seed.Code,
-	occSeq, occLo, occHi []int32) (*ixcache.Prepared, error) {
-	ix, err := index.FromParts(b, h.indexOptions(), index.Parts{
-		Starts: starts, Pos: pos, Codes: codes,
-		OccSeq: occSeq, OccLo: occLo, OccHi: occHi,
-		Indexed:    int(h.indexed),
-		MaskedOut:  int(h.maskedOut),
-		SampledOut: int(h.sampledOut),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ixcache.Prepared{Bank: b, Ix: ix}, nil
-}
-
-// fileVersion sniffs the format version from a file's first bytes so
-// the readers can dispatch between the v2 and v3 parsers.
-func fileVersion(buf []byte) (uint32, error) {
-	if len(buf) < 12 {
-		return 0, fmt.Errorf("ixdisk: %w: %d bytes is below the 12-byte version prefix",
-			ErrTruncated, len(buf))
-	}
-	if string(buf[0:8]) != magic {
-		return 0, fmt.Errorf("ixdisk: %w: got %q", ErrBadMagic, buf[0:8])
-	}
-	return binary.LittleEndian.Uint32(buf[8:]), nil
-}
-
-// loadInfo reports what a load actually did, for the store's
-// block-granular accounting.
-type loadInfo struct {
-	version int
-	blocks  int // v3 blocks decoded and CRC-checked
-}
-
-// loadBuf parses a complete in-memory file image for exactly (b, opts),
-// dispatching on the sniffed version. alias requests zero-copy section
-// views (v3 single-block files and v2 files only); the second return
-// reports whether aliasing actually happened — when false the result
-// owns its memory and buf may be unmapped.
-func loadBuf(buf []byte, b *bank.Bank, opts index.Options, alias bool) (*ixcache.Prepared, bool, loadInfo, error) {
-	v, err := fileVersion(buf)
-	if err != nil {
-		return nil, false, loadInfo{}, err
-	}
-	if v == version3 {
-		p, blocks, aliased, err := loadV3(buf, b, opts, alias)
-		return p, aliased, loadInfo{version: version3, blocks: blocks}, err
-	}
-	h, s, err := parseAndValidate(buf, b, opts)
-	if err != nil {
-		return nil, false, loadInfo{}, err
-	}
-	info := loadInfo{version: version}
-	if alias {
-		p, err := h.prepared(b,
-			aliasWords[int32](s.starts), aliasWords[int32](s.pos),
-			aliasWords[seed.Code](s.codes), aliasWords[int32](s.occSeq),
-			aliasWords[int32](s.occLo), aliasWords[int32](s.occHi))
-		return p, true, info, err
-	}
-	p, err := h.prepared(b,
-		decodeWords[int32](s.starts), decodeWords[int32](s.pos),
-		decodeWords[seed.Code](s.codes), decodeWords[int32](s.occSeq),
-		decodeWords[int32](s.occLo), decodeWords[int32](s.occHi))
-	return p, false, info, err
-}
-
-// Load reads, validates, and copies an index file into a fresh
-// Prepared for bank b. It is the strict portable reader: every framing,
-// checksum, structural, and key invariant is checked before any slice
-// is handed to the engines, and the returned index owns its memory
-// (nothing aliases the file). It reads both the current v3 layout and
-// legacy v2 files.
-func Load(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, error) {
-	p, _, err := loadVersioned(path, b, opts)
-	return p, err
-}
-
-// loadVersioned is Load plus the version/block accounting DirStore
-// needs for its counters and the v2 heal-by-rewrite decision.
-func loadVersioned(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, loadInfo, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, loadInfo{}, err
-	}
-	p, _, info, err := loadBuf(buf, b, opts, false)
-	return p, info, err
-}
-
-// Mapping owns the mmap'd region backing a LoadMapped index. Close
-// releases it — after which every slice of the index it backed is
-// invalid and must not be touched (see DESIGN.md §7 on the aliasing
-// caveats). A no-op Mapping (from the fallback path) closes safely.
-type Mapping struct {
-	data []byte
-	once sync.Once
-	err  error
-}
-
-// Close unmaps the region. Safe to call more than once.
-func (m *Mapping) Close() error {
-	m.once.Do(func() {
-		if m.data != nil {
-			m.err = munmap(m.data)
-			m.data = nil
-		}
-	})
-	return m.err
-}
-
-// Mapped reports whether the load actually aliased an mmap'd file (as
-// opposed to the copying fallback).
-func (m *Mapping) Mapped() bool { return m.data != nil }
-
-// LoadMapped validates an index file exactly like Load but aliases the
-// int32 sections directly over the mmap'd bytes — zero copy, zero
-// allocation proportional to index size — so a cold process skips both
-// the build and the copy. The returned Mapping must outlive every use
-// of the index; pages fault in lazily on first touch (the up-front
-// checksum pass does touch each page once, the price of strictness).
-//
-// On hosts where aliasing is impossible (no mmap, or big-endian byte
-// order) it falls back to Load and returns a non-mapped Mapping. v3
-// files alias when they hold a single block (the common fresh-save
-// shape); multi-block v3 files are merged into fresh arrays and the
-// returned Mapping is non-mapped, so callers need no version logic.
-func LoadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *Mapping, error) {
-	p, m, _, err := loadMappedVersioned(path, b, opts)
-	return p, m, err
-}
-
-// loadMappedVersioned is LoadMapped plus the load accounting.
-func loadMappedVersioned(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *Mapping, loadInfo, error) {
-	if !mmapSupported || !nativeLittleEndian {
-		p, info, err := loadVersioned(path, b, opts)
-		if err != nil {
-			return nil, nil, info, err
-		}
-		return p, &Mapping{}, info, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, loadInfo{}, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, nil, loadInfo{}, err
-	}
-	if fi.Size() > math.MaxInt32*8 {
-		return nil, nil, loadInfo{}, fmt.Errorf("ixdisk: %w: file is %d bytes", ErrTruncated, fi.Size())
-	}
-	if fi.Size() == 0 {
-		// mmap of an empty file is an error on most platforms; report
-		// the truncation directly.
-		return nil, nil, loadInfo{}, fmt.Errorf("ixdisk: %w: file is empty", ErrTruncated)
-	}
-	data, err := mmapFile(f, int(fi.Size()))
-	if err != nil {
-		return nil, nil, loadInfo{}, fmt.Errorf("ixdisk: mmap %s: %w", path, err)
-	}
-	m := &Mapping{data: data}
-	p, aliased, info, err := loadBuf(data, b, opts, true)
-	if err != nil {
-		m.Close()
-		return nil, nil, info, err
-	}
-	if !aliased {
-		// The index owns copies (multi-block v3 merge); drop the mapping.
-		m.Close()
-		return p, &Mapping{}, info, nil
-	}
-	return p, m, info, nil
-}
-
 // touchFile refreshes a file's mtime so the GC's oldest-first eviction
-// approximates LRU over actual use. Best-effort.
+// approximates LRU over actual use, not save order. Best-effort.
 func touchFile(path string) {
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
@@ -738,24 +212,25 @@ func sanitizeName(name string) string {
 // the experiment harness) simply let process exit reclaim them.
 //
 // Beyond exact lookups the store is lifecycle-aware (DESIGN.md §7):
-// an exact miss falls back to suffix-extending a stored prefix of the
-// requesting bank (Extends counts these), SetSavePolicy bounds what is
-// persisted, and SetGC + GC keep the directory itself bounded.
+// an exact miss falls back to a stored relative of the requesting bank
+// (prefix.go: a larger file's covering blocks, or a stored prefix
+// completed by one appended block — Extends counts the latter),
+// SetSavePolicy bounds what is persisted, and SetGC + GC keep the
+// directory itself bounded.
 type DirStore struct {
 	dir    string
 	mapped bool
 
-	mu        sync.Mutex
-	policy    SavePolicy
-	gcCfg     GCConfig
-	blockSeqs int
-	dbBanks   map[*bank.Bank]bool
-	dbOrder   []*bank.Bank
-	bankCRCs  map[*bank.Bank]uint64
-	crcOrder  []*bank.Bank
-	loaded    map[string]*loadedEntry
-	ldOrder   []string
-	maps      []*Mapping
+	mu       sync.Mutex
+	policy   SavePolicy
+	gcCfg    GCConfig
+	dbBanks  map[*bank.Bank]bool
+	dbOrder  []*bank.Bank
+	bankCRCs map[*bank.Bank]uint64
+	crcOrder []*bank.Bank
+	loaded   map[string]*loadedEntry
+	ldOrder  []string
+	maps     []*Mapping
 
 	extends       atomic.Int64
 	savesDeclined atomic.Int64
@@ -763,6 +238,13 @@ type DirStore struct {
 	blockLoads    atomic.Int64
 	blockAppends  atomic.Int64
 }
+
+// DirStore is the cache's disk tier, and its block counters are what
+// ixcache.Cache folds into its snapshot.
+var (
+	_ ixcache.Store         = (*DirStore)(nil)
+	_ ixcache.BlockCounters = (*DirStore)(nil)
+)
 
 // memoBound caps the per-bank and per-path memo maps. A long-lived
 // process churning through query banks would otherwise grow them
@@ -772,7 +254,7 @@ type DirStore struct {
 // the harness's ~30-key working set.
 const memoBound = 64
 
-// loadedEntry memoizes one successful load per path, so LRU
+// loadedEntry memoizes one successful load per key path, so LRU
 // evict-and-reload cycles in a bounded cache above the store return
 // the already-validated index instead of mapping (and checksumming)
 // the same file again — keeping the number of live mappings bounded
@@ -780,9 +262,15 @@ const memoBound = 64
 // because a path encodes the (bank content, options) key and saved
 // files for one key are byte-identical; the memo is keyed on the bank
 // pointer too, since a Prepared binds to the requesting bank value.
+//
+// path is the file actually backing the index, which is not always the
+// key path: a partial load is served by a larger bank's file, and an
+// extension whose append the save policy declined leaves only the
+// stored prefix. Memo hits touch path so the GC sees that file in use.
 type loadedEntry struct {
 	bank *bank.Bank
 	prep *ixcache.Prepared
+	path string
 }
 
 // NewDirStore creates the directory if needed and returns a store
@@ -812,16 +300,6 @@ func (s *DirStore) Dir() string { return s.dir }
 func (s *DirStore) SetMapped(on bool) {
 	s.mu.Lock()
 	s.mapped = on && mmapSupported && nativeLittleEndian
-	s.mu.Unlock()
-}
-
-// SetBlockSeqs sets the sequence-group size fresh saves are cut into
-// (non-positive restores DefaultBlockSeqs). Smaller groups give finer
-// partial-load granularity at the cost of per-block overhead. Call
-// before sharing the store.
-func (s *DirStore) SetBlockSeqs(n int) {
-	s.mu.Lock()
-	s.blockSeqs = n
 	s.mu.Unlock()
 }
 
@@ -855,21 +333,14 @@ func (s *DirStore) bankChecksum(b *bank.Bank) uint64 {
 // tests and operational scripts can inspect or corrupt specific
 // entries.
 func (s *DirStore) Path(b *bank.Bank, opts index.Options) string {
-	return s.keyPath(b.Name, s.bankChecksum(b), uint64(len(b.Data)), uint32(b.NumSeqs()), opts)
-}
-
-// keyPath is Path for an explicit identity — used when the bank value
-// for the identity does not exist (AppendBlock derives its stored
-// prefix's path from the grown bank alone).
-func (s *DirStore) keyPath(name string, bankCRC, dataLen uint64, numSeqs uint32, opts index.Options) string {
 	var key [keySize]byte
-	packKey(key[:], bankCRC, dataLen, numSeqs, opts)
+	packKey(key[:], s.bankChecksum(b), uint64(len(b.Data)), uint32(b.NumSeqs()), opts)
 	h := crc64.Checksum(key[:], crc64Table)
-	return filepath.Join(s.dir, fmt.Sprintf("%s-%016x%s", sanitizeName(name), h, FileExt))
+	return filepath.Join(s.dir, fmt.Sprintf("%s-%016x%s", sanitizeName(b.Name), h, FileExt))
 }
 
 // Load implements ixcache.Store: (nil, nil) when no file exists for the
-// key (and no stored prefix of the bank can be extended — see
+// key (and no stored relative of the bank can serve it — see
 // loadViaPrefix), the validated Prepared on success, and a descriptive
 // error when a file exists but is rejected (the cache then rebuilds
 // and Save overwrites it).
@@ -878,11 +349,10 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*ixcache.Prepared, er
 	s.mu.Lock()
 	if e, ok := s.loaded[path]; ok && e.bank == b && e.prep.MatchesOptions(opts) {
 		s.mu.Unlock()
-		// Memo hits are still uses: refresh mtime so the GC's
-		// oldest-first eviction never collects a file whose index this
-		// process is actively serving from memory.
-		now := time.Now()
-		_ = os.Chtimes(path, now, now)
+		// Memo hits are still uses: refresh the backing file's mtime so
+		// the GC's oldest-first eviction never collects a file whose
+		// index this process is actively serving from memory.
+		touchFile(e.path)
 		return e.prep, nil
 	}
 	mapped := s.mapped
@@ -890,12 +360,12 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*ixcache.Prepared, er
 
 	var p *ixcache.Prepared
 	var m *Mapping
-	var info loadInfo
+	var blocks int
 	var err error
 	if mapped {
-		p, m, info, err = loadMappedVersioned(path, b, opts)
+		p, m, blocks, err = loadMapped(path, b, opts)
 	} else {
-		p, info, err = loadVersioned(path, b, opts)
+		p, blocks, err = loadCopy(path, b, opts)
 	}
 	if errors.Is(err, fs.ErrNotExist) {
 		return s.loadViaPrefix(b, opts, path)
@@ -903,40 +373,29 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*ixcache.Prepared, er
 	if err != nil {
 		return nil, err
 	}
-	s.blockLoads.Add(int64(info.blocks))
-	// Touch the file so the GC's size-cap eviction (oldest mtime first)
-	// approximates LRU over actual use, not save order. Best-effort.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
-	s.memoize(path, b, p, m)
-	if info.version == version {
-		// Heal-by-rewrite: a legacy v2 file served this load, so persist
-		// the validated index in the block-structured v3 layout (same
-		// path — the key is unchanged). Best-effort and policy-gated like
-		// any save; until it succeeds the v2 file keeps serving loads.
-		if err := s.Save(p); err != nil && !errors.Is(err, ixcache.ErrSaveDeclined) {
-			s.writeBackErrs.Add(1)
-		}
-	}
+	s.blockLoads.Add(int64(blocks))
+	touchFile(path)
+	s.memoize(path, path, b, p, m)
 	return p, nil
 }
 
-// memoize records a successful load (or extension) for its path so LRU
-// evict-and-reload cycles above the store return the validated index
-// instead of re-reading the file. Bounded (memoBound, FIFO) — see
-// bankChecksum — with the caveat that an evicted entry's Mapping stays
-// held until Close, since the Prepared it backs may still be in use.
-func (s *DirStore) memoize(path string, b *bank.Bank, p *ixcache.Prepared, m *Mapping) {
+// memoize records a successful load (or extension) under its key path,
+// together with the file backing it, so LRU evict-and-reload cycles
+// above the store return the validated index instead of re-reading the
+// file. Bounded (memoBound, FIFO) — see bankChecksum — with the caveat
+// that an evicted entry's Mapping stays held until Close, since the
+// Prepared it backs may still be in use.
+func (s *DirStore) memoize(keyPath, backing string, b *bank.Bank, p *ixcache.Prepared, m *Mapping) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.loaded[path]; !ok {
-		s.ldOrder = append(s.ldOrder, path)
+	if _, ok := s.loaded[keyPath]; !ok {
+		s.ldOrder = append(s.ldOrder, keyPath)
 		for len(s.ldOrder) > memoBound {
 			delete(s.loaded, s.ldOrder[0])
 			s.ldOrder = s.ldOrder[1:]
 		}
 	}
-	s.loaded[path] = &loadedEntry{bank: b, prep: p}
+	s.loaded[keyPath] = &loadedEntry{bank: b, prep: p, path: backing}
 	if m != nil {
 		// A superseded entry's mapping (same path, different bank
 		// pointer) stays in maps: its Prepared may still be referenced,
@@ -959,14 +418,13 @@ func (s *DirStore) Save(p *ixcache.Prepared) error {
 	pol := s.policy
 	isDB := s.dbBanks[p.Bank]
 	gcCfg := s.gcCfg
-	blockSeqs := s.blockSeqs
 	s.mu.Unlock()
 	if !pol.allows(p.Bank, isDB) {
 		s.savesDeclined.Add(1)
 		return fmt.Errorf("ixdisk: DirStore.Save: bank %q (%d bases): %w",
 			p.Bank.Name, p.Bank.TotalBases(), ixcache.ErrSaveDeclined)
 	}
-	if err := SaveBlocks(s.Path(p.Bank, p.Ix.Options()), p, blockSeqs); err != nil {
+	if err := Save(s.Path(p.Bank, p.Ix.Options()), p); err != nil {
 		return err
 	}
 	if gcCfg.MaxBytes > 0 || gcCfg.MaxAge > 0 {

@@ -212,7 +212,7 @@ func TestHostileFiles(t *testing.T) {
 		loadBoth(t, path, b, opts, ErrTruncated)
 	})
 	t.Run("truncated-header", func(t *testing.T) {
-		path := rewrite(t, func(buf []byte) []byte { return buf[:headerSize/2] })
+		path := rewrite(t, func(buf []byte) []byte { return buf[:headerSizeV3/2] })
 		loadBoth(t, path, b, opts, ErrTruncated)
 	})
 	t.Run("truncated-body", func(t *testing.T) {
@@ -232,7 +232,7 @@ func TestHostileFiles(t *testing.T) {
 		loadBoth(t, path, b, opts, ErrVersion)
 	})
 	t.Run("checksum-corruption", func(t *testing.T) {
-		path := rewrite(t, func(buf []byte) []byte { buf[headerSize+len(buf)/3] ^= 0x40; return buf })
+		path := rewrite(t, func(buf []byte) []byte { buf[headerSizeV3+len(buf)/3] ^= 0x40; return buf })
 		loadBoth(t, path, b, opts, ErrChecksum)
 	})
 	t.Run("key-mismatch-W", func(t *testing.T) {
@@ -338,7 +338,7 @@ func TestDirStoreHealsCorruptFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[headerSize+len(buf)/2] ^= 0x01
+	buf[headerSizeV3+len(buf)/2] ^= 0x01
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}

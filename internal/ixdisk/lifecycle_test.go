@@ -400,6 +400,56 @@ func TestGCAgeCap(t *testing.T) {
 	}
 }
 
+// TestMemoHitTouchesBackingFile: after a partial load the index is
+// memoized under the request's key path, but the file serving it is the
+// larger bank's. Memo hits must refresh *that* file's mtime, or an
+// age-capped GC collects a file the process is actively serving from.
+func TestMemoHitTouchesBackingFile(t *testing.T) {
+	recs := genRecs(t, 600, 6)
+	prefix := bank.New("db", recs[:4])
+	grown := bank.New("db", recs)
+	opts := index.Options{W: 8}
+	store, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	stored := store.Path(grown, opts)
+	if err := SaveBlocks(stored, ixcache.Prepare(grown, opts), 2); err != nil {
+		t.Fatal(err)
+	}
+	first, err := store.Load(prefix, opts)
+	if err != nil || first == nil {
+		t.Fatalf("partial load: %v, %v", first, err)
+	}
+
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(stored, old, old); err != nil {
+		t.Fatal(err)
+	}
+	again, err := store.Load(prefix, opts)
+	if err != nil || again != first {
+		t.Fatalf("second load was not a memo hit: %v, %v", again, err)
+	}
+	fi, err := os.Stat(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if time.Since(fi.ModTime()) > time.Minute {
+		t.Errorf("memo hit left the serving file's mtime at %v", fi.ModTime())
+	}
+	st, err := store.gcWith(GCConfig{MaxAge: 30 * time.Minute}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Removed != 0 {
+		t.Errorf("age-capped GC removed %d files; the one in active use must stay", st.Removed)
+	}
+	if _, err := os.Stat(stored); err != nil {
+		t.Errorf("the serving file is gone: %v", err)
+	}
+}
+
 // TestGCRunsOnSave: with caps configured, saving keeps the store
 // converging toward its bound without explicit GC calls.
 func TestGCRunsOnSave(t *testing.T) {

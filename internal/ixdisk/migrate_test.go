@@ -1,11 +1,10 @@
 package ixdisk
 
-// The v2→v3 migration matrix: legacy v2 files stay readable, exact
-// loads heal them by rewrite to v3, prefix extensions from v2 bases
-// write back v3, and the v3-specific behaviors — O(suffix) in-place
-// appends, partial block-boundary loads, block-granular API — hold the
-// byte-identity invariant against cold builds throughout. Hostile v3
-// block footers are rejected by both readers.
+// The block-format behaviors — O(suffix) in-place appends, partial
+// block-boundary loads, the metadata probe — hold the byte-identity
+// invariant against cold builds throughout; hostile block footers are
+// rejected by both readers; and files of the retired v2 layout are
+// rejected at the version gate and healed by rebuild.
 
 import (
 	"bytes"
@@ -17,126 +16,75 @@ import (
 	"testing"
 
 	"repro/internal/bank"
+	"repro/internal/fasta"
 	"repro/internal/index"
 	"repro/internal/ixcache"
 )
 
-// TestV2ReadCompat: files written by the byte-exact legacy writer load
-// through both readers, identical to a cold build, across the option
-// matrix.
-func TestV2ReadCompat(t *testing.T) {
-	b := genBank(t, "v2compat", 4096)
-	for name, opts := range optionVariants() {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "ix"+FileExt)
-			built := ixcache.Prepare(b, opts)
-			if err := saveV2(path, built); err != nil {
-				t.Fatal(err)
-			}
-			info, err := Probe(path)
-			if err != nil || info.Version != version {
-				t.Fatalf("Probe of v2 file: version %v, err %v", info, err)
-			}
-			loaded, err := Load(path, b, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIndexEqual(t, built.Ix, loaded.Ix)
-			mapped, m, err := LoadMapped(path, b, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			assertIndexEqual(t, built.Ix, mapped.Ix)
-		})
-	}
+// legacyBank is the bank the committed v2 fixture was saved from (under
+// index.Options{W: 4}).
+func legacyBank() (*bank.Bank, index.Options) {
+	return bank.New("legacy", []*fasta.Record{
+		{ID: "s0", Seq: []byte("ACGTTGCAAGGCTTAACGGATC")},
+		{ID: "s1", Seq: []byte("GGATCCTTAGCAACGTA")},
+	}), index.Options{W: 4}
 }
 
-// TestV2HealByRewrite: a DirStore exact load of a v2 file serves it
-// and rewrites it as v3 under the same path; the healed file serves
-// the identical index.
-func TestV2HealByRewrite(t *testing.T) {
-	dir := t.TempDir()
-	b := genBank(t, "heal", 4096)
-	opts := index.Options{W: 8}
-	store, err := NewDirStore(dir)
+// TestLegacyV2Rejected pins the retirement of the v2 layout against a
+// real v2 file: both readers and the probe reject it with ErrVersion —
+// never parse it — and a store whose key path holds one pays exactly
+// one store error and one build, then holds a current-format file.
+func TestLegacyV2Rejected(t *testing.T) {
+	b, opts := legacyBank()
+	loadBoth(t, legacyV2Fixture, b, opts, ErrVersion)
+	if info, err := Probe(legacyV2Fixture); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Probe of a v2 file: %+v, %v — want ErrVersion", info, err)
+	}
+
+	store, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	built := ixcache.Prepare(b, opts)
-	path := store.Path(b, opts)
-	if err := saveV2(path, built); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := store.Load(b, opts)
-	if err != nil || p == nil {
-		t.Fatalf("exact load of v2 file: %v, %v", p, err)
-	}
-	assertIndexEqual(t, built.Ix, p.Ix)
-
-	info, err := Probe(path)
+	v2, err := os.ReadFile(legacyV2Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != version3 {
-		t.Fatalf("after heal the file is version %d, want %d", info.Version, version3)
+	exact := store.Path(b, opts)
+	if err := os.WriteFile(exact, v2, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(info.Blocks) == 0 {
-		t.Fatal("healed v3 file has no block directory")
+	c := ixcache.New(4)
+	c.SetStore(store)
+	p := c.Get(b, opts)
+	if c.Builds() != 1 || c.DiskErrors() != 1 || c.DiskHits() != 0 {
+		t.Fatalf("v2 file at the key path: builds=%d diskErrs=%d diskHits=%d, want 1/1/0",
+			c.Builds(), c.DiskErrors(), c.DiskHits())
 	}
-
-	// A fresh store serves the healed file, still byte-identical.
-	store2, err := NewDirStore(dir)
+	if info, err := Probe(exact); err != nil || info.Version != version3 {
+		t.Fatalf("store did not overwrite the v2 file with a v3 one: %+v, %v", info, err)
+	}
+	loaded, err := Load(exact, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store2.Close()
-	b2 := genBank(t, "heal", 4096)
-	p2, err := store2.Load(b2, opts)
-	if err != nil || p2 == nil {
-		t.Fatalf("load of healed file: %v, %v", p2, err)
-	}
-	assertIndexEqual(t, ixcache.Prepare(b2, opts).Ix, p2.Ix)
+	assertIndexEqual(t, p.Ix, loaded.Ix)
 }
 
-// TestV2PrefixExtendWritesV3: an exact miss satisfied by extending a
-// stored v2 prefix writes the completed index back as v3 — the heal
-// path for prefix files.
-func TestV2PrefixExtendWritesV3(t *testing.T) {
-	dir := t.TempDir()
-	recs := genRecs(t, 600, 5)
-	short := bank.New("db", recs[:4])
-	grown := bank.New("db", recs)
-	opts := index.Options{W: 8}
-	store, err := NewDirStore(dir)
+// TestPathStable pins the filename a (bank, options) key maps to, to
+// the literal the previous release produced for the same key: the name
+// is a hash of a frozen byte layout, so a store written before this
+// change is still an exact hit after it.
+func TestPathStable(t *testing.T) {
+	store, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := saveV2(store.Path(short, opts), ixcache.Prepare(short, opts)); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := store.Load(grown, opts)
-	if err != nil || p == nil {
-		t.Fatalf("extend from v2 prefix: %v, %v", p, err)
-	}
-	if store.Extends() != 1 {
-		t.Errorf("Extends = %d, want 1", store.Extends())
-	}
-	if store.BlockAppends() != 0 {
-		t.Errorf("BlockAppends = %d, want 0 (v2 base cannot be appended in place)", store.BlockAppends())
-	}
-	assertIndexEqual(t, ixcache.Prepare(grown, opts).Ix, p.Ix)
-
-	info, err := Probe(store.Path(grown, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != version3 {
-		t.Fatalf("write-back is version %d, want %d", info.Version, version3)
+	b, opts := legacyBank()
+	const want = "legacy-5593a86b4d3cbcb6.orix"
+	if got := filepath.Base(store.Path(b, opts)); got != want {
+		t.Errorf("Path = %s, want %s — every stored file would go cold", got, want)
 	}
 }
 
@@ -156,11 +104,11 @@ func TestV3AppendInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	store.SetBlockSeqs(2) // 4 sequences → 2 stored blocks
-	if err := store.Save(ixcache.Prepare(short, opts)); err != nil {
+	oldPath := store.Path(short, opts)
+	// 4 sequences cut every 2 → 2 stored blocks.
+	if err := SaveBlocks(oldPath, ixcache.Prepare(short, opts), 2); err != nil {
 		t.Fatal(err)
 	}
-	oldPath := store.Path(short, opts)
 	oldBytes, err := os.ReadFile(oldPath)
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +187,8 @@ func TestV3PartialLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	store.SetBlockSeqs(2) // 6 sequences → 3 blocks, boundary at 4
-	if err := store.Save(ixcache.Prepare(grown, opts)); err != nil {
+	// 6 sequences cut every 2 → 3 blocks, boundary at 4.
+	if err := SaveBlocks(store.Path(grown, opts), ixcache.Prepare(grown, opts), 2); err != nil {
 		t.Fatal(err)
 	}
 	total := 3
@@ -270,105 +218,6 @@ func TestV3PartialLoad(t *testing.T) {
 	}
 	if pOdd != nil {
 		t.Fatal("non-boundary prefix was served from blocks")
-	}
-}
-
-// TestLoadBlocksPartialRanges: the block-aware store API returns a
-// structurally valid partial index holding exactly the requested
-// ranges' blocks.
-func TestLoadBlocksPartialRanges(t *testing.T) {
-	dir := t.TempDir()
-	recs := genRecs(t, 600, 6)
-	b := bank.New("db", recs)
-	opts := index.Options{W: 8}
-	store, err := NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	store.SetBlockSeqs(2)
-	if err := store.Save(ixcache.Prepare(b, opts)); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := store.LoadBlocks(b, opts, []ixcache.SeqRange{{Lo: 2, Hi: 4}})
-	if err != nil || p == nil {
-		t.Fatalf("LoadBlocks: %v, %v", p, err)
-	}
-	if got := store.BlockLoads(); got != 1 {
-		t.Errorf("BlockLoads = %d, want 1", got)
-	}
-	// The partial index holds exactly the middle block's occurrences:
-	// every occurrence's sequence is in [2, 4), and the count matches
-	// the cold build restricted to that Data range.
-	full := ixcache.Prepare(b, opts).Ix
-	lo, hi := int32(b.PrefixLen(2)), int32(b.PrefixLen(4))
-	want := 0
-	for _, pos := range full.Parts().Pos {
-		if pos >= lo && pos < hi {
-			want++
-		}
-	}
-	parts := p.Ix.Parts()
-	if parts.Indexed != want {
-		t.Errorf("partial index holds %d occurrences, the range holds %d", parts.Indexed, want)
-	}
-	for _, pos := range parts.Pos {
-		if pos < lo || pos >= hi {
-			t.Fatalf("partial index leaked position %d outside [%d,%d)", pos, lo, hi)
-		}
-	}
-
-	// Full-range request equals the whole index.
-	pAll, err := store.LoadBlocks(b, opts, nil)
-	if err != nil || pAll == nil {
-		t.Fatalf("LoadBlocks(nil): %v, %v", pAll, err)
-	}
-	assertIndexEqual(t, full, pAll.Ix)
-}
-
-// TestAppendBlockAPI: the explicit AppendBlock entry point appends in
-// place when the stored prefix exists and degrades to a full save when
-// it does not.
-func TestAppendBlockAPI(t *testing.T) {
-	dir := t.TempDir()
-	recs := genRecs(t, 600, 5)
-	short := bank.New("db", recs[:3])
-	grown := bank.New("db", recs)
-	opts := index.Options{W: 8}
-	store, err := NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if err := store.Save(ixcache.Prepare(short, opts)); err != nil {
-		t.Fatal(err)
-	}
-
-	p := ixcache.Prepare(grown, opts)
-	if err := store.AppendBlock(p, short.NumSeqs()); err != nil {
-		t.Fatal(err)
-	}
-	if store.BlockAppends() != 1 {
-		t.Errorf("BlockAppends = %d, want 1", store.BlockAppends())
-	}
-	loaded, err := Load(store.Path(grown, opts), grown, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIndexEqual(t, p.Ix, loaded.Ix)
-
-	// No stored prefix for this bank: AppendBlock degrades to Save.
-	other := bank.New("other", recs)
-	pOther := ixcache.Prepare(other, opts)
-	if err := store.AppendBlock(pOther, 3); err != nil {
-		t.Fatal(err)
-	}
-	if store.BlockAppends() != 1 {
-		t.Errorf("BlockAppends = %d after fallback, want still 1", store.BlockAppends())
-	}
-	if _, err := os.Stat(store.Path(other, opts)); err != nil {
-		t.Errorf("fallback full save missing: %v", err)
 	}
 }
 
@@ -517,55 +366,39 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 	assertIndexEqual(t, built.Ix, p.Ix)
 }
 
-// TestProbeMetadata: the probe reports versions, identity, and block
-// directories without payload access.
+// TestProbeMetadata: the probe reports version, identity, and the block
+// directory without payload access.
 func TestProbeMetadata(t *testing.T) {
 	b := genBank(t, "probe", 2048)
 	opts := index.Options{W: 8}
-	dir := t.TempDir()
-	p := ixcache.Prepare(b, opts)
-
-	v2path := filepath.Join(dir, "v2"+FileExt)
-	if err := saveV2(v2path, p); err != nil {
+	path := filepath.Join(t.TempDir(), "ix"+FileExt)
+	if err := SaveBlocks(path, ixcache.Prepare(b, opts), 1); err != nil {
 		t.Fatal(err)
 	}
-	v3path := filepath.Join(dir, "v3"+FileExt)
-	if err := SaveBlocks(v3path, p, 1); err != nil {
+	info, err := Probe(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	sums := b.SeqChecksums()
-	for _, path := range []string{v2path, v3path} {
-		info, err := Probe(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.BankCRC != BankChecksum(b) || info.DataLen != int64(len(b.Data)) ||
-			info.NumSeqs != b.NumSeqs() {
-			t.Errorf("%s: identity %+v does not match bank", path, info)
-		}
-		if !ixcache.SameKey(info.Opts, opts) {
-			t.Errorf("%s: options %+v do not key-match", path, info.Opts)
-		}
-		for i, sum := range sums {
-			if info.SeqSums[i] != sum {
-				t.Fatalf("%s: SeqSums[%d] mismatch", path, i)
-			}
+	if info.Version != version3 {
+		t.Errorf("version %d, want %d", info.Version, version3)
+	}
+	if info.BankCRC != BankChecksum(b) || info.DataLen != int64(len(b.Data)) ||
+		info.NumSeqs != b.NumSeqs() {
+		t.Errorf("identity %+v does not match bank", info)
+	}
+	if !ixcache.SameKey(info.Opts, opts) {
+		t.Errorf("options %+v do not key-match", info.Opts)
+	}
+	for i, sum := range b.SeqChecksums() {
+		if info.SeqSums[i] != sum {
+			t.Fatalf("SeqSums[%d] mismatch", i)
 		}
 	}
-	i2, _ := Probe(v2path)
-	i3, _ := Probe(v3path)
-	if i2.Version != version || i3.Version != version3 {
-		t.Errorf("versions %d/%d, want %d/%d", i2.Version, i3.Version, version, version3)
+	if len(info.Blocks) != b.NumSeqs() {
+		t.Errorf("probe found %d blocks, want %d (blockSeqs=1)", len(info.Blocks), b.NumSeqs())
 	}
-	if i2.Blocks != nil {
-		t.Error("v2 probe invented a block directory")
-	}
-	if len(i3.Blocks) != b.NumSeqs() {
-		t.Errorf("v3 probe found %d blocks, want %d (blockSeqs=1)", len(i3.Blocks), b.NumSeqs())
-	}
-	if i3.PayloadEnd >= fileSize(t, v3path) {
-		t.Error("v3 PayloadEnd not before the footer")
+	if info.PayloadEnd >= fileSize(t, path) {
+		t.Error("PayloadEnd not before the footer")
 	}
 }
 

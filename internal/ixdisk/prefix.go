@@ -2,6 +2,7 @@ package ixdisk
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,14 +11,13 @@ import (
 	"repro/internal/bank"
 	"repro/internal/index"
 	"repro/internal/ixcache"
-	"repro/internal/seed"
 )
 
 // Append-aware reuse: satisfying an exact miss from the bank's lineage.
 //
 // Whole-bank identity makes a growing bank pathological: append one EST
 // run and every cached index of the bank is garbage. The per-sequence
-// checksum vector fixes the granularity — and with block-structured v3
+// checksum vector fixes the granularity — and with block-structured
 // files the reuse works in both directions:
 //
 //   - a stored file recording a *larger* bank of which the requesting
@@ -28,9 +28,7 @@ import (
 //     bank is completed by building one block over the appended suffix
 //     and — policy permitting — appended in place: one new block plus
 //     a rewritten footer, O(suffix) bytes written, never a rewrite of
-//     the stored prefix (legacy v2 prefixes go through
-//     index.ExtendFromParts and a full v3 write-back instead, which
-//     doubles as their heal-by-rewrite).
+//     the stored prefix.
 //
 // The flow on an exact miss: scan the directory, Probe each candidate's
 // metadata (header + footer — no payload reads), collect compatible
@@ -43,15 +41,14 @@ import (
 // probeResult is one compatible candidate file.
 type probeResult struct {
 	path string
-	info *FileInfo
 	k    int  // stored sequence count
 	part bool // stored file is larger; serve b from its leading blocks
 }
 
 // compatPrefix decides from probed metadata alone whether the file at
 // info could serve (b, opts): either as a partial load (info records a
-// larger bank with a block boundary exactly at b's end, v3 only) or as
-// an extension base (info records a strict prefix of b). The loaders
+// larger bank with a block boundary exactly at b's end) or as an
+// extension base (info records a strict prefix of b). The loaders
 // re-validate everything; this only prunes the candidate list.
 func compatPrefix(info *FileInfo, b *bank.Bank, opts index.Options) (k int, part, ok bool) {
 	if !ixcache.SameKey(info.Opts, opts) {
@@ -60,9 +57,6 @@ func compatPrefix(info *FileInfo, b *bank.Bank, opts index.Options) (k int, part
 	sums := b.SeqChecksums()
 	switch {
 	case info.NumSeqs > b.NumSeqs():
-		if info.Version != version3 {
-			return 0, false, false
-		}
 		nb := -1
 		for i, blk := range info.Blocks {
 			if blk.SeqHi == b.NumSeqs() {
@@ -127,7 +121,7 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 			continue
 		}
 		if k, part, ok := compatPrefix(info, b, opts); ok {
-			out = append(out, probeResult{path: path, info: info, k: k, part: part})
+			out = append(out, probeResult{path: path, k: k, part: part})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -142,95 +136,42 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 	return out
 }
 
-// loadPrefixExtend fully validates a legacy v2 candidate file as a
-// prefix of b and extends it into the complete index for (b, opts).
-// The file's frame (checksum included) and its prefix identity are
-// re-checked from scratch — the probe's cheap pass authorizes nothing —
-// and index.ExtendFromParts re-validates the decoded CSR structure
-// before the merge, so a hostile candidate fails closed. The copying
-// reader is used unconditionally: the merged index owns fresh arrays
-// anyway, so an mmap would only be a detour.
-func loadPrefixExtend(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	h, s, err := parseFrame(buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.checkOptionsKey(opts); err != nil {
-		return nil, err
-	}
-	k, err := h.checkPrefixBank(s, b)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := index.ExtendFromParts(b, opts, index.Parts{
-		Starts:     decodeWords[int32](s.starts),
-		Pos:        decodeWords[int32](s.pos),
-		Codes:      decodeWords[seed.Code](s.codes),
-		OccSeq:     decodeWords[int32](s.occSeq),
-		OccLo:      decodeWords[int32](s.occLo),
-		OccHi:      decodeWords[int32](s.occHi),
-		Indexed:    int(h.indexed),
-		MaskedOut:  int(h.maskedOut),
-		SampledOut: int(h.sampledOut),
-	}, b.PrefixLen(k))
-	if err != nil {
-		return nil, err
-	}
-	return &ixcache.Prepared{Bank: b, Ix: ix}, nil
-}
-
-// extendV3 completes a stored v3 prefix file into the full index for
+// extendV3 completes a stored prefix file into the full index for
 // (b, opts): decode the stored blocks (each CRC-checked) against the
 // grown bank — block coordinates are append-stable, so they are valid
 // verbatim — build one block over the appended suffix, and reassemble.
 // Only the suffix is scanned; the returned footer and suffix block let
-// the caller append in place.
-func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options, k int) (*ixcache.Prepared, *index.BlockParts, *footerV3, error) {
-	buf, err := os.ReadFile(path)
+// the caller append in place. The file's identity as a strict prefix
+// of b is re-checked from scratch — the probe's cheap pass authorizes
+// nothing.
+func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *index.BlockParts, *footerV3, error) {
+	x, err := openIndexFile(path, &opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	h, err := decodeHeaderV3(buf)
+	defer x.f.Close()
+	k := int(x.ftr.numSeqs)
+	if k >= b.NumSeqs() || x.ftr.dataLen != uint64(b.PrefixLen(k)) {
+		return nil, nil, nil, fmt.Errorf("ixdisk: %w: stored file (%d sequences, %d bytes) is not a strict prefix of bank %q",
+			ErrKeyMismatch, k, x.ftr.dataLen, b.Name)
+	}
+	if err := x.ftr.checkPrefixSums(b, k); err != nil {
+		return nil, nil, nil, err
+	}
+	blocks, err := x.readBlocks(len(x.ftr.dir))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := h.checkOptionsKey(opts); err != nil {
-		return nil, nil, nil, err
-	}
-	ftr, err := parseFooterV3(buf, int64(len(buf)))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if int(ftr.numSeqs) != k || k >= b.NumSeqs() || ftr.dataLen != uint64(b.PrefixLen(k)) {
-		return nil, nil, nil, errors.Join(ErrKeyMismatch,
-			errors.New("ixdisk: stored file is not the expected strict prefix"))
-	}
-	if err := ftr.checkPrefixSums(b, k); err != nil {
-		return nil, nil, nil, err
-	}
-	blocks := make([]index.BlockParts, 0, len(ftr.dir)+1)
-	for _, e := range ftr.dir {
-		bp, err := decodeBlock(buf[e.offset:e.offset+e.length], e, false)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		blocks = append(blocks, bp)
-	}
-	s.blockLoads.Add(int64(len(ftr.dir)))
+	s.blockLoads.Add(int64(len(blocks)))
 	suffix, err := index.BuildBlock(b, opts, k, b.NumSeqs())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	blocks = append(blocks, suffix)
-	ix, err := index.FromBlocks(b, opts, blocks)
+	p, err := x.prepare(b, append(blocks, suffix), false)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &ixcache.Prepared{Bank: b, Ix: ix}, &suffix, ftr, nil
+	return p, &suffix, x.ftr, nil
 }
 
 // loadViaPrefix is the exact-miss fallback of DirStore.Load: find the
@@ -241,55 +182,40 @@ func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options, k int
 func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath string) (*ixcache.Prepared, error) {
 	for _, cand := range s.prefixCandidates(b, opts, exactPath) {
 		if cand.part {
-			p, loaded, _, err := loadV3Prefix(cand.path, b, opts)
+			p, loaded, err := loadLeading(cand.path, b, opts)
 			if err != nil {
 				continue
 			}
 			s.blockLoads.Add(int64(loaded))
-			s.memoize(exactPath, b, p, nil)
 			// Nothing to write back: the stored file already holds this
 			// bank's blocks (and more). Touching keeps the GC honest about
 			// the file being in active use.
 			touchFile(cand.path)
+			s.memoize(exactPath, cand.path, b, p, nil)
 			return p, nil
 		}
-		if cand.info.Version == version3 {
-			p, suffix, ftr, err := s.extendV3(cand.path, b, opts, cand.k)
-			if err != nil {
-				continue
-			}
-			s.extends.Add(1)
-			s.memoize(exactPath, b, p, nil)
-			s.persistAppend(cand.path, exactPath, p, suffix, ftr)
-			return p, nil
-		}
-		p, err := loadPrefixExtend(cand.path, b, opts)
+		p, suffix, ftr, err := s.extendV3(cand.path, b, opts)
 		if err != nil {
 			continue
 		}
 		s.extends.Add(1)
-		s.memoize(exactPath, b, p, nil)
-		// Legacy v2 prefix: write the completed index back in full under
-		// the exact key — the v2→v3 heal-by-rewrite for the prefix case.
-		// Failure never fails the load — the next cold process just
-		// extends again — but a genuine I/O failure is counted
-		// (WriteBackErrors) so a store that can no longer be written
-		// doesn't read as healthy; a policy decline is already counted by
-		// Save itself.
-		if err := s.Save(p); err != nil && !errors.Is(err, ixcache.ErrSaveDeclined) {
-			s.writeBackErrs.Add(1)
-		}
+		backing := s.persistAppend(cand.path, exactPath, p, suffix, ftr)
+		s.memoize(exactPath, backing, b, p, nil)
 		return p, nil
 	}
 	return nil, nil
 }
 
-// persistAppend makes a completed v3 extension durable by the O(suffix)
+// persistAppend makes a completed extension durable by the O(suffix)
 // route: write the suffix block over the old footer, write the grown
 // footer, rename the file to the exact key's path. Policy-gated and
-// best-effort like every write-back; if the in-place append fails a
-// full save is attempted before counting a write-back error.
-func (s *DirStore) persistAppend(oldPath, exactPath string, p *ixcache.Prepared, suffix *index.BlockParts, ftr *footerV3) {
+// best-effort like every write-back — failure never fails the load,
+// the next cold process just extends again — but if the in-place
+// append fails a full save is attempted, and a genuine I/O failure of
+// that is counted (WriteBackErrors) so a store that can no longer be
+// written doesn't read as healthy. It returns the path now backing the
+// index: exactPath once written, else the untouched oldPath.
+func (s *DirStore) persistAppend(oldPath, exactPath string, p *ixcache.Prepared, suffix *index.BlockParts, ftr *footerV3) string {
 	s.mu.Lock()
 	pol := s.policy
 	isDB := s.dbBanks[p.Bank]
@@ -297,26 +223,29 @@ func (s *DirStore) persistAppend(oldPath, exactPath string, p *ixcache.Prepared,
 	s.mu.Unlock()
 	if !pol.allows(p.Bank, isDB) {
 		s.savesDeclined.Add(1)
-		return
+		return oldPath
 	}
 	if err := appendBlockAt(oldPath, exactPath, p.Bank, suffix, ftr); err != nil {
-		if err := s.Save(p); err != nil && !errors.Is(err, ixcache.ErrSaveDeclined) {
-			s.writeBackErrs.Add(1)
+		if err := s.Save(p); err != nil {
+			if !errors.Is(err, ixcache.ErrSaveDeclined) {
+				s.writeBackErrs.Add(1)
+			}
+			return oldPath
 		}
-		return
+		return exactPath
 	}
 	s.blockAppends.Add(1)
 	touchFile(exactPath)
 	if gcCfg.MaxBytes > 0 || gcCfg.MaxAge > 0 {
 		_, _ = s.GC()
 	}
+	return exactPath
 }
 
 // Extends returns how many exact misses this store satisfied by
-// completing a stored prefix index over its appended suffix (v3 block
-// appends and legacy v2 suffix extensions both count) — the
-// append-aware reuse counter the CLIs surface next to builds and disk
-// hits.
+// completing a stored prefix index with one block built over its
+// appended suffix — the append-aware reuse counter the CLIs surface
+// next to builds and disk hits.
 func (s *DirStore) Extends() int64 { return s.extends.Load() }
 
 // SavesDeclined returns how many saves the store's SavePolicy refused.
@@ -328,13 +257,13 @@ func (s *DirStore) SavesDeclined() int64 { return s.savesDeclined.Load() }
 // ixcache.Cache.DiskErrors; the CLIs add the two counters together.
 func (s *DirStore) WriteBackErrors() int64 { return s.writeBackErrs.Load() }
 
-// BlockLoads returns how many v3 blocks the store has decoded and
+// BlockLoads returns how many blocks the store has decoded and
 // CRC-checked from disk — exact loads, partial loads, and extension
 // bases all count, so BlockLoads < (blocks on disk touched · loads)
 // quantifies how much partial loading saves.
 func (s *DirStore) BlockLoads() int64 { return s.blockLoads.Load() }
 
-// BlockAppends returns how many times the store grew a stored v3 file
+// BlockAppends returns how many times the store grew a stored file
 // in place by exactly one suffix block (plus footer) instead of
 // rewriting it.
 func (s *DirStore) BlockAppends() int64 { return s.blockAppends.Load() }

@@ -1,23 +1,14 @@
 package ixdisk
 
-// The header-only probe: answering "what does this .orix file hold?"
+// The metadata probe: answering "what does this .orix file hold?"
 // without reading its index payload. DirStore's prefix-candidate scan
 // and the fleet router's backfill both need to decide compatibility
-// cheaply; before v3 each such decision opened and read whole files.
-// Probe reads the fixed header plus the identity metadata — the footer
-// directory for v3, the header + checksum section for v2 — a few KiB
-// regardless of index size.
+// cheaply. Probe reads the fixed header plus the footer (identity and
+// block directory) — a few KiB regardless of index size.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"os"
+import "repro/internal/index"
 
-	"repro/internal/index"
-)
-
-// BlockInfo describes one block of a v3 file, from the footer
+// BlockInfo describes one block of a file, from the footer
 // directory: where it lives and which slice of the bank it covers.
 type BlockInfo struct {
 	// SeqLo, SeqHi bound the sequence range [SeqLo, SeqHi).
@@ -32,12 +23,13 @@ type BlockInfo struct {
 
 // FileInfo is what Probe learns about an index file from its metadata
 // alone: format version, the options and bank identity it was built
-// for, and (v3) the block directory. The payload is not read and no
+// for, and the block directory. The payload is not read and no
 // payload checksum is verified — Probe answers "what does this file
 // claim to hold?", and the loaders re-validate every claim before any
 // byte is trusted.
 type FileInfo struct {
-	// Version is the format version (2 or 3).
+	// Version is the format version — always 3, the only one Probe
+	// accepts.
 	Version int
 	// Opts is the recorded index options key.
 	Opts index.Options
@@ -47,62 +39,32 @@ type FileInfo struct {
 	NumSeqs int
 	// SeqSums is the per-sequence checksum vector.
 	SeqSums []uint64
-	// Blocks is the v3 footer directory in file order; nil for v2 files
-	// (a v2 file is one monolithic section set, not blocks).
+	// Blocks is the footer directory in file order.
 	Blocks []BlockInfo
 	// PayloadEnd is the offset where index payload ends: the footer
-	// start for v3 (everything before it is header + blocks, untouched
-	// by appends), the file size for v2.
+	// start (everything before it is header + blocks, untouched by
+	// appends).
 	PayloadEnd int64
 }
 
 // Probe reads an index file's metadata without its payload: the fixed
-// header plus the footer (v3) or the checksum section (v2). It is the
-// shared compatibility test for DirStore's prefix-candidate scan and
-// the fleet's backfill — a few small reads per file, O(metadata) not
-// O(index). Framing and metadata checksums are verified (v3 header and
-// footer carry their own CRCs); the payload is not, so a successful
-// probe authorizes nothing — loaders re-validate in full.
+// header plus the footer. It is the shared compatibility test for
+// DirStore's prefix-candidate scan and the fleet's backfill — a few
+// small reads per file, O(metadata) not O(index). Framing and metadata
+// checksums are verified (header and footer carry their own CRCs); the
+// payload is not, so a successful probe authorizes nothing — loaders
+// re-validate in full. A file of any other format version fails with
+// ErrVersion.
 func Probe(path string) (*FileInfo, error) {
-	f, err := os.Open(path)
+	x, err := openIndexFile(path, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	var pfx [12]byte
-	if _, err := f.ReadAt(pfx[:], 0); err != nil {
-		return nil, fmt.Errorf("ixdisk: %w: %v", ErrTruncated, err)
-	}
-	v, err := fileVersion(pfx[:])
-	if err != nil {
-		return nil, err
-	}
-	if v == version3 {
-		return probeV3(f, fi.Size())
-	}
-	return probeV2(f, fi.Size())
-}
-
-func probeV3(f *os.File, size int64) (*FileInfo, error) {
-	hdr := make([]byte, headerSizeV3)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("ixdisk: %w: %v", ErrTruncated, err)
-	}
-	h, err := decodeHeaderV3(hdr)
-	if err != nil {
-		return nil, err
-	}
-	ftr, err := readFooterAt(f, size)
-	if err != nil {
-		return nil, err
-	}
+	defer x.f.Close()
+	ftr := x.ftr
 	info := &FileInfo{
 		Version:    version3,
-		Opts:       h.indexOptions(),
+		Opts:       x.hdr.indexOptions(),
 		BankCRC:    ftr.bankCRC,
 		DataLen:    int64(ftr.dataLen),
 		NumSeqs:    int(ftr.numSeqs),
@@ -120,34 +82,6 @@ func probeV3(f *os.File, size int64) (*FileInfo, error) {
 			Offset: int64(e.offset), Length: int64(e.length),
 			CRC: e.crc,
 		}
-	}
-	return info, nil
-}
-
-func probeV2(f *os.File, size int64) (*FileInfo, error) {
-	hdr := make([]byte, headerSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("ixdisk: %w: %v", ErrTruncated, err)
-	}
-	h, err := decodeHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	sums := make([]byte, 8*h.secLen[0])
-	if _, err := io.ReadFull(io.NewSectionReader(f, headerSize, int64(len(sums))), sums); err != nil {
-		return nil, fmt.Errorf("ixdisk: %w: %v", ErrTruncated, err)
-	}
-	info := &FileInfo{
-		Version:    version,
-		Opts:       h.indexOptions(),
-		BankCRC:    h.bankCRC,
-		DataLen:    int64(h.dataLen),
-		NumSeqs:    int(h.numSeqs),
-		SeqSums:    make([]uint64, h.secLen[0]),
-		PayloadEnd: size,
-	}
-	for i := range info.SeqSums {
-		info.SeqSums[i] = binary.LittleEndian.Uint64(sums[8*i:])
 	}
 	return info, nil
 }

@@ -1,0 +1,289 @@
+package ixdisk
+
+// The read side: one way to open an .orix file, and the three loaders
+// built on it — the copying exact load, the mmap exact load, and the
+// covering-blocks partial load. (The append base, DirStore.extendV3,
+// and Probe are the other two callers of the opener.)
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"sync"
+
+	"repro/internal/bank"
+	"repro/internal/index"
+	"repro/internal/ixcache"
+)
+
+// indexFile is an .orix file opened as far as its metadata: the header
+// decoded (the version gate), its options key checked, the footer read
+// and validated. No block byte has been touched yet. Every reader —
+// Probe, the exact loads, the covering-blocks partial load, the append
+// base — starts here, so the ladder of checks exists exactly once.
+type indexFile struct {
+	f    *os.File
+	size int64
+	hdr  *optionsHeader
+	ftr  *footerV3
+}
+
+// openIndexFile runs the metadata ladder on path: open, stat, read and
+// decode the 48-byte header (decodeHeaderV3 rejects every other format
+// version), check the recorded options against want, read the footer.
+// A nil want skips the options check — Probe's case, which reports
+// whatever the file records. The caller closes x.f.
+func openIndexFile(path string, want *index.Options) (x *indexFile, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	hdr := make([]byte, headerSizeV3)
+	if _, err := f.ReadAt(hdr, 0); err != nil {
+		return nil, fmt.Errorf("ixdisk: %w: reading the %d-byte header of a %d-byte file: %v",
+			ErrTruncated, headerSizeV3, fi.Size(), err)
+	}
+	h, err := decodeHeaderV3(hdr)
+	if err != nil {
+		return nil, err
+	}
+	if want != nil {
+		if err := h.checkOptionsKey(*want); err != nil {
+			return nil, err
+		}
+	}
+	ftr, err := readFooterAt(f, fi.Size())
+	if err != nil {
+		return nil, err
+	}
+	return &indexFile{f: f, size: fi.Size(), hdr: h, ftr: ftr}, nil
+}
+
+// readFooterAt reads and parses just the footer of an open file — the
+// last rung of openIndexFile: two small ReadAt calls (trailer, then
+// footer), never the blocks.
+func readFooterAt(f io.ReaderAt, size int64) (*footerV3, error) {
+	if size < headerSizeV3+trailerSize {
+		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the v3 minimum", ErrTruncated, size)
+	}
+	var tr [trailerSize]byte
+	if _, err := f.ReadAt(tr[:], size-trailerSize); err != nil {
+		return nil, fmt.Errorf("ixdisk: %w: reading v3 trailer: %v", ErrTruncated, err)
+	}
+	if string(tr[8:16]) != endMagic {
+		return nil, fmt.Errorf("ixdisk: %w: v3 end magic is %q", ErrTruncated, tr[8:16])
+	}
+	flen := int64(binary.LittleEndian.Uint32(tr[4:8]))
+	if flen < footerFixed+trailerSize || size-flen < headerSizeV3 {
+		return nil, fmt.Errorf("ixdisk: %w: v3 footer claims %d bytes of a %d-byte file",
+			ErrTruncated, flen, size)
+	}
+	tail := make([]byte, flen)
+	if _, err := f.ReadAt(tail, size-flen); err != nil {
+		return nil, fmt.Errorf("ixdisk: %w: reading v3 footer: %v", ErrTruncated, err)
+	}
+	return parseFooterV3(tail, size)
+}
+
+// readBlocks reads the first nb blocks in one ReadAt — they are
+// contiguous from the header on, by the footer's back-to-back
+// invariant — and decodes them into fresh arrays: the copying route.
+func (x *indexFile) readBlocks(nb int) ([]index.BlockParts, error) {
+	last := x.ftr.dir[nb-1]
+	buf := make([]byte, last.offset+last.length-headerSizeV3)
+	if _, err := x.f.ReadAt(buf, headerSizeV3); err != nil {
+		return nil, fmt.Errorf("ixdisk: %w: reading %d blocks: %v", ErrTruncated, nb, err)
+	}
+	return decodeBlocks(buf, headerSizeV3, x.ftr.dir[:nb], false)
+}
+
+// decodeBlocks validates each directory entry's block out of buf, whose
+// first byte sits at file offset base.
+func decodeBlocks(buf []byte, base uint64, dir []dirEntry, alias bool) ([]index.BlockParts, error) {
+	blocks := make([]index.BlockParts, len(dir))
+	for i, e := range dir {
+		bp, err := decodeBlock(buf[e.offset-base:e.offset-base+e.length], e, alias)
+		if err != nil {
+			return nil, err
+		}
+		blocks[i] = bp
+	}
+	return blocks, nil
+}
+
+// prepare assembles the validated blocks into the index for (b, the
+// file's options): FromBlocks' structural pass for the general case,
+// fromSingleBlock when one block aliases the mapping.
+func (x *indexFile) prepare(b *bank.Bank, blocks []index.BlockParts, aliased bool) (*ixcache.Prepared, error) {
+	var ix *index.Index
+	var err error
+	if aliased {
+		ix, err = fromSingleBlock(b, x.hdr.indexOptions(), &blocks[0])
+	} else {
+		ix, err = index.FromBlocks(b, x.hdr.indexOptions(), blocks)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &ixcache.Prepared{Bank: b, Ix: ix}, nil
+}
+
+// loadCopy is the copying exact load: the file must record exactly
+// bank b. It reports how many blocks were decoded (the BlockLoads
+// accounting).
+func loadCopy(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, int, error) {
+	x, err := openIndexFile(path, &opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer x.f.Close()
+	if err := x.ftr.checkExactBank(b); err != nil {
+		return nil, 0, err
+	}
+	blocks, err := x.readBlocks(len(x.ftr.dir))
+	if err != nil {
+		return nil, 0, err
+	}
+	p, err := x.prepare(b, blocks, false)
+	return p, len(blocks), err
+}
+
+// Load reads, validates, and copies an index file into a fresh
+// Prepared for bank b. It is the strict portable reader: every framing,
+// checksum, structural, and key invariant is checked before any slice
+// is handed to the engines, and the returned index owns its memory
+// (nothing aliases the file).
+func Load(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, error) {
+	p, _, err := loadCopy(path, b, opts)
+	return p, err
+}
+
+// loadLeading serves bank b from a stored file that indexes a *larger*
+// bank of which b is a block-boundary prefix: it reads the header, the
+// footer, and only the covering blocks — the partial-load path. It
+// reports the number of blocks read.
+func loadLeading(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, int, error) {
+	x, err := openIndexFile(path, &opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer x.f.Close()
+	k := b.NumSeqs()
+	nb := x.ftr.boundaryBlocks(k)
+	if nb < 0 {
+		return nil, 0, fmt.Errorf("ixdisk: %w: bank %q (%d seqs) is not a block boundary of the stored %d-sequence file",
+			ErrKeyMismatch, b.Name, k, x.ftr.numSeqs)
+	}
+	if x.ftr.dir[nb-1].dataHi != uint64(len(b.Data)) {
+		return nil, 0, fmt.Errorf("ixdisk: %w: stored boundary at %d bytes, bank %q has %d",
+			ErrKeyMismatch, x.ftr.dir[nb-1].dataHi, b.Name, len(b.Data))
+	}
+	if err := x.ftr.checkPrefixSums(b, k); err != nil {
+		return nil, 0, err
+	}
+	blocks, err := x.readBlocks(nb)
+	if err != nil {
+		return nil, 0, err
+	}
+	p, err := x.prepare(b, blocks, false)
+	return p, nb, err
+}
+
+// Mapping owns the mmap'd region backing a LoadMapped index. Close
+// releases it — after which every slice of the index it backed is
+// invalid and must not be touched (see DESIGN.md §7 on the aliasing
+// caveats). A no-op Mapping (from the fallback path) closes safely.
+type Mapping struct {
+	data []byte
+	once sync.Once
+	err  error
+}
+
+// Close unmaps the region. Safe to call more than once.
+func (m *Mapping) Close() error {
+	m.once.Do(func() {
+		if m.data != nil {
+			m.err = munmap(m.data)
+			m.data = nil
+		}
+	})
+	return m.err
+}
+
+// Mapped reports whether the load actually aliased an mmap'd file (as
+// opposed to the copying fallback).
+func (m *Mapping) Mapped() bool { return m.data != nil }
+
+// LoadMapped validates an index file exactly like Load but aliases the
+// int32 sections directly over the mmap'd bytes — zero copy, zero
+// allocation proportional to index size — so a cold process skips both
+// the build and the copy. The returned Mapping must outlive every use
+// of the index; pages fault in lazily on first touch (the up-front
+// checksum pass does touch each page once, the price of strictness).
+//
+// On hosts where aliasing is impossible (no mmap, or big-endian byte
+// order) it falls back to Load and returns a non-mapped Mapping. Files
+// alias when they hold a single block (the common fresh-save shape);
+// multi-block files are merged into fresh arrays and the returned
+// Mapping is non-mapped, so callers need no layout logic.
+func LoadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *Mapping, error) {
+	p, m, _, err := loadMapped(path, b, opts)
+	return p, m, err
+}
+
+// loadMapped is LoadMapped plus the decoded-block count. The metadata
+// comes through the same file-side opener as every other reader; only
+// the blocks are taken from the mapping.
+func loadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *Mapping, int, error) {
+	if !mmapSupported || !nativeLittleEndian {
+		p, n, err := loadCopy(path, b, opts)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		return p, &Mapping{}, n, nil
+	}
+	x, err := openIndexFile(path, &opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer x.f.Close()
+	if err := x.ftr.checkExactBank(b); err != nil {
+		return nil, nil, 0, err
+	}
+	if x.size > math.MaxInt32*8 {
+		return nil, nil, 0, fmt.Errorf("ixdisk: %w: file is %d bytes", ErrTruncated, x.size)
+	}
+	data, err := mmapFile(x.f, int(x.size))
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("ixdisk: mmap %s: %w", path, err)
+	}
+	m := &Mapping{data: data}
+	aliased := len(x.ftr.dir) == 1
+	blocks, err := decodeBlocks(data, 0, x.ftr.dir, aliased)
+	if err != nil {
+		m.Close()
+		return nil, nil, 0, err
+	}
+	p, err := x.prepare(b, blocks, aliased)
+	if err != nil {
+		m.Close()
+		return nil, nil, 0, err
+	}
+	if !aliased {
+		// The index owns copies (multi-block merge); drop the mapping.
+		m.Close()
+		return p, &Mapping{}, len(blocks), nil
+	}
+	return p, m, len(blocks), nil
+}

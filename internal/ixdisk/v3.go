@@ -1,8 +1,9 @@
 package ixdisk
 
-// The .orix version-3 codec: block-structured index files.
+// The .orix codec: block-structured index files, format version 3 —
+// the only version this package reads or writes.
 //
-// # File layout (version 3)
+// # File layout
 //
 //	header (48 bytes)   magic, version, header size, options key, CRC
 //	block*              per-sequence-group CSR slices, 8-byte aligned
@@ -14,9 +15,9 @@ package ixdisk
 // sections (Codes, Counts, Pos, OccSeq, OccLo, OccHi), a CRC-32C over
 // header + sections, and zero padding to an 8-byte boundary — so every
 // section is 4-byte aligned from any page-aligned base and LoadMapped
-// can alias them. Unlike v2 there is no dense 4^W+1 Starts section:
-// blocks carry the sparse (code, count) directory and readers
-// materialize Starts on load, which shrinks files by 4·4^W bytes.
+// can alias them. There is no dense 4^W+1 Starts section: blocks carry
+// the sparse (code, count) directory and readers materialize Starts on
+// load, which keeps 4·4^W bytes out of every file.
 //
 // The footer is the only part of the file that changes when a bank is
 // appended to. It records the bank identity (content CRC, data length,
@@ -68,7 +69,10 @@ import (
 	"repro/internal/seed"
 )
 
+// Layout constants. The version bumps whenever the layout changes;
+// readers reject anything they were not compiled for rather than guess.
 const (
+	magic        = "ORISIXDB"
 	version3     = 3
 	headerSizeV3 = 48
 	blockMagic   = "ORIXBLK1"
@@ -149,8 +153,10 @@ func encodeHeaderV3(opts index.Options) []byte {
 	return hdr
 }
 
-// decodeHeaderV3 parses and checks the fixed v3 header. The header CRC
-// makes the options key self-validating — a flipped dust bit cannot
+// decodeHeaderV3 parses and checks the fixed header, and is the single
+// version gate: a file of any other format version is rejected here
+// with ErrVersion before anything else in it is interpreted. The header
+// CRC makes the options key self-validating — a flipped dust bit cannot
 // silently serve an index built under different options.
 //
 //scorislint:validator
@@ -163,7 +169,7 @@ func decodeHeaderV3(buf []byte) (*optionsHeader, error) {
 		return nil, fmt.Errorf("ixdisk: %w: got %q", ErrBadMagic, buf[0:8])
 	}
 	if v := binary.LittleEndian.Uint32(buf[8:]); v != version3 {
-		return nil, fmt.Errorf("ixdisk: %w: file is version %d, v3 reader got it", ErrVersion, v)
+		return nil, fmt.Errorf("ixdisk: %w: file is version %d, reader supports %d", ErrVersion, v, version3)
 	}
 	if hs := binary.LittleEndian.Uint32(buf[12:]); hs != headerSizeV3 {
 		return nil, fmt.Errorf("ixdisk: %w: v3 header size %d, want %d", ErrVersion, hs, headerSizeV3)
@@ -470,8 +476,7 @@ func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error)
 }
 
 // saveBlocksTo streams header + blocks + footer for p, split at every
-// blockSeqs sequences, to a writer. Shared by SaveBlocks (fresh files)
-// and tests.
+// blockSeqs sequences, to a writer.
 func saveBlocksTo(w io.Writer, p *ixcache.Prepared, blockSeqs int) error {
 	if blockSeqs < 1 {
 		blockSeqs = DefaultBlockSeqs
@@ -544,7 +549,7 @@ func SaveBlocks(path string, p *ixcache.Prepared, blockSeqs int) error {
 	return nil
 }
 
-// checkExactBankV3 verifies the footer identity is exactly bank b,
+// checkExactBank verifies the footer identity is exactly bank b,
 // per-sequence checksums included.
 //
 //scorislint:validator
@@ -585,48 +590,6 @@ func (f *footerV3) checkPrefixSums(b *bank.Bank, k int) error {
 		}
 	}
 	return nil
-}
-
-// loadV3 parses a complete in-memory v3 image for exactly (b, opts).
-// alias selects zero-copy section views (the caller owns a mapping
-// that outlives the index) — honored only for single-block files,
-// where the block's sections are already whole-bank CSR order; multi-
-// block files are merged into fresh arrays regardless. It reports how
-// many blocks were decoded (the BlockLoads accounting).
-func loadV3(buf []byte, b *bank.Bank, opts index.Options, alias bool) (*ixcache.Prepared, int, bool, error) {
-	h, err := decodeHeaderV3(buf)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if err := h.checkOptionsKey(opts); err != nil {
-		return nil, 0, false, err
-	}
-	ftr, err := parseFooterV3(buf, int64(len(buf)))
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if err := ftr.checkExactBank(b); err != nil {
-		return nil, 0, false, err
-	}
-	aliased := alias && len(ftr.dir) == 1
-	blocks := make([]index.BlockParts, len(ftr.dir))
-	for i, e := range ftr.dir {
-		bp, err := decodeBlock(buf[e.offset:e.offset+e.length], e, aliased)
-		if err != nil {
-			return nil, i, false, err
-		}
-		blocks[i] = bp
-	}
-	var ix *index.Index
-	if aliased {
-		ix, err = fromSingleBlock(b, h.indexOptions(), &blocks[0])
-	} else {
-		ix, err = index.FromBlocks(b, h.indexOptions(), blocks)
-	}
-	if err != nil {
-		return nil, len(blocks), false, err
-	}
-	return &ixcache.Prepared{Bank: b, Ix: ix}, len(blocks), aliased, nil
 }
 
 // fromSingleBlock assembles a whole-bank index directly over one
@@ -674,97 +637,6 @@ func fromSingleBlock(b *bank.Bank, opts index.Options, bp *index.BlockParts) (*i
 		return nil, err
 	}
 	return ix, nil
-}
-
-// readFooterAt reads and parses just the footer of an open v3 file —
-// the probe's and the partial loader's entry point: two small ReadAt
-// calls (trailer, then footer), never the blocks.
-func readFooterAt(f io.ReaderAt, size int64) (*footerV3, error) {
-	if size < headerSizeV3+trailerSize {
-		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the v3 minimum", ErrTruncated, size)
-	}
-	var tr [trailerSize]byte
-	if _, err := f.ReadAt(tr[:], size-trailerSize); err != nil {
-		return nil, fmt.Errorf("ixdisk: %w: reading v3 trailer: %v", ErrTruncated, err)
-	}
-	if string(tr[8:16]) != endMagic {
-		return nil, fmt.Errorf("ixdisk: %w: v3 end magic is %q", ErrTruncated, tr[8:16])
-	}
-	flen := int64(binary.LittleEndian.Uint32(tr[4:8]))
-	if flen < footerFixed+trailerSize || size-flen < headerSizeV3 {
-		return nil, fmt.Errorf("ixdisk: %w: v3 footer claims %d bytes of a %d-byte file",
-			ErrTruncated, flen, size)
-	}
-	tail := make([]byte, flen)
-	if _, err := f.ReadAt(tail, size-flen); err != nil {
-		return nil, fmt.Errorf("ixdisk: %w: reading v3 footer: %v", ErrTruncated, err)
-	}
-	return parseFooterV3(tail, size)
-}
-
-// loadV3Prefix serves bank b from a stored v3 file that indexes a
-// *larger* bank of which b is a block-boundary prefix: it reads the
-// header, the footer, and only the covering blocks — the partial-load
-// path. Returns the number of blocks read and the file's total.
-func loadV3Prefix(path string, b *bank.Bank, opts index.Options) (p *ixcache.Prepared, loaded, total int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	hdr := make([]byte, headerSizeV3)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, 0, 0, fmt.Errorf("ixdisk: %w: %v", ErrTruncated, err)
-	}
-	h, err := decodeHeaderV3(hdr)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if err := h.checkOptionsKey(opts); err != nil {
-		return nil, 0, 0, err
-	}
-	ftr, err := readFooterAt(f, fi.Size())
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	total = len(ftr.dir)
-	k := b.NumSeqs()
-	nb := ftr.boundaryBlocks(k)
-	if nb < 0 || int(ftr.numSeqs) < k {
-		return nil, 0, total, fmt.Errorf("ixdisk: %w: bank %q (%d seqs) is not a block boundary of the stored %d-sequence file",
-			ErrKeyMismatch, b.Name, k, ftr.numSeqs)
-	}
-	if ftr.dir[nb-1].dataHi != uint64(len(b.Data)) {
-		return nil, 0, total, fmt.Errorf("ixdisk: %w: stored boundary at %d bytes, bank %q has %d",
-			ErrKeyMismatch, ftr.dir[nb-1].dataHi, b.Name, len(b.Data))
-	}
-	if err := ftr.checkPrefixSums(b, k); err != nil {
-		return nil, 0, total, err
-	}
-	// One contiguous read of exactly the covering blocks.
-	span := ftr.dir[nb-1].offset + ftr.dir[nb-1].length - headerSizeV3
-	buf := make([]byte, span)
-	if _, err := f.ReadAt(buf, headerSizeV3); err != nil {
-		return nil, 0, total, fmt.Errorf("ixdisk: %w: reading %d blocks: %v", ErrTruncated, nb, err)
-	}
-	blocks := make([]index.BlockParts, nb)
-	for i := 0; i < nb; i++ {
-		e := ftr.dir[i]
-		bp, err := decodeBlock(buf[e.offset-headerSizeV3:e.offset-headerSizeV3+e.length], e, false)
-		if err != nil {
-			return nil, i, total, err
-		}
-		blocks[i] = bp
-	}
-	ix, err := index.FromBlocks(b, h.indexOptions(), blocks)
-	if err != nil {
-		return nil, nb, total, err
-	}
-	return &ixcache.Prepared{Bank: b, Ix: ix}, nb, total, nil
 }
 
 // appendBlockAt writes suffix (plus a fresh footer for the grown bank

@@ -10,8 +10,7 @@ package lint
 //     functions tagged //scorislint:source (the mmap window);
 //   - sinks: slice/array indexing and slice bounds computed from
 //     tainted integers, make sizes, ReadAt offsets, and the arguments
-//     of index.FromParts / FromBlocks / FromBlocksPartial /
-//     ExtendFromParts;
+//     of index.FromParts / FromBlocks;
 //   - sanitizers: functions tagged //scorislint:validator
 //     (parseFooterV3, decodeBlock, checkParts, ...). Calling one
 //     clears the taint of its arguments and receiver; its results are
@@ -586,7 +585,7 @@ func (e *taintEngine) indexCtorSink(call *ast.CallExpr, argTaint []uint64) {
 		return
 	}
 	switch fn.Name() {
-	case "FromParts", "FromBlocks", "FromBlocksPartial", "ExtendFromParts":
+	case "FromParts", "FromBlocks":
 		for i, t := range argTaint {
 			if t != 0 {
 				e.sink(call.Pos(), t, "index."+fn.Name()+" argument "+fmt.Sprint(i))

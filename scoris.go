@@ -163,19 +163,6 @@ type IndexGCConfig = ixdisk.GCConfig
 // IndexGCStats reports one store collection.
 type IndexGCStats = ixdisk.GCStats
 
-// SeqRange selects the sequences [Lo, Hi) of a bank — the unit of a
-// partial, block-granular index load.
-type SeqRange = ixcache.SeqRange
-
-// BlockIndexStore is the block-aware store contract layered over
-// IndexStore: partial loads of only the blocks covering requested
-// sequence ranges (LoadBlocks) and O(suffix) persistence of an
-// appended-to bank (AppendBlock). DirIndexStore implements it; a plain
-// IndexStore keeps working everywhere through the embedded Load/Save
-// compat surface. See DESIGN.md §7 for the block format these
-// operations ride on.
-type BlockIndexStore = ixcache.BlockStore
-
 // BlockIndexCounters exposes the block-level amortization ledger a
 // block-aware store keeps: how many blocks were decoded from disk and
 // how many appends landed in place. IndexCache.Counters folds these in
@@ -184,10 +171,10 @@ type BlockIndexCounters = ixcache.BlockCounters
 
 // IndexFileInfo is the metadata ProbeIndexFile reads from a stored
 // index file without touching its payload: format version, options and
-// bank identity, and (v3) the per-block directory.
+// bank identity, and the per-block directory.
 type IndexFileInfo = ixdisk.FileInfo
 
-// IndexBlockInfo describes one block of a v3 index file.
+// IndexBlockInfo describes one block of an index file.
 type IndexBlockInfo = ixdisk.BlockInfo
 
 // ProbeIndexFile reads a stored .orix file's metadata — a few KiB of
