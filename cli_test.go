@@ -360,7 +360,7 @@ func TestCLIScorisdServe(t *testing.T) {
 	// Wait for the listener.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get(base + "/healthz")
+		resp, err := http.Get(base + "/v1/healthz")
 		if err == nil {
 			resp.Body.Close()
 			break
@@ -372,7 +372,7 @@ func TestCLIScorisdServe(t *testing.T) {
 	}
 
 	// Register the query bank, then compare.
-	resp, err := http.Post(base+"/banks", "application/json",
+	resp, err := http.Post(base+"/v1/banks", "application/json",
 		strings.NewReader(`{"name":"est2","path":"`+est2+`"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +381,7 @@ func TestCLIScorisdServe(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bank registration: status %d", resp.StatusCode)
 	}
-	resp, err = http.Post(base+"/compare", "application/json",
+	resp, err = http.Post(base+"/v1/compare", "application/json",
 		strings.NewReader(`{"db":"EST1.fasta","query":"est2"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -404,7 +404,7 @@ func TestCLIScorisdServe(t *testing.T) {
 	}
 
 	// /stats reflects the two builds (db + query index).
-	resp, err = http.Get(base + "/stats")
+	resp, err = http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestCLIFleetServe(t *testing.T) {
 	// -register announcement) show as up.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(base + "/workers")
+		resp, err := http.Get(base + "/v1/workers")
 		if err == nil {
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
@@ -527,7 +527,7 @@ func TestCLIFleetServe(t *testing.T) {
 		`{"name":"db","path":"` + est1 + `","db":true}`,
 		`{"name":"q","path":"` + est2 + `"}`,
 	} {
-		resp, err := http.Post(base+"/banks", "application/json", strings.NewReader(reg))
+		resp, err := http.Post(base+"/v1/banks", "application/json", strings.NewReader(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,7 +547,7 @@ func TestCLIFleetServe(t *testing.T) {
 	}
 
 	compare := func() (int, []byte) {
-		resp, err := http.Post(base+"/compare", "application/json",
+		resp, err := http.Post(base+"/v1/compare", "application/json",
 			strings.NewReader(`{"db":"db","query":"q"}`))
 		if err != nil {
 			return -1, []byte(err.Error())
@@ -566,7 +566,7 @@ func TestCLIFleetServe(t *testing.T) {
 	// Find the db bank's primary owner and SIGKILL it, then run a
 	// concurrent wave: zero client-visible failures, every body
 	// byte-identical to the CLI.
-	resp, err := http.Get(base + "/banks")
+	resp, err := http.Get(base + "/v1/banks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestCLIFleetServe(t *testing.T) {
 	}
 
 	// The ledger shows the failover happened.
-	resp, err = http.Get(base + "/stats")
+	resp, err = http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

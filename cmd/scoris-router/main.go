@@ -10,8 +10,9 @@
 //	  -worker w2=http://127.0.0.1:7334 \
 //	  -worker w3=http://127.0.0.1:7335
 //
-// Clients speak the same protocol as a single scorisd, versioned under
-// /v1/ with the bare paths as deprecated aliases:
+// Clients speak the same protocol as a single scorisd — every route
+// under /v1/, nothing outside it — and the router reaches its workers
+// over /v1/ as well:
 //
 //	curl -s localhost:7400/v1/banks -d '{"name":"db","path":"est_db.fasta","db":true}'
 //	curl -s localhost:7400/v1/compare -d '{"db":"db","query":"q1"}' > run1.m8

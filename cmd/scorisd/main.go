@@ -14,9 +14,8 @@
 //	curl -s localhost:7333/v1/compare -d '{"db":"db","query":"q1"}' > run1.m8
 //	curl -s localhost:7333/v1/stats | jq .cache.builds
 //
-// The API is versioned under /v1/; the bare legacy paths remain as
-// deprecated aliases that answer identically while setting a
-// Deprecation header (DESIGN.md §8).
+// Every route lives under /v1/ and nowhere else; any other path is a
+// 404 (DESIGN.md §8).
 //
 // Results also flow instead of accumulating: ask for a streamed compare
 // (Accept: text/x-m8-stream, backpressure bounded by -stream-buffer),
@@ -49,6 +48,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/cliflag"
+	"repro/internal/httpapi"
 	"repro/internal/ixdisk"
 	"repro/internal/server"
 )
@@ -70,7 +70,7 @@ func main() {
 		streamBuf    = flag.Int("stream-buffer", 0, "streamed-compare backpressure bound: how many finished query-sequence groups the engine may run ahead of a slow client before it blocks (0 = default 4)")
 		maxJobs      = flag.Int("max-jobs", 0, "async job registry bound: queued, running, and finished-but-unretrieved jobs all count; POST /jobs past this answers 429 (0 = default 32)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight compares to finish")
-		reqTimeout   = flag.Duration("request-timeout", 0, "per-compare deadline: a compare still running past this answers 504 and its slot frees when the engine finishes (0 = no deadline)")
+		reqTimeout   = flag.Duration("request-timeout", 0, "per-compare deadline: a compare still running past this answers 504; an oris compare stops at its next chunk or group boundary, a blat/blastn query runs out, and the slot frees when the engine returns (0 = no deadline)")
 		registerWith = flag.String("register", "", "scoris-router base URL to self-register with at startup (e.g. http://router:7400); retried in the background until it succeeds")
 		advertise    = flag.String("advertise", "", "URL this worker is reachable at, as told to the router (required with -register)")
 		workerName   = flag.String("worker-name", "", "name to register under with -register (default: the -advertise URL)")
@@ -157,7 +157,7 @@ func main() {
 		go func() {
 			body := fmt.Sprintf(`{"name":%q,"url":%q}`, name, *advertise)
 			for {
-				resp, err := http.Post(strings.TrimRight(*registerWith, "/")+"/workers",
+				resp, err := http.Post(strings.TrimRight(*registerWith, "/")+httpapi.Version+"/workers",
 					"application/json", strings.NewReader(body))
 				if err == nil {
 					resp.Body.Close()

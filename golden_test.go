@@ -124,7 +124,7 @@ func batchBody(t *testing.T, compareReq string) string {
 // a terminal state, fetch the result bytes.
 func jobResult(t *testing.T, base, compareReq string) []byte {
 	t.Helper()
-	status, body := postBytes(t, base+"/jobs", compareReq, "")
+	status, body := postBytes(t, base+"/v1/jobs", compareReq, "")
 	if status != http.StatusAccepted {
 		t.Fatalf("job create: status %d: %s", status, body)
 	}
@@ -137,7 +137,7 @@ func jobResult(t *testing.T, base, compareReq string) []byte {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(base + "/jobs/" + created.ID)
+		resp, err := http.Get(base + "/v1/jobs/" + created.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func jobResult(t *testing.T, base, compareReq string) []byte {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	resp, err := http.Get(base + "/jobs/" + created.ID + "/result")
+	resp, err := http.Get(base + "/v1/jobs/" + created.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestGoldenM8(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			golden := filepath.Join("testdata", "golden", c.name+".m8")
 
-			status, buffered := postBytes(t, ts.URL+"/compare", c.req, "")
+			status, buffered := postBytes(t, ts.URL+"/v1/compare", c.req, "")
 			if status != http.StatusOK {
 				t.Fatalf("buffered compare: status %d: %s", status, buffered)
 			}
@@ -226,13 +226,13 @@ func TestGoldenM8(t *testing.T) {
 				t.Errorf("buffered server output differs from %s (%d vs %d bytes)", golden, len(buffered), len(want))
 			}
 
-			status, streamed := postBytes(t, ts.URL+"/compare", c.req, "text/x-m8-stream")
+			status, streamed := postBytes(t, ts.URL+"/v1/compare", c.req, "text/x-m8-stream")
 			if status != http.StatusOK || !bytes.Equal(streamed, want) {
 				t.Errorf("streamed server output differs from %s (status %d, %d vs %d bytes)",
 					golden, status, len(streamed), len(want))
 			}
 
-			status, batched := postBytes(t, ts.URL+"/compare/batch", batchBody(t, c.req), "")
+			status, batched := postBytes(t, ts.URL+"/v1/compare/batch", batchBody(t, c.req), "")
 			if status != http.StatusOK || !bytes.Equal(batched, want) {
 				t.Errorf("batch output differs from %s (status %d, %d vs %d bytes)",
 					golden, status, len(batched), len(want))

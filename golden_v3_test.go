@@ -115,7 +115,7 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 	}
 
 	// Leg 3: the deprecated bare alias answers the same bytes.
-	status, legacy := postBytes(t, ts2.URL+"/compare", req, "")
+	status, legacy := postBytes(t, ts2.URL+"/v1/compare", req, "")
 	if status != http.StatusOK || !bytes.Equal(legacy, want) {
 		t.Errorf("legacy-alias output differs from golden (status %d, %d vs %d bytes)",
 			status, len(legacy), len(want))

@@ -237,22 +237,13 @@ func Prepare(c *ixcache.Cache, b1, b2 *bank.Bank, opt Options) (p1, p2 *ixcache.
 }
 
 // Compare runs the full ORIS pipeline on two banks, building both
-// indexes in place. It is the thin build-then-call wrapper over
-// CompareWithIndex; callers comparing a bank against many others should
-// Prepare once and call CompareWithIndex so the builds amortize.
+// indexes in place, and returns the whole alignment table. Callers
+// comparing a bank against many others should Prepare once and call
+// CompareWithIndex so the builds amortize.
 func Compare(b1, b2 *bank.Bank, opt Options) (*Result, error) {
-	t0 := time.Now()
-	p1, p2, err := Prepare(nil, b1, b2, opt)
-	if err != nil {
-		return nil, err
-	}
-	indexTime := time.Since(t0)
-	res, err := compareWithIndexes(p1.Bank, p2.Bank, p1.Ix, p2.Ix, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics.IndexTime += indexTime
-	return res, nil
+	return collect(func(emit Emit) (*Result, error) {
+		return CompareStream(context.Background(), b1, b2, opt, emit)
+	})
 }
 
 // CompareWithIndex runs the pipeline on prepared banks, skipping the
@@ -262,40 +253,21 @@ func Compare(b1, b2 *bank.Bank, opt Options) (*Result, error) {
 // index options — or an error is returned (see the package comment's
 // reuse contract).
 func CompareWithIndex(p1, p2 *ixcache.Prepared, opt Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	o1, o2 := opt.IndexOptions()
-	if !p1.MatchesOptions(o1) {
-		return nil, matchErr1(o1)
-	}
-	if !p2.MatchesOptions(o2) {
-		return nil, matchErr2(o2)
-	}
-	return compareWithIndexes(p1.Bank, p2.Bank, p1.Ix, p2.Ix, opt)
+	return collect(func(emit Emit) (*Result, error) {
+		return CompareStreamWithIndex(context.Background(), p1, p2, opt, emit)
+	})
 }
 
-func matchErr1(o1 index.Options) error {
-	return fmt.Errorf("core: prepared bank 1 does not match options (want W=%d, sample step %d, dust %v)",
-		o1.W, o1.SampleStep, o1.Dust != nil)
-}
-
-func matchErr2(o2 index.Options) error {
-	return fmt.Errorf("core: prepared bank 2 does not match options (want W=%d, dust %v)",
-		o2.W, o2.Dust != nil)
-}
-
-// compareWithIndexes is the buffered engine body: the stream path with
-// an appending Emit. Implementing the buffered report as a collected
-// stream is what makes "streamed output is byte-identical to buffered
-// output" structural rather than something a test has to chase.
-func compareWithIndexes(b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Options) (*Result, error) {
+// collect is the buffered report: a stream compare with an appending
+// Emit. Implementing the buffered table as a collected stream is what
+// makes "streamed output is byte-identical to buffered output"
+// structural rather than something a test has to chase.
+func collect(stream func(Emit) (*Result, error)) (*Result, error) {
 	var all []align.Alignment
-	res, err := compareStream(context.Background(), b1, b2, ix1, ix2, opt,
-		func(_ int, g []align.Alignment) error {
-			all = append(all, g...)
-			return nil
-		})
+	res, err := stream(func(_ int, g []align.Alignment) error {
+		all = append(all, g...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

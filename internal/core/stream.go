@@ -30,6 +30,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/align"
@@ -58,7 +59,7 @@ func CompareStream(ctx context.Context, b1, b2 *bank.Bank, opt Options, emit Emi
 		return nil, err
 	}
 	indexTime := time.Since(t0)
-	res, err := compareStream(ctx, p1.Bank, p2.Bank, p1.Ix, p2.Ix, opt, emit)
+	res, err := CompareStreamWithIndex(ctx, p1, p2, opt, emit)
 	if err != nil {
 		return nil, err
 	}
@@ -67,23 +68,26 @@ func CompareStream(ctx context.Context, b1, b2 *bank.Bank, opt Options, emit Emi
 }
 
 // CompareStreamWithIndex is CompareStream over prepared banks (the
-// index builds amortized elsewhere), with the same reuse contract as
-// CompareWithIndex: both prepared values must match opt exactly.
+// index builds amortized elsewhere). It is the one entry to the engine
+// body, so the reuse contract is checked here and nowhere else: both
+// prepared values must match opt exactly.
 func CompareStreamWithIndex(ctx context.Context, p1, p2 *ixcache.Prepared, opt Options, emit Emit) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	o1, o2 := opt.IndexOptions()
 	if !p1.MatchesOptions(o1) {
-		return nil, matchErr1(o1)
+		return nil, fmt.Errorf("core: prepared bank 1 does not match options (want W=%d, sample step %d, dust %v)",
+			o1.W, o1.SampleStep, o1.Dust != nil)
 	}
 	if !p2.MatchesOptions(o2) {
-		return nil, matchErr2(o2)
+		return nil, fmt.Errorf("core: prepared bank 2 does not match options (want W=%d, dust %v)",
+			o2.W, o2.Dust != nil)
 	}
 	return compareStream(ctx, p1.Bank, p2.Bank, p1.Ix, p2.Ix, opt, emit)
 }
 
-// compareStream is the shared engine body: step 2 over the whole code
+// compareStream is the engine body: step 2 over the whole code
 // space (both strands when asked), then steps 3–4 one bank-2 sequence
 // at a time, emitting each finished group.
 func compareStream(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Options, emit Emit) (*Result, error) {

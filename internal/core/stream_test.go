@@ -26,6 +26,13 @@ func streamVariants() map[string]func(*Options) {
 	}
 }
 
+// counters strips the wall-clock fields from m, leaving the counts a
+// collector must reproduce exactly.
+func counters(m Metrics) Metrics {
+	m.IndexTime, m.Step2Time, m.Step3Time, m.Step4Time = 0, 0, 0, 0
+	return m
+}
+
 func TestCompareStreamMatchesBuffered(t *testing.T) {
 	b1, b2 := testBanks(21, 8, 8, 6, 400)
 	for name, tweak := range streamVariants() {
@@ -72,10 +79,25 @@ func TestCompareStreamMatchesBuffered(t *testing.T) {
 				t.Fatalf("streamed concatenation differs from buffered result:\nstream %d alignments, buffered %d",
 					len(got), len(want.Alignments))
 			}
-			if res.Metrics.Alignments != want.Metrics.Alignments ||
-				res.Metrics.HSPs != want.Metrics.HSPs ||
-				res.Metrics.HitPairs != want.Metrics.HitPairs {
+			if counters(res.Metrics) != counters(want.Metrics) {
 				t.Errorf("metrics diverge: stream %+v buffered %+v", res.Metrics, want.Metrics)
+			}
+
+			// The prepared-bank collector is the same stream, collected.
+			p1, p2, err := Prepare(nil, b1, b2, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepared, err := CompareWithIndex(p1, p2, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(prepared.Alignments, got) {
+				t.Fatalf("CompareWithIndex differs from the streamed concatenation: %d vs %d alignments",
+					len(prepared.Alignments), len(got))
+			}
+			if counters(prepared.Metrics) != counters(res.Metrics) {
+				t.Errorf("metrics diverge: prepared %+v stream %+v", prepared.Metrics, res.Metrics)
 			}
 		})
 	}

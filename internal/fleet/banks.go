@@ -270,11 +270,11 @@ func (rt *Router) registerOn(ctx context.Context, wk *worker, rec *bankRecord) e
 		if rec.DB {
 			q.Set("db", "1")
 		}
-		target = wk.URL + "/banks?" + q.Encode()
+		target = wk.api("/banks?" + q.Encode())
 		contentType = "text/x-fasta"
 		payload = rec.fasta
 	} else {
-		target = wk.URL + "/banks"
+		target = wk.api("/banks")
 		contentType = "application/json"
 		payload = rec.specJSON
 	}

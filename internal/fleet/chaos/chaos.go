@@ -10,7 +10,7 @@
 // not mocks.
 //
 // Modes that fault the data plane only (Slow, Corrupt, Reject) apply to
-// POST /compare and leave the health endpoints honest, so a test can
+// POST /v1/compare and leave the health endpoints honest, so a test can
 // target the router's retry machinery without the health loop pulling
 // the worker out first. Kill and Hang are physical: they take the
 // probes down with the worker, which is exactly what the health state
@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/httpapi"
 )
 
 // Mode selects the proxy's current behavior.
@@ -177,7 +179,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "chaos: request was hung", http.StatusServiceUnavailable)
 		return
 	}
-	if r.URL.Path != "/compare" {
+	if r.URL.Path != httpapi.Version+"/compare" {
 		// Data-plane-only faults leave probes and registration honest.
 		p.inner.ServeHTTP(w, r)
 		return

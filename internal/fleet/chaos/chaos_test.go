@@ -13,10 +13,10 @@ import (
 func newProxy(t *testing.T) *Proxy {
 	t.Helper()
 	inner := http.NewServeMux()
-	inner.HandleFunc("/compare", func(w http.ResponseWriter, r *http.Request) {
+	inner.HandleFunc("/v1/compare", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "0123456789") // 10 bytes: truncation is observable
 	})
-	inner.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+	inner.HandleFunc("/v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "ok")
 	})
 	px, err := New(inner)
@@ -40,7 +40,7 @@ func get(t *testing.T, url string) (int, string, error) {
 
 func TestProxyHealthyPassThrough(t *testing.T) {
 	px := newProxy(t)
-	status, body, err := get(t, px.URL()+"/compare")
+	status, body, err := get(t, px.URL()+"/v1/compare")
 	if err != nil || status != 200 || body != "0123456789" {
 		t.Fatalf("healthy pass-through: %d %q %v", status, body, err)
 	}
@@ -52,7 +52,7 @@ func TestProxyHangRespectsContext(t *testing.T) {
 	px.Set(Hang)
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, px.URL()+"/readyz", nil)
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, px.URL()+"/v1/readyz", nil)
 	start := time.Now()
 	_, err := http.DefaultClient.Do(req)
 	if err == nil {
@@ -69,7 +69,7 @@ func TestProxyHangRelease(t *testing.T) {
 	px.Set(Hang)
 	done := make(chan int, 1)
 	go func() {
-		status, _, _ := get(t, px.URL()+"/compare")
+		status, _, _ := get(t, px.URL()+"/v1/compare")
 		done <- status
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -90,7 +90,7 @@ func TestProxySlowSparesProbes(t *testing.T) {
 	px.SetSlow(300 * time.Millisecond)
 
 	start := time.Now()
-	resp, err := http.Get(px.URL() + "/readyz")
+	resp, err := http.Get(px.URL() + "/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestProxySlowSparesProbes(t *testing.T) {
 	}
 
 	start = time.Now()
-	status, body, err := get(t, px.URL()+"/compare")
+	status, body, err := get(t, px.URL()+"/v1/compare")
 	if err != nil || status != 200 || body != "0123456789" {
 		t.Fatalf("slow compare: %d %q %v", status, body, err)
 	}
@@ -114,7 +114,7 @@ func TestProxySlowSparesProbes(t *testing.T) {
 func TestProxyCorruptTruncates(t *testing.T) {
 	px := newProxy(t)
 	px.Set(Corrupt)
-	resp, err := http.Post(px.URL()+"/compare", "application/json", strings.NewReader("{}"))
+	resp, err := http.Post(px.URL()+"/v1/compare", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestProxyCorruptTruncates(t *testing.T) {
 func TestProxyRejectIs429(t *testing.T) {
 	px := newProxy(t)
 	px.Set(Reject)
-	resp, err := http.Post(px.URL()+"/compare", "application/json", strings.NewReader("{}"))
+	resp, err := http.Post(px.URL()+"/v1/compare", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestProxyRejectIs429(t *testing.T) {
 		t.Fatalf("reject mode: %d Retry-After=%q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	// Probes still pass: rejection models saturation, not death.
-	resp, err = http.Get(px.URL() + "/readyz")
+	resp, err = http.Get(px.URL() + "/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestProxyKillRestart(t *testing.T) {
 	px := newProxy(t)
 	addr := px.Addr()
 	px.Kill()
-	if _, _, err := get(t, px.URL()+"/compare"); err == nil {
+	if _, _, err := get(t, px.URL()+"/v1/compare"); err == nil {
 		t.Fatal("killed proxy still answers")
 	}
 	if err := px.Restart(); err != nil {
@@ -165,7 +165,7 @@ func TestProxyKillRestart(t *testing.T) {
 	if px.Addr() != addr {
 		t.Fatalf("restart moved the proxy: %s -> %s", addr, px.Addr())
 	}
-	status, body, err := get(t, px.URL()+"/compare")
+	status, body, err := get(t, px.URL()+"/v1/compare")
 	if err != nil || status != 200 || body != "0123456789" {
 		t.Fatalf("restarted proxy: %d %q %v", status, body, err)
 	}

@@ -170,6 +170,11 @@ type worker struct {
 	lastErr string // guardedby: mu
 }
 
+// api is the worker's URL for an API route: every router→worker hop
+// (compare, bank backfill, readiness probe, stats scrape) goes through
+// the worker's one mounted surface.
+func (w *worker) api(path string) string { return w.URL + httpapi.Version + path }
+
 func (w *worker) State() State {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -361,10 +366,8 @@ func (rt *Router) owners(key string) []*worker {
 	return ranked[:n]
 }
 
-// Handler returns the router's HTTP mux. Like the worker surface, all
-// routes are served under /v1/ with the bare legacy paths kept as
-// deprecated aliases (see internal/httpapi), so a router can front
-// clients written against either surface.
+// Handler returns the router's HTTP mux. Like the worker surface, it is
+// mounted under /v1/ only (see internal/httpapi).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/compare", rt.count(rt.handleCompare))

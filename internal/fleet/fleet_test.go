@@ -102,7 +102,7 @@ func fastaBytes(t *testing.T, b *bank.Bank) []byte {
 // the router's bank info (key, owner order).
 func registerBank(t *testing.T, routerURL, name string, b *bank.Bank, db bool) bankInfo {
 	t.Helper()
-	u := routerURL + "/banks?name=" + name
+	u := routerURL + "/v1/banks?name=" + name
 	if db {
 		u += "&db=1"
 	}
@@ -150,7 +150,7 @@ func oracle(t *testing.T, db, query *bank.Bank) []byte {
 
 func postCompare(t *testing.T, routerURL string) (int, http.Header, []byte) {
 	t.Helper()
-	resp, err := http.Post(routerURL+"/compare", "application/json",
+	resp, err := http.Post(routerURL+"/v1/compare", "application/json",
 		strings.NewReader(`{"db":"db","query":"q"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func wave(t *testing.T, routerURL string, n int) ([]int, [][]byte) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(routerURL+"/compare", "application/json",
+			resp, err := http.Post(routerURL+"/v1/compare", "application/json",
 				strings.NewReader(`{"db":"db","query":"q"}`))
 			if err != nil {
 				statuses[i] = -1
@@ -373,7 +373,7 @@ func TestFleetAllDownSheds(t *testing.T) {
 	// are marked Down once the data path or probes notice).
 	rt.ProbeAll()
 	rt.ProbeAll()
-	resp, err := http.Get(ts.URL + "/readyz")
+	resp, err := http.Get(ts.URL + "/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func TestFleetStatsAggregation(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,7 +636,7 @@ func TestFleetAPIEdges(t *testing.T) {
 	_, _, ts := newTestFleet(t, 2, testCfg(), nil)
 
 	// Compare against an unregistered bank: 404 from the router itself.
-	resp, err := http.Post(ts.URL+"/compare", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/compare", "application/json",
 		strings.NewReader(`{"db":"ghost","query":"ghost"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -648,7 +648,7 @@ func TestFleetAPIEdges(t *testing.T) {
 
 	// A client-shaped 4xx from the worker is relayed, not retried.
 	registerBank(t, ts.URL, "db", est1, true)
-	resp, err = http.Post(ts.URL+"/compare", "application/json",
+	resp, err = http.Post(ts.URL+"/v1/compare", "application/json",
 		strings.NewReader(`{"db":"db","self":true,"engine":"blat"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -660,7 +660,7 @@ func TestFleetAPIEdges(t *testing.T) {
 
 	// Conflicting re-registration is refused by the router.
 	other := simulate.NewDataSet(256).Get(simulate.EST3)
-	u := ts.URL + "/banks?name=db"
+	u := ts.URL + "/v1/banks?name=db"
 	resp, err = http.Post(u, "text/x-fasta", bytes.NewReader(fastaBytes(t, other)))
 	if err != nil {
 		t.Fatal(err)
@@ -671,7 +671,7 @@ func TestFleetAPIEdges(t *testing.T) {
 	}
 
 	// GET /workers lists the roster with states.
-	resp, err = http.Get(ts.URL + "/workers")
+	resp, err = http.Get(ts.URL + "/v1/workers")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func (rt *Router) probeWorker(wk *worker) {
 	rt.probes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.URL+"/readyz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.api("/readyz"), nil)
 	if err != nil {
 		rt.probeFails.Add(1)
 		wk.noteFail(err, rt.cfg.FailThreshold, false)

@@ -304,7 +304,7 @@ func (rt *Router) forward(ctx context.Context, wk *worker, path string, body []b
 		actx, cancel = context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, wk.URL+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, wk.api(path), bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -347,7 +347,7 @@ func (rt *Router) forwardStream(ctx context.Context, w http.ResponseWriter, wk *
 		attemptTimer = time.AfterFunc(rt.cfg.AttemptTimeout, cancel)
 		defer attemptTimer.Stop()
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, wk.URL+job.path, bytes.NewReader(job.body))
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, wk.api(job.path), bytes.NewReader(job.body))
 	if err != nil {
 		return false, 0, nil, nil, err
 	}

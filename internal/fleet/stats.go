@@ -137,7 +137,7 @@ func (rt *Router) StatsSnapshot(ctx context.Context) Stats {
 func (rt *Router) fetchWorkerStats(ctx context.Context, wk *worker) (*server.Stats, error) {
 	actx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, wk.URL+"/stats", nil)
+	req, err := http.NewRequestWithContext(actx, http.MethodGet, wk.api("/stats"), nil)
 	if err != nil {
 		return nil, err
 	}

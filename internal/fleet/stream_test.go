@@ -15,7 +15,7 @@ import (
 // it to the end, returning status, body, and the sealing trailer.
 func streamCompare(t *testing.T, routerURL, body string) (int, []byte, string) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, routerURL+"/compare", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, routerURL+"/v1/compare", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFleetStreamedCompareRelay(t *testing.T) {
 	}
 
 	// The JSON-field form must relay identically.
-	resp, err := http.Post(ts.URL+"/compare", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/compare", "application/json",
 		strings.NewReader(`{"db":"db","query":"q","stream":true}`))
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestFleetBatchCompare(t *testing.T) {
 	registerBank(t, ts.URL, "q2", est3, false)
 	want := append(oracle(t, est1, est2), oracle(t, est1, est3)...)
 
-	resp, err := http.Post(ts.URL+"/compare/batch", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/compare/batch", "application/json",
 		strings.NewReader(`{"db":"db","queries":["q1","q2"]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestFleetBatchCompare(t *testing.T) {
 	}
 
 	// Unknown query banks are the router's 404, not a forwarded error.
-	resp, err = http.Post(ts.URL+"/compare/batch", "application/json",
+	resp, err = http.Post(ts.URL+"/v1/compare/batch", "application/json",
 		strings.NewReader(`{"db":"db","queries":["nope"]}`))
 	if err != nil {
 		t.Fatal(err)

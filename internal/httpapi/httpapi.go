@@ -1,39 +1,19 @@
 // Package httpapi versions the HTTP surface shared by scorisd and the
 // fleet router. The service muxes register unversioned paths
-// (/compare, /banks, ...); Versioned wraps such a mux so the same
-// routes are served under the stable /v1/ prefix, while the original
-// bare paths keep working as deprecated aliases for clients written
-// against the pre-versioned surface.
-//
-// Both forms hit the identical handler, so responses are byte-for-byte
-// the same; only the deprecation headers differ. New clients should
-// use /v1/; the bare aliases exist so upgrading a server never breaks
-// a deployed client, and they advertise their own retirement via the
-// Deprecation header (draft-ietf-httpapi-deprecation-header) plus a
-// Link to the successor surface.
+// (/compare, /banks, ...); Versioned mounts such a mux under the /v1/
+// prefix, which is the only surface either daemon serves — any path
+// outside it is a plain 404.
 package httpapi
 
 import "net/http"
 
-// Version is the current API version prefix.
+// Version is the API version prefix every route lives under.
 const Version = "/v1"
 
-// Versioned wraps an unversioned API mux with the versioned surface:
-// requests under /v1/ are served with the prefix stripped, and every
-// other path is served as-is with deprecation headers attached.
+// Versioned mounts an unversioned API mux under Version: requests under
+// /v1/ are served with the prefix stripped, everything else is 404.
 func Versioned(mux http.Handler) http.Handler {
 	outer := http.NewServeMux()
 	outer.Handle(Version+"/", http.StripPrefix(Version, mux))
-	outer.Handle("/", deprecated(mux))
 	return outer
-}
-
-// deprecated serves h unchanged but marks the response as coming from
-// the legacy unversioned alias of a /v1 route.
-func deprecated(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `<`+Version+r.URL.Path+`>; rel="successor-version"`)
-		h.ServeHTTP(w, r)
-	})
 }

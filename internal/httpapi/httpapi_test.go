@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// TestVersionedSurface: /v1/ routes and their bare legacy aliases hit
-// the same handler with the same body; only the deprecation headers
-// distinguish them.
+// TestVersionedSurface: routes answer under /v1/ only; the bare paths
+// the mux registers are not reachable from outside.
 func TestVersionedSurface(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/compare", func(w http.ResponseWriter, r *http.Request) {
@@ -36,21 +35,17 @@ func TestVersionedSurface(t *testing.T) {
 	}
 
 	v1, v1body := get(t, "/v1/compare")
-	legacy, legacyBody := get(t, "/compare")
-	if v1.StatusCode != http.StatusOK || legacy.StatusCode != http.StatusOK {
-		t.Fatalf("statuses %d/%d, want 200/200", v1.StatusCode, legacy.StatusCode)
+	if v1.StatusCode != http.StatusOK || v1body != "result for /compare" {
+		t.Fatalf("/v1/compare: status %d, body %q", v1.StatusCode, v1body)
 	}
-	if v1body != legacyBody {
-		t.Errorf("alias bodies differ: %q vs %q", v1body, legacyBody)
-	}
-	if v1.Header.Get("Deprecation") != "" {
-		t.Error("/v1/ route marked deprecated")
-	}
-	if legacy.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias missing the Deprecation header")
-	}
-	if got := legacy.Header.Get("Link"); got != `</v1/compare>; rel="successor-version"` {
-		t.Errorf("legacy alias Link header: %q", got)
+	for _, bare := range []string{"/compare", "/jobs/42", "/"} {
+		resp, _ := get(t, bare)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("bare path %s: status %d, want 404", bare, resp.StatusCode)
+		}
+		if resp.Header.Get("Deprecation") != "" {
+			t.Errorf("bare path %s still advertises a Deprecation header", bare)
+		}
 	}
 
 	// Subtree routes carry their suffix through the prefix strip.
@@ -58,11 +53,7 @@ func TestVersionedSurface(t *testing.T) {
 		t.Errorf("subtree route under /v1: %q", body)
 	}
 
-	// Unknown paths 404 under both surfaces.
 	if resp, _ := get(t, "/v1/nope"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/v1/nope: status %d", resp.StatusCode)
-	}
-	if resp, _ := get(t, "/nope"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/nope: status %d", resp.StatusCode)
 	}
 }

@@ -13,9 +13,8 @@
 //   - checkedflush: buffered-writer Flush and write-handle Close
 //     errors are consumed on output paths (the silent-m8-truncation
 //     regression class fixed in PR 5)
-//   - versionedmount: HTTP handlers are mounted through
-//     httpapi.Versioned so the /v1 + deprecated-alias pair cannot
-//     drift (DESIGN.md §8)
+//   - versionedmount: HTTP handlers are mounted under /v1 through
+//     httpapi.Versioned (DESIGN.md §8)
 //   - goexit: every spawned goroutine has a visible lifecycle —
 //     WaitGroup join, channel send/close/receive, ctx.Done — or an
 //     explicit "// background:" justification

@@ -1,6 +1,7 @@
 // Package fixture seeds the unversioned-mount classes the
-// versionedmount analyzer must catch: a raw mux that never passes
-// through httpapi.Versioned, and the global DefaultServeMux.
+// versionedmount analyzer must catch — handlers that would answer
+// outside /v1: a raw mux that never passes through httpapi.Versioned,
+// and the global DefaultServeMux.
 package fixture
 
 import (

@@ -1,6 +1,7 @@
 // Package fixture holds the sanctioned mount pattern the
 // versionedmount analyzer must stay silent on: handlers registered on
-// an inner mux that the same function wraps with httpapi.Versioned.
+// an inner mux that the same function mounts under /v1 with
+// httpapi.Versioned.
 package fixture
 
 import (

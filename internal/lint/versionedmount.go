@@ -8,18 +8,17 @@ const httpapiPkgPath = "repro/internal/httpapi"
 
 // AnalyzerVersionedMount enforces the API-versioning contract of
 // DESIGN.md §8: every HTTP surface is mounted through
-// httpapi.Versioned, which serves one handler at both /v1/<path>
-// (canonical) and the bare legacy alias (with deprecation headers) so
-// the two can never drift apart. A function that registers handlers
-// on a raw *http.ServeMux without passing a mux through
-// httpapi.Versioned — or that registers on net/http's global
-// DefaultServeMux at all — is mounting an unversioned surface.
+// httpapi.Versioned, which serves the mux under /v1 and nothing
+// outside it. A function that registers handlers on a raw
+// *http.ServeMux without passing a mux through httpapi.Versioned — or
+// that registers on net/http's global DefaultServeMux at all — is
+// mounting an unversioned surface.
 //
-// Package httpapi itself is exempt: it is the one place the raw
-// double-mount is implemented.
+// Package httpapi itself is exempt: it is the one place the /v1 mount
+// is implemented.
 var AnalyzerVersionedMount = &Analyzer{
 	Name: "versionedmount",
-	Doc:  "HTTP handlers must be mounted through httpapi.Versioned so the /v1 + deprecated-alias pair cannot drift (DESIGN.md §8)",
+	Doc:  "HTTP handlers must be mounted through httpapi.Versioned: every route lives under /v1 (DESIGN.md §8)",
 	Run:  runVersionedMount,
 }
 
@@ -57,7 +56,7 @@ func checkMountsIn(pass *Pass, pkg *Package, body *ast.BlockStmt) {
 		}
 		// Global-mux registration is never versioned; flag outright.
 		if isPkgFunc(pkg.Info, call, "net/http", "Handle") || isPkgFunc(pkg.Info, call, "net/http", "HandleFunc") {
-			pass.Reportf(call.Pos(), "handler registered on net/http's DefaultServeMux: mount through httpapi.Versioned on an explicit mux so /v1 and the deprecated alias stay paired (DESIGN.md §8)")
+			pass.Reportf(call.Pos(), "handler registered on net/http's DefaultServeMux: mount under /v1 through httpapi.Versioned on an explicit mux (DESIGN.md §8)")
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -73,6 +72,6 @@ func checkMountsIn(pass *Pass, pkg *Package, body *ast.BlockStmt) {
 		return
 	}
 	for _, call := range rawMounts {
-		pass.Reportf(call.Pos(), "handler mounted on a raw *http.ServeMux in a function that never calls httpapi.Versioned: the /v1 + deprecated-alias pair must come from one mount (DESIGN.md §8)")
+		pass.Reportf(call.Pos(), "handler mounted on a raw *http.ServeMux in a function that never calls httpapi.Versioned: mount under /v1 (DESIGN.md §8)")
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// TestVersionedAPISurface: every scorisd route answers identically at
-// /v1/<path> and at its bare legacy alias — byte-identical compare
-// output included — with the alias marked deprecated.
+// TestVersionedAPISurface: every scorisd route answers under /v1/ and
+// nowhere else — the bare paths the mux registers are plain 404s, with
+// no trace of the old deprecated-alias headers.
 func TestVersionedAPISurface(t *testing.T) {
 	est1, est2, _ := testBanks(t)
 	srv := New(Config{MaxConcurrent: 2})
@@ -40,41 +40,38 @@ func TestVersionedAPISurface(t *testing.T) {
 	}
 
 	v1, v1out := post(t, "/v1/compare")
-	legacy, legacyOut := post(t, "/compare")
-	if v1.StatusCode != http.StatusOK || legacy.StatusCode != http.StatusOK {
-		t.Fatalf("statuses %d/%d: %s / %s", v1.StatusCode, legacy.StatusCode, v1out, legacyOut)
-	}
-	if len(v1out) == 0 || !bytes.Equal(v1out, legacyOut) {
-		t.Fatalf("compare output differs across surfaces (%d vs %d bytes)", len(v1out), len(legacyOut))
+	if v1.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/compare: status %d: %s", v1.StatusCode, v1out)
 	}
 	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
-	if !bytes.Equal(v1out, want) {
+	if len(v1out) == 0 || !bytes.Equal(v1out, want) {
 		t.Fatal("/v1/compare output differs from the serial engine bytes")
 	}
-	if v1.Header.Get("Deprecation") != "" {
-		t.Error("/v1/compare marked deprecated")
-	}
-	if legacy.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /compare missing the Deprecation header")
+	for _, path := range []string{"/compare", "/compare/batch", "/jobs"} {
+		if bare, out := post(t, path); bare.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404: %s", path, bare.StatusCode, out)
+		}
 	}
 
-	// The read-only routes alias too.
 	for _, path := range []string{"/banks", "/stats", "/healthz", "/readyz"} {
 		respV1, err := http.Get(ts.URL + "/v1" + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		respV1.Body.Close()
-		respLegacy, err := http.Get(ts.URL + path)
+		if respV1.StatusCode != http.StatusOK {
+			t.Errorf("GET /v1%s: status %d, want 200", path, respV1.StatusCode)
+		}
+		bare, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		respLegacy.Body.Close()
-		if respV1.StatusCode != respLegacy.StatusCode {
-			t.Errorf("%s: status %d under /v1, %d bare", path, respV1.StatusCode, respLegacy.StatusCode)
+		bare.Body.Close()
+		if bare.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, bare.StatusCode)
 		}
-		if respLegacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: legacy alias not marked deprecated", path)
+		if bare.Header.Get("Deprecation") != "" {
+			t.Errorf("GET %s still advertises a Deprecation header", path)
 		}
 	}
 }

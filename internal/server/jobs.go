@@ -25,13 +25,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/bank"
+	"repro/internal/align"
+	"repro/internal/tabular"
 )
 
 type jobState string
@@ -124,7 +124,6 @@ func (s *Server) finishJob(j *job, state jobState, errMsg string) {
 	switch state {
 	case jobDone:
 		s.jobsCompleted.Add(1)
-		s.compares.Add(1)
 	case jobCancelled:
 		s.jobsCancelled.Add(1)
 	case jobFailed:
@@ -132,10 +131,10 @@ func (s *Server) finishJob(j *job, state jobState, errMsg string) {
 	}
 }
 
-// runJob is the job goroutine: wait (indefinitely) for a worker slot,
-// run the streamed compare with an emit that appends to the job
+// runJob is the job goroutine and the job sink: wait (indefinitely) for
+// a worker slot, run the compare with a sink that appends to the job
 // buffer, seal the job.
-func (s *Server) runJob(ctx context.Context, j *job, db, query *bank.Bank) {
+func (s *Server) runJob(ctx context.Context, j *job, c *compareCall) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -145,18 +144,12 @@ func (s *Server) runJob(ctx context.Context, j *job, db, query *bank.Bank) {
 	defer func() { <-s.sem }()
 	s.admissions.Add(1)
 	j.setRunning()
-	err := s.runCompareStream(ctx, db, query, &j.req, func(_ int, m8 []byte) error {
-		if gate := s.testStreamGate; gate != nil {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
+	err := s.run(ctx, c, func(_ int, g []align.Alignment) error {
 		// No backpressure here: the job buffer is the consumer, and
-		// its bound is MaxJobs × result size, paid knowingly.
-		j.append(m8)
-		return ctx.Err()
+		// its bound is MaxJobs × result size, paid knowingly. Empty
+		// groups are appended too: they tick seqs_done.
+		j.append(tabular.AppendGroup(nil, g, c.db, c.queries[0]))
+		return nil
 	})
 	switch {
 	case err == nil:
@@ -166,6 +159,19 @@ func (s *Server) runJob(ctx context.Context, j *job, db, query *bank.Bank) {
 	default:
 		s.finishJob(j, jobFailed, err.Error())
 	}
+}
+
+// jobShape is POST /jobs's body: a single compare, m8, never streamed.
+func jobShape(body []byte, _ string) (compareRequest, []string, error) {
+	req, names, err := singleShape(body, "")
+	switch {
+	case err != nil:
+	case req.Stream:
+		err = errors.New("jobs have no stream mode; GET /jobs/{id}/result streams")
+	case req.Format == "json":
+		err = errors.New("job results are m8-only")
+	}
+	return req, names, err
 }
 
 // handleJobs serves the /jobs collection: POST creates, GET lists.
@@ -184,37 +190,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(list)
 	case http.MethodPost:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "reading job request: %v", err)
-			return
-		}
-		req, err := parseCompareRequest(body, "")
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if req.Stream {
-			httpError(w, http.StatusBadRequest, "jobs have no stream mode; GET /jobs/{id}/result streams")
-			return
-		}
-		if req.Format == "json" {
-			httpError(w, http.StatusBadRequest, "job results are m8-only")
-			return
-		}
-		db, ok := s.lookupBank(req.DB)
-		if !ok {
-			httpError(w, http.StatusNotFound, "unknown db bank %q (register it with POST /banks)", req.DB)
-			return
-		}
-		query, ok := s.lookupBank(req.Query)
-		if !ok {
-			httpError(w, http.StatusNotFound, "unknown query bank %q (register it with POST /banks)", req.Query)
+		c := s.resolveCompare(w, r, jobShape)
+		if c == nil {
 			return
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		id := fmt.Sprintf("j%d", s.jobSeq.Add(1))
-		j := newJob(id, req, cancel, query.NumSeqs())
+		j := newJob(id, c.req, cancel, c.queries[0].NumSeqs())
 		s.jobMu.Lock()
 		if len(s.jobs) >= s.cfg.MaxJobs {
 			s.jobMu.Unlock()
@@ -229,7 +211,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.jobsCreated.Add(1)
 		// background: tracked in s.jobs (bounded by MaxJobs) until a
 		// terminal state; cancellable via ctx from DELETE /jobs/{id}.
-		go s.runJob(ctx, j, db, query)
+		go s.runJob(ctx, j, c)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(j.status())

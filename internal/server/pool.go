@@ -83,6 +83,19 @@ func (p *sessionPool) checkin(db *bank.Bank, opt blastn.Options, s *blastn.Sessi
 	p.mu.Unlock()
 }
 
+// drop discards every idle session of db; the server calls it when the
+// bank is deregistered, so the pool never pins a deleted bank (each
+// idle session holds the bank plus O(len(db.Data)) of arrays).
+func (p *sessionPool) drop(db *bank.Bank) {
+	p.mu.Lock()
+	for k := range p.idle {
+		if k.db == db {
+			delete(p.idle, k)
+		}
+	}
+	p.mu.Unlock()
+}
+
 // idleCount reports the total idle sessions across keys (for /stats).
 func (p *sessionPool) idleCount() int {
 	p.mu.Lock()

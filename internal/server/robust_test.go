@@ -32,22 +32,22 @@ func TestServerReadyzDrainFlip(t *testing.T) {
 		return resp.StatusCode, buf.String()
 	}
 
-	if status, body := get("/readyz"); status != http.StatusOK {
+	if status, body := get("/v1/readyz"); status != http.StatusOK {
 		t.Fatalf("fresh server /readyz: status %d: %s", status, body)
 	}
 	srv.SetDraining(true)
-	status, body := get("/readyz")
+	status, body := get("/v1/readyz")
 	if status != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
 		t.Fatalf("draining server /readyz: status %d, body %s; want 503 + draining", status, body)
 	}
-	if status, _ := get("/healthz"); status != http.StatusOK {
+	if status, _ := get("/v1/healthz"); status != http.StatusOK {
 		t.Errorf("draining server /healthz: status %d, want 200 (drain is not death)", status)
 	}
 	if !srv.StatsSnapshot().Server.Draining {
 		t.Error("stats do not report draining")
 	}
 	srv.SetDraining(false)
-	if status, _ := get("/readyz"); status != http.StatusOK {
+	if status, _ := get("/v1/readyz"); status != http.StatusOK {
 		t.Errorf("un-drained server /readyz: status %d, want 200", status)
 	}
 }
@@ -80,7 +80,7 @@ func TestServerAbandonedQueuedRequest(t *testing.T) {
 
 	// Second request queues behind it, then its client walks away.
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/compare",
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/compare",
 		strings.NewReader(`{"db":"est1","query":"est2"}`))
 	if err != nil {
 		t.Fatal(err)

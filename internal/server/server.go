@@ -4,32 +4,44 @@
 // prepared-bank substrate (ixcache single-flight builds, the ixdisk
 // mmap store with append-aware reuse) exists precisely so index builds
 // amortize across comparisons. This package turns that substrate into a
-// server: banks are registered once (POST /banks), comparisons are
-// served from prepared indexes (POST /compare) with zero per-request
+// server: banks are registered once (POST /v1/banks), comparisons are
+// served from prepared indexes (POST /v1/compare) with zero per-request
 // builds after first touch, and the cache/store counters that prove the
-// amortization are surfaced live (GET /stats).
+// amortization are surfaced live (GET /v1/stats). Route names below
+// omit the /v1 prefix every route is mounted under.
 //
 // # Request lifecycle
 //
-// A compare request passes admission control first: the server runs at
-// most MaxConcurrent comparisons at once and lets at most QueueDepth
-// more wait; anything beyond that is rejected immediately with 429 so
-// overload degrades into fast, explicit backpressure instead of
-// unbounded queueing. An admitted request resolves its banks from the
-// registry, clamps its Workers to the per-request cap (one request
-// cannot monopolize the machine), and runs its engine:
+// Every compare-shaped route (POST /compare, buffered or streamed; POST
+// /compare/batch; POST /jobs) takes one path (run.go). The prologue
+// reads the body, parses the route's body shape, resolves the engine
+// into a plan — the only switch over engine names; its options built
+// and validated — and resolves the banks from the registry: a request
+// that can never succeed is a 400 or 404 here, before it costs any
+// capacity. Interactive requests then pass admission control: the
+// server runs at most MaxConcurrent comparisons at once and lets at
+// most QueueDepth more wait; anything beyond that is rejected
+// immediately with 429, so overload degrades into fast, explicit
+// backpressure instead of unbounded queueing (jobs block on the worker
+// semaphore instead, bounded by MaxJobs). Holding its slot, the one run
+// function opens the plan's db side once and runs every query through
+// it, Workers clamped to the per-request cap (one request cannot
+// monopolize the machine):
 //
 //   - oris — core.Prepare against the shared ixcache (single-flight:
 //     concurrent first touches of one bank share one build; a store
-//     tier makes restarts warm) then core.CompareWithIndex;
+//     tier makes restarts warm) then core.CompareStreamWithIndex,
+//     which streams natively and honours the request context;
 //   - blat — the cached non-overlapping tile index of the db bank,
-//     then blat.CompareWithIndex;
+//     then blat.CompareWithIndex per query;
 //   - blastn — a blastn.Session checked out of the per-(db, options)
-//     session pool for the duration of the compare (a Session is not
+//     session pool for the duration of the run (a Session is not
 //     concurrent-safe; its atomic in-use guard is the backstop).
 //
-// Results are written as BLAST -m 8 tabular text — byte-identical to
-// the scoris CLI's output for the same (bank, options) pair, which the
+// Each finished query-sequence group goes to the route's sink —
+// buffered, streamed (stream.go) or job (jobs.go). Results are written
+// as BLAST -m 8 tabular text — byte-identical to the scoris CLI's
+// output for the same (bank, options) pair on every sink, which the
 // stress tests and the CI service job assert — or as JSON.
 //
 // Graceful shutdown is the standard http.Server.Shutdown contract: the
@@ -53,7 +65,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/align"
 	"repro/internal/bank"
 	"repro/internal/blastn"
 	"repro/internal/blat"
@@ -63,7 +74,6 @@ import (
 	"repro/internal/ixcache"
 	"repro/internal/ixdisk"
 	"repro/internal/stats"
-	"repro/internal/tabular"
 )
 
 // Config bounds the server's concurrency and wires its storage tiers.
@@ -96,12 +106,13 @@ type Config struct {
 	// each compare: a request that has not produced its result within
 	// the deadline is answered 504 (with "timed_out" set in the JSON
 	// error body, so clients and the fleet router can tell a server
-	// deadline from other failures). The compare itself cannot be
-	// interrupted mid-engine, so it runs to completion in the
-	// background and only then releases its worker slot — the slot is
-	// never leaked, but a server sized for pathological inputs should
-	// pair this with MaxConcurrent headroom. Zero (the default)
-	// preserves the historical behavior: no server-side deadline.
+	// deadline from other failures). The deadline reaches the engine:
+	// an oris compare stops at its next step-2 chunk claim or group
+	// boundary; a blat or blastn query cannot be interrupted, so it
+	// runs to completion in the background and only then releases its
+	// worker slot — the slot is never leaked, but a server sized for
+	// pathological inputs should pair this with MaxConcurrent headroom.
+	// Zero (the default) means no server-side deadline.
 	RequestTimeout time.Duration
 	// StreamBuffer bounds the per-request group buffer of a streamed
 	// compare: the engine may run at most this many finished query
@@ -207,16 +218,17 @@ type Server struct {
 	gcMu   sync.Mutex
 	lastGC *ixdisk.GCStats // guardedby: gcMu
 
-	// testHoldCompare, when non-nil, is received from inside the
-	// admitted section of every compare — the hook that lets tests park
-	// a compare mid-flight deterministically (admission overflow and
-	// graceful-drain tests). Set before the server handles traffic.
+	// testHoldCompare, when non-nil, is received by every compare once
+	// it holds its worker slot, before the engine starts — the hook that
+	// lets tests park a compare mid-flight deterministically (admission
+	// overflow and graceful-drain tests). Set before the server handles
+	// traffic.
 	testHoldCompare chan struct{}
 
-	// testStreamGate, when non-nil, is received before every streamed
-	// group emit (racing the request context) — the hook that lets
-	// tests pace a stream group by group and park the engine mid-stream
-	// deterministically. Set before the server handles traffic.
+	// testStreamGate, when non-nil, is received before every group any
+	// sink is handed (racing the compare's context) — the hook that
+	// lets tests pace a compare group by group and park the engine
+	// mid-run deterministically. Set before the server handles traffic.
 	testStreamGate chan struct{}
 }
 
@@ -294,18 +306,33 @@ func (s *Server) RegisterBank(name string, b *bank.Bank, db bool) error {
 }
 
 // DeregisterBank removes name from the registry, releasing the
-// server's reference to the bank (and through the cache's LRU,
-// eventually its indexes). Compares already in flight hold their own
-// bank pointer and are unaffected — banks are immutable. Removing an
-// unknown name reports false.
+// server's reference to the bank: its idle blastn sessions go now, its
+// indexes eventually through the cache's LRU. Compares already in
+// flight hold their own bank pointer and are unaffected — banks are
+// immutable. Removing an unknown name reports false.
 func (s *Server) DeregisterBank(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.banks[name]; !ok {
+	e, ok := s.banks[name]
+	if !ok {
 		return false
 	}
 	delete(s.banks, name)
+	s.sessions.drop(e.bank)
 	return true
+}
+
+// returnSession checks a blastn session back in, unless its bank was
+// deregistered while the compare ran — then the session is dropped for
+// the GC, so a deleted bank is never pinned by the pool. The registry
+// lock is held across the check and the checkin (and across the delete
+// and the drop in DeregisterBank), so the two cannot interleave.
+func (s *Server) returnSession(dbName string, db *bank.Bank, opt blastn.Options, sess *blastn.Session) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if e, ok := s.banks[dbName]; ok && e.bank == db {
+		s.sessions.checkin(db, opt, sess)
+	}
 }
 
 // lookupBank resolves a registered bank by name.
@@ -357,11 +384,8 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports whether the server has begun graceful shutdown.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Handler returns the service's HTTP mux. Every route is served under
-// the versioned /v1/ prefix (the stable surface) and, identically, at
-// its bare legacy path — a deprecated alias that sets a Deprecation
-// header so pre-versioning clients keep working while being told to
-// move (see internal/httpapi).
+// Handler returns the service's HTTP mux, mounted under /v1/ — the only
+// surface; any other path is 404 (see internal/httpapi).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/banks", s.countRequests(s.handleBanks))
@@ -592,14 +616,6 @@ type compareRequest struct {
 	GapExtend   *int     `json:"gap_extend"`
 }
 
-// compareResponse is the JSON format of a compare result.
-type compareResponse struct {
-	Engine     string           `json:"engine"`
-	DB         string           `json:"db"`
-	Query      string           `json:"query"`
-	Alignments []tabular.Record `json:"alignments"`
-}
-
 // clampWorkers applies the per-request parallelism cap: unset (or
 // "all cores", the CLI's 0) becomes the server's fair share, explicit
 // requests are honored up to that cap.
@@ -642,145 +658,6 @@ func parseCompareRequest(body []byte, accept string) (compareRequest, error) {
 		return req, errors.New("streamed delivery is m8-only (drop format json or stream)")
 	}
 	return req, nil
-}
-
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading compare request: %v", err)
-		return
-	}
-	req, err := parseCompareRequest(body, r.Header.Get("Accept"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	db, ok := s.lookupBank(req.DB)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown db bank %q (register it with POST /banks)", req.DB)
-		return
-	}
-	query, ok := s.lookupBank(req.Query)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown query bank %q (register it with POST /banks)", req.Query)
-		return
-	}
-
-	// The request context carries both failure signals admission and
-	// the compare must observe: client disconnect (the router gave up,
-	// or curl was ^C'd) and the server-side RequestTimeout deadline.
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-
-	release, err := s.admit(ctx)
-	if err == errAtCapacity {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"server at capacity (%d running, %d queued); retry",
-			s.cfg.MaxConcurrent, s.cfg.QueueDepth)
-		return
-	}
-	if err != nil {
-		// Gave up while queued: the queue slot is already free.
-		s.finishCancelled(w, ctx)
-		return
-	}
-
-	if req.Stream {
-		s.streamCompare(ctx, w, db, query, &req, release)
-		return
-	}
-
-	// The compare runs in its own goroutine holding the worker slot,
-	// releasing it only when the engine actually returns — a timed-out
-	// compare cannot be interrupted mid-engine, but its slot is never
-	// leaked. The handler waits for whichever comes first: the result,
-	// or the context giving up on it.
-	type compareOutcome struct {
-		recs []tabular.Record
-		err  error
-	}
-	done := make(chan compareOutcome, 1)
-	go func() {
-		defer release()
-		if hold := s.testHoldCompare; hold != nil {
-			<-hold
-		}
-		// A request cancelled between admission and here (abandoned in
-		// the queue's last moments, or already past its deadline) must
-		// not burn a worker slot on a result nobody reads.
-		if err := ctx.Err(); err != nil {
-			done <- compareOutcome{nil, err}
-			return
-		}
-		recs, err := s.runCompare(db, query, &req)
-		done <- compareOutcome{recs, err}
-	}()
-
-	var recs []tabular.Record
-	select {
-	case out := <-done:
-		if out.err != nil {
-			if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
-				s.finishCancelled(w, ctx)
-				return
-			}
-			httpError(w, http.StatusBadRequest, "%v", out.err)
-			return
-		}
-		recs = out.recs
-	case <-ctx.Done():
-		s.finishCancelled(w, ctx)
-		return
-	}
-	s.compares.Add(1)
-
-	if req.Format == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		if recs == nil {
-			recs = []tabular.Record{}
-		}
-		json.NewEncoder(w).Encode(compareResponse{
-			Engine: engineName(req.Engine), DB: req.DB, Query: req.Query,
-			Alignments: recs,
-		})
-		return
-	}
-	// m8: the exact byte stream the scoris/goblastn CLIs write.
-	w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-	tabular.Write(w, recs)
-}
-
-// finishCancelled answers a compare that will not produce a result:
-// 504 with a distinct machine-readable body when the server-side
-// RequestTimeout expired, or a silent close (counted as abandoned) when
-// the client itself disconnected — there is nobody left to answer.
-func (s *Server) finishCancelled(w http.ResponseWriter, ctx context.Context) {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		s.timedOut.Add(1)
-		writeTimeoutBody(w, s.cfg.RequestTimeout)
-		return
-	}
-	s.abandoned.Add(1)
-}
-
-// writeTimeoutBody answers 504 with the machine-readable timed_out
-// marker clients and the fleet router key on.
-func writeTimeoutBody(w http.ResponseWriter, d time.Duration) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusGatewayTimeout)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error":     fmt.Sprintf("compare exceeded the server's request timeout (%s)", d),
-		"timed_out": true,
-	})
 }
 
 func engineName(e string) string {
@@ -826,7 +703,7 @@ func blatOptions(req *compareRequest) (blat.Options, error) {
 	}
 	opt = blat.DefaultOptions()
 	applyCommon(&opt.W, &opt.MaxEValue, &opt.Dust, &opt.Scoring, req)
-	return opt, nil
+	return opt, opt.Validate()
 }
 
 // blastnOptions validates and builds the blastn.Options a request asks
@@ -844,66 +721,7 @@ func blastnOptions(req *compareRequest) (blastn.Options, error) {
 	if req.BothStrands != nil {
 		opt.BothStrands = *req.BothStrands
 	}
-	return opt, nil
-}
-
-// runCompareAligns dispatches to the selected engine and returns its
-// display-sorted alignments.
-func (s *Server) runCompareAligns(db, query *bank.Bank, req *compareRequest) ([]align.Alignment, error) {
-	switch engineName(req.Engine) {
-	case "oris":
-		opt := s.orisOptions(req)
-		p1, p2, err := core.Prepare(s.cache, db, query, opt)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.CompareWithIndex(p1, p2, opt)
-		if err != nil {
-			return nil, err
-		}
-		return res.Alignments, nil
-	case "blat":
-		opt, err := blatOptions(req)
-		if err != nil {
-			return nil, err
-		}
-		pdb := s.cache.Get(db, opt.IndexOptions())
-		res, err := blat.CompareWithIndex(pdb, query, opt)
-		if err != nil {
-			return nil, err
-		}
-		return res.Alignments, nil
-	case "blastn":
-		opt, err := blastnOptions(req)
-		if err != nil {
-			return nil, err
-		}
-		sess, err := s.sessions.checkout(db, opt)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sess.Compare(query)
-		// Check the session back in on every path: a Session survives
-		// a failed compare (errors are option/stats-shaped, detected
-		// before the engine arrays are touched).
-		s.sessions.checkin(db, opt, sess)
-		if err != nil {
-			return nil, err
-		}
-		return res.Alignments, nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (use oris, blat, or blastn)", req.Engine)
-	}
-}
-
-// runCompare converts runCompareAligns's output with the same tabular
-// conversion the CLIs use, so the m8 bytes match the CLI byte for byte.
-func (s *Server) runCompare(db, query *bank.Bank, req *compareRequest) ([]tabular.Record, error) {
-	as, err := s.runCompareAligns(db, query, req)
-	if err != nil {
-		return nil, err
-	}
-	return toRecords(as, db, query), nil
+	return opt, opt.Validate()
 }
 
 // applyCommon copies the option fields shared by all three engines.
@@ -929,14 +747,6 @@ func applyCommon(w *int, maxE *float64, dustOn *bool, scoring *stats.Scoring, re
 	if req.GapExtend != nil {
 		scoring.GapExtend = *req.GapExtend
 	}
-}
-
-func toRecords(as []align.Alignment, db, query *bank.Bank) []tabular.Record {
-	out := make([]tabular.Record, len(as))
-	for i := range as {
-		out[i] = tabular.FromAlignment(&as[i], db, query)
-	}
-	return out
 }
 
 // Stats is the /stats payload: the counters that prove (or disprove)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/bank"
 	"repro/internal/blastn"
 	"repro/internal/blat"
@@ -44,9 +45,17 @@ func serialORIS(t *testing.T, db, query *bank.Bank, workers int, self bool) []by
 	return buf.Bytes()
 }
 
+func toRecords(as []align.Alignment, db, query *bank.Bank) []tabular.Record {
+	out := make([]tabular.Record, len(as))
+	for i := range as {
+		out[i] = tabular.FromAlignment(&as[i], db, query)
+	}
+	return out
+}
+
 func postCompare(t *testing.T, url string, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/compare", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url+"/v1/compare", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +156,7 @@ func TestServerCompareMatchesSerialEngines(t *testing.T) {
 	}
 
 	// /stats surfaces the counters.
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +193,7 @@ func TestServerBankRegistration(t *testing.T) {
 
 	// FASTA-body registration over HTTP.
 	fa := ">s1 test\nACGTACGTACGTACGTACGTGGCATTGCA\n>s2\nTTGCAACGTTGCAACGTTGCA\n"
-	resp, err := http.Post(ts.URL+"/banks?name=little&db=1", "text/x-fasta", strings.NewReader(fa))
+	resp, err := http.Post(ts.URL+"/v1/banks?name=little&db=1", "text/x-fasta", strings.NewReader(fa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +233,7 @@ func TestServerBankRegistration(t *testing.T) {
 	}
 
 	// DELETE releases a bank; compares against it then 404.
-	delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/banks?name=little", nil)
+	delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/banks?name=little", nil)
 	resp2, err := http.DefaultClient.Do(delReq)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +245,7 @@ func TestServerBankRegistration(t *testing.T) {
 	if status, _ := postCompare(t, ts.URL, `{"db":"a","query":"little"}`); status != http.StatusNotFound {
 		t.Errorf("compare against a deleted bank: status %d, want 404", status)
 	}
-	delReq2, _ := http.NewRequest(http.MethodDelete, ts.URL+"/banks?name=little", nil)
+	delReq2, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/banks?name=little", nil)
 	resp3, err := http.DefaultClient.Do(delReq2)
 	if err != nil {
 		t.Fatal(err)
@@ -318,6 +327,102 @@ func TestServerAdmissionControl(t *testing.T) {
 	status, got = postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`)
 	if status != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("post-overload request: status %d", status)
+	}
+}
+
+// TestServerBadRequestRefusedBeforeCapacity: a request that can never
+// succeed — unknown engine, an option its engine does not implement,
+// options that fail validation — is a 400 on every route before it
+// costs anything: no queue place or 429 with the pool full, no 202 and
+// no registry record for a job.
+func TestServerBadRequestRefusedBeforeCapacity(t *testing.T) {
+	est1, est2, _ := testBanks(t)
+	srv := New(Config{MaxConcurrent: 1, QueueDepth: -1})
+	srv.RegisterBank("est1", est1, true)
+	srv.RegisterBank("est2", est2, false)
+	hold := make(chan struct{})
+	srv.testHoldCompare = hold
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Park the only worker slot: anything admitted now would bounce 429.
+	first := make(chan int, 1)
+	go func() {
+		status, _ := postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`)
+		first <- status
+	}()
+	waitFor(t, func() bool { return srv.admitted.Load() == 1 })
+
+	for _, c := range []struct{ path, body string }{
+		{"/v1/compare", `{"db":"est1","query":"est2","engine":"hmmer"}`},
+		{"/v1/compare", `{"db":"est1","query":"est2","stream":true,"engine":"blat","both_strands":true}`},
+		{"/v1/compare/batch", `{"db":"est1","queries":["est2"],"engine":"blastn","asymmetric":true}`},
+		{"/v1/compare/batch", `{"db":"est1","queries":["est2"],"w":3}`},
+		{"/v1/jobs", `{"db":"est1","query":"est2","engine":"hmmer"}`},
+		{"/v1/jobs", `{"db":"est1","query":"est2","engine":"blastn","w":3}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400", c.path, c.body, resp.StatusCode)
+		}
+	}
+	if got := srv.rejected.Load(); got != 0 {
+		t.Errorf("rejected = %d, want 0 (a 400 must not reach admission)", got)
+	}
+	if js := srv.jobStats(); js.Created != 0 || js.Held != 0 {
+		t.Errorf("bad job requests left records behind: %+v", js)
+	}
+	close(hold)
+	if status := <-first; status != http.StatusOK {
+		t.Errorf("parked compare: status %d", status)
+	}
+}
+
+// TestServerDeregisterDropsIdleSessions: the blastn session pool must
+// not pin a deleted bank — its idle sessions go with the registry
+// entry.
+func TestServerDeregisterDropsIdleSessions(t *testing.T) {
+	est1, est2, _ := testBanks(t)
+	srv := New(Config{MaxConcurrent: 1})
+	srv.RegisterBank("db", est1, true)
+	srv.RegisterBank("q", est2, false)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	idle := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Sessions.Idle
+	}
+	if status, body := postCompare(t, ts.URL, `{"db":"db","query":"q","engine":"blastn"}`); status != http.StatusOK {
+		t.Fatalf("blastn compare: status %d: %s", status, body)
+	}
+	if got := idle(); got != 1 {
+		t.Fatalf("sessions.idle = %d after one blastn compare, want 1", got)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/banks?name=db", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE bank: status %d", resp.StatusCode)
+	}
+	if got := idle(); got != 0 {
+		t.Errorf("sessions.idle = %d after deregistering the db bank, want 0", got)
 	}
 }
 

@@ -16,8 +16,7 @@
 //
 // # Cancellation and the status trailer
 //
-// The request context cancels the compare for real: core's stream
-// engine checks it at every step-2 chunk claim and between groups, and
+// The request context cancels the compare for real (see run.go), and
 // the emit select below observes it even while blocked on a full
 // channel. Because a stream's status line is long gone when a failure
 // hits mid-body, the response announces an X-Scoris-Status trailer:
@@ -33,8 +32,6 @@ import (
 	"net/http"
 
 	"repro/internal/align"
-	"repro/internal/bank"
-	"repro/internal/core"
 	"repro/internal/tabular"
 )
 
@@ -49,11 +46,6 @@ const streamStatusTrailer = "X-Scoris-Status"
 // streamStatusComplete is the trailer value of an intact stream.
 const streamStatusComplete = "complete"
 
-// sendGroup receives one query sequence's rendered m8 lines; it is
-// called once per query sequence in bank order, empty groups included
-// (m8 empty) so consumers can count progress. The callee owns m8.
-type sendGroup func(seq2 int, m8 []byte) error
-
 // writeStreamHeader marks the response as a stream: m8 content, the
 // X-Scoris-Stream marker (how the fleet router recognizes a relayable
 // stream before the first body byte), and the status-trailer
@@ -65,34 +57,23 @@ func writeStreamHeader(w http.ResponseWriter) {
 	h.Set("Trailer", streamStatusTrailer)
 }
 
-// streamCompare serves an admitted streamed compare. It owns release.
-func (s *Server) streamCompare(ctx context.Context, w http.ResponseWriter, db, query *bank.Bank, req *compareRequest, release func()) {
+// serveStreamed is the streamed sink of an admitted compare: the oris
+// engine streams natively (groups arrive while later sequences are
+// still extending); blat and blastn deliver their finished table one
+// query-sequence run at a time. It owns release.
+func (s *Server) serveStreamed(ctx context.Context, w http.ResponseWriter, c *compareCall, release func()) {
 	flusher, _ := w.(http.Flusher)
 	chunks := make(chan []byte, s.cfg.StreamBuffer)
 	errc := make(chan error, 1)
 	go func() {
 		defer release()
 		defer close(chunks)
-		if hold := s.testHoldCompare; hold != nil {
-			<-hold
-		}
-		if err := ctx.Err(); err != nil {
-			errc <- err
-			return
-		}
-		errc <- s.runCompareStream(ctx, db, query, req, func(_ int, m8 []byte) error {
-			if gate := s.testStreamGate; gate != nil {
-				select {
-				case <-gate:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			if len(m8) == 0 {
+		errc <- s.run(ctx, c, func(_ int, g []align.Alignment) error {
+			if len(g) == 0 {
 				return nil
 			}
 			select {
-			case chunks <- m8:
+			case chunks <- tabular.AppendGroup(nil, g, c.db, c.queries[0]):
 				return nil
 			case <-ctx.Done():
 				// Blocked on a full buffer with the client gone: the
@@ -128,23 +109,15 @@ func (s *Server) streamCompare(ctx context.Context, w http.ResponseWriter, db, q
 			writeStreamHeader(w)
 		}
 		w.Header().Set(streamStatusTrailer, streamStatusComplete)
-		s.compares.Add(1)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.timedOut.Add(1)
-		} else {
-			s.abandoned.Add(1)
-		}
 		if !wroteHeader {
-			// Nothing sent yet — the buffered path's answers still
+			// Nothing sent yet — the buffered sink's answers still
 			// apply (504 for a server deadline, silence for a vanished
-			// client). finishCancelled would double-count; write the
-			// timeout body directly.
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				writeTimeoutBody(w, s.cfg.RequestTimeout)
-			}
+			// client).
+			s.finishCancelled(w, ctx)
 			return
 		}
+		s.countCancelled(ctx)
 		w.Header().Set(streamStatusTrailer, "cancelled")
 	default:
 		if !wroteHeader {
@@ -155,46 +128,4 @@ func (s *Server) streamCompare(ctx context.Context, w http.ResponseWriter, db, q
 		// the only channel left to say the stream is torn.
 		w.Header().Set(streamStatusTrailer, "error")
 	}
-}
-
-// runCompareStream dispatches a streamed compare. The oris engine
-// streams natively (send is called as each query sequence finishes,
-// while later sequences are still extending); blat and blastn buffer
-// inside their engines, so their delivery is streamed after the fact —
-// the finished table is emitted one query-sequence run at a time.
-func (s *Server) runCompareStream(ctx context.Context, db, query *bank.Bank, req *compareRequest, send sendGroup) error {
-	if engineName(req.Engine) == "oris" {
-		opt := s.orisOptions(req)
-		p1, p2, err := core.Prepare(s.cache, db, query, opt)
-		if err != nil {
-			return err
-		}
-		_, err = core.CompareStreamWithIndex(ctx, p1, p2, opt,
-			func(seq2 int, g []align.Alignment) error {
-				return send(seq2, tabular.AppendGroup(nil, g, db, query))
-			})
-		return err
-	}
-	as, err := s.runCompareAligns(db, query, req)
-	if err != nil {
-		return err
-	}
-	// Display order is query-major, so each sequence's alignments are
-	// one contiguous run.
-	lo := 0
-	for seq2 := 0; seq2 < query.NumSeqs(); seq2++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := lo
-		//scorislint:ignore ctxloop bounded scan over as; the enclosing per-sequence loop checks ctx.Err each group
-		for hi < len(as) && int(as[hi].Seq2) == seq2 {
-			hi++
-		}
-		if err := send(seq2, tabular.AppendGroup(nil, as[lo:hi], db, query)); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/align"
+	"repro/internal/blastn"
+	"repro/internal/blat"
+	"repro/internal/tabular"
 )
 
 // streamPost issues a compare POST and returns the live response for
@@ -53,6 +59,20 @@ func feedGate(gate chan struct{}, stop chan struct{}) {
 	}
 }
 
+// ungated runs fn with the gate fed freely: the gate paces every sink,
+// so a gated server's oracle compares need tokens too.
+func ungated(gate chan struct{}, fn func()) {
+	stop := make(chan struct{})
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		feedGate(gate, stop)
+	}()
+	fn()
+	close(stop)
+	<-fed
+}
+
 func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 	est1, est2, _ := testBanks(t)
 	srv := New(Config{})
@@ -65,12 +85,82 @@ func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// The serial reference of each engine, computed outside the server.
+	serial := map[string][]align.Alignment{}
+	bres, err := blat.Compare(est1, est2, blat.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial["blat"] = bres.Alignments
+	nres, err := blastn.Compare(est1, est2, blastn.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial["blastn"] = nres.Alignments
+
 	for _, engine := range []string{"oris", "blat", "blastn"} {
 		t.Run(engine, func(t *testing.T) {
 			body := fmt.Sprintf(`{"db":"est1","query":"est2","engine":%q}`, engine)
 			status, want := postCompare(t, ts.URL, body)
 			if status != http.StatusOK {
 				t.Fatalf("buffered compare: status %d: %s", status, want)
+			}
+			ref := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
+			if engine != "oris" {
+				var buf bytes.Buffer
+				if err := tabular.Write(&buf, toRecords(serial[engine], est1, est2)); err != nil {
+					t.Fatal(err)
+				}
+				ref = buf.Bytes()
+			}
+			if len(want) == 0 || !bytes.Equal(want, ref) {
+				t.Fatalf("buffered bytes differ from the serial reference: %d vs %d bytes", len(want), len(ref))
+			}
+
+			// Batch of one, m8: the same bytes.
+			batchBody := fmt.Sprintf(`{"db":"est1","queries":["est2"],"engine":%q}`, engine)
+			resp := streamPost(t, ts.URL, "/v1/compare/batch", batchBody, "")
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("batch-of-one m8: err=%v status=%d, %d vs %d bytes", err, resp.StatusCode, len(got), len(want))
+			}
+
+			// Batch of one, JSON: the same records, rendered to the same bytes.
+			resp = streamPost(t, ts.URL, "/v1/compare/batch", strings.TrimSuffix(batchBody, "}")+`,"format":"json"}`, "")
+			var br batchResponse
+			err = json.NewDecoder(resp.Body).Decode(&br)
+			resp.Body.Close()
+			if err != nil || len(br.Results) != 1 || br.Engine != engine {
+				t.Fatalf("batch-of-one JSON: err=%v, %+v", err, br)
+			}
+			var rendered bytes.Buffer
+			if err := tabular.Write(&rendered, br.Results[0].Alignments); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rendered.Bytes(), want) {
+				t.Errorf("batch-of-one JSON renders %d bytes, want %d", rendered.Len(), len(want))
+			}
+
+			// Job, followed through /result.
+			resp = streamPost(t, ts.URL, "/v1/jobs", body, "")
+			var created jobStatus
+			err = json.NewDecoder(resp.Body).Decode(&created)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("job create: err=%v status=%d", err, resp.StatusCode)
+			}
+			rr := streamGet(t, ts.URL, "/v1/jobs/"+created.ID+"/result")
+			got, err = io.ReadAll(rr.Body)
+			rr.Body.Close()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("job result: err=%v, %d vs %d bytes", err, len(got), len(want))
+			}
+			if tr := rr.Trailer.Get(streamStatusTrailer); tr != streamStatusComplete {
+				t.Errorf("job result trailer = %q, want %q", tr, streamStatusComplete)
+			}
+			if st, _ := jobStatusOf(t, ts.URL, created.ID); st.SeqsDone != est2.NumSeqs() {
+				t.Errorf("job seqs_done = %d, want %d (empty groups tick too)", st.SeqsDone, est2.NumSeqs())
 			}
 
 			// Header form and JSON-field form must behave identically.
@@ -81,7 +171,7 @@ func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 				} else {
 					sb = strings.TrimSuffix(body, "}") + `,"stream":true}`
 				}
-				resp := streamPost(t, ts.URL, "/compare", sb, accept)
+				resp := streamPost(t, ts.URL, "/v1/compare", sb, accept)
 				got, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if err != nil {
@@ -132,7 +222,9 @@ func TestServerStreamedCompareEmitsEarly(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	status, want := postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`)
+	var status int
+	var want []byte
+	ungated(gate, func() { status, want = postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`) })
 	if status != http.StatusOK {
 		t.Fatalf("buffered compare: %d", status)
 	}
@@ -149,7 +241,7 @@ func TestServerStreamedCompareEmitsEarly(t *testing.T) {
 			gate <- struct{}{}
 		}
 	}()
-	resp := streamPost(t, ts.URL, "/compare", `{"db":"est1","query":"est2","stream":true}`, "")
+	resp := streamPost(t, ts.URL, "/v1/compare", `{"db":"est1","query":"est2","stream":true}`, "")
 	defer resp.Body.Close()
 	br := bufio.NewReader(resp.Body)
 	first, err := br.ReadString('\n')
@@ -203,7 +295,7 @@ func TestServerStreamedCompareClientDisconnect(t *testing.T) {
 			gate <- struct{}{}
 		}
 	}()
-	resp := streamPost(t, ts.URL, "/compare", `{"db":"est1","query":"est2","stream":true}`, "")
+	resp := streamPost(t, ts.URL, "/v1/compare", `{"db":"est1","query":"est2","stream":true}`, "")
 	br := bufio.NewReader(resp.Body)
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatalf("reading first streamed line: %v", err)
@@ -222,6 +314,47 @@ func TestServerStreamedCompareClientDisconnect(t *testing.T) {
 	}
 }
 
+// TestServerBufferedCompareClientDisconnect: the request context
+// reaches the engine on the buffered sink too. The compare is parked on
+// the gate after its first group; only its context going away can
+// unblock it, so slot free + abandoned counted = the engine stopped
+// mid-run instead of holding its worker slot to the end.
+func TestServerBufferedCompareClientDisconnect(t *testing.T) {
+	est1, est2, _ := testBanks(t)
+	srv := New(Config{MaxConcurrent: 1})
+	srv.RegisterBank("est1", est1, true)
+	srv.RegisterBank("est2", est2, false)
+	gate := make(chan struct{})
+	srv.testStreamGate = gate
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/compare",
+		strings.NewReader(`{"db":"est1","query":"est2"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		gone <- err
+	}()
+	gate <- struct{}{} // first group through; the second parks on the gate
+	cancel()
+	if err := <-gone; err == nil {
+		t.Fatal("cancelled compare reported success")
+	}
+	waitFor(t, func() bool { return srv.admitted.Load() == 0 })
+	waitFor(t, func() bool { return srv.abandoned.Load() == 1 })
+	if got := srv.compares.Load(); got != 0 {
+		t.Errorf("compares = %d after an abandoned compare, want 0", got)
+	}
+}
+
 func TestServerBatchCompare(t *testing.T) {
 	est1, est2, est3 := testBanks(t)
 	srv := New(Config{})
@@ -237,7 +370,7 @@ func TestServerBatchCompare(t *testing.T) {
 	want := append(append([]byte(nil), m8est2...), m8est3...)
 
 	admissionsBefore := srv.admissions.Load()
-	resp := streamPost(t, ts.URL, "/compare/batch", `{"db":"est1","queries":["est2","est3"]}`, "")
+	resp := streamPost(t, ts.URL, "/v1/compare/batch", `{"db":"est1","queries":["est2","est3"]}`, "")
 	got, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
@@ -266,7 +399,7 @@ func TestServerBatchBlastnSingleCheckout(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp := streamPost(t, ts.URL, "/compare/batch",
+	resp := streamPost(t, ts.URL, "/v1/compare/batch",
 		`{"db":"est1","queries":["est2","est3","est2"],"engine":"blastn"}`, "")
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -289,7 +422,7 @@ func TestServerBatchJSONAndValidation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp := streamPost(t, ts.URL, "/compare/batch",
+	resp := streamPost(t, ts.URL, "/v1/compare/batch",
 		`{"db":"est1","queries":["est2"],"format":"json"}`, "")
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -313,14 +446,14 @@ func TestServerBatchJSONAndValidation(t *testing.T) {
 		{`{"db":"est1","queries":["est2"],"stream":true}`, "stream"},
 	}
 	for _, c := range bad {
-		resp := streamPost(t, ts.URL, "/compare/batch", c.body, "")
+		resp := streamPost(t, ts.URL, "/v1/compare/batch", c.body, "")
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.why, resp.StatusCode)
 		}
 	}
-	resp = streamPost(t, ts.URL, "/compare/batch", `{"db":"est1","queries":["ghost"]}`, "")
+	resp = streamPost(t, ts.URL, "/v1/compare/batch", `{"db":"est1","queries":["ghost"]}`, "")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
@@ -331,7 +464,7 @@ func TestServerBatchJSONAndValidation(t *testing.T) {
 // jobStatusOf polls GET /jobs/{id}.
 func jobStatusOf(t *testing.T, url, id string) (jobStatus, int) {
 	t.Helper()
-	resp, err := http.Get(url + "/jobs/" + id)
+	resp, err := http.Get(url + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +490,7 @@ func TestServerJobLifecycle(t *testing.T) {
 
 	_, want := postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`)
 
-	resp := streamPost(t, ts.URL, "/jobs", `{"db":"est1","query":"est2"}`, "")
+	resp := streamPost(t, ts.URL, "/v1/jobs", `{"db":"est1","query":"est2"}`, "")
 	var created jobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
 		t.Fatal(err)
@@ -380,7 +513,7 @@ func TestServerJobLifecycle(t *testing.T) {
 	}
 
 	// The result endpoint replays the finished job byte-for-byte.
-	rr := streamGet(t, ts.URL, "/jobs/"+created.ID+"/result")
+	rr := streamGet(t, ts.URL, "/v1/jobs/"+created.ID+"/result")
 	got, err := io.ReadAll(rr.Body)
 	rr.Body.Close()
 	if err != nil {
@@ -397,7 +530,7 @@ func TestServerJobLifecycle(t *testing.T) {
 	}
 
 	// DELETE discards; the id stops resolving.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+created.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+created.ID, nil)
 	dr, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -424,17 +557,15 @@ func TestServerJobResultFollowsLive(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	_, want := postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`)
-	// postCompare does not consume the gate (it is not streamed, and
-	// jobs gate only in runJob) — but a gated server paces ALL gated
-	// paths; the buffered compare above used none. Create the job now.
-	resp := streamPost(t, ts.URL, "/jobs", `{"db":"est1","query":"est2"}`, "")
+	var want []byte
+	ungated(gate, func() { _, want = postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`) })
+	resp := streamPost(t, ts.URL, "/v1/jobs", `{"db":"est1","query":"est2"}`, "")
 	var created jobStatus
 	json.NewDecoder(resp.Body).Decode(&created)
 	resp.Body.Close()
 
 	// Attach the follower while the job is still gated (not finished).
-	rr := streamGet(t, ts.URL, "/jobs/"+created.ID+"/result")
+	rr := streamGet(t, ts.URL, "/v1/jobs/"+created.ID+"/result")
 	defer rr.Body.Close()
 
 	// Pace some progress, then let it run free.
@@ -472,7 +603,7 @@ func TestServerJobCancel(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp := streamPost(t, ts.URL, "/jobs", `{"db":"est1","query":"est2"}`, "")
+	resp := streamPost(t, ts.URL, "/v1/jobs", `{"db":"est1","query":"est2"}`, "")
 	var created jobStatus
 	json.NewDecoder(resp.Body).Decode(&created)
 	resp.Body.Close()
@@ -481,10 +612,10 @@ func TestServerJobCancel(t *testing.T) {
 	// follower, then cancel: the follower must get a torn trailer, the
 	// slot must free, the job must count cancelled.
 	gate <- struct{}{}
-	rr := streamGet(t, ts.URL, "/jobs/"+created.ID+"/result")
+	rr := streamGet(t, ts.URL, "/v1/jobs/"+created.ID+"/result")
 	defer rr.Body.Close()
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+created.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+created.ID, nil)
 	dr, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -518,7 +649,7 @@ func TestServerJobRegistryBound(t *testing.T) {
 	// background: the compare returns once close(hold) releases it, and
 	// the deferred ts.Close waits for the handler to finish.
 	go func() {
-		resp, err := http.Post(ts.URL+"/compare", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/compare", "application/json",
 			strings.NewReader(`{"db":"est1","query":"est2"}`))
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
@@ -528,14 +659,14 @@ func TestServerJobRegistryBound(t *testing.T) {
 	waitFor(t, func() bool { return len(srv.sem) == 1 })
 
 	for i := 0; i < 2; i++ {
-		resp := streamPost(t, ts.URL, "/jobs", `{"db":"est1","query":"est2"}`, "")
+		resp := streamPost(t, ts.URL, "/v1/jobs", `{"db":"est1","query":"est2"}`, "")
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("job %d create status %d", i, resp.StatusCode)
 		}
 	}
-	resp := streamPost(t, ts.URL, "/jobs", `{"db":"est1","query":"est2"}`, "")
+	resp := streamPost(t, ts.URL, "/v1/jobs", `{"db":"est1","query":"est2"}`, "")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {

@@ -225,7 +225,7 @@ func TestServerStressStreamedDisconnects(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/compare",
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/compare",
 				strings.NewReader(`{"db":"est1","query":"est2","stream":true}`))
 			if err != nil {
 				t.Error(err)
@@ -297,7 +297,7 @@ func TestServerStressBatchVsBankDelete(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				resp := streamPost(t, ts.URL, "/compare/batch",
+				resp := streamPost(t, ts.URL, "/v1/compare/batch",
 					`{"db":"est1","queries":["est2","est3"]}`, "")
 				body, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
@@ -319,6 +319,16 @@ func TestServerStressBatchVsBankDelete(t *testing.T) {
 					t.Errorf("batch under churn: status %d: %s", resp.StatusCode, body)
 					return
 				}
+				// The churned bank as a blastn db: sessions are checked
+				// out, and back in, while its registry entry comes and goes.
+				resp = streamPost(t, ts.URL, "/v1/compare/batch",
+					`{"db":"est3","queries":["est2"],"engine":"blastn"}`, "")
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+					t.Errorf("blastn batch under churn: status %d", resp.StatusCode)
+					return
+				}
 			}
 		}()
 	}
@@ -326,7 +336,7 @@ func TestServerStressBatchVsBankDelete(t *testing.T) {
 	go func() {
 		defer close(churnDone)
 		for i := 0; i < 40; i++ {
-			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/banks?name=est3", nil)
+			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/banks?name=est3", nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -355,12 +365,20 @@ func TestServerStressBatchVsBankDelete(t *testing.T) {
 	}
 	// The churn loop always re-registers last, so a final batch over the
 	// settled registry must serve the oracle bytes.
-	resp := streamPost(t, ts.URL, "/compare/batch", `{"db":"est1","queries":["est2","est3"]}`, "")
+	resp := streamPost(t, ts.URL, "/v1/compare/batch", `{"db":"est1","queries":["est2","est3"]}`, "")
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
 		t.Errorf("post-churn batch: err=%v status=%d, %d vs %d bytes",
 			err, resp.StatusCode, len(body), len(want))
+	}
+	// Every batch has drained: deleting the churned bank for good must
+	// leave no idle session pinning it, whatever the checkins raced.
+	if !srv.DeregisterBank("est3") {
+		t.Fatal("final deregistration failed")
+	}
+	if got := srv.StatsSnapshot().Sessions.Idle; got != 0 {
+		t.Errorf("sessions.idle = %d after the churned db bank was deleted, want 0", got)
 	}
 }
 
@@ -392,7 +410,7 @@ func TestServerStressJobCancelVsCompletion(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp := streamPost(t, ts.URL, "/jobs", `{"db":"est1","query":"est2"}`, "")
+			resp := streamPost(t, ts.URL, "/v1/jobs", `{"db":"est1","query":"est2"}`, "")
 			var created jobStatus
 			err := json.NewDecoder(resp.Body).Decode(&created)
 			resp.Body.Close()
@@ -402,9 +420,9 @@ func TestServerStressJobCancelVsCompletion(t *testing.T) {
 			}
 			// Follow the result, then cancel at a staggered moment so
 			// deletes land across queued → running → done.
-			rr := streamGet(t, ts.URL, "/jobs/"+created.ID+"/result")
+			rr := streamGet(t, ts.URL, "/v1/jobs/"+created.ID+"/result")
 			time.Sleep(time.Duration(i%4) * 2 * time.Millisecond)
-			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+created.ID, nil)
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+created.ID, nil)
 			dr, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Error(err)
