@@ -21,7 +21,7 @@ func benchBanks(b *testing.B) (*simulate.DataSet, Options) {
 }
 
 // BenchmarkStep2_EndToEnd measures step 2 alone — index both banks once,
-// then time the ordered hit-extension sweep over all 4^W seed codes.
+// then time the directory join and its ordered hit extensions.
 // ns/op and allocs/op here are the headline numbers of the CSR refactor
 // (CHANGES.md records before/after).
 func BenchmarkStep2_EndToEnd(b *testing.B) {

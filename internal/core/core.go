@@ -4,20 +4,26 @@
 // paper Fig. 1:
 //
 //	step 1  index both banks (package index)
-//	step 2  enumerate all 4^W seeds from the lowest code to the highest
-//	        and run ordered ungapped extensions (package hsp) — each HSP
-//	        is produced exactly once, no duplicate table needed
+//	step 2  enumerate the seeds from the lowest code to the highest and
+//	        run ordered ungapped extensions (package hsp) — each HSP is
+//	        produced exactly once, no duplicate table needed. The paper
+//	        sweeps all 4^W codes of a dense dictionary; here the indexes
+//	        are sorted directories of the codes each bank holds, and the
+//	        enumeration is their merge-join, driven by the smaller one:
+//	        the same codes in the same order, at a cost set by the banks
+//	        (a 16-read query walks its few thousand codes, not 4^W)
 //	step 3  gapped X-drop extension from the middle of each HSP, walking
 //	        HSPs in diagonal order and skipping those already inside an
 //	        alignment (packages gapped, align)
 //	step 4  E-value annotation, dedup, sort, display (packages stats,
 //	        tabular)
 //
-// Step 2 parallelizes over disjoint seed-code ranges exactly as §4 of
-// the paper anticipates ("the outer loop … can be run in parallel since
-// seed order prevents identical HSPs to be generated"); workers share
-// nothing but an atomic chunk counter. Step 3 optionally parallelizes
-// over diagonal bands with a final dedup pass.
+// Step 2 parallelizes over disjoint seed-code ranges — contiguous chunks
+// of the driving directory — exactly as §4 of the paper anticipates
+// ("the outer loop … can be run in parallel since seed order prevents
+// identical HSPs to be generated"); workers share nothing but an atomic
+// chunk counter. Step 3 optionally parallelizes over diagonal bands
+// with a final dedup pass.
 //
 // # Index reuse
 //
@@ -37,6 +43,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -101,9 +108,10 @@ type Options struct {
 	// then deduplicates HSPs explicitly, which is what the ordered rule
 	// exists to avoid.
 	OrderedRule bool
-	// ShuffledSeedOrder enumerates the outer step-2 loop in a fixed
-	// pseudo-random permutation instead of ascending code order (the A4
-	// ablation). The HSP *set* is unchanged — the abort rule is
+	// ShuffledSeedOrder enumerates the outer step-2 loop — the slots of
+	// the driving code directory — in a fixed pseudo-random permutation
+	// instead of ascending code order (the A4 ablation). The HSP *set* is
+	// unchanged — the abort rule is
 	// anchor-local — but the cache locality the paper credits for its
 	// speed ("all the portions of sequence having the same seed are
 	// implicitly and simultaneously moved into the cache") is destroyed.
@@ -290,127 +298,66 @@ func workerCount(opt Options) int {
 	return w
 }
 
-// step2 enumerates the seed codes in ascending order, split into
-// contiguous chunks claimed by workers via an atomic counter. The
-// ordered rule makes every HSP globally unique, so workers need no
-// coordination (paper §4).
+// step2 enumerates the seed codes both banks contain, in ascending
+// order, as a merge-join of the two indexes' sorted directories, and
+// runs the X1×X2 ordered extensions of each. The ordered rule makes
+// every HSP globally unique, so workers need no coordination (paper §4).
 //
-// The normal path walks ix1's occupied-code directory (index.Codes)
-// instead of all 4^W dictionary entries: codes absent from bank 1
-// produce no hit pairs, and at any realistic bank size the dictionary
-// is overwhelmingly empty, so the directory sweep removes millions of
-// wasted Starts probes per run. Per-worker order stays ascending, which
-// is all the ordered-rule uniqueness proof needs. The A4 ablation
-// (ShuffledSeedOrder) keeps the full 4^W sweep so its fixed permutation
-// of the whole code space is preserved.
+// The join is driven by the smaller directory — a 16-read query against
+// a megabase bank walks the query's few thousand codes, not the bank's
+// million: workers claim contiguous chunks of it through an atomic
+// counter, and each chunk seeks forward through the larger directory
+// (see seek). Per-worker order stays ascending, which is all the
+// ordered-rule uniqueness proof needs. The A4 ablation
+// (ShuffledSeedOrder) visits the driving directory's slots in a fixed
+// pseudo-random permutation instead.
 //
 //scorislint:hotpath
 func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Options) ([]hsp.HSP, step2Result, error) {
-	// The unit of work: either an index into ix1.Codes (directory walk)
-	// or a raw code (shuffled full sweep).
-	domain := len(ix1.Codes)
-	if opt.ShuffledSeedOrder {
-		domain = seed.NumCodes(opt.W)
-	}
 	workers := workerCount(opt)
-	numChunks := workers * 16
-	if numChunks > domain {
-		numChunks = domain
-	}
-	if numChunks == 0 {
-		return nil, step2Result{}, ctx.Err()
-	}
-	chunkSize := (domain + numChunks - 1) / numChunks
-
 	results := make([]step2Result, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wid := 0; wid < workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			ext := hsp.Extender{
-				W:        opt.W,
-				Match:    int32(opt.Scoring.Match),
-				Mismatch: int32(opt.Scoring.Mismatch),
-				XDrop:    opt.UngappedXDrop,
-				Ordered:  opt.OrderedRule,
-			}
-			if opt.Asymmetric {
-				// The abort rule must only fire on seeds that the
-				// half-word bank-1 index actually contains.
-				ext.SampleStep = 2
-			}
-			r := &results[wid]
-			d1, d2 := b1.Data, b2.Data
+	ext := hsp.Extender{
+		W:        opt.W,
+		Match:    int32(opt.Scoring.Match),
+		Mismatch: int32(opt.Scoring.Mismatch),
+		XDrop:    opt.UngappedXDrop,
+		Ordered:  opt.OrderedRule,
+	}
+	if opt.Asymmetric {
+		// The abort rule must only fire on seeds that the half-word
+		// bank-1 index actually contains.
+		ext.SampleStep = 2
+	}
+	d1, d2 := b1.Data, b2.Data
 
-			// doCode runs the X1×X2 inner product for one seed code.
-			// Both occurrence lists are contiguous CSR slice views with
-			// precomputed bounds sidecars: flat sequential reads, no
-			// pointer chasing and no per-hit Bank lookups.
-			doCode := func(code seed.Code) {
-				s1, e1 := ix1.OccRange(code)
-				if s1 == e1 {
-					return
-				}
-				s2, e2 := ix2.OccRange(code)
-				if s2 == e2 {
-					return
-				}
-				pos2 := ix2.Pos[s2:e2]
-				lo2 := ix2.OccLo[s2:e2]
-				hi2 := ix2.OccHi[s2:e2]
-				for i1 := s1; i1 < e1; i1++ {
-					p1 := ix1.Pos[i1]
-					lo1, hi1 := ix1.OccLo[i1], ix1.OccHi[i1]
-					for j, p2 := range pos2 {
-						if opt.SkipSelfPairs && p2 <= p1 {
-							continue
-						}
-						r.hitPairs++
-						h, ok := ext.Extend(d1, d2, p1, p2, lo1, hi1, lo2[j], hi2[j], code, &r.stats)
-						if ok && h.Score >= opt.MinUngappedScore {
-							r.hsps = append(r.hsps, h)
-						}
-					}
-				}
-			}
-
-			for {
-				// A cancelled stream stops burning cores at the next
-				// chunk claim, not at the end of the code space.
-				if ctx.Err() != nil {
-					return
-				}
-				chunk := int(next.Add(1)) - 1
-				if chunk >= numChunks {
-					return
-				}
-				lo := chunk * chunkSize
-				hi := lo + chunkSize
-				if hi > domain {
-					hi = domain
-				}
-				if lo >= hi {
+	// The X1×X2 inner product of one shared code, directory slot k1 of
+	// ix1 and k2 of ix2. Both occurrence lists are contiguous CSR slice
+	// views with precomputed bounds sidecars: flat sequential reads, no
+	// pointer chasing and no per-hit Bank lookups. Bank-1 positions stay
+	// outermost whichever directory drives the join.
+	err := joinCodes(ctx, ix1.Codes, ix2.Codes, workers, opt.ShuffledSeedOrder, func(wid, k1, k2 int) {
+		r := &results[wid]
+		code := ix1.Codes[k1]
+		s2, e2 := ix2.Offsets[k2], ix2.Offsets[k2+1]
+		pos2 := ix2.Pos[s2:e2]
+		lo2 := ix2.OccLo[s2:e2]
+		hi2 := ix2.OccHi[s2:e2]
+		for i1 := ix1.Offsets[k1]; i1 < ix1.Offsets[k1+1]; i1++ {
+			p1 := ix1.Pos[i1]
+			lo1, hi1 := ix1.OccLo[i1], ix1.OccHi[i1]
+			for j, p2 := range pos2 {
+				if opt.SkipSelfPairs && p2 <= p1 {
 					continue
 				}
-				if opt.ShuffledSeedOrder {
-					for c := lo; c < hi; c++ {
-						// Fixed odd-multiplier permutation of the code
-						// space (a bijection mod the power-of-two size):
-						// same seeds, destroyed enumeration locality.
-						doCode(seed.Code(uint32(c) * 0x9E3779B1 & uint32(domain-1)))
-					}
-				} else {
-					for _, code := range ix1.Codes[lo:hi] {
-						doCode(code)
-					}
+				r.hitPairs++
+				h, ok := ext.Extend(d1, d2, p1, p2, lo1, hi1, lo2[j], hi2[j], code, &r.stats)
+				if ok && h.Score >= opt.MinUngappedScore {
+					r.hsps = append(r.hsps, h)
 				}
 			}
-		}(wid)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		}
+	})
+	if err != nil {
 		return nil, step2Result{}, err
 	}
 
@@ -428,6 +375,99 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 		merged.stats.Emitted += results[i].stats.Emitted
 	}
 	return merged.hsps, merged, nil
+}
+
+// joinCodes calls visit(wid, k1, k2) for every pair of directory slots
+// with c1[k1] == c2[k2] — the codes both sorted directories hold. The
+// smaller directory drives: its slots are cut into contiguous chunks
+// that workers claim in order through an atomic counter, so the codes
+// one worker visits ascend. visit runs on worker wid's goroutine. With
+// shuffled set the driving slots are visited in a fixed odd-multiplier
+// permutation of the next power of two (a bijection; slots past the
+// directory's end are skipped): same codes, destroyed locality.
+func joinCodes(ctx context.Context, c1, c2 []seed.Code, workers int, shuffled bool, visit func(wid, k1, k2 int)) error {
+	drive, other := c1, c2
+	swapped := len(c2) < len(c1)
+	if swapped {
+		drive, other = c2, c1
+	}
+	if len(drive) == 0 {
+		return ctx.Err()
+	}
+	domain := len(drive)
+	if shuffled {
+		domain = 1 << bits.Len(uint(len(drive)-1))
+	}
+	numChunks := min(workers*16, domain)
+	chunkSize := (domain + numChunks - 1) / numChunks
+
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for wid := 0; wid < workers; wid++ {
+		wg.Add(1)
+		go func(wid int) {
+			defer wg.Done()
+			for {
+				// A cancelled stream stops burning cores at the next
+				// chunk claim, not at the end of the directory.
+				if ctx.Err() != nil {
+					return
+				}
+				chunk := int(next.Add(1)) - 1
+				if chunk >= numChunks {
+					return
+				}
+				lo := chunk * chunkSize
+				hi := min(lo+chunkSize, domain)
+				j := 0
+				for slot := lo; slot < hi; slot++ {
+					i := slot
+					if shuffled {
+						i = int(uint32(slot) * 0x9E3779B1 & uint32(domain-1))
+						if i >= len(drive) {
+							continue
+						}
+						j = 0
+					}
+					j = seek(other, j, drive[i])
+					if j == len(other) || other[j] != drive[i] {
+						continue
+					}
+					if swapped {
+						visit(wid, j, i)
+					} else {
+						visit(wid, i, j)
+					}
+				}
+			}
+		}(wid)
+	}
+	wg.Wait()
+	return ctx.Err()
+}
+
+// seek returns the first k ≥ j with codes[k] ≥ c (len(codes) if none),
+// given that everything before j is below c. It gallops — probes 1, 2,
+// 4, … slots ahead, then binary-searches the last stride — so one loop
+// is a linear merge when the two directories are comparable (the answer
+// is a slot or two away) and a logarithmic skip when the driving side
+// is a small query against a large bank.
+func seek(codes []seed.Code, j int, c seed.Code) int {
+	step := 1
+	for j+step <= len(codes) && codes[j+step-1] < c {
+		j += step
+		step <<= 1
+	}
+	hi := min(j+step-1, len(codes))
+	for j < hi {
+		m := int(uint(j+hi) >> 1)
+		if codes[m] < c {
+			j = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return j
 }
 
 // step3Sequential is the reference step 3: walk diagonal-sorted HSPs,

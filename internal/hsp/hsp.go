@@ -112,13 +112,17 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 	}
 	w := int32(e.W)
 	seedScore := w * e.Match
+	ordered := e.Ordered
 
 	// ---- left arm ----
-	// Walk q1 from p1-1 down; rolling code tracks the window starting
-	// at q1. Bytes are masked to 2 bits inside the roll so that
-	// ambiguity codes cannot corrupt the accumulator; the code is only
-	// consulted when the last W bases matched (hence were valid), at
-	// which point it is exact.
+	// Walk q1 from p1-1 down. The abort rule consults the code of the
+	// window starting at q1 only while a run of at least W matches is
+	// alive, so the code is kept only then: rolled from the previous
+	// step's while the run continues, re-encoded from d1 at the step a
+	// new run reaches W (its W bases just matched, hence are valid, and
+	// the code is exact). After an arm's first mismatch the roll is
+	// dead work until W matches line up again; without the ordered rule
+	// it is dead work throughout.
 	limit := p1 - lo1
 	if l2 := p2 - lo2; l2 < limit {
 		limit = l2
@@ -134,7 +138,6 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 		q1 := p1 - l
 		q2 := p2 - l
 		a, b := d1[q1], d2[q2]
-		code = seed.RollLeft(code, a&3, d1[q1+w]&3, e.W)
 		if a == b && a < 4 {
 			score += e.Match
 			if score > maxiL {
@@ -142,11 +145,18 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 				bestLeft = l
 			}
 			run++
-			if e.Ordered && run >= w && code <= anchor && e.sampled(q1) {
-				if st != nil {
-					st.Aborted++
+			if ordered && run >= w {
+				if run == w {
+					code, _ = seed.Encode(d1[q1:], e.W)
+				} else {
+					code = seed.RollLeft(code, a, d1[q1+w], e.W)
 				}
-				return HSP{}, false
+				if code <= anchor && e.sampled(q1) {
+					if st != nil {
+						st.Aborted++
+					}
+					return HSP{}, false
+				}
 			}
 		} else {
 			score -= e.Mismatch
@@ -158,8 +168,8 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 	}
 
 	// ---- right arm ----
-	// Walk q1 from p1+W up; rolling code tracks the window *ending* at
-	// the current position (i.e. starting at q1-W+1).
+	// Walk q1 from p1+W up; the code is that of the window *ending* at
+	// the current position (i.e. starting at q1-W+1), kept as above.
 	limit = hi1 - (p1 + w)
 	if l2 := hi2 - (p2 + w); l2 < limit {
 		limit = l2
@@ -175,7 +185,6 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 		q1 := p1 + w - 1 + l
 		q2 := p2 + w - 1 + l
 		a, b := d1[q1], d2[q2]
-		code = seed.RollRight(code, a&3, e.W)
 		if a == b && a < 4 {
 			score += e.Match
 			if score > maxiR {
@@ -183,11 +192,18 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 				bestRight = l
 			}
 			run++
-			if e.Ordered && run >= w && code < anchor && e.sampled(q1-w+1) {
-				if st != nil {
-					st.Aborted++
+			if ordered && run >= w {
+				if run == w {
+					code, _ = seed.Encode(d1[q1-w+1:], e.W)
+				} else {
+					code = seed.RollRight(code, a, e.W)
 				}
-				return HSP{}, false
+				if code < anchor && e.sampled(q1-w+1) {
+					if st != nil {
+						st.Aborted++
+					}
+					return HSP{}, false
+				}
 			}
 		} else {
 			score -= e.Mismatch

@@ -28,10 +28,8 @@ func runStep2(b1, b2 *bank.Bank, w int, xdrop int32, ordered bool) ([]HSP, Stats
 	ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: xdrop, Ordered: ordered}
 	var st Stats
 	var out []HSP
-	for c := 0; c < ix1.NumCodes(); c++ {
-		code := seed.Code(c)
-		s1, e1 := ix1.OccRange(code)
-		for i1 := s1; i1 < e1; i1++ {
+	for k1, code := range ix1.Codes {
+		for i1 := ix1.Offsets[k1]; i1 < ix1.Offsets[k1+1]; i1++ {
 			p1 := ix1.Pos[i1]
 			lo1, hi1 := ix1.OccLo[i1], ix1.OccHi[i1]
 			s2, e2 := ix2.OccRange(code)
@@ -428,6 +426,59 @@ func TestLowSeedInRepeatRegionAborts(t *testing.T) {
 		if n != 1 {
 			t.Errorf("diagonal %d has %d HSPs, want 1", d, n)
 		}
+	}
+}
+
+// The abort rule keeps the embedded-seed code only while a run of at
+// least W matches is alive, re-encoding it when a run that a mismatch
+// broke reaches W again. Each row puts a second W-run one mismatch away
+// from the anchor and says whether it must abort: on the left arm an
+// equal code is a duplicate (the leftmost occurrence generates the
+// HSP), on the right arm it is not and only a lower code aborts; with
+// bank-1 sampling the rule fires only on windows the index contains
+// (even Data positions — a sequence's first base sits at Data[1]).
+func TestSecondRunAfterMismatchAborts(t *testing.T) {
+	const w = 4
+	for _, tc := range []struct {
+		name       string
+		s1, s2     string
+		anchorOff  int32 // offset of the anchor seed in both sequences
+		sampleStep int32
+		wantOK     bool
+	}{
+		{"left equal code", "ACGAGACGA", "ACGATACGA", 5, 0, false},
+		{"left equal code, window unsampled", "ACGAGACGA", "ACGATACGA", 5, 2, true},
+		{"left equal code, window sampled", "GACGAGACGA", "TACGATACGA", 6, 2, false},
+		{"right equal code", "ACGAGACGA", "ACGATACGA", 0, 0, true},
+		{"right equal code, window sampled", "ACGAGACGA", "ACGATACGA", 0, 2, true},
+		{"right lower code", "CCGAGAAGA", "CCGATAAGA", 0, 0, false},
+		{"right lower code, window sampled", "CCGAGAAGA", "CCGATAAGA", 0, 2, false},
+		{"right lower code, window unsampled", "CCGAGGAAGA", "CCGATTAAGA", 0, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b1, b2 := mkBank("x", tc.s1), mkBank("y", tc.s2)
+			lo1, hi1 := b1.SeqBounds(0)
+			lo2, hi2 := b2.SeqBounds(0)
+			p1, p2 := lo1+tc.anchorOff, lo2+tc.anchorOff
+			anchor, ok := seed.Encode(b1.Data[p1:], w)
+			if !ok {
+				t.Fatal("anchor window invalid")
+			}
+			ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: 20, Ordered: true, SampleStep: tc.sampleStep}
+			var st Stats
+			h, ok := ext.Extend(b1.Data, b2.Data, p1, p2, lo1, hi1, lo2, hi2, anchor, &st)
+			if ok != tc.wantOK {
+				t.Fatalf("Extend ok=%v (aborted=%d), want %v", ok, st.Aborted, tc.wantOK)
+			}
+			if ok && (h.S1 != lo1+h.S2-lo2 || h.Len() < w) {
+				t.Errorf("HSP %+v off the anchor diagonal or shorter than the seed", h)
+			}
+			// The naive extender never aborts, whatever the runs hold.
+			ext.Ordered = false
+			if _, ok := ext.Extend(b1.Data, b2.Data, p1, p2, lo1, hi1, lo2, hi2, anchor, nil); !ok {
+				t.Error("unordered extension aborted")
+			}
+		})
 	}
 }
 

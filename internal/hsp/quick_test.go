@@ -7,14 +7,11 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/index"
-	"repro/internal/seed"
 )
 
 func indexBuildSampled(b *bank.Bank, w, step int) *index.Index {
 	return index.Build(b, index.Options{W: w, SampleStep: step})
 }
-
-func codeOf(c int) seed.Code { return seed.Code(c) }
 
 // quickBanks derives a related bank pair from fuzz input.
 func quickBanks(seedVal int64, nRaw uint8) (*bank.Bank, *bank.Bank) {
@@ -98,13 +95,12 @@ func TestQuickSampledOrderedLosesNoDiagonals(t *testing.T) {
 			ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: xd,
 				Ordered: ordered, SampleStep: 2}
 			var out []HSP
-			for c := 0; c < ix1.NumCodes(); c++ {
-				lo, hi := ix1.OccRange(codeOf(c))
-				for i1 := lo; i1 < hi; i1++ {
+			for k1, code := range ix1.Codes {
+				for i1 := ix1.Offsets[k1]; i1 < ix1.Offsets[k1+1]; i1++ {
 					p1, lo1, hi1 := ix1.Pos[i1], ix1.OccLo[i1], ix1.OccHi[i1]
-					for _, p2 := range ix2.Occ(codeOf(c)) {
+					for _, p2 := range ix2.Occ(code) {
 						lo2, hi2 := b2.SeqBounds(int(b2.SeqAt(p2)))
-						if h, ok := ext.Extend(b1.Data, b2.Data, p1, p2, lo1, hi1, lo2, hi2, codeOf(c), nil); ok {
+						if h, ok := ext.Extend(b1.Data, b2.Data, p1, p2, lo1, hi1, lo2, hi2, code, nil); ok {
 							out = append(out, h)
 						}
 					}

@@ -22,12 +22,21 @@ func benchBank(n int) *bank.Bank {
 	return bank.New("bench", []*fasta.Record{{ID: "r", Seq: sb}})
 }
 
-// BenchmarkIndexBuild measures the two-pass counting-sort build on a
+// BenchmarkIndexBuild measures the scan → radix sort → emit build on a
 // 1 Mb bank at W=11, serial vs all-cores parallel, against the legacy
 // linked-chain build (the pre-CSR implementation, which computed no
-// occupied-code directory and no bounds sidecar) as the same-machine
-// baseline.
+// code directory and no bounds sidecar) as the same-machine baseline —
+// and on a 16-read query bank (small16), where B/op is the figure: the
+// index is sized by the bank, so it must stay in the hundreds of KB.
 func BenchmarkIndexBuild(b *testing.B) {
+	small := benchBankSeqs(16, 450)
+	b.Run("small16", func(b *testing.B) {
+		b.SetBytes(16 * 450)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Build(small, Options{W: 11, Dust: dust.New(0, 0)})
+		}
+	})
 	bk := benchBank(1 << 20)
 	for _, tc := range []struct {
 		name    string
@@ -54,20 +63,20 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkIndexScan_CSRvsChain times the step-2 scan shape — walk the
-// occupied seed codes in ascending order and enumerate every X1×X2 hit
+// seed codes of bank 1 in ascending order and enumerate every X1×X2 hit
 // pair with its sequence bounds — on the BenchScale EST workload (the
 // divisor-64 EST7×EST6 pair, the largest of the EST series the
 // top-level table benches sweep), without the extension work, so the
 // index access pattern is all that is measured. Both variants iterate
-// the same precomputed occupied-code list: the empty-dictionary sweep
-// is layout-independent, and the CSR index provides the directory for
-// free, so giving it to the chain side too is conservative.
+// bank 1's code directory: the chain layout has none of its own, so
+// giving it the CSR index's is conservative.
 //
 // "Chain" reproduces the pre-CSR hot loop verbatim: walk the bank-1
 // Dict/Next chain, rematerialize the bank-2 occurrences into an occ2
 // cache, and call Bank.SeqAt/SeqBounds per occurrence. "CSR" is the
-// current loop: two contiguous slice views plus the precomputed bounds
-// sidecar. The ratio is the cache-locality + precomputation win.
+// current shape: a forward merge of the two sorted directories, two
+// contiguous slice views and the precomputed bounds sidecar per shared
+// code. The ratio is the cache-locality + precomputation win.
 func BenchmarkIndexScan_CSRvsChain(b *testing.B) {
 	ds := simulate.NewDataSet(64)
 	b1, b2 := ds.Get(simulate.EST7), ds.Get(simulate.EST6)
@@ -111,12 +120,19 @@ func BenchmarkIndexScan_CSRvsChain(b *testing.B) {
 		var sink, pairs int64
 		for i := 0; i < b.N; i++ {
 			pairs = 0
-			for _, code := range codes {
-				s1, e1 := ix1.OccRange(code)
-				s2, e2 := ix2.OccRange(code)
-				if s2 == e2 {
+			k2 := 0
+			for k1, code := range codes {
+				for k2 < len(ix2.Codes) && ix2.Codes[k2] < code {
+					k2++
+				}
+				if k2 == len(ix2.Codes) {
+					break
+				}
+				if ix2.Codes[k2] != code {
 					continue
 				}
+				s1, e1 := ix1.Offsets[k1], ix1.Offsets[k1+1]
+				s2, e2 := ix2.Offsets[k2], ix2.Offsets[k2+1]
 				pos2 := ix2.Pos[s2:e2]
 				lo2 := ix2.OccLo[s2:e2]
 				hi2 := ix2.OccHi[s2:e2]
@@ -161,7 +177,8 @@ func benchBankSeqs(count, seqLen int) *bank.Bank {
 // bank of 256 sequences grows by a suffix of 1, 16, or 64 sequences,
 // under the engine-default shape (W=11, dust on). The extension builds
 // one block over the suffix (scan, mask, sort) and reassembles it with
-// the stored block (validation plus a copy of the stored arrays), so
+// the stored block (validation plus a merge of the two directories and
+// a copy of the stored arrays), so
 // its cost tracks the suffix size with a flat bank-proportional floor,
 // while the full build re-scans, re-masks, and re-sorts the whole bank.
 func BenchmarkIndexExtend(b *testing.B) {

@@ -3,17 +3,18 @@
 // A block is a self-contained CSR slice of a bank's index over one
 // contiguous sequence range [SeqLo, SeqHi): every indexed occurrence
 // whose position falls in the corresponding Data range, in the same
-// code-major, position-minor order the whole-bank index uses, plus a
-// sparse per-code directory (Codes/Counts) instead of a dense 4^W+1
-// Starts array. Because bank coordinates are append-stable and no seed
+// code-major, position-minor order the whole-bank index uses, under the
+// same sorted code directory with per-code Counts where the index keeps
+// Offsets. Because bank coordinates are append-stable and no seed
 // window straddles a sequence boundary (the sentinel byte makes such a
 // window invalid), a block's content depends only on its own Data range
 // — which is what makes the three block operations exact:
 //
 //   - SplitBlocks cuts a built index into blocks at sequence
 //     boundaries without rescanning the bank;
-//   - BuildBlock builds one block by scanning only its own Data range
-//     (the O(suffix) append path);
+//   - BuildBlock runs the build routine over only the block's own Data
+//     range (the O(suffix) append path) — Build is the same routine
+//     over the whole array;
 //   - FromBlocks reassembles the whole-bank index from a tiling of
 //     blocks, byte-identical to Build.
 //
@@ -92,61 +93,24 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 	if err != nil {
 		return BlockParts{}, fmt.Errorf("index: BuildBlock: %w", err)
 	}
-	bp := BlockParts{SeqLo: seqLo, SeqHi: seqHi, DataLo: dataLo, DataHi: dataHi}
-
-	data := b.Data
-	w := opts.W
-	w32 := int32(w)
-	step := int32(opts.SampleStep)
-	phase := int32(opts.SamplePhase)
-	base := int32(dataLo)
-	var maskPfx []int32 // range-local coordinates
-	if opts.Dust != nil {
-		maskPfx = opts.Dust.MaskPrefix(data[dataLo:dataHi])
+	p := buildRange(b, opts, dataLo, dataHi)
+	// Counts overwrite the offsets they are the differences of.
+	counts := p.Offsets[:len(p.Codes)]
+	for i := range counts {
+		counts[i] = p.Offsets[i+1] - p.Offsets[i]
 	}
-	hint := (dataHi - dataLo + int(step) - 1) / int(step)
-	// One packed code<<32|pos word per accepted window; sorting yields
-	// CSR order directly (code-major, position-minor).
-	occBuf := make([]uint64, 0, hint)
-	scanRange(data, w, dataLo, dataHi, func(pos int32, c seed.Code) {
-		if step > 1 && pos%step != phase {
-			bp.SampledOut++
-			return
-		}
-		if maskPfx != nil && maskPfx[pos-base+w32] != maskPfx[pos-base] {
-			bp.MaskedOut++
-			return
-		}
-		occBuf = append(occBuf, uint64(c)<<32|uint64(pos))
-	})
-	slices.Sort(occBuf)
-
-	n := len(occBuf)
-	bp.Pos = make([]int32, n)
-	bp.OccSeq = make([]int32, n)
-	bp.OccLo = make([]int32, n)
-	bp.OccHi = make([]int32, n)
-	for i, v := range occBuf {
-		pos := int32(v & (1<<31 - 1))
-		bp.Pos[i] = pos
-		s := b.SeqAt(pos)
-		bp.OccSeq[i] = s
-		bp.OccLo[i], bp.OccHi[i] = b.SeqBounds(int(s))
-		c := seed.Code(v >> 32)
-		if k := len(bp.Codes); k == 0 || bp.Codes[k-1] != c {
-			bp.Codes = append(bp.Codes, c)
-			bp.Counts = append(bp.Counts, 1)
-		} else {
-			bp.Counts[k-1]++
-		}
-	}
-	return bp, nil
+	return BlockParts{
+		SeqLo: seqLo, SeqHi: seqHi, DataLo: dataLo, DataHi: dataHi,
+		Codes: p.Codes, Counts: counts,
+		Pos: p.Pos, OccSeq: p.OccSeq, OccLo: p.OccLo, OccHi: p.OccHi,
+		MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
+	}, nil
 }
 
 // countRejects re-counts the masked/sampled windows of one Data range —
 // the per-block share of the whole-bank counters, needed when a built
 // index is split (Build tracks only totals). Same predicate, same
-// order, same locality argument as BuildBlock's scan, minus the
+// order, same locality argument as the build's scan, minus the
 // occurrence buffering.
 func countRejects(b *bank.Bank, opts Options, dataLo, dataHi int) (masked, sampled int) {
 	opts = opts.normalized()
@@ -209,8 +173,8 @@ func SplitBlocks(ix *Index, bounds []int) []BlockParts {
 	// One pass over the occupied codes: each code's run is ascending in
 	// position, so it partitions into per-block segments by a forward
 	// walk against the block Data boundaries.
-	for _, c := range ix.Codes {
-		s, e := ix.Starts[c], ix.Starts[c+1]
+	for i, c := range ix.Codes {
+		s, e := ix.Offsets[i], ix.Offsets[i+1]
 		k := 0
 		for s < e {
 			for ix.Pos[s] >= dataEnds[k] {
@@ -239,11 +203,13 @@ func SplitBlocks(ix *Index, bounds []int) []BlockParts {
 // are untrusted (they come from disk files): the tiling is checked
 // (contiguous sequence ranges, Data bounds matching the bank's real
 // prefix boundaries, every position inside its block's range, counts
-// consistent), the per-code runs are concatenated in block order —
-// positions in block k all precede positions in block k+1, so the
-// concatenation is CSR order with no sorting — and the assembled parts
-// then pass the same full structural validation FromParts applies, so
-// a hostile block fails closed.
+// consistent), the blocks' sorted directories are merged and each
+// code's runs concatenated in block order — positions in block k all
+// precede positions in block k+1, so the concatenation is CSR order —
+// and the assembled parts then pass the same full structural
+// validation FromParts applies, so a hostile block fails closed. A
+// single block already is the index: its arrays (which may alias an
+// mmap'd file) are adopted, not copied, and only Offsets is computed.
 func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error) {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
@@ -253,8 +219,7 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 		return nil, fmt.Errorf("index: FromBlocks: no blocks")
 	}
 	n := seed.NumCodes(opts.W)
-	total := 0
-	masked, sampled := 0, 0
+	var p Parts
 	wantSeq := 0
 	for i := range blocks {
 		bp := &blocks[i]
@@ -295,72 +260,84 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 			return nil, fmt.Errorf("index: FromBlocks: block %d counts sum to %d for %d positions", i, sum, len(bp.Pos))
 		}
 		lo, hi := int32(bp.DataLo), int32(bp.DataHi)
-		for _, p := range bp.Pos {
-			if p < lo || p >= hi {
-				return nil, fmt.Errorf("index: FromBlocks: block %d position %d outside its Data range [%d,%d)", i, p, lo, hi)
+		for _, pos := range bp.Pos {
+			if pos < lo || pos >= hi {
+				return nil, fmt.Errorf("index: FromBlocks: block %d position %d outside its Data range [%d,%d)", i, pos, lo, hi)
 			}
 		}
-		total += len(bp.Pos)
-		masked += bp.MaskedOut
-		sampled += bp.SampledOut
+		p.Indexed += len(bp.Pos)
+		p.MaskedOut += bp.MaskedOut
+		p.SampledOut += bp.SampledOut
 		wantSeq = bp.SeqHi
 	}
 	if wantSeq != b.NumSeqs() {
 		return nil, fmt.Errorf("index: FromBlocks: blocks cover %d sequences, bank has %d", wantSeq, b.NumSeqs())
 	}
 
-	ix := &Index{
-		Bank:       b,
-		W:          opts.W,
-		Starts:     make([]int32, n+1),
-		Pos:        make([]int32, total),
-		OccSeq:     make([]int32, total),
-		OccLo:      make([]int32, total),
-		OccHi:      make([]int32, total),
-		Indexed:    total,
-		MaskedOut:  masked,
-		SampledOut: sampled,
-		opts:       opts,
-	}
-	// Counting-sort assembly, the serial Build trick: accumulate per-code
-	// counts into Starts[c+1], prefix-sum them into per-code cursors
-	// (recording the occupied-code directory for free), then copy each
-	// block's runs to its codes' cursors. Blocks arrive in ascending
-	// Data order, so each code's concatenated run stays position-sorted.
-	st := ix.Starts
-	for i := range blocks {
-		for j, c := range blocks[i].Codes {
-			st[c+1] += blocks[i].Counts[j]
+	if len(blocks) == 1 {
+		bp := &blocks[0]
+		p.Codes, p.Pos = bp.Codes, bp.Pos
+		p.OccSeq, p.OccLo, p.OccHi = bp.OccSeq, bp.OccLo, bp.OccHi
+		p.Offsets = make([]int32, 1, len(bp.Codes)+1)
+		for _, k := range bp.Counts {
+			p.Offsets = append(p.Offsets, p.Offsets[len(p.Offsets)-1]+k)
 		}
+	} else {
+		mergeBlocks(&p, blocks, opts.W)
 	}
-	var running int32
-	for c := 0; c < n; c++ {
-		if k := st[c+1]; k != 0 {
-			st[c+1] = running
-			running += k
-			ix.Codes = append(ix.Codes, seed.Code(c))
-		} else {
-			st[c+1] = running
-		}
-	}
-	for i := range blocks {
-		bp := &blocks[i]
-		var off int32
-		for j, c := range bp.Codes {
-			cnt := bp.Counts[j]
-			dst := st[c+1]
-			copy(ix.Pos[dst:], bp.Pos[off:off+cnt])
-			copy(ix.OccSeq[dst:], bp.OccSeq[off:off+cnt])
-			copy(ix.OccLo[dst:], bp.OccLo[off:off+cnt])
-			copy(ix.OccHi[dst:], bp.OccHi[off:off+cnt])
-			st[c+1] = dst + cnt
-			off += cnt
-		}
-	}
-	// After the scatter, Starts[c+1] sits on the inclusive end of group
-	// c — the final CSR prefix-sum array.
-	if err := checkParts(b, opts, ix.Parts()); err != nil {
+	if err := checkParts(b, opts, p); err != nil {
 		return nil, fmt.Errorf("index: FromBlocks: assembled parts invalid: %w", err)
 	}
-	return ix, nil
+	return assemble(b, opts, p), nil
+}
+
+// mergeBlocks fills p's arrays (p.Indexed is already the total) from
+// validated blocks in ascending Data order. The build's own sort does
+// the k-way directory merge: one code<<32|block word per directory
+// entry, stably sorted by code, lists every code's blocks in block
+// order, and because each block's directory ascends, a block's entries
+// come up in its own order — so a per-block cursor finds each run.
+func mergeBlocks(p *Parts, blocks []BlockParts, w int) {
+	entries := 0
+	for i := range blocks {
+		entries += len(blocks[i].Codes)
+	}
+	words := make([]uint64, 0, entries)
+	for i := range blocks {
+		for _, c := range blocks[i].Codes {
+			words = append(words, uint64(c)<<32|uint64(i))
+		}
+	}
+	words = sortByCode(words, make([]uint64, entries), w)
+	distinct := 0
+	for i, v := range words {
+		if i == 0 || v>>32 != words[i-1]>>32 {
+			distinct++
+		}
+	}
+	p.Codes = make([]seed.Code, 0, distinct)
+	p.Offsets = make([]int32, 0, distinct+1)
+
+	p.Pos = make([]int32, p.Indexed)
+	p.OccSeq = make([]int32, p.Indexed)
+	p.OccLo = make([]int32, p.Indexed)
+	p.OccHi = make([]int32, p.Indexed)
+	type cursor struct{ entry, occ int32 }
+	cur := make([]cursor, len(blocks))
+	var dst int32
+	for i, v := range words {
+		if i == 0 || v>>32 != words[i-1]>>32 {
+			p.Codes = append(p.Codes, seed.Code(v>>32))
+			p.Offsets = append(p.Offsets, dst)
+		}
+		bp, c := &blocks[uint32(v)], &cur[uint32(v)]
+		end := c.occ + bp.Counts[c.entry]
+		copy(p.Pos[dst:], bp.Pos[c.occ:end])
+		copy(p.OccSeq[dst:], bp.OccSeq[c.occ:end])
+		copy(p.OccLo[dst:], bp.OccLo[c.occ:end])
+		copy(p.OccHi[dst:], bp.OccHi[c.occ:end])
+		dst += end - c.occ
+		c.entry, c.occ = c.entry+1, end
+	}
+	p.Offsets = append(p.Offsets, dst)
 }

@@ -141,6 +141,7 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 		"badCount":    func(bl []BlockParts) []BlockParts { bl[0].Counts[0]++; return bl },
 		"zeroCount":   func(bl []BlockParts) []BlockParts { bl[0].Counts[0] = 0; return bl },
 		"unsorted":    func(bl []BlockParts) []BlockParts { bl[0].Codes[0] = bl[0].Codes[1] + 1; return bl },
+		"dupCode":     func(bl []BlockParts) []BlockParts { bl[0].Codes[1] = bl[0].Codes[0]; return bl },
 		"codeSpace":   func(bl []BlockParts) []BlockParts { bl[0].Codes[0] = seed.Code(seed.NumCodes(opts.W)); return bl },
 		"posEscape":   func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = int32(bl[0].DataHi); return bl },
 		"sidecarLen":  func(bl []BlockParts) []BlockParts { bl[0].OccSeq = bl[0].OccSeq[:1]; return bl },

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,9 +83,39 @@ func equalOcc(chain, csr []int32) bool {
 	return true
 }
 
-// Property: for every seed code, the CSR Occ slice equals the legacy
-// chain walk — across random banks, dust on/off, and SampleStep in
-// {1, 2, W} (every position, paper half-words, BLAT tiles).
+// total counts the positions the chains hold — a sweep of the oracle's
+// own arrays, independent of any index lookup.
+func (r *chainRef) total() int {
+	n := 0
+	for _, p := range r.dict {
+		if p >= 0 {
+			n++
+		}
+	}
+	for _, p := range r.next {
+		if p >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// matchesChainRef reports whether ix lists, for every directory entry,
+// exactly the oracle's chain, and nothing of the oracle is missing: the
+// runs total Indexed and so do the chains.
+func matchesChainRef(ix *Index, ref *chainRef) bool {
+	sum, same := 0, true
+	eachCode(ix, func(c seed.Code, occ []int32) {
+		same = same && equalOcc(ref.walk(c), occ)
+		sum += len(occ)
+	})
+	return same && sum == ix.Indexed && ref.total() == ix.Indexed
+}
+
+// Property: every directory entry's occurrence run equals the legacy
+// chain walk, and the runs total the chains — across random banks, dust
+// on/off, and SampleStep in {1, 2, W} (every position, paper half-words,
+// BLAT tiles).
 func TestQuickCSRMatchesLegacyChain(t *testing.T) {
 	f := func(seedVal int64, nRaw, wRaw, cfgRaw uint8) bool {
 		w := int(wRaw)%4 + 3
@@ -100,17 +131,24 @@ func TestQuickCSRMatchesLegacyChain(t *testing.T) {
 			opts.Dust = dust.New(16, 1.5)
 		}
 		b := randomBank(seedVal, int(nRaw)%5+1, 200)
-		ix := Build(b, opts)
-		ref := buildChainRef(b, opts)
-		for c := 0; c < ix.NumCodes(); c++ {
-			if !equalOcc(ref.walk(seed.Code(c)), ix.Occ(seed.Code(c))) {
-				return false
-			}
-		}
-		return true
+		return matchesChainRef(Build(b, opts), buildChainRef(b, opts))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The build's sort takes ⌈2W/11⌉ passes: one at W=4, two at W=11, three
+// at W=12. Each digit count is checked against the chain oracle on a
+// bank large enough to fill several digits' worth of buckets.
+func TestSortDigitCountsMatchLegacyChain(t *testing.T) {
+	b := randomBank(12, 5, 6000)
+	for _, w := range []int{4, 11, 12} {
+		for _, opts := range []Options{{W: w}, {W: w, SampleStep: 2}, {W: w, Dust: dust.New(0, 0)}} {
+			if !matchesChainRef(Build(b, opts), buildChainRef(b, opts)) {
+				t.Errorf("W=%d opts=%+v: index differs from the chain oracle", w, opts)
+			}
+		}
 	}
 }
 
@@ -136,9 +174,10 @@ func TestQuickSidecarMatchesBank(t *testing.T) {
 }
 
 // The parallel build must be byte-identical to the serial build — the
-// shard cuts and per-shard cursor blocks are designed so the CSR output
-// is canonical for any worker count. The bank is made large enough to
-// clear the minParallelData serial fallback.
+// shards scan ascending ranges and are concatenated in shard order, so
+// the CSR output is canonical for any worker count — and both must
+// match the chain oracle. The bank is made large enough to clear the
+// minParallelData serial fallback.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	b := randomBank(77, 4, 40000)
 	if len(b.Data) < minParallelData {
@@ -152,6 +191,9 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		serial := opts
 		serial.Workers = 1
 		want := Build(b, serial)
+		if !matchesChainRef(want, buildChainRef(b, opts)) {
+			t.Fatalf("opts=%+v: serial build differs from the chain oracle", opts)
+		}
 		for _, workers := range []int{2, 3, 7} {
 			par := opts
 			par.Workers = workers
@@ -159,10 +201,8 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			if got.Indexed != want.Indexed || got.MaskedOut != want.MaskedOut || got.SampledOut != want.SampledOut {
 				t.Fatalf("workers=%d counters differ: %+v vs %+v", workers, got, want)
 			}
-			for i := range want.Starts {
-				if got.Starts[i] != want.Starts[i] {
-					t.Fatalf("workers=%d opts=%+v: Starts[%d] = %d, want %d", workers, opts, i, got.Starts[i], want.Starts[i])
-				}
+			if !slices.Equal(got.Codes, want.Codes) || !slices.Equal(got.Offsets, want.Offsets) {
+				t.Fatalf("workers=%d opts=%+v: directory differs from the serial build", workers, opts)
 			}
 			for i := range want.Pos {
 				if got.Pos[i] != want.Pos[i] {

@@ -59,7 +59,7 @@ func samePartsT(t *testing.T, want, got Parts) {
 			}
 		}
 	}
-	check("Starts", want.Starts, got.Starts)
+	check("Offsets", want.Offsets, got.Offsets)
 	check("Pos", want.Pos, got.Pos)
 	check("OccSeq", want.OccSeq, got.OccSeq)
 	check("OccLo", want.OccLo, got.OccLo)

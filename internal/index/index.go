@@ -1,25 +1,29 @@
 // Package index implements the ORIS bank index of paper §2.1 / Fig. 2
-// as a CSR (compressed sparse row) table built by counting sort: a
-// prefix-sum array Starts of 4^W+1 entries plus one flat, cache-
-// contiguous occurrence array Pos holding every indexed position,
-// grouped by seed code and position-sorted inside each group. Occ(code)
-// is a contiguous []int32 slice view, so step 2's sweep over the seed
-// codes reads the occurrence lists sequentially — the paper's whole
-// speed argument ("all the portions of sequence having the same seed
-// are implicitly and simultaneously moved into the cache") realized as
-// an actual memory layout instead of the linked Dict/Next chains the
-// seed implementation pointer-chased (see DESIGN.md §2).
+// as an inverted file sized by the bank: Codes, the ascending directory
+// of the seed codes the bank actually contains; Offsets, one entry per
+// directory slot plus one; and one flat, cache-contiguous occurrence
+// array Pos holding every indexed position, grouped by seed code and
+// position-sorted inside each group. The occurrences of Codes[i] are
+// Pos[Offsets[i]:Offsets[i+1]], a contiguous []int32 view, so step 2's
+// sweep over the seed codes reads the occurrence lists sequentially —
+// the paper's whole speed argument ("all the portions of sequence
+// having the same seed are implicitly and simultaneously moved into the
+// cache") realized as an actual memory layout. Nothing is sized by 4^W:
+// a 16-read query bank costs kilobytes, not the 16 MB a dense
+// dictionary would (see DESIGN.md §2).
 //
 // Per-occurrence sidecar arrays (OccSeq, OccLo, OccHi) precompute the
 // owning sequence and its Data bounds so the hot extension loops never
 // call Bank.SeqAt/SeqBounds per hit pair.
 //
-// The build is two parallel passes over disjoint bank ranges: sharded
-// count → serial prefix sum (which also turns the per-shard counts into
-// scatter cursors) → sharded scatter. The output is canonical — byte-
-// identical for any worker count — because shards cover ascending
-// position ranges and the prefix sum orders each shard's cursor block
-// after all lower shards' occurrences of the same code.
+// The build is scan → sort → emit: a sharded scan over ascending bank
+// ranges appends one packed code<<32|pos word per accepted window, a
+// stable LSD radix sort on the code's 11-bit digits puts the words in
+// CSR order (positions arrive ascending, so stability keeps them
+// ascending inside each code), and one linear pass emits Pos, the
+// sidecars, Codes and Offsets. The output is canonical — byte-identical
+// for any worker count — because the shards cover ascending position
+// ranges and are concatenated in shard order before the sort.
 //
 // The index keeps the paper's two refinements:
 //
@@ -49,6 +53,7 @@ package index
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/bank"
@@ -96,17 +101,16 @@ type Index struct {
 	Bank *bank.Bank
 	W    int
 
-	// Starts is the CSR prefix-sum array, length 4^W+1: the occurrences
-	// of code c live in Pos[Starts[c]:Starts[c+1]], ascending.
-	Starts []int32
-	// Pos is the flat occurrence array, length Indexed.
-	Pos []int32
-
-	// Codes lists the occupied seed codes in ascending order — the
-	// directory a step-2-style sweep iterates instead of scanning all
-	// 4^W dictionary entries (most of which are empty at any realistic
-	// bank size). Built for free during the prefix-sum pass.
+	// Codes lists the seed codes the bank contains, strictly ascending —
+	// the directory step 2 merge-joins against the other bank's and point
+	// lookups binary-search.
 	Codes []seed.Code
+	// Offsets has len(Codes)+1 entries, strictly increasing from 0 to
+	// Indexed: the occurrences of Codes[i] are Pos[Offsets[i]:Offsets[i+1]].
+	Offsets []int32
+	// Pos is the flat occurrence array, length Indexed, grouped by code
+	// and ascending inside each group.
+	Pos []int32
 
 	// OccSeq[i], OccLo[i], OccHi[i] are the owning sequence of Pos[i]
 	// and its half-open Data bounds, precomputed so hit loops skip the
@@ -125,28 +129,18 @@ type Index struct {
 	opts Options
 }
 
-// minParallelData is the bank size below which the build stays serial;
+// minParallelData is the Data range below which the build stays serial;
 // goroutine + shard bookkeeping costs more than it saves under ~64 KB.
 const minParallelData = 1 << 16
 
-// countBudgetBytes caps the transient per-shard count buffers
-// (4·4^W bytes each), bounding build memory for large W.
-const countBudgetBytes = 256 << 20
-
-// buildWorkers picks the shard count for a build.
-func buildWorkers(opts Options, dataLen, numCodes int) int {
+// buildWorkers picks the shard count for a build over dataLen bytes.
+func buildWorkers(opts Options, dataLen int) int {
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	if dataLen < minParallelData {
 		return 1
-	}
-	if most := countBudgetBytes / (4 * numCodes); w > most {
-		w = most
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }
@@ -166,163 +160,153 @@ func scanRange(data []byte, w, lo, hi int, fn func(pos int32, c seed.Code)) {
 	})
 }
 
-// shardTally carries one shard's pass-1 counters.
-type shardTally struct {
-	indexed, masked, sampled int
-}
-
-// Build constructs the index for a bank.
+// Build constructs the index for a bank: the one build routine run over
+// the whole Data array.
 func Build(b *bank.Bank, opts Options) *Index {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
 		panic(fmt.Sprintf("index: invalid W=%d", opts.W))
 	}
-	n := seed.NumCodes(opts.W)
-	ix := &Index{
-		Bank:   b,
-		W:      opts.W,
-		Starts: make([]int32, n+1),
-		opts:   opts,
-	}
+	return assemble(b, opts, buildRange(b, opts, 0, len(b.Data)))
+}
 
-	// O(N) dust preprocessing: a prefix count of masked positions makes
-	// the per-window test a single subtraction instead of a W-bit scan.
-	var maskPfx []int32
-	if opts.Dust != nil {
-		maskPfx = opts.Dust.MaskPrefix(b.Data)
-	}
+// digitBits is the radix of the build's sort: 11-bit digits, so W=11
+// sorts in two passes over 2 × 2,048 counters.
+const digitBits = 11
 
+// buildRange is the build: scan → sort → emit over the windows starting
+// in Data range [dataLo, dataHi), which must not cut a sequence (no
+// window straddles a sentinel, so the range's content depends on
+// nothing outside it). opts must be normalized.
+func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) Parts {
 	data := b.Data
 	w := opts.W
 	w32 := int32(w)
-	step := int32(opts.SampleStep)
-	phase := int32(opts.SamplePhase)
+	step := opts.SampleStep
+	step32, phase := int32(step), int32(opts.SamplePhase)
+	base := int32(dataLo)
 
-	workers := buildWorkers(opts, len(data), n)
-	cuts := make([]int, workers+1)
-	for i := range cuts {
-		cuts[i] = i * len(data) / workers
+	// O(N) dust preprocessing: a prefix count of masked positions (in
+	// range-local coordinates) makes the per-window test a single
+	// subtraction instead of a W-bit scan. The masker splits runs at
+	// sentinels, so masking the range alone agrees with a whole-bank pass.
+	var maskPfx []int32
+	if opts.Dust != nil {
+		maskPfx = opts.Dust.MaskPrefix(data[dataLo:dataHi])
 	}
 
-	// ---- pass 1: sharded count, buffering accepted (pos, code) pairs
-	// so pass 2 scatters from sequential buffers instead of re-scanning
-	// and re-encoding the bank. The serial path counts straight into
-	// Starts[c+1] (the prefix pass below converts it in place), skipping
-	// a whole 4·4^W-byte counts allocation ----
-	counts := make([][]int32, workers)
-	occBufs := make([][]uint64, workers)
-	tallies := make([]shardTally, workers)
-	runShards(workers, func(sid int) {
-		lo, hi := cuts[sid], cuts[sid+1]
-		hint := (hi - lo + int(step) - 1) / int(step)
-		var cnt []int32
-		if workers == 1 {
-			cnt = ix.Starts[1:]
-		} else {
-			cnt = make([]int32, n)
+	// ---- scan: shards over ascending ranges, each filling its own
+	// region of one buffer with packed code<<32|pos words (pos needs 31
+	// bits, code ≤ 30). A region is sized for every sampled position of
+	// its shard, so an indexed write can never spill into the next ----
+	workers := buildWorkers(opts, dataHi-dataLo)
+	cuts := make([]int, workers+1)
+	regions := make([]int, workers+1)
+	for i := range cuts {
+		cuts[i] = dataLo + i*(dataHi-dataLo)/workers
+		if i > 0 {
+			regions[i] = regions[i-1] + (cuts[i]-cuts[i-1]+step-1)/step
 		}
-		// One packed pos<<32|code word per occurrence: a single
-		// sequential append stream (pos needs 31 bits, code ≤ 30).
-		occBuf := make([]uint64, 0, hint)
-		t := &tallies[sid]
-		scanRange(data, w, lo, hi, func(pos int32, c seed.Code) {
-			if step > 1 && pos%step != phase {
+	}
+	words := make([]uint64, regions[workers])
+	type tally struct{ indexed, masked, sampled int }
+	tallies := make([]tally, workers)
+	runShards(workers, func(sid int) {
+		region := words[regions[sid]:regions[sid+1]]
+		var t tally // shard-local: neighbours in tallies would share a cache line
+		scanRange(data, w, cuts[sid], cuts[sid+1], func(pos int32, c seed.Code) {
+			if step32 > 1 && pos%step32 != phase {
 				t.sampled++
 				return
 			}
-			if maskPfx != nil && maskPfx[pos+w32] != maskPfx[pos] {
+			if maskPfx != nil && maskPfx[pos-base+w32] != maskPfx[pos-base] {
 				t.masked++
 				return
 			}
-			cnt[c]++
+			region[t.indexed] = uint64(c)<<32 | uint64(pos)
 			t.indexed++
-			occBuf = append(occBuf, uint64(pos)<<32|uint64(c))
 		})
-		counts[sid], occBufs[sid] = cnt, occBuf
+		tallies[sid] = t
 	})
-	for i := range tallies {
-		ix.Indexed += tallies[i].indexed
-		ix.MaskedOut += tallies[i].masked
-		ix.SampledOut += tallies[i].sampled
+	// Close the gaps between regions: shard order is position order.
+	var p Parts
+	for sid, t := range tallies {
+		copy(words[p.Indexed:], words[regions[sid]:regions[sid]+t.indexed])
+		p.Indexed += t.indexed
+		p.MaskedOut += t.masked
+		p.SampledOut += t.sampled
 	}
+	n := p.Indexed
 
-	// ---- prefix sum + pass 2: scatter positions ----
-	ix.Pos = make([]int32, ix.Indexed)
-	if hint := ix.Indexed; hint > n {
-		ix.Codes = make([]seed.Code, 0, n)
-	} else {
-		ix.Codes = make([]seed.Code, 0, hint)
-	}
-	if workers == 1 {
-		// Serial fast path: the classic in-place counting-sort trick.
-		// Pass 1 counted into Starts[c+1]; here Starts[c+1] becomes the
-		// cursor of code c, seeded at its exclusive prefix. Each
-		// placement bumps it, so after the scatter Starts[c+1] has
-		// landed on the inclusive end of group c — the final CSR array,
-		// with no separate counts buffer or cursor pass at all.
-		st := ix.Starts
-		var running int32
-		for c := 0; c < n; c++ {
-			if k := st[c+1]; k != 0 {
-				st[c+1] = running
-				running += k
-				ix.Codes = append(ix.Codes, seed.Code(c))
-			} else {
-				st[c+1] = running
-			}
-		}
-		for _, v := range occBufs[0] {
-			c := uint32(v)
-			i := st[c+1]
-			st[c+1] = i + 1
-			ix.Pos[i] = int32(v >> 32)
-		}
-	} else {
-		// Parallel path: the prefix sum turns the per-shard counts into
-		// per-shard scatter cursors, ordering shard sid's block of code
-		// c after all lower shards' blocks of the same code.
-		var running int32
-		for c := 0; c < n; c++ {
-			ix.Starts[c] = running
-			for sid := 0; sid < workers; sid++ {
-				k := counts[sid][c]
-				counts[sid][c] = running
-				running += k
-			}
-			if running != ix.Starts[c] {
-				ix.Codes = append(ix.Codes, seed.Code(c))
-			}
-		}
-		ix.Starts[n] = running
-		runShards(workers, func(sid int) {
-			cur := counts[sid]
-			for _, v := range occBufs[sid] {
-				c := uint32(v)
-				i := cur[c]
-				cur[c] = i + 1
-				ix.Pos[i] = int32(v >> 32)
-			}
-		})
-	}
+	// ---- sort: stable LSD radix on the code's digits. Positions arrived
+	// ascending, so they stay ascending inside each code ----
+	sorted := sortByCode(words[:n], make([]uint64, n), w)
 
-	// ---- pass 3: sidecar fill. A separate sweep so the writes are
-	// sequential (the scatter above writes Pos at random cursor
-	// positions; OccSeq/OccLo/OccHi here stream in index order) ----
-	ix.OccSeq = make([]int32, ix.Indexed)
-	ix.OccLo = make([]int32, ix.Indexed)
-	ix.OccHi = make([]int32, ix.Indexed)
-	occCuts := make([]int, workers+1)
-	for i := range occCuts {
-		occCuts[i] = i * ix.Indexed / workers
-	}
+	// ---- emit: Pos and the sidecars stream out in index order, sharded;
+	// each shard also counts the directory entries that start in it ----
+	p.Pos = make([]int32, n)
+	p.OccSeq = make([]int32, n)
+	p.OccLo = make([]int32, n)
+	p.OccHi = make([]int32, n)
+	starts := make([]int, workers)
 	runShards(workers, func(sid int) {
-		for i := occCuts[sid]; i < occCuts[sid+1]; i++ {
-			s := b.SeqAt(ix.Pos[i])
-			ix.OccSeq[i] = s
-			ix.OccLo[i], ix.OccHi[i] = b.SeqBounds(int(s))
+		k := 0
+		for i := sid * n / workers; i < (sid+1)*n/workers; i++ {
+			if i == 0 || sorted[i]>>32 != sorted[i-1]>>32 {
+				k++
+			}
+			pos := int32(uint32(sorted[i]))
+			s := b.SeqAt(pos)
+			p.Pos[i] = pos
+			p.OccSeq[i] = s
+			p.OccLo[i], p.OccHi[i] = b.SeqBounds(int(s))
 		}
+		starts[sid] = k
 	})
-	return ix
+	numCodes := 0
+	for _, k := range starts {
+		numCodes += k
+	}
+	p.Codes = make([]seed.Code, 0, numCodes)
+	p.Offsets = make([]int32, 0, numCodes+1)
+	for i, v := range sorted {
+		if i == 0 || v>>32 != sorted[i-1]>>32 {
+			p.Codes = append(p.Codes, seed.Code(v>>32))
+			p.Offsets = append(p.Offsets, int32(i))
+		}
+	}
+	p.Offsets = append(p.Offsets, int32(n))
+	return p
+}
+
+// sortByCode stably sorts packed code<<32|pos words by code, one
+// counting pass per digitBits-wide digit of the 2w-bit code, ping-ponging
+// between a and tmp (same length). It returns whichever holds the result.
+func sortByCode(a, tmp []uint64, w int) []uint64 {
+	const mask = 1<<digitBits - 1
+	passes := (2*w + digitBits - 1) / digitBits
+	var hist [(2*seed.MaxW + digitBits - 1) / digitBits][1 << digitBits]int32
+	for _, v := range a {
+		for d := 0; d < passes; d++ {
+			hist[d][v>>(32+digitBits*d)&mask]++
+		}
+	}
+	for d := 0; d < passes; d++ {
+		h := &hist[d]
+		var sum int32
+		for i, k := range h {
+			h[i] = sum
+			sum += k
+		}
+		shift := 32 + digitBits*d
+		for _, v := range a {
+			k := v >> shift & mask
+			tmp[h[k]] = v
+			h[k]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
 
 // runShards executes fn(0..workers-1), concurrently when workers > 1.
@@ -342,39 +326,48 @@ func runShards(workers int, fn func(sid int)) {
 	wg.Wait()
 }
 
-// Parts holds the serialized components of a built Index — exactly the
-// arrays and counters an on-disk store (package ixdisk) persists. The
-// slices may alias read-only memory (an mmap'd file section): nothing
-// in this package writes to a reassembled Index, per the immutability
-// contract above.
+// Parts holds the components of a built Index — what the build routine
+// produces and what FromParts reassembles. The slices may alias
+// read-only memory (an mmap'd file section): nothing in this package
+// writes to a reassembled Index, per the immutability contract above.
 type Parts struct {
-	Starts, Pos          []int32
 	Codes                []seed.Code
+	Offsets, Pos         []int32
 	OccSeq, OccLo, OccHi []int32
 	Indexed              int
 	MaskedOut            int
 	SampledOut           int
 }
 
-// Parts returns the serializable components of ix. The slices are the
-// index's own arrays, not copies; callers must treat them as read-only.
+// Parts returns the components of ix. The slices are the index's own
+// arrays, not copies; callers must treat them as read-only.
 func (ix *Index) Parts() Parts {
 	return Parts{
-		Starts: ix.Starts, Pos: ix.Pos, Codes: ix.Codes,
+		Codes: ix.Codes, Offsets: ix.Offsets, Pos: ix.Pos,
 		OccSeq: ix.OccSeq, OccLo: ix.OccLo, OccHi: ix.OccHi,
 		Indexed: ix.Indexed, MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
 	}
 }
 
-// FromParts reassembles an Index from serialized components, as if
+// assemble binds parts to the (bank, options) they were built or
+// validated for. opts must be normalized.
+func assemble(b *bank.Bank, opts Options, p Parts) *Index {
+	return &Index{
+		Bank: b, W: opts.W,
+		Codes: p.Codes, Offsets: p.Offsets, Pos: p.Pos,
+		OccSeq: p.OccSeq, OccLo: p.OccLo, OccHi: p.OccHi,
+		Indexed: p.Indexed, MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
+		opts: opts,
+	}
+}
+
+// FromParts reassembles an Index from its components, as if
 // Build(b, opts) had produced it. It validates the structural
-// invariants that every accessor depends on — array lengths consistent
-// with W and Indexed, Starts a monotone prefix sum from 0 to Indexed,
-// Codes exactly the occupied-code directory — so a corrupted or
-// mismatched file cannot yield an Index whose hot loops read out of
-// bounds. Content-level integrity (the right positions for this bank)
-// is the storage layer's job: ixdisk checksums the file and keys it by
-// bank identity before calling FromParts.
+// invariants that every accessor depends on (see checkParts), so a
+// corrupted or mismatched source cannot yield an Index whose hot loops
+// read out of bounds. Content-level integrity (the right positions for
+// this bank) is the storage layer's job: ixdisk checksums the file and
+// keys it by bank identity before reassembling.
 func FromParts(b *bank.Bank, opts Options, p Parts) (*Index, error) {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
@@ -383,55 +376,41 @@ func FromParts(b *bank.Bank, opts Options, p Parts) (*Index, error) {
 	if err := checkParts(b, opts, p); err != nil {
 		return nil, err
 	}
-	return &Index{
-		Bank: b, W: opts.W,
-		Starts: p.Starts, Pos: p.Pos, Codes: p.Codes,
-		OccSeq: p.OccSeq, OccLo: p.OccLo, OccHi: p.OccHi,
-		Indexed: p.Indexed, MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
-		opts: opts,
-	}, nil
+	return assemble(b, opts, p), nil
 }
 
-// checkParts validates the structural invariants of serialized parts
-// against bank b: array lengths consistent with W and Indexed, Starts a
-// monotone prefix sum from 0 to Indexed, Codes exactly the occupied
-// directory, and every occurrence inside the bounds of the sequence its
-// sidecar entry names (with the sidecar bounds being that sequence's
-// real bounds).
+// checkParts validates the structural invariants of untrusted parts
+// against bank b: array lengths consistent with Indexed, Codes strictly
+// ascending inside [0, 4^W), Offsets strictly increasing from 0 to
+// Indexed (every listed code has at least one occurrence), and every
+// occurrence inside the bounds of the sequence its sidecar entry names
+// (with the sidecar bounds being that sequence's real bounds).
 //
 //scorislint:validator
 func checkParts(b *bank.Bank, opts Options, p Parts) error {
-	n := seed.NumCodes(opts.W)
-	if len(p.Starts) != n+1 {
-		return fmt.Errorf("index: FromParts: Starts has %d entries, want 4^%d+1=%d",
-			len(p.Starts), opts.W, n+1)
+	if len(p.Offsets) != len(p.Codes)+1 {
+		return fmt.Errorf("index: FromParts: %d offsets for %d codes, want one more",
+			len(p.Offsets), len(p.Codes))
 	}
-	if p.Starts[0] != 0 {
-		return fmt.Errorf("index: FromParts: Starts[0]=%d, want 0", p.Starts[0])
+	if p.Offsets[0] != 0 {
+		return fmt.Errorf("index: FromParts: Offsets[0]=%d, want 0", p.Offsets[0])
 	}
-	if len(p.Pos) != p.Indexed || int(p.Starts[n]) != p.Indexed {
-		return fmt.Errorf("index: FromParts: Indexed=%d but len(Pos)=%d, Starts[end]=%d",
-			p.Indexed, len(p.Pos), p.Starts[n])
+	if len(p.Pos) != p.Indexed || int(p.Offsets[len(p.Codes)]) != p.Indexed {
+		return fmt.Errorf("index: FromParts: Indexed=%d but len(Pos)=%d, Offsets[end]=%d",
+			p.Indexed, len(p.Pos), p.Offsets[len(p.Codes)])
 	}
 	if len(p.OccSeq) != p.Indexed || len(p.OccLo) != p.Indexed || len(p.OccHi) != p.Indexed {
 		return fmt.Errorf("index: FromParts: sidecar lengths %d/%d/%d, want Indexed=%d",
 			len(p.OccSeq), len(p.OccLo), len(p.OccHi), p.Indexed)
 	}
-	occupied := 0
-	for c := 0; c < n; c++ {
-		if p.Starts[c+1] < p.Starts[c] {
-			return fmt.Errorf("index: FromParts: Starts not monotone at code %d", c)
+	n := seed.NumCodes(opts.W)
+	for i, c := range p.Codes {
+		if int(c) >= n || (i > 0 && p.Codes[i-1] >= c) {
+			return fmt.Errorf("index: FromParts: Codes[%d]=%d not strictly ascending inside the 4^%d code space", i, c, opts.W)
 		}
-		if p.Starts[c+1] > p.Starts[c] {
-			if occupied >= len(p.Codes) || p.Codes[occupied] != seed.Code(c) {
-				return fmt.Errorf("index: FromParts: Codes directory disagrees with Starts at code %d", c)
-			}
-			occupied++
+		if p.Offsets[i+1] <= p.Offsets[i] {
+			return fmt.Errorf("index: FromParts: Offsets not strictly increasing at entry %d", i)
 		}
-	}
-	if occupied != len(p.Codes) {
-		return fmt.Errorf("index: FromParts: Codes has %d entries beyond the %d occupied codes",
-			len(p.Codes), occupied)
 	}
 	// Per-occurrence validation: every position must sit inside the
 	// bounds of the sequence its sidecar entry names, and the sidecar
@@ -472,38 +451,31 @@ func checkParts(b *bank.Bank, opts Options, p Parts) error {
 }
 
 // Occ returns the occurrences of code c as a contiguous ascending slice
-// view into the flat array — the hot-loop accessor. Callers must not
-// mutate it.
+// view into the flat array (empty when the bank does not contain c).
+// Callers must not mutate it.
 func (ix *Index) Occ(c seed.Code) []int32 {
-	return ix.Pos[ix.Starts[c]:ix.Starts[c+1]]
+	start, end := ix.OccRange(c)
+	return ix.Pos[start:end]
 }
 
 // OccRange returns the half-open [start,end) range of c's occurrences
-// inside Pos and the sidecar arrays, for loops that need OccSeq/OccLo/
-// OccHi alongside the positions.
+// inside Pos and the sidecar arrays — a binary search of the Codes
+// directory, for callers that probe by code (the BLAT tile scan). An
+// absent code yields an empty range.
 func (ix *Index) OccRange(c seed.Code) (start, end int32) {
-	return ix.Starts[c], ix.Starts[c+1]
+	i, found := slices.BinarySearch(ix.Codes, c)
+	if !found {
+		return 0, 0
+	}
+	return ix.Offsets[i], ix.Offsets[i+1]
 }
 
-// Occurrences returns a copy of every position of code c (ascending).
-// Intended for tests and diagnostics; hot paths use Occ.
-func (ix *Index) Occurrences(c seed.Code) []int32 {
-	return append([]int32(nil), ix.Occ(c)...)
-}
-
-// CountOccurrences returns the number of occurrences of c.
-func (ix *Index) CountOccurrences(c seed.Code) int {
-	return int(ix.Starts[c+1] - ix.Starts[c])
-}
-
-// NumCodes returns the dictionary size 4^W.
-func (ix *Index) NumCodes() int { return len(ix.Starts) - 1 }
-
-// MemoryBytes reports the footprint of the CSR arrays (Starts + Pos +
-// sidecar), the "INDEX" part of the paper's ≈5N bytes/bank estimate;
-// DESIGN.md §3 gives the exact math for this layout.
+// MemoryBytes reports the footprint of the index arrays (Codes +
+// Offsets + Pos + sidecar), the "INDEX" part of the paper's ≈5N
+// bytes/bank estimate; DESIGN.md §3 gives the exact math for this
+// layout.
 func (ix *Index) MemoryBytes() int {
-	return 4 * (len(ix.Starts) + len(ix.Pos) + len(ix.Codes) +
+	return 4 * (len(ix.Codes) + len(ix.Offsets) + len(ix.Pos) +
 		len(ix.OccSeq) + len(ix.OccLo) + len(ix.OccHi))
 }
 

@@ -3,6 +3,8 @@ package index
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,14 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/seed"
 )
+
+// eachCode walks the directory: every code the index lists, with its
+// occurrence run.
+func eachCode(ix *Index, fn func(c seed.Code, occ []int32)) {
+	for i, c := range ix.Codes {
+		fn(c, ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]])
+	}
+}
 
 func mkBank(seqs ...string) *bank.Bank {
 	recs := make([]*fasta.Record, len(seqs))
@@ -25,7 +35,7 @@ func TestChainsAscendingAndComplete(t *testing.T) {
 	ix := Build(b, Options{W: 4})
 	// Every distinct 4-mer of the sequence occurs 3 or 2 times.
 	c, _ := seed.Encode(b.SeqCodes(0), 4) // code of "ACGT"
-	occ := ix.Occurrences(c)
+	occ := ix.Occ(c)
 	if len(occ) != 3 {
 		t.Fatalf("ACGT occurrences = %v", occ)
 	}
@@ -45,9 +55,7 @@ func TestIndexedCountMatchesValidWindows(t *testing.T) {
 	}
 	// "AC" is too short for a window; windows never span sentinels.
 	total := 0
-	for c := 0; c < ix.NumCodes(); c++ {
-		total += ix.CountOccurrences(seed.Code(c))
-	}
+	eachCode(ix, func(_ seed.Code, occ []int32) { total += len(occ) })
 	if total != want {
 		t.Errorf("sum over chains = %d, want %d", total, want)
 	}
@@ -57,7 +65,7 @@ func TestSeedsNeverSpanSequenceBoundaries(t *testing.T) {
 	b := mkBank("AAAA", "AAAA")
 	ix := Build(b, Options{W: 4})
 	c, _ := seed.Encode(b.SeqCodes(0), 4)
-	occ := ix.Occurrences(c)
+	occ := ix.Occ(c)
 	if len(occ) != 2 {
 		t.Fatalf("AAAA occurrences = %v, want one per sequence", occ)
 	}
@@ -83,14 +91,14 @@ func TestEveryOccurrenceHasCorrectCode(t *testing.T) {
 	b := mkBank(seqs...)
 	const w = 5
 	ix := Build(b, Options{W: w})
-	for c := 0; c < ix.NumCodes(); c++ {
-		for _, p := range ix.Occ(seed.Code(c)) {
+	eachCode(ix, func(c seed.Code, occ []int32) {
+		for _, p := range occ {
 			got, ok := seed.Encode(b.Data[p:], w)
-			if !ok || got != seed.Code(c) {
+			if !ok || got != c {
 				t.Fatalf("position %d listed under code %d but encodes to %d (ok=%v)", p, c, got, ok)
 			}
 		}
-	}
+	})
 }
 
 func TestIndexMatchesBruteForce(t *testing.T) {
@@ -107,14 +115,46 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	seed.ForEach(b.Data, w, func(p int32, c seed.Code) {
 		brute[c] = append(brute[c], p)
 	})
-	for c := 0; c < ix.NumCodes(); c++ {
-		got := ix.Occurrences(seed.Code(c))
-		want := brute[seed.Code(c)]
-		if len(got) == 0 && len(want) == 0 {
-			continue
+	sameAsBrute(t, ix, brute)
+}
+
+// sameAsBrute asserts the index lists exactly the codes of a brute-force
+// code → positions map, each with exactly its positions, in ascending
+// code order.
+func sameAsBrute(t *testing.T, ix *Index, brute map[seed.Code][]int32) {
+	t.Helper()
+	if len(ix.Codes) != len(brute) {
+		t.Fatalf("index lists %d codes, brute force found %d", len(ix.Codes), len(brute))
+	}
+	prev := -1
+	eachCode(ix, func(c seed.Code, occ []int32) {
+		if int(c) <= prev {
+			t.Fatalf("directory not strictly ascending at code %d", c)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("code %d: got %v want %v", c, got, want)
+		prev = int(c)
+		if !reflect.DeepEqual(occ, brute[c]) {
+			t.Fatalf("code %d: got %v want %v", c, occ, brute[c])
+		}
+	})
+}
+
+// W = 15 is the widest seed the code type holds: 4^15 dense dictionary
+// slots (4 GiB) never allowed a test to build it; the directory costs
+// what the bank holds. Three 11-bit digits in the build's sort.
+func TestBuildW15MatchesBruteForce(t *testing.T) {
+	const w = 15
+	b := randomBank(15, 6, 3000)
+	for _, opts := range []Options{{W: w}, {W: w, SampleStep: 2, SamplePhase: 1}} {
+		ix := Build(b, opts)
+		brute := map[seed.Code][]int32{}
+		seed.ForEach(b.Data, w, func(p int32, c seed.Code) {
+			if opts.SampleStep < 2 || int(p)%opts.SampleStep == opts.SamplePhase {
+				brute[c] = append(brute[c], p)
+			}
+		})
+		sameAsBrute(t, ix, brute)
+		if ix.Indexed == 0 {
+			t.Fatal("empty W=15 index: the test bank holds no 15-mers")
 		}
 	}
 }
@@ -154,10 +194,10 @@ func TestDustMaskingRemovesLowComplexitySeeds(t *testing.T) {
 		t.Errorf("masked index not smaller: %d vs %d", masked.Indexed, plain.Indexed)
 	}
 	cPolyA := seed.Code(0) // AAAAAAAAAAA
-	if got := masked.CountOccurrences(cPolyA); got != 0 {
+	if got := len(masked.Occ(cPolyA)); got != 0 {
 		t.Errorf("poly-A seed still has %d occurrences after masking", got)
 	}
-	if got := plain.CountOccurrences(cPolyA); got == 0 {
+	if got := len(plain.Occ(cPolyA)); got == 0 {
 		t.Error("unmasked index should contain the poly-A seed")
 	}
 }
@@ -267,8 +307,8 @@ func BenchmarkBuildW11_1Mb(b *testing.B) {
 }
 
 // TestFromPartsRejectsHostileSidecars: the reassembly constructor must
-// refuse sidecar data the hot extension loops would trust as scan
-// bounds, not just malformed Starts/Pos.
+// refuse a malformed directory (Codes/Offsets) and sidecar data the hot
+// extension loops would trust as scan bounds, not just a malformed Pos.
 func TestFromPartsRejectsHostileSidecars(t *testing.T) {
 	b := mkBank("ACGTACGTACGTACGT", "TTCGATCGATCGAA")
 	built := Build(b, Options{W: 4})
@@ -276,10 +316,12 @@ func TestFromPartsRejectsHostileSidecars(t *testing.T) {
 
 	corrupt := func(mutate func(p *Parts)) error {
 		p := good
-		p.Pos = append([]int32(nil), good.Pos...)
-		p.OccSeq = append([]int32(nil), good.OccSeq...)
-		p.OccLo = append([]int32(nil), good.OccLo...)
-		p.OccHi = append([]int32(nil), good.OccHi...)
+		p.Codes = slices.Clone(good.Codes)
+		p.Offsets = slices.Clone(good.Offsets)
+		p.Pos = slices.Clone(good.Pos)
+		p.OccSeq = slices.Clone(good.OccSeq)
+		p.OccLo = slices.Clone(good.OccLo)
+		p.OccHi = slices.Clone(good.OccHi)
 		mutate(&p)
 		_, err := FromParts(b, Options{W: 4}, p)
 		return err
@@ -288,7 +330,19 @@ func TestFromPartsRejectsHostileSidecars(t *testing.T) {
 	if err := corrupt(func(p *Parts) {}); err != nil {
 		t.Fatalf("unmutated parts rejected: %v", err)
 	}
+	last := len(good.Codes)
 	cases := map[string]func(p *Parts){
+		"unsorted-code":      func(p *Parts) { p.Codes[0], p.Codes[1] = p.Codes[1], p.Codes[0] },
+		"duplicate-code":     func(p *Parts) { p.Codes[1] = p.Codes[0] },
+		"code-outside-4^W":   func(p *Parts) { p.Codes[last-1] = seed.Code(seed.NumCodes(4)) },
+		"first-offset":       func(p *Parts) { p.Offsets[0] = 1 },
+		"flat-offset":        func(p *Parts) { p.Offsets[1] = p.Offsets[0] },
+		"descending-offset":  func(p *Parts) { p.Offsets[1] = p.Offsets[2] + 1 },
+		"last-offset":        func(p *Parts) { p.Offsets[last]-- },
+		"offsets-too-short":  func(p *Parts) { p.Offsets = p.Offsets[:last] },
+		"offsets-too-long":   func(p *Parts) { p.Offsets = append(p.Offsets, p.Offsets[last]) },
+		"no-offsets":         func(p *Parts) { p.Offsets = nil; p.Codes = nil },
+		"indexed-mismatch":   func(p *Parts) { p.Indexed++ },
 		"seq-out-of-range":   func(p *Parts) { p.OccSeq[0] = 99 },
 		"negative-seq":       func(p *Parts) { p.OccSeq[0] = -1 },
 		"hi-past-data":       func(p *Parts) { p.OccHi[0] = int32(len(b.Data)) + 100 },
@@ -297,7 +351,29 @@ func TestFromPartsRejectsHostileSidecars(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		if err := corrupt(mutate); err == nil {
-			t.Errorf("%s: hostile sidecar accepted", name)
+			t.Errorf("%s: hostile parts accepted", name)
 		}
+	}
+}
+
+// TestSmallBankIndexIsSmall is the size gate: what an index costs to
+// build and to hold is set by the bank, so a 4^W-sized array (64 MiB of
+// build allocations at W=12, 16 MiB resident at W=11) cannot creep back.
+func TestSmallBankIndexIsSmall(t *testing.T) {
+	b := benchBankSeqs(16, 450)
+	opts := Options{W: 11, Dust: dust.New(0, 0)}
+	const runs = 8
+	var ix *Index
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ix = Build(b, opts)
+	}
+	runtime.ReadMemStats(&after)
+	if perBuild := (after.TotalAlloc - before.TotalAlloc) / runs; perBuild >= 1<<20 {
+		t.Errorf("Build of a %d-byte bank allocates %d bytes, want < 1 MiB", len(b.Data), perBuild)
+	}
+	if ix.MemoryBytes() > 32*len(b.Data) {
+		t.Errorf("MemoryBytes = %d for a %d-byte bank, want ≤ 32 bytes per Data byte", ix.MemoryBytes(), len(b.Data))
 	}
 }

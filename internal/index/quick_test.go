@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -35,21 +36,19 @@ func TestQuickChainInvariants(t *testing.T) {
 		b := randomBank(seedVal, int(nRaw)%6+1, 150)
 		ix := Build(b, Options{W: w})
 		total := 0
-		for c := 0; c < ix.NumCodes(); c++ {
+		ok := true
+		eachCode(ix, func(c seed.Code, occ []int32) {
 			prev := int32(-1)
-			for _, p := range ix.Occ(seed.Code(c)) {
-				if p <= prev {
-					return false
+			for _, p := range occ {
+				got, valid := seed.Encode(b.Data[p:], w)
+				if p <= prev || !valid || got != c {
+					ok = false
 				}
 				prev = p
-				got, ok := seed.Encode(b.Data[p:], w)
-				if !ok || got != seed.Code(c) {
-					return false
-				}
 				total++
 			}
-		}
-		return total == seed.Count(b.Data, w) && total == ix.Indexed
+		})
+		return ok && total == seed.Count(b.Data, w) && total == ix.Indexed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -69,16 +68,14 @@ func TestQuickSamplingPartition(t *testing.T) {
 			return false
 		}
 		// Every position listed in p0 has even Data coordinate.
-		for c := 0; c < p0.NumCodes(); c++ {
-			for _, p := range p0.Occ(seed.Code(c)) {
-				if p%2 != 0 {
-					return false
-				}
+		for _, p := range p0.Pos {
+			if p%2 != 0 {
+				return false
 			}
-			for _, p := range p1.Occ(seed.Code(c)) {
-				if p%2 != 1 {
-					return false
-				}
+		}
+		for _, p := range p1.Pos {
+			if p%2 != 1 {
+				return false
 			}
 		}
 		return true
@@ -95,20 +92,8 @@ func TestQuickBuildDeterministic(t *testing.T) {
 		b := randomBank(seedVal, int(nRaw)%4+1, 120)
 		a := Build(b, Options{W: w})
 		c := Build(b, Options{W: w})
-		if a.Indexed != c.Indexed {
-			return false
-		}
-		for i := range a.Starts {
-			if a.Starts[i] != c.Starts[i] {
-				return false
-			}
-		}
-		for i := range a.Pos {
-			if a.Pos[i] != c.Pos[i] {
-				return false
-			}
-		}
-		return true
+		return a.Indexed == c.Indexed && slices.Equal(a.Codes, c.Codes) &&
+			slices.Equal(a.Offsets, c.Offsets) && slices.Equal(a.Pos, c.Pos)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -4,9 +4,9 @@
 //
 // The ordered-index design front-loads work into the index build so that
 // intensive all-vs-all comparison amortizes it (PAPER.md; DESIGN.md §2
-// records that the counting-sort CSR build deliberately does *more* work
-// than the legacy chain build in exchange for faster scans). That trade
-// only pays off if a built index is reused. This package provides the two
+// records that the sorted CSR build deliberately does *more* work than
+// the legacy chain build in exchange for faster scans). That trade only
+// pays off if a built index is reused. This package provides the two
 // pieces callers need:
 //
 //   - Prepared — a bank paired with the immutable index.Index built from
@@ -14,9 +14,11 @@
 //   - Cache — a concurrency-safe, size-bounded LRU keyed by
 //     (bank identity, W, SampleStep, SamplePhase, dust parameters), with
 //     single-flight semantics so concurrent callers share one build per
-//     (bank, options) pair, and an optional persistent second tier
-//     (Store, implemented by package ixdisk) so the build amortizes
-//     across processes, not just within one.
+//     (bank, options) pair, an optional persistent second tier (Store,
+//     implemented by package ixdisk) so the build amortizes across
+//     processes, not just within one, and Drop for the owner of a bank
+//     that is going away, so the cache never pins the indexes of banks
+//     nobody can name any more.
 //
 // # Reuse contract
 //
@@ -49,8 +51,9 @@ import (
 
 // DefaultMaxEntries is the cache bound used when New is given a
 // non-positive size. Each entry retains its bank's full CSR index
-// (≈ 20 bytes per indexed position, DESIGN.md §3), so the bound is a
-// working-set knob, not a correctness one.
+// (≈ 16 bytes per indexed position plus 8 per distinct seed code,
+// DESIGN.md §3 — sized by the bank, so small query banks cost little),
+// so the bound is a working-set knob, not a correctness one.
 const DefaultMaxEntries = 32
 
 // Prepared pairs a bank with the immutable index built from it. The
@@ -297,16 +300,42 @@ func (c *Cache) getStore() Store {
 // later Gets evict.
 func (c *Cache) evictLocked() {
 	over := c.order.Len() - c.max
-	var el *list.Element
-	for el = c.order.Back(); el != nil && over > 0; {
+	for el := c.order.Back(); el != nil && over > 0; {
 		prev := el.Prev()
-		if el.Value.(*entry).done.Load() {
-			c.order.Remove(el)
-			delete(c.items, el.Value.(*entry).key)
-			c.evictions.Add(1)
+		if c.removeIfDoneLocked(el) {
 			over--
 		}
 		el = prev
+	}
+}
+
+// removeIfDoneLocked evicts el unless its build is still in flight.
+func (c *Cache) removeIfDoneLocked(el *list.Element) bool {
+	e := el.Value.(*entry)
+	if !e.done.Load() {
+		return false
+	}
+	c.order.Remove(el)
+	delete(c.items, e.key)
+	c.evictions.Add(1)
+	return true
+}
+
+// Drop evicts every finished entry built from bank b, whatever its
+// options — for owners that know the bank is gone (a deregistered query
+// bank) and should not wait for the LRU to notice. Builds still in
+// flight are left alone: their waiters get the result, and the entry
+// then ages out through the size bound like any other. Prepared values
+// callers already hold stay valid.
+func (c *Cache) Drop(b *bank.Bank) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		if el.Value.(*entry).key.bank == b {
+			c.removeIfDoneLocked(el)
+		}
+		el = next
 	}
 }
 
@@ -325,7 +354,8 @@ func (c *Cache) Builds() int64 { return c.builds.Load() }
 // Lookups returns the total number of Get calls.
 func (c *Cache) Lookups() int64 { return c.lookups.Load() }
 
-// Evictions returns how many entries the size bound has pushed out.
+// Evictions returns how many entries the size bound or Drop has pushed
+// out.
 func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 
 // DiskHits returns how many misses were satisfied by the attached

@@ -375,3 +375,97 @@ func TestCountersSnapshot(t *testing.T) {
 		t.Errorf("counter values off: %+v", got)
 	}
 }
+
+// TestDropEvictsOneBank: Drop removes every finished entry of its bank,
+// whatever the options, counts them as evictions, and touches no other
+// bank's entries; a later Get of a dropped key rebuilds.
+func TestDropEvictsOneBank(t *testing.T) {
+	db := testBank(t, "db", randomishSeq(512))
+	q := testBank(t, "q", randomishSeq(400))
+	c := New(8)
+	held := c.Get(q, index.Options{W: 8})
+	c.Get(q, index.Options{W: 8, SampleStep: 2})
+	c.Get(db, index.Options{W: 8})
+	c.Drop(q)
+	if c.Len() != 1 || c.Evictions() != 2 {
+		t.Fatalf("after Drop: len=%d evictions=%d, want 1/2", c.Len(), c.Evictions())
+	}
+	if held.Ix == nil || held.Ix.Bank != q {
+		t.Error("Drop invalidated a Prepared the caller holds")
+	}
+	before := c.Builds()
+	c.Get(db, index.Options{W: 8})
+	if c.Builds() != before {
+		t.Error("Drop evicted another bank's entry")
+	}
+	if c.Get(q, index.Options{W: 8}) == held || c.Builds() != before+1 {
+		t.Error("dropped entry was not rebuilt on the next Get")
+	}
+	c.Drop(testBank(t, "stranger", "ACGT")) // no entries: a no-op
+	if c.Len() != 2 {
+		t.Errorf("Drop of an unknown bank changed the cache: len=%d", c.Len())
+	}
+}
+
+// gatedStore blocks every Load until released, holding a Get in flight
+// for as long as a test needs.
+type gatedStore struct {
+	entered chan struct{} // one token per Load that reached the gate
+	release chan struct{} // closed to let Loads return
+}
+
+func (s *gatedStore) Load(*bank.Bank, index.Options) (*Prepared, error) {
+	s.entered <- struct{}{}
+	<-s.release
+	return nil, nil
+}
+
+func (s *gatedStore) Save(*Prepared) error { return nil }
+
+// TestDropLeavesInFlightBuild: a Drop that lands while its bank's index
+// is still building must not detach the entry — a Get arriving after it
+// would start a second build — and the waiters get the one result. Run
+// with -race.
+func TestDropLeavesInFlightBuild(t *testing.T) {
+	b := testBank(t, "b", randomishSeq(2048))
+	s := &gatedStore{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	c := New(8)
+	c.SetStore(s)
+	const waiters = 8
+	got := make([]*Prepared, waiters)
+	var wg sync.WaitGroup
+	get := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.Get(b, index.Options{W: 8})
+		}()
+	}
+	get(0)
+	<-s.entered // the build is in flight
+
+	c.Drop(b)
+	if c.Len() != 1 || c.Evictions() != 0 {
+		t.Fatalf("Drop removed an in-flight entry: len=%d evictions=%d", c.Len(), c.Evictions())
+	}
+	for i := 1; i < waiters; i++ {
+		get(i)
+	}
+	c.Drop(b)
+	close(s.release)
+	wg.Wait()
+
+	if c.Builds() != 1 {
+		t.Errorf("builds = %d, want 1: Drop let a second build start", c.Builds())
+	}
+	for i, p := range got {
+		if p == nil || p != got[0] || p.Ix.Bank != b {
+			t.Fatalf("waiter %d lost the build's result: %+v", i, p)
+		}
+	}
+	// Finished now, so the next Drop takes it.
+	c.Drop(b)
+	if c.Len() != 0 || c.Evictions() != 1 {
+		t.Errorf("finished entry survived Drop: len=%d evictions=%d", c.Len(), c.Evictions())
+	}
+}

@@ -66,8 +66,8 @@ func sameInts[T word](a, b []T) bool {
 func assertIndexEqual(t *testing.T, built, loaded *index.Index) {
 	t.Helper()
 	bp, lp := built.Parts(), loaded.Parts()
-	if !sameInts(bp.Starts, lp.Starts) {
-		t.Error("Starts differ after round trip")
+	if !sameInts(bp.Offsets, lp.Offsets) {
+		t.Error("Offsets differ after round trip")
 	}
 	if !sameInts(bp.Pos, lp.Pos) {
 		t.Error("Pos differs after round trip")

@@ -167,7 +167,7 @@ func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options) (*ixc
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	p, err := x.prepare(b, append(blocks, suffix), false)
+	p, err := x.prepare(b, append(blocks, suffix))
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -122,17 +122,12 @@ func decodeBlocks(buf []byte, base uint64, dir []dirEntry, alias bool) ([]index.
 	return blocks, nil
 }
 
-// prepare assembles the validated blocks into the index for (b, the
-// file's options): FromBlocks' structural pass for the general case,
-// fromSingleBlock when one block aliases the mapping.
-func (x *indexFile) prepare(b *bank.Bank, blocks []index.BlockParts, aliased bool) (*ixcache.Prepared, error) {
-	var ix *index.Index
-	var err error
-	if aliased {
-		ix, err = fromSingleBlock(b, x.hdr.indexOptions(), &blocks[0])
-	} else {
-		ix, err = index.FromBlocks(b, x.hdr.indexOptions(), blocks)
-	}
+// prepare assembles the decoded blocks into the index for (b, the
+// file's options) through FromBlocks' structural pass. A single block's
+// arrays become the index's own, so one that aliases a mapping stays
+// zero-copy.
+func (x *indexFile) prepare(b *bank.Bank, blocks []index.BlockParts) (*ixcache.Prepared, error) {
+	ix, err := index.FromBlocks(b, x.hdr.indexOptions(), blocks)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +150,7 @@ func loadCopy(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared,
 	if err != nil {
 		return nil, 0, err
 	}
-	p, err := x.prepare(b, blocks, false)
+	p, err := x.prepare(b, blocks)
 	return p, len(blocks), err
 }
 
@@ -196,7 +191,7 @@ func loadLeading(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepar
 	if err != nil {
 		return nil, 0, err
 	}
-	p, err := x.prepare(b, blocks, false)
+	p, err := x.prepare(b, blocks)
 	return p, nb, err
 }
 
@@ -275,7 +270,7 @@ func loadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepare
 		m.Close()
 		return nil, nil, 0, err
 	}
-	p, err := x.prepare(b, blocks, aliased)
+	p, err := x.prepare(b, blocks)
 	if err != nil {
 		m.Close()
 		return nil, nil, 0, err

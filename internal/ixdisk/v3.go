@@ -15,9 +15,10 @@ package ixdisk
 // sections (Codes, Counts, Pos, OccSeq, OccLo, OccHi), a CRC-32C over
 // header + sections, and zero padding to an 8-byte boundary — so every
 // section is 4-byte aligned from any page-aligned base and LoadMapped
-// can alias them. There is no dense 4^W+1 Starts section: blocks carry
-// the sparse (code, count) directory and readers materialize Starts on
-// load, which keeps 4·4^W bytes out of every file.
+// can alias them. The (code, count) directory is the index's own sorted
+// directory with counts where the index keeps offsets, so readers
+// materialize nothing sized by 4^W — a prefix sum over the counts is
+// the whole of it.
 //
 // The footer is the only part of the file that changes when a bank is
 // appended to. It records the bank identity (content CRC, data length,
@@ -590,53 +591,6 @@ func (f *footerV3) checkPrefixSums(b *bank.Bank, k int) error {
 		}
 	}
 	return nil
-}
-
-// fromSingleBlock assembles a whole-bank index directly over one
-// block's (possibly mmap-aliased) sections: the block covers the full
-// bank, so its CSR-ordered arrays are the index arrays verbatim and
-// only the dense Starts needs materializing from the sparse counts.
-// index.FromParts applies the same full structural validation the
-// copying path gets.
-func fromSingleBlock(b *bank.Bank, opts index.Options, bp *index.BlockParts) (*index.Index, error) {
-	opts = opts.Normalized()
-	if bp.SeqLo != 0 || bp.SeqHi != b.NumSeqs() || opts.W < 1 || opts.W > seed.MaxW {
-		return nil, fmt.Errorf("ixdisk: %w: single block covers sequences [%d,%d) of %d",
-			ErrKeyMismatch, bp.SeqLo, bp.SeqHi, b.NumSeqs())
-	}
-	n := seed.NumCodes(opts.W)
-	starts := make([]int32, n+1)
-	var running int32
-	prev := -1
-	for i, c := range bp.Codes {
-		if int(c) <= prev || int(c) >= n {
-			return nil, fmt.Errorf("ixdisk: %w: block code directory not ascending in the 4^%d space",
-				ErrKeyMismatch, opts.W)
-		}
-		if bp.Counts[i] < 1 {
-			return nil, fmt.Errorf("ixdisk: %w: block records %d occurrences for code %d",
-				ErrKeyMismatch, bp.Counts[i], c)
-		}
-		for x := prev + 1; x <= int(c); x++ {
-			starts[x] = running
-		}
-		running += bp.Counts[i]
-		prev = int(c)
-	}
-	for x := prev + 1; x <= n; x++ {
-		starts[x] = running
-	}
-	ix, err := index.FromParts(b, opts, index.Parts{
-		Starts: starts, Pos: bp.Pos, Codes: bp.Codes,
-		OccSeq: bp.OccSeq, OccLo: bp.OccLo, OccHi: bp.OccHi,
-		Indexed:    len(bp.Pos),
-		MaskedOut:  bp.MaskedOut,
-		SampledOut: bp.SampledOut,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
 }
 
 // appendBlockAt writes suffix (plus a fresh footer for the grown bank

@@ -9,12 +9,13 @@ const (
 	ixcachePkgPath = "repro/internal/ixcache"
 )
 
-// csrSections are the index.Index fields that may alias a read-only
-// .orix mmap after LoadMapped (DESIGN.md §7): growing, reordering, or
-// element-writing them faults on the mapping — or silently corrupts a
-// cached index shared by concurrent readers.
+// csrSections are the index.Index arrays: all but Offsets may alias a
+// read-only .orix mmap after LoadMapped (DESIGN.md §7), so growing,
+// reordering, or element-writing them faults on the mapping — and on
+// any of them silently corrupts a cached index shared by concurrent
+// readers.
 var csrSections = map[string]bool{
-	"Starts": true, "Pos": true, "Codes": true,
+	"Codes": true, "Offsets": true, "Pos": true,
 	"OccSeq": true, "OccLo": true, "OccHi": true,
 }
 

@@ -13,7 +13,7 @@ import (
 
 // Reads of fields and sections are always fine.
 func reads(ix *index.Index) int32 {
-	total := ix.Starts[1] + ix.Pos[0]
+	total := ix.Offsets[1] + ix.Pos[0]
 	for _, c := range ix.Codes {
 		total += int32(c)
 	}

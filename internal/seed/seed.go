@@ -10,8 +10,8 @@
 //
 // The package provides O(1) rolling updates in both directions so that
 // scanning a bank forward (index construction, BLAST subject scan) and
-// walking leftward during extension (the abort-rule check) never
-// recompute a code from scratch.
+// walking leftward during extension (the abort-rule check) update a
+// code per step instead of re-encoding the window.
 package seed
 
 import (
@@ -23,11 +23,11 @@ import (
 // Code is a packed seed code. W ≤ 15 fits in 30 bits.
 type Code uint32
 
-// MaxW is the largest supported seed length. 4^15 dictionary entries
-// (1 Gi) would be impractical anyway; the paper uses W=11 and W=10.
+// MaxW is the largest supported seed length (a 30-bit Code). The paper
+// uses W=11 and W=10.
 const MaxW = 15
 
-// NumCodes returns 4^w, the size of the seed dictionary.
+// NumCodes returns 4^w, the size of the seed code space.
 func NumCodes(w int) int {
 	if w < 1 || w > MaxW {
 		panic(fmt.Sprintf("seed: unsupported W=%d", w))

@@ -306,9 +306,10 @@ func (s *Server) RegisterBank(name string, b *bank.Bank, db bool) error {
 }
 
 // DeregisterBank removes name from the registry, releasing the
-// server's reference to the bank: its idle blastn sessions go now, its
-// indexes eventually through the cache's LRU. Compares already in
-// flight hold their own bank pointer and are unaffected — banks are
+// server's references to the bank now: its idle blastn sessions and its
+// cached indexes (an index still building finishes for its waiters and
+// leaves through the cache's LRU). Compares already in flight hold
+// their own bank and index pointers and are unaffected — both are
 // immutable. Removing an unknown name reports false.
 func (s *Server) DeregisterBank(name string) bool {
 	s.mu.Lock()
@@ -319,6 +320,7 @@ func (s *Server) DeregisterBank(name string) bool {
 	}
 	delete(s.banks, name)
 	s.sessions.drop(e.bank)
+	s.cache.Drop(e.bank)
 	return true
 }
 

@@ -16,6 +16,8 @@ import (
 	"repro/internal/blastn"
 	"repro/internal/blat"
 	"repro/internal/core"
+	"repro/internal/dna"
+	"repro/internal/ixcache"
 	"repro/internal/simulate"
 	"repro/internal/tabular"
 )
@@ -423,6 +425,65 @@ func TestServerDeregisterDropsIdleSessions(t *testing.T) {
 	}
 	if got := idle(); got != 0 {
 		t.Errorf("sessions.idle = %d after deregistering the db bank, want 0", got)
+	}
+}
+
+// TestServerDeregisterDropsCachedIndexes: the index cache must not pin
+// a deleted bank either — upload, compare, DELETE, and /v1/stats counts
+// only the db's index, at the default cache size, however many query
+// banks have come and gone.
+func TestServerDeregisterDropsCachedIndexes(t *testing.T) {
+	est1, _, _ := testBanks(t)
+	srv := New(Config{MaxConcurrent: 1})
+	srv.RegisterBank("db", est1, true)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cache := func() ixcache.Counters {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Cache
+	}
+	fa := ">q0\n" + string(dna.Decode(est1.SeqCodes(0))) + "\n"
+	for round := 1; round <= 3; round++ {
+		resp, err := http.Post(ts.URL+"/v1/banks?name=q", "text/x-fasta", strings.NewReader(fa))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: upload: status %d", round, resp.StatusCode)
+		}
+		if status, body := postCompare(t, ts.URL, `{"db":"db","query":"q"}`); status != http.StatusOK {
+			t.Fatalf("round %d: compare: status %d: %s", round, status, body)
+		}
+		if got := cache().Entries; got != 2 {
+			t.Fatalf("round %d: cache.entries = %d with db and q indexed, want 2", round, got)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/banks?name=q", nil)
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: DELETE bank: status %d", round, resp.StatusCode)
+		}
+		if c := cache(); c.Entries != 1 || c.Evictions != int64(round) {
+			t.Fatalf("round %d: after DELETE cache.entries = %d, evictions = %d; want 1 (the db) and %d",
+				round, c.Entries, c.Evictions, round)
+		}
+	}
+	if got := cache().Builds; got != 4 {
+		t.Errorf("cache.builds = %d, want 4: the db once, each uploaded q once", got)
 	}
 }
 

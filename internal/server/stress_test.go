@@ -242,9 +242,14 @@ func TestServerStressStreamedDisconnects(t *testing.T) {
 		}()
 	}
 
-	// Blocking sends: when this loop returns, every token has been
-	// consumed by a running engine — all six streams are live and
-	// parked on the gate, none finished.
+	// Every client holds a slot before the first token goes out: a
+	// compare on these banks is quick enough that one stream would
+	// otherwise drain the whole budget while the others are still
+	// connecting, and a client cancelled before its request is read is
+	// never counted. Then blocking sends: when the loop returns, every
+	// token has been consumed by a running engine — all six streams are
+	// live and parked on the gate, none finished.
+	waitFor(t, func() bool { return srv.admitted.Load() == clients })
 	for i := 0; i < 20; i++ {
 		gate <- struct{}{}
 	}
