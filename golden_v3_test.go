@@ -15,13 +15,13 @@ import (
 )
 
 // TestGoldenM8ThroughHealAndV1 pins the corpus bytes through the two
-// surfaces PR 8 added: a server whose store holds files of the retired
-// v2 layout at both banks' key paths (rejected at the version gate,
-// rebuilt, and overwritten with current-format files), then a cold
-// server over the healed store, reached through the versioned /v1/
-// routes. Every leg must reproduce testdata/golden/oris-default.m8
-// exactly — what the store held and the API prefix are both invisible
-// in the result bytes.
+// surfaces PR 8 added: a server whose store holds files of retired
+// layouts at both banks' key paths — a v2 file at one, a v3 file at the
+// other (rejected at the version gate, rebuilt, and overwritten with
+// current-format files) — then a cold server over the healed store,
+// reached through the versioned /v1/ routes. Every leg must reproduce
+// testdata/golden/oris-default.m8 exactly — what the store held and the
+// API prefix are both invisible in the result bytes.
 func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden", "oris-default.m8"))
 	if err != nil {
@@ -38,26 +38,26 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 	}
 	defer store.Close()
 
-	// Manufacture legacy state: a real v2 file, as a pre-upgrade
-	// deployment would have left behind, planted where the server's
+	// Manufacture legacy state: real v2 and v3 files, as pre-upgrade
+	// deployments would have left behind, planted where the server's
 	// compare will look for each bank's index. The version gate fires
-	// before any identity check, so one fixture serves both paths.
-	v2, err := os.ReadFile(filepath.Join("internal", "ixdisk", "testdata", "legacy-v2.orix"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// before any identity check, so fixtures saved from another bank do.
 	opt := DefaultOptions()
 	p1, p2, err := Prepare(NewIndexCache(0), est1, est2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keyPaths := []string{store.Path(p1.Bank, p1.Ix.Options()), store.Path(p2.Bank, p2.Ix.Options())}
-	for _, path := range keyPaths {
-		if err := os.WriteFile(path, v2, 0o644); err != nil {
+	for i, fixture := range []string{"legacy-v2.orix", "legacy-v3.orix"} {
+		old, err := os.ReadFile(filepath.Join("internal", "ixdisk", "testdata", fixture))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ProbeIndexFile(path); !errors.Is(err, ixdisk.ErrVersion) {
-			t.Fatalf("probe of the planted v2 file: %v, want ErrVersion", err)
+		if err := os.WriteFile(keyPaths[i], old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ProbeIndexFile(keyPaths[i]); !errors.Is(err, ixdisk.ErrVersion) {
+			t.Fatalf("probe of the planted %s: %v, want ErrVersion", fixture, err)
 		}
 	}
 
@@ -73,23 +73,23 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 
 	req := `{"db":"db","query":"q"}`
 
-	// Leg 1: both v2 files are rejected, both indexes rebuilt, and the
-	// rebuilds written back over them.
+	// Leg 1: both legacy files are rejected, both indexes rebuilt, and
+	// the rebuilds written back over them.
 	status, healed := postBytes(t, ts.URL+"/v1/compare", req, "")
 	if status != http.StatusOK {
-		t.Fatalf("/v1/compare over v2 store: status %d: %s", status, healed)
+		t.Fatalf("/v1/compare over the legacy store: status %d: %s", status, healed)
 	}
 	if !bytes.Equal(healed, want) {
-		t.Errorf("output over the rejected v2 files differs from golden (%d vs %d bytes)",
+		t.Errorf("output over the rejected legacy files differs from golden (%d vs %d bytes)",
 			len(healed), len(want))
 	}
 	if st := srv.StatsSnapshot(); st.Cache.Builds != 2 || st.Cache.DiskErrors != 2 || st.Cache.DiskHits != 0 {
-		t.Errorf("over two v2 files: builds=%d disk_errors=%d disk_hits=%d, want 2/2/0",
+		t.Errorf("over two legacy files: builds=%d disk_errors=%d disk_hits=%d, want 2/2/0",
 			st.Cache.Builds, st.Cache.DiskErrors, st.Cache.DiskHits)
 	}
 	for _, path := range keyPaths {
-		if info, err := ProbeIndexFile(path); err != nil || info.Version != 3 {
-			t.Fatalf("%s after serving: %+v, %v — want a v3 file", filepath.Base(path), info, err)
+		if info, err := ProbeIndexFile(path); err != nil || info.Version != 4 {
+			t.Fatalf("%s after serving: %+v, %v — want a v4 file", filepath.Base(path), info, err)
 		}
 	}
 
@@ -104,10 +104,10 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	status, fromV3 := postBytes(t, ts2.URL+"/v1/compare", req, "")
-	if status != http.StatusOK || !bytes.Equal(fromV3, want) {
+	status, fromHealed := postBytes(t, ts2.URL+"/v1/compare", req, "")
+	if status != http.StatusOK || !bytes.Equal(fromHealed, want) {
 		t.Errorf("output from the healed store differs from golden (status %d, %d vs %d bytes)",
-			status, len(fromV3), len(want))
+			status, len(fromHealed), len(want))
 	}
 	if st := srv2.StatsSnapshot(); st.Cache.Builds != 0 || st.Cache.DiskHits != 2 {
 		t.Errorf("cold server over the healed store: builds=%d disk_hits=%d, want 0/2",

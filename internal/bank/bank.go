@@ -18,9 +18,13 @@ import (
 )
 
 // Sentinel is the byte that separates (and brackets) sequences inside
-// Data. It is not a valid nucleotide code and never compares equal to
-// one, so extensions that overrun a hard bound still cannot match
-// across a record boundary.
+// Data. It is not a valid nucleotide code, is distinct from dna.Invalid,
+// and never compares equal to a base — which is how an ungapped
+// extension knows where its record ends: hsp.Extend takes no bounds and
+// stops an arm at the first sentinel either bank shows it. Every Bank,
+// reverse complements included, therefore keeps the invariant that
+// Data[0] and Data[len(Data)-1] are sentinels and one sits between any
+// two sequences.
 const Sentinel byte = 0xF0
 
 // Bank is an immutable, indexed-ready DNA bank.
@@ -200,8 +204,10 @@ func (b *Bank) Coord(p int32) (seq int32, off int32) {
 }
 
 // MemoryFootprint returns the approximate resident bytes of the bank
-// representation itself plus the per-position index the paper counts
-// (SEQ: 1 byte/pos, seqID: 4 bytes/pos; package index adds 4 more).
+// representation itself (SEQ: 1 byte/pos, seqID: 4 bytes/pos). Package
+// index adds the paper's INDEX — 4 bytes per indexed position — and 8
+// per distinct seed code, and nothing else: ≈ 9N + 8·|Codes| for bank
+// and index together (DESIGN.md §3).
 func (b *Bank) MemoryFootprint() int {
 	return len(b.Data) + 4*len(b.seqID)
 }

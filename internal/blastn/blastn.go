@@ -490,8 +490,6 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []align.A
 				continue
 			}
 			dbPos := int32(i)
-			s1 := db.SeqAt(dbPos)
-			lo1, hi1 := db.SeqBounds(int(s1))
 			for rel := e.head[c]; rel >= 0; rel = e.nextPos[rel] {
 				hits++
 				diag := dbPos - rel + diagOff
@@ -501,14 +499,16 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []align.A
 				}
 				qPos := qLo + rel
 				// Verify: grow the exact-match run around the probe to
-				// the full word size W (NCBI's mini-extension).
+				// the full word size W (NCBI's mini-extension). Like
+				// hsp.Extend it needs no record bounds: the sentinel on
+				// either side of a record is not a base.
 				l1, l2 := dbPos, qPos
-				for l1 > lo1 && l2 > qLo && d1[l1-1] == d2[l2-1] && d1[l1-1] < 4 {
+				for d1[l1-1] == d2[l2-1] && d1[l1-1] < 4 {
 					l1--
 					l2--
 				}
 				r1, r2 := dbPos+sw, qPos+sw
-				for r1 < hi1 && r2 < qHi && d1[r1] == d2[r2] && d1[r1] < 4 {
+				for d1[r1] == d2[r2] && d1[r1] < 4 {
 					r1++
 					r2++
 				}
@@ -521,7 +521,7 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []align.A
 					continue
 				}
 				extCount++
-				h, _ := e.ext.Extend(d1, d2, l1, l2, lo1, hi1, qLo, qHi, 0, nil)
+				h, _ := e.ext.Extend(d1, d2, l1, l2, 0, nil)
 				e.diagGen[diag] = gen
 				e.diagEnd[diag] = h.E1
 				if h.Score >= opt.MinUngappedScore {

@@ -171,7 +171,6 @@ type tileProbe struct {
 	// per-query state, reset before each scan
 	maskPfx []int32
 	qLo     int32
-	qHi     int32
 	diagOff int32
 	gen     int32
 	hsps    []hsp.HSP
@@ -189,9 +188,7 @@ func (tp *tileProbe) probe(rel int32, c seed.Code) {
 		return
 	}
 	qPos := tp.qLo + rel
-	tLo, tHi := tp.ix.OccRange(c)
-	for k := tLo; k < tHi; k++ {
-		p := tp.ix.Pos[k]
+	for _, p := range tp.ix.Occ(c) {
 		tp.met.TileHits++
 		diag := p - rel + tp.diagOff
 		if tp.diagGen[diag] == tp.gen && tp.diagEnd[diag] > p {
@@ -199,7 +196,7 @@ func (tp *tileProbe) probe(rel int32, c seed.Code) {
 			continue
 		}
 		tp.met.Extensions++
-		h, _ := tp.ext.Extend(tp.d1, tp.d2, p, qPos, tp.ix.OccLo[k], tp.ix.OccHi[k], tp.qLo, tp.qHi, c, nil)
+		h, _ := tp.ext.Extend(tp.d1, tp.d2, p, qPos, c, nil)
 		tp.diagGen[diag] = tp.gen
 		tp.diagEnd[diag] = h.E1
 		if h.Score >= tp.minScore {
@@ -274,7 +271,7 @@ func compareWithIndex(db *bank.Bank, ix *index.Index, queries *bank.Bank, opt Op
 		// ---- scan the query against the tile index ----
 		t0 = time.Now()
 		tp.maskPfx = maskPfx
-		tp.qLo, tp.qHi, tp.diagOff = qLo, qHi, qHi-qLo
+		tp.qLo, tp.diagOff = qLo, qHi-qLo
 		tp.gen = gen
 		tp.hsps = tp.hsps[:0]
 		seed.ForEach(queries.Data[qLo:qHi], opt.W, tp.probe)

@@ -332,25 +332,20 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 
 	// The X1×X2 inner product of one shared code, directory slot k1 of
 	// ix1 and k2 of ix2. Both occurrence lists are contiguous CSR slice
-	// views with precomputed bounds sidecars: flat sequential reads, no
-	// pointer chasing and no per-hit Bank lookups. Bank-1 positions stay
-	// outermost whichever directory drives the join.
+	// views: flat sequential reads, no pointer chasing and no per-hit
+	// Bank lookups (an extension ends on the banks' own sentinels).
+	// Bank-1 positions stay outermost whichever directory drives the join.
 	err := joinCodes(ctx, ix1.Codes, ix2.Codes, workers, opt.ShuffledSeedOrder, func(wid, k1, k2 int) {
 		r := &results[wid]
 		code := ix1.Codes[k1]
-		s2, e2 := ix2.Offsets[k2], ix2.Offsets[k2+1]
-		pos2 := ix2.Pos[s2:e2]
-		lo2 := ix2.OccLo[s2:e2]
-		hi2 := ix2.OccHi[s2:e2]
-		for i1 := ix1.Offsets[k1]; i1 < ix1.Offsets[k1+1]; i1++ {
-			p1 := ix1.Pos[i1]
-			lo1, hi1 := ix1.OccLo[i1], ix1.OccHi[i1]
-			for j, p2 := range pos2 {
+		pos2 := ix2.Pos[ix2.Offsets[k2]:ix2.Offsets[k2+1]]
+		for _, p1 := range ix1.Pos[ix1.Offsets[k1]:ix1.Offsets[k1+1]] {
+			for _, p2 := range pos2 {
 				if opt.SkipSelfPairs && p2 <= p1 {
 					continue
 				}
 				r.hitPairs++
-				h, ok := ext.Extend(d1, d2, p1, p2, lo1, hi1, lo2[j], hi2[j], code, &r.stats)
+				h, ok := ext.Extend(d1, d2, p1, p2, code, &r.stats)
 				if ok && h.Score >= opt.MinUngappedScore {
 					r.hsps = append(r.hsps, h)
 				}
@@ -472,8 +467,7 @@ func seek(codes []seed.Code, j int, c seed.Code) int {
 
 // step3Sequential is the reference step 3: walk diagonal-sorted HSPs,
 // skip covered ones, gapped-extend the rest from their midpoints.
-func step3Sequential(b1, b2 *bank.Bank, hsps []hsp.HSP, opt Options, met *Metrics) []align.Alignment {
-	ext := gapped.NewExtender(gapped.FromScoring(opt.Scoring, opt.GappedXDrop))
+func step3Sequential(b1, b2 *bank.Bank, hsps []hsp.HSP, ext *gapped.Extender, met *Metrics) []align.Alignment {
 	var ta align.TAlign
 	extendBand(b1, b2, hsps, ext, &ta, met)
 	return ta.All()
@@ -483,10 +477,10 @@ func step3Sequential(b1, b2 *bank.Bank, hsps []hsp.HSP, opt Options, met *Metric
 // bands handled by independent workers. Band-boundary effects can
 // produce duplicate or contained alignments, which the step-4 dedup
 // removes (DESIGN.md, "Parallel step 3").
-func step3Parallel(b1, b2 *bank.Bank, hsps []hsp.HSP, opt Options, met *Metrics) []align.Alignment {
+func step3Parallel(b1, b2 *bank.Bank, hsps []hsp.HSP, opt Options, ext *gapped.Extender, met *Metrics) []align.Alignment {
 	workers := workerCount(opt)
 	if len(hsps) < 4*workers {
-		return step3Sequential(b1, b2, hsps, opt, met)
+		return step3Sequential(b1, b2, hsps, ext, met)
 	}
 	chunk := (len(hsps) + workers - 1) / workers
 	tas := make([]align.TAlign, workers)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bank"
@@ -171,5 +172,40 @@ func TestCompareWithIndexRejectsMismatch(t *testing.T) {
 	}
 	if _, err := CompareWithIndex(nil, p2, opt); err == nil {
 		t.Error("accepted a nil prepared bank")
+	}
+}
+
+// TestCompareAllocatesOneGappedExtender is the allocation gate on the
+// per-request path of a resident bank: a compare run owns one gapped
+// extender (DP rows + a 64 KB traceback arena chunk), not one per
+// bank-2 sequence with HSPs — sixteen reads that all hit must not cost
+// sixteen arenas.
+func TestCompareAllocatesOneGappedExtender(t *testing.T) {
+	b1, b2 := testBanks(47, 40, 16, 16, 450)
+	opt := DefaultOptions()
+	opt.Workers = 1
+	p1, p2, err := Prepare(nil, b1, b2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	var res *Result
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if res, err = CompareWithIndex(p1, p2, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	hit := map[int32]bool{}
+	for _, a := range res.Alignments {
+		hit[a.Seq2] = true
+	}
+	if len(hit) != b2.NumSeqs() {
+		t.Fatalf("degenerate test: %d of %d reads aligned", len(hit), b2.NumSeqs())
+	}
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 512<<10 {
+		t.Errorf("CompareWithIndex of %d reads allocates %d bytes, want < 512 KiB", b2.NumSeqs(), perRun)
 	}
 }

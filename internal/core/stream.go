@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/bank"
+	"repro/internal/gapped"
 	"repro/internal/hsp"
 	"repro/internal/index"
 	"repro/internal/ixcache"
@@ -136,13 +137,16 @@ func compareStream(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index
 		return nil, err
 	}
 	m := b1.TotalBases()
+	// One extender for the run: it keeps its DP rows and traceback arena
+	// across calls, so bank-2 sequences do not each pay for their own.
+	ext := gapped.NewExtender(gapped.FromScoring(opt.Scoring, opt.GappedXDrop))
 	for s := 0; s < b2.NumSeqs(); s++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out := step34(b1, b2, groups[s], opt, ka, m, &met)
+		out := step34(b1, b2, groups[s], opt, ext, ka, m, &met)
 		if rc != nil {
-			ralns := step34(b1, rc, minus[s], opt, ka, m, &met)
+			ralns := step34(b1, rc, minus[s], opt, ext, ka, m, &met)
 			// Map reverse-complement coordinates back onto the original
 			// bank-2 records: offsets reflect within each sequence.
 			for i := range ralns {
@@ -216,16 +220,16 @@ func groupBySeq2(b2 *bank.Bank, hsps []hsp.HSP) [][]hsp.HSP {
 // (step 4) over one diag-sorted HSP group, returning its surviving
 // alignments unsorted (the caller display-sorts after the strand
 // merge). m is the bank-1 search-space size for the E-value.
-func step34(b1, b2 *bank.Bank, group []hsp.HSP, opt Options, ka stats.KarlinAltschul, m int, met *Metrics) []align.Alignment {
+func step34(b1, b2 *bank.Bank, group []hsp.HSP, opt Options, ext *gapped.Extender, ka stats.KarlinAltschul, m int, met *Metrics) []align.Alignment {
 	if len(group) == 0 {
 		return nil
 	}
 	t0 := time.Now()
 	var raw []align.Alignment
 	if opt.ParallelStep3 && workerCount(opt) > 1 {
-		raw = step3Parallel(b1, b2, group, opt, met)
+		raw = step3Parallel(b1, b2, group, opt, ext, met)
 	} else {
-		raw = step3Sequential(b1, b2, group, opt, met)
+		raw = step3Sequential(b1, b2, group, ext, met)
 	}
 	met.Step3Time += time.Since(t0)
 

@@ -108,8 +108,8 @@ func (h *Harness) Asymmetric() {
 	h.printf("### X1 — asymmetric 10-nt indexing (%s)\n\n", p)
 
 	// Index-level size and coverage measurement. The CSR occurrence
-	// array (plus sidecar) shrinks with sampling, and so does the code
-	// directory: nothing is a fixed 4^W cost. Both indexes come from the
+	// array shrinks with sampling, and so does the code directory:
+	// nothing is a fixed 4^W cost. Both indexes come from the
 	// shared prepared-bank cache under the engine's default dust filter
 	// so full and half are measured like with like; the half-word key is
 	// exactly what the "W=10 asymmetric" row below derives, so that

@@ -310,8 +310,16 @@ func TestFleetHungWorkerDeadline(t *testing.T) {
 	info := registerBank(t, ts.URL, "db", est1, true)
 	registerBank(t, ts.URL, "q", est2, false)
 	want := oracle(t, est1, est2)
-	if status, _, body := postCompare(t, ts.URL); status != http.StatusOK {
-		t.Fatalf("warm-up compare: status %d: %s", status, body)
+	// Every worker holds both banks and both indexes before the fault, so
+	// the wave measures the deadline and the failover — not whether a cold
+	// replica can take two banks and build two indexes inside one
+	// AttemptTimeout, which under -race on two cores it cannot.
+	for _, w := range workers {
+		registerBank(t, w.px.URL(), "db", est1, true)
+		registerBank(t, w.px.URL(), "q", est2, false)
+		if status, _, body := postCompare(t, w.px.URL()); status != http.StatusOK {
+			t.Fatalf("warming %s: status %d: %s", w.name, status, body)
+		}
 	}
 
 	workerByName(workers, info.Owners[0]).px.Set(chaos.Hang)

@@ -10,11 +10,18 @@
 // aborts. The surviving extensions produce each HSP exactly once — from
 // the leftmost occurrence of its minimal-code seed — with no duplicate-
 // suppression table ("This is the key point of the ORIS algorithm").
+//
+// Extensions take no record bounds: every sequence in a bank.Bank's Data
+// has a bank.Sentinel on both sides, which equals no base, so an arm
+// that reaches the end of a record meets a mismatch whose byte says so.
+// Hits must therefore lie in a Bank's Data; index.FromParts proves that
+// of every position an index loaded from disk can hand out.
 package hsp
 
 import (
 	"sort"
 
+	"repro/internal/bank"
 	"repro/internal/seed"
 )
 
@@ -99,14 +106,16 @@ type Stats struct {
 
 // Extend grows the hit at (p1,p2) — identical W-mers with seed code
 // anchor — into a maximal ungapped alignment. d1, d2 are the bank Data
-// arrays; [lo1,hi1) and [lo2,hi2) bound the sequences containing p1 and
-// p2 (extensions never cross record boundaries).
+// arrays. Each arm walks until the X-drop, the ordered abort, or the
+// first step at which either byte is a bank.Sentinel — one past the
+// shorter record's end, so extensions never cross record boundaries. A
+// sentinel never matches, so only the mismatch path tests for it.
 //
 // ok is false when the ordered rule aborted: the HSP is a duplicate of
 // one generated from a lower (or equal-and-leftmost) seed.
 //
 //scorislint:hotpath
-func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, anchor seed.Code, st *Stats) (HSP, bool) {
+func (e *Extender) Extend(d1, d2 []byte, p1, p2 int32, anchor seed.Code, st *Stats) (HSP, bool) {
 	if st != nil {
 		st.Extensions++
 	}
@@ -123,10 +132,6 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 	// the code is exact). After an arm's first mismatch the roll is
 	// dead work until W matches line up again; without the ordered rule
 	// it is dead work throughout.
-	limit := p1 - lo1
-	if l2 := p2 - lo2; l2 < limit {
-		limit = l2
-	}
 	var (
 		score    = seedScore
 		maxiL    = seedScore
@@ -134,7 +139,7 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 		run      = w
 		code     = anchor
 	)
-	for l := int32(1); l <= limit; l++ {
+	for l := int32(1); ; l++ {
 		q1 := p1 - l
 		q2 := p2 - l
 		a, b := d1[q1], d2[q2]
@@ -159,6 +164,9 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 				}
 			}
 		} else {
+			if a == bank.Sentinel || b == bank.Sentinel {
+				break
+			}
 			score -= e.Mismatch
 			run = 0
 			if maxiL-score >= e.XDrop {
@@ -170,10 +178,6 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 	// ---- right arm ----
 	// Walk q1 from p1+W up; the code is that of the window *ending* at
 	// the current position (i.e. starting at q1-W+1), kept as above.
-	limit = hi1 - (p1 + w)
-	if l2 := hi2 - (p2 + w); l2 < limit {
-		limit = l2
-	}
 	var (
 		maxiR     = seedScore
 		bestRight = int32(0)
@@ -181,7 +185,7 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 	score = seedScore
 	run = w
 	code = anchor
-	for l := int32(1); l <= limit; l++ {
+	for l := int32(1); ; l++ {
 		q1 := p1 + w - 1 + l
 		q2 := p2 + w - 1 + l
 		a, b := d1[q1], d2[q2]
@@ -206,6 +210,9 @@ func (e *Extender) Extend(d1, d2 []byte, p1, p2, lo1, hi1, lo2, hi2 int32, ancho
 				}
 			}
 		} else {
+			if a == bank.Sentinel || b == bank.Sentinel {
+				break
+			}
 			score -= e.Mismatch
 			run = 0
 			if maxiR-score >= e.XDrop {

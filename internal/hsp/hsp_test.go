@@ -28,13 +28,10 @@ func runStep2(b1, b2 *bank.Bank, w int, xdrop int32, ordered bool) ([]HSP, Stats
 	ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: xdrop, Ordered: ordered}
 	var st Stats
 	var out []HSP
-	for k1, code := range ix1.Codes {
-		for i1 := ix1.Offsets[k1]; i1 < ix1.Offsets[k1+1]; i1++ {
-			p1 := ix1.Pos[i1]
-			lo1, hi1 := ix1.OccLo[i1], ix1.OccHi[i1]
-			s2, e2 := ix2.OccRange(code)
-			for i2 := s2; i2 < e2; i2++ {
-				if h, ok := ext.Extend(b1.Data, b2.Data, p1, ix2.Pos[i2], lo1, hi1, ix2.OccLo[i2], ix2.OccHi[i2], code, &st); ok {
+	for _, code := range ix1.Codes {
+		for _, p1 := range ix1.Occ(code) {
+			for _, p2 := range ix2.Occ(code) {
+				if h, ok := ext.Extend(b1.Data, b2.Data, p1, p2, code, &st); ok {
 					out = append(out, h)
 				}
 			}
@@ -457,8 +454,8 @@ func TestSecondRunAfterMismatchAborts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b1, b2 := mkBank("x", tc.s1), mkBank("y", tc.s2)
-			lo1, hi1 := b1.SeqBounds(0)
-			lo2, hi2 := b2.SeqBounds(0)
+			lo1, _ := b1.SeqBounds(0)
+			lo2, _ := b2.SeqBounds(0)
 			p1, p2 := lo1+tc.anchorOff, lo2+tc.anchorOff
 			anchor, ok := seed.Encode(b1.Data[p1:], w)
 			if !ok {
@@ -466,7 +463,7 @@ func TestSecondRunAfterMismatchAborts(t *testing.T) {
 			}
 			ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: 20, Ordered: true, SampleStep: tc.sampleStep}
 			var st Stats
-			h, ok := ext.Extend(b1.Data, b2.Data, p1, p2, lo1, hi1, lo2, hi2, anchor, &st)
+			h, ok := ext.Extend(b1.Data, b2.Data, p1, p2, anchor, &st)
 			if ok != tc.wantOK {
 				t.Fatalf("Extend ok=%v (aborted=%d), want %v", ok, st.Aborted, tc.wantOK)
 			}
@@ -475,7 +472,7 @@ func TestSecondRunAfterMismatchAborts(t *testing.T) {
 			}
 			// The naive extender never aborts, whatever the runs hold.
 			ext.Ordered = false
-			if _, ok := ext.Extend(b1.Data, b2.Data, p1, p2, lo1, hi1, lo2, hi2, anchor, nil); !ok {
+			if _, ok := ext.Extend(b1.Data, b2.Data, p1, p2, anchor, nil); !ok {
 				t.Error("unordered extension aborted")
 			}
 		})
@@ -492,11 +489,10 @@ func BenchmarkExtendOrdered(b *testing.B) {
 	// The lowest occupied code and its first occurrence.
 	code := ix1.Codes[0]
 	p1 := ix1.Occ(code)[0]
-	lo1, hi1 := b1.SeqBounds(0)
-	lo2, hi2 := b2.SeqBounds(0)
 	ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: 20, Ordered: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ext.Extend(b1.Data, b2.Data, p1, lo2+(p1-lo1), lo1, hi1, lo2, hi2, code, nil)
+		// One record a side, so equal Data positions are equal offsets.
+		ext.Extend(b1.Data, b2.Data, p1, p1, code, nil)
 	}
 }

@@ -25,7 +25,7 @@ func benchBank(n int) *bank.Bank {
 // BenchmarkIndexBuild measures the scan → radix sort → emit build on a
 // 1 Mb bank at W=11, serial vs all-cores parallel, against the legacy
 // linked-chain build (the pre-CSR implementation, which computed no
-// code directory and no bounds sidecar) as the same-machine baseline —
+// code directory) as the same-machine baseline —
 // and on a 16-read query bank (small16), where B/op is the figure: the
 // index is sized by the bank, so it must stay in the hundreds of KB.
 func BenchmarkIndexBuild(b *testing.B) {
@@ -74,9 +74,10 @@ func BenchmarkIndexBuild(b *testing.B) {
 // "Chain" reproduces the pre-CSR hot loop verbatim: walk the bank-1
 // Dict/Next chain, rematerialize the bank-2 occurrences into an occ2
 // cache, and call Bank.SeqAt/SeqBounds per occurrence. "CSR" is the
-// current shape: a forward merge of the two sorted directories, two
-// contiguous slice views and the precomputed bounds sidecar per shared
-// code. The ratio is the cache-locality + precomputation win.
+// current shape: a forward merge of the two sorted directories and two
+// contiguous slice views per shared code — positions are all a hit pair
+// reads, the records' ends being the bank's own sentinels. The ratio is
+// the cache-locality win plus the per-occurrence lookups not made.
 func BenchmarkIndexScan_CSRvsChain(b *testing.B) {
 	ds := simulate.NewDataSet(64)
 	b1, b2 := ds.Get(simulate.EST7), ds.Get(simulate.EST6)
@@ -131,17 +132,11 @@ func BenchmarkIndexScan_CSRvsChain(b *testing.B) {
 				if ix2.Codes[k2] != code {
 					continue
 				}
-				s1, e1 := ix1.Offsets[k1], ix1.Offsets[k1+1]
-				s2, e2 := ix2.Offsets[k2], ix2.Offsets[k2+1]
-				pos2 := ix2.Pos[s2:e2]
-				lo2 := ix2.OccLo[s2:e2]
-				hi2 := ix2.OccHi[s2:e2]
-				for i1 := s1; i1 < e1; i1++ {
-					p1 := ix1.Pos[i1]
-					lo1, hi1 := ix1.OccLo[i1], ix1.OccHi[i1]
-					for j, p2 := range pos2 {
+				pos2 := ix2.Pos[ix2.Offsets[k2]:ix2.Offsets[k2+1]]
+				for _, p1 := range ix1.Pos[ix1.Offsets[k1]:ix1.Offsets[k1+1]] {
+					for _, p2 := range pos2 {
 						pairs++
-						sink += int64(p1 + p2 + lo1 + hi1 + lo2[j] + hi2[j])
+						sink += int64(p1 + p2)
 					}
 				}
 			}

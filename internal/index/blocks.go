@@ -45,10 +45,10 @@ type BlockParts struct {
 	// parallel (occurrences per code, all > 0).
 	Codes  []seed.Code
 	Counts []int32
-	// Pos and the sidecars hold the occurrences in CSR order, in
-	// absolute bank coordinates (append-stable, so a stored block stays
-	// valid verbatim when the bank grows).
-	Pos, OccSeq, OccLo, OccHi []int32
+	// Pos holds the occurrences in CSR order, in absolute bank
+	// coordinates (append-stable, so a stored block stays valid verbatim
+	// when the bank grows).
+	Pos []int32
 	// MaskedOut and SampledOut count the windows of this Data range
 	// rejected by dust and sampling — per-block shares of the whole-bank
 	// counters (they sum exactly, since no window straddles a cut).
@@ -76,7 +76,7 @@ func checkCut(b *bank.Bank, seqLo, seqHi int) (dataLo, dataHi int, err error) {
 // everything it depends on is append-stable (DESIGN.md §7):
 //
 //   - Coordinates: appended sequences land after the final sentinel, so
-//     no stored position, sequence index, or bound shifts, and no seed
+//     no stored position shifts, and no seed
 //     window straddles the boundary (a window containing the sentinel
 //     is invalid by construction).
 //   - Sampling: SampleStep/SamplePhase select absolute Data residues,
@@ -101,8 +101,7 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 	}
 	return BlockParts{
 		SeqLo: seqLo, SeqHi: seqHi, DataLo: dataLo, DataHi: dataHi,
-		Codes: p.Codes, Counts: counts,
-		Pos: p.Pos, OccSeq: p.OccSeq, OccLo: p.OccLo, OccHi: p.OccHi,
+		Codes: p.Codes, Counts: counts, Pos: p.Pos,
 		MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 	}, nil
 }
@@ -189,9 +188,6 @@ func SplitBlocks(ix *Index, bounds []int) []BlockParts {
 			bk.Codes = append(bk.Codes, c)
 			bk.Counts = append(bk.Counts, int32(j-s))
 			bk.Pos = append(bk.Pos, ix.Pos[s:j]...)
-			bk.OccSeq = append(bk.OccSeq, ix.OccSeq[s:j]...)
-			bk.OccLo = append(bk.OccLo, ix.OccLo[s:j]...)
-			bk.OccHi = append(bk.OccHi, ix.OccHi[s:j]...)
 			s = j
 		}
 	}
@@ -206,8 +202,9 @@ func SplitBlocks(ix *Index, bounds []int) []BlockParts {
 // consistent), the blocks' sorted directories are merged and each
 // code's runs concatenated in block order — positions in block k all
 // precede positions in block k+1, so the concatenation is CSR order —
-// and the assembled parts then pass the same full structural
-// validation FromParts applies, so a hostile block fails closed. A
+// and the assembled parts then pass the same validation FromParts
+// applies (every position a real seed window of its slot's code), so a
+// hostile block fails closed. A
 // single block already is the index: its arrays (which may alias an
 // mmap'd file) are adopted, not copied, and only Offsets is computed.
 func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error) {
@@ -238,10 +235,6 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 		if len(bp.Codes) != len(bp.Counts) {
 			return nil, fmt.Errorf("index: FromBlocks: block %d has %d codes but %d counts",
 				i, len(bp.Codes), len(bp.Counts))
-		}
-		if len(bp.OccSeq) != len(bp.Pos) || len(bp.OccLo) != len(bp.Pos) || len(bp.OccHi) != len(bp.Pos) {
-			return nil, fmt.Errorf("index: FromBlocks: block %d sidecar lengths %d/%d/%d, want %d",
-				i, len(bp.OccSeq), len(bp.OccLo), len(bp.OccHi), len(bp.Pos))
 		}
 		var sum int
 		for j, c := range bp.Codes {
@@ -277,7 +270,6 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 	if len(blocks) == 1 {
 		bp := &blocks[0]
 		p.Codes, p.Pos = bp.Codes, bp.Pos
-		p.OccSeq, p.OccLo, p.OccHi = bp.OccSeq, bp.OccLo, bp.OccHi
 		p.Offsets = make([]int32, 1, len(bp.Codes)+1)
 		for _, k := range bp.Counts {
 			p.Offsets = append(p.Offsets, p.Offsets[len(p.Offsets)-1]+k)
@@ -319,9 +311,6 @@ func mergeBlocks(p *Parts, blocks []BlockParts, w int) {
 	p.Offsets = make([]int32, 0, distinct+1)
 
 	p.Pos = make([]int32, p.Indexed)
-	p.OccSeq = make([]int32, p.Indexed)
-	p.OccLo = make([]int32, p.Indexed)
-	p.OccHi = make([]int32, p.Indexed)
 	type cursor struct{ entry, occ int32 }
 	cur := make([]cursor, len(blocks))
 	var dst int32
@@ -333,9 +322,6 @@ func mergeBlocks(p *Parts, blocks []BlockParts, w int) {
 		bp, c := &blocks[uint32(v)], &cur[uint32(v)]
 		end := c.occ + bp.Counts[c.entry]
 		copy(p.Pos[dst:], bp.Pos[c.occ:end])
-		copy(p.OccSeq[dst:], bp.OccSeq[c.occ:end])
-		copy(p.OccLo[dst:], bp.OccLo[c.occ:end])
-		copy(p.OccHi[dst:], bp.OccHi[c.occ:end])
 		dst += end - c.occ
 		c.entry, c.occ = c.entry+1, end
 	}

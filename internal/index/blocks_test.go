@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bank"
@@ -81,11 +82,8 @@ func TestBuildBlockMatchesSplit(t *testing.T) {
 						i, want.Codes[i], want.Counts[i], built.Codes[i], built.Counts[i])
 				}
 			}
-			for i := range want.Pos {
-				if want.Pos[i] != built.Pos[i] || want.OccSeq[i] != built.OccSeq[i] ||
-					want.OccLo[i] != built.OccLo[i] || want.OccHi[i] != built.OccHi[i] {
-					t.Fatalf("occurrence %d differs", i)
-				}
+			if !slices.Equal(want.Pos, built.Pos) {
+				t.Fatal("occurrences differ")
 			}
 		})
 	}
@@ -131,6 +129,16 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 	opts := Options{W: 8}
 	ix := Build(b, opts)
 	fresh := func() []BlockParts { return SplitBlocks(ix, []int{2}) }
+	// Block 0 holds r0 and r1 (40 A's, then "NN"); block 1 ends with the
+	// bank. The poly-A code's slot has many occurrences.
+	_, r0End := b.SeqBounds(0)
+	r1Lo, _ := b.SeqBounds(1)
+	polyA := func(bl []BlockParts) []int32 {
+		if bl[0].Codes[0] != 0 || bl[0].Counts[0] < 2 {
+			t.Fatal("test bank lost its poly-A run")
+		}
+		return bl[0].Pos[:bl[0].Counts[0]]
+	}
 
 	cases := map[string]func([]BlockParts) []BlockParts{
 		"empty":       func(bl []BlockParts) []BlockParts { return nil },
@@ -144,9 +152,27 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 		"dupCode":     func(bl []BlockParts) []BlockParts { bl[0].Codes[1] = bl[0].Codes[0]; return bl },
 		"codeSpace":   func(bl []BlockParts) []BlockParts { bl[0].Codes[0] = seed.Code(seed.NumCodes(opts.W)); return bl },
 		"posEscape":   func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = int32(bl[0].DataHi); return bl },
-		"sidecarLen":  func(bl []BlockParts) []BlockParts { bl[0].OccSeq = bl[0].OccSeq[:1]; return bl },
 		"wrongSeqHi":  func(bl []BlockParts) []BlockParts { bl[1].SeqHi--; bl[1].DataHi = b.PrefixLen(bl[1].SeqHi); return bl },
 		"doubleCover": func(bl []BlockParts) []BlockParts { return append(bl, bl[1]) },
+
+		// Positions that are not seed windows of their slot's code — what
+		// an engine would extend from. All but posZero lie inside their
+		// block's Data range.
+		"posZero": func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = 0; return bl },
+		"posPastLastWindow": func(bl []BlockParts) []BlockParts {
+			last := bl[1].Pos
+			last[len(last)-1] = int32(len(b.Data) - opts.W)
+			return bl
+		},
+		"posStraddlesSentinel": func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = r0End - 3; return bl },
+		"posHoldsInvalidBase":  func(bl []BlockParts) []BlockParts { polyA(bl)[0] = r1Lo + 36; return bl },
+		"posOfAnotherCode":     func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = bl[0].Pos[bl[0].Counts[0]]; return bl },
+		"posDescending": func(bl []BlockParts) []BlockParts {
+			occ := polyA(bl)
+			occ[0], occ[1] = occ[1], occ[0]
+			return bl
+		},
+		"posRepeated": func(bl []BlockParts) []BlockParts { occ := polyA(bl); occ[1] = occ[0]; return bl },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {

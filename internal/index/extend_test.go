@@ -61,9 +61,6 @@ func samePartsT(t *testing.T, want, got Parts) {
 	}
 	check("Offsets", want.Offsets, got.Offsets)
 	check("Pos", want.Pos, got.Pos)
-	check("OccSeq", want.OccSeq, got.OccSeq)
-	check("OccLo", want.OccLo, got.OccLo)
-	check("OccHi", want.OccHi, got.OccHi)
 	if len(want.Codes) != len(got.Codes) {
 		t.Errorf("Codes length: want %d, got %d", len(want.Codes), len(got.Codes))
 	} else {
@@ -103,11 +100,6 @@ func TestExtendPreservesAccessors(t *testing.T) {
 			if w[i] != g[i] {
 				t.Fatalf("code %d: occ[%d] %d vs %d", c, i, w[i], g[i])
 			}
-		}
-		ws, we := want.OccRange(seed.Code(c))
-		gs, ge := got.OccRange(seed.Code(c))
-		if ws != gs || we != ge {
-			t.Fatalf("code %d: OccRange [%d,%d) vs [%d,%d)", c, ws, we, gs, ge)
 		}
 	}
 }

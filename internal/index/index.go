@@ -12,16 +12,18 @@
 // a 16-read query bank costs kilobytes, not the 16 MB a dense
 // dictionary would (see DESIGN.md §2).
 //
-// Per-occurrence sidecar arrays (OccSeq, OccLo, OccHi) precompute the
-// owning sequence and its Data bounds so the hot extension loops never
-// call Bank.SeqAt/SeqBounds per hit pair.
+// Positions are all the index stores per occurrence — the paper's one
+// 4-byte INDEX entry per indexed position. The extension loops need no
+// per-occurrence record bounds: every sequence in bank.Data is bracketed
+// by sentinel bytes that never match, so an extension ends on the bank's
+// own data (package hsp).
 //
 // The build is scan → sort → emit: a sharded scan over ascending bank
 // ranges appends one packed code<<32|pos word per accepted window, a
 // stable LSD radix sort on the code's 11-bit digits puts the words in
 // CSR order (positions arrive ascending, so stability keeps them
-// ascending inside each code), and one linear pass emits Pos, the
-// sidecars, Codes and Offsets. The output is canonical — byte-identical
+// ascending inside each code), and one linear pass emits Pos, Codes and
+// Offsets. The output is canonical — byte-identical
 // for any worker count — because the shards cover ascending position
 // ranges and are concatenated in shard order before the sort.
 //
@@ -51,6 +53,8 @@
 package index
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -111,13 +115,6 @@ type Index struct {
 	// Pos is the flat occurrence array, length Indexed, grouped by code
 	// and ascending inside each group.
 	Pos []int32
-
-	// OccSeq[i], OccLo[i], OccHi[i] are the owning sequence of Pos[i]
-	// and its half-open Data bounds, precomputed so hit loops skip the
-	// per-position Bank lookups.
-	OccSeq []int32
-	OccLo  []int32
-	OccHi  []int32
 
 	// Indexed is the number of positions inserted.
 	Indexed int
@@ -242,12 +239,9 @@ func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) Parts {
 	// ascending, so they stay ascending inside each code ----
 	sorted := sortByCode(words[:n], make([]uint64, n), w)
 
-	// ---- emit: Pos and the sidecars stream out in index order, sharded;
-	// each shard also counts the directory entries that start in it ----
+	// ---- emit: Pos streams out in index order, sharded; each shard also
+	// counts the directory entries that start in it ----
 	p.Pos = make([]int32, n)
-	p.OccSeq = make([]int32, n)
-	p.OccLo = make([]int32, n)
-	p.OccHi = make([]int32, n)
 	starts := make([]int, workers)
 	runShards(workers, func(sid int) {
 		k := 0
@@ -255,11 +249,7 @@ func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) Parts {
 			if i == 0 || sorted[i]>>32 != sorted[i-1]>>32 {
 				k++
 			}
-			pos := int32(uint32(sorted[i]))
-			s := b.SeqAt(pos)
-			p.Pos[i] = pos
-			p.OccSeq[i] = s
-			p.OccLo[i], p.OccHi[i] = b.SeqBounds(int(s))
+			p.Pos[i] = int32(uint32(sorted[i]))
 		}
 		starts[sid] = k
 	})
@@ -331,12 +321,11 @@ func runShards(workers int, fn func(sid int)) {
 // read-only memory (an mmap'd file section): nothing in this package
 // writes to a reassembled Index, per the immutability contract above.
 type Parts struct {
-	Codes                []seed.Code
-	Offsets, Pos         []int32
-	OccSeq, OccLo, OccHi []int32
-	Indexed              int
-	MaskedOut            int
-	SampledOut           int
+	Codes        []seed.Code
+	Offsets, Pos []int32
+	Indexed      int
+	MaskedOut    int
+	SampledOut   int
 }
 
 // Parts returns the components of ix. The slices are the index's own
@@ -344,7 +333,6 @@ type Parts struct {
 func (ix *Index) Parts() Parts {
 	return Parts{
 		Codes: ix.Codes, Offsets: ix.Offsets, Pos: ix.Pos,
-		OccSeq: ix.OccSeq, OccLo: ix.OccLo, OccHi: ix.OccHi,
 		Indexed: ix.Indexed, MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
 	}
 }
@@ -355,19 +343,19 @@ func assemble(b *bank.Bank, opts Options, p Parts) *Index {
 	return &Index{
 		Bank: b, W: opts.W,
 		Codes: p.Codes, Offsets: p.Offsets, Pos: p.Pos,
-		OccSeq: p.OccSeq, OccLo: p.OccLo, OccHi: p.OccHi,
 		Indexed: p.Indexed, MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 		opts: opts,
 	}
 }
 
 // FromParts reassembles an Index from its components, as if
-// Build(b, opts) had produced it. It validates the structural
-// invariants that every accessor depends on (see checkParts), so a
-// corrupted or mismatched source cannot yield an Index whose hot loops
-// read out of bounds. Content-level integrity (the right positions for
-// this bank) is the storage layer's job: ixdisk checksums the file and
-// keys it by bank identity before reassembling.
+// Build(b, opts) had produced it. It validates everything the engines
+// rely on (see checkParts), so a corrupted or mismatched source cannot
+// yield an Index whose hot loops read out of bounds or seed an
+// extension anywhere but on a real seed window of b. What it cannot
+// tell is whether occurrences are missing (dust and sampling decide
+// that): ixdisk checksums the file and keys it by bank identity before
+// reassembling.
 func FromParts(b *bank.Bank, opts Options, p Parts) (*Index, error) {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
@@ -379,12 +367,20 @@ func FromParts(b *bank.Bank, opts Options, p Parts) (*Index, error) {
 	return assemble(b, opts, p), nil
 }
 
-// checkParts validates the structural invariants of untrusted parts
-// against bank b: array lengths consistent with Indexed, Codes strictly
-// ascending inside [0, 4^W), Offsets strictly increasing from 0 to
-// Indexed (every listed code has at least one occurrence), and every
-// occurrence inside the bounds of the sequence its sidecar entry names
-// (with the sidecar bounds being that sequence's real bounds).
+// checkParts validates untrusted parts against bank b: array lengths
+// consistent with Indexed, Codes strictly ascending inside [0, 4^W),
+// Offsets strictly increasing from 0 to Indexed (every listed code has
+// at least one occurrence), and every occurrence a real seed window —
+// W valid bases of b.Data that encode to the code of its directory
+// slot, positions strictly ascending inside the slot.
+//
+// The window check is what the engines' memory safety rests on. The
+// extension loops (package hsp) take no bounds: they stop at the first
+// sentinel. A position that passes is inside Data with a sentinel
+// somewhere on both sides (Data begins and ends with one, and a window
+// of valid bases contains none), and inside one record for the same
+// reason — so no file that passes can make an extension read outside
+// Data or report an HSP that spans a record boundary.
 //
 //scorislint:validator
 func checkParts(b *bank.Bank, opts Options, p Parts) error {
@@ -399,10 +395,6 @@ func checkParts(b *bank.Bank, opts Options, p Parts) error {
 		return fmt.Errorf("index: FromParts: Indexed=%d but len(Pos)=%d, Offsets[end]=%d",
 			p.Indexed, len(p.Pos), p.Offsets[len(p.Codes)])
 	}
-	if len(p.OccSeq) != p.Indexed || len(p.OccLo) != p.Indexed || len(p.OccHi) != p.Indexed {
-		return fmt.Errorf("index: FromParts: sidecar lengths %d/%d/%d, want Indexed=%d",
-			len(p.OccSeq), len(p.OccLo), len(p.OccHi), p.Indexed)
-	}
 	n := seed.NumCodes(opts.W)
 	for i, c := range p.Codes {
 		if int(c) >= n || (i > 0 && p.Codes[i-1] >= c) {
@@ -412,71 +404,84 @@ func checkParts(b *bank.Bank, opts Options, p Parts) error {
 			return fmt.Errorf("index: FromParts: Offsets not strictly increasing at entry %d", i)
 		}
 	}
-	// Per-occurrence validation: every position must sit inside the
-	// bounds of the sequence its sidecar entry names, and the sidecar
-	// bounds must be that sequence's real bounds — so a hostile file
-	// can never make the hot extension loops (which trust OccLo/OccHi
-	// as scan limits) read outside the bank. The per-sequence bounds are
-	// gathered up front and the parallel arrays re-sliced to a common
-	// length so the O(Indexed) sweep runs without per-element method
-	// calls or redundant bounds checks (this sweep is the validation
-	// cost of every disk load).
-	numSeqs := b.NumSeqs()
-	lows := make([]int32, numSeqs)
-	his := make([]int32, numSeqs)
-	for s := 0; s < numSeqs; s++ {
-		lows[s], his[s] = b.SeqBounds(s)
+	// Per-occurrence sweep, the validation cost of every disk load. It
+	// reads Data at the positions' order — random — so memory latency is
+	// most of it; slot ranges are swept concurrently like a build's.
+	workers := buildWorkers(opts, len(b.Data))
+	errs := make([]error, workers)
+	runShards(workers, func(sid int) {
+		lo, hi := sid*len(p.Codes)/workers, (sid+1)*len(p.Codes)/workers
+		errs[sid] = checkWindows(b.Data, opts.W, p.Codes[lo:hi], p.Offsets[lo:hi+1], p.Pos)
+	})
+	return errors.Join(errs...)
+}
+
+// checkWindows is checkParts' sweep over a range of directory slots
+// (offsets has one entry more than codes). A slot's code is spread once
+// into the bytes its windows must hold — two words, since W ≤ 15 — and
+// each occurrence is then a range test and two masked word compares. An
+// ambiguous base or a sentinel differs from every base, so "valid"
+// needs no test of its own.
+func checkWindows(data []byte, w int, codes []seed.Code, offsets, positions []int32) error {
+	maskLo, maskHi := ^uint64(0), uint64(0)
+	if w < 8 {
+		maskLo = 1<<(8*uint(w)) - 1
+	} else {
+		maskHi = 1<<(8*uint(w-8)) - 1
 	}
-	w32 := int32(opts.W)
-	pos := p.Pos
-	occSeq := p.OccSeq[:len(pos)]
-	occLo := p.OccLo[:len(pos)]
-	occHi := p.OccHi[:len(pos)]
-	for i := range pos {
-		s := occSeq[i]
-		if s < 0 || int(s) >= numSeqs {
-			return fmt.Errorf("index: FromParts: OccSeq[%d]=%d outside [0,%d)", i, s, numSeqs)
-		}
-		lo, hi := lows[s], his[s]
-		if occLo[i] != lo || occHi[i] != hi {
-			return fmt.Errorf("index: FromParts: sidecar bounds [%d,%d) for position %d disagree with sequence %d bounds [%d,%d)",
-				occLo[i], occHi[i], pos[i], s, lo, hi)
-		}
-		if pos[i] < lo || pos[i]+w32 > hi {
-			return fmt.Errorf("index: FromParts: position %d (W=%d) outside its sequence bounds [%d,%d)",
-				pos[i], opts.W, lo, hi)
+	for i, c := range codes {
+		wantLo, wantHi := spreadBases(uint64(c)), spreadBases(uint64(c)>>16)
+		prev := int32(-1)
+		for _, pos := range positions[offsets[i]:offsets[i+1]] {
+			if pos <= prev || int(pos)+w > len(data) {
+				return fmt.Errorf("index: FromParts: position %d under code %d is not an ascending W=%d window inside the bank", pos, c, w)
+			}
+			var lo, hi uint64
+			if int(pos)+16 <= len(data) {
+				lo, hi = binary.LittleEndian.Uint64(data[pos:]), binary.LittleEndian.Uint64(data[pos+8:])
+			} else {
+				var tail [16]byte
+				copy(tail[:], data[pos:])
+				lo, hi = binary.LittleEndian.Uint64(tail[:]), binary.LittleEndian.Uint64(tail[8:])
+			}
+			if (lo^wantLo)&maskLo|(hi^wantHi)&maskHi != 0 {
+				return fmt.Errorf("index: FromParts: the W=%d window at position %d does not encode to code %d of its slot", w, pos, c)
+			}
+			prev = pos
 		}
 	}
 	return nil
 }
 
-// Occ returns the occurrences of code c as a contiguous ascending slice
-// view into the flat array (empty when the bank does not contain c).
-// Callers must not mutate it.
-func (ix *Index) Occ(c seed.Code) []int32 {
-	start, end := ix.OccRange(c)
-	return ix.Pos[start:end]
+// spreadBases expands the low 16 bits of c — eight 2-bit bases, the
+// first in the lowest bits — into eight bytes, base i in byte i: the
+// little-endian word a seed window of those bases reads as.
+func spreadBases(c uint64) uint64 {
+	c &= 0xFFFF
+	c = (c | c<<24) & 0x000000FF000000FF
+	c = (c | c<<12) & 0x000F000F000F000F
+	c = (c | c<<6) & 0x0303030303030303
+	return c
 }
 
-// OccRange returns the half-open [start,end) range of c's occurrences
-// inside Pos and the sidecar arrays — a binary search of the Codes
-// directory, for callers that probe by code (the BLAT tile scan). An
-// absent code yields an empty range.
-func (ix *Index) OccRange(c seed.Code) (start, end int32) {
+// Occ returns the occurrences of code c as a contiguous ascending slice
+// view into the flat array — a binary search of the Codes directory, for
+// callers that probe by code (the BLAT tile scan). It is empty when the
+// bank does not contain c. Callers must not mutate it.
+func (ix *Index) Occ(c seed.Code) []int32 {
 	i, found := slices.BinarySearch(ix.Codes, c)
 	if !found {
-		return 0, 0
+		return nil
 	}
-	return ix.Offsets[i], ix.Offsets[i+1]
+	return ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]]
 }
 
 // MemoryBytes reports the footprint of the index arrays (Codes +
-// Offsets + Pos + sidecar), the "INDEX" part of the paper's ≈5N
-// bytes/bank estimate; DESIGN.md §3 gives the exact math for this
-// layout.
+// Offsets + Pos), the "INDEX" part of the paper's ≈5N bytes/bank
+// estimate: 4 bytes per indexed position plus 8 per distinct code
+// (DESIGN.md §3).
 func (ix *Index) MemoryBytes() int {
-	return 4 * (len(ix.Codes) + len(ix.Offsets) + len(ix.Pos) +
-		len(ix.OccSeq) + len(ix.OccLo) + len(ix.OccHi))
+	return 4 * (len(ix.Codes) + len(ix.Offsets) + len(ix.Pos))
 }
 
 // Options returns the options the index was built with.

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -166,9 +168,6 @@ func TestAbsentSeedHeadIsMinusOne(t *testing.T) {
 	if occ := ix.Occ(cGGGG); len(occ) != 0 {
 		t.Errorf("GGGG occurrences = %v, want none", occ)
 	}
-	if s, e := ix.OccRange(cGGGG); s != e {
-		t.Errorf("GGGG range = [%d,%d), want empty", s, e)
-	}
 }
 
 func TestDustMaskingRemovesLowComplexitySeeds(t *testing.T) {
@@ -306,11 +305,13 @@ func BenchmarkBuildW11_1Mb(b *testing.B) {
 	}
 }
 
-// TestFromPartsRejectsHostileSidecars: the reassembly constructor must
-// refuse a malformed directory (Codes/Offsets) and sidecar data the hot
-// extension loops would trust as scan bounds, not just a malformed Pos.
-func TestFromPartsRejectsHostileSidecars(t *testing.T) {
-	b := mkBank("ACGTACGTACGTACGT", "TTCGATCGATCGAA")
+// TestFromPartsRejectsHostileParts: the reassembly constructor must
+// refuse a malformed directory (Codes/Offsets) and any position that is
+// not a seed window of its slot's code — the extension loops take no
+// bounds, so a position is all that stands between a stored index and
+// the bank's memory.
+func TestFromPartsRejectsHostileParts(t *testing.T) {
+	b := mkBank("ACGTACGTACGTACGT", "TTCGATCGNATCGAA")
 	built := Build(b, Options{W: 4})
 	good := built.Parts()
 
@@ -319,9 +320,6 @@ func TestFromPartsRejectsHostileSidecars(t *testing.T) {
 		p.Codes = slices.Clone(good.Codes)
 		p.Offsets = slices.Clone(good.Offsets)
 		p.Pos = slices.Clone(good.Pos)
-		p.OccSeq = slices.Clone(good.OccSeq)
-		p.OccLo = slices.Clone(good.OccLo)
-		p.OccHi = slices.Clone(good.OccHi)
 		mutate(&p)
 		_, err := FromParts(b, Options{W: 4}, p)
 		return err
@@ -331,23 +329,37 @@ func TestFromPartsRejectsHostileSidecars(t *testing.T) {
 		t.Fatalf("unmutated parts rejected: %v", err)
 	}
 	last := len(good.Codes)
+	_, end0 := b.SeqBounds(0)
+	lo1, _ := b.SeqBounds(1)
+	// ACGT occurs four times in the first record.
+	acgt, _ := seed.Encode([]byte{0, 1, 3, 2}, 4)
+	slot, found := slices.BinarySearch(good.Codes, acgt)
+	if !found || good.Offsets[slot+1]-good.Offsets[slot] < 2 {
+		t.Fatal("test bank lost its repeated ACGT")
+	}
+	rep := good.Offsets[slot]
 	cases := map[string]func(p *Parts){
-		"unsorted-code":      func(p *Parts) { p.Codes[0], p.Codes[1] = p.Codes[1], p.Codes[0] },
-		"duplicate-code":     func(p *Parts) { p.Codes[1] = p.Codes[0] },
-		"code-outside-4^W":   func(p *Parts) { p.Codes[last-1] = seed.Code(seed.NumCodes(4)) },
-		"first-offset":       func(p *Parts) { p.Offsets[0] = 1 },
-		"flat-offset":        func(p *Parts) { p.Offsets[1] = p.Offsets[0] },
-		"descending-offset":  func(p *Parts) { p.Offsets[1] = p.Offsets[2] + 1 },
-		"last-offset":        func(p *Parts) { p.Offsets[last]-- },
-		"offsets-too-short":  func(p *Parts) { p.Offsets = p.Offsets[:last] },
-		"offsets-too-long":   func(p *Parts) { p.Offsets = append(p.Offsets, p.Offsets[last]) },
-		"no-offsets":         func(p *Parts) { p.Offsets = nil; p.Codes = nil },
-		"indexed-mismatch":   func(p *Parts) { p.Indexed++ },
-		"seq-out-of-range":   func(p *Parts) { p.OccSeq[0] = 99 },
-		"negative-seq":       func(p *Parts) { p.OccSeq[0] = -1 },
-		"hi-past-data":       func(p *Parts) { p.OccHi[0] = int32(len(b.Data)) + 100 },
-		"lo-above-pos":       func(p *Parts) { p.OccLo[0] = p.Pos[0] + 1 },
-		"pos-window-past-hi": func(p *Parts) { p.Pos[0] = p.OccHi[0] - 1 },
+		"unsorted-code":     func(p *Parts) { p.Codes[0], p.Codes[1] = p.Codes[1], p.Codes[0] },
+		"duplicate-code":    func(p *Parts) { p.Codes[1] = p.Codes[0] },
+		"code-outside-4^W":  func(p *Parts) { p.Codes[last-1] = seed.Code(seed.NumCodes(4)) },
+		"first-offset":      func(p *Parts) { p.Offsets[0] = 1 },
+		"flat-offset":       func(p *Parts) { p.Offsets[1] = p.Offsets[0] },
+		"descending-offset": func(p *Parts) { p.Offsets[1] = p.Offsets[2] + 1 },
+		"last-offset":       func(p *Parts) { p.Offsets[last]-- },
+		"offsets-too-short": func(p *Parts) { p.Offsets = p.Offsets[:last] },
+		"offsets-too-long":  func(p *Parts) { p.Offsets = append(p.Offsets, p.Offsets[last]) },
+		"no-offsets":        func(p *Parts) { p.Offsets = nil; p.Codes = nil },
+		"indexed-mismatch":  func(p *Parts) { p.Indexed++ },
+
+		"position-zero":             func(p *Parts) { p.Pos[0] = 0 },
+		"position-negative":         func(p *Parts) { p.Pos[0] = -1 },
+		"position-past-last-window": func(p *Parts) { p.Pos[0] = int32(len(b.Data)) - 4 },
+		"position-past-data":        func(p *Parts) { p.Pos[0] = int32(len(b.Data)) },
+		"window-straddles-sentinel": func(p *Parts) { p.Pos[0] = end0 - 2 },
+		"window-holds-invalid-base": func(p *Parts) { p.Pos[0] = lo1 + 5 },
+		"window-of-another-code":    func(p *Parts) { p.Pos[0] = p.Pos[p.Offsets[1]] },
+		"positions-descending":      func(p *Parts) { p.Pos[rep], p.Pos[rep+1] = p.Pos[rep+1], p.Pos[rep] },
+		"position-repeated":         func(p *Parts) { p.Pos[rep+1] = p.Pos[rep] },
 	}
 	for name, mutate := range cases {
 		if err := corrupt(mutate); err == nil {
@@ -373,7 +385,57 @@ func TestSmallBankIndexIsSmall(t *testing.T) {
 	if perBuild := (after.TotalAlloc - before.TotalAlloc) / runs; perBuild >= 1<<20 {
 		t.Errorf("Build of a %d-byte bank allocates %d bytes, want < 1 MiB", len(b.Data), perBuild)
 	}
-	if ix.MemoryBytes() > 32*len(b.Data) {
-		t.Errorf("MemoryBytes = %d for a %d-byte bank, want ≤ 32 bytes per Data byte", ix.MemoryBytes(), len(b.Data))
+	if ix.MemoryBytes() > 12*len(b.Data) {
+		t.Errorf("MemoryBytes = %d for a %d-byte bank, want ≤ 12 bytes per Data byte", ix.MemoryBytes(), len(b.Data))
+	}
+	if want := 4 * (len(ix.Pos) + len(ix.Codes) + len(ix.Offsets)); ix.MemoryBytes() != want {
+		t.Errorf("MemoryBytes = %d, want 4·(Pos+Codes+Offsets) = %d: a position costs four bytes and nothing else",
+			ix.MemoryBytes(), want)
+	}
+}
+
+// The window check compares Data words against a code spread into
+// bytes: for every W the spread words must hold exactly the bases
+// seed.Decode gives, and a built index of any W — its last window ends
+// on the bank's last base, so the short read at Data's tail is
+// exercised — must pass.
+func TestWindowCheckAgreesWithSeedCoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for w := 1; w <= seed.MaxW; w++ {
+		for trial := 0; trial < 200; trial++ {
+			c := seed.Code(rng.Intn(seed.NumCodes(w)))
+			var got [16]byte
+			binary.LittleEndian.PutUint64(got[:], spreadBases(uint64(c)))
+			binary.LittleEndian.PutUint64(got[8:], spreadBases(uint64(c)>>16))
+			if want := seed.Decode(c, w); !bytes.Equal(got[:w], want) || !bytes.Equal(got[w:], make([]byte, 16-w)) {
+				t.Fatalf("W=%d code %d spreads to %v, want %v then zeros", w, c, got, want)
+			}
+		}
+		seqs := make([]string, 3)
+		for i := range seqs {
+			s := make([]byte, 20+rng.Intn(60))
+			for j := range s {
+				s[j] = "ACGT"[rng.Intn(4)]
+			}
+			seqs[i] = string(s)
+		}
+		b := mkBank(seqs...)
+		ix := Build(b, Options{W: w})
+		if last := int32(len(b.Data) - 1 - w); !slices.Contains(ix.Pos, last) {
+			t.Fatalf("W=%d: the bank's last window %d is not indexed", w, last)
+		}
+		if _, err := FromParts(b, Options{W: w}, ix.Parts()); err != nil {
+			t.Errorf("W=%d: built parts rejected: %v", w, err)
+		}
+		// One base off is another window: every occurrence of the first
+		// slot moved right by one must be refused (poly-runs aside, the
+		// shifted window encodes to a different code).
+		p := ix.Parts()
+		p.Pos = slices.Clone(p.Pos)
+		p.Pos[0]++
+		shifted, _ := seed.Encode(b.Data[p.Pos[0]:], w)
+		if _, err := FromParts(b, Options{W: w}, p); err == nil && shifted != p.Codes[0] {
+			t.Errorf("W=%d: position shifted onto code %d accepted under code %d", w, shifted, p.Codes[0])
+		}
 	}
 }

@@ -3,6 +3,7 @@ package ixdisk
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,10 +14,13 @@ import (
 	"repro/internal/seed"
 )
 
-// legacyV2Fixture is a real version-2 file, written once by the last
-// commit that had a v2 writer, for legacyBank() at W=4. No reader may
-// ever accept it.
-const legacyV2Fixture = "testdata/legacy-v2.orix"
+// The legacy fixtures are real files of retired versions, each written
+// once by the last commit that had its writer, for legacyBank() at W=4.
+// No reader may ever accept one.
+const (
+	legacyV2Fixture = "testdata/legacy-v2.orix"
+	legacyV3Fixture = "testdata/legacy-v3.orix"
+)
 
 // fuzzSeedFile builds the canonical fuzz fixtures: a small bank, its
 // built index, and the valid .orix bytes Save produces for it in both
@@ -51,8 +55,9 @@ func fuzzSeedFile(tb testing.TB) (multi, single []byte, b *bank.Bank, opts index
 // classes the readers' validation ladder distinguishes — truncations at
 // every framing boundary, bit-flips in the magic, version, header CRC,
 // block headers and bodies, the footer directory and the trailer — and
-// the legacy v2 fixture, as written and relabelled as version 3, which
-// must be rejected every time.
+// the legacy fixtures, as written and relabelled as the current version,
+// which must be rejected every time (a relabelled v3 file has the right
+// framing and four times the bytes its block headers account for).
 func addFrameSeeds(f *testing.F, multi, single []byte) {
 	f.Add([]byte{})
 	for _, valid := range [][]byte{multi, single} {
@@ -66,7 +71,7 @@ func addFrameSeeds(f *testing.F, multi, single []byte) {
 	}
 	f.Add(v2)
 	relabelled := bytes.Clone(v2)
-	binary.LittleEndian.PutUint32(relabelled[8:], version3)
+	binary.LittleEndian.PutUint32(relabelled[8:], formatVersion)
 	f.Add(bytes.Clone(relabelled))
 	binary.LittleEndian.PutUint32(relabelled[12:], headerSizeV3)
 	f.Add(relabelled)
@@ -86,15 +91,32 @@ func addFrameSeeds(f *testing.F, multi, single []byte) {
 		mut[off] ^= 0x40
 		f.Add(mut)
 	}
+	// Last, so the seeds that predate the v3 fixture keep their numbers.
+	v3, err := os.ReadFile(legacyV3Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3)
+	f.Add(relabelV3(v3))
+}
+
+// relabelV3 returns a v3 file's bytes claiming the current version, the
+// header CRC made good: every checksum in it then holds, and only what
+// the block headers say about their own length gives it away.
+func relabelV3(v3 []byte) []byte {
+	out := bytes.Clone(v3)
+	binary.LittleEndian.PutUint32(out[8:], formatVersion)
+	binary.LittleEndian.PutUint32(out[44:], crc32.Checksum(out[:44], crc32Table))
+	return out
 }
 
 // loadInvariants asserts what a successful load must always deliver: a
-// version-3 input, and a prepared index over the requesting bank whose
+// current-version input, and a prepared index over the requesting bank whose
 // occurrence lists are addressable — the properties mid-parse
 // corruption would break first.
 func loadInvariants(t *testing.T, data []byte, p *ixcache.Prepared, b *bank.Bank, opts index.Options) {
 	t.Helper()
-	if v := binary.LittleEndian.Uint32(data[8:]); v != version3 {
+	if v := binary.LittleEndian.Uint32(data[8:]); v != formatVersion {
 		t.Fatalf("load accepted a version-%d file", v)
 	}
 	if p == nil || p.Ix == nil || p.Bank != b {

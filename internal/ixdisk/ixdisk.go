@@ -8,20 +8,28 @@
 //
 // # File format
 //
-// There is one format, version 3 — block-structured: an options-key
-// header, per-sequence-group CSR blocks each carrying its own CRC-32C,
-// and a footer holding the bank identity (content CRC-64, per-sequence
-// checksum vector) plus a directory of block offsets and ranges. The
-// full layout, append discipline, and partial-load rules live in v3.go
-// and DESIGN.md §7. The structure buys two things a monolithic layout
+// There is one format, version 4 — block-structured: an options-key
+// header, per-sequence-group CSR blocks (code directory + positions,
+// 4 bytes per occurrence) each carrying its own CRC-32C, and a footer
+// holding the bank identity (content CRC-64, per-sequence checksum
+// vector) plus a directory of block offsets and ranges. The full
+// layout, append discipline, and partial-load rules live in v3.go and
+// DESIGN.md §7. The structure buys two things a monolithic layout
 // cannot offer: appending to a bank writes exactly one new block plus a
 // footer (O(suffix), the file is never rewritten), and a bank that is a
 // block-boundary prefix of a stored file loads by reading only its
 // covering blocks.
 //
-// Files of any other version (the monolithic v1 and v2 layouts earlier
-// releases wrote) are rejected with ErrVersion at the header — never
-// parsed — and the store heals them by rebuild, like any rejected file.
+// Files of any other version — the monolithic v1 and v2 layouts, and
+// v3, the same framing with a 12-byte per-occurrence bounds sidecar —
+// are rejected with ErrVersion at the header, never parsed, and the
+// store heals them by rebuild, like any rejected file (so a store
+// shared by old and new binaries rebuilds on every alternation).
+//
+// Checksums say a file is the file that was written, not who wrote it:
+// what the engines rely on — every stored position a real seed window
+// of the requesting bank under its slot's code — is proved against the
+// bank on every load (index.FromBlocks; DESIGN.md §7).
 //
 // # Invalidation and append-aware reuse
 //

@@ -75,9 +75,6 @@ func assertIndexEqual(t *testing.T, built, loaded *index.Index) {
 	if !sameInts(bp.Codes, lp.Codes) {
 		t.Error("Codes differ after round trip")
 	}
-	if !sameInts(bp.OccSeq, lp.OccSeq) || !sameInts(bp.OccLo, lp.OccLo) || !sameInts(bp.OccHi, lp.OccHi) {
-		t.Error("sidecar arrays differ after round trip")
-	}
 	if bp.Indexed != lp.Indexed || bp.MaskedOut != lp.MaskedOut || bp.SampledOut != lp.SampledOut {
 		t.Errorf("counters differ: built %d/%d/%d, loaded %d/%d/%d",
 			bp.Indexed, bp.MaskedOut, bp.SampledOut, lp.Indexed, lp.MaskedOut, lp.SampledOut)

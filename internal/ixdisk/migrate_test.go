@@ -13,6 +13,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bank"
@@ -21,8 +23,8 @@ import (
 	"repro/internal/ixcache"
 )
 
-// legacyBank is the bank the committed v2 fixture was saved from (under
-// index.Options{W: 4}).
+// legacyBank is the bank the committed v2 and v3 fixtures were saved
+// from (under index.Options{W: 4}).
 func legacyBank() (*bank.Bank, index.Options) {
 	return bank.New("legacy", []*fasta.Record{
 		{ID: "s0", Seq: []byte("ACGTTGCAAGGCTTAACGGATC")},
@@ -30,15 +32,16 @@ func legacyBank() (*bank.Bank, index.Options) {
 	}), index.Options{W: 4}
 }
 
-// TestLegacyV2Rejected pins the retirement of the v2 layout against a
-// real v2 file: both readers and the probe reject it with ErrVersion —
+// assertRetired pins the retirement of a format version against a real
+// file of it: both readers and the probe reject it with ErrVersion —
 // never parse it — and a store whose key path holds one pays exactly
 // one store error and one build, then holds a current-format file.
-func TestLegacyV2Rejected(t *testing.T) {
+func assertRetired(t *testing.T, fixture string) {
+	t.Helper()
 	b, opts := legacyBank()
-	loadBoth(t, legacyV2Fixture, b, opts, ErrVersion)
-	if info, err := Probe(legacyV2Fixture); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Probe of a v2 file: %+v, %v — want ErrVersion", info, err)
+	loadBoth(t, fixture, b, opts, ErrVersion)
+	if info, err := Probe(fixture); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Probe of %s: %+v, %v — want ErrVersion", fixture, info, err)
 	}
 
 	store, err := NewDirStore(t.TempDir())
@@ -46,29 +49,52 @@ func TestLegacyV2Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	v2, err := os.ReadFile(legacyV2Fixture)
+	old, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := store.Path(b, opts)
-	if err := os.WriteFile(exact, v2, 0o644); err != nil {
+	if err := os.WriteFile(exact, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := ixcache.New(4)
 	c.SetStore(store)
 	p := c.Get(b, opts)
 	if c.Builds() != 1 || c.DiskErrors() != 1 || c.DiskHits() != 0 {
-		t.Fatalf("v2 file at the key path: builds=%d diskErrs=%d diskHits=%d, want 1/1/0",
-			c.Builds(), c.DiskErrors(), c.DiskHits())
+		t.Fatalf("%s at the key path: builds=%d diskErrs=%d diskHits=%d, want 1/1/0",
+			fixture, c.Builds(), c.DiskErrors(), c.DiskHits())
 	}
-	if info, err := Probe(exact); err != nil || info.Version != version3 {
-		t.Fatalf("store did not overwrite the v2 file with a v3 one: %+v, %v", info, err)
+	if info, err := Probe(exact); err != nil || info.Version != formatVersion {
+		t.Fatalf("store did not overwrite %s with a current-format file: %+v, %v", fixture, info, err)
 	}
 	loaded, err := Load(exact, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertIndexEqual(t, p.Ix, loaded.Ix)
+}
+
+// TestLegacyV2Rejected: the monolithic v2 layout, against the file the
+// last commit with a v2 writer wrote.
+func TestLegacyV2Rejected(t *testing.T) { assertRetired(t, legacyV2Fixture) }
+
+// TestLegacyV3Rejected: v3 — today's framing with the per-occurrence
+// bounds sidecar — against the file the last commit that wrote v3
+// saved. Its header, footer and block CRCs are all valid; only the
+// version gate stands between it and a reader that would take its
+// sixteen bytes per occurrence for four.
+func TestLegacyV3Rejected(t *testing.T) {
+	assertRetired(t, legacyV3Fixture)
+	v3, err := os.ReadFile(legacyV3Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabelled := filepath.Join(t.TempDir(), "relabelled"+FileExt)
+	if err := os.WriteFile(relabelled, relabelV3(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, opts := legacyBank()
+	loadBoth(t, relabelled, b, opts, ErrTruncated)
 }
 
 // TestPathStable pins the filename a (bank, options) key maps to, to
@@ -340,26 +366,101 @@ func resealFooter(buf []byte, fs int) {
 	binary.LittleEndian.PutUint32(buf[end:], crc32.Checksum(buf[fs:end], crc32Table))
 }
 
+// TestCraftedPositionsRejected: a file whose every checksum holds —
+// written by someone who can compute CRCs — but whose first stored
+// position is not a seed window of its slot's code. Neither reader may
+// hand it to the engines, which extend from a position with no bounds
+// but the bank's own sentinels.
+func TestCraftedPositionsRejected(t *testing.T) {
+	b := genBank(t, "crafted", 2048)
+	opts := index.Options{W: 8}
+	built := ixcache.Prepare(b, opts)
+	_, r1End := b.SeqBounds(0)
+	for name, pos := range map[string]int32{
+		"straddles-sentinel": r1End - 3,
+		"runs-off-the-bank":  int32(len(b.Data)) - 2,
+		"another-code":       built.Ix.Pos[built.Ix.Offsets[1]],
+	} {
+		t.Run(name, func(t *testing.T) {
+			path, buf := saveValid(t, b, opts)
+			fs := len(buf) - int(binary.LittleEndian.Uint32(buf[len(buf)-12:]))
+			ftr, err := parseFooterV3(buf[fs:], int64(len(buf)))
+			if err != nil || len(ftr.dir) != 1 {
+				t.Fatalf("want a single-block file: %v", err)
+			}
+			blk := buf[ftr.dir[0].offset : ftr.dir[0].offset+ftr.dir[0].length]
+			nCodes := int(binary.LittleEndian.Uint32(blk[40:]))
+			raw := blockHdrSize + 8*nCodes + 4*int(binary.LittleEndian.Uint64(blk[32:]))
+			binary.LittleEndian.PutUint32(blk[blockHdrSize+8*nCodes:], uint32(pos)) // Pos[0]
+			crc := crc32.Checksum(blk[:raw], crc32Table)
+			binary.LittleEndian.PutUint32(blk[raw:], crc)
+			binary.LittleEndian.PutUint32(buf[fs+footerFixed+8*int(ftr.numSeqs)+40:], crc)
+			resealFooter(buf, fs)
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, errL := Load(path, b, opts)
+			_, m, errM := LoadMapped(path, b, opts)
+			if m != nil {
+				m.Close()
+			}
+			for which, err := range map[string]error{"Load": errL, "LoadMapped": errM} {
+				if err == nil || !strings.Contains(err.Error(), "window") {
+					t.Errorf("%s of a resealed file with a crafted position: %v, want the window check's rejection", which, err)
+				}
+			}
+		})
+	}
+}
+
 // TestMultiBlockMappedFallback: LoadMapped on a multi-block file
-// returns a valid copied index and a non-mapped Mapping.
+// returns a valid index that owns its arrays and a non-mapped Mapping —
+// and gets there with one copy of the payload: the mapped blocks are
+// merged straight into fresh arrays, where the copying reader first
+// reads the file into a buffer and decodes each block out of it. The
+// gap between the two routes' allocations is twice the file.
 func TestMultiBlockMappedFallback(t *testing.T) {
-	b := genBank(t, "mb", 4096)
+	b := genBank(t, "mb", 1<<17)
 	opts := index.Options{W: 8}
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
 	built := ixcache.Prepare(b, opts)
 	if err := SaveBlocks(path, built, 1); err != nil {
 		t.Fatal(err)
 	}
-	p, m, err := LoadMapped(path, b, opts)
-	if err != nil {
-		t.Fatal(err)
+	allocated := func(load func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		load()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
+	copied := allocated(func() {
+		if _, err := Load(path, b, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var p *ixcache.Prepared
+	var m *Mapping
+	mapped := allocated(func() {
+		var err error
+		if p, m, err = LoadMapped(path, b, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
 	defer m.Close()
 	if m.Mapped() {
 		t.Error("multi-block file claimed a live mapping")
 	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mmapSupported && nativeLittleEndian && mapped+3*uint64(fi.Size())/2 > copied {
+		t.Errorf("LoadMapped of a %d-byte multi-block file allocated %d bytes, Load %d: the mapped route still copies each block before the merge",
+			fi.Size(), mapped, copied)
+	}
 	assertIndexEqual(t, built.Ix, p.Ix)
-	// Independence: the copied index survives file removal.
+	// Independence: the merged index survives file removal.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +480,8 @@ func TestProbeMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != version3 {
-		t.Errorf("version %d, want %d", info.Version, version3)
+	if info.Version != formatVersion {
+		t.Errorf("version %d, want %d", info.Version, formatVersion)
 	}
 	if info.BankCRC != BankChecksum(b) || info.DataLen != int64(len(b.Data)) ||
 		info.NumSeqs != b.NumSeqs() {

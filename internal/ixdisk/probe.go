@@ -28,7 +28,7 @@ type BlockInfo struct {
 // claim to hold?", and the loaders re-validate every claim before any
 // byte is trusted.
 type FileInfo struct {
-	// Version is the format version — always 3, the only one Probe
+	// Version is the format version — always 4, the only one Probe
 	// accepts.
 	Version int
 	// Opts is the recorded index options key.
@@ -63,7 +63,7 @@ func Probe(path string) (*FileInfo, error) {
 	defer x.f.Close()
 	ftr := x.ftr
 	info := &FileInfo{
-		Version:    version3,
+		Version:    formatVersion,
 		Opts:       x.hdr.indexOptions(),
 		BankCRC:    ftr.bankCRC,
 		DataLen:    int64(ftr.dataLen),

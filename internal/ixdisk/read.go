@@ -24,10 +24,11 @@ import (
 // Probe, the exact loads, the covering-blocks partial load, the append
 // base — starts here, so the ladder of checks exists exactly once.
 type indexFile struct {
-	f    *os.File
-	size int64
-	hdr  *optionsHeader
-	ftr  *footerV3
+	f       *os.File
+	size    int64
+	hdr     *optionsHeader
+	ftr     *footerV3
+	workers int // the requester's Options.Workers: bounds validation like a build
 }
 
 // openIndexFile runs the metadata ladder on path: open, stat, read and
@@ -58,16 +59,18 @@ func openIndexFile(path string, want *index.Options) (x *indexFile, err error) {
 	if err != nil {
 		return nil, err
 	}
+	workers := 0
 	if want != nil {
 		if err := h.checkOptionsKey(*want); err != nil {
 			return nil, err
 		}
+		workers = want.Workers
 	}
 	ftr, err := readFooterAt(f, fi.Size())
 	if err != nil {
 		return nil, err
 	}
-	return &indexFile{f: f, size: fi.Size(), hdr: h, ftr: ftr}, nil
+	return &indexFile{f: f, size: fi.Size(), hdr: h, ftr: ftr, workers: workers}, nil
 }
 
 // readFooterAt reads and parses just the footer of an open file — the
@@ -127,7 +130,9 @@ func decodeBlocks(buf []byte, base uint64, dir []dirEntry, alias bool) ([]index.
 // arrays become the index's own, so one that aliases a mapping stays
 // zero-copy.
 func (x *indexFile) prepare(b *bank.Bank, blocks []index.BlockParts) (*ixcache.Prepared, error) {
-	ix, err := index.FromBlocks(b, x.hdr.indexOptions(), blocks)
+	opts := x.hdr.indexOptions()
+	opts.Workers = x.workers
+	ix, err := index.FromBlocks(b, opts, blocks)
 	if err != nil {
 		return nil, err
 	}
@@ -228,10 +233,11 @@ func (m *Mapping) Mapped() bool { return m.data != nil }
 // checksum pass does touch each page once, the price of strictness).
 //
 // On hosts where aliasing is impossible (no mmap, or big-endian byte
-// order) it falls back to Load and returns a non-mapped Mapping. Files
-// alias when they hold a single block (the common fresh-save shape);
-// multi-block files are merged into fresh arrays and the returned
-// Mapping is non-mapped, so callers need no layout logic.
+// order) it falls back to Load and returns a non-mapped Mapping. A
+// single-block file (the common fresh-save shape) stays aliased; the
+// blocks of a multi-block file are read in place from the mapping,
+// merged into fresh arrays — one copy — and the mapping is dropped, so
+// the returned Mapping is non-mapped and callers need no layout logic.
 func LoadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *Mapping, error) {
 	p, m, _, err := loadMapped(path, b, opts)
 	return p, m, err
@@ -264,8 +270,7 @@ func loadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepare
 		return nil, nil, 0, fmt.Errorf("ixdisk: mmap %s: %w", path, err)
 	}
 	m := &Mapping{data: data}
-	aliased := len(x.ftr.dir) == 1
-	blocks, err := decodeBlocks(data, 0, x.ftr.dir, aliased)
+	blocks, err := decodeBlocks(data, 0, x.ftr.dir, true)
 	if err != nil {
 		m.Close()
 		return nil, nil, 0, err
@@ -275,8 +280,9 @@ func loadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepare
 		m.Close()
 		return nil, nil, 0, err
 	}
-	if !aliased {
-		// The index owns copies (multi-block merge); drop the mapping.
+	if len(blocks) > 1 {
+		// The merge read the mapped blocks into arrays the index owns;
+		// nothing aliases the mapping any more.
 		m.Close()
 		return p, &Mapping{}, len(blocks), nil
 	}

@@ -1,7 +1,10 @@
 package ixdisk
 
-// The .orix codec: block-structured index files, format version 3 —
-// the only version this package reads or writes.
+// The .orix codec: block-structured index files, format version 4 —
+// the only version this package reads or writes. The framing (header,
+// blocks, footer — the "V3" of the identifiers below) dates from
+// version 3; version 4 is version 3 minus the three per-occurrence
+// sidecar sections, so a block stores positions only.
 //
 // # File layout
 //
@@ -11,14 +14,13 @@ package ixdisk
 //	                    directory, CRC, self-locating trailer
 //
 // Each block is a self-contained index.BlockParts over one contiguous
-// sequence range: a 64-byte block header, the six 4-byte-element
-// sections (Codes, Counts, Pos, OccSeq, OccLo, OccHi), a CRC-32C over
-// header + sections, and zero padding to an 8-byte boundary — so every
-// section is 4-byte aligned from any page-aligned base and LoadMapped
-// can alias them. The (code, count) directory is the index's own sorted
-// directory with counts where the index keeps offsets, so readers
-// materialize nothing sized by 4^W — a prefix sum over the counts is
-// the whole of it.
+// sequence range: a 64-byte block header, the three 4-byte-element
+// sections (Codes, Counts, Pos), a CRC-32C over header + sections, and
+// zero padding to an 8-byte boundary — so every section is 4-byte
+// aligned from any page-aligned base and LoadMapped can alias them. The
+// (code, count) directory is the index's own sorted directory with
+// counts where the index keeps offsets, so readers materialize nothing
+// sized by 4^W — a prefix sum over the counts is the whole of it.
 //
 // The footer is the only part of the file that changes when a bank is
 // appended to. It records the bank identity (content CRC, data length,
@@ -73,16 +75,16 @@ import (
 // Layout constants. The version bumps whenever the layout changes;
 // readers reject anything they were not compiled for rather than guess.
 const (
-	magic        = "ORISIXDB"
-	version3     = 3
-	headerSizeV3 = 48
-	blockMagic   = "ORIXBLK1"
-	footerMagic  = "ORIXFTR1"
-	endMagic     = "ORIXEND1"
-	blockHdrSize = 64
-	dirEntSize   = 48
-	footerFixed  = 32 // footerMagic + bankCRC + dataLen + numSeqs + numBlocks
-	trailerSize  = 16 // footerCRC + footerLen + endMagic
+	magic         = "ORISIXDB"
+	formatVersion = 4
+	headerSizeV3  = 48
+	blockMagic    = "ORIXBLK1"
+	footerMagic   = "ORIXFTR1"
+	endMagic      = "ORIXEND1"
+	blockHdrSize  = 64
+	dirEntSize    = 48
+	footerFixed   = 32 // footerMagic + bankCRC + dataLen + numSeqs + numBlocks
+	trailerSize   = 16 // footerCRC + footerLen + endMagic
 )
 
 // DefaultBlockSeqs is the sequence-group size Save cuts fresh builds
@@ -135,7 +137,7 @@ func encodeHeaderV3(opts index.Options) []byte {
 	o := opts.Normalized()
 	hdr := make([]byte, headerSizeV3)
 	copy(hdr[0:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:], version3)
+	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
 	binary.LittleEndian.PutUint32(hdr[12:], headerSizeV3)
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(o.W))
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(o.SampleStep))
@@ -169,8 +171,8 @@ func decodeHeaderV3(buf []byte) (*optionsHeader, error) {
 	if string(buf[0:8]) != magic {
 		return nil, fmt.Errorf("ixdisk: %w: got %q", ErrBadMagic, buf[0:8])
 	}
-	if v := binary.LittleEndian.Uint32(buf[8:]); v != version3 {
-		return nil, fmt.Errorf("ixdisk: %w: file is version %d, reader supports %d", ErrVersion, v, version3)
+	if v := binary.LittleEndian.Uint32(buf[8:]); v != formatVersion {
+		return nil, fmt.Errorf("ixdisk: %w: file is version %d, reader supports %d", ErrVersion, v, formatVersion)
 	}
 	if hs := binary.LittleEndian.Uint32(buf[12:]); hs != headerSizeV3 {
 		return nil, fmt.Errorf("ixdisk: %w: v3 header size %d, want %d", ErrVersion, hs, headerSizeV3)
@@ -356,7 +358,7 @@ func parseFooterV3(tail []byte, fileSize int64) (*footerV3, error) {
 // blockByteLen returns the padded on-disk length of a block with
 // nCodes directory entries and nOcc occurrences.
 func blockByteLen(nCodes, nOcc int) int {
-	raw := blockHdrSize + 8*nCodes + 16*nOcc + 4 // header + sections + CRC
+	raw := blockHdrSize + 8*nCodes + 4*nOcc + 4 // header + sections + CRC
 	return (raw + 7) &^ 7
 }
 
@@ -388,18 +390,9 @@ func encodeBlock(w io.Writer, bp *index.BlockParts) (length int, crc uint32, err
 	if err := writeWords(mw, bp.Pos); err != nil {
 		return 0, 0, err
 	}
-	if err := writeWords(mw, bp.OccSeq); err != nil {
-		return 0, 0, err
-	}
-	if err := writeWords(mw, bp.OccLo); err != nil {
-		return 0, 0, err
-	}
-	if err := writeWords(mw, bp.OccHi); err != nil {
-		return 0, 0, err
-	}
 	crc = sum.Sum32()
 	length = blockByteLen(len(bp.Codes), len(bp.Pos))
-	raw := blockHdrSize + 8*len(bp.Codes) + 16*len(bp.Pos)
+	raw := blockHdrSize + 8*len(bp.Codes) + 4*len(bp.Pos)
 	tail := make([]byte, length-raw)
 	binary.LittleEndian.PutUint32(tail, crc)
 	if _, err := w.Write(tail); err != nil {
@@ -409,8 +402,8 @@ func encodeBlock(w io.Writer, bp *index.BlockParts) (length int, crc uint32, err
 }
 
 // decodeBlock validates one block's bytes against its directory entry
-// and returns its parts, aliasing buf when alias is set (mmap path,
-// single-block files) and copying otherwise.
+// and returns its parts, aliasing buf when alias is set (the mmap route)
+// and copying otherwise.
 //
 //scorislint:validator
 func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error) {
@@ -427,7 +420,7 @@ func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error)
 	if nOcc > math.MaxInt32 || nCodes > math.MaxInt32 {
 		return bp, fmt.Errorf("ixdisk: %w: block claims %d occurrences, %d codes", ErrTruncated, nOcc, nCodes)
 	}
-	raw := blockHdrSize + 8*int(nCodes) + 16*int(nOcc)
+	raw := blockHdrSize + 8*int(nCodes) + 4*int(nOcc)
 	if blockByteLen(int(nCodes), int(nOcc)) != int(ent.length) {
 		return bp, fmt.Errorf("ixdisk: %w: block sections imply %d bytes, directory records %d",
 			ErrTruncated, blockByteLen(int(nCodes), int(nOcc)), ent.length)
@@ -462,16 +455,10 @@ func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error)
 		bp.Codes = aliasWords[seed.Code](cut(c))
 		bp.Counts = aliasWords[int32](cut(c))
 		bp.Pos = aliasWords[int32](cut(n))
-		bp.OccSeq = aliasWords[int32](cut(n))
-		bp.OccLo = aliasWords[int32](cut(n))
-		bp.OccHi = aliasWords[int32](cut(n))
 	} else {
 		bp.Codes = decodeWords[seed.Code](cut(c))
 		bp.Counts = decodeWords[int32](cut(c))
 		bp.Pos = decodeWords[int32](cut(n))
-		bp.OccSeq = decodeWords[int32](cut(n))
-		bp.OccLo = decodeWords[int32](cut(n))
-		bp.OccHi = decodeWords[int32](cut(n))
 	}
 	return bp, nil
 }

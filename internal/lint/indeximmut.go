@@ -16,13 +16,12 @@ const (
 // readers.
 var csrSections = map[string]bool{
 	"Codes": true, "Offsets": true, "Pos": true,
-	"OccSeq": true, "OccLo": true, "OccHi": true,
 }
 
 // AnalyzerIndexImmut enforces the index reuse contract of DESIGN.md
 // §5/§7: outside their defining packages, index.Index and
 // ixcache.Prepared are immutable after construction — no field
-// assignments, and no append/copy/sort/element writes on the six CSR
+// assignments, and no append/copy/sort/element writes on the three CSR
 // sections, which may be zero-copy views of a read-only mmap.
 var AnalyzerIndexImmut = &Analyzer{
 	Name: "indeximmut",

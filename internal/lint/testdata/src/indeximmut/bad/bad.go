@@ -19,7 +19,7 @@ func mutateFields(ix *index.Index) {
 func mutateSections(ix *index.Index) {
 	ix.Pos[0] = 3                                // want `element write to index\.Index\.Pos`
 	_ = append(ix.Codes, 0)                      // want `append to index\.Index\.Codes`
-	copy(ix.OccSeq, []int32{1})                  // want `copy into index\.Index\.OccSeq`
+	copy(ix.Pos, []int32{1})                     // want `copy into index\.Index\.Pos`
 	sort.Slice(ix.Offsets, func(i, j int) bool { // want `sort\.Slice reorders index\.Index\.Offsets`
 		return ix.Offsets[i] < ix.Offsets[j]
 	})

@@ -304,8 +304,9 @@ func TestServerStreamedCompareClientDisconnect(t *testing.T) {
 
 	// The engine is parked on the gate; only the request context going
 	// away can unblock it. Slot free + abandoned counted = the server
-	// noticed and cleaned up.
-	waitFor(t, func() bool { return srv.admitted.Load() == 0 })
+	// noticed and cleaned up. The slot is freed by the engine goroutine
+	// and the count made by the handler after it, so wait for both.
+	waitFor(t, func() bool { return srv.admitted.Load() == 0 && srv.abandoned.Load() >= 1 })
 	if got := srv.abandoned.Load(); got != 1 {
 		t.Errorf("abandoned = %d, want 1", got)
 	}
