@@ -1,16 +1,19 @@
 // Package bank implements the in-memory DNA bank representation of the
 // ORIS algorithm (paper §2.1, Fig. 2): every sequence of a FASTA bank is
 // 2-bit encoded and concatenated into one SEQ byte array, bracketed by
-// sentinel bytes, together with constant-time position→sequence lookup.
+// sentinel bytes, together with the per-sequence bounds that translate a
+// position back to its sequence.
 //
 // The paper stores a bank of N nucleotides in ≈5N bytes (1 byte/base in
 // SEQ + a 4-byte INDEX entry per position). This package owns the SEQ
-// part plus the coordinate bookkeeping; package index owns INDEX.
+// part, N bytes plus 8 of bookkeeping per sequence; package index owns
+// INDEX.
 package bank
 
 import (
 	"fmt"
 	"hash/crc64"
+	"slices"
 	"sync"
 
 	"repro/internal/dna"
@@ -24,7 +27,8 @@ import (
 // stops an arm at the first sentinel either bank shows it. Every Bank,
 // reverse complements included, therefore keeps the invariant that
 // Data[0] and Data[len(Data)-1] are sentinels and one sits between any
-// two sequences.
+// two sequences. No per-position table repeats what the sentinels say:
+// a position's sequence is found from the per-sequence bounds (SeqAt).
 const Sentinel byte = 0xF0
 
 // Bank is an immutable, indexed-ready DNA bank.
@@ -38,13 +42,8 @@ type Bank struct {
 	Data []byte
 
 	// starts[i] is the offset in Data of the first base of sequence i;
-	// ends[i] is one past its last base.
+	// ends[i] is one past its last base. Both ascend.
 	starts, ends []int32
-
-	// seqID[p] is the sequence index owning Data position p, or -1 for
-	// sentinel positions. Gives O(1) bounds lookup in hot extension
-	// paths at a cost of 4 bytes/position.
-	seqID []int32
 
 	ids   []string
 	descs []string
@@ -74,18 +73,15 @@ func New(name string, recs []*fasta.Record) *Bank {
 		Data:   make([]byte, 0, total+len(recs)+1),
 		starts: make([]int32, 0, len(recs)),
 		ends:   make([]int32, 0, len(recs)),
-		seqID:  make([]int32, 0, total+len(recs)+1),
 		ids:    make([]string, 0, len(recs)),
 		descs:  make([]string, 0, len(recs)),
 	}
 	b.Data = append(b.Data, Sentinel)
-	b.seqID = append(b.seqID, -1)
-	for i, r := range recs {
+	for _, r := range recs {
 		b.starts = append(b.starts, int32(len(b.Data)))
 		for _, c := range r.Seq {
 			code := dna.EncodeByte(c)
 			b.Data = append(b.Data, code)
-			b.seqID = append(b.seqID, int32(i))
 			b.totalBases++
 			if dna.IsValid(code) {
 				b.validBases++
@@ -93,7 +89,6 @@ func New(name string, recs []*fasta.Record) *Bank {
 		}
 		b.ends = append(b.ends, int32(len(b.Data)))
 		b.Data = append(b.Data, Sentinel)
-		b.seqID = append(b.seqID, -1)
 		b.ids = append(b.ids, r.ID)
 		b.descs = append(b.descs, r.Desc)
 	}
@@ -142,8 +137,20 @@ func (b *Bank) SeqBounds(i int) (start, end int32) { return b.starts[i], b.ends[
 func (b *Bank) SeqCodes(i int) []byte { return b.Data[b.starts[i]:b.ends[i]] }
 
 // SeqAt returns the sequence index owning Data position p, or -1 if p is
-// a sentinel position.
-func (b *Bank) SeqAt(p int32) int32 { return b.seqID[p] }
+// a sentinel position (the one an empty record leaves included): the
+// last sequence starting at or before p owns it, or nothing does. It is
+// a binary search, O(log NumSeqs) — its callers run once per HSP or per
+// alignment, never per hit pair, so the bank keeps no per-position table.
+func (b *Bank) SeqAt(p int32) int32 {
+	i, found := slices.BinarySearch(b.starts, p)
+	if !found {
+		i--
+	}
+	if i < 0 || p >= b.ends[i] {
+		return -1
+	}
+	return int32(i)
+}
 
 // seqSumTable is the CRC-64/ECMA polynomial shared by every bank
 // checksum in the repository (ixdisk uses the same one for whole-bank
@@ -196,7 +203,7 @@ func (b *Bank) PrefixLen(k int) int {
 // within that sequence). It panics if p is a sentinel position, which
 // would indicate a coordinate bug upstream.
 func (b *Bank) Coord(p int32) (seq int32, off int32) {
-	s := b.seqID[p]
+	s := b.SeqAt(p)
 	if s < 0 {
 		panic(fmt.Sprintf("bank %s: Coord on sentinel position %d", b.Name, p))
 	}
@@ -204,12 +211,13 @@ func (b *Bank) Coord(p int32) (seq int32, off int32) {
 }
 
 // MemoryFootprint returns the approximate resident bytes of the bank
-// representation itself (SEQ: 1 byte/pos, seqID: 4 bytes/pos). Package
-// index adds the paper's INDEX — 4 bytes per indexed position — and 8
-// per distinct seed code, and nothing else: ≈ 9N + 8·|Codes| for bank
-// and index together (DESIGN.md §3).
+// representation itself: SEQ at 1 byte per position plus the two bounds
+// entries per sequence, N + 8·NumSeqs. Package index adds the paper's
+// INDEX — 4 bytes per indexed position — and 8 per distinct seed code,
+// and nothing else: ≈ 5N + 8·|Codes| for bank and index together, the
+// paper's figure plus the directory (DESIGN.md §3).
 func (b *Bank) MemoryFootprint() int {
-	return len(b.Data) + 4*len(b.seqID)
+	return len(b.Data) + 4*(len(b.starts)+len(b.ends))
 }
 
 // ReverseComplement returns a new bank holding the reverse complement

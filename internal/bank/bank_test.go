@@ -2,6 +2,7 @@ package bank
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -175,9 +176,115 @@ func TestMemoryFootprintScales(t *testing.T) {
 	if small.MemoryFootprint() >= big.MemoryFootprint() {
 		t.Errorf("footprints: small %d >= big %d", small.MemoryFootprint(), big.MemoryFootprint())
 	}
-	// ~5 bytes/position per the paper's estimate (1 SEQ + 4 seqID here).
-	if f := big.MemoryFootprint(); f < 5*big.TotalBases() {
-		t.Errorf("footprint %d below 5N = %d", f, 5*big.TotalBases())
+	// The bank is the paper's SEQ and nothing else sized by N: one byte a
+	// position plus the two bounds entries a sequence (the 4-byte INDEX
+	// entry of the ≈ 5N estimate is package index's).
+	for _, b := range []*Bank{small, big, mk("AC", "", "GT", "N")} {
+		if f, max := b.MemoryFootprint(), len(b.Data)+8*b.NumSeqs()+64; f > max {
+			t.Errorf("footprint %d above len(Data) + 8·NumSeqs + 64 = %d", f, max)
+		}
+	}
+}
+
+// TestNewAllocatesTheBankOnly gates bank.New's allocation at what an
+// N-byte bank can cost: Data plus per-sequence bookkeeping. A second
+// array sized by the positions (the 4-byte-a-position sequence table
+// banks used to carry put New at ≈ 5N) fails it.
+func TestNewAllocatesTheBankOnly(t *testing.T) {
+	const numSeqs, seqLen = 1000, 450
+	rng := rand.New(rand.NewSource(20))
+	recs := make([]*fasta.Record, numSeqs)
+	for i := range recs {
+		seq := make([]byte, seqLen)
+		for j := range seq {
+			seq[j] = "ACGT"[rng.Intn(4)]
+		}
+		recs[i] = &fasta.Record{ID: "r", Seq: seq}
+	}
+	var b *Bank
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b = New("alloc", recs)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	n := uint64(b.TotalBases())
+	if max := n + n/4 + 128*numSeqs; got > max {
+		t.Errorf("bank.New allocated %d bytes for N = %d bases in %d sequences, want ≤ 1.25·N + 128·NumSeqs = %d",
+			got, n, numSeqs, max)
+	}
+}
+
+// seqTable is the per-position sequence table banks used to carry,
+// filled the way bank.New filled it: -1 on the leading sentinel, the
+// record number on each of its bases, -1 on the sentinel closing every
+// record (empty ones included) — the brute-force oracle for SeqAt.
+func seqTable(recs []*fasta.Record) []int32 {
+	table := []int32{-1}
+	for i, r := range recs {
+		for range r.Seq {
+			table = append(table, int32(i))
+		}
+		table = append(table, -1)
+	}
+	return table
+}
+
+// TestSeqAtMatchesPositionTable: on random banks with empty records,
+// one-base records and records of invalid bases, SeqAt and Coord at
+// every position — first and last included — equal the per-position
+// table, SeqAt is -1 exactly on the sentinels, and Coord panics there.
+func TestSeqAtMatchesPositionTable(t *testing.T) {
+	coordPanics := func(b *Bank, p int32) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		b.Coord(p)
+		return false
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		recs := make([]*fasta.Record, 1+rng.Intn(12))
+		for i := range recs {
+			var n int
+			switch rng.Intn(4) {
+			case 0: // empty record
+			case 1:
+				n = 1
+			default:
+				n = 1 + rng.Intn(40)
+			}
+			seq := make([]byte, n)
+			allInvalid := rng.Intn(5) == 0
+			for j := range seq {
+				seq[j] = "ACGTN"[rng.Intn(5)]
+				if allInvalid {
+					seq[j] = 'N'
+				}
+			}
+			recs[i] = &fasta.Record{ID: "q", Seq: seq}
+		}
+		b := New("table", recs)
+		table := seqTable(recs)
+		if len(table) != len(b.Data) {
+			t.Fatalf("round %d: table has %d positions, Data %d", round, len(table), len(b.Data))
+		}
+		for p, want := range table {
+			p := int32(p)
+			if got := b.SeqAt(p); got != want {
+				t.Fatalf("round %d: SeqAt(%d) = %d, table says %d", round, p, got, want)
+			}
+			if (want == -1) != (b.Data[p] == Sentinel) {
+				t.Fatalf("round %d: position %d: table %d but Data byte %#x", round, p, want, b.Data[p])
+			}
+			if want == -1 {
+				if !coordPanics(b, p) {
+					t.Fatalf("round %d: Coord(%d) on a sentinel did not panic", round, p)
+				}
+				continue
+			}
+			seq, off := b.Coord(p)
+			if seq != want || b.starts[seq]+off != p {
+				t.Fatalf("round %d: Coord(%d) = (%d,%d), table says sequence %d", round, p, seq, off, want)
+			}
+		}
 	}
 }
 

@@ -172,8 +172,8 @@ type engine struct {
 	present []uint64
 
 	// per-diagonal last extended end (db axis), generation stamped.
-	diagEnd []int32
-	diagGen []int32
+	diagEnd   []int32
+	diagStamp []int32
 
 	ext    hsp.Extender
 	gapExt *gapped.Extender
@@ -332,7 +332,7 @@ func (e *engine) grow(maxQ int) {
 	}
 	if need := len(e.db.Data) + maxQ + 1; len(e.diagEnd) < need {
 		e.diagEnd = make([]int32, need)
-		e.diagGen = make([]int32, need)
+		e.diagStamp = make([]int32, need)
 	}
 }
 
@@ -493,7 +493,7 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []align.A
 			for rel := e.head[c]; rel >= 0; rel = e.nextPos[rel] {
 				hits++
 				diag := dbPos - rel + diagOff
-				if e.diagGen[diag] == gen && e.diagEnd[diag] > dbPos {
+				if e.diagStamp[diag] == gen && e.diagEnd[diag] > dbPos {
 					skips++
 					continue
 				}
@@ -516,13 +516,13 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []align.A
 					failed++
 					// Remember the probe so later probes of the same
 					// failed run are skipped cheaply.
-					e.diagGen[diag] = gen
+					e.diagStamp[diag] = gen
 					e.diagEnd[diag] = r1
 					continue
 				}
 				extCount++
 				h, _ := e.ext.Extend(d1, d2, l1, l2, 0, nil)
-				e.diagGen[diag] = gen
+				e.diagStamp[diag] = gen
 				e.diagEnd[diag] = h.E1
 				if h.Score >= opt.MinUngappedScore {
 					hsps = append(hsps, h)

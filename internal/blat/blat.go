@@ -154,7 +154,7 @@ func CompareWithIndex(pdb *ixcache.Prepared, queries *bank.Bank, opt Options) (*
 }
 
 // tileProbe is the per-window probe state of one query scan: the
-// stable pieces (index, extender, diagonal arrays) are set once per
+// stable pieces (index, extender, diagonal map) are set once per
 // search, the per-query fields before each ForEach walk. Extracting
 // the callback into a method keeps the per-element path in one named,
 // hotpath-checked function instead of a closure rebuilt per query.
@@ -163,16 +163,17 @@ type tileProbe struct {
 	ext      *hsp.Extender
 	met      *Metrics
 	d1, d2   []byte
-	diagGen  []int32
-	diagEnd  []int32
 	w        int32
 	minScore int32
 
 	// per-query state, reset before each scan
 	maskPfx []int32
 	qLo     int32
-	diagOff int32
-	gen     int32
+	// diagEnd maps a diagonal (db position − query offset) to the db end
+	// of the last extension on it: sized by the query's hits, never by
+	// the db. A diagonal not yet extended reads 0, which no position is
+	// below.
+	diagEnd map[int32]int32
 	hsps    []hsp.HSP
 }
 
@@ -190,14 +191,13 @@ func (tp *tileProbe) probe(rel int32, c seed.Code) {
 	qPos := tp.qLo + rel
 	for _, p := range tp.ix.Occ(c) {
 		tp.met.TileHits++
-		diag := p - rel + tp.diagOff
-		if tp.diagGen[diag] == tp.gen && tp.diagEnd[diag] > p {
+		diag := p - rel
+		if tp.diagEnd[diag] > p {
 			tp.met.SkippedByDiag++
 			continue
 		}
 		tp.met.Extensions++
 		h, _ := tp.ext.Extend(tp.d1, tp.d2, p, qPos, c, nil)
-		tp.diagGen[diag] = tp.gen
 		tp.diagEnd[diag] = h.E1
 		if h.Score >= tp.minScore {
 			tp.hsps = append(tp.hsps, h)
@@ -220,16 +220,6 @@ func compareWithIndex(db *bank.Bank, ix *index.Index, queries *bank.Bank, opt Op
 		masker = dust.New(opt.DustWindow, opt.DustThreshold)
 	}
 
-	maxQ := 0
-	for i := 0; i < queries.NumSeqs(); i++ {
-		if l := queries.SeqLen(i); l > maxQ {
-			maxQ = l
-		}
-	}
-	diagEnd := make([]int32, len(db.Data)+maxQ+1)
-	diagGen := make([]int32, len(db.Data)+maxQ+1)
-	var gen int32
-
 	ext := hsp.Extender{
 		W:        opt.W,
 		Match:    int32(opt.Scoring.Match),
@@ -249,10 +239,9 @@ func compareWithIndex(db *bank.Bank, ix *index.Index, queries *bank.Bank, opt Op
 		met:      &met,
 		d1:       d1,
 		d2:       d2,
-		diagGen:  diagGen,
-		diagEnd:  diagEnd,
 		w:        w,
 		minScore: opt.MinUngappedScore,
+		diagEnd:  map[int32]int32{},
 	}
 
 	for qi := 0; qi < queries.NumSeqs(); qi++ {
@@ -260,7 +249,6 @@ func compareWithIndex(db *bank.Bank, ix *index.Index, queries *bank.Bank, opt Op
 		if qHi-qLo < w {
 			continue
 		}
-		gen++
 		// maskPfx[i] counts masked query positions before i, making the
 		// per-window dust test one subtraction instead of a W-bit scan.
 		var maskPfx []int32
@@ -271,8 +259,8 @@ func compareWithIndex(db *bank.Bank, ix *index.Index, queries *bank.Bank, opt Op
 		// ---- scan the query against the tile index ----
 		t0 = time.Now()
 		tp.maskPfx = maskPfx
-		tp.qLo, tp.diagOff = qLo, qHi-qLo
-		tp.gen = gen
+		tp.qLo = qLo
+		clear(tp.diagEnd)
 		tp.hsps = tp.hsps[:0]
 		seed.ForEach(queries.Data[qLo:qHi], opt.W, tp.probe)
 		hsps := tp.hsps

@@ -1,6 +1,8 @@
 package blat
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bank"
@@ -65,5 +67,46 @@ func TestCompareWithIndexRejectsMismatch(t *testing.T) {
 	}
 	if _, err := CompareWithIndex(nil, q, opt); err == nil {
 		t.Error("accepted a nil prepared db")
+	}
+}
+
+// TestCompareWithIndexAllocatesByTheQuery: what a search allocates is
+// sized by the query and its hits, never by the database. A 16-read
+// query against a 1 Mbp db stays under 1 MB; diagonal state sized by the
+// db (two int32 arrays of len(db.Data), 8 MB here) fails it.
+func TestCompareWithIndexAllocatesByTheQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	chroms := make([]string, 4)
+	for i := range chroms {
+		chroms[i] = randSeq(rng, 260_000)
+	}
+	db := mkBank("db", chroms...)
+	reads := make([]string, 16)
+	for i := range reads {
+		if i%2 == 0 {
+			c := chroms[i%len(chroms)]
+			at := rng.Intn(len(c) - 450)
+			reads[i] = mutate(rng, c[at:at+450], 0.03)
+		} else {
+			reads[i] = randSeq(rng, 450)
+		}
+	}
+	q := mkBank("q", reads...)
+	opt := DefaultOptions()
+	pdb := ixcache.Prepare(db, opt.IndexOptions())
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := CompareWithIndex(pdb, q, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Alignments) < 8 {
+		t.Fatalf("degenerate test: %d alignments for 8 planted reads", len(res.Alignments))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("CompareWithIndex allocated %d bytes for a 16-read query against a %d-base db, want < 1 MB",
+			got, db.TotalBases())
 	}
 }

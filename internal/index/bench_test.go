@@ -188,7 +188,7 @@ func BenchmarkIndexExtend(b *testing.B) {
 		b.Run(fmt.Sprintf("suffix%d", suffix), func(b *testing.B) {
 			// benchBankSeqs is deterministic, so the first k records of
 			// a fresh generation are exactly the full bank's prefix.
-			stored := SplitBlocks(Build(benchBankSeqs(k, seqLen), opts), nil)
+			stored := Build(benchBankSeqs(k, seqLen), opts).Block()
 			b.SetBytes(int64(suffix * seqLen))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -197,7 +197,7 @@ func BenchmarkIndexExtend(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := FromBlocks(full, opts, append(stored[:1:1], tail)); err != nil {
+				if _, err := FromBlocks(full, opts, []BlockParts{stored, tail}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,8 +10,8 @@
 // window invalid), a block's content depends only on its own Data range
 // — which is what makes the three block operations exact:
 //
-//   - SplitBlocks cuts a built index into blocks at sequence
-//     boundaries without rescanning the bank;
+//   - Index.Block presents a built index as the one block over the
+//     whole bank it already is, sharing its arrays;
 //   - BuildBlock runs the build routine over only the block's own Data
 //     range (the O(suffix) append path) — Build is the same routine
 //     over the whole array;
@@ -19,13 +19,13 @@
 //     blocks, byte-identical to Build.
 //
 // The invariant tying them together, tested in blocks_test.go: for any
-// boundary choice, FromBlocks(SplitBlocks(Build(b))) == Build(b), and
-// SplitBlocks' last block == BuildBlock over the same range.
+// tiling of b by BuildBlock, FromBlocks(tiling) == Build(b), array for
+// array, and Build(b).Block() == BuildBlock over the whole bank.
 package index
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/bank"
 	"repro/internal/seed"
@@ -55,25 +55,13 @@ type BlockParts struct {
 	MaskedOut, SampledOut int
 }
 
-// Indexed returns the number of occurrences in the block.
-func (bp *BlockParts) Indexed() int { return len(bp.Pos) }
-
-// checkCut validates that [seqLo, seqHi) is a non-empty, in-range
-// sequence interval of b and returns its Data bounds.
-func checkCut(b *bank.Bank, seqLo, seqHi int) (dataLo, dataHi int, err error) {
-	if seqLo < 0 || seqHi <= seqLo || seqHi > b.NumSeqs() {
-		return 0, 0, fmt.Errorf("index: invalid sequence range [%d,%d) of %d", seqLo, seqHi, b.NumSeqs())
-	}
-	return b.PrefixLen(seqLo), b.PrefixLen(seqHi), nil
-}
-
 // BuildBlock builds the index block for sequences [seqLo, seqHi) of b
 // by scanning only their Data range — the incremental unit of the
 // append path: appending sequences to a stored bank costs one
 // BuildBlock over the suffix, never a rescan of the prefix. The result
-// is identical to the corresponding block of SplitBlocks(Build(b)),
-// and stays valid verbatim when the bank later grows, because
-// everything it depends on is append-stable (DESIGN.md §7):
+// holds exactly the occurrences Build(b) has inside the range, in the
+// same order, and stays valid verbatim when the bank later grows,
+// because everything it depends on is append-stable (DESIGN.md §7):
 //
 //   - Coordinates: appended sequences land after the final sentinel, so
 //     no stored position shifts, and no seed
@@ -89,10 +77,10 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 	if opts.W < 1 || opts.W > seed.MaxW {
 		return BlockParts{}, fmt.Errorf("index: BuildBlock: invalid W=%d", opts.W)
 	}
-	dataLo, dataHi, err := checkCut(b, seqLo, seqHi)
-	if err != nil {
-		return BlockParts{}, fmt.Errorf("index: BuildBlock: %w", err)
+	if seqLo < 0 || seqHi <= seqLo || seqHi > b.NumSeqs() {
+		return BlockParts{}, fmt.Errorf("index: BuildBlock: invalid sequence range [%d,%d) of %d", seqLo, seqHi, b.NumSeqs())
 	}
+	dataLo, dataHi := b.PrefixLen(seqLo), b.PrefixLen(seqHi)
 	p := buildRange(b, opts, dataLo, dataHi)
 	// Counts overwrite the offsets they are the differences of.
 	counts := p.Offsets[:len(p.Codes)]
@@ -106,92 +94,21 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 	}, nil
 }
 
-// countRejects re-counts the masked/sampled windows of one Data range —
-// the per-block share of the whole-bank counters, needed when a built
-// index is split (Build tracks only totals). Same predicate, same
-// order, same locality argument as the build's scan, minus the
-// occurrence buffering.
-func countRejects(b *bank.Bank, opts Options, dataLo, dataHi int) (masked, sampled int) {
-	opts = opts.normalized()
-	w := opts.W
-	w32 := int32(w)
-	step := int32(opts.SampleStep)
-	phase := int32(opts.SamplePhase)
-	base := int32(dataLo)
-	var maskPfx []int32
-	if opts.Dust != nil {
-		maskPfx = opts.Dust.MaskPrefix(b.Data[dataLo:dataHi])
+// Block returns ix as the one block over its whole bank that it already
+// is — what a fresh save writes. Codes and Pos are the index's own
+// arrays, not copies (read-only, like Parts); Counts, the differences of
+// Offsets, is the only thing computed.
+func (ix *Index) Block() BlockParts {
+	counts := make([]int32, len(ix.Codes))
+	for i := range counts {
+		counts[i] = ix.Offsets[i+1] - ix.Offsets[i]
 	}
-	scanRange(b.Data, w, dataLo, dataHi, func(pos int32, c seed.Code) {
-		if step > 1 && pos%step != phase {
-			sampled++
-			return
-		}
-		if maskPfx != nil && maskPfx[pos-base+w32] != maskPfx[pos-base] {
-			masked++
-		}
-	})
-	return masked, sampled
-}
-
-// SplitBlocks cuts a built index into blocks at the given ascending
-// sequence boundaries (cut after every bounds[i] sequences; implicit
-// cuts at 0 and NumSeqs close the tiling, and out-of-range or
-// duplicate boundaries are ignored). The occurrence arrays are sliced
-// and regrouped in O(Indexed); with more than one block the per-block
-// dust/sampling counters cost one extra count-only scan of the bank
-// (Build tracks only totals). Splitting never changes content:
-// FromBlocks over the result rebuilds ix exactly.
-func SplitBlocks(ix *Index, bounds []int) []BlockParts {
-	b := ix.Bank
-	numSeqs := b.NumSeqs()
-	cuts := []int{0}
-	for _, c := range slices.Sorted(slices.Values(bounds)) {
-		if c > cuts[len(cuts)-1] && c < numSeqs {
-			cuts = append(cuts, c)
-		}
+	return BlockParts{
+		SeqLo: 0, SeqHi: ix.Bank.NumSeqs(),
+		DataLo: ix.Bank.PrefixLen(0), DataHi: len(ix.Bank.Data),
+		Codes: ix.Codes, Counts: counts, Pos: ix.Pos,
+		MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
 	}
-	cuts = append(cuts, numSeqs)
-	nb := len(cuts) - 1
-	blocks := make([]BlockParts, nb)
-	dataEnds := make([]int32, nb)
-	for k := 0; k < nb; k++ {
-		blocks[k].SeqLo, blocks[k].SeqHi = cuts[k], cuts[k+1]
-		blocks[k].DataLo = b.PrefixLen(cuts[k])
-		blocks[k].DataHi = b.PrefixLen(cuts[k+1])
-		dataEnds[k] = int32(blocks[k].DataHi)
-		if nb == 1 {
-			blocks[k].MaskedOut = ix.MaskedOut
-			blocks[k].SampledOut = ix.SampledOut
-		} else {
-			blocks[k].MaskedOut, blocks[k].SampledOut =
-				countRejects(b, ix.opts, blocks[k].DataLo, blocks[k].DataHi)
-		}
-	}
-
-	// One pass over the occupied codes: each code's run is ascending in
-	// position, so it partitions into per-block segments by a forward
-	// walk against the block Data boundaries.
-	for i, c := range ix.Codes {
-		s, e := ix.Offsets[i], ix.Offsets[i+1]
-		k := 0
-		for s < e {
-			for ix.Pos[s] >= dataEnds[k] {
-				k++
-			}
-			// The segment of this code's run inside block k.
-			j := s
-			for j < e && ix.Pos[j] < dataEnds[k] {
-				j++
-			}
-			bk := &blocks[k]
-			bk.Codes = append(bk.Codes, c)
-			bk.Counts = append(bk.Counts, int32(j-s))
-			bk.Pos = append(bk.Pos, ix.Pos[s:j]...)
-			s = j
-		}
-	}
-	return blocks
 }
 
 // FromBlocks reassembles the whole-bank index from blocks tiling
@@ -204,9 +121,10 @@ func SplitBlocks(ix *Index, bounds []int) []BlockParts {
 // precede positions in block k+1, so the concatenation is CSR order —
 // and the assembled parts then pass the same validation FromParts
 // applies (every position a real seed window of its slot's code), so a
-// hostile block fails closed. A
-// single block already is the index: its arrays (which may alias an
-// mmap'd file) are adopted, not copied, and only Offsets is computed.
+// hostile block fails closed: the merge is not trusted to have produced
+// valid arrays. A single block already is the index: its arrays (which
+// may alias an mmap'd file) are adopted, not copied, and only Offsets is
+// computed.
 func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error) {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
@@ -275,7 +193,7 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 			p.Offsets = append(p.Offsets, p.Offsets[len(p.Offsets)-1]+k)
 		}
 	} else {
-		mergeBlocks(&p, blocks, opts.W)
+		mergeBlocks(&p, blocks)
 	}
 	if err := checkParts(b, opts, p); err != nil {
 		return nil, fmt.Errorf("index: FromBlocks: assembled parts invalid: %w", err)
@@ -284,46 +202,119 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 }
 
 // mergeBlocks fills p's arrays (p.Indexed is already the total) from
-// validated blocks in ascending Data order. The build's own sort does
-// the k-way directory merge: one code<<32|block word per directory
-// entry, stably sorted by code, lists every code's blocks in block
-// order, and because each block's directory ascends, a block's entries
-// come up in its own order — so a per-block cursor finds each run.
-func mergeBlocks(p *Parts, blocks []BlockParts, w int) {
-	entries := 0
-	for i := range blocks {
-		entries += len(blocks[i].Codes)
-	}
-	words := make([]uint64, 0, entries)
-	for i := range blocks {
-		for _, c := range blocks[i].Codes {
-			words = append(words, uint64(c)<<32|uint64(i))
-		}
-	}
-	words = sortByCode(words, make([]uint64, entries), w)
+// validated blocks in ascending Data order by a k-way merge of their
+// ascending directories. The cursors come up in (code, block) order, so
+// a code's occurrences arrive in block order — ascending position — and
+// are copied as they arrive, a run of directory entries at a time (an
+// appended-to file is one large block and a few small ones). Nothing is
+// allocated beyond the three output arrays and two words a block: the
+// directories are walked once to count the distinct codes, once to fill.
+func mergeBlocks(p *Parts, blocks []BlockParts) {
+	m := dirMerge{blocks: blocks, heads: make([]dirHead, 0, len(blocks))}
 	distinct := 0
-	for i, v := range words {
-		if i == 0 || v>>32 != words[i-1]>>32 {
-			distinct++
+	var last seed.Code
+	for m.reset(); len(m.heads) > 0; {
+		h, n := m.nextRun()
+		if distinct > 0 && h.code == last {
+			distinct-- // the run opens on the code the last one closed on
 		}
+		distinct += n
+		last = blocks[h.block].Codes[int(h.entry)+n-1]
 	}
 	p.Codes = make([]seed.Code, 0, distinct)
 	p.Offsets = make([]int32, 0, distinct+1)
-
 	p.Pos = make([]int32, p.Indexed)
-	type cursor struct{ entry, occ int32 }
-	cur := make([]cursor, len(blocks))
+	occ := make([]int32, len(blocks)) // each block's first uncopied occurrence
 	var dst int32
-	for i, v := range words {
-		if i == 0 || v>>32 != words[i-1]>>32 {
-			p.Codes = append(p.Codes, seed.Code(v>>32))
-			p.Offsets = append(p.Offsets, dst)
+	for m.reset(); len(m.heads) > 0; {
+		h, n := m.nextRun()
+		bp := &blocks[h.block]
+		codes, counts := bp.Codes[h.entry:][:n], bp.Counts[h.entry:][:n]
+		from := dst
+		if len(p.Codes) > 0 && codes[0] == p.Codes[len(p.Codes)-1] {
+			// That slot stays open and takes these occurrences too.
+			dst += counts[0]
+			codes, counts = codes[1:], counts[1:]
 		}
-		bp, c := &blocks[uint32(v)], &cur[uint32(v)]
-		end := c.occ + bp.Counts[c.entry]
-		copy(p.Pos[dst:], bp.Pos[c.occ:end])
-		dst += end - c.occ
-		c.entry, c.occ = c.entry+1, end
+		p.Codes = append(p.Codes, codes...)
+		for _, k := range counts {
+			p.Offsets = append(p.Offsets, dst)
+			dst += k
+		}
+		occ[h.block] += int32(copy(p.Pos[from:dst], bp.Pos[occ[h.block]:]))
 	}
 	p.Offsets = append(p.Offsets, dst)
+}
+
+// dirHead is one block's cursor in a directory merge: the directory
+// entry it stands on and that entry's code.
+type dirHead struct {
+	code         seed.Code
+	block, entry int32
+}
+
+func (a dirHead) before(b dirHead) bool {
+	return a.code < b.code || a.code == b.code && a.block < b.block
+}
+
+// dirMerge reads the directories of several blocks as one sequence
+// ascending in (code, block): a binary min-heap of one cursor a block.
+type dirMerge struct {
+	blocks []BlockParts
+	heads  []dirHead
+}
+
+// reset puts a cursor on the first entry of every non-empty directory.
+func (m *dirMerge) reset() {
+	m.heads = m.heads[:0]
+	for i := range m.blocks {
+		if codes := m.blocks[i].Codes; len(codes) > 0 {
+			m.heads = append(m.heads, dirHead{code: codes[0], block: int32(i)})
+		}
+	}
+	for i := len(m.heads)/2 - 1; i >= 0; i-- {
+		m.sift(i)
+	}
+}
+
+// nextRun returns the least cursor and the number of entries of its
+// block's directory, from the cursor on, that come before every other
+// cursor — the one it stands on, then every entry whose code is below
+// the runner-up's — and moves the cursor past them, dropping it at the
+// end of the directory.
+func (m *dirMerge) nextRun() (h dirHead, n int) {
+	h = m.heads[0]
+	limit := uint64(math.MaxUint64) // no other cursor: the rest of the directory
+	for c := 1; c <= 2 && c < len(m.heads); c++ {
+		limit = min(limit, uint64(m.heads[c].code))
+	}
+	codes := m.blocks[h.block].Codes[h.entry:]
+	for n = 1; n < len(codes) && uint64(codes[n]) < limit; n++ {
+	}
+	if n < len(codes) {
+		m.heads[0] = dirHead{code: codes[n], block: h.block, entry: h.entry + int32(n)}
+	} else {
+		last := len(m.heads) - 1
+		m.heads[0] = m.heads[last]
+		m.heads = m.heads[:last]
+	}
+	m.sift(0)
+	return h, n
+}
+
+// sift restores the heap below slot i.
+func (m *dirMerge) sift(i int) {
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(m.heads); c++ {
+			if m.heads[c].before(m.heads[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		m.heads[i], m.heads[least] = m.heads[least], m.heads[i]
+		i = least
+	}
 }

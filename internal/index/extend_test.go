@@ -86,7 +86,7 @@ func TestExtendPreservesAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromBlocks(full, opts, append(SplitBlocks(Build(prefix, opts), nil), tail))
+	got, err := FromBlocks(full, opts, []BlockParts{Build(prefix, opts).Block(), tail})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,53 @@ const digitBits = 11
 // in Data range [dataLo, dataHi), which must not cut a sequence (no
 // window straddles a sentinel, so the range's content depends on
 // nothing outside it). opts must be normalized.
+//
+// Scan and sort run in a frame of their own so that their scratch (the
+// dust prefix, the sort's second buffer: 12 bytes a position) is
+// unreachable once they return. The emit loops make no calls, so a
+// concurrent collection preempts them asynchronously and scans this
+// frame conservatively: a stale slot pointing at dead scratch keeps it
+// alive for that cycle and doubles the heap goal from there (DESIGN.md
+// §2).
 func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) Parts {
+	sorted, p := scanSorted(b, opts, dataLo, dataHi)
+	n := p.Indexed
+	workers := buildWorkers(opts, dataHi-dataLo)
+
+	// ---- emit: Pos streams out in index order, sharded; each shard also
+	// counts the directory entries that start in it ----
+	p.Pos = make([]int32, n)
+	starts := make([]int, workers)
+	runShards(workers, func(sid int) {
+		k := 0
+		for i := sid * n / workers; i < (sid+1)*n/workers; i++ {
+			if i == 0 || sorted[i]>>32 != sorted[i-1]>>32 {
+				k++
+			}
+			p.Pos[i] = int32(uint32(sorted[i]))
+		}
+		starts[sid] = k
+	})
+	numCodes := 0
+	for _, k := range starts {
+		numCodes += k
+	}
+	p.Codes = make([]seed.Code, 0, numCodes)
+	p.Offsets = make([]int32, 0, numCodes+1)
+	for i, v := range sorted {
+		if i == 0 || v>>32 != sorted[i-1]>>32 {
+			p.Codes = append(p.Codes, seed.Code(v>>32))
+			p.Offsets = append(p.Offsets, int32(i))
+		}
+	}
+	p.Offsets = append(p.Offsets, int32(n))
+	return p
+}
+
+// scanSorted is the build's first two stages: it returns the packed
+// code<<32|pos word of every accepted window of the range in CSR order,
+// and the counters (Indexed is the number of words).
+func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Parts) {
 	data := b.Data
 	w := opts.W
 	w32 := int32(w)
@@ -237,36 +283,7 @@ func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) Parts {
 
 	// ---- sort: stable LSD radix on the code's digits. Positions arrived
 	// ascending, so they stay ascending inside each code ----
-	sorted := sortByCode(words[:n], make([]uint64, n), w)
-
-	// ---- emit: Pos streams out in index order, sharded; each shard also
-	// counts the directory entries that start in it ----
-	p.Pos = make([]int32, n)
-	starts := make([]int, workers)
-	runShards(workers, func(sid int) {
-		k := 0
-		for i := sid * n / workers; i < (sid+1)*n/workers; i++ {
-			if i == 0 || sorted[i]>>32 != sorted[i-1]>>32 {
-				k++
-			}
-			p.Pos[i] = int32(uint32(sorted[i]))
-		}
-		starts[sid] = k
-	})
-	numCodes := 0
-	for _, k := range starts {
-		numCodes += k
-	}
-	p.Codes = make([]seed.Code, 0, numCodes)
-	p.Offsets = make([]int32, 0, numCodes+1)
-	for i, v := range sorted {
-		if i == 0 || v>>32 != sorted[i-1]>>32 {
-			p.Codes = append(p.Codes, seed.Code(v>>32))
-			p.Offsets = append(p.Offsets, int32(i))
-		}
-	}
-	p.Offsets = append(p.Offsets, int32(n))
-	return p
+	return sortByCode(words[:n], make([]uint64, n), w), p
 }
 
 // sortByCode stably sorts packed code<<32|pos words by code, one

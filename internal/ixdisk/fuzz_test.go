@@ -33,13 +33,10 @@ func fuzzSeedFile(tb testing.TB) (multi, single []byte, b *bank.Bank, opts index
 	tb.Helper()
 	b = genBank(tb, "fz", 1024)
 	opts = index.Options{W: 8}
-	p := ixcache.Prepare(b, opts)
 	dir := tb.TempDir()
 	save := func(name string, blockSeqs int) []byte {
 		path := filepath.Join(dir, name+FileExt)
-		if err := SaveBlocks(path, p, blockSeqs); err != nil {
-			tb.Fatal(err)
-		}
+		saveTiled(tb, path, b, opts, blockSeqs)
 		buf, err := os.ReadFile(path)
 		if err != nil {
 			tb.Fatal(err)
@@ -48,7 +45,7 @@ func fuzzSeedFile(tb testing.TB) (multi, single []byte, b *bank.Bank, opts index
 	}
 	// Cut small so the multi-block seed's directory, inter-block
 	// boundaries, and footer all get fuzz coverage.
-	return save("multi", 2), save("single", 0), b, opts
+	return save("multi", 2), save("single", b.NumSeqs()), b, opts
 }
 
 // addFrameSeeds seeds the corpus with both valid frames, the mutation

@@ -9,15 +9,18 @@
 // # File format
 //
 // There is one format, version 4 — block-structured: an options-key
-// header, per-sequence-group CSR blocks (code directory + positions,
-// 4 bytes per occurrence) each carrying its own CRC-32C, and a footer
-// holding the bank identity (content CRC-64, per-sequence checksum
-// vector) plus a directory of block offsets and ranges. The full
-// layout, append discipline, and partial-load rules live in v3.go and
-// DESIGN.md §7. The structure buys two things a monolithic layout
-// cannot offer: appending to a bank writes exactly one new block plus a
-// footer (O(suffix), the file is never rewritten), and a bank that is a
-// block-boundary prefix of a stored file loads by reading only its
+// header, CSR blocks over runs of sequences (code directory +
+// positions, 4 bytes per occurrence) each carrying its own CRC-32C, and
+// a footer holding the bank identity (content CRC-64, per-sequence
+// checksum vector) plus a directory of block offsets and ranges. A
+// fresh save is one block — the built index, written as it stands and
+// used in place when mapped back — and a further block exists only
+// where an append wrote one. The full layout, append discipline, and
+// partial-load rules live in v3.go and DESIGN.md §7. The structure buys
+// two things a monolithic layout cannot offer: appending to a bank
+// writes exactly one new block plus a footer (O(suffix), the file is
+// never rewritten), and a bank that is a block-boundary prefix of a
+// stored file — the bank before an append — loads by reading only its
 // covering blocks.
 //
 // Files of any other version — the monolithic v1 and v2 layouts, and
@@ -131,17 +134,6 @@ func packKey(dst []byte, bankCRC, dataLen uint64, numSeqs uint32, o index.Option
 	binary.LittleEndian.PutUint32(dst[32:], dustOn)
 	binary.LittleEndian.PutUint32(dst[36:], dw)
 	binary.LittleEndian.PutUint64(dst[40:], dt)
-}
-
-// Save writes p's index to path (block-structured — see v3.go),
-// atomically: the bytes go to a temp file in the same directory which
-// is renamed over path only after a complete write, so a concurrent
-// reader (or a crashed writer) can never observe a half-written file
-// under the final name. There is no fsync — a torn file after power
-// loss is caught by the checksums and rebuilt, the store-heals-itself
-// property.
-func Save(path string, p *ixcache.Prepared) error {
-	return SaveBlocks(path, p, DefaultBlockSeqs)
 }
 
 // word covers the two 4-byte element types of the CSR sections.
@@ -366,15 +358,7 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*ixcache.Prepared, er
 	mapped := s.mapped
 	s.mu.Unlock()
 
-	var p *ixcache.Prepared
-	var m *Mapping
-	var blocks int
-	var err error
-	if mapped {
-		p, m, blocks, err = loadMapped(path, b, opts)
-	} else {
-		p, blocks, err = loadCopy(path, b, opts)
-	}
+	p, m, blocks, err := loadExact(path, b, opts, mapped)
 	if errors.Is(err, fs.ErrNotExist) {
 		return s.loadViaPrefix(b, opts, path)
 	}
@@ -404,7 +388,7 @@ func (s *DirStore) memoize(keyPath, backing string, b *bank.Bank, p *ixcache.Pre
 		}
 	}
 	s.loaded[keyPath] = &loadedEntry{bank: b, prep: p, path: backing}
-	if m != nil {
+	if m != nil && m.Mapped() {
 		// A superseded entry's mapping (same path, different bank
 		// pointer) stays in maps: its Prepared may still be referenced,
 		// so it is only released at Close.

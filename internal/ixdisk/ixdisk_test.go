@@ -1,6 +1,7 @@
 package ixdisk
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -33,6 +34,31 @@ func genBank(t testing.TB, name string, n int) *bank.Bank {
 		{ID: "r3", Seq: []byte("ACG")},
 	}
 	return bank.New(name, recs)
+}
+
+// saveTiled writes the index of (b, opts) to path as one block every
+// blockSeqs sequences, each made the way production makes every block
+// but the first: index.BuildBlock over its own range. It lays out the
+// multi-block files tests need — the shape appends leave, and the shape
+// Save gave every bank of more than 4,096 sequences before a fresh save
+// became one block.
+func saveTiled(tb testing.TB, path string, b *bank.Bank, opts index.Options, blockSeqs int) {
+	tb.Helper()
+	var blocks []index.BlockParts
+	for lo := 0; lo < b.NumSeqs(); lo += blockSeqs {
+		bp, err := index.BuildBlock(b, opts, lo, min(lo+blockSeqs, b.NumSeqs()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		blocks = append(blocks, bp)
+	}
+	var buf bytes.Buffer
+	if err := writeBlocksTo(&buf, b, opts, blocks); err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // optionVariants covers the identity dimensions of the format.

@@ -415,9 +415,7 @@ func TestMemoHitTouchesBackingFile(t *testing.T) {
 	}
 	defer store.Close()
 	stored := store.Path(grown, opts)
-	if err := SaveBlocks(stored, ixcache.Prepare(grown, opts), 2); err != nil {
-		t.Fatal(err)
-	}
+	saveTiled(t, stored, grown, opts, 2)
 	first, err := store.Load(prefix, opts)
 	if err != nil || first == nil {
 		t.Fatalf("partial load: %v, %v", first, err)

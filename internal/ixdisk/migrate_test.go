@@ -132,9 +132,7 @@ func TestV3AppendInPlace(t *testing.T) {
 	defer store.Close()
 	oldPath := store.Path(short, opts)
 	// 4 sequences cut every 2 → 2 stored blocks.
-	if err := SaveBlocks(oldPath, ixcache.Prepare(short, opts), 2); err != nil {
-		t.Fatal(err)
-	}
+	saveTiled(t, oldPath, short, opts, 2)
 	oldBytes, err := os.ReadFile(oldPath)
 	if err != nil {
 		t.Fatal(err)
@@ -214,9 +212,7 @@ func TestV3PartialLoad(t *testing.T) {
 	}
 	defer store.Close()
 	// 6 sequences cut every 2 → 3 blocks, boundary at 4.
-	if err := SaveBlocks(store.Path(grown, opts), ixcache.Prepare(grown, opts), 2); err != nil {
-		t.Fatal(err)
-	}
+	saveTiled(t, store.Path(grown, opts), grown, opts, 2)
 	total := 3
 	if info, err := Probe(store.Path(grown, opts)); err != nil || len(info.Blocks) != total {
 		t.Fatalf("stored file: %+v, %v — want %d blocks", info, err, total)
@@ -257,18 +253,10 @@ func TestHostileV3Files(t *testing.T) {
 	save := func(t *testing.T) (string, []byte) {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "ix"+FileExt)
-		p := ixcache.Prepare(b, opts)
-		var cuts []int
-		for c := 1; c < b.NumSeqs(); c++ {
-			cuts = append(cuts, c)
-		}
-		blocks := index.SplitBlocks(p.Ix, cuts)
-		if len(blocks) < 2 {
+		if b.NumSeqs() < 2 {
 			t.Fatal("need a multi-block file for hostile directory tests")
 		}
-		if err := SaveBlocks(path, p, 1); err != nil {
-			t.Fatal(err)
-		}
+		saveTiled(t, path, b, opts, 1)
 		buf, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -418,14 +406,17 @@ func TestCraftedPositionsRejected(t *testing.T) {
 // and gets there with one copy of the payload: the mapped blocks are
 // merged straight into fresh arrays, where the copying reader first
 // reads the file into a buffer and decodes each block out of it. The
-// gap between the two routes' allocations is twice the file.
+// gap between the two routes' allocations is twice the file, and the
+// merge itself allocates its three output arrays and nothing else sized
+// by the index.
 func TestMultiBlockMappedFallback(t *testing.T) {
 	b := genBank(t, "mb", 1<<17)
 	opts := index.Options{W: 8}
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
 	built := ixcache.Prepare(b, opts)
-	if err := SaveBlocks(path, built, 1); err != nil {
-		t.Fatal(err)
+	saveTiled(t, path, b, opts, 1)
+	if info, err := Probe(path); err != nil || len(info.Blocks) != 3 {
+		t.Fatalf("stored file: %+v, %v — want 3 blocks", info, err)
 	}
 	allocated := func(load func()) uint64 {
 		var before, after runtime.MemStats
@@ -459,6 +450,10 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 		t.Errorf("LoadMapped of a %d-byte multi-block file allocated %d bytes, Load %d: the mapped route still copies each block before the merge",
 			fi.Size(), mapped, copied)
 	}
+	if out := uint64(built.Ix.MemoryBytes()); mmapSupported && nativeLittleEndian && mapped > out+256<<10 {
+		t.Errorf("LoadMapped of a 3-block file allocated %d bytes for %d bytes of index arrays: the merge allocates beyond its output",
+			mapped, out)
+	}
 	assertIndexEqual(t, built.Ix, p.Ix)
 	// Independence: the merged index survives file removal.
 	if err := os.Remove(path); err != nil {
@@ -467,15 +462,98 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 	assertIndexEqual(t, built.Ix, p.Ix)
 }
 
+// TestFreshSaveIsOneBlock: a saved index is the built index — one block
+// however many sequences the bank has — so every fresh file takes the
+// zero-copy route under mmap: the load allocates Offsets and the footer,
+// nothing sized by Pos.
+func TestFreshSaveIsOneBlock(t *testing.T) {
+	b := bank.New("fresh", genRecs(t, 60, 6000))
+	opts := index.Options{W: 8}
+	built := ixcache.Prepare(b, opts)
+	path := filepath.Join(t.TempDir(), "ix"+FileExt)
+	if err := Save(path, built); err != nil {
+		t.Fatal(err)
+	}
+	info, err := Probe(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Blocks) != 1 || info.Blocks[0].SeqHi != b.NumSeqs() {
+		t.Fatalf("a fresh save of %d sequences has %d blocks, want 1 over all of them", b.NumSeqs(), len(info.Blocks))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, m, err := LoadMapped(path, b, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if mmapSupported && nativeLittleEndian {
+		if !m.Mapped() {
+			t.Error("LoadMapped of a fresh save did not keep its mapping")
+		}
+		got, max := after.TotalAlloc-before.TotalAlloc, uint64(4*(len(built.Ix.Codes)+1)+256<<10)
+		if got > max {
+			t.Errorf("LoadMapped allocated %d bytes, want ≤ 4·(|Codes|+1) + 256 KB = %d (Pos alone is %d)",
+				got, max, 4*len(built.Ix.Pos))
+		}
+	}
+	assertIndexEqual(t, built.Ix, p.Ix)
+	copied, err := Load(path, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIndexEqual(t, built.Ix, copied.Ix)
+}
+
+// TestOlderSaveLayoutLoads: Save used to cut a fresh index every 4,096
+// sequences. A file laid out that way — same format, so nothing marks
+// it — still loads to Build's arrays by both routes, through the merge,
+// and the bank of its first 4,096 sequences is still served from block 1
+// alone.
+func TestOlderSaveLayoutLoads(t *testing.T) {
+	const olderBlockSeqs = 4096
+	recs := genRecs(t, 40, olderBlockSeqs+500)
+	grown := bank.New("db", recs)
+	prefix := bank.New("db", recs[:olderBlockSeqs])
+	opts := index.Options{W: 8}
+	store := openStore(t, t.TempDir())
+	path := store.Path(grown, opts)
+	saveTiled(t, path, grown, opts, olderBlockSeqs)
+	if info, err := Probe(path); err != nil || len(info.Blocks) != 2 {
+		t.Fatalf("stored file: %+v, %v — want 2 blocks", info, err)
+	}
+	want := ixcache.Prepare(grown, opts).Ix
+	copied, err := Load(path, grown, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIndexEqual(t, want, copied.Ix)
+	mapped, m, err := LoadMapped(path, grown, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	assertIndexEqual(t, want, mapped.Ix)
+
+	p, err := store.Load(prefix, opts)
+	if err != nil || p == nil {
+		t.Fatalf("partial load: %v, %v", p, err)
+	}
+	if got := store.BlockLoads(); got != 1 {
+		t.Errorf("BlockLoads = %d, want 1 (block 1 of 2)", got)
+	}
+	assertIndexEqual(t, ixcache.Prepare(prefix, opts).Ix, p.Ix)
+}
+
 // TestProbeMetadata: the probe reports version, identity, and the block
 // directory without payload access.
 func TestProbeMetadata(t *testing.T) {
 	b := genBank(t, "probe", 2048)
 	opts := index.Options{W: 8}
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
-	if err := SaveBlocks(path, ixcache.Prepare(b, opts), 1); err != nil {
-		t.Fatal(err)
-	}
+	saveTiled(t, path, b, opts, 1)
 	info, err := Probe(path)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,17 +58,9 @@ func compatPrefix(info *FileInfo, b *bank.Bank, opts index.Options) (k int, part
 	sums := b.SeqChecksums()
 	switch {
 	case info.NumSeqs > b.NumSeqs():
-		nb := -1
-		for i, blk := range info.Blocks {
-			if blk.SeqHi == b.NumSeqs() {
-				nb = i + 1
-				break
-			}
-			if blk.SeqHi > b.NumSeqs() {
-				break
-			}
-		}
-		if nb < 0 || info.Blocks[nb-1].DataHi != int64(len(b.Data)) {
+		if !slices.ContainsFunc(info.Blocks, func(blk BlockInfo) bool {
+			return blk.SeqHi == b.NumSeqs() && blk.DataHi == int64(len(b.Data))
+		}) {
 			return 0, false, false
 		}
 		for i := range sums {
@@ -143,7 +136,9 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 // Only the suffix is scanned; the returned footer and suffix block let
 // the caller append in place. The file's identity as a strict prefix
 // of b is re-checked from scratch — the probe's cheap pass authorizes
-// nothing.
+// nothing. A mapped store reads the stored blocks in place: the merge
+// copies them into arrays the index owns, so the mapping is gone before
+// the file is written to.
 func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *index.BlockParts, *footerV3, error) {
 	x, err := openIndexFile(path, &opts)
 	if err != nil {
@@ -158,7 +153,15 @@ func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options) (*ixc
 	if err := x.ftr.checkPrefixSums(b, k); err != nil {
 		return nil, nil, nil, err
 	}
-	blocks, err := x.readBlocks(len(x.ftr.dir))
+	s.mu.Lock()
+	mapped := s.mapped
+	s.mu.Unlock()
+	m, err := x.mapping(mapped)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer m.Close()
+	blocks, err := x.allBlocks(m)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -1,9 +1,10 @@
 package ixdisk
 
 // The read side: one way to open an .orix file, and the three loaders
-// built on it — the copying exact load, the mmap exact load, and the
-// covering-blocks partial load. (The append base, DirStore.extendV3,
-// and Probe are the other two callers of the opener.)
+// built on it — the exact load by its two block routes (copying and
+// mmap) and the covering-blocks partial load. (The append base,
+// DirStore.extendV3, and Probe are the other two callers of the opener;
+// the append base takes its blocks by whichever route its store uses.)
 
 import (
 	"encoding/binary"
@@ -111,6 +112,34 @@ func (x *indexFile) readBlocks(nb int) ([]index.BlockParts, error) {
 	return decodeBlocks(buf, headerSizeV3, x.ftr.dir[:nb], false)
 }
 
+// mapping maps the whole file when mapped is set — the zero-copy block
+// route, taken by the mapped exact load and by the append base of a
+// mapped store — and is the no-op Mapping otherwise. The caller closes
+// it once nothing aliases it.
+func (x *indexFile) mapping(mapped bool) (*Mapping, error) {
+	if !mapped {
+		return &Mapping{}, nil
+	}
+	if x.size > math.MaxInt32*8 {
+		return nil, fmt.Errorf("ixdisk: %w: file is %d bytes", ErrTruncated, x.size)
+	}
+	data, err := mmapFile(x.f, int(x.size))
+	if err != nil {
+		return nil, fmt.Errorf("ixdisk: mmap %s: %w", x.f.Name(), err)
+	}
+	return &Mapping{data: data}, nil
+}
+
+// allBlocks returns every block of the file, each validated: in place
+// out of m, which they then alias, when the file is mapped; read and
+// copied otherwise.
+func (x *indexFile) allBlocks(m *Mapping) ([]index.BlockParts, error) {
+	if m.Mapped() {
+		return decodeBlocks(m.data, 0, x.ftr.dir, true)
+	}
+	return x.readBlocks(len(x.ftr.dir))
+}
+
 // decodeBlocks validates each directory entry's block out of buf, whose
 // first byte sits at file offset base.
 func decodeBlocks(buf []byte, base uint64, dir []dirEntry, alias bool) ([]index.BlockParts, error) {
@@ -139,24 +168,41 @@ func (x *indexFile) prepare(b *bank.Bank, blocks []index.BlockParts) (*ixcache.P
 	return &ixcache.Prepared{Bank: b, Ix: ix}, nil
 }
 
-// loadCopy is the copying exact load: the file must record exactly
-// bank b. It reports how many blocks were decoded (the BlockLoads
-// accounting).
-func loadCopy(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, int, error) {
+// loadExact is the exact load — the file must record exactly bank b —
+// by either block route. It reports how many blocks were decoded (the
+// BlockLoads accounting). A single block's arrays become the index's
+// own, so a mapped single-block file (every fresh save) stays aliased
+// to the returned Mapping; several blocks are merged into arrays the
+// index owns — one copy — and the mapping is dropped, so the returned
+// Mapping is then non-mapped and callers need no layout logic.
+func loadExact(path string, b *bank.Bank, opts index.Options, mapped bool) (*ixcache.Prepared, *Mapping, int, error) {
 	x, err := openIndexFile(path, &opts)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	defer x.f.Close()
 	if err := x.ftr.checkExactBank(b); err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	blocks, err := x.readBlocks(len(x.ftr.dir))
+	m, err := x.mapping(mapped)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
+	}
+	blocks, err := x.allBlocks(m)
+	if err != nil {
+		m.Close()
+		return nil, nil, 0, err
 	}
 	p, err := x.prepare(b, blocks)
-	return p, len(blocks), err
+	if err != nil {
+		m.Close()
+		return nil, nil, 0, err
+	}
+	if len(blocks) > 1 {
+		m.Close()
+		m = &Mapping{}
+	}
+	return p, m, len(blocks), nil
 }
 
 // Load reads, validates, and copies an index file into a fresh
@@ -165,7 +211,7 @@ func loadCopy(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared,
 // is handed to the engines, and the returned index owns its memory
 // (nothing aliases the file).
 func Load(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, error) {
-	p, _, err := loadCopy(path, b, opts)
+	p, _, _, err := loadExact(path, b, opts, false)
 	return p, err
 }
 
@@ -233,58 +279,10 @@ func (m *Mapping) Mapped() bool { return m.data != nil }
 // checksum pass does touch each page once, the price of strictness).
 //
 // On hosts where aliasing is impossible (no mmap, or big-endian byte
-// order) it falls back to Load and returns a non-mapped Mapping. A
-// single-block file (the common fresh-save shape) stays aliased; the
-// blocks of a multi-block file are read in place from the mapping,
-// merged into fresh arrays — one copy — and the mapping is dropped, so
-// the returned Mapping is non-mapped and callers need no layout logic.
+// order) it falls back to Load and returns a non-mapped Mapping, as it
+// does for a multi-block file (one that has been appended to — see
+// loadExact).
 func LoadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *Mapping, error) {
-	p, m, _, err := loadMapped(path, b, opts)
+	p, m, _, err := loadExact(path, b, opts, mmapSupported && nativeLittleEndian)
 	return p, m, err
-}
-
-// loadMapped is LoadMapped plus the decoded-block count. The metadata
-// comes through the same file-side opener as every other reader; only
-// the blocks are taken from the mapping.
-func loadMapped(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *Mapping, int, error) {
-	if !mmapSupported || !nativeLittleEndian {
-		p, n, err := loadCopy(path, b, opts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return p, &Mapping{}, n, nil
-	}
-	x, err := openIndexFile(path, &opts)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer x.f.Close()
-	if err := x.ftr.checkExactBank(b); err != nil {
-		return nil, nil, 0, err
-	}
-	if x.size > math.MaxInt32*8 {
-		return nil, nil, 0, fmt.Errorf("ixdisk: %w: file is %d bytes", ErrTruncated, x.size)
-	}
-	data, err := mmapFile(x.f, int(x.size))
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("ixdisk: mmap %s: %w", path, err)
-	}
-	m := &Mapping{data: data}
-	blocks, err := decodeBlocks(data, 0, x.ftr.dir, true)
-	if err != nil {
-		m.Close()
-		return nil, nil, 0, err
-	}
-	p, err := x.prepare(b, blocks)
-	if err != nil {
-		m.Close()
-		return nil, nil, 0, err
-	}
-	if len(blocks) > 1 {
-		// The merge read the mapped blocks into arrays the index owns;
-		// nothing aliases the mapping any more.
-		m.Close()
-		return p, &Mapping{}, len(blocks), nil
-	}
-	return p, m, len(blocks), nil
 }

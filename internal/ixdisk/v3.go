@@ -9,12 +9,14 @@ package ixdisk
 // # File layout
 //
 //	header (48 bytes)   magic, version, header size, options key, CRC
-//	block*              per-sequence-group CSR slices, 8-byte aligned
+//	block+              CSR slices over runs of sequences, 8-byte aligned
 //	footer              bank identity, per-sequence checksums, block
 //	                    directory, CRC, self-locating trailer
 //
-// Each block is a self-contained index.BlockParts over one contiguous
-// sequence range: a 64-byte block header, the three 4-byte-element
+// A fresh save writes one block, the built index (index.Index.Block);
+// every further block was written by an append. Each block is a
+// self-contained index.BlockParts over one contiguous sequence range: a
+// 64-byte block header, the three 4-byte-element
 // sections (Codes, Counts, Pos), a CRC-32C over header + sections, and
 // zero padding to an 8-byte boundary — so every section is 4-byte
 // aligned from any page-aligned base and LoadMapped can alias them. The
@@ -48,10 +50,14 @@ package ixdisk
 // # Partial loads
 //
 // Because every append leaves a block boundary at the pre-append
-// sequence count, a request for a bank that is a block-boundary prefix
-// of a stored file is served by reading only the covering blocks —
+// sequence count — and nothing else leaves one — a request for a bank
+// that is a block-boundary prefix of a stored file, i.e. the bank as it
+// was before an append, is served by reading only the covering blocks —
 // header + footer + a prefix of the blocks, never the whole file. The
 // per-block CRCs make that sound: each block validates independently.
+// A one-block file is the index — mapped, its sections are adopted in
+// place — while one with more blocks is merged into fresh arrays on
+// every load (index.FromBlocks).
 
 import (
 	"bufio"
@@ -86,12 +92,6 @@ const (
 	footerFixed   = 32 // footerMagic + bankCRC + dataLen + numSeqs + numBlocks
 	trailerSize   = 16 // footerCRC + footerLen + endMagic
 )
-
-// DefaultBlockSeqs is the sequence-group size Save cuts fresh builds
-// into. Appends always write one block per append regardless; this
-// bound only shapes cold saves, trading finer partial-load granularity
-// against per-block overhead (64 bytes + a directory entry).
-const DefaultBlockSeqs = 4096
 
 // optionsHeader is the decoded v3 fixed header: the options key alone.
 // Bank identity lives in the footer, which is rewritten on append —
@@ -463,19 +463,10 @@ func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error)
 	return bp, nil
 }
 
-// saveBlocksTo streams header + blocks + footer for p, split at every
-// blockSeqs sequences, to a writer.
-func saveBlocksTo(w io.Writer, p *ixcache.Prepared, blockSeqs int) error {
-	if blockSeqs < 1 {
-		blockSeqs = DefaultBlockSeqs
-	}
-	b := p.Bank
-	var cuts []int
-	for c := blockSeqs; c < b.NumSeqs(); c += blockSeqs {
-		cuts = append(cuts, c)
-	}
-	blocks := index.SplitBlocks(p.Ix, cuts)
-	if _, err := w.Write(encodeHeaderV3(p.Ix.Options())); err != nil {
+// writeBlocksTo streams header + blocks + footer to a writer: the whole
+// file for bank b, whose sequences the blocks tile.
+func writeBlocksTo(w io.Writer, b *bank.Bank, opts index.Options, blocks []index.BlockParts) error {
+	if _, err := w.Write(encodeHeaderV3(opts)); err != nil {
 		return err
 	}
 	dir := make([]dirEntry, len(blocks))
@@ -498,42 +489,42 @@ func saveBlocksTo(w io.Writer, p *ixcache.Prepared, blockSeqs int) error {
 	return err
 }
 
-// SaveBlocks writes p's index to path as a v3 file cut into blocks of
-// blockSeqs sequences (non-positive means DefaultBlockSeqs), with the
-// same atomic temp + rename discipline as Save.
-func SaveBlocks(path string, p *ixcache.Prepared, blockSeqs int) error {
+// Save writes p's index to path, atomically: the bytes go to a temp
+// file in the same directory which is renamed over path only after a
+// complete write, so a concurrent reader (or a crashed writer) can never
+// observe a half-written file under the final name. There is no fsync —
+// a torn file after power loss is caught by the checksums and rebuilt,
+// the store-heals-itself property.
+//
+// A saved index is the built index: one block over the whole bank,
+// streamed from the index's own Codes and Pos with the differences of
+// its Offsets between them — nothing is cut, regrouped or copied.
+func Save(path string, p *ixcache.Prepared) error {
 	if p == nil || p.Bank == nil || p.Ix == nil || p.Ix.Bank != p.Bank {
 		return errors.New("ixdisk: Save: inconsistent prepared value")
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, tmpPattern)
+	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPattern)
 	if err != nil {
 		return fmt.Errorf("ixdisk: Save: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmpName != "" {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
 	bw := bufio.NewWriterSize(tmp, 256<<10)
-	if err := saveBlocksTo(bw, p, blockSeqs); err != nil {
+	err = writeBlocksTo(bw, p.Bank, p.Ix.Options(), []index.BlockParts{p.Ix.Block()})
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("ixdisk: Save: %w", err)
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("ixdisk: Save: %w", err)
-	}
-	tmpName = ""
 	return nil
 }
 
