@@ -9,9 +9,11 @@
 //	        produced exactly once, no duplicate table needed. The paper
 //	        sweeps all 4^W codes of a dense dictionary; here the indexes
 //	        are sorted directories of the codes each bank holds, and the
-//	        enumeration is their merge-join, driven by the smaller one:
-//	        the same codes in the same order, at a cost set by the banks
-//	        (a 16-read query walks its few thousand codes, not 4^W)
+//	        enumeration is their join, driven by the smaller one and
+//	        resolved in the other by point lookups: the same codes in
+//	        the same order, at a cost set by the banks (a 16-read query
+//	        walks its few thousand codes, not 4^W), taken a batch at a
+//	        time so that the cache misses of a batch overlap
 //	step 3  gapped X-drop extension from the middle of each HSP, walking
 //	        HSPs in diagonal order and skipping those already inside an
 //	        alignment (packages gapped, align)
@@ -288,6 +290,9 @@ type step2Result struct {
 	hsps     []hsp.HSP
 	hitPairs int64
 	stats    hsp.Stats
+	// touched sums the bank bytes step2 reads ahead of a batch's
+	// extensions: a use, so that the compiler keeps the loads.
+	touched byte
 }
 
 func workerCount(opt Options) int {
@@ -299,18 +304,29 @@ func workerCount(opt Options) int {
 }
 
 // step2 enumerates the seed codes both banks contain, in ascending
-// order, as a merge-join of the two indexes' sorted directories, and
-// runs the X1×X2 ordered extensions of each. The ordered rule makes
-// every HSP globally unique, so workers need no coordination (paper §4).
+// order, as a join of the two indexes' sorted directories, and runs the
+// X1×X2 ordered extensions of each. The ordered rule makes every HSP
+// globally unique, so workers need no coordination (paper §4).
 //
 // The join is driven by the smaller directory — a 16-read query against
 // a megabase bank walks the query's few thousand codes, not the bank's
 // million: workers claim contiguous chunks of it through an atomic
-// counter, and each chunk seeks forward through the larger directory
-// (see seek). Per-worker order stays ascending, which is all the
+// counter and resolve its codes in the larger directory by point lookups
+// (index.Slots). Per-worker order stays ascending, which is all the
 // ordered-rule uniqueness proof needs. The A4 ablation
 // (ShuffledSeedOrder) visits the driving directory's slots in a fixed
 // pseudo-random permutation instead.
+//
+// A shared code is a chain of loads, each address read from the last:
+// the directory lookup, then Offsets[k] → Pos[off] → Data[p] on both
+// sides. Taken one code at a time on a lopsided pair every link is a
+// cache miss the next must wait for, and that — not the extension — is
+// most of step 2 there. So the join looks its codes up a batch at a time
+// and hands over its matches joinBatch at a time, and before extending a
+// batch step2 walks it three times, once per link: the loads of one pass
+// do not depend on each other, so the core has a batch's misses in flight
+// together. The extension loops then run over the batch in slot order,
+// exactly as if the passes were not there (DESIGN.md §2).
 //
 //scorislint:hotpath
 func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Options) ([]hsp.HSP, step2Result, error) {
@@ -330,24 +346,42 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 	}
 	d1, d2 := b1.Data, b2.Data
 
-	// The X1×X2 inner product of one shared code, directory slot k1 of
-	// ix1 and k2 of ix2. Both occurrence lists are contiguous CSR slice
-	// views: flat sequential reads, no pointer chasing and no per-hit
-	// Bank lookups (an extension ends on the banks' own sentinels).
-	// Bank-1 positions stay outermost whichever directory drives the join.
-	err := joinCodes(ctx, ix1.Codes, ix2.Codes, workers, opt.ShuffledSeedOrder, func(wid, k1, k2 int) {
+	err := joinCodes(ctx, ix1, ix2, workers, opt.ShuffledSeedOrder, func(wid int, batch []slotPair) {
 		r := &results[wid]
-		code := ix1.Codes[k1]
-		pos2 := ix2.Pos[ix2.Offsets[k2]:ix2.Offsets[k2+1]]
-		for _, p1 := range ix1.Pos[ix1.Offsets[k1]:ix1.Offsets[k1+1]] {
-			for _, p2 := range pos2 {
-				if opt.SkipSelfPairs && p2 <= p1 {
-					continue
-				}
-				r.hitPairs++
-				h, ok := ext.Extend(d1, d2, p1, p2, code, &r.stats)
-				if ok && h.Score >= opt.MinUngappedScore {
-					r.hsps = append(r.hsps, h)
+		// Both occurrence lists of every pair: [lo, hi) into Pos.
+		var lo1, hi1, lo2, hi2 [joinBatch]int32
+		for i, sp := range batch {
+			lo1[i], hi1[i] = ix1.Offsets[sp.k1], ix1.Offsets[sp.k1+1]
+			lo2[i], hi2[i] = ix2.Offsets[sp.k2], ix2.Offsets[sp.k2+1]
+		}
+		// The head of each list — a listed code has at least one occurrence
+		// (index.FromParts proves it on load) — and the bank byte under it.
+		var p1, p2 [joinBatch]int32
+		for i := range batch {
+			p1[i], p2[i] = ix1.Pos[lo1[i]], ix2.Pos[lo2[i]]
+		}
+		for i := range batch {
+			r.touched += d1[p1[i]] + d2[p2[i]]
+		}
+
+		// The X1×X2 inner product of each shared code. Both occurrence lists
+		// are contiguous CSR slice views: flat sequential reads, no pointer
+		// chasing and no per-hit Bank lookups (an extension ends on the
+		// banks' own sentinels). Bank-1 positions stay outermost whichever
+		// directory drives the join.
+		for i, sp := range batch {
+			code := ix1.Codes[sp.k1]
+			pos2 := ix2.Pos[lo2[i]:hi2[i]]
+			for _, p1 := range ix1.Pos[lo1[i]:hi1[i]] {
+				for _, p2 := range pos2 {
+					if opt.SkipSelfPairs && p2 <= p1 {
+						continue
+					}
+					r.hitPairs++
+					h, ok := ext.Extend(d1, d2, p1, p2, code, &r.stats)
+					if ok && h.Score >= opt.MinUngappedScore {
+						r.hsps = append(r.hsps, h)
+					}
 				}
 			}
 		}
@@ -372,26 +406,42 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 	return merged.hsps, merged, nil
 }
 
-// joinCodes calls visit(wid, k1, k2) for every pair of directory slots
-// with c1[k1] == c2[k2] — the codes both sorted directories hold. The
-// smaller directory drives: its slots are cut into contiguous chunks
-// that workers claim in order through an atomic counter, so the codes
-// one worker visits ascend. visit runs on worker wid's goroutine. With
-// shuffled set the driving slots are visited in a fixed odd-multiplier
-// permutation of the next power of two (a bijection; slots past the
-// directory's end are skipped): same codes, destroyed locality.
-func joinCodes(ctx context.Context, c1, c2 []seed.Code, workers int, shuffled bool, visit func(wid, k1, k2 int)) error {
-	drive, other := c1, c2
-	swapped := len(c2) < len(c1)
+// slotPair is one code both directories hold: its slot in each.
+type slotPair struct{ k1, k2 int32 }
+
+// joinBatch is the number of slot pairs joinCodes hands over at a time,
+// the number of codes it looks up at a time: enough independent loads to
+// fill the core's miss queue several times over, few enough that the
+// first pair's lines are still in L1 when its extensions run. A
+// constant, not an option: 16 and 64 measure the same.
+const joinBatch = index.SlotBatch
+
+// joinCodes calls visit(wid, batch) with every pair of directory slots
+// (k1, k2) such that ix1.Codes[k1] == ix2.Codes[k2] — the codes both
+// sorted directories hold — joinBatch pairs a call. The smaller
+// directory drives: its slots are cut into contiguous chunks that
+// workers claim in order through an atomic counter, a chunk's codes are
+// looked up in the other directory joinBatch at a time (no lookup waits
+// for another, index.Slots), and its pairs are delivered in slot
+// order, the last batch of a chunk short — so the codes one worker
+// visits ascend. visit runs on worker wid's goroutine and must not keep
+// batch. With shuffled set the driving slots are visited in a fixed
+// odd-multiplier permutation of the next power of two (a bijection;
+// slots past the directory's end are skipped): same codes, destroyed
+// locality. No batch is delivered once ctx is cancelled.
+func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled bool, visit func(wid int, batch []slotPair)) error {
+	drive, other := ix1, ix2
+	swapped := len(ix2.Codes) < len(ix1.Codes)
 	if swapped {
-		drive, other = c2, c1
+		drive, other = ix2, ix1
 	}
-	if len(drive) == 0 {
+	codes := drive.Codes
+	if len(codes) == 0 {
 		return ctx.Err()
 	}
-	domain := len(drive)
+	domain := len(codes)
 	if shuffled {
-		domain = 1 << bits.Len(uint(len(drive)-1))
+		domain = 1 << bits.Len(uint(len(codes)-1))
 	}
 	numChunks := min(workers*16, domain)
 	chunkSize := (domain + numChunks - 1) / numChunks
@@ -402,67 +452,68 @@ func joinCodes(ctx context.Context, c1, c2 []seed.Code, workers int, shuffled bo
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
-			for {
-				// A cancelled stream stops burning cores at the next
-				// chunk claim, not at the end of the directory.
+			// The chunk's next driving slots, a lookup's worth — where each
+			// is, its code, and where the other side has it — and the pairs
+			// found so far that no batch has taken.
+			var at, found [joinBatch]int32
+			var lookup [joinBatch]seed.Code
+			var buf [joinBatch]slotPair
+			// A cancelled stream stops burning cores at the next batch or
+			// chunk claim, not at the end of the directory.
+			deliver := func(batch []slotPair) bool {
 				if ctx.Err() != nil {
-					return
+					return false
 				}
+				visit(wid, batch)
+				return true
+			}
+			for ctx.Err() == nil {
 				chunk := int(next.Add(1)) - 1
 				if chunk >= numChunks {
 					return
 				}
 				lo := chunk * chunkSize
 				hi := min(lo+chunkSize, domain)
-				j := 0
-				for slot := lo; slot < hi; slot++ {
-					i := slot
-					if shuffled {
-						i = int(uint32(slot) * 0x9E3779B1 & uint32(domain-1))
-						if i >= len(drive) {
+				n := 0
+				for lo < hi {
+					w := 0
+					for ; lo < hi && w < len(at); lo++ {
+						i := lo
+						if shuffled {
+							i = int(uint32(lo) * 0x9E3779B1 & uint32(domain-1))
+							if i >= len(codes) {
+								continue
+							}
+						}
+						at[w], lookup[w] = int32(i), codes[i]
+						w++
+					}
+					other.Slots(lookup[:w], found[:w])
+					for k, j := range found[:w] {
+						if j < 0 {
 							continue
 						}
-						j = 0
+						if swapped {
+							buf[n] = slotPair{j, at[k]}
+						} else {
+							buf[n] = slotPair{at[k], j}
+						}
+						if n++; n == joinBatch {
+							if !deliver(buf[:n]) {
+								return
+							}
+							n = 0
+						}
 					}
-					j = seek(other, j, drive[i])
-					if j == len(other) || other[j] != drive[i] {
-						continue
-					}
-					if swapped {
-						visit(wid, j, i)
-					} else {
-						visit(wid, i, j)
-					}
+				}
+				if n > 0 && !deliver(buf[:n]) {
+					return
 				}
 			}
 		}(wid)
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// seek returns the first k ≥ j with codes[k] ≥ c (len(codes) if none),
-// given that everything before j is below c. It gallops — probes 1, 2,
-// 4, … slots ahead, then binary-searches the last stride — so one loop
-// is a linear merge when the two directories are comparable (the answer
-// is a slot or two away) and a logarithmic skip when the driving side
-// is a small query against a large bank.
-func seek(codes []seed.Code, j int, c seed.Code) int {
-	step := 1
-	for j+step <= len(codes) && codes[j+step-1] < c {
-		j += step
-		step <<= 1
-	}
-	hi := min(j+step-1, len(codes))
-	for j < hi {
-		m := int(uint(j+hi) >> 1)
-		if codes[m] < c {
-			j = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return j
 }
 
 // step3Sequential is the reference step 3: walk diagonal-sorted HSPs,
@@ -498,7 +549,8 @@ func step3Parallel(b1, b2 *bank.Bank, hsps []hsp.HSP, opt Options, ext *gapped.E
 		wg.Add(1)
 		go func(wid, lo, hi int) {
 			defer wg.Done()
-			ext := gapped.NewExtender(gapped.FromScoring(opt.Scoring, opt.GappedXDrop))
+			ext := getExtender(opt)
+			defer extenders.Put(ext)
 			extendBand(b1, b2, hsps[lo:hi], ext, &tas[wid], &mets[wid])
 		}(wid, lo, hi)
 	}

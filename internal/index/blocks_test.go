@@ -13,10 +13,15 @@ import (
 )
 
 // sameIndexT asserts two indexes are identical in every array and
-// counter — the byte-identity invariant the block operations promise.
+// counter — the byte-identity invariant the block operations promise —
+// and in the Top derived from them.
 func sameIndexT(t *testing.T, want, got *Index) {
 	t.Helper()
 	samePartsT(t, want.Parts(), got.Parts())
+	if !slices.Equal(want.Top, got.Top) || want.topShift != got.topShift {
+		t.Errorf("Top differs: want %d entries at shift %d, got %d at %d",
+			len(want.Top), want.topShift, len(got.Top), got.topShift)
+	}
 }
 
 // tileBlocks tiles b into blocks the way production makes every block

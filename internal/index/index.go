@@ -1,7 +1,10 @@
 // Package index implements the ORIS bank index of paper §2.1 / Fig. 2
 // as an inverted file sized by the bank: Codes, the ascending directory
 // of the seed codes the bank actually contains; Offsets, one entry per
-// directory slot plus one; and one flat, cache-contiguous occurrence
+// directory slot plus one; Top, a coarse directory over Codes — where
+// the codes of each top-bits bucket begin, a sixteenth of Codes in size
+// — through which a code is found in one short probe (Slot) that waits
+// for no other; and one flat, cache-contiguous occurrence
 // array Pos holding every indexed position, grouped by seed code and
 // position-sorted inside each group. The occurrences of Codes[i] are
 // Pos[Offsets[i]:Offsets[i+1]], a contiguous []int32 view, so step 2's
@@ -56,8 +59,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/bank"
@@ -106,8 +109,8 @@ type Index struct {
 	W    int
 
 	// Codes lists the seed codes the bank contains, strictly ascending —
-	// the directory step 2 merge-joins against the other bank's and point
-	// lookups binary-search.
+	// the directory step 2 joins with the other bank's and point lookups
+	// (Slot) search, a bucket of Top at a time.
 	Codes []seed.Code
 	// Offsets has len(Codes)+1 entries, strictly increasing from 0 to
 	// Indexed: the occurrences of Codes[i] are Pos[Offsets[i]:Offsets[i+1]].
@@ -115,6 +118,13 @@ type Index struct {
 	// Pos is the flat occurrence array, length Indexed, grouped by code
 	// and ascending inside each group.
 	Pos []int32
+	// Top is the coarse directory over Codes that Slot resolves a code
+	// through: 2^k+1 entries, Top[h] the first slot whose code's top k
+	// bits are ≥ h (Top[2^k] = len(Codes)), so the codes sharing top bits
+	// h are Codes[Top[h]:Top[h+1]]. k is the smallest that leaves a bucket
+	// ≤ topBucket codes when the bank's codes spread evenly. Derived from
+	// Codes by assemble, never stored: it is under half a byte a code.
+	Top []int32
 
 	// Indexed is the number of positions inserted.
 	Indexed int
@@ -123,7 +133,8 @@ type Index struct {
 	// SampledOut counts windows skipped by SampleStep.
 	SampledOut int
 
-	opts Options
+	topShift uint // a code's Top bucket is code >> topShift
+	opts     Options
 }
 
 // minParallelData is the Data range below which the build stays serial;
@@ -355,14 +366,44 @@ func (ix *Index) Parts() Parts {
 }
 
 // assemble binds parts to the (bank, options) they were built or
-// validated for. opts must be normalized.
+// validated for, and derives Top from their directory. opts must be
+// normalized and every code below 4^W.
 func assemble(b *bank.Bank, opts Options, p Parts) *Index {
-	return &Index{
+	ix := &Index{
 		Bank: b, W: opts.W,
 		Codes: p.Codes, Offsets: p.Offsets, Pos: p.Pos,
 		Indexed: p.Indexed, MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 		opts: opts,
 	}
+	ix.Top, ix.topShift = topDirectory(p.Codes, opts.W)
+	return ix
+}
+
+// topBucket is the number of codes a Top bucket holds when the
+// directory's codes spread evenly over the code space: one cache line of
+// Codes, four probes of a binary search.
+const topBucket = 16
+
+// topDirectory derives the coarse directory of an ascending code list
+// below 4^w (see Index.Top) in one pass, and the shift that takes a code
+// to its bucket.
+func topDirectory(codes []seed.Code, w int) ([]int32, uint) {
+	k := 0
+	if len(codes) > topBucket {
+		k = bits.Len(uint((len(codes) - 1) / topBucket)) // 2^k buckets ≥ len/topBucket
+	}
+	shift := uint(2*w - k)
+	top := make([]int32, 1<<k+1)
+	h := 0
+	for i, c := range codes {
+		for ; h <= int(c>>shift); h++ {
+			top[h] = int32(i)
+		}
+	}
+	for ; h < len(top); h++ {
+		top[h] = int32(len(codes))
+	}
+	return top, shift
 }
 
 // FromParts reassembles an Index from its components, as if
@@ -481,12 +522,81 @@ func spreadBases(c uint64) uint64 {
 	return c
 }
 
+// Slot returns the directory slot of code c — Codes[slot] == c — and
+// whether the bank contains c; when it does not, slot is where c would
+// be inserted, as slices.BinarySearch(ix.Codes, c) reports it. The lookup
+// reads two adjacent Top entries and binary-searches only the bucket
+// between them, so it depends on no earlier lookup.
+func (ix *Index) Slot(c seed.Code) (slot int, found bool) {
+	lo, hi := ix.bucket(c)
+	return ix.searchBucket(lo, hi, c)
+}
+
+// SlotBatch is the most codes one Slots call resolves.
+const SlotBatch = 32
+
+// Slots resolves up to SlotBatch codes at once: slots[i], for every i
+// below len(codes), is the slot of codes[i], or -1 when the bank does
+// not contain it. It is Slot taken a step at a time across the batch —
+// every code's bucket, then the codes at both ends of every bucket, then
+// the searches — so that the cache misses of the batch, one or two a
+// code on a directory larger than the cache (a bucket is a cache line of
+// codes, seldom aligned to one), are in flight together instead of one
+// after the other (step 2's join, DESIGN.md §2).
+func (ix *Index) Slots(codes []seed.Code, slots []int32) {
+	var lo, hi [SlotBatch]int32
+	for i, c := range codes {
+		lo[i], hi[i] = ix.bucket(c)
+	}
+	var first, last [SlotBatch]seed.Code
+	for i := range codes {
+		first[i], last[i] = 1, 0 // an empty bucket holds no code
+		if lo[i] < hi[i] {
+			first[i], last[i] = ix.Codes[lo[i]], ix.Codes[hi[i]-1]
+		}
+	}
+	for i, c := range codes {
+		slots[i] = -1
+		// Outside its bucket's codes c is settled already — and the test is
+		// what the reads above are for: a load nothing uses is not compiled.
+		if c < first[i] || last[i] < c {
+			continue
+		}
+		if slot, found := ix.searchBucket(lo[i], hi[i], c); found {
+			slots[i] = int32(slot)
+		}
+	}
+}
+
+// bucket returns the range of slots whose codes share c's top bits.
+func (ix *Index) bucket(c seed.Code) (lo, hi int32) {
+	h := int(c >> ix.topShift)
+	if h >= len(ix.Top)-1 { // c ≥ 4^W: above every code
+		end := int32(len(ix.Codes))
+		return end, end
+	}
+	return ix.Top[h], ix.Top[h+1]
+}
+
+// searchBucket is a binary search for c among Codes[lo:hi], a bucket of c.
+func (ix *Index) searchBucket(lo, hi int32, c seed.Code) (slot int, found bool) {
+	for lo < hi {
+		m := int32(uint32(lo+hi) >> 1)
+		if ix.Codes[m] < c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return int(lo), int(lo) < len(ix.Codes) && ix.Codes[lo] == c
+}
+
 // Occ returns the occurrences of code c as a contiguous ascending slice
-// view into the flat array — a binary search of the Codes directory, for
-// callers that probe by code (the BLAT tile scan). It is empty when the
-// bank does not contain c. Callers must not mutate it.
+// view into the flat array, for callers that probe by code (the BLAT
+// tile scan). It is empty when the bank does not contain c. Callers must
+// not mutate it.
 func (ix *Index) Occ(c seed.Code) []int32 {
-	i, found := slices.BinarySearch(ix.Codes, c)
+	i, found := ix.Slot(c)
 	if !found {
 		return nil
 	}
@@ -494,11 +604,11 @@ func (ix *Index) Occ(c seed.Code) []int32 {
 }
 
 // MemoryBytes reports the footprint of the index arrays (Codes +
-// Offsets + Pos), the "INDEX" part of the paper's ≈5N bytes/bank
-// estimate: 4 bytes per indexed position plus 8 per distinct code
-// (DESIGN.md §3).
+// Offsets + Top + Pos), the "INDEX" part of the paper's ≈5N bytes/bank
+// estimate: 4 bytes per indexed position plus 8 and a fraction per
+// distinct code (DESIGN.md §3).
 func (ix *Index) MemoryBytes() int {
-	return 4 * (len(ix.Codes) + len(ix.Offsets) + len(ix.Pos))
+	return 4 * (len(ix.Codes) + len(ix.Offsets) + len(ix.Top) + len(ix.Pos))
 }
 
 // Options returns the options the index was built with.

@@ -9,19 +9,19 @@ const (
 	ixcachePkgPath = "repro/internal/ixcache"
 )
 
-// csrSections are the index.Index arrays: all but Offsets may alias a
+// csrSections are the index.Index arrays: Codes and Pos may alias a
 // read-only .orix mmap after LoadMapped (DESIGN.md §7), so growing,
 // reordering, or element-writing them faults on the mapping — and on
-// any of them silently corrupts a cached index shared by concurrent
-// readers.
+// any of them (Offsets and Top are derived at load, on the heap)
+// silently corrupts a cached index shared by concurrent readers.
 var csrSections = map[string]bool{
-	"Codes": true, "Offsets": true, "Pos": true,
+	"Codes": true, "Offsets": true, "Pos": true, "Top": true,
 }
 
 // AnalyzerIndexImmut enforces the index reuse contract of DESIGN.md
 // §5/§7: outside their defining packages, index.Index and
 // ixcache.Prepared are immutable after construction — no field
-// assignments, and no append/copy/sort/element writes on the three CSR
+// assignments, and no append/copy/sort/element writes on the CSR
 // sections, which may be zero-copy views of a read-only mmap.
 var AnalyzerIndexImmut = &Analyzer{
 	Name: "indeximmut",
