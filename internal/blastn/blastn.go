@@ -100,8 +100,8 @@ func (o *Options) Validate() error {
 	if err := o.Scoring.Validate(); err != nil {
 		return err
 	}
-	if o.UngappedXDrop <= 0 || o.GappedXDrop <= 0 {
-		return fmt.Errorf("blastn: X-drop thresholds must be positive")
+	if o.UngappedXDrop <= 0 || o.GappedXDrop <= 0 || o.UngappedXDrop > stats.MaxParam || o.GappedXDrop > stats.MaxParam {
+		return fmt.Errorf("blastn: X-drop thresholds must be in [1,%d]", stats.MaxParam)
 	}
 	if o.MaxEValue <= 0 {
 		return fmt.Errorf("blastn: MaxEValue must be positive")

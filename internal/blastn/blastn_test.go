@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dna"
 	"repro/internal/fasta"
+	"repro/internal/stats"
 )
 
 func mkBank(name string, seqs ...string) *bank.Bank {
@@ -265,6 +266,46 @@ func TestValidateRejectsBadOptions(t *testing.T) {
 		f(&opt)
 		if _, err := Compare(db, q, opt); err == nil {
 			t.Errorf("bad option set %d accepted", i)
+		}
+	}
+}
+
+// TestValidateBoundsScoringAndXDrops: every scoring parameter and both
+// X-drops stop at stats.MaxParam — the largest values pass Validate,
+// one more is an error, and so is the 2,000,000,000 that used to reach
+// the K series.
+func TestValidateBoundsScoringAndXDrops(t *testing.T) {
+	fields := []func(*Options) *int{
+		func(o *Options) *int { return &o.Scoring.Match },
+		func(o *Options) *int { return &o.Scoring.Mismatch },
+		func(o *Options) *int { return &o.Scoring.GapOpen },
+		func(o *Options) *int { return &o.Scoring.GapExtend },
+	}
+	atBound := DefaultOptions()
+	for _, f := range fields {
+		*f(&atBound) = stats.MaxParam
+	}
+	atBound.UngappedXDrop, atBound.GappedXDrop = stats.MaxParam, stats.MaxParam
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("options at the bound rejected: %v", err)
+	}
+	for i, f := range fields {
+		for _, v := range []int{stats.MaxParam + 1, 2000000000} {
+			opt := atBound
+			*f(&opt) = v
+			if opt.Validate() == nil {
+				t.Errorf("scoring field %d = %d accepted", i, v)
+			}
+		}
+	}
+	for i, f := range []func(*Options) *int32{
+		func(o *Options) *int32 { return &o.UngappedXDrop },
+		func(o *Options) *int32 { return &o.GappedXDrop },
+	} {
+		opt := atBound
+		*f(&opt) = stats.MaxParam + 1
+		if opt.Validate() == nil {
+			t.Errorf("X-drop %d one past the bound accepted", i)
 		}
 	}
 }

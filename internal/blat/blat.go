@@ -76,8 +76,8 @@ func (o *Options) Validate() error {
 	if err := o.Scoring.Validate(); err != nil {
 		return err
 	}
-	if o.UngappedXDrop <= 0 || o.GappedXDrop <= 0 {
-		return fmt.Errorf("blat: X-drop thresholds must be positive")
+	if o.UngappedXDrop <= 0 || o.GappedXDrop <= 0 || o.UngappedXDrop > stats.MaxParam || o.GappedXDrop > stats.MaxParam {
+		return fmt.Errorf("blat: X-drop thresholds must be in [1,%d]", stats.MaxParam)
 	}
 	if o.MaxEValue <= 0 {
 		return fmt.Errorf("blat: MaxEValue must be positive")
@@ -227,7 +227,8 @@ func compareWithIndex(db *bank.Bank, ix *index.Index, queries *bank.Bank, opt Op
 		XDrop:    opt.UngappedXDrop,
 		Ordered:  false,
 	}
-	gapExt := gapped.NewExtender(gapped.FromScoring(opt.Scoring, opt.GappedXDrop))
+	gapExt := gapped.Get(gapped.FromScoring(opt.Scoring, opt.GappedXDrop))
+	defer gapped.Put(gapExt)
 
 	d1, d2 := db.Data, queries.Data
 	var all []align.Alignment

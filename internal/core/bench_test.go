@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/bank"
 	"repro/internal/index"
@@ -91,6 +92,33 @@ func BenchmarkStep2_Lopsided(b *testing.B) {
 		hitPairs += res.hitPairs
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hitPairs), "ns/hit-pair")
+}
+
+// BenchmarkStep3_EST is step 3 as a compare pays it: the dense EST pair
+// with both indexes prepared, so an op is steps 2–4, and the figure is
+// the run's own clock — Metrics.Step3Time over Metrics.GappedExtensions,
+// what the harness reports as core.step3_us_per_gapped_ext.
+func BenchmarkStep3_EST(b *testing.B) {
+	ds, opt := benchBanks(b)
+	p1, p2, err := Prepare(nil, ds.Get(simulate.EST3), ds.Get(simulate.EST4), opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var step3 time.Duration
+	var exts int
+	for i := 0; i < b.N; i++ {
+		res, err := CompareWithIndex(p1, p2, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		step3 += res.Metrics.Step3Time
+		exts += res.Metrics.GappedExtensions
+	}
+	if exts == 0 {
+		b.Fatal("no gapped extensions")
+	}
+	b.ReportMetric(float64(step3.Microseconds())/float64(exts), "us/gapped-ext")
 }
 
 // BenchmarkCompare_EndToEnd measures the full four-step pipeline on the

@@ -154,8 +154,8 @@ func (o *Options) Validate() error {
 	if err := o.Scoring.Validate(); err != nil {
 		return err
 	}
-	if o.UngappedXDrop <= 0 || o.GappedXDrop <= 0 {
-		return fmt.Errorf("core: X-drop thresholds must be positive")
+	if o.UngappedXDrop <= 0 || o.GappedXDrop <= 0 || o.UngappedXDrop > stats.MaxParam || o.GappedXDrop > stats.MaxParam {
+		return fmt.Errorf("core: X-drop thresholds must be in [1,%d]", stats.MaxParam)
 	}
 	if o.MaxEValue <= 0 {
 		return fmt.Errorf("core: MaxEValue must be positive")
@@ -549,8 +549,8 @@ func step3Parallel(b1, b2 *bank.Bank, hsps []hsp.HSP, opt Options, ext *gapped.E
 		wg.Add(1)
 		go func(wid, lo, hi int) {
 			defer wg.Done()
-			ext := getExtender(opt)
-			defer extenders.Put(ext)
+			ext := gapped.Get(gapped.FromScoring(opt.Scoring, opt.GappedXDrop))
+			defer gapped.Put(ext)
 			extendBand(b1, b2, hsps[lo:hi], ext, &tas[wid], &mets[wid])
 		}(wid, lo, hi)
 	}

@@ -180,9 +180,9 @@ func TestCompareWithIndexRejectsMismatch(t *testing.T) {
 
 // TestCompareAllocatesOneGappedExtender is the allocation gate on the
 // per-request path of a resident bank: a compare run owns one gapped
-// extender (DP rows + a 64 KB traceback arena chunk), not one per
+// extender (its cell row + a 64 KB traceback buffer), not one per
 // bank-2 sequence with HSPs, and takes it from the pool — so a warm
-// compare of sixteen reads that all hit allocates no arena at all, only
+// compare of sixteen reads that all hit allocates no buffer at all, only
 // its HSPs and alignments.
 func TestCompareAllocatesOneGappedExtender(t *testing.T) {
 	if raceEnabled {

@@ -31,7 +31,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/align"
@@ -138,10 +137,10 @@ func compareStream(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index
 		return nil, err
 	}
 	m := b1.TotalBases()
-	// One extender for the run: it keeps its DP rows and traceback arena
-	// across calls, so bank-2 sequences do not each pay for their own.
-	ext := getExtender(opt)
-	defer extenders.Put(ext)
+	// One extender for the run: it keeps its cell row and traceback
+	// buffer across calls, so bank-2 sequences do not each pay for their own.
+	ext := gapped.Get(gapped.FromScoring(opt.Scoring, opt.GappedXDrop))
+	defer gapped.Put(ext)
 	for s := 0; s < b2.NumSeqs(); s++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -172,24 +171,6 @@ func compareStream(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index
 		}
 	}
 	return &Result{Metrics: met}, nil
-}
-
-// extenders keeps gapped extenders between compare runs. An extender's
-// working set — DP rows, a 64 KB first arena chunk, scratch — is most of
-// what a small warm compare would otherwise allocate, and a service runs
-// thousands of those with the same scoring. A pooled extender keeps the
-// arena it has grown to until the collector drops idle pool entries.
-var extenders sync.Pool
-
-// getExtender returns an extender for opt's scoring: a pooled one when
-// its parameters are those, a fresh one otherwise. Return it with
-// extenders.Put once no call on it is in flight.
-func getExtender(opt Options) *gapped.Extender {
-	prm := gapped.FromScoring(opt.Scoring, opt.GappedXDrop)
-	if e, ok := extenders.Get().(*gapped.Extender); ok && e.Params() == prm {
-		return e
-	}
-	return gapped.NewExtender(prm)
 }
 
 // runStep2 runs one strand's step 2, folding its counters into met and

@@ -8,13 +8,20 @@
 // The DP is the classic adaptive-band affine-gap X-drop extension
 // (Zhang/Altschul, as in NCBI ALIGN_EX): rows advance along the first
 // sequence, live columns are those within XDrop of the best score seen,
-// and the band grows and shrinks as scores evolve. A per-cell traceback
-// band is kept so the caller gets exact match/mismatch/gap-open/
+// and the band grows and shrinks as scores evolve. Scores live in one
+// row of {M, Ix, Iy} cells updated in place; a traceback byte per band
+// cell is kept so the caller gets exact match/mismatch/gap-open/
 // gap-base counts — the quantities the m8 output format reports.
 // Direct gap-to-gap state switches (Ix↔Iy) are disallowed, as in NCBI.
+// Every parameter is at most stats.MaxParam. DESIGN.md §2 ("Step 3")
+// has the state model and the loop structure.
 package gapped
 
-import "repro/internal/stats"
+import (
+	"sync"
+
+	"repro/internal/stats"
+)
 
 // Params controls the extension.
 type Params struct {
@@ -98,61 +105,26 @@ const (
 	tbIyExt = 1 << 3
 )
 
-// row stores one DP row's traceback band.
+// row locates one DP row's traceback band.
 type row struct {
-	lo   int32  // column of dirs[0]
-	dirs []byte // traceback bytes for columns lo..lo+len(dirs)-1
+	lo  int32 // column of the band's first byte
+	off int   // where in Extender.tb that byte is
 }
 
-// arena hands out zeroed byte slices from fixed chunks, so row slices
-// remain valid for the lifetime of one extension without per-row
-// allocation.
-type arena struct {
-	chunks [][]byte
-	cur    int
-	off    int
-}
+// cell is one DP column's three affine states. A dead state is exactly
+// negInf.
+type cell struct{ m, ix, iy int32 }
 
-func (a *arena) reset() {
-	a.cur, a.off = 0, 0
-	if len(a.chunks) == 0 {
-		a.chunks = [][]byte{make([]byte, 1<<16)}
-	}
-}
+var deadCell = cell{negInf, negInf, negInf}
 
-func (a *arena) alloc(n int) []byte {
-	for {
-		c := a.chunks[a.cur]
-		if a.off+n <= len(c) {
-			s := c[a.off : a.off+n]
-			a.off += n
-			for i := range s {
-				s[i] = 0
-			}
-			return s
-		}
-		a.cur++
-		a.off = 0
-		if a.cur == len(a.chunks) {
-			size := 1 << 16
-			if n > size {
-				size = n
-			}
-			a.chunks = append(a.chunks, make([]byte, size))
-		}
-	}
-}
-
-// Extender runs extensions, reusing scratch buffers across calls. Not
-// safe for concurrent use; each worker goroutine owns one.
+// Extender runs extensions, reusing its buffers across calls. Not safe
+// for concurrent use; each worker goroutine owns one.
 type Extender struct {
 	prm Params
 
-	m, ix, iy    []int32
-	nm, nix, niy []int32
-	rows         []row
-	tb           arena
-	scratch      []byte
+	cells []cell // the one DP row, indexed by column
+	rows  []row
+	tb    []byte // every row's traceback bytes, end to end
 
 	collectOps bool
 	ops        []byte
@@ -169,16 +141,35 @@ const (
 )
 
 // NewExtender returns an extender with the given parameters. It panics
-// on parameters that would break the DP (non-positive gap extension).
+// unless each is positive (GapOpen may be zero) and at most
+// stats.MaxParam — the bound that lets extend do arithmetic on dead
+// states: negInf minus two penalties cannot wrap, and negInf plus a
+// reward stays below negInf/2.
 func NewExtender(prm Params) *Extender {
-	if prm.GapExtend <= 0 || prm.Match <= 0 || prm.Mismatch <= 0 || prm.GapOpen < 0 || prm.XDrop <= 0 {
+	if min(prm.Match, prm.Mismatch, prm.GapOpen+1, prm.GapExtend, prm.XDrop) <= 0 ||
+		max(prm.Match, prm.Mismatch, prm.GapOpen, prm.GapExtend, prm.XDrop) > stats.MaxParam {
 		panic("gapped: invalid params")
 	}
 	return &Extender{prm: prm}
 }
 
-// Params returns the extension parameters.
-func (e *Extender) Params() Params { return e.prm }
+// pool keeps extenders between runs: their buffers are most of what a
+// small warm compare would otherwise allocate. A pooled extender keeps
+// what it has grown to until the collector drops idle pool entries.
+var pool sync.Pool
+
+// Get returns an extender for prm: a pooled one when its parameters are
+// those, a fresh one otherwise. Return it with Put once no call on it
+// is in flight.
+func Get(prm Params) *Extender {
+	if e, ok := pool.Get().(*Extender); ok && e.prm == prm {
+		return e
+	}
+	return NewExtender(prm)
+}
+
+// Put hands an extender taken with Get back to the pool.
+func Put(e *Extender) { pool.Put(e) }
 
 // ExtendRight extends from the anchor point rightwards: the first
 // aligned pair is (d1[p1], d2[p2]), and the extension may consume up to
@@ -206,216 +197,221 @@ func (e *Extender) ExtendBoth(d1, d2 []byte, m1, m2, lo1, hi1, lo2, hi2 int32) R
 // in left-to-right order (OpPair/OpGap1/OpGap2 per column). The slice
 // is freshly allocated and owned by the caller.
 func (e *Extender) ExtendRightPath(d1, d2 []byte, p1, hi1, p2, hi2 int32) (Result, []byte) {
-	e.collectOps = true
-	r := e.ExtendRight(d1, d2, p1, hi1, p2, hi2)
-	e.collectOps = false
-	// Traceback walks end→anchor; right-arm display order is
-	// anchor→end, so reverse.
-	ops := append([]byte(nil), e.ops...)
-	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
-		ops[i], ops[j] = ops[j], ops[i]
-	}
-	return r, ops
+	return e.ExtendBothPath(d1, d2, p1, p2, p1, hi1, p2, hi2)
 }
 
 // ExtendLeftPath is ExtendLeft with the edit path in left-to-right
-// order (traceback order is already leftmost→anchor for the left arm).
+// order.
 func (e *Extender) ExtendLeftPath(d1, d2 []byte, p1, lo1, p2, lo2 int32) (Result, []byte) {
-	e.collectOps = true
-	r := e.ExtendLeft(d1, d2, p1, lo1, p2, lo2)
-	e.collectOps = false
-	return r, append([]byte(nil), e.ops...)
+	return e.ExtendBothPath(d1, d2, p1, p2, lo1, p1, lo2, p2)
 }
 
 // ExtendBothPath merges the arms and their paths around the anchor.
+// Both tracebacks append to one buffer — the left arm's walk is already
+// leftmost→anchor, the right arm's end→anchor is reversed in place — so
+// the returned path is the call's one allocation.
 func (e *Extender) ExtendBothPath(d1, d2 []byte, m1, m2, lo1, hi1, lo2, hi2 int32) (Result, []byte) {
-	left, lops := e.ExtendLeftPath(d1, d2, m1, lo1, m2, lo2)
-	right, rops := e.ExtendRightPath(d1, d2, m1, hi1, m2, hi2)
-	return left.Add(right), append(lops, rops...)
+	e.collectOps, e.ops = true, e.ops[:0]
+	left := e.ExtendLeft(d1, d2, m1, lo1, m2, lo2)
+	n := len(e.ops)
+	right := e.ExtendRight(d1, d2, m1, hi1, m2, hi2)
+	e.collectOps = false
+	for i, j := n, len(e.ops)-1; i < j; i, j = i+1, j-1 {
+		e.ops[i], e.ops[j] = e.ops[j], e.ops[i]
+	}
+	return left.Add(right), append([]byte(nil), e.ops...)
 }
 
 // extend is the core banded X-drop DP. The i-th consumed base of
 // sequence 1 is d1[base1+sign*i] (i ≥ 1), likewise for sequence 2;
 // n1, n2 bound the consumable bases.
+//
+// One row of cells is updated in place (DESIGN.md §2). Before row i,
+// cells[lo..hi] holds row i-1's band; walking left to right, the cell
+// about to be overwritten is the one above, what its left neighbour
+// held before is the diagonal and what it holds now feeds Iy — those
+// two travel in locals. Every maximum is a select over plain integers:
+// what derives from a dead state lies far below any threshold and is
+// set back to exactly negInf before it is stored. A dead state's
+// direction bits are arbitrary; traceback follows chosen states only.
 func (e *Extender) extend(d1, d2 []byte, base1, base2, sign, n1, n2 int32) Result {
 	prm := e.prm
-	if n1 < 0 {
-		n1 = 0
-	}
-	if n2 < 0 {
-		n2 = 0
-	}
+	n1, n2 = max(n1, 0), max(n2, 0)
+	match, mismatch := prm.Match, -prm.Mismatch
+	ge, goe := prm.GapExtend, prm.GapOpen+prm.GapExtend
 	// chainMax bounds how far a pure Iy chain can profitably run past
 	// the previous band: each step costs GapExtend and the chain must
 	// stay within XDrop of the best.
-	chainMax := prm.XDrop/prm.GapExtend + 1
+	chainMax := prm.XDrop/ge + 1
 
-	e.rows = e.rows[:0]
-	e.tb.reset()
+	e.rows, e.tb = e.rows[:0], e.tb[:0]
 
-	best := int32(0)
+	// thresh is best - XDrop, refreshed only when best moves.
+	best, thresh := int32(0), -prm.XDrop
 	bestI, bestJ, bestState := int32(0), int32(0), stM
 
 	// Row 0: only Iy (gaps in sequence 1) chained along j.
-	row0Max := chainMax
-	if row0Max > n2 {
-		row0Max = n2
-	}
-	e.ensure(row0Max + 1)
-	m, ix, iy := e.m, e.ix, e.iy
-	nm, nix, niy := e.nm, e.nix, e.niy
-	m[0], ix[0], iy[0] = 0, negInf, negInf
+	row0Max := min(chainMax, n2)
+	cells, dirs := e.row(row0Max+1, 0)
+	cells[0], dirs[0] = cell{0, negInf, negInf}, 0
 	lo, hi := int32(0), int32(0)
-	g := -prm.GapOpen - prm.GapExtend
-	for j := int32(1); j <= row0Max && g >= -prm.XDrop; j++ {
-		m[j], ix[j] = negInf, negInf
-		iy[j] = g
-		g -= prm.GapExtend
-		hi = j
+	for g, d := -goe, byte(0); hi < row0Max && g >= thresh; g, d = g-ge, tbIyExt {
+		hi++ // the chain's first step opens, the rest extend
+		cells[hi], dirs[hi] = cell{negInf, negInf, g}, d
 	}
-	d0 := e.tb.alloc(int(hi) + 1)
-	for j := 2; j < len(d0); j++ {
-		d0[j] = tbIyExt
-	}
-	e.rows = append(e.rows, row{lo: 0, dirs: d0})
+	e.tb = e.tb[:hi+1]
+	e.rows = append(e.rows, row{})
 
 	for i := int32(1); i <= n1; i++ {
-		c1 := d1[base1+sign*i]
-		jStart := lo
-		jLimit := hi + 1 // beyond this only a live Iy chain can continue
-		if jLimit > n2 {
-			jLimit = n2
+		// A non-base compares unequal to every sequence-2 code.
+		c1 := int32(d1[base1+sign*i])
+		if c1 >= 4 {
+			c1 = -1
 		}
-		jMax := hi + 1 + chainMax // hard bound on this row's live span
-		if jMax > n2 {
-			jMax = n2
+		jLimit := min(hi+1, n2)        // beyond this only a live Iy chain can continue
+		jMax := min(hi+1+chainMax, n2) // hard bound on this row's live span
+		off := len(e.tb)
+		cells, dirs = e.row(jMax+1, lo)
+		if hi < n2 {
+			cells[hi+1] = deadCell // above column hi+1 lies nothing
 		}
-		e.ensure(jMax + 1)
-		m, ix, iy = e.m, e.ix, e.iy
-		nm, nix, niy = e.nm, e.nix, e.niy
-		if int(jMax-jStart)+1 > len(e.scratch) {
-			e.scratch = make([]byte, 2*(int(jMax-jStart)+1))
-		}
-		dirs := e.scratch
-		newLo, newHi := int32(-1), int32(-1)
-		for j := jStart; j <= jMax; j++ {
-			if j > jLimit && newHi < j-1 {
-				break // band and Iy chain both dead
-			}
-			var pm, pix int32 = negInf, negInf
-			if j >= lo && j <= hi {
-				pm, pix = m[j], ix[j]
-			}
-			var dm, dix, diy int32 = negInf, negInf, negInf
-			if j-1 >= lo && j-1 <= hi {
-				dm, dix, diy = m[j-1], ix[j-1], iy[j-1]
-			}
-			var dir byte
+		newHi := lo - 1 // last live column of this row
+		// The diagonal cell — its best state's score, and which state —
+		// and the left neighbour's M and Iy. Left of lo lies nothing.
+		dpred, dps := negInf, byte(stM)
+		lm, liy := negInf, negInf
 
-			// M: diagonal move.
-			mv := negInf
-			if j >= 1 {
-				pred, ps := dm, byte(stM)
-				if dix > pred {
-					pred, ps = dix, stIx
+		j := lo
+		if j == 0 {
+			// Column 0 has no diagonal and no left neighbour, and
+			// d2[base2] is not this arm's to read: Ix only. It cannot
+			// raise best (it is the cell above minus a penalty).
+			up := cells[0]
+			ixv, dir := up.m-goe, byte(0)
+			if x := up.ix - ge; x > ixv {
+				ixv, dir = x, tbIxExt
+			}
+			c := deadCell
+			if ixv >= thresh {
+				c.ix, newHi = ixv, 0
+			}
+			cells[0], dirs[0] = c, dir
+			if dpred, dps = up.m, stM; up.ix > dpred {
+				dpred, dps = up.ix, stIx
+			}
+			j = 1
+		}
+		// Columns up to hi+1: the cell above is live or just made dead.
+		if j <= jLimit {
+			rc := cells[j : jLimit+1]
+			rd := dirs[j-lo:][:len(rc)]
+			q, step := int(base2+sign*j), int(sign)
+			last := -1
+			for k := range rc {
+				up := rc[k]
+				sc := mismatch
+				if c1 == int32(d2[q]) {
+					sc = match
 				}
-				if diy > pred {
-					pred, ps = diy, stIy
+				q += step
+				mv, dir := dpred+sc, dps
+				ixv := up.m - goe
+				if x := up.ix - ge; x > ixv {
+					ixv, dir = x, dir|tbIxExt
 				}
-				if pred > negInf/2 {
-					c2 := d2[base2+sign*j]
-					if c1 == c2 && c1 < 4 {
-						mv = pred + prm.Match
-					} else {
-						mv = pred - prm.Mismatch
+				iyv := lm - goe
+				if y := liy - ge; y > iyv {
+					iyv, dir = y, dir|tbIyExt
+				}
+				rd[k] = dir
+				if dpred, dps = up.m, stM; up.ix > dpred {
+					dpred, dps = up.ix, stIx
+				}
+				if up.iy > dpred {
+					dpred, dps = up.iy, stIy
+				}
+				v := max(mv, ixv, iyv)
+				if v < thresh {
+					rc[k], lm, liy = deadCell, negInf, negInf
+					continue
+				}
+				last = k
+				if v > best {
+					best, thresh = v, v-prm.XDrop
+					bestI, bestJ, bestState = i, j+int32(k), stIy
+					if v == mv { // ties go to M, then Ix
+						bestState = stM
+					} else if v == ixv {
+						bestState = stIx
 					}
-					dir |= ps
 				}
-			}
-
-			// Ix: vertical move (gap in sequence 2).
-			ixv := negInf
-			if pm > negInf/2 && pm-prm.GapOpen >= pix {
-				ixv = pm - prm.GapOpen - prm.GapExtend
-			} else if pix > negInf/2 {
-				ixv = pix - prm.GapExtend
-				dir |= tbIxExt
-			}
-
-			// Iy: horizontal move within the current row.
-			iyv := negInf
-			if j-1 >= jStart {
-				lm, liy := nm[j-1], niy[j-1]
-				if lm > negInf/2 && lm-prm.GapOpen >= liy {
-					iyv = lm - prm.GapOpen - prm.GapExtend
-				} else if liy > negInf/2 {
-					iyv = liy - prm.GapExtend
-					dir |= tbIyExt
+				if mv < negInf/2 {
+					mv = negInf
 				}
-			}
-
-			cell, st := mv, stM
-			if ixv > cell {
-				cell, st = ixv, stIx
-			}
-			if iyv > cell {
-				cell, st = iyv, stIy
-			}
-			if cell < best-prm.XDrop {
-				mv, ixv, iyv = negInf, negInf, negInf
-			} else {
-				if newLo < 0 {
-					newLo = j
+				if ixv < negInf/2 {
+					ixv = negInf
 				}
-				newHi = j
-				if cell > best {
-					best, bestI, bestJ, bestState = cell, i, j, st
+				if iyv < negInf/2 {
+					iyv = negInf
 				}
+				rc[k], lm, liy = cell{mv, ixv, iyv}, mv, iyv
 			}
-			nm[j], nix[j], niy[j] = mv, ixv, iyv
-			dirs[j-jStart] = dir
+			if last >= 0 {
+				newHi = j + int32(last)
+			}
 		}
-		if newLo < 0 {
+		// Past the band only Iy lives, each step below the last: the
+		// chain stops at its first pruned cell and cannot raise best.
+		if newHi == jLimit {
+			for j = jLimit + 1; j <= jMax; j++ {
+				iyv, dir := lm-goe, byte(0)
+				if y := liy - ge; y > iyv {
+					iyv, dir = y, tbIyExt
+				}
+				if iyv < thresh {
+					break
+				}
+				cells[j], dirs[j-lo] = cell{negInf, negInf, iyv}, dir
+				lm, liy, newHi = negInf, iyv, j
+			}
+		}
+		e.tb = e.tb[:off+int(newHi-lo)+1] // the unused tail goes back
+		if newHi < lo {
 			break // X-drop termination
 		}
-		rowDirs := e.tb.alloc(int(newHi-jStart) + 1)
-		copy(rowDirs, dirs[:newHi-jStart+1])
-		e.rows = append(e.rows, row{lo: jStart, dirs: rowDirs})
-		lo, hi = newLo, newHi
-		e.m, e.nm = e.nm, e.m
-		e.ix, e.nix = e.nix, e.ix
-		e.iy, e.niy = e.niy, e.iy
+		e.rows = append(e.rows, row{lo: lo, off: off})
+		for hi = newHi; cells[lo] == deadCell; {
+			lo++ // the next band starts at this row's first live cell
+		}
 	}
 
 	return e.traceback(d1, d2, base1, base2, sign, bestI, bestJ, bestState, best)
 }
 
-// ensure grows all six row buffers to at least n entries, preserving
-// existing contents (the previous row's live band must survive).
-func (e *Extender) ensure(n int32) {
-	if int32(len(e.m)) >= n {
-		return
+// row readies a row spanning columns lo..n-1: it returns the cell row
+// grown to n entries, contents kept (the previous row's band must
+// survive), and n-lo traceback bytes appended to tb — not zeroed, a row
+// writes every byte it keeps.
+func (e *Extender) row(n, lo int32) ([]cell, []byte) {
+	if int(n) > len(e.cells) {
+		e.cells = append(e.cells, make([]cell, 2*int(n)-len(e.cells))...)
 	}
-	grow := func(s []int32) []int32 {
-		ns := make([]int32, 2*n)
-		copy(ns, s)
-		return ns
+	off := len(e.tb)
+	if need := off + int(n-lo); need > cap(e.tb) {
+		e.tb = append(make([]byte, 0, 2*max(need, 1<<15)), e.tb...)
 	}
-	e.m, e.ix, e.iy = grow(e.m), grow(e.ix), grow(e.iy)
-	e.nm, e.nix, e.niy = grow(e.nm), grow(e.nix), grow(e.niy)
+	e.tb = e.tb[:off+int(n-lo)]
+	return e.cells, e.tb[off:]
 }
 
 // traceback walks from the best cell back to the origin, counting
 // alignment statistics.
 func (e *Extender) traceback(d1, d2 []byte, base1, base2, sign, bi, bj int32, bst int, score int32) Result {
 	r := Result{Score: score, Len1: bi, Len2: bj}
-	if e.collectOps {
-		e.ops = e.ops[:0]
-	}
 	i, j, st := bi, bj, bst
 	for i > 0 || j > 0 {
 		rw := e.rows[i]
-		dir := rw.dirs[j-rw.lo]
+		dir := e.tb[rw.off+int(j-rw.lo)]
 		switch st {
 		case stM:
 			a, b := d1[base1+sign*i], d2[base2+sign*j]

@@ -8,7 +8,7 @@ import (
 	"repro/internal/stats"
 )
 
-var testParams = Params{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 2, XDrop: 1 << 20}
+var testParams = Params{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 2, XDrop: stats.MaxParam}
 
 // refExtend is a brute-force full-matrix affine-gap extension: the
 // maximum over all cells of the best path from (0,0), with the same
@@ -353,17 +353,107 @@ func TestExtenderReusableAcrossCalls(t *testing.T) {
 }
 
 func TestNewExtenderPanicsOnBadParams(t *testing.T) {
+	ok := Params{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 2, XDrop: 10}
+	atBound := Params{Match: stats.MaxParam, Mismatch: stats.MaxParam, GapOpen: stats.MaxParam, GapExtend: stats.MaxParam, XDrop: stats.MaxParam}
+	for _, p := range []Params{ok, atBound, {Match: 1, Mismatch: 1, GapOpen: 0, GapExtend: 1, XDrop: 1}} {
+		NewExtender(p) // must not panic
+	}
 	bad := []Params{
 		{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 0, XDrop: 10},
 		{Match: 0, Mismatch: 3, GapOpen: 5, GapExtend: 2, XDrop: 10},
 		{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 2, XDrop: 0},
+		{Match: 1, Mismatch: 3, GapOpen: -1, GapExtend: 2, XDrop: 10},
+	}
+	// One past the bound, a field at a time.
+	for k := 0; k < 5; k++ {
+		p := ok
+		*[]*int32{&p.Match, &p.Mismatch, &p.GapOpen, &p.GapExtend, &p.XDrop}[k] = stats.MaxParam + 1
+		bad = append(bad, p)
 	}
 	for i, p := range bad {
 		func() {
 			defer func() { recover() }()
 			NewExtender(p)
-			t.Errorf("params %d did not panic", i)
+			t.Errorf("params %d (%+v) did not panic", i, p)
 		}()
+		func() {
+			defer func() { recover() }()
+			Get(p)
+			t.Errorf("Get: params %d (%+v) did not panic", i, p)
+		}()
+	}
+}
+
+// TestExtremeParamsStayExact runs the DP with every parameter at the
+// bound: dead-state arithmetic must neither wrap nor leak into a live
+// score, so the counts still reconstruct it.
+func TestExtremeParamsStayExact(t *testing.T) {
+	big := int32(stats.MaxParam)
+	for _, prm := range []Params{
+		{Match: 1, Mismatch: big, GapOpen: big, GapExtend: big, XDrop: big},
+		{Match: 1, Mismatch: big, GapOpen: big, GapExtend: big, XDrop: 1},
+		{Match: big, Mismatch: big, GapOpen: 0, GapExtend: 1, XDrop: big},
+	} {
+		e := NewExtender(prm)
+		for seed := int64(0); seed < 40; seed++ {
+			d1, d2, _, hi1, _, hi2 := buildPair(seed, uint8(seed*7))
+			r := e.ExtendRight(d1, d2, 1, hi1, 1, hi2)
+			want := r.Matches*prm.Match - r.Mismatches*prm.Mismatch - r.GapOpens*prm.GapOpen - r.GapBases()*prm.GapExtend
+			if r.Score != want || r.Score < 0 {
+				t.Fatalf("params %+v seed %d: %+v reconstructs to %d", prm, seed, r, want)
+			}
+		}
+	}
+}
+
+// TestExtendTouchesOnlyItsRange hands the extender banks that end where
+// the arm's range ends — d[:n:n], anchors at 0 and at n — so a read of
+// d[-1] or d[n] (column 0's sequence-2 base, the base under the dead
+// cell past the band) panics; and checks the answer is the one the same
+// bases give inside a padded buffer, whatever the padding holds.
+func TestExtendTouchesOnlyItsRange(t *testing.T) {
+	e := NewExtender(Params{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 2, XDrop: 25})
+	for seed := int64(0); seed < 60; seed++ {
+		p1, p2, _, hi1, _, hi2 := buildPair(seed, uint8(seed*11))
+		n1, n2 := hi1-1, hi2-1
+		s1, s2 := p1[1:hi1:hi1], p2[1:hi2:hi2]
+		right, rpath := e.ExtendRightPath(s1, s2, 0, n1, 0, n2)
+		left, lpath := e.ExtendLeftPath(s1, s2, n1, 0, n2, 0)
+		for _, fill := range []byte{0xF0, 0, 3} { // sentinels, then bases that could match
+			p1[0], p1[hi1], p2[0], p2[hi2] = fill, fill, fill, fill
+			r, rp := e.ExtendRightPath(p1, p2, 1, hi1, 1, hi2)
+			l, lp := e.ExtendLeftPath(p1, p2, hi1, 1, hi2, 1)
+			if r != right || l != left || string(rp) != string(rpath) || string(lp) != string(lpath) {
+				t.Fatalf("seed %d, padding %#x: right %+v vs %+v, left %+v vs %+v", seed, fill, r, right, l, left)
+			}
+		}
+	}
+}
+
+// TestExtendAllocations is the allocation gate on step 3: a warmed
+// extender runs both arms without allocating, and a path costs exactly
+// the slice it returns.
+func TestExtendAllocations(t *testing.T) {
+	pairs := estPairs(4)
+	e := NewExtender(Params{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 2, XDrop: 25})
+	arms := func() {
+		for _, p := range pairs {
+			e.ExtendLeft(p.d1, p.d2, p.m1, p.lo1, p.m2, p.lo2)
+			e.ExtendRight(p.d1, p.d2, p.m1, p.hi1, p.m2, p.hi2)
+		}
+	}
+	paths := func() {
+		for _, p := range pairs {
+			e.ExtendBothPath(p.d1, p.d2, p.m1, p.m2, p.lo1, p.hi1, p.lo2, p.hi2)
+		}
+	}
+	arms()
+	paths()
+	if n := testing.AllocsPerRun(5, arms); n != 0 {
+		t.Errorf("ExtendLeft+ExtendRight on a warmed extender: %v allocations over %d pairs, want 0", n, len(pairs))
+	}
+	if n := testing.AllocsPerRun(5, paths); n != float64(len(pairs)) {
+		t.Errorf("ExtendBothPath: %v allocations over %d pairs, want one each (the returned path)", n, len(pairs))
 	}
 }
 

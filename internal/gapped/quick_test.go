@@ -140,3 +140,76 @@ func TestQuickLeftRightMirror(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzExtend checks, on arbitrary sequences, anchors and parameters,
+// what every extension must satisfy whatever the band did: the counts
+// reconstruct the score, the lengths are the counts', the edit path
+// replayed over the two sequences gives the counts back, and the path
+// costs nothing the plain call would not report.
+func FuzzExtend(f *testing.F) {
+	f.Add([]byte("ACGTACGTTTGACCA"), []byte("ACGTACTTTGACCA"), uint16(7), uint16(7), uint8(1))
+	f.Add([]byte("AAAAAAAAAA"), []byte("AAAAANAAAA"), uint16(0), uint16(0), uint8(3))
+	f.Add([]byte("A"), []byte("C"), uint16(1), uint16(1), uint8(5))
+	f.Fuzz(func(t *testing.T, s1, s2 []byte, a1, a2 uint16, set uint8) {
+		if len(s1) > 2000 || len(s2) > 2000 {
+			t.Skip()
+		}
+		code := func(s []byte) []byte {
+			d := make([]byte, len(s))
+			for i, b := range s {
+				if d[i] = b & 7; d[i] >= 4 {
+					d[i] = 0xEE // a non-base now and then
+				}
+			}
+			return d[:len(d):len(d)]
+		}
+		d1, d2 := code(s1), code(s2)
+		n1, n2 := int32(len(d1)), int32(len(d2))
+		m1, m2 := int32(a1)%(n1+1), int32(a2)%(n2+1)
+		prm := vectorParams[int(set)%len(vectorParams)]
+		e := NewExtender(prm)
+		r, ops := e.ExtendBothPath(d1, d2, m1, m2, 0, n1, 0, n2)
+		if plain := e.ExtendBoth(d1, d2, m1, m2, 0, n1, 0, n2); plain != r {
+			t.Fatalf("ExtendBoth %+v, ExtendBothPath %+v", plain, r)
+		}
+		left := e.ExtendLeft(d1, d2, m1, 0, m2, 0)
+		if score := r.Matches*prm.Match - r.Mismatches*prm.Mismatch - r.GapOpens*prm.GapOpen - r.GapBases()*prm.GapExtend; score != r.Score || r.Score < 0 {
+			t.Fatalf("%+v reconstructs to %d", r, score)
+		}
+		if r.Len1 != r.Matches+r.Mismatches+r.GapBases1 || r.Len2 != r.Matches+r.Mismatches+r.GapBases2 || int32(len(ops)) != r.AlignLen() {
+			t.Fatalf("%+v: lengths disagree with counts (path %d)", r, len(ops))
+		}
+		// Replay the path from the left arm's far end; a gap run opens
+		// once, and again if it continues across the anchor.
+		var got Result
+		i, j, prev := m1-left.Len1, m2-left.Len2, byte(0)
+		for k, op := range ops {
+			if k == int(left.AlignLen()) {
+				prev = 0
+			}
+			switch op {
+			case OpPair:
+				if d1[i] == d2[j] && d1[i] < 4 {
+					got.Matches++
+				} else {
+					got.Mismatches++
+				}
+				i, j = i+1, j+1
+			case OpGap1:
+				got.GapBases1, i = got.GapBases1+1, i+1
+			case OpGap2:
+				got.GapBases2, j = got.GapBases2+1, j+1
+			default:
+				t.Fatalf("path holds %q", op)
+			}
+			if op != OpPair && op != prev {
+				got.GapOpens++
+			}
+			prev = op
+		}
+		if got.Matches != r.Matches || got.Mismatches != r.Mismatches || got.GapBases1 != r.GapBases1 ||
+			got.GapBases2 != r.GapBases2 || got.GapOpens != r.GapOpens || i != m1+r.Len1-left.Len1 || j != m2+r.Len2-left.Len2 {
+			t.Fatalf("path %q replays to %+v ending (%d,%d), result %+v", ops, got, i, j, r)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/dna"
 	"repro/internal/ixcache"
 	"repro/internal/simulate"
+	"repro/internal/stats"
 	"repro/internal/tabular"
 )
 
@@ -381,6 +383,37 @@ func TestServerBadRequestRefusedBeforeCapacity(t *testing.T) {
 	close(hold)
 	if status := <-first; status != http.StatusOK {
 		t.Errorf("parked compare: status %d", status)
+	}
+}
+
+// TestServerBoundsScoring: a scoring parameter past stats.MaxParam is a
+// 400 on every engine — `"mismatch":2000000000` used to take the daemon
+// down inside the K series — while the largest allowed values run.
+func TestServerBoundsScoring(t *testing.T) {
+	est1, est2, _ := testBanks(t)
+	srv := New(Config{MaxConcurrent: 1})
+	srv.RegisterBank("db", est1, true)
+	srv.RegisterBank("q", est2, false)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, engine := range []string{"oris", "blat", "blastn"} {
+		for _, c := range []struct {
+			opts string
+			want int
+		}{
+			{`"mismatch":2000000000`, http.StatusBadRequest},
+			{fmt.Sprintf(`"match":%d,"mismatch":%d`, stats.MaxParam+1, stats.MaxParam), http.StatusBadRequest},
+			{fmt.Sprintf(`"mismatch":%d`, stats.MaxParam+1), http.StatusBadRequest},
+			{fmt.Sprintf(`"gap_open":%d`, stats.MaxParam+1), http.StatusBadRequest},
+			{fmt.Sprintf(`"gap_extend":%d`, stats.MaxParam+1), http.StatusBadRequest},
+			{fmt.Sprintf(`"mismatch":%d,"gap_open":%d,"gap_extend":%d`, stats.MaxParam, stats.MaxParam, stats.MaxParam), http.StatusOK},
+			{fmt.Sprintf(`"match":%d,"mismatch":%d`, stats.MaxParam, stats.MaxParam), http.StatusOK},
+		} {
+			body := fmt.Sprintf(`{"db":"db","query":"q","engine":%q,%s}`, engine, c.opts)
+			if status, out := postCompare(t, ts.URL, body); status != c.want {
+				t.Errorf("%s: status %d, want %d (%.80s)", body, status, c.want, out)
+			}
+		}
 	}
 }
 

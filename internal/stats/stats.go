@@ -42,13 +42,23 @@ type Scoring struct {
 // experiments.
 var DefaultScoring = Scoring{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 2}
 
-// Validate checks that the scoring system is usable by KA theory.
+// MaxParam bounds every scoring parameter and X-drop threshold a caller
+// may set. BLAST's are one digit; the bound is what keeps the engines'
+// int32 score arithmetic — the gapped DP's on dead states above all
+// (gapped.NewExtender) — from wrapping on a value a request chose.
+const MaxParam = 1 << 15
+
+// Validate checks that the scoring system is usable by KA theory and
+// within MaxParam.
 func (s Scoring) Validate() error {
 	if s.Match <= 0 || s.Mismatch <= 0 {
 		return fmt.Errorf("stats: match (%d) and mismatch (%d) must be positive", s.Match, s.Mismatch)
 	}
 	if s.GapOpen < 0 || s.GapExtend <= 0 {
 		return fmt.Errorf("stats: gap open (%d) must be ≥0 and extend (%d) positive", s.GapOpen, s.GapExtend)
+	}
+	if s.Match > MaxParam || s.Mismatch > MaxParam || s.GapOpen > MaxParam || s.GapExtend > MaxParam {
+		return fmt.Errorf("stats: scoring +%d/−%d, gaps %d/%d exceeds the bound %d", s.Match, s.Mismatch, s.GapOpen, s.GapExtend, MaxParam)
 	}
 	// Expected per-column score must be negative for local alignment
 	// statistics to exist (uniform base composition).
@@ -145,36 +155,28 @@ func entropyH(lambda float64, match, mismatch int) float64 {
 // karlinK evaluates the lattice series for K.
 func karlinK(lambda, h float64, match, mismatch int) float64 {
 	d := gcd(match, mismatch)
-	// k-fold convolution of the step distribution over an integer score
-	// axis. After k steps scores span [-k·mismatch, k·match]; offset
-	// indexes the slice.
+	// k-fold convolution of the step distribution. After k steps the
+	// walk stands on one of k+1 scores — u matches and k-u mismatches —
+	// so probs[u] is all there is to keep, whatever the scores' size.
 	const (
 		iterMax  = 300
 		sumLimit = 1e-10
 	)
-	a, b := match, mismatch
-	probs := []float64{1} // P_0: score 0 with prob 1
-	offset := 0           // probs[i] is P(score = i - offset)
+	probs := make([]float64, 1, iterMax+1)
+	probs[0] = 1 // P_0: score 0 with prob 1
 	sigma := 0.0
 	for k := 1; k <= iterMax; k++ {
-		nlen := len(probs) + a + b
-		np := make([]float64, nlen)
-		for i, p := range probs {
-			if p == 0 {
-				continue
+		probs = append(probs, 0)
+		for u := k; u >= 0; u-- {
+			p := probs[u] * 0.75 // one more mismatch
+			if u > 0 {
+				p = probs[u-1]*0.25 + p // or one more match
 			}
-			np[i+a+b] += p * 0.25 // +a after re-offsetting by +b
-			np[i] += p * 0.75     // -b
+			probs[u] = p
 		}
-		probs = np
-		offset += b
 		inner := 0.0
-		for i, p := range probs {
-			if p == 0 {
-				continue
-			}
-			s := i - offset
-			if s < 0 {
+		for u, p := range probs {
+			if s := u*match - (k-u)*mismatch; s < 0 {
 				inner += p * math.Exp(lambda*float64(s))
 			} else {
 				inner += p

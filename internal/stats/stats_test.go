@@ -164,10 +164,41 @@ func TestScoringValidate(t *testing.T) {
 		{Match: 1, Mismatch: 3, GapOpen: -1, GapExtend: 2},
 		{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 0},
 		{Match: 3, Mismatch: 1, GapOpen: 5, GapExtend: 2}, // non-negative drift
+		// One past the bound, a field at a time.
+		{Match: MaxParam + 1, Mismatch: MaxParam, GapOpen: 5, GapExtend: 2},
+		{Match: 1, Mismatch: MaxParam + 1, GapOpen: 5, GapExtend: 2},
+		{Match: 1, Mismatch: 3, GapOpen: MaxParam + 1, GapExtend: 2},
+		{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: MaxParam + 1},
+		{Match: 1, Mismatch: 2000000000, GapOpen: 5, GapExtend: 2},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d (%+v): expected validation error", i, s)
+		}
+	}
+	atBound := Scoring{Match: MaxParam, Mismatch: MaxParam, GapOpen: MaxParam, GapExtend: MaxParam}
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("scoring at the bound rejected: %v", err)
+	}
+}
+
+// TestUngappedAtTheBound: the K series costs the same at the largest
+// scores Validate lets through as at +1/−3 — a table of at most 301
+// probabilities, not one sized by the penalty — including the slowest
+// series there is, a drift just below zero.
+func TestUngappedAtTheBound(t *testing.T) {
+	for _, p := range [][2]int{{1, MaxParam}, {MaxParam, MaxParam}, {MaxParam, MaxParam/3 + 1}} {
+		var ka KarlinAltschul
+		allocs := testing.AllocsPerRun(1, func() {
+			lambda := solveLambda(p[0], p[1])
+			h := entropyH(lambda, p[0], p[1])
+			ka = KarlinAltschul{Lambda: lambda, H: h, K: karlinK(lambda, h, p[0], p[1])}
+		})
+		if !(ka.Lambda > 0 && ka.K > 0 && !math.IsInf(ka.K, 0) && ka.H > 0) {
+			t.Errorf("+%d/−%d: %+v", p[0], p[1], ka)
+		}
+		if allocs > 2 {
+			t.Errorf("+%d/−%d: %v allocations", p[0], p[1], allocs)
 		}
 	}
 }
