@@ -45,7 +45,6 @@ func main() {
 		workers   = flag.Int("a", 0, "worker goroutines (0 = all cores)")
 		asym      = flag.Bool("asymmetric", false, "10-nt half-word indexing of bank 1 (paper §3.4; forces W=10)")
 		self      = flag.Bool("self", false, "self-comparison mode: -d and -i are the same bank; report the upper triangle only")
-		parallel3 = flag.Bool("p3", false, "parallelize step 3 over diagonal bands")
 		match     = flag.Int("r", 1, "match reward")
 		mismatch  = flag.Int("q", 3, "mismatch penalty")
 		gapOpen   = flag.Int("G", 5, "gap open penalty")
@@ -92,7 +91,6 @@ func main() {
 	opt.MaxEValue = *evalue
 	opt.Dust = *dust
 	opt.Workers = *workers
-	opt.ParallelStep3 = *parallel3
 	opt.Scoring.Match = *match
 	opt.Scoring.Mismatch = *mismatch
 	opt.Scoring.GapOpen = *gapOpen

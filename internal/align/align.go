@@ -119,8 +119,9 @@ func (t *TAlign) All() []Alignment { return t.all }
 
 // Dedup removes exact duplicates and alignments fully contained in a
 // higher-or-equal-scoring alignment. It returns a fresh sorted slice.
-// The parallel step-3 mode needs this to restore the uniqueness the
-// sequential mode gets from the T_ALIGN walk.
+// The T_ALIGN walk skips an HSP that lies inside an alignment already
+// found, not an alignment that turns out to lie inside another: that is
+// left to this pass.
 func Dedup(as []Alignment) []Alignment {
 	if len(as) <= 1 {
 		return append([]Alignment(nil), as...)

@@ -57,9 +57,7 @@ type Options struct {
 	MaxEValue float64
 	// Dust masks low-complexity words out of the query lookup table,
 	// as -F T does.
-	Dust          bool
-	DustWindow    int
-	DustThreshold float64
+	Dust bool
 	// BothStrands searches the reverse complement of each query too
 	// (-S 3); the paper benchmarks single-strand (-S 1).
 	BothStrands bool
@@ -317,7 +315,7 @@ func newEngine(db *bank.Bank, opt Options) (*engine, error) {
 		ka:     ka,
 	}
 	if opt.Dust {
-		e.masker = dust.New(opt.DustWindow, opt.DustThreshold)
+		e.masker = dust.New(0, 0)
 	}
 	return e, nil
 }

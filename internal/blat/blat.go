@@ -50,9 +50,7 @@ type Options struct {
 	// MaxEValue is the report threshold.
 	MaxEValue float64
 	// Dust masks low-complexity query words.
-	Dust          bool
-	DustWindow    int
-	DustThreshold float64
+	Dust bool
 }
 
 // DefaultOptions mirrors the repository-wide engine defaults.
@@ -217,7 +215,7 @@ func compareWithIndex(db *bank.Bank, ix *index.Index, queries *bank.Bank, opt Op
 
 	var masker *dust.Masker
 	if opt.Dust {
-		masker = dust.New(opt.DustWindow, opt.DustThreshold)
+		masker = dust.New(0, 0)
 	}
 
 	ext := hsp.Extender{

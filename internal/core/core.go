@@ -24,8 +24,7 @@
 // of the driving directory — exactly as §4 of the paper anticipates
 // ("the outer loop … can be run in parallel since seed order prevents
 // identical HSPs to be generated"); workers share nothing but an atomic
-// chunk counter. Step 3 optionally parallelizes over diagonal bands
-// with a final dedup pass.
+// chunk counter. Step 3 is one walk over a bank-2 sequence's HSPs.
 //
 // # Index reuse
 //
@@ -92,23 +91,19 @@ type Options struct {
 	MaxEValue float64
 	// Dust enables the low-complexity index filter of §2.1.
 	Dust bool
-	// DustWindow and DustThreshold override the masker defaults when
-	// positive.
-	DustWindow    int
-	DustThreshold float64
 	// Asymmetric enables §3.4's 10-nt half-word indexing: bank 1 is
 	// indexed at every other position only. W should be 10.
 	Asymmetric bool
 	// Strand selects single- or double-strand search.
 	Strand Strand
-	// Workers bounds step-2/step-3 parallelism; 0 means GOMAXPROCS.
+	// Workers bounds the parallelism of step 2's chunks and of the index
+	// build; 0 means GOMAXPROCS.
 	Workers int
-	// ParallelStep3 also parallelizes gapped extension over diagonal
-	// bands (a final dedup restores uniqueness).
-	ParallelStep3 bool
 	// OrderedRule can be disabled for the A1 ablation; the pipeline
 	// then deduplicates HSPs explicitly, which is what the ordered rule
-	// exists to avoid.
+	// exists to avoid. A paper ablation kept on purpose: its only
+	// callers are the experiments tables and the tests that pin the §2
+	// claim.
 	OrderedRule bool
 	// ShuffledSeedOrder enumerates the outer step-2 loop — the slots of
 	// the driving code directory — in a fixed pseudo-random permutation
@@ -117,6 +112,7 @@ type Options struct {
 	// anchor-local — but the cache locality the paper credits for its
 	// speed ("all the portions of sequence having the same seed are
 	// implicitly and simultaneously moved into the cache") is destroyed.
+	// A paper ablation kept on purpose, like OrderedRule.
 	ShuffledSeedOrder bool
 	// SkipSelfPairs restricts step 2 to hit pairs with p1 < p2, for
 	// comparing a bank against ITSELF (full-genome self-comparison, a
@@ -213,7 +209,7 @@ type Result struct {
 func (o Options) IndexOptions() (o1, o2 index.Options) {
 	var masker *dust.Masker
 	if o.Dust {
-		masker = dust.New(o.DustWindow, o.DustThreshold)
+		masker = dust.New(0, 0)
 	}
 	o1 = index.Options{W: o.W, Dust: masker, Workers: o.Workers}
 	if o.Asymmetric {
@@ -516,58 +512,12 @@ func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled
 	return ctx.Err()
 }
 
-// step3Sequential is the reference step 3: walk diagonal-sorted HSPs,
-// skip covered ones, gapped-extend the rest from their midpoints.
-func step3Sequential(b1, b2 *bank.Bank, hsps []hsp.HSP, ext *gapped.Extender, met *Metrics) []align.Alignment {
+// extendBand is step 3 over one bank-2 sequence's diagonal-sorted HSPs:
+// skip those an alignment already found covers, gapped-extend the rest
+// from their midpoints. The two arms are run separately so the arm
+// lengths yield the final alignment coordinates around the HSP midpoint.
+func extendBand(b1, b2 *bank.Bank, hsps []hsp.HSP, ext *gapped.Extender, met *Metrics) []align.Alignment {
 	var ta align.TAlign
-	extendBand(b1, b2, hsps, ext, &ta, met)
-	return ta.All()
-}
-
-// step3Parallel splits the diagonal-sorted HSP list into contiguous
-// bands handled by independent workers. Band-boundary effects can
-// produce duplicate or contained alignments, which the step-4 dedup
-// removes (DESIGN.md, "Parallel step 3").
-func step3Parallel(b1, b2 *bank.Bank, hsps []hsp.HSP, opt Options, ext *gapped.Extender, met *Metrics) []align.Alignment {
-	workers := workerCount(opt)
-	if len(hsps) < 4*workers {
-		return step3Sequential(b1, b2, hsps, ext, met)
-	}
-	chunk := (len(hsps) + workers - 1) / workers
-	tas := make([]align.TAlign, workers)
-	mets := make([]Metrics, workers)
-	var wg sync.WaitGroup
-	for wid := 0; wid < workers; wid++ {
-		lo := wid * chunk
-		hi := lo + chunk
-		if hi > len(hsps) {
-			hi = len(hsps)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(wid, lo, hi int) {
-			defer wg.Done()
-			ext := gapped.Get(gapped.FromScoring(opt.Scoring, opt.GappedXDrop))
-			defer gapped.Put(ext)
-			extendBand(b1, b2, hsps[lo:hi], ext, &tas[wid], &mets[wid])
-		}(wid, lo, hi)
-	}
-	wg.Wait()
-	var all []align.Alignment
-	for i := range tas {
-		all = append(all, tas[i].All()...)
-		met.GappedExtensions += mets[i].GappedExtensions
-		met.SkippedCovered += mets[i].SkippedCovered
-	}
-	return all
-}
-
-// extendBand processes one diagonal-sorted HSP band against a TAlign.
-// The two arms are run separately so the arm lengths yield the final
-// alignment coordinates around the HSP midpoint.
-func extendBand(b1, b2 *bank.Bank, hsps []hsp.HSP, ext *gapped.Extender, ta *align.TAlign, met *Metrics) {
 	d1, d2 := b1.Data, b2.Data
 	for _, h := range hsps {
 		if ta.Covered(h) {
@@ -600,4 +550,5 @@ func extendBand(b1, b2 *bank.Bank, hsps []hsp.HSP, ext *gapped.Extender, ta *ali
 			Anchor2:    m2,
 		})
 	}
+	return ta.All()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -8,7 +9,9 @@ import (
 	"repro/internal/bank"
 	"repro/internal/dna"
 	"repro/internal/fasta"
+	"repro/internal/simulate"
 	"repro/internal/stats"
+	"repro/internal/tabular"
 )
 
 func mkBank(name string, seqs ...string) *bank.Bank {
@@ -168,21 +171,32 @@ func TestParallelStep2Deterministic(t *testing.T) {
 	}
 }
 
-func TestParallelStep3MatchesSequential(t *testing.T) {
-	b1, b2 := testBanks(5, 8, 8, 6, 500)
-	opt := DefaultOptions()
-	opt.Workers = 1
-	ref := mustCompare(t, b1, b2, opt)
-	opt.Workers = 4
-	opt.ParallelStep3 = true
-	got := mustCompare(t, b1, b2, opt)
-	// Band-boundary duplicates are removed by dedup; the surviving sets
-	// must agree on (seq pair, coordinates) after dedup. Scores can
-	// differ only if dedup kept a different representative, which
-	// coordinates-equality rules out.
-	if !alignmentsEqual(ref.Alignments, got.Alignments) {
-		t.Fatalf("parallel step 3 output differs: %d vs %d alignments",
-			len(got.Alignments), len(ref.Alignments))
+// TestWorkersDoNotChangeOutput pins what Workers may change: nothing a
+// caller can see. On the EST pair, on one strand and on both, the m8
+// bytes and every Metrics count at 2 and 4 workers are those at 1.
+func TestWorkersDoNotChangeOutput(t *testing.T) {
+	ds := simulate.NewDataSet(64)
+	b1, b2 := ds.Get(simulate.EST3), ds.Get(simulate.EST4)
+	for _, strand := range []Strand{PlusOnly, BothStrands} {
+		opt := DefaultOptions()
+		opt.Strand = strand
+		opt.Workers = 1
+		ref := mustCompare(t, b1, b2, opt)
+		refM8 := tabular.AppendGroup(nil, ref.Alignments, b1, b2)
+		if len(refM8) == 0 {
+			t.Fatalf("strand %d: no output on the EST pair", strand)
+		}
+		for _, workers := range []int{2, 4} {
+			opt.Workers = workers
+			got := mustCompare(t, b1, b2, opt)
+			if m8 := tabular.AppendGroup(nil, got.Alignments, b1, b2); !bytes.Equal(m8, refM8) {
+				t.Errorf("strand %d workers=%d: m8 differs from workers=1 (%d vs %d bytes)",
+					strand, workers, len(m8), len(refM8))
+			}
+			if g, w := counters(got.Metrics), counters(ref.Metrics); g != w {
+				t.Errorf("strand %d workers=%d: metrics %+v, want %+v", strand, workers, g, w)
+			}
+		}
 	}
 }
 

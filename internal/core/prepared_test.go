@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/bank"
+	"repro/internal/dust"
 	"repro/internal/index"
 	"repro/internal/ixcache"
 )
@@ -22,16 +23,12 @@ func optionVariants() map[string]Options {
 	asym.Asymmetric = true
 	noDust := def
 	noDust.Dust = false
-	customDust := def
-	customDust.DustWindow = 32
-	customDust.DustThreshold = 3.0
 	both := def
 	both.Strand = BothStrands
 	return map[string]Options{
 		"default":     def,
 		"asymmetric":  asym,
 		"no-dust":     noDust,
-		"custom-dust": customDust,
 		"both-strand": both,
 	}
 }
@@ -152,9 +149,6 @@ func TestCompareWithIndexRejectsMismatch(t *testing.T) {
 	dustOff := opt
 	dustOff.Dust = false
 	cases["dust mismatch"] = dustOff
-	dustParams := opt
-	dustParams.DustWindow = 16
-	cases["dust window mismatch"] = dustParams
 	asym := opt
 	asym.W = 11
 	asym.Asymmetric = true
@@ -166,9 +160,18 @@ func TestCompareWithIndexRejectsMismatch(t *testing.T) {
 		}
 	}
 
+	// Dust parameters are part of an index's identity where the key is
+	// computed — index.Options.Dust: an index masked with another window
+	// is not the one the engine's masker would have built.
+	o1, _ := opt.IndexOptions()
+	otherDust := o1
+	otherDust.Dust = dust.New(16, 0)
+	if _, err := CompareWithIndex(ixcache.Prepare(b1, otherDust), p2, opt); err == nil {
+		t.Error("dust window mismatch: accepted a prepared index built for different options")
+	}
+
 	// A hand-assembled Prepared whose index belongs to another bank
 	// must be rejected even when the options line up.
-	o1, _ := opt.IndexOptions()
 	franken := &ixcache.Prepared{Bank: b1, Ix: index.Build(b2, o1)}
 	if _, err := CompareWithIndex(franken, p2, opt); err == nil {
 		t.Error("accepted an index built from a different bank")

@@ -226,12 +226,7 @@ func step34(b1, b2 *bank.Bank, group []hsp.HSP, opt Options, ext *gapped.Extende
 		return nil
 	}
 	t0 := time.Now()
-	var raw []align.Alignment
-	if opt.ParallelStep3 && workerCount(opt) > 1 {
-		raw = step3Parallel(b1, b2, group, opt, ext, met)
-	} else {
-		raw = step3Sequential(b1, b2, group, ext, met)
-	}
+	raw := extendBand(b1, b2, group, ext, met)
 	met.Step3Time += time.Since(t0)
 
 	t0 = time.Now()

@@ -10,19 +10,13 @@ import (
 )
 
 // streamVariants covers the option shapes whose engine bodies differ
-// enough to threaten stream/buffered equivalence: strand handling, the
-// parallel step-3 dedup path, and the ordered-rule-off HSP dedup.
+// enough to threaten stream/buffered equivalence: strand handling and
+// the ordered-rule-off HSP dedup.
 func streamVariants() map[string]func(*Options) {
 	return map[string]func(*Options){
 		"default":     func(o *Options) {},
 		"bothStrands": func(o *Options) { o.Strand = BothStrands },
-		"parallel3":   func(o *Options) { o.ParallelStep3 = true; o.Workers = 4 },
 		"unordered":   func(o *Options) { o.OrderedRule = false },
-		"bothPar": func(o *Options) {
-			o.Strand = BothStrands
-			o.ParallelStep3 = true
-			o.Workers = 4
-		},
 	}
 }
 

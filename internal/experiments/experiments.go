@@ -6,7 +6,7 @@
 //	T2, T3   speed-up tables (EST pairs; large-bank pairs)
 //	T4–T7    sensitivity tables (SCORISmiss / BLASTmiss)
 //	X1       asymmetric 10-nt indexing (§3.4)
-//	X2       step-2/3 parallel scaling (§4)
+//	X2       step-2 parallel scaling (§4)
 //	A1       ordered-seed rule vs naive + dedup
 //	A2       seed-length sweep
 //	A3       dust filter on/off

@@ -691,6 +691,57 @@ func TestFleetAPIEdges(t *testing.T) {
 	}
 }
 
+// TestFleetBoundsCompareBody: both compare routes read their JSON body
+// through the one preamble's bound. A body of exactly maxCompareBody
+// bytes is routed and served (the worker's bound is the same); one byte
+// more is the router's own 413 — counted as a request, not a compare,
+// and never sent to a worker.
+func TestFleetBoundsCompareBody(t *testing.T) {
+	est1, est2 := testBanks(t)
+	rt, workers, ts := newTestFleet(t, 2, testCfg(), nil)
+	registerBank(t, ts.URL, "db", est1, true)
+	registerBank(t, ts.URL, "q", est2, false)
+	want := oracle(t, est1, est2)
+	padded := func(obj string, n int) string {
+		return obj[:len(obj)-1] + strings.Repeat(" ", n-len(obj)) + "}"
+	}
+	workerRequests := func() (n int64) {
+		for _, w := range workers {
+			n += w.srv.StatsSnapshot().Server.Requests
+		}
+		return n
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/compare", `{"db":"db","query":"q"}`},
+		{"/v1/compare/batch", `{"db":"db","queries":["q"]}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(padded(c.body, maxCompareBody)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		got.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("POST %s at the bound: status %d, %d bytes, want 200 and the oracle's %d", c.path, resp.StatusCode, got.Len(), len(want))
+		}
+
+		requests, compares, sent := rt.requests.Load(), rt.compares.Load(), workerRequests()
+		resp, err = http.Post(ts.URL+c.path, "application/json", strings.NewReader(padded(c.body, maxCompareBody+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s one byte past the bound: status %d, want 413", c.path, resp.StatusCode)
+		}
+		if r, cmp, w := rt.requests.Load(), rt.compares.Load(), workerRequests(); r != requests+1 || cmp != compares || w != sent {
+			t.Errorf("POST %s past the bound: requests %d→%d, compares %d→%d, worker requests %d→%d; want +1, +0, +0",
+				c.path, requests, r, compares, cmp, sent, w)
+		}
+	}
+}
+
 func countOrix(t *testing.T, dir string) int {
 	t.Helper()
 	n := 0

@@ -34,67 +34,19 @@ type routeJob struct {
 	stream  bool
 }
 
+// maxCompareBody bounds a compare request's JSON body, at the worker's
+// own bound (internal/server): bank names and a handful of options, so a
+// body past 1 MiB is answered 413 before it is read. Bank uploads are
+// FASTA of arbitrary size and are not bounded here.
+const maxCompareBody = 1 << 20
+
 // handleCompare routes one comparison: rendezvous order over the db
 // bank's content key, retrying across replicas until a worker answers
 // or the attempt budget / deadline runs out. Compares are idempotent
 // and workers answer byte-identically for the same (bank, options), so
 // failover can never corrupt a result — only save it.
 func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading compare request: %v", err)
-		return
-	}
-	var req struct {
-		DB     string `json:"db"`
-		Query  string `json:"query"`
-		Self   bool   `json:"self"`
-		Stream bool   `json:"stream"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad compare request: %v", err)
-		return
-	}
-	if req.DB == "" {
-		httpError(w, http.StatusBadRequest, "compare request needs a db bank name")
-		return
-	}
-	rt.mu.RLock()
-	dbRec := rt.banks[req.DB]
-	var qRec *bankRecord
-	if req.Query != "" {
-		qRec = rt.banks[req.Query]
-	}
-	rt.mu.RUnlock()
-	if dbRec == nil {
-		httpError(w, http.StatusNotFound, "unknown db bank %q (register it with POST /banks on the router)", req.DB)
-		return
-	}
-	if req.Query != "" && qRec == nil {
-		httpError(w, http.StatusNotFound, "unknown query bank %q (register it with POST /banks on the router)", req.Query)
-		return
-	}
-
-	ctx := r.Context()
-	if rt.cfg.CompareTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.cfg.CompareTimeout)
-		defer cancel()
-	}
-	job := routeJob{
-		path:   "/compare",
-		body:   body,
-		db:     dbRec,
-		stream: req.Stream || strings.Contains(r.Header.Get("Accept"), streamAccept),
-	}
-	if qRec != nil {
-		job.queries = []*bankRecord{qRec}
-	}
-	rt.routeCompare(ctx, w, job)
+	rt.serveCompare(w, r, false)
 }
 
 // handleCompareBatch routes a batched comparison (one db, many query
@@ -103,41 +55,69 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request) {
 // is the plain compare's (full-response failover), routed by the db
 // bank like any other compare.
 func (rt *Router) handleCompareBatch(w http.ResponseWriter, r *http.Request) {
+	rt.serveCompare(w, r, true)
+}
+
+// serveCompare is the preamble both compare routes share: method, the
+// bounded body, the fields the router itself reads — {db, query or
+// queries, stream}; the rest travels to the worker verbatim — the banks'
+// records, the deadline, then routeCompare.
+func (rt *Router) serveCompare(w http.ResponseWriter, r *http.Request, batch bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCompareBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading batch request: %v", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "reading compare request: %v", err)
 		return
 	}
 	var req struct {
 		DB      string   `json:"db"`
+		Query   string   `json:"query"`
 		Queries []string `json:"queries"`
+		Stream  bool     `json:"stream"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad batch request: %v", err)
+		httpError(w, http.StatusBadRequest, "bad compare request: %v", err)
 		return
 	}
-	if req.DB == "" || len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, "batch request needs a db bank and a non-empty queries list")
+	job := routeJob{path: "/compare", body: body}
+	var names []string
+	switch {
+	case batch:
+		job.path, names = "/compare/batch", req.Queries
+		if req.DB == "" || len(names) == 0 {
+			httpError(w, http.StatusBadRequest, "batch request needs a db bank and a non-empty queries list")
+			return
+		}
+	case req.DB == "":
+		httpError(w, http.StatusBadRequest, "compare request needs a db bank name")
 		return
+	default:
+		job.stream = req.Stream || strings.Contains(r.Header.Get("Accept"), streamAccept)
+		if req.Query != "" {
+			names = []string{req.Query}
+		}
 	}
-	rt.mu.RLock()
-	dbRec := rt.banks[req.DB]
-	qRecs := make([]*bankRecord, 0, len(req.Queries))
 	missing := ""
-	for _, name := range req.Queries {
+	rt.mu.RLock()
+	job.db = rt.banks[req.DB]
+	for _, name := range names {
 		rec := rt.banks[name]
 		if rec == nil {
 			missing = name
 			break
 		}
-		qRecs = append(qRecs, rec)
+		job.queries = append(job.queries, rec)
 	}
 	rt.mu.RUnlock()
-	if dbRec == nil {
+	if job.db == nil {
 		httpError(w, http.StatusNotFound, "unknown db bank %q (register it with POST /banks on the router)", req.DB)
 		return
 	}
@@ -152,7 +132,7 @@ func (rt *Router) handleCompareBatch(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, rt.cfg.CompareTimeout)
 		defer cancel()
 	}
-	rt.routeCompare(ctx, w, routeJob{path: "/compare/batch", body: body, db: dbRec, queries: qRecs})
+	rt.routeCompare(ctx, w, job)
 }
 
 // routeCompare walks the db bank's rendezvous ring until some live

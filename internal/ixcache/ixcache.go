@@ -164,9 +164,8 @@ var ErrSaveDeclined = errors.New("ixcache: store save declined by policy")
 // back, healing the store. Save may decline by policy with an error
 // wrapping ErrSaveDeclined. Implementations must be safe for concurrent
 // use; package ixdisk provides the on-disk implementation (whose Load
-// also satisfies a miss from a stored relative of the bank — a stored
-// prefix completed by one appended block, or a larger file's covering
-// blocks — transparent to this interface).
+// also satisfies a miss from a stored prefix of the bank, completed by
+// one appended block — transparent to this interface).
 type Store interface {
 	Load(b *bank.Bank, opts index.Options) (*Prepared, error)
 	Save(p *Prepared) error

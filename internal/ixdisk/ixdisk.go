@@ -15,13 +15,10 @@
 // checksum vector) plus a directory of block offsets and ranges. A
 // fresh save is one block — the built index, written as it stands and
 // used in place when mapped back — and a further block exists only
-// where an append wrote one. The full layout, append discipline, and
-// partial-load rules live in v3.go and DESIGN.md §7. The structure buys
-// two things a monolithic layout cannot offer: appending to a bank
-// writes exactly one new block plus a footer (O(suffix), the file is
-// never rewritten), and a bank that is a block-boundary prefix of a
-// stored file — the bank before an append — loads by reading only its
-// covering blocks.
+// where an append wrote one. The full layout and the append discipline
+// live in v3.go and DESIGN.md §7. The structure buys what a monolithic
+// layout cannot offer: appending to a bank writes exactly one new block
+// plus a footer (O(suffix), the file is never rewritten).
 //
 // Files of any other version — the monolithic v1 and v2 layouts, and
 // v3, the same framing with a 12-byte per-occurrence bounds sidecar —
@@ -46,13 +43,12 @@
 //
 // The per-sequence checksum vector makes identity finer than
 // all-or-nothing: when DirStore misses exactly, it scans the directory
-// (metadata-only, via Probe) for a file recording a relative of the
-// requesting bank, in either direction. A stored file recording the
-// first k sequences of the request is completed by building one block
-// over the appended suffix and appended in place (prefix.go); a stored
-// file recording a larger bank of which the request is a block-boundary
-// prefix is served by loading only the covering blocks. Either way a
-// grown bank pays the suffix once and exact-hits ever after.
+// (metadata-only, via Probe) for a file recording the first k sequences
+// of the requesting bank, completes it by building one block over the
+// appended suffix and appends that block in place (prefix.go): a grown
+// bank pays the suffix once and exact-hits ever after. The lineage runs
+// that one way — the bank as it was before an append is a miss and a
+// build, saved under its own key.
 package ixdisk
 
 import (
@@ -212,9 +208,8 @@ func sanitizeName(name string) string {
 // the experiment harness) simply let process exit reclaim them.
 //
 // Beyond exact lookups the store is lifecycle-aware (DESIGN.md §7):
-// an exact miss falls back to a stored relative of the requesting bank
-// (prefix.go: a larger file's covering blocks, or a stored prefix
-// completed by one appended block — Extends counts the latter),
+// an exact miss falls back to a stored prefix of the requesting bank,
+// completed by one appended block (prefix.go; Extends counts them),
 // SetSavePolicy bounds what is persisted, and SetGC + GC keep the
 // directory itself bounded.
 type DirStore struct {
@@ -264,9 +259,9 @@ const memoBound = 64
 // pointer too, since a Prepared binds to the requesting bank value.
 //
 // path is the file actually backing the index, which is not always the
-// key path: a partial load is served by a larger bank's file, and an
-// extension whose append the save policy declined leaves only the
-// stored prefix. Memo hits touch path so the GC sees that file in use.
+// key path: an extension whose append the save policy declined leaves
+// only the stored prefix. Memo hits touch path so the GC sees that file
+// in use.
 type loadedEntry struct {
 	bank *bank.Bank
 	prep *ixcache.Prepared
@@ -340,7 +335,7 @@ func (s *DirStore) Path(b *bank.Bank, opts index.Options) string {
 }
 
 // Load implements ixcache.Store: (nil, nil) when no file exists for the
-// key (and no stored relative of the bank can serve it — see
+// key (and no stored prefix of the bank can be completed — see
 // loadViaPrefix), the validated Prepared on success, and a descriptive
 // error when a file exists but is rejected (the cache then rebuilds
 // and Save overwrites it).

@@ -400,10 +400,11 @@ func TestGCAgeCap(t *testing.T) {
 	}
 }
 
-// TestMemoHitTouchesBackingFile: after a partial load the index is
-// memoized under the request's key path, but the file serving it is the
-// larger bank's. Memo hits must refresh *that* file's mtime, or an
-// age-capped GC collects a file the process is actively serving from.
+// TestMemoHitTouchesBackingFile: an extension whose append the save
+// policy declined is memoized under the request's key path, but the file
+// it was read from is the stored prefix's. Memo hits must refresh *that*
+// file's mtime, or an age-capped GC collects a file the process is
+// actively serving from.
 func TestMemoHitTouchesBackingFile(t *testing.T) {
 	recs := genRecs(t, 600, 6)
 	prefix := bank.New("db", recs[:4])
@@ -414,18 +415,25 @@ func TestMemoHitTouchesBackingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	stored := store.Path(grown, opts)
-	saveTiled(t, stored, grown, opts, 2)
-	first, err := store.Load(prefix, opts)
+	stored := store.Path(prefix, opts)
+	if err := Save(stored, ixcache.Prepare(prefix, opts)); err != nil {
+		t.Fatal(err)
+	}
+	store.SetSavePolicy(SavePolicy{DBOnly: true})
+	first, err := store.Load(grown, opts)
 	if err != nil || first == nil {
-		t.Fatalf("partial load: %v, %v", first, err)
+		t.Fatalf("extension load: %v, %v", first, err)
+	}
+	if store.Extends() != 1 || store.BlockAppends() != 0 || store.SavesDeclined() != 1 {
+		t.Fatalf("Extends/BlockAppends/SavesDeclined = %d/%d/%d, want 1/0/1: the append was not declined",
+			store.Extends(), store.BlockAppends(), store.SavesDeclined())
 	}
 
 	old := time.Now().Add(-time.Hour)
 	if err := os.Chtimes(stored, old, old); err != nil {
 		t.Fatal(err)
 	}
-	again, err := store.Load(prefix, opts)
+	again, err := store.Load(grown, opts)
 	if err != nil || again != first {
 		t.Fatalf("second load was not a memo hit: %v, %v", again, err)
 	}

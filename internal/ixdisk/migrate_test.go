@@ -1,8 +1,8 @@
 package ixdisk
 
-// The block-format behaviors — O(suffix) in-place appends, partial
-// block-boundary loads, the metadata probe — hold the byte-identity
-// invariant against cold builds throughout; hostile block footers are
+// The block-format behaviors — O(suffix) in-place appends, the one-way
+// lineage, the metadata probe — hold the byte-identity invariant against
+// cold builds throughout; hostile block footers are
 // rejected by both readers; and files of the retired v2 layout are
 // rejected at the version gate and healed by rebuild.
 
@@ -196,50 +196,65 @@ func TestV3AppendInPlace(t *testing.T) {
 	assertIndexEqual(t, ixcache.Prepare(grown2, opts).Ix, p2.Ix)
 }
 
-// TestV3PartialLoad: a bank that is a block-boundary prefix of a
-// stored file is served by reading only the covering blocks — fewer
-// block loads than the file holds, no build, no extension, identical
-// to a cold build of the prefix bank.
-func TestV3PartialLoad(t *testing.T) {
+// TestPreAppendBankIsCleanMiss: the lineage runs one way. Once a stored
+// file has been grown in place, a request for the bank as it was before
+// the append is a clean miss — one build, saved under its own key, an
+// exact hit on the next load — and neither reads nor writes the grown
+// file.
+func TestPreAppendBankIsCleanMiss(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecs(t, 600, 6)
-	prefix := bank.New("db", recs[:4])
+	short := bank.New("db", recs[:4])
 	grown := bank.New("db", recs)
 	opts := index.Options{W: 8}
-	store, err := NewDirStore(dir)
+	store := openStore(t, dir)
+	if err := store.Save(ixcache.Prepare(short, opts)); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := store.Load(grown, opts); err != nil || p == nil {
+		t.Fatalf("append load: %v, %v", p, err)
+	}
+	if store.Extends() != 1 || store.BlockAppends() != 1 {
+		t.Fatalf("Extends/BlockAppends = %d/%d, want 1/1", store.Extends(), store.BlockAppends())
+	}
+	grownPath := store.Path(grown, opts)
+	grownBytes, err := os.ReadFile(grownPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	// 6 sequences cut every 2 → 3 blocks, boundary at 4.
-	saveTiled(t, store.Path(grown, opts), grown, opts, 2)
-	total := 3
-	if info, err := Probe(store.Path(grown, opts)); err != nil || len(info.Blocks) != total {
-		t.Fatalf("stored file: %+v, %v — want %d blocks", info, err, total)
+	if info, err := Probe(grownPath); err != nil || len(info.Blocks) != 2 || info.Blocks[0].SeqHi != short.NumSeqs() {
+		t.Fatalf("grown file: %+v, %v — want 2 blocks with the boundary at %d", info, err, short.NumSeqs())
+	}
+	loads := store.BlockLoads()
+
+	// The pre-append bank, as a second request would hold it: a new value.
+	c := ixcache.New(4)
+	c.SetStore(store)
+	again := bank.New("db", recs[:4])
+	p := c.Get(again, opts)
+	if c.Builds() != 1 || c.DiskHits() != 0 || c.DiskErrors() != 0 {
+		t.Errorf("pre-append bank: builds/disk hits/errors = %d/%d/%d, want 1/0/0", c.Builds(), c.DiskHits(), c.DiskErrors())
+	}
+	if store.Extends() != 1 || store.BlockAppends() != 1 || store.BlockLoads() != loads {
+		t.Errorf("the miss touched the lineage: Extends/BlockAppends/BlockLoads = %d/%d/%d, want 1/1/%d",
+			store.Extends(), store.BlockAppends(), store.BlockLoads(), loads)
+	}
+	assertIndexEqual(t, ixcache.Prepare(again, opts).Ix, p.Ix)
+	if info, err := Probe(store.Path(again, opts)); err != nil || info.NumSeqs != again.NumSeqs() || len(info.Blocks) != 1 {
+		t.Errorf("the build was not saved under its own key: %+v, %v", info, err)
+	}
+	if now, err := os.ReadFile(grownPath); err != nil || !bytes.Equal(now, grownBytes) {
+		t.Errorf("the grown file changed across the pre-append request (%v)", err)
 	}
 
-	p, err := store.Load(prefix, opts)
-	if err != nil || p == nil {
-		t.Fatalf("partial load: %v, %v", p, err)
-	}
-	if got := store.BlockLoads(); got != 2 {
-		t.Errorf("BlockLoads = %d, want 2 (of %d on disk)", got, total)
-	}
-	if store.Extends() != 0 || store.BlockAppends() != 0 {
-		t.Errorf("partial load counted as extension: Extends=%d BlockAppends=%d",
-			store.Extends(), store.BlockAppends())
-	}
-	assertIndexEqual(t, ixcache.Prepare(prefix, opts).Ix, p.Ix)
-
-	// Not a boundary: a 3-sequence prefix falls between blocks and must
-	// miss cleanly (build fallback), never serve a wrong index.
-	odd := bank.New("db", recs[:3])
-	pOdd, err := store.Load(odd, opts)
-	if err != nil {
-		t.Fatalf("non-boundary prefix load errored: %v", err)
-	}
-	if pOdd != nil {
-		t.Fatal("non-boundary prefix was served from blocks")
+	// A fresh process exact-hits both.
+	store2 := openStore(t, dir)
+	c2 := ixcache.New(4)
+	c2.SetStore(store2)
+	c2.Get(bank.New("db", recs[:4]), opts)
+	c2.Get(bank.New("db", recs), opts)
+	if c2.Builds() != 0 || c2.DiskHits() != 2 || store2.Extends() != 0 {
+		t.Errorf("second process: builds/disk hits/extends = %d/%d/%d, want 0/2/0", c2.Builds(), c2.DiskHits(), store2.Extends())
 	}
 }
 
@@ -509,14 +524,11 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 
 // TestOlderSaveLayoutLoads: Save used to cut a fresh index every 4,096
 // sequences. A file laid out that way — same format, so nothing marks
-// it — still loads to Build's arrays by both routes, through the merge,
-// and the bank of its first 4,096 sequences is still served from block 1
-// alone.
+// it — still loads to Build's arrays by both routes, through the merge.
 func TestOlderSaveLayoutLoads(t *testing.T) {
 	const olderBlockSeqs = 4096
 	recs := genRecs(t, 40, olderBlockSeqs+500)
 	grown := bank.New("db", recs)
-	prefix := bank.New("db", recs[:olderBlockSeqs])
 	opts := index.Options{W: 8}
 	store := openStore(t, t.TempDir())
 	path := store.Path(grown, opts)
@@ -536,15 +548,6 @@ func TestOlderSaveLayoutLoads(t *testing.T) {
 	}
 	defer m.Close()
 	assertIndexEqual(t, want, mapped.Ix)
-
-	p, err := store.Load(prefix, opts)
-	if err != nil || p == nil {
-		t.Fatalf("partial load: %v, %v", p, err)
-	}
-	if got := store.BlockLoads(); got != 1 {
-		t.Errorf("BlockLoads = %d, want 1 (block 1 of 2)", got)
-	}
-	assertIndexEqual(t, ixcache.Prepare(prefix, opts).Ix, p.Ix)
 }
 
 // TestProbeMetadata: the probe reports version, identity, and the block

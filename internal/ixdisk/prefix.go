@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 
@@ -18,81 +17,53 @@ import (
 //
 // Whole-bank identity makes a growing bank pathological: append one EST
 // run and every cached index of the bank is garbage. The per-sequence
-// checksum vector fixes the granularity — and with block-structured
-// files the reuse works in both directions:
-//
-//   - a stored file recording a *larger* bank of which the requesting
-//     bank is a block-boundary prefix serves the request by loading
-//     only the covering blocks (no build work at all, and appends
-//     always leave a boundary at the pre-append count);
-//   - a stored file recording the first k sequences of the requesting
-//     bank is completed by building one block over the appended suffix
-//     and — policy permitting — appended in place: one new block plus
-//     a rewritten footer, O(suffix) bytes written, never a rewrite of
-//     the stored prefix.
+// checksum vector fixes the granularity: a stored file recording the
+// first k sequences of the requesting bank is completed by building one
+// block over the appended suffix and — policy permitting — appended in
+// place: one new block plus a rewritten footer, O(suffix) bytes written,
+// never a rewrite of the stored prefix. The lineage runs that one way: a
+// bank that is a prefix of a stored larger one is a clean miss and a
+// build.
 //
 // The flow on an exact miss: scan the directory, Probe each candidate's
-// metadata (header + footer — no payload reads), collect compatible
-// candidates, and try them best-first with full validation. Partial
-// loads win over extensions (they cost no build), longer stored
-// prefixes over shorter. Every failure just drops to the next candidate
-// and ultimately to a clean miss: the build fallback is always sound,
-// so this whole path is opportunistic.
+// metadata (header + footer — no payload reads), collect the stored
+// prefixes of the request, and try them longest first with full
+// validation. Every failure just drops to the next candidate and
+// ultimately to a clean miss: the build fallback is always sound, so
+// this whole path is opportunistic.
 
-// probeResult is one compatible candidate file.
+// probeResult is one candidate file: a stored prefix of the request.
 type probeResult struct {
 	path string
-	k    int  // stored sequence count
-	part bool // stored file is larger; serve b from its leading blocks
+	k    int // stored sequence count
 }
 
 // compatPrefix decides from probed metadata alone whether the file at
-// info could serve (b, opts): either as a partial load (info records a
-// larger bank with a block boundary exactly at b's end) or as an
-// extension base (info records a strict prefix of b). The loaders
-// re-validate everything; this only prunes the candidate list.
-func compatPrefix(info *FileInfo, b *bank.Bank, opts index.Options) (k int, part, ok bool) {
-	if !ixcache.SameKey(info.Opts, opts) {
-		return 0, false, false
+// info could be an extension base for (b, opts): it records a strict
+// prefix of b, k sequences long. extendV3 re-validates everything; this
+// only prunes the candidate list.
+func compatPrefix(info *FileInfo, b *bank.Bank, opts index.Options) (k int, ok bool) {
+	k = info.NumSeqs
+	if !ixcache.SameKey(info.Opts, opts) || k < 1 || k >= b.NumSeqs() || info.DataLen != int64(b.PrefixLen(k)) {
+		return 0, false
 	}
 	sums := b.SeqChecksums()
-	switch {
-	case info.NumSeqs > b.NumSeqs():
-		if !slices.ContainsFunc(info.Blocks, func(blk BlockInfo) bool {
-			return blk.SeqHi == b.NumSeqs() && blk.DataHi == int64(len(b.Data))
-		}) {
-			return 0, false, false
+	for i := 0; i < k; i++ {
+		if info.SeqSums[i] != sums[i] {
+			return 0, false
 		}
-		for i := range sums {
-			if info.SeqSums[i] != sums[i] {
-				return 0, false, false
-			}
-		}
-		return info.NumSeqs, true, true
-	case info.NumSeqs >= 1 && info.NumSeqs < b.NumSeqs():
-		k = info.NumSeqs
-		if info.DataLen != int64(b.PrefixLen(k)) {
-			return 0, false, false
-		}
-		for i := 0; i < k; i++ {
-			if info.SeqSums[i] != sums[i] {
-				return 0, false, false
-			}
-		}
-		return k, false, true
 	}
-	return 0, false, false
+	return k, true
 }
 
 // prefixCandidates scans the store directory for files that could serve
-// (b, opts), best candidate first: partial loads (smallest stored bank
-// first — fewest blocks to read), then extension bases (longest stored
-// prefix first — smallest suffix to build). Files are pre-filtered by
-// the sanitized bank-name prefix DirStore.Path gives every save, so an
-// exact miss probes only the requesting bank's own lineage — O(files
-// of this bank) metadata reads, not O(store) full-file opens — at the
-// cost that a bank re-loaded under a different display name rebuilds
-// instead of reusing (sound: reuse is opportunistic).
+// (b, opts), longest stored prefix first — smallest suffix to build.
+// Files are pre-filtered by the sanitized bank-name prefix DirStore.Path
+// gives every save, so an exact miss probes only the requesting bank's
+// own lineage — O(files of this bank) metadata reads, not O(store)
+// full-file opens — at the cost that a bank re-loaded under a different
+// display name rebuilds instead of reusing (sound: reuse is
+// opportunistic).
 func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath string) []probeResult {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -113,19 +84,11 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 		if err != nil {
 			continue
 		}
-		if k, part, ok := compatPrefix(info, b, opts); ok {
-			out = append(out, probeResult{path: path, k: k, part: part})
+		if k, ok := compatPrefix(info, b, opts); ok {
+			out = append(out, probeResult{path: path, k: k})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].part != out[j].part {
-			return out[i].part
-		}
-		if out[i].part {
-			return out[i].k < out[j].k
-		}
-		return out[i].k > out[j].k
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].k > out[j].k })
 	return out
 }
 
@@ -177,26 +140,12 @@ func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options) (*ixc
 	return p, &suffix, x.ftr, nil
 }
 
-// loadViaPrefix is the exact-miss fallback of DirStore.Load: find the
-// best stored relative of (b, opts) and serve the request from it —
-// partial-load a larger stored file, or complete a stored prefix and
-// persist the result. A clean (nil, nil) miss when no candidate
-// survives — never an error, reuse is best-effort.
+// loadViaPrefix is the exact-miss fallback of DirStore.Load: complete
+// the longest stored prefix of (b, opts) and persist the result. A clean
+// (nil, nil) miss when no candidate survives — never an error, reuse is
+// best-effort.
 func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath string) (*ixcache.Prepared, error) {
 	for _, cand := range s.prefixCandidates(b, opts, exactPath) {
-		if cand.part {
-			p, loaded, err := loadLeading(cand.path, b, opts)
-			if err != nil {
-				continue
-			}
-			s.blockLoads.Add(int64(loaded))
-			// Nothing to write back: the stored file already holds this
-			// bank's blocks (and more). Touching keeps the GC honest about
-			// the file being in active use.
-			touchFile(cand.path)
-			s.memoize(exactPath, cand.path, b, p, nil)
-			return p, nil
-		}
 		p, suffix, ftr, err := s.extendV3(cand.path, b, opts)
 		if err != nil {
 			continue
@@ -261,9 +210,7 @@ func (s *DirStore) SavesDeclined() int64 { return s.savesDeclined.Load() }
 func (s *DirStore) WriteBackErrors() int64 { return s.writeBackErrs.Load() }
 
 // BlockLoads returns how many blocks the store has decoded and
-// CRC-checked from disk — exact loads, partial loads, and extension
-// bases all count, so BlockLoads < (blocks on disk touched · loads)
-// quantifies how much partial loading saves.
+// CRC-checked from disk — exact loads and extension bases both count.
 func (s *DirStore) BlockLoads() int64 { return s.blockLoads.Load() }
 
 // BlockAppends returns how many times the store grew a stored file

@@ -1,8 +1,7 @@
 package ixdisk
 
-// The read side: one way to open an .orix file, and the three loaders
-// built on it — the exact load by its two block routes (copying and
-// mmap) and the covering-blocks partial load. (The append base,
+// The read side: one way to open an .orix file, and the exact load built
+// on it by its two block routes (copying and mmap). (The append base,
 // DirStore.extendV3, and Probe are the other two callers of the opener;
 // the append base takes its blocks by whichever route its store uses.)
 
@@ -22,8 +21,8 @@ import (
 // indexFile is an .orix file opened as far as its metadata: the header
 // decoded (the version gate), its options key checked, the footer read
 // and validated. No block byte has been touched yet. Every reader —
-// Probe, the exact loads, the covering-blocks partial load, the append
-// base — starts here, so the ladder of checks exists exactly once.
+// Probe, the exact loads, the append base — starts here, so the ladder
+// of checks exists exactly once.
 type indexFile struct {
 	f       *os.File
 	size    int64
@@ -76,7 +75,10 @@ func openIndexFile(path string, want *index.Options) (x *indexFile, err error) {
 
 // readFooterAt reads and parses just the footer of an open file — the
 // last rung of openIndexFile: two small ReadAt calls (trailer, then
-// footer), never the blocks.
+// footer), never the blocks. The trailer's length field only sizes the
+// second read, so all it is held to here is the file's size (a hostile
+// one allocates no more than that); the trailer's magic, the footer's
+// real bounds and its CRC are parseFooterV3's to check, once.
 func readFooterAt(f io.ReaderAt, size int64) (*footerV3, error) {
 	if size < headerSizeV3+trailerSize {
 		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the v3 minimum", ErrTruncated, size)
@@ -85,11 +87,8 @@ func readFooterAt(f io.ReaderAt, size int64) (*footerV3, error) {
 	if _, err := f.ReadAt(tr[:], size-trailerSize); err != nil {
 		return nil, fmt.Errorf("ixdisk: %w: reading v3 trailer: %v", ErrTruncated, err)
 	}
-	if string(tr[8:16]) != endMagic {
-		return nil, fmt.Errorf("ixdisk: %w: v3 end magic is %q", ErrTruncated, tr[8:16])
-	}
 	flen := int64(binary.LittleEndian.Uint32(tr[4:8]))
-	if flen < footerFixed+trailerSize || size-flen < headerSizeV3 {
+	if flen < trailerSize || flen > size {
 		return nil, fmt.Errorf("ixdisk: %w: v3 footer claims %d bytes of a %d-byte file",
 			ErrTruncated, flen, size)
 	}
@@ -100,16 +99,15 @@ func readFooterAt(f io.ReaderAt, size int64) (*footerV3, error) {
 	return parseFooterV3(tail, size)
 }
 
-// readBlocks reads the first nb blocks in one ReadAt — they are
-// contiguous from the header on, by the footer's back-to-back
-// invariant — and decodes them into fresh arrays: the copying route.
-func (x *indexFile) readBlocks(nb int) ([]index.BlockParts, error) {
-	last := x.ftr.dir[nb-1]
-	buf := make([]byte, last.offset+last.length-headerSizeV3)
+// readBlocks reads every block in one ReadAt — they are contiguous from
+// the header to the footer, by the footer's back-to-back invariant — and
+// decodes them into fresh arrays: the copying route.
+func (x *indexFile) readBlocks() ([]index.BlockParts, error) {
+	buf := make([]byte, x.ftr.start-headerSizeV3)
 	if _, err := x.f.ReadAt(buf, headerSizeV3); err != nil {
-		return nil, fmt.Errorf("ixdisk: %w: reading %d blocks: %v", ErrTruncated, nb, err)
+		return nil, fmt.Errorf("ixdisk: %w: reading %d blocks: %v", ErrTruncated, len(x.ftr.dir), err)
 	}
-	return decodeBlocks(buf, headerSizeV3, x.ftr.dir[:nb], false)
+	return decodeBlocks(buf, headerSizeV3, x.ftr.dir, false)
 }
 
 // mapping maps the whole file when mapped is set — the zero-copy block
@@ -137,7 +135,7 @@ func (x *indexFile) allBlocks(m *Mapping) ([]index.BlockParts, error) {
 	if m.Mapped() {
 		return decodeBlocks(m.data, 0, x.ftr.dir, true)
 	}
-	return x.readBlocks(len(x.ftr.dir))
+	return x.readBlocks()
 }
 
 // decodeBlocks validates each directory entry's block out of buf, whose
@@ -213,37 +211,6 @@ func loadExact(path string, b *bank.Bank, opts index.Options, mapped bool) (*ixc
 func Load(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, error) {
 	p, _, _, err := loadExact(path, b, opts, false)
 	return p, err
-}
-
-// loadLeading serves bank b from a stored file that indexes a *larger*
-// bank of which b is a block-boundary prefix: it reads the header, the
-// footer, and only the covering blocks — the partial-load path. It
-// reports the number of blocks read.
-func loadLeading(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, int, error) {
-	x, err := openIndexFile(path, &opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer x.f.Close()
-	k := b.NumSeqs()
-	nb := x.ftr.boundaryBlocks(k)
-	if nb < 0 {
-		return nil, 0, fmt.Errorf("ixdisk: %w: bank %q (%d seqs) is not a block boundary of the stored %d-sequence file",
-			ErrKeyMismatch, b.Name, k, x.ftr.numSeqs)
-	}
-	if x.ftr.dir[nb-1].dataHi != uint64(len(b.Data)) {
-		return nil, 0, fmt.Errorf("ixdisk: %w: stored boundary at %d bytes, bank %q has %d",
-			ErrKeyMismatch, x.ftr.dir[nb-1].dataHi, b.Name, len(b.Data))
-	}
-	if err := x.ftr.checkPrefixSums(b, k); err != nil {
-		return nil, 0, err
-	}
-	blocks, err := x.readBlocks(nb)
-	if err != nil {
-		return nil, 0, err
-	}
-	p, err := x.prepare(b, blocks)
-	return p, nb, err
 }
 
 // Mapping owns the mmap'd region backing a LoadMapped index. Close

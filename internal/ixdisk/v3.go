@@ -43,18 +43,10 @@ package ixdisk
 // that fails its CRC or magic checks, the file is rejected, and the
 // store heals by rebuild, the same no-fsync crash philosophy Save has
 // always had. A crash between the footer write and the rename leaves a
-// valid grown-bank file under the old key's name; both the old bank
-// (via the block boundary) and the grown bank (via the directory scan)
-// can still be served from it.
+// valid grown-bank file under the old key's name: a load of the old bank
+// rejects it on identity and the store heals by rebuild, like any
+// rejected file.
 //
-// # Partial loads
-//
-// Because every append leaves a block boundary at the pre-append
-// sequence count — and nothing else leaves one — a request for a bank
-// that is a block-boundary prefix of a stored file, i.e. the bank as it
-// was before an append, is served by reading only the covering blocks —
-// header + footer + a prefix of the blocks, never the whole file. The
-// per-block CRCs make that sound: each block validates independently.
 // A one-block file is the index — mapped, its sections are adopted in
 // place — while one with more blocks is merged into fresh arrays on
 // every load (index.FromBlocks).
@@ -191,8 +183,8 @@ func decodeHeaderV3(buf []byte) (*optionsHeader, error) {
 }
 
 // dirEntry is one footer directory row: where a block lives and what
-// it covers, plus its CRC so a partial reader can validate a block it
-// mapped without trusting the block's own trailing copy.
+// it covers, plus its CRC so a reader can validate a block it mapped
+// without trusting the block's own trailing copy.
 type dirEntry struct {
 	offset, length uint64
 	seqLo, seqHi   uint32
@@ -201,7 +193,7 @@ type dirEntry struct {
 }
 
 // footerV3 is the decoded footer: the bank identity and the block
-// directory — everything the probe and the partial-load path need.
+// directory — everything the probe and the append need.
 type footerV3 struct {
 	bankCRC uint64
 	dataLen uint64
@@ -213,23 +205,6 @@ type footerV3 struct {
 
 func (f *footerV3) seqSum(i int) uint64 {
 	return binary.LittleEndian.Uint64(f.seqSums[8*i:])
-}
-
-// boundaryBlocks returns how many leading blocks cover exactly the
-// first k sequences, or -1 when k is not a block boundary.
-func (f *footerV3) boundaryBlocks(k int) int {
-	if k == 0 {
-		return -1
-	}
-	for i, e := range f.dir {
-		if int(e.seqHi) == k {
-			return i + 1
-		}
-		if int(e.seqHi) > k {
-			return -1
-		}
-	}
-	return -1
 }
 
 // encodeFooterV3 serializes the footer (trailer included) for a bank
@@ -551,9 +526,8 @@ func (f *footerV3) checkExactBank(b *bank.Bank) error {
 }
 
 // checkPrefixSums verifies the footer's first k per-sequence checksums
-// match bank b's first k — the shared identity test of the partial-load
-// (k == b.NumSeqs(), stored file larger) and append (k < b.NumSeqs(),
-// stored file smaller) paths.
+// match bank b's first k — the identity test of the append base, a
+// stored file k sequences long under a larger b.
 //
 //scorislint:validator
 func (f *footerV3) checkPrefixSums(b *bank.Bank, k int) error {

@@ -181,19 +181,30 @@ func batchShape(body []byte, _ string) (compareRequest, []string, error) {
 		err = errors.New("self-comparison is a single-compare mode")
 	case req.Stream:
 		err = errors.New("batch responses are not streamed (stream single compares instead)")
-	case req.Format != "" && req.Format != "m8" && req.Format != "json":
-		err = fmt.Errorf("unknown format %q (use m8 or json)", req.Format)
+	default:
+		err = checkFormat(req.Format)
 	}
 	return req.compareRequest, req.Queries, err
 }
 
+// maxCompareBody bounds a compare-shaped request's JSON body: bank names
+// and a handful of options, so a body past 1 MiB is answered 413 before
+// it is read. Bank uploads are FASTA of arbitrary size and are not
+// bounded here.
+const maxCompareBody = 1 << 20
+
 // resolveCompare is the prologue every compare-shaped route shares. It
-// answers the 400 or 404 itself and returns nil when the request ends
-// there.
+// answers the 400, 404 or 413 itself and returns nil when the request
+// ends there.
 func (s *Server) resolveCompare(w http.ResponseWriter, r *http.Request, parse bodyShape) *compareCall {
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCompareBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "reading request body: %v", err)
 		return nil
 	}
 	c := &compareCall{}

@@ -651,15 +651,22 @@ func parseCompareRequest(body []byte, accept string) (compareRequest, error) {
 	if req.DB == "" || req.Query == "" {
 		return req, errors.New("compare request needs db and query bank names")
 	}
-	switch req.Format {
-	case "", "m8", "json":
-	default:
-		return req, fmt.Errorf("unknown format %q (use m8 or json)", req.Format)
+	if err := checkFormat(req.Format); err != nil {
+		return req, err
 	}
 	if req.Stream && req.Format == "json" {
 		return req, errors.New("streamed delivery is m8-only (drop format json or stream)")
 	}
 	return req, nil
+}
+
+// checkFormat accepts the result formats every compare route serves.
+func checkFormat(format string) error {
+	switch format {
+	case "", "m8", "json":
+		return nil
+	}
+	return fmt.Errorf("unknown format %q (use m8 or json)", format)
 }
 
 func engineName(e string) string {

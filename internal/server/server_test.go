@@ -417,6 +417,61 @@ func TestServerBoundsScoring(t *testing.T) {
 	}
 }
 
+// paddedBody pads a JSON object with trailing whitespace inside its
+// braces to exactly n bytes.
+func paddedBody(obj string, n int) string {
+	return obj[:len(obj)-1] + strings.Repeat(" ", n-len(obj)) + "}"
+}
+
+// TestServerBoundsCompareBody: every compare-shaped route reads its JSON
+// body through one bound. A body of exactly maxCompareBody bytes is
+// served; one byte more is a 413 that is counted as a request and never
+// reaches admission, an engine or the job registry.
+func TestServerBoundsCompareBody(t *testing.T) {
+	est1, est2, _ := testBanks(t)
+	srv := New(Config{MaxConcurrent: 1})
+	srv.RegisterBank("db", est1, true)
+	srv.RegisterBank("q", est2, false)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	posts, served := int64(0), int64(0)
+	for _, c := range []struct {
+		path, body string
+		atBound    int
+	}{
+		{"/v1/compare", `{"db":"db","query":"q"}`, http.StatusOK},
+		{"/v1/compare/batch", `{"db":"db","queries":["q"]}`, http.StatusOK},
+		{"/v1/jobs", `{"db":"db","query":"q"}`, http.StatusAccepted},
+	} {
+		for _, extra := range []int{0, 1} {
+			want := c.atBound
+			if extra > 0 {
+				want = http.StatusRequestEntityTooLarge
+			}
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(paddedBody(c.body, maxCompareBody+extra)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			posts++
+			if resp.StatusCode != want {
+				t.Errorf("POST %s with %d bytes: status %d, want %d", c.path, maxCompareBody+extra, resp.StatusCode, want)
+			}
+		}
+		served++
+	}
+	waitFor(t, func() bool { return srv.compares.Load() == served })
+	if got := srv.requests.Load(); got != posts {
+		t.Errorf("requests = %d, want %d: a 413 is still a request", got, posts)
+	}
+	if js := srv.jobStats(); js.Created != 1 {
+		t.Errorf("jobs created = %d, want 1 (the body at the bound)", js.Created)
+	}
+	if got := srv.admissions.Load(); got != served {
+		t.Errorf("admissions = %d, want %d (a 413 must not reach admission)", got, served)
+	}
+}
+
 // TestServerDeregisterDropsIdleSessions: the blastn session pool must
 // not pin a deleted bank — its idle sessions go with the registry
 // entry.

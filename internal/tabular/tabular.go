@@ -98,39 +98,6 @@ func AppendGroup(dst []byte, alignments []align.Alignment, bank1, bank2 *bank.Ba
 	return dst
 }
 
-// StreamWriter emits m8 output one query-sequence group at a time:
-// each WriteGroup call renders the group and hands the underlying
-// writer exactly one Write, so a flushing consumer (chunked HTTP, a
-// pipe) sees a finished query's lines immediately instead of after the
-// whole compare.
-type StreamWriter struct {
-	w            io.Writer
-	bank1, bank2 *bank.Bank
-	buf          []byte
-	n            int64
-}
-
-// NewStreamWriter returns a StreamWriter rendering alignments between
-// bank1 (subjects) and bank2 (queries) onto w.
-func NewStreamWriter(w io.Writer, bank1, bank2 *bank.Bank) *StreamWriter {
-	return &StreamWriter{w: w, bank1: bank1, bank2: bank2}
-}
-
-// WriteGroup renders one query sequence's alignments and writes them.
-// An empty group writes nothing and is not an error.
-func (sw *StreamWriter) WriteGroup(alignments []align.Alignment) error {
-	if len(alignments) == 0 {
-		return nil
-	}
-	sw.buf = AppendGroup(sw.buf[:0], alignments, sw.bank1, sw.bank2)
-	m, err := sw.w.Write(sw.buf)
-	sw.n += int64(m)
-	return err
-}
-
-// BytesWritten reports the total m8 bytes written so far.
-func (sw *StreamWriter) BytesWritten() int64 { return sw.n }
-
 // Parse parses one m8 line.
 func Parse(line string) (Record, error) {
 	f := strings.Fields(line)
