@@ -18,10 +18,6 @@
 //	curl -s localhost:7400/v1/compare -d '{"db":"db","query":"q1"}' > run1.m8
 //	curl -s localhost:7400/v1/stats | jq .router
 //
-// With -index-dir naming the fleet's shared store, GET /v1/banks
-// annotates each bank with the stored index files and blocks covering
-// it, read via metadata-only probes.
-//
 // Registrations fan out to the bank's owners; compares are idempotent
 // and byte-identical across workers, so a dead or hung worker costs a
 // retry, never a wrong answer. When no live replica remains the router
@@ -68,7 +64,6 @@ func main() {
 		maxAttempts    = flag.Int("max-attempts", 0, "attempt budget per compare across replicas (0 = default 6)")
 		retryBase      = flag.Duration("retry-base", 0, "first retry backoff, doubled per attempt with jitter (0 = default 50ms)")
 		retryMax       = flag.Duration("retry-max", 0, "backoff cap (0 = default 2s)")
-		indexDir       = flag.String("index-dir", "", "index store directory the workers share; the router probes its file metadata to annotate GET /banks with stored-index coverage")
 	)
 	flag.Var(&workerSpecs, "worker", "worker to front, as name=url (repeatable); more can join later via POST /workers or scorisd -register")
 	flag.Parse()
@@ -88,7 +83,6 @@ func main() {
 		MaxAttempts:    *maxAttempts,
 		RetryBase:      *retryBase,
 		RetryMax:       *retryMax,
-		IndexDir:       *indexDir,
 	})
 	for _, spec := range workerSpecs {
 		name, url, ok := strings.Cut(spec, "=")

@@ -70,7 +70,7 @@ func main() {
 		streamBuf    = flag.Int("stream-buffer", 0, "streamed-compare backpressure bound: how many finished query-sequence groups the engine may run ahead of a slow client before it blocks (0 = default 4)")
 		maxJobs      = flag.Int("max-jobs", 0, "async job registry bound: queued, running, and finished-but-unretrieved jobs all count; POST /jobs past this answers 429 (0 = default 32)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight compares to finish")
-		reqTimeout   = flag.Duration("request-timeout", 0, "per-compare deadline: a compare still running past this answers 504; an oris compare stops at its next chunk or group boundary, a blat/blastn query runs out, and the slot frees when the engine returns (0 = no deadline)")
+		reqTimeout   = flag.Duration("request-timeout", 0, "per-compare deadline: a compare still running past this answers 504; every engine stops at its next query-sequence group (an oris compare also at its next step-2 chunk), and the slot frees when the engine returns (0 = no deadline)")
 		registerWith = flag.String("register", "", "scoris-router base URL to self-register with at startup (e.g. http://router:7400); retried in the background until it succeeds")
 		advertise    = flag.String("advertise", "", "URL this worker is reachable at, as told to the router (required with -register)")
 		workerName   = flag.String("worker-name", "", "name to register under with -register (default: the -advertise URL)")

@@ -8,14 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/bank"
-	"repro/internal/fasta"
 	"repro/internal/ixdisk"
+	"repro/internal/server"
 )
 
 // bankKey is the routing identity of a bank: the same content triple
@@ -24,15 +21,6 @@ import (
 // index" agree on what a bank is.
 func bankKey(b *bank.Bank) string {
 	return fmt.Sprintf("%016x-%x-%x", ixdisk.BankChecksum(b), len(b.Data), b.NumSeqs())
-}
-
-// fill records the bank's routing identity on the record: the rendered
-// key plus its raw components and per-sequence checksums (for matching
-// store files — exact or prefix — by identity).
-func (rec *bankRecord) fill(b *bank.Bank) {
-	rec.Key, rec.Seqs, rec.Bases = bankKey(b), b.NumSeqs(), b.TotalBases()
-	rec.crc, rec.dataLen = ixdisk.BankChecksum(b), len(b.Data)
-	rec.seqSums = b.SeqChecksums()
 }
 
 // bankInfo is the router's answer for one bank (GET /banks rows and
@@ -51,14 +39,6 @@ type bankInfo struct {
 	// Errors carries per-owner registration failures (the bank is still
 	// routable: any live worker can be backfilled on demand).
 	Errors []string `json:"errors,omitempty"`
-	// IndexFiles and IndexBlocks report what the shared index store
-	// (Config.IndexDir) holds for this bank's identity: how many .orix
-	// files match it — exact matches and stored prefixes of it both
-	// count, since either warms a worker — and the total v3 blocks
-	// across them. Learned by probing file metadata only; omitted when
-	// the router has no IndexDir configured.
-	IndexFiles  int `json:"index_files,omitempty"`
-	IndexBlocks int `json:"index_blocks,omitempty"`
 }
 
 // handleBanks mirrors the scorisd /banks surface at fleet scope: a POST
@@ -76,8 +56,7 @@ func (rt *Router) handleBanks(w http.ResponseWriter, r *http.Request) {
 		rt.mu.RUnlock()
 		infos := make([]bankInfo, 0, len(recs))
 		for _, rec := range recs {
-			info := rt.infoFor(rec)
-			infos = append(infos, info)
+			infos = append(infos, rt.infoFor(rec))
 		}
 		// The records came out of a map: sort so the listing is
 		// byte-deterministic (the byte-identity invariant applies to
@@ -98,121 +77,35 @@ func (rt *Router) infoFor(rec *bankRecord) bankInfo {
 	for i, o := range owners {
 		names[i] = o.Name
 	}
-	info := bankInfo{
+	return bankInfo{
 		Name: rec.Name, Key: rec.Key, DB: rec.DB,
 		Sequences: rec.Seqs, Bases: rec.Bases, Owners: names,
 	}
-	info.IndexFiles, info.IndexBlocks = rt.storedIndexes(rec)
-	return info
 }
 
-// storedIndexes scans the shared index store for files matching rec's
-// bank — the exact bank, or a stored prefix of it (which a worker can
-// complete with one appended block). Identity comes from each file's
-// probed metadata alone: the fixed header and, for v3, the footer
-// directory. No index payload is ever read, so a /banks listing stays
-// cheap no matter how large the stored indexes are.
-func (rt *Router) storedIndexes(rec *bankRecord) (files, blocks int) {
-	dir := rt.cfg.IndexDir
-	if dir == "" {
-		return 0, 0
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, 0
-	}
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ixdisk.FileExt) {
-			continue
-		}
-		info, err := ixdisk.Probe(filepath.Join(dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		exact := info.BankCRC == rec.crc && info.DataLen == int64(rec.dataLen) &&
-			info.NumSeqs == rec.Seqs
-		if !exact && !rec.isPrefix(info) {
-			continue
-		}
-		files++
-		blocks += len(info.Blocks)
-	}
-	return files, blocks
-}
-
-// isPrefix reports whether the probed file records a strict
-// sequence-prefix of rec's bank: fewer sequences, each matching the
-// bank's per-sequence checksum in order.
-func (rec *bankRecord) isPrefix(info *ixdisk.FileInfo) bool {
-	if info.NumSeqs <= 0 || info.NumSeqs >= rec.Seqs || len(rec.seqSums) < info.NumSeqs {
-		return false
-	}
-	for i, sum := range info.SeqSums {
-		if rec.seqSums[i] != sum {
-			return false
-		}
-	}
-	return true
-}
-
-// registerBank accepts the same two body shapes scorisd does — a JSON
-// {"name","path","db"} spec naming a FASTA file, or raw FASTA text with
-// ?name= (and ?db=1) query parameters — loads the bank once to compute
-// its content key, records a replayable spec, and fans the registration
-// to the owners the key hashes to.
+// registerBank accepts exactly the bodies scorisd does — it parses them
+// with scorisd's own server.LoadBankBody — loads the bank once to
+// compute its content key (the bank itself is not retained: workers
+// hold the data, the router holds identity), records a replayable spec,
+// and fans the registration to the owners the key hashes to.
 func (rt *Router) registerBank(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading bank request: %v", err)
 		return
 	}
-	rec := &bankRecord{}
-	if bytes.HasPrefix(bytes.TrimLeft(body, " \t\r\n"), []byte(">")) {
-		rec.Name = r.URL.Query().Get("name")
-		rec.DB = r.URL.Query().Get("db") != "" && r.URL.Query().Get("db") != "0"
-		if rec.Name == "" {
-			httpError(w, http.StatusBadRequest, "FASTA-body registration needs a ?name= parameter")
-			return
-		}
-		recs, err := fasta.ParseAll(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "parsing FASTA body: %v", err)
-			return
-		}
-		if len(recs) == 0 {
-			httpError(w, http.StatusBadRequest, "FASTA body holds no sequences")
-			return
-		}
-		b := bank.New(rec.Name, recs)
-		rec.fill(b)
+	req, b, err := server.LoadBankBody(body, r.URL.Query())
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	rec := &bankRecord{
+		Name: req.Name, Key: bankKey(b), DB: req.DB,
+		Seqs: b.NumSeqs(), Bases: b.TotalBases(),
+	}
+	if req.Path == "" {
 		rec.fasta = body
 	} else {
-		var req struct {
-			Name string `json:"name"`
-			Path string `json:"path"`
-			DB   bool   `json:"db"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad bank request: %v", err)
-			return
-		}
-		if req.Path == "" {
-			httpError(w, http.StatusBadRequest, "bank request needs a path (or POST FASTA text with a ?name= parameter)")
-			return
-		}
-		if req.Name == "" {
-			req.Name = req.Path
-		}
-		// Load once, router-side, to learn the content key the bank
-		// routes by; the bank itself is not retained (workers hold the
-		// data, the router holds identity).
-		b, err := bank.FromFile(req.Name, req.Path)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "loading bank: %v", err)
-			return
-		}
-		rec.Name, rec.DB = req.Name, req.DB
-		rec.fill(b)
 		rec.specJSON, _ = json.Marshal(req)
 	}
 

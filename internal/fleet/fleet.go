@@ -90,12 +90,6 @@ type Config struct {
 	// Client performs all worker-bound HTTP. Defaults to a dedicated
 	// client with no global timeout (contexts bound each call).
 	Client *http.Client
-	// IndexDir, when set, names the index store directory the workers
-	// share (their -index-dir). The router never loads an index from
-	// it; it only probes file metadata — header plus v3 footer
-	// directory, a few KiB per file — to annotate GET /banks with
-	// which banks have a stored index and how many blocks it holds.
-	IndexDir string
 }
 
 // DefaultReplication is how many workers own each bank by default.
@@ -222,12 +216,6 @@ type bankRecord struct {
 	DB    bool
 	Seqs  int
 	Bases int
-	// crc, dataLen, and seqSums are the bank's identity kept
-	// unserialized, so the store probe can match index files — exact
-	// or stored-prefix — without re-parsing the key string.
-	crc     uint64
-	dataLen int
-	seqSums []uint64
 
 	specJSON []byte // JSON {"name","path","db"} registration to replay
 	fasta    []byte // raw FASTA body registration to replay (exclusive)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -688,6 +689,41 @@ func TestFleetAPIEdges(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || len(infos) != 2 || infos[0].State != "up" {
 		t.Errorf("worker listing off: %+v (err %v)", infos, err)
+	}
+}
+
+// TestFleetBankBodiesMatchWorker: the router parses POST /banks bodies
+// with the worker's own parser, so a worker and the router in front of
+// it take and refuse the same bodies — a body the worker would refuse
+// is the router's own 4xx, never a fan-out that ends in a 502.
+func TestFleetBankBodiesMatchWorker(t *testing.T) {
+	est1, _ := testBanks(t)
+	path := filepath.Join(t.TempDir(), "db.fasta")
+	if err := os.WriteFile(path, fastaBytes(t, est1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, workers, ts := newTestFleet(t, 1, testCfg(), nil)
+	for _, c := range []struct {
+		why, params, body string
+		want              int
+	}{
+		{"FASTA without ?name=", "", ">r1\nACGTACGT\n", http.StatusBadRequest},
+		{"JSON without a path", "", `{"name":"x","db":true}`, http.StatusBadRequest},
+		{"FASTA header without a sequence", "?name=bare", ">r1\n", http.StatusOK},
+		{"JSON with an unknown field", "", fmt.Sprintf(`{"name":"x","path":%q,"bd":true}`, path), http.StatusBadRequest},
+		{"FASTA with ?name=", "?name=fa&db=1", ">r1\nACGTACGT\n", http.StatusOK},
+		{"JSON spec", "", fmt.Sprintf(`{"name":"js","path":%q,"db":true}`, path), http.StatusOK},
+	} {
+		for _, d := range []struct{ name, url string }{{"worker", workers[0].px.URL()}, {"router", ts.URL}} {
+			resp, err := http.Post(d.url+"/v1/banks"+c.params, "application/octet-stream", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode/100 != c.want/100 {
+				t.Errorf("%s via the %s: status %d, want %d", c.why, d.name, resp.StatusCode, c.want)
+			}
+		}
 	}
 }
 

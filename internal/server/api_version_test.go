@@ -43,7 +43,7 @@ func TestVersionedAPISurface(t *testing.T) {
 	if v1.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/compare: status %d: %s", v1.StatusCode, v1out)
 	}
-	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
+	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers)
 	if len(v1out) == 0 || !bytes.Equal(v1out, want) {
 		t.Fatal("/v1/compare output differs from the serial engine bytes")
 	}

@@ -37,8 +37,8 @@ func TestServerStoreDegradedServing(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	want2 := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
-	want3 := serialORIS(t, est1, est3, srv.Config().RequestWorkers, false)
+	want2 := serialORIS(t, est1, est2, srv.Config().RequestWorkers)
+	want3 := serialORIS(t, est1, est3, srv.Config().RequestWorkers)
 
 	// Healthy phase: the first compare builds and persists two indexes.
 	status, got := postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`)

@@ -161,15 +161,11 @@ func (s *Server) runJob(ctx context.Context, j *job, c *compareCall) {
 	}
 }
 
-// jobShape is POST /jobs's body: a single compare, m8, never streamed.
+// jobShape is POST /jobs's body: a single compare, never streamed.
 func jobShape(body []byte, _ string) (compareRequest, []string, error) {
 	req, names, err := singleShape(body, "")
-	switch {
-	case err != nil:
-	case req.Stream:
+	if err == nil && req.Stream {
 		err = errors.New("jobs have no stream mode; GET /jobs/{id}/result streams")
-	case req.Format == "json":
-		err = errors.New("job results are m8-only")
 	}
 	return req, names, err
 }

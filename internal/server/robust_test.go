@@ -108,7 +108,7 @@ func TestServerAbandonedQueuedRequest(t *testing.T) {
 	// The held request is unaffected and completes with full output.
 	close(hold)
 	got := <-first
-	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
+	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers)
 	if !bytes.Equal(got, want) {
 		t.Fatal("held request did not complete with the full serial output")
 	}

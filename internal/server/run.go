@@ -120,9 +120,8 @@ func singleShape(body []byte, accept string) (compareRequest, []string, error) {
 }
 
 // batchRequest is POST /compare/batch's body: a set of query banks
-// against one db bank. The embedded compareRequest carries the
-// engine/format/option fields; its Query/Self/Stream fields must stay
-// unset.
+// against one db bank. The embedded compareRequest carries the engine
+// and option fields; its Query/Stream fields must stay unset.
 type batchRequest struct {
 	compareRequest
 	Queries []string `json:"queries"`
@@ -131,7 +130,7 @@ type batchRequest struct {
 // batchShape parses and structurally validates a batch body.
 func batchShape(body []byte, _ string) (compareRequest, []string, error) {
 	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeStrict(body, &req); err != nil {
 		return req.compareRequest, nil, fmt.Errorf("bad batch request: %v", err)
 	}
 	var err error
@@ -142,12 +141,8 @@ func batchShape(body []byte, _ string) (compareRequest, []string, error) {
 		err = errors.New("batch request needs at least one query bank name")
 	case req.Query != "":
 		err = errors.New(`batch requests name queries in "queries", not "query"`)
-	case req.Self:
-		err = errors.New("self-comparison is a single-compare mode")
 	case req.Stream:
 		err = errors.New("batch responses are not streamed (stream single compares instead)")
-	default:
-		err = checkFormat(req.Format)
 	}
 	return req.compareRequest, req.Queries, err
 }
@@ -289,42 +284,12 @@ func (s *Server) run(ctx context.Context, c *compareCall, sink groupSink) error 
 	return nil
 }
 
-// compareResponse is the JSON format of a single compare result.
-type compareResponse struct {
-	Engine     string           `json:"engine"`
-	DB         string           `json:"db"`
-	Query      string           `json:"query"`
-	Alignments []tabular.Record `json:"alignments"`
-}
-
-// batchResult is one query's slice of a JSON-format batch response.
-type batchResult struct {
-	Query      string           `json:"query"`
-	Alignments []tabular.Record `json:"alignments"`
-}
-
-// batchResponse is the JSON format of a batch result.
-type batchResponse struct {
-	Engine  string        `json:"engine"`
-	DB      string        `json:"db"`
-	Results []batchResult `json:"results"`
-}
-
 // serveBuffered is the buffered sink: collect every query's result,
 // then answer once. The m8 body is the concatenation of the per-query
 // compares in request order — the exact bytes the scoris CLI writes for
 // each. It owns release.
 func (s *Server) serveBuffered(ctx context.Context, w http.ResponseWriter, c *compareCall, release func(), batch bool) {
-	asJSON := c.req.Format == "json"
 	var m8 []byte
-	var tables []batchResult
-	if asJSON {
-		tables = make([]batchResult, len(c.names))
-		for i, name := range c.names {
-			tables[i] = batchResult{Query: name, Alignments: []tabular.Record{}}
-		}
-	}
-
 	// The run holds the worker slot in its own goroutine and releases it
 	// only when the engine actually returns — at its next group once the
 	// context is done — so the slot is never leaked. The handler waits
@@ -334,13 +299,7 @@ func (s *Server) serveBuffered(ctx context.Context, w http.ResponseWriter, c *co
 	go func() {
 		defer release()
 		done <- s.run(ctx, c, func(qi int, g []align.Alignment) error {
-			if !asJSON {
-				m8 = tabular.AppendGroup(m8, g, c.db, c.queries[qi])
-				return nil
-			}
-			for i := range g {
-				tables[qi].Alignments = append(tables[qi].Alignments, tabular.FromAlignment(&g[i], c.db, c.queries[qi]))
-			}
+			m8 = tabular.AppendGroup(m8, g, c.db, c.queries[qi])
 			return nil
 		})
 	}()
@@ -362,21 +321,8 @@ func (s *Server) serveBuffered(ctx context.Context, w http.ResponseWriter, c *co
 	if batch {
 		s.batches.Add(1)
 	}
-
-	if !asJSON {
-		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-		w.Write(m8)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if batch {
-		json.NewEncoder(w).Encode(batchResponse{Engine: engineName(c.req.Engine), DB: c.req.DB, Results: tables})
-		return
-	}
-	json.NewEncoder(w).Encode(compareResponse{
-		Engine: engineName(c.req.Engine), DB: c.req.DB, Query: c.req.Query,
-		Alignments: tables[0].Alignments,
-	})
+	w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
+	w.Write(m8)
 }
 
 // finishCancelled answers a compare that will not produce a result:

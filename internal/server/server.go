@@ -46,7 +46,7 @@
 // buffered, streamed (stream.go) or job (jobs.go). Results are written
 // as BLAST -m 8 tabular text — byte-identical to the scoris CLI's
 // output for the same (bank, options) pair on every sink, which the
-// stress tests and the CI service job assert — or as JSON.
+// stress tests and the CI service job assert.
 //
 // Graceful shutdown is the standard http.Server.Shutdown contract: the
 // listener stops accepting, in-flight compares run to completion, and
@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"sort"
@@ -217,9 +218,6 @@ type Server struct {
 	// begins, so a fleet router stops routing here before the listener
 	// closes (in-flight and already-accepted compares still complete).
 	draining atomic.Bool
-
-	gcMu   sync.Mutex
-	lastGC *ixdisk.GCStats // guardedby: gcMu
 
 	// testHoldCompare, when non-nil, is received by every compare once
 	// it holds its worker slot, before the engine starts — the hook that
@@ -399,7 +397,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/jobs", s.countRequests(s.handleJobs))
 	mux.HandleFunc("/jobs/", s.countRequests(s.handleJob))
 	mux.HandleFunc("/stats", s.countRequests(s.handleStats))
-	mux.HandleFunc("/gc", s.countRequests(s.handleGC))
 	mux.HandleFunc("/healthz", s.countRequests(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -445,13 +442,14 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// bankRequest registers a bank. Either Path names a FASTA file readable
-// by the server process, or the request body carries FASTA text (any
-// non-JSON content type) with name/db taken from query parameters.
-type bankRequest struct {
+// BankRequest is a POST /banks registration: a JSON body naming a FASTA
+// file readable by the server process, or — for a FASTA-text body —
+// the name and db flag taken from the ?name= and ?db= parameters.
+type BankRequest struct {
 	// Name the bank is registered under (compare requests refer to it).
 	Name string `json:"name"`
-	// Path of a FASTA file on the server's filesystem.
+	// Path of a FASTA file on the server's filesystem; empty for a
+	// FASTA-text body.
 	Path string `json:"path"`
 	// DB marks the long-lived database side of the workload.
 	DB bool `json:"db"`
@@ -489,30 +487,10 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "reading bank request: %v", err)
 			return
 		}
-		req, recs, isFasta, err := parseBankBody(body)
+		req, b, err := LoadBankBody(body, r.URL.Query())
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
-		}
-		var b *bank.Bank
-		if isFasta {
-			// Raw FASTA body: ?name= is required, ?db=1 optional.
-			req.Name = r.URL.Query().Get("name")
-			req.DB = r.URL.Query().Get("db") != "" && r.URL.Query().Get("db") != "0"
-			if req.Name == "" {
-				httpError(w, http.StatusBadRequest, "FASTA-body registration needs a ?name= parameter")
-				return
-			}
-			b = bank.New(req.Name, recs)
-		} else {
-			if req.Name == "" {
-				req.Name = req.Path
-			}
-			b, err = bank.FromFile(req.Name, req.Path)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "loading bank: %v", err)
-				return
-			}
 		}
 		if err := s.RegisterBank(req.Name, b, req.DB); err != nil {
 			httpError(w, http.StatusConflict, "%v", err)
@@ -544,33 +522,77 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// LoadBankBody parses a POST /banks body and loads the bank it
+// registers: a FASTA-text body is the bank, named by ?name= (required)
+// and marked db by ?db=1; a JSON spec names a file to load, defaulting
+// its name to the path. A FASTA body returns a request with an empty
+// Path. scorisd and the fleet router both register through it, so the
+// two daemons accept and refuse the same bodies.
+func LoadBankBody(body []byte, query url.Values) (BankRequest, *bank.Bank, error) {
+	req, recs, err := parseBankBody(body)
+	if err != nil {
+		return req, nil, err
+	}
+	if recs != nil {
+		req.Name = query.Get("name")
+		req.DB = query.Get("db") != "" && query.Get("db") != "0"
+		if req.Name == "" {
+			return req, nil, errors.New("FASTA-body registration needs a ?name= parameter")
+		}
+		return req, bank.New(req.Name, recs), nil
+	}
+	if req.Name == "" {
+		req.Name = req.Path
+	}
+	b, err := bank.FromFile(req.Name, req.Path)
+	if err != nil {
+		return req, nil, fmt.Errorf("loading bank: %v", err)
+	}
+	return req, b, nil
+}
+
 // parseBankBody dispatches a POST /banks body: it is either a JSON
-// bankRequest or raw FASTA text, told apart by the first non-blank byte
+// BankRequest or raw FASTA text, told apart by the first non-blank byte
 // ('>' opens a FASTA header, '{' a JSON object) rather than the
 // Content-Type header, so plain `curl -d '{...}'` works without header
-// ceremony. A FASTA body returns its parsed records (isFasta true); a
-// JSON body returns the request with Path set — the caller loads the
-// file. Shared with FuzzParseBankBody.
+// ceremony. A FASTA body returns its parsed records (at least one); a
+// JSON body returns no records and the request with Path set. Shared
+// with FuzzParseBankBody.
 //
 //scorislint:validator
-func parseBankBody(body []byte) (req bankRequest, recs []*fasta.Record, isFasta bool, err error) {
+func parseBankBody(body []byte) (req BankRequest, recs []*fasta.Record, err error) {
 	if !bytes.HasPrefix(bytes.TrimLeft(body, " \t\r\n"), []byte(">")) {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return req, nil, false, fmt.Errorf("bad bank request: %v", err)
+		if err := decodeStrict(body, &req); err != nil {
+			return req, nil, fmt.Errorf("bad bank request: %v", err)
 		}
 		if req.Path == "" {
-			return req, nil, false, errors.New("bank request needs a path (or POST FASTA text with a ?name= parameter)")
+			return req, nil, errors.New("bank request needs a path (or POST FASTA text with a ?name= parameter)")
 		}
-		return req, nil, false, nil
+		return req, nil, nil
 	}
 	recs, err = fasta.ParseAll(body)
 	if err != nil {
-		return req, nil, true, fmt.Errorf("parsing FASTA body: %v", err)
+		return req, nil, fmt.Errorf("parsing FASTA body: %v", err)
 	}
 	if len(recs) == 0 {
-		return req, nil, true, errors.New("FASTA body holds no sequences")
+		return req, nil, errors.New("FASTA body holds no sequences")
 	}
-	return req, recs, true, nil
+	return req, recs, nil
+}
+
+// decodeStrict unmarshals one JSON request body into v, refusing
+// unknown fields and trailing data: a misspelt option ("both_strand")
+// is a 400, never a 200 that silently ran the default.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON object")
+	}
+	return nil
 }
 
 // bankInfoFor snapshots the registry entry for name.
@@ -598,15 +620,10 @@ type compareRequest struct {
 	Query string `json:"query"`
 	// Engine: "oris" (default), "blat", or "blastn".
 	Engine string `json:"engine"`
-	// Format: "m8" (default; BLAST -m 8 tabular text) or "json".
-	Format string `json:"format"`
-	// Self compares the db bank against itself, reporting the upper
-	// triangle only (oris engine; Query must be empty or equal DB).
-	Self bool `json:"self"`
 	// Stream requests chunked m8 delivery: each query sequence's
 	// alignments are written (and flushed) as they finish, instead of
 	// after the whole compare. Equivalent to sending
-	// "Accept: text/x-m8-stream". m8 format only.
+	// "Accept: text/x-m8-stream".
 	Stream bool `json:"stream"`
 
 	W           *int     `json:"w"`
@@ -632,44 +649,22 @@ func (s *Server) clampWorkers(req *int) int {
 }
 
 // parseCompareRequest parses a POST /compare JSON body and applies the
-// structural validation that needs no registry: self/query exclusivity,
-// known format, stream×format compatibility. Shared with
-// FuzzParseCompareRequest.
+// structural validation that needs no registry: known fields only, both
+// bank names present. Shared with FuzzParseCompareRequest.
 //
 //scorislint:validator
 func parseCompareRequest(body []byte, accept string) (compareRequest, error) {
 	var req compareRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeStrict(body, &req); err != nil {
 		return req, fmt.Errorf("bad compare request: %v", err)
 	}
 	if strings.Contains(accept, m8StreamAccept) {
 		req.Stream = true
 	}
-	if req.Self {
-		if req.Query != "" && req.Query != req.DB {
-			return req, fmt.Errorf("self-comparison takes no separate query bank (query %q given)", req.Query)
-		}
-		req.Query = req.DB
-	}
 	if req.DB == "" || req.Query == "" {
 		return req, errors.New("compare request needs db and query bank names")
 	}
-	if err := checkFormat(req.Format); err != nil {
-		return req, err
-	}
-	if req.Stream && req.Format == "json" {
-		return req, errors.New("streamed delivery is m8-only (drop format json or stream)")
-	}
 	return req, nil
-}
-
-// checkFormat accepts the result formats every compare route serves.
-func checkFormat(format string) error {
-	switch format {
-	case "", "m8", "json":
-		return nil
-	}
-	return fmt.Errorf("unknown format %q (use m8 or json)", format)
 }
 
 func engineName(e string) string {
@@ -692,7 +687,6 @@ func (s *Server) orisOptions(req *compareRequest) core.Options {
 		opt.Asymmetric = true
 	}
 	opt.Workers = s.clampWorkers(req.Workers)
-	opt.SkipSelfPairs = req.Self
 	return opt
 }
 
@@ -704,9 +698,6 @@ func (s *Server) orisOptions(req *compareRequest) core.Options {
 // result change.)
 func blatOptions(req *compareRequest) (blat.Options, error) {
 	var opt blat.Options
-	if req.Self {
-		return opt, fmt.Errorf("self-comparison is an oris-engine mode")
-	}
 	if req.BothStrands != nil && *req.BothStrands {
 		return opt, fmt.Errorf("the blat engine searches a single strand only (drop both_strands or use engine oris/blastn)")
 	}
@@ -722,9 +713,6 @@ func blatOptions(req *compareRequest) (blat.Options, error) {
 // for.
 func blastnOptions(req *compareRequest) (blastn.Options, error) {
 	var opt blastn.Options
-	if req.Self {
-		return opt, fmt.Errorf("self-comparison is an oris-engine mode")
-	}
 	if req.Asymmetric != nil && *req.Asymmetric {
 		return opt, fmt.Errorf("asymmetric half-word indexing is an oris-engine mode")
 	}
@@ -768,13 +756,10 @@ type Stats struct {
 	Banks int              `json:"banks"`
 	Cache ixcache.Counters `json:"cache"`
 	// Store is nil when no persistent tier is configured.
-	Store *StoreStats `json:"store,omitempty"`
-	// LastGC is the most recent store collection triggered through the
-	// server (nil before the first /gc).
-	LastGC   *ixdisk.GCStats `json:"last_gc,omitempty"`
-	Server   ServerStats     `json:"server"`
-	Sessions SessionStats    `json:"sessions"`
-	Jobs     JobStats        `json:"jobs"`
+	Store    *StoreStats  `json:"store,omitempty"`
+	Server   ServerStats  `json:"server"`
+	Sessions SessionStats `json:"sessions"`
+	Jobs     JobStats     `json:"jobs"`
 }
 
 // StoreStats are the DirStore-side counters (the cache's DiskHits /
@@ -866,9 +851,6 @@ func (s *Server) StatsSnapshot() Stats {
 			Dir:             s.store.Dir(),
 		}
 	}
-	s.gcMu.Lock()
-	st.LastGC = s.lastGC
-	s.gcMu.Unlock()
 	return st
 }
 
@@ -879,27 +861,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.StatsSnapshot())
-}
-
-// handleGC runs a store collection on demand and reports it. Without a
-// store the endpoint answers 404: there is nothing to collect.
-func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.store == nil {
-		httpError(w, http.StatusNotFound, "no index store configured")
-		return
-	}
-	st, err := s.store.GC()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "gc: %v", err)
-		return
-	}
-	s.gcMu.Lock()
-	s.lastGC = &st
-	s.gcMu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
 }

@@ -33,11 +33,10 @@ func testBanks(t *testing.T) (est1, est2, est3 *bank.Bank) {
 
 // serialORIS computes the reference m8 bytes for (db, query) the way
 // the scoris CLI does — the byte-identity oracle for server responses.
-func serialORIS(t *testing.T, db, query *bank.Bank, workers int, self bool) []byte {
+func serialORIS(t *testing.T, db, query *bank.Bank, workers int) []byte {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.Workers = workers
-	opt.SkipSelfPairs = self
 	res, err := core.Compare(db, query, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +83,7 @@ func TestServerCompareMatchesSerialEngines(t *testing.T) {
 	defer ts.Close()
 
 	// oris, m8: byte-identical to the serial engine output.
-	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
+	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers)
 	status, got := postCompare(t, ts.URL, `{"db":"est1","query":"est2"}`)
 	if status != http.StatusOK {
 		t.Fatalf("oris compare: status %d: %s", status, got)
@@ -125,34 +124,6 @@ func TestServerCompareMatchesSerialEngines(t *testing.T) {
 		t.Errorf("session pool created %d sessions for one serial blastn stream, want 1", c)
 	}
 
-	// Self-comparison (the CLI's -self).
-	want = serialORIS(t, est1, est1, srv.Config().RequestWorkers, true)
-	status, got = postCompare(t, ts.URL, `{"db":"est1","self":true}`)
-	if status != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("self compare differs (status %d, %d vs %d bytes)", status, len(got), len(want))
-	}
-
-	// JSON format parses and carries the same records.
-	status, got = postCompare(t, ts.URL, `{"db":"est1","query":"est2","format":"json"}`)
-	if status != http.StatusOK {
-		t.Fatalf("json compare: status %d: %s", status, got)
-	}
-	var cr compareResponse
-	if err := json.Unmarshal(got, &cr); err != nil {
-		t.Fatalf("json response: %v", err)
-	}
-	sres, err := core.Compare(est1, est2, func() core.Options {
-		o := core.DefaultOptions()
-		o.Workers = srv.Config().RequestWorkers
-		return o
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cr.Alignments) != len(sres.Alignments) {
-		t.Fatalf("json carries %d alignments, serial %d", len(cr.Alignments), len(sres.Alignments))
-	}
-
 	// The oris keys (est1, est2) each built exactly once across all of
 	// the above — the blat tile index is its own third key.
 	if b := srv.Cache().Builds(); b != 3 {
@@ -169,7 +140,7 @@ func TestServerCompareMatchesSerialEngines(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Banks != 2 || st.Cache.Builds != 3 || st.Server.Compares < 5 {
+	if st.Banks != 2 || st.Cache.Builds != 3 || st.Server.Compares < 3 {
 		t.Errorf("stats off: %+v", st)
 	}
 	if st.Sessions.Checkouts != 1 || st.Sessions.Idle != 1 {
@@ -322,7 +293,7 @@ func TestServerAdmissionControl(t *testing.T) {
 
 	close(hold)
 	got := <-first
-	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
+	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers)
 	if !bytes.Equal(got, want) {
 		t.Fatal("held request did not complete with the full serial output")
 	}
@@ -360,10 +331,16 @@ func TestServerBadRequestRefusedBeforeCapacity(t *testing.T) {
 	for _, c := range []struct{ path, body string }{
 		{"/v1/compare", `{"db":"est1","query":"est2","engine":"hmmer"}`},
 		{"/v1/compare", `{"db":"est1","query":"est2","stream":true,"engine":"blat","both_strands":true}`},
+		{"/v1/compare", `{"db":"est1","query":"est2","format":"json"}`},
+		{"/v1/compare", `{"db":"est1","self":true}`},
+		{"/v1/compare", `{"db":"est1","query":"est2","both_strand":true}`},
+		{"/v1/compare/batch", `{"db":"est1","queries":["est2"],"self":true}`},
+		{"/v1/compare/batch", `{"db":"est1","queries":["est2"],"format":"json"}`},
 		{"/v1/compare/batch", `{"db":"est1","queries":["est2"],"engine":"blastn","asymmetric":true}`},
 		{"/v1/compare/batch", `{"db":"est1","queries":["est2"],"w":3}`},
 		{"/v1/jobs", `{"db":"est1","query":"est2","engine":"hmmer"}`},
 		{"/v1/jobs", `{"db":"est1","query":"est2","engine":"blastn","w":3}`},
+		{"/v1/jobs", `{"db":"est1","query":"est2","format":"json"}`},
 	} {
 		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -621,7 +598,7 @@ func TestServerGracefulDrain(t *testing.T) {
 
 	close(hold)
 	got := <-first
-	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
+	want := serialORIS(t, est1, est2, srv.Config().RequestWorkers)
 	if !bytes.Equal(got, want) {
 		t.Fatal("in-flight compare was dropped by shutdown instead of drained")
 	}

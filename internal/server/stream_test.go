@@ -105,7 +105,7 @@ func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("buffered compare: status %d: %s", status, want)
 			}
-			ref := serialORIS(t, est1, est2, srv.Config().RequestWorkers, false)
+			ref := serialORIS(t, est1, est2, srv.Config().RequestWorkers)
 			if engine != "oris" {
 				var buf bytes.Buffer
 				if err := tabular.Write(&buf, toRecords(serial[engine], est1, est2)); err != nil {
@@ -124,22 +124,6 @@ func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 				t.Errorf("batch-of-one m8: err=%v status=%d, %d vs %d bytes", err, resp.StatusCode, len(got), len(want))
-			}
-
-			// Batch of one, JSON: the same records, rendered to the same bytes.
-			resp = streamPost(t, ts.URL, "/v1/compare/batch", strings.TrimSuffix(batchBody, "}")+`,"format":"json"}`, "")
-			var br batchResponse
-			err = json.NewDecoder(resp.Body).Decode(&br)
-			resp.Body.Close()
-			if err != nil || len(br.Results) != 1 || br.Engine != engine {
-				t.Fatalf("batch-of-one JSON: err=%v, %+v", err, br)
-			}
-			var rendered bytes.Buffer
-			if err := tabular.Write(&rendered, br.Results[0].Alignments); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rendered.Bytes(), want) {
-				t.Errorf("batch-of-one JSON renders %d bytes, want %d", rendered.Len(), len(want))
 			}
 
 			// Job, followed through /result.
@@ -192,20 +176,6 @@ func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestServerStreamRejectsJSONFormat(t *testing.T) {
-	est1, est2, _ := testBanks(t)
-	srv := New(Config{})
-	srv.RegisterBank("est1", est1, true)
-	srv.RegisterBank("est2", est2, false)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	status, body := postCompare(t, ts.URL, `{"db":"est1","query":"est2","format":"json","stream":true}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("stream+json accepted: status %d: %s", status, body)
 	}
 }
 
@@ -415,28 +385,13 @@ func TestServerBatchBlastnSingleCheckout(t *testing.T) {
 	}
 }
 
-func TestServerBatchJSONAndValidation(t *testing.T) {
+func TestServerBatchValidation(t *testing.T) {
 	est1, est2, _ := testBanks(t)
 	srv := New(Config{})
 	srv.RegisterBank("est1", est1, true)
 	srv.RegisterBank("est2", est2, false)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	resp := streamPost(t, ts.URL, "/v1/compare/batch",
-		`{"db":"est1","queries":["est2"],"format":"json"}`, "")
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("json batch status %d: %s", resp.StatusCode, body)
-	}
-	var br batchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatalf("bad batch JSON: %v", err)
-	}
-	if len(br.Results) != 1 || br.Results[0].Query != "est2" {
-		t.Fatalf("batch JSON results: %+v", br.Results)
-	}
 
 	bad := []struct{ body, why string }{
 		{`{"db":"est1"}`, "no queries"},
@@ -454,7 +409,7 @@ func TestServerBatchJSONAndValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", c.why, resp.StatusCode)
 		}
 	}
-	resp = streamPost(t, ts.URL, "/v1/compare/batch", `{"db":"est1","queries":["ghost"]}`, "")
+	resp := streamPost(t, ts.URL, "/v1/compare/batch", `{"db":"est1","queries":["ghost"]}`, "")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {

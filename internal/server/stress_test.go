@@ -74,8 +74,8 @@ func TestServerStress(t *testing.T) {
 		req  string
 		want []byte
 	}{
-		{"oris-est2", `{"db":"est1","query":"est2"}`, serialORIS(t, est1, est2, workers, false)},
-		{"oris-est3", `{"db":"est1","query":"est3"}`, serialORIS(t, est1, est3, workers, false)},
+		{"oris-est2", `{"db":"est1","query":"est2"}`, serialORIS(t, est1, est2, workers)},
+		{"oris-est3", `{"db":"est1","query":"est3"}`, serialORIS(t, est1, est3, workers)},
 		{"blat-est2", `{"db":"est1","query":"est2","engine":"blat"}`, blatRef},
 		{"blastn-est2", `{"db":"est1","query":"est2","engine":"blastn"}`, blastnRef},
 	}
@@ -163,8 +163,8 @@ func TestServerStoreWarmStart(t *testing.T) {
 			req  string
 			want []byte
 		}{
-			{`{"db":"est1","query":"est2"}`, serialORIS(t, est1, est2, workers, false)},
-			{`{"db":"est1","query":"est3"}`, serialORIS(t, est1, est3, workers, false)},
+			{`{"db":"est1","query":"est2"}`, serialORIS(t, est1, est2, workers)},
+			{`{"db":"est1","query":"est3"}`, serialORIS(t, est1, est3, workers)},
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 6; g++ {
