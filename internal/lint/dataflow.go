@@ -1,10 +1,10 @@
 package lint
 
-// Interprocedural dataflow infrastructure (PR 10): a whole-module call
-// graph, per-function def-use chains, and a fact store through which
-// analyzers publish and consume function summaries across packages.
-// The flow analyzers (untrustedix, detorder, guardedby, hotalloc) are
-// built on this layer; the PR 9 analyzers remain single-function.
+// Interprocedural dataflow infrastructure: a whole-module call graph,
+// one summary solver, and one statement walk. The flow analyzers
+// (untrustedix, detorder, guardedby, hotalloc) keep their summaries in
+// their own maps and hand solve a step function; the other analyzers
+// are single-function.
 //
 // Functions are identified by FuncKey — the types.Func.FullName()
 // string — never by object identity: the loader type-checks each
@@ -17,6 +17,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -77,19 +78,23 @@ type FuncInfo struct {
 	Obj  *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
+
+	// Params maps each named receiver and parameter to its slot: the
+	// receiver (named or not) is slot 0 of a method, then one slot per
+	// parameter, the order effectiveArgs gives a call's arguments.
+	Params map[types.Object]int
 }
 
 // Module is the whole-module dataflow index: every function body in
-// the loaded (non-test) tree, the call graph over them, and the fact
-// store. Built once per Run and shared by every analyzer.
+// the loaded (non-test) tree and the call graph over them. Built once
+// per Run and shared by every analyzer.
 type Module struct {
 	Funcs map[FuncKey]*FuncInfo
+	Keys  []FuncKey // Funcs' keys, sorted
 	Edges []Edge
 
 	calleesOf map[FuncKey][]Edge
 	callersOf map[FuncKey][]Edge
-
-	facts map[string]map[FuncKey]any
 }
 
 // Callees returns the edges leaving fn.
@@ -98,22 +103,29 @@ func (m *Module) Callees(fn FuncKey) []Edge { return m.calleesOf[fn] }
 // Callers returns the edges arriving at fn.
 func (m *Module) Callers(fn FuncKey) []Edge { return m.callersOf[fn] }
 
-// PutFact publishes a summary for fn under an analyzer-chosen
-// namespace; ConsumeFact reads it back, from any analyzer. Facts are
-// keyed by FuncKey, so a summary published while analyzing one package
-// is visible at call sites in every other.
-func (m *Module) PutFact(ns string, fn FuncKey, v any) {
-	byFn := m.facts[ns]
-	if byFn == nil {
-		byFn = map[FuncKey]any{}
-		m.facts[ns] = byFn
+// solve runs step over the module's functions until no summary grows.
+// Every function is seeded in Keys order; one whose step reports
+// growth re-queues its callers. There is no round cap, so each step
+// must only add to a finite summary.
+func (m *Module) solve(step func(*FuncInfo) bool) {
+	queue := slices.Clone(m.Keys)
+	queued := make(map[FuncKey]bool, len(queue))
+	for _, k := range queue {
+		queued[k] = true
 	}
-	byFn[fn] = v
-}
-
-// Fact returns the summary published for fn under ns, or nil.
-func (m *Module) Fact(ns string, fn FuncKey) any {
-	return m.facts[ns][fn]
+	for len(queue) > 0 {
+		k := queue[0]
+		queue, queued[k] = queue[1:], false
+		if !step(m.Funcs[k]) {
+			continue
+		}
+		for _, e := range m.Callers(k) {
+			if !queued[e.Caller] {
+				queued[e.Caller] = true
+				queue = append(queue, e.Caller)
+			}
+		}
+	}
 }
 
 // buildModule indexes every non-test function body and the call graph
@@ -124,7 +136,6 @@ func buildModule(pass *Pass) *Module {
 		Funcs:     map[FuncKey]*FuncInfo{},
 		calleesOf: map[FuncKey][]Edge{},
 		callersOf: map[FuncKey][]Edge{},
-		facts:     map[string]map[FuncKey]any{},
 	}
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Files {
@@ -140,10 +151,12 @@ func buildModule(pass *Pass) *Module {
 				if fn == nil {
 					continue
 				}
-				m.Funcs[KeyOf(fn)] = &FuncInfo{Key: KeyOf(fn), Obj: fn, Decl: fd, Pkg: pkg}
+				m.Funcs[KeyOf(fn)] = &FuncInfo{Key: KeyOf(fn), Obj: fn, Decl: fd, Pkg: pkg, Params: paramSlots(pkg.Info, fd)}
+				m.Keys = append(m.Keys, KeyOf(fn))
 			}
 		}
 	}
+	slices.Sort(m.Keys)
 	for _, fi := range m.Funcs {
 		collectEdges(m, fi)
 	}
@@ -269,61 +282,125 @@ func (m *Module) implementationsOf(ifn *types.Func) []*types.Func {
 	return out
 }
 
-// DefUse is one function's def-use chains: for each local object, the
-// positions that define (assign) it and the identifiers that read it,
-// in source order.
-type DefUse struct {
-	Defs map[types.Object][]token.Pos
-	Uses map[types.Object][]*ast.Ident
+// paramSlots numbers fd's receiver and parameters (see
+// FuncInfo.Params). Unnamed slots still advance the count, so caller
+// and callee agree on positions.
+func paramSlots(info *types.Info, fd *ast.FuncDecl) map[types.Object]int {
+	slots := map[types.Object]int{}
+	var fields []*ast.Field
+	if fd.Recv != nil {
+		fields = append(fields, fd.Recv.List...)
+	}
+	i := 0
+	for _, field := range append(fields, fd.Type.Params.List...) {
+		for _, name := range field.Names {
+			if obj := info.Defs[name]; obj != nil {
+				slots[obj] = i
+			}
+			i++
+		}
+		if len(field.Names) == 0 {
+			i++
+		}
+	}
+	return slots
 }
 
-// DefUseOf builds the def-use chains of one function body.
-func DefUseOf(pkg *Package, body *ast.BlockStmt) *DefUse {
-	du := &DefUse{
-		Defs: map[types.Object][]token.Pos{},
-		Uses: map[types.Object][]*ast.Ident{},
+// numParams is the number of parameter slots of fn.
+func numParams(fn *types.Func) int {
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() != nil {
+		return sig.Params().Len() + 1
 	}
-	// Definition sites: := and = left-hand sides, var declarations,
-	// range loop variables.
-	markDef := func(e ast.Expr) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return
-		}
-		if obj := pkg.Info.Defs[id]; obj != nil {
-			du.Defs[obj] = append(du.Defs[obj], id.Pos())
-		} else if obj := pkg.Info.Uses[id]; obj != nil {
-			du.Defs[obj] = append(du.Defs[obj], id.Pos())
+	return sig.Params().Len()
+}
+
+// effectiveArgs aligns call arguments with parameter slots: the
+// receiver expression first for methods (nil when the call is not a
+// selector), then the arguments.
+func effectiveArgs(call *ast.CallExpr, sig *types.Signature) []ast.Expr {
+	var args []ast.Expr
+	if sig.Recv() != nil {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			args = append(args, sel.X)
+		} else {
+			args = append(args, nil)
 		}
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				markDef(lhs)
-			}
-		case *ast.RangeStmt:
-			markDef(x.Key)
-			if x.Value != nil {
-				markDef(x.Value)
-			}
-		case *ast.ValueSpec:
-			for _, name := range x.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil {
-					du.Defs[obj] = append(du.Defs[obj], name.Pos())
-				}
-			}
-		case *ast.Ident:
-			if obj := pkg.Info.Uses[x]; obj != nil {
-				du.Uses[obj] = append(du.Uses[obj], x)
-			}
+	return append(args, call.Args...)
+}
+
+// stmtVisitor is what an analyzer hands walkStmt: the statements and
+// expressions the walk does not take apart, and hooks around loops,
+// range headers and if statements.
+type stmtVisitor interface {
+	leaf(ast.Stmt)                   // assignment, declaration, return, call, defer, go, send, ...
+	expr(ast.Expr)                   // if/for condition, switch tag, case value; may be nil
+	rangeHead(*ast.RangeStmt) func() // range operand and variables; returns what to run after the body, or nil
+	loop(body func())                // runs a loop body (and post statement) once or more
+	ifDone(*ast.IfStmt)              // after an if statement and its branches
+}
+
+// walkStmt is the statement recursion the flow analyzers share: it
+// visits s in source order and never branches on which analyzer it
+// serves.
+func walkStmt(v stmtVisitor, s ast.Stmt) {
+	switch s := s.(type) {
+	case nil:
+	case *ast.BlockStmt:
+		walkStmts(v, s.List)
+	case *ast.LabeledStmt:
+		walkStmt(v, s.Stmt)
+	case *ast.IfStmt:
+		walkStmt(v, s.Init)
+		v.expr(s.Cond)
+		walkStmts(v, s.Body.List)
+		walkStmt(v, s.Else)
+		v.ifDone(s)
+	case *ast.ForStmt:
+		walkStmt(v, s.Init)
+		v.expr(s.Cond)
+		v.loop(func() {
+			walkStmts(v, s.Body.List)
+			walkStmt(v, s.Post)
+		})
+	case *ast.RangeStmt:
+		after := v.rangeHead(s)
+		v.loop(func() { walkStmts(v, s.Body.List) })
+		if after != nil {
+			after()
 		}
-		return true
-	})
-	for _, uses := range du.Uses {
-		sort.Slice(uses, func(i, j int) bool { return uses[i].Pos() < uses[j].Pos() })
+	case *ast.SwitchStmt:
+		walkStmt(v, s.Init)
+		v.expr(s.Tag)
+		for _, c := range s.Body.List {
+			cc := c.(*ast.CaseClause)
+			for _, x := range cc.List {
+				v.expr(x)
+			}
+			walkStmts(v, cc.Body)
+		}
+	case *ast.TypeSwitchStmt:
+		walkStmt(v, s.Init)
+		walkStmt(v, s.Assign)
+		for _, c := range s.Body.List {
+			walkStmts(v, c.(*ast.CaseClause).Body)
+		}
+	case *ast.SelectStmt:
+		for _, c := range s.Body.List {
+			cc := c.(*ast.CommClause)
+			walkStmt(v, cc.Comm)
+			walkStmts(v, cc.Body)
+		}
+	default:
+		v.leaf(s)
 	}
-	return du
+}
+
+func walkStmts(v stmtVisitor, list []ast.Stmt) {
+	for _, s := range list {
+		walkStmt(v, s)
+	}
 }
 
 // funcDirective reports whether the doc comment of decl carries the

@@ -39,70 +39,27 @@ commutative and never flag.`,
 	Run: runDetOrder,
 }
 
-// orderSummary is one function's published ordering fact.
+// orderSummary is one function's ordering summary; it only grows.
 type orderSummary struct {
 	returnsUnordered bool
 	desc             string // origin of the disorder, for messages
 	paramEmits       []bool // parameter i is written to an output
 }
 
-func (s *orderSummary) fingerprint() string {
-	if s == nil {
-		return ""
-	}
-	b := strings.Builder{}
-	if s.returnsUnordered {
-		b.WriteString("R")
-	}
-	for _, p := range s.paramEmits {
-		if p {
-			b.WriteString("1")
-		} else {
-			b.WriteString("0")
-		}
-	}
-	return b.String()
-}
-
 type orderState struct {
 	pass      *Pass
-	mod       *Module
 	summaries map[FuncKey]*orderSummary
 }
 
 func runDetOrder(pass *Pass) {
 	mod := pass.Module()
-	st := &orderState{pass: pass, mod: mod, summaries: map[FuncKey]*orderSummary{}}
+	st := &orderState{pass: pass, summaries: map[FuncKey]*orderSummary{}}
 	for key, fi := range mod.Funcs {
 		st.summaries[key] = &orderSummary{paramEmits: make([]bool, numParams(fi.Obj))}
 	}
-	for round := 0; round < 6; round++ {
-		changed := false
-		for key, fi := range mod.Funcs {
-			prev := st.summaries[key]
-			next := &orderSummary{paramEmits: make([]bool, numParams(fi.Obj))}
-			st.analyze(fi, next, false)
-			next.returnsUnordered = next.returnsUnordered || prev.returnsUnordered
-			if next.desc == "" {
-				next.desc = prev.desc
-			}
-			for i := range prev.paramEmits {
-				next.paramEmits[i] = next.paramEmits[i] || prev.paramEmits[i]
-			}
-			if next.fingerprint() != prev.fingerprint() {
-				changed = true
-			}
-			st.summaries[key] = next
-		}
-		if !changed {
-			break
-		}
-	}
-	for key, sum := range st.summaries {
-		st.mod.PutFact("detorder", key, sum)
-	}
-	for key, fi := range mod.Funcs {
-		st.analyze(fi, st.summaries[key], true)
+	mod.solve(func(fi *FuncInfo) bool { return st.analyze(fi, false) })
+	for _, key := range mod.Keys {
+		st.analyze(mod.Funcs[key], true)
 	}
 }
 
@@ -111,53 +68,30 @@ type orderEngine struct {
 	fi   *FuncInfo
 	info *types.Info
 	sum  *orderSummary
+	grew bool // sum gained a fact
 
 	// unordered maps an object to the description of the map iteration
 	// its contents came from; derived tracks values computed from the
 	// current iteration's variables.
 	unordered map[types.Object]string
 	derived   map[types.Object]string
-	paramIdx  map[types.Object]int
 
 	report   bool
 	reported map[token.Pos]bool
 }
 
-func (st *orderState) analyze(fi *FuncInfo, sum *orderSummary, report bool) {
+// analyze walks fi's body, adding what it finds to fi's summary, and
+// reports whether the summary grew.
+func (st *orderState) analyze(fi *FuncInfo, report bool) bool {
 	e := &orderEngine{
-		st: st, fi: fi, info: fi.Pkg.Info, sum: sum,
+		st: st, fi: fi, info: fi.Pkg.Info, sum: st.summaries[fi.Key],
 		unordered: map[types.Object]string{},
 		derived:   map[types.Object]string{},
-		paramIdx:  map[types.Object]int{},
 		report:    report,
 		reported:  map[token.Pos]bool{},
 	}
-	i := 0
-	if recv := fi.Decl.Recv; recv != nil {
-		for _, field := range recv.List {
-			for _, name := range field.Names {
-				if obj := e.info.Defs[name]; obj != nil {
-					e.paramIdx[obj] = i
-				}
-			}
-		}
-		i++
-	}
-	for _, field := range fi.Decl.Type.Params.List {
-		if len(field.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := e.info.Defs[name]; obj != nil {
-				e.paramIdx[obj] = i
-			}
-			i++
-		}
-	}
-	for _, s := range fi.Decl.Body.List {
-		e.stmt(s)
-	}
+	walkStmt(e, fi.Decl.Body)
+	return e.grew
 }
 
 // disorderOf returns the iteration-origin description of x, or "".
@@ -235,10 +169,9 @@ func (e *orderEngine) handleCall(call *ast.CallExpr) {
 		if desc := e.disorderOf(arg); desc != "" {
 			e.reportAt(call.Pos(), desc, what)
 		}
-		if obj := rootObj(e.info, arg); obj != nil {
-			if i, ok := e.paramIdx[obj]; ok && i < len(e.sum.paramEmits) {
-				e.sum.paramEmits[i] = true
-			}
+		if i, ok := e.fi.Params[rootObj(e.info, arg)]; ok && !e.sum.paramEmits[i] {
+			e.sum.paramEmits[i] = true
+			e.grew = true
 		}
 	}
 	switch {
@@ -270,20 +203,6 @@ func (e *orderEngine) handleCall(call *ast.CallExpr) {
 			}
 		}
 	}
-}
-
-// effectiveArgs aligns call arguments with parameter slots (receiver
-// first for methods).
-func effectiveArgs(call *ast.CallExpr, sig *types.Signature) []ast.Expr {
-	var args []ast.Expr
-	if sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			args = append(args, sel.X)
-		} else {
-			args = append(args, nil)
-		}
-	}
-	return append(args, call.Args...)
 }
 
 // isSortCall reports whether pkgPath.name establishes a total order on
@@ -395,50 +314,36 @@ func isSliceLike(t types.Type) bool {
 	return ok
 }
 
-// stmt walks one statement in source order.
-func (e *orderEngine) stmt(s ast.Stmt) {
-	switch v := s.(type) {
-	case *ast.RangeStmt:
-		e.scanCalls(v.X)
-		t := typeOf(e.info, v.X)
-		_, overMap := deref(t).Underlying().(*types.Map)
-		overUnorderedDesc := ""
-		if obj := rootObj(e.info, v.X); obj != nil {
-			overUnorderedDesc = e.unordered[obj]
-		}
-		if !overMap && overUnorderedDesc == "" {
-			for _, s := range v.Body.List {
-				e.stmt(s)
+// rangeHead marks the iteration variables of a range over a map, or
+// over an unordered slice, as derived for the body walk.
+func (e *orderEngine) rangeHead(v *ast.RangeStmt) func() {
+	e.scanCalls(v.X)
+	t := typeOf(e.info, v.X)
+	_, overMap := deref(t).Underlying().(*types.Map)
+	desc := ""
+	if obj := rootObj(e.info, v.X); obj != nil {
+		desc = e.unordered[obj]
+	}
+	if overMap {
+		desc = "map iteration at " + shortPos(e.st.pass.Fset.Position(v.Pos()))
+	}
+	if desc == "" {
+		return nil
+	}
+	saved := map[types.Object]string{}
+	for _, x := range []ast.Expr{v.Key, v.Value} {
+		if id, ok := ast.Unparen(x).(*ast.Ident); ok {
+			obj := e.info.Defs[id]
+			if obj == nil {
+				obj = e.info.Uses[id]
 			}
-			return
-		}
-		desc := overUnorderedDesc
-		if overMap {
-			pos := e.st.pass.Fset.Position(v.Pos())
-			desc = "map iteration at " + shortPos(pos)
-		}
-		// Iteration variables are derived for the body walk.
-		saved := map[types.Object]string{}
-		markIter := func(x ast.Expr) {
-			if x == nil {
-				return
-			}
-			if id, ok := ast.Unparen(x).(*ast.Ident); ok {
-				obj := e.info.Defs[id]
-				if obj == nil {
-					obj = e.info.Uses[id]
-				}
-				if obj != nil {
-					saved[obj] = e.derived[obj]
-					e.derived[obj] = desc
-				}
+			if obj != nil {
+				saved[obj] = e.derived[obj]
+				e.derived[obj] = desc
 			}
 		}
-		markIter(v.Key)
-		markIter(v.Value)
-		for _, s := range v.Body.List {
-			e.stmt(s)
-		}
+	}
+	return func() {
 		for obj, old := range saved {
 			if old == "" {
 				delete(e.derived, obj)
@@ -446,6 +351,12 @@ func (e *orderEngine) stmt(s ast.Stmt) {
 				e.derived[obj] = old
 			}
 		}
+	}
+}
+
+// leaf processes one statement walkStmt does not take apart.
+func (e *orderEngine) leaf(s ast.Stmt) {
+	switch v := s.(type) {
 	case *ast.AssignStmt:
 		for _, rhs := range v.Rhs {
 			e.scanCalls(rhs)
@@ -480,90 +391,22 @@ func (e *orderEngine) stmt(s ast.Stmt) {
 				}
 			}
 		}
-	case *ast.ExprStmt:
-		e.scanCalls(v.X)
 	case *ast.ReturnStmt:
 		for _, r := range v.Results {
 			e.scanCalls(r)
-			if desc := e.disorderOf(r); desc != "" {
-				e.sum.returnsUnordered = true
-				if e.sum.desc == "" {
-					e.sum.desc = desc
-				}
+			if desc := e.disorderOf(r); desc != "" && !e.sum.returnsUnordered {
+				e.sum.returnsUnordered, e.sum.desc = true, desc
+				e.grew = true
 			}
 		}
-	case *ast.IfStmt:
-		if v.Init != nil {
-			e.stmt(v.Init)
-		}
-		e.scanCalls(v.Cond)
-		for _, s := range v.Body.List {
-			e.stmt(s)
-		}
-		if v.Else != nil {
-			e.stmt(v.Else)
-		}
-	case *ast.ForStmt:
-		if v.Init != nil {
-			e.stmt(v.Init)
-		}
-		e.scanCalls(v.Cond)
-		for _, s := range v.Body.List {
-			e.stmt(s)
-		}
-		if v.Post != nil {
-			e.stmt(v.Post)
-		}
-	case *ast.BlockStmt:
-		for _, s := range v.List {
-			e.stmt(s)
-		}
-	case *ast.SwitchStmt:
-		if v.Init != nil {
-			e.stmt(v.Init)
-		}
-		e.scanCalls(v.Tag)
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, s := range cc.Body {
-					e.stmt(s)
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if v.Init != nil {
-			e.stmt(v.Init)
-		}
-		e.stmt(v.Assign)
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, s := range cc.Body {
-					e.stmt(s)
-				}
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					e.stmt(cc.Comm)
-				}
-				for _, s := range cc.Body {
-					e.stmt(s)
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		e.scanCalls(v.Call)
-	case *ast.GoStmt:
-		e.scanCalls(v.Call)
-	case *ast.SendStmt:
-		e.scanCalls(v.Chan)
-		e.scanCalls(v.Value)
-	case *ast.LabeledStmt:
-		e.stmt(v.Stmt)
+	default:
+		e.scanCalls(s)
 	}
 }
+
+func (e *orderEngine) expr(x ast.Expr)    { e.scanCalls(x) }
+func (e *orderEngine) loop(body func())   { body() }
+func (e *orderEngine) ifDone(*ast.IfStmt) {}
 
 // shortPos renders file:line with only the file base name, keeping
 // messages stable across checkouts.

@@ -25,7 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -99,25 +99,18 @@ func runGuardedBy(pass *Pass) {
 	if len(st.guards) == 0 {
 		return
 	}
-	for key, fi := range mod.Funcs {
-		st.analyzeFunc(key, fi)
-	}
-	for key, reqs := range st.reqs {
-		st.mod.PutFact("guardedby", key, reqs)
+	for _, fi := range mod.Funcs {
+		st.analyzeFunc(fi)
 	}
 
-	// Propagate requirements up the call graph to fixpoint, then
-	// report the call sites that satisfy none of the outs.
-	for round := 0; round < 6; round++ {
-		if !st.propagate(nil) {
-			break
-		}
-	}
+	// Push requirements up the call graph to a fixpoint, then report
+	// the call sites that satisfy none of the outs.
+	mod.solve(func(fi *FuncInfo) bool { return st.propagate(fi.Key, nil) })
 	var viols []Diagnostic
-	st.propagate(&viols)
-	for _, d := range st.direct {
-		viols = append(viols, d)
+	for _, key := range mod.Keys {
+		st.propagate(key, &viols)
 	}
+	viols = append(viols, st.direct...)
 	seen := map[string]bool{}
 	for _, d := range viols {
 		k := fmt.Sprint(d.Pos, d.Message)
@@ -218,49 +211,17 @@ type guardWalker struct {
 	st     *guardState
 	fi     *FuncInfo
 	info   *types.Info
-	key    FuncKey
 	held   map[string]bool
 	exempt map[types.Object]bool
-	params map[types.Object]int
-	slots  map[string]int // param name -> slot, for repr roots
 }
 
-func (st *guardState) analyzeFunc(key FuncKey, fi *FuncInfo) {
+func (st *guardState) analyzeFunc(fi *FuncInfo) {
 	w := &guardWalker{
-		st: st, fi: fi, info: fi.Pkg.Info, key: key,
+		st: st, fi: fi, info: fi.Pkg.Info,
 		held:   map[string]bool{},
 		exempt: map[types.Object]bool{},
-		params: map[types.Object]int{},
-		slots:  map[string]int{},
 	}
-	i := 0
-	if recv := fi.Decl.Recv; recv != nil {
-		for _, field := range recv.List {
-			for _, name := range field.Names {
-				if obj := w.info.Defs[name]; obj != nil {
-					w.params[obj] = i
-					w.slots[name.Name] = i
-				}
-			}
-		}
-		i++
-	}
-	for _, field := range fi.Decl.Type.Params.List {
-		if len(field.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := w.info.Defs[name]; obj != nil {
-				w.params[obj] = i
-				w.slots[name.Name] = i
-			}
-			i++
-		}
-	}
-	for _, s := range fi.Decl.Body.List {
-		w.stmt(s)
-	}
+	walkStmt(w, fi.Decl.Body)
 }
 
 // lockCall classifies a sync mutex method call, returning the lock
@@ -308,13 +269,10 @@ func (w *guardWalker) access(sel *ast.SelectorExpr) {
 	}
 	desc := named.Obj().Name() + "." + sel.Sel.Name
 	if root != nil {
-		if slot, isParam := w.params[root]; isParam && base != "" {
-			rootName := base
-			if i := strings.IndexByte(base, '.'); i >= 0 {
-				rootName = base[:i]
-			}
+		if slot, isParam := w.fi.Params[root]; isParam && base != "" {
+			rootName, _, _ := strings.Cut(base, ".")
 			rel := strings.TrimPrefix(base, rootName) + "." + mu
-			w.addReq(lockReq{slot: slot, rel: rel, desc: desc})
+			w.st.addReq(w.fi.Key, lockReq{slot: slot, rel: rel, desc: desc})
 			return
 		}
 	}
@@ -330,13 +288,13 @@ func (w *guardWalker) access(sel *ast.SelectorExpr) {
 	})
 }
 
-func (w *guardWalker) addReq(r lockReq) {
-	for _, have := range w.st.reqs[w.key] {
-		if have == r {
-			return
-		}
+// addReq adds r to fn's requirements and reports whether it is new.
+func (st *guardState) addReq(fn FuncKey, r lockReq) bool {
+	if slices.Contains(st.reqs[fn], r) {
+		return false
 	}
-	w.st.reqs[w.key] = append(w.st.reqs[w.key], r)
+	st.reqs[fn] = append(st.reqs[fn], r)
+	return true
 }
 
 // recordCall snapshots caller context at a direct module call.
@@ -349,16 +307,7 @@ func (w *guardWalker) recordCall(call *ast.CallExpr) {
 	if _, inModule := w.st.mod.Funcs[key]; !inModule {
 		return
 	}
-	sig := fn.Type().(*types.Signature)
-	var argExprs []ast.Expr
-	if sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			argExprs = append(argExprs, sel.X)
-		} else {
-			argExprs = append(argExprs, nil)
-		}
-	}
-	argExprs = append(argExprs, call.Args...)
+	argExprs := effectiveArgs(call, fn.Type().(*types.Signature))
 	args := make([]argInfo, len(argExprs))
 	for i, a := range argExprs {
 		if a == nil {
@@ -369,7 +318,7 @@ func (w *guardWalker) recordCall(call *ast.CallExpr) {
 		slot := -1
 		exempt := false
 		if root := rootObj(w.info, a); root != nil {
-			if s, ok := w.params[root]; ok {
+			if s, ok := w.fi.Params[root]; ok {
 				slot = s
 			}
 			exempt = w.exempt[root]
@@ -380,7 +329,7 @@ func (w *guardWalker) recordCall(call *ast.CallExpr) {
 	for k, v := range w.held {
 		held[k] = v
 	}
-	w.st.calls[w.key] = append(w.st.calls[w.key], callRecord{
+	w.st.calls[w.fi.Key] = append(w.st.calls[w.fi.Key], callRecord{
 		callee: key, pos: call.Pos(), args: args, held: held,
 	})
 }
@@ -411,7 +360,9 @@ func (w *guardWalker) scan(n ast.Node, inDefer bool) {
 	})
 }
 
-func (w *guardWalker) stmt(s ast.Stmt) {
+// leaf marks constructions exempt, then scans the statement; a
+// deferred Unlock holds its mutex to function end.
+func (w *guardWalker) leaf(s ast.Stmt) {
 	switch v := s.(type) {
 	case *ast.AssignStmt:
 		// Constructor exemption: freshly built values are unshared.
@@ -427,7 +378,6 @@ func (w *guardWalker) stmt(s ast.Stmt) {
 				}
 			}
 		}
-		w.scan(v, false)
 	case *ast.DeclStmt:
 		if gd, ok := v.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -446,80 +396,20 @@ func (w *guardWalker) stmt(s ast.Stmt) {
 				}
 			}
 		}
-		w.scan(v, false)
 	case *ast.DeferStmt:
 		w.scan(v.Call, true)
-	case *ast.IfStmt:
-		if v.Init != nil {
-			w.stmt(v.Init)
-		}
-		w.scan(v.Cond, false)
-		for _, s := range v.Body.List {
-			w.stmt(s)
-		}
-		if v.Else != nil {
-			w.stmt(v.Else)
-		}
-	case *ast.ForStmt:
-		if v.Init != nil {
-			w.stmt(v.Init)
-		}
-		w.scan(v.Cond, false)
-		for _, s := range v.Body.List {
-			w.stmt(s)
-		}
-		if v.Post != nil {
-			w.stmt(v.Post)
-		}
-	case *ast.RangeStmt:
-		w.scan(v.X, false)
-		for _, s := range v.Body.List {
-			w.stmt(s)
-		}
-	case *ast.BlockStmt:
-		for _, s := range v.List {
-			w.stmt(s)
-		}
-	case *ast.SwitchStmt:
-		if v.Init != nil {
-			w.stmt(v.Init)
-		}
-		w.scan(v.Tag, false)
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, s := range cc.Body {
-					w.stmt(s)
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if v.Init != nil {
-			w.stmt(v.Init)
-		}
-		w.stmt(v.Assign)
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, s := range cc.Body {
-					w.stmt(s)
-				}
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					w.stmt(cc.Comm)
-				}
-				for _, s := range cc.Body {
-					w.stmt(s)
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		w.stmt(v.Stmt)
-	default:
-		w.scan(s, false)
+		return
 	}
+	w.scan(s, false)
+}
+
+func (w *guardWalker) expr(x ast.Expr)    { w.scan(x, false) }
+func (w *guardWalker) loop(body func())   { body() }
+func (w *guardWalker) ifDone(*ast.IfStmt) {}
+
+func (w *guardWalker) rangeHead(v *ast.RangeStmt) func() {
+	w.scan(v.X, false)
+	return nil
 }
 
 // isConstruction reports whether x builds a fresh value: T{...},
@@ -541,69 +431,57 @@ func isConstruction(x ast.Expr) bool {
 	return false
 }
 
-// propagate walks every call site against its callee's requirements.
-// With viols == nil it only grows caller requirements (returning
-// whether anything changed); with viols set it collects the
+// propagate walks caller's call sites against their callees'
+// requirements. With viols == nil it only grows caller's requirements,
+// reporting whether they grew; with viols set it collects the
 // unsatisfiable call sites.
-func (st *guardState) propagate(viols *[]Diagnostic) bool {
-	changed := false
-	var callers []FuncKey
-	for key := range st.calls {
-		callers = append(callers, key)
-	}
-	sort.Slice(callers, func(i, j int) bool { return callers[i] < callers[j] })
-	for _, caller := range callers {
-		for _, rec := range st.calls[caller] {
-			for _, req := range st.reqs[rec.callee] {
-				if req.slot >= len(rec.args) {
-					continue
+func (st *guardState) propagate(caller FuncKey, viols *[]Diagnostic) bool {
+	grew := false
+	for _, rec := range st.calls[caller] {
+		for _, req := range st.reqs[rec.callee] {
+			if req.slot >= len(rec.args) {
+				continue
+			}
+			a := rec.args[req.slot]
+			if a.exempt {
+				continue
+			}
+			if a.repr != "" && rec.held[a.repr+req.rel] {
+				continue
+			}
+			if a.slot >= 0 && a.repr != "" {
+				// Argument roots in a caller parameter: push the
+				// requirement up, unless its path would name one field
+				// twice (x.next.walk() recursing would otherwise push
+				// .next.mu, .next.next.mu, ... without end).
+				rootName, _, _ := strings.Cut(a.repr, ".")
+				rel := strings.TrimPrefix(a.repr, rootName) + req.rel
+				if !repeatsField(rel) && st.addReq(caller, lockReq{slot: a.slot, rel: rel, desc: req.desc}) {
+					grew = true
 				}
-				a := rec.args[req.slot]
-				if a.exempt {
-					continue
+				continue
+			}
+			if viols != nil {
+				calleeName := string(rec.callee)
+				if i := strings.LastIndexByte(calleeName, '.'); i >= 0 {
+					calleeName = calleeName[i+1:]
 				}
-				if a.repr != "" && rec.held[a.repr+req.rel] {
-					continue
-				}
-				if a.slot >= 0 && a.repr != "" {
-					// Argument roots in a caller parameter: push the
-					// requirement up.
-					rootName := a.repr
-					if i := strings.IndexByte(a.repr, '.'); i >= 0 {
-						rootName = a.repr[:i]
-					}
-					up := lockReq{
-						slot: a.slot,
-						rel:  strings.TrimPrefix(a.repr, rootName) + req.rel,
-						desc: req.desc,
-					}
-					have := false
-					for _, r := range st.reqs[caller] {
-						if r == up {
-							have = true
-							break
-						}
-					}
-					if !have {
-						st.reqs[caller] = append(st.reqs[caller], up)
-						changed = true
-					}
-					continue
-				}
-				if viols != nil {
-					calleeName := string(rec.callee)
-					if i := strings.LastIndexByte(calleeName, '.'); i >= 0 {
-						calleeName = calleeName[i+1:]
-					}
-					*viols = append(*viols, Diagnostic{
-						Analyzer: st.pass.Analyzer.Name,
-						Pos:      st.pass.Fset.Position(rec.pos),
-						Message: fmt.Sprintf("call to %s touches %s, which is guarded by %s%s, without holding it (DESIGN.md §8)",
-							calleeName, req.desc, a.repr, req.rel),
-					})
-				}
+				*viols = append(*viols, Diagnostic{
+					Analyzer: st.pass.Analyzer.Name,
+					Pos:      st.pass.Fset.Position(rec.pos),
+					Message: fmt.Sprintf("call to %s touches %s, which is guarded by %s%s, without holding it (DESIGN.md §8)",
+						calleeName, req.desc, a.repr, req.rel),
+				})
 			}
 		}
 	}
-	return changed
+	return grew
+}
+
+// repeatsField reports whether the selector path rel (".next.mu")
+// names one field twice.
+func repeatsField(rel string) bool {
+	fields := strings.Split(rel, ".")
+	slices.Sort(fields)
+	return len(slices.Compact(fields)) < len(fields)
 }

@@ -52,40 +52,24 @@ func runHotAlloc(pass *Pass) {
 	// Transitive over direct call edges, so a hot loop cannot hide an
 	// allocation one call deep. Hotpath-tagged callees are excluded:
 	// they are checked on their own terms.
-	direct := map[FuncKey]bool{}
 	hot := map[FuncKey]bool{}
+	allocates := map[FuncKey]bool{}
 	for key, fi := range mod.Funcs {
 		hot[key] = funcDirective(fi.Decl, "hotpath")
-		direct[key] = hasDirectAlloc(fi)
+		allocates[key] = hasDirectAlloc(fi)
 	}
-	allocates := map[FuncKey]bool{}
-	for key := range mod.Funcs {
-		allocates[key] = direct[key]
-	}
-	for {
-		changed := false
-		for key := range mod.Funcs {
-			if allocates[key] {
-				continue
-			}
-			for _, e := range mod.Callees(key) {
-				if e.Kind != EdgeDirect {
-					continue
-				}
-				if allocates[e.Callee] && !hot[e.Callee] {
-					allocates[key] = true
-					changed = true
-					break
-				}
+	mod.solve(func(fi *FuncInfo) bool {
+		if allocates[fi.Key] {
+			return false
+		}
+		for _, e := range mod.Callees(fi.Key) {
+			if e.Kind == EdgeDirect && allocates[e.Callee] && !hot[e.Callee] {
+				allocates[fi.Key] = true
+				return true
 			}
 		}
-		if !changed {
-			break
-		}
-	}
-	for key, a := range allocates {
-		mod.PutFact("hotalloc", key, a)
-	}
+		return false
+	})
 
 	for key, fi := range mod.Funcs {
 		if !hot[key] {

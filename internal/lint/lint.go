@@ -35,9 +35,9 @@
 // export data (see load.go), so the linter needs no dependencies
 // beyond the toolchain that builds the repo. The last four analyzers
 // are interprocedural: dataflow.go builds a whole-module call graph
-// (direct calls, method values, interface dispatch) and a fact store,
-// and each analyzer iterates per-function summaries to a fixpoint so
-// facts propagate across function and package boundaries.
+// (direct calls, method values, interface dispatch), and one solver
+// runs each analyzer's per-function summaries to convergence so facts
+// propagate across function and package boundaries.
 //
 // Findings are suppressed, one site at a time, with an inline
 // directive that names the analyzer and must carry a justification:
@@ -113,9 +113,9 @@ func (p *Pass) Files(pkg *Package) []*ast.File {
 	return out
 }
 
-// Module returns the whole-module dataflow index (call graph, def-use
-// chains, fact store), built lazily on first use and shared by every
-// analyzer of the Run.
+// Module returns the whole-module dataflow index (functions and call
+// graph), built lazily on first use and shared by every analyzer of
+// the Run.
 func (p *Pass) Module() *Module {
 	if *p.module == nil {
 		*p.module = buildModule(p)

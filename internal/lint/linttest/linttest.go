@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -160,6 +161,11 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)
 	}
 	diags := lint.Run(l.Fset(), []*lint.Package{pkg}, []*lint.Analyzer{a})
+	// A second run must report the same findings in the same order: an
+	// analyzer whose output follows map order fails here.
+	if again := lint.Run(l.Fset(), []*lint.Package{pkg}, []*lint.Analyzer{a}); !slices.Equal(diags, again) {
+		t.Errorf("two runs over %s disagree:\n%v\n%v", dir, diags, again)
+	}
 	wants := parseWants(t, l.Fset(), pkg.Files)
 
 	for _, d := range diags {

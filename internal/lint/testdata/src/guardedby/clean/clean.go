@@ -37,3 +37,25 @@ func fresh() *registry {
 	r.items["seed"] = 1
 	return r
 }
+
+// node is a list whose walk recurses through next. The requirement
+// walk publishes (x.mu, then x.next.mu) must stay finite.
+type node struct {
+	mu   sync.Mutex
+	n    int // guardedby: mu
+	next *node
+}
+
+func (x *node) walk() int {
+	if x.next == nil {
+		return x.n
+	}
+	return x.n + x.next.walk()
+}
+
+// sum runs the walk under x.mu.
+func (x *node) sum() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.walk()
+}

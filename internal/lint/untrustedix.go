@@ -70,7 +70,10 @@ func paramBit(i int) uint64 {
 	return 1 << uint(i)
 }
 
-// taintSummary is one function's published taint fact.
+// taintSummary is one function's taint summary. It only grows: a
+// sink text is set once, when first found, so the fact the solver
+// compares is a bit and the summary stays finite round a recursive
+// cycle.
 type taintSummary struct {
 	validator bool
 	source    bool
@@ -80,137 +83,59 @@ type taintSummary struct {
 	paramValidates []bool   // parameter i is passed to a validator
 }
 
-func (s *taintSummary) fingerprint() string {
-	return fmt.Sprint(s.returns, s.paramSink, s.paramValidates)
-}
-
 // untrustedState is the module-wide driver state.
 type untrustedState struct {
 	pass      *Pass
-	mod       *Module
 	summaries map[FuncKey]*taintSummary
 }
 
 func runUntrustedIx(pass *Pass) {
 	mod := pass.Module()
-	st := &untrustedState{pass: pass, mod: mod, summaries: map[FuncKey]*taintSummary{}}
-
+	st := &untrustedState{pass: pass, summaries: map[FuncKey]*taintSummary{}}
 	for key, fi := range mod.Funcs {
-		sum := &taintSummary{
+		st.summaries[key] = &taintSummary{
 			validator:      funcDirective(fi.Decl, "validator"),
 			source:         funcDirective(fi.Decl, "source"),
 			paramSink:      make([]string, numParams(fi.Obj)),
 			paramValidates: make([]bool, numParams(fi.Obj)),
 		}
-		st.summaries[key] = sum
 	}
-
-	// Fixpoint over function summaries: each round re-analyzes every
-	// body against the previous round's facts, until stable.
-	for round := 0; round < 8; round++ {
-		changed := false
-		for key, fi := range mod.Funcs {
-			sum := st.summaries[key]
-			before := sum.fingerprint()
-			next := &taintSummary{
-				validator:      sum.validator,
-				source:         sum.source,
-				paramSink:      make([]string, numParams(fi.Obj)),
-				paramValidates: make([]bool, numParams(fi.Obj)),
-			}
-			st.analyze(fi, next, false)
-			// Facts only grow, so the fixpoint is monotone.
-			next.returns |= sum.returns
-			for i := range sum.paramSink {
-				if next.paramSink[i] == "" {
-					next.paramSink[i] = sum.paramSink[i]
-				}
-				next.paramValidates[i] = next.paramValidates[i] || sum.paramValidates[i]
-			}
-			if next.fingerprint() != before {
-				changed = true
-			}
-			st.summaries[key] = next
-		}
-		if !changed {
-			break
-		}
+	mod.solve(func(fi *FuncInfo) bool { return st.analyze(fi, false) })
+	for _, key := range mod.Keys {
+		st.analyze(mod.Funcs[key], true)
 	}
-	for key, sum := range st.summaries {
-		st.mod.PutFact("untrustedix", key, sum)
-	}
-
-	// Reporting round.
-	for key, fi := range mod.Funcs {
-		st.analyze(fi, st.summaries[key], true)
-	}
-}
-
-func numParams(fn *types.Func) int {
-	sig := fn.Type().(*types.Signature)
-	n := sig.Params().Len()
-	if sig.Recv() != nil {
-		n++
-	}
-	return n
 }
 
 // taintEngine analyzes one function body.
 type taintEngine struct {
-	st   *untrustedState
-	fi   *FuncInfo
-	info *types.Info
-	sum  *taintSummary
-
-	paramIdx map[types.Object]int
-	state    map[types.Object]uint64
+	st    *untrustedState
+	fi    *FuncInfo
+	info  *types.Info
+	sum   *taintSummary
+	state map[types.Object]uint64
+	grew  bool // sum gained a fact
 
 	report   bool
 	reported map[string]bool
 }
 
-func (st *untrustedState) analyze(fi *FuncInfo, sum *taintSummary, report bool) {
+// analyze walks fi's body, adding what it finds to fi's summary, and
+// reports whether the summary grew.
+func (st *untrustedState) analyze(fi *FuncInfo, report bool) bool {
 	e := &taintEngine{
 		st:       st,
 		fi:       fi,
 		info:     fi.Pkg.Info,
-		sum:      sum,
-		paramIdx: map[types.Object]int{},
+		sum:      st.summaries[fi.Key],
 		state:    map[types.Object]uint64{},
 		report:   report,
 		reported: map[string]bool{},
 	}
-	// Parameter slots follow numParams ordering: one receiver slot
-	// (named or not), then each parameter. Unnamed slots still advance
-	// the index so caller and callee agree on positions.
-	i := 0
-	if recv := fi.Decl.Recv; recv != nil {
-		for _, field := range recv.List {
-			for _, name := range field.Names {
-				if obj := fi.Pkg.Info.Defs[name]; obj != nil {
-					e.paramIdx[obj] = i
-					e.state[obj] = paramBit(i)
-				}
-			}
-		}
-		i++
+	for obj, i := range fi.Params {
+		e.state[obj] = paramBit(i)
 	}
-	for _, field := range fi.Decl.Type.Params.List {
-		if len(field.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := fi.Pkg.Info.Defs[name]; obj != nil {
-				e.paramIdx[obj] = i
-				e.state[obj] = paramBit(i)
-			}
-			i++
-		}
-	}
-	for _, s := range fi.Decl.Body.List {
-		e.stmt(s)
-	}
+	walkStmt(e, fi.Decl.Body)
+	return e.grew
 }
 
 // sink records a finding (or a parameter-sink summary entry) for a
@@ -229,6 +154,7 @@ func (e *taintEngine) sink(pos token.Pos, taint uint64, what string) {
 	for i := range e.sum.paramSink {
 		if taint&paramBit(i) != 0 && e.sum.paramSink[i] == "" {
 			e.sum.paramSink[i] = what + " in " + e.fi.Obj.Name()
+			e.grew = true
 		}
 	}
 }
@@ -269,8 +195,9 @@ func (e *taintEngine) clear(x ast.Expr) {
 		return
 	}
 	e.state[obj] = 0
-	if i, ok := e.paramIdx[obj]; ok && i < len(e.sum.paramValidates) {
+	if i, ok := e.fi.Params[obj]; ok && !e.sum.paramValidates[i] {
 		e.sum.paramValidates[i] = true
+		e.grew = true
 	}
 }
 
@@ -432,17 +359,8 @@ func (e *taintEngine) call(call *ast.CallExpr) uint64 {
 		return 0
 	}
 
-	// Build the effective argument list: receiver first for methods.
 	sig := fn.Type().(*types.Signature)
-	var argExprs []ast.Expr
-	if sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			argExprs = append(argExprs, sel.X)
-		} else {
-			argExprs = append(argExprs, nil)
-		}
-	}
-	argExprs = append(argExprs, call.Args...)
+	argExprs := effectiveArgs(call, sig)
 	argTaint := make([]uint64, len(argExprs))
 	for i, a := range argExprs {
 		if a != nil {
@@ -646,8 +564,9 @@ func terminates(info *types.Info, stmts []ast.Stmt) bool {
 	return false
 }
 
-// stmt walks one statement in source order, updating taint state.
-func (e *taintEngine) stmt(s ast.Stmt) {
+// leaf updates taint state for one statement walkStmt does not take
+// apart.
+func (e *taintEngine) leaf(s ast.Stmt) {
 	switch v := s.(type) {
 	case *ast.AssignStmt:
 		if len(v.Lhs) > 1 && len(v.Rhs) == 1 {
@@ -684,75 +603,6 @@ func (e *taintEngine) stmt(s ast.Stmt) {
 		}
 	case *ast.ExprStmt:
 		e.eval(v.X)
-	case *ast.IfStmt:
-		if v.Init != nil {
-			e.stmt(v.Init)
-		}
-		e.eval(v.Cond)
-		for _, s := range v.Body.List {
-			e.stmt(s)
-		}
-		if v.Else != nil {
-			e.stmt(v.Else)
-		}
-		// Guard clearing: a range check whose body bails out blesses
-		// the checked integers — but never byte buffers; only a
-		// validator clears those.
-		if terminates(e.info, v.Body.List) {
-			ast.Inspect(v.Cond, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				obj := e.info.Uses[id]
-				if obj == nil || e.state[obj] == 0 {
-					return true
-				}
-				if isIntegerish(obj.Type()) {
-					e.state[obj] = 0
-				}
-				return true
-			})
-		}
-	case *ast.BlockStmt:
-		for _, s := range v.List {
-			e.stmt(s)
-		}
-	case *ast.ForStmt:
-		if v.Init != nil {
-			e.stmt(v.Init)
-		}
-		e.eval(v.Cond)
-		// Two passes over loop bodies so taint introduced late in the
-		// body reaches uses earlier in the next iteration.
-		for range 2 {
-			for _, s := range v.Body.List {
-				e.stmt(s)
-			}
-			if v.Post != nil {
-				e.stmt(v.Post)
-			}
-		}
-	case *ast.RangeStmt:
-		xTaint := e.eval(v.X)
-		keyTaint := uint64(0)
-		if t := typeOf(e.info, v.X); t != nil {
-			switch deref(t).Underlying().(type) {
-			case *types.Map, *types.Basic: // map keys / string bytes carry the taint
-				keyTaint = xTaint
-			}
-		}
-		if v.Key != nil {
-			e.assign(v.Key, keyTaint)
-		}
-		if v.Value != nil {
-			e.assign(v.Value, xTaint)
-		}
-		for range 2 {
-			for _, s := range v.Body.List {
-				e.stmt(s)
-			}
-		}
 	case *ast.ReturnStmt:
 		var t uint64
 		for _, r := range v.Results {
@@ -770,44 +620,9 @@ func (e *taintEngine) stmt(s ast.Stmt) {
 				}
 			}
 		}
-		e.sum.returns |= t
-	case *ast.SwitchStmt:
-		if v.Init != nil {
-			e.stmt(v.Init)
-		}
-		e.eval(v.Tag)
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, x := range cc.List {
-					e.eval(x)
-				}
-				for _, s := range cc.Body {
-					e.stmt(s)
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if v.Init != nil {
-			e.stmt(v.Init)
-		}
-		e.stmt(v.Assign)
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, s := range cc.Body {
-					e.stmt(s)
-				}
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					e.stmt(cc.Comm)
-				}
-				for _, s := range cc.Body {
-					e.stmt(s)
-				}
-			}
+		if t&^e.sum.returns != 0 {
+			e.sum.returns |= t
+			e.grew = true
 		}
 	case *ast.DeferStmt:
 		e.eval(v.Call)
@@ -816,11 +631,59 @@ func (e *taintEngine) stmt(s ast.Stmt) {
 	case *ast.SendStmt:
 		e.eval(v.Chan)
 		e.eval(v.Value)
-	case *ast.LabeledStmt:
-		e.stmt(v.Stmt)
 	case *ast.IncDecStmt:
 		e.eval(v.X)
 	}
+}
+
+func (e *taintEngine) expr(x ast.Expr) { e.eval(x) }
+
+// loop walks loop bodies twice, so taint introduced late in the body
+// reaches uses earlier in the next iteration.
+func (e *taintEngine) loop(body func()) {
+	body()
+	body()
+}
+
+func (e *taintEngine) rangeHead(v *ast.RangeStmt) func() {
+	xTaint := e.eval(v.X)
+	keyTaint := uint64(0)
+	if t := typeOf(e.info, v.X); t != nil {
+		switch deref(t).Underlying().(type) {
+		case *types.Map, *types.Basic: // map keys / string bytes carry the taint
+			keyTaint = xTaint
+		}
+	}
+	if v.Key != nil {
+		e.assign(v.Key, keyTaint)
+	}
+	if v.Value != nil {
+		e.assign(v.Value, xTaint)
+	}
+	return nil
+}
+
+// ifDone is guard clearing: a range check whose body bails out
+// blesses the checked integers — but never byte buffers; only a
+// validator clears those.
+func (e *taintEngine) ifDone(v *ast.IfStmt) {
+	if !terminates(e.info, v.Body.List) {
+		return
+	}
+	ast.Inspect(v.Cond, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := e.info.Uses[id]
+		if obj == nil || e.state[obj] == 0 {
+			return true
+		}
+		if isIntegerish(obj.Type()) {
+			e.state[obj] = 0
+		}
+		return true
+	})
 }
 
 // isErrorType reports whether t is the universe error interface.
