@@ -204,3 +204,70 @@ func BenchmarkCompare_Scale16(b *testing.B) {
 		}
 	}
 }
+
+// genomicPair is the svc_allpairs shape: two genomic banks of 4 ×
+// seqLen bases from one gene pool, with private repeat families and
+// low-complexity tracts. At seqLen 525 kb that is about 1.64 M codes a
+// side at W = 11, both indexes dense; at 290 kb about 1.0 M, both
+// sparse, just under the threshold (4^11/4 = 1,048,576 codes).
+func genomicPair(seqLen int) (b1, b2 *bank.Bank) {
+	pool := simulate.NewPool(1301, 120, 900)
+	genomic := func(name string, seed int64) *bank.Bank {
+		return simulate.Genomic(simulate.GenomicSpec{
+			Name: name, Seed: seed, NumSeqs: 4, SeqLen: seqLen,
+			RepeatFamilies: 4, RepeatUnitLen: 300, RepeatCopies: 10, GeneDensity: 2.5,
+			Mut: simulate.Mutation{Sub: 0.045, Indel: 0.004}, LowComplexityDensity: 3,
+		}, pool)
+	}
+	return genomic("g1", 1311), genomic("g2", 1312)
+}
+
+// BenchmarkJoin measures step 2's directory join alone — joinCodes with
+// a visit that only counts the shared codes — on one worker, every index
+// prepared: on the svc_allpairs shape (two dense indexes, the bitmap
+// walk), on two sparse directories just under the threshold (the
+// driven walk's batched bucket searches, each side a few times the L2
+// cache), and on lopsidedBanks (16-read queries driving bucket searches
+// into a sparse db).
+func BenchmarkJoin(b *testing.B) {
+	opt := DefaultOptions()
+	o1, o2 := opt.IndexOptions()
+	run := func(b *testing.B, pairs [][2]*index.Index, class string) {
+		if got := joinClass(pairs[0][0], pairs[0][1]); got != class {
+			b.Fatalf("the indexes are %s, the case is meant to be %s", got, class)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		var shared int64
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			err := joinCodes(context.Background(), p[0], p[1], 1, false, func(_ int, batch []slotPair) {
+				shared += int64(len(batch))
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if shared == 0 {
+			b.Fatal("no shared code")
+		}
+		b.ReportMetric(float64(shared)/float64(b.N), "codes/op")
+	}
+	b.Run("Equal", func(b *testing.B) {
+		g1, g2 := genomicPair(525_000)
+		run(b, [][2]*index.Index{{index.Build(g1, o1), index.Build(g2, o2)}}, "dense×dense")
+	})
+	b.Run("Sparse", func(b *testing.B) {
+		g1, g2 := genomicPair(290_000)
+		run(b, [][2]*index.Index{{index.Build(g1, o1), index.Build(g2, o2)}}, "sparse×sparse")
+	})
+	b.Run("Lopsided", func(b *testing.B) {
+		db, reads := lopsidedBanks(32)
+		ix1 := index.Build(db, o1)
+		var pairs [][2]*index.Index
+		for _, q := range reads {
+			pairs = append(pairs, [2]*index.Index{ix1, index.Build(q, o2)})
+		}
+		run(b, pairs, "sparse×sparse")
+	})
+}

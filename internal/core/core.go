@@ -9,11 +9,13 @@
 //	        produced exactly once, no duplicate table needed. The paper
 //	        sweeps all 4^W codes of a dense dictionary; here the indexes
 //	        are sorted directories of the codes each bank holds, and the
-//	        enumeration is their join, driven by the smaller one and
-//	        resolved in the other by point lookups: the same codes in
-//	        the same order, at a cost set by the banks (a 16-read query
-//	        walks its few thousand codes, not 4^W), taken a batch at a
-//	        time so that the cache misses of a batch overlap
+//	        enumeration is their join: when both banks are large it is
+//	        the paper's sweep, an AND of the two indexes' presence
+//	        bitmaps word by word; otherwise it is driven by the smaller
+//	        directory and resolved in the other by point lookups (a
+//	        16-read query walks its few thousand codes, not 4^W), taken
+//	        a batch at a time so that the cache misses of a batch
+//	        overlap. Either way, the same codes in the same order
 //	step 3  gapped X-drop extension from the middle of each HSP, walking
 //	        HSPs in diagonal order and skipping those already inside an
 //	        alignment (packages align, gapped)
@@ -21,7 +23,8 @@
 //	        stats, tabular)
 //
 // Step 2 parallelizes over disjoint seed-code ranges — contiguous chunks
-// of the driving directory — exactly as §4 of the paper anticipates
+// of the code space or of the driving directory — exactly as §4 of the
+// paper anticipates
 // ("the outer loop … can be run in parallel since seed order prevents
 // identical HSPs to be generated"); workers share nothing but an atomic
 // chunk counter. Steps 3–4 are align.Steps, the code the other two
@@ -240,14 +243,16 @@ func workerCount(opt Options) int {
 // X1×X2 ordered extensions of each. The ordered rule makes every HSP
 // globally unique, so workers need no coordination (paper §4).
 //
-// The join is driven by the smaller directory — a 16-read query against
-// a megabase bank walks the query's few thousand codes, not the bank's
-// million: workers claim contiguous chunks of it through an atomic
-// counter and resolve its codes in the larger directory by point lookups
-// (index.Slots). Per-worker order stays ascending, which is all the
-// ordered-rule uniqueness proof needs. The A4 ablation
-// (ShuffledSeedOrder) visits the driving directory's slots in a fixed
-// pseudo-random permutation instead.
+// The join (joinCodes) has two walks. When both indexes are dense it
+// ANDs their presence bitmaps word by word, workers claiming contiguous
+// word ranges through an atomic counter. Otherwise it is driven by the
+// smaller directory — a 16-read query against a megabase bank walks the
+// query's few thousand codes, not the bank's million: workers claim
+// contiguous chunks of it and resolve its codes in the larger directory
+// by point lookups (index.Slots). Per-worker order stays ascending,
+// which is all the ordered-rule uniqueness proof needs. The A4 ablation
+// (ShuffledSeedOrder) visits the words, or the driving directory's
+// slots, in a fixed pseudo-random permutation instead.
 //
 // A shared code is a chain of loads, each address read from the last:
 // the directory lookup, then Offsets[k] → Pos[off] → Data[p] on both
@@ -296,7 +301,7 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 		// banks' own sentinels). Bank-1 positions stay outermost whichever
 		// directory drives the join.
 		for i, sp := range batch {
-			code := ix1.Codes[sp.k1]
+			code := sp.code
 			pos2 := ix2.Pos[lo2[i]:hi2[i]]
 			for _, p1 := range ix1.Pos[lo1[i]:hi1[i]] {
 				for _, p2 := range pos2 {
@@ -332,8 +337,11 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 	return merged.hsps, merged, nil
 }
 
-// slotPair is one code both directories hold: its slot in each.
-type slotPair struct{ k1, k2 int32 }
+// slotPair is one code both directories hold and its slot in each.
+type slotPair struct {
+	k1, k2 int32
+	code   seed.Code
+}
 
 // joinBatch is the number of slot pairs joinCodes hands over at a time,
 // the number of codes it looks up at a time: enough independent loads to
@@ -342,32 +350,44 @@ type slotPair struct{ k1, k2 int32 }
 // constant, not an option: 16 and 64 measure the same.
 const joinBatch = index.SlotBatch
 
-// joinCodes calls visit(wid, batch) with every pair of directory slots
-// (k1, k2) such that ix1.Codes[k1] == ix2.Codes[k2] — the codes both
-// sorted directories hold — joinBatch pairs a call. The smaller
-// directory drives: its slots are cut into contiguous chunks that
-// workers claim in order through an atomic counter, a chunk's codes are
-// looked up in the other directory joinBatch at a time (no lookup waits
-// for another, index.Slots), and its pairs are delivered in slot
-// order, the last batch of a chunk short — so the codes one worker
-// visits ascend. visit runs on worker wid's goroutine and must not keep
-// batch. With shuffled set the driving slots are visited in a fixed
+// joinCodes calls visit(wid, batch) with every code both indexes hold,
+// as the pair of its directory slots — ix1.Codes[k1] == ix2.Codes[k2] —
+// joinBatch pairs a call. Work is cut into contiguous chunks that
+// workers claim in order through an atomic counter, and a chunk's pairs
+// are delivered in ascending code order, the last batch of a chunk
+// short — so the codes one worker visits ascend. There are two walks:
+//
+//   - both indexes dense (index.Index.Dense): the chunks are word ranges
+//     of the code space, and the two presence bitmaps are ANDed a word at
+//     a time; a worker counts both sides' slots from the rank of its
+//     chunk's first word (index.Index.WordRank), a popcount a word;
+//   - otherwise the smaller directory drives — a sparse one, when only
+//     one is dense — its slots are the chunks, and a chunk's codes are
+//     looked up in the other directory joinBatch at a time (no lookup
+//     waits for another, index.Slots): bit probes on a dense index,
+//     bucket searches on a sparse one.
+//
+// visit runs on worker wid's goroutine and must not keep batch. With
+// shuffled set the words, or the driving slots, are visited in a fixed
 // odd-multiplier permutation of the next power of two (a bijection;
 // slots past the directory's end are skipped): same codes, destroyed
 // locality. No batch is delivered once ctx is cancelled.
 func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled bool, visit func(wid int, batch []slotPair)) error {
+	dense := ix1.Dense() && ix2.Dense()
 	drive, other := ix1, ix2
 	swapped := len(ix2.Codes) < len(ix1.Codes)
 	if swapped {
 		drive, other = ix2, ix1
 	}
-	codes := drive.Codes
-	if len(codes) == 0 {
+	domain := len(drive.Codes) // what the chunks cut: slots, or words when dense
+	if dense {
+		domain = len(ix1.Bits)
+	}
+	if domain == 0 {
 		return ctx.Err()
 	}
-	domain := len(codes)
 	if shuffled {
-		domain = 1 << bits.Len(uint(len(codes)-1))
+		domain = 1 << bits.Len(uint(domain-1))
 	}
 	numChunks := min(workers*16, domain)
 	chunkSize := (domain + numChunks - 1) / numChunks
@@ -378,21 +398,9 @@ func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
-			// The chunk's next driving slots, a lookup's worth — where each
-			// is, its code, and where the other side has it — and the pairs
-			// found so far that no batch has taken.
-			var at, found [joinBatch]int32
-			var lookup [joinBatch]seed.Code
-			var buf [joinBatch]slotPair
+			j := joinWorker{ctx: ctx, wid: wid, visit: visit}
 			// A cancelled stream stops burning cores at the next batch or
 			// chunk claim, not at the end of the directory.
-			deliver := func(batch []slotPair) bool {
-				if ctx.Err() != nil {
-					return false
-				}
-				visit(wid, batch)
-				return true
-			}
 			for ctx.Err() == nil {
 				chunk := int(next.Add(1)) - 1
 				if chunk >= numChunks {
@@ -400,39 +408,13 @@ func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled
 				}
 				lo := chunk * chunkSize
 				hi := min(lo+chunkSize, domain)
-				n := 0
-				for lo < hi {
-					w := 0
-					for ; lo < hi && w < len(at); lo++ {
-						i := lo
-						if shuffled {
-							i = int(uint32(lo) * 0x9E3779B1 & uint32(domain-1))
-							if i >= len(codes) {
-								continue
-							}
-						}
-						at[w], lookup[w] = int32(i), codes[i]
-						w++
-					}
-					other.Slots(lookup[:w], found[:w])
-					for k, j := range found[:w] {
-						if j < 0 {
-							continue
-						}
-						if swapped {
-							buf[n] = slotPair{j, at[k]}
-						} else {
-							buf[n] = slotPair{at[k], j}
-						}
-						if n++; n == joinBatch {
-							if !deliver(buf[:n]) {
-								return
-							}
-							n = 0
-						}
-					}
+				var ok bool
+				if dense {
+					ok = j.andWords(ix1, ix2, lo, hi, shuffled, domain)
+				} else {
+					ok = j.probeSlots(drive, other, swapped, lo, hi, shuffled, domain)
 				}
-				if n > 0 && !deliver(buf[:n]) {
+				if !ok || !j.flush() {
 					return
 				}
 			}
@@ -440,4 +422,111 @@ func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// joinWorker is one joinCodes worker: the pairs found that no batch has
+// taken yet, and where a full batch goes.
+type joinWorker struct {
+	ctx   context.Context
+	wid   int
+	visit func(wid int, batch []slotPair)
+	buf   [joinBatch]slotPair
+	n     int
+}
+
+// add queues p and hands over the batch once it is full. It reports
+// false when the batch was due but ctx is cancelled.
+func (j *joinWorker) add(p slotPair) bool {
+	j.buf[j.n] = p
+	if j.n++; j.n < joinBatch {
+		return true
+	}
+	return j.flush()
+}
+
+// flush hands over the queued pairs, if any, unless ctx is cancelled.
+func (j *joinWorker) flush() bool {
+	if j.n == 0 {
+		return true
+	}
+	if j.ctx.Err() != nil {
+		return false
+	}
+	j.visit(j.wid, j.buf[:j.n])
+	j.n = 0
+	return true
+}
+
+// permute is the A4 ablation's visiting order: a fixed odd-multiplier
+// bijection of [0, domain), a power of two.
+func permute(i, domain int) int {
+	return int(uint32(i) * 0x9E3779B1 & uint32(domain-1))
+}
+
+// andWords is the dense walk over words [lo, hi) of the code space (or
+// of its permutation): the codes both bitmaps hold, ascending, each
+// ranked on both sides by a popcount of its word below it.
+func (j *joinWorker) andWords(ix1, ix2 *index.Index, lo, hi int, shuffled bool, domain int) bool {
+	var k1, k2 int // the slots of the current word's first code
+	for i := lo; i < hi; i++ {
+		w := i
+		if shuffled {
+			w = permute(i, domain) // domain is len(Bits), itself a power of two
+		}
+		if shuffled || i == lo {
+			k1, k2 = ix1.WordRank(w), ix2.WordRank(w)
+		}
+		x1, x2 := ix1.Bits[w], ix2.Bits[w]
+		for m := x1 & x2; m != 0; m &= m - 1 {
+			below := m&-m - 1 // the bits below the shared code's
+			p := slotPair{
+				k1:   int32(k1 + bits.OnesCount64(x1&below)),
+				k2:   int32(k2 + bits.OnesCount64(x2&below)),
+				code: seed.Code(64*w + bits.TrailingZeros64(m)),
+			}
+			if !j.add(p) {
+				return false
+			}
+		}
+		k1 += bits.OnesCount64(x1)
+		k2 += bits.OnesCount64(x2)
+	}
+	return true
+}
+
+// probeSlots is the driven walk over the driving directory's slots
+// [lo, hi) (or their permutation): a lookup's worth of codes at a time,
+// resolved in the other directory by index.Slots.
+func (j *joinWorker) probeSlots(drive, other *index.Index, swapped bool, lo, hi int, shuffled bool, domain int) bool {
+	// The next driving slots — where each is and its code — and where the
+	// other side has them.
+	var at, found [joinBatch]int32
+	var lookup [joinBatch]seed.Code
+	for lo < hi {
+		n := 0
+		for ; lo < hi && n < len(at); lo++ {
+			i := lo
+			if shuffled {
+				if i = permute(lo, domain); i >= len(drive.Codes) {
+					continue
+				}
+			}
+			at[n], lookup[n] = int32(i), drive.Codes[i]
+			n++
+		}
+		other.Slots(lookup[:n], found[:n])
+		for k, s := range found[:n] {
+			if s < 0 {
+				continue
+			}
+			p := slotPair{k1: at[k], k2: s, code: lookup[k]}
+			if swapped {
+				p.k1, p.k2 = s, at[k]
+			}
+			if !j.add(p) {
+				return false
+			}
+		}
+	}
+	return true
 }

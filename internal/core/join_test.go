@@ -42,44 +42,94 @@ func dirIndex(codes []seed.Code) *index.Index {
 	return index.Build(mkBank("dir", seqs...), index.Options{W: joinW})
 }
 
+// joinClass names the walk joinCodes takes for a pair of indexes.
+func joinClass(ix1, ix2 *index.Index) string {
+	form := func(ix *index.Index) string {
+		if ix.Dense() {
+			return "dense"
+		}
+		return "sparse"
+	}
+	return form(ix1) + "×" + form(ix2)
+}
+
+// wordEdges are the codes at bit 0 and bit 63 of the words that start
+// and end the dense walk's chunks at 1, 2 and 7 workers (64, 32 and 10
+// words a chunk over the 1,024 words of 4^joinW codes), and of its first
+// and last word — the last code of all is 4^joinW − 1.
+func wordEdges() []seed.Code {
+	var out []seed.Code
+	for _, w := range []int{0, 9, 10, 31, 32, 63, 64, 127, 128, 1023} {
+		out = append(out, seed.Code(64*w), seed.Code(64*w+63))
+	}
+	return out
+}
+
 // TestJoinCodesMatchesMapIntersection: for every directory shape the
-// join has a branch for, joinCodes visits exactly the slots a brute-
-// force map intersection names, each once, for any worker count, in
-// ascending order per worker, in batches of 1 to joinBatch pairs — and
-// the shuffled order visits the same set.
+// join has a branch for — each row names its dense/sparse class —
+// joinCodes visits exactly the slots a brute-force map intersection
+// names, each once with its code, for any worker count, in ascending
+// order per worker, in batches of 1 to joinBatch pairs — and the
+// shuffled order visits the same set.
 func TestJoinCodesMatchesMapIntersection(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	big := randomCodes(rng, 5000, 1<<16)
+	big := randomCodes(rng, 20000, 1<<16) // dense: over a quarter of 4^joinW
 	small := randomCodes(rng, 40, 1<<16)
 	// Lopsided with guaranteed hits at both ends and in the middle.
 	small = append(small, big[0], big[len(big)/2], big[len(big)-1])
 	slices.Sort(small)
 	small = slices.Compact(small)
-	peer := randomCodes(rng, 4000, 1<<13) // comparable sizes, dense overlap
-	peer2 := randomCodes(rng, 4500, 1<<13)
+	peer := randomCodes(rng, 20000, 1<<16) // comparable sizes, both dense
+	peer2 := randomCodes(rng, 22000, 1<<16)
+	near := randomCodes(rng, 4000, 1<<13) // comparable sizes, both sparse
+	near2 := randomCodes(rng, 4500, 1<<13)
 	var evens, odds []seed.Code
 	for c := 0; c < 600; c += 2 {
 		evens = append(evens, seed.Code(c))
 		odds = append(odds, seed.Code(c+1))
 	}
+	// Dense directories that share exactly the word edges: the rest of
+	// one side is even codes, of the other odd ones.
+	edges := wordEdges()
+	parity := func(odd int) []seed.Code {
+		out := slices.Clone(edges)
+		for _, c := range randomCodes(rng, 40000, 1<<16) {
+			if int(c)%2 == odd && !slices.Contains(edges, c) {
+				out = append(out, c)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	edgesEven, edgesOdd := parity(0), parity(1)
 
 	for _, tc := range []struct {
 		name   string
 		c1, c2 []seed.Code
+		class  string
 	}{
-		{"small drives large", small, big},
-		{"large driven by small", big, small},
-		{"comparable", peer, peer2},
-		{"disjoint interleaved", evens, odds},
-		{"disjoint ranges", big[:100], big[200:]},
+		{"small drives large", small, big, "sparse×dense"},
+		{"large driven by small", big, small, "dense×sparse"},
+		{"comparable", peer, peer2, "dense×dense"},
+		{"comparable sparse", near, near2, "sparse×sparse"},
+		{"disjoint interleaved", evens, odds, "sparse×sparse"},
+		{"disjoint ranges", big[:100], big[200:], "sparse×dense"},
 		// Every driving slot is shared, so every chunk boundary lands on
 		// a shared code.
-		{"identical", peer, peer},
-		{"left empty", nil, peer},
-		{"right empty", peer, nil},
-		{"both empty", nil, nil},
-		{"single slot", big[7:8], big},
-		{"other ends first", big, big[:3]},
+		{"identical", peer, peer, "dense×dense"},
+		{"identical sparse", small, small, "sparse×sparse"},
+		{"left empty", nil, peer, "sparse×dense"},
+		{"right empty", peer, nil, "dense×sparse"},
+		{"both empty", nil, nil, "sparse×sparse"},
+		{"single slot", big[7:8], big, "sparse×dense"},
+		{"other ends first", big, big[:3], "dense×sparse"},
+		{"sparse overlap", small, big[:200], "sparse×sparse"},
+		// Shared codes only at bit 0 and bit 63 of a word, at the first
+		// and last words of chunks, and at 4^joinW − 1.
+		{"word edges", edgesEven, edgesOdd, "dense×dense"},
+		{"word edges probed", edges, edgesOdd, "sparse×dense"},
+		{"word edges driven", edgesEven, edges, "dense×sparse"},
+		{"word edges sparse", edges, edges, "sparse×sparse"},
 	} {
 		in2 := map[seed.Code]int32{}
 		for k, c := range tc.c2 {
@@ -88,12 +138,15 @@ func TestJoinCodesMatchesMapIntersection(t *testing.T) {
 		var want []slotPair
 		for k1, c := range tc.c1 {
 			if k2, ok := in2[c]; ok {
-				want = append(want, slotPair{int32(k1), k2})
+				want = append(want, slotPair{int32(k1), k2, c})
 			}
 		}
 		ix1, ix2 := dirIndex(tc.c1), dirIndex(tc.c2)
 		if !slices.Equal(ix1.Codes, tc.c1) || !slices.Equal(ix2.Codes, tc.c2) {
 			t.Fatalf("%s: dirIndex did not reproduce the directories", tc.name)
+		}
+		if class := joinClass(ix1, ix2); class != tc.class {
+			t.Fatalf("%s: the indexes are %s, the row is meant to be %s", tc.name, class, tc.class)
 		}
 		for _, workers := range []int{1, 2, 7} {
 			for _, shuffled := range []bool{false, true} {
@@ -117,8 +170,8 @@ func TestJoinCodesMatchesMapIntersection(t *testing.T) {
 				}
 				slices.SortFunc(got, byK1)
 				if !slices.Equal(got, want) {
-					t.Errorf("%s workers=%d shuffled=%v: visited %d slot pairs, map intersection has %d",
-						tc.name, workers, shuffled, len(got), len(want))
+					t.Errorf("%s (%s) workers=%d shuffled=%v: visited %d slot pairs, map intersection has %d",
+						tc.name, tc.class, workers, shuffled, len(got), len(want))
 				}
 			}
 		}
@@ -191,23 +244,29 @@ func TestJoinCodesBatchBoundaries(t *testing.T) {
 
 // TestJoinCodesHonoursCancellation: a cancelled context stops the join
 // and is reported, and nothing is delivered once it is cancelled — not
-// the rest of the chunk in progress, not a short last batch.
+// the rest of the chunk in progress, not a short last batch — on the
+// driven walk and on the bitmap walk alike.
 func TestJoinCodesHonoursCancellation(t *testing.T) {
-	ix := dirIndex(randomCodes(rand.New(rand.NewSource(1)), 16*(2*joinBatch+5), 1<<16))
-	for _, cancelAt := range []int{0, 1, 2, 3} { // batches delivered before the cancel
-		ctx, cancel := context.WithCancel(context.Background())
-		if cancelAt == 0 {
-			cancel()
-		}
-		batches := 0
-		err := joinCodes(ctx, ix, ix, 1, false, func(int, []slotPair) {
-			if batches++; batches == cancelAt {
+	rng := rand.New(rand.NewSource(1))
+	for _, ix := range []*index.Index{
+		dirIndex(randomCodes(rng, 16*(2*joinBatch+5), 1<<16)),
+		dirIndex(randomCodes(rng, 20000, 1<<16)),
+	} {
+		for _, cancelAt := range []int{0, 1, 2, 3} { // batches delivered before the cancel
+			ctx, cancel := context.WithCancel(context.Background())
+			if cancelAt == 0 {
 				cancel()
 			}
-		})
-		cancel()
-		if err == nil || batches != cancelAt {
-			t.Errorf("cancel after %d batches: err=%v, %d batches delivered", cancelAt, err, batches)
+			batches := 0
+			err := joinCodes(ctx, ix, ix, 1, false, func(int, []slotPair) {
+				if batches++; batches == cancelAt {
+					cancel()
+				}
+			})
+			cancel()
+			if err == nil || batches != cancelAt {
+				t.Errorf("%s, cancel after %d batches: err=%v, %d batches delivered", joinClass(ix, ix), cancelAt, err, batches)
+			}
 		}
 	}
 }

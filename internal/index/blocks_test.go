@@ -14,13 +14,18 @@ import (
 
 // sameIndexT asserts two indexes are identical in every array and
 // counter — the byte-identity invariant the block operations promise —
-// and in the Top derived from them.
+// and in the lookup structure derived from them: Top, or the bitmap and
+// its rank.
 func sameIndexT(t *testing.T, want, got *Index) {
 	t.Helper()
 	samePartsT(t, want.Parts(), got.Parts())
 	if !slices.Equal(want.Top, got.Top) || want.topShift != got.topShift {
 		t.Errorf("Top differs: want %d entries at shift %d, got %d at %d",
 			len(want.Top), want.topShift, len(got.Top), got.topShift)
+	}
+	if !slices.Equal(want.Bits, got.Bits) || !slices.Equal(want.Rank, got.Rank) {
+		t.Errorf("bitmap differs: want %d words and %d rank entries, got %d and %d",
+			len(want.Bits), len(want.Rank), len(got.Bits), len(got.Rank))
 	}
 }
 

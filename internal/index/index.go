@@ -1,9 +1,8 @@
 // Package index implements the ORIS bank index of paper §2.1 / Fig. 2
 // as an inverted file sized by the bank: Codes, the ascending directory
 // of the seed codes the bank actually contains; Offsets, one entry per
-// directory slot plus one; Top, a coarse directory over Codes — where
-// the codes of each top-bits bucket begin, a sixteenth of Codes in size
-// — through which a code is found in one short probe (Slot) that waits
+// directory slot plus one; a lookup structure derived from Codes,
+// through which a code is found in one short probe (Slot) that waits
 // for no other; and one flat, cache-contiguous occurrence
 // array Pos holding every indexed position, grouped by seed code and
 // position-sorted inside each group. The occurrences of Codes[i] are
@@ -11,9 +10,17 @@
 // sweep over the seed codes reads the occurrence lists sequentially —
 // the paper's whole speed argument ("all the portions of sequence
 // having the same seed are implicitly and simultaneously moved into the
-// cache") realized as an actual memory layout. Nothing is sized by 4^W:
-// a 16-read query bank costs kilobytes, not the 16 MB a dense
-// dictionary would (see DESIGN.md §2).
+// cache") realized as an actual memory layout.
+//
+// The lookup structure depends on how full the directory is. A dense
+// index — one holding more than a quarter of the 4^W possible codes —
+// carries the paper's dense dictionary at 1 1/16 bits a code: a presence
+// bitmap Bits and its rank Rank, the bitmap no larger than the Top it
+// replaces. A sparse index carries Top, a coarse directory over Codes a
+// sixteenth of its size.
+// Nothing else is sized by 4^W, and nothing at all is on a sparse
+// index: a 16-read query bank costs kilobytes, not the 16 MB a dense
+// dictionary of 4-byte entries would (see DESIGN.md §2).
 //
 // Positions are all the index stores per occurrence — the paper's one
 // 4-byte INDEX entry per indexed position. The extension loops need no
@@ -109,8 +116,8 @@ type Index struct {
 	W    int
 
 	// Codes lists the seed codes the bank contains, strictly ascending —
-	// the directory step 2 joins with the other bank's and point lookups
-	// (Slot) search, a bucket of Top at a time.
+	// the directory step 2 joins with the other bank's: Codes[i] is the
+	// code of slot i.
 	Codes []seed.Code
 	// Offsets has len(Codes)+1 entries, strictly increasing from 0 to
 	// Indexed: the occurrences of Codes[i] are Pos[Offsets[i]:Offsets[i+1]].
@@ -119,12 +126,24 @@ type Index struct {
 	// and ascending inside each group.
 	Pos []int32
 	// Top is the coarse directory over Codes that Slot resolves a code
-	// through: 2^k+1 entries, Top[h] the first slot whose code's top k
-	// bits are ≥ h (Top[2^k] = len(Codes)), so the codes sharing top bits
-	// h are Codes[Top[h]:Top[h+1]]. k is the smallest that leaves a bucket
-	// ≤ topBucket codes when the bank's codes spread evenly. Derived from
-	// Codes by assemble, never stored: it is under half a byte a code.
+	// through on a sparse index: 2^k+1 entries, Top[h] the first slot
+	// whose code's top k bits are ≥ h (Top[2^k] = len(Codes)), so the
+	// codes sharing top bits h are Codes[Top[h]:Top[h+1]]. k is the
+	// smallest that leaves a bucket ≤ topBucket codes when the bank's
+	// codes spread evenly. Under half a byte a code; nil on a dense index.
 	Top []int32
+	// Bits is the presence bitmap of a dense index (see Dense): bit c%64
+	// of Bits[c/64] is set when the bank contains code c, for every c in
+	// [0, 4^W). The slot of a code is the number of set bits below it.
+	// nil on a sparse index.
+	Bits []uint64
+	// Rank is Bits' rank directory: Rank[l] is the number of set bits in
+	// the 512-bit lines before line l, Bits[:8l] — the slot of the line's
+	// first code. nil on a sparse index.
+	//
+	// Top, Bits and Rank are derived from Codes by assemble wherever an
+	// index comes to exist, never stored.
+	Rank []int32
 
 	// Indexed is the number of positions inserted.
 	Indexed int
@@ -366,8 +385,9 @@ func (ix *Index) Parts() Parts {
 }
 
 // assemble binds parts to the (bank, options) they were built or
-// validated for, and derives Top from their directory. opts must be
-// normalized and every code below 4^W.
+// validated for, and derives the lookup structure from their directory:
+// the presence bitmap and its rank when the directory is dense, Top
+// when it is not. opts must be normalized and every code below 4^W.
 func assemble(b *bank.Bank, opts Options, p Parts) *Index {
 	ix := &Index{
 		Bank: b, W: opts.W,
@@ -375,8 +395,46 @@ func assemble(b *bank.Bank, opts Options, p Parts) *Index {
 		Indexed: p.Indexed, MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 		opts: opts,
 	}
-	ix.Top, ix.topShift = topDirectory(p.Codes, opts.W)
+	if denseDirectory(len(p.Codes), opts.W) {
+		ix.Bits, ix.Rank = presenceBitmap(p.Codes, opts.W)
+	} else {
+		ix.Top, ix.topShift = topDirectory(p.Codes, opts.W)
+	}
 	return ix
+}
+
+// denseDirectory reports whether a directory of n codes below 4^w gets
+// a presence bitmap instead of Top: when n > 4^w/4, the point from which
+// Top — 2^topBits(n) ≥ n/16 entries of 4 bytes — takes at least the
+// bitmap's 4^w/8 bytes. The rank adds 4^w/128, so a dense index is at
+// most that (32 KB at W = 11, under 1/128 of its Codes) larger than its
+// sparse form would be. The memory crossover, a constant — not an option.
+func denseDirectory(n, w int) bool {
+	return 4*n > seed.NumCodes(w)
+}
+
+// lineWords is the number of bitmap words a Rank entry covers: one
+// 512-bit cache line, so a rank is one entry and at most eight
+// popcounts on one line.
+const lineWords = 8
+
+// presenceBitmap derives the bitmap and rank of a code list below 4^w
+// (see Index.Bits and Index.Rank): one pass over the codes, one over the
+// bitmap.
+func presenceBitmap(codes []seed.Code, w int) ([]uint64, []int32) {
+	bitmap := make([]uint64, (seed.NumCodes(w)+63)/64)
+	for _, c := range codes {
+		bitmap[c/64] |= 1 << (c % 64)
+	}
+	rank := make([]int32, (len(bitmap)+lineWords-1)/lineWords)
+	n := 0
+	for i, x := range bitmap {
+		if i%lineWords == 0 {
+			rank[i/lineWords] = int32(n)
+		}
+		n += bits.OnesCount64(x)
+	}
+	return bitmap, rank
 }
 
 // topBucket is the number of codes a Top bucket holds when the
@@ -384,14 +442,20 @@ func assemble(b *bank.Bank, opts Options, p Parts) *Index {
 // Codes, four probes of a binary search.
 const topBucket = 16
 
+// topBits is the k of a Top over n codes: the smallest with 2^k
+// buckets ≥ n/topBucket.
+func topBits(n int) int {
+	if n <= topBucket {
+		return 0
+	}
+	return bits.Len(uint((n - 1) / topBucket))
+}
+
 // topDirectory derives the coarse directory of an ascending code list
 // below 4^w (see Index.Top) in one pass, and the shift that takes a code
 // to its bucket.
 func topDirectory(codes []seed.Code, w int) ([]int32, uint) {
-	k := 0
-	if len(codes) > topBucket {
-		k = bits.Len(uint((len(codes) - 1) / topBucket)) // 2^k buckets ≥ len/topBucket
-	}
+	k := topBits(len(codes))
 	shift := uint(2*w - k)
 	top := make([]int32, 1<<k+1)
 	h := 0
@@ -522,12 +586,39 @@ func spreadBases(c uint64) uint64 {
 	return c
 }
 
+// Dense reports whether ix carries the presence bitmap (Bits, Rank)
+// rather than Top: whether its directory holds more than a quarter of
+// the 4^W possible codes.
+func (ix *Index) Dense() bool { return ix.Bits != nil }
+
+// WordRank returns the number of codes below 64·w on a dense index —
+// the slot of the first code at or after 64·w: one Rank entry and the
+// popcounts of the words before w on its line.
+func (ix *Index) WordRank(w int) int {
+	l := w / lineWords
+	n := int(ix.Rank[l])
+	for _, x := range ix.Bits[l*lineWords : w] {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
 // Slot returns the directory slot of code c — Codes[slot] == c — and
 // whether the bank contains c; when it does not, slot is where c would
-// be inserted, as slices.BinarySearch(ix.Codes, c) reports it. The lookup
-// reads two adjacent Top entries and binary-searches only the bucket
-// between them, so it depends on no earlier lookup.
+// be inserted, as slices.BinarySearch(ix.Codes, c) reports it. On a
+// dense index the lookup is c's bitmap word and its rank (WordRank); on
+// a sparse one it reads two adjacent Top entries and binary-searches
+// only the bucket between them. Either way it depends on no earlier
+// lookup.
 func (ix *Index) Slot(c seed.Code) (slot int, found bool) {
+	if ix.Bits != nil {
+		w := int(c / 64)
+		if w >= len(ix.Bits) { // c ≥ 4^W: above every code
+			return len(ix.Codes), false
+		}
+		x := ix.Bits[w]
+		return ix.WordRank(w) + bits.OnesCount64(x&(1<<(c%64)-1)), x>>(c%64)&1 != 0
+	}
 	lo, hi := ix.bucket(c)
 	return ix.searchBucket(lo, hi, c)
 }
@@ -542,8 +633,18 @@ const SlotBatch = 32
 // the searches — so that the cache misses of the batch, one or two a
 // code on a directory larger than the cache (a bucket is a cache line of
 // codes, seldom aligned to one), are in flight together instead of one
-// after the other (step 2's join, DESIGN.md §2).
+// after the other (step 2's join, DESIGN.md §2). On a dense index a
+// lookup is one line of Bits, which needs no batching: Slot per code.
 func (ix *Index) Slots(codes []seed.Code, slots []int32) {
+	if ix.Bits != nil {
+		for i, c := range codes {
+			slots[i] = -1
+			if slot, found := ix.Slot(c); found {
+				slots[i] = int32(slot)
+			}
+		}
+		return
+	}
 	var lo, hi [SlotBatch]int32
 	for i, c := range codes {
 		lo[i], hi[i] = ix.bucket(c)
@@ -568,7 +669,8 @@ func (ix *Index) Slots(codes []seed.Code, slots []int32) {
 	}
 }
 
-// bucket returns the range of slots whose codes share c's top bits.
+// bucket returns the range of slots whose codes share c's top bits, on
+// a sparse index.
 func (ix *Index) bucket(c seed.Code) (lo, hi int32) {
 	h := int(c >> ix.topShift)
 	if h >= len(ix.Top)-1 { // c ≥ 4^W: above every code
@@ -604,11 +706,12 @@ func (ix *Index) Occ(c seed.Code) []int32 {
 }
 
 // MemoryBytes reports the footprint of the index arrays (Codes +
-// Offsets + Top + Pos), the "INDEX" part of the paper's ≈5N bytes/bank
-// estimate: 4 bytes per indexed position plus 8 and a fraction per
-// distinct code (DESIGN.md §3).
+// Offsets + Pos, and Top or Bits + Rank), the "INDEX" part of the
+// paper's ≈5N bytes/bank estimate: 4 bytes per indexed position plus 8
+// per distinct code, plus under half a byte a code on a sparse index or
+// 4^W/8 + 4^W/128 bytes on a dense one (DESIGN.md §3).
 func (ix *Index) MemoryBytes() int {
-	return 4 * (len(ix.Codes) + len(ix.Offsets) + len(ix.Top) + len(ix.Pos))
+	return 4*(len(ix.Codes)+len(ix.Offsets)+len(ix.Top)+len(ix.Rank)+len(ix.Pos)) + 8*len(ix.Bits)
 }
 
 // Options returns the options the index was built with.

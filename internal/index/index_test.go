@@ -388,8 +388,8 @@ func TestSmallBankIndexIsSmall(t *testing.T) {
 	if ix.MemoryBytes() > 12*len(b.Data) {
 		t.Errorf("MemoryBytes = %d for a %d-byte bank, want ≤ 12 bytes per Data byte", ix.MemoryBytes(), len(b.Data))
 	}
-	if want := 4 * (len(ix.Pos) + len(ix.Codes) + len(ix.Offsets) + len(ix.Top)); ix.MemoryBytes() != want {
-		t.Errorf("MemoryBytes = %d, want 4·(Pos+Codes+Offsets+Top) = %d: a position costs four bytes and nothing else",
+	if want := 4*(len(ix.Pos)+len(ix.Codes)+len(ix.Offsets)+len(ix.Top)+len(ix.Rank)) + 8*len(ix.Bits); ix.MemoryBytes() != want {
+		t.Errorf("MemoryBytes = %d, want 4·(Pos+Codes+Offsets+Top+Rank) + 8·Bits = %d: a position costs four bytes and nothing else",
 			ix.MemoryBytes(), want)
 	}
 }

@@ -12,10 +12,10 @@ const (
 // csrSections are the index.Index arrays: Codes and Pos may alias a
 // read-only .orix mmap after LoadMapped (DESIGN.md §7), so growing,
 // reordering, or element-writing them faults on the mapping — and on
-// any of them (Offsets and Top are derived at load, on the heap)
-// silently corrupts a cached index shared by concurrent readers.
+// any of them (Offsets, Top, Bits and Rank are derived at load, on the
+// heap) silently corrupts a cached index shared by concurrent readers.
 var csrSections = map[string]bool{
-	"Codes": true, "Offsets": true, "Pos": true, "Top": true,
+	"Codes": true, "Offsets": true, "Pos": true, "Top": true, "Bits": true, "Rank": true,
 }
 
 // AnalyzerIndexImmut enforces the index reuse contract of DESIGN.md

@@ -20,6 +20,8 @@ func mutateSections(ix *index.Index) {
 	ix.Pos[0] = 3                                // want `element write to index\.Index\.Pos`
 	_ = append(ix.Codes, 0)                      // want `append to index\.Index\.Codes`
 	copy(ix.Pos, []int32{1})                     // want `copy into index\.Index\.Pos`
+	ix.Bits[0] = 1                               // want `element write to index\.Index\.Bits`
+	copy(ix.Rank, []int32{1})                    // want `copy into index\.Index\.Rank`
 	sort.Slice(ix.Offsets, func(i, j int) bool { // want `sort\.Slice reorders index\.Index\.Offsets`
 		return ix.Offsets[i] < ix.Offsets[j]
 	})
