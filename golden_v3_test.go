@@ -47,7 +47,7 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyPaths := []string{store.Path(p1.Bank, p1.Ix.Options()), store.Path(p2.Bank, p2.Ix.Options())}
+	keyPaths := []string{store.Path(p1.Bank, p1.Options()), store.Path(p2.Bank, p2.Options())}
 	for i, fixture := range []string{"legacy-v2.orix", "legacy-v3.orix"} {
 		old, err := os.ReadFile(filepath.Join("internal", "ixdisk", "testdata", fixture))
 		if err != nil {

@@ -32,7 +32,6 @@ import (
 	"repro/internal/bank"
 	"repro/internal/hsp"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 	"repro/internal/seed"
 )
 
@@ -91,9 +90,9 @@ func Compare(db, queries *bank.Bank, opt Options) (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	p := ixcache.Prepare(db, opt.IndexOptions())
+	ix := index.Build(db, opt.IndexOptions())
 	indexTime := time.Since(t0)
-	res, err := CompareWithIndex(p, queries, opt)
+	res, err := CompareWithIndex(ix, queries, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -102,11 +101,11 @@ func Compare(db, queries *bank.Bank, opt Options) (*Result, error) {
 }
 
 // CompareWithIndex runs the search against a prepared database tile
-// index, skipping the build (Metrics.IndexTime stays zero): the
-// collected form of CompareStreamWithIndex.
-func CompareWithIndex(pdb *ixcache.Prepared, queries *bank.Bank, opt Options) (*Result, error) {
+// index and the bank it holds, skipping the build (Metrics.IndexTime
+// stays zero): the collected form of CompareStreamWithIndex.
+func CompareWithIndex(ix *index.Index, queries *bank.Bank, opt Options) (*Result, error) {
 	return align.Collect(func(emit align.Emit) (*Result, error) {
-		return CompareStreamWithIndex(context.Background(), pdb, queries, opt, emit)
+		return CompareStreamWithIndex(context.Background(), ix, queries, opt, emit)
 	})
 }
 
@@ -163,20 +162,21 @@ func (tp *tileProbe) probe(rel int32, c seed.Code) {
 }
 
 // CompareStreamWithIndex searches every query sequence against a
-// prepared database tile index and delivers each one's alignments
-// through emit the moment they are final, under align.Emit's contract.
-// The prepared value must match opt's IndexOptions exactly — tile size
-// and non-overlapping sampling — or an error is returned (the ixcache
-// reuse contract: an index is valid only for the exact (bank, Options)
-// it was built from). ctx is checked between query sequences.
-func CompareStreamWithIndex(ctx context.Context, pdb *ixcache.Prepared, queries *bank.Bank, opt Options, emit align.Emit) (*Result, error) {
+// prepared database tile index, over the bank it holds, and delivers
+// each one's alignments through emit the moment they are final, under
+// align.Emit's contract. The index must have been built with opt's
+// IndexOptions — tile size and non-overlapping sampling — or an error
+// is returned (the ixcache reuse contract: an index is valid only for
+// the exact (bank, index.Key) it was built from). ctx is checked
+// between query sequences.
+func CompareStreamWithIndex(ctx context.Context, ix *index.Index, queries *bank.Bank, opt Options, emit align.Emit) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if !pdb.MatchesOptions(opt.IndexOptions()) {
-		return nil, fmt.Errorf("blat: prepared db does not match options (want W=%d non-overlapping tiles)", opt.W)
+	if ix == nil || ix.Options().Key() != opt.IndexOptions().Key() {
+		return nil, fmt.Errorf("blat: db index does not match options (want W=%d non-overlapping tiles)", opt.W)
 	}
-	db, ix := pdb.Bank, pdb.Ix
+	db := ix.Bank
 	steps := opt.Steps(db, queries, nil)
 	defer steps.Release()
 	var met Metrics

@@ -54,19 +54,19 @@ func TestCompareWithIndexRejectsMismatch(t *testing.T) {
 	db, q := testBanks(23, 3, 3, 2, 400)
 	opt := DefaultOptions()
 
-	allPositions := ixcache.Prepare(db, index.Options{W: opt.W}) // SampleStep 1, not W
+	allPositions := index.Build(db, index.Options{W: opt.W}) // SampleStep 1, not W
 	if _, err := CompareWithIndex(allPositions, q, opt); err == nil {
 		t.Error("accepted an all-positions index as a tile index")
 	}
 
 	wrongTile := DefaultOptions()
 	wrongTile.W = 12
-	pdb := ixcache.Prepare(db, wrongTile.IndexOptions())
+	pdb := index.Build(db, wrongTile.IndexOptions())
 	if _, err := CompareWithIndex(pdb, q, opt); err == nil {
 		t.Error("accepted a tile index with a different tile size")
 	}
 	if _, err := CompareWithIndex(nil, q, opt); err == nil {
-		t.Error("accepted a nil prepared db")
+		t.Error("accepted a nil db index")
 	}
 }
 
@@ -93,7 +93,7 @@ func TestCompareWithIndexAllocatesByTheQuery(t *testing.T) {
 	}
 	q := mkBank("q", reads...)
 	opt := DefaultOptions()
-	pdb := ixcache.Prepare(db, opt.IndexOptions())
+	pdb := index.Build(db, opt.IndexOptions())
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -36,13 +36,13 @@
 // compare one bank against many others, prepare the indexes once and
 // call CompareWithIndex instead: Options.IndexOptions reports the exact
 // index.Options each side needs, Prepare builds (or fetches from an
-// ixcache.Cache) the matching ixcache.Prepared pair, and
-// CompareWithIndex runs steps 2–4 against them. The reuse contract
+// ixcache.Cache) the matching pair of indexes, and CompareWithIndex runs
+// steps 2–4 against them and the banks they hold. The reuse contract
 // (package ixcache): a built index.Index is immutable and safe for any
 // number of concurrent readers, but valid only for the exact
-// (bank, index.Options) it was built from — CompareWithIndex verifies
-// the match and rejects mismatched indexes rather than produce output
-// for seeds that don't exist.
+// (bank, index.Key) it was built from — CompareWithIndex checks the Key
+// and rejects mismatched indexes rather than produce output for seeds
+// that don't exist.
 package core
 
 import (
@@ -175,27 +175,24 @@ func (o Options) IndexOptions() (o1, o2 index.Options) {
 	return o1, o2
 }
 
-// Prepare builds (or fetches) the prepared indexes Compare would build
-// for (b1, b2) under opt. With a non-nil cache the builds are shared
-// across calls keyed by (bank, options); with a nil cache the indexes
-// are built directly. When b1 == b2 and the two sides need identical
+// Prepare builds (or fetches) the indexes Compare would build for
+// (b1, b2) under opt. With a non-nil cache the builds are shared across
+// calls keyed by (bank, index.Key); with a nil cache the indexes are
+// built directly. When b1 == b2 and the two sides need identical
 // options (no Asymmetric), one index serves both.
-func Prepare(c *ixcache.Cache, b1, b2 *bank.Bank, opt Options) (p1, p2 *ixcache.Prepared, err error) {
+func Prepare(c *ixcache.Cache, b1, b2 *bank.Bank, opt Options) (ix1, ix2 *index.Index, err error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
 	o1, o2 := opt.IndexOptions()
 	if c != nil {
-		p1 = c.Get(b1, o1)
-		p2 = c.Get(b2, o2)
-		return p1, p2, nil
+		return c.Get(b1, o1), c.Get(b2, o2), nil
 	}
-	p1 = ixcache.Prepare(b1, o1)
+	ix1 = index.Build(b1, o1)
 	if b1 == b2 && !opt.Asymmetric {
-		return p1, p1, nil
+		return ix1, ix1, nil
 	}
-	p2 = ixcache.Prepare(b2, o2)
-	return p1, p2, nil
+	return ix1, index.Build(b2, o2), nil
 }
 
 // Compare runs the full ORIS pipeline on two banks, building both
@@ -208,15 +205,15 @@ func Compare(b1, b2 *bank.Bank, opt Options) (*Result, error) {
 	})
 }
 
-// CompareWithIndex runs the pipeline on prepared banks, skipping the
-// index builds entirely (Metrics.IndexTime covers only work done here,
-// e.g. the reverse-complement index of a BothStrands run). Both
-// prepared values must match opt exactly — same bank, same derived
-// index options — or an error is returned (see the package comment's
-// reuse contract).
-func CompareWithIndex(p1, p2 *ixcache.Prepared, opt Options) (*Result, error) {
+// CompareWithIndex runs the pipeline on prepared indexes and the banks
+// they hold, skipping the index builds entirely (Metrics.IndexTime
+// covers only work done here, e.g. the reverse-complement index of a
+// BothStrands run). Both indexes must have been built with the index
+// options opt derives, or an error is returned (see the package
+// comment's reuse contract).
+func CompareWithIndex(ix1, ix2 *index.Index, opt Options) (*Result, error) {
 	return align.Collect(func(emit align.Emit) (*Result, error) {
-		return CompareStreamWithIndex(context.Background(), p1, p2, opt, emit)
+		return CompareStreamWithIndex(context.Background(), ix1, ix2, opt, emit)
 	})
 }
 
@@ -286,7 +283,7 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 			lo2[i], hi2[i] = ix2.Offsets[sp.k2], ix2.Offsets[sp.k2+1]
 		}
 		// The head of each list — a listed code has at least one occurrence
-		// (index.FromParts proves it on load) — and the bank byte under it.
+		// (index.FromBlocks proves it on load) — and the bank byte under it.
 		var p1, p2 [joinBatch]int32
 		for i := range batch {
 			p1[i], p2[i] = ix1.Pos[lo1[i]], ix2.Pos[lo2[i]]

@@ -166,18 +166,14 @@ func TestCompareWithIndexRejectsMismatch(t *testing.T) {
 	o1, _ := opt.IndexOptions()
 	otherDust := o1
 	otherDust.Dust = dust.New(16, 0)
-	if _, err := CompareWithIndex(ixcache.Prepare(b1, otherDust), p2, opt); err == nil {
+	if _, err := CompareWithIndex(index.Build(b1, otherDust), p2, opt); err == nil {
 		t.Error("dust window mismatch: accepted a prepared index built for different options")
 	}
-
-	// A hand-assembled Prepared whose index belongs to another bank
-	// must be rejected even when the options line up.
-	franken := &ixcache.Prepared{Bank: b1, Ix: index.Build(b2, o1)}
-	if _, err := CompareWithIndex(franken, p2, opt); err == nil {
-		t.Error("accepted an index built from a different bank")
-	}
 	if _, err := CompareWithIndex(nil, p2, opt); err == nil {
-		t.Error("accepted a nil prepared bank")
+		t.Error("accepted a nil bank-1 index")
+	}
+	if _, err := CompareWithIndex(p1, nil, opt); err == nil {
+		t.Error("accepted a nil bank-2 index")
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"repro/internal/bank"
 	"repro/internal/hsp"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 )
 
 // CompareStream runs the full ORIS pipeline on two banks, delivering
@@ -39,12 +38,12 @@ import (
 // is nil — the alignments went through emit.
 func CompareStream(ctx context.Context, b1, b2 *bank.Bank, opt Options, emit align.Emit) (*Result, error) {
 	t0 := time.Now()
-	p1, p2, err := Prepare(nil, b1, b2, opt)
+	ix1, ix2, err := Prepare(nil, b1, b2, opt)
 	if err != nil {
 		return nil, err
 	}
 	indexTime := time.Since(t0)
-	res, err := CompareStreamWithIndex(ctx, p1, p2, opt, emit)
+	res, err := CompareStreamWithIndex(ctx, ix1, ix2, opt, emit)
 	if err != nil {
 		return nil, err
 	}
@@ -52,30 +51,32 @@ func CompareStream(ctx context.Context, b1, b2 *bank.Bank, opt Options, emit ali
 	return res, nil
 }
 
-// CompareStreamWithIndex is CompareStream over prepared banks (the
-// index builds amortized elsewhere). It is the one entry to the engine
-// body, so the reuse contract is checked here and nowhere else: both
-// prepared values must match opt exactly.
-func CompareStreamWithIndex(ctx context.Context, p1, p2 *ixcache.Prepared, opt Options, emit align.Emit) (*Result, error) {
+// CompareStreamWithIndex is CompareStream over prepared indexes (the
+// builds amortized elsewhere); the banks are the indexes' own. It is
+// the one entry to the engine body, so the reuse contract is checked
+// here and nowhere else: both indexes must have been built with the
+// index options opt derives.
+func CompareStreamWithIndex(ctx context.Context, ix1, ix2 *index.Index, opt Options, emit align.Emit) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	o1, o2 := opt.IndexOptions()
-	if !p1.MatchesOptions(o1) {
-		return nil, fmt.Errorf("core: prepared bank 1 does not match options (want W=%d, sample step %d, dust %v)",
+	if ix1 == nil || ix1.Options().Key() != o1.Key() {
+		return nil, fmt.Errorf("core: bank 1's index does not match options (want W=%d, sample step %d, dust %v)",
 			o1.W, o1.SampleStep, o1.Dust != nil)
 	}
-	if !p2.MatchesOptions(o2) {
-		return nil, fmt.Errorf("core: prepared bank 2 does not match options (want W=%d, dust %v)",
+	if ix2 == nil || ix2.Options().Key() != o2.Key() {
+		return nil, fmt.Errorf("core: bank 2's index does not match options (want W=%d, dust %v)",
 			o2.W, o2.Dust != nil)
 	}
-	return compareStream(ctx, p1.Bank, p2.Bank, p1.Ix, p2.Ix, opt, emit)
+	return compareStream(ctx, ix1, ix2, opt, emit)
 }
 
 // compareStream is the engine body: step 2 over the whole code
 // space (both strands when asked), then steps 3–4 one bank-2 sequence
 // at a time, emitting each finished group.
-func compareStream(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Options, emit align.Emit) (*Result, error) {
+func compareStream(ctx context.Context, ix1, ix2 *index.Index, opt Options, emit align.Emit) (*Result, error) {
+	b1, b2 := ix1.Bank, ix2.Bank
 	if ctx == nil {
 		ctx = context.Background()
 	}

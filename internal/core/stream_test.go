@@ -10,7 +10,7 @@ import (
 	"repro/internal/bank"
 	"repro/internal/blastn"
 	"repro/internal/blat"
-	"repro/internal/ixcache"
+	"repro/internal/index"
 )
 
 // streamVariants covers the option shapes whose engine bodies differ
@@ -128,7 +128,7 @@ func streamEngines() map[string]streamEngine {
 		},
 		"blat": func(ctx context.Context, b1, b2 *bank.Bank, emit align.Emit) error {
 			opt := blat.DefaultOptions()
-			_, err := blat.CompareStreamWithIndex(ctx, ixcache.Prepare(b1, opt.IndexOptions()), b2, opt, emit)
+			_, err := blat.CompareStreamWithIndex(ctx, index.Build(b1, opt.IndexOptions()), b2, opt, emit)
 			return err
 		},
 		"blastn":            blastnStream(false),

@@ -123,8 +123,8 @@ func (h *Harness) Asymmetric() {
 	asym10.Asymmetric = true
 	fullOpts, _ := sym10.IndexOptions()
 	halfOpts, _ := asym10.IndexOptions()
-	full10 := h.ix.Get(a, fullOpts).Ix
-	half10 := h.ix.Get(a, halfOpts).Ix
+	full10 := h.ix.Get(a, fullOpts)
+	half10 := h.ix.Get(a, halfOpts)
 	covered, total := 0, 0
 	seed.ForEach(a.Data, 11, func(pos int32, _ seed.Code) {
 		total++

@@ -14,7 +14,7 @@
 // Extensions take no record bounds: every sequence in a bank.Bank's Data
 // has a bank.Sentinel on both sides, which equals no base, so an arm
 // that reaches the end of a record meets a mismatch whose byte says so.
-// Hits must therefore lie in a Bank's Data; index.FromParts proves that
+// Hits must therefore lie in a Bank's Data; index.FromBlocks proves that
 // of every position an index loaded from disk can hand out.
 package hsp
 

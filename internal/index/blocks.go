@@ -96,7 +96,7 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 
 // Block returns ix as the one block over its whole bank that it already
 // is — what a fresh save writes. Codes and Pos are the index's own
-// arrays, not copies (read-only, like Parts); Counts, the differences of
+// arrays, not copies (read-only); Counts, the differences of
 // Offsets, is the only thing computed.
 func (ix *Index) Block() BlockParts {
 	counts := make([]int32, len(ix.Codes))
@@ -119,10 +119,9 @@ func (ix *Index) Block() BlockParts {
 // consistent), the blocks' sorted directories are merged and each
 // code's runs concatenated in block order — positions in block k all
 // precede positions in block k+1, so the concatenation is CSR order —
-// and the assembled parts then pass the same validation FromParts
-// applies (every position a real seed window of its slot's code), so a
-// hostile block fails closed: the merge is not trusted to have produced
-// valid arrays. A single block already is the index: its arrays (which
+// and the assembled parts then pass checkParts (every position a real
+// seed window of its slot's code), so a hostile block fails closed: the
+// merge is not trusted to have produced valid arrays. A single block already is the index: its arrays (which
 // may alias an mmap'd file) are adopted, not copied, and only Offsets is
 // computed.
 func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error) {

@@ -18,7 +18,7 @@ import (
 // its rank.
 func sameIndexT(t *testing.T, want, got *Index) {
 	t.Helper()
-	samePartsT(t, want.Parts(), got.Parts())
+	samePartsT(t, want, got)
 	if !slices.Equal(want.Top, got.Top) || want.topShift != got.topShift {
 		t.Errorf("Top differs: want %d entries at shift %d, got %d at %d",
 			len(want.Top), want.topShift, len(got.Top), got.topShift)

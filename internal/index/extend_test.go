@@ -41,7 +41,7 @@ func extendVariants() map[string]Options {
 	}
 }
 
-func samePartsT(t *testing.T, want, got Parts) {
+func samePartsT(t *testing.T, want, got *Index) {
 	t.Helper()
 	if want.Indexed != got.Indexed || want.MaskedOut != got.MaskedOut || want.SampledOut != got.SampledOut {
 		t.Errorf("counters differ: want %d/%d/%d, got %d/%d/%d",
@@ -90,7 +90,7 @@ func TestExtendPreservesAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range want.Parts().Codes {
+	for _, c := range want.Codes {
 		w := want.Occ(seed.Code(c))
 		g := got.Occ(seed.Code(c))
 		if len(w) != len(g) {

@@ -55,11 +55,11 @@
 // reused for as long as its bank lives. The converse bound: an Index
 // is valid only for the exact (bank, Options) pair it was built from —
 // the bank whose Data it indexed and the exact W, sampling schedule,
-// and dust parameters (Workers changes nothing: the build is canonical
-// for any worker count). Callers that reuse indexes across comparisons
-// should go through package ixcache, which keys cached builds by
-// exactly that identity and whose consumers (core.CompareWithIndex,
-// blat.CompareWithIndex) verify it before running.
+// and dust parameters, its Key (Workers changes nothing: the build is
+// canonical for any worker count). Callers that reuse indexes across
+// comparisons should go through package ixcache, which keys cached
+// builds by (bank, Key), and whose consumers (core.CompareWithIndex,
+// blat.CompareWithIndex) check the Key before running.
 package index
 
 import (
@@ -92,13 +92,9 @@ type Options struct {
 	Workers int
 }
 
-// Normalized returns o in the canonical form Build uses and a built
+// normalized returns o in the canonical form Build uses and a built
 // index's Options() reports: SampleStep < 1 becomes 1 and SamplePhase
-// is reduced into [0, SampleStep). Cache keys and the on-disk store
-// derive their identity fields from this form so equivalent option
-// spellings alias to one artifact.
-func (o Options) Normalized() Options { return o.normalized() }
-
+// is reduced into [0, SampleStep).
 func (o Options) normalized() Options {
 	if o.SampleStep < 1 {
 		o.SampleStep = 1
@@ -106,6 +102,38 @@ func (o Options) normalized() Options {
 	o.SamplePhase %= o.SampleStep
 	if o.SamplePhase < 0 {
 		o.SamplePhase += o.SampleStep
+	}
+	return o
+}
+
+// Key is the identity of the index an Options value builds: W, the
+// normalized sampling schedule and the dust parameters, not Workers.
+// Two option values build the same index of a bank exactly when their
+// Keys are equal. The cache keys on it, the engines check a prepared
+// index against it, and the on-disk store writes it.
+type Key struct {
+	W, SampleStep, SamplePhase int
+	Dust                       bool
+	DustWindow                 int
+	DustThreshold              float64
+}
+
+// Key returns the identity of the index o builds.
+func (o Options) Key() Key {
+	o = o.normalized()
+	k := Key{W: o.W, SampleStep: o.SampleStep, SamplePhase: o.SamplePhase}
+	if o.Dust != nil {
+		k.Dust, k.DustWindow, k.DustThreshold = true, o.Dust.Window, o.Dust.Threshold
+	}
+	return k
+}
+
+// Options returns options that build the index k identifies, with
+// Workers left at 0.
+func (k Key) Options() Options {
+	o := Options{W: k.W, SampleStep: k.SampleStep, SamplePhase: k.SamplePhase}
+	if k.Dust {
+		o.Dust = dust.New(k.DustWindow, k.DustThreshold)
 	}
 	return o
 }
@@ -364,24 +392,16 @@ func runShards(workers int, fn func(sid int)) {
 }
 
 // Parts holds the components of a built Index — what the build routine
-// produces and what FromParts reassembles. The slices may alias
-// read-only memory (an mmap'd file section): nothing in this package
-// writes to a reassembled Index, per the immutability contract above.
+// produces, and what FromBlocks merges its blocks into and validates
+// (checkParts). The slices may alias read-only memory (an mmap'd file
+// section): nothing in this package writes to an assembled Index, per
+// the immutability contract above.
 type Parts struct {
 	Codes        []seed.Code
 	Offsets, Pos []int32
 	Indexed      int
 	MaskedOut    int
 	SampledOut   int
-}
-
-// Parts returns the components of ix. The slices are the index's own
-// arrays, not copies; callers must treat them as read-only.
-func (ix *Index) Parts() Parts {
-	return Parts{
-		Codes: ix.Codes, Offsets: ix.Offsets, Pos: ix.Pos,
-		Indexed: ix.Indexed, MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
-	}
 }
 
 // assemble binds parts to the (bank, options) they were built or
@@ -470,25 +490,6 @@ func topDirectory(codes []seed.Code, w int) ([]int32, uint) {
 	return top, shift
 }
 
-// FromParts reassembles an Index from its components, as if
-// Build(b, opts) had produced it. It validates everything the engines
-// rely on (see checkParts), so a corrupted or mismatched source cannot
-// yield an Index whose hot loops read out of bounds or seed an
-// extension anywhere but on a real seed window of b. What it cannot
-// tell is whether occurrences are missing (dust and sampling decide
-// that): ixdisk checksums the file and keys it by bank identity before
-// reassembling.
-func FromParts(b *bank.Bank, opts Options, p Parts) (*Index, error) {
-	opts = opts.normalized()
-	if opts.W < 1 || opts.W > seed.MaxW {
-		return nil, fmt.Errorf("index: FromParts: invalid W=%d", opts.W)
-	}
-	if err := checkParts(b, opts, p); err != nil {
-		return nil, err
-	}
-	return assemble(b, opts, p), nil
-}
-
 // checkParts validates untrusted parts against bank b: array lengths
 // consistent with Indexed, Codes strictly ascending inside [0, 4^W),
 // Offsets strictly increasing from 0 to Indexed (every listed code has
@@ -507,23 +508,23 @@ func FromParts(b *bank.Bank, opts Options, p Parts) (*Index, error) {
 //scorislint:validator
 func checkParts(b *bank.Bank, opts Options, p Parts) error {
 	if len(p.Offsets) != len(p.Codes)+1 {
-		return fmt.Errorf("index: FromParts: %d offsets for %d codes, want one more",
+		return fmt.Errorf("index: %d offsets for %d codes, want one more",
 			len(p.Offsets), len(p.Codes))
 	}
 	if p.Offsets[0] != 0 {
-		return fmt.Errorf("index: FromParts: Offsets[0]=%d, want 0", p.Offsets[0])
+		return fmt.Errorf("index: Offsets[0]=%d, want 0", p.Offsets[0])
 	}
 	if len(p.Pos) != p.Indexed || int(p.Offsets[len(p.Codes)]) != p.Indexed {
-		return fmt.Errorf("index: FromParts: Indexed=%d but len(Pos)=%d, Offsets[end]=%d",
+		return fmt.Errorf("index: Indexed=%d but len(Pos)=%d, Offsets[end]=%d",
 			p.Indexed, len(p.Pos), p.Offsets[len(p.Codes)])
 	}
 	n := seed.NumCodes(opts.W)
 	for i, c := range p.Codes {
 		if int(c) >= n || (i > 0 && p.Codes[i-1] >= c) {
-			return fmt.Errorf("index: FromParts: Codes[%d]=%d not strictly ascending inside the 4^%d code space", i, c, opts.W)
+			return fmt.Errorf("index: Codes[%d]=%d not strictly ascending inside the 4^%d code space", i, c, opts.W)
 		}
 		if p.Offsets[i+1] <= p.Offsets[i] {
-			return fmt.Errorf("index: FromParts: Offsets not strictly increasing at entry %d", i)
+			return fmt.Errorf("index: Offsets not strictly increasing at entry %d", i)
 		}
 	}
 	// Per-occurrence sweep, the validation cost of every disk load. It
@@ -556,7 +557,7 @@ func checkWindows(data []byte, w int, codes []seed.Code, offsets, positions []in
 		prev := int32(-1)
 		for _, pos := range positions[offsets[i]:offsets[i+1]] {
 			if pos <= prev || int(pos)+w > len(data) {
-				return fmt.Errorf("index: FromParts: position %d under code %d is not an ascending W=%d window inside the bank", pos, c, w)
+				return fmt.Errorf("index: position %d under code %d is not an ascending W=%d window inside the bank", pos, c, w)
 			}
 			var lo, hi uint64
 			if int(pos)+16 <= len(data) {
@@ -567,7 +568,7 @@ func checkWindows(data []byte, w int, codes []seed.Code, offsets, positions []in
 				lo, hi = binary.LittleEndian.Uint64(tail[:]), binary.LittleEndian.Uint64(tail[8:])
 			}
 			if (lo^wantLo)&maskLo|(hi^wantHi)&maskHi != 0 {
-				return fmt.Errorf("index: FromParts: the W=%d window at position %d does not encode to code %d of its slot", w, pos, c)
+				return fmt.Errorf("index: the W=%d window at position %d does not encode to code %d of its slot", w, pos, c)
 			}
 			prev = pos
 		}

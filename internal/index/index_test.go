@@ -305,15 +305,23 @@ func BenchmarkBuildW11_1Mb(b *testing.B) {
 	}
 }
 
-// TestFromPartsRejectsHostileParts: the reassembly constructor must
-// refuse a malformed directory (Codes/Offsets) and any position that is
-// not a seed window of its slot's code — the extension loops take no
-// bounds, so a position is all that stands between a stored index and
-// the bank's memory.
-func TestFromPartsRejectsHostileParts(t *testing.T) {
+// partsOf returns ix's arrays and counters as the Parts checkParts
+// validates; the slices are ix's own.
+func partsOf(ix *Index) Parts {
+	return Parts{
+		Codes: ix.Codes, Offsets: ix.Offsets, Pos: ix.Pos,
+		Indexed: ix.Indexed, MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
+	}
+}
+
+// TestCheckPartsRejectsHostileParts: the validation every reassembled
+// index passes (FromBlocks) must refuse a malformed directory
+// (Codes/Offsets) and any position that is not a seed window of its
+// slot's code — the extension loops take no bounds, so a position is
+// all that stands between a stored index and the bank's memory.
+func TestCheckPartsRejectsHostileParts(t *testing.T) {
 	b := mkBank("ACGTACGTACGTACGT", "TTCGATCGNATCGAA")
-	built := Build(b, Options{W: 4})
-	good := built.Parts()
+	good := partsOf(Build(b, Options{W: 4}))
 
 	corrupt := func(mutate func(p *Parts)) error {
 		p := good
@@ -321,8 +329,7 @@ func TestFromPartsRejectsHostileParts(t *testing.T) {
 		p.Offsets = slices.Clone(good.Offsets)
 		p.Pos = slices.Clone(good.Pos)
 		mutate(&p)
-		_, err := FromParts(b, Options{W: 4}, p)
-		return err
+		return checkParts(b, Options{W: 4}, p)
 	}
 
 	if err := corrupt(func(p *Parts) {}); err != nil {
@@ -424,18 +431,69 @@ func TestWindowCheckAgreesWithSeedCoding(t *testing.T) {
 		if last := int32(len(b.Data) - 1 - w); !slices.Contains(ix.Pos, last) {
 			t.Fatalf("W=%d: the bank's last window %d is not indexed", w, last)
 		}
-		if _, err := FromParts(b, Options{W: w}, ix.Parts()); err != nil {
+		if err := checkParts(b, Options{W: w}, partsOf(ix)); err != nil {
 			t.Errorf("W=%d: built parts rejected: %v", w, err)
 		}
 		// One base off is another window: every occurrence of the first
 		// slot moved right by one must be refused (poly-runs aside, the
 		// shifted window encodes to a different code).
-		p := ix.Parts()
+		p := partsOf(ix)
 		p.Pos = slices.Clone(p.Pos)
 		p.Pos[0]++
 		shifted, _ := seed.Encode(b.Data[p.Pos[0]:], w)
-		if _, err := FromParts(b, Options{W: w}, p); err == nil && shifted != p.Codes[0] {
+		if err := checkParts(b, Options{W: w}, p); err == nil && shifted != p.Codes[0] {
 			t.Errorf("W=%d: position shifted onto code %d accepted under code %d", w, shifted, p.Codes[0])
 		}
+	}
+}
+
+// TestOptionsKey pins what an index's identity is: options that change
+// the built index never share a Key, and those that cannot change it —
+// Workers, equivalent sampling spellings, another masker instance with
+// the same parameters — always do.
+func TestOptionsKey(t *testing.T) {
+	base := Options{W: 8, Dust: dust.New(0, 0)}
+	same := []Options{
+		{W: 8, Dust: dust.New(64, 2.0)},
+		{W: 8, Dust: dust.New(0, 0), Workers: 7},
+		{W: 8, Dust: dust.New(0, 0), SampleStep: 1},
+		{W: 8, Dust: dust.New(0, 0), SampleStep: 0, SamplePhase: 5},
+	}
+	for _, o := range same {
+		if o.Key() != base.Key() {
+			t.Errorf("%+v: Key %+v, want the Key of %+v", o, o.Key(), base.Key())
+		}
+	}
+	// Negative and out-of-range phases reduce into [0, step).
+	for _, pair := range [][2]Options{
+		{{W: 8, SampleStep: 2, SamplePhase: -1}, {W: 8, SampleStep: 2, SamplePhase: 1}},
+		{{W: 8, SampleStep: 3, SamplePhase: -4}, {W: 8, SampleStep: 3, SamplePhase: 2}},
+		{{W: 8, SampleStep: 2, SamplePhase: 3}, {W: 8, SampleStep: 2, SamplePhase: 1}},
+	} {
+		if pair[0].Key() != pair[1].Key() {
+			t.Errorf("%+v and %+v build one index but have Keys %+v and %+v", pair[0], pair[1], pair[0].Key(), pair[1].Key())
+		}
+	}
+	distinct := []Options{
+		base,
+		{W: 8},
+		{W: 9, Dust: dust.New(0, 0)},
+		{W: 8, Dust: dust.New(0, 0), SampleStep: 2},
+		{W: 8, Dust: dust.New(0, 0), SampleStep: 2, SamplePhase: 1},
+		{W: 8, Dust: dust.New(32, 0)},
+		{W: 8, Dust: dust.New(0, 1.5)},
+	}
+	seen := map[Key]Options{}
+	for _, o := range distinct {
+		if prev, ok := seen[o.Key()]; ok {
+			t.Errorf("%+v and %+v build different indexes but share Key %+v", prev, o, o.Key())
+		}
+		seen[o.Key()] = o
+		if back := o.Key().Options(); back.Key() != o.Key() || back.Workers != 0 {
+			t.Errorf("%+v: Key().Options() = %+v, which keys as %+v", o, back, back.Key())
+		}
+	}
+	if ix := Build(mkBank("ACGTTGCAAGGCTTAACGG"), distinct[4]); ix.Options().Key() != distinct[4].Key() {
+		t.Errorf("an index built with %+v reports Key %+v", distinct[4], ix.Options().Key())
 	}
 }

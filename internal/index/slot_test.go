@@ -217,7 +217,7 @@ func lineEdges(w int) []seed.Code {
 }
 
 // TestConstructorsDeriveTheSameLookup: every way an index comes to
-// exist — Build, FromParts and FromBlocks (one block and several) —
+// exist — Build and FromBlocks (one block and several) —
 // derives the same lookup structure, the one its directory's size calls
 // for: the same bitmap and rank on a dense index, the same Top on a
 // sparse one, on banks either side of the threshold. A real bank's
@@ -258,10 +258,6 @@ func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 		if want := 4*(len(built.Pos)+len(built.Codes)+len(built.Offsets)) + lookup; built.MemoryBytes() != want {
 			t.Errorf("W=%d: MemoryBytes = %d, want %d", tc.w, built.MemoryBytes(), want)
 		}
-		fromParts, err := FromParts(tc.b, opts, built.Parts())
-		if err != nil {
-			t.Fatal(err)
-		}
 		oneBlock, err := FromBlocks(tc.b, opts, []BlockParts{built.Block()})
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +266,7 @@ func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ix := range []*Index{fromParts, oneBlock, tiled} {
+		for _, ix := range []*Index{oneBlock, tiled} {
 			sameIndexT(t, built, ix)
 		}
 	}

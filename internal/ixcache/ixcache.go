@@ -6,37 +6,34 @@
 // intensive all-vs-all comparison amortizes it (PAPER.md; DESIGN.md §2
 // records that the sorted CSR build deliberately does *more* work than
 // the legacy chain build in exchange for faster scans). That trade only
-// pays off if a built index is reused. This package provides the two
-// pieces callers need:
-//
-//   - Prepared — a bank paired with the immutable index.Index built from
-//     it for one exact index.Options value;
-//   - Cache — a concurrency-safe, size-bounded LRU keyed by
-//     (bank identity, W, SampleStep, SamplePhase, dust parameters), with
-//     single-flight semantics so concurrent callers share one build per
-//     (bank, options) pair, an optional persistent second tier (Store,
-//     implemented by package ixdisk) so the build amortizes across
-//     processes, not just within one, and Drop for the owner of a bank
-//     that is going away, so the cache never pins the indexes of banks
-//     nobody can name any more.
+// pays off if a built index is reused. A built index.Index is the
+// prepared bank — it holds the bank it was built from (Index.Bank) and
+// the options it was built with — and this package provides the Cache
+// that shares them: a concurrency-safe, size-bounded LRU keyed by
+// (bank identity, index.Key), with single-flight semantics so
+// concurrent callers share one build per (bank, options) pair, an
+// optional persistent second tier (Store, implemented by package
+// ixdisk) so the build amortizes across processes, not just within
+// one, and Drop for the owner of a bank that is going away, so the
+// cache never pins the indexes of banks nobody can name any more.
 //
 // # Reuse contract
 //
 // A built index.Index is immutable after Build returns: nothing in this
 // repository writes to its arrays, so any number of goroutines may read
-// one Index (and therefore one Prepared) concurrently without locking.
-// An Index is valid only for the exact (bank, Options) pair it was built
-// from: the bank value it captured (banks are immutable, so identity is
-// the right notion of sameness) and the exact seed length, sampling
+// one Index concurrently without locking. An Index is valid only for
+// the exact (bank, Options) pair it was built from: the bank value it
+// captured (banks are immutable, so identity is the right notion of
+// sameness) and its index.Key — the exact seed length, sampling
 // schedule, and dust parameters. Comparing with an index built for
 // different options silently changes which seeds exist — which is why
-// core.CompareWithIndex and blat.CompareWithIndex verify the match and
+// core.CompareWithIndex and blat.CompareWithIndex check the Key and
 // refuse mismatched indexes instead of producing wrong output.
 //
-// Options.Workers is deliberately NOT part of the cache key: the CSR
-// build is canonical — byte-identical output for any worker count
-// (DESIGN.md §2) — so builds requested with different parallelism are the
-// same artifact.
+// Options.Workers is deliberately NOT part of the key: the CSR build
+// is canonical — byte-identical output for any worker count
+// (DESIGN.md §2) — so builds requested with different parallelism are
+// the same artifact.
 package ixcache
 
 import (
@@ -56,83 +53,13 @@ import (
 // so the bound is a working-set knob, not a correctness one.
 const DefaultMaxEntries = 32
 
-// Prepared pairs a bank with the immutable index built from it. The
-// fields are exported for read access; construct values with Prepare or
-// Cache.Get so Ix really was built from Bank.
-type Prepared struct {
-	Bank *bank.Bank
-	Ix   *index.Index
-}
-
-// Prepare builds a bank's index directly, without a cache. It is the
-// one-shot constructor; long-lived callers holding many banks should go
-// through Cache.Get.
-func Prepare(b *bank.Bank, opts index.Options) *Prepared {
-	return &Prepared{Bank: b, Ix: index.Build(b, opts)}
-}
-
-// MatchesOptions reports whether p is a self-consistent prepared value
-// (its index really was built from its bank) built with exactly these
-// options — the validity test of the reuse contract. Options compare by
-// their cache-key projection (Workers excluded; dust maskers compared
-// by parameter value, not identity).
-func (p *Prepared) MatchesOptions(opts index.Options) bool {
-	return p != nil && p.Ix != nil && p.Ix.Bank == p.Bank &&
-		optionsKey(p.Ix.Options()) == optionsKey(opts)
-}
-
-// optKey is the comparable projection of index.Options used in cache
-// keys: everything that changes the built index, nothing that doesn't.
-type optKey struct {
-	w             int
-	sampleStep    int
-	samplePhase   int
-	dust          bool
-	dustWindow    int
-	dustThreshold float64
-}
-
-// SameKey reports whether two option values project to the same cache
-// key — the canonical "would these build the same index?" test, shared
-// with the on-disk store (package ixdisk) so the two tiers agree on
-// what counts as a match.
-func SameKey(a, b index.Options) bool {
-	return optionsKey(a) == optionsKey(b)
-}
-
-// optionsKey normalizes opts the same way index.Build does (SampleStep
-// < 1 means 1; SamplePhase reduced mod SampleStep) so equivalent option
-// values alias to one cache entry.
-func optionsKey(o index.Options) optKey {
-	step := o.SampleStep
-	if step < 1 {
-		step = 1
-	}
-	phase := o.SamplePhase % step
-	if phase < 0 {
-		phase += step
-	}
-	k := optKey{w: o.W, sampleStep: step, samplePhase: phase}
-	if o.Dust != nil {
-		k.dust = true
-		k.dustWindow = o.Dust.Window
-		k.dustThreshold = o.Dust.Threshold
-	}
-	return k
-}
-
-// Key identifies one (bank, options) build in a Cache. Bank identity is
+// key identifies one (bank, options) build in a Cache. Bank identity is
 // pointer identity: banks are immutable once constructed, so two equal
 // pointers always denote the same content, and two different banks never
 // share an entry even if their contents happen to coincide.
-type Key struct {
+type key struct {
 	bank *bank.Bank
-	opts optKey
-}
-
-// KeyFor derives the cache key for a (bank, options) pair.
-func KeyFor(b *bank.Bank, opts index.Options) Key {
-	return Key{bank: b, opts: optionsKey(opts)}
+	opts index.Key
 }
 
 // entry is one cache slot. The sync.Once gives single-flight builds:
@@ -142,10 +69,10 @@ func KeyFor(b *bank.Bank, opts index.Options) Key {
 // in-flight ones (an in-flight entry must stay in the map, or a
 // concurrent Get of its key would start a duplicate build).
 type entry struct {
-	key   Key
+	key   key
 	opts  index.Options
 	once  sync.Once
-	ready *Prepared
+	ready *index.Index
 	done  atomic.Bool
 }
 
@@ -157,7 +84,7 @@ type entry struct {
 var ErrSaveDeclined = errors.New("ixcache: store save declined by policy")
 
 // Store is an optional persistent second tier below the in-memory LRU:
-// Load returns a previously saved Prepared for exactly (b, opts), or
+// Load returns a previously saved index for exactly (b, opts), or
 // (nil, nil) on a clean miss; Save persists a freshly built one. A
 // non-nil Load error means a file existed but was rejected (corrupt,
 // wrong key) — the cache falls back to a fresh build and writes it
@@ -167,8 +94,8 @@ var ErrSaveDeclined = errors.New("ixcache: store save declined by policy")
 // also satisfies a miss from a stored prefix of the bank, completed by
 // one appended block — transparent to this interface).
 type Store interface {
-	Load(b *bank.Bank, opts index.Options) (*Prepared, error)
-	Save(p *Prepared) error
+	Load(b *bank.Bank, opts index.Options) (*index.Index, error)
+	Save(ix *index.Index) error
 }
 
 // BlockCounters is the optional observability face of a block-aware
@@ -180,12 +107,12 @@ type BlockCounters interface {
 	BlockAppends() int64
 }
 
-// Cache is a concurrency-safe, size-bounded LRU of prepared banks.
+// Cache is a concurrency-safe, size-bounded LRU of built indexes.
 // The zero value is not ready; use New.
 type Cache struct {
 	mu    sync.Mutex
 	max   int
-	items map[Key]*list.Element // guardedby: mu
+	items map[key]*list.Element // guardedby: mu
 	order *list.List            // guardedby: mu ; front = most recently used
 	store Store
 
@@ -197,7 +124,7 @@ type Cache struct {
 	savesDeclined atomic.Int64
 }
 
-// New returns a cache bounded to maxEntries prepared banks
+// New returns a cache bounded to maxEntries indexes
 // (DefaultMaxEntries when non-positive). The bound can be exceeded
 // transiently while more than maxEntries keys are building — see
 // evictLocked.
@@ -207,18 +134,18 @@ func New(maxEntries int) *Cache {
 	}
 	return &Cache{
 		max:   maxEntries,
-		items: make(map[Key]*list.Element),
+		items: make(map[key]*list.Element),
 		order: list.New(),
 	}
 }
 
-// Get returns the prepared index for (b, opts), building it at most once
-// per key no matter how many goroutines ask concurrently. The returned
-// Prepared stays valid after eviction — eviction only drops the cache's
+// Get returns the index of b for opts, building it at most once per key
+// no matter how many goroutines ask concurrently. The returned index
+// stays valid after eviction — eviction only drops the cache's
 // reference, never invalidates an index a caller already holds.
-func (c *Cache) Get(b *bank.Bank, opts index.Options) *Prepared {
+func (c *Cache) Get(b *bank.Bank, opts index.Options) *index.Index {
 	c.lookups.Add(1)
-	k := KeyFor(b, opts)
+	k := key{bank: b, opts: opts.Key()}
 
 	c.mu.Lock()
 	el, ok := c.items[k]
@@ -244,18 +171,18 @@ func (c *Cache) Get(b *bank.Bank, opts index.Options) *Prepared {
 	e.once.Do(func() {
 		defer e.done.Store(true)
 		if s := c.getStore(); s != nil {
-			p, err := s.Load(b, e.opts)
+			ix, err := s.Load(b, e.opts)
 			switch {
 			case err != nil:
 				c.diskErrs.Add(1)
-			case p != nil:
+			case ix != nil:
 				c.diskHits.Add(1)
-				e.ready = p
+				e.ready = ix
 				return
 			}
 		}
 		c.builds.Add(1)
-		e.ready = Prepare(b, e.opts)
+		e.ready = index.Build(b, e.opts)
 		builtHere = true
 	})
 	// The write-back runs outside the Once, on the builder goroutine
@@ -324,8 +251,8 @@ func (c *Cache) removeIfDoneLocked(el *list.Element) bool {
 // options — for owners that know the bank is gone (a deregistered query
 // bank) and should not wait for the LRU to notice. Builds still in
 // flight are left alone: their waiters get the result, and the entry
-// then ages out through the size bound like any other. Prepared values
-// callers already hold stay valid.
+// then ages out through the size bound like any other. Indexes callers
+// already hold stay valid.
 func (c *Cache) Drop(b *bank.Bank) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

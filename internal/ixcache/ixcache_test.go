@@ -35,13 +35,13 @@ func TestGetBuildsOncePerKey(t *testing.T) {
 	p1 := c.Get(b, index.Options{W: 8})
 	p2 := c.Get(b, index.Options{W: 8})
 	if p1 != p2 {
-		t.Error("same key returned different Prepared values")
+		t.Error("same key returned different indexes")
 	}
 	if got := c.Builds(); got != 1 {
 		t.Errorf("builds = %d, want 1", got)
 	}
-	if p1.Ix == nil || p1.Bank != b || p1.Ix.Bank != b {
-		t.Errorf("prepared not wired to its bank: %+v", p1)
+	if p1 == nil || p1.Bank != b {
+		t.Errorf("index not built from its bank: %+v", p1)
 	}
 }
 
@@ -97,14 +97,6 @@ func TestKeyDiscrimination(t *testing.T) {
 	if got := c.Builds(); got != before {
 		t.Errorf("equivalent options rebuilt: builds went %d -> %d", before, got)
 	}
-	if SameKey(index.Options{W: 8, SampleStep: 2, SamplePhase: -1},
-		index.Options{W: 8, SampleStep: 2, SamplePhase: 1}) == false {
-		t.Error("Phase=-1,Step=2 must alias Phase=1,Step=2")
-	}
-	if SameKey(index.Options{W: 8, SampleStep: 3, SamplePhase: -4},
-		index.Options{W: 8, SampleStep: 3, SamplePhase: 2}) == false {
-		t.Error("Phase=-4,Step=3 must alias Phase=2,Step=3")
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -146,7 +138,7 @@ func TestConcurrentSingleBuild(t *testing.T) {
 	c := New(4)
 	const goroutines = 32
 	var wg sync.WaitGroup
-	got := make([]*Prepared, goroutines)
+	got := make([]*index.Index, goroutines)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -160,7 +152,7 @@ func TestConcurrentSingleBuild(t *testing.T) {
 	}
 	for i := 1; i < goroutines; i++ {
 		if got[i] != got[0] {
-			t.Fatalf("goroutine %d got a different Prepared", i)
+			t.Fatalf("goroutine %d got a different index", i)
 		}
 	}
 }
@@ -190,51 +182,21 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 	}
 }
 
-func TestMatchesOptions(t *testing.T) {
-	b := testBank(t, "b", randomishSeq(512))
-	other := testBank(t, "other", randomishSeq(512))
-	p := Prepare(b, index.Options{W: 8, Dust: dust.New(0, 0)})
-
-	if !p.MatchesOptions(index.Options{W: 8, Dust: dust.New(64, 2.0)}) {
-		t.Error("equal dust parameters should match regardless of masker instance")
-	}
-	if !p.MatchesOptions(index.Options{W: 8, Dust: dust.New(0, 0), Workers: 7}) {
-		t.Error("Workers must not affect validity")
-	}
-	franken := &Prepared{Bank: other, Ix: p.Ix}
-	if franken.MatchesOptions(index.Options{W: 8, Dust: dust.New(0, 0)}) {
-		t.Error("an index paired with a bank it was not built from must not match")
-	}
-	if p.MatchesOptions(index.Options{W: 8}) {
-		t.Error("dust on/off must not match")
-	}
-	if p.MatchesOptions(index.Options{W: 9, Dust: dust.New(0, 0)}) {
-		t.Error("different W must not match")
-	}
-	if p.MatchesOptions(index.Options{W: 8, Dust: dust.New(0, 0), SampleStep: 2}) {
-		t.Error("different SampleStep must not match")
-	}
-	var nilP *Prepared
-	if nilP.MatchesOptions(index.Options{W: 8}) {
-		t.Error("nil Prepared must not match")
-	}
-}
-
 // fakeStore is an in-memory Store double that records traffic and can
 // inject load failures — the disk tier's cache-side contract tested
 // without any file I/O (package ixdisk tests the real files).
 type fakeStore struct {
 	mu         sync.Mutex
-	entries    map[Key]*Prepared
+	entries    map[key]*index.Index
 	loads      int
 	saves      int
 	failOne    bool // next Load returns an injected error
 	declineAll bool // Save declines by policy
 }
 
-func newFakeStore() *fakeStore { return &fakeStore{entries: map[Key]*Prepared{}} }
+func newFakeStore() *fakeStore { return &fakeStore{entries: map[key]*index.Index{}} }
 
-func (s *fakeStore) Load(b *bank.Bank, opts index.Options) (*Prepared, error) {
+func (s *fakeStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.loads++
@@ -242,17 +204,17 @@ func (s *fakeStore) Load(b *bank.Bank, opts index.Options) (*Prepared, error) {
 		s.failOne = false
 		return nil, errInjected
 	}
-	return s.entries[KeyFor(b, opts)], nil
+	return s.entries[key{b, opts.Key()}], nil
 }
 
-func (s *fakeStore) Save(p *Prepared) error {
+func (s *fakeStore) Save(ix *index.Index) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.declineAll {
 		return fmt.Errorf("policy says no: %w", ErrSaveDeclined)
 	}
 	s.saves++
-	s.entries[KeyFor(p.Bank, p.Ix.Options())] = p
+	s.entries[key{ix.Bank, ix.Options().Key()}] = ix
 	return nil
 }
 
@@ -283,7 +245,7 @@ func TestStoreTierOrder(t *testing.T) {
 		t.Fatalf("warm cache: builds=%d diskHits=%d, want 0/1", c2.Builds(), c2.DiskHits())
 	}
 	if p3 != p1 {
-		t.Error("fake store should round-trip the identical Prepared")
+		t.Error("fake store should round-trip the identical index")
 	}
 }
 
@@ -296,7 +258,7 @@ func TestStoreErrorFallsBackToBuild(t *testing.T) {
 	c := New(8)
 	c.SetStore(s)
 	p := c.Get(b, index.Options{W: 8})
-	if p == nil || p.Ix == nil {
+	if p == nil {
 		t.Fatal("Get returned no index despite store failure")
 	}
 	if c.Builds() != 1 || c.DiskErrors() != 1 || s.saves != 1 {
@@ -313,7 +275,7 @@ func TestStoreSaveDeclined(t *testing.T) {
 	c := New(8)
 	c.SetStore(s)
 	p := c.Get(b, index.Options{W: 8})
-	if p == nil || p.Ix == nil {
+	if p == nil {
 		t.Fatal("Get returned no index despite declined save")
 	}
 	if c.Builds() != 1 || c.SavesDeclined() != 1 || c.DiskErrors() != 0 || s.saves != 0 {
@@ -328,7 +290,7 @@ func TestStoreSaveDeclined(t *testing.T) {
 func TestStoreSingleFlight(t *testing.T) {
 	b := testBank(t, "b", randomishSeq(2048))
 	s := newFakeStore()
-	s.Save(Prepare(b, index.Options{W: 8})) // pre-populate
+	s.Save(index.Build(b, index.Options{W: 8})) // pre-populate
 	baseline := s.saves
 	c := New(8)
 	c.SetStore(s)
@@ -390,8 +352,8 @@ func TestDropEvictsOneBank(t *testing.T) {
 	if c.Len() != 1 || c.Evictions() != 2 {
 		t.Fatalf("after Drop: len=%d evictions=%d, want 1/2", c.Len(), c.Evictions())
 	}
-	if held.Ix == nil || held.Ix.Bank != q {
-		t.Error("Drop invalidated a Prepared the caller holds")
+	if held.Bank != q {
+		t.Error("Drop invalidated an index the caller holds")
 	}
 	before := c.Builds()
 	c.Get(db, index.Options{W: 8})
@@ -414,13 +376,13 @@ type gatedStore struct {
 	release chan struct{} // closed to let Loads return
 }
 
-func (s *gatedStore) Load(*bank.Bank, index.Options) (*Prepared, error) {
+func (s *gatedStore) Load(*bank.Bank, index.Options) (*index.Index, error) {
 	s.entered <- struct{}{}
 	<-s.release
 	return nil, nil
 }
 
-func (s *gatedStore) Save(*Prepared) error { return nil }
+func (s *gatedStore) Save(*index.Index) error { return nil }
 
 // TestDropLeavesInFlightBuild: a Drop that lands while its bank's index
 // is still building must not detach the entry — a Get arriving after it
@@ -432,7 +394,7 @@ func TestDropLeavesInFlightBuild(t *testing.T) {
 	c := New(8)
 	c.SetStore(s)
 	const waiters = 8
-	got := make([]*Prepared, waiters)
+	got := make([]*index.Index, waiters)
 	var wg sync.WaitGroup
 	get := func(i int) {
 		wg.Add(1)
@@ -459,7 +421,7 @@ func TestDropLeavesInFlightBuild(t *testing.T) {
 		t.Errorf("builds = %d, want 1: Drop let a second build start", c.Builds())
 	}
 	for i, p := range got {
-		if p == nil || p != got[0] || p.Ix.Bank != b {
+		if p == nil || p != got[0] || p.Bank != b {
 			t.Fatalf("waiter %d lost the build's result: %+v", i, p)
 		}
 	}

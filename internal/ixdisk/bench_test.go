@@ -8,17 +8,16 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 )
 
 // benchPrepared builds a ~BenchScale-shaped index once for the save/
 // load benchmarks: 512 kb of bank at W=10, the half of the paper
 // configuration that fits a CI smoke run.
-func benchPrepared(b *testing.B) (*ixcache.Prepared, index.Options, string) {
+func benchPrepared(b *testing.B) (*index.Index, index.Options, string) {
 	b.Helper()
 	opts := index.Options{W: 10}
 	bk := genBank(b, "bench", 512<<10)
-	p := ixcache.Prepare(bk, opts)
+	p := index.Build(bk, opts)
 	dir := b.TempDir()
 	path := filepath.Join(dir, "bench"+FileExt)
 	if err := Save(path, p); err != nil {
@@ -48,7 +47,7 @@ func BenchmarkIxdiskLoad(b *testing.B) {
 	b.SetBytes(fi.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Load(path, p.Bank, opts); err != nil {
+		if _, err := load(path, p.Bank, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +61,7 @@ func BenchmarkIxdiskLoadMapped(b *testing.B) {
 	b.SetBytes(fi.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, m, err := LoadMapped(path, p.Bank, opts)
+		_, m, err := loadMapped(path, p.Bank, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +81,7 @@ func appendFixture(tb testing.TB) (dir string, short, grown *bank.Bank, opts ind
 	opts = index.Options{W: 10}
 	dir = tb.TempDir()
 	store := openStore(tb, dir)
-	if err := store.Save(ixcache.Prepare(short, opts)); err != nil {
+	if err := store.Save(index.Build(short, opts)); err != nil {
 		tb.Fatal(err)
 	}
 	oldPath = store.Path(short, opts)
@@ -189,12 +188,12 @@ func TestAppendBytesRatio(t *testing.T) {
 			appended, full)
 	}
 	t.Logf("append wrote %d bytes, a full save %d (%.1fx)", appended, full, float64(full)/float64(appended))
-	loaded, err := Load(newPath, grown, opts)
+	loaded, err := load(newPath, grown, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIndexEqual(t, p.Ix, loaded.Ix)
-	assertIndexEqual(t, ixcache.Prepare(grown, opts).Ix, loaded.Ix)
+	assertIndexEqual(t, p, loaded)
+	assertIndexEqual(t, index.Build(grown, opts), loaded)
 }
 
 // BenchmarkIxdiskBuild is the comparison column: what a cold process
@@ -204,6 +203,6 @@ func BenchmarkIxdiskBuild(b *testing.B) {
 	b.SetBytes(int64(len(p.Bank.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ixcache.Prepare(p.Bank, opts)
+		index.Build(p.Bank, opts)
 	}
 }

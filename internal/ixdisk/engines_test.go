@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fasta"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 	"repro/internal/tabular"
 )
 
@@ -66,21 +65,21 @@ func m8Bytes(t *testing.T, as []align.Alignment, b1, b2 *bank.Bank) []byte {
 
 // saveLoad round-trips a prepared index through one disk file, via the
 // copying or the mapped reader.
-func saveLoad(t *testing.T, dir string, p *ixcache.Prepared, opts index.Options, mapped bool) *ixcache.Prepared {
+func saveLoad(t *testing.T, dir string, p *index.Index, opts index.Options, mapped bool) *index.Index {
 	t.Helper()
 	path := filepath.Join(dir, p.Bank.Name+FileExt)
 	if err := Save(path, p); err != nil {
 		t.Fatal(err)
 	}
 	if mapped {
-		loaded, m, err := LoadMapped(path, p.Bank, opts)
+		loaded, m, err := loadMapped(path, p.Bank, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { m.Close() })
 		return loaded
 	}
-	loaded, err := Load(path, p.Bank, opts)
+	loaded, err := load(path, p.Bank, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestDiskLoadedEquivalenceBlat(t *testing.T) {
 	db, queries := homologousBanks(t)
 	opt := blat.DefaultOptions()
 
-	pdb := ixcache.Prepare(db, opt.IndexOptions())
+	pdb := index.Build(db, opt.IndexOptions())
 	ref, err := blat.CompareWithIndex(pdb, queries, opt)
 	if err != nil {
 		t.Fatal(err)

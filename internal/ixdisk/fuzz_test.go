@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 	"repro/internal/seed"
 )
 
@@ -26,7 +25,7 @@ const (
 // built index, and the valid .orix bytes Save produces for it in both
 // shapes the readers distinguish — a multi-block file (merged into
 // fresh arrays by either reader) and a single-block file (aliased in
-// place by LoadMapped). Every fuzz iteration validates arbitrary
+// place by the mapped load). Every fuzz iteration validates arbitrary
 // mutations of these frames against the same (bank, options) identity
 // the seeds were saved under.
 func fuzzSeedFile(tb testing.TB) (multi, single []byte, b *bank.Bank, opts index.Options) {
@@ -70,19 +69,19 @@ func addFrameSeeds(f *testing.F, multi, single []byte) {
 	relabelled := bytes.Clone(v2)
 	binary.LittleEndian.PutUint32(relabelled[8:], formatVersion)
 	f.Add(bytes.Clone(relabelled))
-	binary.LittleEndian.PutUint32(relabelled[12:], headerSizeV3)
+	binary.LittleEndian.PutUint32(relabelled[12:], headerSize)
 	f.Add(relabelled)
 	// Header CRC, first block header, block body, footer directory
 	// region, and the fixed trailer (footerCRC, footerLen, endMagic).
-	f.Add(multi[:headerSizeV3])
-	f.Add(multi[:headerSizeV3+blockHdrSize])
-	for _, off := range []int{8, 44, headerSizeV3 + 1, headerSizeV3 + blockHdrSize,
+	f.Add(multi[:headerSize])
+	f.Add(multi[:headerSize+blockHdrSize])
+	for _, off := range []int{8, 44, headerSize + 1, headerSize + blockHdrSize,
 		len(multi) - trailerSize, len(multi) - 12, len(multi) - 8, len(multi) - dirEntSize - trailerSize} {
 		mut := bytes.Clone(multi)
 		mut[off] ^= 0x40
 		f.Add(mut)
 	}
-	for _, off := range []int{44, headerSizeV3 + 1, headerSizeV3 + blockHdrSize,
+	for _, off := range []int{44, headerSize + 1, headerSize + blockHdrSize,
 		len(single) - 12, len(single) - dirEntSize - trailerSize} {
 		mut := bytes.Clone(single)
 		mut[off] ^= 0x40
@@ -108,34 +107,33 @@ func relabelV3(v3 []byte) []byte {
 }
 
 // loadInvariants asserts what a successful load must always deliver: a
-// current-version input, and a prepared index over the requesting bank whose
+// current-version input, and an index over the requesting bank whose
 // occurrence lists are addressable — the properties mid-parse
 // corruption would break first.
-func loadInvariants(t *testing.T, data []byte, p *ixcache.Prepared, b *bank.Bank, opts index.Options) {
+func loadInvariants(t *testing.T, data []byte, p *index.Index, b *bank.Bank, opts index.Options) {
 	t.Helper()
 	if v := binary.LittleEndian.Uint32(data[8:]); v != formatVersion {
 		t.Fatalf("load accepted a version-%d file", v)
 	}
-	if p == nil || p.Ix == nil || p.Bank != b {
-		t.Fatal("load succeeded but returned an unusable Prepared")
+	if p == nil || p.Bank != b {
+		t.Fatal("load succeeded but returned an index of another bank")
 	}
-	if !p.MatchesOptions(opts) {
-		t.Fatal("load succeeded with a Prepared that fails MatchesOptions")
+	if p.Options().Key() != opts.Key() {
+		t.Fatalf("load succeeded with an index keyed %+v, requested %+v", p.Options().Key(), opts.Key())
 	}
-	parts := p.Ix.Parts()
-	if parts.Indexed != len(parts.Pos) {
-		t.Fatalf("load succeeded with %d positions for an Indexed count of %d", len(parts.Pos), parts.Indexed)
+	if p.Indexed != len(p.Pos) {
+		t.Fatalf("load succeeded with %d positions for an Indexed count of %d", len(p.Pos), p.Indexed)
 	}
 	total := 0
-	for _, c := range parts.Codes {
-		occ := p.Ix.Occ(seed.Code(c))
+	for _, c := range p.Codes {
+		occ := p.Occ(seed.Code(c))
 		if len(occ) == 0 {
 			t.Fatalf("load succeeded but occupied code %d has no occurrences", c)
 		}
 		total += len(occ)
 	}
-	if total != len(parts.Pos) {
-		t.Fatalf("load succeeded with %d positions across codes, %d in the flat array", total, len(parts.Pos))
+	if total != len(p.Pos) {
+		t.Fatalf("load succeeded with %d positions across codes, %d in the flat array", total, len(p.Pos))
 	}
 }
 
@@ -150,7 +148,7 @@ func FuzzLoad(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		p, err := Load(path, b, opts)
+		p, err := load(path, b, opts)
 		if err != nil {
 			return
 		}
@@ -169,7 +167,7 @@ func FuzzLoadMapped(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		p, m, err := LoadMapped(path, b, opts)
+		p, m, err := loadMapped(path, b, opts)
 		if err != nil {
 			return
 		}

@@ -72,14 +72,7 @@ func (s *DirStore) SetSavePolicy(p SavePolicy) {
 // SavePolicy.MinBases instead of per-bank hints.
 func (s *DirStore) MarkDB(b *bank.Bank) {
 	s.mu.Lock()
-	if !s.dbBanks[b] {
-		s.dbBanks[b] = true
-		s.dbOrder = append(s.dbOrder, b)
-		for len(s.dbOrder) > memoBound {
-			delete(s.dbBanks, s.dbOrder[0])
-			s.dbOrder = s.dbOrder[1:]
-		}
-	}
+	s.dbBanks.put(b, struct{}{})
 	s.mu.Unlock()
 }
 

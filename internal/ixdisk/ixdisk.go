@@ -8,7 +8,7 @@
 //
 // # File format
 //
-// There is one format, version 4 — block-structured: an options-key
+// There is one format, version 4 — block-structured: an index-key
 // header, CSR blocks over runs of sequences (code directory +
 // positions, 4 bytes per occurrence) each carrying its own CRC-32C, and
 // a footer holding the bank identity (content CRC-64, per-sequence
@@ -33,8 +33,8 @@
 //
 // # Invalidation and append-aware reuse
 //
-// A file is valid only for the exact (bank content, index options) it
-// was saved from. Load and LoadMapped reject, with descriptive errors:
+// A file is valid only for the exact (bank content, index.Key) it was
+// saved from. DirStore's loads reject, with descriptive errors:
 // wrong magic, unknown version, truncated or size-inconsistent files,
 // checksum mismatches, and key mismatches (different bank content, W,
 // sampling, or dust parameters). Rejection is always safe: the caller
@@ -59,7 +59,6 @@ import (
 	"hash/crc64"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,32 +105,6 @@ func BankChecksum(b *bank.Bank) uint64 {
 	return crc64.Checksum(b.Data, crc64Table)
 }
 
-// keySize is the length of the (bank identity, options) key DirStore
-// hashes into filenames. Its byte layout is frozen: changing it would
-// rename every stored file and turn a warm store cold.
-const keySize = 48
-
-// packKey serializes the filename key: bank identity, then options.
-func packKey(dst []byte, bankCRC, dataLen uint64, numSeqs uint32, o index.Options) {
-	o = o.Normalized()
-	binary.LittleEndian.PutUint64(dst[0:], bankCRC)
-	binary.LittleEndian.PutUint64(dst[8:], dataLen)
-	binary.LittleEndian.PutUint32(dst[16:], numSeqs)
-	binary.LittleEndian.PutUint32(dst[20:], uint32(o.W))
-	binary.LittleEndian.PutUint32(dst[24:], uint32(o.SampleStep))
-	binary.LittleEndian.PutUint32(dst[28:], uint32(o.SamplePhase))
-	var dustOn, dw uint32
-	var dt uint64
-	if o.Dust != nil {
-		dustOn = 1
-		dw = uint32(o.Dust.Window)
-		dt = math.Float64bits(o.Dust.Threshold)
-	}
-	binary.LittleEndian.PutUint32(dst[32:], dustOn)
-	binary.LittleEndian.PutUint32(dst[36:], dw)
-	binary.LittleEndian.PutUint64(dst[40:], dt)
-}
-
 // word covers the two 4-byte element types of the CSR sections.
 type word interface{ ~int32 | ~uint32 }
 
@@ -157,7 +130,7 @@ func writeWords[T word](w io.Writer, vals []T) error {
 }
 
 // decodeWords copies a validated byte section into a fresh slice —
-// Load's portable path, correct on any host byte order.
+// the copying load's portable path, correct on any host byte order.
 func decodeWords[T word](sec []byte) []T {
 	out := make([]T, len(sec)/4)
 	for i := range out {
@@ -201,11 +174,12 @@ func sanitizeName(name string) string {
 // atomic rename makes concurrent writers last-wins, both writing
 // identical bytes).
 //
-// By default loads go through LoadMapped where the platform supports
-// it; SetMapped(false) forces the copying reader. Mappings opened by a
-// mapped store stay alive until Close — closing invalidates every
-// index the store has loaded, so long-lived callers (CLI sessions,
-// the experiment harness) simply let process exit reclaim them.
+// By default loads map the file where the platform supports it, and the
+// index aliases the mapping; SetMapped(false) forces the copying
+// reader. Mappings opened by a mapped store stay alive until Close —
+// closing invalidates every index the store has loaded, so long-lived
+// callers (CLI sessions, the experiment harness) simply let process
+// exit reclaim them.
 //
 // Beyond exact lookups the store is lifecycle-aware (DESIGN.md §7):
 // an exact miss falls back to a stored prefix of the requesting bank,
@@ -219,12 +193,9 @@ type DirStore struct {
 	mu       sync.Mutex
 	policy   SavePolicy
 	gcCfg    GCConfig
-	dbBanks  map[*bank.Bank]bool
-	dbOrder  []*bank.Bank
-	bankCRCs map[*bank.Bank]uint64
-	crcOrder []*bank.Bank
-	loaded   map[string]*loadedEntry
-	ldOrder  []string
+	dbBanks  memo[*bank.Bank, struct{}]
+	bankCRCs memo[*bank.Bank, uint64]
+	loaded   memo[string, loadedEntry]
 	maps     []*Mapping
 
 	extends       atomic.Int64
@@ -241,30 +212,58 @@ var (
 	_ ixcache.BlockCounters = (*DirStore)(nil)
 )
 
-// memoBound caps the per-bank and per-path memo maps. A long-lived
-// process churning through query banks would otherwise grow them
-// without bound (every retired *bank.Bank pointer pinned forever); the
-// bound makes the memos caches, evicted FIFO, at a worst cost of one
-// re-checksum or re-validate per evicted key. 64 comfortably covers
-// the harness's ~30-key working set.
+// memoBound caps the per-bank and per-path memos. A long-lived process
+// churning through query banks would otherwise grow them without bound
+// (every retired *bank.Bank pointer pinned forever); the bound makes
+// the memos caches, evicted FIFO, at a worst cost of one re-checksum or
+// re-validate per evicted key. 64 comfortably covers the harness's
+// ~30-key working set.
 const memoBound = 64
+
+// memo is a map bounded to memoBound keys, evicting the oldest key
+// first. The zero value is empty and ready; DirStore guards its memos
+// with its mutex.
+type memo[K comparable, V any] struct {
+	m     map[K]V
+	order []K // keys in insertion order
+}
+
+func (c *memo[K, V]) get(k K) (V, bool) {
+	v, ok := c.m[k]
+	return v, ok
+}
+
+// put records v under k; a new key past the bound evicts the oldest.
+func (c *memo[K, V]) put(k K, v V) {
+	if c.m == nil {
+		c.m = map[K]V{}
+	}
+	if _, ok := c.m[k]; !ok {
+		c.order = append(c.order, k)
+		if len(c.order) > memoBound {
+			delete(c.m, c.order[0])
+			c.order = c.order[1:]
+		}
+	}
+	c.m[k] = v
+}
 
 // loadedEntry memoizes one successful load per key path, so LRU
 // evict-and-reload cycles in a bounded cache above the store return
 // the already-validated index instead of mapping (and checksumming)
 // the same file again — keeping the number of live mappings bounded
 // by the number of distinct keys, not the number of reloads. Safe
-// because a path encodes the (bank content, options) key and saved
-// files for one key are byte-identical; the memo is keyed on the bank
-// pointer too, since a Prepared binds to the requesting bank value.
+// because a path encodes the (bank content, index.Key) key and saved
+// files for one key are byte-identical; a hit must also be for the
+// same bank pointer, since an index binds to the bank value it was
+// loaded for.
 //
 // path is the file actually backing the index, which is not always the
 // key path: an extension whose append the save policy declined leaves
 // only the stored prefix. Memo hits touch path so the GC sees that file
 // in use.
 type loadedEntry struct {
-	bank *bank.Bank
-	prep *ixcache.Prepared
+	ix   *index.Index
 	path string
 }
 
@@ -276,13 +275,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ixdisk: %w", err)
 	}
-	s := &DirStore{
-		dir:      dir,
-		mapped:   mmapSupported && nativeLittleEndian,
-		dbBanks:  map[*bank.Bank]bool{},
-		bankCRCs: map[*bank.Bank]uint64{},
-		loaded:   map[string]*loadedEntry{},
-	}
+	s := &DirStore{dir: dir, mapped: mmapSupported && nativeLittleEndian}
 	s.sweepTmp(DefaultTmpGrace, time.Now())
 	return s, nil
 }
@@ -304,23 +297,16 @@ func (s *DirStore) SetMapped(on bool) {
 // long-lived process it behaves as a cache, not a leak.
 func (s *DirStore) bankChecksum(b *bank.Bank) uint64 {
 	s.mu.Lock()
-	if crc, ok := s.bankCRCs[b]; ok {
-		s.mu.Unlock()
+	crc, ok := s.bankCRCs.get(b)
+	s.mu.Unlock()
+	if ok {
 		return crc
 	}
-	s.mu.Unlock()
 	// Compute outside the lock: the checksum is O(bank) and pure.
-	crc := BankChecksum(b)
+	crc = BankChecksum(b)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.bankCRCs[b]; !ok {
-		s.bankCRCs[b] = crc
-		s.crcOrder = append(s.crcOrder, b)
-		for len(s.crcOrder) > memoBound {
-			delete(s.bankCRCs, s.crcOrder[0])
-			s.crcOrder = s.crcOrder[1:]
-		}
-	}
+	s.bankCRCs.put(b, crc)
+	s.mu.Unlock()
 	return crc
 }
 
@@ -328,32 +314,38 @@ func (s *DirStore) bankChecksum(b *bank.Bank) uint64 {
 // tests and operational scripts can inspect or corrupt specific
 // entries.
 func (s *DirStore) Path(b *bank.Bank, opts index.Options) string {
-	var key [keySize]byte
-	packKey(key[:], s.bankChecksum(b), uint64(len(b.Data)), uint32(b.NumSeqs()), opts)
+	// The key hashed is frozen: bank identity (content CRC, Data length,
+	// sequence count), then the index key. A change would rename every
+	// stored file and turn a warm store cold.
+	var key [20 + keySize]byte
+	binary.LittleEndian.PutUint64(key[0:], s.bankChecksum(b))
+	binary.LittleEndian.PutUint64(key[8:], uint64(len(b.Data)))
+	binary.LittleEndian.PutUint32(key[16:], uint32(b.NumSeqs()))
+	putKey(key[20:], opts.Key())
 	h := crc64.Checksum(key[:], crc64Table)
 	return filepath.Join(s.dir, fmt.Sprintf("%s-%016x%s", sanitizeName(b.Name), h, FileExt))
 }
 
 // Load implements ixcache.Store: (nil, nil) when no file exists for the
 // key (and no stored prefix of the bank can be completed — see
-// loadViaPrefix), the validated Prepared on success, and a descriptive
-// error when a file exists but is rejected (the cache then rebuilds
-// and Save overwrites it).
-func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*ixcache.Prepared, error) {
+// loadViaPrefix), the validated index of b on success, and a
+// descriptive error when a file exists but is rejected (the cache then
+// rebuilds and Save overwrites it).
+func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) {
 	path := s.Path(b, opts)
 	s.mu.Lock()
-	if e, ok := s.loaded[path]; ok && e.bank == b && e.prep.MatchesOptions(opts) {
-		s.mu.Unlock()
+	e, ok := s.loaded.get(path)
+	mapped := s.mapped
+	s.mu.Unlock()
+	if ok && e.ix.Bank == b && e.ix.Options().Key() == opts.Key() {
 		// Memo hits are still uses: refresh the backing file's mtime so
 		// the GC's oldest-first eviction never collects a file whose
 		// index this process is actively serving from memory.
 		touchFile(e.path)
-		return e.prep, nil
+		return e.ix, nil
 	}
-	mapped := s.mapped
-	s.mu.Unlock()
 
-	p, m, blocks, err := loadExact(path, b, opts, mapped)
+	ix, m, blocks, err := loadExact(path, b, opts, mapped)
 	if errors.Is(err, fs.ErrNotExist) {
 		return s.loadViaPrefix(b, opts, path)
 	}
@@ -362,8 +354,8 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*ixcache.Prepared, er
 	}
 	s.blockLoads.Add(int64(blocks))
 	touchFile(path)
-	s.memoize(path, path, b, p, m)
-	return p, nil
+	s.memoize(path, path, ix, m)
+	return ix, nil
 }
 
 // memoize records a successful load (or extension) under its key path,
@@ -371,22 +363,15 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*ixcache.Prepared, er
 // above the store return the validated index instead of re-reading the
 // file. Bounded (memoBound, FIFO) — see bankChecksum — with the caveat
 // that an evicted entry's Mapping stays held until Close, since the
-// Prepared it backs may still be in use.
-func (s *DirStore) memoize(keyPath, backing string, b *bank.Bank, p *ixcache.Prepared, m *Mapping) {
+// index it backs may still be in use.
+func (s *DirStore) memoize(keyPath, backing string, ix *index.Index, m *Mapping) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.loaded[keyPath]; !ok {
-		s.ldOrder = append(s.ldOrder, keyPath)
-		for len(s.ldOrder) > memoBound {
-			delete(s.loaded, s.ldOrder[0])
-			s.ldOrder = s.ldOrder[1:]
-		}
-	}
-	s.loaded[keyPath] = &loadedEntry{bank: b, prep: p, path: backing}
+	s.loaded.put(keyPath, loadedEntry{ix: ix, path: backing})
 	if m != nil && m.Mapped() {
 		// A superseded entry's mapping (same path, different bank
-		// pointer) stays in maps: its Prepared may still be referenced,
-		// so it is only released at Close.
+		// pointer) stays in maps: its index may still be referenced, so
+		// it is only released at Close.
 		s.maps = append(s.maps, m)
 	}
 }
@@ -397,21 +382,18 @@ func (s *DirStore) memoize(keyPath, backing string, b *bank.Bank, p *ixcache.Pre
 // successful save triggers a best-effort collection so the store
 // converges toward its bounds under sustained traffic without anyone
 // calling GC explicitly.
-func (s *DirStore) Save(p *ixcache.Prepared) error {
-	if p == nil || p.Bank == nil || p.Ix == nil {
-		return errors.New("ixdisk: DirStore.Save: nil prepared value")
-	}
+func (s *DirStore) Save(ix *index.Index) error {
 	s.mu.Lock()
 	pol := s.policy
-	isDB := s.dbBanks[p.Bank]
+	_, isDB := s.dbBanks.get(ix.Bank)
 	gcCfg := s.gcCfg
 	s.mu.Unlock()
-	if !pol.allows(p.Bank, isDB) {
+	if !pol.allows(ix.Bank, isDB) {
 		s.savesDeclined.Add(1)
 		return fmt.Errorf("ixdisk: DirStore.Save: bank %q (%d bases): %w",
-			p.Bank.Name, p.Bank.TotalBases(), ixcache.ErrSaveDeclined)
+			ix.Bank.Name, ix.Bank.TotalBases(), ixcache.ErrSaveDeclined)
 	}
-	if err := Save(s.Path(p.Bank, p.Ix.Options()), p); err != nil {
+	if err := Save(s.Path(ix.Bank, ix.Options()), ix); err != nil {
 		return err
 	}
 	if gcCfg.MaxBytes > 0 || gcCfg.MaxAge > 0 {
@@ -427,7 +409,7 @@ func (s *DirStore) Close() error {
 	s.mu.Lock()
 	maps := s.maps
 	s.maps = nil
-	s.loaded = map[string]*loadedEntry{}
+	s.loaded = memo[string, loadedEntry]{}
 	s.mu.Unlock()
 	var first error
 	for _, m := range maps {

@@ -16,6 +16,21 @@ import (
 	"repro/internal/seed"
 )
 
+// load is the exact load by the copying route, as a DirStore with
+// SetMapped(false) runs it.
+func load(path string, b *bank.Bank, opts index.Options) (*index.Index, error) {
+	ix, _, _, err := loadExact(path, b, opts, false)
+	return ix, err
+}
+
+// loadMapped is the exact load by the mapped route where the host can
+// alias the file — a default DirStore's — and by the copying one
+// elsewhere.
+func loadMapped(path string, b *bank.Bank, opts index.Options) (*index.Index, *Mapping, error) {
+	ix, m, _, err := loadExact(path, b, opts, mmapSupported && nativeLittleEndian)
+	return ix, m, err
+}
+
 // genBank builds a deterministic multi-sequence bank exercising the
 // format's edge content: ambiguous bases (unindexed), a poly-A
 // low-complexity run (masked under dust), and a short record.
@@ -53,7 +68,7 @@ func saveTiled(tb testing.TB, path string, b *bank.Bank, opts index.Options, blo
 		blocks = append(blocks, bp)
 	}
 	var buf bytes.Buffer
-	if err := writeBlocksTo(&buf, b, opts, blocks); err != nil {
+	if err := writeBlocksTo(&buf, b, opts.Key(), blocks); err != nil {
 		tb.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -91,24 +106,23 @@ func sameInts[T word](a, b []T) bool {
 // the built one in every observable way.
 func assertIndexEqual(t *testing.T, built, loaded *index.Index) {
 	t.Helper()
-	bp, lp := built.Parts(), loaded.Parts()
-	if !sameInts(bp.Offsets, lp.Offsets) {
+	if !sameInts(built.Offsets, loaded.Offsets) {
 		t.Error("Offsets differ after round trip")
 	}
-	if !sameInts(bp.Pos, lp.Pos) {
+	if !sameInts(built.Pos, loaded.Pos) {
 		t.Error("Pos differs after round trip")
 	}
-	if !sameInts(bp.Codes, lp.Codes) {
+	if !sameInts(built.Codes, loaded.Codes) {
 		t.Error("Codes differ after round trip")
 	}
-	if bp.Indexed != lp.Indexed || bp.MaskedOut != lp.MaskedOut || bp.SampledOut != lp.SampledOut {
+	if built.Indexed != loaded.Indexed || built.MaskedOut != loaded.MaskedOut || built.SampledOut != loaded.SampledOut {
 		t.Errorf("counters differ: built %d/%d/%d, loaded %d/%d/%d",
-			bp.Indexed, bp.MaskedOut, bp.SampledOut, lp.Indexed, lp.MaskedOut, lp.SampledOut)
+			built.Indexed, built.MaskedOut, built.SampledOut, loaded.Indexed, loaded.MaskedOut, loaded.SampledOut)
 	}
 	if built.W != loaded.W || built.Bank != loaded.Bank {
 		t.Errorf("W/Bank differ: %d/%p vs %d/%p", built.W, built.Bank, loaded.W, loaded.Bank)
 	}
-	if !ixcache.SameKey(built.Options(), loaded.Options()) {
+	if built.Options().Key() != loaded.Options().Key() {
 		t.Errorf("options key differs: %+v vs %+v", built.Options(), loaded.Options())
 	}
 }
@@ -118,17 +132,17 @@ func TestRoundTripLoad(t *testing.T) {
 	for name, opts := range optionVariants() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ix"+FileExt)
-			built := ixcache.Prepare(b, opts)
+			built := index.Build(b, opts)
 			if err := Save(path, built); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := Load(path, b, opts)
+			loaded, err := load(path, b, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertIndexEqual(t, built.Ix, loaded.Ix)
-			if !loaded.MatchesOptions(opts) {
-				t.Error("loaded Prepared fails MatchesOptions for its own options")
+			assertIndexEqual(t, built, loaded)
+			if loaded.Options().Key() != opts.Key() {
+				t.Error("loaded index is not keyed by its own options")
 			}
 		})
 	}
@@ -139,11 +153,11 @@ func TestRoundTripLoadMapped(t *testing.T) {
 	for name, opts := range optionVariants() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ix"+FileExt)
-			built := ixcache.Prepare(b, opts)
+			built := index.Build(b, opts)
 			if err := Save(path, built); err != nil {
 				t.Fatal(err)
 			}
-			loaded, m, err := LoadMapped(path, b, opts)
+			loaded, m, err := loadMapped(path, b, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,10 +165,10 @@ func TestRoundTripLoadMapped(t *testing.T) {
 			if mmapSupported && nativeLittleEndian && !m.Mapped() {
 				t.Error("expected a real mapping on this platform")
 			}
-			assertIndexEqual(t, built.Ix, loaded.Ix)
+			assertIndexEqual(t, built, loaded)
 			// Spot-exercise accessors over the aliased memory.
-			for _, c := range loaded.Ix.Parts().Codes {
-				occ := loaded.Ix.Occ(seed.Code(c))
+			for _, c := range loaded.Codes {
+				occ := loaded.Occ(seed.Code(c))
 				if len(occ) == 0 {
 					t.Fatalf("occupied code %d has empty occurrence slice", c)
 				}
@@ -163,31 +177,31 @@ func TestRoundTripLoadMapped(t *testing.T) {
 	}
 }
 
-// TestLoadIsIndependentOfFile pins Load's copying contract: deleting
-// (or corrupting) the file after Load must not affect the index.
+// TestLoadIsIndependentOfFile pins the copying load's contract: deleting
+// (or corrupting) the file after the load must not affect the index.
 func TestLoadIsIndependentOfFile(t *testing.T) {
 	b := genBank(t, "ind", 2048)
 	opts := index.Options{W: 8}
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
-	built := ixcache.Prepare(b, opts)
+	built := index.Build(b, opts)
 	if err := Save(path, built); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path, b, opts)
+	loaded, err := load(path, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	assertIndexEqual(t, built.Ix, loaded.Ix)
+	assertIndexEqual(t, built, loaded)
 }
 
 // saveValid writes a fresh valid file and returns its bytes and path.
 func saveValid(t *testing.T, b *bank.Bank, opts index.Options) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
-	if err := Save(path, ixcache.Prepare(b, opts)); err != nil {
+	if err := Save(path, index.Build(b, opts)); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := os.ReadFile(path)
@@ -201,12 +215,12 @@ func saveValid(t *testing.T, b *bank.Bank, opts index.Options) (string, []byte) 
 // from each, returning one of the (identical-class) errors.
 func loadBoth(t *testing.T, path string, b *bank.Bank, opts index.Options, want error) {
 	t.Helper()
-	_, errL := Load(path, b, opts)
-	p, m, errM := LoadMapped(path, b, opts)
+	_, errL := load(path, b, opts)
+	p, m, errM := loadMapped(path, b, opts)
 	if p != nil && m != nil {
 		m.Close()
 	}
-	for which, err := range map[string]error{"Load": errL, "LoadMapped": errM} {
+	for which, err := range map[string]error{"copying load": errL, "mapped load": errM} {
 		if !errors.Is(err, want) {
 			t.Errorf("%s: got error %v, want %v", which, err, want)
 		}
@@ -235,7 +249,7 @@ func TestHostileFiles(t *testing.T) {
 		loadBoth(t, path, b, opts, ErrTruncated)
 	})
 	t.Run("truncated-header", func(t *testing.T) {
-		path := rewrite(t, func(buf []byte) []byte { return buf[:headerSizeV3/2] })
+		path := rewrite(t, func(buf []byte) []byte { return buf[:headerSize/2] })
 		loadBoth(t, path, b, opts, ErrTruncated)
 	})
 	t.Run("truncated-body", func(t *testing.T) {
@@ -255,7 +269,7 @@ func TestHostileFiles(t *testing.T) {
 		loadBoth(t, path, b, opts, ErrVersion)
 	})
 	t.Run("checksum-corruption", func(t *testing.T) {
-		path := rewrite(t, func(buf []byte) []byte { buf[headerSizeV3+len(buf)/3] ^= 0x40; return buf })
+		path := rewrite(t, func(buf []byte) []byte { buf[headerSize+len(buf)/3] ^= 0x40; return buf })
 		loadBoth(t, path, b, opts, ErrChecksum)
 	})
 	t.Run("key-mismatch-W", func(t *testing.T) {
@@ -279,7 +293,7 @@ func TestHostileFiles(t *testing.T) {
 		path, _ := saveValid(t, b, opts)
 		alias := opts
 		alias.Workers = 7
-		if _, err := Load(path, b, alias); err != nil {
+		if _, err := load(path, b, alias); err != nil {
 			t.Errorf("Workers must not participate in the key: %v", err)
 		}
 	})
@@ -317,7 +331,7 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	if warm.Builds() != 0 || warm.DiskHits() != 1 {
 		t.Fatalf("warm cache: builds=%d diskHits=%d, want 0/1", warm.Builds(), warm.DiskHits())
 	}
-	assertIndexEqual(t, p1.Ix, p2.Ix)
+	assertIndexEqual(t, p1, p2)
 
 	// Fresh store + content-identical bank under a different pointer:
 	// simulates a new process re-loading the same FASTA.
@@ -361,7 +375,7 @@ func TestDirStoreHealsCorruptFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[headerSizeV3+len(buf)/2] ^= 0x01
+	buf[headerSize+len(buf)/2] ^= 0x01
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +387,7 @@ func TestDirStoreHealsCorruptFile(t *testing.T) {
 		t.Fatalf("after corruption: builds=%d diskHits=%d diskErrs=%d, want 1/0/1",
 			c.Builds(), c.DiskHits(), c.DiskErrors())
 	}
-	assertIndexEqual(t, built.Ix, p.Ix)
+	assertIndexEqual(t, built, p)
 
 	// The write-back healed the file: a fresh cache now disk-hits.
 	c2 := ixcache.New(4)
@@ -394,14 +408,14 @@ func TestDirStoreUnmappedMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.SetMapped(false)
-	if err := store.Save(ixcache.Prepare(b, opts)); err != nil {
+	if err := store.Save(index.Build(b, opts)); err != nil {
 		t.Fatal(err)
 	}
 	p, err := store.Load(b, opts)
 	if err != nil || p == nil {
 		t.Fatalf("unmapped load: %v, %v", p, err)
 	}
-	assertIndexEqual(t, ixcache.Prepare(b, opts).Ix, p.Ix)
+	assertIndexEqual(t, index.Build(b, opts), p)
 }
 
 // TestDirStoreMissIsClean: no file for the key must be (nil, nil), not
@@ -424,11 +438,11 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 	b := genBank(t, "ow", 2048)
 	opts := index.Options{W: 8}
 	for i := 0; i < 3; i++ {
-		if err := Save(path, ixcache.Prepare(b, opts)); err != nil {
+		if err := Save(path, index.Build(b, opts)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Load(path, b, opts); err != nil {
+	if _, err := load(path, b, opts); err != nil {
 		t.Fatal(err)
 	}
 	// No temp litter left behind.
@@ -454,7 +468,7 @@ func TestDirStoreMemoizesLoads(t *testing.T) {
 	defer store.Close()
 	b := genBank(t, "memo", 2048)
 	opts := index.Options{W: 8}
-	if err := store.Save(ixcache.Prepare(b, opts)); err != nil {
+	if err := store.Save(index.Build(b, opts)); err != nil {
 		t.Fatal(err)
 	}
 	first, err := store.Load(b, opts)
@@ -467,7 +481,7 @@ func TestDirStoreMemoizesLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p != first {
-			t.Fatal("reload returned a new Prepared instead of the memoized one")
+			t.Fatal("reload returned a new index instead of the memoized one")
 		}
 	}
 	store.mu.Lock()

@@ -51,7 +51,7 @@ func TestDirStorePrefixExtend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := store.Save(ixcache.Prepare(short, opts)); err != nil {
+	if err := store.Save(index.Build(short, opts)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +65,7 @@ func TestDirStorePrefixExtend(t *testing.T) {
 	if store.Extends() != 1 {
 		t.Errorf("Extends = %d, want 1", store.Extends())
 	}
-	assertIndexEqual(t, ixcache.Prepare(grown, opts).Ix, p.Ix)
+	assertIndexEqual(t, index.Build(grown, opts), p)
 	if p.Bank != grown {
 		t.Error("extended index not bound to the requesting bank")
 	}
@@ -85,7 +85,7 @@ func TestDirStorePrefixExtend(t *testing.T) {
 	if store2.Extends() != 0 {
 		t.Errorf("second process extended (%d) instead of exact-hitting", store2.Extends())
 	}
-	assertIndexEqual(t, ixcache.Prepare(grown2, opts).Ix, p2.Ix)
+	assertIndexEqual(t, index.Build(grown2, opts), p2)
 }
 
 // TestDirStorePrefixPicksLongest: with several stored prefixes the
@@ -100,7 +100,7 @@ func TestDirStorePrefixPicksLongest(t *testing.T) {
 	}
 	defer store.Close()
 	for _, k := range []int{2, 4, 5} {
-		if err := store.Save(ixcache.Prepare(bank.New("db", recs[:k]), opts)); err != nil {
+		if err := store.Save(index.Build(bank.New("db", recs[:k]), opts)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestDirStorePrefixPicksLongest(t *testing.T) {
 	if err != nil || p == nil {
 		t.Fatalf("prefix load: %v, %v", p, err)
 	}
-	assertIndexEqual(t, ixcache.Prepare(grown, opts).Ix, p.Ix)
+	assertIndexEqual(t, index.Build(grown, opts), p)
 }
 
 // TestDirStorePrefixGuards: extension must not fire across option
@@ -128,7 +128,7 @@ func TestDirStorePrefixGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := store.Save(ixcache.Prepare(bank.New("db", recs[:3]), opts)); err != nil {
+	if err := store.Save(index.Build(bank.New("db", recs[:3]), opts)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,7 +190,7 @@ func TestDirStorePrefixThroughCache(t *testing.T) {
 	if store.Extends() != 1 {
 		t.Errorf("Extends = %d, want 1", store.Extends())
 	}
-	assertIndexEqual(t, ixcache.Prepare(grown, opts).Ix, p.Ix)
+	assertIndexEqual(t, index.Build(grown, opts), p)
 }
 
 // TestVersion1Rejected pins the migration contract: a file in the old
@@ -231,7 +231,7 @@ func TestVersion1Rejected(t *testing.T) {
 	if c.Builds() != 1 || c.DiskErrors() != 1 {
 		t.Fatalf("v1 file: builds=%d diskErrs=%d, want 1/1", c.Builds(), c.DiskErrors())
 	}
-	if _, err := Load(exact, b, opts); err != nil {
+	if _, err := load(exact, b, opts); err != nil {
 		t.Fatalf("store did not heal the v1 file: %v", err)
 	}
 }
@@ -252,20 +252,20 @@ func TestPhaseNormalizationRoundTrip(t *testing.T) {
 	if p1, p2 := store.Path(b, saveOpts), store.Path(b, loadOpts); p1 != p2 {
 		t.Fatalf("normalized phases map to different paths:\n%s\n%s", p1, p2)
 	}
-	if err := store.Save(ixcache.Prepare(b, saveOpts)); err != nil {
+	if err := store.Save(index.Build(b, saveOpts)); err != nil {
 		t.Fatal(err)
 	}
 	p, err := store.Load(b, loadOpts)
 	if err != nil || p == nil {
 		t.Fatalf("load under normalized spelling: %v, %v", p, err)
 	}
-	assertIndexEqual(t, ixcache.Prepare(b, loadOpts).Ix, p.Ix)
+	assertIndexEqual(t, index.Build(b, loadOpts), p)
 	// And the out-of-range spelling loads what the in-range one saved.
-	direct, err := Load(store.Path(b, loadOpts), b, index.Options{W: 7, SampleStep: 2, SamplePhase: 5})
+	direct, err := load(store.Path(b, loadOpts), b, index.Options{W: 7, SampleStep: 2, SamplePhase: 5})
 	if err != nil {
 		t.Fatalf("phase 5 (≡1 mod 2) rejected: %v", err)
 	}
-	assertIndexEqual(t, p.Ix, direct.Ix)
+	assertIndexEqual(t, p, direct)
 }
 
 // TestStaleTempSweep is the satellite regression test: litter from a
@@ -326,7 +326,7 @@ func gcStoreWithFiles(t *testing.T, dir string, count int) (*DirStore, []string)
 	paths := make([]string, count)
 	for i := 0; i < count; i++ {
 		b := genBank(t, fmt.Sprintf("gc%d", i), 1024+i)
-		if err := store.Save(ixcache.Prepare(b, index.Options{W: 6})); err != nil {
+		if err := store.Save(index.Build(b, index.Options{W: 6})); err != nil {
 			t.Fatal(err)
 		}
 		paths[i] = store.Path(b, index.Options{W: 6})
@@ -416,7 +416,7 @@ func TestMemoHitTouchesBackingFile(t *testing.T) {
 	}
 	defer store.Close()
 	stored := store.Path(prefix, opts)
-	if err := Save(stored, ixcache.Prepare(prefix, opts)); err != nil {
+	if err := Save(stored, index.Build(prefix, opts)); err != nil {
 		t.Fatal(err)
 	}
 	store.SetSavePolicy(SavePolicy{DBOnly: true})
@@ -466,7 +466,7 @@ func TestGCRunsOnSave(t *testing.T) {
 	}
 	defer store.Close()
 	store.SetGC(GCConfig{MaxBytes: 1}) // nothing fits
-	if err := store.Save(ixcache.Prepare(genBank(t, "auto", 2048), index.Options{W: 6})); err != nil {
+	if err := store.Save(index.Build(genBank(t, "auto", 2048), index.Options{W: 6})); err != nil {
 		t.Fatal(err)
 	}
 	if got := storeBytes(t, dir); got > 1 {
@@ -488,10 +488,10 @@ func TestSavePolicy(t *testing.T) {
 		query := genBank(t, "query", 2048)
 		store.MarkDB(db)
 
-		if err := store.Save(ixcache.Prepare(db, index.Options{W: 8})); err != nil {
+		if err := store.Save(index.Build(db, index.Options{W: 8})); err != nil {
 			t.Fatalf("db bank declined: %v", err)
 		}
-		err = store.Save(ixcache.Prepare(query, index.Options{W: 8}))
+		err = store.Save(index.Build(query, index.Options{W: 8}))
 		if !errors.Is(err, ixcache.ErrSaveDeclined) {
 			t.Fatalf("query bank save: %v, want ErrSaveDeclined", err)
 		}
@@ -511,15 +511,15 @@ func TestSavePolicy(t *testing.T) {
 		store.SetSavePolicy(SavePolicy{MinBases: 3000})
 		big := genBank(t, "big", 4096)
 		small := genBank(t, "small", 1024)
-		if err := store.Save(ixcache.Prepare(big, index.Options{W: 8})); err != nil {
+		if err := store.Save(index.Build(big, index.Options{W: 8})); err != nil {
 			t.Fatalf("large bank declined: %v", err)
 		}
-		if err := store.Save(ixcache.Prepare(small, index.Options{W: 8})); !errors.Is(err, ixcache.ErrSaveDeclined) {
+		if err := store.Save(index.Build(small, index.Options{W: 8})); !errors.Is(err, ixcache.ErrSaveDeclined) {
 			t.Fatalf("small bank save: %v, want ErrSaveDeclined", err)
 		}
 		// MarkDB overrides the size floor.
 		store.MarkDB(small)
-		if err := store.Save(ixcache.Prepare(small, index.Options{W: 8})); err != nil {
+		if err := store.Save(index.Build(small, index.Options{W: 8})); err != nil {
 			t.Fatalf("marked db bank declined: %v", err)
 		}
 	})
@@ -551,7 +551,7 @@ func TestMemoMapsBounded(t *testing.T) {
 	const churn = memoBound*2 + 10
 	for i := 0; i < churn; i++ {
 		b := genBank(t, fmt.Sprintf("churn%d", i), 512+i)
-		if err := store.Save(ixcache.Prepare(b, opts)); err != nil {
+		if err := store.Save(index.Build(b, opts)); err != nil {
 			t.Fatal(err)
 		}
 		if p, err := store.Load(b, opts); err != nil || p == nil {
@@ -559,8 +559,8 @@ func TestMemoMapsBounded(t *testing.T) {
 		}
 	}
 	store.mu.Lock()
-	nCRC, nLoaded := len(store.bankCRCs), len(store.loaded)
-	nOrderC, nOrderL := len(store.crcOrder), len(store.ldOrder)
+	nCRC, nLoaded := len(store.bankCRCs.m), len(store.loaded.m)
+	nOrderC, nOrderL := len(store.bankCRCs.order), len(store.loaded.order)
 	store.mu.Unlock()
 	if nCRC > memoBound || nOrderC > memoBound {
 		t.Errorf("bankCRCs grew to %d entries (order %d), bound is %d", nCRC, nOrderC, memoBound)

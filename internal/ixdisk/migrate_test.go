@@ -9,6 +9,7 @@ package ixdisk
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/bank"
+	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/index"
 	"repro/internal/ixcache"
@@ -67,11 +69,11 @@ func assertRetired(t *testing.T, fixture string) {
 	if info, err := Probe(exact); err != nil || info.Version != formatVersion {
 		t.Fatalf("store did not overwrite %s with a current-format file: %+v, %v", fixture, info, err)
 	}
-	loaded, err := Load(exact, b, opts)
+	loaded, err := load(exact, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIndexEqual(t, p.Ix, loaded.Ix)
+	assertIndexEqual(t, p, loaded)
 }
 
 // TestLegacyV2Rejected: the monolithic v2 layout, against the file the
@@ -97,10 +99,12 @@ func TestLegacyV3Rejected(t *testing.T) {
 	loadBoth(t, relabelled, b, opts, ErrTruncated)
 }
 
-// TestPathStable pins the filename a (bank, options) key maps to, to
-// the literal the previous release produced for the same key: the name
-// is a hash of a frozen byte layout, so a store written before this
-// change is still an exact hit after it.
+// TestPathStable pins both frozen places an index.Key is written — the
+// filename key a (bank, options) pair hashes to and the 48-byte header
+// Save writes — to the literals an earlier release produced for the same
+// keys: one with dust off and no sampling, one with dust on and a
+// sampling phase, so a field the key packer shifts shows here instead of
+// turning every stored file cold.
 func TestPathStable(t *testing.T) {
 	store, err := NewDirStore(t.TempDir())
 	if err != nil {
@@ -111,6 +115,24 @@ func TestPathStable(t *testing.T) {
 	const want = "legacy-5593a86b4d3cbcb6.orix"
 	if got := filepath.Base(store.Path(b, opts)); got != want {
 		t.Errorf("Path = %s, want %s — every stored file would go cold", got, want)
+	}
+
+	sampled := index.Options{W: 4, Dust: dust.New(16, 1.5), SampleStep: 2, SamplePhase: 1}
+	const wantSampled = "legacy-df9d009a2168b229.orix"
+	path := store.Path(b, sampled)
+	if got := filepath.Base(path); got != wantSampled {
+		t.Errorf("Path = %s, want %s — every stored file would go cold", got, wantSampled)
+	}
+	if err := Save(path, index.Build(b, sampled)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantHeader = "4f5249534958444204000000300000000400000002000000010000000100000010000000000000000000f83f883d9a34"
+	if got := hex.EncodeToString(data[:headerSize]); got != wantHeader {
+		t.Errorf("header = %s, want %s — every stored file would be rejected", got, wantHeader)
 	}
 }
 
@@ -152,7 +174,7 @@ func TestV3AppendInPlace(t *testing.T) {
 	if store.Extends() != 1 || store.BlockAppends() != 1 {
 		t.Errorf("Extends/BlockAppends = %d/%d, want 1/1", store.Extends(), store.BlockAppends())
 	}
-	assertIndexEqual(t, ixcache.Prepare(grown, opts).Ix, p.Ix)
+	assertIndexEqual(t, index.Build(grown, opts), p)
 
 	if _, err := os.Stat(oldPath); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("old path still exists after in-place append rename: %v", err)
@@ -193,7 +215,7 @@ func TestV3AppendInPlace(t *testing.T) {
 	if store2.Extends() != 0 {
 		t.Errorf("second store extended (%d) instead of exact-hitting", store2.Extends())
 	}
-	assertIndexEqual(t, ixcache.Prepare(grown2, opts).Ix, p2.Ix)
+	assertIndexEqual(t, index.Build(grown2, opts), p2)
 }
 
 // TestPreAppendBankIsCleanMiss: the lineage runs one way. Once a stored
@@ -208,7 +230,7 @@ func TestPreAppendBankIsCleanMiss(t *testing.T) {
 	grown := bank.New("db", recs)
 	opts := index.Options{W: 8}
 	store := openStore(t, dir)
-	if err := store.Save(ixcache.Prepare(short, opts)); err != nil {
+	if err := store.Save(index.Build(short, opts)); err != nil {
 		t.Fatal(err)
 	}
 	if p, err := store.Load(grown, opts); err != nil || p == nil {
@@ -239,7 +261,7 @@ func TestPreAppendBankIsCleanMiss(t *testing.T) {
 		t.Errorf("the miss touched the lineage: Extends/BlockAppends/BlockLoads = %d/%d/%d, want 1/1/%d",
 			store.Extends(), store.BlockAppends(), store.BlockLoads(), loads)
 	}
-	assertIndexEqual(t, ixcache.Prepare(again, opts).Ix, p.Ix)
+	assertIndexEqual(t, index.Build(again, opts), p)
 	if info, err := Probe(store.Path(again, opts)); err != nil || info.NumSeqs != again.NumSeqs() || len(info.Blocks) != 1 {
 		t.Errorf("the build was not saved under its own key: %+v, %v", info, err)
 	}
@@ -307,7 +329,7 @@ func TestHostileV3Files(t *testing.T) {
 			// re-seal the footer CRC so only the structural check can
 			// object.
 			fs := footerStart(buf)
-			ftr, err := parseFooterV3(buf[fs:], int64(len(buf)))
+			ftr, err := parseFooter(buf[fs:], int64(len(buf)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +341,7 @@ func TestHostileV3Files(t *testing.T) {
 		}, ErrTruncated},
 		"dirSeqGap": {func(t *testing.T, buf []byte) []byte {
 			fs := footerStart(buf)
-			ftr, err := parseFooterV3(buf[fs:], int64(len(buf)))
+			ftr, err := parseFooter(buf[fs:], int64(len(buf)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,12 +351,12 @@ func TestHostileV3Files(t *testing.T) {
 			return buf
 		}, ErrTruncated},
 		"blockCRCFlip": {func(t *testing.T, buf []byte) []byte {
-			buf[headerSizeV3+blockHdrSize] ^= 0x01 // first section byte of block 0
+			buf[headerSize+blockHdrSize] ^= 0x01 // first section byte of block 0
 			return buf
 		}, ErrChecksum},
 		"blockRangeLie": {func(t *testing.T, buf []byte) []byte {
 			// Block header disagrees with the (resealed) directory.
-			buf[headerSizeV3+8] ^= 0x01 // block 0 seqLo
+			buf[headerSize+8] ^= 0x01 // block 0 seqLo
 			return buf
 		}, ErrChecksum},
 		"headerCRCFlip": {func(t *testing.T, buf []byte) []byte {
@@ -377,17 +399,17 @@ func resealFooter(buf []byte, fs int) {
 func TestCraftedPositionsRejected(t *testing.T) {
 	b := genBank(t, "crafted", 2048)
 	opts := index.Options{W: 8}
-	built := ixcache.Prepare(b, opts)
+	built := index.Build(b, opts)
 	_, r1End := b.SeqBounds(0)
 	for name, pos := range map[string]int32{
 		"straddles-sentinel": r1End - 3,
 		"runs-off-the-bank":  int32(len(b.Data)) - 2,
-		"another-code":       built.Ix.Pos[built.Ix.Offsets[1]],
+		"another-code":       built.Pos[built.Offsets[1]],
 	} {
 		t.Run(name, func(t *testing.T) {
 			path, buf := saveValid(t, b, opts)
 			fs := len(buf) - int(binary.LittleEndian.Uint32(buf[len(buf)-12:]))
-			ftr, err := parseFooterV3(buf[fs:], int64(len(buf)))
+			ftr, err := parseFooter(buf[fs:], int64(len(buf)))
 			if err != nil || len(ftr.dir) != 1 {
 				t.Fatalf("want a single-block file: %v", err)
 			}
@@ -402,12 +424,12 @@ func TestCraftedPositionsRejected(t *testing.T) {
 			if err := os.WriteFile(path, buf, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, errL := Load(path, b, opts)
-			_, m, errM := LoadMapped(path, b, opts)
+			_, errL := load(path, b, opts)
+			_, m, errM := loadMapped(path, b, opts)
 			if m != nil {
 				m.Close()
 			}
-			for which, err := range map[string]error{"Load": errL, "LoadMapped": errM} {
+			for which, err := range map[string]error{"copying load": errL, "mapped load": errM} {
 				if err == nil || !strings.Contains(err.Error(), "window") {
 					t.Errorf("%s of a resealed file with a crafted position: %v, want the window check's rejection", which, err)
 				}
@@ -416,7 +438,7 @@ func TestCraftedPositionsRejected(t *testing.T) {
 	}
 }
 
-// TestMultiBlockMappedFallback: LoadMapped on a multi-block file
+// TestMultiBlockMappedFallback: the mapped load of a multi-block file
 // returns a valid index that owns its arrays and a non-mapped Mapping —
 // and gets there with one copy of the payload: the mapped blocks are
 // merged straight into fresh arrays, where the copying reader first
@@ -428,28 +450,28 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 	b := genBank(t, "mb", 1<<17)
 	opts := index.Options{W: 8}
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
-	built := ixcache.Prepare(b, opts)
+	built := index.Build(b, opts)
 	saveTiled(t, path, b, opts, 1)
 	if info, err := Probe(path); err != nil || len(info.Blocks) != 3 {
 		t.Fatalf("stored file: %+v, %v — want 3 blocks", info, err)
 	}
-	allocated := func(load func()) uint64 {
+	allocated := func(run func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		load()
+		run()
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	copied := allocated(func() {
-		if _, err := Load(path, b, opts); err != nil {
+		if _, err := load(path, b, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	var p *ixcache.Prepared
+	var p *index.Index
 	var m *Mapping
 	mapped := allocated(func() {
 		var err error
-		if p, m, err = LoadMapped(path, b, opts); err != nil {
+		if p, m, err = loadMapped(path, b, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -462,19 +484,19 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mmapSupported && nativeLittleEndian && mapped+3*uint64(fi.Size())/2 > copied {
-		t.Errorf("LoadMapped of a %d-byte multi-block file allocated %d bytes, Load %d: the mapped route still copies each block before the merge",
+		t.Errorf("the mapped load of a %d-byte multi-block file allocated %d bytes, the copying load %d: the mapped route still copies each block before the merge",
 			fi.Size(), mapped, copied)
 	}
-	if out := uint64(built.Ix.MemoryBytes()); mmapSupported && nativeLittleEndian && mapped > out+256<<10 {
-		t.Errorf("LoadMapped of a 3-block file allocated %d bytes for %d bytes of index arrays: the merge allocates beyond its output",
+	if out := uint64(built.MemoryBytes()); mmapSupported && nativeLittleEndian && mapped > out+256<<10 {
+		t.Errorf("the mapped load of a 3-block file allocated %d bytes for %d bytes of index arrays: the merge allocates beyond its output",
 			mapped, out)
 	}
-	assertIndexEqual(t, built.Ix, p.Ix)
+	assertIndexEqual(t, built, p)
 	// Independence: the merged index survives file removal.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	assertIndexEqual(t, built.Ix, p.Ix)
+	assertIndexEqual(t, built, p)
 }
 
 // TestFreshSaveIsOneBlock: a saved index is the built index — one block
@@ -484,7 +506,7 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 func TestFreshSaveIsOneBlock(t *testing.T) {
 	b := bank.New("fresh", genRecs(t, 60, 6000))
 	opts := index.Options{W: 8}
-	built := ixcache.Prepare(b, opts)
+	built := index.Build(b, opts)
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
 	if err := Save(path, built); err != nil {
 		t.Fatal(err)
@@ -498,7 +520,7 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	p, m, err := LoadMapped(path, b, opts)
+	p, m, err := loadMapped(path, b, opts)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -506,20 +528,20 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 	defer m.Close()
 	if mmapSupported && nativeLittleEndian {
 		if !m.Mapped() {
-			t.Error("LoadMapped of a fresh save did not keep its mapping")
+			t.Error("the mapped load of a fresh save did not keep its mapping")
 		}
-		got, max := after.TotalAlloc-before.TotalAlloc, uint64(4*(len(built.Ix.Codes)+1)+256<<10)
+		got, max := after.TotalAlloc-before.TotalAlloc, uint64(4*(len(built.Codes)+1)+256<<10)
 		if got > max {
-			t.Errorf("LoadMapped allocated %d bytes, want ≤ 4·(|Codes|+1) + 256 KB = %d (Pos alone is %d)",
-				got, max, 4*len(built.Ix.Pos))
+			t.Errorf("the mapped load allocated %d bytes, want ≤ 4·(|Codes|+1) + 256 KB = %d (Pos alone is %d)",
+				got, max, 4*len(built.Pos))
 		}
 	}
-	assertIndexEqual(t, built.Ix, p.Ix)
-	copied, err := Load(path, b, opts)
+	assertIndexEqual(t, built, p)
+	copied, err := load(path, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIndexEqual(t, built.Ix, copied.Ix)
+	assertIndexEqual(t, built, copied)
 }
 
 // TestOlderSaveLayoutLoads: Save used to cut a fresh index every 4,096
@@ -536,18 +558,18 @@ func TestOlderSaveLayoutLoads(t *testing.T) {
 	if info, err := Probe(path); err != nil || len(info.Blocks) != 2 {
 		t.Fatalf("stored file: %+v, %v — want 2 blocks", info, err)
 	}
-	want := ixcache.Prepare(grown, opts).Ix
-	copied, err := Load(path, grown, opts)
+	want := index.Build(grown, opts)
+	copied, err := load(path, grown, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIndexEqual(t, want, copied.Ix)
-	mapped, m, err := LoadMapped(path, grown, opts)
+	assertIndexEqual(t, want, copied)
+	mapped, m, err := loadMapped(path, grown, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	assertIndexEqual(t, want, mapped.Ix)
+	assertIndexEqual(t, want, mapped)
 }
 
 // TestProbeMetadata: the probe reports version, identity, and the block
@@ -568,7 +590,7 @@ func TestProbeMetadata(t *testing.T) {
 		info.NumSeqs != b.NumSeqs() {
 		t.Errorf("identity %+v does not match bank", info)
 	}
-	if !ixcache.SameKey(info.Opts, opts) {
+	if info.Opts.Key() != opts.Key() {
 		t.Errorf("options %+v do not key-match", info.Opts)
 	}
 	for i, sum := range b.SeqChecksums() {

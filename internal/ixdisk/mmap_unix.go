@@ -7,8 +7,8 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates the zero-copy LoadMapped path; on unsupported
-// platforms LoadMapped degrades to the copying Load.
+// mmapSupported gates the zero-copy mapped load; on unsupported
+// platforms a DirStore loads by copying.
 const mmapSupported = true
 
 // mmapFile maps size bytes of f read-only and private: the index never

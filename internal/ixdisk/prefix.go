@@ -40,11 +40,11 @@ type probeResult struct {
 
 // compatPrefix decides from probed metadata alone whether the file at
 // info could be an extension base for (b, opts): it records a strict
-// prefix of b, k sequences long. extendV3 re-validates everything; this
+// prefix of b, k sequences long. extend re-validates everything; this
 // only prunes the candidate list.
 func compatPrefix(info *FileInfo, b *bank.Bank, opts index.Options) (k int, ok bool) {
 	k = info.NumSeqs
-	if !ixcache.SameKey(info.Opts, opts) || k < 1 || k >= b.NumSeqs() || info.DataLen != int64(b.PrefixLen(k)) {
+	if info.Opts.Key() != opts.Key() || k < 1 || k >= b.NumSeqs() || info.DataLen != int64(b.PrefixLen(k)) {
 		return 0, false
 	}
 	sums := b.SeqChecksums()
@@ -92,7 +92,7 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 	return out
 }
 
-// extendV3 completes a stored prefix file into the full index for
+// extend completes a stored prefix file into the full index for
 // (b, opts): decode the stored blocks (each CRC-checked) against the
 // grown bank — block coordinates are append-stable, so they are valid
 // verbatim — build one block over the appended suffix, and reassemble.
@@ -102,8 +102,9 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 // nothing. A mapped store reads the stored blocks in place: the merge
 // copies them into arrays the index owns, so the mapping is gone before
 // the file is written to.
-func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options) (*ixcache.Prepared, *index.BlockParts, *footerV3, error) {
-	x, err := openIndexFile(path, &opts)
+func (s *DirStore) extend(path string, b *bank.Bank, opts index.Options) (*index.Index, *index.BlockParts, *footer, error) {
+	key := opts.Key()
+	x, err := openIndexFile(path, &key)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -133,27 +134,27 @@ func (s *DirStore) extendV3(path string, b *bank.Bank, opts index.Options) (*ixc
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	p, err := x.prepare(b, append(blocks, suffix))
+	ix, err := index.FromBlocks(b, opts, append(blocks, suffix))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return p, &suffix, x.ftr, nil
+	return ix, &suffix, x.ftr, nil
 }
 
 // loadViaPrefix is the exact-miss fallback of DirStore.Load: complete
 // the longest stored prefix of (b, opts) and persist the result. A clean
 // (nil, nil) miss when no candidate survives — never an error, reuse is
 // best-effort.
-func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath string) (*ixcache.Prepared, error) {
+func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath string) (*index.Index, error) {
 	for _, cand := range s.prefixCandidates(b, opts, exactPath) {
-		p, suffix, ftr, err := s.extendV3(cand.path, b, opts)
+		ix, suffix, ftr, err := s.extend(cand.path, b, opts)
 		if err != nil {
 			continue
 		}
 		s.extends.Add(1)
-		backing := s.persistAppend(cand.path, exactPath, p, suffix, ftr)
-		s.memoize(exactPath, backing, b, p, nil)
-		return p, nil
+		backing := s.persistAppend(cand.path, exactPath, ix, suffix, ftr)
+		s.memoize(exactPath, backing, ix, nil)
+		return ix, nil
 	}
 	return nil, nil
 }
@@ -167,18 +168,18 @@ func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath str
 // that is counted (WriteBackErrors) so a store that can no longer be
 // written doesn't read as healthy. It returns the path now backing the
 // index: exactPath once written, else the untouched oldPath.
-func (s *DirStore) persistAppend(oldPath, exactPath string, p *ixcache.Prepared, suffix *index.BlockParts, ftr *footerV3) string {
+func (s *DirStore) persistAppend(oldPath, exactPath string, ix *index.Index, suffix *index.BlockParts, ftr *footer) string {
 	s.mu.Lock()
 	pol := s.policy
-	isDB := s.dbBanks[p.Bank]
+	_, isDB := s.dbBanks.get(ix.Bank)
 	gcCfg := s.gcCfg
 	s.mu.Unlock()
-	if !pol.allows(p.Bank, isDB) {
+	if !pol.allows(ix.Bank, isDB) {
 		s.savesDeclined.Add(1)
 		return oldPath
 	}
-	if err := appendBlockAt(oldPath, exactPath, p.Bank, suffix, ftr); err != nil {
-		if err := s.Save(p); err != nil {
+	if err := appendBlockAt(oldPath, exactPath, ix.Bank, suffix, ftr); err != nil {
+		if err := s.Save(ix); err != nil {
 			if !errors.Is(err, ixcache.ErrSaveDeclined) {
 				s.writeBackErrs.Add(1)
 			}

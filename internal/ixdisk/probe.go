@@ -31,7 +31,7 @@ type FileInfo struct {
 	// Version is the format version — always 4, the only one Probe
 	// accepts.
 	Version int
-	// Opts is the recorded index options key.
+	// Opts is the recorded index key, as options that build it.
 	Opts index.Options
 	// BankCRC, DataLen, NumSeqs identify the recorded bank.
 	BankCRC uint64
@@ -64,7 +64,7 @@ func Probe(path string) (*FileInfo, error) {
 	ftr := x.ftr
 	info := &FileInfo{
 		Version:    formatVersion,
-		Opts:       x.hdr.indexOptions(),
+		Opts:       x.key.Options(),
 		BankCRC:    ftr.bankCRC,
 		DataLen:    int64(ftr.dataLen),
 		NumSeqs:    int(ftr.numSeqs),

@@ -2,13 +2,13 @@ package ixdisk
 
 // The .orix codec: block-structured index files, format version 4 —
 // the only version this package reads or writes. The framing (header,
-// blocks, footer — the "V3" of the identifiers below) dates from
-// version 3; version 4 is version 3 minus the three per-occurrence
-// sidecar sections, so a block stores positions only.
+// blocks, footer) dates from version 3; version 4 is version 3 minus
+// the three per-occurrence sidecar sections, so a block stores
+// positions only.
 //
 // # File layout
 //
-//	header (48 bytes)   magic, version, header size, options key, CRC
+//	header (48 bytes)   magic, version, header size, index key, CRC
 //	block+              CSR slices over runs of sequences, 8-byte aligned
 //	footer              bank identity, per-sequence checksums, block
 //	                    directory, CRC, self-locating trailer
@@ -19,8 +19,8 @@ package ixdisk
 // 64-byte block header, the three 4-byte-element
 // sections (Codes, Counts, Pos), a CRC-32C over header + sections, and
 // zero padding to an 8-byte boundary — so every section is 4-byte
-// aligned from any page-aligned base and LoadMapped can alias them. The
-// (code, count) directory is the index's own sorted directory with
+// aligned from any page-aligned base and a mapped load can alias them.
+// The (code, count) directory is the index's own sorted directory with
 // counts where the index keeps offsets, so readers materialize nothing
 // sized by 4^W — a prefix sum over the counts is the whole of it.
 //
@@ -55,7 +55,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -64,9 +63,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 	"repro/internal/seed"
 )
 
@@ -75,7 +72,7 @@ import (
 const (
 	magic         = "ORISIXDB"
 	formatVersion = 4
-	headerSizeV3  = 48
+	headerSize    = 48
 	blockMagic    = "ORIXBLK1"
 	footerMagic   = "ORIXFTR1"
 	endMagic      = "ORIXEND1"
@@ -85,101 +82,90 @@ const (
 	trailerSize   = 16 // footerCRC + footerLen + endMagic
 )
 
-// optionsHeader is the decoded v3 fixed header: the options key alone.
-// Bank identity lives in the footer, which is rewritten on append —
-// the header is written once and never touched again.
-type optionsHeader struct {
-	w           uint32
-	sampleStep  uint32
-	samplePhase uint32
-	dustOn      uint32
-	dustWindow  uint32
-	dustThresh  uint64
+// keySize is the length of an index.Key as putKey writes it: W,
+// SampleStep, SamplePhase, dust on/off and dust window as 4-byte words,
+// then the dust threshold's float64 bits — little-endian. The header
+// holds one (bytes 16–44) and so does the filename key DirStore hashes
+// (DirStore.Path, bytes 20–48), so the layout is frozen twice over: a
+// change would reject every stored file and rename it too.
+const keySize = 28
+
+// putKey writes k into dst[:keySize].
+func putKey(dst []byte, k index.Key) {
+	var dustOn uint32
+	if k.Dust {
+		dustOn = 1
+	}
+	binary.LittleEndian.PutUint32(dst[0:], uint32(k.W))
+	binary.LittleEndian.PutUint32(dst[4:], uint32(k.SampleStep))
+	binary.LittleEndian.PutUint32(dst[8:], uint32(k.SamplePhase))
+	binary.LittleEndian.PutUint32(dst[12:], dustOn)
+	binary.LittleEndian.PutUint32(dst[16:], uint32(k.DustWindow))
+	binary.LittleEndian.PutUint64(dst[20:], math.Float64bits(k.DustThreshold))
 }
 
-func (h *optionsHeader) indexOptions() index.Options {
-	o := index.Options{
-		W:           int(h.w),
-		SampleStep:  int(h.sampleStep),
-		SamplePhase: int(h.samplePhase),
+// getKey reads the key putKey wrote into src[:keySize].
+func getKey(src []byte) index.Key {
+	return index.Key{
+		W:             int(binary.LittleEndian.Uint32(src[0:])),
+		SampleStep:    int(binary.LittleEndian.Uint32(src[4:])),
+		SamplePhase:   int(binary.LittleEndian.Uint32(src[8:])),
+		Dust:          binary.LittleEndian.Uint32(src[12:]) != 0,
+		DustWindow:    int(binary.LittleEndian.Uint32(src[16:])),
+		DustThreshold: math.Float64frombits(binary.LittleEndian.Uint64(src[20:])),
 	}
-	if h.dustOn != 0 {
-		o.Dust = dust.New(int(h.dustWindow), math.Float64frombits(h.dustThresh))
-	}
-	return o
 }
 
-// checkOptionsKey verifies the recorded options against the requesting
-// ones through the same projection the in-memory cache uses.
+// checkKey verifies the key a file records against the requesting one.
 //
 //scorislint:validator
-func (h *optionsHeader) checkOptionsKey(opts index.Options) error {
-	if !ixcache.SameKey(h.indexOptions(), opts) {
-		o := opts.Normalized()
+func checkKey(got, want index.Key) error {
+	if got != want {
 		return fmt.Errorf("ixdisk: %w: file built with W=%d step=%d/%d dust=%v, "+
 			"requested W=%d step=%d/%d dust=%v",
-			ErrKeyMismatch, h.w, h.sampleStep, h.samplePhase, h.dustOn != 0,
-			o.W, o.SampleStep, o.SamplePhase, o.Dust != nil)
+			ErrKeyMismatch, got.W, got.SampleStep, got.SamplePhase, got.Dust,
+			want.W, want.SampleStep, want.SamplePhase, want.Dust)
 	}
 	return nil
 }
 
-// encodeHeaderV3 serializes the fixed header for opts.
-func encodeHeaderV3(opts index.Options) []byte {
-	o := opts.Normalized()
-	hdr := make([]byte, headerSizeV3)
+// encodeHeader serializes the fixed header for an index key.
+func encodeHeader(k index.Key) []byte {
+	hdr := make([]byte, headerSize)
 	copy(hdr[0:8], magic)
 	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], headerSizeV3)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(o.W))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(o.SampleStep))
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(o.SamplePhase))
-	var dustOn, dw uint32
-	var dt uint64
-	if o.Dust != nil {
-		dustOn = 1
-		dw = uint32(o.Dust.Window)
-		dt = math.Float64bits(o.Dust.Threshold)
-	}
-	binary.LittleEndian.PutUint32(hdr[28:], dustOn)
-	binary.LittleEndian.PutUint32(hdr[32:], dw)
-	binary.LittleEndian.PutUint64(hdr[36:], dt)
+	binary.LittleEndian.PutUint32(hdr[12:], headerSize)
+	putKey(hdr[16:], k)
 	binary.LittleEndian.PutUint32(hdr[44:], crc32.Checksum(hdr[:44], crc32Table))
 	return hdr
 }
 
-// decodeHeaderV3 parses and checks the fixed header, and is the single
-// version gate: a file of any other format version is rejected here
-// with ErrVersion before anything else in it is interpreted. The header
-// CRC makes the options key self-validating — a flipped dust bit cannot
-// silently serve an index built under different options.
+// decodeHeader parses and checks the fixed header and returns the index
+// key it records. It is the single version gate: a file of any other
+// format version is rejected here with ErrVersion before anything else
+// in it is interpreted. The header CRC makes the key self-validating —
+// a flipped dust bit cannot silently serve an index built under
+// different options.
 //
 //scorislint:validator
-func decodeHeaderV3(buf []byte) (*optionsHeader, error) {
-	if len(buf) < headerSizeV3 {
-		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the %d-byte v3 header",
-			ErrTruncated, len(buf), headerSizeV3)
+func decodeHeader(buf []byte) (index.Key, error) {
+	if len(buf) < headerSize {
+		return index.Key{}, fmt.Errorf("ixdisk: %w: %d bytes is below the %d-byte header",
+			ErrTruncated, len(buf), headerSize)
 	}
 	if string(buf[0:8]) != magic {
-		return nil, fmt.Errorf("ixdisk: %w: got %q", ErrBadMagic, buf[0:8])
+		return index.Key{}, fmt.Errorf("ixdisk: %w: got %q", ErrBadMagic, buf[0:8])
 	}
 	if v := binary.LittleEndian.Uint32(buf[8:]); v != formatVersion {
-		return nil, fmt.Errorf("ixdisk: %w: file is version %d, reader supports %d", ErrVersion, v, formatVersion)
+		return index.Key{}, fmt.Errorf("ixdisk: %w: file is version %d, reader supports %d", ErrVersion, v, formatVersion)
 	}
-	if hs := binary.LittleEndian.Uint32(buf[12:]); hs != headerSizeV3 {
-		return nil, fmt.Errorf("ixdisk: %w: v3 header size %d, want %d", ErrVersion, hs, headerSizeV3)
+	if hs := binary.LittleEndian.Uint32(buf[12:]); hs != headerSize {
+		return index.Key{}, fmt.Errorf("ixdisk: %w: header size %d, want %d", ErrVersion, hs, headerSize)
 	}
 	if want := binary.LittleEndian.Uint32(buf[44:]); crc32.Checksum(buf[:44], crc32Table) != want {
-		return nil, fmt.Errorf("ixdisk: %w: v3 header CRC mismatch", ErrChecksum)
+		return index.Key{}, fmt.Errorf("ixdisk: %w: header CRC mismatch", ErrChecksum)
 	}
-	return &optionsHeader{
-		w:           binary.LittleEndian.Uint32(buf[16:]),
-		sampleStep:  binary.LittleEndian.Uint32(buf[20:]),
-		samplePhase: binary.LittleEndian.Uint32(buf[24:]),
-		dustOn:      binary.LittleEndian.Uint32(buf[28:]),
-		dustWindow:  binary.LittleEndian.Uint32(buf[32:]),
-		dustThresh:  binary.LittleEndian.Uint64(buf[36:]),
-	}, nil
+	return getKey(buf[16:]), nil
 }
 
 // dirEntry is one footer directory row: where a block lives and what
@@ -192,9 +178,9 @@ type dirEntry struct {
 	crc            uint32
 }
 
-// footerV3 is the decoded footer: the bank identity and the block
+// footer is the decoded footer: the bank identity and the block
 // directory — everything the probe and the append need.
-type footerV3 struct {
+type footer struct {
 	bankCRC uint64
 	dataLen uint64
 	numSeqs uint32
@@ -203,13 +189,13 @@ type footerV3 struct {
 	start   int64 // file offset the footer begins at
 }
 
-func (f *footerV3) seqSum(i int) uint64 {
+func (f *footer) seqSum(i int) uint64 {
 	return binary.LittleEndian.Uint64(f.seqSums[8*i:])
 }
 
-// encodeFooterV3 serializes the footer (trailer included) for a bank
+// encodeFooter serializes the footer (trailer included) for a bank
 // identity and block directory.
-func encodeFooterV3(bankCRC uint64, dataLen uint64, seqSums []uint64, dir []dirEntry) []byte {
+func encodeFooter(bankCRC uint64, dataLen uint64, seqSums []uint64, dir []dirEntry) []byte {
 	flen := footerFixed + 8*len(seqSums) + dirEntSize*len(dir) + trailerSize
 	f := make([]byte, flen)
 	copy(f[0:8], footerMagic)
@@ -238,7 +224,7 @@ func encodeFooterV3(bankCRC uint64, dataLen uint64, seqSums []uint64, dir []dirE
 	return f
 }
 
-// parseFooterV3 decodes and validates the footer given the file's
+// parseFooter decodes and validates the footer given the file's
 // trailing bytes (tail must reach back to at least the footer start;
 // fileSize locates offsets). Beyond framing and CRC it enforces the
 // structural directory invariants every reader depends on: blocks
@@ -249,30 +235,30 @@ func encodeFooterV3(bankCRC uint64, dataLen uint64, seqSums []uint64, dir []dirE
 // block byte is touched.
 //
 //scorislint:validator
-func parseFooterV3(tail []byte, fileSize int64) (*footerV3, error) {
+func parseFooter(tail []byte, fileSize int64) (*footer, error) {
 	if len(tail) < trailerSize {
-		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the %d-byte v3 trailer",
+		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the %d-byte trailer",
 			ErrTruncated, len(tail), trailerSize)
 	}
 	tr := tail[len(tail)-trailerSize:]
 	if string(tr[8:16]) != endMagic {
-		return nil, fmt.Errorf("ixdisk: %w: v3 end magic is %q", ErrTruncated, tr[8:16])
+		return nil, fmt.Errorf("ixdisk: %w: end magic is %q", ErrTruncated, tr[8:16])
 	}
 	flen := int64(binary.LittleEndian.Uint32(tr[4:8]))
-	if flen < footerFixed+trailerSize || flen > int64(len(tail)) || fileSize-flen < headerSizeV3 {
-		return nil, fmt.Errorf("ixdisk: %w: v3 footer claims %d bytes of a %d-byte file",
+	if flen < footerFixed+trailerSize || flen > int64(len(tail)) || fileSize-flen < headerSize {
+		return nil, fmt.Errorf("ixdisk: %w: footer claims %d bytes of a %d-byte file",
 			ErrTruncated, flen, fileSize)
 	}
 	f := tail[int64(len(tail))-flen:]
 	if string(f[0:8]) != footerMagic {
-		return nil, fmt.Errorf("ixdisk: %w: v3 footer magic is %q", ErrTruncated, f[0:8])
+		return nil, fmt.Errorf("ixdisk: %w: footer magic is %q", ErrTruncated, f[0:8])
 	}
 	want := binary.LittleEndian.Uint32(f[flen-trailerSize:])
 	if got := crc32.Checksum(f[:flen-trailerSize], crc32Table); got != want {
-		return nil, fmt.Errorf("ixdisk: %w: v3 footer computed %08x, file records %08x",
+		return nil, fmt.Errorf("ixdisk: %w: footer computed %08x, file records %08x",
 			ErrChecksum, got, want)
 	}
-	ftr := &footerV3{
+	ftr := &footer{
 		bankCRC: binary.LittleEndian.Uint64(f[8:]),
 		dataLen: binary.LittleEndian.Uint64(f[16:]),
 		numSeqs: binary.LittleEndian.Uint32(f[24:]),
@@ -280,11 +266,11 @@ func parseFooterV3(tail []byte, fileSize int64) (*footerV3, error) {
 	}
 	numBlocks := binary.LittleEndian.Uint32(f[28:])
 	if flen != int64(footerFixed)+8*int64(ftr.numSeqs)+dirEntSize*int64(numBlocks)+trailerSize {
-		return nil, fmt.Errorf("ixdisk: %w: v3 footer is %d bytes for %d sequences and %d blocks",
+		return nil, fmt.Errorf("ixdisk: %w: footer is %d bytes for %d sequences and %d blocks",
 			ErrTruncated, flen, ftr.numSeqs, numBlocks)
 	}
 	if numBlocks == 0 || ftr.numSeqs == 0 {
-		return nil, fmt.Errorf("ixdisk: %w: v3 footer records %d blocks over %d sequences",
+		return nil, fmt.Errorf("ixdisk: %w: footer records %d blocks over %d sequences",
 			ErrTruncated, numBlocks, ftr.numSeqs)
 	}
 	ftr.seqSums = f[footerFixed : footerFixed+8*int(ftr.numSeqs)]
@@ -302,20 +288,20 @@ func parseFooterV3(tail []byte, fileSize int64) (*footerV3, error) {
 		off += dirEntSize
 	}
 	// Directory invariants: contiguous tilings, back-to-back layout.
-	wantOff := uint64(headerSizeV3)
+	wantOff := uint64(headerSize)
 	var wantSeq uint32
 	wantData := ftr.dir[0].dataLo
 	for i, e := range ftr.dir {
 		if e.offset != wantOff || e.length < blockHdrSize+8 || e.length%8 != 0 {
-			return nil, fmt.Errorf("ixdisk: %w: v3 block %d at offset %d/length %d breaks the back-to-back layout",
+			return nil, fmt.Errorf("ixdisk: %w: block %d at offset %d/length %d breaks the back-to-back layout",
 				ErrTruncated, i, e.offset, e.length)
 		}
 		if e.seqLo != wantSeq || e.seqHi <= e.seqLo || e.seqHi > ftr.numSeqs {
-			return nil, fmt.Errorf("ixdisk: %w: v3 block %d covers sequences [%d,%d), expected to start at %d",
+			return nil, fmt.Errorf("ixdisk: %w: block %d covers sequences [%d,%d), expected to start at %d",
 				ErrTruncated, i, e.seqLo, e.seqHi, wantSeq)
 		}
 		if e.dataLo != wantData || e.dataHi < e.dataLo || e.dataHi > ftr.dataLen {
-			return nil, fmt.Errorf("ixdisk: %w: v3 block %d covers Data [%d,%d), expected to start at %d",
+			return nil, fmt.Errorf("ixdisk: %w: block %d covers Data [%d,%d), expected to start at %d",
 				ErrTruncated, i, e.dataLo, e.dataHi, wantData)
 		}
 		wantOff += e.length
@@ -324,7 +310,7 @@ func parseFooterV3(tail []byte, fileSize int64) (*footerV3, error) {
 	}
 	last := ftr.dir[len(ftr.dir)-1]
 	if wantSeq != ftr.numSeqs || wantData != ftr.dataLen || int64(last.offset+last.length) != ftr.start {
-		return nil, fmt.Errorf("ixdisk: %w: v3 directory covers %d/%d sequences, %d/%d bytes, blocks end at %d of %d",
+		return nil, fmt.Errorf("ixdisk: %w: directory covers %d/%d sequences, %d/%d bytes, blocks end at %d of %d",
 			ErrTruncated, wantSeq, ftr.numSeqs, wantData, ftr.dataLen, last.offset+last.length, ftr.start)
 	}
 	return ftr, nil
@@ -440,12 +426,12 @@ func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error)
 
 // writeBlocksTo streams header + blocks + footer to a writer: the whole
 // file for bank b, whose sequences the blocks tile.
-func writeBlocksTo(w io.Writer, b *bank.Bank, opts index.Options, blocks []index.BlockParts) error {
-	if _, err := w.Write(encodeHeaderV3(opts)); err != nil {
+func writeBlocksTo(w io.Writer, b *bank.Bank, k index.Key, blocks []index.BlockParts) error {
+	if _, err := w.Write(encodeHeader(k)); err != nil {
 		return err
 	}
 	dir := make([]dirEntry, len(blocks))
-	off := uint64(headerSizeV3)
+	off := uint64(headerSize)
 	for i := range blocks {
 		bp := &blocks[i]
 		length, crc, err := encodeBlock(w, bp)
@@ -460,11 +446,11 @@ func writeBlocksTo(w io.Writer, b *bank.Bank, opts index.Options, blocks []index
 		}
 		off += uint64(length)
 	}
-	_, err := w.Write(encodeFooterV3(BankChecksum(b), uint64(len(b.Data)), b.SeqChecksums(), dir))
+	_, err := w.Write(encodeFooter(BankChecksum(b), uint64(len(b.Data)), b.SeqChecksums(), dir))
 	return err
 }
 
-// Save writes p's index to path, atomically: the bytes go to a temp
+// Save writes ix to path, atomically: the bytes go to a temp
 // file in the same directory which is renamed over path only after a
 // complete write, so a concurrent reader (or a crashed writer) can never
 // observe a half-written file under the final name. There is no fsync —
@@ -474,16 +460,13 @@ func writeBlocksTo(w io.Writer, b *bank.Bank, opts index.Options, blocks []index
 // A saved index is the built index: one block over the whole bank,
 // streamed from the index's own Codes and Pos with the differences of
 // its Offsets between them — nothing is cut, regrouped or copied.
-func Save(path string, p *ixcache.Prepared) error {
-	if p == nil || p.Bank == nil || p.Ix == nil || p.Ix.Bank != p.Bank {
-		return errors.New("ixdisk: Save: inconsistent prepared value")
-	}
+func Save(path string, ix *index.Index) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPattern)
 	if err != nil {
 		return fmt.Errorf("ixdisk: Save: %w", err)
 	}
 	bw := bufio.NewWriterSize(tmp, 256<<10)
-	err = writeBlocksTo(bw, p.Bank, p.Ix.Options(), []index.BlockParts{p.Ix.Block()})
+	err = writeBlocksTo(bw, ix.Bank, ix.Options().Key(), []index.BlockParts{ix.Block()})
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -507,7 +490,7 @@ func Save(path string, p *ixcache.Prepared) error {
 // per-sequence checksums included.
 //
 //scorislint:validator
-func (f *footerV3) checkExactBank(b *bank.Bank) error {
+func (f *footer) checkExactBank(b *bank.Bank) error {
 	if f.dataLen != uint64(len(b.Data)) || f.numSeqs != uint32(b.NumSeqs()) ||
 		f.bankCRC != BankChecksum(b) {
 		return fmt.Errorf("ixdisk: %w: file indexes a different bank "+
@@ -530,7 +513,7 @@ func (f *footerV3) checkExactBank(b *bank.Bank) error {
 // stored file k sequences long under a larger b.
 //
 //scorislint:validator
-func (f *footerV3) checkPrefixSums(b *bank.Bank, k int) error {
+func (f *footer) checkPrefixSums(b *bank.Bank, k int) error {
 	if k < 1 || k > int(f.numSeqs) || k > b.NumSeqs() {
 		return fmt.Errorf("ixdisk: %w: %d-sequence prefix of a %d-sequence file against bank %q (%d)",
 			ErrKeyMismatch, k, f.numSeqs, b.Name, b.NumSeqs())
@@ -546,12 +529,12 @@ func (f *footerV3) checkPrefixSums(b *bank.Bank, k int) error {
 }
 
 // appendBlockAt writes suffix (plus a fresh footer for the grown bank
-// identity) over the old footer region of the v3 file at path, then
+// identity) over the old footer region of the file at path, then
 // renames the file to newPath — the O(suffix) append. Old block bytes
 // are never touched: the old file's header and blocks remain an
 // unchanged byte prefix of the result. Not atomic by design; a torn
 // write fails the footer checks and the store heals by rebuild.
-func appendBlockAt(path, newPath string, grown *bank.Bank, suffix *index.BlockParts, oldFtr *footerV3) error {
+func appendBlockAt(path, newPath string, grown *bank.Bank, suffix *index.BlockParts, oldFtr *footer) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return err
@@ -568,7 +551,7 @@ func appendBlockAt(path, newPath string, grown *bank.Bank, suffix *index.BlockPa
 		dataLo: uint64(suffix.DataLo), dataHi: uint64(suffix.DataHi),
 		crc: crc,
 	})
-	buf.Write(encodeFooterV3(BankChecksum(grown), uint64(len(grown.Data)), grown.SeqChecksums(), dir))
+	buf.Write(encodeFooter(BankChecksum(grown), uint64(len(grown.Data)), grown.SeqChecksums(), dir))
 	if _, err := f.WriteAt(buf.Bytes(), oldFtr.start); err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ import (
 )
 
 // FuncKey names one function or method, e.g.
-// "repro/internal/ixdisk.parseFooterV3" or
+// "repro/internal/ixdisk.parseFooter" or
 // "(*repro/internal/hsp.Extender).Extend".
 type FuncKey string
 

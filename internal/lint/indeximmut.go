@@ -4,13 +4,10 @@ import (
 	"go/ast"
 )
 
-const (
-	indexPkgPath   = "repro/internal/index"
-	ixcachePkgPath = "repro/internal/ixcache"
-)
+const indexPkgPath = "repro/internal/index"
 
 // csrSections are the index.Index arrays: Codes and Pos may alias a
-// read-only .orix mmap after LoadMapped (DESIGN.md §7), so growing,
+// read-only .orix mmap after a mapped load (DESIGN.md §7), so growing,
 // reordering, or element-writing them faults on the mapping — and on
 // any of them (Offsets, Top, Bits and Rank are derived at load, on the
 // heap) silently corrupts a cached index shared by concurrent readers.
@@ -19,13 +16,14 @@ var csrSections = map[string]bool{
 }
 
 // AnalyzerIndexImmut enforces the index reuse contract of DESIGN.md
-// §5/§7: outside their defining packages, index.Index and
-// ixcache.Prepared are immutable after construction — no field
-// assignments, and no append/copy/sort/element writes on the CSR
-// sections, which may be zero-copy views of a read-only mmap.
+// §5/§7: outside package index, an index.Index is immutable after
+// construction — no field assignments (Bank included: an index is valid
+// only for the bank it was built from), and no append/copy/sort/element
+// writes on the CSR sections, which may be zero-copy views of a
+// read-only mmap.
 var AnalyzerIndexImmut = &Analyzer{
 	Name: "indeximmut",
-	Doc:  "forbid post-construction writes to index.Index / ixcache.Prepared and any mutation of the CSR sections (they may alias a read-only mmap)",
+	Doc:  "forbid post-construction writes to index.Index and any mutation of the CSR sections (they may alias a read-only mmap)",
 	Run:  runIndexImmut,
 }
 
@@ -63,8 +61,8 @@ func sectionSelector(pkg *Package, e ast.Expr) (string, bool) {
 	return sel.Sel.Name, true
 }
 
-// checkImmutWrite flags lhs when it writes a field of index.Index or
-// ixcache.Prepared, or an element of a CSR section.
+// checkImmutWrite flags lhs when it writes a field of index.Index or an
+// element of a CSR section.
 func checkImmutWrite(pass *Pass, pkg *Package, lhs ast.Expr, what string) {
 	switch e := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
@@ -73,10 +71,7 @@ func checkImmutWrite(pass *Pass, pkg *Package, lhs ast.Expr, what string) {
 			return
 		}
 		if pkg.Path != indexPkgPath && isNamed(t, indexPkgPath, "Index") {
-			pass.Reportf(e.Pos(), "%s to index.Index.%s outside package index: a built Index is immutable and concurrent-reader-shared (DESIGN.md §5)", what, e.Sel.Name)
-		}
-		if pkg.Path != ixcachePkgPath && isNamed(t, ixcachePkgPath, "Prepared") {
-			pass.Reportf(e.Pos(), "%s to ixcache.Prepared.%s outside package ixcache: a Prepared is immutable and valid only for the exact (bank, Options) it was built from (DESIGN.md §5)", what, e.Sel.Name)
+			pass.Reportf(e.Pos(), "%s to index.Index.%s outside package index: a built Index is immutable, concurrent-reader-shared and valid only for the exact (bank, index.Key) it was built from (DESIGN.md §5)", what, e.Sel.Name)
 		}
 	case *ast.IndexExpr:
 		if pkg.Path == indexPkgPath {

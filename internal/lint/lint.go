@@ -4,7 +4,7 @@
 // by review. Each analyzer encodes one invariant (see DESIGN.md §11
 // for the analyzer ↔ contract map):
 //
-//   - indeximmut: a built index.Index / ixcache.Prepared is immutable
+//   - indeximmut: a built index.Index is immutable
 //     and may alias a read-only .orix mmap (DESIGN.md §5, §7)
 //   - atomicmix: a location touched through sync/atomic functions is
 //     never read or written non-atomically elsewhere

@@ -1,6 +1,7 @@
 // Package fixture seeds every violation class the indeximmut analyzer
 // must catch: field writes, element writes, growth, overwrite, and
-// reorder of the mmap-aliasable CSR sections, plus Prepared rebinding.
+// reorder of the mmap-aliasable CSR sections, plus rebinding an index
+// to another bank.
 package fixture
 
 import (
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 )
 
 func mutateFields(ix *index.Index) {
@@ -27,6 +27,6 @@ func mutateSections(ix *index.Index) {
 	})
 }
 
-func rebind(p *ixcache.Prepared, b *bank.Bank) {
-	p.Bank = b // want `assignment to ixcache\.Prepared\.Bank`
+func rebind(ix *index.Index, b *bank.Bank) {
+	ix.Bank = b // want `assignment to index\.Index\.Bank`
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 )
 
 // Reads of fields and sections are always fine.
@@ -21,8 +20,8 @@ func reads(ix *index.Index) int32 {
 }
 
 // Construction by composite literal is construction, not mutation.
-func construct(b *bank.Bank) *ixcache.Prepared {
-	return &ixcache.Prepared{Bank: b, Ix: index.Build(b, index.Options{W: 8})}
+func construct(b *bank.Bank) *index.Index {
+	return &index.Index{Bank: b, W: 8}
 }
 
 // Slices the caller owns may be grown and sorted freely.

@@ -10,9 +10,9 @@ package lint
 //     functions tagged //scorislint:source (the mmap window);
 //   - sinks: slice/array indexing and slice bounds computed from
 //     tainted integers, make sizes, ReadAt offsets, and the arguments
-//     of index.FromParts / FromBlocks;
+//     of index.FromBlocks;
 //   - sanitizers: functions tagged //scorislint:validator
-//     (parseFooterV3, decodeBlock, checkParts, ...). Calling one
+//     (parseFooter, decodeBlock, checkParts, ...). Calling one
 //     clears the taint of its arguments and receiver; its results are
 //     trusted; its own body is the boundary and is exempt from sink
 //     checks (hostile-file tests and fuzzers exercise it directly).
@@ -28,7 +28,7 @@ package lint
 //
 // Integer range checks (`if n > len(buf) { return err }`) clear the
 // checked integer, but nothing short of a validator clears a byte
-// buffer: deleting the parseFooterV3 call from the v3 load path makes
+// buffer: deleting the parseFooter call from the load path makes
 // every downstream directory slice a finding.
 
 import (
@@ -46,8 +46,8 @@ var AnalyzerUntrustedIx = &Analyzer{
 mmap, or the network is hostile until a validator blesses it. Sources
 are file reads, mmap windows (//scorislint:source), and HTTP bodies;
 sinks are slice indexing/bounds, make sizes, ReadAt offsets, and
-index.FromParts/FromBlocks arguments; sanitizers are the functions
-tagged //scorislint:validator (parseFooterV3, decodeBlock,
+index.FromBlocks arguments; sanitizers are the functions
+tagged //scorislint:validator (parseFooter, decodeBlock,
 checkParts, ...). A source-to-sink path that skips every validator is
 a finding, across function and package boundaries.`,
 	Annotation: `//scorislint:validator  on a function: calling it clears the taint of
@@ -413,7 +413,7 @@ func (e *taintEngine) moduleCall(call *ast.CallExpr, argExprs []ast.Expr, argTai
 		}
 	}
 
-	// index.FromParts-family sinks apply to module calls too.
+	// The index.FromBlocks sink applies to module calls too.
 	e.indexCtorSink(call, argTaint)
 	return out
 }
@@ -495,19 +495,20 @@ func isNamedOrIface(t types.Type, pkgPath string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
-// indexCtorSink flags tainted arguments to the index constructors: a
-// hostile parts/blocks layout becomes a hostile index.
+// indexCtorSink flags tainted arguments to the index constructor that
+// reassembles stored blocks: a hostile block layout becomes a hostile
+// index.
 func (e *taintEngine) indexCtorSink(call *ast.CallExpr, argTaint []uint64) {
 	fn := calleeFunc(e.info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "repro/internal/index" {
 		return
 	}
-	switch fn.Name() {
-	case "FromParts", "FromBlocks":
-		for i, t := range argTaint {
-			if t != 0 {
-				e.sink(call.Pos(), t, "index."+fn.Name()+" argument "+fmt.Sprint(i))
-			}
+	if fn.Name() != "FromBlocks" {
+		return
+	}
+	for i, t := range argTaint {
+		if t != 0 {
+			e.sink(call.Pos(), t, "index.FromBlocks argument "+fmt.Sprint(i))
 		}
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/fleet"
 	"repro/internal/gapped"
+	"repro/internal/index"
 	"repro/internal/ixcache"
 	"repro/internal/ixdisk"
 	"repro/internal/render"
@@ -117,11 +118,11 @@ func Compare(bank1, bank2 *Bank, opt Options) (*Result, error) {
 	return core.Compare(bank1, bank2, opt)
 }
 
-// Prepared pairs a bank with the immutable index built from it for one
-// exact Options derivation. A Prepared value is safe for any number of
-// concurrent readers and valid only for the (bank, options) it was
-// built from — see package ixcache for the full reuse contract.
-type Prepared = ixcache.Prepared
+// Prepared is a prepared bank: the immutable index built from it, which
+// holds the bank. It is safe for any number of concurrent readers and
+// valid only for the (bank, options) it was built from — see package
+// ixcache for the full reuse contract.
+type Prepared = index.Index
 
 // IndexCache is a concurrency-safe, size-bounded LRU of prepared banks;
 // concurrent callers share one index build per (bank, options) key.
