@@ -7,8 +7,8 @@
 //
 //	goblastn -d bankA.fasta -i bankB.fasta -o result.m8 -e 0.001 -S 1
 //
-// -i repeats: the database bank is loaded once and one search session
-// (lookup/diagonal arrays sized to the db) serves every query bank.
+// -i repeats: the database bank is loaded once and searched by every
+// query bank in turn.
 package main
 
 import (
@@ -38,7 +38,7 @@ func main() {
 		stride   = flag.Int("stride", 4, "db scan stride (classic BLASTN: 4, the packed-byte boundary)")
 		verbose  = flag.Bool("v", false, "print scan metrics to stderr")
 	)
-	flag.Var(&qPaths, "i", "query bank FASTA (repeatable — one db session serves every query bank)")
+	flag.Var(&qPaths, "i", "query bank FASTA (repeatable — the db bank is loaded once)")
 	flag.Parse()
 	if *dbPath == "" || len(qPaths) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: goblastn -d bankA.fasta -i bankB.fasta [-i bankC.fasta ...] [flags]")
@@ -60,10 +60,7 @@ func main() {
 	opt.Scoring.GapExtend = *gapExt
 	opt.ScanWord = *scanWord
 	opt.ScanStride = *stride
-
-	// One session: the db bank and its engine arrays persist across -i.
-	session, err := scoris.NewBlastnSession(db, opt)
-	fatal(err)
+	fatal(opt.Validate())
 
 	// Buffered, checked output (see cliflag.Output): the flush and
 	// close are verified before the zero exit, so a failed write can
@@ -75,7 +72,7 @@ func main() {
 		queries, err := scoris.LoadBank(fmt.Sprintf("queries.%d", i+1), qp)
 		fatal(err)
 		t0 := time.Now()
-		res, err := session.Compare(queries)
+		res, err := scoris.CompareBlastn(db, queries, opt)
 		fatal(err)
 		elapsed := time.Since(t0)
 		fatal(scoris.WriteBlastnM8(out.W, res, db, queries))

@@ -54,10 +54,13 @@ type Bank struct {
 	// validBases counts A/C/G/T only.
 	validBases int
 
-	// sumsOnce/seqSums memoize SeqChecksums: banks are immutable, so
-	// the per-sequence content identity is computed at most once.
+	// sumsOnce/seqSums memoize SeqChecksums and sumOnce/sum Checksum:
+	// banks are immutable, so each content identity is computed at most
+	// once.
 	sumsOnce sync.Once
 	seqSums  []uint64
+	sumOnce  sync.Once
+	sum      uint64
 }
 
 // New builds a bank from FASTA records. Records may be empty; an empty
@@ -152,10 +155,19 @@ func (b *Bank) SeqAt(p int32) int32 {
 	return int32(i)
 }
 
-// seqSumTable is the CRC-64/ECMA polynomial shared by every bank
-// checksum in the repository (ixdisk uses the same one for whole-bank
-// content identity).
+// seqSumTable is the CRC-64/ECMA polynomial of both bank checksums.
 var seqSumTable = crc64.MakeTable(crc64.ECMA)
+
+// Checksum returns the content identity of the whole bank: CRC-64/ECMA
+// over its sentinel-bracketed coded Data. Sequence boundaries are part
+// of Data (the sentinels), so two banks with equal checksums and
+// lengths index identically; the display name is deliberately excluded.
+// Like SeqChecksums it is computed once and memoized, so the store, the
+// registry and the fleet's bank key share one O(N) pass per bank.
+func (b *Bank) Checksum() uint64 {
+	b.sumOnce.Do(func() { b.sum = crc64.Checksum(b.Data, seqSumTable) })
+	return b.sum
+}
 
 // SeqChecksums returns the per-sequence content identity of the bank:
 // CRC-64/ECMA over each sequence's coded bases, in bank order. The

@@ -1,6 +1,7 @@
 package bank
 
 import (
+	"hash/crc64"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -374,6 +375,34 @@ func TestSeqChecksumsConcurrent(t *testing.T) {
 	for i := 1; i < 8; i++ {
 		if got := <-done; &got[0] != &first[0] {
 			t.Fatal("concurrent SeqChecksums returned different slices")
+		}
+	}
+}
+
+// TestChecksum pins the whole-bank identity: CRC-64/ECMA over Data
+// (the hash input the .orix file names and footers are frozen on),
+// blind to the bank name, sensitive to sequence boundaries, and the
+// same value from concurrent first calls.
+func TestChecksum(t *testing.T) {
+	b := mk("ACGT", "TTG")
+	if want := crc64.Checksum(b.Data, crc64.MakeTable(crc64.ECMA)); b.Checksum() != want {
+		t.Fatalf("Checksum = %016x, want CRC-64/ECMA of Data %016x", b.Checksum(), want)
+	}
+	renamed := New("other-name", []*fasta.Record{{ID: "x", Seq: []byte("ACGT")}, {ID: "y", Seq: []byte("TTG")}})
+	if renamed.Checksum() != b.Checksum() {
+		t.Error("checksum depends on the bank or record names")
+	}
+	if mk("ACG", "TTTG").Checksum() == b.Checksum() {
+		t.Error("moving a sequence boundary kept the checksum")
+	}
+	fresh := mk("ACGTACGTAC", "TTGTTG")
+	done := make(chan uint64, 8)
+	for i := 0; i < 8; i++ {
+		go func() { done <- fresh.Checksum() }()
+	}
+	for i := 0; i < 8; i++ {
+		if got := <-done; got != mk("ACGTACGTAC", "TTGTTG").Checksum() {
+			t.Fatalf("concurrent Checksum = %016x, want the serial value", got)
 		}
 	}
 }

@@ -22,21 +22,22 @@
 // sensitivity comparison reflects search strategy by construction. A
 // query is searched on its plus strand and, with BothStrands, on its
 // reverse complement before the next one starts, so its group is final
-// when emitted: Session.CompareStream streams like ORIS, and Compare
-// collects it.
+// when emitted: CompareStream streams like ORIS, and Compare collects
+// it.
 //
 // Lookup tables and diagonal arrays are generation-stamped so per-query
 // setup is O(query length), not O(4^W) — the real BLAST does the same.
-// That stamping also makes the whole engine reusable across query
-// banks: Session holds one database bank plus the engine arrays so
-// multi-query-bank workloads pay the O(len(db)) allocations once, the
-// baseline's analog of the prepared-index sessions in core and blat.
+// The stamps also let one set of arrays serve any call, so the engine
+// is a plain function like core's and blat's: each call takes its
+// arrays from a package pool and grows them to its db and longest
+// query, and a warm process pays the O(len(db)) allocations once.
 package blastn
 
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/align"
@@ -125,11 +126,13 @@ type Metrics struct {
 // Result bundles alignments with metrics.
 type Result = align.Result[Metrics]
 
-// engine holds the per-search state reused across queries.
-type engine struct {
-	opt Options
-	db  *bank.Bank
-
+// scratch is the word-table and diagonal state of one call. Calls take
+// it from scratchPool and give it back, so a warm process allocates
+// none of it; the generation stamps are what make one scratch valid for
+// any db, options and query bank: curGen only moves upward from 1, so a
+// stamp left by an earlier call never matches, and grown arrays arrive
+// zeroed, which the stamps read as "never touched".
+type scratch struct {
 	// query word table, generation stamped.
 	gen     []int32
 	head    []int32
@@ -145,79 +148,81 @@ type engine struct {
 	// per-diagonal last extended end (db axis), generation stamped.
 	diagEnd   []int32
 	diagStamp []int32
+}
 
+// scratchPool keeps scratch between calls; a pooled scratch keeps what
+// it has grown to until the collector drops idle pool entries.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow sizes s for a scan of ScanWord-mers over a db of dbLen codes by
+// queries of at most maxQ bases.
+func (s *scratch) grow(scanWord, dbLen, maxQ int) {
+	nCodes := seed.NumCodes(scanWord)
+	if len(s.gen) < nCodes {
+		s.gen = make([]int32, nCodes)
+		s.head = make([]int32, nCodes)
+	}
+	words := (nCodes + 63) / 64
+	s.present = slices.Grow(s.present[:0], words)[:words]
+	if len(s.nextPos) < maxQ+1 {
+		s.nextPos = make([]int32, maxQ+1)
+	}
+	if need := dbLen + maxQ + 1; len(s.diagEnd) < need {
+		s.diagEnd = make([]int32, need)
+		s.diagStamp = make([]int32, need)
+	}
+}
+
+// engine is one call's search state: the db and options, the scratch
+// it holds, and the extender and masker built from the options.
+type engine struct {
+	*scratch
+	opt    Options
+	db     *bank.Bank
 	ext    hsp.Extender
 	masker *dust.Masker
 }
 
-// Session is the prepared-bank form of the baseline: a database bank
-// paired with the reusable per-search engine state (word-table and
-// diagonal arrays, extenders, statistics). BLASTN has no bank index to
-// persist — its db-side cost is the scan itself — but the
-// O(len(db.Data)) diagonal arrays and the O(4^ScanWord) lookup arrays
-// are allocated once here and reused for every query bank, the analog
-// of core/blat index reuse for this engine.
-//
-// A Session is NOT safe for concurrent use: the generation-stamped
-// arrays are mutated per query. Compare enforces this with an atomic
-// in-use guard that panics on concurrent entry — corrupting the
-// generation stamps silently (wrong alignments) is strictly worse than
-// a loud crash naming the misuse. Callers that serve many goroutines
-// should hold one Session per goroutine, or a checkout pool handing
-// each Session to one goroutine at a time (internal/server does this).
-// A Session is valid only for the (db, Options) it was created with;
-// create one session per database bank.
-type Session struct {
-	eng *engine // sole owner of the db, options, and reusable arrays
-
-	// inUse is the concurrency guard: set for the duration of Compare
-	// with a compare-and-swap, so overlapped calls are detected at
-	// entry instead of corrupting the engine arrays mid-scan.
-	inUse atomic.Bool
-}
-
-// NewSession validates opt and allocates the reusable engine state for
-// searches against db.
-func NewSession(db *bank.Bank, opt Options) (*Session, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	return &Session{eng: newEngine(db, opt)}, nil
-}
-
-// DB returns the session's database bank.
-func (s *Session) DB() *bank.Bank { return s.eng.db }
-
-// Compare searches every sequence of queries against the session's db
-// bank and returns the whole alignment table, sorted for display: the
-// collected form of CompareStream. db plays the paper's "bank 1"
-// (subject) role.
-func (s *Session) Compare(queries *bank.Bank) (*Result, error) {
+// Compare searches every sequence of queries against db and returns the
+// whole alignment table, sorted for display: the collected form of
+// CompareStream. db plays the paper's "bank 1" (subject) role.
+func Compare(db, queries *bank.Bank, opt Options) (*Result, error) {
 	return align.Collect(func(emit align.Emit) (*Result, error) {
-		return s.CompareStream(context.Background(), queries, emit)
+		return CompareStream(context.Background(), db, queries, opt, emit)
 	})
 }
 
-// CompareStream searches the sequences of queries against the session's
-// db bank one at a time — on a both-strands run the plus strand, then
-// the reverse complement — and delivers each one's alignments through
-// emit the moment they are final, under align.Emit's contract. ctx is
-// checked between query sequences.
-func (s *Session) CompareStream(ctx context.Context, queries *bank.Bank, emit align.Emit) (*Result, error) {
-	if !s.inUse.CompareAndSwap(false, true) {
-		panic("blastn: Session.Compare called concurrently: a Session is NOT safe for concurrent use " +
-			"(its generation-stamped engine arrays are mutated per query); " +
-			"give each goroutine its own Session or serialize access with a checkout pool")
+// CompareStream searches the sequences of queries against db one at a
+// time — on a both-strands run the plus strand, then the reverse
+// complement — and delivers each one's alignments through emit the
+// moment they are final, under align.Emit's contract. ctx is checked
+// between query sequences. It is safe for concurrent use: each call
+// holds its own scratch.
+func CompareStream(ctx context.Context, db, queries *bank.Bank, opt Options, emit align.Emit) (*Result, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.compareStream(ctx, db, queries, opt, emit)
+}
+
+// compareStream is CompareStream on the scratch s.
+func (s *scratch) compareStream(ctx context.Context, db, queries *bank.Bank, opt Options, emit align.Emit) (*Result, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
-	defer s.inUse.Store(false)
-	e := s.eng
-	opt := e.opt
 	t0 := time.Now()
 	maxQ := 0
 	for i := 0; i < queries.NumSeqs(); i++ {
 		maxQ = max(maxQ, queries.SeqLen(i))
 	}
-	e.grow(maxQ)
+	scanWord, _ := opt.scanParams()
+	s.grow(scanWord, len(db.Data), maxQ)
+	e := &engine{
+		scratch: s,
+		opt:     opt,
+		db:      db,
+		ext:     opt.Ungapped(false), // BLAST has no ordered-seed rule
+		masker:  opt.Masker(),
+	}
 	var met Metrics
 	met.SetupTime = time.Since(t0)
 
@@ -225,7 +230,7 @@ func (s *Session) CompareStream(ctx context.Context, queries *bank.Bank, emit al
 	if opt.BothStrands {
 		rc = queries.ReverseComplement()
 	}
-	steps := opt.Steps(e.db, queries, rc)
+	steps := opt.Steps(db, queries, rc)
 	defer steps.Release()
 	for qi := 0; qi < queries.NumSeqs(); qi++ {
 		if err := ctx.Err(); err != nil {
@@ -245,48 +250,6 @@ func (s *Session) CompareStream(ctx context.Context, queries *bank.Bank, emit al
 	return &Result{Metrics: met}, nil
 }
 
-// Compare searches queries against db with a one-shot Session — the
-// thin wrapper kept for single-pair callers. Workloads that search
-// several query banks against the same db should hold one Session so
-// the db-sized engine arrays are allocated once.
-func Compare(db, queries *bank.Bank, opt Options) (*Result, error) {
-	s, err := NewSession(db, opt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Compare(queries)
-}
-
-// newEngine allocates the query-independent engine state; the arrays
-// sized by the longest query grow on demand in grow.
-func newEngine(db *bank.Bank, opt Options) *engine {
-	scanWord, _ := opt.scanParams()
-	nCodes := seed.NumCodes(scanWord)
-	return &engine{
-		opt:     opt,
-		db:      db,
-		gen:     make([]int32, nCodes),
-		head:    make([]int32, nCodes),
-		present: make([]uint64, (nCodes+63)/64),
-		ext:     opt.Ungapped(false), // BLAST has no ordered-seed rule
-		masker:  opt.Masker(),
-	}
-}
-
-// grow sizes the query-length-dependent arrays for a bank whose longest
-// sequence is maxQ bases. Enlarged arrays arrive zeroed, which the
-// generation stamps read as "never touched" (curGen only moves upward
-// from 1), so reuse across query banks cannot leak diagonal state.
-func (e *engine) grow(maxQ int) {
-	if len(e.nextPos) < maxQ+1 {
-		e.nextPos = make([]int32, maxQ+1)
-	}
-	if need := len(e.db.Data) + maxQ + 1; len(e.diagEnd) < need {
-		e.diagEnd = make([]int32, need)
-		e.diagStamp = make([]int32, need)
-	}
-}
-
 // searchQuery runs the word table and the subject scan for one query
 // sequence and returns its HSPs, diagonal-sorted for steps 3–4.
 func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []hsp.HSP {
@@ -299,22 +262,18 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []hsp.HSP
 	t0 := time.Now()
 	e.curGen++
 	gen := e.curGen
-	var maskBits []bool
+	// maskPfx[i] counts masked query positions before i, making the
+	// per-window dust test one subtraction instead of a ScanWord-bit scan.
+	var maskPfx []int32
 	if e.masker != nil {
-		maskBits = e.masker.MaskBits(queries.Data[qLo:qHi])
+		maskPfx = e.masker.MaskPrefix(queries.Data[qLo:qHi])
 	}
 	scanWord, stride := opt.scanParams()
 	sw := int32(scanWord)
-	for i := range e.present {
-		e.present[i] = 0
-	}
+	clear(e.present)
 	seed.ForEach(queries.Data[qLo:qHi], scanWord, func(rel int32, c seed.Code) {
-		if maskBits != nil {
-			for q := rel; q < rel+sw; q++ {
-				if maskBits[q] {
-					return
-				}
-			}
+		if maskPfx != nil && maskPfx[rel+sw] != maskPfx[rel] {
+			return
 		}
 		if e.gen[c] != gen {
 			e.gen[c] = gen

@@ -113,11 +113,7 @@ func streamEngines() map[string]streamEngine {
 		return func(ctx context.Context, b1, b2 *bank.Bank, emit align.Emit) error {
 			opt := blastn.DefaultOptions()
 			opt.BothStrands = bothStrands
-			s, err := blastn.NewSession(b1, opt)
-			if err != nil {
-				return err
-			}
-			_, err = s.CompareStream(ctx, b2, emit)
+			_, err := blastn.CompareStream(ctx, b1, b2, opt, emit)
 			return err
 		}
 	}

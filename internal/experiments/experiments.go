@@ -142,7 +142,6 @@ type Harness struct {
 	ds    *simulate.DataSet
 	ix    *ixcache.Cache
 	store *ixdisk.DirStore
-	bns   map[*bank.Bank]*blastn.Session
 	cache map[Pair]*RowResult
 }
 
@@ -188,7 +187,6 @@ func New(cfg Config) (*Harness, error) {
 		ds:    ds,
 		ix:    ix,
 		store: store,
-		bns:   map[*bank.Bank]*blastn.Session{},
 		cache: map[Pair]*RowResult{},
 	}, nil
 }
@@ -236,34 +234,14 @@ func (h *Harness) compareORIS(a, b *bank.Bank, opt core.Options) (*core.Result, 
 	return res, time.Since(t0)
 }
 
-// blastnSession returns the shared baseline session for db bank a,
-// allocating it on first touch. The ORIS and BLAT sides already share
-// their per-bank artifacts through the index cache; this closes the
-// ROADMAP gap where the baseline re-allocated its db-sized engine
-// arrays (diagonal tables, word lookup) for every pair sharing a db
-// bank. Safe because the harness runs pairs sequentially and every
-// row uses blastn.DefaultOptions — a Session is single-threaded and
-// valid only for the (db, Options) it was created with.
-func (h *Harness) blastnSession(a *bank.Bank) *blastn.Session {
-	if s, ok := h.bns[a]; ok {
-		return s
-	}
-	s, err := blastn.NewSession(a, blastn.DefaultOptions())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: blastn session %s: %v", a.Name, err))
-	}
-	h.bns[a] = s
-	return s
-}
-
-// compareBlastn runs the baseline through the shared per-db-bank
-// session. Like compareORIS, the timer wraps the session fetch AND the
-// comparison: the first row touching a db bank pays the engine
-// allocation inside its reported duration, later rows reuse it — the
-// same honest amortized accounting as the ORIS column.
+// compareBlastn runs the baseline on a pair. The engine keeps its scan
+// arrays in a package pool, so like compareORIS a row pays an
+// allocation only when it finds none large enough — a db larger than
+// any before, or a pool the collector has emptied — and the timer
+// includes it.
 func (h *Harness) compareBlastn(a, b *bank.Bank) (*blastn.Result, time.Duration) {
 	t0 := time.Now()
-	res, err := h.blastnSession(a).Compare(b)
+	res, err := blastn.Compare(a, b, blastn.DefaultOptions())
 	if err != nil {
 		panic(fmt.Sprintf("experiments: BLASTN %s/%s: %v", a.Name, b.Name, err))
 	}

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"repro/internal/bank"
-	"repro/internal/ixdisk"
 	"repro/internal/server"
 )
 
@@ -20,7 +19,7 @@ import (
 // so "which workers own this bank" and "which store file holds its
 // index" agree on what a bank is.
 func bankKey(b *bank.Bank) string {
-	return fmt.Sprintf("%016x-%x-%x", ixdisk.BankChecksum(b), len(b.Data), b.NumSeqs())
+	return fmt.Sprintf("%016x-%x-%x", b.Checksum(), len(b.Data), b.NumSeqs())
 }
 
 // bankInfo is the router's answer for one bank (GET /banks rows and

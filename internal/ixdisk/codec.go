@@ -446,7 +446,7 @@ func writeBlocksTo(w io.Writer, b *bank.Bank, k index.Key, blocks []index.BlockP
 		}
 		off += uint64(length)
 	}
-	_, err := w.Write(encodeFooter(BankChecksum(b), uint64(len(b.Data)), b.SeqChecksums(), dir))
+	_, err := w.Write(encodeFooter(b.Checksum(), uint64(len(b.Data)), b.SeqChecksums(), dir))
 	return err
 }
 
@@ -492,11 +492,11 @@ func Save(path string, ix *index.Index) error {
 //scorislint:validator
 func (f *footer) checkExactBank(b *bank.Bank) error {
 	if f.dataLen != uint64(len(b.Data)) || f.numSeqs != uint32(b.NumSeqs()) ||
-		f.bankCRC != BankChecksum(b) {
+		f.bankCRC != b.Checksum() {
 		return fmt.Errorf("ixdisk: %w: file indexes a different bank "+
 			"(crc %016x/%d bytes/%d seqs, requested bank %q is %016x/%d/%d)",
 			ErrKeyMismatch, f.bankCRC, f.dataLen, f.numSeqs,
-			b.Name, BankChecksum(b), len(b.Data), b.NumSeqs())
+			b.Name, b.Checksum(), len(b.Data), b.NumSeqs())
 	}
 	sums := b.SeqChecksums()
 	for i := range sums {
@@ -551,7 +551,7 @@ func appendBlockAt(path, newPath string, grown *bank.Bank, suffix *index.BlockPa
 		dataLo: uint64(suffix.DataLo), dataHi: uint64(suffix.DataHi),
 		crc: crc,
 	})
-	buf.Write(encodeFooter(BankChecksum(grown), uint64(len(grown.Data)), grown.SeqChecksums(), dir))
+	buf.Write(encodeFooter(grown.Checksum(), uint64(len(grown.Data)), grown.SeqChecksums(), dir))
 	if _, err := f.WriteAt(buf.Bytes(), oldFtr.start); err != nil {
 		return err
 	}

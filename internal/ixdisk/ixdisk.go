@@ -16,7 +16,7 @@
 // fresh save is one block — the built index, written as it stands and
 // used in place when mapped back — and a further block exists only
 // where an append wrote one. The full layout and the append discipline
-// live in v3.go and DESIGN.md §7. The structure buys what a monolithic
+// live in codec.go and DESIGN.md §7. The structure buys what a monolithic
 // layout cannot offer: appending to a bank writes exactly one new block
 // plus a footer (O(suffix), the file is never rewritten).
 //
@@ -72,7 +72,7 @@ import (
 )
 
 // File naming constants; the layout constants live with the codec in
-// v3.go.
+// codec.go.
 const (
 	// FileExt is the extension DirStore gives its index files.
 	FileExt = ".orix"
@@ -96,14 +96,6 @@ var (
 	crc32Table = crc32.MakeTable(crc32.Castagnoli)
 	crc64Table = crc64.MakeTable(crc64.ECMA)
 )
-
-// BankChecksum returns the content identity of a bank: CRC-64/ECMA over
-// its sentinel-bracketed coded Data. Sequence boundaries are part of
-// Data (the sentinels), so two banks with equal checksums and lengths
-// index identically; the bank's display name is deliberately excluded.
-func BankChecksum(b *bank.Bank) uint64 {
-	return crc64.Checksum(b.Data, crc64Table)
-}
 
 // word covers the two 4-byte element types of the CSR sections.
 type word interface{ ~int32 | ~uint32 }
@@ -190,13 +182,12 @@ type DirStore struct {
 	dir    string
 	mapped bool
 
-	mu       sync.Mutex
-	policy   SavePolicy
-	gcCfg    GCConfig
-	dbBanks  memo[*bank.Bank, struct{}]
-	bankCRCs memo[*bank.Bank, uint64]
-	loaded   memo[string, loadedEntry]
-	maps     []*Mapping
+	mu      sync.Mutex
+	policy  SavePolicy
+	gcCfg   GCConfig
+	dbBanks memo[*bank.Bank, struct{}]
+	loaded  memo[string, loadedEntry]
+	maps    []*Mapping
 
 	extends       atomic.Int64
 	savesDeclined atomic.Int64
@@ -291,25 +282,6 @@ func (s *DirStore) SetMapped(on bool) {
 	s.mu.Unlock()
 }
 
-// bankChecksum caches the O(N) content checksum per bank value, so a
-// store consulted for many (bank, options) keys pays it once per bank.
-// The memo is bounded (memoBound, FIFO): under query-bank churn in a
-// long-lived process it behaves as a cache, not a leak.
-func (s *DirStore) bankChecksum(b *bank.Bank) uint64 {
-	s.mu.Lock()
-	crc, ok := s.bankCRCs.get(b)
-	s.mu.Unlock()
-	if ok {
-		return crc
-	}
-	// Compute outside the lock: the checksum is O(bank) and pure.
-	crc = BankChecksum(b)
-	s.mu.Lock()
-	s.bankCRCs.put(b, crc)
-	s.mu.Unlock()
-	return crc
-}
-
 // Path returns the file a (bank, options) key maps to. Exported so
 // tests and operational scripts can inspect or corrupt specific
 // entries.
@@ -318,7 +290,7 @@ func (s *DirStore) Path(b *bank.Bank, opts index.Options) string {
 	// sequence count), then the index key. A change would rename every
 	// stored file and turn a warm store cold.
 	var key [20 + keySize]byte
-	binary.LittleEndian.PutUint64(key[0:], s.bankChecksum(b))
+	binary.LittleEndian.PutUint64(key[0:], b.Checksum())
 	binary.LittleEndian.PutUint64(key[8:], uint64(len(b.Data)))
 	binary.LittleEndian.PutUint32(key[16:], uint32(b.NumSeqs()))
 	putKey(key[20:], opts.Key())
@@ -361,7 +333,8 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) 
 // memoize records a successful load (or extension) under its key path,
 // together with the file backing it, so LRU evict-and-reload cycles
 // above the store return the validated index instead of re-reading the
-// file. Bounded (memoBound, FIFO) — see bankChecksum — with the caveat
+// file. Bounded (memoBound, FIFO), so under query-bank churn in a
+// long-lived process it behaves as a cache, not a leak — with the caveat
 // that an evicted entry's Mapping stays held until Close, since the
 // index it backs may still be in use.
 func (s *DirStore) memoize(keyPath, backing string, ix *index.Index, m *Mapping) {

@@ -559,12 +559,8 @@ func TestMemoMapsBounded(t *testing.T) {
 		}
 	}
 	store.mu.Lock()
-	nCRC, nLoaded := len(store.bankCRCs.m), len(store.loaded.m)
-	nOrderC, nOrderL := len(store.bankCRCs.order), len(store.loaded.order)
+	nLoaded, nOrderL := len(store.loaded.m), len(store.loaded.order)
 	store.mu.Unlock()
-	if nCRC > memoBound || nOrderC > memoBound {
-		t.Errorf("bankCRCs grew to %d entries (order %d), bound is %d", nCRC, nOrderC, memoBound)
-	}
 	if nLoaded > memoBound || nOrderL > memoBound {
 		t.Errorf("loaded grew to %d entries (order %d), bound is %d", nLoaded, nOrderL, memoBound)
 	}

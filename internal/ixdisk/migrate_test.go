@@ -586,7 +586,7 @@ func TestProbeMetadata(t *testing.T) {
 	if info.Version != formatVersion {
 		t.Errorf("version %d, want %d", info.Version, formatVersion)
 	}
-	if info.BankCRC != BankChecksum(b) || info.DataLen != int64(len(b.Data)) ||
+	if info.BankCRC != b.Checksum() || info.DataLen != int64(len(b.Data)) ||
 		info.NumSeqs != b.NumSeqs() {
 		t.Errorf("identity %+v does not match bank", info)
 	}

@@ -2,9 +2,10 @@ package ixdisk
 
 // The metadata probe: answering "what does this .orix file hold?"
 // without reading its index payload. DirStore's prefix-candidate scan
-// and the fleet router's backfill both need to decide compatibility
-// cheaply. Probe reads the fixed header plus the footer (identity and
-// block directory) — a few KiB regardless of index size.
+// decides compatibility with it, the GC counts blocks with it, and
+// scoris -index-probe prints it. Probe reads the fixed header plus the
+// footer (identity and block directory) — a few KiB regardless of index
+// size.
 
 import "repro/internal/index"
 
@@ -48,9 +49,9 @@ type FileInfo struct {
 }
 
 // Probe reads an index file's metadata without its payload: the fixed
-// header plus the footer. It is the shared compatibility test for
-// DirStore's prefix-candidate scan and the fleet's backfill — a few
-// small reads per file, O(metadata) not O(index). Framing and metadata
+// header plus the footer. It is the compatibility test of DirStore's
+// prefix-candidate scan — a few small reads per file, O(metadata) not
+// O(index). Framing and metadata
 // checksums are verified (header and footer carry their own CRCs); the
 // payload is not, so a successful probe authorizes nothing — loaders
 // re-validate in full. A file of any other format version fails with

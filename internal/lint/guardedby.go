@@ -34,7 +34,7 @@ var AnalyzerGuardedBy = &Analyzer{
 	Name: "guardedby",
 	Doc:  "fields annotated `// guardedby: mu` are only touched while that mutex is held (DESIGN.md §8)",
 	Contract: `DESIGN.md §8: shared mutable state (the server bank registry and
-session pool, fleet worker health, the ixcache LRU) is guarded by a
+job registry, fleet worker health, the ixcache LRU) is guarded by a
 named mutex. Fields carry '// guardedby: <mutex>' annotations; every
 access must be inside a region where <mutex> of the same struct value
 is held (Lock/RLock through Unlock/RUnlock, or defer Unlock). Helpers

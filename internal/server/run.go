@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/bank"
+	"repro/internal/blastn"
 	"repro/internal/blat"
 	"repro/internal/core"
 	"repro/internal/tabular"
@@ -33,8 +34,8 @@ type queryRun func(ctx context.Context, query *bank.Bank, emit align.Emit) error
 // plan is a compare request resolved to its engine: options built and
 // validated, nothing acquired yet. Calling it opens the db side once —
 // whatever the engine holds across queries — and returns the per-query
-// run plus the done that gives it back.
-type plan func(db *bank.Bank) (run queryRun, done func(), err error)
+// run.
+type plan func(db *bank.Bank) queryRun
 
 // planCompare is the engine seam: the one place that knows the engine
 // names. A request that can never succeed (unknown engine, an option
@@ -47,7 +48,7 @@ func (s *Server) planCompare(req *compareRequest) (plan, error) {
 		if err := opt.Validate(); err != nil {
 			return nil, err
 		}
-		return func(db *bank.Bank) (queryRun, func(), error) {
+		return func(db *bank.Bank) queryRun {
 			return func(ctx context.Context, query *bank.Bank, emit align.Emit) error {
 				// Single-flight against the shared cache: concurrent
 				// first touches of one bank share one build, and from a
@@ -58,41 +59,30 @@ func (s *Server) planCompare(req *compareRequest) (plan, error) {
 				}
 				_, err = core.CompareStreamWithIndex(ctx, p1, p2, opt, emit)
 				return err
-			}, func() {}, nil
+			}
 		}, nil
 	case "blat":
 		opt, err := blatOptions(req)
 		if err != nil {
 			return nil, err
 		}
-		return func(db *bank.Bank) (queryRun, func(), error) {
+		return func(db *bank.Bank) queryRun {
 			pdb := s.cache.Get(db, opt.IndexOptions())
 			return func(ctx context.Context, query *bank.Bank, emit align.Emit) error {
 				_, err := blat.CompareStreamWithIndex(ctx, pdb, query, opt, emit)
 				return err
-			}, func() {}, nil
+			}
 		}, nil
 	case "blastn":
 		opt, err := blastnOptions(req)
 		if err != nil {
 			return nil, err
 		}
-		dbName := req.DB
-		return func(db *bank.Bank) (queryRun, func(), error) {
-			// One checkout for the whole run: a Session is not
-			// concurrent-safe, and the run goroutine is its only user
-			// until done. A Session survives a failed or cancelled
-			// compare (its generation stamps move forward per query, so
-			// a search cut short leaves nothing the next one reads), so
-			// done returns it on every path.
-			sess, err := s.sessions.checkout(db, opt)
-			if err != nil {
-				return nil, nil, err
-			}
+		return func(db *bank.Bank) queryRun {
 			return func(ctx context.Context, query *bank.Bank, emit align.Emit) error {
-				_, err := sess.CompareStream(ctx, query, emit)
+				_, err := blastn.CompareStream(ctx, db, query, opt, emit)
 				return err
-			}, func() { s.returnSession(dbName, db, opt, sess) }, nil
+			}
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown engine %q (use oris, blat, or blastn)", req.Engine)
@@ -257,11 +247,7 @@ func (s *Server) run(ctx context.Context, c *compareCall, sink groupSink) error 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	runQuery, done, err := c.plan(c.db)
-	if err != nil {
-		return err
-	}
-	defer done()
+	runQuery := c.plan(c.db)
 	for qi, q := range c.queries {
 		if err := ctx.Err(); err != nil {
 			return err

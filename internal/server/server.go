@@ -34,10 +34,8 @@
 //     which streams natively and honours the request context;
 //   - blat — the cached non-overlapping tile index of the db bank,
 //     then blat.CompareStreamWithIndex per query;
-//   - blastn — a blastn.Session checked out of the per-(db, options)
-//     session pool for the duration of the run (a Session is not
-//     concurrent-safe; its atomic in-use guard is the backstop), then
-//     Session.CompareStream per query.
+//   - blastn — blastn.CompareStream per query: the baseline keeps no
+//     index, and its scan arrays come from the engine's own pool.
 //
 // All three stream one query-sequence group at a time and honour the
 // request context between groups.
@@ -99,9 +97,6 @@ type Config struct {
 	// CacheEntries bounds the shared index cache (non-positive: the
 	// ixcache default).
 	CacheEntries int
-	// MaxIdleSessions bounds the idle blastn sessions kept per
-	// (db bank, options) key. Non-positive means MaxConcurrent.
-	MaxIdleSessions int
 	// MaxBanks bounds the registry: each registered bank pins its full
 	// sequence data in memory, so without a bound query-bank churn is
 	// a slow OOM. Registration past the bound is refused; DELETE
@@ -152,9 +147,6 @@ func (c Config) withDefaults() Config {
 			c.RequestWorkers = 1
 		}
 	}
-	if c.MaxIdleSessions <= 0 {
-		c.MaxIdleSessions = c.MaxConcurrent
-	}
 	if c.MaxBanks <= 0 {
 		c.MaxBanks = DefaultMaxBanks
 	}
@@ -183,10 +175,9 @@ const DefaultMaxJobs = 32
 // Server is the comparison service. Create with New, mount Handler on
 // an http.Server. All methods are safe for concurrent use.
 type Server struct {
-	cfg      Config
-	cache    *ixcache.Cache
-	store    *ixdisk.DirStore
-	sessions *sessionPool
+	cfg   Config
+	cache *ixcache.Cache
+	store *ixdisk.DirStore
 
 	mu    sync.RWMutex
 	banks map[string]*bankEntry // guardedby: mu
@@ -251,13 +242,12 @@ func New(cfg Config) *Server {
 		cache.SetStore(cfg.Store)
 	}
 	return &Server{
-		cfg:      cfg,
-		cache:    cache,
-		store:    cfg.Store,
-		sessions: newSessionPool(cfg.MaxIdleSessions),
-		banks:    make(map[string]*bankEntry),
-		jobs:     make(map[string]*job),
-		sem:      make(chan struct{}, cfg.MaxConcurrent),
+		cfg:   cfg,
+		cache: cache,
+		store: cfg.Store,
+		banks: make(map[string]*bankEntry),
+		jobs:  make(map[string]*job),
+		sem:   make(chan struct{}, cfg.MaxConcurrent),
 	}
 }
 
@@ -279,7 +269,7 @@ func (s *Server) RegisterBank(name string, b *bank.Bank, db bool) error {
 	if name == "" {
 		return fmt.Errorf("server: bank name must be non-empty")
 	}
-	crc := ixdisk.BankChecksum(b)
+	crc := b.Checksum()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.banks[name]; ok {
@@ -307,8 +297,7 @@ func (s *Server) RegisterBank(name string, b *bank.Bank, db bool) error {
 }
 
 // DeregisterBank removes name from the registry, releasing the
-// server's references to the bank now: its idle blastn sessions and its
-// cached indexes (an index still building finishes for its waiters and
+// server's references to the bank now: its cached indexes (an index still building finishes for its waiters and
 // leaves through the cache's LRU). Compares already in flight hold
 // their own bank and index pointers and are unaffected — both are
 // immutable. Removing an unknown name reports false.
@@ -320,22 +309,8 @@ func (s *Server) DeregisterBank(name string) bool {
 		return false
 	}
 	delete(s.banks, name)
-	s.sessions.drop(e.bank)
 	s.cache.Drop(e.bank)
 	return true
-}
-
-// returnSession checks a blastn session back in, unless its bank was
-// deregistered while the compare ran — then the session is dropped for
-// the GC, so a deleted bank is never pinned by the pool. The registry
-// lock is held across the check and the checkin (and across the delete
-// and the drop in DeregisterBank), so the two cannot interleave.
-func (s *Server) returnSession(dbName string, db *bank.Bank, opt blastn.Options, sess *blastn.Session) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.banks[dbName]; ok && e.bank == db {
-		s.sessions.checkin(db, opt, sess)
-	}
 }
 
 // lookupBank resolves a registered bank by name.
@@ -756,10 +731,9 @@ type Stats struct {
 	Banks int              `json:"banks"`
 	Cache ixcache.Counters `json:"cache"`
 	// Store is nil when no persistent tier is configured.
-	Store    *StoreStats  `json:"store,omitempty"`
-	Server   ServerStats  `json:"server"`
-	Sessions SessionStats `json:"sessions"`
-	Jobs     JobStats     `json:"jobs"`
+	Store  *StoreStats `json:"store,omitempty"`
+	Server ServerStats `json:"server"`
+	Jobs   JobStats    `json:"jobs"`
 }
 
 // StoreStats are the DirStore-side counters (the cache's DiskHits /
@@ -805,13 +779,6 @@ type JobStats struct {
 	Held int `json:"held"`
 }
 
-// SessionStats count the blastn session pool.
-type SessionStats struct {
-	Created   int64 `json:"created"`
-	Checkouts int64 `json:"checkouts"`
-	Idle      int   `json:"idle"`
-}
-
 // StatsSnapshot assembles the current Stats (also used by tests
 // directly, without HTTP).
 func (s *Server) StatsSnapshot() Stats {
@@ -835,11 +802,6 @@ func (s *Server) StatsSnapshot() Stats {
 			QueueDepth:     s.cfg.QueueDepth,
 			RequestWorkers: s.cfg.RequestWorkers,
 			Draining:       s.draining.Load(),
-		},
-		Sessions: SessionStats{
-			Created:   s.sessions.created.Load(),
-			Checkouts: s.sessions.checkouts.Load(),
-			Idle:      s.sessions.idleCount(),
 		},
 		Jobs: s.jobStats(),
 	}

@@ -107,7 +107,7 @@ func TestServerCompareMatchesSerialEngines(t *testing.T) {
 		t.Fatalf("blat differs (status %d, %d vs %d bytes)", status, len(got), bbuf.Len())
 	}
 
-	// blastn engine, through the session pool.
+	// blastn engine.
 	nres, err := blastn.Compare(est1, est2, blastn.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -119,9 +119,6 @@ func TestServerCompareMatchesSerialEngines(t *testing.T) {
 	status, got = postCompare(t, ts.URL, `{"db":"est1","query":"est2","engine":"blastn"}`)
 	if status != http.StatusOK || !bytes.Equal(got, nbuf.Bytes()) {
 		t.Fatalf("blastn differs (status %d, %d vs %d bytes)", status, len(got), nbuf.Len())
-	}
-	if c := srv.sessions.created.Load(); c != 1 {
-		t.Errorf("session pool created %d sessions for one serial blastn stream, want 1", c)
 	}
 
 	// The oris keys (est1, est2) each built exactly once across all of
@@ -142,9 +139,6 @@ func TestServerCompareMatchesSerialEngines(t *testing.T) {
 	}
 	if st.Banks != 2 || st.Cache.Builds != 3 || st.Server.Compares < 3 {
 		t.Errorf("stats off: %+v", st)
-	}
-	if st.Sessions.Checkouts != 1 || st.Sessions.Idle != 1 {
-		t.Errorf("session pool stats off: %+v", st.Sessions)
 	}
 }
 
@@ -449,50 +443,6 @@ func TestServerBoundsCompareBody(t *testing.T) {
 	}
 }
 
-// TestServerDeregisterDropsIdleSessions: the blastn session pool must
-// not pin a deleted bank — its idle sessions go with the registry
-// entry.
-func TestServerDeregisterDropsIdleSessions(t *testing.T) {
-	est1, est2, _ := testBanks(t)
-	srv := New(Config{MaxConcurrent: 1})
-	srv.RegisterBank("db", est1, true)
-	srv.RegisterBank("q", est2, false)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	idle := func() int {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st Stats
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st.Sessions.Idle
-	}
-	if status, body := postCompare(t, ts.URL, `{"db":"db","query":"q","engine":"blastn"}`); status != http.StatusOK {
-		t.Fatalf("blastn compare: status %d: %s", status, body)
-	}
-	if got := idle(); got != 1 {
-		t.Fatalf("sessions.idle = %d after one blastn compare, want 1", got)
-	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/banks?name=db", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE bank: status %d", resp.StatusCode)
-	}
-	if got := idle(); got != 0 {
-		t.Errorf("sessions.idle = %d after deregistering the db bank, want 0", got)
-	}
-}
-
 // TestServerDeregisterDropsCachedIndexes: the index cache must not pin
 // a deleted bank either — upload, compare, DELETE, and /v1/stats counts
 // only the db's index, at the default cache size, however many query
@@ -629,9 +579,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.RequestWorkers < 1 {
 		t.Errorf("RequestWorkers = %d, want >= 1", c.RequestWorkers)
-	}
-	if c.MaxIdleSessions != 4 {
-		t.Errorf("MaxIdleSessions = %d, want 4", c.MaxIdleSessions)
 	}
 	c = Config{MaxConcurrent: 2, QueueDepth: -1}.withDefaults()
 	if c.QueueDepth != 0 {

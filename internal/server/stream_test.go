@@ -361,7 +361,9 @@ func TestServerBatchCompare(t *testing.T) {
 	}
 }
 
-func TestServerBatchBlastnSingleCheckout(t *testing.T) {
+// TestServerBatchBlastnSingleAdmission: a blastn batch takes one
+// admission and answers the concatenation of its single compares.
+func TestServerBatchBlastnSingleAdmission(t *testing.T) {
 	est1, est2, est3 := testBanks(t)
 	srv := New(Config{})
 	srv.RegisterBank("est1", est1, true)
@@ -377,11 +379,14 @@ func TestServerBatchBlastnSingleCheckout(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
-	if got := srv.sessions.checkouts.Load(); got != 1 {
-		t.Errorf("blastn batch used %d session checkouts, want 1", got)
-	}
 	if got := srv.admissions.Load(); got != 1 {
 		t.Errorf("blastn batch used %d admissions, want 1", got)
+	}
+	_, m8est2 := postCompare(t, ts.URL, `{"db":"est1","query":"est2","engine":"blastn"}`)
+	_, m8est3 := postCompare(t, ts.URL, `{"db":"est1","query":"est3","engine":"blastn"}`)
+	want := append(append(append([]byte(nil), m8est2...), m8est3...), m8est2...)
+	if len(m8est2) == 0 || !bytes.Equal(body, want) {
+		t.Errorf("blastn batch m8 differs from its single compares: %d vs %d bytes", len(body), len(want))
 	}
 }
 

@@ -324,8 +324,8 @@ func TestServerStressBatchVsBankDelete(t *testing.T) {
 					t.Errorf("batch under churn: status %d: %s", resp.StatusCode, body)
 					return
 				}
-				// The churned bank as a blastn db: sessions are checked
-				// out, and back in, while its registry entry comes and goes.
+				// The churned bank as a blastn db, while its registry
+				// entry comes and goes.
 				resp = streamPost(t, ts.URL, "/v1/compare/batch",
 					`{"db":"est3","queries":["est2"],"engine":"blastn"}`, "")
 				io.Copy(io.Discard, resp.Body)
@@ -376,14 +376,6 @@ func TestServerStressBatchVsBankDelete(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
 		t.Errorf("post-churn batch: err=%v status=%d, %d vs %d bytes",
 			err, resp.StatusCode, len(body), len(want))
-	}
-	// Every batch has drained: deleting the churned bank for good must
-	// leave no idle session pinning it, whatever the checkins raced.
-	if !srv.DeregisterBank("est3") {
-		t.Fatal("final deregistration failed")
-	}
-	if got := srv.StatsSnapshot().Sessions.Idle; got != 0 {
-		t.Errorf("sessions.idle = %d after the churned db bank was deleted, want 0", got)
 	}
 }
 

@@ -212,8 +212,9 @@ func (ka KarlinAltschul) EValue(raw int, m, n int) float64 {
 }
 
 // MinScoreForEValue returns the smallest raw score whose E-value in an
-// m×n space is ≤ maxE. Both engines use it to translate the user's -e
-// cutoff into a raw-score threshold.
+// m×n space is ≤ maxE: the inverse of EValue. No engine calls it — step
+// 4 (align.Steps) computes each alignment's E-value and filters on
+// that.
 func (ka KarlinAltschul) MinScoreForEValue(maxE float64, m, n int) int {
 	if maxE <= 0 || m <= 0 || n <= 0 {
 		return math.MaxInt32

@@ -23,10 +23,13 @@
 //
 //	res, _ := scoris.Compare(bankA, bankB, scoris.DefaultOptions())
 //
+// The BLASTN-style baseline keeps no index, so it has only the one-shot
+// form, CompareBlastn; call it once per query bank.
+//
 // The heavy lifting lives in internal packages; this package re-exports
-// the stable surface: bank loading, prepared-bank sessions, the
-// engines, m8 output, and the sensitivity comparator used by the
-// paper's evaluation.
+// the stable surface: bank loading, prepared indexes, the engines, m8
+// output, and the sensitivity comparator used by the paper's
+// evaluation.
 package scoris
 
 import (
@@ -234,8 +237,7 @@ func CompareWithIndex(p1, p2 *Prepared, opt Options) (*Result, error) {
 
 // CompareServer is the embeddable form of the scorisd comparison
 // service: bank registry, bounded-concurrency compare endpoints served
-// from prepared indexes, blastn session checkout pool, and live
-// cache/store counters. Mount Handler() on an http.Server; see package
+// from prepared indexes, and live cache/store counters. Mount Handler() on an http.Server; see package
 // internal/server for the request lifecycle and cmd/scorisd for the
 // daemon wiring (graceful drain, store flags).
 type CompareServer = server.Server
@@ -273,15 +275,6 @@ type FleetStats = fleet.Stats
 // NewFleetRouter returns a router for cfg; add workers with AddWorker
 // (or POST /workers) and call Start to begin health probing.
 func NewFleetRouter(cfg FleetRouterConfig) *FleetRouter { return fleet.New(cfg) }
-
-// BlastnSession is the baseline's prepared form: one database bank plus
-// reusable engine state, for searching many query banks against one db.
-type BlastnSession = blastn.Session
-
-// NewBlastnSession validates opt and prepares a session for db.
-func NewBlastnSession(db *Bank, opt BlastnOptions) (*BlastnSession, error) {
-	return blastn.NewSession(db, opt)
-}
 
 // CompareBlastn runs the BLASTN-style baseline: one full scan of bank 1
 // per bank-2 sequence, as 2007-era blastall did.
