@@ -137,6 +137,81 @@ func TestScratchReuseMatchesFreshCalls(t *testing.T) {
 	}
 }
 
+// sameAlignments fails t unless got and ref hold the same alignments in
+// the same order.
+func sameAlignments(t *testing.T, round int, got, ref *Result) {
+	t.Helper()
+	if len(got.Alignments) != len(ref.Alignments) {
+		t.Fatalf("round %d: reused scratch found %d alignments, Compare %d",
+			round, len(got.Alignments), len(ref.Alignments))
+	}
+	for j := range ref.Alignments {
+		if got.Alignments[j] != ref.Alignments[j] {
+			t.Fatalf("round %d: alignment %d differs:\n  reused:  %+v\n  Compare: %+v",
+				round, j, got.Alignments[j], ref.Alignments[j])
+		}
+	}
+}
+
+// TestSessionReuseMatchesCompare: one scratch serving a session of
+// query banks against one db (re-serving the first, and growing for a
+// bank of long queries mid-session) produces exactly what Compare
+// produces for each — the generation-stamped state cannot leak between
+// query banks.
+func TestSessionReuseMatchesCompare(t *testing.T) {
+	db, q1 := testBanks(41, 5, 5, 3, 600)
+	// Same generator seed reproduces the same db sequences, so q2 is a
+	// differently-shaped query bank homologous to the SAME db.
+	_, q2 := testBanks(41, 5, 8, 4, 600)
+	rng := rand.New(rand.NewSource(45))
+	qLong := mkBank("qlong", randSeq(rng, 2000), randSeq(rng, 1800))
+	opt := DefaultOptions()
+
+	s := new(scratch)
+	for i, q := range []*bank.Bank{q1, q2, qLong, q1} {
+		got, err := align.Collect(func(emit align.Emit) (*Result, error) {
+			return s.compareStream(context.Background(), db, q, opt, emit)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Compare(db, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Alignments) == 0 && q != qLong {
+			t.Fatalf("round %d: degenerate test, no alignments", i)
+		}
+		sameAlignments(t, i, got, ref)
+	}
+}
+
+// TestSessionBothStrands: two both-strand rounds on one scratch — the
+// strand passes share it, and the second round must still agree with
+// Compare.
+func TestSessionBothStrands(t *testing.T) {
+	db, q := testBanks(43, 4, 4, 3, 500)
+	opt := DefaultOptions()
+	opt.BothStrands = true
+	s := new(scratch)
+	for i := 0; i < 2; i++ {
+		got, err := align.Collect(func(emit align.Emit) (*Result, error) {
+			return s.compareStream(context.Background(), db, q, opt, emit)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Compare(db, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Alignments) == 0 {
+			t.Fatalf("round %d: degenerate test, no alignments", i)
+		}
+		sameAlignments(t, i, got, ref)
+	}
+}
+
 // TestConcurrentComparesMatchSerial (run under -race in CI): eight
 // goroutines comparing against one db, on both strand settings, each
 // produce the serial output byte for byte — every call holds its own
