@@ -208,8 +208,8 @@ func BenchmarkCompare_Scale16(b *testing.B) {
 // genomicPair is the svc_allpairs shape: two genomic banks of 4 ×
 // seqLen bases from one gene pool, with private repeat families and
 // low-complexity tracts. At seqLen 525 kb that is about 1.64 M codes a
-// side at W = 11, both indexes dense; at 290 kb about 1.0 M, both
-// sparse, just under the threshold (4^11/4 = 1,048,576 codes).
+// side at W = 11, both indexes dense; at 34 kb about 127 K, both
+// sparse, just under the threshold (131,071 codes at W = 11).
 func genomicPair(seqLen int) (b1, b2 *bank.Bank) {
 	pool := simulate.NewPool(1301, 120, 900)
 	genomic := func(name string, seed int64) *bank.Bank {
@@ -226,9 +226,9 @@ func genomicPair(seqLen int) (b1, b2 *bank.Bank) {
 // a visit that only counts the shared codes — on one worker, every index
 // prepared: on the svc_allpairs shape (two dense indexes, the bitmap
 // walk), on two sparse directories just under the threshold (the
-// driven walk's batched bucket searches, each side a few times the L2
-// cache), and on lopsidedBanks (16-read queries driving bucket searches
-// into a sparse db).
+// driven walk's batched bucket searches, about 0.5 MB of Codes a side),
+// and on lopsidedBanks (16-read queries driving bit probes into a dense
+// db, the fleet_hot shape).
 func BenchmarkJoin(b *testing.B) {
 	opt := DefaultOptions()
 	o1, o2 := opt.IndexOptions()
@@ -258,7 +258,7 @@ func BenchmarkJoin(b *testing.B) {
 		run(b, [][2]*index.Index{{index.Build(g1, o1), index.Build(g2, o2)}}, "dense×dense")
 	})
 	b.Run("Sparse", func(b *testing.B) {
-		g1, g2 := genomicPair(290_000)
+		g1, g2 := genomicPair(34_000)
 		run(b, [][2]*index.Index{{index.Build(g1, o1), index.Build(g2, o2)}}, "sparse×sparse")
 	})
 	b.Run("Lopsided", func(b *testing.B) {
@@ -268,6 +268,6 @@ func BenchmarkJoin(b *testing.B) {
 		for _, q := range reads {
 			pairs = append(pairs, [2]*index.Index{ix1, index.Build(q, o2)})
 		}
-		run(b, pairs, "sparse×sparse")
+		run(b, pairs, "dense×sparse")
 	})
 }

@@ -241,12 +241,13 @@ func workerCount(opt Options) int {
 // globally unique, so workers need no coordination (paper §4).
 //
 // The join (joinCodes) has two walks. When both indexes are dense it
-// ANDs their presence bitmaps word by word, workers claiming contiguous
-// word ranges through an atomic counter. Otherwise it is driven by the
-// smaller directory — a 16-read query against a megabase bank walks the
-// query's few thousand codes, not the bank's million: workers claim
-// contiguous chunks of it and resolve its codes in the larger directory
-// by point lookups (index.Slots). Per-worker order stays ascending,
+// ANDs their presence bitmaps, which are their directories, word by
+// word, workers claiming contiguous word ranges through an atomic
+// counter. Otherwise it is driven by the smaller directory, always a
+// sparse one's code list — a 16-read query against a megabase bank
+// walks the query's few thousand codes, not the bank's million:
+// workers claim contiguous chunks of it and resolve its codes in the
+// larger directory by point lookups (index.Slots). Per-worker order stays ascending,
 // which is all the ordered-rule uniqueness proof needs. The A4 ablation
 // (ShuffledSeedOrder) visits the words, or the driving directory's
 // slots, in a fixed pseudo-random permutation instead.
@@ -348,7 +349,7 @@ type slotPair struct {
 const joinBatch = index.SlotBatch
 
 // joinCodes calls visit(wid, batch) with every code both indexes hold,
-// as the pair of its directory slots — ix1.Codes[k1] == ix2.Codes[k2] —
+// as the pair of its directory slots (index.Index.Slot) —
 // joinBatch pairs a call. Work is cut into contiguous chunks that
 // workers claim in order through an atomic counter, and a chunk's pairs
 // are delivered in ascending code order, the last batch of a chunk
@@ -358,11 +359,12 @@ const joinBatch = index.SlotBatch
 //     of the code space, and the two presence bitmaps are ANDed a word at
 //     a time; a worker counts both sides' slots from the rank of its
 //     chunk's first word (index.Index.WordRank), a popcount a word;
-//   - otherwise the smaller directory drives — a sparse one, when only
-//     one is dense — its slots are the chunks, and a chunk's codes are
-//     looked up in the other directory joinBatch at a time (no lookup
-//     waits for another, index.Slots): bit probes on a dense index,
-//     bucket searches on a sparse one.
+//   - otherwise the smaller directory drives — a sparse one always, since
+//     of a dense and a sparse directory the sparse one is the smaller —
+//     its slots are the chunks, its Codes are read in place, and a
+//     chunk's codes are looked up in the other directory joinBatch at a
+//     time (no lookup waits for another, index.Slots): bit probes on a
+//     dense index, bucket searches on a sparse one.
 //
 // visit runs on worker wid's goroutine and must not keep batch. With
 // shuffled set the words, or the driving slots, are visited in a fixed
@@ -372,11 +374,11 @@ const joinBatch = index.SlotBatch
 func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled bool, visit func(wid int, batch []slotPair)) error {
 	dense := ix1.Dense() && ix2.Dense()
 	drive, other := ix1, ix2
-	swapped := len(ix2.Codes) < len(ix1.Codes)
+	swapped := ix2.NumCodes() < ix1.NumCodes()
 	if swapped {
 		drive, other = ix2, ix1
 	}
-	domain := len(drive.Codes) // what the chunks cut: slots, or words when dense
+	domain := drive.NumCodes() // what the chunks cut: slots, or words when dense
 	if dense {
 		domain = len(ix1.Bits)
 	}
@@ -495,6 +497,9 @@ func (j *joinWorker) andWords(ix1, ix2 *index.Index, lo, hi int, shuffled bool, 
 // [lo, hi) (or their permutation): a lookup's worth of codes at a time,
 // resolved in the other directory by index.Slots.
 func (j *joinWorker) probeSlots(drive, other *index.Index, swapped bool, lo, hi int, shuffled bool, domain int) bool {
+	// drive is sparse, so its Codes are there: the dense threshold is one
+	// on a directory's size, and drive is the smaller directory.
+	//
 	// The next driving slots — where each is and its code — and where the
 	// other side has them.
 	var at, found [joinBatch]int32

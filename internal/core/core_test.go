@@ -211,7 +211,10 @@ func TestOrderedRuleAblationSameAlignments(t *testing.T) {
 		t.Error("naive mode should have produced duplicate HSPs")
 	}
 	// The ordered rule may trim borderline HSP sets differently, but on
-	// these clean banks final alignments must agree.
+	// these clean banks final alignments must agree. With dust on, a
+	// window dust masked out of either index can abort an extension that
+	// nothing then regenerates: EST3×EST4 at scale 128 loses 2 of 70 HSPs
+	// and 1 of 34 alignments (TestOrderedRuleMatchesDedupedNaive).
 	if !alignmentsEqual(withRule.Alignments, without.Alignments) {
 		t.Fatalf("ablation changed alignments: %d vs %d",
 			len(withRule.Alignments), len(without.Alignments))

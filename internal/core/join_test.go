@@ -73,7 +73,7 @@ func wordEdges() []seed.Code {
 // shuffled order visits the same set.
 func TestJoinCodesMatchesMapIntersection(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	big := randomCodes(rng, 20000, 1<<16) // dense: over a quarter of 4^joinW
+	big := randomCodes(rng, 20000, 1<<16) // dense: over 4^joinW/32
 	small := randomCodes(rng, 40, 1<<16)
 	// Lopsided with guaranteed hits at both ends and in the middle.
 	small = append(small, big[0], big[len(big)/2], big[len(big)-1])
@@ -81,8 +81,8 @@ func TestJoinCodesMatchesMapIntersection(t *testing.T) {
 	small = slices.Compact(small)
 	peer := randomCodes(rng, 20000, 1<<16) // comparable sizes, both dense
 	peer2 := randomCodes(rng, 22000, 1<<16)
-	near := randomCodes(rng, 4000, 1<<13) // comparable sizes, both sparse
-	near2 := randomCodes(rng, 4500, 1<<13)
+	near := randomCodes(rng, 1500, 1<<13) // comparable sizes, both sparse
+	near2 := randomCodes(rng, 1800, 1<<13)
 	var evens, odds []seed.Code
 	for c := 0; c < 600; c += 2 {
 		evens = append(evens, seed.Code(c))
@@ -142,7 +142,7 @@ func TestJoinCodesMatchesMapIntersection(t *testing.T) {
 			}
 		}
 		ix1, ix2 := dirIndex(tc.c1), dirIndex(tc.c2)
-		if !slices.Equal(ix1.Codes, tc.c1) || !slices.Equal(ix2.Codes, tc.c2) {
+		if !slices.Equal(ix1.Directory(), tc.c1) || !slices.Equal(ix2.Directory(), tc.c2) {
 			t.Fatalf("%s: dirIndex did not reproduce the directories", tc.name)
 		}
 		if class := joinClass(ix1, ix2); class != tc.class {
@@ -400,7 +400,7 @@ func TestStep2OrderAndCountsDoNotDependOnBatching(t *testing.T) {
 			XDrop: opt.UngappedXDrop, Ordered: true}
 		var want []hsp.HSP
 		var wantStats hsp.Stats
-		for _, code := range ix1.Codes {
+		for _, code := range ix1.Directory() {
 			for _, p1 := range ix1.Occ(code) {
 				for _, p2 := range ix2.Occ(code) {
 					if h, ok := ext.Extend(tc.b1.Data, tc.b2.Data, p1, p2, code, &wantStats); ok && h.Score >= opt.MinUngappedScore {

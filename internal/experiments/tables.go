@@ -135,8 +135,8 @@ func (h *Harness) Asymmetric() {
 			}
 		}
 	})
-	h.printf("\n| bank1 10-mer index | entries | CSR bytes |\n")
-	h.printf("|--------------------|--------:|----------:|\n")
+	h.printf("\n| bank1 10-mer index | entries | index bytes |\n")
+	h.printf("|--------------------|--------:|------------:|\n")
 	h.printf("| full | %d | %d |\n", full10.Indexed, full10.MemoryBytes())
 	h.printf("| half | %d | %d |\n", half10.Indexed, half10.MemoryBytes())
 	h.printf("\n- half/full entries: %.1f %%\n",

@@ -28,7 +28,7 @@ func runStep2(b1, b2 *bank.Bank, w int, xdrop int32, ordered bool) ([]HSP, Stats
 	ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: xdrop, Ordered: ordered}
 	var st Stats
 	var out []HSP
-	for _, code := range ix1.Codes {
+	for _, code := range ix1.Directory() {
 		for _, p1 := range ix1.Occ(code) {
 			for _, p2 := range ix2.Occ(code) {
 				if h, ok := ext.Extend(b1.Data, b2.Data, p1, p2, code, &st); ok {
@@ -487,7 +487,7 @@ func BenchmarkExtendOrdered(b *testing.B) {
 	const w = 11
 	ix1 := index.Build(b1, index.Options{W: w})
 	// The lowest occupied code and its first occurrence.
-	code := ix1.Codes[0]
+	code := ix1.Directory()[0]
 	p1 := ix1.Occ(code)[0]
 	ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: 20, Ordered: true}
 	b.ResetTimer()

@@ -96,7 +96,7 @@ func TestQuickSampledOrderedLosesNoDiagonals(t *testing.T) {
 			ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: xd,
 				Ordered: ordered, SampleStep: 2}
 			var out []HSP
-			for _, code := range ix1.Codes {
+			for _, code := range ix1.Directory() {
 				for _, p1 := range ix1.Occ(code) {
 					for _, p2 := range ix2.Occ(code) {
 						if h, ok := ext.Extend(b1.Data, b2.Data, p1, p2, code, nil); ok {
@@ -223,7 +223,7 @@ func TestExtendStopsAtSentinelsLikeBounds(t *testing.T) {
 						ext.SampleStep = int32(step)
 					}
 					var atFirst, atLast, emitted int
-					for _, code := range ix1.Codes {
+					for _, code := range ix1.Directory() {
 						for _, p1 := range ix1.Occ(code) {
 							for _, p2 := range ix2.Occ(code) {
 								got, gotOK := ext.Extend(b1.Data, b2.Data, p1, p2, code, nil)

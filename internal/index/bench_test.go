@@ -86,7 +86,7 @@ func BenchmarkIndexScan_CSRvsChain(b *testing.B) {
 	ix2 := Build(b2, Options{W: w})
 	ref1 := buildChainRef(b1, Options{W: w})
 	ref2 := buildChainRef(b2, Options{W: w})
-	codes := ix1.Codes
+	codes, codes2 := ix1.Directory(), ix2.Directory()
 
 	var chainPairs, csrPairs int64
 	b.Run("Chain", func(b *testing.B) {
@@ -123,13 +123,13 @@ func BenchmarkIndexScan_CSRvsChain(b *testing.B) {
 			pairs = 0
 			k2 := 0
 			for k1, code := range codes {
-				for k2 < len(ix2.Codes) && ix2.Codes[k2] < code {
+				for k2 < len(codes2) && codes2[k2] < code {
 					k2++
 				}
-				if k2 == len(ix2.Codes) {
+				if k2 == len(codes2) {
 					break
 				}
-				if ix2.Codes[k2] != code {
+				if codes2[k2] != code {
 					continue
 				}
 				pos2 := ix2.Pos[ix2.Offsets[k2]:ix2.Offsets[k2+1]]

@@ -95,18 +95,19 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 }
 
 // Block returns ix as the one block over its whole bank that it already
-// is — what a fresh save writes. Codes and Pos are the index's own
-// arrays, not copies (read-only); Counts, the differences of
-// Offsets, is the only thing computed.
+// is — what a fresh save writes. Pos is the index's own array, and so
+// is Codes on a sparse index, not copies (read-only); Counts, the
+// differences of Offsets, is computed, and so is Codes on a dense index
+// (Directory), which lives only as long as the block.
 func (ix *Index) Block() BlockParts {
-	counts := make([]int32, len(ix.Codes))
+	counts := make([]int32, ix.NumCodes())
 	for i := range counts {
 		counts[i] = ix.Offsets[i+1] - ix.Offsets[i]
 	}
 	return BlockParts{
 		SeqLo: 0, SeqHi: ix.Bank.NumSeqs(),
 		DataLo: ix.Bank.PrefixLen(0), DataHi: len(ix.Bank.Data),
-		Codes: ix.Codes, Counts: counts, Pos: ix.Pos,
+		Codes: ix.Directory(), Counts: counts, Pos: ix.Pos,
 		MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
 	}
 }

@@ -180,7 +180,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			if got.Indexed != want.Indexed || got.MaskedOut != want.MaskedOut || got.SampledOut != want.SampledOut {
 				t.Fatalf("workers=%d counters differ: %+v vs %+v", workers, got, want)
 			}
-			if !slices.Equal(got.Codes, want.Codes) || !slices.Equal(got.Offsets, want.Offsets) {
+			if !slices.Equal(got.Directory(), want.Directory()) || !slices.Equal(got.Offsets, want.Offsets) {
 				t.Fatalf("workers=%d opts=%+v: directory differs from the serial build", workers, opts)
 			}
 			for i := range want.Pos {

@@ -61,12 +61,13 @@ func samePartsT(t *testing.T, want, got *Index) {
 	}
 	check("Offsets", want.Offsets, got.Offsets)
 	check("Pos", want.Pos, got.Pos)
-	if len(want.Codes) != len(got.Codes) {
-		t.Errorf("Codes length: want %d, got %d", len(want.Codes), len(got.Codes))
+	wantDir, gotDir := want.Directory(), got.Directory()
+	if len(wantDir) != len(gotDir) {
+		t.Errorf("directory length: want %d, got %d", len(wantDir), len(gotDir))
 	} else {
-		for i := range want.Codes {
-			if want.Codes[i] != got.Codes[i] {
-				t.Errorf("Codes differs at %d", i)
+		for i := range wantDir {
+			if wantDir[i] != gotDir[i] {
+				t.Errorf("directory differs at %d", i)
 				break
 			}
 		}
@@ -90,7 +91,7 @@ func TestExtendPreservesAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range want.Codes {
+	for _, c := range want.Directory() {
 		w := want.Occ(seed.Code(c))
 		g := got.Occ(seed.Code(c))
 		if len(w) != len(g) {

@@ -1,26 +1,27 @@
 // Package index implements the ORIS bank index of paper §2.1 / Fig. 2
-// as an inverted file sized by the bank: Codes, the ascending directory
-// of the seed codes the bank actually contains; Offsets, one entry per
-// directory slot plus one; a lookup structure derived from Codes,
-// through which a code is found in one short probe (Slot) that waits
-// for no other; and one flat, cache-contiguous occurrence
-// array Pos holding every indexed position, grouped by seed code and
-// position-sorted inside each group. The occurrences of Codes[i] are
+// as an inverted file sized by the bank: a directory of the seed codes
+// the bank actually contains, ascending; Offsets, one entry per
+// directory slot plus one; a lookup structure through which a code is
+// found in one short probe (Slot) that waits for no other; and one
+// flat, cache-contiguous occurrence array Pos holding every indexed
+// position, grouped by seed code and position-sorted inside each
+// group. The occurrences of the code in slot i are
 // Pos[Offsets[i]:Offsets[i+1]], a contiguous []int32 view, so step 2's
 // sweep over the seed codes reads the occurrence lists sequentially —
 // the paper's whole speed argument ("all the portions of sequence
 // having the same seed are implicitly and simultaneously moved into the
 // cache") realized as an actual memory layout.
 //
-// The lookup structure depends on how full the directory is. A dense
-// index — one holding more than a quarter of the 4^W possible codes —
-// carries the paper's dense dictionary at 1 1/16 bits a code: a presence
-// bitmap Bits and its rank Rank, the bitmap no larger than the Top it
-// replaces. A sparse index carries Top, a coarse directory over Codes a
-// sixteenth of its size.
-// Nothing else is sized by 4^W, and nothing at all is on a sparse
-// index: a 16-read query bank costs kilobytes, not the 16 MB a dense
-// dictionary of 4-byte entries would (see DESIGN.md §2).
+// The directory's form depends on how full it is. A dense index — one
+// whose sparse form would take at least the bitmap's bytes, from about
+// 4^W/32 codes on — carries the paper's dense dictionary at 1 1/16 bits
+// a code and nothing else: a presence bitmap Bits, which is the
+// directory (the slot of a code is the number of set bits below it),
+// and its rank Rank. A sparse index carries Codes, the directory as a
+// sorted list, and Top, a coarse directory over Codes a sixteenth of
+// its size. Nothing but the bitmap is sized by 4^W, and nothing at all
+// is on a sparse index: a 16-read query bank costs kilobytes, not the
+// 16 MB a dense dictionary of 4-byte entries would (see DESIGN.md §2).
 //
 // Positions are all the index stores per occurrence — the paper's one
 // 4-byte INDEX entry per indexed position. The extension loops need no
@@ -32,8 +33,8 @@
 // ranges appends one packed code<<32|pos word per accepted window, a
 // stable LSD radix sort on the code's 11-bit digits puts the words in
 // CSR order (positions arrive ascending, so stability keeps them
-// ascending inside each code), and one linear pass emits Pos, Codes and
-// Offsets. The output is canonical — byte-identical
+// ascending inside each code), and one linear pass emits Pos, the code
+// list and Offsets. The output is canonical — byte-identical
 // for any worker count — because the shards cover ascending position
 // ranges and are concatenated in shard order before the sort.
 //
@@ -143,12 +144,14 @@ type Index struct {
 	Bank *bank.Bank
 	W    int
 
-	// Codes lists the seed codes the bank contains, strictly ascending —
-	// the directory step 2 joins with the other bank's: Codes[i] is the
-	// code of slot i.
+	// Codes lists the seed codes a sparse index's bank contains, strictly
+	// ascending — the directory step 2 joins with the other bank's:
+	// Codes[i] is the code of slot i. nil on a dense index, whose
+	// directory is Bits (Directory lists either).
 	Codes []seed.Code
-	// Offsets has len(Codes)+1 entries, strictly increasing from 0 to
-	// Indexed: the occurrences of Codes[i] are Pos[Offsets[i]:Offsets[i+1]].
+	// Offsets has NumCodes()+1 entries, strictly increasing from 0 to
+	// Indexed: the occurrences of the code of slot i are
+	// Pos[Offsets[i]:Offsets[i+1]].
 	Offsets []int32
 	// Pos is the flat occurrence array, length Indexed, grouped by code
 	// and ascending inside each group.
@@ -160,17 +163,18 @@ type Index struct {
 	// smallest that leaves a bucket ≤ topBucket codes when the bank's
 	// codes spread evenly. Under half a byte a code; nil on a dense index.
 	Top []int32
-	// Bits is the presence bitmap of a dense index (see Dense): bit c%64
-	// of Bits[c/64] is set when the bank contains code c, for every c in
-	// [0, 4^W). The slot of a code is the number of set bits below it.
-	// nil on a sparse index.
+	// Bits is the presence bitmap of a dense index (see Dense), and its
+	// directory: bit c%64 of Bits[c/64] is set when the bank contains
+	// code c, for every c in [0, 4^W). The slot of a code is the number
+	// of set bits below it. nil on a sparse index.
 	Bits []uint64
 	// Rank is Bits' rank directory: Rank[l] is the number of set bits in
 	// the 512-bit lines before line l, Bits[:8l] — the slot of the line's
 	// first code. nil on a sparse index.
 	//
-	// Top, Bits and Rank are derived from Codes by assemble wherever an
-	// index comes to exist, never stored.
+	// Top, Bits and Rank are derived from the code list by assemble
+	// wherever an index comes to exist, never stored; on a dense index
+	// assemble then drops the list.
 	Rank []int32
 
 	// Indexed is the number of positions inserted.
@@ -405,32 +409,38 @@ type Parts struct {
 }
 
 // assemble binds parts to the (bank, options) they were built or
-// validated for, and derives the lookup structure from their directory:
-// the presence bitmap and its rank when the directory is dense, Top
-// when it is not. opts must be normalized and every code below 4^W.
+// validated for, and derives the directory's form from their code list:
+// the presence bitmap and its rank when the directory is dense — the
+// list itself is then dropped, the bitmap holding the same set — and
+// Top beside the list when it is not. opts must be normalized and every
+// code below 4^W.
 func assemble(b *bank.Bank, opts Options, p Parts) *Index {
 	ix := &Index{
 		Bank: b, W: opts.W,
-		Codes: p.Codes, Offsets: p.Offsets, Pos: p.Pos,
+		Offsets: p.Offsets, Pos: p.Pos,
 		Indexed: p.Indexed, MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 		opts: opts,
 	}
 	if denseDirectory(len(p.Codes), opts.W) {
 		ix.Bits, ix.Rank = presenceBitmap(p.Codes, opts.W)
 	} else {
+		ix.Codes = p.Codes
 		ix.Top, ix.topShift = topDirectory(p.Codes, opts.W)
 	}
 	return ix
 }
 
-// denseDirectory reports whether a directory of n codes below 4^w gets
-// a presence bitmap instead of Top: when n > 4^w/4, the point from which
-// Top — 2^topBits(n) ≥ n/16 entries of 4 bytes — takes at least the
-// bitmap's 4^w/8 bytes. The rank adds 4^w/128, so a dense index is at
-// most that (32 KB at W = 11, under 1/128 of its Codes) larger than its
-// sparse form would be. The memory crossover, a constant — not an option.
+// denseDirectory reports whether a directory of n codes below 4^w is
+// held as a presence bitmap and its rank instead of Codes and Top: when
+// its sparse form — 4n bytes of Codes and 4·(2^topBits(n)+1) of Top —
+// takes at least the bitmap's 4^w/8 bytes and the rank's 4^w/128, from
+// about 4^w/32 codes on (131,071 at W = 11). Either way an index holds
+// the smaller of its two forms. The memory crossover, a constant — not
+// an option.
 func denseDirectory(n, w int) bool {
-	return 4*n > seed.NumCodes(w)
+	words := (seed.NumCodes(w) + 63) / 64
+	bitmap := 8*words + 4*((words+lineWords-1)/lineWords)
+	return 4*n+4*(1<<topBits(n)+1) >= bitmap
 }
 
 // lineWords is the number of bitmap words a Rank entry covers: one
@@ -588,9 +598,31 @@ func spreadBases(c uint64) uint64 {
 }
 
 // Dense reports whether ix carries the presence bitmap (Bits, Rank)
-// rather than Top: whether its directory holds more than a quarter of
-// the 4^W possible codes.
+// rather than Codes and Top: whether its sparse form would take at
+// least the bitmap's bytes (denseDirectory).
 func (ix *Index) Dense() bool { return ix.Bits != nil }
+
+// NumCodes returns the number of seed codes the bank contains: the
+// directory's slots, on a dense index and a sparse one alike.
+func (ix *Index) NumCodes() int { return len(ix.Offsets) - 1 }
+
+// Directory lists the seed codes the bank contains, strictly ascending:
+// slot i holds the i-th. On a sparse index it is Codes itself (callers
+// must not mutate it); on a dense one it is regenerated from Bits, one
+// pass over its set bits, into a new slice nothing else keeps — for the
+// writers and readers that want the list, not for the join.
+func (ix *Index) Directory() []seed.Code {
+	if ix.Bits == nil {
+		return ix.Codes
+	}
+	codes := make([]seed.Code, 0, ix.NumCodes())
+	for w, x := range ix.Bits {
+		for ; x != 0; x &= x - 1 {
+			codes = append(codes, seed.Code(64*w+bits.TrailingZeros64(x)))
+		}
+	}
+	return codes
+}
 
 // WordRank returns the number of codes below 64·w on a dense index —
 // the slot of the first code at or after 64·w: one Rank entry and the
@@ -604,18 +636,18 @@ func (ix *Index) WordRank(w int) int {
 	return n
 }
 
-// Slot returns the directory slot of code c — Codes[slot] == c — and
-// whether the bank contains c; when it does not, slot is where c would
-// be inserted, as slices.BinarySearch(ix.Codes, c) reports it. On a
-// dense index the lookup is c's bitmap word and its rank (WordRank); on
-// a sparse one it reads two adjacent Top entries and binary-searches
-// only the bucket between them. Either way it depends on no earlier
-// lookup.
+// Slot returns the directory slot of code c — Directory()[slot] == c —
+// and whether the bank contains c; when it does not, slot is where c
+// would be inserted, as slices.BinarySearch(ix.Directory(), c) reports
+// it. On a dense index the lookup is c's bitmap word and its rank
+// (WordRank); on a sparse one it reads two adjacent Top entries and
+// binary-searches only the bucket between them. Either way it depends
+// on no earlier lookup.
 func (ix *Index) Slot(c seed.Code) (slot int, found bool) {
 	if ix.Bits != nil {
 		w := int(c / 64)
 		if w >= len(ix.Bits) { // c ≥ 4^W: above every code
-			return len(ix.Codes), false
+			return ix.NumCodes(), false
 		}
 		x := ix.Bits[w]
 		return ix.WordRank(w) + bits.OnesCount64(x&(1<<(c%64)-1)), x>>(c%64)&1 != 0
@@ -706,11 +738,12 @@ func (ix *Index) Occ(c seed.Code) []int32 {
 	return ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]]
 }
 
-// MemoryBytes reports the footprint of the index arrays (Codes +
-// Offsets + Pos, and Top or Bits + Rank), the "INDEX" part of the
-// paper's ≈5N bytes/bank estimate: 4 bytes per indexed position plus 8
-// per distinct code, plus under half a byte a code on a sparse index or
-// 4^W/8 + 4^W/128 bytes on a dense one (DESIGN.md §3).
+// MemoryBytes reports the footprint of the arrays the index holds
+// (Offsets + Pos, and Codes + Top or Bits + Rank), the "INDEX" part of
+// the paper's ≈5N bytes/bank estimate: 4 bytes per indexed position
+// plus 4 per distinct code, plus on a sparse index 4 more and under
+// half a byte a code (Codes and Top), on a dense one 4^W/8 + 4^W/128
+// bytes (Bits and Rank) — whichever is smaller (DESIGN.md §3).
 func (ix *Index) MemoryBytes() int {
 	return 4*(len(ix.Codes)+len(ix.Offsets)+len(ix.Top)+len(ix.Rank)+len(ix.Pos)) + 8*len(ix.Bits)
 }

@@ -19,7 +19,7 @@ import (
 // eachCode walks the directory: every code the index lists, with its
 // occurrence run.
 func eachCode(ix *Index, fn func(c seed.Code, occ []int32)) {
-	for i, c := range ix.Codes {
+	for i, c := range ix.Directory() {
 		fn(c, ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]])
 	}
 }
@@ -125,8 +125,8 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 // code order.
 func sameAsBrute(t *testing.T, ix *Index, brute map[seed.Code][]int32) {
 	t.Helper()
-	if len(ix.Codes) != len(brute) {
-		t.Fatalf("index lists %d codes, brute force found %d", len(ix.Codes), len(brute))
+	if ix.NumCodes() != len(brute) {
+		t.Fatalf("index lists %d codes, brute force found %d", ix.NumCodes(), len(brute))
 	}
 	prev := -1
 	eachCode(ix, func(c seed.Code, occ []int32) {
@@ -306,10 +306,11 @@ func BenchmarkBuildW11_1Mb(b *testing.B) {
 }
 
 // partsOf returns ix's arrays and counters as the Parts checkParts
-// validates; the slices are ix's own.
+// validates; the slices are ix's own, but for a dense index's code list,
+// which is regenerated (Directory).
 func partsOf(ix *Index) Parts {
 	return Parts{
-		Codes: ix.Codes, Offsets: ix.Offsets, Pos: ix.Pos,
+		Codes: ix.Directory(), Offsets: ix.Offsets, Pos: ix.Pos,
 		Indexed: ix.Indexed, MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
 	}
 }

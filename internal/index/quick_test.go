@@ -92,7 +92,7 @@ func TestQuickBuildDeterministic(t *testing.T) {
 		b := randomBank(seedVal, int(nRaw)%4+1, 120)
 		a := Build(b, Options{W: w})
 		c := Build(b, Options{W: w})
-		return a.Indexed == c.Indexed && slices.Equal(a.Codes, c.Codes) &&
+		return a.Indexed == c.Indexed && slices.Equal(a.Directory(), c.Directory()) &&
 			slices.Equal(a.Offsets, c.Offsets) && slices.Equal(a.Pos, c.Pos)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -9,39 +9,51 @@ import (
 	"testing"
 
 	"repro/internal/bank"
+	"repro/internal/dust"
 	"repro/internal/seed"
 )
 
 // dirOf is an index that is only a directory: codes (ascending, below
-// 4^w) and, whatever their number, the lookup structure of the form
-// asked for — the presence bitmap and rank when dense, else Top — which
-// is all Slot reads.
+// 4^w) in the form asked for, whatever their number — the presence
+// bitmap and rank when dense, else Codes and Top — and Offsets of the
+// length that makes NumCodes right, which is all Slot reads.
 func dirOf(codes []seed.Code, w int, dense bool) *Index {
-	ix := &Index{W: w, Codes: codes}
+	ix := &Index{W: w, Offsets: make([]int32, len(codes)+1)}
 	if dense {
 		ix.Bits, ix.Rank = presenceBitmap(codes, w)
 	} else {
+		ix.Codes = codes
 		ix.Top, ix.topShift = topDirectory(codes, w)
 	}
 	return ix
 }
 
-// checkLookup states what the lookup structure of ix is: the form the
-// directory's size calls for (denseDirectory) when wantForm is true,
-// and then the structure checkBitmap or checkTop describes.
-func checkLookup(t testing.TB, ix *Index, wantForm bool) {
+// checkLookup states what the directory of ix is: the codes listed,
+// in the form their number calls for (denseDirectory) when wantForm is
+// true — a dense index holding the bitmap checkBitmap describes and no
+// code list, a sparse one the list and the Top checkTop describes.
+func checkLookup(t testing.TB, ix *Index, codes []seed.Code, wantForm bool) {
 	t.Helper()
-	if wantForm && ix.Dense() != denseDirectory(len(ix.Codes), ix.W) {
-		t.Fatalf("W=%d, %d codes: Dense() = %v, the threshold says %v", ix.W, len(ix.Codes), ix.Dense(), !ix.Dense())
+	if ix.NumCodes() != len(codes) {
+		t.Fatalf("W=%d: NumCodes() = %d, the directory lists %d", ix.W, ix.NumCodes(), len(codes))
+	}
+	if wantForm && ix.Dense() != denseDirectory(len(codes), ix.W) {
+		t.Fatalf("W=%d, %d codes: Dense() = %v, the threshold says %v", ix.W, len(codes), ix.Dense(), !ix.Dense())
+	}
+	if !slices.Equal(ix.Directory(), codes) {
+		t.Fatalf("W=%d, %d codes: Directory() lists %d codes, not the directory", ix.W, len(codes), len(ix.Directory()))
 	}
 	if ix.Dense() {
-		if ix.Top != nil {
-			t.Fatalf("W=%d, %d codes: a dense index carries Top (%d entries)", ix.W, len(ix.Codes), len(ix.Top))
+		if ix.Top != nil || ix.Codes != nil {
+			t.Fatalf("W=%d, %d codes: a dense index carries Top (%d entries) or Codes (%d)", ix.W, len(codes), len(ix.Top), len(ix.Codes))
 		}
-		checkBitmap(t, ix)
+		checkBitmap(t, ix, codes)
 	} else {
 		if ix.Bits != nil || ix.Rank != nil {
-			t.Fatalf("W=%d, %d codes: a sparse index carries a bitmap", ix.W, len(ix.Codes))
+			t.Fatalf("W=%d, %d codes: a sparse index carries a bitmap", ix.W, len(codes))
+		}
+		if !slices.Equal(ix.Codes, codes) {
+			t.Fatalf("W=%d, %d codes: a sparse index's Codes are not the directory", ix.W, len(codes))
 		}
 		checkTop(t, ix)
 	}
@@ -50,7 +62,7 @@ func checkLookup(t testing.TB, ix *Index, wantForm bool) {
 // checkBitmap states what Bits and Rank are: one bit per code of
 // [0, 4^W), set exactly for the listed codes, and one Rank entry per
 // eight words counting the codes below its line.
-func checkBitmap(t testing.TB, ix *Index) {
+func checkBitmap(t testing.TB, ix *Index, codes []seed.Code) {
 	t.Helper()
 	space := seed.NumCodes(ix.W)
 	if want := (space + 63) / 64; len(ix.Bits) != want || len(ix.Rank) != (want+lineWords-1)/lineWords {
@@ -64,44 +76,44 @@ func checkBitmap(t testing.TB, ix *Index) {
 		}
 		for ; x != 0; x &= x - 1 {
 			c := seed.Code(64*w + bits.TrailingZeros64(x))
-			if k >= len(ix.Codes) || ix.Codes[k] != c {
+			if k >= len(codes) || codes[k] != c {
 				t.Fatalf("W=%d: bit %d is set, the directory's slot %d is not that code", ix.W, c, k)
 			}
 			k++
 		}
 	}
-	if k != len(ix.Codes) {
-		t.Fatalf("W=%d: %d bits set for %d codes", ix.W, k, len(ix.Codes))
+	if k != len(codes) {
+		t.Fatalf("W=%d: %d bits set for %d codes", ix.W, k, len(codes))
 	}
 }
 
 // checkSlots holds ix.Slot, and ix.Slots a batch at a time, to
-// slices.BinarySearch on the probes that can tell them apart: every
-// listed code and its two neighbours, both ends of the code space, the
-// first codes outside it, and whatever extra is given — on a dense
-// index and a sparse one alike.
-func checkSlots(t testing.TB, ix *Index, extra ...seed.Code) {
+// slices.BinarySearch of its directory codes on the probes that can tell
+// them apart: every listed code and its two neighbours, both ends of the
+// code space, the first codes outside it, and whatever extra is given —
+// on a dense index and a sparse one alike.
+func checkSlots(t testing.TB, ix *Index, codes []seed.Code, extra ...seed.Code) {
 	t.Helper()
 	space := seed.Code(seed.NumCodes(ix.W))
 	probes := append([]seed.Code{0, space - 1, space, space + 1, 1<<32 - 1}, extra...)
-	for _, c := range ix.Codes {
+	for _, c := range codes {
 		probes = append(probes, c-1, c, c+1)
 	}
 	for batch := range slices.Chunk(probes, SlotBatch) {
 		var slots [SlotBatch]int32
 		ix.Slots(batch, slots[:len(batch)])
 		for i, c := range batch {
-			wantSlot, wantFound := slices.BinarySearch(ix.Codes, c)
+			wantSlot, wantFound := slices.BinarySearch(codes, c)
 			if slot, found := ix.Slot(c); slot != wantSlot || found != wantFound {
 				t.Fatalf("W=%d, %d codes: Slot(%d) = %d, %v; BinarySearch says %d, %v",
-					ix.W, len(ix.Codes), c, slot, found, wantSlot, wantFound)
+					ix.W, len(codes), c, slot, found, wantSlot, wantFound)
 			}
 			if !wantFound {
 				wantSlot = -1
 			}
 			if int(slots[i]) != wantSlot {
 				t.Fatalf("W=%d, %d codes: Slots resolves %d (entry %d of %d) to %d, want %d",
-					ix.W, len(ix.Codes), c, i, len(batch), slots[i], wantSlot)
+					ix.W, len(codes), c, i, len(batch), slots[i], wantSlot)
 			}
 		}
 	}
@@ -190,8 +202,8 @@ func TestSlotMatchesBinarySearch(t *testing.T) {
 					continue
 				}
 				ix := dirOf(codes, w, dense)
-				checkLookup(t, ix, false)
-				checkSlots(t, ix, extra...)
+				checkLookup(t, ix, codes, false)
+				checkSlots(t, ix, codes, extra...)
 			}
 		}
 	}
@@ -217,12 +229,13 @@ func lineEdges(w int) []seed.Code {
 }
 
 // TestConstructorsDeriveTheSameLookup: every way an index comes to
-// exist — Build and FromBlocks (one block and several) —
-// derives the same lookup structure, the one its directory's size calls
-// for: the same bitmap and rank on a dense index, the same Top on a
-// sparse one, on banks either side of the threshold. A real bank's
-// directory then resolves like any other. At W = 15 only the sparse
-// side is built: a dense W = 15 directory holds over 268 M codes.
+// exist — Build and FromBlocks (one block and several) — derives the
+// same directory in the form its size calls for: the same bitmap and
+// rank and no code list on a dense index, the same Codes and Top on a
+// sparse one, on banks either side of the threshold (two rows at W = 11
+// straddle it). A real bank's directory then resolves like any other.
+// At W = 15 only the sparse side is built: a dense W = 15 directory
+// holds over 33 M codes.
 func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 	for _, tc := range []struct {
 		w     int
@@ -232,30 +245,40 @@ func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 		{4, mkBank("ACGTACGTAC", "TTTTTTT", "ACGTA"), false},
 		{4, benchBankSeqs(40, 450), true},
 		{11, benchBankSeqs(40, 450), false},
-		{11, benchBankSeqs(3000, 450), true},
+		{11, benchBankSeqs(290, 450), false},
+		{11, benchBankSeqs(310, 450), true},
 		{15, benchBankSeqs(40, 450), false},
 	} {
 		opts := Options{W: tc.w}
 		built := Build(tc.b, opts)
+		whole, err := BuildBlock(tc.b, opts, 0, tc.b.NumSeqs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := whole.Codes
 		if built.Dense() != tc.dense {
-			t.Fatalf("W=%d, %d codes: Dense() = %v, the row is meant to be %v", tc.w, len(built.Codes), built.Dense(), tc.dense)
+			t.Fatalf("W=%d, %d codes: Dense() = %v, the row is meant to be %v", tc.w, len(codes), built.Dense(), tc.dense)
 		}
-		checkLookup(t, built, true)
-		checkSlots(t, built)
-		// MemoryBytes counts the lookup structure exactly. A dense index's
-		// bitmap and rank are 4^W/8 + 4^W/128 bytes (whole lines from
-		// W = 5 on), at most the rank's 4^W/128 more than the Top its
-		// sparse form would carry.
-		lookup := 4 * len(built.Top)
-		if space := seed.NumCodes(tc.w); tc.dense {
+		checkLookup(t, built, codes, true)
+		checkSlots(t, built, codes)
+		// MemoryBytes counts what the index holds exactly: Offsets and Pos,
+		// and the smaller of the directory's two forms — Codes and Top,
+		// 4n + 4·(2^topBits(n)+1) bytes, or the bitmap and rank, 4^W/8 +
+		// 4^W/128 bytes (whole lines from W = 5 on).
+		space := seed.NumCodes(tc.w)
+		sparse := 4*len(codes) + 4*(1<<topBits(len(codes))+1)
+		lookup := 4 * (len(built.Codes) + len(built.Top))
+		if tc.dense {
 			lookup = 8*len(built.Bits) + 4*len(built.Rank)
-			top := 4 * (1<<topBits(len(built.Codes)) + 1)
-			if tc.w >= 5 && (lookup != space/8+space/128 || lookup > top+space/128) {
-				t.Errorf("W=%d: the bitmap and rank take %d bytes, want 4^W/8 + 4^W/128 = %d, at most Top's %d + 4^W/128",
-					tc.w, lookup, space/8+space/128, top)
+			if tc.w >= 5 && (lookup != space/8+space/128 || lookup > sparse) {
+				t.Errorf("W=%d: the bitmap and rank take %d bytes, want 4^W/8 + 4^W/128 = %d, at most the sparse form's %d",
+					tc.w, lookup, space/8+space/128, sparse)
 			}
+		} else if lookup != sparse || tc.w >= 5 && lookup >= space/8+space/128 {
+			t.Errorf("W=%d: Codes and Top take %d bytes, want %d, under the bitmap and rank's %d",
+				tc.w, lookup, sparse, space/8+space/128)
 		}
-		if want := 4*(len(built.Pos)+len(built.Codes)+len(built.Offsets)) + lookup; built.MemoryBytes() != want {
+		if want := 4*(len(built.Pos)+len(built.Offsets)) + lookup; built.MemoryBytes() != want {
 			t.Errorf("W=%d: MemoryBytes = %d, want %d", tc.w, built.MemoryBytes(), want)
 		}
 		oneBlock, err := FromBlocks(tc.b, opts, []BlockParts{built.Block()})
@@ -268,22 +291,82 @@ func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 		}
 		for _, ix := range []*Index{oneBlock, tiled} {
 			sameIndexT(t, built, ix)
+			checkLookup(t, ix, codes, true)
+		}
+	}
+}
+
+// TestDenseIndexHoldsNoCodeList: a dense index, however it came to
+// exist, holds Offsets, Pos, Bits and Rank and nothing else — Codes is
+// nil and MemoryBytes is exactly 4·(Offsets + Pos + Rank) + 8·Bits —
+// and the block a save writes of it, its directory regenerated from the
+// bitmap, is the block BuildBlock makes of the whole bank.
+func TestDenseIndexHoldsNoCodeList(t *testing.T) {
+	for _, tc := range []struct {
+		w    int
+		b    *bank.Bank
+		opts Options
+	}{
+		{4, benchBankSeqs(40, 450), Options{W: 4}},
+		{8, benchBankSeqs(60, 450), Options{W: 8, Dust: dust.New(0, 0)}},
+		{11, benchBankSeqs(310, 450), Options{W: 11}},
+		{11, benchBankSeqs(700, 450), Options{W: 11, SampleStep: 2, SamplePhase: 1}},
+	} {
+		whole, err := BuildBlock(tc.b, tc.opts, 0, tc.b.NumSeqs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := Build(tc.b, tc.opts)
+		loaded, err := FromBlocks(tc.b, tc.opts, []BlockParts{whole})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiled, err := FromBlocks(tc.b, tc.opts, tileBlocks(t, tc.b, tc.opts, []int{3, 17}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range []*Index{built, loaded, tiled} {
+			if !ix.Dense() || ix.Codes != nil || ix.Top != nil {
+				t.Fatalf("W=%d, %d codes: dense %v, Codes %d, Top %d — want a dense index with neither",
+					tc.w, ix.NumCodes(), ix.Dense(), len(ix.Codes), len(ix.Top))
+			}
+			if want := 4*(len(ix.Offsets)+len(ix.Pos)+len(ix.Rank)) + 8*len(ix.Bits); ix.MemoryBytes() != want {
+				t.Errorf("W=%d: MemoryBytes = %d, want 4·(Offsets+Pos+Rank) + 8·Bits = %d", tc.w, ix.MemoryBytes(), want)
+			}
+			got := ix.Block()
+			if got.SeqLo != whole.SeqLo || got.SeqHi != whole.SeqHi || got.DataLo != whole.DataLo || got.DataHi != whole.DataHi ||
+				got.MaskedOut != whole.MaskedOut || got.SampledOut != whole.SampledOut ||
+				!slices.Equal(got.Codes, whole.Codes) || !slices.Equal(got.Counts, whole.Counts) || !slices.Equal(got.Pos, whole.Pos) {
+				t.Errorf("W=%d, %d codes: Block() differs from BuildBlock over the whole bank", tc.w, ix.NumCodes())
+			}
 		}
 	}
 }
 
 // TestDenseThresholdIsTheMemoryCrossover: a directory is dense exactly
-// when the Top its sparse form would carry takes at least the bitmap's
-// bytes — checked either side of the threshold at every W from 3 on,
-// where the bitmap is whole words.
+// when its sparse form — 4 bytes a code of Codes and 4·(2^topBits(n)+1)
+// of Top — takes at least the bitmap and rank's bytes, which makes the
+// threshold 4^W/32 − 1 codes; checked either side of it and across the
+// range at every W from 3 on, where the bitmap is whole words.
 func TestDenseThresholdIsTheMemoryCrossover(t *testing.T) {
 	for w := 3; w <= seed.MaxW; w++ {
 		space := seed.NumCodes(w)
-		bitmap := 8 * ((space + 63) / 64)
-		for _, n := range []int{0, 1, space/4 - 1, space / 4, space/4 + 1, space/4 + 2, space/2 + 1, space} {
-			top := 4 << topBits(n) // Top's bytes, less its closing entry
-			if dense := denseDirectory(n, w); dense != (top >= bitmap) {
-				t.Errorf("W=%d, %d codes: dense = %v, but Top takes %d bytes against the bitmap's %d", w, n, dense, top, bitmap)
+		words := (space + 63) / 64
+		bitmap := 8*words + 4*((words+lineWords-1)/lineWords)
+		sparse := func(n int) int { return 4*n + 4*(1<<topBits(n)+1) }
+		threshold := space/32 - 1
+		if sparse(threshold-1) >= bitmap || sparse(threshold) < bitmap {
+			t.Errorf("W=%d: the sparse form of %d codes takes %d bytes and of %d codes %d, against the bitmap's %d: the crossover is not 4^W/32 − 1",
+				w, threshold-1, sparse(threshold-1), threshold, sparse(threshold), bitmap)
+		}
+		for _, n := range []int{0, 1, threshold - 2, threshold - 1, threshold, threshold + 1,
+			space / 8, space/4 - 1, space / 4, space/4 + 1, space/2 + 1, space} {
+			if n < 0 {
+				continue
+			}
+			if dense := denseDirectory(n, w); dense != (n >= threshold) || dense != (sparse(n) >= bitmap) {
+				t.Errorf("W=%d, %d codes: dense = %v, but the sparse form takes %d bytes against the bitmap's %d (threshold %d)",
+					w, n, dense, sparse(n), bitmap, threshold)
 			}
 		}
 	}
@@ -310,8 +393,8 @@ func FuzzSlot(f *testing.F) {
 				continue
 			}
 			ix := dirOf(codes, w, dense)
-			checkLookup(t, ix, false)
-			checkSlots(t, ix, seed.Code(probe), seed.Code(probe)%seed.Code(seed.NumCodes(w)))
+			checkLookup(t, ix, codes, false)
+			checkSlots(t, ix, codes, seed.Code(probe), seed.Code(probe)%seed.Code(seed.NumCodes(w)))
 		}
 	})
 }

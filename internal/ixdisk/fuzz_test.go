@@ -125,7 +125,7 @@ func loadInvariants(t *testing.T, data []byte, p *index.Index, b *bank.Bank, opt
 		t.Fatalf("load succeeded with %d positions for an Indexed count of %d", len(p.Pos), p.Indexed)
 	}
 	total := 0
-	for _, c := range p.Codes {
+	for _, c := range p.Directory() {
 		occ := p.Occ(seed.Code(c))
 		if len(occ) == 0 {
 			t.Fatalf("load succeeded but occupied code %d has no occurrences", c)

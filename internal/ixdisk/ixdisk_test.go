@@ -112,8 +112,8 @@ func assertIndexEqual(t *testing.T, built, loaded *index.Index) {
 	if !sameInts(built.Pos, loaded.Pos) {
 		t.Error("Pos differs after round trip")
 	}
-	if !sameInts(built.Codes, loaded.Codes) {
-		t.Error("Codes differ after round trip")
+	if !sameInts(built.Directory(), loaded.Directory()) || built.Dense() != loaded.Dense() {
+		t.Error("directory differs after round trip")
 	}
 	if built.Indexed != loaded.Indexed || built.MaskedOut != loaded.MaskedOut || built.SampledOut != loaded.SampledOut {
 		t.Errorf("counters differ: built %d/%d/%d, loaded %d/%d/%d",
@@ -167,7 +167,7 @@ func TestRoundTripLoadMapped(t *testing.T) {
 			}
 			assertIndexEqual(t, built, loaded)
 			// Spot-exercise accessors over the aliased memory.
-			for _, c := range loaded.Codes {
+			for _, c := range loaded.Directory() {
 				occ := loaded.Occ(seed.Code(c))
 				if len(occ) == 0 {
 					t.Fatalf("occupied code %d has empty occurrence slice", c)

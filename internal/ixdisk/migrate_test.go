@@ -8,9 +8,11 @@ package ixdisk
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/index"
 	"repro/internal/ixcache"
+	"repro/internal/simulate"
 )
 
 // legacyBank is the bank the committed v2 and v3 fixtures were saved
@@ -133,6 +136,48 @@ func TestPathStable(t *testing.T) {
 	const wantHeader = "4f5249534958444204000000300000000400000002000000010000000100000010000000000000000000f83f883d9a34"
 	if got := hex.EncodeToString(data[:headerSize]); got != wantHeader {
 		t.Errorf("header = %s, want %s — every stored file would be rejected", got, wantHeader)
+	}
+}
+
+// orixPinBank is a fixed simulated EST bank of n reads for the .orix
+// byte pins.
+func orixPinBank(n int) *bank.Bank {
+	return simulate.EST(simulate.ESTSpec{
+		Name: "pin", Seed: 77, NumSeqs: n, MeanLen: 500, GeneFraction: 0.45,
+		Mut: simulate.Mutation{Sub: 0.035, Indel: 0.004}, PolyATailFraction: 0.15,
+	}, simulate.NewPool(1001, 40, 900))
+}
+
+// TestFreshSaveBytesStable pins the whole file a fresh Save writes for
+// one dense and one sparse index at W = 11 to the SHA-256 an earlier
+// release produced. A dense index keeps no directory of its own: Block
+// regenerates it from the presence bitmap, and these literals are what
+// prove the file it writes is the one a stored directory wrote.
+func TestFreshSaveBytesStable(t *testing.T) {
+	for _, tc := range []struct {
+		reads int
+		dense bool
+		want  string
+	}{
+		{60, false, "d71ae0ae5fe58faa9f7d02565ad03cc45d8c6994bb08566eabd6c81cdb0f99fc"},
+		{600, true, "ebdb71e40be85b319cc243a3301578e2bb14617e1abe8fa18a864daf240c2449"},
+	} {
+		b := orixPinBank(tc.reads)
+		ix := index.Build(b, index.Options{W: 11, Dust: dust.New(0, 0)})
+		if ix.Dense() != tc.dense {
+			t.Fatalf("%d reads, %d codes: Dense() = %v, the row is meant to be %v", tc.reads, ix.NumCodes(), ix.Dense(), tc.dense)
+		}
+		path := filepath.Join(t.TempDir(), "pin.orix")
+		if err := Save(path, ix); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
+			t.Errorf("%d reads (dense %v): the saved file's SHA-256 is %s, want %s — every stored file would differ", tc.reads, tc.dense, got, tc.want)
+		}
 	}
 }
 
@@ -501,47 +546,62 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 
 // TestFreshSaveIsOneBlock: a saved index is the built index — one block
 // however many sequences the bank has — so every fresh file takes the
-// zero-copy route under mmap: the load allocates Offsets and the footer,
-// nothing sized by Pos.
+// zero-copy route under mmap: the load allocates Offsets, the lookup
+// structure the index derives (Bits and Rank when dense, Top when
+// sparse) and the footer, nothing sized by Pos and, on either side of
+// the dense threshold, no copy of the code list.
 func TestFreshSaveIsOneBlock(t *testing.T) {
 	b := bank.New("fresh", genRecs(t, 60, 6000))
-	opts := index.Options{W: 8}
-	built := index.Build(b, opts)
-	path := filepath.Join(t.TempDir(), "ix"+FileExt)
-	if err := Save(path, built); err != nil {
-		t.Fatal(err)
-	}
-	info, err := Probe(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.Blocks) != 1 || info.Blocks[0].SeqHi != b.NumSeqs() {
-		t.Fatalf("a fresh save of %d sequences has %d blocks, want 1 over all of them", b.NumSeqs(), len(info.Blocks))
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p, m, err := loadMapped(path, b, opts)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if mmapSupported && nativeLittleEndian {
-		if !m.Mapped() {
-			t.Error("the mapped load of a fresh save did not keep its mapping")
+	for _, tc := range []struct {
+		w     int
+		dense bool
+	}{{8, true}, {13, false}} {
+		opts := index.Options{W: tc.w}
+		built := index.Build(b, opts)
+		if built.Dense() != tc.dense {
+			t.Fatalf("W=%d, %d codes: Dense() = %v, the row is meant to be %v", tc.w, built.NumCodes(), built.Dense(), tc.dense)
 		}
-		got, max := after.TotalAlloc-before.TotalAlloc, uint64(4*(len(built.Codes)+1)+256<<10)
-		if got > max {
-			t.Errorf("the mapped load allocated %d bytes, want ≤ 4·(|Codes|+1) + 256 KB = %d (Pos alone is %d)",
-				got, max, 4*len(built.Pos))
+		path := filepath.Join(t.TempDir(), "ix"+FileExt)
+		if err := Save(path, built); err != nil {
+			t.Fatal(err)
 		}
+		info, err := Probe(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info.Blocks) != 1 || info.Blocks[0].SeqHi != b.NumSeqs() {
+			t.Fatalf("a fresh save of %d sequences has %d blocks, want 1 over all of them", b.NumSeqs(), len(info.Blocks))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, m, err := loadMapped(path, b, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if mmapSupported && nativeLittleEndian {
+			if !m.Mapped() {
+				t.Error("the mapped load of a fresh save did not keep its mapping")
+			}
+			// The footer holds an 8-byte checksum a sequence; 64 KB covers
+			// the rest of it, the block directory and the Index itself.
+			n := built.NumCodes()
+			lookup := 4*len(built.Top) + 8*len(built.Bits) + 4*len(built.Rank)
+			footer := 8*b.NumSeqs() + 64<<10
+			got, max := after.TotalAlloc-before.TotalAlloc, uint64(4*(n+1)+lookup+footer)
+			if got > max {
+				t.Errorf("W=%d: the mapped load allocated %d bytes, want ≤ 4·(n+1) + lookup %d + footer %d = %d (the code list alone is %d, Pos %d)",
+					tc.w, got, lookup, footer, max, 4*n, 4*len(built.Pos))
+			}
+		}
+		assertIndexEqual(t, built, p)
+		copied, err := load(path, b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIndexEqual(t, built, copied)
 	}
-	assertIndexEqual(t, built, p)
-	copied, err := load(path, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIndexEqual(t, built, copied)
 }
 
 // TestOlderSaveLayoutLoads: Save used to cut a fresh index every 4,096
