@@ -8,12 +8,21 @@
 // SEQ + a 4-byte INDEX entry per position). This package owns the SEQ
 // part, N bytes plus 8 of bookkeeping per sequence; package index owns
 // INDEX.
+//
+// It also owns reading FASTA (paper §2.1: "Bank indexing is directly
+// performed from FASTA format input files"): Parse encodes the text
+// straight into SEQ in one pass, with no per-record or per-line copy,
+// and FromFile is os.ReadFile and Parse. New builds a bank from
+// fasta.Records, the form the generators produce.
 package bank
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc64"
+	"os"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/dna"
@@ -98,16 +107,122 @@ func New(name string, recs []*fasta.Record) *Bank {
 	return b
 }
 
-// FromFile loads a FASTA file into a bank named after the file.
+// FromFile loads a FASTA file into a bank named name: the file is read
+// whole and handed to Parse.
 func FromFile(name, path string) (*Bank, error) {
-	recs, err := fasta.ReadFile(path)
+	text, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("bank: %s: no sequences", path)
+	b, err := Parse(name, text)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return New(name, recs), nil
+	return b, nil
+}
+
+// Parse reads FASTA text into a bank in one pass: lines are found with
+// bytes.IndexByte and sequence bytes are encoded straight into Data,
+// which is allocated once at its largest possible size, the text's
+// length (the bytes of headers and line ends, a few percent, stay
+// unused capacity) — no per-line, per-record or per-base allocation
+// beyond one string per header. The rules are those of FASTA as the
+// paper's banks use it:
+//
+//   - a line ends at '\n', and trailing '\r' bytes are dropped (CRLF);
+//   - blank lines and ';' comment lines are skipped;
+//   - '>' opens a record: the header's first space- or tab-delimited
+//     token (after TrimSpace) is the ID, the trimmed rest the
+//     description, and an empty header is named "unnamed";
+//   - every other line is sequence data: space, tab, '\v' and '\f' are
+//     dropped, A/C/G/T/U in either case encode to their codes, and any
+//     other byte is an ambiguous base (dna.Invalid);
+//   - sequence data before the first header is an error naming its
+//     line, and so is text without a record.
+//
+// A record with no sequence lines still occupies a slot, as in New.
+func Parse(name string, text []byte) (*Bank, error) {
+	// Every record costs a '>' and every sequence byte a text byte, so
+	// the sentinel-bracketed Data fits in len(text)+1 bytes.
+	recs := bytes.Count(text, []byte{'>'})
+	b := &Bank{
+		Name:   name,
+		Data:   make([]byte, 1, len(text)+1),
+		starts: make([]int32, 0, recs),
+		ends:   make([]int32, 0, recs),
+		ids:    make([]string, 0, recs),
+		descs:  make([]string, 0, recs),
+	}
+	b.Data[0] = Sentinel
+	data := b.Data
+	for line := 1; len(text) > 0; line++ {
+		l := text
+		if i := bytes.IndexByte(text, '\n'); i >= 0 {
+			l, text = text[:i], text[i+1:]
+		} else {
+			text = nil
+		}
+		for len(l) > 0 && l[len(l)-1] == '\r' {
+			l = l[:len(l)-1]
+		}
+		switch {
+		case len(l) == 0, l[0] == ';':
+		case l[0] == '>':
+			if len(b.starts) > 0 {
+				b.ends = append(b.ends, int32(len(data)))
+				data = append(data, Sentinel)
+			}
+			b.starts = append(b.starts, int32(len(data)))
+			id, desc := splitHeader(string(l[1:]))
+			b.ids = append(b.ids, id)
+			b.descs = append(b.descs, desc)
+		case len(b.starts) == 0:
+			return nil, fmt.Errorf("fasta: line %d: sequence data before first header", line)
+		default:
+			for _, c := range l {
+				if code := parseTable[c]; code != skipByte {
+					data = append(data, code)
+				}
+			}
+		}
+	}
+	if len(b.starts) == 0 {
+		return nil, fmt.Errorf("bank: %s: no sequences", name)
+	}
+	b.ends = append(b.ends, int32(len(data)))
+	b.Data = append(data, Sentinel)
+	b.totalBases = len(b.Data) - 1 - len(b.starts)
+	b.validBases = dna.CountValid(b.Data)
+	return b, nil
+}
+
+// skipByte marks, in parseTable, the bytes a sequence line drops.
+const skipByte = 0xFF
+
+// parseTable maps a sequence-line byte to its code, or to skipByte for
+// interior whitespace.
+var parseTable = func() (t [256]byte) {
+	for c := range t {
+		t[c] = dna.EncodeByte(byte(c))
+	}
+	for _, c := range []byte{' ', '\t', '\v', '\f'} {
+		t[c] = skipByte
+	}
+	return t
+}()
+
+// splitHeader splits a header line's content (after '>') into its ID —
+// the first space- or tab-delimited token, "unnamed" when there is
+// none — and the trimmed description.
+func splitHeader(h string) (id, desc string) {
+	h = strings.TrimSpace(h)
+	if i := strings.IndexAny(h, " \t"); i >= 0 {
+		return h[:i], strings.TrimSpace(h[i+1:])
+	}
+	if h == "" {
+		return "unnamed", ""
+	}
+	return h, ""
 }
 
 // NumSeqs returns the number of sequences in the bank.
@@ -235,15 +350,26 @@ func (b *Bank) MemoryFootprint() int {
 // ReverseComplement returns a new bank holding the reverse complement
 // of every sequence, in the same order, with IDs suffixed "/rc". This
 // supports the complementary-strand search the paper lists as future
-// work for SCORIS-N.
+// work for SCORIS-N. Each sequence keeps its length and slot, so the
+// sentinels and bounds stay where they are: the new bank is a copy of
+// Data reversed and complemented sequence by sequence in place, sharing
+// the (immutable) bounds and descriptions.
 func (b *Bank) ReverseComplement() *Bank {
-	recs := make([]*fasta.Record, b.NumSeqs())
-	for i := range recs {
-		codes := append([]byte(nil), b.SeqCodes(i)...)
-		dna.ReverseComplementInPlace(codes)
-		recs[i] = &fasta.Record{ID: b.ids[i] + "/rc", Desc: b.descs[i], Seq: dna.Decode(codes)}
+	rc := &Bank{
+		Name:       b.Name + "/rc",
+		Data:       slices.Clone(b.Data),
+		starts:     b.starts,
+		ends:       b.ends,
+		ids:        make([]string, len(b.ids)),
+		descs:      b.descs,
+		totalBases: b.totalBases,
+		validBases: b.validBases,
 	}
-	return New(b.Name+"/rc", recs)
+	for i, s := range b.starts {
+		dna.ReverseComplementInPlace(rc.Data[s:b.ends[i]])
+		rc.ids[i] = b.ids[i] + "/rc"
+	}
+	return rc
 }
 
 // Stats summarizes a bank for the paper's §3.2 data-set table.

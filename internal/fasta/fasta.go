@@ -1,20 +1,18 @@
-// Package fasta reads and writes FASTA-format sequence files, the input
-// format of both the ORIS pipeline and the BLASTN baseline (paper §2.1:
-// "Bank indexing is directly performed from FASTA format input files").
+// Package fasta holds the FASTA record and writer, the input format of
+// both the ORIS pipeline and the BLASTN baseline (paper §2.1: "Bank
+// indexing is directly performed from FASTA format input files").
 //
-// The reader is streaming and tolerant: it accepts lower-case bases,
-// Windows line endings, interior blank lines, and arbitrary line widths.
-// IUPAC ambiguity characters are preserved in Record.Seq (they later
-// encode to dna.Invalid and are skipped by the indexer).
+// Reading is package bank's: bank.Parse turns FASTA text straight into
+// a bank's coded SEQ array in one pass, with no Record in between (its
+// doc states the format rules). Records are what the generators build
+// and write — cmd/bankgen and package simulate — and what bank.New
+// takes.
 package fasta
 
 import (
 	"bufio"
-	"bytes"
-	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // Record is one FASTA entry.
@@ -38,137 +36,6 @@ func (r *Record) Header() string {
 
 // Len returns the sequence length in bases.
 func (r *Record) Len() int { return len(r.Seq) }
-
-// Reader streams records from an io.Reader.
-type Reader struct {
-	br      *bufio.Reader
-	pending []byte // header line of the next record, without '>'
-	line    int
-	done    bool
-}
-
-// NewReader returns a streaming FASTA reader.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// Read returns the next record, or io.EOF when the input is exhausted.
-// A malformed file (sequence data before any header) returns an error
-// identifying the line number.
-func (r *Reader) Read() (*Record, error) {
-	if r.done && r.pending == nil {
-		return nil, io.EOF
-	}
-	header := r.pending
-	r.pending = nil
-
-	var seq []byte
-	for {
-		line, err := r.br.ReadBytes('\n')
-		if len(line) > 0 {
-			r.line++
-			line = trimEOL(line)
-			switch {
-			case len(line) == 0:
-				// skip blank lines
-			case line[0] == '>':
-				if header == nil {
-					header = append([]byte(nil), line[1:]...)
-				} else {
-					r.pending = append([]byte(nil), line[1:]...)
-					return makeRecord(header, seq)
-				}
-			case line[0] == ';':
-				// classic FASTA comment line; ignored
-			default:
-				if header == nil {
-					return nil, fmt.Errorf("fasta: line %d: sequence data before first header", r.line)
-				}
-				seq = append(seq, compact(line)...)
-			}
-		}
-		if err == io.EOF {
-			r.done = true
-			if header == nil {
-				return nil, io.EOF
-			}
-			return makeRecord(header, seq)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fasta: line %d: %w", r.line, err)
-		}
-	}
-}
-
-// ReadAll reads every remaining record.
-func (r *Reader) ReadAll() ([]*Record, error) {
-	var recs []*Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
-}
-
-func makeRecord(header, seq []byte) (*Record, error) {
-	id, desc := splitHeader(string(header))
-	if id == "" {
-		id = "unnamed"
-	}
-	if seq == nil {
-		seq = []byte{}
-	}
-	return &Record{ID: id, Desc: desc, Seq: seq}, nil
-}
-
-func splitHeader(h string) (id, desc string) {
-	h = strings.TrimSpace(h)
-	if i := strings.IndexAny(h, " \t"); i >= 0 {
-		return h[:i], strings.TrimSpace(h[i+1:])
-	}
-	return h, ""
-}
-
-func trimEOL(line []byte) []byte {
-	line = bytes.TrimRight(line, "\r\n")
-	return line
-}
-
-// compact removes interior whitespace from a sequence line.
-func compact(line []byte) []byte {
-	clean := line[:0]
-	for _, b := range line {
-		if b == ' ' || b == '\t' || b == '\v' || b == '\f' {
-			continue
-		}
-		clean = append(clean, b)
-	}
-	return clean
-}
-
-// ParseAll parses a whole in-memory FASTA document.
-func ParseAll(data []byte) ([]*Record, error) {
-	return NewReader(bytes.NewReader(data)).ReadAll()
-}
-
-// ReadFile reads all records from a FASTA file on disk.
-func ReadFile(path string) ([]*Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := NewReader(f).ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return recs, nil
-}
 
 // Writer emits FASTA records with a fixed line width.
 type Writer struct {

@@ -2,162 +2,8 @@ package fasta
 
 import (
 	"bytes"
-	"io"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
-
-func TestReadSingleRecord(t *testing.T) {
-	in := ">seq1 a test\nACGT\nTTGG\n"
-	recs, err := ParseAll([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.ID != "seq1" || r.Desc != "a test" || string(r.Seq) != "ACGTTTGG" {
-		t.Errorf("got %+v", r)
-	}
-}
-
-func TestReadMultipleRecords(t *testing.T) {
-	in := ">a\nAC\n>b\nGT\n>c desc here\nTTTT\n"
-	recs, err := ParseAll([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	if recs[0].ID != "a" || string(recs[0].Seq) != "AC" {
-		t.Errorf("rec0 = %+v", recs[0])
-	}
-	if recs[1].ID != "b" || string(recs[1].Seq) != "GT" {
-		t.Errorf("rec1 = %+v", recs[1])
-	}
-	if recs[2].ID != "c" || recs[2].Desc != "desc here" || string(recs[2].Seq) != "TTTT" {
-		t.Errorf("rec2 = %+v", recs[2])
-	}
-}
-
-func TestReadWindowsLineEndings(t *testing.T) {
-	in := ">a\r\nACGT\r\nGG\r\n"
-	recs, err := ParseAll([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(recs[0].Seq) != "ACGTGG" {
-		t.Errorf("seq = %q", recs[0].Seq)
-	}
-}
-
-func TestReadBlankInteriorLines(t *testing.T) {
-	in := ">a\nAC\n\n\nGT\n\n>b\n\nTT\n"
-	recs, err := ParseAll([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || string(recs[0].Seq) != "ACGT" || string(recs[1].Seq) != "TT" {
-		t.Errorf("recs = %v %v", recs[0], recs[1])
-	}
-}
-
-func TestReadCommentLines(t *testing.T) {
-	in := ">a\n;comment\nACGT\n"
-	recs, err := ParseAll([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(recs[0].Seq) != "ACGT" {
-		t.Errorf("seq = %q", recs[0].Seq)
-	}
-}
-
-func TestReadInteriorWhitespace(t *testing.T) {
-	in := ">a\nAC GT\tTT\n"
-	recs, err := ParseAll([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(recs[0].Seq) != "ACGTTT" {
-		t.Errorf("seq = %q", recs[0].Seq)
-	}
-}
-
-func TestReadNoTrailingNewline(t *testing.T) {
-	in := ">a\nACGT"
-	recs, err := ParseAll([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(recs[0].Seq) != "ACGT" {
-		t.Errorf("seq = %q", recs[0].Seq)
-	}
-}
-
-func TestReadEmptyInput(t *testing.T) {
-	recs, err := ParseAll(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Errorf("got %d records from empty input", len(recs))
-	}
-}
-
-func TestReadEmptySequence(t *testing.T) {
-	recs, err := ParseAll([]byte(">a\n>b\nAC\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].Len() != 0 || recs[1].Len() != 2 {
-		t.Errorf("recs = %+v", recs)
-	}
-}
-
-func TestReadSequenceBeforeHeaderIsError(t *testing.T) {
-	_, err := ParseAll([]byte("ACGT\n>a\nAC\n"))
-	if err == nil {
-		t.Fatal("expected error for sequence before header")
-	}
-	if !strings.Contains(err.Error(), "line 1") {
-		t.Errorf("error should name the line: %v", err)
-	}
-}
-
-func TestReadHeaderOnlyWhitespace(t *testing.T) {
-	recs, err := ParseAll([]byte(">   \nAC\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs[0].ID != "unnamed" {
-		t.Errorf("ID = %q, want unnamed", recs[0].ID)
-	}
-}
-
-func TestStreamingRead(t *testing.T) {
-	r := NewReader(strings.NewReader(">a\nAC\n>b\nGT\n"))
-	r1, err := r.Read()
-	if err != nil || r1.ID != "a" {
-		t.Fatalf("first read: %v %v", r1, err)
-	}
-	r2, err := r.Read()
-	if err != nil || r2.ID != "b" {
-		t.Fatalf("second read: %v %v", r2, err)
-	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("third read err = %v, want EOF", err)
-	}
-	// Reading past EOF stays EOF.
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("fourth read err = %v, want EOF", err)
-	}
-}
 
 func TestWriterLineWrapping(t *testing.T) {
 	var buf bytes.Buffer
@@ -187,110 +33,6 @@ func TestWriterSingleLine(t *testing.T) {
 	}
 	if buf.String() != ">x d\nACGT\n" {
 		t.Errorf("got %q", buf.String())
-	}
-}
-
-func TestRoundTripThroughFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.fa")
-	in := []*Record{
-		{ID: "s1", Desc: "first", Seq: []byte("ACGTACGTACGT")},
-		{ID: "s2", Seq: []byte("TTTT")},
-		{ID: "s3", Seq: []byte{}},
-	}
-	if err := WriteFile(path, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d records, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || out[i].Desc != in[i].Desc || !bytes.Equal(out[i].Seq, in[i].Seq) {
-			t.Errorf("record %d: got %+v want %+v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.fa")); !os.IsNotExist(err) {
-		t.Errorf("err = %v, want not-exist", err)
-	}
-}
-
-func TestRoundTripRandomRecords(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	letters := []byte("ACGTN")
-	var recs []*Record
-	for i := 0; i < 25; i++ {
-		n := rng.Intn(300)
-		seq := make([]byte, n)
-		for j := range seq {
-			seq[j] = letters[rng.Intn(len(letters))]
-		}
-		recs = append(recs, &Record{ID: "r" + strings.Repeat("x", i%3), Seq: seq})
-	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Width = 1 + rng.Intn(80)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParseAll(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(out), len(recs))
-	}
-	for i := range recs {
-		if !bytes.Equal(out[i].Seq, recs[i].Seq) {
-			t.Errorf("record %d sequence mismatch", i)
-		}
-	}
-}
-
-// Robustness: arbitrary byte soup must never panic the reader; it
-// either parses or returns an error, and parsed records round-trip.
-func TestReaderNeverPanicsOnGarbage(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	alphabet := []byte(">;ACGTN \t\r\nacgt#|0123")
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(200)
-		raw := make([]byte, n)
-		for i := range raw {
-			raw[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		recs, err := ParseAll(raw)
-		if err != nil {
-			continue // rejected is fine; panicking is not
-		}
-		// Whatever parsed must survive a write/read cycle.
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, r := range recs {
-			if err := w.Write(r); err != nil {
-				t.Fatalf("trial %d: write: %v", trial, err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatalf("trial %d: flush: %v", trial, err)
-		}
-		back, err := ParseAll(buf.Bytes())
-		if err != nil {
-			t.Fatalf("trial %d: reparse: %v", trial, err)
-		}
-		if len(back) != len(recs) {
-			t.Fatalf("trial %d: %d records became %d", trial, len(recs), len(back))
-		}
 	}
 }
 

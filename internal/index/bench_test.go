@@ -26,8 +26,10 @@ func benchBank(n int) *bank.Bank {
 // 1 Mb bank at W=11, serial vs all-cores parallel, against the legacy
 // linked-chain build (the pre-CSR implementation, which computed no
 // code directory) as the same-machine baseline —
-// and on a 16-read query bank (small16), where B/op is the figure: the
-// index is sized by the bank, so it must stay in the hundreds of KB.
+// on a 16-read query bank (small16), where B/op is the figure: the
+// index is sized by the bank, so it must stay in the hundreds of KB —
+// and on a dusted 3,000 × 450 bp EST bank (est3000), serial and
+// parallel.
 func BenchmarkIndexBuild(b *testing.B) {
 	small := benchBankSeqs(16, 450)
 	b.Run("small16", func(b *testing.B) {
@@ -50,6 +52,24 @@ func BenchmarkIndexBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Build(bk, Options{W: 11, Workers: tc.workers})
+			}
+		})
+	}
+	// An EST database's shape: 3,000 reads of 450 bp, dusted, as
+	// est_cold's db — the build every cold scoris run pays.
+	est := benchBankSeqs(3000, 450)
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{
+		{"est3000/serial", 1},
+		{"est3000/parallel", runtime.GOMAXPROCS(0)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(3000 * 450)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(est, Options{W: 11, Dust: dust.New(0, 0), Workers: tc.workers})
 			}
 		})
 	}

@@ -31,12 +31,14 @@
 //
 // The build is scan → sort → emit: a sharded scan over ascending bank
 // ranges appends one packed code<<32|pos word per accepted window, a
-// stable LSD radix sort on the code's 11-bit digits puts the words in
-// CSR order (positions arrive ascending, so stability keeps them
-// ascending inside each code), and one linear pass emits Pos, the code
-// list and Offsets. The output is canonical — byte-identical
-// for any worker count — because the shards cover ascending position
-// ranges and are concatenated in shard order before the sort.
+// stable radix sort on the code's 11-bit digits — bucketed on the top
+// digit and finished per bucket on every worker once the bank is large
+// — puts the words in CSR order (positions arrive ascending, so
+// stability keeps them ascending inside each code), and one linear pass
+// emits Pos, the code list and Offsets. The output is canonical —
+// byte-identical for any worker count — because the shards cover
+// ascending position ranges and are concatenated in shard order before
+// the sort.
 //
 // The index keeps the paper's two refinements:
 //
@@ -72,6 +74,7 @@ import (
 	"sync"
 
 	"repro/internal/bank"
+	"repro/internal/dna"
 	"repro/internal/dust"
 	"repro/internal/seed"
 )
@@ -239,7 +242,7 @@ const digitBits = 11
 // nothing outside it). opts must be normalized.
 //
 // Scan and sort run in a frame of their own so that their scratch (the
-// dust prefix, the sort's second buffer: 12 bytes a position) is
+// dust intervals and the sort's second buffer, 8 bytes a position) is
 // unreachable once they return. The emit loops make no calls, so a
 // concurrent collection preempts them asynchronously and scans this
 // frame conservatively: a stale slot pointing at dead scratch keeps it
@@ -286,47 +289,58 @@ func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) Parts {
 func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Parts) {
 	data := b.Data
 	w := opts.W
-	w32 := int32(w)
 	step := opts.SampleStep
 	step32, phase := int32(step), int32(opts.SamplePhase)
-	base := int32(dataLo)
-
-	// O(N) dust preprocessing: a prefix count of masked positions (in
-	// range-local coordinates) makes the per-window test a single
-	// subtraction instead of a W-bit scan. The masker splits runs at
-	// sentinels, so masking the range alone agrees with a whole-bank pass.
-	var maskPfx []int32
-	if opts.Dust != nil {
-		maskPfx = opts.Dust.MaskPrefix(data[dataLo:dataHi])
-	}
 
 	// ---- scan: shards over ascending ranges, each filling its own
 	// region of one buffer with packed code<<32|pos words (pos needs 31
 	// bits, code ≤ 30). A region is sized for every sampled position of
-	// its shard, so an indexed write can never spill into the next ----
+	// its shard, so an indexed write can never spill into the next.
+	// Under dust a cut moves forward to the next sentinel or ambiguous
+	// base, where every dust run ends: a shard masks its own range, and
+	// that agrees with a whole-bank pass ----
 	workers := buildWorkers(opts, dataHi-dataLo)
 	cuts := make([]int, workers+1)
 	regions := make([]int, workers+1)
-	for i := range cuts {
-		cuts[i] = dataLo + i*(dataHi-dataLo)/workers
-		if i > 0 {
-			regions[i] = regions[i-1] + (cuts[i]-cuts[i-1]+step-1)/step
+	cuts[0], cuts[workers] = dataLo, dataHi
+	for i := 1; i < workers; i++ {
+		c := max(dataLo+i*(dataHi-dataLo)/workers, cuts[i-1])
+		for opts.Dust != nil && c < dataHi && dna.IsValid(data[c]) {
+			c++
 		}
+		cuts[i] = c
+	}
+	for i := 1; i <= workers; i++ {
+		regions[i] = regions[i-1] + (cuts[i]-cuts[i-1]+step-1)/step
 	}
 	words := make([]uint64, regions[workers])
 	type tally struct{ indexed, masked, sampled int }
 	tallies := make([]tally, workers)
 	runShards(workers, func(sid int) {
+		lo, hi := cuts[sid], cuts[sid+1]
 		region := words[regions[sid]:regions[sid+1]]
+		// The shard's masked intervals, ascending and disjoint, in
+		// shard-local coordinates; the windows arrive ascending, so one
+		// cursor finds the first interval a window could overlap.
+		var masked []dust.Interval
+		if opts.Dust != nil {
+			masked = opts.Dust.Mask(data[lo:hi])
+		}
 		var t tally // shard-local: neighbours in tallies would share a cache line
-		scanRange(data, w, cuts[sid], cuts[sid+1], func(pos int32, c seed.Code) {
+		scanRange(data, w, lo, hi, func(pos int32, c seed.Code) {
 			if step32 > 1 && pos%step32 != phase {
 				t.sampled++
 				return
 			}
-			if maskPfx != nil && maskPfx[pos-base+w32] != maskPfx[pos-base] {
-				t.masked++
-				return
+			if len(masked) > 0 {
+				rel := int(pos) - lo
+				for len(masked) > 0 && masked[0].End <= rel {
+					masked = masked[1:]
+				}
+				if len(masked) > 0 && masked[0].Start < rel+w {
+					t.masked++
+					return
+				}
 			}
 			region[t.indexed] = uint64(c)<<32 | uint64(pos)
 			t.indexed++
@@ -343,39 +357,132 @@ func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Parts
 	}
 	n := p.Indexed
 
-	// ---- sort: stable LSD radix on the code's digits. Positions arrived
+	// ---- sort: stable radix on the code's digits. Positions arrived
 	// ascending, so they stay ascending inside each code ----
-	return sortByCode(words[:n], make([]uint64, n), w), p
+	return sortByCode(words[:n], make([]uint64, n), w, workers), p
 }
 
-// sortByCode stably sorts packed code<<32|pos words by code, one
-// counting pass per digitBits-wide digit of the 2w-bit code, ping-ponging
-// between a and tmp (same length). It returns whichever holds the result.
-func sortByCode(a, tmp []uint64, w int) []uint64 {
-	const mask = 1<<digitBits - 1
-	passes := (2*w + digitBits - 1) / digitBits
-	var hist [(2*seed.MaxW + digitBits - 1) / digitBits][1 << digitBits]int32
-	for _, v := range a {
-		for d := 0; d < passes; d++ {
-			hist[d][v>>(32+digitBits*d)&mask]++
+// The sort's two size cutoffs, constants rather than options:
+//
+//   - minBucketed is the number of words from which sortByCode scatters
+//     on the code's top digit first: 2,048 buckets of 256 words on
+//     average. Below it the per-bucket counters cost more than the
+//     cache misses they save, and the sort is one bucket.
+//   - smallBucket is the largest bucket finished by an insertion sort of
+//     whole words instead of a counting pass, whose 2,048 counters cost
+//     more to clear and sum than the sort.
+const (
+	minBucketed = 256 << digitBits
+	smallBucket = 16
+)
+
+// sortByCode stably sorts packed code<<32|pos words by their 2w-bit
+// code, on workers goroutines, using a and tmp (same length) and no
+// other scratch than workers+1 arrays of 2,048 counters. It returns
+// whichever buffer holds the result.
+//
+// From minBucketed words on, one MSD scatter on the code's top digitBits
+// bits moves the words from a to tmp: each worker counts and then
+// scatters its own contiguous chunk through its own histogram, and the
+// histograms are laid out bucket-major and worker-minor, so a bucket's
+// words keep their input order. Each bucket is then finished back into
+// a, in cache, by the worker whose share of the words its start falls
+// in. Below minBucketed, or when 2w ≤ digitBits, the whole array is
+// one bucket.
+func sortByCode(a, tmp []uint64, w, workers int) []uint64 {
+	n := len(a)
+	if n < minBucketed || 2*w <= digitBits {
+		var h [1 << digitBits]int32
+		return lsdPasses(a, tmp, 2*w, &h)
+	}
+	lowBits := 2*w - digitBits
+	topShift := uint(32 + lowBits)
+	chunk := func(k int) (lo, hi int) { return k * n / workers, (k + 1) * n / workers }
+	// hists[k] is worker k's histogram. After the scatter,
+	// hists[workers-1] holds each bucket's end, so the last worker
+	// finishes its buckets with hists[workers].
+	hists := make([][1 << digitBits]int32, workers+1)
+	runShards(workers, func(k int) {
+		lo, hi := chunk(k)
+		h := &hists[k]
+		for _, v := range a[lo:hi] {
+			h[v>>topShift]++
+		}
+	})
+	var sum int32
+	for d := range hists[0] {
+		for k := 0; k < workers; k++ {
+			hists[k][d], sum = sum, sum+hists[k][d]
 		}
 	}
-	for d := 0; d < passes; d++ {
-		h := &hist[d]
-		var sum int32
-		for i, k := range h {
-			h[i] = sum
-			sum += k
+	runShards(workers, func(k int) {
+		lo, hi := chunk(k)
+		h := &hists[k]
+		for _, v := range a[lo:hi] {
+			d := v >> topShift
+			tmp[h[d]] = v
+			h[d]++
 		}
-		shift := 32 + digitBits*d
-		for _, v := range a {
-			k := v >> shift & mask
-			tmp[h[k]] = v
-			h[k]++
+	})
+	ends := &hists[workers-1]
+	runShards(workers, func(k int) {
+		lo, hi := chunk(k)
+		h := &hists[k]
+		if k == workers-1 {
+			h = &hists[workers]
 		}
-		a, tmp = tmp, a
-	}
+		start := int32(0)
+		for _, end := range ends {
+			s, e := start, end
+			start = end
+			if int(s) < lo || int(s) >= hi || s == e {
+				continue
+			}
+			if sorted := lsdPasses(tmp[s:e], a[s:e], lowBits, h); &sorted[0] != &a[s] {
+				copy(a[s:e], sorted)
+			}
+		}
+	})
 	return a
+}
+
+// lsdPasses stably sorts words by the low codeBits bits of their code
+// with one counting pass per digitBits-wide digit, ping-ponging between
+// words and tmp (same length) with h as the counters, and returns
+// whichever holds the result. At most smallBucket words are
+// insertion-sorted in place instead, by whole word: the position in the
+// low half is unique, so that order is the stable one (bits of the code
+// above codeBits must then be equal across words, as in a bucket).
+func lsdPasses(words, tmp []uint64, codeBits int, h *[1 << digitBits]int32) []uint64 {
+	if len(words) <= smallBucket {
+		for i := 1; i < len(words); i++ {
+			v, j := words[i], i
+			for ; j > 0 && words[j-1] > v; j-- {
+				words[j] = words[j-1]
+			}
+			words[j] = v
+		}
+		return words
+	}
+	for shift := 32; shift < 32+codeBits; shift += digitBits {
+		c := h[:1<<min(digitBits, 32+codeBits-shift)]
+		mask := uint64(len(c) - 1)
+		clear(c)
+		for _, v := range words {
+			c[v>>shift&mask]++
+		}
+		var sum int32
+		for i, k := range c {
+			c[i], sum = sum, sum+k
+		}
+		for _, v := range words {
+			k := v >> shift & mask
+			tmp[c[k]] = v
+			c[k]++
+		}
+		words, tmp = tmp, words
+	}
+	return words
 }
 
 // runShards executes fn(0..workers-1), concurrently when workers > 1.

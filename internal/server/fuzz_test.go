@@ -32,8 +32,8 @@ func FuzzParseCompareRequest(f *testing.F) {
 
 // FuzzParseBankBody throws arbitrary bytes at the POST /banks body
 // dispatcher, which must tell JSON registrations from raw FASTA by
-// content and never panic. An accepted FASTA body must carry at least
-// one record; an accepted JSON body must carry a load path.
+// content and never panic. An accepted FASTA body must parse to a bank
+// of at least one record; an accepted JSON body must carry a load path.
 func FuzzParseBankBody(f *testing.F) {
 	f.Add([]byte(`{"name":"b1","path":"/tmp/x.fa","db":true}`))
 	f.Add([]byte(">r1 desc\nACGTACGT\n>r2\nTTTT\n"))
@@ -44,18 +44,13 @@ func FuzzParseBankBody(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`{"path":">"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, recs, err := parseBankBody(body)
+		req, b, err := parseBankBody(body, "fuzz")
 		if err != nil {
 			return
 		}
-		if recs != nil {
-			if len(recs) == 0 {
+		if b != nil {
+			if b.NumSeqs() == 0 {
 				t.Fatal("accepted FASTA body with no records")
-			}
-			for i, rec := range recs {
-				if rec == nil {
-					t.Fatalf("accepted FASTA body with nil record %d", i)
-				}
 			}
 			return
 		}

@@ -73,7 +73,6 @@ import (
 	"repro/internal/blastn"
 	"repro/internal/blat"
 	"repro/internal/core"
-	"repro/internal/fasta"
 	"repro/internal/httpapi"
 	"repro/internal/ixcache"
 	"repro/internal/ixdisk"
@@ -504,22 +503,23 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 // Path. scorisd and the fleet router both register through it, so the
 // two daemons accept and refuse the same bodies.
 func LoadBankBody(body []byte, query url.Values) (BankRequest, *bank.Bank, error) {
-	req, recs, err := parseBankBody(body)
+	name := query.Get("name")
+	req, b, err := parseBankBody(body, name)
 	if err != nil {
 		return req, nil, err
 	}
-	if recs != nil {
-		req.Name = query.Get("name")
+	if b != nil {
+		req.Name = name
 		req.DB = query.Get("db") != "" && query.Get("db") != "0"
 		if req.Name == "" {
 			return req, nil, errors.New("FASTA-body registration needs a ?name= parameter")
 		}
-		return req, bank.New(req.Name, recs), nil
+		return req, b, nil
 	}
 	if req.Name == "" {
 		req.Name = req.Path
 	}
-	b, err := bank.FromFile(req.Name, req.Path)
+	b, err = bank.FromFile(req.Name, req.Path)
 	if err != nil {
 		return req, nil, fmt.Errorf("loading bank: %v", err)
 	}
@@ -530,12 +530,12 @@ func LoadBankBody(body []byte, query url.Values) (BankRequest, *bank.Bank, error
 // BankRequest or raw FASTA text, told apart by the first non-blank byte
 // ('>' opens a FASTA header, '{' a JSON object) rather than the
 // Content-Type header, so plain `curl -d '{...}'` works without header
-// ceremony. A FASTA body returns its parsed records (at least one); a
-// JSON body returns no records and the request with Path set. Shared
-// with FuzzParseBankBody.
+// ceremony. A FASTA body returns the bank it parses to, named name (it
+// holds at least one record); a JSON body returns no bank and the
+// request with Path set. Shared with FuzzParseBankBody.
 //
 //scorislint:validator
-func parseBankBody(body []byte) (req BankRequest, recs []*fasta.Record, err error) {
+func parseBankBody(body []byte, name string) (req BankRequest, b *bank.Bank, err error) {
 	if !bytes.HasPrefix(bytes.TrimLeft(body, " \t\r\n"), []byte(">")) {
 		if err := decodeStrict(body, &req); err != nil {
 			return req, nil, fmt.Errorf("bad bank request: %v", err)
@@ -545,14 +545,11 @@ func parseBankBody(body []byte) (req BankRequest, recs []*fasta.Record, err erro
 		}
 		return req, nil, nil
 	}
-	recs, err = fasta.ParseAll(body)
+	b, err = bank.Parse(name, body)
 	if err != nil {
 		return req, nil, fmt.Errorf("parsing FASTA body: %v", err)
 	}
-	if len(recs) == 0 {
-		return req, nil, errors.New("FASTA body holds no sequences")
-	}
-	return req, recs, nil
+	return req, b, nil
 }
 
 // decodeStrict unmarshals one JSON request body into v, refusing

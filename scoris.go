@@ -34,14 +34,12 @@ package scoris
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/align"
 	"repro/internal/bank"
 	"repro/internal/blastn"
 	"repro/internal/core"
-	"repro/internal/fasta"
 	"repro/internal/fleet"
 	"repro/internal/gapped"
 	"repro/internal/index"
@@ -102,14 +100,7 @@ func LoadBank(name, path string) (*Bank, error) {
 
 // ParseBank parses in-memory FASTA text into a Bank.
 func ParseBank(name string, fastaText []byte) (*Bank, error) {
-	recs, err := fasta.ParseAll(fastaText)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("scoris: bank %q: no sequences", name)
-	}
-	return bank.New(name, recs), nil
+	return bank.Parse(name, fastaText)
 }
 
 // Compare runs the ORIS pipeline (SCORIS-N) on two banks, building both
