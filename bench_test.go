@@ -3,9 +3,9 @@
 // paper artefacts). Each iteration rebuilds the scaled data set and
 // recomputes the table from scratch into io.Discard, so ns/op is the
 // honest cost of regenerating that artefact. BenchScale divides the
-// paper's bank sizes; the full-table runs in EXPERIMENTS.md use
-// cmd/experiments at scale 16, while these benches default to a
-// lighter 1/64 so `go test -bench=.` completes in minutes.
+// paper's bank sizes; 1/64 is also the scale of the cmd/experiments
+// run recorded in EXPERIMENTS.md, and keeps `go test -bench=.` to
+// minutes.
 package scoris
 
 import (
@@ -25,21 +25,11 @@ func benchConfig() experiments.Config {
 	return experiments.Config{Scale: BenchScale, Workers: 1, Out: io.Discard}
 }
 
-// mustHarness builds the benchmark harness, panicking on the only
-// fallible input (an index store directory, unused here).
-func mustHarness() *experiments.Harness {
-	h, err := experiments.New(benchConfig())
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // BenchmarkTable1_BankGeneration regenerates the §3.2 data-set table:
 // all 11 synthetic banks plus the summary rows.
 func BenchmarkTable1_BankGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.Datasets()
 	}
 }
@@ -79,7 +69,7 @@ func BenchmarkFig3_BlastnESTCurve(b *testing.B) {
 // engines on all eight pairs, timed rows).
 func BenchmarkTable2_SpeedupEST(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.SpeedupEST()
 	}
 }
@@ -88,7 +78,7 @@ func BenchmarkTable2_SpeedupEST(b *testing.B) {
 // table (six pairs, both engines).
 func BenchmarkTable3_SpeedupLarge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.SpeedupLarge()
 	}
 }
@@ -100,7 +90,7 @@ func BenchmarkTable3_SpeedupLarge(b *testing.B) {
 // paper artefact has its regeneration entry point.
 func BenchmarkTable4_SensitivityESTScorisMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.SensitivityEST()
 	}
 }
@@ -109,7 +99,7 @@ func BenchmarkTable4_SensitivityESTScorisMiss(b *testing.B) {
 // direction of the EST sensitivity comparison).
 func BenchmarkTable5_SensitivityESTBlastMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.SensitivityEST()
 	}
 }
@@ -117,7 +107,7 @@ func BenchmarkTable5_SensitivityESTBlastMiss(b *testing.B) {
 // BenchmarkTable6_SensitivityLargeScorisMiss regenerates T6.
 func BenchmarkTable6_SensitivityLargeScorisMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.SensitivityLarge()
 	}
 }
@@ -125,7 +115,7 @@ func BenchmarkTable6_SensitivityLargeScorisMiss(b *testing.B) {
 // BenchmarkTable7_SensitivityLargeBlastMiss regenerates T7.
 func BenchmarkTable7_SensitivityLargeBlastMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.SensitivityLarge()
 	}
 }
@@ -134,7 +124,7 @@ func BenchmarkTable7_SensitivityLargeBlastMiss(b *testing.B) {
 // indexing).
 func BenchmarkAblation_Asymmetric10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.Asymmetric()
 	}
 }
@@ -142,7 +132,7 @@ func BenchmarkAblation_Asymmetric10(b *testing.B) {
 // BenchmarkAblation_ParallelStep2 regenerates X2 (§4 parallelism).
 func BenchmarkAblation_ParallelStep2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.Parallel()
 	}
 }
@@ -151,7 +141,7 @@ func BenchmarkAblation_ParallelStep2(b *testing.B) {
 // against naive enumeration + dedup).
 func BenchmarkAblation_OrderedRule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.OrderedRule()
 	}
 }
@@ -159,7 +149,7 @@ func BenchmarkAblation_OrderedRule(b *testing.B) {
 // BenchmarkAblation_WSweep regenerates A2 (seed length 9–13).
 func BenchmarkAblation_WSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.WSweep()
 	}
 }
@@ -168,7 +158,7 @@ func BenchmarkAblation_WSweep(b *testing.B) {
 // on/off).
 func BenchmarkAblation_DustFilter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.Dust()
 	}
 }
@@ -177,7 +167,7 @@ func BenchmarkAblation_DustFilter(b *testing.B) {
 // seed enumeration).
 func BenchmarkAblation_SeedOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.SeedOrder()
 	}
 }
@@ -186,7 +176,7 @@ func BenchmarkAblation_SeedOrder(b *testing.B) {
 // vs BLAT-style tile index).
 func BenchmarkExp_ThreeWayEngines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mustHarness()
+		h := experiments.New(benchConfig())
 		h.ThreeWay()
 	}
 }

@@ -15,36 +15,21 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/ixdisk"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments: datasets,fig3,speedup-est,speedup-large,sens-est,sens-large,asymmetric,parallel,ordered-rule,wsweep,dust,seed-order,threeway,all")
-		scale    = flag.Int("scale", 16, "bank size divisor relative to the paper")
-		workers  = flag.Int("workers", 1, "ORIS worker goroutines (1 = paper-faithful single thread)")
-		check    = flag.Bool("check", false, "verify the paper's qualitative claims on the measured rows")
-		indexDir = flag.String("index-dir", "", "persistent on-disk index store; repeated runs at the same -scale reuse saved indexes instead of rebuilding")
-		ixDBOnly = flag.Bool("index-db-only", false, "persist only subject-bank indexes (per-run query indexes never hit disk)")
-		ixMaxMB  = flag.Int64("index-max-mb", 0, "garbage-collect the index store down to this many megabytes, oldest files first (0 = unbounded)")
-		ixMaxAge = flag.Duration("index-max-age", 0, "garbage-collect index files unused for longer than this duration (0 = no age bound)")
-		verbose  = flag.Bool("v", false, "emit per-run metric comments")
+		exp     = flag.String("exp", "all", "comma-separated experiments: datasets,fig3,speedup-est,speedup-large,sens-est,sens-large,asymmetric,parallel,ordered-rule,wsweep,dust,seed-order,threeway,all")
+		scale   = flag.Int("scale", 16, "bank size divisor relative to the paper")
+		workers = flag.Int("workers", 1, "ORIS worker goroutines (1 = paper-faithful single thread)")
+		check   = flag.Bool("check", false, "verify the paper's qualitative claims on the measured rows")
+		verbose = flag.Bool("v", false, "emit per-run metric comments")
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{
-		Scale: *scale, Workers: *workers, Out: os.Stdout, Verbose: *verbose,
-		IndexDir:    *indexDir,
-		IndexPolicy: ixdisk.SavePolicy{DBOnly: *ixDBOnly},
-		IndexGC:     ixdisk.GCConfig{MaxBytes: *ixMaxMB << 20, MaxAge: *ixMaxAge},
-	}
 	fmt.Printf("## Experiment run — scale 1/%d, %d worker(s), %s\n\n",
 		*scale, *workers, time.Now().Format("2006-01-02 15:04:05"))
-	h, err := experiments.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+	h := experiments.New(experiments.Config{Scale: *scale, Workers: *workers, Out: os.Stdout, Verbose: *verbose})
 
 	runners := map[string]func(){
 		"datasets":      h.Datasets,
@@ -74,22 +59,6 @@ func main() {
 			os.Exit(2)
 		}
 		run()
-	}
-
-	if store := h.Store(); store != nil {
-		ix := h.IndexCache()
-		fmt.Fprintf(os.Stderr,
-			"experiments: index store: %d builds, %d disk hits (%d suffix extensions), %d declined saves, %d store errors (%s)\n",
-			ix.Builds(), ix.DiskHits(), store.Extends(), store.SavesDeclined(),
-			ix.DiskErrors()+store.WriteBackErrors(), *indexDir)
-		if *ixMaxMB > 0 || *ixMaxAge > 0 {
-			st, _, err := h.StoreGC()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "experiments: index store gc: %s\n", st)
-		}
 	}
 
 	if *check {

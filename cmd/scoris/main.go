@@ -36,27 +36,26 @@ import (
 func main() {
 	var qPaths cliflag.Multi
 	var (
-		dbPath    = flag.String("d", "", "subject bank FASTA (bank 1, required)")
-		outPath   = flag.String("o", "", "output file (default stdout)")
-		w         = flag.Int("W", 11, "seed length")
-		evalue    = flag.Float64("e", 1e-3, "E-value cutoff")
-		strand    = flag.Int("S", 1, "strand: 1 = single (paper mode), 3 = both")
-		dust      = flag.Bool("F", true, "low-complexity filter")
-		workers   = flag.Int("a", 0, "worker goroutines (0 = all cores)")
-		asym      = flag.Bool("asymmetric", false, "10-nt half-word indexing of bank 1 (paper §3.4; forces W=10)")
-		self      = flag.Bool("self", false, "self-comparison mode: -d and -i are the same bank; report the upper triangle only")
-		match     = flag.Int("r", 1, "match reward")
-		mismatch  = flag.Int("q", 3, "mismatch penalty")
-		gapOpen   = flag.Int("G", 5, "gap open penalty")
-		gapExt    = flag.Int("E", 2, "gap extend penalty")
-		format    = flag.Int("m", 8, "output format: 8 = tabular (paper mode), 0 = full pairwise alignments")
-		indexDir  = flag.String("index-dir", "", "directory for persistent on-disk bank indexes: indexes found there are loaded (mmap) instead of rebuilt — or suffix-extended when the bank has only been appended to — and fresh builds are written back, so repeated invocations against the same banks start warm")
-		ixSave    = flag.String("index-save", "all", "store save policy: 'all' persists every built index, 'db' persists only the -d bank's (single-use query indexes never hit disk)")
-		ixMinSave = flag.Int("index-min-save", 0, "decline persisting banks smaller than this many bases (0 = no floor; the -d bank is always persisted)")
-		ixMaxMB   = flag.Int64("index-max-mb", 0, "garbage-collect the index store down to this many megabytes, oldest files first (0 = unbounded)")
-		ixMaxAge  = flag.Duration("index-max-age", 0, "garbage-collect index files unused for longer than this duration, e.g. 720h (0 = no age bound)")
-		ixProbe   = flag.String("index-probe", "", "print the named .orix index file's metadata (format version, bank identity, block directory) as key: value lines and exit; no comparison is run")
-		verbose   = flag.Bool("v", false, "print per-step metrics to stderr")
+		dbPath   = flag.String("d", "", "subject bank FASTA (bank 1, required)")
+		outPath  = flag.String("o", "", "output file (default stdout)")
+		w        = flag.Int("W", 11, "seed length")
+		evalue   = flag.Float64("e", 1e-3, "E-value cutoff")
+		strand   = flag.Int("S", 1, "strand: 1 = single (paper mode), 3 = both")
+		dust     = flag.Bool("F", true, "low-complexity filter")
+		workers  = flag.Int("a", 0, "worker goroutines (0 = all cores)")
+		asym     = flag.Bool("asymmetric", false, "10-nt half-word indexing of bank 1 (paper §3.4; forces W=10)")
+		self     = flag.Bool("self", false, "self-comparison mode: -d and -i are the same bank; report the upper triangle only")
+		match    = flag.Int("r", 1, "match reward")
+		mismatch = flag.Int("q", 3, "mismatch penalty")
+		gapOpen  = flag.Int("G", 5, "gap open penalty")
+		gapExt   = flag.Int("E", 2, "gap extend penalty")
+		format   = flag.Int("m", 8, "output format: 8 = tabular (paper mode), 0 = full pairwise alignments")
+		indexDir = flag.String("index-dir", "", "directory for persistent on-disk bank indexes: indexes found there are loaded (mmap) instead of rebuilt — or suffix-extended when the bank has only been appended to — and fresh builds are written back, so repeated invocations against the same banks start warm")
+		ixSave   = flag.String("index-save", "all", "store save policy: 'all' persists every built index, 'db' persists only the -d bank's (single-use query indexes never hit disk)")
+		ixMaxMB  = flag.Int64("index-max-mb", 0, "garbage-collect the index store down to this many megabytes, oldest files first (0 = unbounded)")
+		ixMaxAge = flag.Duration("index-max-age", 0, "garbage-collect index files unused for longer than this duration, e.g. 720h (0 = no age bound)")
+		ixProbe  = flag.String("index-probe", "", "print the named .orix index file's metadata (format version, bank identity, block directory) as key: value lines and exit; no comparison is run")
+		verbose  = flag.Bool("v", false, "print per-step metrics to stderr")
 	)
 	flag.Var(&qPaths, "i", "query bank FASTA (bank 2; repeatable — the -d index is built once and reused)")
 	flag.Parse()
@@ -131,9 +130,9 @@ func main() {
 		fatal(err)
 		switch *ixSave {
 		case "all":
-			store.SetSavePolicy(scoris.IndexSavePolicy{MinBases: *ixMinSave})
+			store.SetSavePolicy(scoris.IndexSavePolicy{})
 		case "db":
-			store.SetSavePolicy(scoris.IndexSavePolicy{DBOnly: true, MinBases: *ixMinSave})
+			store.SetSavePolicy(scoris.IndexSavePolicy{DBOnly: true})
 		default:
 			fatal(fmt.Errorf("invalid -index-save %q (use all or db)", *ixSave))
 		}

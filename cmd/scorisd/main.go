@@ -64,7 +64,6 @@ func main() {
 		maxBanks     = flag.Int("max-banks", 0, "registry bound: registrations past this many banks are refused — each bank pins its sequence data in memory; DELETE /banks releases spent ones (0 = default 1024)")
 		indexDir     = flag.String("index-dir", "", "persistent on-disk index store directory (same store the scoris CLI uses): restarts then serve with zero index builds")
 		ixSave       = flag.String("index-save", "all", "store save policy: 'all' persists every built index, 'db' persists only banks registered as db banks")
-		ixMinSave    = flag.Int("index-min-save", 0, "decline persisting banks smaller than this many bases (0 = no floor; db banks are always persisted)")
 		ixMaxMB      = flag.Int64("index-max-mb", 0, "garbage-collect the index store down to this many megabytes, oldest files first (0 = unbounded)")
 		ixMaxAge     = flag.Duration("index-max-age", 0, "garbage-collect index files unused for longer than this duration (0 = no age bound)")
 		streamBuf    = flag.Int("stream-buffer", 0, "streamed-compare backpressure bound: how many finished query-sequence groups the engine may run ahead of a slow client before it blocks (0 = default 4)")
@@ -102,9 +101,9 @@ func main() {
 		fatal(err)
 		switch *ixSave {
 		case "all":
-			store.SetSavePolicy(ixdisk.SavePolicy{MinBases: *ixMinSave})
+			store.SetSavePolicy(ixdisk.SavePolicy{})
 		case "db":
-			store.SetSavePolicy(ixdisk.SavePolicy{DBOnly: true, MinBases: *ixMinSave})
+			store.SetSavePolicy(ixdisk.SavePolicy{DBOnly: true})
 		default:
 			fatal(fmt.Errorf("invalid -index-save %q (use all or db)", *ixSave))
 		}

@@ -5,17 +5,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/scorislint ./...                # human-readable file:line findings
-//	go run ./cmd/scorislint -json ./...          # machine-readable findings
-//	go run ./cmd/scorislint -github ./...        # additionally emit GitHub Actions error annotations
-//	go run ./cmd/scorislint -tests=false ./...   # production sources only
-//	go run ./cmd/scorislint -list                # list analyzers and the invariants they encode
-//	go run ./cmd/scorislint -explain untrustedix # an analyzer's contract + fixture examples
+//	go run ./cmd/scorislint ./...          # human-readable file:line findings
+//	go run ./cmd/scorislint -github ./...  # additionally emit GitHub Actions error annotations
+//	go run ./cmd/scorislint -list          # list analyzers and the invariants they encode
 //
-// Test files are analyzed by default: in-package _test.go files are
-// layered onto their package and external _test packages checked on
-// top, the way the go tool builds them. -tests=false restricts the
-// run to production sources.
+// The packages are loaded the way `go test` builds them: each package
+// with its in-package _test.go files, and each external _test package
+// on top. Most analyzers skip the test files; checkedflush and goexit
+// check them too.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. Findings
 // print as file:line:col so terminals and CI logs link straight to the
@@ -26,16 +23,11 @@
 //
 //	//scorislint:ignore <analyzer> <reason>
 //
-// on the flagged line or the line above, or for a whole file:
-//
-//	//scorislint:file-ignore <analyzer> <reason>
-//
-// anywhere in the file's leading comments. Reason-less directives are
+// on the flagged line or the line above. Reason-less directives are
 // themselves findings.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,14 +39,11 @@ import (
 
 func main() {
 	var (
-		jsonOut = flag.Bool("json", false, "emit findings as a JSON array instead of text")
-		github  = flag.Bool("github", false, "also emit GitHub Actions ::error annotations")
-		list    = flag.Bool("list", false, "list the analyzers and exit")
-		tests   = flag.Bool("tests", true, "analyze _test.go files too (consumed by the analyzers that opt in: checkedflush, goexit)")
-		explain = flag.String("explain", "", "print an analyzer's contract, annotation syntax, and fixture examples, then exit")
+		github = flag.Bool("github", false, "also emit GitHub Actions ::error annotations")
+		list   = flag.Bool("list", false, "list the analyzers and exit")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: scorislint [-json] [-github] [-list] [-tests] [-explain analyzer] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: scorislint [-github] [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -66,22 +55,6 @@ func main() {
 		}
 		return
 	}
-	if *explain != "" {
-		for _, a := range analyzers {
-			if a.Name != *explain {
-				continue
-			}
-			text, err := lint.Explain(a)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "scorislint: %v\n", err)
-				os.Exit(2)
-			}
-			fmt.Print(text)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "scorislint: unknown analyzer %q (see -list)\n", *explain)
-		os.Exit(2)
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -89,7 +62,6 @@ func main() {
 	}
 
 	loader := lint.NewLoader(".")
-	loader.Tests = *tests
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scorislint: %v\n", err)
@@ -108,28 +80,8 @@ func main() {
 		return path
 	}
 
-	if *jsonOut {
-		type finding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, finding{rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "scorislint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s:%d:%d: %s: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Printf("%s:%d:%d: %s: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
 	if *github {
 		for _, d := range diags {

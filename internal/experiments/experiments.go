@@ -28,7 +28,6 @@ import (
 	"repro/internal/blastn"
 	"repro/internal/core"
 	"repro/internal/ixcache"
-	"repro/internal/ixdisk"
 	"repro/internal/sensemetric"
 	"repro/internal/simulate"
 	"repro/internal/tabular"
@@ -88,18 +87,6 @@ type Config struct {
 	Out io.Writer
 	// Verbose adds per-run metric lines.
 	Verbose bool
-	// IndexDir, when non-empty, attaches a persistent on-disk index
-	// store (package ixdisk) below the harness's in-memory cache, so
-	// repeated harness runs against the same generated banks skip
-	// every index build after the first run's.
-	IndexDir string
-	// IndexPolicy bounds what the store persists (zero = everything).
-	// Subject banks of each pair are marked as database banks, so a
-	// DBOnly policy keeps per-run query indexes out of the store.
-	IndexPolicy ixdisk.SavePolicy
-	// IndexGC bounds the store directory (zero = unbounded); applied
-	// automatically on saves, and on demand via Harness.StoreGC.
-	IndexGC ixdisk.GCConfig
 }
 
 // DefaultConfig returns the standard configuration (scale 16,
@@ -141,15 +128,11 @@ type Harness struct {
 	cfg   Config
 	ds    *simulate.DataSet
 	ix    *ixcache.Cache
-	store *ixdisk.DirStore
 	cache map[Pair]*RowResult
 }
 
-// New creates a harness (generating the data set eagerly). The only
-// fallible input is Config.IndexDir — an unusable store directory is
-// reported as an error, not a panic, since it comes straight from a
-// CLI flag.
-func New(cfg Config) (*Harness, error) {
+// New creates a harness (generating the data set eagerly).
+func New(cfg Config) *Harness {
 	if cfg.Scale < 1 {
 		cfg.Scale = 16
 	}
@@ -159,36 +142,12 @@ func New(cfg Config) (*Harness, error) {
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
 	}
-	ix := ixcache.New(indexCacheSize)
-	ds := simulate.NewDataSet(cfg.Scale)
-	var store *ixdisk.DirStore
-	if cfg.IndexDir != "" {
-		var err error
-		store, err = ixdisk.NewDirStore(cfg.IndexDir)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: index store %s: %w", cfg.IndexDir, err)
-		}
-		store.SetSavePolicy(cfg.IndexPolicy)
-		store.SetGC(cfg.IndexGC)
-		// Mark every subject bank of the static pair tables up front:
-		// the save decision is made when a bank's index is first built,
-		// and several subjects (EST3, EST4, ...) are first built as the
-		// query side of an earlier row — marking at RunPair time would
-		// be too late for those under a DBOnly policy.
-		for _, pairs := range [][]Pair{ESTPairs, LargePairs, SensLargePairs} {
-			for _, p := range pairs {
-				store.MarkDB(ds.Get(p.A))
-			}
-		}
-		ix.SetStore(store)
-	}
 	return &Harness{
 		cfg:   cfg,
-		ds:    ds,
-		ix:    ix,
-		store: store,
+		ds:    simulate.NewDataSet(cfg.Scale),
+		ix:    ixcache.New(indexCacheSize),
 		cache: map[Pair]*RowResult{},
-	}, nil
+	}
 }
 
 // DataSet exposes the generated banks.
@@ -198,20 +157,6 @@ func (h *Harness) DataSet() *simulate.DataSet { return h.ds }
 // is the build-once-per-key assertion hook used by tests).
 func (h *Harness) IndexCache() *ixcache.Cache { return h.ix }
 
-// Store exposes the on-disk index store, nil when Config.IndexDir was
-// empty — for the CLI's counter lines and explicit StoreGC calls.
-func (h *Harness) Store() *ixdisk.DirStore { return h.store }
-
-// StoreGC runs an explicit collection under Config.IndexGC. ok is
-// false when no store is attached.
-func (h *Harness) StoreGC() (st ixdisk.GCStats, ok bool, err error) {
-	if h.store == nil {
-		return ixdisk.GCStats{}, false, nil
-	}
-	st, err = h.store.GC()
-	return st, true, err
-}
-
 // compareORIS runs the ORIS engine on a pair through the shared index
 // cache. The timer wraps the cache fetch AND the comparison, so a row
 // that touches a (bank, options) key for the first time pays that
@@ -219,9 +164,6 @@ func (h *Harness) StoreGC() (st ixdisk.GCStats, ok bool, err error) {
 // end-to-end-comparable — while every later row reusing the key skips
 // it, which is the honest amortized cost of the intensive workload.
 func (h *Harness) compareORIS(a, b *bank.Bank, opt core.Options) (*core.Result, time.Duration) {
-	if h.store != nil {
-		h.store.MarkDB(a) // ad-hoc ablation subjects not in the pair tables
-	}
 	t0 := time.Now()
 	p1, p2, err := core.Prepare(h.ix, a, b, opt)
 	if err != nil {

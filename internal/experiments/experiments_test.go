@@ -11,11 +11,7 @@ import (
 // A heavily scaled-down harness keeps these tests fast while still
 // exercising every code path end to end.
 func tinyHarness(out *bytes.Buffer) *Harness {
-	h, err := New(Config{Scale: 128, Workers: 1, Out: out})
-	if err != nil {
-		panic(err)
-	}
-	return h
+	return New(Config{Scale: 128, Workers: 1, Out: out})
 }
 
 func TestRunPairProducesSaneRow(t *testing.T) {
@@ -185,10 +181,7 @@ func TestDefaultConfig(t *testing.T) {
 	if c.Scale != 16 || c.Workers != 1 {
 		t.Errorf("defaults: %+v", c)
 	}
-	h, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := New(Config{})
 	if h.cfg.Scale != 16 || h.cfg.Workers != 1 || h.cfg.Out == nil {
 		t.Errorf("New normalization: %+v", h.cfg)
 	}

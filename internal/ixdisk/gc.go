@@ -36,23 +36,12 @@ type SavePolicy struct {
 	// DBOnly persists only banks registered via MarkDB — the caller
 	// hint for "this is the database side; query banks are single-use".
 	DBOnly bool
-	// MinBases, when positive, declines banks smaller than this many
-	// bases — the size heuristic for the same distinction when the
-	// caller doesn't hint (query banks are typically much smaller than
-	// the database bank they run against).
-	MinBases int
 }
 
-// allows reports whether the policy permits persisting bank b. A bank
+// allows reports whether the policy permits persisting a bank. A bank
 // marked as a database bank is always persisted.
-func (p SavePolicy) allows(b *bank.Bank, isDB bool) bool {
-	if isDB {
-		return true
-	}
-	if p.DBOnly {
-		return false
-	}
-	return p.MinBases <= 0 || b.TotalBases() >= p.MinBases
+func (p SavePolicy) allows(isDB bool) bool {
+	return isDB || !p.DBOnly
 }
 
 // SetSavePolicy installs the store's save policy. Declined saves return
@@ -66,10 +55,8 @@ func (s *DirStore) SetSavePolicy(p SavePolicy) {
 
 // MarkDB registers b as a database bank: its indexes are persisted
 // regardless of policy. Call it for the long-lived side of the workload
-// (scoris -d, the harness's subject banks). The store remembers at most
-// memoBound marks, expiring the oldest deterministically (FIFO) — a
-// caller juggling more than 64 simultaneous database banks should use
-// SavePolicy.MinBases instead of per-bank hints.
+// (scoris -d, scorisd's startup banks). The store remembers at most
+// memoBound marks, expiring the oldest deterministically (FIFO).
 func (s *DirStore) MarkDB(b *bank.Bank) {
 	s.mu.Lock()
 	s.dbBanks.put(b, struct{}{})

@@ -361,7 +361,7 @@ func (s *DirStore) Save(ix *index.Index) error {
 	_, isDB := s.dbBanks.get(ix.Bank)
 	gcCfg := s.gcCfg
 	s.mu.Unlock()
-	if !pol.allows(ix.Bank, isDB) {
+	if !pol.allows(isDB) {
 		s.savesDeclined.Add(1)
 		return fmt.Errorf("ixdisk: DirStore.Save: bank %q (%d bases): %w",
 			ix.Bank.Name, ix.Bank.TotalBases(), ixcache.ErrSaveDeclined)

@@ -474,8 +474,8 @@ func TestGCRunsOnSave(t *testing.T) {
 	}
 }
 
-// TestSavePolicy covers both policy axes and the declined-save
-// plumbing through the cache tier.
+// TestSavePolicy covers DBOnly (a MarkDB bank still persists) and the
+// declined-save plumbing through the cache tier.
 func TestSavePolicy(t *testing.T) {
 	t.Run("db-only", func(t *testing.T) {
 		store, err := NewDirStore(t.TempDir())
@@ -500,27 +500,6 @@ func TestSavePolicy(t *testing.T) {
 		}
 		if _, err := os.Stat(store.Path(query, index.Options{W: 8})); !errors.Is(err, os.ErrNotExist) {
 			t.Error("declined save still wrote a file")
-		}
-	})
-	t.Run("min-bases", func(t *testing.T) {
-		store, err := NewDirStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
-		store.SetSavePolicy(SavePolicy{MinBases: 3000})
-		big := genBank(t, "big", 4096)
-		small := genBank(t, "small", 1024)
-		if err := store.Save(index.Build(big, index.Options{W: 8})); err != nil {
-			t.Fatalf("large bank declined: %v", err)
-		}
-		if err := store.Save(index.Build(small, index.Options{W: 8})); !errors.Is(err, ixcache.ErrSaveDeclined) {
-			t.Fatalf("small bank save: %v, want ErrSaveDeclined", err)
-		}
-		// MarkDB overrides the size floor.
-		store.MarkDB(small)
-		if err := store.Save(index.Build(small, index.Options{W: 8})); err != nil {
-			t.Fatalf("marked db bank declined: %v", err)
 		}
 	})
 	t.Run("cache-counter", func(t *testing.T) {

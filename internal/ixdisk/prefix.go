@@ -174,7 +174,7 @@ func (s *DirStore) persistAppend(oldPath, exactPath string, ix *index.Index, suf
 	_, isDB := s.dbBanks.get(ix.Bank)
 	gcCfg := s.gcCfg
 	s.mu.Unlock()
-	if !pol.allows(ix.Bank, isDB) {
+	if !pol.allows(isDB) {
 		s.savesDeclined.Add(1)
 		return oldPath
 	}

@@ -139,7 +139,7 @@ func buildModule(pass *Pass) *Module {
 	}
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Files {
-			if pass.testFiles[pass.Fset.Position(f.Pos()).Filename] {
+			if pkg.TestFiles[f] {
 				continue
 			}
 			for _, decl := range f.Decls {

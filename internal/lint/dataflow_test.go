@@ -20,6 +20,7 @@ func TestCallGraphEdges(t *testing.T) {
 	if err := l.Prime(); err != nil {
 		t.Fatalf("priming loader: %v", err)
 	}
+	// pkga checks first, so pkgb's import of it resolves to that check.
 	var pkgs []*Package
 	for _, name := range []string{"pkga", "pkgb"} {
 		abs, err := filepath.Abs(filepath.Join("testdata/src/callgraph", name))
@@ -31,9 +32,6 @@ func TestCallGraphEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("type-checking %s: %v", name, err)
 		}
-		// Register so pkgb's import of pkga resolves to this very
-		// check, the way module packages resolve during a Tests load.
-		l.register(path, pkg.Pkg)
 		pkgs = append(pkgs, pkg)
 	}
 

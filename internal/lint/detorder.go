@@ -29,14 +29,7 @@ import (
 var AnalyzerDetOrder = &Analyzer{
 	Name: "detorder",
 	Doc:  "values from map iteration must be sorted before reaching emitted streams, stored files, or JSON (byte-identity invariant)",
-	Contract: `The byte-identity invariant: m8 streams, .orix files, JSON responses,
-and /stats snapshots are compared byte-for-byte against the serial
-CLI. Values that flow out of a map 'for range' — directly, through a
-slice built by append, or through a function that returns such a
-slice — must pass an explicit sort (sort.*, slices.Sort*) before any
-Write/Encode/Fprint emits them. Counter and sum folds over maps are
-commutative and never flag.`,
-	Run: runDetOrder,
+	Run:  runDetOrder,
 }
 
 // orderSummary is one function's ordering summary; it only grows.

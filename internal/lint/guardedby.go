@@ -33,15 +33,7 @@ import (
 var AnalyzerGuardedBy = &Analyzer{
 	Name: "guardedby",
 	Doc:  "fields annotated `// guardedby: mu` are only touched while that mutex is held (DESIGN.md §8)",
-	Contract: `DESIGN.md §8: shared mutable state (the server bank registry and
-job registry, fleet worker health, the ixcache LRU) is guarded by a
-named mutex. Fields carry '// guardedby: <mutex>' annotations; every
-access must be inside a region where <mutex> of the same struct value
-is held (Lock/RLock through Unlock/RUnlock, or defer Unlock). Helpers
-that rely on their caller's lock are checked at every call site via
-the call graph. Freshly constructed values are exempt until shared.`,
-	Annotation: "// guardedby: <mutexField>   trailing or preceding comment on a struct field",
-	Run:        runGuardedBy,
+	Run:  runGuardedBy,
 }
 
 // guardKey identifies one annotated field.

@@ -33,16 +33,7 @@ import (
 var AnalyzerHotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "//scorislint:hotpath functions must not allocate, box, or call fmt in their loop bodies (DESIGN.md §2)",
-	Contract: `DESIGN.md §2's hot-loop budget: the per-element paths of the step-2
-scan, blat tile probe, and CSR extend splice run at memory speed.
-Inside the loop bodies of a //scorislint:hotpath function, the
-analyzer flags make/new, &T{} and slice/map literals,
-string<->[]byte conversions, fmt calls, interface boxing, and calls
-to module functions that allocate (transitively) unless the callee
-is itself hotpath-tagged. append and copy are allowed; creating
-function literals is setup, not per-element work.`,
-	Annotation: "//scorislint:hotpath   in the function's doc comment",
-	Run:        runHotAlloc,
+	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {

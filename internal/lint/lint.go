@@ -30,27 +30,25 @@
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, testdata fixtures with "// want"
-// expectations) but is built on the standard library only: packages
-// are loaded with `go list -export` and type-checked against gc
-// export data (see load.go), so the linter needs no dependencies
-// beyond the toolchain that builds the repo. The last four analyzers
-// are interprocedural: dataflow.go builds a whole-module call graph
-// (direct calls, method values, interface dispatch), and one solver
-// runs each analyzer's per-function summaries to convergence so facts
-// propagate across function and package boundaries.
+// expectations) but is built on the standard library only. One loader
+// (load.go) takes the package graph from `go list -export -test -deps`
+// and type-checks the module from source, test variants included, so
+// the analyzers see every package the way `go test` builds it: each
+// package with its in-package _test.go files, and each external _test
+// package on top. The last four analyzers are interprocedural:
+// dataflow.go builds a whole-module call graph (direct calls, method
+// values, interface dispatch) over the production files, and one
+// solver runs each analyzer's per-function summaries to convergence
+// so facts propagate across function and package boundaries.
 //
 // Findings are suppressed, one site at a time, with an inline
 // directive that names the analyzer and must carry a justification:
 //
 //	//scorislint:ignore ctxloop bounded by the retry cap above
 //
-// on the flagged line or the line immediately before it, or for a
-// whole file with
-//
-//	//scorislint:file-ignore <analyzer> <reason>
-//
-// among the file's comments. A directive without a justification does
-// not suppress anything and is itself reported.
+// on the flagged line or the line immediately before it. A directive
+// without a justification does not suppress anything and is itself
+// reported.
 package lint
 
 import (
@@ -76,8 +74,7 @@ type Package struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	// TestFiles marks which of Files are _test.go files (loaded only
-	// when the loader runs with Tests enabled).
+	// TestFiles marks which of Files are _test.go files.
 	TestFiles map[*ast.File]bool
 }
 
@@ -89,11 +86,8 @@ type Pass struct {
 	Fset     *token.FileSet
 	Pkgs     []*Package
 
-	diags *[]Diagnostic
-
-	// testFiles and module are shared by every analyzer of one Run.
-	testFiles map[string]bool
-	module    **Module
+	diags  *[]Diagnostic
+	module **Module // shared by every analyzer of one Run
 }
 
 // Files returns the files of pkg this analyzer should inspect: test
@@ -138,17 +132,10 @@ type Analyzer struct {
 	Doc  string
 	Run  func(*Pass)
 
-	// AnalyzeTests opts the analyzer into _test.go files when the
-	// loader includes them. Default off: most invariants guard
-	// production paths, and test-only evidence must not produce or
-	// suppress production findings.
+	// AnalyzeTests opts the analyzer into _test.go files. Default
+	// off: most invariants guard production paths, and test-only
+	// evidence must not produce or suppress production findings.
 	AnalyzeTests bool
-
-	// Contract is the prose contract the analyzer mechanizes and
-	// Annotation the comment syntax it consumes, both printed by
-	// `scorislint -explain`.
-	Contract   string
-	Annotation string
 }
 
 // Analyzers returns the full scorislint suite in stable order.
@@ -176,15 +163,10 @@ type ignoreDirective struct {
 	line     int // line the directive suppresses (its own line, or the next for full-line comments)
 }
 
-const (
-	ignorePrefix     = "scorislint:ignore"
-	fileIgnorePrefix = "scorislint:file-ignore"
-)
+const ignorePrefix = "scorislint:ignore"
 
 // parseIgnores extracts every inline ignore directive from the loaded
-// files; parseFileIgnores the file-scoped ones. The two prefixes are
-// distinguished before inline parsing so a file-ignore is never
-// misread as a malformed inline directive.
+// files.
 func parseIgnores(fset *token.FileSet, pkgs []*Package) []ignoreDirective {
 	var out []ignoreDirective
 	for _, pkg := range pkgs {
@@ -192,9 +174,6 @@ func parseIgnores(fset *token.FileSet, pkgs []*Package) []ignoreDirective {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if strings.HasPrefix(text, fileIgnorePrefix) {
-						continue
-					}
 					if !strings.HasPrefix(text, ignorePrefix) {
 						continue
 					}
@@ -220,55 +199,13 @@ func parseIgnores(fset *token.FileSet, pkgs []*Package) []ignoreDirective {
 	return out
 }
 
-// parseFileIgnores extracts every file-scoped suppression. Like the
-// inline form, a file-ignore without both an analyzer name and a
-// justification suppresses nothing and is itself reported.
-func parseFileIgnores(fset *token.FileSet, pkgs []*Package) []ignoreDirective {
-	var out []ignoreDirective
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if !strings.HasPrefix(text, fileIgnorePrefix) {
-						continue
-					}
-					rest := strings.TrimSpace(strings.TrimPrefix(text, fileIgnorePrefix))
-					if i := strings.Index(rest, "//"); i >= 0 {
-						rest = strings.TrimSpace(rest[:i])
-					}
-					name, reason, _ := strings.Cut(rest, " ")
-					pos := fset.Position(c.Pos())
-					out = append(out, ignoreDirective{
-						analyzer: name,
-						reason:   strings.TrimSpace(reason),
-						pos:      pos,
-						file:     pos.Filename,
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Run executes the analyzers over the loaded packages, applies ignore
 // directives, and returns the surviving findings sorted by position.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	testFiles := map[string]bool{}
-	for _, pkg := range pkgs {
-		for f := range pkg.TestFiles {
-			testFiles[fset.Position(f.Pos()).Filename] = true
-		}
-	}
 	var module *Module
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a, Fset: fset, Pkgs: pkgs, diags: &diags,
-			testFiles: testFiles, module: &module,
-		}
-		a.Run(pass)
+		a.Run(&Pass{Analyzer: a, Fset: fset, Pkgs: pkgs, diags: &diags, module: &module})
 	}
 
 	// A directive on line L suppresses findings on L and L+1: a
@@ -293,32 +230,9 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 		suppressed[key{d.file, d.line + 1, d.analyzer}] = true
 	}
 
-	// File-scoped suppression for generated and fixture files: one
-	// justified //scorislint:file-ignore silences its analyzer for the
-	// whole file.
-	type fileKey struct {
-		file     string
-		analyzer string
-	}
-	fileSuppressed := map[fileKey]bool{}
-	for _, d := range parseFileIgnores(fset, pkgs) {
-		if d.analyzer == "" || d.reason == "" {
-			diags = append(diags, Diagnostic{
-				Analyzer: "scorislint",
-				Pos:      d.pos,
-				Message:  "scorislint:file-ignore directive needs an analyzer name and a justification: //scorislint:file-ignore <analyzer> <reason>",
-			})
-			continue
-		}
-		fileSuppressed[fileKey{d.file, d.analyzer}] = true
-	}
-
 	kept := diags[:0]
 	for _, d := range diags {
 		if suppressed[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
-			continue
-		}
-		if fileSuppressed[fileKey{d.Pos.Filename, d.Analyzer}] {
 			continue
 		}
 		kept = append(kept, d)

@@ -48,9 +48,6 @@ func ModuleLoader(t *testing.T) *lint.Loader {
 			return
 		}
 		loader = lint.NewLoader(root)
-		// Whole-tree runs load test files too (checkedflush and goexit
-		// opt in); fixture checks are unaffected.
-		loader.Tests = true
 		loaderErr = loader.Prime()
 	})
 	if loaderErr != nil {

@@ -14,56 +14,48 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"sync"
+	"strings"
 )
 
 // Loading without golang.org/x/tools: the repo has no third-party
-// dependencies, so scorislint resolves imports the way the toolchain
-// itself does — `go list -export` compiles every package (cheap and
-// cached: it is the same work `go build` already did) and reports the
-// path of its gc export data in the build cache. Target packages are
-// then parsed and type-checked from source with go/types, importing
-// every dependency (stdlib and module-internal alike) through
-// importer.ForCompiler("gc", lookup) over that export map.
+// dependencies, so scorislint takes the package graph from the go tool
+// itself. One `go list -e -export -test -deps` prints every package
+// the patterns need, test variants included, dependencies first, each
+// with the ImportMap that sends its imports to the right variant (the
+// xtest of fasta imports "bank [fasta.test]", the bank re-checked
+// against fasta's test files). Main-module packages are parsed and
+// type-checked from source in listing order, each import resolved
+// through its ImportMap to a package already checked in memory;
+// standard-library imports come from the gc export data the listing
+// points at.
 
 // listPkg is the subset of `go list -json` output the loader reads.
 type listPkg struct {
-	ImportPath   string
-	Dir          string
-	Export       string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Imports      []string
-	TestImports  []string
-	XTestImports []string
-	Standard     bool
-	DepOnly      bool
-	Module       *struct {
-		Path string
-		Main bool
-	}
-	Error *struct {
-		Err string
-	}
+	ImportPath  string
+	Name        string
+	Dir         string
+	Export      string
+	ForTest     string
+	GoFiles     []string
+	TestGoFiles []string
+	ImportMap   map[string]string
+	DepOnly     bool
+	Module      *struct{ Main bool }
+	Error       *struct{ Err string }
 }
 
-const listFields = "ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles," +
-	"Imports,TestImports,XTestImports,Standard,DepOnly,Module,Error"
+const listFields = "ImportPath,Name,Dir,Export,ForTest,GoFiles,TestGoFiles,ImportMap,DepOnly,Module,Error"
 
-// goList runs `go list -e -export -deps` in dir over patterns and
-// decodes the package stream.
-func goList(dir string, patterns ...string) ([]listPkg, error) {
-	args := append([]string{
-		"list", "-e", "-export", "-json=" + listFields, "-deps", "--",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
+// goList runs `go list -e -export -deps` in dir with extra flags and
+// patterns, and decodes the package stream.
+func goList(dir string, args ...string) ([]listPkg, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-json=" + listFields, "-deps"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
+		return nil, fmt.Errorf("go list %v: %v\n%s", args, err, stderr.Bytes())
 	}
 	var pkgs []listPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -72,79 +64,21 @@ func goList(dir string, patterns ...string) ([]listPkg, error) {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("go list %v: decoding output: %v", patterns, err)
+			return nil, fmt.Errorf("go list %v: decoding output: %v", args, err)
 		}
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
 }
 
-// exportResolver maps import paths to gc export data files, listing
-// lazily on a miss (fixture packages may import stdlib packages the
-// module itself does not).
-type exportResolver struct {
-	dir string
-
-	mu      sync.Mutex
-	exports map[string]string
-}
-
-func newExportResolver(dir string) *exportResolver {
-	return &exportResolver{dir: dir, exports: map[string]string{}}
-}
-
-func (r *exportResolver) add(pkgs []listPkg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, p := range pkgs {
-		if p.Export != "" {
-			r.exports[p.ImportPath] = p.Export
-		}
-	}
-}
-
-// lookup satisfies the importer.ForCompiler lookup contract.
-func (r *exportResolver) lookup(path string) (io.ReadCloser, error) {
-	r.mu.Lock()
-	f, ok := r.exports[path]
-	r.mu.Unlock()
-	if !ok {
-		pkgs, err := goList(r.dir, path)
-		if err != nil {
-			return nil, fmt.Errorf("resolving import %q: %v", path, err)
-		}
-		r.add(pkgs)
-		r.mu.Lock()
-		f, ok = r.exports[path]
-		r.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("no export data for import %q (does it compile?)", path)
-		}
-	}
-	return os.Open(f)
-}
-
 // Loader loads and type-checks packages of the module rooted at Dir.
 type Loader struct {
 	Dir string
 
-	// Tests includes _test.go files: each package is type-checked with
-	// its in-package test files added, and external _test packages are
-	// checked on top. In this mode the whole main-module dependency
-	// closure is checked from source in dependency order with imports
-	// resolved in memory — mixing an augmented in-memory package with
-	// the export-data view of another module package would split type
-	// identities (two incompatible bank.Bank), so the module forms one
-	// consistent source-checked universe. Set before Load.
-	Tests bool
-
-	fset     *token.FileSet
-	resolver *exportResolver
-	imp      types.Importer
-
-	checkedMu sync.Mutex
-	checked   map[string]*types.Package
-	augmented map[string]*types.Package
+	fset    *token.FileSet
+	imp     types.Importer
+	exports map[string]string         // listing ID → gc export data file
+	checked map[string]*types.Package // listing ID → package checked from source
 }
 
 // NewLoader returns a loader for the module rooted at dir ("." for
@@ -152,349 +86,106 @@ type Loader struct {
 // module).
 func NewLoader(dir string) *Loader {
 	l := &Loader{
-		Dir:       dir,
-		fset:      token.NewFileSet(),
-		checked:   map[string]*types.Package{},
-		augmented: map[string]*types.Package{},
+		Dir:     dir,
+		fset:    token.NewFileSet(),
+		exports: map[string]string{},
+		checked: map[string]*types.Package{},
 	}
-	l.resolver = newExportResolver(dir)
-	l.imp = importer.ForCompiler(l.fset, "gc", l.resolver.lookup)
+	l.imp = importer.ForCompiler(l.fset, "gc", l.lookup)
 	return l
-}
-
-// register records a source-checked module package so later checks
-// resolve its import path in memory instead of from export data.
-func (l *Loader) register(path string, pkg *types.Package) {
-	l.checkedMu.Lock()
-	l.checked[path] = pkg
-	l.checkedMu.Unlock()
-}
-
-// augment records the test-augmented check of a package. It stays out
-// of the general registry — only the package's own external _test
-// package imports it (via moduleImporter.under); every other dependent
-// compiles against the production package, as go build links them.
-func (l *Loader) augment(path string, pkg *types.Package) {
-	l.checkedMu.Lock()
-	l.augmented[path] = pkg
-	l.checkedMu.Unlock()
-}
-
-// moduleImporter resolves source-checked module packages in memory and
-// everything else (stdlib) through gc export data. overrides (set when
-// checking an external _test package) shadows the registry with the
-// test-variant closure: the augmented package under test, plus every
-// intermediate package re-checked against it.
-type moduleImporter struct {
-	l         *Loader
-	overrides map[string]*types.Package
-}
-
-func (m moduleImporter) Import(path string) (*types.Package, error) {
-	if pkg := m.overrides[path]; pkg != nil {
-		return pkg, nil
-	}
-	m.l.checkedMu.Lock()
-	pkg := m.l.checked[path]
-	m.l.checkedMu.Unlock()
-	if pkg != nil {
-		return pkg, nil
-	}
-	return m.l.imp.Import(path)
 }
 
 // Fset returns the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// Load lists patterns, then parses and type-checks every matched
-// package of the main module. Without Tests, dependencies are consumed
-// as export data, not re-checked, and test files are not analyzed;
-// with Tests, see loadTests. The tree must compile: any list or type
-// error aborts the load.
+func (l *Loader) addExports(pkgs []listPkg) {
+	for _, p := range pkgs {
+		if p.Export != "" {
+			l.exports[p.ImportPath] = p.Export
+		}
+	}
+}
+
+// lookup satisfies the importer.ForCompiler lookup contract, listing
+// lazily on a miss (fixture packages may import standard packages the
+// module itself does not).
+func (l *Loader) lookup(path string) (io.ReadCloser, error) {
+	if _, ok := l.exports[path]; !ok {
+		pkgs, err := goList(l.Dir, "--", path)
+		if err != nil {
+			return nil, fmt.Errorf("resolving import %q: %v", path, err)
+		}
+		l.addExports(pkgs)
+	}
+	f, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("no export data for import %q (does it compile?)", path)
+	}
+	return os.Open(f)
+}
+
+// moduleImporter resolves an import through the importing package's
+// ImportMap to a package checked in memory, and anything else
+// (the standard library) through gc export data.
+type moduleImporter struct {
+	l         *Loader
+	importMap map[string]string
+}
+
+func (m moduleImporter) Import(path string) (*types.Package, error) {
+	if id, ok := m.importMap[path]; ok {
+		path = id
+	}
+	if pkg := m.l.checked[path]; pkg != nil {
+		return pkg, nil
+	}
+	return m.l.imp.Import(path)
+}
+
+// Load lists patterns with their tests, type-checks every main-module
+// package of the listing from source, and returns the analyzed set:
+// each matched package once, as its test variant "p [p.test]" when it
+// has in-package tests, plus its external test package
+// "p_test [p.test]". The intermediate re-checks "q [p.test]" are
+// checked only so the xtest sees one p; the generated ".test" mains are
+// skipped. The tree must compile: any list or type error aborts.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	listed, err := goList(l.Dir, patterns...)
+	listed, err := goList(l.Dir, append([]string{"-test", "--"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
-	if l.Tests {
-		// Test files import module packages outside the production
-		// dependency closure (simulate, testutil-style helpers), and
-		// in-memory resolution needs every module package checked from
-		// source. Widen to the whole module; analyzers see the full
-		// tree either way.
-		wide, err := goList(l.Dir, "./...")
-		if err != nil {
-			return nil, err
-		}
-		seen := map[string]bool{}
-		for _, p := range listed {
-			seen[p.ImportPath] = true
-		}
-		for _, p := range wide {
-			if !seen[p.ImportPath] {
-				listed = append(listed, p)
-			}
-		}
-	}
-	l.resolver.add(listed)
-	var targets []listPkg
+	l.addExports(listed)
+	var pkgs []*Package
 	for _, p := range listed {
 		if p.Error != nil {
 			return nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
 		}
-		if p.Standard || p.Module == nil || !p.Module.Main {
+		testMain := p.Name == "main" && p.ForTest == "" && strings.HasSuffix(p.ImportPath, ".test")
+		if p.Module == nil || !p.Module.Main || testMain || len(p.GoFiles) == 0 {
 			continue
 		}
-		if p.DepOnly && !l.Tests {
-			continue
-		}
-		targets = append(targets, p)
-	}
-	if l.Tests {
-		return l.loadTests(targets)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-
-	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		var files []*ast.File
 		var paths []string
-		for _, g := range t.GoFiles {
-			paths = append(paths, filepath.Join(t.Dir, g))
+		for _, g := range p.GoFiles {
+			paths = append(paths, filepath.Join(p.Dir, g))
 		}
 		files, err := parseFiles(l.fset, paths)
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := l.Check(t.ImportPath, files)
+		path, _, _ := strings.Cut(p.ImportPath, " [")
+		pkg, err := l.check(p.ImportPath, path, files, p.ImportMap)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		if p.ForTest != "" {
+			if path == p.ForTest || path == p.ForTest+"_test" {
+				pkgs = append(pkgs, pkg)
+			}
+		} else if !p.DepOnly && len(p.TestGoFiles) == 0 {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
-}
-
-// loadTests checks the module in two layers, the way the go tool
-// builds tests. The production layer first: every main-module package,
-// GoFiles only, in dependency order over production imports (acyclic
-// by construction), each registering with the in-memory importer
-// before its dependents check — one consistent source-checked
-// universe, so no package ever mixes an in-memory module type with
-// the export-data view of the same package. Then the test layer on
-// top: packages with in-package test files are re-checked as
-// GoFiles+TestGoFiles (test imports resolve against the registered
-// production layer — production+test edges may be cyclic at the
-// package level, e.g. index_test → simulate → ixcache → index, which
-// is why test files cannot join the first pass), and external _test
-// packages check last, importing the augmented package under test.
-func (l *Loader) loadTests(targets []listPkg) ([]*Package, error) {
-	byPath := map[string]listPkg{}
-	for _, t := range targets {
-		byPath[t.ImportPath] = t
-	}
-	var order []string
-	seen := map[string]bool{}
-	var visit func(path string)
-	visit = func(path string) {
-		if seen[path] {
-			return
-		}
-		seen[path] = true
-		t, ok := byPath[path]
-		if !ok {
-			return // non-module import: export data
-		}
-		for _, dep := range t.Imports {
-			visit(dep)
-		}
-		order = append(order, path)
-	}
-	var roots []string
-	for path := range byPath {
-		roots = append(roots, path)
-	}
-	sort.Strings(roots)
-	for _, r := range roots {
-		visit(r)
-	}
-
-	// Production layer.
-	prod := map[string]*Package{}
-	for _, path := range order {
-		t := byPath[path]
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		var paths []string
-		for _, g := range t.GoFiles {
-			paths = append(paths, filepath.Join(t.Dir, g))
-		}
-		files, err := parseFiles(l.fset, paths)
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := l.Check(t.ImportPath, files)
-		if err != nil {
-			return nil, err
-		}
-		l.register(t.ImportPath, pkg.Pkg)
-		prod[path] = pkg
-	}
-
-	// Test layer: re-check packages with in-package test files as one
-	// augmented package. The augmented *types.Package stays out of the
-	// registry — dependents compile against the production package,
-	// exactly as go build links them.
-	var pkgs []*Package
-	for _, path := range order {
-		t := byPath[path]
-		if len(t.TestGoFiles) == 0 {
-			if p := prod[path]; p != nil {
-				pkgs = append(pkgs, p)
-			}
-			continue
-		}
-		var paths []string
-		for _, g := range t.GoFiles {
-			paths = append(paths, filepath.Join(t.Dir, g))
-		}
-		testFrom := len(paths)
-		for _, g := range t.TestGoFiles {
-			paths = append(paths, filepath.Join(t.Dir, g))
-		}
-		files, err := parseFiles(l.fset, paths)
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := l.Check(t.ImportPath, files)
-		if err != nil {
-			return nil, err
-		}
-		pkg.TestFiles = map[*ast.File]bool{}
-		for _, f := range files[testFrom:] {
-			pkg.TestFiles[f] = true
-		}
-		l.augment(t.ImportPath, pkg.Pkg)
-		pkgs = append(pkgs, pkg)
-	}
-
-	// External _test packages (package foo_test): separate packages
-	// importing the augmented foo (exported test helpers included).
-	// Any module package the xtest pulls in that itself imports foo
-	// must be re-checked against the augmented foo first — the go
-	// tool's [foo.test] variants — or the xtest would see two
-	// incompatible spellings of foo's types (one through its direct
-	// import, one through the intermediate's signatures).
-	for _, path := range order {
-		t := byPath[path]
-		if len(t.XTestGoFiles) == 0 {
-			continue
-		}
-		overrides, err := l.testVariantClosure(path, byPath, order)
-		if err != nil {
-			return nil, err
-		}
-		var paths []string
-		for _, g := range t.XTestGoFiles {
-			paths = append(paths, filepath.Join(t.Dir, g))
-		}
-		files, err := parseFiles(l.fset, paths)
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := l.check(t.ImportPath+"_test", files, overrides)
-		if err != nil {
-			return nil, err
-		}
-		pkg.TestFiles = map[*ast.File]bool{}
-		for _, f := range files {
-			pkg.TestFiles[f] = true
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// testVariantClosure prepares the import overrides for checking the
-// external _test package of under: the augmented package under test,
-// plus a re-check (production sources, in dependency order) of every
-// module package on an import path between the xtest and under.
-func (l *Loader) testVariantClosure(under string, byPath map[string]listPkg, order []string) (map[string]*types.Package, error) {
-	l.checkedMu.Lock()
-	aug := l.augmented[under]
-	l.checkedMu.Unlock()
-	if aug == nil {
-		return nil, nil // no in-package test files: production foo is the only foo
-	}
-	overrides := map[string]*types.Package{under: aug}
-
-	// Module packages reachable from the xtest's imports...
-	reach := map[string]bool{}
-	var walk func(p string)
-	walk = func(p string) {
-		t, ok := byPath[p]
-		if !ok || reach[p] {
-			return
-		}
-		reach[p] = true
-		for _, dep := range t.Imports {
-			walk(dep)
-		}
-	}
-	for _, dep := range byPath[under].XTestImports {
-		walk(dep)
-	}
-	// ...that transitively import the package under test. Production
-	// imports are acyclic, so plain memoization is sound.
-	memo := map[string]bool{}
-	var importsUnder func(p string) bool
-	importsUnder = func(p string) bool {
-		if p == under {
-			return true
-		}
-		if v, ok := memo[p]; ok {
-			return v
-		}
-		memo[p] = false
-		t, ok := byPath[p]
-		if !ok {
-			return false
-		}
-		for _, dep := range t.Imports {
-			if importsUnder(dep) {
-				memo[p] = true
-				return true
-			}
-		}
-		return false
-	}
-	for _, q := range order {
-		if q == under || !reach[q] || !importsUnder(q) {
-			continue
-		}
-		t := byPath[q]
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		var paths []string
-		for _, g := range t.GoFiles {
-			paths = append(paths, filepath.Join(t.Dir, g))
-		}
-		files, err := parseFiles(l.fset, paths)
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := l.check(q, files, overrides)
-		if err != nil {
-			return nil, err
-		}
-		overrides[q] = pkg.Pkg
-	}
-	return overrides, nil
 }
 
 // parseFiles parses source files with comments retained (the ignore
@@ -511,15 +202,10 @@ func parseFiles(fset *token.FileSet, paths []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// Check type-checks parsed files as one package under path, resolving
-// imports through the loader's export map. Used both by Load and by
-// the fixture runner (which checks testdata packages that go list
-// never sees).
-func (l *Loader) Check(path string, files []*ast.File) (*Package, error) {
-	return l.check(path, files, nil)
-}
-
-func (l *Loader) check(path string, files []*ast.File, overrides map[string]*types.Package) (*Package, error) {
+// check type-checks parsed files as one package under path and records
+// it under id, so later packages that import id resolve it in memory.
+// Files named _test.go are marked in TestFiles.
+func (l *Loader) check(id, path string, files []*ast.File, importMap map[string]string) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -527,16 +213,24 @@ func (l *Loader) check(path string, files []*ast.File, overrides map[string]*typ
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{Importer: moduleImporter{l: l, overrides: overrides}}
+	conf := types.Config{Importer: moduleImporter{l, importMap}}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", path, err)
+		return nil, fmt.Errorf("type-checking %s: %v", id, err)
 	}
-	return &Package{Path: path, Files: files, Pkg: pkg, Info: info}, nil
+	l.checked[id] = pkg
+	testFiles := map[*ast.File]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(l.fset.Position(f.Pos()).Filename, "_test.go") {
+			testFiles[f] = true
+		}
+	}
+	return &Package{Path: path, Files: files, Pkg: pkg, Info: info, TestFiles: testFiles}, nil
 }
 
 // CheckDir parses every .go file directly inside dir and type-checks
 // them as one package under importPath — the fixture entry point.
+// Fixture packages may import each other: check the imported one first.
 func (l *Loader) CheckDir(importPath, dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -556,16 +250,17 @@ func (l *Loader) CheckDir(importPath, dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.Check(importPath, files)
+	return l.check(importPath, importPath, files, nil)
 }
 
-// Prime pre-lists the module's own dependency closure so fixture
-// packages resolve module-internal imports without per-import listing.
+// Prime lists the module's packages so fixture checks resolve
+// module-internal imports through export data without per-import
+// listing.
 func (l *Loader) Prime() error {
-	listed, err := goList(l.Dir, "./...")
+	listed, err := goList(l.Dir, "--", "./...")
 	if err != nil {
 		return err
 	}
-	l.resolver.add(listed)
+	l.addExports(listed)
 	return nil
 }

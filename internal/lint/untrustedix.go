@@ -42,19 +42,7 @@ import (
 var AnalyzerUntrustedIx = &Analyzer{
 	Name: "untrustedix",
 	Doc:  "untrusted bytes must pass a declared validator before indexing, sizing, or seeking (DESIGN.md §7)",
-	Contract: `DESIGN.md §7 ("two readers, one validator"): every byte from disk,
-mmap, or the network is hostile until a validator blesses it. Sources
-are file reads, mmap windows (//scorislint:source), and HTTP bodies;
-sinks are slice indexing/bounds, make sizes, ReadAt offsets, and
-index.FromBlocks arguments; sanitizers are the functions
-tagged //scorislint:validator (parseFooter, decodeBlock,
-checkParts, ...). A source-to-sink path that skips every validator is
-a finding, across function and package boundaries.`,
-	Annotation: `//scorislint:validator  on a function: calling it clears the taint of
-                        its arguments and receiver; its body is the
-                        trusted boundary (exempt from sink checks).
-//scorislint:source     on a function: its results are untrusted.`,
-	Run: runUntrustedIx,
+	Run:  runUntrustedIx,
 }
 
 const (

@@ -153,7 +153,7 @@ func EST(spec ESTSpec, pool *Pool) *bank.Bank {
 		}
 		// The short-circuit matters: an unused feature must not consume
 		// a random draw, or enabling it would reshuffle every bank
-		// generated after this point (and scale-16 results would stop
+		// generated after this point (and the recorded tables would stop
 		// matching EXPERIMENTS.md).
 		if spec.ReverseFraction > 0 && rng.Float64() < spec.ReverseFraction {
 			seq = dna.Decode(dna.ReverseComplement(dna.Encode(seq)))

@@ -144,10 +144,9 @@ type IndexStore = ixcache.Store
 // side of a workload.
 type DirIndexStore = ixdisk.DirStore
 
-// IndexSavePolicy bounds what a DirIndexStore persists: only marked
-// database banks (DBOnly), or only banks of at least MinBases bases —
-// so single-use query indexes never hit disk. The zero value persists
-// everything.
+// IndexSavePolicy bounds what a DirIndexStore persists: with DBOnly,
+// only marked database banks, so single-use query indexes never hit
+// disk. The zero value persists everything.
 type IndexSavePolicy = ixdisk.SavePolicy
 
 // IndexGCConfig bounds a DirIndexStore directory by total size and/or
