@@ -172,9 +172,11 @@ func main() {
 				cache.Builds(), cache.Lookups())
 			// prepTime is this job's actual build cost (zero on a cache
 			// hit); m.IndexTime adds any in-comparison build such as the
-			// BothStrands reverse-complement index.
-			fmt.Fprintf(os.Stderr, "  step1 index   %8.3fs (%d + %d positions)\n",
-				(prepTime + m.IndexTime).Seconds(), m.IndexedBank1, m.IndexedBank2)
+			// BothStrands reverse-complement index. Windows proven are the
+			// stored windows step 2 checked on first read (0 on built
+			// indexes).
+			fmt.Fprintf(os.Stderr, "  step1 index   %8.3fs (%d + %d positions, %d windows proven)\n",
+				(prepTime + m.IndexTime).Seconds(), m.IndexedBank1, m.IndexedBank2, m.WindowsProven)
 			fmt.Fprintf(os.Stderr, "  step2 ungapped%8.3fs (%d hit pairs, %d aborted, %d HSPs)\n",
 				m.Step2Time.Seconds(), m.HitPairs, m.Aborted, m.HSPs)
 			fmt.Fprintf(os.Stderr, "  step3 gapped  %8.3fs (%d extensions, %d covered)\n",

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc64"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -39,6 +40,19 @@ import (
 // two sequences. No per-position table repeats what the sentinels say:
 // a position's sequence is found from the per-sequence bounds (SeqAt).
 const Sentinel byte = 0xF0
+
+// MaxData is the most bytes a bank's Data may hold: every position in
+// it — the sequence bounds here, every index entry in package index — is
+// an int32. Parse refuses a larger bank and New panics on one.
+const MaxData = math.MaxInt32
+
+// checkDataLen refuses a Data of n bytes, more than MaxData.
+func checkDataLen(n int) error {
+	if n > MaxData {
+		return fmt.Errorf("bank: %d bytes of sequence and separators exceed the %d a bank can address", n, MaxData)
+	}
+	return nil
+}
 
 // Bank is an immutable, indexed-ready DNA bank.
 type Bank struct {
@@ -74,11 +88,14 @@ type Bank struct {
 
 // New builds a bank from FASTA records. Records may be empty; an empty
 // record still occupies a slot so record numbering matches the input
-// file.
+// file. It panics when the records take more than MaxData bytes of Data.
 func New(name string, recs []*fasta.Record) *Bank {
 	total := 0
 	for _, r := range recs {
 		total += len(r.Seq)
+	}
+	if err := checkDataLen(total + len(recs) + 1); err != nil {
+		panic(err)
 	}
 	b := &Bank{
 		Name:   name,
@@ -138,7 +155,8 @@ func FromFile(name, path string) (*Bank, error) {
 //     dropped, A/C/G/T/U in either case encode to their codes, and any
 //     other byte is an ambiguous base (dna.Invalid);
 //   - sequence data before the first header is an error naming its
-//     line, and so is text without a record.
+//     line, and so is text without a record;
+//   - a bank whose Data would pass MaxData bytes is an error.
 //
 // A record with no sequence lines still occupies a slot, as in New.
 func Parse(name string, text []byte) (*Bank, error) {
@@ -188,6 +206,11 @@ func Parse(name string, text []byte) (*Bank, error) {
 	}
 	if len(b.starts) == 0 {
 		return nil, fmt.Errorf("bank: %s: no sequences", name)
+	}
+	// The bounds appended above wrapped if the bank is too large; it is
+	// refused before any of them is used.
+	if err := checkDataLen(len(data) + 1); err != nil {
+		return nil, err
 	}
 	b.ends = append(b.ends, int32(len(data)))
 	b.Data = append(data, Sentinel)

@@ -2,6 +2,7 @@ package bank
 
 import (
 	"hash/crc64"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -439,4 +440,19 @@ func TestPrefixLen(t *testing.T) {
 		}
 	}()
 	long.PrefixLen(4)
+}
+
+// TestDataLimit: a bank's Data is addressed by int32 positions, so a
+// Data of MaxData bytes is the largest Parse and New accept; one byte
+// more is refused — checked on the length, not on a 2 GiB allocation.
+func TestDataLimit(t *testing.T) {
+	if MaxData != math.MaxInt32 {
+		t.Fatalf("MaxData = %d, want the int32 limit", MaxData)
+	}
+	if err := checkDataLen(MaxData); err != nil {
+		t.Errorf("a Data of MaxData bytes refused: %v", err)
+	}
+	if err := checkDataLen(MaxData + 1); err == nil {
+		t.Error("a Data of MaxData+1 bytes accepted: its last positions wrap in int32")
+	}
 }

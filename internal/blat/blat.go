@@ -68,6 +68,9 @@ type Metrics struct {
 	SkippedByDiag  int64
 	Extensions     int64
 	HSPs           int
+	// WindowsProven counts the stored windows the probe proved before
+	// extending from them (index.Index.ProvenOcc); 0 on a built index.
+	WindowsProven int64
 }
 
 // Result bundles alignments and metrics.
@@ -131,21 +134,31 @@ type tileProbe struct {
 	// below.
 	diagEnd map[int32]int32
 	hsps    []hsp.HSP
+	// err is the failed window proof that ends the search.
+	err error
 }
 
 // probe handles one query window: dust test, then a flat walk of the
 // tile's contiguous CSR occurrence slice — sequential reads, no
 // pointer-chasing chain walk — extending only windows that beat the
-// per-diagonal high-water mark.
+// per-diagonal high-water mark. On a loaded index the tile's windows are
+// proven before the first extension from them; a failed proof stops the
+// probe for good.
 //
 //scorislint:hotpath
 func (tp *tileProbe) probe(rel int32, c seed.Code) {
 	tp.met.QueryPositions++
-	if tp.maskPfx != nil && tp.maskPfx[rel+tp.w] != tp.maskPfx[rel] {
+	if tp.err != nil || tp.maskPfx != nil && tp.maskPfx[rel+tp.w] != tp.maskPfx[rel] {
 		return
 	}
 	qPos := tp.qLo + rel
-	for _, p := range tp.ix.Occ(c) {
+	occ, proven, err := tp.ix.ProvenOcc(c)
+	if err != nil {
+		tp.err = err
+		return
+	}
+	tp.met.WindowsProven += int64(proven)
+	for _, p := range occ {
 		tp.met.TileHits++
 		diag := p - rel
 		if tp.diagEnd[diag] > p {
@@ -214,6 +227,9 @@ func CompareStreamWithIndex(ctx context.Context, ix *index.Index, queries *bank.
 			clear(tp.diagEnd)
 			tp.hsps = tp.hsps[:0]
 			seed.ForEach(queries.Data[qLo:qHi], opt.W, tp.probe)
+			if tp.err != nil {
+				return nil, tp.err
+			}
 			hsps = tp.hsps
 			hsp.SortByDiag(hsps)
 			met.HSPs += len(hsps)

@@ -3,6 +3,7 @@ package blat
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bank"
@@ -108,5 +109,45 @@ func TestCompareWithIndexAllocatesByTheQuery(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Errorf("CompareWithIndex allocated %d bytes for a 16-read query against a %d-base db, want < 1 MB",
 			got, db.TotalBases())
+	}
+}
+
+// TestLoadedTileIndexProvesOnRead: a loaded tile index proves the tiles
+// the probe reads — once each, the same output as the built index — and
+// a tile whose stored window is not its code fails the search that
+// reads it, and revokes the index.
+func TestLoadedTileIndexProvesOnRead(t *testing.T) {
+	db, q := testBanks(25, 5, 5, 3, 700)
+	opt := DefaultOptions()
+	built := index.Build(db, opt.IndexOptions())
+	ref, err := CompareWithIndex(built, q, opt)
+	if err != nil || ref.Metrics.WindowsProven != 0 {
+		t.Fatalf("built index: %v, %d windows proven", err, ref.Metrics.WindowsProven)
+	}
+	loaded, err := index.FromBlocks(db, opt.IndexOptions(), []index.BlockParts{built.Block()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CompareWithIndex(loaded, q, opt)
+	if err != nil || got.Metrics.WindowsProven == 0 || !slices.Equal(got.Alignments, ref.Alignments) {
+		t.Fatalf("loaded index: %v, %d windows proven, output equal %v", err, got.Metrics.WindowsProven, slices.Equal(got.Alignments, ref.Alignments))
+	}
+	again, err := CompareWithIndex(loaded, q, opt)
+	if err != nil || again.Metrics.WindowsProven != 0 {
+		t.Errorf("repeated search: %v, %d windows proven, want none", err, again.Metrics.WindowsProven)
+	}
+
+	// Every stored tile moved one base on: each window is now another.
+	bp := built.Block()
+	bp.Pos = slices.Clone(bp.Pos)
+	for i := range bp.Pos {
+		bp.Pos[i]++
+	}
+	crafted, err := index.FromBlocks(db, opt.IndexOptions(), []index.BlockParts{bp})
+	if err != nil {
+		t.Fatalf("in-order positions inside the bank refused at load: %v", err)
+	}
+	if _, err := CompareWithIndex(crafted, q, opt); err == nil || !crafted.Revoked() {
+		t.Errorf("a search over crafted tiles returned %v, revoked %v", err, crafted.Revoked())
 	}
 }

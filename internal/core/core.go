@@ -46,6 +46,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -155,6 +156,11 @@ type Metrics struct {
 	IndexedBank1  int
 	IndexedBank2  int
 	MaskedSeeds   int
+	// WindowsProven counts the stored windows step 2 proved before
+	// extending from them (index.Index.Prove): the windows of the slots
+	// this compare was first to read in a loaded index. 0 on built
+	// indexes.
+	WindowsProven int64
 }
 
 // Result bundles the alignments with run metrics.
@@ -225,6 +231,10 @@ type step2Result struct {
 	// touched sums the bank bytes step2 reads ahead of a batch's
 	// extensions: a use, so that the compiler keeps the loads.
 	touched byte
+	// proven counts the windows the worker proved; err is its failed
+	// proof, if any.
+	proven int64
+	err    error
 }
 
 func workerCount(opt Options) int {
@@ -263,10 +273,21 @@ func workerCount(opt Options) int {
 // together. The extension loops then run over the batch in slot order,
 // exactly as if the passes were not there (DESIGN.md §2).
 //
+// A loaded index proves a slot's windows the first time a batch reads
+// it (index.Index.Prove), after the head pass and before any extension
+// of the batch: a failed proof stops every worker and fails the compare
+// before step 3 writes a row (DESIGN.md §7).
+//
 //scorislint:hotpath
 func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Options) ([]hsp.HSP, step2Result, error) {
 	workers := workerCount(opt)
 	results := make([]step2Result, workers)
+	prove := ix1.Loaded() || ix2.Loaded()
+	cancel := context.CancelFunc(func() {})
+	if prove {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
 	ext := opt.Ungapped(opt.OrderedRule)
 	if opt.Asymmetric {
 		// The abort rule must only fire on seeds that the half-word
@@ -283,14 +304,27 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 			lo1[i], hi1[i] = ix1.Offsets[sp.k1], ix1.Offsets[sp.k1+1]
 			lo2[i], hi2[i] = ix2.Offsets[sp.k2], ix2.Offsets[sp.k2+1]
 		}
-		// The head of each list — a listed code has at least one occurrence
-		// (index.FromBlocks proves it on load) — and the bank byte under it.
+		// The head of each list — a listed code has at least one occurrence,
+		// inside the bank (index.FromBlocks proves both on load) — and the
+		// bank byte under it.
 		var p1, p2 [joinBatch]int32
 		for i := range batch {
 			p1[i], p2[i] = ix1.Pos[lo1[i]], ix2.Pos[lo2[i]]
 		}
 		for i := range batch {
 			r.touched += d1[p1[i]] + d2[p2[i]]
+		}
+		if prove {
+			for _, sp := range batch {
+				n1, err1 := ix1.Prove(sp.k1, sp.code)
+				n2, err2 := ix2.Prove(sp.k2, sp.code)
+				if err1 != nil || err2 != nil {
+					r.err = cmp.Or(err1, err2)
+					cancel()
+					return
+				}
+				r.proven += int64(n1 + n2)
+			}
 		}
 
 		// The X1×X2 inner product of each shared code. Both occurrence lists
@@ -315,6 +349,11 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 			}
 		}
 	})
+	for i := range results {
+		if results[i].err != nil {
+			return nil, step2Result{}, results[i].err
+		}
+	}
 	if err != nil {
 		return nil, step2Result{}, err
 	}
@@ -328,6 +367,7 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 	for i := range results {
 		merged.hsps = append(merged.hsps, results[i].hsps...)
 		merged.hitPairs += results[i].hitPairs
+		merged.proven += results[i].proven
 		merged.stats.Extensions += results[i].stats.Extensions
 		merged.stats.Aborted += results[i].stats.Aborted
 		merged.stats.Emitted += results[i].stats.Emitted

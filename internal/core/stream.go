@@ -142,6 +142,7 @@ func runStep2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt
 		return nil, err
 	}
 	met.HitPairs += st2.hitPairs
+	met.WindowsProven += st2.proven
 	met.Extensions += st2.stats.Extensions
 	met.Aborted += st2.stats.Aborted
 	if !opt.OrderedRule {

@@ -13,7 +13,11 @@
 // score far above the default threshold of 2.0 (NCBI dust "level 20").
 package dust
 
-import "repro/internal/dna"
+import (
+	"sort"
+
+	"repro/internal/dna"
+)
 
 // DefaultWindow is the classic dust window size.
 const DefaultWindow = 64
@@ -98,13 +102,9 @@ func (m *Masker) maskRun(codes []byte, lo, hi int) []Interval {
 	for p := lo; p < lo+k; p++ {
 		add(tripAt(p))
 	}
+	limit := pairLimit(m.Threshold, max(k-1, 1), k*(k-1)/2)
 	for start := lo; ; start++ {
-		denom := k - 1
-		if denom < 1 {
-			denom = 1
-		}
-		score := float64(pairs) / float64(denom)
-		if score > m.Threshold {
+		if pairs > limit {
 			out = appendMerged(out, Interval{start, start + w})
 		}
 		if start+w >= hi {
@@ -114,6 +114,18 @@ func (m *Masker) maskRun(codes []byte, lo, hi int) []Interval {
 		add(tripAt(start + w - 2))
 	}
 	return out
+}
+
+// pairLimit is the window score test as an integer one: for every pairs
+// in [0, most], float64(pairs)/float64(denom) > threshold exactly when
+// pairs > pairLimit(threshold, denom, most). The float quotient never
+// decreases as pairs grows, so the pairs that pass are those from the
+// first that does: a binary search with the float rule itself finds it,
+// once per run instead of a division per window.
+func pairLimit(threshold float64, denom, most int) int {
+	return sort.Search(most+1, func(pairs int) bool {
+		return float64(pairs)/float64(denom) > threshold
+	}) - 1
 }
 
 // appendMerged appends intervals, merging overlapping/adjacent ones.

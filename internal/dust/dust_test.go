@@ -178,3 +178,23 @@ func BenchmarkMask1Mb(b *testing.B) {
 		m.Mask(codes)
 	}
 }
+
+// TestPairLimitMatchesFloatRule: the integer test maskRun makes per
+// window is the float score rule it replaces, for every pairs count a
+// window of up to 128 bases can reach, at the default threshold and at
+// fractional ones — including thresholds a quotient meets exactly.
+func TestPairLimitMatchesFloatRule(t *testing.T) {
+	for _, threshold := range []float64{DefaultThreshold, 0.1, 0.5, 1.0 / 3, 1.37, 2.05, 2.5, 10.0 / 3, 7.999} {
+		for w := 5; w <= 128; w++ {
+			k := w - 2
+			denom, most := max(k-1, 1), k*(k-1)/2
+			limit := pairLimit(threshold, denom, most)
+			for pairs := 0; pairs <= most; pairs++ {
+				if want := float64(pairs)/float64(denom) > threshold; (pairs > limit) != want {
+					t.Fatalf("threshold %v, window %d: %d pairs over %d masks %v by the float rule, %v by the limit %d",
+						threshold, w, pairs, denom, want, pairs > limit, limit)
+				}
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/bank"
+	"repro/internal/httpapi"
 	"repro/internal/server"
 )
 
@@ -88,9 +89,9 @@ func (rt *Router) infoFor(rec *bankRecord) bankInfo {
 // hold the data, the router holds identity), records a replayable spec,
 // and fans the registration to the owners the key hashes to.
 func (rt *Router) registerBank(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, status, err := httpapi.ReadBody(w, r, bank.MaxData)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading bank request: %v", err)
+		httpError(w, status, "reading bank request: %v", err)
 		return
 	}
 	req, b, err := server.LoadBankBody(body, r.URL.Query())

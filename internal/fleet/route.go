@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/httpapi"
 )
 
 // Stream relay vocabulary, mirroring the worker's (internal/server):
@@ -67,13 +69,8 @@ func (rt *Router) serveCompare(w http.ResponseWriter, r *http.Request, batch boo
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCompareBody))
+	body, status, err := httpapi.ReadBody(w, r, maxCompareBody)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
 		httpError(w, status, "reading compare request: %v", err)
 		return
 	}

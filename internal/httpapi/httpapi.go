@@ -5,7 +5,11 @@
 // outside it is a plain 404.
 package httpapi
 
-import "net/http"
+import (
+	"errors"
+	"io"
+	"net/http"
+)
 
 // Version is the API version prefix every route lives under.
 const Version = "/v1"
@@ -16,4 +20,19 @@ func Versioned(mux http.Handler) http.Handler {
 	outer := http.NewServeMux()
 	outer.Handle(Version+"/", http.StripPrefix(Version, mux))
 	return outer
+}
+
+// ReadBody reads r's body, at most limit bytes of it. When the read
+// fails it returns the status to answer with: 413 past the limit, 400
+// for any other error.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
+		return nil, http.StatusBadRequest, err
+	}
+	return body, 0, nil
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -55,5 +56,34 @@ func TestVersionedSurface(t *testing.T) {
 
 	if resp, _ := get(t, "/v1/nope"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/v1/nope: status %d", resp.StatusCode)
+	}
+}
+
+// failingBody is a request body whose read fails.
+type failingBody struct{}
+
+func (failingBody) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
+func (failingBody) Close() error             { return nil }
+
+// TestReadBodyBound: a body of exactly limit bytes is read whole, one
+// byte more is a 413, and any other read failure a 400.
+func TestReadBodyBound(t *testing.T) {
+	const limit = 64
+	for _, tc := range []struct {
+		body   io.ReadCloser
+		status int
+	}{
+		{io.NopCloser(strings.NewReader(strings.Repeat("x", limit))), 0},
+		{io.NopCloser(strings.NewReader(strings.Repeat("x", limit+1))), http.StatusRequestEntityTooLarge},
+		{failingBody{}, http.StatusBadRequest},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/banks", tc.body)
+		body, status, err := ReadBody(httptest.NewRecorder(), r, limit)
+		if status != tc.status || (err == nil) != (tc.status == 0) {
+			t.Errorf("want status %d: got %d, %v", tc.status, status, err)
+		}
+		if tc.status == 0 && len(body) != limit {
+			t.Errorf("read %d of a %d-byte body", len(body), limit)
+		}
 	}
 }

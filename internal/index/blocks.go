@@ -26,6 +26,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/bank"
 	"repro/internal/seed"
@@ -114,17 +115,22 @@ func (ix *Index) Block() BlockParts {
 
 // FromBlocks reassembles the whole-bank index from blocks tiling
 // [0, b.NumSeqs()), as if Build(b, opts) had produced it. The blocks
-// are untrusted (they come from disk files): the tiling is checked
-// (contiguous sequence ranges, Data bounds matching the bank's real
-// prefix boundaries, every position inside its block's range, counts
-// consistent), the blocks' sorted directories are merged and each
-// code's runs concatenated in block order — positions in block k all
-// precede positions in block k+1, so the concatenation is CSR order —
-// and the assembled parts then pass checkParts (every position a real
-// seed window of its slot's code), so a hostile block fails closed: the
-// merge is not trusted to have produced valid arrays. A single block already is the index: its arrays (which
-// may alias an mmap'd file) are adopted, not copied, and only Offsets is
-// computed.
+// are untrusted (they come from disk files). The tiling is checked —
+// contiguous sequence ranges, Data bounds matching the bank's real
+// prefix boundaries — and each block's structure by checkParts, one
+// parallel pass: every position a window inside its block, ascending
+// inside its slot, the directory ascending, counts consistent. A single
+// block already is the index: its arrays (which may alias an mmap'd
+// file) are adopted, not copied, and the same pass computes Offsets and,
+// on a dense index, the bitmap. Several blocks are merged: their sorted
+// directories merged and each code's runs concatenated in block order —
+// positions in block k all precede positions in block k+1, so the
+// concatenation is CSR order, and checked blocks merge into checked
+// parts.
+//
+// Whether each window holds its slot's code is not proven here but on
+// first read: the index returned proves a slot when an engine first
+// reads it (Index.Prove), and is revoked if a proof fails.
 func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error) {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
@@ -133,7 +139,6 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("index: FromBlocks: no blocks")
 	}
-	n := seed.NumCodes(opts.W)
 	var p Parts
 	wantSeq := 0
 	for i := range blocks {
@@ -150,32 +155,6 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 			return nil, fmt.Errorf("index: FromBlocks: block %d records Data range [%d,%d), bank's sequences [%d,%d) span [%d,%d)",
 				i, bp.DataLo, bp.DataHi, bp.SeqLo, bp.SeqHi, b.PrefixLen(bp.SeqLo), b.PrefixLen(bp.SeqHi))
 		}
-		if len(bp.Codes) != len(bp.Counts) {
-			return nil, fmt.Errorf("index: FromBlocks: block %d has %d codes but %d counts",
-				i, len(bp.Codes), len(bp.Counts))
-		}
-		var sum int
-		for j, c := range bp.Codes {
-			if int(c) < 0 || int(c) >= n {
-				return nil, fmt.Errorf("index: FromBlocks: block %d code %d outside the 4^%d code space", i, c, opts.W)
-			}
-			if j > 0 && bp.Codes[j-1] >= c {
-				return nil, fmt.Errorf("index: FromBlocks: block %d codes not strictly ascending at entry %d", i, j)
-			}
-			if bp.Counts[j] < 1 {
-				return nil, fmt.Errorf("index: FromBlocks: block %d count %d for code %d", i, bp.Counts[j], c)
-			}
-			sum += int(bp.Counts[j])
-		}
-		if sum != len(bp.Pos) {
-			return nil, fmt.Errorf("index: FromBlocks: block %d counts sum to %d for %d positions", i, sum, len(bp.Pos))
-		}
-		lo, hi := int32(bp.DataLo), int32(bp.DataHi)
-		for _, pos := range bp.Pos {
-			if pos < lo || pos >= hi {
-				return nil, fmt.Errorf("index: FromBlocks: block %d position %d outside its Data range [%d,%d)", i, pos, lo, hi)
-			}
-		}
 		p.Indexed += len(bp.Pos)
 		p.MaskedOut += bp.MaskedOut
 		p.SampledOut += bp.SampledOut
@@ -185,24 +164,32 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 		return nil, fmt.Errorf("index: FromBlocks: blocks cover %d sequences, bank has %d", wantSeq, b.NumSeqs())
 	}
 
+	var bitmap []uint64
 	if len(blocks) == 1 {
 		bp := &blocks[0]
 		p.Codes, p.Pos = bp.Codes, bp.Pos
-		p.Offsets = make([]int32, 1, len(bp.Codes)+1)
-		for _, k := range bp.Counts {
-			p.Offsets = append(p.Offsets, p.Offsets[len(p.Offsets)-1]+k)
+		p.Offsets = make([]int32, len(bp.Codes)+1)
+		if denseDirectory(len(bp.Codes), opts.W) {
+			bitmap = make([]uint64, (seed.NumCodes(opts.W)+63)/64)
+		}
+		if err := checkParts(b, opts, bp, p.Offsets, bitmap); err != nil {
+			return nil, fmt.Errorf("index: FromBlocks: %w", err)
 		}
 	} else {
+		for i := range blocks {
+			if err := checkParts(b, opts, &blocks[i], nil, nil); err != nil {
+				return nil, fmt.Errorf("index: FromBlocks: block %d: %w", i, err)
+			}
+		}
 		mergeBlocks(&p, blocks)
 	}
-	if err := checkParts(b, opts, p); err != nil {
-		return nil, fmt.Errorf("index: FromBlocks: assembled parts invalid: %w", err)
-	}
-	return assemble(b, opts, p), nil
+	ix := assemble(b, opts, p, bitmap)
+	ix.proof = &proof{done: make([]atomic.Uint64, (ix.NumCodes()+63)/64)}
+	return ix, nil
 }
 
 // mergeBlocks fills p's arrays (p.Indexed is already the total) from
-// validated blocks in ascending Data order by a k-way merge of their
+// checked blocks in ascending Data order by a k-way merge of their
 // ascending directories. The cursors come up in (code, block) order, so
 // a code's occurrences arrive in block order — ascending position — and
 // are copied as they arrive, a run of directory entries at a time (an

@@ -279,7 +279,7 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 	fresh := func() []BlockParts { return tileBlocks(t, b, opts, []int{2}) }
 	// Block 0 holds r0 and r1 (40 A's, then "NN"); block 1 ends with the
 	// bank. The poly-A code's slot has many occurrences.
-	_, r0End := b.SeqBounds(0)
+	r0Lo, r0End := b.SeqBounds(0)
 	r1Lo, _ := b.SeqBounds(1)
 	polyA := func(bl []BlockParts) []int32 {
 		if bl[0].Codes[0] != 0 || bl[0].Counts[0] < 2 {
@@ -303,18 +303,11 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 		"wrongSeqHi":  func(bl []BlockParts) []BlockParts { bl[1].SeqHi--; bl[1].DataHi = b.PrefixLen(bl[1].SeqHi); return bl },
 		"doubleCover": func(bl []BlockParts) []BlockParts { return append(bl, bl[1]) },
 
-		// Positions that are not seed windows of their slot's code — what
-		// an engine would extend from. All but posZero lie inside their
-		// block's Data range.
-		"posZero": func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = 0; return bl },
-		"posPastLastWindow": func(bl []BlockParts) []BlockParts {
-			last := bl[1].Pos
-			last[len(last)-1] = int32(len(b.Data) - opts.W)
-			return bl
-		},
-		"posStraddlesSentinel": func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = r0End - 3; return bl },
-		"posHoldsInvalidBase":  func(bl []BlockParts) []BlockParts { polyA(bl)[0] = r1Lo + 36; return bl },
-		"posOfAnotherCode":     func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = bl[0].Pos[bl[0].Counts[0]]; return bl },
+		// Positions outside their block's windows, or out of their slot's
+		// order: position zero is the leading sentinel, below every block.
+		"posZero":             func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = 0; return bl },
+		"posHoldsInvalidBase": func(bl []BlockParts) []BlockParts { polyA(bl)[0] = r1Lo + 36; return bl },
+		"posOfAnotherCode":    func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = bl[0].Pos[bl[0].Counts[0]]; return bl },
 		"posDescending": func(bl []BlockParts) []BlockParts {
 			occ := polyA(bl)
 			occ[0], occ[1] = occ[1], occ[0]
@@ -326,6 +319,47 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := FromBlocks(b, opts, mutate(fresh())); err == nil {
 				t.Fatal("hostile blocks accepted")
+			}
+		})
+	}
+
+	// Positions inside their block's windows and in their slot's order
+	// that are not seed windows of its code — what an engine would extend
+	// from. They load; the proof of the slot refuses them and revokes the
+	// index. code names the slot a case corrupts.
+	lastCode := func(bl []BlockParts) seed.Code { return bl[1].Codes[len(bl[1].Codes)-1] }
+	polyACode := func([]BlockParts) seed.Code { return 0 }
+	windows := map[string]struct {
+		mutate func([]BlockParts) []BlockParts
+		code   func([]BlockParts) seed.Code
+	}{
+		"posPastLastWindow": {func(bl []BlockParts) []BlockParts {
+			last := bl[1].Pos
+			last[len(last)-1] = int32(len(b.Data) - opts.W)
+			return bl
+		}, lastCode},
+		"posStraddlesSentinel": {func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = r0End - 3; return bl }, polyACode},
+		"posHoldsInvalidBaseInOrder": {func(bl []BlockParts) []BlockParts {
+			occ := polyA(bl)
+			occ[len(occ)-1] = r1Lo + 36
+			return bl
+		}, polyACode},
+		"posOfAnotherCodeInOrder": {func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = r0Lo; return bl }, polyACode},
+	}
+	for name, tc := range windows {
+		t.Run(name, func(t *testing.T) {
+			bl := tc.mutate(fresh())
+			ix, err := FromBlocks(b, opts, bl)
+			if err != nil {
+				t.Fatalf("refused at load, want a refusal on first read: %v", err)
+			}
+			c := tc.code(bl)
+			slot, found := ix.Slot(c)
+			if !found {
+				t.Fatalf("code %d lost from the directory", c)
+			}
+			if _, err := ix.Prove(int32(slot), c); err == nil || !ix.Revoked() {
+				t.Fatalf("the proof of the hostile slot passed (revoked %v)", ix.Revoked())
 			}
 		})
 	}

@@ -53,7 +53,9 @@
 //
 // A built Index is immutable: Build is the only writer, nothing
 // mutates the arrays afterwards, and every accessor returns views or
-// copies. Any number of goroutines may therefore read one Index
+// copies. A loaded one (FromBlocks) is too, but for its record of which
+// slots' windows are proven — atomic bits, set as Prove proves them
+// (check.go). Any number of goroutines may therefore read one Index
 // concurrently without synchronization, and an Index may be held and
 // reused for as long as its bank lives. The converse bound: an Index
 // is valid only for the exact (bank, Options) pair it was built from —
@@ -66,8 +68,6 @@
 package index
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -189,6 +189,9 @@ type Index struct {
 
 	topShift uint // a code's Top bucket is code >> topShift
 	opts     Options
+	// proof records the slots whose windows are proven, on an index that
+	// came from FromBlocks; nil on a built one (see Prove).
+	proof *proof
 }
 
 // minParallelData is the Data range below which the build stays serial;
@@ -229,7 +232,7 @@ func Build(b *bank.Bank, opts Options) *Index {
 	if opts.W < 1 || opts.W > seed.MaxW {
 		panic(fmt.Sprintf("index: invalid W=%d", opts.W))
 	}
-	return assemble(b, opts, buildRange(b, opts, 0, len(b.Data)))
+	return assemble(b, opts, buildRange(b, opts, 0, len(b.Data)), nil)
 }
 
 // digitBits is the radix of the build's sort: 11-bit digits, so W=11
@@ -503,10 +506,10 @@ func runShards(workers int, fn func(sid int)) {
 }
 
 // Parts holds the components of a built Index — what the build routine
-// produces, and what FromBlocks merges its blocks into and validates
-// (checkParts). The slices may alias read-only memory (an mmap'd file
-// section): nothing in this package writes to an assembled Index, per
-// the immutability contract above.
+// produces, and what FromBlocks assembles from checked blocks. The
+// slices may alias read-only memory (an mmap'd file section): nothing in
+// this package writes to an assembled Index, per the immutability
+// contract above.
 type Parts struct {
 	Codes        []seed.Code
 	Offsets, Pos []int32
@@ -519,18 +522,22 @@ type Parts struct {
 // validated for, and derives the directory's form from their code list:
 // the presence bitmap and its rank when the directory is dense — the
 // list itself is then dropped, the bitmap holding the same set — and
-// Top beside the list when it is not. opts must be normalized and every
-// code below 4^W.
-func assemble(b *bank.Bank, opts Options, p Parts) *Index {
+// Top beside the list when it is not. A non-nil bitmap is the dense
+// directory's bitmap already filled (FromBlocks' check fills it). opts
+// must be normalized and every code below 4^W.
+func assemble(b *bank.Bank, opts Options, p Parts, bitmap []uint64) *Index {
 	ix := &Index{
 		Bank: b, W: opts.W,
 		Offsets: p.Offsets, Pos: p.Pos,
 		Indexed: p.Indexed, MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 		opts: opts,
 	}
-	if denseDirectory(len(p.Codes), opts.W) {
+	switch {
+	case bitmap != nil:
+		ix.Bits, ix.Rank = bitmap, rankOf(bitmap)
+	case denseDirectory(len(p.Codes), opts.W):
 		ix.Bits, ix.Rank = presenceBitmap(p.Codes, opts.W)
-	} else {
+	default:
 		ix.Codes = p.Codes
 		ix.Top, ix.topShift = topDirectory(p.Codes, opts.W)
 	}
@@ -563,6 +570,11 @@ func presenceBitmap(codes []seed.Code, w int) ([]uint64, []int32) {
 	for _, c := range codes {
 		bitmap[c/64] |= 1 << (c % 64)
 	}
+	return bitmap, rankOf(bitmap)
+}
+
+// rankOf derives a bitmap's rank directory (see Index.Rank).
+func rankOf(bitmap []uint64) []int32 {
 	rank := make([]int32, (len(bitmap)+lineWords-1)/lineWords)
 	n := 0
 	for i, x := range bitmap {
@@ -571,7 +583,7 @@ func presenceBitmap(codes []seed.Code, w int) ([]uint64, []int32) {
 		}
 		n += bits.OnesCount64(x)
 	}
-	return bitmap, rank
+	return rank
 }
 
 // topBucket is the number of codes a Top bucket holds when the
@@ -605,103 +617,6 @@ func topDirectory(codes []seed.Code, w int) ([]int32, uint) {
 		top[h] = int32(len(codes))
 	}
 	return top, shift
-}
-
-// checkParts validates untrusted parts against bank b: array lengths
-// consistent with Indexed, Codes strictly ascending inside [0, 4^W),
-// Offsets strictly increasing from 0 to Indexed (every listed code has
-// at least one occurrence), and every occurrence a real seed window —
-// W valid bases of b.Data that encode to the code of its directory
-// slot, positions strictly ascending inside the slot.
-//
-// The window check is what the engines' memory safety rests on. The
-// extension loops (package hsp) take no bounds: they stop at the first
-// sentinel. A position that passes is inside Data with a sentinel
-// somewhere on both sides (Data begins and ends with one, and a window
-// of valid bases contains none), and inside one record for the same
-// reason — so no file that passes can make an extension read outside
-// Data or report an HSP that spans a record boundary.
-//
-//scorislint:validator
-func checkParts(b *bank.Bank, opts Options, p Parts) error {
-	if len(p.Offsets) != len(p.Codes)+1 {
-		return fmt.Errorf("index: %d offsets for %d codes, want one more",
-			len(p.Offsets), len(p.Codes))
-	}
-	if p.Offsets[0] != 0 {
-		return fmt.Errorf("index: Offsets[0]=%d, want 0", p.Offsets[0])
-	}
-	if len(p.Pos) != p.Indexed || int(p.Offsets[len(p.Codes)]) != p.Indexed {
-		return fmt.Errorf("index: Indexed=%d but len(Pos)=%d, Offsets[end]=%d",
-			p.Indexed, len(p.Pos), p.Offsets[len(p.Codes)])
-	}
-	n := seed.NumCodes(opts.W)
-	for i, c := range p.Codes {
-		if int(c) >= n || (i > 0 && p.Codes[i-1] >= c) {
-			return fmt.Errorf("index: Codes[%d]=%d not strictly ascending inside the 4^%d code space", i, c, opts.W)
-		}
-		if p.Offsets[i+1] <= p.Offsets[i] {
-			return fmt.Errorf("index: Offsets not strictly increasing at entry %d", i)
-		}
-	}
-	// Per-occurrence sweep, the validation cost of every disk load. It
-	// reads Data at the positions' order — random — so memory latency is
-	// most of it; slot ranges are swept concurrently like a build's.
-	workers := buildWorkers(opts, len(b.Data))
-	errs := make([]error, workers)
-	runShards(workers, func(sid int) {
-		lo, hi := sid*len(p.Codes)/workers, (sid+1)*len(p.Codes)/workers
-		errs[sid] = checkWindows(b.Data, opts.W, p.Codes[lo:hi], p.Offsets[lo:hi+1], p.Pos)
-	})
-	return errors.Join(errs...)
-}
-
-// checkWindows is checkParts' sweep over a range of directory slots
-// (offsets has one entry more than codes). A slot's code is spread once
-// into the bytes its windows must hold — two words, since W ≤ 15 — and
-// each occurrence is then a range test and two masked word compares. An
-// ambiguous base or a sentinel differs from every base, so "valid"
-// needs no test of its own.
-func checkWindows(data []byte, w int, codes []seed.Code, offsets, positions []int32) error {
-	maskLo, maskHi := ^uint64(0), uint64(0)
-	if w < 8 {
-		maskLo = 1<<(8*uint(w)) - 1
-	} else {
-		maskHi = 1<<(8*uint(w-8)) - 1
-	}
-	for i, c := range codes {
-		wantLo, wantHi := spreadBases(uint64(c)), spreadBases(uint64(c)>>16)
-		prev := int32(-1)
-		for _, pos := range positions[offsets[i]:offsets[i+1]] {
-			if pos <= prev || int(pos)+w > len(data) {
-				return fmt.Errorf("index: position %d under code %d is not an ascending W=%d window inside the bank", pos, c, w)
-			}
-			var lo, hi uint64
-			if int(pos)+16 <= len(data) {
-				lo, hi = binary.LittleEndian.Uint64(data[pos:]), binary.LittleEndian.Uint64(data[pos+8:])
-			} else {
-				var tail [16]byte
-				copy(tail[:], data[pos:])
-				lo, hi = binary.LittleEndian.Uint64(tail[:]), binary.LittleEndian.Uint64(tail[8:])
-			}
-			if (lo^wantLo)&maskLo|(hi^wantHi)&maskHi != 0 {
-				return fmt.Errorf("index: the W=%d window at position %d does not encode to code %d of its slot", w, pos, c)
-			}
-			prev = pos
-		}
-	}
-	return nil
-}
-
-// spreadBases expands the low 16 bits of c — eight 2-bit bases, the
-// first in the lowest bits — into eight bytes, base i in byte i: the
-// little-endian word a seed window of those bases reads as.
-func spreadBases(c uint64) uint64 {
-	c &= 0xFFFF
-	c = (c | c<<24) & 0x000000FF000000FF
-	c = (c | c<<12) & 0x000F000F000F000F
-	c = (c | c<<6) & 0x0303030303030303
-	return c
 }
 
 // Dense reports whether ix carries the presence bitmap (Bits, Rank)
@@ -834,9 +749,9 @@ func (ix *Index) searchBucket(lo, hi int32, c seed.Code) (slot int, found bool) 
 }
 
 // Occ returns the occurrences of code c as a contiguous ascending slice
-// view into the flat array, for callers that probe by code (the BLAT
-// tile scan). It is empty when the bank does not contain c. Callers must
-// not mutate it.
+// view into the flat array. It is empty when the bank does not contain
+// c. Callers must not mutate it. It proves nothing: an engine about to
+// extend from the occurrences reads them through ProvenOcc.
 func (ix *Index) Occ(c seed.Code) []int32 {
 	i, found := ix.Slot(c)
 	if !found {
@@ -850,9 +765,14 @@ func (ix *Index) Occ(c seed.Code) []int32 {
 // the paper's ≈5N bytes/bank estimate: 4 bytes per indexed position
 // plus 4 per distinct code, plus on a sparse index 4 more and under
 // half a byte a code (Codes and Top), on a dense one 4^W/8 + 4^W/128
-// bytes (Bits and Rank) — whichever is smaller (DESIGN.md §3).
+// bytes (Bits and Rank) — whichever is smaller (DESIGN.md §3). A loaded
+// index adds its proof bitmap, one bit a code.
 func (ix *Index) MemoryBytes() int {
-	return 4*(len(ix.Codes)+len(ix.Offsets)+len(ix.Top)+len(ix.Rank)+len(ix.Pos)) + 8*len(ix.Bits)
+	n := 4*(len(ix.Codes)+len(ix.Offsets)+len(ix.Top)+len(ix.Rank)+len(ix.Pos)) + 8*len(ix.Bits)
+	if ix.proof != nil {
+		n += 8 * len(ix.proof.done)
+	}
+	return n
 }
 
 // Options returns the options the index was built with.

@@ -305,36 +305,58 @@ func BenchmarkBuildW11_1Mb(b *testing.B) {
 	}
 }
 
-// partsOf returns ix's arrays and counters as the Parts checkParts
-// validates; the slices are ix's own, but for a dense index's code list,
-// which is regenerated (Directory).
-func partsOf(ix *Index) Parts {
-	return Parts{
-		Codes: ix.Directory(), Offsets: ix.Offsets, Pos: ix.Pos,
-		Indexed: ix.Indexed, MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
+// proveAll proves every slot of a loaded index and returns the first
+// failure, or the number of windows proven.
+func proveAll(ix *Index) (int, error) {
+	total := 0
+	for i, c := range ix.Directory() {
+		n, err := ix.Prove(int32(i), c)
+		if err != nil {
+			return total, err
+		}
+		total += n
 	}
+	return total, nil
 }
 
-// TestCheckPartsRejectsHostileParts: the validation every reassembled
-// index passes (FromBlocks) must refuse a malformed directory
-// (Codes/Offsets) and any position that is not a seed window of its
-// slot's code — the extension loops take no bounds, so a position is
-// all that stands between a stored index and the bank's memory.
+// loadedFrom reassembles blocks into an index, failing the test unless
+// the load's structural check accepts them.
+func loadedFrom(t *testing.T, b *bank.Bank, opts Options, blocks ...BlockParts) *Index {
+	t.Helper()
+	ix, err := FromBlocks(b, opts, blocks)
+	if err != nil {
+		t.Fatalf("structural check refused the blocks: %v", err)
+	}
+	return ix
+}
+
+// TestCheckPartsRejectsHostileParts: the two halves of the validation
+// every stored index passes must together refuse a malformed directory
+// and any position that is not a seed window of its slot's code — the
+// extension loops take no bounds, so a position is all that stands
+// between a stored index and the bank's memory. The load's structural
+// check (checkParts, through FromBlocks) refuses whatever would make a
+// read leave the block: a malformed directory or count list, a position
+// outside its block's windows (position zero is the leading sentinel,
+// below every block), positions out of order. A position inside its
+// block whose window is not its slot's code loads, and is refused by
+// the proof of its slot (Prove), which revokes the index.
 func TestCheckPartsRejectsHostileParts(t *testing.T) {
 	b := mkBank("ACGTACGTACGTACGT", "TTCGATCGNATCGAA")
-	good := partsOf(Build(b, Options{W: 4}))
+	opts := Options{W: 4}
+	good := Build(b, opts).Block()
 
-	corrupt := func(mutate func(p *Parts)) error {
-		p := good
-		p.Codes = slices.Clone(good.Codes)
-		p.Offsets = slices.Clone(good.Offsets)
-		p.Pos = slices.Clone(good.Pos)
-		mutate(&p)
-		return checkParts(b, Options{W: 4}, p)
+	corrupt := func(mutate func(bp *BlockParts)) BlockParts {
+		bp := good
+		bp.Codes = slices.Clone(good.Codes)
+		bp.Counts = slices.Clone(good.Counts)
+		bp.Pos = slices.Clone(good.Pos)
+		mutate(&bp)
+		return bp
 	}
 
-	if err := corrupt(func(p *Parts) {}); err != nil {
-		t.Fatalf("unmutated parts rejected: %v", err)
+	if _, err := proveAll(loadedFrom(t, b, opts, corrupt(func(*BlockParts) {}))); err != nil {
+		t.Fatalf("unmutated parts refused: %v", err)
 	}
 	last := len(good.Codes)
 	_, end0 := b.SeqBounds(0)
@@ -342,36 +364,57 @@ func TestCheckPartsRejectsHostileParts(t *testing.T) {
 	// ACGT occurs four times in the first record.
 	acgt, _ := seed.Encode([]byte{0, 1, 3, 2}, 4)
 	slot, found := slices.BinarySearch(good.Codes, acgt)
-	if !found || good.Offsets[slot+1]-good.Offsets[slot] < 2 {
+	if !found || good.Counts[slot] < 2 {
 		t.Fatal("test bank lost its repeated ACGT")
 	}
-	rep := good.Offsets[slot]
-	cases := map[string]func(p *Parts){
-		"unsorted-code":     func(p *Parts) { p.Codes[0], p.Codes[1] = p.Codes[1], p.Codes[0] },
-		"duplicate-code":    func(p *Parts) { p.Codes[1] = p.Codes[0] },
-		"code-outside-4^W":  func(p *Parts) { p.Codes[last-1] = seed.Code(seed.NumCodes(4)) },
-		"first-offset":      func(p *Parts) { p.Offsets[0] = 1 },
-		"flat-offset":       func(p *Parts) { p.Offsets[1] = p.Offsets[0] },
-		"descending-offset": func(p *Parts) { p.Offsets[1] = p.Offsets[2] + 1 },
-		"last-offset":       func(p *Parts) { p.Offsets[last]-- },
-		"offsets-too-short": func(p *Parts) { p.Offsets = p.Offsets[:last] },
-		"offsets-too-long":  func(p *Parts) { p.Offsets = append(p.Offsets, p.Offsets[last]) },
-		"no-offsets":        func(p *Parts) { p.Offsets = nil; p.Codes = nil },
-		"indexed-mismatch":  func(p *Parts) { p.Indexed++ },
-
-		"position-zero":             func(p *Parts) { p.Pos[0] = 0 },
-		"position-negative":         func(p *Parts) { p.Pos[0] = -1 },
-		"position-past-last-window": func(p *Parts) { p.Pos[0] = int32(len(b.Data)) - 4 },
-		"position-past-data":        func(p *Parts) { p.Pos[0] = int32(len(b.Data)) },
-		"window-straddles-sentinel": func(p *Parts) { p.Pos[0] = end0 - 2 },
-		"window-holds-invalid-base": func(p *Parts) { p.Pos[0] = lo1 + 5 },
-		"window-of-another-code":    func(p *Parts) { p.Pos[0] = p.Pos[p.Offsets[1]] },
-		"positions-descending":      func(p *Parts) { p.Pos[rep], p.Pos[rep+1] = p.Pos[rep+1], p.Pos[rep] },
-		"position-repeated":         func(p *Parts) { p.Pos[rep+1] = p.Pos[rep] },
+	if good.Counts[0] != 1 {
+		t.Fatal("the first slot is meant to hold one occurrence: any position inside the bank is in order there")
 	}
-	for name, mutate := range cases {
-		if err := corrupt(mutate); err == nil {
-			t.Errorf("%s: hostile parts accepted", name)
+	var rep int32
+	for _, k := range good.Counts[:slot] {
+		rep += k
+	}
+	// The count-list forms of the directory faults the whole-bank
+	// Offsets once stood for: a position no slot holds, an empty slot, a
+	// slot running backwards, too few or too many counts, a position
+	// past the last slot.
+	structural := map[string]func(bp *BlockParts){
+		"unsorted-code":     func(bp *BlockParts) { bp.Codes[0], bp.Codes[1] = bp.Codes[1], bp.Codes[0] },
+		"duplicate-code":    func(bp *BlockParts) { bp.Codes[1] = bp.Codes[0] },
+		"code-outside-4^W":  func(bp *BlockParts) { bp.Codes[last-1] = seed.Code(seed.NumCodes(4)) },
+		"first-offset":      func(bp *BlockParts) { bp.Counts[slot]-- },
+		"flat-offset":       func(bp *BlockParts) { bp.Counts[0] = 0 },
+		"descending-offset": func(bp *BlockParts) { bp.Counts[1] = -1 },
+		"last-offset":       func(bp *BlockParts) { bp.Counts[last-1]-- },
+		"offsets-too-short": func(bp *BlockParts) { bp.Counts = bp.Counts[:last-1] },
+		"offsets-too-long":  func(bp *BlockParts) { bp.Counts = append(bp.Counts, 1) },
+		"no-offsets":        func(bp *BlockParts) { bp.Counts = nil; bp.Codes = nil },
+		"indexed-mismatch":  func(bp *BlockParts) { bp.Pos = append(bp.Pos, bp.Pos[len(bp.Pos)-1]) },
+
+		"position-zero":        func(bp *BlockParts) { bp.Pos[0] = 0 },
+		"position-negative":    func(bp *BlockParts) { bp.Pos[0] = -1 },
+		"position-past-data":   func(bp *BlockParts) { bp.Pos[0] = int32(len(b.Data)) },
+		"positions-descending": func(bp *BlockParts) { bp.Pos[rep], bp.Pos[rep+1] = bp.Pos[rep+1], bp.Pos[rep] },
+		"position-repeated":    func(bp *BlockParts) { bp.Pos[rep+1] = bp.Pos[rep] },
+	}
+	for name, mutate := range structural {
+		if _, err := FromBlocks(b, opts, []BlockParts{corrupt(mutate)}); err == nil {
+			t.Errorf("%s: hostile parts passed the structural check", name)
+		}
+	}
+	window := map[string]func(bp *BlockParts){
+		"position-past-last-window": func(bp *BlockParts) { bp.Pos[0] = int32(len(b.Data)) - 4 },
+		"window-straddles-sentinel": func(bp *BlockParts) { bp.Pos[0] = end0 - 2 },
+		"window-holds-invalid-base": func(bp *BlockParts) { bp.Pos[0] = lo1 + 5 },
+		"window-of-another-code":    func(bp *BlockParts) { bp.Pos[0] = bp.Pos[bp.Counts[0]] },
+	}
+	for name, mutate := range window {
+		ix := loadedFrom(t, b, opts, corrupt(mutate))
+		if _, err := ix.Prove(0, good.Codes[0]); err == nil || !ix.Revoked() {
+			t.Errorf("%s: the proof of the hostile slot passed (revoked %v)", name, ix.Revoked())
+		}
+		if _, err := ix.Prove(int32(slot), acgt); err == nil {
+			t.Errorf("%s: a revoked index proved another slot", name)
 		}
 	}
 }
@@ -402,11 +445,11 @@ func TestSmallBankIndexIsSmall(t *testing.T) {
 	}
 }
 
-// The window check compares Data words against a code spread into
+// The window proof compares Data words against a code spread into
 // bytes: for every W the spread words must hold exactly the bases
-// seed.Decode gives, and a built index of any W — its last window ends
-// on the bank's last base, so the short read at Data's tail is
-// exercised — must pass.
+// seed.Decode gives, and every slot of a built index of any W, loaded —
+// its last window ends on the bank's last base, so the short read at
+// Data's tail is exercised — must prove.
 func TestWindowCheckAgreesWithSeedCoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for w := 1; w <= seed.MaxW; w++ {
@@ -432,18 +475,21 @@ func TestWindowCheckAgreesWithSeedCoding(t *testing.T) {
 		if last := int32(len(b.Data) - 1 - w); !slices.Contains(ix.Pos, last) {
 			t.Fatalf("W=%d: the bank's last window %d is not indexed", w, last)
 		}
-		if err := checkParts(b, Options{W: w}, partsOf(ix)); err != nil {
-			t.Errorf("W=%d: built parts rejected: %v", w, err)
+		loaded := loadedFrom(t, b, Options{W: w}, ix.Block())
+		if n, err := proveAll(loaded); err != nil || n != len(ix.Pos) {
+			t.Errorf("W=%d: built windows refused (%d of %d proven): %v", w, n, len(ix.Pos), err)
 		}
 		// One base off is another window: every occurrence of the first
 		// slot moved right by one must be refused (poly-runs aside, the
 		// shifted window encodes to a different code).
-		p := partsOf(ix)
-		p.Pos = slices.Clone(p.Pos)
-		p.Pos[0]++
-		shifted, _ := seed.Encode(b.Data[p.Pos[0]:], w)
-		if err := checkParts(b, Options{W: w}, p); err == nil && shifted != p.Codes[0] {
-			t.Errorf("W=%d: position shifted onto code %d accepted under code %d", w, shifted, p.Codes[0])
+		bp := ix.Block()
+		bp.Pos = slices.Clone(bp.Pos)
+		bp.Pos[0]++
+		shifted, _ := seed.Encode(b.Data[bp.Pos[0]:], w)
+		if shiftedIx, err := FromBlocks(b, Options{W: w}, []BlockParts{bp}); err == nil && shifted != bp.Codes[0] {
+			if _, err := shiftedIx.Prove(0, bp.Codes[0]); err == nil {
+				t.Errorf("W=%d: position shifted onto code %d accepted under code %d", w, shifted, bp.Codes[0])
+			}
 		}
 	}
 }
@@ -496,5 +542,67 @@ func TestOptionsKey(t *testing.T) {
 	}
 	if ix := Build(mkBank("ACGTTGCAAGGCTTAACGG"), distinct[4]); ix.Options().Key() != distinct[4].Key() {
 		t.Errorf("an index built with %+v reports Key %+v", distinct[4], ix.Options().Key())
+	}
+}
+
+// TestCheckPartsMatchesReference holds the load's structural pass —
+// sharded, and counting descents instead of walking each slot — to a
+// plain per-slot walk, on blocks with random positions rewritten, at one
+// worker and at three.
+func TestCheckPartsMatchesReference(t *testing.T) {
+	b := benchBankSeqs(200, 450)
+	opts := Options{W: 8}
+	good := Build(b, opts).Block()
+	if len(good.Pos) < minParallelData {
+		t.Fatal("the bank is meant to be large enough for a sharded check")
+	}
+	reference := func(bp BlockParts) bool {
+		at := 0
+		for _, k := range bp.Counts {
+			prev := int32(bp.DataLo) - 1
+			for _, p := range bp.Pos[at : at+int(k)] {
+				if p <= prev || int(p)+opts.W > bp.DataHi {
+					return false
+				}
+				prev = p
+			}
+			at += int(k)
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(44))
+	var seen [2]int // blocks the reference refuses, accepts
+	for trial := 0; trial < 200; trial++ {
+		bp := good
+		bp.Pos = slices.Clone(good.Pos)
+		for k := rng.Intn(3); k >= 0; k-- {
+			i := rng.Intn(len(bp.Pos))
+			switch rng.Intn(3) {
+			case 0: // a neighbour's position, in this slot or the next
+				if i+1 < len(bp.Pos) {
+					bp.Pos[i], bp.Pos[i+1] = bp.Pos[i+1], bp.Pos[i]
+				}
+			case 1: // anywhere in or just outside the bank
+				bp.Pos[i] = int32(rng.Intn(len(b.Data)+4) - 2)
+			case 2: // one base on
+				bp.Pos[i]++
+			}
+		}
+		want := reference(bp)
+		if want {
+			seen[1]++
+		} else {
+			seen[0]++
+		}
+		for _, workers := range []int{1, 3} {
+			o := opts
+			o.Workers = workers
+			if got := checkParts(b, o, &bp, nil, nil) == nil; got != want {
+				t.Fatalf("trial %d, %d workers: the check says %v, a walk of every slot %v", trial, workers, got, want)
+			}
+		}
+	}
+	if seen[0] < 20 || seen[1] < 20 {
+		t.Errorf("%d refused and %d accepted blocks: the trials are meant to hold plenty of both", seen[0], seen[1])
 	}
 }

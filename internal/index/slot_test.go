@@ -296,9 +296,19 @@ func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 	}
 }
 
+// proofBytes is what a loaded index's proof bitmap holds, one bit a
+// slot; a built index has none.
+func proofBytes(ix *Index) int {
+	if !ix.Loaded() {
+		return 0
+	}
+	return 8 * ((ix.NumCodes() + 63) / 64)
+}
+
 // TestDenseIndexHoldsNoCodeList: a dense index, however it came to
-// exist, holds Offsets, Pos, Bits and Rank and nothing else — Codes is
-// nil and MemoryBytes is exactly 4·(Offsets + Pos + Rank) + 8·Bits —
+// exist, holds Offsets, Pos, Bits and Rank and, loaded, its proof
+// bitmap, and nothing else — Codes is nil and MemoryBytes is exactly
+// 4·(Offsets + Pos + Rank) + 8·Bits, plus one bit a slot when loaded —
 // and the block a save writes of it, its directory regenerated from the
 // bitmap, is the block BuildBlock makes of the whole bank.
 func TestDenseIndexHoldsNoCodeList(t *testing.T) {
@@ -330,8 +340,8 @@ func TestDenseIndexHoldsNoCodeList(t *testing.T) {
 				t.Fatalf("W=%d, %d codes: dense %v, Codes %d, Top %d — want a dense index with neither",
 					tc.w, ix.NumCodes(), ix.Dense(), len(ix.Codes), len(ix.Top))
 			}
-			if want := 4*(len(ix.Offsets)+len(ix.Pos)+len(ix.Rank)) + 8*len(ix.Bits); ix.MemoryBytes() != want {
-				t.Errorf("W=%d: MemoryBytes = %d, want 4·(Offsets+Pos+Rank) + 8·Bits = %d", tc.w, ix.MemoryBytes(), want)
+			if want := 4*(len(ix.Offsets)+len(ix.Pos)+len(ix.Rank)) + 8*len(ix.Bits) + proofBytes(ix); ix.MemoryBytes() != want {
+				t.Errorf("W=%d: MemoryBytes = %d, want 4·(Offsets+Pos+Rank) + 8·Bits + the proof bitmap = %d", tc.w, ix.MemoryBytes(), want)
 			}
 			got := ix.Block()
 			if got.SeqLo != whole.SeqLo || got.SeqHi != whole.SeqHi || got.DataLo != whole.DataLo || got.DataHi != whole.DataHi ||

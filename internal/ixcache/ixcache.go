@@ -149,6 +149,9 @@ func (c *Cache) Get(b *bank.Bank, opts index.Options) *index.Index {
 
 	c.mu.Lock()
 	el, ok := c.items[k]
+	if ok && c.revokedLocked(el) {
+		ok = false
+	}
 	if ok {
 		c.order.MoveToFront(el)
 	} else {
@@ -247,6 +250,20 @@ func (c *Cache) removeIfDoneLocked(el *list.Element) bool {
 	return true
 }
 
+// revokedLocked drops el, and counts a store error, when its index is a
+// loaded one a failed window proof revoked (index.Index.Revoked): it is
+// never served again, and the next Get loads or builds afresh.
+func (c *Cache) revokedLocked(el *list.Element) bool {
+	e := el.Value.(*entry)
+	if !e.done.Load() || e.ready == nil || !e.ready.Revoked() {
+		return false
+	}
+	c.order.Remove(el)
+	delete(c.items, e.key)
+	c.diskErrs.Add(1)
+	return true
+}
+
 // Drop evicts every finished entry built from bank b, whatever its
 // options — for owners that know the bank is gone (a deregistered query
 // bank) and should not wait for the LRU to notice. Builds still in
@@ -290,9 +307,10 @@ func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 func (c *Cache) DiskHits() int64 { return c.diskHits.Load() }
 
 // DiskErrors returns how many Store operations failed (rejected files
-// on Load, write failures on Save). Store errors never fail a Get —
-// the cache builds fresh — so this counter is the only trace. Saves
-// declined by the store's policy are not errors; see SavesDeclined.
+// on Load, write failures on Save, loaded indexes revoked by a failed
+// window proof). Store errors never fail a Get — the cache builds
+// fresh — so this counter is the only trace. Saves declined by the
+// store's policy are not errors; see SavesDeclined.
 func (c *Cache) DiskErrors() int64 { return c.diskErrs.Load() }
 
 // SavesDeclined returns how many write-backs the store's save policy

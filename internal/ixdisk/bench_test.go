@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/bank"
+	"repro/internal/dust"
 	"repro/internal/index"
+	"repro/internal/simulate"
 )
 
 // benchPrepared builds a ~BenchScale-shaped index once for the save/
@@ -53,19 +55,45 @@ func BenchmarkIxdiskLoad(b *testing.B) {
 	}
 }
 
+// benchEST5500 is store_cycle's db shape: 5,500 simulated EST reads of
+// about 450 bp (2.5 Mbp), indexed at W = 11 under dust and saved.
+func benchEST5500(b *testing.B) (*index.Index, index.Options, string) {
+	b.Helper()
+	opts := index.Options{W: 11, Dust: dust.New(0, 0)}
+	bk := simulate.EST(simulate.ESTSpec{
+		Name: "est5500", Seed: 5500, NumSeqs: 5500, MeanLen: 450, GeneFraction: 0.5,
+		Mut: simulate.Mutation{Sub: 0.035, Indel: 0.004}, PolyATailFraction: 0.15,
+	}, simulate.NewPool(1001, 400, 900))
+	p := index.Build(bk, opts)
+	path := filepath.Join(b.TempDir(), "est5500"+FileExt)
+	if err := Save(path, p); err != nil {
+		b.Fatal(err)
+	}
+	return p, opts, path
+}
+
 // BenchmarkIxdiskLoadMapped measures the zero-copy mmap reader — the
-// cold-process warm-start path whose trajectory CI tracks.
+// cold-process warm-start path whose trajectory CI tracks — on the
+// 512 kb bank and at store_cycle's shape (est5500), where it is meant to
+// cost at most a quarter of BenchmarkIxdiskBuild/est5500.
 func BenchmarkIxdiskLoadMapped(b *testing.B) {
-	p, opts, path := benchPrepared(b)
-	fi, _ := os.Stat(path)
-	b.SetBytes(fi.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, m, err := loadMapped(path, p.Bank, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Close()
+	for _, shape := range []struct {
+		name     string
+		prepared func(*testing.B) (*index.Index, index.Options, string)
+	}{{"w10", benchPrepared}, {"est5500", benchEST5500}} {
+		b.Run(shape.name, func(b *testing.B) {
+			p, opts, path := shape.prepared(b)
+			fi, _ := os.Stat(path)
+			b.SetBytes(fi.Size())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, m, err := loadMapped(path, p.Bank, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Close()
+			}
+		})
 	}
 }
 
@@ -197,12 +225,22 @@ func TestAppendBytesRatio(t *testing.T) {
 }
 
 // BenchmarkIxdiskBuild is the comparison column: what a cold process
-// pays when no store is attached.
+// pays when no store is attached, on the load benchmark's two shapes
+// (est5500 on two workers, as store_cycle's host runs it).
 func BenchmarkIxdiskBuild(b *testing.B) {
-	p, opts, _ := benchPrepared(b)
-	b.SetBytes(int64(len(p.Bank.Data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		index.Build(p.Bank, opts)
+	for _, shape := range []struct {
+		name     string
+		prepared func(*testing.B) (*index.Index, index.Options, string)
+		workers  int
+	}{{"w10", benchPrepared, 0}, {"est5500", benchEST5500, 2}} {
+		b.Run(shape.name, func(b *testing.B) {
+			p, opts, _ := shape.prepared(b)
+			opts.Workers = shape.workers
+			b.SetBytes(int64(len(p.Bank.Data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				index.Build(p.Bank, opts)
+			}
+		})
 	}
 }

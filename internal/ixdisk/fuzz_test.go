@@ -108,8 +108,9 @@ func relabelV3(v3 []byte) []byte {
 
 // loadInvariants asserts what a successful load must always deliver: a
 // current-version input, and an index over the requesting bank whose
-// occurrence lists are addressable — the properties mid-parse
-// corruption would break first.
+// occurrence lists are addressable and whose slots can each be proven or
+// refused without a panic — the properties mid-parse corruption would
+// break first.
 func loadInvariants(t *testing.T, data []byte, p *index.Index, b *bank.Bank, opts index.Options) {
 	t.Helper()
 	if v := binary.LittleEndian.Uint32(data[8:]); v != formatVersion {
@@ -134,6 +135,13 @@ func loadInvariants(t *testing.T, data []byte, p *index.Index, b *bank.Bank, opt
 	}
 	if total != len(p.Pos) {
 		t.Fatalf("load succeeded with %d positions across codes, %d in the flat array", total, len(p.Pos))
+	}
+	// The window proofs of first reads stay inside the bank whatever a
+	// loaded file holds; they may refuse it.
+	for i, c := range p.Directory() {
+		if _, err := p.Prove(int32(i), c); err != nil && !p.Revoked() {
+			t.Fatalf("a failed proof left the index unrevoked: %v", err)
+		}
 	}
 }
 

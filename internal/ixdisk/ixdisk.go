@@ -29,7 +29,10 @@
 // Checksums say a file is the file that was written, not who wrote it:
 // what the engines rely on — every stored position a real seed window
 // of the requesting bank under its slot's code — is proved against the
-// bank on every load (index.FromBlocks; DESIGN.md §7).
+// bank in two halves: structure on every load (index.FromBlocks), and
+// each slot's windows the first time an engine reads them (index.Index.
+// Prove). A failed proof revokes the index, and the store removes its
+// file (DESIGN.md §7).
 //
 // # Invalidation and append-aware reuse
 //
@@ -61,6 +64,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,6 +243,14 @@ func (c *memo[K, V]) put(k K, v V) {
 	c.m[k] = v
 }
 
+// drop forgets k.
+func (c *memo[K, V]) drop(k K) {
+	if _, ok := c.m[k]; ok {
+		delete(c.m, k)
+		c.order = slices.DeleteFunc(c.order, func(o K) bool { return o == k })
+	}
+}
+
 // loadedEntry memoizes one successful load per key path, so LRU
 // evict-and-reload cycles in a bounded cache above the store return
 // the already-validated index instead of mapping (and checksumming)
@@ -309,7 +321,7 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) 
 	e, ok := s.loaded.get(path)
 	mapped := s.mapped
 	s.mu.Unlock()
-	if ok && e.ix.Bank == b && e.ix.Options().Key() == opts.Key() {
+	if ok && e.ix.Bank == b && e.ix.Options().Key() == opts.Key() && !e.ix.Revoked() {
 		// Memo hits are still uses: refresh the backing file's mtime so
 		// the GC's oldest-first eviction never collects a file whose
 		// index this process is actively serving from memory.
@@ -337,7 +349,20 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) 
 // long-lived process it behaves as a cache, not a leak — with the caveat
 // that an evicted entry's Mapping stays held until Close, since the
 // index it backs may still be in use.
+//
+// The index's windows are proven as they are first read (index.Index.
+// Prove). If a proof fails, the store forgets the index and removes the
+// file backing it, so no process serves that file again: the next
+// request misses, builds, and saves afresh (DESIGN.md §7).
 func (s *DirStore) memoize(keyPath, backing string, ix *index.Index, m *Mapping) {
+	ix.OnRevoke(func() {
+		s.mu.Lock()
+		if e, ok := s.loaded.get(keyPath); ok && e.ix == ix {
+			s.loaded.drop(keyPath)
+		}
+		s.mu.Unlock()
+		_ = os.Remove(backing)
+	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.loaded.put(keyPath, loadedEntry{ix: ix, path: backing})

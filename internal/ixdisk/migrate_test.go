@@ -8,19 +8,23 @@ package ixdisk
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/bank"
+	"repro/internal/core"
 	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/index"
@@ -436,36 +440,53 @@ func resealFooter(buf []byte, fs int) {
 	binary.LittleEndian.PutUint32(buf[end:], crc32.Checksum(buf[fs:end], crc32Table))
 }
 
+// craftPos0 rewrites the first stored position of a single-block file's
+// bytes to pos and makes every checksum good again: the file of someone
+// who can compute CRCs.
+func craftPos0(t *testing.T, buf []byte, pos int32) {
+	t.Helper()
+	fs := len(buf) - int(binary.LittleEndian.Uint32(buf[len(buf)-12:]))
+	ftr, err := parseFooter(buf[fs:], int64(len(buf)))
+	if err != nil || len(ftr.dir) != 1 {
+		t.Fatalf("want a single-block file: %v", err)
+	}
+	blk := buf[ftr.dir[0].offset : ftr.dir[0].offset+ftr.dir[0].length]
+	nCodes := int(binary.LittleEndian.Uint32(blk[40:]))
+	raw := blockHdrSize + 8*nCodes + 4*int(binary.LittleEndian.Uint64(blk[32:]))
+	binary.LittleEndian.PutUint32(blk[blockHdrSize+8*nCodes:], uint32(pos)) // Pos[0]
+	crc := crc32.Checksum(blk[:raw], crc32Table)
+	binary.LittleEndian.PutUint32(blk[raw:], crc)
+	binary.LittleEndian.PutUint32(buf[fs+footerFixed+8*int(ftr.numSeqs)+40:], crc)
+	resealFooter(buf, fs)
+}
+
 // TestCraftedPositionsRejected: a file whose every checksum holds —
 // written by someone who can compute CRCs — but whose first stored
-// position is not a seed window of its slot's code. Neither reader may
-// hand it to the engines, which extend from a position with no bounds
-// but the bank's own sentinels.
+// position is not a seed window of its slot's code. No reader may hand
+// it to the engines, which extend from a position with no bounds but
+// the bank's own sentinels. A position whose window would leave the
+// bank, or that breaks its slot's order, is refused at load by both
+// readers. One inside the bank and in order loads, and is refused when
+// a compare first reads its slot: the compare fails before it writes a
+// row, the store removes the file, the cache counts a store error, and
+// the next compare builds afresh and matches a fresh build.
 func TestCraftedPositionsRejected(t *testing.T) {
 	b := genBank(t, "crafted", 2048)
 	opts := index.Options{W: 8}
 	built := index.Build(b, opts)
 	_, r1End := b.SeqBounds(0)
-	for name, pos := range map[string]int32{
-		"straddles-sentinel": r1End - 3,
-		"runs-off-the-bank":  int32(len(b.Data)) - 2,
-		"another-code":       built.Pos[built.Offsets[1]],
+	for name, tc := range map[string]struct {
+		pos    int32
+		atLoad bool
+	}{
+		"straddles-sentinel": {r1End - 3, false},
+		"runs-off-the-bank":  {int32(len(b.Data)) - 2, true},
+		"another-code":       {built.Pos[built.Offsets[1]], true},
+		"another-code-first": {1, false},
 	} {
 		t.Run(name, func(t *testing.T) {
 			path, buf := saveValid(t, b, opts)
-			fs := len(buf) - int(binary.LittleEndian.Uint32(buf[len(buf)-12:]))
-			ftr, err := parseFooter(buf[fs:], int64(len(buf)))
-			if err != nil || len(ftr.dir) != 1 {
-				t.Fatalf("want a single-block file: %v", err)
-			}
-			blk := buf[ftr.dir[0].offset : ftr.dir[0].offset+ftr.dir[0].length]
-			nCodes := int(binary.LittleEndian.Uint32(blk[40:]))
-			raw := blockHdrSize + 8*nCodes + 4*int(binary.LittleEndian.Uint64(blk[32:]))
-			binary.LittleEndian.PutUint32(blk[blockHdrSize+8*nCodes:], uint32(pos)) // Pos[0]
-			crc := crc32.Checksum(blk[:raw], crc32Table)
-			binary.LittleEndian.PutUint32(blk[raw:], crc)
-			binary.LittleEndian.PutUint32(buf[fs+footerFixed+8*int(ftr.numSeqs)+40:], crc)
-			resealFooter(buf, fs)
+			craftPos0(t, buf, tc.pos)
 			if err := os.WriteFile(path, buf, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -475,11 +496,73 @@ func TestCraftedPositionsRejected(t *testing.T) {
 				m.Close()
 			}
 			for which, err := range map[string]error{"copying load": errL, "mapped load": errM} {
-				if err == nil || !strings.Contains(err.Error(), "window") {
-					t.Errorf("%s of a resealed file with a crafted position: %v, want the window check's rejection", which, err)
+				if tc.atLoad && (err == nil || !strings.Contains(err.Error(), "window")) {
+					t.Errorf("%s of a resealed file with a crafted position: %v, want the structural check's rejection", which, err)
+				}
+				if !tc.atLoad && err != nil {
+					t.Errorf("%s of a resealed file with a position inside the bank: %v, want a load and a refusal on first read", which, err)
 				}
 			}
+			if tc.atLoad {
+				return
+			}
+			for _, mapped := range []bool{false, true} {
+				assertRefusedOnRead(t, b, opts, buf, mapped)
+			}
 		})
+	}
+}
+
+// assertRefusedOnRead stores file, whose first slot holds a window that
+// is not its code, as the stored index of (b, opts) and compares b with
+// itself through a cache over the store, twice.
+func assertRefusedOnRead(t *testing.T, b *bank.Bank, opts index.Options, file []byte, mapped bool) {
+	t.Helper()
+	store := openStore(t, t.TempDir())
+	store.SetMapped(mapped)
+	path := store.Path(b, opts)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache := ixcache.New(0)
+	cache.SetStore(store)
+	opt := core.DefaultOptions()
+	opt.W, opt.Dust = opts.W, false
+
+	ix1, ix2, err := core.Prepare(cache, b, b, opt)
+	if err != nil || cache.DiskHits() != 1 || !ix1.Loaded() {
+		t.Fatalf("the crafted file did not load: %v, %d disk hits", err, cache.DiskHits())
+	}
+	rows := 0
+	_, err = core.CompareStreamWithIndex(context.Background(), ix1, ix2, opt, func(_ int, as []align.Alignment) error {
+		rows += len(as)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "window") || rows != 0 {
+		t.Fatalf("mapped %v: the compare over the crafted slot returned %v after %d rows, want the proof's error and none", mapped, err, rows)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("mapped %v: the crafted file survived its failed proof: %v", mapped, err)
+	}
+
+	ix1, ix2, err = core.Prepare(cache, b, b, opt)
+	if err != nil || ix1.Loaded() || cache.Builds() != 1 || cache.DiskErrors() != 1 {
+		t.Fatalf("mapped %v: after the failed proof, %v, loaded %v, %d builds, %d store errors — want one fresh build and one store error",
+			mapped, err, ix1.Loaded(), cache.Builds(), cache.DiskErrors())
+	}
+	got, err := core.CompareWithIndex(ix1, ix2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Compare(b, b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m8Bytes(t, got.Alignments, b, b), m8Bytes(t, want.Alignments, b, b)) {
+		t.Errorf("mapped %v: the rebuilt index's output differs from a fresh build's", mapped)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("mapped %v: the rebuilt index was not saved back: %v", mapped, err)
 	}
 }
 

@@ -16,6 +16,11 @@ package lint
 //     clears the taint of its arguments and receiver; its results are
 //     trusted; its own body is the boundary and is exempt from sink
 //     checks (hostile-file tests and fuzzers exercise it directly).
+//     A validator proves what indexing needs: index.checkParts proves
+//     a stored block's structure, every position a window inside its
+//     block. That a window holds its slot's code is a fact about the
+//     bank's content, not a bound, and is proven where it is first read
+//     (index.Index.Prove, DESIGN.md §7) — outside what taint models.
 //
 // Taint is tracked per value as a set of origins — "came from a real
 // source here" plus "came from parameter i" — so one pass over a

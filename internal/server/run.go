@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/align"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/blastn"
 	"repro/internal/blat"
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/tabular"
 )
 
@@ -139,21 +139,16 @@ func batchShape(body []byte, _ string) (compareRequest, []string, error) {
 
 // maxCompareBody bounds a compare-shaped request's JSON body: bank names
 // and a handful of options, so a body past 1 MiB is answered 413 before
-// it is read. Bank uploads are FASTA of arbitrary size and are not
-// bounded here.
+// it is read. Bank uploads are FASTA, bounded by the largest bank
+// (bank.MaxData).
 const maxCompareBody = 1 << 20
 
 // resolveCompare is the prologue every compare-shaped route shares. It
 // answers the 400, 404 or 413 itself and returns nil when the request
 // ends there.
 func (s *Server) resolveCompare(w http.ResponseWriter, r *http.Request, parse bodyShape) *compareCall {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCompareBody))
+	body, status, err := httpapi.ReadBody(w, r, maxCompareBody)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
 		httpError(w, status, "reading request body: %v", err)
 		return nil
 	}

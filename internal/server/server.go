@@ -456,9 +456,9 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(infos)
 	case http.MethodPost:
-		body, err := io.ReadAll(r.Body)
+		body, status, err := httpapi.ReadBody(w, r, bank.MaxData)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "reading bank request: %v", err)
+			httpError(w, status, "reading bank request: %v", err)
 			return
 		}
 		req, b, err := LoadBankBody(body, r.URL.Query())
