@@ -690,6 +690,25 @@ func TestFleetAPIEdges(t *testing.T) {
 	if err != nil || len(infos) != 2 || infos[0].State != "up" {
 		t.Errorf("worker listing off: %+v (err %v)", infos, err)
 	}
+
+	// The router serves under /v1 only: every route is a 404 at its
+	// bare path, and is served at its /v1 path.
+	get := func(path string) int {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, path := range []string{"/compare", "/compare/batch", "/banks", "/workers", "/stats", "/healthz", "/readyz"} {
+		if code := get(path); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, code)
+		}
+		if code := get("/v1" + path); code == http.StatusNotFound {
+			t.Errorf("GET /v1%s: status 404, want the route served", path)
+		}
+	}
 }
 
 // TestFleetBankBodiesMatchWorker: the router parses POST /banks bodies

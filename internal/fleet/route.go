@@ -367,7 +367,6 @@ func (rt *Router) forwardStream(ctx context.Context, w http.ResponseWriter, wk *
 	flusher, _ := w.(http.Flusher)
 
 	torn := false
-	//scorislint:ignore ctxloop bounded by the upstream body: resp was issued with a ctx-derived request context, so cancellation aborts Body.Read and the deferred cancel tears the relay down
 	for {
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {

@@ -1,13 +1,19 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fleet/chaos"
+	"repro/internal/server"
 	"repro/internal/simulate"
 )
 
@@ -153,6 +159,103 @@ func TestFleetStreamTornRelay(t *testing.T) {
 		t.Fatalf("stream after tear: status %d, %d bytes (want %d), trailer %q",
 			status, len(body), len(want), trailer)
 	}
+}
+
+// stallWriter passes a response's first write through and holds every
+// later one until the request is gone: a worker stream that stays open
+// mid-body for exactly as long as its client keeps the request alive.
+type stallWriter struct {
+	http.ResponseWriter
+	ctx   context.Context
+	wrote bool
+}
+
+func (s *stallWriter) Write(b []byte) (int, error) {
+	if s.wrote {
+		<-s.ctx.Done()
+		return 0, s.ctx.Err()
+	}
+	s.wrote = true
+	return s.ResponseWriter.Write(b)
+}
+
+func (s *stallWriter) Flush() { s.ResponseWriter.(http.Flusher).Flush() }
+
+// TestFleetStreamClientDisconnectMidRelay: a client that hangs up after
+// the first bytes of a relayed stream tears the upstream request down.
+// The worker's stream stalls after its first write until its request
+// context ends, so only the router cancelling the upstream request can
+// end it: the worker then books the compare as abandoned, and the
+// router's handler returns.
+func TestFleetStreamClientDisconnectMidRelay(t *testing.T) {
+	est1, _ := testBanks(t)
+	srv := server.New(server.Config{MaxConcurrent: 1, RequestWorkers: 1, StreamBuffer: 1})
+	wh := srv.Handler()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/compare" {
+			w = &stallWriter{ResponseWriter: w, ctx: r.Context()}
+		}
+		wh.ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	rt := New(testCfg())
+	t.Cleanup(rt.Stop)
+	if err := rt.AddWorker("w1", worker.URL); err != nil {
+		t.Fatal(err)
+	}
+	rh := rt.Handler()
+	returned := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rh.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/compare" {
+			close(returned)
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	// Every query sequence finds itself, so the stream has one group
+	// per sequence: far more than the worker's one-group buffer and its
+	// one stalled write can hold, so the engine is still running when
+	// the client hangs up.
+	registerBank(t, ts.URL, "db", est1, true)
+	registerBank(t, ts.URL, "q", est1, false)
+
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/compare", strings.NewReader(`{"db":"db","query":"q"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/x-m8-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streamed compare: status %d", resp.StatusCode)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+		t.Fatalf("reading the first relayed line: %v", err)
+	}
+	resp.Body.Close()
+
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		// Cut the relay's upstream so the servers can close.
+		worker.CloseClientConnections()
+		t.Fatal("router's compare handler still running 10s after its client hung up")
+	}
+	waitFor(t, func() bool {
+		resp, err := http.Get(worker.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st server.Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Server.Abandoned >= 1
+	})
 }
 
 func workerState(rt *Router, name string) State {

@@ -77,8 +77,8 @@ type entry struct {
 }
 
 // ErrSaveDeclined is returned by Store.Save when the store's save
-// policy declines to persist the value (ixdisk.SavePolicy: query banks
-// below a size floor, banks not marked as database banks). A declined
+// policy declines to persist the value (ixdisk.SavePolicy: with DBOnly
+// set, a bank not registered through MarkDB is not saved). A declined
 // save is deliberate housekeeping, not a failure: the cache counts it
 // under SavesDeclined instead of DiskErrors.
 var ErrSaveDeclined = errors.New("ixcache: store save declined by policy")

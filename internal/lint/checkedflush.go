@@ -37,17 +37,17 @@ var AnalyzerCheckedFlush = &Analyzer{
 func runCheckedFlush(pass *Pass) {
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pass.Files(pkg) {
-			for _, fn := range functionsIn(f) {
-				checkFlushIn(pass, pkg, fn)
+			for _, body := range functionBodies(f) {
+				checkFlushIn(pass, pkg, body)
 			}
 		}
 	}
 }
 
-func checkFlushIn(pass *Pass, pkg *Package, fn funcNode) {
+func checkFlushIn(pass *Pass, pkg *Package, body *ast.BlockStmt) {
 	// Handles created for writing in this function (lexically).
 	writeHandles := map[types.Object]bool{}
-	inspectShallow(fn.body, func(n ast.Node) bool {
+	inspectShallow(body, func(n ast.Node) bool {
 		st, ok := n.(*ast.AssignStmt)
 		if !ok || len(st.Rhs) != 1 {
 			return true
@@ -95,7 +95,7 @@ func checkFlushIn(pass *Pass, pkg *Package, fn funcNode) {
 	closes := map[types.Object]int{}    // all Close calls per handle
 	discarded := map[types.Object]int{} // discarded Close calls per handle
 
-	ast.Inspect(fn.body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if obj, isWrite := closeTarget(call); isWrite {
 				closes[obj]++

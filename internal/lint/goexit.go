@@ -40,7 +40,7 @@ const backgroundPrefix = "background:"
 func runGoExit(pass *Pass) {
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pass.Files(pkg) {
-			justified := directiveLines(pass, f, backgroundPrefix, true)
+			justified := directiveLines(pass, f, backgroundPrefix)
 			ast.Inspect(f, func(n ast.Node) bool {
 				st, ok := n.(*ast.GoStmt)
 				if !ok {

@@ -70,24 +70,18 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	return ok
 }
 
-// funcNode is one function body in a file: a declaration or a literal.
-type funcNode struct {
-	typ  *ast.FuncType
-	body *ast.BlockStmt
-}
-
-// functionsIn lists every function declaration and literal in f that
-// has a body.
-func functionsIn(f *ast.File) []funcNode {
-	var out []funcNode
+// functionBodies lists the body of every function declaration and
+// literal in f.
+func functionBodies(f *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			if fn.Body != nil {
-				out = append(out, funcNode{typ: fn.Type, body: fn.Body})
+				out = append(out, fn.Body)
 			}
 		case *ast.FuncLit:
-			out = append(out, funcNode{typ: fn.Type, body: fn.Body})
+			out = append(out, fn.Body)
 		}
 		return true
 	})
@@ -109,8 +103,9 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 // file to the source lines they annotate. A directive anywhere in a
 // comment group annotates the group's last line and the line after it,
 // so trailing comments, single preceding comments, and multi-line
-// preceding comments all cover the statement they sit on or above.
-func directiveLines(pass *Pass, f *ast.File, prefix string, needsArg bool) map[int]bool {
+// preceding comments all cover the statement they sit on or above. A
+// directive with nothing after its prefix annotates nothing.
+func directiveLines(pass *Pass, f *ast.File, prefix string) map[int]bool {
 	lines := map[int]bool{}
 	for _, cg := range f.Comments {
 		matched := false
@@ -130,7 +125,7 @@ func directiveLines(pass *Pass, f *ast.File, prefix string, needsArg bool) map[i
 			for len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
 				rest = rest[1:]
 			}
-			if needsArg && rest == "" {
+			if rest == "" {
 				continue
 			}
 			matched = true

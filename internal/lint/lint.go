@@ -6,15 +6,9 @@
 //
 //   - indeximmut: a built index.Index is immutable
 //     and may alias a read-only .orix mmap (DESIGN.md §5, §7)
-//   - atomicmix: a location touched through sync/atomic functions is
-//     never read or written non-atomically elsewhere
-//   - ctxloop: unbounded loops in context-carrying functions consult
-//     their context, so compare paths stay cancellable (DESIGN.md §10)
 //   - checkedflush: buffered-writer Flush and write-handle Close
 //     errors are consumed on output paths (the silent-m8-truncation
 //     regression class fixed in PR 5)
-//   - versionedmount: HTTP handlers are mounted under /v1 through
-//     httpapi.Versioned (DESIGN.md §8)
 //   - goexit: every spawned goroutine has a visible lifecycle —
 //     WaitGroup join, channel send/close/receive, ctx.Done — or an
 //     explicit "// background:" justification
@@ -41,14 +35,10 @@
 // solver runs each analyzer's per-function summaries to convergence
 // so facts propagate across function and package boundaries.
 //
-// Findings are suppressed, one site at a time, with an inline
-// directive that names the analyzer and must carry a justification:
-//
-//	//scorislint:ignore ctxloop bounded by the retry cap above
-//
-// on the flagged line or the line immediately before it. A directive
-// without a justification does not suppress anything and is itself
-// reported.
+// There is no suppression comment: a false positive is fixed in its
+// analyzer. The annotations analyzers read — "// background:",
+// "// guardedby:" and //scorislint:{validator,source,hotpath} — stay:
+// each is part of the contract its analyzer checks.
 package lint
 
 import (
@@ -57,7 +47,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding, positioned and attributed to an analyzer.
@@ -79,8 +68,7 @@ type Package struct {
 }
 
 // Pass is a module-wide analysis pass: one analyzer over every loaded
-// package at once, so cross-package invariants (atomicmix) see the
-// whole tree.
+// package at once, so cross-package invariants see the whole tree.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -142,10 +130,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerIndexImmut,
-		AnalyzerAtomicMix,
-		AnalyzerCtxLoop,
 		AnalyzerCheckedFlush,
-		AnalyzerVersionedMount,
 		AnalyzerGoExit,
 		AnalyzerUntrustedIx,
 		AnalyzerDetOrder,
@@ -154,90 +139,14 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// ignoreDirective is one parsed //scorislint:ignore comment.
-type ignoreDirective struct {
-	analyzer string
-	reason   string
-	pos      token.Position
-	file     string
-	line     int // line the directive suppresses (its own line, or the next for full-line comments)
-}
-
-const ignorePrefix = "scorislint:ignore"
-
-// parseIgnores extracts every inline ignore directive from the loaded
-// files.
-func parseIgnores(fset *token.FileSet, pkgs []*Package) []ignoreDirective {
-	var out []ignoreDirective
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if !strings.HasPrefix(text, ignorePrefix) {
-						continue
-					}
-					rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
-					// A nested // starts a comment-within-the-comment
-					// (fixture "// want" markers); it is not a reason.
-					if i := strings.Index(rest, "//"); i >= 0 {
-						rest = strings.TrimSpace(rest[:i])
-					}
-					name, reason, _ := strings.Cut(rest, " ")
-					pos := fset.Position(c.Pos())
-					out = append(out, ignoreDirective{
-						analyzer: name,
-						reason:   strings.TrimSpace(reason),
-						pos:      pos,
-						file:     pos.Filename,
-						line:     pos.Line,
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Run executes the analyzers over the loaded packages, applies ignore
-// directives, and returns the surviving findings sorted by position.
+// Run executes the analyzers over the loaded packages and returns
+// their findings sorted by position.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var module *Module
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		a.Run(&Pass{Analyzer: a, Fset: fset, Pkgs: pkgs, diags: &diags, module: &module})
 	}
-
-	// A directive on line L suppresses findings on L and L+1: a
-	// trailing comment sits on the flagged line itself, a full-line
-	// comment sits on the line before it.
-	type key struct {
-		file     string
-		line     int
-		analyzer string
-	}
-	suppressed := map[key]bool{}
-	for _, d := range parseIgnores(fset, pkgs) {
-		if d.analyzer == "" || d.reason == "" {
-			diags = append(diags, Diagnostic{
-				Analyzer: "scorislint",
-				Pos:      d.pos,
-				Message:  "scorislint:ignore directive needs an analyzer name and a justification: //scorislint:ignore <analyzer> <reason>",
-			})
-			continue
-		}
-		suppressed[key{d.file, d.line, d.analyzer}] = true
-		suppressed[key{d.file, d.line + 1, d.analyzer}] = true
-	}
-
-	kept := diags[:0]
-	for _, d := range diags {
-		if suppressed[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
-			continue
-		}
-		kept = append(kept, d)
-	}
-	diags = kept
 
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -23,36 +23,14 @@ func TestIndexImmut(t *testing.T) {
 	linttest.Run(t, lint.AnalyzerIndexImmut, "testdata/src/indeximmut/bad")
 }
 
-func TestAtomicMix(t *testing.T) {
-	linttest.Run(t, lint.AnalyzerAtomicMix, "testdata/src/atomicmix/clean")
-	linttest.Run(t, lint.AnalyzerAtomicMix, "testdata/src/atomicmix/bad")
-}
-
-func TestCtxLoop(t *testing.T) {
-	linttest.Run(t, lint.AnalyzerCtxLoop, "testdata/src/ctxloop/clean")
-	linttest.Run(t, lint.AnalyzerCtxLoop, "testdata/src/ctxloop/bad")
-}
-
 func TestCheckedFlush(t *testing.T) {
 	linttest.Run(t, lint.AnalyzerCheckedFlush, "testdata/src/checkedflush/clean")
 	linttest.Run(t, lint.AnalyzerCheckedFlush, "testdata/src/checkedflush/bad")
 }
 
-func TestVersionedMount(t *testing.T) {
-	linttest.Run(t, lint.AnalyzerVersionedMount, "testdata/src/versionedmount/clean")
-	linttest.Run(t, lint.AnalyzerVersionedMount, "testdata/src/versionedmount/bad")
-}
-
 func TestGoExit(t *testing.T) {
 	linttest.Run(t, lint.AnalyzerGoExit, "testdata/src/goexit/clean")
 	linttest.Run(t, lint.AnalyzerGoExit, "testdata/src/goexit/bad")
-}
-
-// TestIgnoreDirectives exercises the suppression mechanism: justified
-// directives silence exactly their analyzer, reason-less ones suppress
-// nothing and are themselves findings.
-func TestIgnoreDirectives(t *testing.T) {
-	linttest.Run(t, lint.AnalyzerCtxLoop, "testdata/src/directives")
 }
 
 var (

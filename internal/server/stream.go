@@ -83,7 +83,6 @@ func (s *Server) serveStreamed(ctx context.Context, w http.ResponseWriter, c *co
 	}()
 
 	wroteHeader := false
-	//scorislint:ignore ctxloop bounded by close(chunks): the producer goroutine above is ctx-aware and always closes the channel on its way out
 	for buf := range chunks {
 		if !wroteHeader {
 			writeStreamHeader(w)
