@@ -111,9 +111,6 @@ func (t *TAlign) Covered(h hsp.HSP) bool {
 	return covered
 }
 
-// Len returns the number of recorded alignments.
-func (t *TAlign) Len() int { return len(t.all) }
-
 // All returns the recorded alignments (shared backing array).
 func (t *TAlign) All() []Alignment { return t.all }
 

@@ -68,8 +68,8 @@ func TestTAlignCoversAscendingDiagonals(t *testing.T) {
 	if !ta.Covered(hsp.HSP{S1: 520, E1: 560, S2: 120, E2: 160}) {
 		t.Error("HSP inside second alignment not covered")
 	}
-	if ta.Len() != 2 {
-		t.Errorf("Len = %d", ta.Len())
+	if n := len(ta.All()); n != 2 {
+		t.Errorf("len(All()) = %d", n)
 	}
 }
 

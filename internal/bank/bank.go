@@ -74,8 +74,6 @@ type Bank struct {
 	// totalBases is the number of bases (valid + ambiguous), i.e. the
 	// bank size "N" of the paper, excluding sentinels.
 	totalBases int
-	// validBases counts A/C/G/T only.
-	validBases int
 
 	// sumsOnce/seqSums memoize SeqChecksums and sumOnce/sum Checksum:
 	// banks are immutable, so each content identity is computed at most
@@ -98,23 +96,19 @@ func New(name string, recs []*fasta.Record) *Bank {
 		panic(err)
 	}
 	b := &Bank{
-		Name:   name,
-		Data:   make([]byte, 0, total+len(recs)+1),
-		starts: make([]int32, 0, len(recs)),
-		ends:   make([]int32, 0, len(recs)),
-		ids:    make([]string, 0, len(recs)),
-		descs:  make([]string, 0, len(recs)),
+		Name:       name,
+		Data:       make([]byte, 0, total+len(recs)+1),
+		starts:     make([]int32, 0, len(recs)),
+		ends:       make([]int32, 0, len(recs)),
+		ids:        make([]string, 0, len(recs)),
+		descs:      make([]string, 0, len(recs)),
+		totalBases: total,
 	}
 	b.Data = append(b.Data, Sentinel)
 	for _, r := range recs {
 		b.starts = append(b.starts, int32(len(b.Data)))
 		for _, c := range r.Seq {
-			code := dna.EncodeByte(c)
-			b.Data = append(b.Data, code)
-			b.totalBases++
-			if dna.IsValid(code) {
-				b.validBases++
-			}
+			b.Data = append(b.Data, dna.EncodeByte(c))
 		}
 		b.ends = append(b.ends, int32(len(b.Data)))
 		b.Data = append(b.Data, Sentinel)
@@ -215,7 +209,6 @@ func Parse(name string, text []byte) (*Bank, error) {
 	b.ends = append(b.ends, int32(len(data)))
 	b.Data = append(data, Sentinel)
 	b.totalBases = len(b.Data) - 1 - len(b.starts)
-	b.validBases = dna.CountValid(b.Data)
 	return b, nil
 }
 
@@ -254,9 +247,6 @@ func (b *Bank) NumSeqs() int { return len(b.starts) }
 // TotalBases returns the total base count N (paper's bank size),
 // excluding sentinels, including ambiguous bases.
 func (b *Bank) TotalBases() int { return b.totalBases }
-
-// ValidBases returns the number of unambiguous (ACGT) bases.
-func (b *Bank) ValidBases() int { return b.validBases }
 
 // Mbp returns the bank size in megabases, the unit of the paper's
 // data-set and search-space tables.
@@ -386,32 +376,10 @@ func (b *Bank) ReverseComplement() *Bank {
 		ids:        make([]string, len(b.ids)),
 		descs:      b.descs,
 		totalBases: b.totalBases,
-		validBases: b.validBases,
 	}
 	for i, s := range b.starts {
 		dna.ReverseComplementInPlace(rc.Data[s:b.ends[i]])
 		rc.ids[i] = b.ids[i] + "/rc"
 	}
 	return rc
-}
-
-// Stats summarizes a bank for the paper's §3.2 data-set table.
-type Stats struct {
-	Name    string
-	NumSeqs int
-	Bases   int
-	Mbp     float64
-	GC      float64
-}
-
-// Summary computes data-set table statistics.
-func (b *Bank) Summary() Stats {
-	gc, _ := dna.GC(b.Data)
-	return Stats{
-		Name:    b.Name,
-		NumSeqs: b.NumSeqs(),
-		Bases:   b.totalBases,
-		Mbp:     b.Mbp(),
-		GC:      gc,
-	}
 }

@@ -119,9 +119,6 @@ func TestAmbiguousBasesStoredInvalid(t *testing.T) {
 	if b.TotalBases() != 4 {
 		t.Errorf("TotalBases = %d, want 4 (N counts)", b.TotalBases())
 	}
-	if b.ValidBases() != 3 {
-		t.Errorf("ValidBases = %d, want 3", b.ValidBases())
-	}
 }
 
 func TestSentinelNeverEqualsNucleotideOrInvalid(t *testing.T) {
@@ -139,14 +136,6 @@ func TestMbp(t *testing.T) {
 	b := mk("ACGT")
 	if got := b.Mbp(); got != 4e-6 {
 		t.Errorf("Mbp = %v", got)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	b := mk("GGCC", "AATT")
-	s := b.Summary()
-	if s.NumSeqs != 2 || s.Bases != 8 || s.GC != 0.5 || s.Name != "test" {
-		t.Errorf("Summary = %+v", s)
 	}
 }
 

@@ -289,11 +289,8 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 	}
 	defer cancel()
 	ext := opt.Ungapped(opt.OrderedRule)
-	if opt.Asymmetric {
-		// The abort rule must only fire on seeds that the half-word
-		// bank-1 index actually contains.
-		ext.SampleStep = 2
-	}
+	// The abort rule must only fire on seeds the bank-1 index holds.
+	ext.SampleStep = int32(ix1.Options().SampleStep)
 	d1, d2 := b1.Data, b2.Data
 
 	err := joinCodes(ctx, ix1, ix2, workers, opt.ShuffledSeedOrder, func(wid int, batch []slotPair) {

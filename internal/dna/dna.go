@@ -87,16 +87,6 @@ func Encode(ascii []byte) []Code {
 	return out
 }
 
-// EncodeInto is Encode writing into dst, which must be at least
-// len(ascii) long. It returns the number of bytes written.
-func EncodeInto(dst []Code, ascii []byte) int {
-	_ = dst[:len(ascii)]
-	for i, b := range ascii {
-		dst[i] = encodeTable[b]
-	}
-	return len(ascii)
-}
-
 // Decode converts 2-bit codes back to ASCII. Invalid codes decode to 'N'.
 func Decode(codes []Code) []byte {
 	out := make([]byte, len(codes))
@@ -144,35 +134,4 @@ func comp(c Code) Code {
 		return complementTable[c]
 	}
 	return Invalid
-}
-
-// CountValid returns the number of valid nucleotide codes in codes.
-func CountValid(codes []Code) int {
-	n := 0
-	for _, c := range codes {
-		if c < Alphabet {
-			n++
-		}
-	}
-	return n
-}
-
-// GC returns the fraction of valid nucleotides that are G or C, and the
-// number of valid nucleotides considered. A sequence with no valid
-// nucleotides reports GC of 0.
-func GC(codes []Code) (frac float64, valid int) {
-	gc := 0
-	for _, c := range codes {
-		switch c {
-		case G, C:
-			gc++
-			valid++
-		case A, T:
-			valid++
-		}
-	}
-	if valid == 0 {
-		return 0, 0
-	}
-	return float64(gc) / float64(valid), valid
 }

@@ -91,20 +91,6 @@ func TestDecodeInvalidToN(t *testing.T) {
 	}
 }
 
-func TestEncodeInto(t *testing.T) {
-	dst := make([]Code, 8)
-	n := EncodeInto(dst, []byte("ACGT"))
-	if n != 4 {
-		t.Fatalf("EncodeInto returned %d, want 4", n)
-	}
-	want := []Code{A, C, G, T}
-	for i, w := range want {
-		if dst[i] != w {
-			t.Errorf("dst[%d] = %d, want %d", i, dst[i], w)
-		}
-	}
-}
-
 func TestReverseComplementKnown(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"A", "T"},
@@ -175,30 +161,6 @@ func TestEncodeDecodeQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCountValid(t *testing.T) {
-	if got := CountValid(Encode([]byte("ACNNGTN"))); got != 4 {
-		t.Errorf("CountValid = %d, want 4", got)
-	}
-	if got := CountValid(nil); got != 0 {
-		t.Errorf("CountValid(nil) = %d, want 0", got)
-	}
-}
-
-func TestGC(t *testing.T) {
-	frac, valid := GC(Encode([]byte("GGCCAATT")))
-	if valid != 8 || frac != 0.5 {
-		t.Errorf("GC = %v,%v want 0.5,8", frac, valid)
-	}
-	frac, valid = GC(Encode([]byte("NNN")))
-	if valid != 0 || frac != 0 {
-		t.Errorf("GC of all-N = %v,%v want 0,0", frac, valid)
-	}
-	frac, valid = GC(Encode([]byte("GC")))
-	if valid != 2 || frac != 1.0 {
-		t.Errorf("GC = %v,%v want 1,2", frac, valid)
-	}
-}
-
 func TestInvalidDistinctFromCodesAndSentinels(t *testing.T) {
 	// Bank sentinels use 0xF0..0xFD; Invalid must not collide with them
 	// or with any real code.
@@ -207,20 +169,5 @@ func TestInvalidDistinctFromCodesAndSentinels(t *testing.T) {
 	}
 	if Invalid >= 0xF0 {
 		t.Fatal("Invalid collides with the bank sentinel range")
-	}
-}
-
-func BenchmarkEncode1K(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ascii := make([]byte, 1024)
-	letters := []byte("ACGT")
-	for i := range ascii {
-		ascii[i] = letters[rng.Intn(4)]
-	}
-	dst := make([]Code, len(ascii))
-	b.SetBytes(int64(len(ascii)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeInto(dst, ascii)
 	}
 }

@@ -89,12 +89,6 @@ type Config struct {
 	Verbose bool
 }
 
-// DefaultConfig returns the standard configuration (scale 16,
-// single-worker engines).
-func DefaultConfig(out io.Writer) Config {
-	return Config{Scale: 16, Workers: 1, Out: out}
-}
-
 // RowResult is the outcome of one pair comparison with both engines.
 type RowResult struct {
 	Pair        Pair
@@ -149,9 +143,6 @@ func New(cfg Config) *Harness {
 		cache: map[Pair]*RowResult{},
 	}
 }
-
-// DataSet exposes the generated banks.
-func (h *Harness) DataSet() *simulate.DataSet { return h.ds }
 
 // IndexCache exposes the shared prepared-bank cache (its Builds counter
 // is the build-once-per-key assertion hook used by tests).

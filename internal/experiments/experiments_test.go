@@ -177,10 +177,6 @@ func TestThreeWayExperiment(t *testing.T) {
 }
 
 func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig(nil)
-	if c.Scale != 16 || c.Workers != 1 {
-		t.Errorf("defaults: %+v", c)
-	}
 	h := New(Config{})
 	if h.cfg.Scale != 16 || h.cfg.Workers != 1 || h.cfg.Out == nil {
 		t.Errorf("New normalization: %+v", h.cfg)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/dna"
 	"repro/internal/fasta"
 	"repro/internal/fleet/chaos"
+	"repro/internal/httpapi"
 	"repro/internal/ixdisk"
 	"repro/internal/server"
 	"repro/internal/simulate"
@@ -220,9 +221,13 @@ func TestFleetAffinityRouting(t *testing.T) {
 
 	want := oracle(t, est1, est2)
 	for i := 0; i < 4; i++ {
-		status, _, body := postCompare(t, ts.URL)
+		status, header, body := postCompare(t, ts.URL)
 		if status != http.StatusOK || !bytes.Equal(body, want) {
 			t.Fatalf("compare %d: status %d, %d bytes (want %d)", i, status, len(body), len(want))
+		}
+		// The router asks a worker for a stream only on a streamed job.
+		if m := header.Get(httpapi.StreamHeader); m != "" {
+			t.Fatalf("compare %d: buffered compare answered with %s: %q", i, httpapi.StreamHeader, m)
 		}
 	}
 
@@ -747,7 +752,7 @@ func TestFleetBankBodiesMatchWorker(t *testing.T) {
 }
 
 // TestFleetBoundsCompareBody: both compare routes read their JSON body
-// through the one preamble's bound. A body of exactly maxCompareBody
+// through the one preamble's bound. A body of exactly httpapi.MaxCompareBody
 // bytes is routed and served (the worker's bound is the same); one byte
 // more is the router's own 413 — counted as a request, not a compare,
 // and never sent to a worker.
@@ -770,7 +775,7 @@ func TestFleetBoundsCompareBody(t *testing.T) {
 		{"/v1/compare", `{"db":"db","query":"q"}`},
 		{"/v1/compare/batch", `{"db":"db","queries":["q"]}`},
 	} {
-		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(padded(c.body, maxCompareBody)))
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(padded(c.body, httpapi.MaxCompareBody)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -782,7 +787,7 @@ func TestFleetBoundsCompareBody(t *testing.T) {
 		}
 
 		requests, compares, sent := rt.requests.Load(), rt.compares.Load(), workerRequests()
-		resp, err = http.Post(ts.URL+c.path, "application/json", strings.NewReader(padded(c.body, maxCompareBody+1)))
+		resp, err = http.Post(ts.URL+c.path, "application/json", strings.NewReader(padded(c.body, httpapi.MaxCompareBody+1)))
 		if err != nil {
 			t.Fatal(err)
 		}

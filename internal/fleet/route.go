@@ -15,16 +15,6 @@ import (
 	"repro/internal/httpapi"
 )
 
-// Stream relay vocabulary, mirroring the worker's (internal/server):
-// the Accept value that asks for a streamed m8 compare, the response
-// header that marks one, and the trailer that seals it.
-const (
-	streamAccept        = "text/x-m8-stream"
-	streamMarkerHeader  = "X-Scoris-Stream"
-	streamStatusTrailer = "X-Scoris-Status"
-	streamComplete      = "complete"
-)
-
 // routeJob is one routable worker request: the worker path, the client
 // body forwarded verbatim, the banks involved (identity for rendezvous,
 // registration specs for backfill), and the delivery shape.
@@ -35,12 +25,6 @@ type routeJob struct {
 	queries []*bankRecord
 	stream  bool
 }
-
-// maxCompareBody bounds a compare request's JSON body, at the worker's
-// own bound (internal/server): bank names and a handful of options, so a
-// body past 1 MiB is answered 413 before it is read. Bank uploads are
-// FASTA of arbitrary size and are not bounded here.
-const maxCompareBody = 1 << 20
 
 // handleCompare routes one comparison: rendezvous order over the db
 // bank's content key, retrying across replicas until a worker answers
@@ -69,7 +53,7 @@ func (rt *Router) serveCompare(w http.ResponseWriter, r *http.Request, batch boo
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, status, err := httpapi.ReadBody(w, r, maxCompareBody)
+	body, status, err := httpapi.ReadBody(w, r, httpapi.MaxCompareBody)
 	if err != nil {
 		httpError(w, status, "reading compare request: %v", err)
 		return
@@ -97,7 +81,7 @@ func (rt *Router) serveCompare(w http.ResponseWriter, r *http.Request, batch boo
 		httpError(w, http.StatusBadRequest, "compare request needs a db bank name")
 		return
 	default:
-		job.stream = req.Stream || strings.Contains(r.Header.Get("Accept"), streamAccept)
+		job.stream = req.Stream || strings.Contains(r.Header.Get("Accept"), httpapi.StreamAccept)
 		if req.Query != "" {
 			names = []string{req.Query}
 		}
@@ -172,22 +156,11 @@ func (rt *Router) routeCompare(ctx context.Context, w http.ResponseWriter, job r
 			rt.retries.Add(1)
 		}
 		attempts++
-		var (
-			status   int
-			header   http.Header
-			respBody []byte
-			err      error
-		)
-		if job.stream {
-			var done bool
-			done, status, header, respBody, err = rt.forwardStream(ctx, w, wk, job)
-			if done {
-				// Bytes were relayed (or the stream completed): the
-				// response is already written, trailer included.
-				return
-			}
-		} else {
-			status, header, respBody, err = rt.forward(ctx, wk, job.path, job.body)
+		done, status, header, respBody, err := rt.forward(ctx, w, wk, job)
+		if done {
+			// Stream bytes were relayed: the response is already
+			// written, trailer included.
+			return
 		}
 		switch {
 		case err != nil:
@@ -269,54 +242,31 @@ func nextUp(candidates []*worker, cursor *int) *worker {
 	return nil
 }
 
-// forward sends a buffered request to one worker and buffers the full
-// response. Buffering is deliberate: the relay to the client starts
-// only after a complete, length-consistent body is in hand, so a worker
-// dying mid-response (or a chaos-corrupted stream) surfaces here as a
-// retryable error instead of a half-written client response.
-func (rt *Router) forward(ctx context.Context, wk *worker, path string, body []byte) (int, http.Header, []byte, error) {
-	actx := ctx
-	if rt.cfg.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, wk.api(path), bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("reading response: %w", err)
-	}
-	return resp.StatusCode, resp.Header, b, nil
-}
-
-// forwardStream forwards a streamed compare to one worker and, once the
-// worker's stream yields its first body byte, relays it to the client
-// chunk by chunk — no full-response buffering, so the client's first
-// byte arrives while the worker's engine is still running.
+// forward sends one attempt of job to a worker. A response that is not
+// a stream — every buffered compare and batch, and a streamed job's
+// 404s to backfill, 429s, 5xxes and client-shaped 4xxes — is buffered
+// whole and returned (done=false) for the retry ladder to judge.
+// Buffering is deliberate: the relay to the client starts only after a
+// complete, length-consistent body is in hand, so a worker dying
+// mid-response (or a chaos-corrupted stream) surfaces here as a
+// retryable error (done=false, err set) instead of a half-written
+// client response.
 //
-// The commitment point is that first body byte. Before it, the attempt
-// is abortable like any buffered one: transport failures return to the
-// retry ladder (done=false, err set) and non-stream responses — 404s to
-// backfill, 429s, 5xxes, client-shaped 4xxes — return buffered for the
-// ladder to judge. After it, done=true: the response is written here,
+// A streamed job (job.stream asks the worker for one) is relayed to the
+// client chunk by chunk once the worker's stream yields its first body
+// byte — no full-response buffering, so the client's first byte arrives
+// while the worker's engine is still running. That byte is the
+// commitment point. After it, done=true: the response is written here,
 // and an upstream death mid-relay seals the stream with an "error"
 // trailer (and marks the worker Down) rather than failing over. A
 // stream that reaches a clean upstream EOF relays the worker's own
 // X-Scoris-Status trailer; an upstream that ends without one is torn by
 // definition and sealed "error" — silence never impersonates success.
 //
-// The per-attempt deadline bounds only the time to the commitment
-// point; a committed relay runs as long as the compare does.
-func (rt *Router) forwardStream(ctx context.Context, w http.ResponseWriter, wk *worker, job routeJob) (done bool, status int, header http.Header, respBody []byte, err error) {
+// The per-attempt deadline bounds a buffered attempt until its body is
+// read, and a stream only until the commitment point; a committed relay
+// runs as long as the compare does.
+func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, wk *worker, job routeJob) (done bool, status int, header http.Header, respBody []byte, err error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var attemptTimer *time.Timer
@@ -329,12 +279,14 @@ func (rt *Router) forwardStream(ctx context.Context, w http.ResponseWriter, wk *
 		return false, 0, nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", streamAccept)
+	if job.stream {
+		req.Header.Set("Accept", httpapi.StreamAccept)
+	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return false, 0, nil, nil, err
 	}
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(streamMarkerHeader) != "m8" {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(httpapi.StreamHeader) != httpapi.StreamMarker {
 		// Not a stream (error status, or a worker that answered
 		// buffered): buffer it and let the retry ladder judge.
 		b, rerr := io.ReadAll(resp.Body)
@@ -361,8 +313,8 @@ func (rt *Router) forwardStream(ctx context.Context, w http.ResponseWriter, wk *
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		h.Set("Content-Type", ct)
 	}
-	h.Set(streamMarkerHeader, "m8")
-	h.Set("Trailer", streamStatusTrailer)
+	h.Set(httpapi.StreamHeader, httpapi.StreamMarker)
+	h.Set("Trailer", httpapi.StatusTrailer)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
@@ -384,12 +336,12 @@ func (rt *Router) forwardStream(ctx context.Context, w http.ResponseWriter, wk *
 		}
 		n, rerr = resp.Body.Read(buf)
 	}
-	statusTr := resp.Trailer.Get(streamStatusTrailer)
+	statusTr := resp.Trailer.Get(httpapi.StatusTrailer)
 	if torn || statusTr == "" {
 		statusTr = "error"
 	}
-	w.Header().Set(streamStatusTrailer, statusTr)
-	if statusTr == streamComplete {
+	w.Header().Set(httpapi.StatusTrailer, statusTr)
+	if statusTr == httpapi.StatusComplete {
 		rt.compares.Add(1)
 	} else {
 		rt.tornRelays.Add(1)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fleet/chaos"
+	"repro/internal/httpapi"
 	"repro/internal/server"
 	"repro/internal/simulate"
 )
@@ -36,7 +37,7 @@ func streamCompare(t *testing.T, routerURL, body string) (int, []byte, string) {
 	if err != nil {
 		t.Fatalf("reading streamed body: %v", err)
 	}
-	return resp.StatusCode, b, resp.Trailer.Get(streamStatusTrailer)
+	return resp.StatusCode, b, resp.Trailer.Get(httpapi.StatusTrailer)
 }
 
 // TestFleetStreamedCompareRelay: a streamed compare through the router
@@ -58,8 +59,8 @@ func TestFleetStreamedCompareRelay(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatalf("streamed bytes differ from oracle: %d vs %d bytes", len(body), len(want))
 	}
-	if trailer != streamComplete {
-		t.Errorf("trailer = %q, want %q", trailer, streamComplete)
+	if trailer != httpapi.StatusComplete {
+		t.Errorf("trailer = %q, want %q", trailer, httpapi.StatusComplete)
 	}
 	if got := rt.compares.Load(); got != 1 {
 		t.Errorf("router compares = %d, want 1", got)
@@ -79,8 +80,8 @@ func TestFleetStreamedCompareRelay(t *testing.T) {
 	if err != nil || !bytes.Equal(b, want) {
 		t.Fatalf("field-form stream: err=%v, %d bytes (want %d)", err, len(b), len(want))
 	}
-	if h := resp.Header.Get(streamMarkerHeader); h != "m8" {
-		t.Errorf("%s = %q, want m8", streamMarkerHeader, h)
+	if h := resp.Header.Get(httpapi.StreamHeader); h != "m8" {
+		t.Errorf("%s = %q, want m8", httpapi.StreamHeader, h)
 	}
 }
 
@@ -105,8 +106,8 @@ func TestFleetStreamFailoverBeforeFirstByte(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatalf("failover stream differs from oracle: %d vs %d bytes", len(body), len(want))
 	}
-	if trailer != streamComplete {
-		t.Errorf("trailer = %q after pre-byte failover, want %q", trailer, streamComplete)
+	if trailer != httpapi.StatusComplete {
+		t.Errorf("trailer = %q after pre-byte failover, want %q", trailer, httpapi.StatusComplete)
 	}
 	if got := rt.failovers.Load(); got < 1 {
 		t.Errorf("failovers = %d, want >= 1 (the dead owner was tried first)", got)
@@ -139,7 +140,7 @@ func TestFleetStreamTornRelay(t *testing.T) {
 	if len(body) == 0 || len(body) >= len(want) {
 		t.Fatalf("torn stream relayed %d bytes, want partial (0 < n < %d)", len(body), len(want))
 	}
-	if trailer == streamComplete {
+	if trailer == httpapi.StatusComplete {
 		t.Fatal("torn stream sealed \"complete\" — silent truncation is the one forbidden outcome")
 	}
 	if trailer != "error" {
@@ -155,7 +156,7 @@ func TestFleetStreamTornRelay(t *testing.T) {
 	// The fleet keeps serving: the torn worker is Down, so the next
 	// streamed compare fails over before its first byte and completes.
 	status, body, trailer = streamCompare(t, ts.URL, `{"db":"db","query":"q"}`)
-	if status != http.StatusOK || !bytes.Equal(body, want) || trailer != streamComplete {
+	if status != http.StatusOK || !bytes.Equal(body, want) || trailer != httpapi.StatusComplete {
 		t.Fatalf("stream after tear: status %d, %d bytes (want %d), trailer %q",
 			status, len(body), len(want), trailer)
 	}

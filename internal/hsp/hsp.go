@@ -79,19 +79,20 @@ type Extender struct {
 	// Ordered enables the ORIS abort rule. The BLASTN baseline and the
 	// A1 ablation run with Ordered=false.
 	Ordered bool
-	// SampleStep and SamplePhase mirror the bank-1 index sampling of
-	// the asymmetric mode (§3.4). The abort rule may only fire on an
-	// embedded seed that is actually IN the index: with half-word
-	// sampling, an embedded lower seed at an unsampled position can
-	// never generate the HSP itself, and aborting on it would lose the
-	// HSP outright. Zero values mean every position is sampled.
-	SampleStep, SamplePhase int32
+	// SampleStep mirrors the bank-1 index's SampleStep (the asymmetric
+	// mode, §3.4, indexes positions p with p % SampleStep == 0). The
+	// abort rule may only fire on an embedded seed that is actually IN
+	// the index: with half-word sampling, an embedded lower seed at an
+	// unsampled position can never generate the HSP itself, and
+	// aborting on it would lose the HSP outright. 0 or 1 means every
+	// position is sampled.
+	SampleStep int32
 }
 
 // sampled reports whether a bank-1 window start position is in the
 // sampled index universe.
 func (e *Extender) sampled(p int32) bool {
-	return e.SampleStep <= 1 || p%e.SampleStep == e.SamplePhase
+	return e.SampleStep <= 1 || p%e.SampleStep == 0
 }
 
 // Stats counts extension outcomes for diagnostics and the A1 ablation.
@@ -248,24 +249,6 @@ func Rescore(d1, d2 []byte, h HSP, match, mismatch int32) int32 {
 	}
 	return s
 }
-
-// Identity returns the fraction of identical columns in an HSP.
-func Identity(d1, d2 []byte, h HSP) float64 {
-	if h.Len() == 0 {
-		return 0
-	}
-	n := int32(0)
-	for i := int32(0); i < h.Len(); i++ {
-		a, b := d1[h.S1+i], d2[h.S2+i]
-		if a == b && a < 4 {
-			n++
-		}
-	}
-	return float64(n) / float64(h.Len())
-}
-
-// Equal reports coordinate-and-score equality.
-func (h HSP) Equal(o HSP) bool { return h == o }
 
 // Contains reports whether o lies entirely within h on both sequences.
 func (h HSP) Contains(o HSP) bool {

@@ -68,8 +68,8 @@ type BlockParts struct {
 //     no stored position shifts, and no seed
 //     window straddles the boundary (a window containing the sentinel
 //     is invalid by construction).
-//   - Sampling: SampleStep/SamplePhase select absolute Data residues,
-//     which do not move.
+//   - Sampling: SampleStep selects absolute Data residues (multiples
+//     of the step), which do not move.
 //   - Dust masking: the masker splits runs at invalid bytes (sentinels
 //     included), so masking the range in isolation agrees with a
 //     whole-bank pass.

@@ -42,10 +42,9 @@ func buildChainRef(b *bank.Bank, opts Options) *chainRef {
 		tails[i] = -1
 	}
 	step := int32(opts.SampleStep)
-	phase := int32(opts.SamplePhase)
 	w := opts.W
 	seed.ForEach(b.Data, w, func(pos int32, c seed.Code) {
-		if step > 1 && pos%step != phase {
+		if step > 1 && pos%step != 0 {
 			return
 		}
 		if maskBits != nil {
@@ -126,7 +125,6 @@ func TestQuickCSRMatchesLegacyChain(t *testing.T) {
 		switch cfgRaw % 3 {
 		case 1:
 			opts.SampleStep = 2
-			opts.SamplePhase = int(cfgRaw/3) % 2
 		case 2:
 			opts.SampleStep = w
 		}
@@ -188,7 +186,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			opts Options
 		}{
 			{random, Options{W: w}},
-			{random, Options{W: w, SampleStep: 2, SamplePhase: 1}},
+			{random, Options{W: w, SampleStep: 2}},
 			{random, Options{W: w, Dust: dust.New(0, 0)}},
 			{repeats, Options{W: w}},
 			{repeats, Options{W: w, Dust: dust.New(0, 0)}},
@@ -207,7 +205,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			} else if tc.opts.Dust == nil {
 				brute := map[seed.Code][]int32{}
 				seed.ForEach(tc.b.Data, w, func(p int32, c seed.Code) {
-					if tc.opts.SampleStep < 2 || p%2 == 1 {
+					if tc.opts.SampleStep < 2 || p%2 == 0 {
 						brute[c] = append(brute[c], p)
 					}
 				})

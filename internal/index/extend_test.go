@@ -32,12 +32,11 @@ func extendRecs(n int) []*fasta.Record {
 
 func extendVariants() map[string]Options {
 	return map[string]Options{
-		"plain":     {W: 8},
-		"dust":      {W: 8, Dust: dust.New(0, 0)},
-		"halfword":  {W: 7, SampleStep: 2},
-		"phase1":    {W: 7, SampleStep: 2, SamplePhase: 1},
-		"negPhase":  {W: 7, SampleStep: 3, SamplePhase: -1},
-		"dust+half": {W: 8, Dust: dust.New(32, 1.5), SampleStep: 2},
+		"plain":      {W: 8},
+		"dust":       {W: 8, Dust: dust.New(0, 0)},
+		"halfword":   {W: 7, SampleStep: 2},
+		"everyThird": {W: 7, SampleStep: 3},
+		"dust+half":  {W: 8, Dust: dust.New(32, 1.5), SampleStep: 2},
 	}
 }
 

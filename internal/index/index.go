@@ -85,27 +85,20 @@ type Options struct {
 	W int
 	// Dust, when non-nil, masks low-complexity W-words out of the index.
 	Dust *dust.Masker
-	// SampleStep inserts only positions p with p % SampleStep ==
-	// SamplePhase (in bank Data coordinates). 0 or 1 means every
-	// position. SampleStep=2 is the paper's "half words" mode.
+	// SampleStep inserts only positions p with p % SampleStep == 0 (in
+	// bank Data coordinates). 0 or 1 means every position.
+	// SampleStep=2 is the paper's "half words" mode.
 	SampleStep int
-	// SamplePhase selects which residue class SampleStep keeps.
-	SamplePhase int
 	// Workers bounds build parallelism; 0 means GOMAXPROCS. The built
 	// index is identical for every worker count.
 	Workers int
 }
 
 // normalized returns o in the canonical form Build uses and a built
-// index's Options() reports: SampleStep < 1 becomes 1 and SamplePhase
-// is reduced into [0, SampleStep).
+// index's Options() reports: SampleStep < 1 becomes 1.
 func (o Options) normalized() Options {
 	if o.SampleStep < 1 {
 		o.SampleStep = 1
-	}
-	o.SamplePhase %= o.SampleStep
-	if o.SamplePhase < 0 {
-		o.SamplePhase += o.SampleStep
 	}
 	return o
 }
@@ -116,16 +109,16 @@ func (o Options) normalized() Options {
 // Keys are equal. The cache keys on it, the engines check a prepared
 // index against it, and the on-disk store writes it.
 type Key struct {
-	W, SampleStep, SamplePhase int
-	Dust                       bool
-	DustWindow                 int
-	DustThreshold              float64
+	W, SampleStep int
+	Dust          bool
+	DustWindow    int
+	DustThreshold float64
 }
 
 // Key returns the identity of the index o builds.
 func (o Options) Key() Key {
 	o = o.normalized()
-	k := Key{W: o.W, SampleStep: o.SampleStep, SamplePhase: o.SamplePhase}
+	k := Key{W: o.W, SampleStep: o.SampleStep}
 	if o.Dust != nil {
 		k.Dust, k.DustWindow, k.DustThreshold = true, o.Dust.Window, o.Dust.Threshold
 	}
@@ -135,7 +128,7 @@ func (o Options) Key() Key {
 // Options returns options that build the index k identifies, with
 // Workers left at 0.
 func (k Key) Options() Options {
-	o := Options{W: k.W, SampleStep: k.SampleStep, SamplePhase: k.SamplePhase}
+	o := Options{W: k.W, SampleStep: k.SampleStep}
 	if k.Dust {
 		o.Dust = dust.New(k.DustWindow, k.DustThreshold)
 	}
@@ -293,7 +286,7 @@ func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Parts
 	data := b.Data
 	w := opts.W
 	step := opts.SampleStep
-	step32, phase := int32(step), int32(opts.SamplePhase)
+	step32 := int32(step)
 
 	// ---- scan: shards over ascending ranges, each filling its own
 	// region of one buffer with packed code<<32|pos words (pos needs 31
@@ -331,7 +324,7 @@ func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Parts
 		}
 		var t tally // shard-local: neighbours in tallies would share a cache line
 		scanRange(data, w, lo, hi, func(pos int32, c seed.Code) {
-			if step32 > 1 && pos%step32 != phase {
+			if step32 > 1 && pos%step32 != 0 {
 				t.sampled++
 				return
 			}

@@ -146,11 +146,11 @@ func sameAsBrute(t *testing.T, ix *Index, brute map[seed.Code][]int32) {
 func TestBuildW15MatchesBruteForce(t *testing.T) {
 	const w = 15
 	b := randomBank(15, 6, 3000)
-	for _, opts := range []Options{{W: w}, {W: w, SampleStep: 2, SamplePhase: 1}} {
+	for _, opts := range []Options{{W: w}, {W: w, SampleStep: 2}} {
 		ix := Build(b, opts)
 		brute := map[seed.Code][]int32{}
 		seed.ForEach(b.Data, w, func(p int32, c seed.Code) {
-			if opts.SampleStep < 2 || int(p)%opts.SampleStep == opts.SamplePhase {
+			if opts.SampleStep < 2 || int(p)%opts.SampleStep == 0 {
 				brute[c] = append(brute[c], p)
 			}
 		})
@@ -232,35 +232,33 @@ func TestAsymmetricSamplingCoversAll11ntMatches(t *testing.T) {
 	}
 	b := mkBank(string(sb))
 	const w = 10
-	for _, phase := range []int{0, 1} {
-		half := Build(b, Options{W: w, SampleStep: 2, SamplePhase: phase})
-		// For every position p that starts an 11-mer, one of p, p+1 must
-		// be in the occurrence list of its 10-mer code.
-		miss := 0
-		seed.ForEach(b.Data, w+1, func(p int32, _ seed.Code) {
-			found := false
-			for _, q := range []int32{p, p + 1} {
-				c, ok := seed.Encode(b.Data[q:], w)
-				if !ok {
-					continue
-				}
-				for _, r := range half.Occ(c) {
-					if r == q {
-						found = true
-						break
-					}
-				}
-				if found {
+	half := Build(b, Options{W: w, SampleStep: 2})
+	// For every position p that starts an 11-mer, one of p, p+1 must
+	// be in the occurrence list of its 10-mer code.
+	miss := 0
+	seed.ForEach(b.Data, w+1, func(p int32, _ seed.Code) {
+		found := false
+		for _, q := range []int32{p, p + 1} {
+			c, ok := seed.Encode(b.Data[q:], w)
+			if !ok {
+				continue
+			}
+			for _, r := range half.Occ(c) {
+				if r == q {
+					found = true
 					break
 				}
 			}
-			if !found {
-				miss++
+			if found {
+				break
 			}
-		})
-		if miss != 0 {
-			t.Errorf("phase %d: %d 11-mer anchors missed", phase, miss)
 		}
+		if !found {
+			miss++
+		}
+	})
+	if miss != 0 {
+		t.Errorf("%d 11-mer anchors missed", miss)
 	}
 }
 
@@ -504,21 +502,11 @@ func TestOptionsKey(t *testing.T) {
 		{W: 8, Dust: dust.New(64, 2.0)},
 		{W: 8, Dust: dust.New(0, 0), Workers: 7},
 		{W: 8, Dust: dust.New(0, 0), SampleStep: 1},
-		{W: 8, Dust: dust.New(0, 0), SampleStep: 0, SamplePhase: 5},
+		{W: 8, Dust: dust.New(0, 0), SampleStep: 0},
 	}
 	for _, o := range same {
 		if o.Key() != base.Key() {
 			t.Errorf("%+v: Key %+v, want the Key of %+v", o, o.Key(), base.Key())
-		}
-	}
-	// Negative and out-of-range phases reduce into [0, step).
-	for _, pair := range [][2]Options{
-		{{W: 8, SampleStep: 2, SamplePhase: -1}, {W: 8, SampleStep: 2, SamplePhase: 1}},
-		{{W: 8, SampleStep: 3, SamplePhase: -4}, {W: 8, SampleStep: 3, SamplePhase: 2}},
-		{{W: 8, SampleStep: 2, SamplePhase: 3}, {W: 8, SampleStep: 2, SamplePhase: 1}},
-	} {
-		if pair[0].Key() != pair[1].Key() {
-			t.Errorf("%+v and %+v build one index but have Keys %+v and %+v", pair[0], pair[1], pair[0].Key(), pair[1].Key())
 		}
 	}
 	distinct := []Options{
@@ -526,7 +514,7 @@ func TestOptionsKey(t *testing.T) {
 		{W: 8},
 		{W: 9, Dust: dust.New(0, 0)},
 		{W: 8, Dust: dust.New(0, 0), SampleStep: 2},
-		{W: 8, Dust: dust.New(0, 0), SampleStep: 2, SamplePhase: 1},
+		{W: 8, Dust: dust.New(0, 0), SampleStep: 3},
 		{W: 8, Dust: dust.New(32, 0)},
 		{W: 8, Dust: dust.New(0, 1.5)},
 	}

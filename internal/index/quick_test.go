@@ -55,30 +55,30 @@ func TestQuickChainInvariants(t *testing.T) {
 	}
 }
 
-// Invariant: sampling partitions the full index; the two phases of
-// step 2 are disjoint and their union is the full set.
+// Invariant: sampling partitions the full index; step 2 keeps exactly
+// the full index's even positions and counts the odd ones sampled out.
 func TestQuickSamplingPartition(t *testing.T) {
 	f := func(seedVal int64, nRaw uint8) bool {
 		const w = 5
 		b := randomBank(seedVal, int(nRaw)%4+1, 200)
 		full := Build(b, Options{W: w})
-		p0 := Build(b, Options{W: w, SampleStep: 2, SamplePhase: 0})
-		p1 := Build(b, Options{W: w, SampleStep: 2, SamplePhase: 1})
-		if p0.Indexed+p1.Indexed != full.Indexed {
+		half := Build(b, Options{W: w, SampleStep: 2})
+		if half.Indexed+half.SampledOut != full.Indexed {
 			return false
 		}
-		// Every position listed in p0 has even Data coordinate.
-		for _, p := range p0.Pos {
+		// Every position listed in half has even Data coordinate.
+		for _, p := range half.Pos {
 			if p%2 != 0 {
 				return false
 			}
 		}
-		for _, p := range p1.Pos {
-			if p%2 != 1 {
-				return false
+		even := 0
+		for _, p := range full.Pos {
+			if p%2 == 0 {
+				even++
 			}
 		}
-		return true
+		return even == half.Indexed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -320,7 +320,7 @@ func TestDenseIndexHoldsNoCodeList(t *testing.T) {
 		{4, benchBankSeqs(40, 450), Options{W: 4}},
 		{8, benchBankSeqs(60, 450), Options{W: 8, Dust: dust.New(0, 0)}},
 		{11, benchBankSeqs(310, 450), Options{W: 11}},
-		{11, benchBankSeqs(700, 450), Options{W: 11, SampleStep: 2, SamplePhase: 1}},
+		{11, benchBankSeqs(700, 450), Options{W: 11, SampleStep: 2}},
 	} {
 		whole, err := BuildBlock(tc.b, tc.opts, 0, tc.b.NumSeqs())
 		if err != nil {

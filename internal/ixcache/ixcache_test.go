@@ -58,7 +58,6 @@ func TestKeyDiscrimination(t *testing.T) {
 		base,
 		{W: 9},
 		{W: 8, SampleStep: 2},
-		{W: 8, SampleStep: 2, SamplePhase: 1},
 		{W: 8, SampleStep: 4},
 		{W: 8, Dust: dust.New(0, 0)},
 		{W: 8, Dust: dust.New(32, 0)},
@@ -79,7 +78,7 @@ func TestKeyDiscrimination(t *testing.T) {
 
 	// Aliases: Workers is excluded; SampleStep 0 and 1 both mean "every
 	// position"; a fresh dust.Masker with equal parameters is the same
-	// filter; SamplePhase is reduced mod SampleStep.
+	// filter.
 	aliases := []index.Options{
 		{W: 8, Workers: 3},
 		{W: 8, SampleStep: 1},
@@ -90,10 +89,6 @@ func TestKeyDiscrimination(t *testing.T) {
 		c.Get(b, o)
 	}
 	c.Get(b, index.Options{W: 8, Dust: dust.New(0, 0)})
-	c.Get(b, index.Options{W: 8, SampleStep: 2, SamplePhase: 3})
-	// Negative and out-of-range phases reduce into [0, step): -1 mod 2
-	// is phase 1, -4 mod 3 is phase 2.
-	c.Get(b, index.Options{W: 8, SampleStep: 2, SamplePhase: -1})
 	if got := c.Builds(); got != before {
 		t.Errorf("equivalent options rebuilt: builds went %d -> %d", before, got)
 	}

@@ -83,8 +83,10 @@ const (
 )
 
 // keySize is the length of an index.Key as putKey writes it: W,
-// SampleStep, SamplePhase, dust on/off and dust window as 4-byte words,
-// then the dust threshold's float64 bits — little-endian. The header
+// SampleStep, a reserved word that is always 0 (it held a sampling
+// phase no index is built with any more), dust on/off and dust window
+// as 4-byte words, then the dust threshold's float64 bits —
+// little-endian. The header
 // holds one (bytes 16–44) and so does the filename key DirStore hashes
 // (DirStore.Path, bytes 20–48), so the layout is frozen twice over: a
 // change would reject every stored file and rename it too.
@@ -98,7 +100,7 @@ func putKey(dst []byte, k index.Key) {
 	}
 	binary.LittleEndian.PutUint32(dst[0:], uint32(k.W))
 	binary.LittleEndian.PutUint32(dst[4:], uint32(k.SampleStep))
-	binary.LittleEndian.PutUint32(dst[8:], uint32(k.SamplePhase))
+	binary.LittleEndian.PutUint32(dst[8:], 0) // reserved
 	binary.LittleEndian.PutUint32(dst[12:], dustOn)
 	binary.LittleEndian.PutUint32(dst[16:], uint32(k.DustWindow))
 	binary.LittleEndian.PutUint64(dst[20:], math.Float64bits(k.DustThreshold))
@@ -109,7 +111,6 @@ func getKey(src []byte) index.Key {
 	return index.Key{
 		W:             int(binary.LittleEndian.Uint32(src[0:])),
 		SampleStep:    int(binary.LittleEndian.Uint32(src[4:])),
-		SamplePhase:   int(binary.LittleEndian.Uint32(src[8:])),
 		Dust:          binary.LittleEndian.Uint32(src[12:]) != 0,
 		DustWindow:    int(binary.LittleEndian.Uint32(src[16:])),
 		DustThreshold: math.Float64frombits(binary.LittleEndian.Uint64(src[20:])),
@@ -121,10 +122,10 @@ func getKey(src []byte) index.Key {
 //scorislint:validator
 func checkKey(got, want index.Key) error {
 	if got != want {
-		return fmt.Errorf("ixdisk: %w: file built with W=%d step=%d/%d dust=%v, "+
-			"requested W=%d step=%d/%d dust=%v",
-			ErrKeyMismatch, got.W, got.SampleStep, got.SamplePhase, got.Dust,
-			want.W, want.SampleStep, want.SamplePhase, want.Dust)
+		return fmt.Errorf("ixdisk: %w: file built with W=%d step=%d dust=%v, "+
+			"requested W=%d step=%d dust=%v",
+			ErrKeyMismatch, got.W, got.SampleStep, got.Dust,
+			want.W, want.SampleStep, want.Dust)
 	}
 	return nil
 }
@@ -164,6 +165,9 @@ func decodeHeader(buf []byte) (index.Key, error) {
 	}
 	if want := binary.LittleEndian.Uint32(buf[44:]); crc32.Checksum(buf[:44], crc32Table) != want {
 		return index.Key{}, fmt.Errorf("ixdisk: %w: header CRC mismatch", ErrChecksum)
+	}
+	if phase := binary.LittleEndian.Uint32(buf[24:]); phase != 0 {
+		return index.Key{}, fmt.Errorf("ixdisk: %w: file samples at phase %d, and every index samples at 0", ErrKeyMismatch, phase)
 	}
 	return getKey(buf[16:]), nil
 }

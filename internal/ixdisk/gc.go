@@ -73,8 +73,6 @@ type GCConfig struct {
 	MaxBytes int64
 	// MaxAge removes .orix files whose mtime is older than this.
 	MaxAge time.Duration
-	// TmpGrace overrides DefaultTmpGrace for the temp-litter sweep.
-	TmpGrace time.Duration
 }
 
 // SetGC installs the store's GC bounds. When either cap is set, every
@@ -124,7 +122,7 @@ func (s *DirStore) GC() (GCStats, error) {
 // gcWith is GC with injectable config and clock (tests).
 func (s *DirStore) gcWith(cfg GCConfig, now time.Time) (GCStats, error) {
 	var st GCStats
-	st.RemovedTmps = s.sweepTmp(cfg.TmpGrace, now)
+	st.RemovedTmps = s.sweepTmp(now)
 
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -192,14 +190,11 @@ func (s *DirStore) gcWith(cfg GCConfig, now time.Time) (GCStats, error) {
 	return st, nil
 }
 
-// sweepTmp removes .orix-tmp-* staging files older than grace
-// (DefaultTmpGrace when non-positive) — the litter a process killed
-// mid-Save leaves behind, since its deferred cleanup never ran. Runs
-// at store open and during every GC. Returns how many were removed.
-func (s *DirStore) sweepTmp(grace time.Duration, now time.Time) int {
-	if grace <= 0 {
-		grace = DefaultTmpGrace
-	}
+// sweepTmp removes .orix-tmp-* staging files older than
+// DefaultTmpGrace — the litter a process killed mid-Save leaves behind,
+// since its deferred cleanup never ran. Runs at store open and during
+// every GC. Returns how many were removed.
+func (s *DirStore) sweepTmp(now time.Time) int {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0
@@ -213,7 +208,7 @@ func (s *DirStore) sweepTmp(grace time.Duration, now time.Time) int {
 		if err != nil {
 			continue
 		}
-		if now.Sub(fi.ModTime()) > grace {
+		if now.Sub(fi.ModTime()) > DefaultTmpGrace {
 			if os.Remove(filepath.Join(s.dir, e.Name())) == nil {
 				n++
 			}

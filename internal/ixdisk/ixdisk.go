@@ -279,7 +279,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 		return nil, fmt.Errorf("ixdisk: %w", err)
 	}
 	s := &DirStore{dir: dir, mapped: mmapSupported && nativeLittleEndian}
-	s.sweepTmp(DefaultTmpGrace, time.Now())
+	s.sweepTmp(time.Now())
 	return s, nil
 }
 

@@ -2,7 +2,9 @@ package ixdisk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,9 +84,8 @@ func optionVariants() map[string]index.Options {
 		"plain":      {W: 8},
 		"dust":       {W: 8, Dust: dust.New(0, 0)},
 		"halfword":   {W: 7, SampleStep: 2},
-		"phase1":     {W: 7, SampleStep: 2, SamplePhase: 1},
 		"dust+half":  {W: 8, Dust: dust.New(32, 1.5), SampleStep: 2},
-		"everyThird": {W: 6, SampleStep: 3, SamplePhase: 2},
+		"everyThird": {W: 6, SampleStep: 3},
 	}
 }
 
@@ -284,6 +285,16 @@ func TestHostileFiles(t *testing.T) {
 	t.Run("key-mismatch-sampling", func(t *testing.T) {
 		path, _ := saveValid(t, b, opts)
 		loadBoth(t, path, b, index.Options{W: 8, Dust: dust.New(0, 0), SampleStep: 2}, ErrKeyMismatch)
+	})
+	t.Run("key-phase-nonzero", func(t *testing.T) {
+		// The retired sampling-phase word (key bytes 8–12), set under a
+		// header CRC that still holds: the key, not the CRC, refuses it.
+		path := rewrite(t, func(buf []byte) []byte {
+			binary.LittleEndian.PutUint32(buf[24:], 1)
+			binary.LittleEndian.PutUint32(buf[44:], crc32.Checksum(buf[:44], crc32Table))
+			return buf
+		})
+		loadBoth(t, path, b, opts, ErrKeyMismatch)
 	})
 	t.Run("key-mismatch-bank", func(t *testing.T) {
 		path, _ := saveValid(t, b, opts)

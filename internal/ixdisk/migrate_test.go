@@ -109,9 +109,9 @@ func TestLegacyV3Rejected(t *testing.T) {
 // TestPathStable pins both frozen places an index.Key is written — the
 // filename key a (bank, options) pair hashes to and the 48-byte header
 // Save writes — to the literals an earlier release produced for the same
-// keys: one with dust off and no sampling, one with dust on and a
-// sampling phase, so a field the key packer shifts shows here instead of
-// turning every stored file cold.
+// keys: one with dust off and no sampling, one with dust on and
+// half-word sampling, so a field the key packer shifts shows here
+// instead of turning every stored file cold.
 func TestPathStable(t *testing.T) {
 	store, err := NewDirStore(t.TempDir())
 	if err != nil {
@@ -124,8 +124,8 @@ func TestPathStable(t *testing.T) {
 		t.Errorf("Path = %s, want %s — every stored file would go cold", got, want)
 	}
 
-	sampled := index.Options{W: 4, Dust: dust.New(16, 1.5), SampleStep: 2, SamplePhase: 1}
-	const wantSampled = "legacy-df9d009a2168b229.orix"
+	sampled := index.Options{W: 4, Dust: dust.New(16, 1.5), SampleStep: 2}
+	const wantSampled = "legacy-37170d9674496c14.orix"
 	path := store.Path(b, sampled)
 	if got := filepath.Base(path); got != wantSampled {
 		t.Errorf("Path = %s, want %s — every stored file would go cold", got, wantSampled)
@@ -137,7 +137,7 @@ func TestPathStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantHeader = "4f5249534958444204000000300000000400000002000000010000000100000010000000000000000000f83f883d9a34"
+	const wantHeader = "4f5249534958444204000000300000000400000002000000000000000100000010000000000000000000f83f35cad903"
 	if got := hex.EncodeToString(data[:headerSize]); got != wantHeader {
 		t.Errorf("header = %s, want %s — every stored file would be rejected", got, wantHeader)
 	}

@@ -109,16 +109,3 @@ func Count(data []byte, w int) int {
 	ForEach(data, w, func(int32, Code) { n++ })
 	return n
 }
-
-// Compare orders two codes as the paper does: the seed with the smaller
-// integer code is "lower" and is enumerated first by step 2.
-func Compare(a, b Code) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}

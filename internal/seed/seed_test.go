@@ -222,12 +222,6 @@ func TestForEachMatchesNaiveEnumeration(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	if Compare(1, 2) != -1 || Compare(2, 1) != 1 || Compare(5, 5) != 0 {
-		t.Error("Compare misordered")
-	}
-}
-
 // Seed order property from the paper: S_A < S_B iff codeSEED(S_A) <
 // codeSEED(S_B), and the order is total over all 4^w seeds.
 func TestSeedOrderIsTotal(t *testing.T) {

@@ -87,7 +87,6 @@ type pairKey struct {
 // queries.
 type Index struct {
 	byPair map[pairKey][]interval
-	total  int
 }
 
 // NewIndex builds an index over a result set.
@@ -96,13 +95,9 @@ func NewIndex(recs []tabular.Record) *Index {
 	for i := range recs {
 		k := pairKey{recs[i].Query, recs[i].Subject}
 		ix.byPair[k] = append(ix.byPair[k], normalize(&recs[i]))
-		ix.total++
 	}
 	return ix
 }
-
-// Total returns the number of indexed alignments.
-func (ix *Index) Total() int { return ix.total }
 
 // Has reports whether the index holds an equivalent of rec.
 func (ix *Index) Has(rec *tabular.Record, minOverlap float64) bool {

@@ -136,12 +136,9 @@ func TestMultipleCandidatesOnPair(t *testing.T) {
 	}
 }
 
-func TestIndexHasAndTotal(t *testing.T) {
+func TestIndexHas(t *testing.T) {
 	set := []tabular.Record{rec("q", "s", 1, 100, 1, 100)}
 	ix := NewIndex(set)
-	if ix.Total() != 1 {
-		t.Errorf("Total = %d", ix.Total())
-	}
 	probe := rec("q", "s", 3, 102, 3, 102)
 	if !ix.Has(&probe, 0.8) {
 		t.Error("Has should find the shifted probe")

@@ -2,6 +2,8 @@ package server
 
 import (
 	"testing"
+
+	"repro/internal/httpapi"
 )
 
 // FuzzParseCompareRequest throws arbitrary bytes at the /compare (and
@@ -12,8 +14,8 @@ func FuzzParseCompareRequest(f *testing.F) {
 	f.Add([]byte(`{"db":"a","query":"b"}`), "")
 	f.Add([]byte(`{"db":"a","self":true,"engine":"blastn","w":11}`), "")
 	f.Add([]byte(`{"db":"a","query":"b","stream":true}`), "")
-	f.Add([]byte(`{"db":"a","query":"b","format":"json"}`), m8StreamAccept)
-	f.Add([]byte(`{"db":"a","query":"b","max_evalue":1e-5,"both_strands":true}`), "application/json, "+m8StreamAccept)
+	f.Add([]byte(`{"db":"a","query":"b","format":"json"}`), httpapi.StreamAccept)
+	f.Add([]byte(`{"db":"a","query":"b","max_evalue":1e-5,"both_strands":true}`), "application/json, "+httpapi.StreamAccept)
 	f.Add([]byte(`{"db":"a","self":true,"query":"b"}`), "")
 	f.Add([]byte(`{`), "")
 	f.Add([]byte(`[]`), "")

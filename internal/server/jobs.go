@@ -31,6 +31,7 @@ import (
 	"sync"
 
 	"repro/internal/align"
+	"repro/internal/httpapi"
 	"repro/internal/tabular"
 )
 
@@ -303,11 +304,11 @@ func (s *Server) serveJobResult(w http.ResponseWriter, r *http.Request, j *job) 
 		if state.terminal() {
 			switch state {
 			case jobDone:
-				w.Header().Set(streamStatusTrailer, streamStatusComplete)
+				w.Header().Set(httpapi.StatusTrailer, httpapi.StatusComplete)
 			case jobCancelled:
-				w.Header().Set(streamStatusTrailer, "cancelled")
+				w.Header().Set(httpapi.StatusTrailer, "cancelled")
 			default:
-				w.Header().Set(streamStatusTrailer, "error")
+				w.Header().Set(httpapi.StatusTrailer, "error")
 			}
 			return
 		}

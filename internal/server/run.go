@@ -137,17 +137,11 @@ func batchShape(body []byte, _ string) (compareRequest, []string, error) {
 	return req.compareRequest, req.Queries, err
 }
 
-// maxCompareBody bounds a compare-shaped request's JSON body: bank names
-// and a handful of options, so a body past 1 MiB is answered 413 before
-// it is read. Bank uploads are FASTA, bounded by the largest bank
-// (bank.MaxData).
-const maxCompareBody = 1 << 20
-
 // resolveCompare is the prologue every compare-shaped route shares. It
 // answers the 400, 404 or 413 itself and returns nil when the request
 // ends there.
 func (s *Server) resolveCompare(w http.ResponseWriter, r *http.Request, parse bodyShape) *compareCall {
-	body, status, err := httpapi.ReadBody(w, r, maxCompareBody)
+	body, status, err := httpapi.ReadBody(w, r, httpapi.MaxCompareBody)
 	if err != nil {
 		httpError(w, status, "reading request body: %v", err)
 		return nil

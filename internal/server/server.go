@@ -630,7 +630,7 @@ func parseCompareRequest(body []byte, accept string) (compareRequest, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return req, fmt.Errorf("bad compare request: %v", err)
 	}
-	if strings.Contains(accept, m8StreamAccept) {
+	if strings.Contains(accept, httpapi.StreamAccept) {
 		req.Stream = true
 	}
 	if req.DB == "" || req.Query == "" {

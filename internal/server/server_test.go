@@ -18,6 +18,7 @@ import (
 	"repro/internal/blat"
 	"repro/internal/core"
 	"repro/internal/dna"
+	"repro/internal/httpapi"
 	"repro/internal/ixcache"
 	"repro/internal/simulate"
 	"repro/internal/stats"
@@ -395,7 +396,7 @@ func paddedBody(obj string, n int) string {
 }
 
 // TestServerBoundsCompareBody: every compare-shaped route reads its JSON
-// body through one bound. A body of exactly maxCompareBody bytes is
+// body through one bound. A body of exactly httpapi.MaxCompareBody bytes is
 // served; one byte more is a 413 that is counted as a request and never
 // reaches admission, an engine or the job registry.
 func TestServerBoundsCompareBody(t *testing.T) {
@@ -419,14 +420,14 @@ func TestServerBoundsCompareBody(t *testing.T) {
 			if extra > 0 {
 				want = http.StatusRequestEntityTooLarge
 			}
-			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(paddedBody(c.body, maxCompareBody+extra)))
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(paddedBody(c.body, httpapi.MaxCompareBody+extra)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
 			posts++
 			if resp.StatusCode != want {
-				t.Errorf("POST %s with %d bytes: status %d, want %d", c.path, maxCompareBody+extra, resp.StatusCode, want)
+				t.Errorf("POST %s with %d bytes: status %d, want %d", c.path, httpapi.MaxCompareBody+extra, resp.StatusCode, want)
 			}
 		}
 		served++

@@ -32,19 +32,9 @@ import (
 	"net/http"
 
 	"repro/internal/align"
+	"repro/internal/httpapi"
 	"repro/internal/tabular"
 )
-
-// m8StreamAccept is the Accept value that requests streamed m8
-// delivery (the header form of "stream": true).
-const m8StreamAccept = "text/x-m8-stream"
-
-// streamStatusTrailer is the HTTP trailer sealing a streamed response:
-// "complete" for a full result, "cancelled"/"error" for a torn one.
-const streamStatusTrailer = "X-Scoris-Status"
-
-// streamStatusComplete is the trailer value of an intact stream.
-const streamStatusComplete = "complete"
 
 // writeStreamHeader marks the response as a stream: m8 content, the
 // X-Scoris-Stream marker (how the fleet router recognizes a relayable
@@ -53,8 +43,8 @@ const streamStatusComplete = "complete"
 func writeStreamHeader(w http.ResponseWriter) {
 	h := w.Header()
 	h.Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-	h.Set("X-Scoris-Stream", "m8")
-	h.Set("Trailer", streamStatusTrailer)
+	h.Set(httpapi.StreamHeader, httpapi.StreamMarker)
+	h.Set("Trailer", httpapi.StatusTrailer)
 }
 
 // serveStreamed is the streamed sink of an admitted compare: every
@@ -106,7 +96,7 @@ func (s *Server) serveStreamed(ctx context.Context, w http.ResponseWriter, c *co
 			// stream: headers, empty body, sealing trailer.
 			writeStreamHeader(w)
 		}
-		w.Header().Set(streamStatusTrailer, streamStatusComplete)
+		w.Header().Set(httpapi.StatusTrailer, httpapi.StatusComplete)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		if !wroteHeader {
 			// Nothing sent yet — the buffered sink's answers still
@@ -116,7 +106,7 @@ func (s *Server) serveStreamed(ctx context.Context, w http.ResponseWriter, c *co
 			return
 		}
 		s.countCancelled(ctx)
-		w.Header().Set(streamStatusTrailer, "cancelled")
+		w.Header().Set(httpapi.StatusTrailer, "cancelled")
 	default:
 		if !wroteHeader {
 			httpError(w, http.StatusBadRequest, "%v", err)
@@ -124,6 +114,6 @@ func (s *Server) serveStreamed(ctx context.Context, w http.ResponseWriter, c *co
 		}
 		// Mid-stream failure: the 200 is irrevocable; the trailer is
 		// the only channel left to say the stream is torn.
-		w.Header().Set(streamStatusTrailer, "error")
+		w.Header().Set(httpapi.StatusTrailer, "error")
 	}
 }

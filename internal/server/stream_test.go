@@ -15,6 +15,7 @@ import (
 	"repro/internal/align"
 	"repro/internal/blastn"
 	"repro/internal/blat"
+	"repro/internal/httpapi"
 	"repro/internal/tabular"
 )
 
@@ -140,8 +141,8 @@ func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 			if err != nil || !bytes.Equal(got, want) {
 				t.Errorf("job result: err=%v, %d vs %d bytes", err, len(got), len(want))
 			}
-			if tr := rr.Trailer.Get(streamStatusTrailer); tr != streamStatusComplete {
-				t.Errorf("job result trailer = %q, want %q", tr, streamStatusComplete)
+			if tr := rr.Trailer.Get(httpapi.StatusTrailer); tr != httpapi.StatusComplete {
+				t.Errorf("job result trailer = %q, want %q", tr, httpapi.StatusComplete)
 			}
 			if st, _ := jobStatusOf(t, ts.URL, created.ID); st.SeqsDone != est2.NumSeqs() {
 				t.Errorf("job seqs_done = %d, want %d (empty groups tick too)", st.SeqsDone, est2.NumSeqs())
@@ -151,7 +152,7 @@ func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 			for _, via := range []string{"accept", "field"} {
 				sb, accept := body, ""
 				if via == "accept" {
-					accept = m8StreamAccept
+					accept = httpapi.StreamAccept
 				} else {
 					sb = strings.TrimSuffix(body, "}") + `,"stream":true}`
 				}
@@ -167,8 +168,8 @@ func TestServerStreamedCompareMatchesBuffered(t *testing.T) {
 				if h := resp.Header.Get("X-Scoris-Stream"); h != "m8" {
 					t.Errorf("X-Scoris-Stream = %q, want m8", h)
 				}
-				if tr := resp.Trailer.Get(streamStatusTrailer); tr != streamStatusComplete {
-					t.Errorf("trailer = %q, want %q", tr, streamStatusComplete)
+				if tr := resp.Trailer.Get(httpapi.StatusTrailer); tr != httpapi.StatusComplete {
+					t.Errorf("trailer = %q, want %q", tr, httpapi.StatusComplete)
 				}
 				if !bytes.Equal(got, want) {
 					t.Errorf("streamed bytes (via %s) differ from buffered: %d vs %d bytes",
@@ -238,7 +239,7 @@ func TestServerStreamedCompareEmitsEarly(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("streamed bytes differ from buffered: %d vs %d bytes", len(got), len(want))
 	}
-	if tr := resp.Trailer.Get(streamStatusTrailer); tr != streamStatusComplete {
+	if tr := resp.Trailer.Get(httpapi.StatusTrailer); tr != httpapi.StatusComplete {
 		t.Errorf("trailer = %q", tr)
 	}
 }
@@ -483,7 +484,7 @@ func TestServerJobLifecycle(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("job result differs from buffered compare: %d vs %d bytes", len(got), len(want))
 	}
-	if tr := rr.Trailer.Get(streamStatusTrailer); tr != streamStatusComplete {
+	if tr := rr.Trailer.Get(httpapi.StatusTrailer); tr != httpapi.StatusComplete {
 		t.Errorf("job result trailer = %q", tr)
 	}
 	if js := srv.jobStats(); js.Completed != 1 || js.Created != 1 {
@@ -549,7 +550,7 @@ func TestServerJobResultFollowsLive(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("followed job result differs: %d vs %d bytes", len(got), len(want))
 	}
-	if tr := rr.Trailer.Get(streamStatusTrailer); tr != streamStatusComplete {
+	if tr := rr.Trailer.Get(httpapi.StatusTrailer); tr != httpapi.StatusComplete {
 		t.Errorf("follower trailer = %q", tr)
 	}
 }
@@ -587,7 +588,7 @@ func TestServerJobCancel(t *testing.T) {
 	if _, err := io.ReadAll(rr.Body); err != nil {
 		t.Fatalf("reading cancelled job result: %v", err)
 	}
-	if tr := rr.Trailer.Get(streamStatusTrailer); tr != "cancelled" {
+	if tr := rr.Trailer.Get(httpapi.StatusTrailer); tr != "cancelled" {
 		t.Errorf("cancelled job trailer = %q, want cancelled", tr)
 	}
 	waitFor(t, func() bool { return srv.jobsCancelled.Load() == 1 })

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bank"
 	"repro/internal/blastn"
 	"repro/internal/blat"
+	"repro/internal/httpapi"
 	"repro/internal/ixdisk"
 	"repro/internal/simulate"
 	"repro/internal/tabular"
@@ -437,8 +438,8 @@ func TestServerStressJobCancelVsCompletion(t *testing.T) {
 				t.Errorf("follower read: %v", err)
 				return
 			}
-			switch tr := rr.Trailer.Get(streamStatusTrailer); tr {
-			case streamStatusComplete:
+			switch tr := rr.Trailer.Get(httpapi.StatusTrailer); tr {
+			case httpapi.StatusComplete:
 				if !bytes.Equal(body, want) {
 					t.Errorf("completed job served %d bytes, want %d", len(body), len(want))
 				}

@@ -22,6 +22,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Scoring bundles the match/mismatch/gap parameters shared by the
@@ -85,22 +86,21 @@ func Ungapped(match, mismatch int) (KarlinAltschul, error) {
 		return KarlinAltschul{}, fmt.Errorf("stats: expected score non-negative for +%d/−%d", match, mismatch)
 	}
 	key := [2]int{match, mismatch}
-	cacheMu := &kaCacheMu
-	cacheMu.Lock()
+	kaCacheMu.Lock()
 	if ka, ok := kaCache[key]; ok {
-		cacheMu.Unlock()
+		kaCacheMu.Unlock()
 		return ka, nil
 	}
-	cacheMu.Unlock()
+	kaCacheMu.Unlock()
 
 	lambda := solveLambda(match, mismatch)
 	h := entropyH(lambda, match, mismatch)
 	k := karlinK(lambda, h, match, mismatch)
 	ka := KarlinAltschul{Lambda: lambda, K: k, H: h}
 
-	cacheMu.Lock()
+	kaCacheMu.Lock()
 	kaCache[key] = ka
-	cacheMu.Unlock()
+	kaCacheMu.Unlock()
 	return ka, nil
 }
 
@@ -115,19 +115,8 @@ func MustUngapped(match, mismatch int) KarlinAltschul {
 
 var (
 	kaCache   = map[[2]int]KarlinAltschul{}
-	kaCacheMu mutex
+	kaCacheMu sync.Mutex
 )
-
-// mutex is a tiny local alias so this file stays dependency-light.
-type mutex struct{ ch chan struct{} }
-
-func (m *mutex) Lock() {
-	if m.ch == nil {
-		m.ch = make(chan struct{}, 1)
-	}
-	m.ch <- struct{}{}
-}
-func (m *mutex) Unlock() { <-m.ch }
 
 // solveLambda bisects Σ pᵢpⱼ e^{λs} = 1 on (0, 10].
 func solveLambda(match, mismatch int) float64 {
@@ -209,84 +198,4 @@ func (ka KarlinAltschul) BitScore(raw int) float64 {
 // sequence length).
 func (ka KarlinAltschul) EValue(raw int, m, n int) float64 {
 	return ka.K * float64(m) * float64(n) * math.Exp(-ka.Lambda*float64(raw))
-}
-
-// MinScoreForEValue returns the smallest raw score whose E-value in an
-// m×n space is ≤ maxE: the inverse of EValue. No engine calls it — step
-// 4 (align.Steps) computes each alignment's E-value and filters on
-// that.
-func (ka KarlinAltschul) MinScoreForEValue(maxE float64, m, n int) int {
-	if maxE <= 0 || m <= 0 || n <= 0 {
-		return math.MaxInt32
-	}
-	// E ≤ maxE  ⇔  S ≥ ln(K·m·n/maxE)/λ
-	s := math.Log(ka.K*float64(m)*float64(n)/maxE) / ka.Lambda
-	raw := int(math.Ceil(s))
-	if raw < 1 {
-		raw = 1
-	}
-	return raw
-}
-
-// PValue converts an E-value to a P-value (probability of ≥1 hit).
-func PValue(e float64) float64 {
-	if e > 1e-6 {
-		return 1 - math.Exp(-e)
-	}
-	return e // asymptotically identical, numerically stabler
-}
-
-// LengthAdjustment computes BLAST's edge-effect correction: an
-// alignment cannot start within ~l bases of a sequence end, where l is
-// the expected alignment length, so the effective search space shrinks
-// to (m−l)(n−l). l solves the fixed point
-//
-//	l = ln(K·(m−l)·(n−l)) / H
-//
-// iterated as in NCBI's BlastComputeLengthAdjustment. Both engines use
-// raw m·n by default (the convention of the paper's §3.1 E-values);
-// this is the opt-in refinement.
-func (ka KarlinAltschul) LengthAdjustment(m, n int) int {
-	if m <= 0 || n <= 0 || ka.H <= 0 {
-		return 0
-	}
-	mf, nf := float64(m), float64(n)
-	l := 0.0
-	for i := 0; i < 20; i++ {
-		me, ne := mf-l, nf-l
-		if me < 1 {
-			me = 1
-		}
-		if ne < 1 {
-			ne = 1
-		}
-		next := math.Log(ka.K*me*ne) / ka.H
-		if next < 0 {
-			next = 0
-		}
-		if math.Abs(next-l) < 0.5 {
-			l = next
-			break
-		}
-		l = next
-	}
-	// Clamp: the adjustment may not consume either sequence.
-	max := math.Min(mf, nf) / 2
-	if l > max {
-		l = max
-	}
-	return int(l)
-}
-
-// EValueEffective is EValue over the edge-corrected search space.
-func (ka KarlinAltschul) EValueEffective(raw, m, n int) float64 {
-	l := ka.LengthAdjustment(m, n)
-	me, ne := m-l, n-l
-	if me < 1 {
-		me = 1
-	}
-	if ne < 1 {
-		ne = 1
-	}
-	return ka.EValue(raw, me, ne)
 }

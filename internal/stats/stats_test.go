@@ -109,51 +109,6 @@ func TestBitScoreLinear(t *testing.T) {
 	}
 }
 
-func TestMinScoreForEValueRoundTrips(t *testing.T) {
-	ka := MustUngapped(1, 3)
-	for _, maxE := range []float64{10, 1, 1e-3, 1e-10} {
-		m, n := 5_000_000, 2_000
-		s := ka.MinScoreForEValue(maxE, m, n)
-		if e := ka.EValue(s, m, n); e > maxE {
-			t.Errorf("maxE=%g: score %d gives E=%g > maxE", maxE, s, e)
-		}
-		if s > 1 {
-			if e := ka.EValue(s-1, m, n); e <= maxE {
-				t.Errorf("maxE=%g: score %d-1 already satisfies E=%g", maxE, s, e)
-			}
-		}
-	}
-}
-
-func TestMinScoreForEValueDegenerateInputs(t *testing.T) {
-	ka := MustUngapped(1, 3)
-	if s := ka.MinScoreForEValue(0, 100, 100); s != math.MaxInt32 {
-		t.Errorf("maxE=0: got %d", s)
-	}
-	if s := ka.MinScoreForEValue(1, 0, 100); s != math.MaxInt32 {
-		t.Errorf("m=0: got %d", s)
-	}
-	// Tiny search space: even score 1 might pass; must clamp to ≥1.
-	if s := ka.MinScoreForEValue(1e9, 2, 2); s < 1 {
-		t.Errorf("clamp failed: %d", s)
-	}
-}
-
-func TestPValue(t *testing.T) {
-	if p := PValue(0); p != 0 {
-		t.Errorf("PValue(0) = %v", p)
-	}
-	if p := PValue(1e-10); p != 1e-10 {
-		t.Errorf("PValue small = %v", p)
-	}
-	if p := PValue(1.0); math.Abs(p-(1-math.Exp(-1))) > 1e-12 {
-		t.Errorf("PValue(1) = %v", p)
-	}
-	if p := PValue(100); p > 1 || p < 0.999 {
-		t.Errorf("PValue(100) = %v", p)
-	}
-}
-
 func TestScoringValidate(t *testing.T) {
 	if err := DefaultScoring.Validate(); err != nil {
 		t.Errorf("default scoring invalid: %v", err)
@@ -218,54 +173,6 @@ func TestCacheIsConcurrencySafe(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func TestLengthAdjustmentFixedPoint(t *testing.T) {
-	ka := MustUngapped(1, 3)
-	for _, mn := range [][2]int{{1_000_000, 500}, {5_000_000, 2_000}, {100_000, 100_000}} {
-		m, n := mn[0], mn[1]
-		l := ka.LengthAdjustment(m, n)
-		if l <= 0 {
-			t.Errorf("m=%d n=%d: adjustment %d not positive", m, n, l)
-		}
-		// Fixed-point property within a couple of bases.
-		want := math.Log(ka.K*float64(m-l)*float64(n-l)) / ka.H
-		if math.Abs(float64(l)-want) > 2 {
-			t.Errorf("m=%d n=%d: l=%d but fixed point is %.1f", m, n, l, want)
-		}
-		if l >= n/2+1 && n <= m {
-			t.Errorf("adjustment %d consumed the shorter sequence (n=%d)", l, n)
-		}
-	}
-}
-
-func TestLengthAdjustmentDegenerate(t *testing.T) {
-	ka := MustUngapped(1, 3)
-	if l := ka.LengthAdjustment(0, 100); l != 0 {
-		t.Errorf("m=0: %d", l)
-	}
-	if l := ka.LengthAdjustment(100, -1); l != 0 {
-		t.Errorf("n<0: %d", l)
-	}
-	// Tiny sequences: clamp at half the shorter one.
-	if l := ka.LengthAdjustment(30, 30); l > 15 {
-		t.Errorf("clamp failed: %d", l)
-	}
-}
-
-func TestEValueEffectiveIsSmaller(t *testing.T) {
-	ka := MustUngapped(1, 3)
-	m, n := 2_000_000, 800
-	for _, s := range []int{25, 40, 60} {
-		raw := ka.EValue(s, m, n)
-		eff := ka.EValueEffective(s, m, n)
-		if eff >= raw {
-			t.Errorf("score %d: effective E %g not below raw %g", s, eff, raw)
-		}
-		if eff <= 0 {
-			t.Errorf("score %d: effective E %g non-positive", s, eff)
-		}
-	}
 }
 
 func TestEValueConsistentWithBitScore(t *testing.T) {
