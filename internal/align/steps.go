@@ -4,10 +4,10 @@
 // everything from the gapped extension on, so a cross-engine difference
 // is a difference in search strategy by construction.
 //
-// Every engine hands Steps.Group one bank-2 (query) sequence's
-// diagonal-sorted HSPs at a time and emits what it returns. A group is
-// final on its own, so the concatenation of the groups is the whole-table
-// result, for two reasons:
+// Every engine is its step 2 and a call of Run, which asks the engine
+// for one bank-2 (query) sequence's HSPs at a time and emits that
+// sequence's group. A group is final on its own, so the concatenation of
+// the groups is the whole-table result, for two reasons:
 //
 //   - extensions never cross record boundaries, so every HSP and every
 //     alignment lies inside one (bank-1 seq, bank-2 seq) box: the T_ALIGN
@@ -18,6 +18,7 @@
 package align
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -148,38 +149,57 @@ func Collect[M any](stream func(Emit) (*Result[M], error)) (*Result[M], error) {
 	return res, nil
 }
 
-// Steps runs steps 3–4 for one compare of b1 against b2 and, on a
-// both-strands run, against rc, b2's reverse complement. It holds a
-// pooled gapped extender (its cell row and traceback buffer are reused
-// across groups); Release returns it. Not safe for concurrent use.
-type Steps struct {
+// Run drives steps 3–4 of one compare of b1 against b2 and, when rc
+// (b2's reverse complement) is not nil, against rc; p must have passed
+// Validate. For each bank-2 sequence in bank order Run checks ctx, asks
+// hsps for the sequence's HSPs (plus in b2, minus in rc, in any order),
+// runs its group and emits it, exactly once, empty groups included. A
+// sequence shorter than p.W holds no seed window and is not asked for.
+// Run calls hsps in bank order from its own goroutine, so a source may
+// reuse its scratch between calls. It returns the first error of ctx,
+// hsps or emit; st collects the counters and clocks.
+func (p Params) Run(ctx context.Context, b1, b2, rc *bank.Bank, st *Stats,
+	hsps func(seq2 int) (plus, minus []hsp.HSP, err error), emit Emit) error {
+	s := &steps{
+		b1: b1, b2: b2, rc: rc,
+		ext:       gapped.Get(gapped.FromScoring(p.Scoring, p.GappedXDrop)),
+		ka:        stats.MustUngapped(p.Scoring.Match, p.Scoring.Mismatch),
+		maxEValue: p.MaxEValue,
+	}
+	defer gapped.Put(s.ext)
+	for seq2 := 0; seq2 < b2.NumSeqs(); seq2++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var plus, minus []hsp.HSP
+		if b2.SeqLen(seq2) >= p.W {
+			var err error
+			if plus, minus, err = hsps(seq2); err != nil {
+				return err
+			}
+		}
+		if err := emit(seq2, s.group(seq2, plus, minus, st)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// steps is steps 3–4 of one Run. It holds a pooled gapped extender,
+// whose cell row and traceback buffer are reused across groups.
+type steps struct {
 	b1, b2, rc *bank.Bank
 	ext        *gapped.Extender
 	ka         stats.KarlinAltschul
 	maxEValue  float64
 }
 
-// Steps readies steps 3–4 under p, which must have passed Validate (it
-// guarantees the Karlin–Altschul parameters exist). rc is nil on a
-// plus-only run.
-func (p Params) Steps(b1, b2, rc *bank.Bank) *Steps {
-	return &Steps{
-		b1: b1, b2: b2, rc: rc,
-		ext:       gapped.Get(gapped.FromScoring(p.Scoring, p.GappedXDrop)),
-		ka:        stats.MustUngapped(p.Scoring.Match, p.Scoring.Mismatch),
-		maxEValue: p.MaxEValue,
-	}
-}
-
-// Release returns the extender to its pool; s is unusable after.
-func (s *Steps) Release() { gapped.Put(s.ext) }
-
-// Group runs steps 3–4 over bank-2 sequence seq2: plus holds its
-// diagonal-sorted HSPs in b2, minus those in rc (ignored on a plus-only
-// run). Each strand is extended, deduped and E-value-filtered on its
-// own; minus alignments are then mapped back to forward coordinates, and
-// the group is display-sorted. st collects the counters and clocks.
-func (s *Steps) Group(seq2 int, plus, minus []hsp.HSP, st *Stats) []Alignment {
+// group runs steps 3–4 over bank-2 sequence seq2: plus holds its HSPs
+// in b2, minus those in rc (ignored on a plus-only run). Each strand is
+// extended, deduped and E-value-filtered on its own; minus alignments
+// are then mapped back to forward coordinates, and the group is
+// display-sorted.
+func (s *steps) group(seq2 int, plus, minus []hsp.HSP, st *Stats) []Alignment {
 	out := s.strand(s.b2, seq2, plus, st)
 	if s.rc != nil {
 		rev := s.strand(s.rc, seq2, minus, st)
@@ -202,16 +222,17 @@ func (s *Steps) Group(seq2 int, plus, minus []hsp.HSP, st *Stats) []Alignment {
 }
 
 // strand is steps 3–4 over one strand of seq2, its HSPs in b2's
-// coordinates: the T_ALIGN walk (skip an HSP an alignment already found
-// covers, gapped-extend the rest from their midpoints, the two arms
-// separately so that their lengths place the alignment around the
-// midpoint), then Dedup, E-value and bit score, and the MaxEValue cut.
-// The survivors come back unsorted.
-func (s *Steps) strand(b2 *bank.Bank, seq2 int, hsps []hsp.HSP, st *Stats) []Alignment {
+// coordinates: the T_ALIGN walk in diagonal order (sort the HSPs, skip
+// one an alignment already found covers, gapped-extend the rest from
+// their midpoints, the two arms separately so that their lengths place
+// the alignment around the midpoint), then Dedup, E-value and bit
+// score, and the MaxEValue cut. The survivors come back unsorted.
+func (s *steps) strand(b2 *bank.Bank, seq2 int, hsps []hsp.HSP, st *Stats) []Alignment {
 	if len(hsps) == 0 {
 		return nil
 	}
 	t0 := time.Now()
+	hsp.SortByDiag(hsps)
 	var ta TAlign
 	b1 := s.b1
 	d1, d2 := b1.Data, b2.Data

@@ -16,7 +16,7 @@
 //   - ungapped X-drop extension (package hsp) into score-thresholded
 //     HSPs.
 //
-// From there on a query's HSPs go through align.Steps — gapped X-drop
+// From there on a query's HSPs go through align.Run — gapped X-drop
 // extension, dedup, Karlin–Altschul E-values with the same m·n
 // convention, display order — the code the other two engines run, so a
 // sensitivity comparison reflects search strategy by construction. A
@@ -230,28 +230,22 @@ func (s *scratch) compareStream(ctx context.Context, db, queries *bank.Bank, opt
 	if opt.BothStrands {
 		rc = queries.ReverseComplement()
 	}
-	steps := opt.Steps(db, queries, rc)
-	defer steps.Release()
-	for qi := 0; qi < queries.NumSeqs(); qi++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	err := opt.Run(ctx, db, queries, rc, &met.Stats, func(qi int) (plus, minus []hsp.HSP, _ error) {
+		plus = e.searchQuery(queries, qi, &met)
+		if rc != nil {
+			minus = e.searchQuery(rc, qi, &met)
 		}
-		var plus, minus []hsp.HSP
-		if queries.SeqLen(qi) >= opt.W {
-			plus = e.searchQuery(queries, qi, &met)
-			if rc != nil {
-				minus = e.searchQuery(rc, qi, &met)
-			}
-		}
-		if err := emit(qi, steps.Group(qi, plus, minus, &met.Stats)); err != nil {
-			return nil, err
-		}
+		return plus, minus, nil
+	}, emit)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Metrics: met}, nil
 }
 
 // searchQuery runs the word table and the subject scan for one query
-// sequence and returns its HSPs, diagonal-sorted for steps 3–4.
+// sequence and returns its HSPs. It reuses e's scratch, which Run's
+// bank-order calls from one goroutine allow.
 func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []hsp.HSP {
 	opt := e.opt
 	qLo, qHi := queries.SeqBounds(qi)
@@ -262,17 +256,12 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []hsp.HSP
 	t0 := time.Now()
 	e.curGen++
 	gen := e.curGen
-	// maskPfx[i] counts masked query positions before i, making the
-	// per-window dust test one subtraction instead of a ScanWord-bit scan.
-	var maskPfx []int32
-	if e.masker != nil {
-		maskPfx = e.masker.MaskPrefix(queries.Data[qLo:qHi])
-	}
+	mask := e.masker.Windows(queries.Data[qLo:qHi])
 	scanWord, stride := opt.scanParams()
 	sw := int32(scanWord)
 	clear(e.present)
 	seed.ForEach(queries.Data[qLo:qHi], scanWord, func(rel int32, c seed.Code) {
-		if maskPfx != nil && maskPfx[rel+sw] != maskPfx[rel] {
+		if mask.Masked(int(rel), scanWord) {
 			return
 		}
 		if e.gen[c] != gen {
@@ -402,7 +391,6 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []hsp.HSP
 	met.SkippedByDiag += skips
 	met.VerifyFailed += failed
 	met.Extensions += extCount
-	hsp.SortByDiag(hsps)
 	met.HSPs += len(hsps)
 	met.ScanTime += time.Since(t0)
 	return hsps

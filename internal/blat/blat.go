@@ -16,7 +16,7 @@
 // (experiments.ThreeWay) shows exactly this trade-off.
 //
 // Steps 3–4 — gapped extension, dedup, statistics, display order — are
-// align.Steps, the code the other two engines run, so a cross-engine
+// align.Run, the code the other two engines run, so a cross-engine
 // difference is a difference in search strategy by construction. Like
 // ORIS the engine streams one query sequence at a time
 // (CompareStreamWithIndex); Compare and CompareWithIndex collect that
@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/bank"
+	"repro/internal/dust"
 	"repro/internal/hsp"
 	"repro/internal/index"
 	"repro/internal/seed"
@@ -122,12 +123,12 @@ type tileProbe struct {
 	ext      *hsp.Extender
 	met      *Metrics
 	d1, d2   []byte
-	w        int32
+	w        int
 	minScore int32
 
 	// per-query state, reset before each scan
-	maskPfx []int32
-	qLo     int32
+	mask dust.Windows
+	qLo  int32
 	// diagEnd maps a diagonal (db position − query offset) to the db end
 	// of the last extension on it: sized by the query's hits, never by
 	// the db. A diagonal not yet extended reads 0, which no position is
@@ -148,7 +149,7 @@ type tileProbe struct {
 //scorislint:hotpath
 func (tp *tileProbe) probe(rel int32, c seed.Code) {
 	tp.met.QueryPositions++
-	if tp.err != nil || tp.maskPfx != nil && tp.maskPfx[rel+tp.w] != tp.maskPfx[rel] {
+	if tp.err != nil || tp.mask.Masked(int(rel), tp.w) {
 		return
 	}
 	qPos := tp.qLo + rel
@@ -190,54 +191,36 @@ func CompareStreamWithIndex(ctx context.Context, ix *index.Index, queries *bank.
 		return nil, fmt.Errorf("blat: db index does not match options (want W=%d non-overlapping tiles)", opt.W)
 	}
 	db := ix.Bank
-	steps := opt.Steps(db, queries, nil)
-	defer steps.Release()
 	var met Metrics
 	met.TilesIndexed = ix.Indexed
 	masker := opt.Masker()
 	ext := opt.Ungapped(false)
-	w := int32(opt.W)
 	tp := &tileProbe{
 		ix:       ix,
 		ext:      &ext,
 		met:      &met,
 		d1:       db.Data,
 		d2:       queries.Data,
-		w:        w,
+		w:        opt.W,
 		minScore: opt.MinUngappedScore,
 		diagEnd:  map[int32]int32{},
 	}
-
-	for qi := 0; qi < queries.NumSeqs(); qi++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var hsps []hsp.HSP
-		if qLo, qHi := queries.SeqBounds(qi); qHi-qLo >= w {
-			// maskPfx[i] counts masked query positions before i, making the
-			// per-window dust test one subtraction instead of a W-bit scan.
-			tp.maskPfx = nil
-			if masker != nil {
-				tp.maskPfx = masker.MaskPrefix(queries.Data[qLo:qHi])
-			}
-
-			// ---- scan the query against the tile index ----
-			t0 := time.Now()
-			tp.qLo = qLo
-			clear(tp.diagEnd)
-			tp.hsps = tp.hsps[:0]
-			seed.ForEach(queries.Data[qLo:qHi], opt.W, tp.probe)
-			if tp.err != nil {
-				return nil, tp.err
-			}
-			hsps = tp.hsps
-			hsp.SortByDiag(hsps)
-			met.HSPs += len(hsps)
-			met.ScanTime += time.Since(t0)
-		}
-		if err := emit(qi, steps.Group(qi, hsps, nil, &met.Stats)); err != nil {
-			return nil, err
-		}
+	// The source reuses tp from query to query: Run calls it in bank
+	// order from this goroutine.
+	err := opt.Run(ctx, db, queries, nil, &met.Stats, func(qi int) ([]hsp.HSP, []hsp.HSP, error) {
+		qLo, qHi := queries.SeqBounds(qi)
+		tp.mask = masker.Windows(queries.Data[qLo:qHi])
+		t0 := time.Now()
+		tp.qLo = qLo
+		clear(tp.diagEnd)
+		tp.hsps = tp.hsps[:0]
+		seed.ForEach(queries.Data[qLo:qHi], opt.W, tp.probe)
+		met.HSPs += len(tp.hsps)
+		met.ScanTime += time.Since(t0)
+		return tp.hsps, nil, tp.err
+	}, emit)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Metrics: met}, nil
 }

@@ -27,7 +27,7 @@
 // paper anticipates
 // ("the outer loop … can be run in parallel since seed order prevents
 // identical HSPs to be generated"); workers share nothing but an atomic
-// chunk counter. Steps 3–4 are align.Steps, the code the other two
+// chunk counter. Steps 3–4 are align.Run, the code the other two
 // engines run: one walk over a bank-2 sequence's HSPs at a time.
 //
 // # Index reuse

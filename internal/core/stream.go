@@ -5,7 +5,7 @@
 // pipeline here is factored producer/consumer-style: step 2 still runs
 // over the whole seed-code space (hit pairs arrive in seed order, not
 // query order, so there is nothing per-query to deliver yet), but
-// steps 3–4 (align.Steps, shared with the other two engines) process
+// steps 3–4 (align.Run, shared with the other two engines) process
 // the HSPs of one bank-2 sequence at a time and hand each sequence's
 // finished, sorted, E-value-filtered alignments to an align.Emit
 // callback the moment they are final.
@@ -117,19 +117,14 @@ func compareStream(ctx context.Context, ix1, ix2 *index.Index, opt Options, emit
 	}
 
 	// ---- steps 3–4, one bank-2 sequence at a time ----
-	steps := opt.Steps(b1, b2, rc)
-	defer steps.Release()
-	for s := 0; s < b2.NumSeqs(); s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	err = opt.Run(ctx, b1, b2, rc, &met.Stats, func(s int) ([]hsp.HSP, []hsp.HSP, error) {
+		if minus == nil {
+			return groups[s], nil, nil
 		}
-		var m []hsp.HSP
-		if minus != nil {
-			m = minus[s]
-		}
-		if err := emit(s, steps.Group(s, groups[s], m, &met.Stats)); err != nil {
-			return nil, err
-		}
+		return groups[s], minus[s], nil
+	}, emit)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Metrics: met}, nil
 }
@@ -154,8 +149,7 @@ func runStep2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt
 	return hsps, nil
 }
 
-// groupBySeq2 buckets HSPs by the bank-2 sequence they lie in and
-// diag-sorts each bucket — the step-3 processing order within a group.
+// groupBySeq2 buckets HSPs by the bank-2 sequence they lie in.
 // Extensions never cross record boundaries, so an HSP's S2 pins its
 // whole box (and any alignment grown from it) to one sequence.
 func groupBySeq2(b2 *bank.Bank, hsps []hsp.HSP) [][]hsp.HSP {
@@ -172,9 +166,6 @@ func groupBySeq2(b2 *bank.Bank, hsps []hsp.HSP) [][]hsp.HSP {
 	for i := range hsps {
 		s := b2.SeqAt(hsps[i].S2)
 		groups[s] = append(groups[s], hsps[i])
-	}
-	for s := range groups {
-		hsp.SortByDiag(groups[s])
 	}
 	return groups
 }

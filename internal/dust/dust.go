@@ -142,8 +142,8 @@ func appendMerged(out []Interval, ivs ...Interval) []Interval {
 	return out
 }
 
-// MaskBits returns a per-position masked flag for codes, convenient for
-// the indexer (a seed is discarded when any of its bases is masked).
+// MaskBits returns a per-position masked flag for codes: the plain form
+// of the mask, which tests hold Windows against.
 func (m *Masker) MaskBits(codes []byte) []bool {
 	bits := make([]bool, len(codes))
 	for _, iv := range m.Mask(codes) {
@@ -154,20 +154,29 @@ func (m *Masker) MaskBits(codes []byte) []bool {
 	return bits
 }
 
-// MaskPrefix returns a prefix count of masked positions: pfx[i] is the
-// number of masked positions before i, so a window [p,p+w) is clean iff
-// pfx[p+w] == pfx[p] — the O(1) per-window test the indexer and the
-// BLAT query scan use instead of scanning w mask bits.
-func (m *Masker) MaskPrefix(codes []byte) []int32 {
-	bits := m.MaskBits(codes)
-	pfx := make([]int32, len(bits)+1)
-	for i, masked := range bits {
-		pfx[i+1] = pfx[i]
-		if masked {
-			pfx[i+1]++
-		}
+// Windows is the mask of one coded sequence, read window by window: its
+// masked intervals and a cursor over them. The zero value masks nothing.
+type Windows struct {
+	ivs []Interval
+}
+
+// Windows returns the mask of codes. On a nil Masker (the filter off)
+// it is the zero Windows, which masks nothing.
+func (m *Masker) Windows(codes []byte) Windows {
+	if m == nil {
+		return Windows{}
 	}
-	return pfx
+	return Windows{ivs: m.Mask(codes)}
+}
+
+// Masked reports whether the window [start, start+n) touches a masked
+// base. Starts must not decrease from call to call: the cursor drops the
+// intervals that end at or before start, one step per interval a pass.
+func (w *Windows) Masked(start, n int) bool {
+	for len(w.ivs) > 0 && w.ivs[0].End <= start {
+		w.ivs = w.ivs[1:]
+	}
+	return len(w.ivs) > 0 && w.ivs[0].Start < start+n
 }
 
 // MaskedFraction reports the fraction of positions masked.

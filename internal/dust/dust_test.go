@@ -2,6 +2,7 @@ package dust
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,4 +198,50 @@ func TestPairLimitMatchesFloatRule(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzWindows holds Windows.Masked against MaskBits: for every start, in
+// ascending order, a window of the fuzzed width is masked exactly when
+// some position of it is, and a cursor that skips starts agrees. The
+// bytes are arbitrary, so ambiguous and sentinel bytes split the runs
+// the masker scans; a nil Masker masks nothing.
+func FuzzWindows(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	mixed := dna.Encode([]byte(strings.Repeat("AT", 40) + "N" + strings.Repeat("A", 90)))
+	for range 150 {
+		mixed = append(mixed, byte(rng.Intn(4)))
+	}
+	mixed = append(mixed, 0xF0) // a bank sentinel
+	mixed = append(mixed, dna.Encode([]byte(strings.Repeat("CAG", 30)))...)
+	for _, n := range []uint8{4, 8, 11, 64} {
+		f.Add(mixed, n)
+	}
+	f.Add(dna.Encode([]byte(strings.Repeat("A", 200))), uint8(11))
+	maskers := []*Masker{New(0, 0), New(16, 0)}
+	f.Fuzz(func(t *testing.T, codes []byte, width uint8) {
+		n := max(int(width), 1)
+		for _, m := range maskers {
+			bits := m.MaskBits(codes)
+			masked := func(start int) bool {
+				return slices.Contains(bits[start:min(start+n, len(bits))], true)
+			}
+			all, skip := m.Windows(codes), m.Windows(codes)
+			step := 1 + n%5
+			for start := range codes {
+				if got, want := all.Masked(start, n), masked(start); got != want {
+					t.Fatalf("window %d (width %d, masker window %d): Masked = %v, MaskBits says %v",
+						start, n, m.Window, got, want)
+				}
+				if start%step == 0 && skip.Masked(start, n) != masked(start) {
+					t.Fatalf("window %d (width %d, every %d-th start): Masked disagrees with MaskBits", start, n, step)
+				}
+			}
+		}
+		none := (*Masker)(nil).Windows(codes)
+		for start := range codes {
+			if none.Masked(start, n) {
+				t.Fatalf("a nil Masker masked window %d", start)
+			}
+		}
+	})
 }

@@ -43,8 +43,9 @@
 // The index keeps the paper's two refinements:
 //
 //   - low-complexity filtering (§2.1): masked W-words are simply not
-//     inserted; the mask test is O(1) per window via a prefix-sum of
-//     masked positions;
+//     inserted; each scan shard walks its masked intervals with one
+//     ascending cursor (dust.Windows), so the test costs a comparison a
+//     window;
 //   - asymmetric indexing (§3.4): with SampleStep=2 only every other
 //     position of the bank is inserted, which with W=10 still catches
 //     every 11-nt match while halving the index.
@@ -315,28 +316,18 @@ func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Parts
 	runShards(workers, func(sid int) {
 		lo, hi := cuts[sid], cuts[sid+1]
 		region := words[regions[sid]:regions[sid+1]]
-		// The shard's masked intervals, ascending and disjoint, in
-		// shard-local coordinates; the windows arrive ascending, so one
-		// cursor finds the first interval a window could overlap.
-		var masked []dust.Interval
-		if opts.Dust != nil {
-			masked = opts.Dust.Mask(data[lo:hi])
-		}
+		// The shard's mask in shard-local coordinates; the windows
+		// arrive ascending, as its cursor needs.
+		masked := opts.Dust.Windows(data[lo:hi])
 		var t tally // shard-local: neighbours in tallies would share a cache line
 		scanRange(data, w, lo, hi, func(pos int32, c seed.Code) {
 			if step32 > 1 && pos%step32 != 0 {
 				t.sampled++
 				return
 			}
-			if len(masked) > 0 {
-				rel := int(pos) - lo
-				for len(masked) > 0 && masked[0].End <= rel {
-					masked = masked[1:]
-				}
-				if len(masked) > 0 && masked[0].Start < rel+w {
-					t.masked++
-					return
-				}
+			if masked.Masked(int(pos)-lo, w) {
+				t.masked++
+				return
 			}
 			region[t.indexed] = uint64(c)<<32 | uint64(pos)
 			t.indexed++

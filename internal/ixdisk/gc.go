@@ -55,11 +55,12 @@ func (s *DirStore) SetSavePolicy(p SavePolicy) {
 
 // MarkDB registers b as a database bank: its indexes are persisted
 // regardless of policy. Call it for the long-lived side of the workload
-// (scoris -d, scorisd's startup banks). The store remembers at most
-// memoBound marks, expiring the oldest deterministically (FIFO).
+// (scoris -d, scorisd's startup banks). The mark is b's content, so it
+// holds for any bank of the same content, and it is never forgotten.
 func (s *DirStore) MarkDB(b *bank.Bank) {
+	id := bankID(b)
 	s.mu.Lock()
-	s.dbBanks.put(b, struct{}{})
+	s.dbBanks[id] = struct{}{}
 	s.mu.Unlock()
 }
 

@@ -189,7 +189,7 @@ type DirStore struct {
 	mu      sync.Mutex
 	policy  SavePolicy
 	gcCfg   GCConfig
-	dbBanks memo[*bank.Bank, struct{}]
+	dbBanks map[[20]byte]struct{} // bankID of each MarkDB bank
 	loaded  memo[string, loadedEntry]
 	maps    []*Mapping
 
@@ -207,12 +207,11 @@ var (
 	_ ixcache.BlockCounters = (*DirStore)(nil)
 )
 
-// memoBound caps the per-bank and per-path memos. A long-lived process
-// churning through query banks would otherwise grow them without bound
-// (every retired *bank.Bank pointer pinned forever); the bound makes
-// the memos caches, evicted FIFO, at a worst cost of one re-checksum or
-// re-validate per evicted key. 64 comfortably covers the harness's
-// ~30-key working set.
+// memoBound caps the per-path memo of loaded indexes. A long-lived
+// process churning through query banks would otherwise grow it without
+// bound (every retired index pinned forever); the bound makes the memo
+// a cache, evicted FIFO, at a worst cost of one re-validate per evicted
+// key. 64 comfortably covers the harness's ~30-key working set.
 const memoBound = 64
 
 // memo is a map bounded to memoBound keys, evicting the oldest key
@@ -278,7 +277,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ixdisk: %w", err)
 	}
-	s := &DirStore{dir: dir, mapped: mmapSupported && nativeLittleEndian}
+	s := &DirStore{dir: dir, mapped: mmapSupported && nativeLittleEndian, dbBanks: map[[20]byte]struct{}{}}
 	s.sweepTmp(time.Now())
 	return s, nil
 }
@@ -298,16 +297,24 @@ func (s *DirStore) SetMapped(on bool) {
 // tests and operational scripts can inspect or corrupt specific
 // entries.
 func (s *DirStore) Path(b *bank.Bank, opts index.Options) string {
-	// The key hashed is frozen: bank identity (content CRC, Data length,
-	// sequence count), then the index key. A change would rename every
-	// stored file and turn a warm store cold.
+	// The key hashed is frozen: bankID, then the index key. A change
+	// would rename every stored file and turn a warm store cold.
 	var key [20 + keySize]byte
-	binary.LittleEndian.PutUint64(key[0:], b.Checksum())
-	binary.LittleEndian.PutUint64(key[8:], uint64(len(b.Data)))
-	binary.LittleEndian.PutUint32(key[16:], uint32(b.NumSeqs()))
+	id := bankID(b)
+	copy(key[:], id[:])
 	putKey(key[20:], opts.Key())
 	h := crc64.Checksum(key[:], crc64Table)
 	return filepath.Join(s.dir, fmt.Sprintf("%s-%016x%s", sanitizeName(b.Name), h, FileExt))
+}
+
+// bankID is a bank's identity in the store, by content: its content
+// CRC, Data length and sequence count. A mark kept under it (MarkDB)
+// pins no bank, so the marks need no bound.
+func bankID(b *bank.Bank) (id [20]byte) {
+	binary.LittleEndian.PutUint64(id[0:], b.Checksum())
+	binary.LittleEndian.PutUint64(id[8:], uint64(len(b.Data)))
+	binary.LittleEndian.PutUint32(id[16:], uint32(b.NumSeqs()))
+	return id
 }
 
 // Load implements ixcache.Store: (nil, nil) when no file exists for the
@@ -381,9 +388,10 @@ func (s *DirStore) memoize(keyPath, backing string, ix *index.Index, m *Mapping)
 // converges toward its bounds under sustained traffic without anyone
 // calling GC explicitly.
 func (s *DirStore) Save(ix *index.Index) error {
+	id := bankID(ix.Bank)
 	s.mu.Lock()
 	pol := s.policy
-	_, isDB := s.dbBanks.get(ix.Bank)
+	_, isDB := s.dbBanks[id]
 	gcCfg := s.gcCfg
 	s.mu.Unlock()
 	if !pol.allows(isDB) {

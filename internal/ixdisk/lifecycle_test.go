@@ -482,6 +482,30 @@ func TestSavePolicy(t *testing.T) {
 	})
 }
 
+// TestMarkDBKeepsEveryMark: under DBOnly, a database bank stays marked
+// however many others are marked after it, so its index still saves.
+func TestMarkDBKeepsEveryMark(t *testing.T) {
+	store, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	store.SetSavePolicy(SavePolicy{DBOnly: true})
+	const marks = memoBound + 1
+	dbs := make([]*bank.Bank, marks)
+	for i := range dbs {
+		dbs[i] = genBank(t, fmt.Sprintf("db%d", i), 512+i)
+		store.MarkDB(dbs[i])
+	}
+	if err := store.Save(index.Build(dbs[0], index.Options{W: 6})); err != nil {
+		t.Fatalf("first of %d marked db banks: %v", marks, err)
+	}
+	// A bank of the same content is the same database bank.
+	if err := store.Save(index.Build(genBank(t, "db0-again", 512), index.Options{W: 7})); err != nil {
+		t.Fatalf("bank with a marked bank's content: %v", err)
+	}
+}
+
 // TestMemoMapsBounded is the satellite churn test: a long-lived store
 // cycling through many query banks keeps its memo maps bounded.
 func TestMemoMapsBounded(t *testing.T) {

@@ -169,9 +169,10 @@ func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath str
 // written doesn't read as healthy. It returns the path now backing the
 // index: exactPath once written, else the untouched oldPath.
 func (s *DirStore) persistAppend(oldPath, exactPath string, ix *index.Index, suffix *index.BlockParts, ftr *footer) string {
+	id := bankID(ix.Bank)
 	s.mu.Lock()
 	pol := s.policy
-	_, isDB := s.dbBanks.get(ix.Bank)
+	_, isDB := s.dbBanks[id]
 	gcCfg := s.gcCfg
 	s.mu.Unlock()
 	if !pol.allows(isDB) {
