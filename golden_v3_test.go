@@ -88,8 +88,8 @@ func TestGoldenM8ThroughHealAndV1(t *testing.T) {
 			st.Cache.Builds, st.Cache.DiskErrors, st.Cache.DiskHits)
 	}
 	for _, path := range keyPaths {
-		if info, err := ProbeIndexFile(path); err != nil || info.Version != 4 {
-			t.Fatalf("%s after serving: %+v, %v — want a v4 file", filepath.Base(path), info, err)
+		if info, err := ProbeIndexFile(path); err != nil || info.Version != 5 {
+			t.Fatalf("%s after serving: %+v, %v — want a v5 file", filepath.Base(path), info, err)
 		}
 	}
 

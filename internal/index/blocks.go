@@ -4,11 +4,11 @@
 // contiguous sequence range [SeqLo, SeqHi): every indexed occurrence
 // whose position falls in the corresponding Data range, in the same
 // code-major, position-minor order the whole-bank index uses, under the
-// same sorted code directory with per-code Counts where the index keeps
-// Offsets. Because bank coordinates are append-stable and no seed
-// window straddles a sequence boundary (the sentinel byte makes such a
-// window invalid), a block's content depends only on its own Data range
-// — which is what makes the three block operations exact:
+// same sorted code directory and block-local Offsets. Because bank
+// coordinates are append-stable and no seed window straddles a sequence
+// boundary (the sentinel byte makes such a window invalid), a block's
+// content depends only on its own Data range — which is what makes the
+// three block operations exact:
 //
 //   - Index.Block presents a built index as the one block over the
 //     whole bank it already is, sharing its arrays;
@@ -32,20 +32,25 @@ import (
 	"repro/internal/seed"
 )
 
-// BlockParts is the serialized form of one index block — exactly what
-// one .orix block section holds. Occurrences are in CSR order:
-// grouped by seed code (ascending, listed in Codes), position-sorted
-// inside each group, with Counts[i] occurrences of Codes[i].
+// BlockParts is one index block — what the build routine produces, what
+// one .orix block holds, and what FromBlocks assembles an Index from.
+// Occurrences are in CSR order: grouped by seed code (ascending, listed
+// in Codes), position-sorted inside each group, the occurrences of
+// Codes[i] being Pos[Offsets[i]:Offsets[i+1]]. The slices may alias
+// read-only memory (an mmap'd file section): nothing in this package
+// writes to them once built, per the immutability contract (index.go).
 type BlockParts struct {
 	// SeqLo, SeqHi bound the sequence range [SeqLo, SeqHi).
 	SeqLo, SeqHi int
 	// DataLo, DataHi bound the bank Data range the sequences span:
 	// DataLo = bank.PrefixLen(SeqLo), DataHi = bank.PrefixLen(SeqHi).
 	DataLo, DataHi int
-	// Codes lists the distinct seed codes present, ascending; Counts is
-	// parallel (occurrences per code, all > 0).
-	Codes  []seed.Code
-	Counts []int32
+	// Codes lists the distinct seed codes present, ascending.
+	Codes []seed.Code
+	// Offsets has len(Codes)+1 entries, strictly ascending from 0 to
+	// len(Pos). They index this block's own Pos, so a stored block stays
+	// valid verbatim when an append adds another block after it.
+	Offsets []int32
 	// Pos holds the occurrences in CSR order, in absolute bank
 	// coordinates (append-stable, so a stored block stays valid verbatim
 	// when the bank grows).
@@ -83,32 +88,20 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 	}
 	dataLo, dataHi := b.PrefixLen(seqLo), b.PrefixLen(seqHi)
 	p := buildRange(b, opts, dataLo, dataHi)
-	// Counts overwrite the offsets they are the differences of.
-	counts := p.Offsets[:len(p.Codes)]
-	for i := range counts {
-		counts[i] = p.Offsets[i+1] - p.Offsets[i]
-	}
-	return BlockParts{
-		SeqLo: seqLo, SeqHi: seqHi, DataLo: dataLo, DataHi: dataHi,
-		Codes: p.Codes, Counts: counts, Pos: p.Pos,
-		MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
-	}, nil
+	p.SeqLo, p.SeqHi, p.DataLo, p.DataHi = seqLo, seqHi, dataLo, dataHi
+	return p, nil
 }
 
 // Block returns ix as the one block over its whole bank that it already
-// is — what a fresh save writes. Pos is the index's own array, and so
-// is Codes on a sparse index, not copies (read-only); Counts, the
-// differences of Offsets, is computed, and so is Codes on a dense index
-// (Directory), which lives only as long as the block.
+// is — what a fresh save writes. Offsets and Pos are the index's own
+// arrays, and so is Codes on a sparse index, not copies (read-only); on
+// a dense index Codes is regenerated (Directory) and lives only as long
+// as the block.
 func (ix *Index) Block() BlockParts {
-	counts := make([]int32, ix.NumCodes())
-	for i := range counts {
-		counts[i] = ix.Offsets[i+1] - ix.Offsets[i]
-	}
 	return BlockParts{
 		SeqLo: 0, SeqHi: ix.Bank.NumSeqs(),
 		DataLo: ix.Bank.PrefixLen(0), DataHi: len(ix.Bank.Data),
-		Codes: ix.Directory(), Counts: counts, Pos: ix.Pos,
+		Codes: ix.Directory(), Offsets: ix.Offsets, Pos: ix.Pos,
 		MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
 	}
 }
@@ -119,13 +112,13 @@ func (ix *Index) Block() BlockParts {
 // contiguous sequence ranges, Data bounds matching the bank's real
 // prefix boundaries — and each block's structure by checkParts, one
 // parallel pass: every position a window inside its block, ascending
-// inside its slot, the directory ascending, counts consistent. A single
-// block already is the index: its arrays (which may alias an mmap'd
-// file) are adopted, not copied, and the same pass computes Offsets and,
-// on a dense index, the bitmap. Several blocks are merged: their sorted
-// directories merged and each code's runs concatenated in block order —
-// positions in block k all precede positions in block k+1, so the
-// concatenation is CSR order, and checked blocks merge into checked
+// inside its slot, the directory ascending, offsets ascending from 0 to
+// len(Pos). A single block already is the index: its three arrays (which
+// may alias an mmap'd file) are adopted, not copied, and the same pass
+// fills the bitmap of a dense index. Several blocks are merged: their
+// sorted directories merged and each code's runs concatenated in block
+// order — positions in block k all precede positions in block k+1, so
+// the concatenation is CSR order, and checked blocks merge into checked
 // parts.
 //
 // Whether each window holds its slot's code is not proven here but on
@@ -139,7 +132,7 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("index: FromBlocks: no blocks")
 	}
-	var p Parts
+	var p BlockParts
 	wantSeq := 0
 	for i := range blocks {
 		bp := &blocks[i]
@@ -155,7 +148,6 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 			return nil, fmt.Errorf("index: FromBlocks: block %d records Data range [%d,%d), bank's sequences [%d,%d) span [%d,%d)",
 				i, bp.DataLo, bp.DataHi, bp.SeqLo, bp.SeqHi, b.PrefixLen(bp.SeqLo), b.PrefixLen(bp.SeqHi))
 		}
-		p.Indexed += len(bp.Pos)
 		p.MaskedOut += bp.MaskedOut
 		p.SampledOut += bp.SampledOut
 		wantSeq = bp.SeqHi
@@ -167,17 +159,16 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 	var bitmap []uint64
 	if len(blocks) == 1 {
 		bp := &blocks[0]
-		p.Codes, p.Pos = bp.Codes, bp.Pos
-		p.Offsets = make([]int32, len(bp.Codes)+1)
+		p.Codes, p.Offsets, p.Pos = bp.Codes, bp.Offsets, bp.Pos
 		if denseDirectory(len(bp.Codes), opts.W) {
 			bitmap = make([]uint64, (seed.NumCodes(opts.W)+63)/64)
 		}
-		if err := checkParts(b, opts, bp, p.Offsets, bitmap); err != nil {
+		if err := checkParts(b, opts, bp, bitmap); err != nil {
 			return nil, fmt.Errorf("index: FromBlocks: %w", err)
 		}
 	} else {
 		for i := range blocks {
-			if err := checkParts(b, opts, &blocks[i], nil, nil); err != nil {
+			if err := checkParts(b, opts, &blocks[i], nil); err != nil {
 				return nil, fmt.Errorf("index: FromBlocks: block %d: %w", i, err)
 			}
 		}
@@ -188,15 +179,16 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 	return ix, nil
 }
 
-// mergeBlocks fills p's arrays (p.Indexed is already the total) from
-// checked blocks in ascending Data order by a k-way merge of their
-// ascending directories. The cursors come up in (code, block) order, so
-// a code's occurrences arrive in block order — ascending position — and
-// are copied as they arrive, a run of directory entries at a time (an
-// appended-to file is one large block and a few small ones). Nothing is
-// allocated beyond the three output arrays and two words a block: the
-// directories are walked once to count the distinct codes, once to fill.
-func mergeBlocks(p *Parts, blocks []BlockParts) {
+// mergeBlocks fills p's arrays from checked blocks in ascending Data
+// order by a k-way merge of their ascending directories. The cursors
+// come up in (code, block) order, so a code's occurrences arrive in
+// block order — ascending position — and are copied as they arrive, a
+// run of directory entries at a time (an appended-to file is one large
+// block and a few small ones), each run's block-local offsets rebased
+// onto where its occurrences land. Nothing is allocated beyond the three
+// output arrays and one cursor a block: the directories are walked once
+// to count the distinct codes, once to fill.
+func mergeBlocks(p *BlockParts, blocks []BlockParts) {
 	m := dirMerge{blocks: blocks, heads: make([]dirHead, 0, len(blocks))}
 	distinct := 0
 	var last seed.Code
@@ -208,29 +200,29 @@ func mergeBlocks(p *Parts, blocks []BlockParts) {
 		distinct += n
 		last = blocks[h.block].Codes[int(h.entry)+n-1]
 	}
+	indexed := 0
+	for i := range blocks {
+		indexed += len(blocks[i].Pos)
+	}
 	p.Codes = make([]seed.Code, 0, distinct)
 	p.Offsets = make([]int32, 0, distinct+1)
-	p.Pos = make([]int32, p.Indexed)
-	occ := make([]int32, len(blocks)) // each block's first uncopied occurrence
-	var dst int32
+	p.Pos = make([]int32, 0, indexed)
 	for m.reset(); len(m.heads) > 0; {
 		h, n := m.nextRun()
 		bp := &blocks[h.block]
-		codes, counts := bp.Codes[h.entry:][:n], bp.Counts[h.entry:][:n]
-		from := dst
+		codes, offs := bp.Codes[h.entry:][:n], bp.Offsets[h.entry:][:n+1]
+		rebase := int32(len(p.Pos)) - offs[0]
+		p.Pos = append(p.Pos, bp.Pos[offs[0]:offs[n]]...)
 		if len(p.Codes) > 0 && codes[0] == p.Codes[len(p.Codes)-1] {
 			// That slot stays open and takes these occurrences too.
-			dst += counts[0]
-			codes, counts = codes[1:], counts[1:]
+			codes, offs = codes[1:], offs[1:]
 		}
 		p.Codes = append(p.Codes, codes...)
-		for _, k := range counts {
-			p.Offsets = append(p.Offsets, dst)
-			dst += k
+		for _, o := range offs[:len(codes)] {
+			p.Offsets = append(p.Offsets, o+rebase)
 		}
-		occ[h.block] += int32(copy(p.Pos[from:dst], bp.Pos[occ[h.block]:]))
 	}
-	p.Offsets = append(p.Offsets, dst)
+	p.Offsets = append(p.Offsets, int32(len(p.Pos)))
 }
 
 // dirHead is one block's cursor in a directory merge: the directory

@@ -176,7 +176,7 @@ func TestBuildBlockMatchesSplit(t *testing.T) {
 				[]int{want.SeqLo, want.SeqHi, want.DataLo, want.DataHi},
 				[]int{built.SeqLo, built.SeqHi, built.DataLo, built.DataHi})
 		}
-		if !slices.Equal(want.Codes, built.Codes) || !slices.Equal(want.Counts, built.Counts) {
+		if !slices.Equal(want.Codes, built.Codes) || !slices.Equal(want.Offsets, built.Offsets) {
 			t.Fatal("directories differ")
 		}
 		if !slices.Equal(want.Pos, built.Pos) {
@@ -199,7 +199,7 @@ func TestBuildBlockMatchesSplit(t *testing.T) {
 			// code's occurrences filtered by position.
 			for _, built := range []BlockParts{head, tail} {
 				want := BlockParts{SeqLo: built.SeqLo, SeqHi: built.SeqHi,
-					DataLo: b.PrefixLen(built.SeqLo), DataHi: b.PrefixLen(built.SeqHi)}
+					DataLo: b.PrefixLen(built.SeqLo), DataHi: b.PrefixLen(built.SeqHi), Offsets: []int32{0}}
 				for i, c := range ix.Directory() {
 					n := len(want.Pos)
 					for _, pos := range ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]] {
@@ -209,7 +209,7 @@ func TestBuildBlockMatchesSplit(t *testing.T) {
 					}
 					if len(want.Pos) > n {
 						want.Codes = append(want.Codes, c)
-						want.Counts = append(want.Counts, int32(len(want.Pos)-n))
+						want.Offsets = append(want.Offsets, int32(len(want.Pos)))
 					}
 				}
 				sameBlock(t, want, built)
@@ -229,7 +229,7 @@ func TestBuildBlockMatchesSplit(t *testing.T) {
 				t.Fatal("reject counters of Index.Block differ from BuildBlock's")
 			}
 			// A dense index holds no code list: its block's is regenerated.
-			if &asBlock.Pos[0] != &ix.Pos[0] || !ix.Dense() && &asBlock.Codes[0] != &ix.Codes[0] {
+			if &asBlock.Pos[0] != &ix.Pos[0] || &asBlock.Offsets[0] != &ix.Offsets[0] || !ix.Dense() && &asBlock.Codes[0] != &ix.Codes[0] {
 				t.Fatal("Index.Block copied the index's arrays")
 			}
 		})
@@ -282,10 +282,10 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 	r0Lo, r0End := b.SeqBounds(0)
 	r1Lo, _ := b.SeqBounds(1)
 	polyA := func(bl []BlockParts) []int32 {
-		if bl[0].Codes[0] != 0 || bl[0].Counts[0] < 2 {
+		if bl[0].Codes[0] != 0 || bl[0].Offsets[1] < 2 {
 			t.Fatal("test bank lost its poly-A run")
 		}
-		return bl[0].Pos[:bl[0].Counts[0]]
+		return bl[0].Pos[:bl[0].Offsets[1]]
 	}
 
 	cases := map[string]func([]BlockParts) []BlockParts{
@@ -294,8 +294,8 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 		"truncated":   func(bl []BlockParts) []BlockParts { return bl[:1] },
 		"overlap":     func(bl []BlockParts) []BlockParts { bl[1].SeqLo = 1; return bl },
 		"badDataLo":   func(bl []BlockParts) []BlockParts { bl[1].DataLo++; return bl },
-		"badCount":    func(bl []BlockParts) []BlockParts { bl[0].Counts[0]++; return bl },
-		"zeroCount":   func(bl []BlockParts) []BlockParts { bl[0].Counts[0] = 0; return bl },
+		"badCount":    func(bl []BlockParts) []BlockParts { bl[0].Offsets[len(bl[0].Codes)]++; return bl },
+		"zeroCount":   func(bl []BlockParts) []BlockParts { bl[0].Offsets[1] = 0; return bl },
 		"unsorted":    func(bl []BlockParts) []BlockParts { bl[0].Codes[0] = bl[0].Codes[1] + 1; return bl },
 		"dupCode":     func(bl []BlockParts) []BlockParts { bl[0].Codes[1] = bl[0].Codes[0]; return bl },
 		"codeSpace":   func(bl []BlockParts) []BlockParts { bl[0].Codes[0] = seed.Code(seed.NumCodes(opts.W)); return bl },
@@ -307,7 +307,7 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 		// order: position zero is the leading sentinel, below every block.
 		"posZero":             func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = 0; return bl },
 		"posHoldsInvalidBase": func(bl []BlockParts) []BlockParts { polyA(bl)[0] = r1Lo + 36; return bl },
-		"posOfAnotherCode":    func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = bl[0].Pos[bl[0].Counts[0]]; return bl },
+		"posOfAnotherCode":    func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = bl[0].Pos[bl[0].Offsets[1]]; return bl },
 		"posDescending": func(bl []BlockParts) []BlockParts {
 			occ := polyA(bl)
 			occ[0], occ[1] = occ[1], occ[0]

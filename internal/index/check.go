@@ -1,13 +1,12 @@
 // The validation boundary of a stored index (DESIGN.md §7), in two
 // halves. A load proves structure: checkParts is one parallel pass over
-// a block's Codes, Counts and Pos (after a pass over Counts that places
-// each shard in Pos) that reads no bank byte, and what it
-// proves — every position a window inside its block, ascending inside
-// its slot — is all that reading Pos and the bank under it needs to
-// stay in bounds. A window is proven where it is first read: Prove runs
-// the window test over one directory slot the first time an engine is
-// about to extend from it, so an index pays for the windows a workload
-// touches, not for the whole bank on every load.
+// a block's Codes, Offsets and Pos that reads no bank byte, and what it
+// proves — offsets that tile Pos, every position a window inside its
+// block, ascending inside its slot — is all that reading Pos and the
+// bank under it needs to stay in bounds. A window is proven where it is
+// first read: Prove runs the window test over one directory slot the
+// first time an engine is about to extend from it, so an index pays for
+// the windows a workload touches, not for the whole bank on every load.
 
 package index
 
@@ -22,20 +21,19 @@ import (
 )
 
 // checkParts validates an untrusted block against bank b, in one
-// parallel pass over slot ranges that reads Codes, Counts and Pos and
-// no byte of b.Data — after a parallel sum of the counts, which places
-// each range's first slot in Pos:
+// parallel pass over slot ranges that reads Codes, Offsets and Pos and
+// no byte of b.Data:
 //
-//   - one count per code, each ≥ 1, summing to len(Pos);
+//   - one offset per code and one more, strictly ascending from 0 to
+//     len(Pos), so that no slot is empty;
 //   - codes strictly ascending inside [0, 4^W);
 //   - positions strictly ascending inside each slot, each the start of
 //     a W-window inside the block's Data range: DataLo ≤ p and
 //     p+W ≤ DataHi.
 //
-// The block's ranges themselves are FromBlocks' to check. When offsets
-// is non-nil (len(Codes)+1 entries) the pass fills it with the block's
-// Offsets, and when bitmap is non-nil it sets the bit of every code —
-// each shard the words of its own codes, so shard cuts never split one.
+// The block's ranges themselves are FromBlocks' to check. When bitmap
+// is non-nil the pass sets the bit of every code — each shard the words
+// of its own codes, so shard cuts never split one.
 //
 // What it does not prove is that a window holds its slot's code: a
 // loaded index proves that on first read (Index.Prove). Structure is
@@ -44,10 +42,11 @@ import (
 // from it.
 //
 //scorislint:validator
-func checkParts(b *bank.Bank, opts Options, bp *BlockParts, offsets []int32, bitmap []uint64) error {
+func checkParts(b *bank.Bank, opts Options, bp *BlockParts, bitmap []uint64) error {
 	n := len(bp.Codes)
-	if len(bp.Counts) != n {
-		return fmt.Errorf("index: %d codes but %d counts", n, len(bp.Counts))
+	if len(bp.Offsets) != n+1 || bp.Offsets[0] != 0 || int(bp.Offsets[n]) != len(bp.Pos) {
+		return fmt.Errorf("index: %d offsets for %d codes and %d positions, want %d from 0 to %d",
+			len(bp.Offsets), n, len(bp.Pos), n+1, len(bp.Pos))
 	}
 	if bp.DataLo < 0 || bp.DataHi > len(b.Data) {
 		return fmt.Errorf("index: Data range [%d,%d) outside the bank's %d bytes", bp.DataLo, bp.DataHi, len(b.Data))
@@ -63,37 +62,19 @@ func checkParts(b *bank.Bank, opts Options, bp *BlockParts, offsets []int32, bit
 		cuts[s] = c
 	}
 
-	// Counts first: each shard's sum places its first slot in Pos.
-	sums := make([]int64, workers+1)
-	errs := make([]error, workers)
-	runShards(workers, func(s int) {
-		var sum int64
-		for i, k := range bp.Counts[cuts[s]:cuts[s+1]] {
-			if k < 1 {
-				errs[s] = fmt.Errorf("index: count %d for directory entry %d", k, cuts[s]+i)
-				return
-			}
-			sum += int64(k)
-		}
-		sums[s+1] = sum
-	})
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	for s := 1; s <= workers; s++ {
-		sums[s] += sums[s-1]
-	}
-	if sums[workers] != int64(len(bp.Pos)) {
-		return fmt.Errorf("index: counts sum to %d for %d positions", sums[workers], len(bp.Pos))
-	}
-
-	// Each shard's codes must lie below the code at the next cut, rounded
-	// down to a bitmap word when there is a bitmap. With the first codes
-	// of the shards ascending, those bounds keep every shard to bitmap
-	// words no other shard writes, however hostile the directory.
+	// The offsets at the cuts must ascend, which keeps every shard's
+	// occurrences inside Pos and apart from the other shards'. Each
+	// shard's codes must lie below the code at the next cut, rounded down
+	// to a bitmap word when there is a bitmap. With the first codes of
+	// the shards ascending, those bounds keep every shard to bitmap words
+	// no other shard writes, however hostile the directory.
 	space := seed.Code(seed.NumCodes(opts.W))
 	limits := make([]seed.Code, workers)
 	for s := range limits {
+		if c0, c := cuts[s], cuts[s+1]; c0 < c && bp.Offsets[c0] >= bp.Offsets[c] {
+			return fmt.Errorf("index: offset %d at directory entry %d not above offset %d at entry %d",
+				bp.Offsets[c], c, bp.Offsets[c0], c0)
+		}
 		limits[s] = space
 		if c := cuts[s+1]; c < n {
 			if bp.Codes[c] >= space || cuts[s] < c && bp.Codes[cuts[s]] >= bp.Codes[c] {
@@ -105,20 +86,19 @@ func checkParts(b *bank.Bank, opts Options, bp *BlockParts, offsets []int32, bit
 			}
 		}
 	}
+	errs := make([]error, workers)
 	runShards(workers, func(s int) {
-		errs[s] = checkShard(bp, opts.W, cuts[s], cuts[s+1], int32(sums[s]), limits[s], offsets, bitmap)
+		errs[s] = checkShard(bp, opts.W, cuts[s], cuts[s+1], limits[s], bitmap)
 	})
-	if offsets != nil {
-		offsets[n] = int32(len(bp.Pos))
-	}
 	return errors.Join(errs...)
 }
 
 // checkShard is checkParts' pass over directory entries [i0, i1) of bp,
-// whose occurrences start at Pos[at]: codes strictly ascending and below
-// limit, positions strictly ascending inside each slot and windows of w
-// bases inside the block. It fills the shard's part of offsets and
-// bitmap when they are non-nil.
+// whose offsets at i0 and i1 checkParts has found ascending inside Pos:
+// codes strictly ascending and below limit, offsets strictly ascending
+// and below the one at i1, positions strictly ascending inside each slot
+// and windows of w bases inside the block. It sets the shard's codes in
+// bitmap when it is non-nil.
 //
 // Slots hold two positions or so each, so a loop per slot would stop
 // at an unpredictable count every other position. The positions are
@@ -126,9 +106,9 @@ func checkParts(b *bank.Bank, opts Options, bp *BlockParts, offsets []int32, bit
 // they ascend inside every slot exactly when each descent in the run
 // falls on a slot's first position, and lie inside the block's windows
 // exactly when the run's least and greatest do.
-func checkShard(bp *BlockParts, w, i0, i1 int, at int32, limit seed.Code, offsets []int32, bitmap []uint64) error {
-	codes, counts, pos := bp.Codes, bp.Counts, bp.Pos
-	first := at
+func checkShard(bp *BlockParts, w, i0, i1 int, limit seed.Code, bitmap []uint64) error {
+	codes, offsets, pos := bp.Codes, bp.Offsets, bp.Pos
+	first, end := offsets[i0], offsets[i1]
 	prev := int64(-1)
 	if i0 > 0 {
 		prev = int64(codes[i0-1])
@@ -140,18 +120,21 @@ func checkShard(bp *BlockParts, w, i0, i1 int, at int32, limit seed.Code, offset
 			return fmt.Errorf("index: code %d at directory entry %d not strictly ascending inside the 4^%d code space", c, i, w)
 		}
 		prev = int64(c)
-		if offsets != nil {
-			offsets[i] = at
-		}
 		if bitmap != nil {
 			bitmap[c/64] |= 1 << (c % 64)
 		}
-		if at > first {
+		if i > i0 {
+			// Below end, not only above the offset before it: the slot it
+			// opens must close inside the shard, and pos[at] exist.
+			at := offsets[i]
+			if at <= offsets[i-1] || at >= end {
+				return fmt.Errorf("index: offset %d at directory entry %d not strictly between offsets %d and %d",
+					at, i, offsets[i-1], end)
+			}
 			starts += descends(pos[at-1], pos[at])
 		}
-		at += counts[i]
 	}
-	run := pos[first:at]
+	run := pos[first:end]
 	if len(run) == 0 {
 		return nil
 	}

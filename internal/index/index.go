@@ -245,9 +245,9 @@ const digitBits = 11
 // frame conservatively: a stale slot pointing at dead scratch keeps it
 // alive for that cycle and doubles the heap goal from there (DESIGN.md
 // §2).
-func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) Parts {
+func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) BlockParts {
 	sorted, p := scanSorted(b, opts, dataLo, dataHi)
-	n := p.Indexed
+	n := len(sorted)
 	workers := buildWorkers(opts, dataHi-dataLo)
 
 	// ---- emit: Pos streams out in index order, sharded; each shard also
@@ -282,8 +282,8 @@ func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) Parts {
 
 // scanSorted is the build's first two stages: it returns the packed
 // code<<32|pos word of every accepted window of the range in CSR order,
-// and the counters (Indexed is the number of words).
-func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Parts) {
+// and parts holding only the two reject counters.
+func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, BlockParts) {
 	data := b.Data
 	w := opts.W
 	step := opts.SampleStep
@@ -335,14 +335,14 @@ func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Parts
 		tallies[sid] = t
 	})
 	// Close the gaps between regions: shard order is position order.
-	var p Parts
+	var p BlockParts
+	n := 0
 	for sid, t := range tallies {
-		copy(words[p.Indexed:], words[regions[sid]:regions[sid]+t.indexed])
-		p.Indexed += t.indexed
+		copy(words[n:], words[regions[sid]:regions[sid]+t.indexed])
+		n += t.indexed
 		p.MaskedOut += t.masked
 		p.SampledOut += t.sampled
 	}
-	n := p.Indexed
 
 	// ---- sort: stable radix on the code's digits. Positions arrived
 	// ascending, so they stay ascending inside each code ----
@@ -489,19 +489,6 @@ func runShards(workers int, fn func(sid int)) {
 	wg.Wait()
 }
 
-// Parts holds the components of a built Index — what the build routine
-// produces, and what FromBlocks assembles from checked blocks. The
-// slices may alias read-only memory (an mmap'd file section): nothing in
-// this package writes to an assembled Index, per the immutability
-// contract above.
-type Parts struct {
-	Codes        []seed.Code
-	Offsets, Pos []int32
-	Indexed      int
-	MaskedOut    int
-	SampledOut   int
-}
-
 // assemble binds parts to the (bank, options) they were built or
 // validated for, and derives the directory's form from their code list:
 // the presence bitmap and its rank when the directory is dense — the
@@ -509,11 +496,11 @@ type Parts struct {
 // Top beside the list when it is not. A non-nil bitmap is the dense
 // directory's bitmap already filled (FromBlocks' check fills it). opts
 // must be normalized and every code below 4^W.
-func assemble(b *bank.Bank, opts Options, p Parts, bitmap []uint64) *Index {
+func assemble(b *bank.Bank, opts Options, p BlockParts, bitmap []uint64) *Index {
 	ix := &Index{
 		Bank: b, W: opts.W,
 		Offsets: p.Offsets, Pos: p.Pos,
-		Indexed: p.Indexed, MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
+		Indexed: len(p.Pos), MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 		opts: opts,
 	}
 	switch {

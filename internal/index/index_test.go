@@ -334,7 +334,7 @@ func loadedFrom(t *testing.T, b *bank.Bank, opts Options, blocks ...BlockParts) 
 // extension loops take no bounds, so a position is all that stands
 // between a stored index and the bank's memory. The load's structural
 // check (checkParts, through FromBlocks) refuses whatever would make a
-// read leave the block: a malformed directory or count list, a position
+// read leave the block: a malformed directory or offset list, a position
 // outside its block's windows (position zero is the leading sentinel,
 // below every block), positions out of order. A position inside its
 // block whose window is not its slot's code loads, and is refused by
@@ -347,7 +347,7 @@ func TestCheckPartsRejectsHostileParts(t *testing.T) {
 	corrupt := func(mutate func(bp *BlockParts)) BlockParts {
 		bp := good
 		bp.Codes = slices.Clone(good.Codes)
-		bp.Counts = slices.Clone(good.Counts)
+		bp.Offsets = slices.Clone(good.Offsets)
 		bp.Pos = slices.Clone(good.Pos)
 		mutate(&bp)
 		return bp
@@ -362,32 +362,31 @@ func TestCheckPartsRejectsHostileParts(t *testing.T) {
 	// ACGT occurs four times in the first record.
 	acgt, _ := seed.Encode([]byte{0, 1, 3, 2}, 4)
 	slot, found := slices.BinarySearch(good.Codes, acgt)
-	if !found || good.Counts[slot] < 2 {
+	if !found || good.Offsets[slot+1]-good.Offsets[slot] < 2 {
 		t.Fatal("test bank lost its repeated ACGT")
 	}
-	if good.Counts[0] != 1 {
+	if good.Offsets[1] != 1 {
 		t.Fatal("the first slot is meant to hold one occurrence: any position inside the bank is in order there")
 	}
-	var rep int32
-	for _, k := range good.Counts[:slot] {
-		rep += k
-	}
-	// The count-list forms of the directory faults the whole-bank
-	// Offsets once stood for: a position no slot holds, an empty slot, a
-	// slot running backwards, too few or too many counts, a position
-	// past the last slot.
+	rep := good.Offsets[slot]
+	// The offset-list faults: a first offset past the first position, an
+	// empty slot, a slot running backwards, a last offset short of or
+	// past the positions, an offset past them in the middle, one offset
+	// too few or too many.
 	structural := map[string]func(bp *BlockParts){
-		"unsorted-code":     func(bp *BlockParts) { bp.Codes[0], bp.Codes[1] = bp.Codes[1], bp.Codes[0] },
-		"duplicate-code":    func(bp *BlockParts) { bp.Codes[1] = bp.Codes[0] },
-		"code-outside-4^W":  func(bp *BlockParts) { bp.Codes[last-1] = seed.Code(seed.NumCodes(4)) },
-		"first-offset":      func(bp *BlockParts) { bp.Counts[slot]-- },
-		"flat-offset":       func(bp *BlockParts) { bp.Counts[0] = 0 },
-		"descending-offset": func(bp *BlockParts) { bp.Counts[1] = -1 },
-		"last-offset":       func(bp *BlockParts) { bp.Counts[last-1]-- },
-		"offsets-too-short": func(bp *BlockParts) { bp.Counts = bp.Counts[:last-1] },
-		"offsets-too-long":  func(bp *BlockParts) { bp.Counts = append(bp.Counts, 1) },
-		"no-offsets":        func(bp *BlockParts) { bp.Counts = nil; bp.Codes = nil },
-		"indexed-mismatch":  func(bp *BlockParts) { bp.Pos = append(bp.Pos, bp.Pos[len(bp.Pos)-1]) },
+		"unsorted-code":         func(bp *BlockParts) { bp.Codes[0], bp.Codes[1] = bp.Codes[1], bp.Codes[0] },
+		"duplicate-code":        func(bp *BlockParts) { bp.Codes[1] = bp.Codes[0] },
+		"code-outside-4^W":      func(bp *BlockParts) { bp.Codes[last-1] = seed.Code(seed.NumCodes(4)) },
+		"first-offset":          func(bp *BlockParts) { bp.Offsets[0] = 1 },
+		"flat-offset":           func(bp *BlockParts) { bp.Offsets[1] = bp.Offsets[0] },
+		"descending-offset":     func(bp *BlockParts) { bp.Offsets[2] = bp.Offsets[1] - 1 },
+		"last-offset-short":     func(bp *BlockParts) { bp.Offsets[last]-- },
+		"last-offset-past":      func(bp *BlockParts) { bp.Offsets[last]++ },
+		"offset-past-positions": func(bp *BlockParts) { bp.Offsets[slot] = int32(len(bp.Pos)) + 1 },
+		"offsets-too-short":     func(bp *BlockParts) { bp.Offsets = bp.Offsets[:last] },
+		"offsets-too-long":      func(bp *BlockParts) { bp.Offsets = append(bp.Offsets, bp.Offsets[last]+1) },
+		"no-offsets":            func(bp *BlockParts) { bp.Offsets = nil; bp.Codes = nil },
+		"indexed-mismatch":      func(bp *BlockParts) { bp.Pos = append(bp.Pos, bp.Pos[len(bp.Pos)-1]) },
 
 		"position-zero":        func(bp *BlockParts) { bp.Pos[0] = 0 },
 		"position-negative":    func(bp *BlockParts) { bp.Pos[0] = -1 },
@@ -404,7 +403,7 @@ func TestCheckPartsRejectsHostileParts(t *testing.T) {
 		"position-past-last-window": func(bp *BlockParts) { bp.Pos[0] = int32(len(b.Data)) - 4 },
 		"window-straddles-sentinel": func(bp *BlockParts) { bp.Pos[0] = end0 - 2 },
 		"window-holds-invalid-base": func(bp *BlockParts) { bp.Pos[0] = lo1 + 5 },
-		"window-of-another-code":    func(bp *BlockParts) { bp.Pos[0] = bp.Pos[bp.Counts[0]] },
+		"window-of-another-code":    func(bp *BlockParts) { bp.Pos[0] = bp.Pos[bp.Offsets[1]] },
 	}
 	for name, mutate := range window {
 		ix := loadedFrom(t, b, opts, corrupt(mutate))
@@ -545,16 +544,14 @@ func TestCheckPartsMatchesReference(t *testing.T) {
 		t.Fatal("the bank is meant to be large enough for a sharded check")
 	}
 	reference := func(bp BlockParts) bool {
-		at := 0
-		for _, k := range bp.Counts {
+		for i := range bp.Codes {
 			prev := int32(bp.DataLo) - 1
-			for _, p := range bp.Pos[at : at+int(k)] {
+			for _, p := range bp.Pos[bp.Offsets[i]:bp.Offsets[i+1]] {
 				if p <= prev || int(p)+opts.W > bp.DataHi {
 					return false
 				}
 				prev = p
 			}
-			at += int(k)
 		}
 		return true
 	}
@@ -585,12 +582,37 @@ func TestCheckPartsMatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			o := opts
 			o.Workers = workers
-			if got := checkParts(b, o, &bp, nil, nil) == nil; got != want {
+			if got := checkParts(b, o, &bp, nil) == nil; got != want {
 				t.Fatalf("trial %d, %d workers: the check says %v, a walk of every slot %v", trial, workers, got, want)
 			}
 		}
 	}
 	if seen[0] < 20 || seen[1] < 20 {
 		t.Errorf("%d refused and %d accepted blocks: the trials are meant to hold plenty of both", seen[0], seen[1])
+	}
+}
+
+// TestCheckPartsBoundsShardOffsets: a sharded check keeps each shard's
+// offsets inside Pos. Offsets raised by len(Pos) from the middle slot on
+// still ascend up to the last one, so a check that held each offset only
+// to the one before it would read Pos out of bounds before it got there.
+// They are refused, at one worker (by each offset's bound, the offset at
+// the shard's end) and at three (by the offsets at the shard cuts).
+func TestCheckPartsBoundsShardOffsets(t *testing.T) {
+	b := benchBankSeqs(200, 450)
+	good := Build(b, Options{W: 8}).Block()
+	if len(good.Pos) < minParallelData {
+		t.Fatal("the bank is meant to be large enough for a sharded check")
+	}
+	n := len(good.Codes)
+	bp := good
+	bp.Offsets = slices.Clone(good.Offsets)
+	for i := n / 2; i < n; i++ {
+		bp.Offsets[i] += int32(len(bp.Pos))
+	}
+	for _, workers := range []int{1, 3} {
+		if err := checkParts(b, Options{W: 8, Workers: workers}, &bp, nil); err == nil {
+			t.Errorf("%d workers: offsets past Pos from slot %d of %d on passed the check", workers, n/2, n)
+		}
 	}
 }

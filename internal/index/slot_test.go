@@ -346,7 +346,7 @@ func TestDenseIndexHoldsNoCodeList(t *testing.T) {
 			got := ix.Block()
 			if got.SeqLo != whole.SeqLo || got.SeqHi != whole.SeqHi || got.DataLo != whole.DataLo || got.DataHi != whole.DataHi ||
 				got.MaskedOut != whole.MaskedOut || got.SampledOut != whole.SampledOut ||
-				!slices.Equal(got.Codes, whole.Codes) || !slices.Equal(got.Counts, whole.Counts) || !slices.Equal(got.Pos, whole.Pos) {
+				!slices.Equal(got.Codes, whole.Codes) || !slices.Equal(got.Offsets, whole.Offsets) || !slices.Equal(got.Pos, whole.Pos) {
 				t.Errorf("W=%d, %d codes: Block() differs from BuildBlock over the whole bank", tc.w, ix.NumCodes())
 			}
 		}

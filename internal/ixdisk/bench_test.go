@@ -34,6 +34,7 @@ func BenchmarkIxdiskSave(b *testing.B) {
 	p, _, path := benchPrepared(b)
 	fi, _ := os.Stat(path)
 	b.SetBytes(fi.Size())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Save(path, p); err != nil {
@@ -47,6 +48,7 @@ func BenchmarkIxdiskLoad(b *testing.B) {
 	p, opts, path := benchPrepared(b)
 	fi, _ := os.Stat(path)
 	b.SetBytes(fi.Size())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := load(path, p.Bank, opts); err != nil {
@@ -85,6 +87,7 @@ func BenchmarkIxdiskLoadMapped(b *testing.B) {
 			p, opts, path := shape.prepared(b)
 			fi, _ := os.Stat(path)
 			b.SetBytes(fi.Size())
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, m, err := loadMapped(path, p.Bank, opts)

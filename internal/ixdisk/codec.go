@@ -1,10 +1,11 @@
 package ixdisk
 
-// The .orix codec: block-structured index files, format version 4 —
+// The .orix codec: block-structured index files, format version 5 —
 // the only version this package reads or writes. The framing (header,
-// blocks, footer) dates from version 3; version 4 is version 3 minus
-// the three per-occurrence sidecar sections, so a block stores
-// positions only.
+// blocks, footer) dates from version 3; version 4 dropped version 3's
+// three per-occurrence sidecar sections, so a block stores positions
+// only, and version 5 stores a block's directory as the index keeps it,
+// offsets where version 4 stored counts.
 //
 // # File layout
 //
@@ -16,13 +17,13 @@ package ixdisk
 // A fresh save writes one block, the built index (index.Index.Block);
 // every further block was written by an append. Each block is a
 // self-contained index.BlockParts over one contiguous sequence range: a
-// 64-byte block header, the three 4-byte-element
-// sections (Codes, Counts, Pos), a CRC-32C over header + sections, and
-// zero padding to an 8-byte boundary — so every section is 4-byte
-// aligned from any page-aligned base and a mapped load can alias them.
-// The (code, count) directory is the index's own sorted directory with
-// counts where the index keeps offsets, so readers materialize nothing
-// sized by 4^W — a prefix sum over the counts is the whole of it.
+// 64-byte block header, the three 4-byte-element sections (Codes[n],
+// Offsets[n+1], Pos), a CRC-32C over header + sections, and zero
+// padding to an 8-byte boundary — so every section is 4-byte aligned
+// from any page-aligned base and a mapped load can alias them. The
+// sections are the index's own arrays: a block's offsets index its own
+// Pos, so a one-block file is the index as it stands and a reader
+// derives nothing from it but, on a dense index, the bitmap.
 //
 // The footer is the only part of the file that changes when a bank is
 // appended to. It records the bank identity (content CRC, data length,
@@ -71,7 +72,7 @@ import (
 // readers reject anything they were not compiled for rather than guess.
 const (
 	magic         = "ORISIXDB"
-	formatVersion = 4
+	formatVersion = 5
 	headerSize    = 48
 	blockMagic    = "ORIXBLK1"
 	footerMagic   = "ORIXFTR1"
@@ -320,11 +321,17 @@ func parseFooter(tail []byte, fileSize int64) (*footer, error) {
 	return ftr, nil
 }
 
+// sectionsEnd returns the offset, from a block's start, at which the
+// sections of a block with nCodes directory entries and nOcc occurrences
+// end and its CRC begins.
+func sectionsEnd(nCodes, nOcc int) int {
+	return blockHdrSize + 4*nCodes + 4*(nCodes+1) + 4*nOcc
+}
+
 // blockByteLen returns the padded on-disk length of a block with
 // nCodes directory entries and nOcc occurrences.
 func blockByteLen(nCodes, nOcc int) int {
-	raw := blockHdrSize + 8*nCodes + 4*nOcc + 4 // header + sections + CRC
-	return (raw + 7) &^ 7
+	return (sectionsEnd(nCodes, nOcc) + 4 + 7) &^ 7
 }
 
 // encodeBlock streams one block to w and returns its padded length and
@@ -349,7 +356,7 @@ func encodeBlock(w io.Writer, bp *index.BlockParts) (length int, crc uint32, err
 	if err := writeWords(mw, bp.Codes); err != nil {
 		return 0, 0, err
 	}
-	if err := writeWords(mw, bp.Counts); err != nil {
+	if err := writeWords(mw, bp.Offsets); err != nil {
 		return 0, 0, err
 	}
 	if err := writeWords(mw, bp.Pos); err != nil {
@@ -357,8 +364,7 @@ func encodeBlock(w io.Writer, bp *index.BlockParts) (length int, crc uint32, err
 	}
 	crc = sum.Sum32()
 	length = blockByteLen(len(bp.Codes), len(bp.Pos))
-	raw := blockHdrSize + 8*len(bp.Codes) + 4*len(bp.Pos)
-	tail := make([]byte, length-raw)
+	tail := make([]byte, length-sectionsEnd(len(bp.Codes), len(bp.Pos)))
 	binary.LittleEndian.PutUint32(tail, crc)
 	if _, err := w.Write(tail); err != nil {
 		return 0, 0, err
@@ -385,7 +391,7 @@ func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error)
 	if nOcc > math.MaxInt32 || nCodes > math.MaxInt32 {
 		return bp, fmt.Errorf("ixdisk: %w: block claims %d occurrences, %d codes", ErrTruncated, nOcc, nCodes)
 	}
-	raw := blockHdrSize + 8*int(nCodes) + 4*int(nOcc)
+	raw := sectionsEnd(int(nCodes), int(nOcc))
 	if blockByteLen(int(nCodes), int(nOcc)) != int(ent.length) {
 		return bp, fmt.Errorf("ixdisk: %w: block sections imply %d bytes, directory records %d",
 			ErrTruncated, blockByteLen(int(nCodes), int(nOcc)), ent.length)
@@ -418,11 +424,11 @@ func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error)
 	}
 	if alias {
 		bp.Codes = aliasWords[seed.Code](cut(c))
-		bp.Counts = aliasWords[int32](cut(c))
+		bp.Offsets = aliasWords[int32](cut(c + 1))
 		bp.Pos = aliasWords[int32](cut(n))
 	} else {
 		bp.Codes = decodeWords[seed.Code](cut(c))
-		bp.Counts = decodeWords[int32](cut(c))
+		bp.Offsets = decodeWords[int32](cut(c + 1))
 		bp.Pos = decodeWords[int32](cut(n))
 	}
 	return bp, nil
@@ -462,8 +468,8 @@ func writeBlocksTo(w io.Writer, b *bank.Bank, k index.Key, blocks []index.BlockP
 // the store-heals-itself property.
 //
 // A saved index is the built index: one block over the whole bank,
-// streamed from the index's own Codes and Pos with the differences of
-// its Offsets between them — nothing is cut, regrouped or copied.
+// streamed from the index's own Codes, Offsets and Pos — nothing is
+// cut, regrouped, converted or copied.
 func Save(path string, ix *index.Index) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPattern)
 	if err != nil {
@@ -512,24 +518,26 @@ func (f *footer) checkExactBank(b *bank.Bank) error {
 	return nil
 }
 
-// checkPrefixSums verifies the footer's first k per-sequence checksums
-// match bank b's first k — the identity test of the append base, a
-// stored file k sequences long under a larger b.
+// prefixOf is the identity test of an append base: it returns the
+// number k of sequences the file records when they are a strict prefix
+// of bank b — fewer than b's, the same Data length as b's first k, and
+// each with b's checksum — and ErrKeyMismatch otherwise.
 //
 //scorislint:validator
-func (f *footer) checkPrefixSums(b *bank.Bank, k int) error {
-	if k < 1 || k > int(f.numSeqs) || k > b.NumSeqs() {
-		return fmt.Errorf("ixdisk: %w: %d-sequence prefix of a %d-sequence file against bank %q (%d)",
-			ErrKeyMismatch, k, f.numSeqs, b.Name, b.NumSeqs())
+func (f *footer) prefixOf(b *bank.Bank) (k int, err error) {
+	k = int(f.numSeqs) // ≥ 1: parseFooter refuses an empty file
+	if k >= b.NumSeqs() || f.dataLen != uint64(b.PrefixLen(k)) {
+		return 0, fmt.Errorf("ixdisk: %w: stored file (%d sequences, %d bytes) is not a strict prefix of bank %q",
+			ErrKeyMismatch, k, f.dataLen, b.Name)
 	}
 	sums := b.SeqChecksums()
 	for i := 0; i < k; i++ {
 		if f.seqSum(i) != sums[i] {
-			return fmt.Errorf("ixdisk: %w: per-sequence checksum %d disagrees with bank %q",
+			return 0, fmt.Errorf("ixdisk: %w: per-sequence checksum %d disagrees with bank %q",
 				ErrKeyMismatch, i, b.Name)
 		}
 	}
-	return nil
+	return k, nil
 }
 
 // appendBlockAt writes suffix (plus a fresh footer for the grown bank

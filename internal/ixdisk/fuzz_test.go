@@ -19,6 +19,7 @@ import (
 const (
 	legacyV2Fixture = "testdata/legacy-v2.orix"
 	legacyV3Fixture = "testdata/legacy-v3.orix"
+	legacyV4Fixture = "testdata/legacy-v4.orix"
 )
 
 // fuzzSeedFile builds the canonical fuzz fixtures: a small bank, its
@@ -53,7 +54,8 @@ func fuzzSeedFile(tb testing.TB) (multi, single []byte, b *bank.Bank, opts index
 // block headers and bodies, the footer directory and the trailer — and
 // the legacy fixtures, as written and relabelled as the current version,
 // which must be rejected every time (a relabelled v3 file has the right
-// framing and four times the bytes its block headers account for).
+// framing and four times the bytes its block headers account for, a
+// relabelled v4 file one word a block too few).
 func addFrameSeeds(f *testing.F, multi, single []byte) {
 	f.Add([]byte{})
 	for _, valid := range [][]byte{multi, single} {
@@ -93,14 +95,21 @@ func addFrameSeeds(f *testing.F, multi, single []byte) {
 		f.Fatal(err)
 	}
 	f.Add(v3)
-	f.Add(relabelV3(v3))
+	f.Add(relabel(v3))
+	v4, err := os.ReadFile(legacyV4Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v4)
+	f.Add(relabel(v4))
 }
 
-// relabelV3 returns a v3 file's bytes claiming the current version, the
-// header CRC made good: every checksum in it then holds, and only what
-// the block headers say about their own length gives it away.
-func relabelV3(v3 []byte) []byte {
-	out := bytes.Clone(v3)
+// relabel returns the bytes of a file of a retired version with the
+// same framing (v3 or v4) claiming the current version, the header CRC
+// made good: every checksum in it then holds, and only what the block
+// headers say about their own length gives it away.
+func relabel(old []byte) []byte {
+	out := bytes.Clone(old)
 	binary.LittleEndian.PutUint32(out[8:], formatVersion)
 	binary.LittleEndian.PutUint32(out[44:], crc32.Checksum(out[:44], crc32Table))
 	return out

@@ -8,8 +8,8 @@
 //
 // # File format
 //
-// There is one format, version 4 — block-structured: an index-key
-// header, CSR blocks over runs of sequences (code directory +
+// There is one format, version 5 — block-structured: an index-key
+// header, CSR blocks over runs of sequences (code directory, offsets and
 // positions, 4 bytes per occurrence) each carrying its own CRC-32C, and
 // a footer holding the bank identity (content CRC-64, per-sequence
 // checksum vector) plus a directory of block offsets and ranges. A
@@ -20,9 +20,10 @@
 // layout cannot offer: appending to a bank writes exactly one new block
 // plus a footer (O(suffix), the file is never rewritten).
 //
-// Files of any other version — the monolithic v1 and v2 layouts, and
-// v3, the same framing with a 12-byte per-occurrence bounds sidecar —
-// are rejected with ErrVersion at the header, never parsed, and the
+// Files of any other version — the monolithic v1 and v2 layouts; v3,
+// the same framing with a 12-byte per-occurrence bounds sidecar; and v4,
+// the same framing with per-code counts where v5 keeps offsets — are
+// rejected with ErrVersion at the header, never parsed, and the
 // store heals them by rebuild, like any rejected file (so a store
 // shared by old and new binaries rebuilds on every alternation).
 //
@@ -46,9 +47,9 @@
 //
 // The per-sequence checksum vector makes identity finer than
 // all-or-nothing: when DirStore misses exactly, it scans the directory
-// (metadata-only, via Probe) for a file recording the first k sequences
-// of the requesting bank, completes it by building one block over the
-// appended suffix and appends that block in place (prefix.go): a grown
+// (metadata only: header and footer) for a file recording the first k
+// sequences of the requesting bank, completes it by building one block
+// over the appended suffix and appends that block in place (prefix.go): a grown
 // bank pays the suffix once and exact-hits ever after. The lineage runs
 // that one way — the bank as it was before an append is a miss and a
 // build, saved under its own key.

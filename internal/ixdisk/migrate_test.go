@@ -3,8 +3,8 @@ package ixdisk
 // The block-format behaviors — O(suffix) in-place appends, the one-way
 // lineage, the metadata probe — hold the byte-identity invariant against
 // cold builds throughout; hostile block footers are
-// rejected by both readers; and files of the retired v2 layout are
-// rejected at the version gate and healed by rebuild.
+// rejected by both readers; and files of the retired v2, v3 and v4
+// layouts are rejected at the version gate and healed by rebuild.
 
 import (
 	"bytes"
@@ -32,8 +32,8 @@ import (
 	"repro/internal/simulate"
 )
 
-// legacyBank is the bank the committed v2 and v3 fixtures were saved
-// from (under index.Options{W: 4}).
+// legacyBank is the bank the committed v2, v3 and v4 fixtures were
+// saved from (under index.Options{W: 4}).
 func legacyBank() (*bank.Bank, index.Options) {
 	return bank.New("legacy", []*fasta.Record{
 		{ID: "s0", Seq: []byte("ACGTTGCAAGGCTTAACGGATC")},
@@ -99,7 +99,26 @@ func TestLegacyV3Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	relabelled := filepath.Join(t.TempDir(), "relabelled"+FileExt)
-	if err := os.WriteFile(relabelled, relabelV3(v3), 0o644); err != nil {
+	if err := os.WriteFile(relabelled, relabel(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, opts := legacyBank()
+	loadBoth(t, relabelled, b, opts, ErrTruncated)
+}
+
+// TestLegacyV4Rejected: v4 — today's framing with per-code counts where
+// a block now keeps offsets — against the file the last commit that
+// wrote v4 saved. Relabelled as the current version, with every
+// checksum good, it is refused by its block lengths: one word a block
+// short of what its headers imply.
+func TestLegacyV4Rejected(t *testing.T) {
+	assertRetired(t, legacyV4Fixture)
+	v4, err := os.ReadFile(legacyV4Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabelled := filepath.Join(t.TempDir(), "relabelled"+FileExt)
+	if err := os.WriteFile(relabelled, relabel(v4), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b, opts := legacyBank()
@@ -137,7 +156,7 @@ func TestPathStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantHeader = "4f5249534958444204000000300000000400000002000000000000000100000010000000000000000000f83f35cad903"
+	const wantHeader = "4f5249534958444205000000300000000400000002000000000000000100000010000000000000000000f83f89711530"
 	if got := hex.EncodeToString(data[:headerSize]); got != wantHeader {
 		t.Errorf("header = %s, want %s — every stored file would be rejected", got, wantHeader)
 	}
@@ -163,8 +182,8 @@ func TestFreshSaveBytesStable(t *testing.T) {
 		dense bool
 		want  string
 	}{
-		{60, false, "d71ae0ae5fe58faa9f7d02565ad03cc45d8c6994bb08566eabd6c81cdb0f99fc"},
-		{600, true, "ebdb71e40be85b319cc243a3301578e2bb14617e1abe8fa18a864daf240c2449"},
+		{60, false, "353bd5fb79598c847ac08f71d029d73e37841adca73eeb39f97f26f1d0c22e40"},
+		{600, true, "c43e03846b86fdf5cd8030137eeb720a8d7f7b3b532250ce0897c575946d3509"},
 	} {
 		b := orixPinBank(tc.reads)
 		ix := index.Build(b, index.Options{W: 11, Dust: dust.New(0, 0)})
@@ -452,8 +471,9 @@ func craftPos0(t *testing.T, buf []byte, pos int32) {
 	}
 	blk := buf[ftr.dir[0].offset : ftr.dir[0].offset+ftr.dir[0].length]
 	nCodes := int(binary.LittleEndian.Uint32(blk[40:]))
-	raw := blockHdrSize + 8*nCodes + 4*int(binary.LittleEndian.Uint64(blk[32:]))
-	binary.LittleEndian.PutUint32(blk[blockHdrSize+8*nCodes:], uint32(pos)) // Pos[0]
+	nOcc := int(binary.LittleEndian.Uint64(blk[32:]))
+	raw := sectionsEnd(nCodes, nOcc)
+	binary.LittleEndian.PutUint32(blk[raw-4*nOcc:], uint32(pos)) // Pos[0]
 	crc := crc32.Checksum(blk[:raw], crc32Table)
 	binary.LittleEndian.PutUint32(blk[raw:], crc)
 	binary.LittleEndian.PutUint32(buf[fs+footerFixed+8*int(ftr.numSeqs)+40:], crc)
@@ -629,10 +649,10 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 
 // TestFreshSaveIsOneBlock: a saved index is the built index — one block
 // however many sequences the bank has — so every fresh file takes the
-// zero-copy route under mmap: the load allocates Offsets, the lookup
-// structure the index derives (Bits and Rank when dense, Top when
-// sparse) and the footer, nothing sized by Pos and, on either side of
-// the dense threshold, no copy of the code list.
+// zero-copy route under mmap: the load allocates the lookup structure
+// the index derives (Bits and Rank when dense, Top when sparse), the
+// proof bits and the footer — nothing sized by Pos and, on either side
+// of the dense threshold, no copy of the code list or the offsets.
 func TestFreshSaveIsOneBlock(t *testing.T) {
 	b := bank.New("fresh", genRecs(t, 60, 6000))
 	for _, tc := range []struct {
@@ -668,14 +688,15 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 				t.Error("the mapped load of a fresh save did not keep its mapping")
 			}
 			// The footer holds an 8-byte checksum a sequence; 64 KB covers
-			// the rest of it, the block directory and the Index itself.
+			// the rest of it, the block directory, the proof bits and the
+			// Index itself.
 			n := built.NumCodes()
 			lookup := 4*len(built.Top) + 8*len(built.Bits) + 4*len(built.Rank)
 			footer := 8*b.NumSeqs() + 64<<10
-			got, max := after.TotalAlloc-before.TotalAlloc, uint64(4*(n+1)+lookup+footer)
+			got, max := after.TotalAlloc-before.TotalAlloc, uint64(lookup+footer)
 			if got > max {
-				t.Errorf("W=%d: the mapped load allocated %d bytes, want ≤ 4·(n+1) + lookup %d + footer %d = %d (the code list alone is %d, Pos %d)",
-					tc.w, got, lookup, footer, max, 4*n, 4*len(built.Pos))
+				t.Errorf("W=%d: the mapped load allocated %d bytes, want ≤ lookup %d + footer %d = %d (the code list alone is %d, the offsets %d, Pos %d)",
+					tc.w, got, lookup, footer, max, 4*n, 4*(n+1), 4*len(built.Pos))
 			}
 		}
 		assertIndexEqual(t, built, p)

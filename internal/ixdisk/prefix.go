@@ -2,7 +2,6 @@ package ixdisk
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,9 +24,9 @@ import (
 // bank that is a prefix of a stored larger one is a clean miss and a
 // build.
 //
-// The flow on an exact miss: scan the directory, Probe each candidate's
-// metadata (header + footer — no payload reads), collect the stored
-// prefixes of the request, and try them longest first with full
+// The flow on an exact miss: scan the directory, open each candidate as
+// far as its metadata (header + footer — no payload reads), collect the
+// stored prefixes of the request, and try them longest first with full
 // validation. Every failure just drops to the next candidate and
 // ultimately to a clean miss: the build fallback is always sound, so
 // this whole path is opportunistic.
@@ -36,24 +35,6 @@ import (
 type probeResult struct {
 	path string
 	k    int // stored sequence count
-}
-
-// compatPrefix decides from probed metadata alone whether the file at
-// info could be an extension base for (b, opts): it records a strict
-// prefix of b, k sequences long. extend re-validates everything; this
-// only prunes the candidate list.
-func compatPrefix(info *FileInfo, b *bank.Bank, opts index.Options) (k int, ok bool) {
-	k = info.NumSeqs
-	if info.Opts.Key() != opts.Key() || k < 1 || k >= b.NumSeqs() || info.DataLen != int64(b.PrefixLen(k)) {
-		return 0, false
-	}
-	sums := b.SeqChecksums()
-	for i := 0; i < k; i++ {
-		if info.SeqSums[i] != sums[i] {
-			return 0, false
-		}
-	}
-	return k, true
 }
 
 // prefixCandidates scans the store directory for files that could serve
@@ -65,6 +46,7 @@ func compatPrefix(info *FileInfo, b *bank.Bank, opts index.Options) (k int, ok b
 // display name rebuilds instead of reusing (sound: reuse is
 // opportunistic).
 func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath string) []probeResult {
+	key := opts.Key()
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil
@@ -80,11 +62,13 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 		if path == exactPath {
 			continue
 		}
-		info, err := Probe(path)
+		x, err := openIndexFile(path, &key)
 		if err != nil {
 			continue
 		}
-		if k, ok := compatPrefix(info, b, opts); ok {
+		k, err := x.ftr.prefixOf(b)
+		x.f.Close()
+		if err == nil {
 			out = append(out, probeResult{path: path, k: k})
 		}
 	}
@@ -98,8 +82,8 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 // verbatim — build one block over the appended suffix, and reassemble.
 // Only the suffix is scanned; the returned footer and suffix block let
 // the caller append in place. The file's identity as a strict prefix
-// of b is re-checked from scratch — the probe's cheap pass authorizes
-// nothing. A mapped store reads the stored blocks in place: the merge
+// of b is re-checked from scratch — the file may have changed since the
+// candidate scan read it. A mapped store reads the stored blocks in place: the merge
 // copies them into arrays the index owns, so the mapping is gone before
 // the file is written to.
 func (s *DirStore) extend(path string, b *bank.Bank, opts index.Options) (*index.Index, *index.BlockParts, *footer, error) {
@@ -109,12 +93,8 @@ func (s *DirStore) extend(path string, b *bank.Bank, opts index.Options) (*index
 		return nil, nil, nil, err
 	}
 	defer x.f.Close()
-	k := int(x.ftr.numSeqs)
-	if k >= b.NumSeqs() || x.ftr.dataLen != uint64(b.PrefixLen(k)) {
-		return nil, nil, nil, fmt.Errorf("ixdisk: %w: stored file (%d sequences, %d bytes) is not a strict prefix of bank %q",
-			ErrKeyMismatch, k, x.ftr.dataLen, b.Name)
-	}
-	if err := x.ftr.checkPrefixSums(b, k); err != nil {
+	k, err := x.ftr.prefixOf(b)
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	s.mu.Lock()

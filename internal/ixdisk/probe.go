@@ -1,8 +1,7 @@
 package ixdisk
 
 // The metadata probe: answering "what does this .orix file hold?"
-// without reading its index payload. DirStore's prefix-candidate scan
-// decides compatibility with it, the GC counts blocks with it, and
+// without reading its index payload. The GC counts blocks with it and
 // scoris -index-probe prints it. Probe reads the fixed header plus the
 // footer (identity and block directory) — a few KiB regardless of index
 // size.
@@ -29,7 +28,7 @@ type BlockInfo struct {
 // claim to hold?", and the loaders re-validate every claim before any
 // byte is trusted.
 type FileInfo struct {
-	// Version is the format version — always 4, the only one Probe
+	// Version is the format version — always 5, the only one Probe
 	// accepts.
 	Version int
 	// Opts is the recorded index key, as options that build it.
@@ -49,13 +48,11 @@ type FileInfo struct {
 }
 
 // Probe reads an index file's metadata without its payload: the fixed
-// header plus the footer. It is the compatibility test of DirStore's
-// prefix-candidate scan — a few small reads per file, O(metadata) not
-// O(index). Framing and metadata
-// checksums are verified (header and footer carry their own CRCs); the
-// payload is not, so a successful probe authorizes nothing — loaders
-// re-validate in full. A file of any other format version fails with
-// ErrVersion.
+// header plus the footer — a few small reads per file, O(metadata) not
+// O(index). Framing and metadata checksums are verified (header and
+// footer carry their own CRCs); the payload is not, so a successful
+// probe authorizes nothing — loaders re-validate in full. A file of any
+// other format version fails with ErrVersion.
 func Probe(path string) (*FileInfo, error) {
 	x, err := openIndexFile(path, nil)
 	if err != nil {

@@ -2,8 +2,9 @@ package ixdisk
 
 // The read side: one way to open an .orix file, and the exact load built
 // on it by its two block routes (copying and mmap). (The append base,
-// DirStore.extend, and Probe are the other two callers of the opener;
-// the append base takes its blocks by whichever route its store uses.)
+// DirStore.extend, its candidate scan and Probe are the other callers of
+// the opener; the append base takes its blocks by whichever route its
+// store uses.)
 
 import (
 	"encoding/binary"
@@ -20,8 +21,8 @@ import (
 // indexFile is an .orix file opened as far as its metadata: the header
 // decoded (the version gate), its index key checked, the footer read
 // and validated. No block byte has been touched yet. Every reader —
-// Probe, the exact load, the append base — starts here, so the ladder
-// of checks exists exactly once.
+// Probe, the exact load, the append base and its candidate scan — starts
+// here, so the ladder of checks exists exactly once.
 type indexFile struct {
 	f    *os.File
 	size int64
