@@ -70,7 +70,7 @@ type Metrics struct {
 	Extensions     int64
 	HSPs           int
 	// WindowsProven counts the stored windows the probe proved before
-	// extending from them (index.Index.ProvenOcc); 0 on a built index.
+	// extending from them (index.Part.ProvenOcc); 0 on a built index.
 	WindowsProven int64
 }
 
@@ -119,7 +119,7 @@ func CompareWithIndex(ix *index.Index, queries *bank.Bank, opt Options) (*Result
 // the callback into a method keeps the per-element path in one named,
 // hotpath-checked function instead of a closure rebuilt per query.
 type tileProbe struct {
-	ix       *index.Index
+	parts    []index.Part
 	ext      *hsp.Extender
 	met      *Metrics
 	d1, d2   []byte
@@ -140,11 +140,11 @@ type tileProbe struct {
 }
 
 // probe handles one query window: dust test, then a flat walk of the
-// tile's contiguous CSR occurrence slice — sequential reads, no
-// pointer-chasing chain walk — extending only windows that beat the
-// per-diagonal high-water mark. On a loaded index the tile's windows are
-// proven before the first extension from them; a failed proof stops the
-// probe for good.
+// tile's contiguous CSR occurrence slice in each part of the index —
+// sequential reads, no pointer-chasing chain walk — extending only
+// windows that beat the per-diagonal high-water mark. On a loaded index
+// the tile's windows are proven before the first extension from them; a
+// failed proof stops the probe for good.
 //
 //scorislint:hotpath
 func (tp *tileProbe) probe(rel int32, c seed.Code) {
@@ -153,24 +153,27 @@ func (tp *tileProbe) probe(rel int32, c seed.Code) {
 		return
 	}
 	qPos := tp.qLo + rel
-	occ, proven, err := tp.ix.ProvenOcc(c)
-	if err != nil {
-		tp.err = err
-		return
-	}
-	tp.met.WindowsProven += int64(proven)
-	for _, p := range occ {
-		tp.met.TileHits++
-		diag := p - rel
-		if tp.diagEnd[diag] > p {
-			tp.met.SkippedByDiag++
-			continue
+	// Part by part in block order: the tile's positions still ascend.
+	for i := range tp.parts {
+		occ, proven, err := tp.parts[i].ProvenOcc(c)
+		if err != nil {
+			tp.err = err
+			return
 		}
-		tp.met.Extensions++
-		h, _ := tp.ext.Extend(tp.d1, tp.d2, p, qPos, c, nil)
-		tp.diagEnd[diag] = h.E1
-		if h.Score >= tp.minScore {
-			tp.hsps = append(tp.hsps, h)
+		tp.met.WindowsProven += int64(proven)
+		for _, p := range occ {
+			tp.met.TileHits++
+			diag := p - rel
+			if tp.diagEnd[diag] > p {
+				tp.met.SkippedByDiag++
+				continue
+			}
+			tp.met.Extensions++
+			h, _ := tp.ext.Extend(tp.d1, tp.d2, p, qPos, c, nil)
+			tp.diagEnd[diag] = h.E1
+			if h.Score >= tp.minScore {
+				tp.hsps = append(tp.hsps, h)
+			}
 		}
 	}
 }
@@ -196,7 +199,7 @@ func CompareStreamWithIndex(ctx context.Context, ix *index.Index, queries *bank.
 	masker := opt.Masker()
 	ext := opt.Ungapped(false)
 	tp := &tileProbe{
-		ix:       ix,
+		parts:    ix.Parts(),
 		ext:      &ext,
 		met:      &met,
 		d1:       db.Data,

@@ -124,7 +124,7 @@ func TestLoadedTileIndexProvesOnRead(t *testing.T) {
 	if err != nil || ref.Metrics.WindowsProven != 0 {
 		t.Fatalf("built index: %v, %d windows proven", err, ref.Metrics.WindowsProven)
 	}
-	loaded, err := index.FromBlocks(db, opt.IndexOptions(), []index.BlockParts{built.Block()})
+	loaded, err := index.FromBlocks(db, opt.IndexOptions(), built.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestLoadedTileIndexProvesOnRead(t *testing.T) {
 	}
 
 	// Every stored tile moved one base on: each window is now another.
-	bp := built.Block()
+	bp := built.Blocks()[0]
 	bp.Pos = slices.Clone(bp.Pos)
 	for i := range bp.Pos {
 		bp.Pos[i]++

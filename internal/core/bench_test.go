@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -92,6 +93,74 @@ func BenchmarkStep2_Lopsided(b *testing.B) {
 		hitPairs += res.hitPairs
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hitPairs), "ns/hit-pair")
+}
+
+// splitIndex is the index of b under opts loaded from k blocks of about
+// equal sequence counts — what k-1 appends to a stored file leave, the
+// bank's index never compacted.
+func splitIndex(b *testing.B, bk *bank.Bank, opts index.Options, k int) *index.Index {
+	b.Helper()
+	blocks := make([]index.BlockParts, k)
+	for i := range blocks {
+		bp, err := index.BuildBlock(bk, opts, i*bk.NumSeqs()/k, (i+1)*bk.NumSeqs()/k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks[i] = bp
+	}
+	ix, err := index.FromBlocks(bk, opts, blocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix
+}
+
+// BenchmarkStep2_Parts prices each extra part of a stored index, the
+// cost of never compacting one: step 2 alone with the bank-1 index split
+// into 1, 2 and 8 blocks, on one worker, every slot proven by a first
+// pass before the clock starts. Dense is BenchmarkStep2_EndToEnd's EST
+// pair, whose parts stay dense down to 8; Lopsided is
+// BenchmarkStep2_Lopsided's service shape, where each part is one more
+// pass of a query's few thousand codes probed into a directory.
+func BenchmarkStep2_Parts(b *testing.B) {
+	ds, opt := benchBanks(b)
+	db, reads := lopsidedBanks(32)
+	for _, shape := range []struct {
+		name   string
+		b1     *bank.Bank
+		b2     []*bank.Bank
+		o1, o2 index.Options
+	}{
+		{"Dense", ds.Get(simulate.EST3), []*bank.Bank{ds.Get(simulate.EST4)}, index.Options{W: opt.W}, index.Options{W: opt.W}},
+		{"Lopsided", db, reads, func() index.Options { o1, _ := opt.IndexOptions(); return o1 }(), func() index.Options { _, o2 := opt.IndexOptions(); return o2 }()},
+	} {
+		ix2 := make([]*index.Index, len(shape.b2))
+		for i, q := range shape.b2 {
+			ix2[i] = index.Build(q, shape.o2)
+		}
+		for _, k := range []int{1, 2, 8} {
+			b.Run(fmt.Sprintf("%s/blocks=%d", shape.name, k), func(b *testing.B) {
+				ix1 := splitIndex(b, shape.b1, shape.o1, k)
+				for q := range ix2 {
+					if _, _, err := step2(context.Background(), shape.b1, shape.b2[q], ix1, ix2[q], opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ResetTimer()
+				b.ReportAllocs()
+				var hitPairs int64
+				for i := 0; i < b.N; i++ {
+					q := i % len(ix2)
+					_, res, err := step2(context.Background(), shape.b1, shape.b2[q], ix1, ix2[q], opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					hitPairs += res.hitPairs
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hitPairs), "ns/hit-pair")
+			})
+		}
+	}
 }
 
 // BenchmarkStep3_EST is step 3 as a compare pays it: the dense EST pair
@@ -241,7 +310,7 @@ func BenchmarkJoin(b *testing.B) {
 		var shared int64
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			err := joinCodes(context.Background(), p[0], p[1], 1, false, func(_ int, batch []slotPair) {
+			err := joinCodes(context.Background(), p[0], p[1], 1, false, func(_ int, _, _ *index.Part, batch []slotPair) {
 				shared += int64(len(batch))
 			})
 			if err != nil {

@@ -157,7 +157,7 @@ type Metrics struct {
 	IndexedBank2  int
 	MaskedSeeds   int
 	// WindowsProven counts the stored windows step 2 proved before
-	// extending from them (index.Index.Prove): the windows of the slots
+	// extending from them (index.Part.Prove): the windows of the slots
 	// this compare was first to read in a loaded index. 0 on built
 	// indexes.
 	WindowsProven int64
@@ -248,19 +248,24 @@ func workerCount(opt Options) int {
 // step2 enumerates the seed codes both banks contain, in ascending
 // order, as a join of the two indexes' sorted directories, and runs the
 // X1×X2 ordered extensions of each. The ordered rule makes every HSP
-// globally unique, so workers need no coordination (paper §4).
+// globally unique, so workers need no coordination (paper §4) — and
+// neither do the parts of an index: an index is one part per stored
+// block (index.Part), and the join runs on every (bank-1 part, bank-2
+// part) pair, whose hit pairs together are the whole product. A built
+// index is one part, a loaded one never merged.
 //
-// The join (joinCodes) has two walks. When both indexes are dense it
-// ANDs their presence bitmaps, which are their directories, word by
-// word, workers claiming contiguous word ranges through an atomic
-// counter. Otherwise it is driven by the smaller directory, always a
-// sparse one's code list — a 16-read query against a megabase bank
-// walks the query's few thousand codes, not the bank's million:
+// The join of a pair (joinCodes) has two walks. When both parts are
+// dense it ANDs their presence bitmaps, which are their directories,
+// word by word, workers claiming contiguous word ranges through an
+// atomic counter. Otherwise it is driven by the smaller directory,
+// always a sparse part's code list — a 16-read query against a megabase
+// bank walks the query's few thousand codes, not the bank's million:
 // workers claim contiguous chunks of it and resolve its codes in the
-// larger directory by point lookups (index.Slots). Per-worker order stays ascending,
-// which is all the ordered-rule uniqueness proof needs. The A4 ablation
-// (ShuffledSeedOrder) visits the words, or the driving directory's
-// slots, in a fixed pseudo-random permutation instead.
+// larger directory by point lookups (index.Part.Slots). Per-worker
+// order stays ascending inside a pair, which is all the ordered-rule
+// uniqueness proof needs. The A4 ablation (ShuffledSeedOrder) visits
+// the words, or the driving directory's slots, in a fixed pseudo-random
+// permutation instead.
 //
 // A shared code is a chain of loads, each address read from the last:
 // the directory lookup, then Offsets[k] → Pos[off] → Data[p] on both
@@ -274,7 +279,7 @@ func workerCount(opt Options) int {
 // exactly as if the passes were not there (DESIGN.md §2).
 //
 // A loaded index proves a slot's windows the first time a batch reads
-// it (index.Index.Prove), after the head pass and before any extension
+// it (index.Part.Prove), after the head pass and before any extension
 // of the batch: a failed proof stops every worker and fails the compare
 // before step 3 writes a row (DESIGN.md §7).
 //
@@ -293,28 +298,28 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 	ext.SampleStep = int32(ix1.Options().SampleStep)
 	d1, d2 := b1.Data, b2.Data
 
-	err := joinCodes(ctx, ix1, ix2, workers, opt.ShuffledSeedOrder, func(wid int, batch []slotPair) {
+	err := joinCodes(ctx, ix1, ix2, workers, opt.ShuffledSeedOrder, func(wid int, q1, q2 *index.Part, batch []slotPair) {
 		r := &results[wid]
 		// Both occurrence lists of every pair: [lo, hi) into Pos.
 		var lo1, hi1, lo2, hi2 [joinBatch]int32
 		for i, sp := range batch {
-			lo1[i], hi1[i] = ix1.Offsets[sp.k1], ix1.Offsets[sp.k1+1]
-			lo2[i], hi2[i] = ix2.Offsets[sp.k2], ix2.Offsets[sp.k2+1]
+			lo1[i], hi1[i] = q1.Offsets[sp.k1], q1.Offsets[sp.k1+1]
+			lo2[i], hi2[i] = q2.Offsets[sp.k2], q2.Offsets[sp.k2+1]
 		}
 		// The head of each list — a listed code has at least one occurrence,
 		// inside the bank (index.FromBlocks proves both on load) — and the
 		// bank byte under it.
 		var p1, p2 [joinBatch]int32
 		for i := range batch {
-			p1[i], p2[i] = ix1.Pos[lo1[i]], ix2.Pos[lo2[i]]
+			p1[i], p2[i] = q1.Pos[lo1[i]], q2.Pos[lo2[i]]
 		}
 		for i := range batch {
 			r.touched += d1[p1[i]] + d2[p2[i]]
 		}
 		if prove {
 			for _, sp := range batch {
-				n1, err1 := ix1.Prove(sp.k1, sp.code)
-				n2, err2 := ix2.Prove(sp.k2, sp.code)
+				n1, err1 := q1.Prove(sp.k1, sp.code)
+				n2, err2 := q2.Prove(sp.k2, sp.code)
 				if err1 != nil || err2 != nil {
 					r.err = cmp.Or(err1, err2)
 					cancel()
@@ -331,8 +336,8 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 		// directory drives the join.
 		for i, sp := range batch {
 			code := sp.code
-			pos2 := ix2.Pos[lo2[i]:hi2[i]]
-			for _, p1 := range ix1.Pos[lo1[i]:hi1[i]] {
+			pos2 := q2.Pos[lo2[i]:hi2[i]]
+			for _, p1 := range q1.Pos[lo1[i]:hi1[i]] {
 				for _, p2 := range pos2 {
 					if opt.SkipSelfPairs && p2 <= p1 {
 						continue
@@ -372,7 +377,8 @@ func step2(ctx context.Context, b1, b2 *bank.Bank, ix1, ix2 *index.Index, opt Op
 	return merged.hsps, merged, nil
 }
 
-// slotPair is one code both directories hold and its slot in each.
+// slotPair is one code both parts' directories hold and its slot in
+// each.
 type slotPair struct {
 	k1, k2 int32
 	code   seed.Code
@@ -385,48 +391,78 @@ type slotPair struct {
 // constant, not an option: 16 and 64 measure the same.
 const joinBatch = index.SlotBatch
 
-// joinCodes calls visit(wid, batch) with every code both indexes hold,
-// as the pair of its directory slots (index.Index.Slot) —
-// joinBatch pairs a call. Work is cut into contiguous chunks that
-// workers claim in order through an atomic counter, and a chunk's pairs
-// are delivered in ascending code order, the last batch of a chunk
-// short — so the codes one worker visits ascend. There are two walks:
+// pairJoin is the join of one (bank-1 part, bank-2 part) pair: the walk
+// it takes and how its domain is cut into chunks.
+type pairJoin struct {
+	q1, q2 *index.Part
+	// dense: both parts are dense, and the domain is words of the code
+	// space. Otherwise drive, the smaller directory, is the domain and
+	// other resolves its codes; swapped when drive is q2.
+	dense        bool
+	drive, other *index.Part
+	swapped      bool
+	domain       int // slots, or words when dense; a power of two when shuffled
+	chunkSize    int
+	firstChunk   int // the pair's first chunk in joinCodes' numbering
+}
+
+// joinCodes calls visit(wid, q1, q2, batch) with every code both of a
+// pair of parts hold, for every (part of ix1, part of ix2) pair, as the
+// pair of its directory slots (index.Part.Slot) — joinBatch pairs a
+// call. Each pair's work is cut into contiguous chunks, numbered pair
+// after pair, that workers claim in order through one atomic counter,
+// and a chunk's pairs are delivered in ascending code order, the last
+// batch of a chunk short — so the codes one worker visits in one pair
+// ascend. There are two walks:
 //
-//   - both indexes dense (index.Index.Dense): the chunks are word ranges
-//     of the code space, and the two presence bitmaps are ANDed a word at
-//     a time; a worker counts both sides' slots from the rank of its
-//     chunk's first word (index.Index.WordRank), a popcount a word;
+//   - both parts dense (index.Part.Dense): the chunks are word ranges of
+//     the code space, and the two presence bitmaps are ANDed a word at a
+//     time; a worker counts both sides' slots from the rank of its
+//     chunk's first word (index.Part.WordRank), a popcount a word;
 //   - otherwise the smaller directory drives — a sparse one always, since
 //     of a dense and a sparse directory the sparse one is the smaller —
 //     its slots are the chunks, its Codes are read in place, and a
 //     chunk's codes are looked up in the other directory joinBatch at a
-//     time (no lookup waits for another, index.Slots): bit probes on a
-//     dense index, bucket searches on a sparse one.
+//     time (no lookup waits for another, index.Part.Slots): bit probes on
+//     a dense part, bucket searches on a sparse one.
 //
 // visit runs on worker wid's goroutine and must not keep batch. With
 // shuffled set the words, or the driving slots, are visited in a fixed
 // odd-multiplier permutation of the next power of two (a bijection;
 // slots past the directory's end are skipped): same codes, destroyed
 // locality. No batch is delivered once ctx is cancelled.
-func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled bool, visit func(wid int, batch []slotPair)) error {
-	dense := ix1.Dense() && ix2.Dense()
-	drive, other := ix1, ix2
-	swapped := ix2.NumCodes() < ix1.NumCodes()
-	if swapped {
-		drive, other = ix2, ix1
+func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled bool, visit func(wid int, q1, q2 *index.Part, batch []slotPair)) error {
+	parts1, parts2 := ix1.Parts(), ix2.Parts()
+	pairs := make([]pairJoin, 0, len(parts1)*len(parts2))
+	numChunks := 0
+	for i := range parts1 {
+		for j := range parts2 {
+			pj := pairJoin{q1: &parts1[i], q2: &parts2[j]}
+			pj.dense = pj.q1.Dense() && pj.q2.Dense()
+			pj.drive, pj.other = pj.q1, pj.q2
+			if pj.swapped = pj.q2.NumCodes() < pj.q1.NumCodes(); pj.swapped {
+				pj.drive, pj.other = pj.q2, pj.q1
+			}
+			pj.domain = pj.drive.NumCodes()
+			if pj.dense {
+				pj.domain = len(pj.q1.Bits)
+			}
+			if pj.domain == 0 {
+				continue
+			}
+			if shuffled {
+				pj.domain = 1 << bits.Len(uint(pj.domain-1))
+			}
+			n := min(workers*16, pj.domain)
+			pj.chunkSize = (pj.domain + n - 1) / n
+			pj.firstChunk = numChunks
+			numChunks += (pj.domain + pj.chunkSize - 1) / pj.chunkSize
+			pairs = append(pairs, pj)
+		}
 	}
-	domain := drive.NumCodes() // what the chunks cut: slots, or words when dense
-	if dense {
-		domain = len(ix1.Bits)
-	}
-	if domain == 0 {
+	if numChunks == 0 {
 		return ctx.Err()
 	}
-	if shuffled {
-		domain = 1 << bits.Len(uint(domain-1))
-	}
-	numChunks := min(workers*16, domain)
-	chunkSize := (domain + numChunks - 1) / numChunks
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -435,6 +471,8 @@ func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled
 		go func(wid int) {
 			defer wg.Done()
 			j := joinWorker{ctx: ctx, wid: wid, visit: visit}
+			// A worker's claims ascend, so the pair it is in only moves on.
+			k := 0
 			// A cancelled stream stops burning cores at the next batch or
 			// chunk claim, not at the end of the directory.
 			for ctx.Err() == nil {
@@ -442,13 +480,18 @@ func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled
 				if chunk >= numChunks {
 					return
 				}
-				lo := chunk * chunkSize
-				hi := min(lo+chunkSize, domain)
+				for k+1 < len(pairs) && pairs[k+1].firstChunk <= chunk {
+					k++
+				}
+				pj := &pairs[k]
+				j.q1, j.q2 = pj.q1, pj.q2
+				lo := (chunk - pj.firstChunk) * pj.chunkSize
+				hi := min(lo+pj.chunkSize, pj.domain)
 				var ok bool
-				if dense {
-					ok = j.andWords(ix1, ix2, lo, hi, shuffled, domain)
+				if pj.dense {
+					ok = j.andWords(pj.q1, pj.q2, lo, hi, shuffled, pj.domain)
 				} else {
-					ok = j.probeSlots(drive, other, swapped, lo, hi, shuffled, domain)
+					ok = j.probeSlots(pj.drive, pj.other, pj.swapped, lo, hi, shuffled, pj.domain)
 				}
 				if !ok || !j.flush() {
 					return
@@ -460,14 +503,15 @@ func joinCodes(ctx context.Context, ix1, ix2 *index.Index, workers int, shuffled
 	return ctx.Err()
 }
 
-// joinWorker is one joinCodes worker: the pairs found that no batch has
-// taken yet, and where a full batch goes.
+// joinWorker is one joinCodes worker: the part pair it is in, the pairs
+// found that no batch has taken yet, and where a full batch goes.
 type joinWorker struct {
-	ctx   context.Context
-	wid   int
-	visit func(wid int, batch []slotPair)
-	buf   [joinBatch]slotPair
-	n     int
+	ctx    context.Context
+	wid    int
+	visit  func(wid int, q1, q2 *index.Part, batch []slotPair)
+	q1, q2 *index.Part
+	buf    [joinBatch]slotPair
+	n      int
 }
 
 // add queues p and hands over the batch once it is full. It reports
@@ -488,7 +532,7 @@ func (j *joinWorker) flush() bool {
 	if j.ctx.Err() != nil {
 		return false
 	}
-	j.visit(j.wid, j.buf[:j.n])
+	j.visit(j.wid, j.q1, j.q2, j.buf[:j.n])
 	j.n = 0
 	return true
 }
@@ -502,7 +546,7 @@ func permute(i, domain int) int {
 // andWords is the dense walk over words [lo, hi) of the code space (or
 // of its permutation): the codes both bitmaps hold, ascending, each
 // ranked on both sides by a popcount of its word below it.
-func (j *joinWorker) andWords(ix1, ix2 *index.Index, lo, hi int, shuffled bool, domain int) bool {
+func (j *joinWorker) andWords(q1, q2 *index.Part, lo, hi int, shuffled bool, domain int) bool {
 	var k1, k2 int // the slots of the current word's first code
 	for i := lo; i < hi; i++ {
 		w := i
@@ -510,9 +554,9 @@ func (j *joinWorker) andWords(ix1, ix2 *index.Index, lo, hi int, shuffled bool, 
 			w = permute(i, domain) // domain is len(Bits), itself a power of two
 		}
 		if shuffled || i == lo {
-			k1, k2 = ix1.WordRank(w), ix2.WordRank(w)
+			k1, k2 = q1.WordRank(w), q2.WordRank(w)
 		}
-		x1, x2 := ix1.Bits[w], ix2.Bits[w]
+		x1, x2 := q1.Bits[w], q2.Bits[w]
 		for m := x1 & x2; m != 0; m &= m - 1 {
 			below := m&-m - 1 // the bits below the shared code's
 			p := slotPair{
@@ -532,8 +576,8 @@ func (j *joinWorker) andWords(ix1, ix2 *index.Index, lo, hi int, shuffled bool, 
 
 // probeSlots is the driven walk over the driving directory's slots
 // [lo, hi) (or their permutation): a lookup's worth of codes at a time,
-// resolved in the other directory by index.Slots.
-func (j *joinWorker) probeSlots(drive, other *index.Index, swapped bool, lo, hi int, shuffled bool, domain int) bool {
+// resolved in the other directory by index.Part.Slots.
+func (j *joinWorker) probeSlots(drive, other *index.Part, swapped bool, lo, hi int, shuffled bool, domain int) bool {
 	// drive is sparse, so its Codes are there: the dense threshold is one
 	// on a directory's size, and drive is the smaller directory.
 	//

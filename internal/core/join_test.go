@@ -43,10 +43,18 @@ func dirIndex(codes []seed.Code) *index.Index {
 	return index.Build(mkBank("dir", seqs...), index.Options{W: joinW})
 }
 
+// only returns the one part of a built index.
+func only(ix *index.Index) *index.Part {
+	if len(ix.Parts()) != 1 {
+		panic("index has several parts")
+	}
+	return &ix.Parts()[0]
+}
+
 // joinClass names the walk joinCodes takes for a pair of indexes.
 func joinClass(ix1, ix2 *index.Index) string {
 	form := func(ix *index.Index) string {
-		if ix.Dense() {
+		if only(ix).Dense() {
 			return "dense"
 		}
 		return "sparse"
@@ -143,7 +151,7 @@ func TestJoinCodesMatchesMapIntersection(t *testing.T) {
 			}
 		}
 		ix1, ix2 := dirIndex(tc.c1), dirIndex(tc.c2)
-		if !slices.Equal(ix1.Directory(), tc.c1) || !slices.Equal(ix2.Directory(), tc.c2) {
+		if !slices.Equal(only(ix1).Directory(), tc.c1) || !slices.Equal(only(ix2).Directory(), tc.c2) {
 			t.Fatalf("%s: dirIndex did not reproduce the directories", tc.name)
 		}
 		if class := joinClass(ix1, ix2); class != tc.class {
@@ -152,7 +160,7 @@ func TestJoinCodesMatchesMapIntersection(t *testing.T) {
 		for _, workers := range []int{1, 2, 7} {
 			for _, shuffled := range []bool{false, true} {
 				perWorker := make([][]slotPair, workers)
-				err := joinCodes(context.Background(), ix1, ix2, workers, shuffled, func(wid int, batch []slotPair) {
+				err := joinCodes(context.Background(), ix1, ix2, workers, shuffled, func(wid int, _, _ *index.Part, batch []slotPair) {
 					if len(batch) == 0 || len(batch) > joinBatch {
 						t.Errorf("%s workers=%d: a batch of %d pairs", tc.name, workers, len(batch))
 					}
@@ -228,7 +236,7 @@ func TestJoinCodesBatchBoundaries(t *testing.T) {
 			}
 		}
 		var got []int
-		err := joinCodes(context.Background(), dirIndex(drive), dirIndex(other), 1, false, func(_ int, batch []slotPair) {
+		err := joinCodes(context.Background(), dirIndex(drive), dirIndex(other), 1, false, func(_ int, _, _ *index.Part, batch []slotPair) {
 			got = append(got, len(batch))
 			if first, last := batch[0].k1/chunkLen, batch[len(batch)-1].k1/chunkLen; first != last {
 				t.Errorf("%s: a batch spans chunks %d to %d", tc.name, first, last)
@@ -259,7 +267,7 @@ func TestJoinCodesHonoursCancellation(t *testing.T) {
 				cancel()
 			}
 			batches := 0
-			err := joinCodes(ctx, ix, ix, 1, false, func(int, []slotPair) {
+			err := joinCodes(ctx, ix, ix, 1, false, func(int, *index.Part, *index.Part, []slotPair) {
 				if batches++; batches == cancelAt {
 					cancel()
 				}
@@ -297,7 +305,8 @@ func exactRun(b1, b2 *bank.Bank, p1, p2 int32, w int) hsp.HSP {
 // With the ordered rule off every visited pair yields one HSP, so the
 // HSP multiset and the hit-pair count expose a pair visited twice or
 // not at all — for lopsided banks both ways round, banks sharing no
-// seed, an empty index, and a bank against itself under SkipSelfPairs.
+// seed, an empty index, and a bank against itself under SkipSelfPairs,
+// each on built indexes and on indexes of one part a sequence.
 func TestStep2VisitsEveryHitPairOnce(t *testing.T) {
 	const w = 8 // a few hundred codes in the reads, ten thousand in the genome
 	rng := rand.New(rand.NewSource(23))
@@ -340,33 +349,58 @@ func TestStep2VisitsEveryHitPairOnce(t *testing.T) {
 			t.Fatalf("%s: oracle found %d hit pairs", tc.name, len(want))
 		}
 
-		ix1 := index.Build(tc.b1, index.Options{W: w})
-		ix2 := ix1
-		if tc.b2 != tc.b1 {
-			ix2 = index.Build(tc.b2, index.Options{W: w})
-		}
-		for _, workers := range []int{1, 2, 7} {
-			for _, shuffled := range []bool{false, true} {
-				opt := DefaultOptions()
-				opt.W = w
-				opt.OrderedRule = false
-				opt.UngappedXDrop = 1
-				opt.MinUngappedScore = 0
-				opt.Workers = workers
-				opt.ShuffledSeedOrder = shuffled
-				opt.SkipSelfPairs = tc.skipSelf
-				got, res, err := step2(context.Background(), tc.b1, tc.b2, ix1, ix2, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				sortHSPs(got)
-				if res.hitPairs != int64(len(want)) || !slices.Equal(got, want) {
-					t.Errorf("%s workers=%d shuffled=%v: step 2 visited %d hit pairs (%d HSPs), the oracle has %d",
-						tc.name, workers, shuffled, res.hitPairs, len(got), len(want))
+		for _, split := range []bool{false, true} {
+			ix1 := perSeq(t, tc.b1, index.Options{W: w}, split)
+			ix2 := ix1
+			if tc.b2 != tc.b1 {
+				ix2 = perSeq(t, tc.b2, index.Options{W: w}, split)
+			}
+			for _, workers := range []int{1, 2, 7} {
+				for _, shuffled := range []bool{false, true} {
+					opt := DefaultOptions()
+					opt.W = w
+					opt.OrderedRule = false
+					opt.UngappedXDrop = 1
+					opt.MinUngappedScore = 0
+					opt.Workers = workers
+					opt.ShuffledSeedOrder = shuffled
+					opt.SkipSelfPairs = tc.skipSelf
+					got, res, err := step2(context.Background(), tc.b1, tc.b2, ix1, ix2, opt)
+					if err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+					sortHSPs(got)
+					if res.hitPairs != int64(len(want)) || !slices.Equal(got, want) {
+						t.Errorf("%s split=%v workers=%d shuffled=%v: step 2 visited %d hit pairs (%d HSPs), the oracle has %d",
+							tc.name, split, workers, shuffled, res.hitPairs, len(got), len(want))
+					}
 				}
 			}
 		}
 	}
+}
+
+// perSeq is the index of b under opts: built, or, split, loaded from one
+// block a sequence — an index of as many parts as the bank has
+// sequences, which step 2 joins part pair by part pair.
+func perSeq(t *testing.T, b *bank.Bank, opts index.Options, split bool) *index.Index {
+	t.Helper()
+	if !split {
+		return index.Build(b, opts)
+	}
+	blocks := make([]index.BlockParts, b.NumSeqs())
+	for i := range blocks {
+		bp, err := index.BuildBlock(b, opts, i, i+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks[i] = bp
+	}
+	ix, err := index.FromBlocks(b, opts, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 // TestStep2OrderAndCountsDoNotDependOnBatching: with the ordered rule on,
@@ -401,9 +435,10 @@ func TestStep2OrderAndCountsDoNotDependOnBatching(t *testing.T) {
 			XDrop: opt.UngappedXDrop, Ordered: true}
 		var want []hsp.HSP
 		var wantStats hsp.Stats
-		for _, code := range ix1.Directory() {
-			for _, p1 := range ix1.Occ(code) {
-				for _, p2 := range ix2.Occ(code) {
+		q1, q2 := only(ix1), only(ix2)
+		for _, code := range q1.Directory() {
+			for _, p1 := range q1.Occ(code) {
+				for _, p2 := range q2.Occ(code) {
 					if h, ok := ext.Extend(tc.b1.Data, tc.b2.Data, p1, p2, code, &wantStats); ok && h.Score >= opt.MinUngappedScore {
 						want = append(want, h)
 					}

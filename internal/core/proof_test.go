@@ -34,7 +34,7 @@ func proofBanks() (db, qA, qB *bank.Bank) {
 // windows unproven.
 func loaded(t *testing.T, ix *index.Index) *index.Index {
 	t.Helper()
-	out, err := index.FromBlocks(ix.Bank, ix.Options(), []index.BlockParts{ix.Block()})
+	out, err := index.FromBlocks(ix.Bank, ix.Options(), ix.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,12 @@ func loaded(t *testing.T, ix *index.Index) *index.Index {
 func sharedWindows(ix, other *index.Index, skip map[seed.Code]bool) (int64, map[seed.Code]bool) {
 	var n int64
 	joined := map[seed.Code]bool{}
-	for i, c := range ix.Directory() {
-		if _, found := other.Slot(c); found {
+	q := only(ix)
+	for i, c := range q.Directory() {
+		if _, found := only(other).Slot(c); found {
 			joined[c] = true
 			if !skip[c] {
-				n += int64(ix.Offsets[i+1] - ix.Offsets[i])
+				n += int64(q.Offsets[i+1] - q.Offsets[i])
 			}
 		}
 	}
@@ -115,8 +116,9 @@ func TestWindowsProvenCounter(t *testing.T) {
 
 // TestConcurrentComparesOverOneLoadedIndex: compares sharing one loaded
 // db index, its slots proven by whichever reads them first, each produce
-// what they produce on built indexes. Under -race this is the test of
-// the proof bitmap's publication.
+// what they produce on built indexes — loaded from one block, and from
+// one block a sequence, whose parts prove their slots apart. Under
+// -race this is the test of the proof bits' publication.
 func TestConcurrentComparesOverOneLoadedIndex(t *testing.T) {
 	db, qA, qB := proofBanks()
 	opt := DefaultOptions()
@@ -132,39 +134,41 @@ func TestConcurrentComparesOverOneLoadedIndex(t *testing.T) {
 		}
 		want[i] = res
 	}
-	shared := loaded(t, dbIx)
-	var wg sync.WaitGroup
-	var proven [8]int64
-	for g := range proven {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			q := queries[g%2]
-			res, err := CompareWithIndex(shared, q, opt)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			proven[g] = res.Metrics.WindowsProven
-			if !slices.Equal(res.Alignments, want[g%2].Alignments) {
-				t.Errorf("compare %d over the shared loaded index differs from the built one", g)
-			}
-		}()
-	}
-	wg.Wait()
 	union, joinedA := sharedWindows(dbIx, queries[0], nil)
 	onlyB, _ := sharedWindows(dbIx, queries[1], joinedA)
-	var total int64
-	for _, n := range proven {
-		total += n
-	}
-	// Racing first readers may each prove a slot: at least every joined
-	// window once, at most once per compare.
-	if total < union+onlyB || total > int64(len(proven))*(union+onlyB) {
-		t.Errorf("%d windows proven across the compares, want between %d and %d", total, union+onlyB, int64(len(proven))*(union+onlyB))
-	}
-	if shared.Revoked() {
-		t.Error("a sound index was revoked")
+	for _, shared := range []*index.Index{loaded(t, dbIx), perSeq(t, db, o1, true)} {
+		var wg sync.WaitGroup
+		var proven [8]int64
+		for g := range proven {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q := queries[g%2]
+				res, err := CompareWithIndex(shared, q, opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				proven[g] = res.Metrics.WindowsProven
+				if !slices.Equal(res.Alignments, want[g%2].Alignments) {
+					t.Errorf("%d parts: compare %d over the shared loaded index differs from the built one", len(shared.Parts()), g)
+				}
+			}()
+		}
+		wg.Wait()
+		var total int64
+		for _, n := range proven {
+			total += n
+		}
+		// Racing first readers may each prove a slot: at least every joined
+		// window once, at most once per compare.
+		if total < union+onlyB || total > int64(len(proven))*(union+onlyB) {
+			t.Errorf("%d parts: %d windows proven across the compares, want between %d and %d",
+				len(shared.Parts()), total, union+onlyB, int64(len(proven))*(union+onlyB))
+		}
+		if shared.Revoked() {
+			t.Error("a sound index was revoked")
+		}
 	}
 }
 
@@ -180,8 +184,9 @@ func TestFailedProofFailsCompare(t *testing.T) {
 	// inside its record: the same order, another window.
 	slot := -1
 	var c seed.Code
-	for i, code := range dbIx.Directory() {
-		if _, found := aIx.Slot(code); found && dbIx.Offsets[i+1]-dbIx.Offsets[i] == 1 {
+	q := only(dbIx)
+	for i, code := range q.Directory() {
+		if _, found := only(aIx).Slot(code); found && q.Offsets[i+1]-q.Offsets[i] == 1 {
 			slot, c = i, code
 			break
 		}
@@ -189,10 +194,10 @@ func TestFailedProofFailsCompare(t *testing.T) {
 	if slot < 0 {
 		t.Fatal("no shared code occurs once in the db")
 	}
-	bp := dbIx.Block()
+	bp := dbIx.Blocks()[0]
 	bp.Pos = slices.Clone(bp.Pos)
-	bp.Pos[dbIx.Offsets[slot]]--
-	if shifted, _ := seed.Encode(db.Data[bp.Pos[dbIx.Offsets[slot]]:], o1.W); shifted == c {
+	bp.Pos[q.Offsets[slot]]--
+	if shifted, _ := seed.Encode(db.Data[bp.Pos[q.Offsets[slot]]:], o1.W); shifted == c {
 		t.Fatal("the shifted window holds the same code")
 	}
 	bad, err := index.FromBlocks(db, o1, []index.BlockParts{bp})

@@ -23,8 +23,8 @@ func mkBank(name string, seqs ...string) *bank.Bank {
 // order and extend every hit pair. It returns all HSPs (no score
 // threshold) and the extension stats.
 func runStep2(b1, b2 *bank.Bank, w int, xdrop int32, ordered bool) ([]HSP, Stats) {
-	ix1 := index.Build(b1, index.Options{W: w})
-	ix2 := index.Build(b2, index.Options{W: w})
+	ix1 := &index.Build(b1, index.Options{W: w}).Parts()[0]
+	ix2 := &index.Build(b2, index.Options{W: w}).Parts()[0]
 	ext := Extender{W: w, Match: 1, Mismatch: 3, XDrop: xdrop, Ordered: ordered}
 	var st Stats
 	var out []HSP
@@ -485,7 +485,7 @@ func BenchmarkExtendOrdered(b *testing.B) {
 	b1 := mkBank("x", seqs[0])
 	b2 := mkBank("y", mutate(rng, seqs[0], 0.05))
 	const w = 11
-	ix1 := index.Build(b1, index.Options{W: w})
+	ix1 := &index.Build(b1, index.Options{W: w}).Parts()[0]
 	// The lowest occupied code and its first occurrence.
 	code := ix1.Directory()[0]
 	p1 := ix1.Occ(code)[0]

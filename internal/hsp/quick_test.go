@@ -10,8 +10,10 @@ import (
 	"repro/internal/seed"
 )
 
-func indexBuildSampled(b *bank.Bank, w, step int) *index.Index {
-	return index.Build(b, index.Options{W: w, SampleStep: step})
+// indexBuildSampled returns the one part of a built index: the whole
+// bank's.
+func indexBuildSampled(b *bank.Bank, w, step int) *index.Part {
+	return &index.Build(b, index.Options{W: w, SampleStep: step}).Parts()[0]
 }
 
 // quickBanks derives a related bank pair from fuzz input.

@@ -106,7 +106,8 @@ func BenchmarkIndexScan_CSRvsChain(b *testing.B) {
 	ix2 := Build(b2, Options{W: w})
 	ref1 := buildChainRef(b1, Options{W: w})
 	ref2 := buildChainRef(b2, Options{W: w})
-	codes, codes2 := ix1.Directory(), ix2.Directory()
+	q1, q2 := only(ix1), only(ix2)
+	codes, codes2 := q1.Directory(), q2.Directory()
 
 	var chainPairs, csrPairs int64
 	b.Run("Chain", func(b *testing.B) {
@@ -152,8 +153,8 @@ func BenchmarkIndexScan_CSRvsChain(b *testing.B) {
 				if codes2[k2] != code {
 					continue
 				}
-				pos2 := ix2.Pos[ix2.Offsets[k2]:ix2.Offsets[k2+1]]
-				for _, p1 := range ix1.Pos[ix1.Offsets[k1]:ix1.Offsets[k1+1]] {
+				pos2 := q2.Pos[q2.Offsets[k2]:q2.Offsets[k2+1]]
+				for _, p1 := range q1.Pos[q1.Offsets[k1]:q1.Offsets[k1+1]] {
 					for _, p2 := range pos2 {
 						pairs++
 						sink += int64(p1 + p2)
@@ -191,11 +192,11 @@ func benchBankSeqs(count, seqLen int) *bank.Bank {
 // cold full build it replaces, on the route the store takes: a 4 Mb
 // bank of 256 sequences grows by a suffix of 1, 16, or 64 sequences,
 // under the engine-default shape (W=11, dust on). The extension builds
-// one block over the suffix (scan, mask, sort) and reassembles it with
-// the stored block (validation plus a merge of the two directories and
-// a copy of the stored arrays), so
-// its cost tracks the suffix size with a flat bank-proportional floor,
-// while the full build re-scans, re-masks, and re-sorts the whole bank.
+// one block over the suffix (scan, mask, sort) and takes it beside the
+// stored block as a part (the structure check of both, and the stored
+// block's dense bitmap), so its cost tracks the suffix size with a flat
+// bank-proportional floor, while the full build re-scans, re-masks, and
+// re-sorts the whole bank.
 func BenchmarkIndexExtend(b *testing.B) {
 	const (
 		seqs   = 256
@@ -208,7 +209,7 @@ func BenchmarkIndexExtend(b *testing.B) {
 		b.Run(fmt.Sprintf("suffix%d", suffix), func(b *testing.B) {
 			// benchBankSeqs is deterministic, so the first k records of
 			// a fresh generation are exactly the full bank's prefix.
-			stored := Build(benchBankSeqs(k, seqLen), opts).Block()
+			stored := Build(benchBankSeqs(k, seqLen), opts).Blocks()[0]
 			b.SetBytes(int64(suffix * seqLen))
 			b.ReportAllocs()
 			b.ResetTimer()

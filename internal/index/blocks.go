@@ -3,29 +3,31 @@
 // A block is a self-contained CSR slice of a bank's index over one
 // contiguous sequence range [SeqLo, SeqHi): every indexed occurrence
 // whose position falls in the corresponding Data range, in the same
-// code-major, position-minor order the whole-bank index uses, under the
-// same sorted code directory and block-local Offsets. Because bank
+// code-major, position-minor order the whole-bank index uses, under a
+// sorted code directory of its own and block-local Offsets. Because bank
 // coordinates are append-stable and no seed window straddles a sequence
 // boundary (the sentinel byte makes such a window invalid), a block's
 // content depends only on its own Data range — which is what makes the
 // three block operations exact:
 //
-//   - Index.Block presents a built index as the one block over the
-//     whole bank it already is, sharing its arrays;
+//   - Index.Blocks presents each part of an index as the block it
+//     already is, sharing its arrays — a built index is one block over
+//     the whole bank;
 //   - BuildBlock runs the build routine over only the block's own Data
 //     range (the O(suffix) append path) — Build is the same routine
 //     over the whole array;
-//   - FromBlocks reassembles the whole-bank index from a tiling of
-//     blocks, byte-identical to Build.
+//   - FromBlocks takes a tiling of blocks as the index's parts, one a
+//     block, each as it stands.
 //
 // The invariant tying them together, tested in blocks_test.go: for any
-// tiling of b by BuildBlock, FromBlocks(tiling) == Build(b), array for
-// array, and Build(b).Block() == BuildBlock over the whole bank.
+// tiling of b by BuildBlock, each part of FromBlocks(tiling) is its
+// block, array for array; a code's occurrences concatenated over the
+// parts are Build(b)'s; and Build(b).Blocks() is the one block
+// BuildBlock makes over the whole bank.
 package index
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/bank"
@@ -33,7 +35,8 @@ import (
 )
 
 // BlockParts is one index block — what the build routine produces, what
-// one .orix block holds, and what FromBlocks assembles an Index from.
+// one .orix block holds, and what FromBlocks takes as one part of an
+// Index.
 // Occurrences are in CSR order: grouped by seed code (ascending, listed
 // in Codes), position-sorted inside each group, the occurrences of
 // Codes[i] being Pos[Offsets[i]:Offsets[i+1]]. The slices may alias
@@ -92,38 +95,39 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 	return p, nil
 }
 
-// Block returns ix as the one block over its whole bank that it already
-// is — what a fresh save writes. Offsets and Pos are the index's own
-// arrays, and so is Codes on a sparse index, not copies (read-only); on
-// a dense index Codes is regenerated (Directory) and lives only as long
-// as the block.
-func (ix *Index) Block() BlockParts {
-	return BlockParts{
-		SeqLo: 0, SeqHi: ix.Bank.NumSeqs(),
-		DataLo: ix.Bank.PrefixLen(0), DataHi: len(ix.Bank.Data),
-		Codes: ix.Directory(), Offsets: ix.Offsets, Pos: ix.Pos,
-		MaskedOut: ix.MaskedOut, SampledOut: ix.SampledOut,
+// Blocks returns each part of ix as the block it already is, in order
+// — what a save writes: one block for a built index. Offsets and Pos
+// are the parts' own arrays, and so is Codes on a sparse part, not
+// copies (read-only); on a dense part Codes is regenerated (Directory)
+// and lives only as long as the block.
+func (ix *Index) Blocks() []BlockParts {
+	blocks := make([]BlockParts, len(ix.parts))
+	for i := range ix.parts {
+		q := &ix.parts[i]
+		blocks[i] = BlockParts{
+			SeqLo: q.SeqLo, SeqHi: q.SeqHi, DataLo: q.DataLo, DataHi: q.DataHi,
+			Codes: q.Directory(), Offsets: q.Offsets, Pos: q.Pos,
+			MaskedOut: q.MaskedOut, SampledOut: q.SampledOut,
+		}
 	}
+	return blocks
 }
 
-// FromBlocks reassembles the whole-bank index from blocks tiling
-// [0, b.NumSeqs()), as if Build(b, opts) had produced it. The blocks
-// are untrusted (they come from disk files). The tiling is checked —
+// FromBlocks assembles the index of b from blocks tiling
+// [0, b.NumSeqs()), one part a block, in block order. The blocks are
+// untrusted (they come from disk files). The tiling is checked —
 // contiguous sequence ranges, Data bounds matching the bank's real
 // prefix boundaries — and each block's structure by checkParts, one
 // parallel pass: every position a window inside its block, ascending
 // inside its slot, the directory ascending, offsets ascending from 0 to
-// len(Pos). A single block already is the index: its three arrays (which
-// may alias an mmap'd file) are adopted, not copied, and the same pass
-// fills the bitmap of a dense index. Several blocks are merged: their
-// sorted directories merged and each code's runs concatenated in block
-// order — positions in block k all precede positions in block k+1, so
-// the concatenation is CSR order, and checked blocks merge into checked
-// parts.
+// len(Pos). Each checked block then is a part: its three arrays (which
+// may alias an mmap'd file) are adopted, not copied, its directory takes
+// the form its own size calls for, and the same pass fills the bitmap
+// of a dense one.
 //
 // Whether each window holds its slot's code is not proven here but on
-// first read: the index returned proves a slot when an engine first
-// reads it (Index.Prove), and is revoked if a proof fails.
+// first read: each part proves a slot when an engine first reads it
+// (Part.Prove), and the index is revoked if a proof fails in any part.
 func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error) {
 	opts = opts.normalized()
 	if opts.W < 1 || opts.W > seed.MaxW {
@@ -132,7 +136,6 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("index: FromBlocks: no blocks")
 	}
-	var p BlockParts
 	wantSeq := 0
 	for i := range blocks {
 		bp := &blocks[i]
@@ -148,152 +151,26 @@ func FromBlocks(b *bank.Bank, opts Options, blocks []BlockParts) (*Index, error)
 			return nil, fmt.Errorf("index: FromBlocks: block %d records Data range [%d,%d), bank's sequences [%d,%d) span [%d,%d)",
 				i, bp.DataLo, bp.DataHi, bp.SeqLo, bp.SeqHi, b.PrefixLen(bp.SeqLo), b.PrefixLen(bp.SeqHi))
 		}
-		p.MaskedOut += bp.MaskedOut
-		p.SampledOut += bp.SampledOut
 		wantSeq = bp.SeqHi
 	}
 	if wantSeq != b.NumSeqs() {
 		return nil, fmt.Errorf("index: FromBlocks: blocks cover %d sequences, bank has %d", wantSeq, b.NumSeqs())
 	}
 
-	var bitmap []uint64
-	if len(blocks) == 1 {
-		bp := &blocks[0]
-		p.Codes, p.Offsets, p.Pos = bp.Codes, bp.Offsets, bp.Pos
+	parts := make([]Part, len(blocks))
+	for i := range blocks {
+		bp := &blocks[i]
+		var bitmap []uint64
 		if denseDirectory(len(bp.Codes), opts.W) {
 			bitmap = make([]uint64, (seed.NumCodes(opts.W)+63)/64)
 		}
 		if err := checkParts(b, opts, bp, bitmap); err != nil {
-			return nil, fmt.Errorf("index: FromBlocks: %w", err)
+			return nil, fmt.Errorf("index: FromBlocks: block %d: %w", i, err)
 		}
-	} else {
-		for i := range blocks {
-			if err := checkParts(b, opts, &blocks[i], nil); err != nil {
-				return nil, fmt.Errorf("index: FromBlocks: block %d: %w", i, err)
-			}
-		}
-		mergeBlocks(&p, blocks)
+		parts[i] = newPart(opts, bp, bitmap)
+		parts[i].done = make([]atomic.Uint64, (len(bp.Codes)+63)/64)
 	}
-	ix := assemble(b, opts, p, bitmap)
-	ix.proof = &proof{done: make([]atomic.Uint64, (ix.NumCodes()+63)/64)}
+	ix := assemble(b, opts, parts)
+	ix.proof = &proof{}
 	return ix, nil
-}
-
-// mergeBlocks fills p's arrays from checked blocks in ascending Data
-// order by a k-way merge of their ascending directories. The cursors
-// come up in (code, block) order, so a code's occurrences arrive in
-// block order — ascending position — and are copied as they arrive, a
-// run of directory entries at a time (an appended-to file is one large
-// block and a few small ones), each run's block-local offsets rebased
-// onto where its occurrences land. Nothing is allocated beyond the three
-// output arrays and one cursor a block: the directories are walked once
-// to count the distinct codes, once to fill.
-func mergeBlocks(p *BlockParts, blocks []BlockParts) {
-	m := dirMerge{blocks: blocks, heads: make([]dirHead, 0, len(blocks))}
-	distinct := 0
-	var last seed.Code
-	for m.reset(); len(m.heads) > 0; {
-		h, n := m.nextRun()
-		if distinct > 0 && h.code == last {
-			distinct-- // the run opens on the code the last one closed on
-		}
-		distinct += n
-		last = blocks[h.block].Codes[int(h.entry)+n-1]
-	}
-	indexed := 0
-	for i := range blocks {
-		indexed += len(blocks[i].Pos)
-	}
-	p.Codes = make([]seed.Code, 0, distinct)
-	p.Offsets = make([]int32, 0, distinct+1)
-	p.Pos = make([]int32, 0, indexed)
-	for m.reset(); len(m.heads) > 0; {
-		h, n := m.nextRun()
-		bp := &blocks[h.block]
-		codes, offs := bp.Codes[h.entry:][:n], bp.Offsets[h.entry:][:n+1]
-		rebase := int32(len(p.Pos)) - offs[0]
-		p.Pos = append(p.Pos, bp.Pos[offs[0]:offs[n]]...)
-		if len(p.Codes) > 0 && codes[0] == p.Codes[len(p.Codes)-1] {
-			// That slot stays open and takes these occurrences too.
-			codes, offs = codes[1:], offs[1:]
-		}
-		p.Codes = append(p.Codes, codes...)
-		for _, o := range offs[:len(codes)] {
-			p.Offsets = append(p.Offsets, o+rebase)
-		}
-	}
-	p.Offsets = append(p.Offsets, int32(len(p.Pos)))
-}
-
-// dirHead is one block's cursor in a directory merge: the directory
-// entry it stands on and that entry's code.
-type dirHead struct {
-	code         seed.Code
-	block, entry int32
-}
-
-func (a dirHead) before(b dirHead) bool {
-	return a.code < b.code || a.code == b.code && a.block < b.block
-}
-
-// dirMerge reads the directories of several blocks as one sequence
-// ascending in (code, block): a binary min-heap of one cursor a block.
-type dirMerge struct {
-	blocks []BlockParts
-	heads  []dirHead
-}
-
-// reset puts a cursor on the first entry of every non-empty directory.
-func (m *dirMerge) reset() {
-	m.heads = m.heads[:0]
-	for i := range m.blocks {
-		if codes := m.blocks[i].Codes; len(codes) > 0 {
-			m.heads = append(m.heads, dirHead{code: codes[0], block: int32(i)})
-		}
-	}
-	for i := len(m.heads)/2 - 1; i >= 0; i-- {
-		m.sift(i)
-	}
-}
-
-// nextRun returns the least cursor and the number of entries of its
-// block's directory, from the cursor on, that come before every other
-// cursor — the one it stands on, then every entry whose code is below
-// the runner-up's — and moves the cursor past them, dropping it at the
-// end of the directory.
-func (m *dirMerge) nextRun() (h dirHead, n int) {
-	h = m.heads[0]
-	limit := uint64(math.MaxUint64) // no other cursor: the rest of the directory
-	for c := 1; c <= 2 && c < len(m.heads); c++ {
-		limit = min(limit, uint64(m.heads[c].code))
-	}
-	codes := m.blocks[h.block].Codes[h.entry:]
-	for n = 1; n < len(codes) && uint64(codes[n]) < limit; n++ {
-	}
-	if n < len(codes) {
-		m.heads[0] = dirHead{code: codes[n], block: h.block, entry: h.entry + int32(n)}
-	} else {
-		last := len(m.heads) - 1
-		m.heads[0] = m.heads[last]
-		m.heads = m.heads[:last]
-	}
-	m.sift(0)
-	return h, n
-}
-
-// sift restores the heap below slot i.
-func (m *dirMerge) sift(i int) {
-	for {
-		least := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(m.heads); c++ {
-			if m.heads[c].before(m.heads[least]) {
-				least = c
-			}
-		}
-		if least == i {
-			return
-		}
-		m.heads[i], m.heads[least] = m.heads[least], m.heads[i]
-		i = least
-	}
 }

@@ -12,20 +12,55 @@ import (
 	"repro/internal/seed"
 )
 
-// sameIndexT asserts two indexes are identical in every array and
-// counter — the byte-identity invariant the block operations promise —
-// and in the lookup structure derived from them: Top, or the bitmap and
-// its rank.
+// samePartT asserts that part got is part want array for array — its
+// range, counters, Offsets, Pos and directory — and in the lookup
+// structure derived from them: Dense(), and Top or the bitmap and its
+// rank.
+func samePartT(t *testing.T, i int, want, got *Part) {
+	t.Helper()
+	if want.SeqLo != got.SeqLo || want.SeqHi != got.SeqHi || want.DataLo != got.DataLo || want.DataHi != got.DataHi ||
+		want.MaskedOut != got.MaskedOut || want.SampledOut != got.SampledOut {
+		t.Errorf("part %d: range or counters differ: want %+v, got %+v", i,
+			[]int{want.SeqLo, want.SeqHi, want.DataLo, want.DataHi, want.MaskedOut, want.SampledOut},
+			[]int{got.SeqLo, got.SeqHi, got.DataLo, got.DataHi, got.MaskedOut, got.SampledOut})
+	}
+	if !slices.Equal(want.Offsets, got.Offsets) || !slices.Equal(want.Pos, got.Pos) {
+		t.Errorf("part %d: Offsets or Pos differ", i)
+	}
+	if want.Dense() != got.Dense() || !slices.Equal(want.Codes, got.Codes) || !slices.Equal(want.Directory(), got.Directory()) {
+		t.Errorf("part %d: directory differs (dense %v, got %v)", i, want.Dense(), got.Dense())
+	}
+	if !slices.Equal(want.Top, got.Top) || want.topShift != got.topShift {
+		t.Errorf("part %d: Top differs: want %d entries at shift %d, got %d at %d",
+			i, len(want.Top), want.topShift, len(got.Top), got.topShift)
+	}
+	if !slices.Equal(want.Bits, got.Bits) || !slices.Equal(want.Rank, got.Rank) {
+		t.Errorf("part %d: bitmap differs: want %d words and %d rank entries, got %d and %d",
+			i, len(want.Bits), len(want.Rank), len(got.Bits), len(got.Rank))
+	}
+}
+
+// sameIndexT asserts that got, an index of got.Bank assembled from a
+// tiling of it, is the tiling of want = Build(got.Bank) that the block
+// operations promise: every part is the block BuildBlock makes over its
+// range, taken as a part, array for array and in the lookup structure
+// derived from it; the parts hold want's occurrences of every code, in
+// order, and want's directory between them (samePartsT); and a
+// one-part index's part is want's array for array.
 func sameIndexT(t *testing.T, want, got *Index) {
 	t.Helper()
 	samePartsT(t, want, got)
-	if !slices.Equal(want.Top, got.Top) || want.topShift != got.topShift {
-		t.Errorf("Top differs: want %d entries at shift %d, got %d at %d",
-			len(want.Top), want.topShift, len(got.Top), got.topShift)
+	for i := range got.parts {
+		q := &got.parts[i]
+		bp, err := BuildBlock(got.Bank, got.opts, q.SeqLo, q.SeqHi)
+		if err != nil {
+			t.Fatalf("part %d: %v", i, err)
+		}
+		ref := newPart(got.opts, &bp, nil)
+		samePartT(t, i, &ref, q)
 	}
-	if !slices.Equal(want.Bits, got.Bits) || !slices.Equal(want.Rank, got.Rank) {
-		t.Errorf("bitmap differs: want %d words and %d rank entries, got %d and %d",
-			len(want.Bits), len(want.Rank), len(got.Bits), len(got.Rank))
+	if len(got.parts) == 1 {
+		samePartT(t, 0, only(want), only(got))
 	}
 }
 
@@ -200,9 +235,10 @@ func TestBuildBlockMatchesSplit(t *testing.T) {
 			for _, built := range []BlockParts{head, tail} {
 				want := BlockParts{SeqLo: built.SeqLo, SeqHi: built.SeqHi,
 					DataLo: b.PrefixLen(built.SeqLo), DataHi: b.PrefixLen(built.SeqHi), Offsets: []int32{0}}
-				for i, c := range ix.Directory() {
+				q := only(ix)
+				for i, c := range q.Directory() {
 					n := len(want.Pos)
-					for _, pos := range ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]] {
+					for _, pos := range q.Pos[q.Offsets[i]:q.Offsets[i+1]] {
 						if int(pos) >= want.DataLo && int(pos) < want.DataHi {
 							want.Pos = append(want.Pos, pos)
 						}
@@ -223,14 +259,14 @@ func TestBuildBlockMatchesSplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			asBlock := ix.Block()
+			asBlock := ix.Blocks()[0]
 			sameBlock(t, whole, asBlock)
 			if whole.MaskedOut != asBlock.MaskedOut || whole.SampledOut != asBlock.SampledOut {
-				t.Fatal("reject counters of Index.Block differ from BuildBlock's")
+				t.Fatal("reject counters of Index.Blocks differ from BuildBlock's")
 			}
 			// A dense index holds no code list: its block's is regenerated.
-			if &asBlock.Pos[0] != &ix.Pos[0] || &asBlock.Offsets[0] != &ix.Offsets[0] || !ix.Dense() && &asBlock.Codes[0] != &ix.Codes[0] {
-				t.Fatal("Index.Block copied the index's arrays")
+			if q := only(ix); &asBlock.Pos[0] != &q.Pos[0] || &asBlock.Offsets[0] != &q.Offsets[0] || !q.Dense() && &asBlock.Codes[0] != &q.Codes[0] {
+				t.Fatal("Index.Blocks copied the index's arrays")
 			}
 		})
 	}
@@ -254,7 +290,7 @@ func TestAppendViaBlocksMatchesBuild(t *testing.T) {
 				// Stored blocks are valid verbatim for the grown bank:
 				// coordinates are append-stable. A fresh save is the old
 				// index as one block; an earlier append leaves two.
-				for _, oldBlocks := range [][]BlockParts{{Build(old, opts).Block()}, tileBlocks(t, old, opts, []int{1})} {
+				for _, oldBlocks := range [][]BlockParts{{Build(old, opts).Blocks()[0]}, tileBlocks(t, old, opts, []int{1})} {
 					suffix, err := BuildBlock(grown, opts, k, grown.NumSeqs())
 					if err != nil {
 						t.Fatalf("split %d: %v", k, err)
@@ -325,26 +361,28 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 
 	// Positions inside their block's windows and in their slot's order
 	// that are not seed windows of its code — what an engine would extend
-	// from. They load; the proof of the slot refuses them and revokes the
-	// index. code names the slot a case corrupts.
+	// from. They load; the proof of the slot, in the part the block
+	// became, refuses them and revokes the whole index. block and code
+	// name the block and the slot a case corrupts.
 	lastCode := func(bl []BlockParts) seed.Code { return bl[1].Codes[len(bl[1].Codes)-1] }
 	polyACode := func([]BlockParts) seed.Code { return 0 }
 	windows := map[string]struct {
 		mutate func([]BlockParts) []BlockParts
+		block  int
 		code   func([]BlockParts) seed.Code
 	}{
 		"posPastLastWindow": {func(bl []BlockParts) []BlockParts {
 			last := bl[1].Pos
 			last[len(last)-1] = int32(len(b.Data) - opts.W)
 			return bl
-		}, lastCode},
-		"posStraddlesSentinel": {func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = r0End - 3; return bl }, polyACode},
+		}, 1, lastCode},
+		"posStraddlesSentinel": {func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = r0End - 3; return bl }, 0, polyACode},
 		"posHoldsInvalidBaseInOrder": {func(bl []BlockParts) []BlockParts {
 			occ := polyA(bl)
 			occ[len(occ)-1] = r1Lo + 36
 			return bl
-		}, polyACode},
-		"posOfAnotherCodeInOrder": {func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = r0Lo; return bl }, polyACode},
+		}, 0, polyACode},
+		"posOfAnotherCodeInOrder": {func(bl []BlockParts) []BlockParts { bl[0].Pos[0] = r0Lo; return bl }, 0, polyACode},
 	}
 	for name, tc := range windows {
 		t.Run(name, func(t *testing.T) {
@@ -354,12 +392,19 @@ func TestFromBlocksRejectsHostileBlocks(t *testing.T) {
 				t.Fatalf("refused at load, want a refusal on first read: %v", err)
 			}
 			c := tc.code(bl)
-			slot, found := ix.Slot(c)
+			q := &ix.Parts()[tc.block]
+			slot, found := q.Slot(c)
 			if !found {
-				t.Fatalf("code %d lost from the directory", c)
+				t.Fatalf("code %d lost from the directory of part %d", c, tc.block)
 			}
-			if _, err := ix.Prove(int32(slot), c); err == nil || !ix.Revoked() {
+			if _, err := q.Prove(int32(slot), c); err == nil || !ix.Revoked() {
 				t.Fatalf("the proof of the hostile slot passed (revoked %v)", ix.Revoked())
+			}
+			// Revocation is the index's: a slot of the other part, not
+			// proven yet, is refused too.
+			other := &ix.Parts()[1-tc.block]
+			if _, err := other.Prove(0, other.Directory()[0]); err == nil {
+				t.Fatal("a revoked index proved a slot of its other part")
 			}
 		})
 	}

@@ -36,7 +36,7 @@ import (
 // of its own codes, so shard cuts never split one.
 //
 // What it does not prove is that a window holds its slot's code: a
-// loaded index proves that on first read (Index.Prove). Structure is
+// loaded index proves that on first read (Part.Prove). Structure is
 // what reading stays inside on: the engines load Pos and Data under a
 // position before any window test, and the test itself reads W bytes
 // from it.
@@ -154,11 +154,11 @@ func checkShard(bp *BlockParts, w, i0, i1 int, limit seed.Code, bitmap []uint64)
 // descends is 1 when b ≤ a and 0 otherwise, computed without a branch.
 func descends(a, b int32) int { return int(uint64(int64(b)-int64(a)-1) >> 63) }
 
-// proof is a loaded index's record of which directory slots hold only
-// proven windows, one bit a slot (set bits are never cleared), and
-// whether a proof has failed.
+// proof is a loaded index's record of whether a window proof has
+// failed. Which slots are proven is each part's (Part.done: set bits
+// are never cleared); a failed proof in any part revokes the whole
+// index.
 type proof struct {
-	done    []atomic.Uint64
 	revoked atomic.Bool
 	// onRevoke runs once, on the goroutine whose proof failed first. It
 	// is set by the loader before the index is shared (OnRevoke).
@@ -166,8 +166,8 @@ type proof struct {
 }
 
 // Loaded reports whether ix came from FromBlocks and so proves a slot's
-// windows the first time it is read (Prove). A built index has nothing
-// to prove.
+// windows the first time it is read (Part.Prove). A built index has
+// nothing to prove.
 func (ix *Index) Loaded() bool { return ix.proof != nil }
 
 // Revoked reports whether a proof on ix has failed: some stored window
@@ -183,53 +183,54 @@ func (ix *Index) OnRevoke(f func()) {
 	}
 }
 
-// Prove proves, on a loaded index, that every occurrence of slot — whose
-// code the caller has found to be c (the join's code, or Slot's) — is a
-// window of W valid bases that encodes to c, and returns the number of
-// windows it checked: 0 when the slot was proven before, or on a built
-// index. An engine calls it before extending from any occurrence of the
-// slot. A failed proof revokes ix: that proof, and every later one not
-// yet settled, returns an error.
+// Prove proves, on a part of a loaded index, that every occurrence of
+// slot — whose code the caller has found to be c (the join's code, or
+// Slot's) — is a window of W valid bases that encodes to c, and returns
+// the number of windows it checked: 0 when the slot was proven before,
+// or on a built index. An engine calls it before extending from any
+// occurrence of the slot. A failed proof revokes the index: that proof,
+// and every later one not yet settled in any part, returns an error.
 //
 // Concurrent first readers of one slot may each prove it; the proof
 // reads only immutable data, so that costs time, never correctness.
-func (ix *Index) Prove(slot int32, c seed.Code) (windows int, err error) {
-	if ix.proof == nil || ix.proof.done[uint32(slot)/64].Load()>>(uint32(slot)%64)&1 != 0 {
+func (q *Part) Prove(slot int32, c seed.Code) (windows int, err error) {
+	if q.done == nil || q.done[uint32(slot)/64].Load()>>(uint32(slot)%64)&1 != 0 {
 		return 0, nil
 	}
-	return ix.proveSlot(slot, c)
+	return q.proveSlot(slot, c)
 }
 
 // ProvenOcc is Occ for a caller about to extend from the occurrences
 // (the BLAT tile probe): on a loaded index the slot is proven first, and
 // proven is the number of windows that took (see Prove).
-func (ix *Index) ProvenOcc(c seed.Code) (occ []int32, proven int, err error) {
-	i, found := ix.Slot(c)
+func (q *Part) ProvenOcc(c seed.Code) (occ []int32, proven int, err error) {
+	i, found := q.Slot(c)
 	if !found {
 		return nil, 0, nil
 	}
-	if proven, err = ix.Prove(int32(i), c); err != nil {
+	if proven, err = q.Prove(int32(i), c); err != nil {
 		return nil, 0, err
 	}
-	return ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]], proven, nil
+	return q.Pos[q.Offsets[i]:q.Offsets[i+1]], proven, nil
 }
 
 // proveSlot is Prove's first read of a slot.
 //
 //scorislint:hotpath
-func (ix *Index) proveSlot(slot int32, c seed.Code) (int, error) {
+func (q *Part) proveSlot(slot int32, c seed.Code) (int, error) {
+	ix := q.ix
 	pf := ix.proof
 	if pf.revoked.Load() {
 		return 0, errors.New("index: revoked by a failed window proof")
 	}
-	occ := ix.Pos[ix.Offsets[slot]:ix.Offsets[slot+1]]
+	occ := q.Pos[q.Offsets[slot]:q.Offsets[slot+1]]
 	if i := badWindow(ix.Bank.Data, ix.W, c, occ); i >= 0 {
 		if pf.revoked.CompareAndSwap(false, true) && pf.onRevoke != nil {
 			pf.onRevoke()
 		}
 		return 0, fmt.Errorf("index: the W=%d window at position %d does not encode to code %d of its slot", ix.W, occ[i], c)
 	}
-	pf.done[uint32(slot)/64].Or(1 << (uint32(slot) % 64))
+	q.done[uint32(slot)/64].Or(1 << (uint32(slot) % 64))
 	return len(occ), nil
 }
 

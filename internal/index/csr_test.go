@@ -219,10 +219,10 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 					t.Fatalf("W=%d workers=%d opts=%+v: counters %d/%d/%d, serial %d/%d/%d", w, workers, tc.opts,
 						got.Indexed, got.MaskedOut, got.SampledOut, want.Indexed, want.MaskedOut, want.SampledOut)
 				}
-				if !slices.Equal(got.Directory(), want.Directory()) || !slices.Equal(got.Offsets, want.Offsets) {
+				if !slices.Equal(only(got).Directory(), only(want).Directory()) || !slices.Equal(only(got).Offsets, only(want).Offsets) {
 					t.Fatalf("W=%d workers=%d opts=%+v: directory differs from the serial build", w, workers, tc.opts)
 				}
-				if !slices.Equal(got.Pos, want.Pos) {
+				if !slices.Equal(only(got).Pos, only(want).Pos) {
 					t.Fatalf("W=%d workers=%d opts=%+v: Pos differs from the serial build", w, workers, tc.opts)
 				}
 			}

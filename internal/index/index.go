@@ -12,15 +12,23 @@
 // having the same seed are implicitly and simultaneously moved into the
 // cache") realized as an actual memory layout.
 //
-// The directory's form depends on how full it is. A dense index — one
+// That structure is a Part, and an Index is a list of them, one per
+// block of sequences, in bank order: a built index is one part over the
+// whole bank, and a loaded one is a part per stored block, adopted as
+// it stands (blocks.go). Nothing merges them. Seed order alone makes
+// every HSP unique (paper §4), so a join may be split any way, and
+// step 2 joins every (bank-1 part, bank-2 part) pair; a code's
+// occurrences in the whole index are its runs in the parts, in order.
+//
+// A directory's form depends on how full it is. A dense part — one
 // whose sparse form would take at least the bitmap's bytes, from about
 // 4^W/32 codes on — carries the paper's dense dictionary at 1 1/16 bits
 // a code and nothing else: a presence bitmap Bits, which is the
 // directory (the slot of a code is the number of set bits below it),
-// and its rank Rank. A sparse index carries Codes, the directory as a
+// and its rank Rank. A sparse part carries Codes, the directory as a
 // sorted list, and Top, a coarse directory over Codes a sixteenth of
 // its size. Nothing but the bitmap is sized by 4^W, and nothing at all
-// is on a sparse index: a 16-read query bank costs kilobytes, not the
+// is on a sparse part: a 16-read query bank costs kilobytes, not the
 // 16 MB a dense dictionary of 4-byte entries would (see DESIGN.md §2).
 //
 // Positions are all the index stores per occurrence — the paper's one
@@ -53,10 +61,10 @@
 // # Reuse contract
 //
 // A built Index is immutable: Build is the only writer, nothing
-// mutates the arrays afterwards, and every accessor returns views or
-// copies. A loaded one (FromBlocks) is too, but for its record of which
-// slots' windows are proven — atomic bits, set as Prove proves them
-// (check.go). Any number of goroutines may therefore read one Index
+// mutates its parts afterwards, and every accessor returns views or
+// copies. A loaded one (FromBlocks) is too, but for each part's record
+// of which slots' windows are proven — atomic bits, set as Prove proves
+// them (check.go). Any number of goroutines may therefore read one Index
 // concurrently without synchronization, and an Index may be held and
 // reused for as long as its bank lives. The converse bound: an Index
 // is valid only for the exact (bank, Options) pair it was built from —
@@ -73,6 +81,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bank"
 	"repro/internal/dna"
@@ -136,43 +145,15 @@ func (k Key) Options() Options {
 	return o
 }
 
-// Index is the built CSR structure.
+// Index is a bank's index: the parts it is made of, in block order,
+// and what they add up to. A built index is one part over the whole
+// bank; a loaded or extended one is one part per stored block, each
+// adopted as it stands (FromBlocks). The seed order alone keeps every
+// HSP unique (paper §4), so step 2 needs no merged index: its hit pairs
+// are the union of the joins of every (bank-1 part, bank-2 part) pair.
 type Index struct {
 	Bank *bank.Bank
 	W    int
-
-	// Codes lists the seed codes a sparse index's bank contains, strictly
-	// ascending — the directory step 2 joins with the other bank's:
-	// Codes[i] is the code of slot i. nil on a dense index, whose
-	// directory is Bits (Directory lists either).
-	Codes []seed.Code
-	// Offsets has NumCodes()+1 entries, strictly increasing from 0 to
-	// Indexed: the occurrences of the code of slot i are
-	// Pos[Offsets[i]:Offsets[i+1]].
-	Offsets []int32
-	// Pos is the flat occurrence array, length Indexed, grouped by code
-	// and ascending inside each group.
-	Pos []int32
-	// Top is the coarse directory over Codes that Slot resolves a code
-	// through on a sparse index: 2^k+1 entries, Top[h] the first slot
-	// whose code's top k bits are ≥ h (Top[2^k] = len(Codes)), so the
-	// codes sharing top bits h are Codes[Top[h]:Top[h+1]]. k is the
-	// smallest that leaves a bucket ≤ topBucket codes when the bank's
-	// codes spread evenly. Under half a byte a code; nil on a dense index.
-	Top []int32
-	// Bits is the presence bitmap of a dense index (see Dense), and its
-	// directory: bit c%64 of Bits[c/64] is set when the bank contains
-	// code c, for every c in [0, 4^W). The slot of a code is the number
-	// of set bits below it. nil on a sparse index.
-	Bits []uint64
-	// Rank is Bits' rank directory: Rank[l] is the number of set bits in
-	// the 512-bit lines before line l, Bits[:8l] — the slot of the line's
-	// first code. nil on a sparse index.
-	//
-	// Top, Bits and Rank are derived from the code list by assemble
-	// wherever an index comes to exist, never stored; on a dense index
-	// assemble then drops the list.
-	Rank []int32
 
 	// Indexed is the number of positions inserted.
 	Indexed int
@@ -181,12 +162,73 @@ type Index struct {
 	// SampledOut counts windows skipped by SampleStep.
 	SampledOut int
 
-	topShift uint // a code's Top bucket is code >> topShift
-	opts     Options
-	// proof records the slots whose windows are proven, on an index that
+	opts Options
+	// parts are the index's parts in ascending Data order, fixed at
+	// assembly; each points back at the index.
+	parts []Part
+	// proof records whether a window proof has failed, on an index that
 	// came from FromBlocks; nil on a built one (see Prove).
 	proof *proof
 }
+
+// Part is one block of an index in memory: the CSR slice over the
+// sequence range [SeqLo, SeqHi) — every indexed occurrence whose
+// position falls in the range's Data, grouped by code — under a
+// directory of its own, block-local Offsets and, on a loaded index, its
+// proof bits. Its positions all precede those of the next part.
+type Part struct {
+	// SeqLo, SeqHi bound the sequence range; DataLo, DataHi the bank
+	// Data range it spans (see BlockParts).
+	SeqLo, SeqHi, DataLo, DataHi int
+
+	// Codes lists the seed codes a sparse part holds, strictly ascending
+	// — the directory step 2 joins with the other bank's: Codes[i] is the
+	// code of slot i. nil on a dense part, whose directory is Bits
+	// (Directory lists either).
+	Codes []seed.Code
+	// Offsets has NumCodes()+1 entries, strictly increasing from 0 to
+	// len(Pos): the occurrences of the code of slot i are
+	// Pos[Offsets[i]:Offsets[i+1]].
+	Offsets []int32
+	// Pos is the flat occurrence array, grouped by code and ascending
+	// inside each group, in absolute bank coordinates.
+	Pos []int32
+	// Top is the coarse directory over Codes that Slot resolves a code
+	// through on a sparse part: 2^k+1 entries, Top[h] the first slot
+	// whose code's top k bits are ≥ h (Top[2^k] = len(Codes)), so the
+	// codes sharing top bits h are Codes[Top[h]:Top[h+1]]. k is the
+	// smallest that leaves a bucket ≤ topBucket codes when the part's
+	// codes spread evenly. Under half a byte a code; nil on a dense part.
+	Top []int32
+	// Bits is the presence bitmap of a dense part (see Dense), and its
+	// directory: bit c%64 of Bits[c/64] is set when the part holds code
+	// c, for every c in [0, 4^W). The slot of a code is the number of set
+	// bits below it. nil on a sparse part.
+	Bits []uint64
+	// Rank is Bits' rank directory: Rank[l] is the number of set bits in
+	// the 512-bit lines before line l, Bits[:8l] — the slot of the line's
+	// first code. nil on a sparse part.
+	//
+	// Top, Bits and Rank are derived from the code list by newPart
+	// wherever a part comes to exist, never stored; on a dense part
+	// newPart then drops the list.
+	Rank []int32
+
+	// MaskedOut and SampledOut are the part's shares of the index's
+	// reject counters.
+	MaskedOut, SampledOut int
+
+	topShift uint   // a code's Top bucket is code >> topShift
+	ix       *Index // the index the part belongs to: its bank, W and proof
+	// done records the slots whose windows are proven, one bit a slot,
+	// on a part of a loaded index; nil on a built one (see Prove).
+	done []atomic.Uint64
+}
+
+// Parts returns the index's parts in block order: one for a built
+// index, one per stored block for a loaded one. The slice is the
+// index's own (read-only), so taking it allocates nothing.
+func (ix *Index) Parts() []Part { return ix.parts }
 
 // minParallelData is the Data range below which the build stays serial;
 // goroutine + shard bookkeeping costs more than it saves under ~64 KB.
@@ -226,7 +268,9 @@ func Build(b *bank.Bank, opts Options) *Index {
 	if opts.W < 1 || opts.W > seed.MaxW {
 		panic(fmt.Sprintf("index: invalid W=%d", opts.W))
 	}
-	return assemble(b, opts, buildRange(b, opts, 0, len(b.Data)), nil)
+	p := buildRange(b, opts, 0, len(b.Data))
+	p.SeqLo, p.SeqHi, p.DataLo, p.DataHi = 0, b.NumSeqs(), b.PrefixLen(0), len(b.Data)
+	return assemble(b, opts, []Part{newPart(opts, &p, nil)})
 }
 
 // digitBits is the radix of the build's sort: 11-bit digits, so W=11
@@ -489,30 +533,43 @@ func runShards(workers int, fn func(sid int)) {
 	wg.Wait()
 }
 
-// assemble binds parts to the (bank, options) they were built or
-// validated for, and derives the directory's form from their code list:
-// the presence bitmap and its rank when the directory is dense — the
-// list itself is then dropped, the bitmap holding the same set — and
-// Top beside the list when it is not. A non-nil bitmap is the dense
-// directory's bitmap already filled (FromBlocks' check fills it). opts
-// must be normalized and every code below 4^W.
-func assemble(b *bank.Bank, opts Options, p BlockParts, bitmap []uint64) *Index {
-	ix := &Index{
-		Bank: b, W: opts.W,
+// assemble binds parts, in block order, to the (bank, options) they
+// were built or validated for, and sums the bank's counters over them.
+// opts must be normalized.
+func assemble(b *bank.Bank, opts Options, parts []Part) *Index {
+	ix := &Index{Bank: b, W: opts.W, opts: opts, parts: parts}
+	for i := range parts {
+		q := &parts[i]
+		q.ix = ix
+		ix.Indexed += len(q.Pos)
+		ix.MaskedOut += q.MaskedOut
+		ix.SampledOut += q.SampledOut
+	}
+	return ix
+}
+
+// newPart takes block p as a part and derives its directory's form
+// from the code list: the presence bitmap and its rank when the
+// directory is dense — the list itself is then dropped, the bitmap
+// holding the same set — and Top beside the list when it is not. A
+// non-nil bitmap is the dense directory's bitmap already filled
+// (FromBlocks' check fills it). Every code must be below 4^W.
+func newPart(opts Options, p *BlockParts, bitmap []uint64) Part {
+	q := Part{
+		SeqLo: p.SeqLo, SeqHi: p.SeqHi, DataLo: p.DataLo, DataHi: p.DataHi,
 		Offsets: p.Offsets, Pos: p.Pos,
-		Indexed: len(p.Pos), MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
-		opts: opts,
+		MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 	}
 	switch {
 	case bitmap != nil:
-		ix.Bits, ix.Rank = bitmap, rankOf(bitmap)
+		q.Bits, q.Rank = bitmap, rankOf(bitmap)
 	case denseDirectory(len(p.Codes), opts.W):
-		ix.Bits, ix.Rank = presenceBitmap(p.Codes, opts.W)
+		q.Bits, q.Rank = presenceBitmap(p.Codes, opts.W)
 	default:
-		ix.Codes = p.Codes
-		ix.Top, ix.topShift = topDirectory(p.Codes, opts.W)
+		q.Codes = p.Codes
+		q.Top, q.topShift = topDirectory(p.Codes, opts.W)
 	}
-	return ix
+	return q
 }
 
 // denseDirectory reports whether a directory of n codes below 4^w is
@@ -534,7 +591,7 @@ func denseDirectory(n, w int) bool {
 const lineWords = 8
 
 // presenceBitmap derives the bitmap and rank of a code list below 4^w
-// (see Index.Bits and Index.Rank): one pass over the codes, one over the
+// (see Part.Bits and Part.Rank): one pass over the codes, one over the
 // bitmap.
 func presenceBitmap(codes []seed.Code, w int) ([]uint64, []int32) {
 	bitmap := make([]uint64, (seed.NumCodes(w)+63)/64)
@@ -544,7 +601,7 @@ func presenceBitmap(codes []seed.Code, w int) ([]uint64, []int32) {
 	return bitmap, rankOf(bitmap)
 }
 
-// rankOf derives a bitmap's rank directory (see Index.Rank).
+// rankOf derives a bitmap's rank directory (see Part.Rank).
 func rankOf(bitmap []uint64) []int32 {
 	rank := make([]int32, (len(bitmap)+lineWords-1)/lineWords)
 	n := 0
@@ -572,7 +629,7 @@ func topBits(n int) int {
 }
 
 // topDirectory derives the coarse directory of an ascending code list
-// below 4^w (see Index.Top) in one pass, and the shift that takes a code
+// below 4^w (see Part.Top) in one pass, and the shift that takes a code
 // to its bucket.
 func topDirectory(codes []seed.Code, w int) ([]int32, uint) {
 	k := topBits(len(codes))
@@ -590,26 +647,28 @@ func topDirectory(codes []seed.Code, w int) ([]int32, uint) {
 	return top, shift
 }
 
-// Dense reports whether ix carries the presence bitmap (Bits, Rank)
+// Dense reports whether q carries the presence bitmap (Bits, Rank)
 // rather than Codes and Top: whether its sparse form would take at
-// least the bitmap's bytes (denseDirectory).
-func (ix *Index) Dense() bool { return ix.Bits != nil }
+// least the bitmap's bytes (denseDirectory). Each part of an index takes
+// the form its own size calls for: an appended tail is sparse beside a
+// dense head.
+func (q *Part) Dense() bool { return q.Bits != nil }
 
-// NumCodes returns the number of seed codes the bank contains: the
-// directory's slots, on a dense index and a sparse one alike.
-func (ix *Index) NumCodes() int { return len(ix.Offsets) - 1 }
+// NumCodes returns the number of seed codes the part holds: the
+// directory's slots, on a dense part and a sparse one alike.
+func (q *Part) NumCodes() int { return len(q.Offsets) - 1 }
 
-// Directory lists the seed codes the bank contains, strictly ascending:
-// slot i holds the i-th. On a sparse index it is Codes itself (callers
+// Directory lists the seed codes the part holds, strictly ascending:
+// slot i holds the i-th. On a sparse part it is Codes itself (callers
 // must not mutate it); on a dense one it is regenerated from Bits, one
 // pass over its set bits, into a new slice nothing else keeps — for the
 // writers and readers that want the list, not for the join.
-func (ix *Index) Directory() []seed.Code {
-	if ix.Bits == nil {
-		return ix.Codes
+func (q *Part) Directory() []seed.Code {
+	if q.Bits == nil {
+		return q.Codes
 	}
-	codes := make([]seed.Code, 0, ix.NumCodes())
-	for w, x := range ix.Bits {
+	codes := make([]seed.Code, 0, q.NumCodes())
+	for w, x := range q.Bits {
 		for ; x != 0; x &= x - 1 {
 			codes = append(codes, seed.Code(64*w+bits.TrailingZeros64(x)))
 		}
@@ -617,55 +676,55 @@ func (ix *Index) Directory() []seed.Code {
 	return codes
 }
 
-// WordRank returns the number of codes below 64·w on a dense index —
+// WordRank returns the number of codes below 64·w on a dense part —
 // the slot of the first code at or after 64·w: one Rank entry and the
 // popcounts of the words before w on its line.
-func (ix *Index) WordRank(w int) int {
+func (q *Part) WordRank(w int) int {
 	l := w / lineWords
-	n := int(ix.Rank[l])
-	for _, x := range ix.Bits[l*lineWords : w] {
+	n := int(q.Rank[l])
+	for _, x := range q.Bits[l*lineWords : w] {
 		n += bits.OnesCount64(x)
 	}
 	return n
 }
 
 // Slot returns the directory slot of code c — Directory()[slot] == c —
-// and whether the bank contains c; when it does not, slot is where c
-// would be inserted, as slices.BinarySearch(ix.Directory(), c) reports
-// it. On a dense index the lookup is c's bitmap word and its rank
+// and whether the part holds c; when it does not, slot is where c
+// would be inserted, as slices.BinarySearch(q.Directory(), c) reports
+// it. On a dense part the lookup is c's bitmap word and its rank
 // (WordRank); on a sparse one it reads two adjacent Top entries and
 // binary-searches only the bucket between them. Either way it depends
 // on no earlier lookup.
-func (ix *Index) Slot(c seed.Code) (slot int, found bool) {
-	if ix.Bits != nil {
+func (q *Part) Slot(c seed.Code) (slot int, found bool) {
+	if q.Bits != nil {
 		w := int(c / 64)
-		if w >= len(ix.Bits) { // c ≥ 4^W: above every code
-			return ix.NumCodes(), false
+		if w >= len(q.Bits) { // c ≥ 4^W: above every code
+			return q.NumCodes(), false
 		}
-		x := ix.Bits[w]
-		return ix.WordRank(w) + bits.OnesCount64(x&(1<<(c%64)-1)), x>>(c%64)&1 != 0
+		x := q.Bits[w]
+		return q.WordRank(w) + bits.OnesCount64(x&(1<<(c%64)-1)), x>>(c%64)&1 != 0
 	}
-	lo, hi := ix.bucket(c)
-	return ix.searchBucket(lo, hi, c)
+	lo, hi := q.bucket(c)
+	return q.searchBucket(lo, hi, c)
 }
 
 // SlotBatch is the most codes one Slots call resolves.
 const SlotBatch = 32
 
 // Slots resolves up to SlotBatch codes at once: slots[i], for every i
-// below len(codes), is the slot of codes[i], or -1 when the bank does
-// not contain it. It is Slot taken a step at a time across the batch —
+// below len(codes), is the slot of codes[i], or -1 when the part does
+// not hold it. It is Slot taken a step at a time across the batch —
 // every code's bucket, then the codes at both ends of every bucket, then
 // the searches — so that the cache misses of the batch, one or two a
 // code on a directory larger than the cache (a bucket is a cache line of
 // codes, seldom aligned to one), are in flight together instead of one
-// after the other (step 2's join, DESIGN.md §2). On a dense index a
+// after the other (step 2's join, DESIGN.md §2). On a dense part a
 // lookup is one line of Bits, which needs no batching: Slot per code.
-func (ix *Index) Slots(codes []seed.Code, slots []int32) {
-	if ix.Bits != nil {
+func (q *Part) Slots(codes []seed.Code, slots []int32) {
+	if q.Bits != nil {
 		for i, c := range codes {
 			slots[i] = -1
-			if slot, found := ix.Slot(c); found {
+			if slot, found := q.Slot(c); found {
 				slots[i] = int32(slot)
 			}
 		}
@@ -673,13 +732,13 @@ func (ix *Index) Slots(codes []seed.Code, slots []int32) {
 	}
 	var lo, hi [SlotBatch]int32
 	for i, c := range codes {
-		lo[i], hi[i] = ix.bucket(c)
+		lo[i], hi[i] = q.bucket(c)
 	}
 	var first, last [SlotBatch]seed.Code
 	for i := range codes {
 		first[i], last[i] = 1, 0 // an empty bucket holds no code
 		if lo[i] < hi[i] {
-			first[i], last[i] = ix.Codes[lo[i]], ix.Codes[hi[i]-1]
+			first[i], last[i] = q.Codes[lo[i]], q.Codes[hi[i]-1]
 		}
 	}
 	for i, c := range codes {
@@ -689,59 +748,60 @@ func (ix *Index) Slots(codes []seed.Code, slots []int32) {
 		if c < first[i] || last[i] < c {
 			continue
 		}
-		if slot, found := ix.searchBucket(lo[i], hi[i], c); found {
+		if slot, found := q.searchBucket(lo[i], hi[i], c); found {
 			slots[i] = int32(slot)
 		}
 	}
 }
 
 // bucket returns the range of slots whose codes share c's top bits, on
-// a sparse index.
-func (ix *Index) bucket(c seed.Code) (lo, hi int32) {
-	h := int(c >> ix.topShift)
-	if h >= len(ix.Top)-1 { // c ≥ 4^W: above every code
-		end := int32(len(ix.Codes))
+// a sparse part.
+func (q *Part) bucket(c seed.Code) (lo, hi int32) {
+	h := int(c >> q.topShift)
+	if h >= len(q.Top)-1 { // c ≥ 4^W: above every code
+		end := int32(len(q.Codes))
 		return end, end
 	}
-	return ix.Top[h], ix.Top[h+1]
+	return q.Top[h], q.Top[h+1]
 }
 
 // searchBucket is a binary search for c among Codes[lo:hi], a bucket of c.
-func (ix *Index) searchBucket(lo, hi int32, c seed.Code) (slot int, found bool) {
+func (q *Part) searchBucket(lo, hi int32, c seed.Code) (slot int, found bool) {
 	for lo < hi {
 		m := int32(uint32(lo+hi) >> 1)
-		if ix.Codes[m] < c {
+		if q.Codes[m] < c {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return int(lo), int(lo) < len(ix.Codes) && ix.Codes[lo] == c
+	return int(lo), int(lo) < len(q.Codes) && q.Codes[lo] == c
 }
 
-// Occ returns the occurrences of code c as a contiguous ascending slice
-// view into the flat array. It is empty when the bank does not contain
-// c. Callers must not mutate it. It proves nothing: an engine about to
+// Occ returns the part's occurrences of code c as a contiguous
+// ascending slice view into its flat array. It is empty when the part
+// does not hold c. Callers must not mutate it. It proves nothing: an engine about to
 // extend from the occurrences reads them through ProvenOcc.
-func (ix *Index) Occ(c seed.Code) []int32 {
-	i, found := ix.Slot(c)
+func (q *Part) Occ(c seed.Code) []int32 {
+	i, found := q.Slot(c)
 	if !found {
 		return nil
 	}
-	return ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]]
+	return q.Pos[q.Offsets[i]:q.Offsets[i+1]]
 }
 
-// MemoryBytes reports the footprint of the arrays the index holds
-// (Offsets + Pos, and Codes + Top or Bits + Rank), the "INDEX" part of
-// the paper's ≈5N bytes/bank estimate: 4 bytes per indexed position
-// plus 4 per distinct code, plus on a sparse index 4 more and under
-// half a byte a code (Codes and Top), on a dense one 4^W/8 + 4^W/128
-// bytes (Bits and Rank) — whichever is smaller (DESIGN.md §3). A loaded
-// index adds its proof bitmap, one bit a code.
+// MemoryBytes reports the footprint of the arrays the index holds, a
+// sum over its parts (Offsets + Pos, and Codes + Top or Bits + Rank),
+// the "INDEX" part of the paper's ≈5N bytes/bank estimate: 4 bytes per
+// indexed position plus 4 per distinct code of a part, plus on a sparse
+// part 4 more and under half a byte a code (Codes and Top), on a dense
+// one 4^W/8 + 4^W/128 bytes (Bits and Rank) — whichever is smaller
+// (DESIGN.md §3). A loaded index adds its proof bits, one a slot.
 func (ix *Index) MemoryBytes() int {
-	n := 4*(len(ix.Codes)+len(ix.Offsets)+len(ix.Top)+len(ix.Rank)+len(ix.Pos)) + 8*len(ix.Bits)
-	if ix.proof != nil {
-		n += 8 * len(ix.proof.done)
+	n := 0
+	for i := range ix.parts {
+		q := &ix.parts[i]
+		n += 4*(len(q.Codes)+len(q.Offsets)+len(q.Top)+len(q.Rank)+len(q.Pos)) + 8*len(q.Bits) + 8*len(q.done)
 	}
 	return n
 }

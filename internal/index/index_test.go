@@ -19,8 +19,9 @@ import (
 // eachCode walks the directory: every code the index lists, with its
 // occurrence run.
 func eachCode(ix *Index, fn func(c seed.Code, occ []int32)) {
-	for i, c := range ix.Directory() {
-		fn(c, ix.Pos[ix.Offsets[i]:ix.Offsets[i+1]])
+	q := only(ix)
+	for i, c := range q.Directory() {
+		fn(c, q.Pos[q.Offsets[i]:q.Offsets[i+1]])
 	}
 }
 
@@ -37,7 +38,7 @@ func TestChainsAscendingAndComplete(t *testing.T) {
 	ix := Build(b, Options{W: 4})
 	// Every distinct 4-mer of the sequence occurs 3 or 2 times.
 	c, _ := seed.Encode(b.SeqCodes(0), 4) // code of "ACGT"
-	occ := ix.Occ(c)
+	occ := only(ix).Occ(c)
 	if len(occ) != 3 {
 		t.Fatalf("ACGT occurrences = %v", occ)
 	}
@@ -67,7 +68,7 @@ func TestSeedsNeverSpanSequenceBoundaries(t *testing.T) {
 	b := mkBank("AAAA", "AAAA")
 	ix := Build(b, Options{W: 4})
 	c, _ := seed.Encode(b.SeqCodes(0), 4)
-	occ := ix.Occ(c)
+	occ := only(ix).Occ(c)
 	if len(occ) != 2 {
 		t.Fatalf("AAAA occurrences = %v, want one per sequence", occ)
 	}
@@ -125,8 +126,8 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 // code order.
 func sameAsBrute(t *testing.T, ix *Index, brute map[seed.Code][]int32) {
 	t.Helper()
-	if ix.NumCodes() != len(brute) {
-		t.Fatalf("index lists %d codes, brute force found %d", ix.NumCodes(), len(brute))
+	if only(ix).NumCodes() != len(brute) {
+		t.Fatalf("index lists %d codes, brute force found %d", only(ix).NumCodes(), len(brute))
 	}
 	prev := -1
 	eachCode(ix, func(c seed.Code, occ []int32) {
@@ -165,7 +166,7 @@ func TestAbsentSeedHeadIsMinusOne(t *testing.T) {
 	b := mkBank("AAAA")
 	ix := Build(b, Options{W: 4})
 	cGGGG, _ := seed.Encode([]byte{3, 3, 3, 3}, 4)
-	if occ := ix.Occ(cGGGG); len(occ) != 0 {
+	if occ := only(ix).Occ(cGGGG); len(occ) != 0 {
 		t.Errorf("GGGG occurrences = %v, want none", occ)
 	}
 }
@@ -193,10 +194,10 @@ func TestDustMaskingRemovesLowComplexitySeeds(t *testing.T) {
 		t.Errorf("masked index not smaller: %d vs %d", masked.Indexed, plain.Indexed)
 	}
 	cPolyA := seed.Code(0) // AAAAAAAAAAA
-	if got := len(masked.Occ(cPolyA)); got != 0 {
+	if got := len(only(masked).Occ(cPolyA)); got != 0 {
 		t.Errorf("poly-A seed still has %d occurrences after masking", got)
 	}
-	if got := len(plain.Occ(cPolyA)); got == 0 {
+	if got := len(only(plain).Occ(cPolyA)); got == 0 {
 		t.Error("unmasked index should contain the poly-A seed")
 	}
 }
@@ -243,7 +244,7 @@ func TestAsymmetricSamplingCoversAll11ntMatches(t *testing.T) {
 			if !ok {
 				continue
 			}
-			for _, r := range half.Occ(c) {
+			for _, r := range only(half).Occ(c) {
 				if r == q {
 					found = true
 					break
@@ -307,8 +308,8 @@ func BenchmarkBuildW11_1Mb(b *testing.B) {
 // failure, or the number of windows proven.
 func proveAll(ix *Index) (int, error) {
 	total := 0
-	for i, c := range ix.Directory() {
-		n, err := ix.Prove(int32(i), c)
+	for i, c := range only(ix).Directory() {
+		n, err := only(ix).Prove(int32(i), c)
 		if err != nil {
 			return total, err
 		}
@@ -342,7 +343,7 @@ func loadedFrom(t *testing.T, b *bank.Bank, opts Options, blocks ...BlockParts) 
 func TestCheckPartsRejectsHostileParts(t *testing.T) {
 	b := mkBank("ACGTACGTACGTACGT", "TTCGATCGNATCGAA")
 	opts := Options{W: 4}
-	good := Build(b, opts).Block()
+	good := Build(b, opts).Blocks()[0]
 
 	corrupt := func(mutate func(bp *BlockParts)) BlockParts {
 		bp := good
@@ -407,10 +408,10 @@ func TestCheckPartsRejectsHostileParts(t *testing.T) {
 	}
 	for name, mutate := range window {
 		ix := loadedFrom(t, b, opts, corrupt(mutate))
-		if _, err := ix.Prove(0, good.Codes[0]); err == nil || !ix.Revoked() {
+		if _, err := only(ix).Prove(0, good.Codes[0]); err == nil || !ix.Revoked() {
 			t.Errorf("%s: the proof of the hostile slot passed (revoked %v)", name, ix.Revoked())
 		}
-		if _, err := ix.Prove(int32(slot), acgt); err == nil {
+		if _, err := only(ix).Prove(int32(slot), acgt); err == nil {
 			t.Errorf("%s: a revoked index proved another slot", name)
 		}
 	}
@@ -436,7 +437,8 @@ func TestSmallBankIndexIsSmall(t *testing.T) {
 	if ix.MemoryBytes() > 12*len(b.Data) {
 		t.Errorf("MemoryBytes = %d for a %d-byte bank, want ≤ 12 bytes per Data byte", ix.MemoryBytes(), len(b.Data))
 	}
-	if want := 4*(len(ix.Pos)+len(ix.Codes)+len(ix.Offsets)+len(ix.Top)+len(ix.Rank)) + 8*len(ix.Bits); ix.MemoryBytes() != want {
+	q := only(ix)
+	if want := 4*(len(q.Pos)+len(q.Codes)+len(q.Offsets)+len(q.Top)+len(q.Rank)) + 8*len(q.Bits); ix.MemoryBytes() != want {
 		t.Errorf("MemoryBytes = %d, want 4·(Pos+Codes+Offsets+Top+Rank) + 8·Bits = %d: a position costs four bytes and nothing else",
 			ix.MemoryBytes(), want)
 	}
@@ -469,22 +471,22 @@ func TestWindowCheckAgreesWithSeedCoding(t *testing.T) {
 		}
 		b := mkBank(seqs...)
 		ix := Build(b, Options{W: w})
-		if last := int32(len(b.Data) - 1 - w); !slices.Contains(ix.Pos, last) {
+		if last := int32(len(b.Data) - 1 - w); !slices.Contains(only(ix).Pos, last) {
 			t.Fatalf("W=%d: the bank's last window %d is not indexed", w, last)
 		}
-		loaded := loadedFrom(t, b, Options{W: w}, ix.Block())
-		if n, err := proveAll(loaded); err != nil || n != len(ix.Pos) {
-			t.Errorf("W=%d: built windows refused (%d of %d proven): %v", w, n, len(ix.Pos), err)
+		loaded := loadedFrom(t, b, Options{W: w}, ix.Blocks()[0])
+		if n, err := proveAll(loaded); err != nil || n != len(only(ix).Pos) {
+			t.Errorf("W=%d: built windows refused (%d of %d proven): %v", w, n, len(only(ix).Pos), err)
 		}
 		// One base off is another window: every occurrence of the first
 		// slot moved right by one must be refused (poly-runs aside, the
 		// shifted window encodes to a different code).
-		bp := ix.Block()
+		bp := ix.Blocks()[0]
 		bp.Pos = slices.Clone(bp.Pos)
 		bp.Pos[0]++
 		shifted, _ := seed.Encode(b.Data[bp.Pos[0]:], w)
 		if shiftedIx, err := FromBlocks(b, Options{W: w}, []BlockParts{bp}); err == nil && shifted != bp.Codes[0] {
-			if _, err := shiftedIx.Prove(0, bp.Codes[0]); err == nil {
+			if _, err := only(shiftedIx).Prove(0, bp.Codes[0]); err == nil {
 				t.Errorf("W=%d: position shifted onto code %d accepted under code %d", w, shifted, bp.Codes[0])
 			}
 		}
@@ -539,7 +541,7 @@ func TestOptionsKey(t *testing.T) {
 func TestCheckPartsMatchesReference(t *testing.T) {
 	b := benchBankSeqs(200, 450)
 	opts := Options{W: 8}
-	good := Build(b, opts).Block()
+	good := Build(b, opts).Blocks()[0]
 	if len(good.Pos) < minParallelData {
 		t.Fatal("the bank is meant to be large enough for a sharded check")
 	}
@@ -600,7 +602,7 @@ func TestCheckPartsMatchesReference(t *testing.T) {
 // the shard's end) and at three (by the offsets at the shard cuts).
 func TestCheckPartsBoundsShardOffsets(t *testing.T) {
 	b := benchBankSeqs(200, 450)
-	good := Build(b, Options{W: 8}).Block()
+	good := Build(b, Options{W: 8}).Blocks()[0]
 	if len(good.Pos) < minParallelData {
 		t.Fatal("the bank is meant to be large enough for a sharded check")
 	}

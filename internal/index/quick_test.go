@@ -67,13 +67,13 @@ func TestQuickSamplingPartition(t *testing.T) {
 			return false
 		}
 		// Every position listed in half has even Data coordinate.
-		for _, p := range half.Pos {
+		for _, p := range only(half).Pos {
 			if p%2 != 0 {
 				return false
 			}
 		}
 		even := 0
-		for _, p := range full.Pos {
+		for _, p := range only(full).Pos {
 			if p%2 == 0 {
 				even++
 			}
@@ -92,8 +92,8 @@ func TestQuickBuildDeterministic(t *testing.T) {
 		b := randomBank(seedVal, int(nRaw)%4+1, 120)
 		a := Build(b, Options{W: w})
 		c := Build(b, Options{W: w})
-		return a.Indexed == c.Indexed && slices.Equal(a.Directory(), c.Directory()) &&
-			slices.Equal(a.Offsets, c.Offsets) && slices.Equal(a.Pos, c.Pos)
+		return a.Indexed == c.Indexed && slices.Equal(only(a).Directory(), only(c).Directory()) &&
+			slices.Equal(only(a).Offsets, only(c).Offsets) && slices.Equal(only(a).Pos, only(c).Pos)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -13,77 +13,78 @@ import (
 	"repro/internal/seed"
 )
 
-// dirOf is an index that is only a directory: codes (ascending, below
+// dirOf is a part that is only a directory: codes (ascending, below
 // 4^w) in the form asked for, whatever their number — the presence
 // bitmap and rank when dense, else Codes and Top — and Offsets of the
 // length that makes NumCodes right, which is all Slot reads.
-func dirOf(codes []seed.Code, w int, dense bool) *Index {
-	ix := &Index{W: w, Offsets: make([]int32, len(codes)+1)}
+func dirOf(codes []seed.Code, w int, dense bool) *Part {
+	q := &Part{Offsets: make([]int32, len(codes)+1)}
 	if dense {
-		ix.Bits, ix.Rank = presenceBitmap(codes, w)
+		q.Bits, q.Rank = presenceBitmap(codes, w)
 	} else {
-		ix.Codes = codes
-		ix.Top, ix.topShift = topDirectory(codes, w)
+		q.Codes = codes
+		q.Top, q.topShift = topDirectory(codes, w)
 	}
-	return ix
+	return q
 }
 
-// checkLookup states what the directory of ix is: the codes listed,
-// in the form their number calls for (denseDirectory) when wantForm is
-// true — a dense index holding the bitmap checkBitmap describes and no
-// code list, a sparse one the list and the Top checkTop describes.
-func checkLookup(t testing.TB, ix *Index, codes []seed.Code, wantForm bool) {
+// checkLookup states what the directory of part ix, at seed length w,
+// is: the codes listed, in the form their number calls for
+// (denseDirectory) when wantForm is true — a dense part holding the
+// bitmap checkBitmap describes and no code list, a sparse one the list
+// and the Top checkTop describes.
+func checkLookup(t testing.TB, ix *Part, w int, codes []seed.Code, wantForm bool) {
 	t.Helper()
 	if ix.NumCodes() != len(codes) {
-		t.Fatalf("W=%d: NumCodes() = %d, the directory lists %d", ix.W, ix.NumCodes(), len(codes))
+		t.Fatalf("W=%d: NumCodes() = %d, the directory lists %d", w, ix.NumCodes(), len(codes))
 	}
-	if wantForm && ix.Dense() != denseDirectory(len(codes), ix.W) {
-		t.Fatalf("W=%d, %d codes: Dense() = %v, the threshold says %v", ix.W, len(codes), ix.Dense(), !ix.Dense())
+	if wantForm && ix.Dense() != denseDirectory(len(codes), w) {
+		t.Fatalf("W=%d, %d codes: Dense() = %v, the threshold says %v", w, len(codes), ix.Dense(), !ix.Dense())
 	}
 	if !slices.Equal(ix.Directory(), codes) {
-		t.Fatalf("W=%d, %d codes: Directory() lists %d codes, not the directory", ix.W, len(codes), len(ix.Directory()))
+		t.Fatalf("W=%d, %d codes: Directory() lists %d codes, not the directory", w, len(codes), len(ix.Directory()))
 	}
 	if ix.Dense() {
 		if ix.Top != nil || ix.Codes != nil {
-			t.Fatalf("W=%d, %d codes: a dense index carries Top (%d entries) or Codes (%d)", ix.W, len(codes), len(ix.Top), len(ix.Codes))
+			t.Fatalf("W=%d, %d codes: a dense index carries Top (%d entries) or Codes (%d)", w, len(codes), len(ix.Top), len(ix.Codes))
 		}
-		checkBitmap(t, ix, codes)
+		checkBitmap(t, ix, w, codes)
 	} else {
 		if ix.Bits != nil || ix.Rank != nil {
-			t.Fatalf("W=%d, %d codes: a sparse index carries a bitmap", ix.W, len(codes))
+			t.Fatalf("W=%d, %d codes: a sparse index carries a bitmap", w, len(codes))
 		}
 		if !slices.Equal(ix.Codes, codes) {
-			t.Fatalf("W=%d, %d codes: a sparse index's Codes are not the directory", ix.W, len(codes))
+			t.Fatalf("W=%d, %d codes: a sparse index's Codes are not the directory", w, len(codes))
 		}
-		checkTop(t, ix)
+		checkTop(t, ix, w)
 	}
 }
 
 // checkBitmap states what Bits and Rank are: one bit per code of
 // [0, 4^W), set exactly for the listed codes, and one Rank entry per
 // eight words counting the codes below its line.
-func checkBitmap(t testing.TB, ix *Index, codes []seed.Code) {
+func checkBitmap(t testing.TB, ix *Part, w int, codes []seed.Code) {
 	t.Helper()
-	space := seed.NumCodes(ix.W)
+	space := seed.NumCodes(w)
 	if want := (space + 63) / 64; len(ix.Bits) != want || len(ix.Rank) != (want+lineWords-1)/lineWords {
 		t.Fatalf("W=%d: %d bitmap words and %d rank entries, want %d and %d",
-			ix.W, len(ix.Bits), len(ix.Rank), want, (want+lineWords-1)/lineWords)
+			w, len(ix.Bits), len(ix.Rank), want, (want+lineWords-1)/lineWords)
 	}
 	k := 0
-	for w, x := range ix.Bits {
-		if w%lineWords == 0 && int(ix.Rank[w/lineWords]) != k {
-			t.Fatalf("W=%d: Rank[%d] = %d, %d codes lie below its line", ix.W, w/lineWords, ix.Rank[w/lineWords], k)
+	for wd, x := range ix.Bits {
+		if wd%lineWords == 0 && int(ix.Rank[wd/lineWords]) != k {
+			t.Fatalf("W=%d: Rank[%d] = %d, %d codes lie below its line", w, wd/lineWords, ix.Rank[wd/lineWords], k)
 		}
 		for ; x != 0; x &= x - 1 {
-			c := seed.Code(64*w + bits.TrailingZeros64(x))
+			c := seed.Code(64*wd + bits.TrailingZeros64(x))
 			if k >= len(codes) || codes[k] != c {
-				t.Fatalf("W=%d: bit %d is set, the directory's slot %d is not that code", ix.W, c, k)
+				t.Fatalf("W=%d: bit %d is set, the directory's slot %d is not that code", w, c, k)
 			}
 			k++
 		}
 	}
 	if k != len(codes) {
-		t.Fatalf("W=%d: %d bits set for %d codes", ix.W, k, len(codes))
+		t.Fatalf("W=%d: %d bits set for %d codes", w, k, len(codes))
 	}
 }
 
@@ -92,9 +93,9 @@ func checkBitmap(t testing.TB, ix *Index, codes []seed.Code) {
 // them apart: every listed code and its two neighbours, both ends of the
 // code space, the first codes outside it, and whatever extra is given —
 // on a dense index and a sparse one alike.
-func checkSlots(t testing.TB, ix *Index, codes []seed.Code, extra ...seed.Code) {
+func checkSlots(t testing.TB, ix *Part, w int, codes []seed.Code, extra ...seed.Code) {
 	t.Helper()
-	space := seed.Code(seed.NumCodes(ix.W))
+	space := seed.Code(seed.NumCodes(w))
 	probes := append([]seed.Code{0, space - 1, space, space + 1, 1<<32 - 1}, extra...)
 	for _, c := range codes {
 		probes = append(probes, c-1, c, c+1)
@@ -106,14 +107,14 @@ func checkSlots(t testing.TB, ix *Index, codes []seed.Code, extra ...seed.Code) 
 			wantSlot, wantFound := slices.BinarySearch(codes, c)
 			if slot, found := ix.Slot(c); slot != wantSlot || found != wantFound {
 				t.Fatalf("W=%d, %d codes: Slot(%d) = %d, %v; BinarySearch says %d, %v",
-					ix.W, len(codes), c, slot, found, wantSlot, wantFound)
+					w, len(codes), c, slot, found, wantSlot, wantFound)
 			}
 			if !wantFound {
 				wantSlot = -1
 			}
 			if int(slots[i]) != wantSlot {
 				t.Fatalf("W=%d, %d codes: Slots resolves %d (entry %d of %d) to %d, want %d",
-					ix.W, len(codes), c, i, len(batch), slots[i], wantSlot)
+					w, len(codes), c, i, len(batch), slots[i], wantSlot)
 			}
 		}
 	}
@@ -122,22 +123,22 @@ func checkSlots(t testing.TB, ix *Index, codes []seed.Code, extra ...seed.Code) 
 // checkTop states what Top is: 2^k+1 non-decreasing entries from 0 to
 // len(Codes), bucket h holding exactly the codes whose top bits are h,
 // and no more than an eighth of the directory in size.
-func checkTop(t testing.TB, ix *Index) {
+func checkTop(t testing.TB, ix *Part, w int) {
 	t.Helper()
 	n := len(ix.Top) - 1
 	if n < 1 || n&(n-1) != 0 || ix.Top[0] != 0 || int(ix.Top[n]) != len(ix.Codes) {
-		t.Fatalf("W=%d, %d codes: Top has %d entries from %d to %d", ix.W, len(ix.Codes), len(ix.Top), ix.Top[0], ix.Top[n])
+		t.Fatalf("W=%d, %d codes: Top has %d entries from %d to %d", w, len(ix.Codes), len(ix.Top), ix.Top[0], ix.Top[n])
 	}
 	if len(ix.Top) > len(ix.Codes)/8+2 {
-		t.Errorf("W=%d: |Top| = %d for %d codes, want ≤ |Codes|/8 + 2", ix.W, len(ix.Top), len(ix.Codes))
+		t.Errorf("W=%d: |Top| = %d for %d codes, want ≤ |Codes|/8 + 2", w, len(ix.Top), len(ix.Codes))
 	}
 	for h := 0; h < n; h++ {
 		if ix.Top[h] > ix.Top[h+1] {
-			t.Fatalf("W=%d: Top decreases at %d", ix.W, h)
+			t.Fatalf("W=%d: Top decreases at %d", w, h)
 		}
 		for _, c := range ix.Codes[ix.Top[h]:ix.Top[h+1]] {
 			if int(c>>ix.topShift) != h {
-				t.Fatalf("W=%d: code %d in bucket %d, its top bits are %d", ix.W, c, h, c>>ix.topShift)
+				t.Fatalf("W=%d: code %d in bucket %d, its top bits are %d", w, c, h, c>>ix.topShift)
 			}
 		}
 	}
@@ -201,9 +202,9 @@ func TestSlotMatchesBinarySearch(t *testing.T) {
 				if dense && w > 13 {
 					continue
 				}
-				ix := dirOf(codes, w, dense)
-				checkLookup(t, ix, codes, false)
-				checkSlots(t, ix, codes, extra...)
+				q := dirOf(codes, w, dense)
+				checkLookup(t, q, w, codes, false)
+				checkSlots(t, q, w, codes, extra...)
 			}
 		}
 	}
@@ -229,13 +230,13 @@ func lineEdges(w int) []seed.Code {
 }
 
 // TestConstructorsDeriveTheSameLookup: every way an index comes to
-// exist — Build and FromBlocks (one block and several) — derives the
-// same directory in the form its size calls for: the same bitmap and
-// rank and no code list on a dense index, the same Codes and Top on a
-// sparse one, on banks either side of the threshold (two rows at W = 11
-// straddle it). A real bank's directory then resolves like any other.
-// At W = 15 only the sparse side is built: a dense W = 15 directory
-// holds over 33 M codes.
+// exist — Build and FromBlocks (one block and several) — derives, for
+// each part, the same directory in the form the part's own size calls
+// for: the same bitmap and rank and no code list on a dense part, the
+// same Codes and Top on a sparse one, on banks either side of the
+// threshold (two rows at W = 11 straddle it). A real bank's directory
+// then resolves like any other, part by part. At W = 15 only the sparse
+// side is built: a dense W = 15 directory holds over 33 M codes.
 func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 	for _, tc := range []struct {
 		w     int
@@ -256,20 +257,21 @@ func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 		codes := whole.Codes
-		if built.Dense() != tc.dense {
-			t.Fatalf("W=%d, %d codes: Dense() = %v, the row is meant to be %v", tc.w, len(codes), built.Dense(), tc.dense)
+		q := only(built)
+		if q.Dense() != tc.dense {
+			t.Fatalf("W=%d, %d codes: Dense() = %v, the row is meant to be %v", tc.w, len(codes), q.Dense(), tc.dense)
 		}
-		checkLookup(t, built, codes, true)
-		checkSlots(t, built, codes)
+		checkLookup(t, q, tc.w, codes, true)
+		checkSlots(t, q, tc.w, codes)
 		// MemoryBytes counts what the index holds exactly: Offsets and Pos,
 		// and the smaller of the directory's two forms — Codes and Top,
 		// 4n + 4·(2^topBits(n)+1) bytes, or the bitmap and rank, 4^W/8 +
 		// 4^W/128 bytes (whole lines from W = 5 on).
 		space := seed.NumCodes(tc.w)
 		sparse := 4*len(codes) + 4*(1<<topBits(len(codes))+1)
-		lookup := 4 * (len(built.Codes) + len(built.Top))
+		lookup := 4 * (len(q.Codes) + len(q.Top))
 		if tc.dense {
-			lookup = 8*len(built.Bits) + 4*len(built.Rank)
+			lookup = 8*len(q.Bits) + 4*len(q.Rank)
 			if tc.w >= 5 && (lookup != space/8+space/128 || lookup > sparse) {
 				t.Errorf("W=%d: the bitmap and rank take %d bytes, want 4^W/8 + 4^W/128 = %d, at most the sparse form's %d",
 					tc.w, lookup, space/8+space/128, sparse)
@@ -278,10 +280,10 @@ func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 			t.Errorf("W=%d: Codes and Top take %d bytes, want %d, under the bitmap and rank's %d",
 				tc.w, lookup, sparse, space/8+space/128)
 		}
-		if want := 4*(len(built.Pos)+len(built.Offsets)) + lookup; built.MemoryBytes() != want {
+		if want := 4*(len(q.Pos)+len(q.Offsets)) + lookup; built.MemoryBytes() != want {
 			t.Errorf("W=%d: MemoryBytes = %d, want %d", tc.w, built.MemoryBytes(), want)
 		}
-		oneBlock, err := FromBlocks(tc.b, opts, []BlockParts{built.Block()})
+		oneBlock, err := FromBlocks(tc.b, opts, built.Blocks())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,26 +293,36 @@ func TestConstructorsDeriveTheSameLookup(t *testing.T) {
 		}
 		for _, ix := range []*Index{oneBlock, tiled} {
 			sameIndexT(t, built, ix)
-			checkLookup(t, ix, codes, true)
+			for i := range ix.Parts() {
+				p := &ix.Parts()[i]
+				bp, err := BuildBlock(tc.b, opts, p.SeqLo, p.SeqHi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkLookup(t, p, tc.w, bp.Codes, true)
+				checkSlots(t, p, tc.w, bp.Codes)
+			}
 		}
 	}
 }
 
-// proofBytes is what a loaded index's proof bitmap holds, one bit a
-// slot; a built index has none.
-func proofBytes(ix *Index) int {
+// proofBytes is what a loaded part's proof bits hold, one a slot; a
+// built index has none.
+func proofBytes(ix *Index, q *Part) int {
 	if !ix.Loaded() {
 		return 0
 	}
-	return 8 * ((ix.NumCodes() + 63) / 64)
+	return 8 * ((q.NumCodes() + 63) / 64)
 }
 
-// TestDenseIndexHoldsNoCodeList: a dense index, however it came to
-// exist, holds Offsets, Pos, Bits and Rank and, loaded, its proof
-// bitmap, and nothing else — Codes is nil and MemoryBytes is exactly
-// 4·(Offsets + Pos + Rank) + 8·Bits, plus one bit a slot when loaded —
-// and the block a save writes of it, its directory regenerated from the
-// bitmap, is the block BuildBlock makes of the whole bank.
+// TestDenseIndexHoldsNoCodeList: a dense part, however its index came
+// to exist, holds Offsets, Pos, Bits and Rank and, loaded, its proof
+// bits, and nothing else — Codes is nil — and a sparse one holds no
+// bitmap; MemoryBytes is exactly what the parts hold, 4·(Offsets + Pos
+// + Rank + Codes + Top) + 8·Bits, plus one bit a slot when loaded; and
+// the block a save writes of each part, a dense directory regenerated
+// from the bitmap, is the block BuildBlock makes over the part's range.
+// A built index, and one loaded from one block, is one dense part.
 func TestDenseIndexHoldsNoCodeList(t *testing.T) {
 	for _, tc := range []struct {
 		w    int
@@ -335,20 +347,41 @@ func TestDenseIndexHoldsNoCodeList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, ix := range []*Index{built, loaded} {
+			if q := only(ix); !q.Dense() {
+				t.Fatalf("W=%d, %d codes: a one-part index of the whole bank is not dense", tc.w, q.NumCodes())
+			}
+		}
 		for _, ix := range []*Index{built, loaded, tiled} {
-			if !ix.Dense() || ix.Codes != nil || ix.Top != nil {
-				t.Fatalf("W=%d, %d codes: dense %v, Codes %d, Top %d — want a dense index with neither",
-					tc.w, ix.NumCodes(), ix.Dense(), len(ix.Codes), len(ix.Top))
+			want := 0
+			blocks := ix.Blocks()
+			for i := range ix.Parts() {
+				q := &ix.Parts()[i]
+				bp, err := BuildBlock(tc.b, tc.opts, q.SeqLo, q.SeqHi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if q.Dense() != denseDirectory(len(bp.Codes), tc.w) {
+					t.Fatalf("W=%d, part %d of %d codes: Dense() = %v, its size says %v", tc.w, i, q.NumCodes(), q.Dense(), !q.Dense())
+				}
+				if q.Dense() && (q.Codes != nil || q.Top != nil) || !q.Dense() && (q.Bits != nil || q.Rank != nil) {
+					t.Fatalf("W=%d, part %d of %d codes: dense %v, Codes %d, Top %d, Bits %d — want a dense part with no list, a sparse one with no bitmap",
+						tc.w, i, q.NumCodes(), q.Dense(), len(q.Codes), len(q.Top), len(q.Bits))
+				}
+				want += 4*(len(q.Offsets)+len(q.Pos)+len(q.Rank)+len(q.Codes)+len(q.Top)) + 8*len(q.Bits) + proofBytes(ix, q)
+				got := blocks[i]
+				if got.SeqLo != bp.SeqLo || got.SeqHi != bp.SeqHi || got.DataLo != bp.DataLo || got.DataHi != bp.DataHi ||
+					got.MaskedOut != bp.MaskedOut || got.SampledOut != bp.SampledOut ||
+					!slices.Equal(got.Codes, bp.Codes) || !slices.Equal(got.Offsets, bp.Offsets) || !slices.Equal(got.Pos, bp.Pos) {
+					t.Errorf("W=%d, part %d of %d codes: Blocks() differs from BuildBlock over the part's range", tc.w, i, q.NumCodes())
+				}
 			}
-			if want := 4*(len(ix.Offsets)+len(ix.Pos)+len(ix.Rank)) + 8*len(ix.Bits) + proofBytes(ix); ix.MemoryBytes() != want {
-				t.Errorf("W=%d: MemoryBytes = %d, want 4·(Offsets+Pos+Rank) + 8·Bits + the proof bitmap = %d", tc.w, ix.MemoryBytes(), want)
+			if ix.MemoryBytes() != want {
+				t.Errorf("W=%d: MemoryBytes = %d, want 4·(Offsets+Pos+Rank+Codes+Top) + 8·Bits + the proof bits over the parts = %d", tc.w, ix.MemoryBytes(), want)
 			}
-			got := ix.Block()
-			if got.SeqLo != whole.SeqLo || got.SeqHi != whole.SeqHi || got.DataLo != whole.DataLo || got.DataHi != whole.DataHi ||
-				got.MaskedOut != whole.MaskedOut || got.SampledOut != whole.SampledOut ||
-				!slices.Equal(got.Codes, whole.Codes) || !slices.Equal(got.Offsets, whole.Offsets) || !slices.Equal(got.Pos, whole.Pos) {
-				t.Errorf("W=%d, %d codes: Block() differs from BuildBlock over the whole bank", tc.w, ix.NumCodes())
-			}
+		}
+		if b := built.Blocks(); len(b) != 1 || b[0].SeqHi != whole.SeqHi || !slices.Equal(b[0].Codes, whole.Codes) {
+			t.Errorf("W=%d: a built index saves as %d blocks, want the one BuildBlock makes over the whole bank", tc.w, len(b))
 		}
 	}
 }
@@ -402,9 +435,9 @@ func FuzzSlot(f *testing.F) {
 			if dense && w > 12 {
 				continue
 			}
-			ix := dirOf(codes, w, dense)
-			checkLookup(t, ix, codes, false)
-			checkSlots(t, ix, codes, seed.Code(probe), seed.Code(probe)%seed.Code(seed.NumCodes(w)))
+			q := dirOf(codes, w, dense)
+			checkLookup(t, q, w, codes, false)
+			checkSlots(t, q, w, codes, seed.Code(probe), seed.Code(probe)%seed.Code(seed.NumCodes(w)))
 		}
 	})
 }

@@ -57,15 +57,19 @@ func BenchmarkIxdiskLoad(b *testing.B) {
 	}
 }
 
-// benchEST5500 is store_cycle's db shape: 5,500 simulated EST reads of
-// about 450 bp (2.5 Mbp), indexed at W = 11 under dust and saved.
-func benchEST5500(b *testing.B) (*index.Index, index.Options, string) {
-	b.Helper()
-	opts := index.Options{W: 11, Dust: dust.New(0, 0)}
-	bk := simulate.EST(simulate.ESTSpec{
+// est5500 is store_cycle's db shape: 5,500 simulated EST reads of about
+// 450 bp (2.5 Mbp), indexed at W = 11 under dust.
+func est5500() (*bank.Bank, index.Options) {
+	return simulate.EST(simulate.ESTSpec{
 		Name: "est5500", Seed: 5500, NumSeqs: 5500, MeanLen: 450, GeneFraction: 0.5,
 		Mut: simulate.Mutation{Sub: 0.035, Indel: 0.004}, PolyATailFraction: 0.15,
-	}, simulate.NewPool(1001, 400, 900))
+	}, simulate.NewPool(1001, 400, 900)), index.Options{W: 11, Dust: dust.New(0, 0)}
+}
+
+// benchEST5500 saves est5500 as a fresh save does: one block.
+func benchEST5500(b *testing.B) (*index.Index, index.Options, string) {
+	b.Helper()
+	bk, opts := est5500()
 	p := index.Build(bk, opts)
 	path := filepath.Join(b.TempDir(), "est5500"+FileExt)
 	if err := Save(path, p); err != nil {
@@ -74,15 +78,28 @@ func benchEST5500(b *testing.B) (*index.Index, index.Options, string) {
 	return p, opts, path
 }
 
+// benchEST5500Appended saves est5500 as store_cycle's append leaves it:
+// a head over the first 5,225 reads and one block over the last 275.
+func benchEST5500Appended(b *testing.B) (*index.Index, index.Options, string) {
+	b.Helper()
+	bk, opts := est5500()
+	path := filepath.Join(b.TempDir(), "est5500-appended"+FileExt)
+	saveCut(b, path, bk, opts, []int{5225})
+	return index.Build(bk, opts), opts, path
+}
+
 // BenchmarkIxdiskLoadMapped measures the zero-copy mmap reader — the
 // cold-process warm-start path whose trajectory CI tracks — on the
 // 512 kb bank and at store_cycle's shape (est5500), where it is meant to
-// cost at most a quarter of BenchmarkIxdiskBuild/est5500.
+// cost at most a quarter of BenchmarkIxdiskBuild/est5500, and at that
+// shape as an append leaves it (est5500-appended): two blocks, each
+// mapped as it stands, so its B/op is est5500's plus the tail part's
+// lookup and proof bits.
 func BenchmarkIxdiskLoadMapped(b *testing.B) {
 	for _, shape := range []struct {
 		name     string
 		prepared func(*testing.B) (*index.Index, index.Options, string)
-	}{{"w10", benchPrepared}, {"est5500", benchEST5500}} {
+	}{{"w10", benchPrepared}, {"est5500", benchEST5500}, {"est5500-appended", benchEST5500Appended}} {
 		b.Run(shape.name, func(b *testing.B) {
 			p, opts, path := shape.prepared(b)
 			fi, _ := os.Stat(path)

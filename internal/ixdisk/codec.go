@@ -14,16 +14,17 @@ package ixdisk
 //	footer              bank identity, per-sequence checksums, block
 //	                    directory, CRC, self-locating trailer
 //
-// A fresh save writes one block, the built index (index.Index.Block);
-// every further block was written by an append. Each block is a
+// A fresh save writes one block, the built index (index.Index.Blocks);
+// every further block was written by an append, and a load takes each
+// block as one part of the index. Each block is a
 // self-contained index.BlockParts over one contiguous sequence range: a
 // 64-byte block header, the three 4-byte-element sections (Codes[n],
 // Offsets[n+1], Pos), a CRC-32C over header + sections, and zero
 // padding to an 8-byte boundary — so every section is 4-byte aligned
 // from any page-aligned base and a mapped load can alias them. The
 // sections are the index's own arrays: a block's offsets index its own
-// Pos, so a one-block file is the index as it stands and a reader
-// derives nothing from it but, on a dense index, the bitmap.
+// Pos, so a file is the index as it stands, one part a block, and a
+// reader derives nothing from it but, on a dense part, the bitmap.
 //
 // The footer is the only part of the file that changes when a bank is
 // appended to. It records the bank identity (content CRC, data length,
@@ -48,9 +49,10 @@ package ixdisk
 // rejects it on identity and the store heals by rebuild, like any
 // rejected file.
 //
-// A one-block file is the index — mapped, its sections are adopted in
-// place — while one with more blocks is merged into fresh arrays on
-// every load (index.FromBlocks).
+// A file is the index: mapped, every block's sections are adopted in
+// place as one part of it (index.FromBlocks), however many appends
+// wrote them. No write rewrites a byte of a stored block, so a mapping
+// stays valid while the store appends to its file (Mapping).
 
 import (
 	"bufio"
@@ -467,16 +469,17 @@ func writeBlocksTo(w io.Writer, b *bank.Bank, k index.Key, blocks []index.BlockP
 // a torn file after power loss is caught by the checksums and rebuilt,
 // the store-heals-itself property.
 //
-// A saved index is the built index: one block over the whole bank,
-// streamed from the index's own Codes, Offsets and Pos — nothing is
-// cut, regrouped, converted or copied.
+// A saved index is the index as it stands: one block a part — one over
+// the whole bank for a built index — each streamed from the part's own
+// Codes, Offsets and Pos; nothing is cut, regrouped, converted or
+// copied.
 func Save(path string, ix *index.Index) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPattern)
 	if err != nil {
 		return fmt.Errorf("ixdisk: Save: %w", err)
 	}
 	bw := bufio.NewWriterSize(tmp, 256<<10)
-	err = writeBlocksTo(bw, ix.Bank, ix.Options().Key(), []index.BlockParts{ix.Block()})
+	err = writeBlocksTo(bw, ix.Bank, ix.Options().Key(), ix.Blocks())
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -544,8 +547,11 @@ func (f *footer) prefixOf(b *bank.Bank) (k int, err error) {
 // identity) over the old footer region of the file at path, then
 // renames the file to newPath — the O(suffix) append. Old block bytes
 // are never touched: the old file's header and blocks remain an
-// unchanged byte prefix of the result. Not atomic by design; a torn
-// write fails the footer checks and the store heals by rebuild.
+// unchanged byte prefix of the result, and the file only grows (the new
+// footer records more than the old), which is what lets an index keep
+// the file's blocks mapped while it is appended to (Mapping). Not
+// atomic by design; a torn write fails the footer checks and the store
+// heals by rebuild.
 func appendBlockAt(path, newPath string, grown *bank.Bank, suffix *index.BlockParts, oldFtr *footer) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {

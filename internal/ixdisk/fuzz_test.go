@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/index"
-	"repro/internal/seed"
 )
 
 // The legacy fixtures are real files of retired versions, each written
@@ -131,25 +130,32 @@ func loadInvariants(t *testing.T, data []byte, p *index.Index, b *bank.Bank, opt
 	if p.Options().Key() != opts.Key() {
 		t.Fatalf("load succeeded with an index keyed %+v, requested %+v", p.Options().Key(), opts.Key())
 	}
-	if p.Indexed != len(p.Pos) {
-		t.Fatalf("load succeeded with %d positions for an Indexed count of %d", len(p.Pos), p.Indexed)
-	}
-	total := 0
-	for _, c := range p.Directory() {
-		occ := p.Occ(seed.Code(c))
-		if len(occ) == 0 {
-			t.Fatalf("load succeeded but occupied code %d has no occurrences", c)
+	indexed, total := 0, 0
+	for _, q := range p.Parts() {
+		indexed += len(q.Pos)
+		n := 0
+		for _, c := range q.Directory() {
+			occ := q.Occ(c)
+			if len(occ) == 0 {
+				t.Fatalf("load succeeded but occupied code %d has no occurrences", c)
+			}
+			n += len(occ)
 		}
-		total += len(occ)
+		if n != len(q.Pos) {
+			t.Fatalf("load succeeded with %d positions across a part's codes, %d in its flat array", n, len(q.Pos))
+		}
+		total += n
 	}
-	if total != len(p.Pos) {
-		t.Fatalf("load succeeded with %d positions across codes, %d in the flat array", total, len(p.Pos))
+	if p.Indexed != indexed || total != indexed {
+		t.Fatalf("load succeeded with %d positions across codes and %d in the parts' flat arrays for an Indexed count of %d", total, indexed, p.Indexed)
 	}
 	// The window proofs of first reads stay inside the bank whatever a
 	// loaded file holds; they may refuse it.
-	for i, c := range p.Directory() {
-		if _, err := p.Prove(int32(i), c); err != nil && !p.Revoked() {
-			t.Fatalf("a failed proof left the index unrevoked: %v", err)
+	for _, q := range p.Parts() {
+		for i, c := range q.Directory() {
+			if _, err := q.Prove(int32(i), c); err != nil && !p.Revoked() {
+				t.Fatalf("a failed proof left the index unrevoked: %v", err)
+			}
 		}
 	}
 }

@@ -15,7 +15,8 @@
 // checksum vector) plus a directory of block offsets and ranges. A
 // fresh save is one block — the built index, written as it stands and
 // used in place when mapped back — and a further block exists only
-// where an append wrote one. The full layout and the append discipline
+// where an append wrote one; every block loads as one part of the
+// index, never merged with the others. The full layout and the append discipline
 // live in codec.go and DESIGN.md §7. The structure buys what a monolithic
 // layout cannot offer: appending to a bank writes exactly one new block
 // plus a footer (O(suffix), the file is never rewritten).
@@ -353,10 +354,12 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) 
 // memoize records a successful load (or extension) under its key path,
 // together with the file backing it, so LRU evict-and-reload cycles
 // above the store return the validated index instead of re-reading the
-// file. Bounded (memoBound, FIFO), so under query-bank churn in a
-// long-lived process it behaves as a cache, not a leak — with the caveat
-// that an evicted entry's Mapping stays held until Close, since the
-// index it backs may still be in use.
+// file, and keeps m, the mapping the index's parts alias, until Close —
+// an extended index's mapping included, whose file the append has
+// since grown and renamed. Bounded (memoBound, FIFO), so under
+// query-bank churn in a long-lived process it behaves as a cache, not a
+// leak — with the caveat that an evicted entry's Mapping stays held
+// until Close, since the index it backs may still be in use.
 //
 // The index's windows are proven as they are first read (index.Index.
 // Prove). If a proof fails, the store forgets the index and removes the

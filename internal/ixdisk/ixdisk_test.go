@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,9 +62,22 @@ func genBank(t testing.TB, name string, n int) *bank.Bank {
 // became one block.
 func saveTiled(tb testing.TB, path string, b *bank.Bank, opts index.Options, blockSeqs int) {
 	tb.Helper()
+	var cuts []int
+	for lo := blockSeqs; lo < b.NumSeqs(); lo += blockSeqs {
+		cuts = append(cuts, lo)
+	}
+	saveCut(tb, path, b, opts, cuts)
+}
+
+// saveCut writes the index of (b, opts) to path as one block between
+// each two cuts (ascending sequence counts inside the bank), made as
+// saveTiled makes its blocks.
+func saveCut(tb testing.TB, path string, b *bank.Bank, opts index.Options, cuts []int) {
+	tb.Helper()
+	bounds := append(append([]int{0}, cuts...), b.NumSeqs())
 	var blocks []index.BlockParts
-	for lo := 0; lo < b.NumSeqs(); lo += blockSeqs {
-		bp, err := index.BuildBlock(b, opts, lo, min(lo+blockSeqs, b.NumSeqs()))
+	for i := 1; i < len(bounds); i++ {
+		bp, err := index.BuildBlock(b, opts, bounds[i-1], bounds[i])
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -103,18 +117,86 @@ func sameInts[T word](a, b []T) bool {
 	return true
 }
 
+// only returns the one part of a built index.
+func only(ix *index.Index) *index.Part {
+	if len(ix.Parts()) != 1 {
+		panic("index has several parts")
+	}
+	return &ix.Parts()[0]
+}
+
+// directory lists the codes of every part of ix, ascending: the whole
+// index's directory.
+func directory(ix *index.Index) []seed.Code {
+	var codes []seed.Code
+	for _, q := range ix.Parts() {
+		codes = append(codes, q.Directory()...)
+	}
+	slices.Sort(codes)
+	return slices.Compact(codes)
+}
+
+// occurrences concatenates the occurrences of c over the parts of ix,
+// in order: the whole index's.
+func occurrences(ix *index.Index, c seed.Code) []int32 {
+	var occ []int32
+	for _, q := range ix.Parts() {
+		occ = append(occ, q.Occ(c)...)
+	}
+	return occ
+}
+
+// samePart reports whether two parts are the same array for array —
+// range, counters, directory, Offsets and Pos — and in the lookup
+// structure derived from them, Dense() included.
+func samePart(a, b *index.Part) bool {
+	return a.SeqLo == b.SeqLo && a.SeqHi == b.SeqHi && a.DataLo == b.DataLo && a.DataHi == b.DataHi &&
+		a.MaskedOut == b.MaskedOut && a.SampledOut == b.SampledOut &&
+		a.Dense() == b.Dense() && sameInts(a.Directory(), b.Directory()) &&
+		sameInts(a.Offsets, b.Offsets) && sameInts(a.Pos, b.Pos) &&
+		sameInts(a.Top, b.Top) && slices.Equal(a.Bits, b.Bits) && sameInts(a.Rank, b.Rank)
+}
+
 // assertIndexEqual checks that a loaded index is indistinguishable from
-// the built one in every observable way.
+// the built one in every observable way: the same bank, key and
+// counters; for every code, the same occurrences, concatenated over the
+// parts, and the same directory, the union of the parts'; each loaded
+// part the block index.BuildBlock makes over its range, taken as a part,
+// array for array and in its lookup structure, Dense() included; and,
+// where both are one part — a one-block file and a built index — that
+// part the built one array for array.
 func assertIndexEqual(t *testing.T, built, loaded *index.Index) {
 	t.Helper()
-	if !sameInts(built.Offsets, loaded.Offsets) {
-		t.Error("Offsets differ after round trip")
-	}
-	if !sameInts(built.Pos, loaded.Pos) {
-		t.Error("Pos differs after round trip")
-	}
-	if !sameInts(built.Directory(), loaded.Directory()) || built.Dense() != loaded.Dense() {
+	dir := directory(built)
+	if !sameInts(dir, directory(loaded)) {
 		t.Error("directory differs after round trip")
+	}
+	for _, c := range dir {
+		if !sameInts(occurrences(built, c), occurrences(loaded, c)) {
+			t.Errorf("the occurrences of code %d differ after round trip", c)
+			break
+		}
+	}
+	opts := loaded.Options()
+	blocks := make([]index.BlockParts, len(loaded.Parts()))
+	for i, q := range loaded.Parts() {
+		bp, err := index.BuildBlock(loaded.Bank, opts, q.SeqLo, q.SeqHi)
+		if err != nil {
+			t.Fatalf("part %d: %v", i, err)
+		}
+		blocks[i] = bp
+	}
+	if ref, err := index.FromBlocks(loaded.Bank, opts, blocks); err != nil {
+		t.Errorf("the parts' ranges do not tile the bank: %v", err)
+	} else {
+		for i := range ref.Parts() {
+			if !samePart(&ref.Parts()[i], &loaded.Parts()[i]) {
+				t.Errorf("part %d of %d differs from the block built over its range", i, len(ref.Parts()))
+			}
+		}
+	}
+	if len(built.Parts()) == 1 && len(loaded.Parts()) == 1 && !samePart(&built.Parts()[0], &loaded.Parts()[0]) {
+		t.Error("the part of a one-block file differs from the built index's")
 	}
 	if built.Indexed != loaded.Indexed || built.MaskedOut != loaded.MaskedOut || built.SampledOut != loaded.SampledOut {
 		t.Errorf("counters differ: built %d/%d/%d, loaded %d/%d/%d",
@@ -168,10 +250,11 @@ func TestRoundTripLoadMapped(t *testing.T) {
 			}
 			assertIndexEqual(t, built, loaded)
 			// Spot-exercise accessors over the aliased memory.
-			for _, c := range loaded.Directory() {
-				occ := loaded.Occ(seed.Code(c))
-				if len(occ) == 0 {
-					t.Fatalf("occupied code %d has empty occurrence slice", c)
+			for _, q := range loaded.Parts() {
+				for _, c := range q.Directory() {
+					if len(q.Occ(c)) == 0 {
+						t.Fatalf("occupied code %d has empty occurrence slice", c)
+					}
 				}
 			}
 		})

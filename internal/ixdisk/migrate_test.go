@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -187,8 +188,8 @@ func TestFreshSaveBytesStable(t *testing.T) {
 	} {
 		b := orixPinBank(tc.reads)
 		ix := index.Build(b, index.Options{W: 11, Dust: dust.New(0, 0)})
-		if ix.Dense() != tc.dense {
-			t.Fatalf("%d reads, %d codes: Dense() = %v, the row is meant to be %v", tc.reads, ix.NumCodes(), ix.Dense(), tc.dense)
+		if only(ix).Dense() != tc.dense {
+			t.Fatalf("%d reads, %d codes: Dense() = %v, the row is meant to be %v", tc.reads, only(ix).NumCodes(), only(ix).Dense(), tc.dense)
 		}
 		path := filepath.Join(t.TempDir(), "pin.orix")
 		if err := Save(path, ix); err != nil {
@@ -501,7 +502,7 @@ func TestCraftedPositionsRejected(t *testing.T) {
 	}{
 		"straddles-sentinel": {r1End - 3, false},
 		"runs-off-the-bank":  {int32(len(b.Data)) - 2, true},
-		"another-code":       {built.Pos[built.Offsets[1]], true},
+		"another-code":       {only(built).Pos[only(built).Offsets[1]], true},
 		"another-code-first": {1, false},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -586,15 +587,17 @@ func assertRefusedOnRead(t *testing.T, b *bank.Bank, opts index.Options, file []
 	}
 }
 
-// TestMultiBlockMappedFallback: the mapped load of a multi-block file
-// returns a valid index that owns its arrays and a non-mapped Mapping —
-// and gets there with one copy of the payload: the mapped blocks are
-// merged straight into fresh arrays, where the copying reader first
-// reads the file into a buffer and decodes each block out of it. The
-// gap between the two routes' allocations is twice the file, and the
-// merge itself allocates its three output arrays and nothing else sized
-// by the index.
-func TestMultiBlockMappedFallback(t *testing.T) {
+// TestMultiBlockLoadIsMapped: the mapped load of a multi-block file is
+// the mapped load of a one-block file, block by block — each block is a
+// part of the index, aliased in place, and the Mapping stays live. It
+// allocates what TestFreshSaveIsOneBlock bounds a one-block load to,
+// summed over the parts: each part's lookup structure and proof bits,
+// and the footer — nothing sized by Pos, no copy of a code list or of
+// offsets. The copying reader reads the file into a buffer and decodes
+// each block out of it, so the gap between the two routes' allocations
+// is at least twice the file. The index outlives its file's name: the
+// mapping survives an unlink, as it does the GC's.
+func TestMultiBlockLoadIsMapped(t *testing.T) {
 	b := genBank(t, "mb", 1<<17)
 	opts := index.Options{W: 8}
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
@@ -624,27 +627,102 @@ func TestMultiBlockMappedFallback(t *testing.T) {
 		}
 	})
 	defer m.Close()
-	if m.Mapped() {
-		t.Error("multi-block file claimed a live mapping")
+	if len(p.Parts()) != 3 {
+		t.Fatalf("a 3-block file loaded as %d parts", len(p.Parts()))
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mmapSupported && nativeLittleEndian && mapped+3*uint64(fi.Size())/2 > copied {
-		t.Errorf("the mapped load of a %d-byte multi-block file allocated %d bytes, the copying load %d: the mapped route still copies each block before the merge",
-			fi.Size(), mapped, copied)
-	}
-	if out := uint64(built.MemoryBytes()); mmapSupported && nativeLittleEndian && mapped > out+256<<10 {
-		t.Errorf("the mapped load of a 3-block file allocated %d bytes for %d bytes of index arrays: the merge allocates beyond its output",
-			mapped, out)
+	if mmapSupported && nativeLittleEndian {
+		if !m.Mapped() {
+			t.Error("the mapped load of a multi-block file did not keep its mapping")
+		}
+		lookup, proof := 0, 0
+		for _, q := range p.Parts() {
+			lookup += 4*len(q.Top) + 8*len(q.Bits) + 4*len(q.Rank)
+			proof += 8 * ((q.NumCodes() + 63) / 64)
+		}
+		footer := 8*b.NumSeqs() + 64<<10
+		if max := uint64(lookup + proof + footer); mapped > max {
+			t.Errorf("the mapped load of a 3-block file allocated %d bytes, want ≤ lookup %d + proof bits %d + footer %d = %d (Pos alone is %d)",
+				mapped, lookup, proof, footer, max, 4*p.Indexed)
+		}
+		if mapped+2*uint64(fi.Size()) > copied {
+			t.Errorf("the mapped load of a %d-byte multi-block file allocated %d bytes, the copying load %d: the mapped route copies blocks",
+				fi.Size(), mapped, copied)
+		}
 	}
 	assertIndexEqual(t, built, p)
-	// Independence: the merged index survives file removal.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
 	assertIndexEqual(t, built, p)
+}
+
+// TestMappedIndexSurvivesItsAppend pins what lets an extended index keep
+// its stored blocks mapped: the append that completes a file writes at
+// the old footer's offset and only extends the file, so no byte a part
+// aliases is rewritten — not by the append of the extension itself, and
+// not by a later one that grows the same file again while the index is
+// still served. After each, every position of every part is read back,
+// and every code's occurrences are still Build's.
+func TestMappedIndexSurvivesItsAppend(t *testing.T) {
+	dir := t.TempDir()
+	recs := genRecs(t, 600, 7)
+	opts := index.Options{W: 8}
+	store := openStore(t, dir)
+	short := bank.New("db", recs[:4])
+	saveTiled(t, store.Path(short, opts), short, opts, 2)
+
+	readAll := func(t *testing.T, p *index.Index) {
+		t.Helper()
+		sum := int64(0)
+		for _, q := range p.Parts() {
+			for _, pos := range q.Pos {
+				sum += int64(pos)
+			}
+		}
+		if sum == 0 && p.Indexed > 0 {
+			t.Fatal("every position read back as 0")
+		}
+	}
+	grown := bank.New("db", recs[:6])
+	p, err := store.Load(grown, opts)
+	if err != nil || p == nil {
+		t.Fatalf("append load: %v, %v", p, err)
+	}
+	if store.Extends() != 1 || store.BlockAppends() != 1 || len(p.Parts()) != 3 {
+		t.Fatalf("Extends/BlockAppends = %d/%d, %d parts — want 1/1, the 2 stored blocks and the suffix's",
+			store.Extends(), store.BlockAppends(), len(p.Parts()))
+	}
+	store.mu.Lock()
+	maps := slices.Clone(store.maps)
+	store.mu.Unlock()
+	if mmapSupported && nativeLittleEndian && (len(maps) != 1 || !maps[0].Mapped()) {
+		t.Fatal("the extended index's mapping is not held by the store")
+	}
+	readAll(t, p)
+	assertIndexEqual(t, index.Build(grown, opts), p)
+
+	// Grow the file that backs p once more, through another store, while
+	// p is alive.
+	regrown := bank.New("db", recs)
+	other := openStore(t, dir)
+	if q, err := other.Load(regrown, opts); err != nil || q == nil || other.BlockAppends() != 1 {
+		t.Fatalf("second append: %v, %v, %d appends", q, err, other.BlockAppends())
+	}
+	readAll(t, p)
+	assertIndexEqual(t, index.Build(grown, opts), p)
+
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range maps {
+		if m.Mapped() {
+			t.Error("Close kept the extended index's mapping")
+		}
+	}
 }
 
 // TestFreshSaveIsOneBlock: a saved index is the built index — one block
@@ -661,8 +739,8 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 	}{{8, true}, {13, false}} {
 		opts := index.Options{W: tc.w}
 		built := index.Build(b, opts)
-		if built.Dense() != tc.dense {
-			t.Fatalf("W=%d, %d codes: Dense() = %v, the row is meant to be %v", tc.w, built.NumCodes(), built.Dense(), tc.dense)
+		if only(built).Dense() != tc.dense {
+			t.Fatalf("W=%d, %d codes: Dense() = %v, the row is meant to be %v", tc.w, only(built).NumCodes(), only(built).Dense(), tc.dense)
 		}
 		path := filepath.Join(t.TempDir(), "ix"+FileExt)
 		if err := Save(path, built); err != nil {
@@ -690,13 +768,14 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 			// The footer holds an 8-byte checksum a sequence; 64 KB covers
 			// the rest of it, the block directory, the proof bits and the
 			// Index itself.
-			n := built.NumCodes()
-			lookup := 4*len(built.Top) + 8*len(built.Bits) + 4*len(built.Rank)
+			q := only(built)
+			n := q.NumCodes()
+			lookup := 4*len(q.Top) + 8*len(q.Bits) + 4*len(q.Rank)
 			footer := 8*b.NumSeqs() + 64<<10
 			got, max := after.TotalAlloc-before.TotalAlloc, uint64(lookup+footer)
 			if got > max {
 				t.Errorf("W=%d: the mapped load allocated %d bytes, want ≤ lookup %d + footer %d = %d (the code list alone is %d, the offsets %d, Pos %d)",
-					tc.w, got, lookup, footer, max, 4*n, 4*(n+1), 4*len(built.Pos))
+					tc.w, got, lookup, footer, max, 4*n, 4*(n+1), 4*len(q.Pos))
 			}
 		}
 		assertIndexEqual(t, built, p)
@@ -708,9 +787,50 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 	}
 }
 
+// TestSaveWritesOneBlockAPart: saving an index that is several parts —
+// what DirStore.Save does when an extension's in-place append fails —
+// writes each part as the block it is, and the file loads back to the
+// same parts.
+func TestSaveWritesOneBlockAPart(t *testing.T) {
+	recs := genRecs(t, 500, 5)
+	b := bank.New("db", recs)
+	opts := index.Options{W: 8}
+	dir := t.TempDir()
+	tiled := filepath.Join(dir, "tiled"+FileExt)
+	saveCut(t, tiled, b, opts, []int{2, 4})
+	p, err := load(tiled, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "saved"+FileExt)
+	if err := Save(path, p); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(tiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the save of a 3-part index (%d bytes) is not the 3-block file it was loaded from (%d bytes)", len(got), len(want))
+	}
+	loaded, err := load(path, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.Parts()) != 3 {
+		t.Fatalf("the saved file loads as %d parts, want 3", len(loaded.Parts()))
+	}
+	assertIndexEqual(t, index.Build(b, opts), loaded)
+}
+
 // TestOlderSaveLayoutLoads: Save used to cut a fresh index every 4,096
 // sequences. A file laid out that way — same format, so nothing marks
-// it — still loads to Build's arrays by both routes, through the merge.
+// it — still loads by both routes, a part a block, each the block built
+// over its range and together Build's occurrences.
 func TestOlderSaveLayoutLoads(t *testing.T) {
 	const olderBlockSeqs = 4096
 	recs := genRecs(t, 40, olderBlockSeqs+500)

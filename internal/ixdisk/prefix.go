@@ -79,46 +79,50 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 // extend completes a stored prefix file into the full index for
 // (b, opts): decode the stored blocks (each CRC-checked) against the
 // grown bank — block coordinates are append-stable, so they are valid
-// verbatim — build one block over the appended suffix, and reassemble.
-// Only the suffix is scanned; the returned footer and suffix block let
-// the caller append in place. The file's identity as a strict prefix
-// of b is re-checked from scratch — the file may have changed since the
-// candidate scan read it. A mapped store reads the stored blocks in place: the merge
-// copies them into arrays the index owns, so the mapping is gone before
-// the file is written to.
-func (s *DirStore) extend(path string, b *bank.Bank, opts index.Options) (*index.Index, *index.BlockParts, *footer, error) {
+// verbatim — build one block over the appended suffix, and take them
+// all as the index's parts. Only the suffix is scanned and no stored
+// block is copied; the returned footer and suffix block let the caller
+// append in place. The file's identity as a strict prefix of b is
+// re-checked from scratch — the file may have changed since the
+// candidate scan read it. A mapped store reads the stored blocks in
+// place, and the parts keep aliasing the mapping, returned for the
+// caller to hold as long as the index lives: the append the caller
+// then writes to the same file rewrites none of their bytes (Mapping).
+func (s *DirStore) extend(path string, b *bank.Bank, opts index.Options) (*index.Index, *Mapping, *index.BlockParts, *footer, error) {
 	key := opts.Key()
 	x, err := openIndexFile(path, &key)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	defer x.f.Close()
 	k, err := x.ftr.prefixOf(b)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	s.mu.Lock()
 	mapped := s.mapped
 	s.mu.Unlock()
 	m, err := x.mapping(mapped)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	defer m.Close()
 	blocks, err := x.allBlocks(m)
 	if err != nil {
-		return nil, nil, nil, err
+		m.Close()
+		return nil, nil, nil, nil, err
 	}
 	s.blockLoads.Add(int64(len(blocks)))
 	suffix, err := index.BuildBlock(b, opts, k, b.NumSeqs())
 	if err != nil {
-		return nil, nil, nil, err
+		m.Close()
+		return nil, nil, nil, nil, err
 	}
 	ix, err := index.FromBlocks(b, opts, append(blocks, suffix))
 	if err != nil {
-		return nil, nil, nil, err
+		m.Close()
+		return nil, nil, nil, nil, err
 	}
-	return ix, &suffix, x.ftr, nil
+	return ix, m, &suffix, x.ftr, nil
 }
 
 // loadViaPrefix is the exact-miss fallback of DirStore.Load: complete
@@ -127,13 +131,13 @@ func (s *DirStore) extend(path string, b *bank.Bank, opts index.Options) (*index
 // best-effort.
 func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath string) (*index.Index, error) {
 	for _, cand := range s.prefixCandidates(b, opts, exactPath) {
-		ix, suffix, ftr, err := s.extend(cand.path, b, opts)
+		ix, m, suffix, ftr, err := s.extend(cand.path, b, opts)
 		if err != nil {
 			continue
 		}
 		s.extends.Add(1)
 		backing := s.persistAppend(cand.path, exactPath, ix, suffix, ftr)
-		s.memoize(exactPath, backing, ix, nil)
+		s.memoize(exactPath, backing, ix, m)
 		return ix, nil
 	}
 	return nil, nil

@@ -150,13 +150,12 @@ func decodeBlocks(buf []byte, base uint64, dir []dirEntry, alias bool) ([]index.
 }
 
 // loadExact is the exact load — the file must record exactly bank b
-// and opts' key — by either block route, with the blocks assembled into
-// b's index by index.FromBlocks. It reports how many blocks were decoded
-// (the BlockLoads accounting). A single block's arrays become the
-// index's own, so a mapped single-block file (every fresh save) stays
-// aliased to the returned Mapping; several blocks are merged into arrays
-// the index owns — one copy — and the mapping is dropped, so the
-// returned Mapping is then non-mapped and callers need no layout logic.
+// and opts' key — by either block route, with the blocks taken as the
+// parts of b's index by index.FromBlocks. It reports how many blocks
+// were decoded (the BlockLoads accounting). Every block's arrays become
+// its part's own, however many blocks the file holds, so a mapped file
+// stays aliased to the returned Mapping, which the caller keeps for as
+// long as the index lives; a copying load's Mapping is the no-op one.
 func loadExact(path string, b *bank.Bank, opts index.Options, mapped bool) (*index.Index, *Mapping, int, error) {
 	key := opts.Key()
 	x, err := openIndexFile(path, &key)
@@ -181,10 +180,6 @@ func loadExact(path string, b *bank.Bank, opts index.Options, mapped bool) (*ind
 		m.Close()
 		return nil, nil, 0, err
 	}
-	if len(blocks) > 1 {
-		m.Close()
-		m = &Mapping{}
-	}
 	return ix, m, len(blocks), nil
 }
 
@@ -192,6 +187,13 @@ func loadExact(path string, b *bank.Bank, opts index.Options, mapped bool) (*ind
 // releases it — after which every slice of the index it backed is
 // invalid and must not be touched (see DESIGN.md §7 on the aliasing
 // caveats). A no-op Mapping (a copying load's) closes safely.
+//
+// A mapped region stays valid while the store writes to its file,
+// because no write rewrites a byte a part reads: appendBlockAt writes
+// at the old footer's offset, past every block, and only extends the
+// file; Save replaces a file by renaming a new one over it; the GC only
+// unlinks; and an index reads its blocks through the mapping, never the
+// footer (TestMappedIndexSurvivesItsAppend).
 type Mapping struct {
 	data []byte
 	once sync.Once

@@ -20,7 +20,7 @@ package lint
 //     a stored block's structure, every position a window inside its
 //     block. That a window holds its slot's code is a fact about the
 //     bank's content, not a bound, and is proven where it is first read
-//     (index.Index.Prove, DESIGN.md §7) — outside what taint models.
+//     (index.Part.Prove, DESIGN.md §7) — outside what taint models.
 //
 // Taint is tracked per value as a set of origins — "came from a real
 // source here" plus "came from parameter i" — so one pass over a
