@@ -22,14 +22,14 @@ func benchBank(n int) *bank.Bank {
 	return bank.New("bench", []*fasta.Record{{ID: "r", Seq: sb}})
 }
 
-// BenchmarkIndexBuild measures the scan → radix sort → emit build on a
-// 1 Mb bank at W=11, serial vs all-cores parallel, against the legacy
-// linked-chain build (the pre-CSR implementation, which computed no
-// code directory) as the same-machine baseline —
-// on a 16-read query bank (small16), where B/op is the figure: the
-// index is sized by the bank, so it must stay in the hundreds of KB —
-// and on a dusted 3,000 × 450 bp EST bank (est3000), serial and
-// parallel.
+// BenchmarkIndexBuild measures the build on a 1 Mb bank at W=11 (two
+// scans, then per bucket a count and the emit), serial vs all-cores
+// parallel, against the legacy linked-chain build (the pre-CSR
+// implementation, which computed no code directory) as the same-machine
+// baseline — on a 16-read query bank (small16), where B/op is the
+// figure: the index is sized by the bank, so it must stay in the
+// hundreds of KB — on a dusted 3,000 × 450 bp EST bank (est3000),
+// serial and parallel, and on a sampled tile index (tiles).
 func BenchmarkIndexBuild(b *testing.B) {
 	small := benchBankSeqs(16, 450)
 	b.Run("small16", func(b *testing.B) {
@@ -73,6 +73,17 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		})
 	}
+	// BLAT's tile index of svc_churn's db: 3,100 reads of 450 bp, one
+	// window in 11 kept (W = SampleStep = 11), one worker — rebuilt once
+	// a round, so the scan's per-window cost is the figure.
+	tiles := benchBankSeqs(3100, 450)
+	b.Run("tiles", func(b *testing.B) {
+		b.SetBytes(3100 * 450)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Build(tiles, Options{W: 11, SampleStep: 11, Workers: 1})
+		}
+	})
 	b.Run("legacyChain", func(b *testing.B) {
 		b.SetBytes(1 << 20)
 		b.ReportAllocs()
@@ -192,11 +203,11 @@ func benchBankSeqs(count, seqLen int) *bank.Bank {
 // cold full build it replaces, on the route the store takes: a 4 Mb
 // bank of 256 sequences grows by a suffix of 1, 16, or 64 sequences,
 // under the engine-default shape (W=11, dust on). The extension builds
-// one block over the suffix (scan, mask, sort) and takes it beside the
+// one block over the suffix (scan, mask, emit) and takes it beside the
 // stored block as a part (the structure check of both, and the stored
 // block's dense bitmap), so its cost tracks the suffix size with a flat
 // bank-proportional floor, while the full build re-scans, re-masks, and
-// re-sorts the whole bank.
+// re-emits the whole bank.
 func BenchmarkIndexExtend(b *testing.B) {
 	const (
 		seqs   = 256

@@ -67,7 +67,9 @@ type BlockParts struct {
 // BuildBlock builds the index block for sequences [seqLo, seqHi) of b
 // by scanning only their Data range — the incremental unit of the
 // append path: appending sequences to a stored bank costs one
-// BuildBlock over the suffix, never a rescan of the prefix. The result
+// BuildBlock over the suffix, never a rescan of the prefix. A block
+// holds its directory as a list: where the build emitted a dense
+// bitmap, Codes is listed from it, as Blocks does for a save. The result
 // holds exactly the occurrences Build(b) has inside the range, in the
 // same order, and stays valid verbatim when the bank later grows,
 // because everything it depends on is append-stable (DESIGN.md §7):
@@ -90,7 +92,10 @@ func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error
 		return BlockParts{}, fmt.Errorf("index: BuildBlock: invalid sequence range [%d,%d) of %d", seqLo, seqHi, b.NumSeqs())
 	}
 	dataLo, dataHi := b.PrefixLen(seqLo), b.PrefixLen(seqHi)
-	p := buildRange(b, opts, dataLo, dataHi)
+	p, bitmap := buildRange(b, opts, dataLo, dataHi)
+	if bitmap != nil {
+		p.Codes = listOf(bitmap, len(p.Offsets)-1)
+	}
 	p.SeqLo, p.SeqHi, p.DataLo, p.DataHi = seqLo, seqHi, dataLo, dataHi
 	return p, nil
 }

@@ -154,25 +154,29 @@ func TestSortDigitCountsMatchLegacyChain(t *testing.T) {
 }
 
 // The parallel build must be byte-identical to the serial build — the
-// shards scan ascending ranges and are concatenated in shard order, and
-// the sort's result is a function of that sequence alone — and the
-// serial build must match an independent oracle: the chain for W ≤ 11,
-// a brute-force map at W = 15. Every W the sort treats differently
-// (one digit in all at W = 5; below the top digit, a short one at 8,
-// one at 11, two at 15) runs against 1, 2, 3 and 7 workers, on three
-// banks:
+// shards scan ascending ranges, the buckets keep their words in
+// position order, and each bucket's emit is a function of its words
+// alone — and the serial build must match an independent oracle: the
+// chain for W ≤ 11, a brute-force map above it. Every W the build treats
+// differently (one digit in all at W = 5; below the top digit, a short
+// one at 8, one at 11, two from 12 on) runs against 1, 2, 3 and 7
+// workers, on these banks:
 //
 //   - a random one large enough to clear the minParallelData serial
 //     fallback, with dust and sampling;
-//   - a repeat-rich one with more than minBucketed windows, so the sort
-//     scatters on the top digit: a tandem repeat puts most of them in a
-//     few buckets far above smallBucket, and the rest spread thin,
+//   - a repeat-rich one with more than minBucketed windows, so the build
+//     buckets them on the top digit: a tandem repeat puts most of them in
+//     a few buckets far above smallBucket, and the rest spread thin,
 //     most of their buckets below it. Its first record is most of the
 //     bank, so under dust (whose shard cuts move to the next sentinel
 //     or ambiguous base) the shards are as uneven as they get;
 //   - long records a quarter low-complexity tracts, dusted: a cut that
 //     stayed where it fell would split a masked run, and the shards'
-//     masks would disagree with the oracle's whole-bank pass.
+//     masks would disagree with the oracle's whole-bank pass;
+//   - two random ones one byte apart across the bucketed cutoff;
+//   - a skewed one where one top digit holds at least 90 % of the
+//     windows, many codes in one bucket: one worker finishes most of the
+//     bank, and from W = 12 on sorts that bucket in a scratch as large.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	random := randomBank(77, 4, 40000)
 	if len(random.Data) < minParallelData {
@@ -180,7 +184,12 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	}
 	repeats := repeatRichBank(minBucketed+minBucketed/8, 12000)
 	tracts := lowComplexityBank(40, 3000)
-	for _, w := range []int{5, 8, 11, 15} {
+	under, over := bankOfDataLen(minBucketed-1), bankOfDataLen(minBucketed)
+	if bucketed(Options{W: 11, SampleStep: 1}, len(under.Data)) || !bucketed(Options{W: 11, SampleStep: 1}, len(over.Data)) {
+		t.Fatalf("banks of %d and %d bytes do not straddle the bucketed cutoff", len(under.Data), len(over.Data))
+	}
+	skewed := skewedBank(minBucketed + minBucketed/8)
+	for _, w := range []int{5, 8, 11, 12, 13, 15} {
 		for _, tc := range []struct {
 			b    *bank.Bank
 			opts Options
@@ -191,12 +200,26 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			{repeats, Options{W: w}},
 			{repeats, Options{W: w, Dust: dust.New(0, 0)}},
 			{tracts, Options{W: w, Dust: dust.New(0, 0)}},
+			{under, Options{W: w}},
+			{over, Options{W: w}},
+			{skewed, Options{W: w}},
 		} {
 			serial := tc.opts
 			serial.Workers = 1
 			want := Build(tc.b, serial)
 			if tc.b == repeats && want.Indexed < minBucketed {
 				t.Fatalf("W=%d: repeat-rich bank indexes %d windows, under minBucketed", w, want.Indexed)
+			}
+			if tc.b == skewed && 2*w > digitBits {
+				hot := 0
+				eachCode(want, func(c seed.Code, occ []int32) {
+					if c>>(2*w-digitBits) == 0 {
+						hot += len(occ)
+					}
+				})
+				if 10*hot < 9*want.Indexed {
+					t.Fatalf("W=%d: the skewed bank's hot bucket holds %d of %d windows, under 90 %%", w, hot, want.Indexed)
+				}
 			}
 			if w <= 11 {
 				if !matchesChainRef(want, buildChainRef(tc.b, tc.opts)) {
@@ -228,6 +251,42 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bankOfDataLen is a random bank, in records of 400 bases but the last,
+// whose Data is exactly n bytes.
+func bankOfDataLen(n int) *bank.Bank {
+	rng := rand.New(rand.NewSource(53))
+	var recs []*fasta.Record
+	for left := n - 1; left > 0; { // Data opens with a sentinel, and each record ends with one
+		seq := make([]byte, min(400, left-1))
+		for i := range seq {
+			seq[i] = "ACGT"[rng.Intn(4)]
+		}
+		recs = append(recs, &fasta.Record{ID: "random", Seq: seq})
+		left -= len(seq) + 1
+	}
+	return bank.New("random", recs)
+}
+
+// skewedBank is a bank of about n bases, in records of 4,000: runs of A,
+// each base replaced by a random one with probability 1/80. A window's
+// top digit is its last five and a half bases, so the windows that end
+// in six As — about 94 % — share the top digit 0, and their codes differ
+// in the bases before.
+func skewedBank(n int) *bank.Bank {
+	rng := rand.New(rand.NewSource(59))
+	recs := make([]*fasta.Record, n/4000)
+	for r := range recs {
+		seq := bytes.Repeat([]byte("A"), 4000)
+		for i := range seq {
+			if rng.Intn(80) == 0 {
+				seq[i] = "ACGT"[rng.Intn(4)]
+			}
+		}
+		recs[r] = &fasta.Record{ID: "skewed", Seq: seq}
+	}
+	return bank.New("skewed", recs)
 }
 
 // repeatRichBank is a bank of about n bases: one tandem repeat of a
@@ -271,16 +330,21 @@ func lowComplexityBank(count, seqLen int) *bank.Bank {
 	return bank.New("tracts", recs)
 }
 
-// sortByCode's result is the words' stable order by code: the positions
-// arrive ascending and unique, so it is their order as whole words. It
-// is checked on both sides of minBucketed, for every W the sort treats
-// differently and 1, 2, 3 and 7 workers, on uniform codes and on a
-// repeat-rich draw where one code holds almost every word — one bucket
-// far above smallBucket, the others mostly below it.
+// The build's sort and emit give the CSR form of the words' stable
+// order by code: the positions arrive ascending and unique, so it is
+// their order as whole words — Pos lists their positions in that order,
+// the directory its codes, and Offsets where each code's run begins. It
+// is checked on both sides of minBucketed — one bucket (lsdPasses, then
+// emitSorted) and the bucketed emit (emitBuckets) of the words scattered
+// on their top digit — for every W the build treats differently (one
+// digit in all at W = 5; below the top digit, a short one at 8, one at
+// 11, two at 12 and 15), for 1, 2, 3 and 7 workers, on uniform codes and
+// on a repeat-rich draw where one code holds almost every word: one
+// bucket far above smallBucket, the others mostly below it.
 func TestSortByCodeIsWordOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, smallBucket + 1, 5000, minBucketed + 4099} {
-		for _, w := range []int{5, 8, 11, 15} {
+		for _, w := range []int{5, 8, 11, 12, 15} {
 			for _, skew := range []bool{false, true} {
 				words := make([]uint64, n)
 				hot := uint64(rng.Intn(1 << (2 * w)))
@@ -292,13 +356,56 @@ func TestSortByCodeIsWordOrder(t *testing.T) {
 					words[i] = c<<32 | uint64(i)
 				}
 				want := slices.Sorted(slices.Values(words))
+				var codes []seed.Code
+				var offsets []int32
+				pos := make([]int32, n)
+				for i, v := range want {
+					if i == 0 || v>>32 != want[i-1]>>32 {
+						codes = append(codes, seed.Code(v>>32))
+						offsets = append(offsets, int32(i))
+					}
+					pos[i] = int32(uint32(v))
+				}
+				offsets = append(offsets, int32(n))
 				for _, workers := range []int{1, 2, 3, 7} {
-					a := slices.Clone(words)
-					if got := sortByCode(a, make([]uint64, n), w, workers); !slices.Equal(got, want) {
-						t.Fatalf("n=%d W=%d skew=%v workers=%d: not in word order", n, w, skew, workers)
+					got := csrOfWords(slices.Clone(words), w, workers)
+					if !slices.Equal(got.Pos, pos) || !slices.Equal(got.Codes, codes) || !slices.Equal(got.Offsets, offsets) {
+						t.Fatalf("n=%d W=%d skew=%v workers=%d: not the CSR form of the word order", n, w, skew, workers)
 					}
 				}
 			}
 		}
 	}
+}
+
+// csrOfWords runs the build's sort and emit over packed code<<32|pos
+// words in position order, as the build's scans leave them: below
+// minBucketed one bucket, sorted and emitted whole; from it on,
+// scattered stably into buckets on the code's top digit and emitted
+// bucket by bucket. A dense directory's bitmap is listed as Codes.
+func csrOfWords(words []uint64, w, workers int) BlockParts {
+	var p BlockParts
+	if !bucketed(Options{W: w, SampleStep: 1}, len(words)) {
+		var h [1 << digitBits]int32
+		emitSorted(&p, lsdPasses(words, make([]uint64, len(words)), 2*w, &h), workers)
+		return p
+	}
+	shift := 2*w - digitBits
+	bounds := make([]int32, 1<<digitBits+1)
+	for _, v := range words {
+		bounds[v>>32>>shift+1]++
+	}
+	for d := range 1 << digitBits {
+		bounds[d+1] += bounds[d]
+	}
+	next, scattered := slices.Clone(bounds), make([]uint64, len(words))
+	for _, v := range words {
+		d := v >> 32 >> shift
+		scattered[next[d]] = v
+		next[d]++
+	}
+	if bitmap := emitBuckets(&p, scattered, bounds, w, workers); bitmap != nil {
+		p.Codes = listOf(bitmap, len(p.Offsets)-1)
+	}
+	return p
 }

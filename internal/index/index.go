@@ -37,16 +37,19 @@
 // by sentinel bytes that never match, so an extension ends on the bank's
 // own data (package hsp).
 //
-// The build is scan → sort → emit: a sharded scan over ascending bank
-// ranges appends one packed code<<32|pos word per accepted window, a
-// stable radix sort on the code's 11-bit digits — bucketed on the top
-// digit and finished per bucket on every worker once the bank is large
-// — puts the words in CSR order (positions arrive ascending, so
-// stability keeps them ascending inside each code), and one linear pass
-// emits Pos, the code list and Offsets. The output is canonical —
-// byte-identical for any worker count — because the shards cover
-// ascending position ranges and are concatenated in shard order before
-// the sort.
+// The build never sorts a whole array once the bank is large: two
+// sharded scans over ascending bank ranges — the first counts the
+// accepted windows by the code's top 11-bit digit, the second writes a
+// packed code<<32|pos word per window straight into its top-digit
+// bucket, position order kept inside each — and then, on every worker,
+// each bucket's one counting pass on the code's low digit emits Pos,
+// Offsets and the directory (the bitmap of a dense one, or Codes) in
+// cache. A bank under 2^19 sampled positions is one bucket: one scan,
+// a stable radix sort on the code's digits, and a sharded emit. The
+// output is canonical — byte-identical for any worker count — because
+// the shards cover ascending position ranges, their histograms are laid
+// out bucket-major and shard-minor, and each bucket's emit depends on
+// its words alone.
 //
 // The index keeps the paper's two refinements:
 //
@@ -209,9 +212,10 @@ type Part struct {
 	// the 512-bit lines before line l, Bits[:8l] — the slot of the line's
 	// first code. nil on a sparse part.
 	//
-	// Top, Bits and Rank are derived from the code list by newPart
-	// wherever a part comes to exist, never stored; on a dense part
-	// newPart then drops the list.
+	// Top, Bits and Rank are derived by newPart wherever a part comes to
+	// exist, never stored: from the code list, which a dense part then
+	// drops, or from a bitmap already filled — by a bucketed build's
+	// emit, or by FromBlocks' check.
 	Rank []int32
 
 	// MaskedOut and SampledOut are the part's shares of the index's
@@ -246,21 +250,6 @@ func buildWorkers(opts Options, dataLen int) int {
 	return w
 }
 
-// scanRange reports every valid W-window starting in Data positions
-// [lo,hi). The scan reads ahead up to W-1 bytes past hi so windows that
-// straddle a shard cut are still seen by exactly one shard (the one
-// owning their start position).
-func scanRange(data []byte, w, lo, hi int, fn func(pos int32, c seed.Code)) {
-	end := hi + w - 1
-	if end > len(data) {
-		end = len(data)
-	}
-	base := int32(lo)
-	seed.ForEach(data[lo:end], w, func(rel int32, c seed.Code) {
-		fn(base+rel, c)
-	})
-}
-
 // Build constructs the index for a bank: the one build routine run over
 // the whole Data array.
 func Build(b *bank.Bank, opts Options) *Index {
@@ -268,81 +257,74 @@ func Build(b *bank.Bank, opts Options) *Index {
 	if opts.W < 1 || opts.W > seed.MaxW {
 		panic(fmt.Sprintf("index: invalid W=%d", opts.W))
 	}
-	p := buildRange(b, opts, 0, len(b.Data))
+	p, bitmap := buildRange(b, opts, 0, len(b.Data))
 	p.SeqLo, p.SeqHi, p.DataLo, p.DataHi = 0, b.NumSeqs(), b.PrefixLen(0), len(b.Data)
-	return assemble(b, opts, []Part{newPart(opts, &p, nil)})
+	return assemble(b, opts, []Part{newPart(opts, &p, bitmap)})
 }
 
-// digitBits is the radix of the build's sort: 11-bit digits, so W=11
-// sorts in two passes over 2 × 2,048 counters.
+// digitBits is the radix of the build's counting passes: 11-bit digits,
+// so W=11 takes two digits of 2,048 counters.
 const digitBits = 11
 
-// buildRange is the build: scan → sort → emit over the windows starting
-// in Data range [dataLo, dataHi), which must not cut a sequence (no
-// window straddles a sentinel, so the range's content depends on
-// nothing outside it). opts must be normalized.
+// The build's two size cutoffs, constants rather than options:
 //
-// Scan and sort run in a frame of their own so that their scratch (the
-// dust intervals and the sort's second buffer, 8 bytes a position) is
-// unreachable once they return. The emit loops make no calls, so a
-// concurrent collection preempts them asynchronously and scans this
-// frame conservatively: a stale slot pointing at dead scratch keeps it
-// alive for that cycle and doubles the heap goal from there (DESIGN.md
-// §2).
-func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) BlockParts {
-	sorted, p := scanSorted(b, opts, dataLo, dataHi)
-	n := len(sorted)
-	workers := buildWorkers(opts, dataHi-dataLo)
+//   - minBucketed is the number of sampled positions of a range — a
+//     bound on its windows, known before any scan — from which the build
+//     buckets the windows on the code's top digit: 2,048 buckets of 256
+//     windows on average. Below it the per-bucket counters cost more
+//     than the cache misses they save, and the build is one bucket.
+//   - smallBucket is the largest bucket finished by an insertion sort of
+//     whole words instead of a counting pass, whose counters cost more
+//     to clear and sum than the sort.
+const (
+	minBucketed = 256 << digitBits
+	smallBucket = 16
+)
 
-	// ---- emit: Pos streams out in index order, sharded; each shard also
-	// counts the directory entries that start in it ----
-	p.Pos = make([]int32, n)
-	starts := make([]int, workers)
-	runShards(workers, func(sid int) {
-		k := 0
-		for i := sid * n / workers; i < (sid+1)*n/workers; i++ {
-			if i == 0 || sorted[i]>>32 != sorted[i-1]>>32 {
-				k++
-			}
-			p.Pos[i] = int32(uint32(sorted[i]))
-		}
-		starts[sid] = k
-	})
-	numCodes := 0
-	for _, k := range starts {
-		numCodes += k
-	}
-	p.Codes = make([]seed.Code, 0, numCodes)
-	p.Offsets = make([]int32, 0, numCodes+1)
-	for i, v := range sorted {
-		if i == 0 || v>>32 != sorted[i-1]>>32 {
-			p.Codes = append(p.Codes, seed.Code(v>>32))
-			p.Offsets = append(p.Offsets, int32(i))
-		}
-	}
-	p.Offsets = append(p.Offsets, int32(n))
-	return p
+// bucketed reports whether the build over a Data range of n bytes
+// buckets its windows on the code's top digit (see minBucketed): when
+// the code has digits below the top one and the range holds at least
+// minBucketed sampled positions.
+func bucketed(opts Options, n int) bool {
+	return 2*opts.W > digitBits && (n+opts.SampleStep-1)/opts.SampleStep >= minBucketed
 }
 
-// scanSorted is the build's first two stages: it returns the packed
-// code<<32|pos word of every accepted window of the range in CSR order,
-// and parts holding only the two reject counters.
-func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, BlockParts) {
-	data := b.Data
-	w := opts.W
-	step := opts.SampleStep
-	step32 := int32(step)
-
-	// ---- scan: shards over ascending ranges, each filling its own
-	// region of one buffer with packed code<<32|pos words (pos needs 31
-	// bits, code ≤ 30). A region is sized for every sampled position of
-	// its shard, so an indexed write can never spill into the next.
-	// Under dust a cut moves forward to the next sentinel or ambiguous
-	// base, where every dust run ends: a shard masks its own range, and
-	// that agrees with a whole-bank pass ----
+// buildRange is the build over the windows starting in Data range
+// [dataLo, dataHi), which must not cut a sequence (no window straddles a
+// sentinel, so the range's content depends on nothing outside it). opts
+// must be normalized. It returns the block, and the presence bitmap of
+// a dense directory when the bucketed path emitted one: the block's
+// Codes is then nil (newPart takes the bitmap as the directory).
+//
+// A bucketed build is scan ×2 → per-bucket count → emit. The scans run
+// in a frame of their own (scanBuckets), so their dust intervals are
+// unreachable once they return; the bucketed words, 8 bytes a position,
+// are the only large scratch, and stay live until the last bucket has
+// been emitted. The one-bucket build is scan → sort → emit, its scan and
+// sort in a frame of their own (scanSorted) for the same reason: their
+// scratch (the dust intervals and the sort's second buffer) is dead
+// while the emit runs. The emit loops make no calls, so a concurrent
+// collection preempts them asynchronously and scans their frames
+// conservatively: a stale slot pointing at dead scratch would keep it
+// alive for that cycle and double the heap goal from there (DESIGN.md
+// §2).
+func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) (BlockParts, []uint64) {
 	workers := buildWorkers(opts, dataHi-dataLo)
+	if !bucketed(opts, dataHi-dataLo) {
+		sorted, p := scanSorted(b.Data, opts, dataLo, dataHi, workers)
+		emitSorted(&p, sorted, workers)
+		return p, nil
+	}
+	words, bounds, p := scanBuckets(b.Data, opts, dataLo, dataHi, workers)
+	return p, emitBuckets(&p, words, bounds, opts.W, workers)
+}
+
+// shardCuts splits Data range [dataLo, dataHi) into workers ascending
+// shards. Under dust a cut moves forward to the next sentinel or
+// ambiguous base, where every dust run ends: a shard masks its own
+// range, and that agrees with a whole-bank pass.
+func shardCuts(data []byte, opts Options, dataLo, dataHi, workers int) []int {
 	cuts := make([]int, workers+1)
-	regions := make([]int, workers+1)
 	cuts[0], cuts[workers] = dataLo, dataHi
 	for i := 1; i < workers; i++ {
 		c := max(dataLo+i*(dataHi-dataLo)/workers, cuts[i-1])
@@ -351,130 +333,357 @@ func scanSorted(b *bank.Bank, opts Options, dataLo, dataHi int) ([]uint64, Block
 		}
 		cuts[i] = c
 	}
+	return cuts
+}
+
+// tally counts one shard's rejected windows: masked by dust, and
+// skipped by sampling.
+type tally struct{ masked, sampled int }
+
+// walk visits the valid W-windows starting in Data positions [lo, hi),
+// ascending. It reads up to W-1 bytes past hi, so a window straddling a
+// shard cut is seen by exactly one shard, the one owning its start. It
+// counts each accepted window — sampled, and not masked — in
+// h[code>>shift]; with out non-nil it first writes the window's packed
+// code<<32|pos word (pos needs 31 bits, code ≤ 30) to out[h[code>>shift]],
+// so that h holds cursors and the walk scatters. masked is the shard's
+// dust mask from lo, taken by value: each walk advances its own copy of
+// the cursor. The sampling test is a countdown, not a division a window.
+func walk(data []byte, opts Options, lo, hi int, masked dust.Windows, shift uint, h *[1 << digitBits]int32, out []uint64) tally {
+	w, step := opts.W, opts.SampleStep
+	end := min(hi+w-1, len(data))
+	// ph is i's residue modulo step: the window ending at i starts on a
+	// sampled position, a multiple of step, when ph is (w-1)%step.
+	ph, sampled := lo%step, (w-1)%step
+	var t tally
+	var c seed.Code
+	run := 0
+	for i := lo; i < end; i, ph = i+1, ph+1 {
+		if ph == step {
+			ph = 0
+		}
+		b := data[i]
+		if !dna.IsValid(b) {
+			run = 0
+			continue
+		}
+		c = seed.RollRight(c, b, w)
+		if run++; run < w {
+			continue
+		}
+		if ph != sampled {
+			t.sampled++
+			continue
+		}
+		pos := i - w + 1
+		if masked.Masked(pos-lo, w) {
+			t.masked++
+			continue
+		}
+		d := c >> shift & (1<<digitBits - 1)
+		if out != nil {
+			out[h[d]] = uint64(c)<<32 | uint64(pos)
+		}
+		h[d]++
+	}
+	return t
+}
+
+// scanSorted is the one-bucket build's scan and sort: shards over
+// ascending ranges each fill their own region of one buffer with the
+// packed words of their accepted windows, the regions are closed up in
+// shard order (which is position order), and a stable radix sort on the
+// code's digits puts the words in CSR order — positions arrived
+// ascending, so they stay ascending inside each code. A region is sized
+// for every sampled position of its shard, so a write can never spill
+// into the next. It returns the sorted words and the block holding only
+// the two reject counters.
+func scanSorted(data []byte, opts Options, dataLo, dataHi, workers int) ([]uint64, BlockParts) {
+	cuts := shardCuts(data, opts, dataLo, dataHi, workers)
+	step := opts.SampleStep
+	regions := make([]int, workers+1)
 	for i := 1; i <= workers; i++ {
 		regions[i] = regions[i-1] + (cuts[i]-cuts[i-1]+step-1)/step
 	}
 	words := make([]uint64, regions[workers])
-	type tally struct{ indexed, masked, sampled int }
 	tallies := make([]tally, workers)
+	ends := make([]int, workers)
 	runShards(workers, func(sid int) {
 		lo, hi := cuts[sid], cuts[sid+1]
-		region := words[regions[sid]:regions[sid+1]]
-		// The shard's mask in shard-local coordinates; the windows
-		// arrive ascending, as its cursor needs.
-		masked := opts.Dust.Windows(data[lo:hi])
-		var t tally // shard-local: neighbours in tallies would share a cache line
-		scanRange(data, w, lo, hi, func(pos int32, c seed.Code) {
-			if step32 > 1 && pos%step32 != 0 {
-				t.sampled++
-				return
-			}
-			if masked.Masked(int(pos)-lo, w) {
-				t.masked++
-				return
-			}
-			region[t.indexed] = uint64(c)<<32 | uint64(pos)
-			t.indexed++
-		})
-		tallies[sid] = t
+		// One bucket: a shift of 2W leaves every code's digit 0, and h[0]
+		// is the shard's cursor in its region.
+		h := [1 << digitBits]int32{int32(regions[sid])}
+		tallies[sid] = walk(data, opts, lo, hi, opts.Dust.Windows(data[lo:hi]), uint(2*opts.W), &h, words)
+		ends[sid] = int(h[0])
 	})
-	// Close the gaps between regions: shard order is position order.
 	var p BlockParts
 	n := 0
 	for sid, t := range tallies {
-		copy(words[n:], words[regions[sid]:regions[sid]+t.indexed])
-		n += t.indexed
+		copy(words[n:], words[regions[sid]:ends[sid]])
+		n += ends[sid] - regions[sid]
 		p.MaskedOut += t.masked
 		p.SampledOut += t.sampled
 	}
-
-	// ---- sort: stable radix on the code's digits. Positions arrived
-	// ascending, so they stay ascending inside each code ----
-	return sortByCode(words[:n], make([]uint64, n), w, workers), p
+	var h [1 << digitBits]int32
+	return lsdPasses(words[:n], make([]uint64, n), 2*opts.W, &h), p
 }
 
-// The sort's two size cutoffs, constants rather than options:
-//
-//   - minBucketed is the number of words from which sortByCode scatters
-//     on the code's top digit first: 2,048 buckets of 256 words on
-//     average. Below it the per-bucket counters cost more than the
-//     cache misses they save, and the sort is one bucket.
-//   - smallBucket is the largest bucket finished by an insertion sort of
-//     whole words instead of a counting pass, whose 2,048 counters cost
-//     more to clear and sum than the sort.
-const (
-	minBucketed = 256 << digitBits
-	smallBucket = 16
-)
-
-// sortByCode stably sorts packed code<<32|pos words by their 2w-bit
-// code, on workers goroutines, using a and tmp (same length) and no
-// other scratch than workers+1 arrays of 2,048 counters. It returns
-// whichever buffer holds the result.
-//
-// From minBucketed words on, one MSD scatter on the code's top digitBits
-// bits moves the words from a to tmp: each worker counts and then
-// scatters its own contiguous chunk through its own histogram, and the
-// histograms are laid out bucket-major and worker-minor, so a bucket's
-// words keep their input order. Each bucket is then finished back into
-// a, in cache, by the worker whose share of the words its start falls
-// in. Below minBucketed, or when 2w ≤ digitBits, the whole array is
-// one bucket.
-func sortByCode(a, tmp []uint64, w, workers int) []uint64 {
-	n := len(a)
-	if n < minBucketed || 2*w <= digitBits {
-		var h [1 << digitBits]int32
-		return lsdPasses(a, tmp, 2*w, &h)
-	}
-	lowBits := 2*w - digitBits
-	topShift := uint(32 + lowBits)
-	chunk := func(k int) (lo, hi int) { return k * n / workers, (k + 1) * n / workers }
-	// hists[k] is worker k's histogram. After the scatter,
-	// hists[workers-1] holds each bucket's end, so the last worker
-	// finishes its buckets with hists[workers].
-	hists := make([][1 << digitBits]int32, workers+1)
+// emitSorted emits words in CSR order as p's Pos, Offsets and Codes,
+// in two sharded passes over the workers' shares of the words: the
+// first counts the codes that begin in each share, and the second
+// writes each share's positions and, from the first slot its
+// predecessors' counts give it, its codes.
+func emitSorted(p *BlockParts, sorted []uint64, workers int) {
+	n := len(sorted)
+	share := func(k int) (lo, hi int) { return k * n / workers, (k + 1) * n / workers }
+	slots := make([]int, workers+1)
 	runShards(workers, func(k int) {
-		lo, hi := chunk(k)
-		h := &hists[k]
-		for _, v := range a[lo:hi] {
-			h[v>>topShift]++
+		lo, hi := share(k)
+		m := 0
+		for i := lo; i < hi; i++ {
+			if i == 0 || sorted[i]>>32 != sorted[i-1]>>32 {
+				m++
+			}
 		}
+		slots[k+1] = m
 	})
+	for k := range workers {
+		slots[k+1] += slots[k]
+	}
+	e := newEmit(n, slots[workers])
+	e.codes = make([]seed.Code, slots[workers])
+	runShards(workers, func(k int) {
+		lo, hi := share(k)
+		e.runs(sorted, lo, hi, 0, slots[k])
+	})
+	p.Pos, p.Offsets, p.Codes = e.pos, e.offsets, e.codes
+}
+
+// scanBuckets is the bucketed build's two scans over each shard's
+// windows, with the shard's dust intervals found once. Scan 1 counts
+// the accepted windows by the code's top digit in the shard's
+// histogram; the histograms are then laid out bucket-major and
+// shard-minor, and scan 2 walks the same windows again and writes each
+// word straight into its bucket. A bucket's words thus keep position
+// order. It returns the bucketed words, the buckets' bounds (bucket d
+// is words[bounds[d]:bounds[d+1]]), and the block holding only the two
+// reject counters.
+func scanBuckets(data []byte, opts Options, dataLo, dataHi, workers int) ([]uint64, []int32, BlockParts) {
+	cuts := shardCuts(data, opts, dataLo, dataHi, workers)
+	shift := uint(2*opts.W - digitBits)
+	masks := make([]dust.Windows, workers)
+	hists := make([][1 << digitBits]int32, workers)
+	tallies := make([]tally, workers)
+	runShards(workers, func(sid int) {
+		lo, hi := cuts[sid], cuts[sid+1]
+		masks[sid] = opts.Dust.Windows(data[lo:hi])
+		tallies[sid] = walk(data, opts, lo, hi, masks[sid], shift, &hists[sid], nil)
+	})
+	bounds := make([]int32, 1<<digitBits+1)
 	var sum int32
 	for d := range hists[0] {
-		for k := 0; k < workers; k++ {
+		bounds[d] = sum
+		for k := range hists {
 			hists[k][d], sum = sum, sum+hists[k][d]
 		}
 	}
+	bounds[1<<digitBits] = sum
+	words := make([]uint64, sum)
+	runShards(workers, func(sid int) {
+		walk(data, opts, cuts[sid], cuts[sid+1], masks[sid], shift, &hists[sid], words)
+	})
+	var p BlockParts
+	for _, t := range tallies {
+		p.MaskedOut += t.masked
+		p.SampledOut += t.sampled
+	}
+	return words, bounds, p
+}
+
+// emitBuckets finishes a bucketed build without a global pass. Each
+// bucket belongs to the worker whose share of the words its start falls
+// in — the start of its group of buckets that share one word of a
+// bitmap over the codes, so that no two workers write one word. A first
+// pass over each bucket marks its codes in a presence bitmap and counts
+// them, one prefix over the buckets gives each its first slot, and each
+// bucket is then emitted in cache: its last counting pass on the code's
+// low digit writes its Offsets and scatters its positions
+// straight into Pos. That bitmap, over the whole code space, is a dense
+// directory's Bits as it stands, so a dense directory lists no codes.
+// Where the low part is wider than one digit (W ≥ 12) the bitmap would
+// be 4^W bits, so each worker marks a bucket's codes in a bitmap over
+// its low bits, cleared after; those buckets, and small ones, are sorted
+// — in a scratch of the worker's no larger than its largest bucket —
+// and emitted run by run. It fills p's Pos and Offsets, and its Codes
+// when the directory is sparse; when it is dense it returns the bitmap
+// instead.
+func emitBuckets(p *BlockParts, words []uint64, bounds []int32, w, workers int) []uint64 {
+	n := len(words)
+	buckets := len(bounds) - 1
+	lowBits := 2*w - digitBits
+	group := max(1, 64>>lowBits)
+	// Worker k finishes buckets [from[k], from[k+1]).
+	from := make([]int, workers+1)
+	for k, d := 1, 0; k < workers; k++ {
+		for d < buckets && int(bounds[d]) < k*n/workers {
+			d += group
+		}
+		from[k] = d
+	}
+	from[workers] = buckets
+	var presence []uint64
+	if lowBits <= digitBits {
+		presence = make([]uint64, (seed.NumCodes(w)+63)/64)
+	}
+	// slots[d] is bucket d's first slot; slots[buckets], the number of codes.
+	slots := make([]int, buckets+1)
 	runShards(workers, func(k int) {
-		lo, hi := chunk(k)
-		h := &hists[k]
-		for _, v := range a[lo:hi] {
-			d := v >> topShift
-			tmp[h[d]] = v
-			h[d]++
+		if presence != nil {
+			for d := from[k]; d < from[k+1]; d++ {
+				slots[d+1] = mark(words[bounds[d]:bounds[d+1]], presence, 0)
+			}
+			return
+		}
+		seen := make([]uint64, (1<<lowBits)/64)
+		for d := from[k]; d < from[k+1]; d++ {
+			bk := words[bounds[d]:bounds[d+1]]
+			slots[d+1] = mark(bk, seen, seed.Code(d)<<lowBits)
+			if len(bk) < len(seen) {
+				for _, v := range bk {
+					seen[(v>>32)%(1<<lowBits)/64] = 0
+				}
+			} else {
+				clear(seen)
+			}
 		}
 	})
-	ends := &hists[workers-1]
+	for d := range buckets {
+		slots[d+1] += slots[d]
+	}
+	e := newEmit(n, slots[buckets])
+	switch {
+	case !denseDirectory(slots[buckets], w):
+		e.codes = make([]seed.Code, slots[buckets])
+	case presence != nil:
+		e.bits = presence
+	default:
+		e.bits = make([]uint64, (seed.NumCodes(w)+63)/64)
+	}
 	runShards(workers, func(k int) {
-		lo, hi := chunk(k)
-		h := &hists[k]
-		if k == workers-1 {
-			h = &hists[workers]
-		}
-		start := int32(0)
-		for _, end := range ends {
-			s, e := start, end
-			start = end
-			if int(s) < lo || int(s) >= hi || s == e {
-				continue
+		size := smallBucket
+		if lowBits > digitBits {
+			for d := from[k]; d < from[k+1]; d++ {
+				size = max(size, int(bounds[d+1]-bounds[d]))
 			}
-			if sorted := lsdPasses(tmp[s:e], a[s:e], lowBits, h); &sorted[0] != &a[s] {
-				copy(a[s:e], sorted)
+		}
+		tmp := make([]uint64, size)
+		var h [1 << digitBits]int32
+		for d := from[k]; d < from[k+1]; d++ {
+			lo, hi := bounds[d], bounds[d+1]
+			bk := words[lo:hi]
+			if len(bk) > smallBucket && lowBits <= digitBits {
+				e.bucket(bk, lo, slots[d], seed.Code(d)<<lowBits, lowBits, presence, &h)
+			} else if len(bk) > 0 {
+				e.runs(lsdPasses(bk, tmp[:len(bk)], lowBits, &h), 0, len(bk), lo, slots[d])
 			}
 		}
 	})
-	return a
+	p.Pos, p.Offsets, p.Codes = e.pos, e.offsets, e.codes
+	return e.bits
+}
+
+// mark sets the bit of each word's code, less base, in the bitmap seen,
+// and returns how many it found clear: the number of distinct codes
+// among words whose codes seen did not hold.
+func mark(words []uint64, seen []uint64, base seed.Code) int {
+	m := 0
+	for _, v := range words {
+		b := seed.Code(v>>32) - base
+		x := seen[b/64]
+		m += int(^x >> (b % 64) & 1)
+		seen[b/64] = x | 1<<(b%64)
+	}
+	return m
+}
+
+// emit is where the build's last pass writes a block: its Pos and
+// Offsets, and its directory — Codes, or on a dense directory its
+// presence bitmap (one of the two is nil).
+type emit struct {
+	pos, offsets []int32
+	codes        []seed.Code
+	bits         []uint64
+}
+
+// newEmit makes the Pos and Offsets of a block of n positions and m
+// codes; the caller adds the directory.
+func newEmit(n, m int) emit {
+	e := emit{pos: make([]int32, n), offsets: make([]int32, m+1)}
+	e.offsets[m] = int32(n)
+	return e
+}
+
+// slot records code c in slot s, its occurrences starting at Pos index
+// off.
+func (e *emit) slot(s int, c seed.Code, off int32) {
+	e.offsets[s] = off
+	if e.bits != nil {
+		e.bits[c/64] |= 1 << (c % 64)
+		return
+	}
+	e.codes[s] = c
+}
+
+// runs emits words[lo:hi] of a run of words in CSR order whose first
+// word is Pos index start: each word's position, and a slot, from slot
+// on, for each code that begins in the range.
+func (e *emit) runs(words []uint64, lo, hi int, start int32, slot int) {
+	for i := lo; i < hi; i++ {
+		v := words[i]
+		if i == 0 || v>>32 != words[i-1]>>32 {
+			e.slot(slot, seed.Code(v>>32), start+int32(i))
+			slot++
+		}
+		e.pos[start+int32(i)] = int32(uint32(v))
+	}
+}
+
+// bucket emits the words of one bucket whose codes share top bits top
+// and differ in their low lowBits ≤ digitBits, the bucket's first
+// position being Pos index start and its first code's slot slot, with
+// presence holding the bucket's codes: one counting pass on the low
+// digit, whose prefix sums at the codes present are the bucket's
+// Offsets, then a stable scatter of the positions into Pos.
+func (e *emit) bucket(words []uint64, start int32, slot int, top seed.Code, lowBits int, presence []uint64, h *[1 << digitBits]int32) {
+	c := h[:1<<lowBits]
+	mask := uint64(len(c) - 1)
+	clear(c)
+	for _, v := range words {
+		c[v>>32&mask]++
+	}
+	off := start
+	for i, k := range c {
+		c[i] = off
+		off += k
+	}
+	for base := 0; base < len(c); base += 64 {
+		// The bucket's bits of a presence word: all 64 when the bucket
+		// spans whole words, else its len(c) from first%64.
+		first := top + seed.Code(base)
+		for x := presence[first/64] >> (first % 64) & (1<<min(len(c), 64) - 1); x != 0; x &= x - 1 {
+			i := base + bits.TrailingZeros64(x)
+			e.offsets[slot] = c[i]
+			if e.codes != nil {
+				e.codes[slot] = top + seed.Code(i)
+			}
+			slot++
+		}
+	}
+	for _, v := range words {
+		k := v >> 32 & mask
+		e.pos[c[k]] = int32(uint32(v))
+		c[k]++
+	}
 }
 
 // lsdPasses stably sorts words by the low codeBits bits of their code
@@ -552,8 +761,9 @@ func assemble(b *bank.Bank, opts Options, parts []Part) *Index {
 // from the code list: the presence bitmap and its rank when the
 // directory is dense — the list itself is then dropped, the bitmap
 // holding the same set — and Top beside the list when it is not. A
-// non-nil bitmap is the dense directory's bitmap already filled
-// (FromBlocks' check fills it). Every code must be below 4^W.
+// non-nil bitmap is the dense directory's bitmap already filled (a
+// bucketed build's emit, or FromBlocks' check, fills it), and only its
+// rank is derived. Every code must be below 4^W.
 func newPart(opts Options, p *BlockParts, bitmap []uint64) Part {
 	q := Part{
 		SeqLo: p.SeqLo, SeqHi: p.SeqHi, DataLo: p.DataLo, DataHi: p.DataHi,
@@ -667,8 +877,14 @@ func (q *Part) Directory() []seed.Code {
 	if q.Bits == nil {
 		return q.Codes
 	}
-	codes := make([]seed.Code, 0, q.NumCodes())
-	for w, x := range q.Bits {
+	return listOf(q.Bits, q.NumCodes())
+}
+
+// listOf lists the n codes a presence bitmap holds, ascending, in a new
+// slice.
+func listOf(bitmap []uint64, n int) []seed.Code {
+	codes := make([]seed.Code, 0, n)
+	for w, x := range bitmap {
 		for ; x != 0; x &= x - 1 {
 			codes = append(codes, seed.Code(64*w+bits.TrailingZeros64(x)))
 		}

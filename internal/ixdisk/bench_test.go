@@ -246,7 +246,8 @@ func TestAppendBytesRatio(t *testing.T) {
 
 // BenchmarkIxdiskBuild is the comparison column: what a cold process
 // pays when no store is attached, on the load benchmark's two shapes
-// (est5500 on two workers, as store_cycle's host runs it).
+// (est5500 on two workers, as store_cycle's host runs it). Its B/op is
+// the build's scratch and the index it leaves.
 func BenchmarkIxdiskBuild(b *testing.B) {
 	for _, shape := range []struct {
 		name     string
@@ -257,6 +258,7 @@ func BenchmarkIxdiskBuild(b *testing.B) {
 			p, opts, _ := shape.prepared(b)
 			opts.Workers = shape.workers
 			b.SetBytes(int64(len(p.Bank.Data)))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				index.Build(p.Bank, opts)
