@@ -28,17 +28,28 @@ func benchBank(n int) *bank.Bank {
 // implementation, which computed no code directory) as the same-machine
 // baseline — on a 16-read query bank (small16), where B/op is the
 // figure: the index is sized by the bank, so it must stay in the
-// hundreds of KB — on a dusted 3,000 × 450 bp EST bank (est3000),
-// serial and parallel, and on a sampled tile index (tiles).
+// hundreds of KB — on a dusted 200-read bank (reads200, 90 kbp, one
+// bucket), on est_cold's dusted 1,000 × 450 bp query bank (est450, the
+// smallest shape the build buckets), serial and parallel, on a dusted
+// 3,000 × 450 bp EST bank (est3000), serial and parallel, and on a
+// sampled tile index (tiles, one bucket).
 func BenchmarkIndexBuild(b *testing.B) {
-	small := benchBankSeqs(16, 450)
-	b.Run("small16", func(b *testing.B) {
-		b.SetBytes(16 * 450)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Build(small, Options{W: 11, Dust: dust.New(0, 0)})
-		}
-	})
+	for _, tc := range []struct {
+		name  string
+		reads int
+	}{
+		{"small16", 16},
+		{"reads200", 200},
+	} {
+		bk := benchBankSeqs(tc.reads, 450)
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(tc.reads * 450))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(bk, Options{W: 11, Dust: dust.New(0, 0)})
+			}
+		})
+	}
 	bk := benchBank(1 << 20)
 	for _, tc := range []struct {
 		name    string
@@ -55,23 +66,31 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		})
 	}
-	// An EST database's shape: 3,000 reads of 450 bp, dusted, as
-	// est_cold's db — the build every cold scoris run pays.
-	est := benchBankSeqs(3000, 450)
-	for _, tc := range []struct {
-		name    string
-		workers int
+	// EST shapes, 450 bp reads, dusted: est_cold's query bank of 1,000
+	// reads and its db of 3,000 — the builds every cold scoris run pays.
+	for _, shape := range []struct {
+		name  string
+		reads int
 	}{
-		{"est3000/serial", 1},
-		{"est3000/parallel", runtime.GOMAXPROCS(0)},
+		{"est450", 1000},
+		{"est3000", 3000},
 	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.SetBytes(3000 * 450)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Build(est, Options{W: 11, Dust: dust.New(0, 0), Workers: tc.workers})
-			}
-		})
+		est := benchBankSeqs(shape.reads, 450)
+		for _, tc := range []struct {
+			name    string
+			workers int
+		}{
+			{"serial", 1},
+			{"parallel", runtime.GOMAXPROCS(0)},
+		} {
+			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
+				b.SetBytes(int64(shape.reads * 450))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Build(est, Options{W: 11, Dust: dust.New(0, 0), Workers: tc.workers})
+				}
+			})
+		}
 	}
 	// BLAT's tile index of svc_churn's db: 3,100 reads of 450 bp, one
 	// window in 11 kept (W = SampleStep = 11), one worker — rebuilt once

@@ -56,7 +56,11 @@ func sameIndexT(t *testing.T, want, got *Index) {
 		if err != nil {
 			t.Fatalf("part %d: %v", i, err)
 		}
-		ref := newPart(got.opts, &bp, nil)
+		var bitmap []uint64
+		if denseDirectory(len(bp.Codes), got.opts.W) {
+			bitmap = presenceBitmap(bp.Codes, got.opts.W)
+		}
+		ref := newPart(got.opts, &bp, bitmap)
 		samePartT(t, i, &ref, q)
 	}
 	if len(got.parts) == 1 {

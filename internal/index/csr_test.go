@@ -155,16 +155,16 @@ func TestSortDigitCountsMatchLegacyChain(t *testing.T) {
 
 // The parallel build must be byte-identical to the serial build — the
 // shards scan ascending ranges, the buckets keep their words in
-// position order, and each bucket's emit is a function of its words
+// position order, and each bucket's finish is a function of its words
 // alone — and the serial build must match an independent oracle: the
 // chain for W ≤ 11, a brute-force map above it. Every W the build treats
-// differently (one digit in all at W = 5; below the top digit, a short
-// one at 8, one at 11, two from 12 on) runs against 1, 2, 3 and 7
-// workers, on these banks:
+// differently (one digit in all at W = 5, whose top digit is capped at
+// 2W; below the top digit, a short one at 8, one at 11, two from 12 on)
+// runs against 1, 2, 3 and 7 workers, on these banks:
 //
 //   - a random one large enough to clear the minParallelData serial
 //     fallback, with dust and sampling;
-//   - a repeat-rich one with more than minBucketed windows, so the build
+//   - a repeat-rich one with more than oneBucket windows, so the build
 //     buckets them on the top digit: a tandem repeat puts most of them in
 //     a few buckets far above smallBucket, and the rest spread thin,
 //     most of their buckets below it. Its first record is most of the
@@ -173,7 +173,10 @@ func TestSortDigitCountsMatchLegacyChain(t *testing.T) {
 //   - long records a quarter low-complexity tracts, dusted: a cut that
 //     stayed where it fell would split a masked run, and the shards'
 //     masks would disagree with the oracle's whole-bank pass;
-//   - two random ones one byte apart across the bucketed cutoff;
+//   - random ones of oneBucket−1, oneBucket and oneBucket+1 sampled
+//     positions, at SampleStep 1 and 11 (the rule counts sampled
+//     positions, not bases): one bucket, a top digit of 10 bits, and
+//     one of 11 — both sides of the one-bucket cutoff and of t = 11;
 //   - a skewed one where one top digit holds at least 90 % of the
 //     windows, many codes in one bucket: one worker finishes most of the
 //     bank, and from W = 12 on sorts that bucket in a scratch as large.
@@ -182,38 +185,49 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	if len(random.Data) < minParallelData {
 		t.Fatalf("test bank too small to exercise the parallel path: %d", len(random.Data))
 	}
-	repeats := repeatRichBank(minBucketed+minBucketed/8, 12000)
+	repeats := repeatRichBank(oneBucket+oneBucket/8, 12000)
 	tracts := lowComplexityBank(40, 3000)
-	under, over := bankOfDataLen(minBucketed-1), bankOfDataLen(minBucketed)
-	if bucketed(Options{W: 11, SampleStep: 1}, len(under.Data)) || !bucketed(Options{W: 11, SampleStep: 1}, len(over.Data)) {
-		t.Fatalf("banks of %d and %d bytes do not straddle the bucketed cutoff", len(under.Data), len(over.Data))
+	type buildCase struct {
+		b    *bank.Bank
+		opts Options
 	}
-	skewed := skewedBank(minBucketed + minBucketed/8)
+	var cutoff []buildCase
+	for _, step := range []int{1, 11} {
+		// Data of step·(s−1)+1 bytes holds s sampled positions.
+		for i, s := range []int{oneBucket - 1, oneBucket, oneBucket + 1} {
+			b := bankOfDataLen(step*(s-1) + 1)
+			if got := topDigit(Options{W: 11, SampleStep: step}, len(b.Data)); got != []int{0, 10, 11}[i] {
+				t.Fatalf("a bank of %d sampled positions at step %d has a %d-bit top digit, want %d", s, step, got, []int{0, 10, 11}[i])
+			}
+			cutoff = append(cutoff, buildCase{b, Options{SampleStep: step}})
+		}
+	}
+	skewed := skewedBank(oneBucket + oneBucket/8)
 	for _, w := range []int{5, 8, 11, 12, 13, 15} {
-		for _, tc := range []struct {
-			b    *bank.Bank
-			opts Options
-		}{
+		cases := []buildCase{
 			{random, Options{W: w}},
 			{random, Options{W: w, SampleStep: 2}},
 			{random, Options{W: w, Dust: dust.New(0, 0)}},
 			{repeats, Options{W: w}},
 			{repeats, Options{W: w, Dust: dust.New(0, 0)}},
 			{tracts, Options{W: w, Dust: dust.New(0, 0)}},
-			{under, Options{W: w}},
-			{over, Options{W: w}},
 			{skewed, Options{W: w}},
-		} {
+		}
+		for _, c := range cutoff {
+			c.opts.W = w
+			cases = append(cases, c)
+		}
+		for _, tc := range cases {
 			serial := tc.opts
 			serial.Workers = 1
 			want := Build(tc.b, serial)
-			if tc.b == repeats && want.Indexed < minBucketed {
-				t.Fatalf("W=%d: repeat-rich bank indexes %d windows, under minBucketed", w, want.Indexed)
+			if tc.b == repeats && want.Indexed < oneBucket {
+				t.Fatalf("W=%d: repeat-rich bank indexes %d windows, under oneBucket", w, want.Indexed)
 			}
 			if tc.b == skewed && 2*w > digitBits {
 				hot := 0
 				eachCode(want, func(c seed.Code, occ []int32) {
-					if c>>(2*w-digitBits) == 0 {
+					if c>>(2*w-topDigit(serial.normalized(), len(tc.b.Data))) == 0 {
 						hot += len(occ)
 					}
 				})
@@ -226,9 +240,10 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 					t.Fatalf("W=%d opts=%+v: serial build differs from the chain oracle", w, tc.opts)
 				}
 			} else if tc.opts.Dust == nil {
+				step := int32(max(1, tc.opts.SampleStep))
 				brute := map[seed.Code][]int32{}
 				seed.ForEach(tc.b.Data, w, func(p int32, c seed.Code) {
-					if tc.opts.SampleStep < 2 || p%2 == 0 {
+					if p%step == 0 {
 						brute[c] = append(brute[c], p)
 					}
 				})
@@ -330,21 +345,21 @@ func lowComplexityBank(count, seqLen int) *bank.Bank {
 	return bank.New("tracts", recs)
 }
 
-// The build's sort and emit give the CSR form of the words' stable
-// order by code: the positions arrive ascending and unique, so it is
-// their order as whole words — Pos lists their positions in that order,
-// the directory its codes, and Offsets where each code's run begins. It
-// is checked on both sides of minBucketed — one bucket (lsdPasses, then
-// emitSorted) and the bucketed emit (emitBuckets) of the words scattered
-// on their top digit — for every W the build treats differently (one
-// digit in all at W = 5; below the top digit, a short one at 8, one at
-// 11, two at 12 and 15), for 1, 2, 3 and 7 workers, on uniform codes and
-// on a repeat-rich draw where one code holds almost every word: one
-// bucket far above smallBucket, the others mostly below it.
+// The build's bucketing and finish give the CSR form of the words'
+// stable order by code: the positions arrive ascending and unique, so
+// it is their order as whole words — Pos lists their positions in that
+// order, the directory its codes, and Offsets where each code's run
+// begins. It is checked on both sides of the one-bucket cutoff and of
+// t = 11 — one bucket, a 10-bit top digit and an 11-bit one — for every
+// W the build treats differently (one digit in all at W = 5; below the
+// top digit, a short one at 8, one at 11, two from 12 on), for 1, 2, 3
+// and 7 workers, on uniform codes and on a repeat-rich draw where one
+// code holds almost every word: one bucket far above smallBucket, the
+// others mostly below it.
 func TestSortByCodeIsWordOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 1, smallBucket + 1, 5000, minBucketed + 4099} {
-		for _, w := range []int{5, 8, 11, 12, 15} {
+	for _, n := range []int{0, 1, smallBucket + 1, 5000, oneBucket - 1, oneBucket, oneBucket + 1} {
+		for _, w := range []int{5, 8, 11, 12, 13, 15} {
 			for _, skew := range []bool{false, true} {
 				words := make([]uint64, n)
 				hot := uint64(rng.Intn(1 << (2 * w)))
@@ -378,24 +393,19 @@ func TestSortByCodeIsWordOrder(t *testing.T) {
 	}
 }
 
-// csrOfWords runs the build's sort and emit over packed code<<32|pos
-// words in position order, as the build's scans leave them: below
-// minBucketed one bucket, sorted and emitted whole; from it on,
-// scattered stably into buckets on the code's top digit and emitted
-// bucket by bucket. A dense directory's bitmap is listed as Codes.
+// csrOfWords runs the build's bucketing and finish over packed
+// code<<32|pos words in position order, as a walk visits them: scattered
+// stably into the buckets of the code's top t bits, t being the rule's
+// for a range of len(words) sampled positions, and finished bucket by
+// bucket. A dense directory's bitmap is listed as Codes.
 func csrOfWords(words []uint64, w, workers int) BlockParts {
-	var p BlockParts
-	if !bucketed(Options{W: w, SampleStep: 1}, len(words)) {
-		var h [1 << digitBits]int32
-		emitSorted(&p, lsdPasses(words, make([]uint64, len(words)), 2*w, &h), workers)
-		return p
-	}
-	shift := 2*w - digitBits
-	bounds := make([]int32, 1<<digitBits+1)
+	t := topDigit(Options{W: w, SampleStep: 1}, len(words))
+	shift := 2*w - t
+	bounds := make([]int32, 1<<t+1)
 	for _, v := range words {
 		bounds[v>>32>>shift+1]++
 	}
-	for d := range 1 << digitBits {
+	for d := range 1 << t {
 		bounds[d+1] += bounds[d]
 	}
 	next, scattered := slices.Clone(bounds), make([]uint64, len(words))
@@ -404,6 +414,7 @@ func csrOfWords(words []uint64, w, workers int) BlockParts {
 		scattered[next[d]] = v
 		next[d]++
 	}
+	var p BlockParts
 	if bitmap := emitBuckets(&p, scattered, bounds, w, workers); bitmap != nil {
 		p.Codes = listOf(bitmap, len(p.Offsets)-1)
 	}

@@ -37,19 +37,19 @@
 // by sentinel bytes that never match, so an extension ends on the bank's
 // own data (package hsp).
 //
-// The build never sorts a whole array once the bank is large: two
-// sharded scans over ascending bank ranges — the first counts the
-// accepted windows by the code's top 11-bit digit, the second writes a
-// packed code<<32|pos word per window straight into its top-digit
-// bucket, position order kept inside each — and then, on every worker,
-// each bucket's one counting pass on the code's low digit emits Pos,
-// Offsets and the directory (the bitmap of a dense one, or Codes) in
-// cache. A bank under 2^19 sampled positions is one bucket: one scan,
-// a stable radix sort on the code's digits, and a sharded emit. The
-// output is canonical — byte-identical for any worker count — because
-// the shards cover ascending position ranges, their histograms are laid
-// out bucket-major and shard-minor, and each bucket's emit depends on
-// its words alone.
+// The build is one pipeline for every bank size: sharded scans over
+// ascending bank ranges write a packed code<<32|pos word per accepted
+// window straight into the bucket of the code's top t bits, position
+// order kept inside each, and then, on every worker, each bucket's
+// words are finished in cache into Pos, Offsets and the directory (the
+// bitmap of a dense one, or Codes) — by one counting pass on the code's
+// low digit, or by a radix sort and a run-by-run emit. t follows the
+// range's sampled positions, about 256 windows a bucket up to 2,048
+// buckets, and is 0 — one bucket — below 2^18 of them. The output is
+// canonical — byte-identical for any worker count — because the shards
+// cover ascending position ranges, their histograms are laid out
+// bucket-major and shard-minor, and each bucket's finish depends on its
+// words alone.
 //
 // The index keeps the paper's two refinements:
 //
@@ -213,9 +213,9 @@ type Part struct {
 	// first code. nil on a sparse part.
 	//
 	// Top, Bits and Rank are derived by newPart wherever a part comes to
-	// exist, never stored: from the code list, which a dense part then
-	// drops, or from a bitmap already filled — by a bucketed build's
-	// emit, or by FromBlocks' check.
+	// exist, never stored: Top from a sparse part's code list, Rank from a
+	// bitmap already filled — by the build's emit, or by FromBlocks'
+	// check.
 	Rank []int32
 
 	// MaskedOut and SampledOut are the part's shares of the index's
@@ -266,55 +266,59 @@ func Build(b *bank.Bank, opts Options) *Index {
 // so W=11 takes two digits of 2,048 counters.
 const digitBits = 11
 
-// The build's two size cutoffs, constants rather than options:
+// The build's size rules, constants rather than options:
 //
-//   - minBucketed is the number of sampled positions of a range — a
-//     bound on its windows, known before any scan — from which the build
-//     buckets the windows on the code's top digit: 2,048 buckets of 256
-//     windows on average. Below it the per-bucket counters cost more
-//     than the cache misses they save, and the build is one bucket.
+//   - oneBucket is the number of sampled positions of a range — a bound
+//     on its windows, known before any scan — below which the range is
+//     one bucket: its words fit in L2, where a sort costs no misses, and
+//     one walk fills them, where a counting walk before it would cost a
+//     base, not a window (11 bases a window on BLAT's sampled tile
+//     index). From it on the build buckets the windows on
+//     the code's top t bits, bucketWindows windows a bucket on average up
+//     to 2^digitBits buckets: a bucket's counting pass clears and sums
+//     2^digit counters whatever it holds, so a bucket must hold a few
+//     hundred words to pay for them.
 //   - smallBucket is the largest bucket finished by an insertion sort of
 //     whole words instead of a counting pass, whose counters cost more
 //     to clear and sum than the sort.
 const (
-	minBucketed = 256 << digitBits
-	smallBucket = 16
+	oneBucket     = 1 << 18
+	bucketWindows = 256
+	smallBucket   = 16
 )
 
-// bucketed reports whether the build over a Data range of n bytes
-// buckets its windows on the code's top digit (see minBucketed): when
-// the code has digits below the top one and the range holds at least
-// minBucketed sampled positions.
-func bucketed(opts Options, n int) bool {
-	return 2*opts.W > digitBits && (n+opts.SampleStep-1)/opts.SampleStep >= minBucketed
+// topDigit is t, the width of the top digit on which the build over a
+// Data range of n bytes buckets its windows: 0 below oneBucket sampled
+// positions, else ⌈log2(s/bucketWindows)⌉ for s sampled positions,
+// capped at digitBits and at the code's 2W bits.
+func topDigit(opts Options, n int) int {
+	s := (n + opts.SampleStep - 1) / opts.SampleStep
+	if s < oneBucket {
+		return 0
+	}
+	return min(digitBits, 2*opts.W, bits.Len(uint((s-1)/bucketWindows)))
 }
 
 // buildRange is the build over the windows starting in Data range
 // [dataLo, dataHi), which must not cut a sequence (no window straddles a
 // sentinel, so the range's content depends on nothing outside it). opts
 // must be normalized. It returns the block, and the presence bitmap of
-// a dense directory when the bucketed path emitted one: the block's
-// Codes is then nil (newPart takes the bitmap as the directory).
+// a dense directory: the block's Codes is then nil (newPart takes the
+// bitmap as the directory).
 //
-// A bucketed build is scan ×2 → per-bucket count → emit. The scans run
-// in a frame of their own (scanBuckets), so their dust intervals are
-// unreachable once they return; the bucketed words, 8 bytes a position,
-// are the only large scratch, and stay live until the last bucket has
-// been emitted. The one-bucket build is scan → sort → emit, its scan and
-// sort in a frame of their own (scanSorted) for the same reason: their
-// scratch (the dust intervals and the sort's second buffer) is dead
-// while the emit runs. The emit loops make no calls, so a concurrent
-// collection preempts them asynchronously and scans their frames
-// conservatively: a stale slot pointing at dead scratch would keep it
-// alive for that cycle and double the heap goal from there (DESIGN.md
-// §2).
+// A build is scan → per-bucket count → emit. The scans run in a frame
+// of their own (scanBuckets), so their dust intervals are unreachable
+// once they return; the bucketed words, 8 bytes a position, are the
+// only large scratch, and stay live until the last bucket has been
+// emitted. A bucket sorted for its finish is sorted in the count pass,
+// in a scratch that pass's frame alone holds, so the sort's second
+// buffer is dead while the emit runs. The emit loops make no calls, so
+// a concurrent collection preempts them asynchronously and scans their
+// frames conservatively: a stale slot pointing at dead scratch would
+// keep it alive for that cycle and double the heap goal from there
+// (DESIGN.md §2).
 func buildRange(b *bank.Bank, opts Options, dataLo, dataHi int) (BlockParts, []uint64) {
 	workers := buildWorkers(opts, dataHi-dataLo)
-	if !bucketed(opts, dataHi-dataLo) {
-		sorted, p := scanSorted(b.Data, opts, dataLo, dataHi, workers)
-		emitSorted(&p, sorted, workers)
-		return p, nil
-	}
 	words, bounds, p := scanBuckets(b.Data, opts, dataLo, dataHi, workers)
 	return p, emitBuckets(&p, words, bounds, opts.W, workers)
 }
@@ -389,109 +393,67 @@ func walk(data []byte, opts Options, lo, hi int, masked dust.Windows, shift uint
 	return t
 }
 
-// scanSorted is the one-bucket build's scan and sort: shards over
-// ascending ranges each fill their own region of one buffer with the
-// packed words of their accepted windows, the regions are closed up in
-// shard order (which is position order), and a stable radix sort on the
-// code's digits puts the words in CSR order — positions arrived
-// ascending, so they stay ascending inside each code. A region is sized
-// for every sampled position of its shard, so a write can never spill
-// into the next. It returns the sorted words and the block holding only
-// the two reject counters.
-func scanSorted(data []byte, opts Options, dataLo, dataHi, workers int) ([]uint64, BlockParts) {
-	cuts := shardCuts(data, opts, dataLo, dataHi, workers)
-	step := opts.SampleStep
-	regions := make([]int, workers+1)
-	for i := 1; i <= workers; i++ {
-		regions[i] = regions[i-1] + (cuts[i]-cuts[i-1]+step-1)/step
-	}
-	words := make([]uint64, regions[workers])
-	tallies := make([]tally, workers)
-	ends := make([]int, workers)
-	runShards(workers, func(sid int) {
-		lo, hi := cuts[sid], cuts[sid+1]
-		// One bucket: a shift of 2W leaves every code's digit 0, and h[0]
-		// is the shard's cursor in its region.
-		h := [1 << digitBits]int32{int32(regions[sid])}
-		tallies[sid] = walk(data, opts, lo, hi, opts.Dust.Windows(data[lo:hi]), uint(2*opts.W), &h, words)
-		ends[sid] = int(h[0])
-	})
-	var p BlockParts
-	n := 0
-	for sid, t := range tallies {
-		copy(words[n:], words[regions[sid]:ends[sid]])
-		n += ends[sid] - regions[sid]
-		p.MaskedOut += t.masked
-		p.SampledOut += t.sampled
-	}
-	var h [1 << digitBits]int32
-	return lsdPasses(words[:n], make([]uint64, n), 2*opts.W, &h), p
-}
-
-// emitSorted emits words in CSR order as p's Pos, Offsets and Codes,
-// in two sharded passes over the workers' shares of the words: the
-// first counts the codes that begin in each share, and the second
-// writes each share's positions and, from the first slot its
-// predecessors' counts give it, its codes.
-func emitSorted(p *BlockParts, sorted []uint64, workers int) {
-	n := len(sorted)
-	share := func(k int) (lo, hi int) { return k * n / workers, (k + 1) * n / workers }
-	slots := make([]int, workers+1)
-	runShards(workers, func(k int) {
-		lo, hi := share(k)
-		m := 0
-		for i := lo; i < hi; i++ {
-			if i == 0 || sorted[i]>>32 != sorted[i-1]>>32 {
-				m++
-			}
-		}
-		slots[k+1] = m
-	})
-	for k := range workers {
-		slots[k+1] += slots[k]
-	}
-	e := newEmit(n, slots[workers])
-	e.codes = make([]seed.Code, slots[workers])
-	runShards(workers, func(k int) {
-		lo, hi := share(k)
-		e.runs(sorted, lo, hi, 0, slots[k])
-	})
-	p.Pos, p.Offsets, p.Codes = e.pos, e.offsets, e.codes
-}
-
-// scanBuckets is the bucketed build's two scans over each shard's
-// windows, with the shard's dust intervals found once. Scan 1 counts
-// the accepted windows by the code's top digit in the shard's
-// histogram; the histograms are then laid out bucket-major and
-// shard-minor, and scan 2 walks the same windows again and writes each
-// word straight into its bucket. A bucket's words thus keep position
-// order. It returns the bucketed words, the buckets' bounds (bucket d
-// is words[bounds[d]:bounds[d+1]]), and the block holding only the two
-// reject counters.
+// scanBuckets is the build's scan of each shard's windows into the
+// range's 2^t buckets (t = topDigit), with the shard's dust intervals
+// found once. With t > 0, scan 1 counts the accepted windows by the
+// code's top digit in the shard's histogram; the histograms are then
+// laid out bucket-major and shard-minor, and scan 2 walks the same
+// windows again and writes each word straight into its bucket. With
+// t = 0 the one bucket needs no count: each shard's one walk writes its
+// words into a region of its own, sized for the shard's sampled
+// positions so that a write can never spill into the next, and the
+// regions are closed up in shard order. Either way a bucket's words
+// keep position order. It returns the bucketed words, the buckets'
+// bounds (bucket d is words[bounds[d]:bounds[d+1]]), and the block
+// holding only the two reject counters.
 func scanBuckets(data []byte, opts Options, dataLo, dataHi, workers int) ([]uint64, []int32, BlockParts) {
 	cuts := shardCuts(data, opts, dataLo, dataHi, workers)
-	shift := uint(2*opts.W - digitBits)
-	masks := make([]dust.Windows, workers)
-	hists := make([][1 << digitBits]int32, workers)
+	t := topDigit(opts, dataHi-dataLo)
+	shift := uint(2*opts.W - t)
 	tallies := make([]tally, workers)
-	runShards(workers, func(sid int) {
-		lo, hi := cuts[sid], cuts[sid+1]
-		masks[sid] = opts.Dust.Windows(data[lo:hi])
-		tallies[sid] = walk(data, opts, lo, hi, masks[sid], shift, &hists[sid], nil)
-	})
-	bounds := make([]int32, 1<<digitBits+1)
-	var sum int32
-	for d := range hists[0] {
-		bounds[d] = sum
-		for k := range hists {
-			hists[k][d], sum = sum, sum+hists[k][d]
+	bounds := make([]int32, 1<<t+1)
+	var words []uint64
+	if t == 0 {
+		regions := make([]int, workers+1)
+		for i := 1; i <= workers; i++ {
+			regions[i] = regions[i-1] + (cuts[i]-cuts[i-1]+opts.SampleStep-1)/opts.SampleStep
 		}
+		words = make([]uint64, regions[workers])
+		ends := make([]int, workers)
+		runShards(workers, func(sid int) {
+			lo, hi := cuts[sid], cuts[sid+1]
+			// A shift of 2W leaves every code's digit 0, and h[0] is the
+			// shard's cursor in its region.
+			h := [1 << digitBits]int32{int32(regions[sid])}
+			tallies[sid] = walk(data, opts, lo, hi, opts.Dust.Windows(data[lo:hi]), shift, &h, words)
+			ends[sid] = int(h[0])
+		})
+		n := 0
+		for sid := range workers {
+			n += copy(words[n:], words[regions[sid]:ends[sid]])
+		}
+		words, bounds[1] = words[:n], int32(n)
+	} else {
+		masks := make([]dust.Windows, workers)
+		hists := make([][1 << digitBits]int32, workers)
+		runShards(workers, func(sid int) {
+			lo, hi := cuts[sid], cuts[sid+1]
+			masks[sid] = opts.Dust.Windows(data[lo:hi])
+			tallies[sid] = walk(data, opts, lo, hi, masks[sid], shift, &hists[sid], nil)
+		})
+		var sum int32
+		for d := range 1 << t {
+			bounds[d] = sum
+			for k := range hists {
+				hists[k][d], sum = sum, sum+hists[k][d]
+			}
+		}
+		bounds[1<<t] = sum
+		words = make([]uint64, sum)
+		runShards(workers, func(sid int) {
+			walk(data, opts, cuts[sid], cuts[sid+1], masks[sid], shift, &hists[sid], words)
+		})
 	}
-	bounds[1<<digitBits] = sum
-	words := make([]uint64, sum)
-	runShards(workers, func(sid int) {
-		walk(data, opts, cuts[sid], cuts[sid+1], masks[sid], shift, &hists[sid], words)
-	})
 	var p BlockParts
 	for _, t := range tallies {
 		p.MaskedOut += t.masked
@@ -500,28 +462,31 @@ func scanBuckets(data []byte, opts Options, dataLo, dataHi, workers int) ([]uint
 	return words, bounds, p
 }
 
-// emitBuckets finishes a bucketed build without a global pass. Each
-// bucket belongs to the worker whose share of the words its start falls
-// in — the start of its group of buckets that share one word of a
-// bitmap over the codes, so that no two workers write one word. A first
-// pass over each bucket marks its codes in a presence bitmap and counts
-// them, one prefix over the buckets gives each its first slot, and each
-// bucket is then emitted in cache: its last counting pass on the code's
-// low digit writes its Offsets and scatters its positions
-// straight into Pos. That bitmap, over the whole code space, is a dense
-// directory's Bits as it stands, so a dense directory lists no codes.
-// Where the low part is wider than one digit (W ≥ 12) the bitmap would
-// be 4^W bits, so each worker marks a bucket's codes in a bitmap over
-// its low bits, cleared after; those buckets, and small ones, are sorted
-// — in a scratch of the worker's no larger than its largest bucket —
-// and emitted run by run. It fills p's Pos and Offsets, and its Codes
-// when the directory is sparse; when it is dense it returns the bitmap
-// instead.
+// emitBuckets finishes a build without a global pass. Each bucket
+// belongs to the worker whose share of the words its start falls in —
+// the start of its group of buckets that share one word of a bitmap
+// over the codes, so that no two workers write one word. A first pass
+// over each bucket counts its codes, one prefix over the buckets gives
+// each its first slot, and each bucket is then emitted in cache. A
+// bucket takes one of two finishes. Where its codes' low part, below
+// the top digit, is at most one digit wide and it holds more than
+// smallBucket words, it is counted: the first pass marks its codes in a
+// presence bitmap over the whole code space, allocated only when some
+// bucket is counted, and the second is one counting pass on the low
+// digit that writes its Offsets and scatters its positions straight
+// into Pos. That bitmap is a dense directory's Bits as it stands, so a
+// dense directory lists no codes. Every other bucket is sorted in the
+// first pass — in a scratch of the worker's no larger than its largest
+// such bucket, dead once the pass ends — its codes counted from the
+// sorted runs, and emitted run by run. It fills p's Pos and Offsets,
+// and its Codes when the directory is sparse; when it is dense it
+// returns the bitmap instead.
 func emitBuckets(p *BlockParts, words []uint64, bounds []int32, w, workers int) []uint64 {
 	n := len(words)
 	buckets := len(bounds) - 1
-	lowBits := 2*w - digitBits
+	lowBits := 2*w - bits.TrailingZeros(uint(buckets))
 	group := max(1, 64>>lowBits)
+	workers = min(workers, buckets)
 	// Worker k finishes buckets [from[k], from[k+1]).
 	from := make([]int, workers+1)
 	for k, d := 1, 0; k < workers; k++ {
@@ -532,28 +497,33 @@ func emitBuckets(p *BlockParts, words []uint64, bounds []int32, w, workers int) 
 	}
 	from[workers] = buckets
 	var presence []uint64
-	if lowBits <= digitBits {
-		presence = make([]uint64, (seed.NumCodes(w)+63)/64)
+	for d := 0; d < buckets && lowBits <= digitBits && presence == nil; d++ {
+		if bounds[d+1]-bounds[d] > smallBucket {
+			presence = make([]uint64, (seed.NumCodes(w)+63)/64)
+		}
 	}
+	counted := func(bk []uint64) bool { return presence != nil && len(bk) > smallBucket }
 	// slots[d] is bucket d's first slot; slots[buckets], the number of codes.
 	slots := make([]int, buckets+1)
 	runShards(workers, func(k int) {
-		if presence != nil {
-			for d := from[k]; d < from[k+1]; d++ {
-				slots[d+1] = mark(words[bounds[d]:bounds[d+1]], presence, 0)
-			}
-			return
+		// Only without the bitmap does a sorted bucket outgrow smallBucket.
+		size := 0
+		for d := from[k]; d < from[k+1] && presence == nil; d++ {
+			size = max(size, int(bounds[d+1]-bounds[d]))
 		}
-		seen := make([]uint64, (1<<lowBits)/64)
+		tmp := make([]uint64, size)
+		var h [1 << digitBits]int32
 		for d := from[k]; d < from[k+1]; d++ {
 			bk := words[bounds[d]:bounds[d+1]]
-			slots[d+1] = mark(bk, seen, seed.Code(d)<<lowBits)
-			if len(bk) < len(seen) {
-				for _, v := range bk {
-					seen[(v>>32)%(1<<lowBits)/64] = 0
+			if counted(bk) {
+				slots[d+1] = mark(bk, presence)
+				continue
+			}
+			lsdSort(bk, tmp, lowBits, &h)
+			for i, v := range bk {
+				if i == 0 || v>>32 != bk[i-1]>>32 {
+					slots[d+1]++
 				}
-			} else {
-				clear(seen)
 			}
 		}
 	})
@@ -570,21 +540,13 @@ func emitBuckets(p *BlockParts, words []uint64, bounds []int32, w, workers int) 
 		e.bits = make([]uint64, (seed.NumCodes(w)+63)/64)
 	}
 	runShards(workers, func(k int) {
-		size := smallBucket
-		if lowBits > digitBits {
-			for d := from[k]; d < from[k+1]; d++ {
-				size = max(size, int(bounds[d+1]-bounds[d]))
-			}
-		}
-		tmp := make([]uint64, size)
 		var h [1 << digitBits]int32
 		for d := from[k]; d < from[k+1]; d++ {
 			lo, hi := bounds[d], bounds[d+1]
-			bk := words[lo:hi]
-			if len(bk) > smallBucket && lowBits <= digitBits {
+			if bk := words[lo:hi]; counted(bk) {
 				e.bucket(bk, lo, slots[d], seed.Code(d)<<lowBits, lowBits, presence, &h)
-			} else if len(bk) > 0 {
-				e.runs(lsdPasses(bk, tmp[:len(bk)], lowBits, &h), 0, len(bk), lo, slots[d])
+			} else {
+				e.runs(bk, lo, slots[d])
 			}
 		}
 	})
@@ -592,16 +554,16 @@ func emitBuckets(p *BlockParts, words []uint64, bounds []int32, w, workers int) 
 	return e.bits
 }
 
-// mark sets the bit of each word's code, less base, in the bitmap seen,
-// and returns how many it found clear: the number of distinct codes
-// among words whose codes seen did not hold.
-func mark(words []uint64, seen []uint64, base seed.Code) int {
+// mark sets the bit of each word's code in the presence bitmap, and
+// returns how many it found clear: the number of distinct codes among
+// words whose codes presence did not hold.
+func mark(words []uint64, presence []uint64) int {
 	m := 0
 	for _, v := range words {
-		b := seed.Code(v>>32) - base
-		x := seen[b/64]
-		m += int(^x >> (b % 64) & 1)
-		seen[b/64] = x | 1<<(b%64)
+		c := seed.Code(v >> 32)
+		x := presence[c/64]
+		m += int(^x >> (c % 64) & 1)
+		presence[c/64] = x | 1<<(c%64)
 	}
 	return m
 }
@@ -634,12 +596,11 @@ func (e *emit) slot(s int, c seed.Code, off int32) {
 	e.codes[s] = c
 }
 
-// runs emits words[lo:hi] of a run of words in CSR order whose first
-// word is Pos index start: each word's position, and a slot, from slot
-// on, for each code that begins in the range.
-func (e *emit) runs(words []uint64, lo, hi int, start int32, slot int) {
-	for i := lo; i < hi; i++ {
-		v := words[i]
+// runs emits a bucket's words in CSR order, its first word being Pos
+// index start: each word's position, and a slot, from slot on, for each
+// code that begins a run.
+func (e *emit) runs(words []uint64, start int32, slot int) {
+	for i, v := range words {
 		if i == 0 || v>>32 != words[i-1]>>32 {
 			e.slot(slot, seed.Code(v>>32), start+int32(i))
 			slot++
@@ -686,14 +647,14 @@ func (e *emit) bucket(words []uint64, start int32, slot int, top seed.Code, lowB
 	}
 }
 
-// lsdPasses stably sorts words by the low codeBits bits of their code
-// with one counting pass per digitBits-wide digit, ping-ponging between
-// words and tmp (same length) with h as the counters, and returns
-// whichever holds the result. At most smallBucket words are
-// insertion-sorted in place instead, by whole word: the position in the
-// low half is unique, so that order is the stable one (bits of the code
-// above codeBits must then be equal across words, as in a bucket).
-func lsdPasses(words, tmp []uint64, codeBits int, h *[1 << digitBits]int32) []uint64 {
+// lsdSort stably sorts words in place by the low codeBits bits of
+// their code with one counting pass per digitBits-wide digit,
+// ping-ponging between words and tmp (at least as long) with h as the
+// counters. At most smallBucket words are insertion-sorted instead, by
+// whole word, and tmp is not touched: the position in the low half is
+// unique, so that order is the stable one (bits of the code above
+// codeBits must then be equal across words, as in a bucket).
+func lsdSort(words, tmp []uint64, codeBits int, h *[1 << digitBits]int32) {
 	if len(words) <= smallBucket {
 		for i := 1; i < len(words); i++ {
 			v, j := words[i], i
@@ -702,27 +663,30 @@ func lsdPasses(words, tmp []uint64, codeBits int, h *[1 << digitBits]int32) []ui
 			}
 			words[j] = v
 		}
-		return words
+		return
 	}
+	src, dst := words, tmp[:len(words)]
 	for shift := 32; shift < 32+codeBits; shift += digitBits {
 		c := h[:1<<min(digitBits, 32+codeBits-shift)]
 		mask := uint64(len(c) - 1)
 		clear(c)
-		for _, v := range words {
+		for _, v := range src {
 			c[v>>shift&mask]++
 		}
 		var sum int32
 		for i, k := range c {
 			c[i], sum = sum, sum+k
 		}
-		for _, v := range words {
+		for _, v := range src {
 			k := v >> shift & mask
-			tmp[c[k]] = v
+			dst[c[k]] = v
 			c[k]++
 		}
-		words, tmp = tmp, words
+		src, dst = dst, src
 	}
-	return words
+	if &src[0] != &words[0] {
+		copy(words, src)
+	}
 }
 
 // runShards executes fn(0..workers-1), concurrently when workers > 1.
@@ -757,25 +721,20 @@ func assemble(b *bank.Bank, opts Options, parts []Part) *Index {
 	return ix
 }
 
-// newPart takes block p as a part and derives its directory's form
-// from the code list: the presence bitmap and its rank when the
-// directory is dense — the list itself is then dropped, the bitmap
-// holding the same set — and Top beside the list when it is not. A
-// non-nil bitmap is the dense directory's bitmap already filled (a
-// bucketed build's emit, or FromBlocks' check, fills it), and only its
-// rank is derived. Every code must be below 4^W.
+// newPart takes block p as a part, under the directory's form its size
+// calls for: a non-nil bitmap is a dense directory's presence bitmap
+// already filled — by the build's emit, or by FromBlocks' check — and
+// only its rank is derived; p's code list is then not kept. A nil
+// bitmap leaves the part sparse, and Top is derived beside the list.
 func newPart(opts Options, p *BlockParts, bitmap []uint64) Part {
 	q := Part{
 		SeqLo: p.SeqLo, SeqHi: p.SeqHi, DataLo: p.DataLo, DataHi: p.DataHi,
 		Offsets: p.Offsets, Pos: p.Pos,
 		MaskedOut: p.MaskedOut, SampledOut: p.SampledOut,
 	}
-	switch {
-	case bitmap != nil:
+	if bitmap != nil {
 		q.Bits, q.Rank = bitmap, rankOf(bitmap)
-	case denseDirectory(len(p.Codes), opts.W):
-		q.Bits, q.Rank = presenceBitmap(p.Codes, opts.W)
-	default:
+	} else {
 		q.Codes = p.Codes
 		q.Top, q.topShift = topDirectory(p.Codes, opts.W)
 	}
@@ -799,17 +758,6 @@ func denseDirectory(n, w int) bool {
 // 512-bit cache line, so a rank is one entry and at most eight
 // popcounts on one line.
 const lineWords = 8
-
-// presenceBitmap derives the bitmap and rank of a code list below 4^w
-// (see Part.Bits and Part.Rank): one pass over the codes, one over the
-// bitmap.
-func presenceBitmap(codes []seed.Code, w int) ([]uint64, []int32) {
-	bitmap := make([]uint64, (seed.NumCodes(w)+63)/64)
-	for _, c := range codes {
-		bitmap[c/64] |= 1 << (c % 64)
-	}
-	return bitmap, rankOf(bitmap)
-}
 
 // rankOf derives a bitmap's rank directory (see Part.Rank).
 func rankOf(bitmap []uint64) []int32 {

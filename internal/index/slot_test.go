@@ -20,12 +20,23 @@ import (
 func dirOf(codes []seed.Code, w int, dense bool) *Part {
 	q := &Part{Offsets: make([]int32, len(codes)+1)}
 	if dense {
-		q.Bits, q.Rank = presenceBitmap(codes, w)
+		q.Bits = presenceBitmap(codes, w)
+		q.Rank = rankOf(q.Bits)
 	} else {
 		q.Codes = codes
 		q.Top, q.topShift = topDirectory(codes, w)
 	}
 	return q
+}
+
+// presenceBitmap is the presence bitmap of a code list below 4^w (see
+// Part.Bits): the dense directory of the same codes.
+func presenceBitmap(codes []seed.Code, w int) []uint64 {
+	bitmap := make([]uint64, (seed.NumCodes(w)+63)/64)
+	for _, c := range codes {
+		bitmap[c/64] |= 1 << (c % 64)
+	}
+	return bitmap
 }
 
 // checkLookup states what the directory of part ix, at seed length w,

@@ -47,10 +47,13 @@ import (
 )
 
 // DefaultMaxEntries is the cache bound used when New is given a
-// non-positive size. Each entry retains its bank's full CSR index
-// (≈ 16 bytes per indexed position plus 8 per distinct seed code,
-// DESIGN.md §3 — sized by the bank, so small query banks cost little),
-// so the bound is a working-set knob, not a correctness one.
+// non-positive size. Each entry retains its bank's full CSR index,
+// what Index.MemoryBytes counts: 4 bytes per indexed position, 4 per
+// distinct seed code of Offsets, and the directory in whichever form is
+// smaller — Codes and Top, about 4.5 bytes a code, or the Bits and Rank
+// of a dense part, 4^W/8 + 4^W/128 bytes (DESIGN.md §3). It is sized by
+// the bank, so small query banks cost little, and the bound is a
+// working-set knob, not a correctness one.
 const DefaultMaxEntries = 32
 
 // key identifies one (bank, options) build in a Cache. Bank identity is
