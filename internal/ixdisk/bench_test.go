@@ -43,7 +43,8 @@ func BenchmarkIxdiskSave(b *testing.B) {
 	}
 }
 
-// BenchmarkIxdiskLoad measures the strict copying reader.
+// BenchmarkIxdiskLoad measures the load of a read image: the file read
+// whole into one buffer, every block validated and aliased in place.
 func BenchmarkIxdiskLoad(b *testing.B) {
 	p, opts, path := benchPrepared(b)
 	fi, _ := os.Stat(path)

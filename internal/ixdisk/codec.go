@@ -21,10 +21,11 @@ package ixdisk
 // 64-byte block header, the three 4-byte-element sections (Codes[n],
 // Offsets[n+1], Pos), a CRC-32C over header + sections, and zero
 // padding to an 8-byte boundary — so every section is 4-byte aligned
-// from any page-aligned base and a mapped load can alias them. The
-// sections are the index's own arrays: a block's offsets index its own
-// Pos, so a file is the index as it stands, one part a block, and a
-// reader derives nothing from it but, on a dense part, the bitmap.
+// from any 8-byte-aligned image of the file, mapped or read, and a load
+// aliases them in place. The sections are the index's own arrays: a
+// block's offsets index its own Pos, so a file is the index as it
+// stands, one part a block, and a reader derives nothing from it but, on
+// a dense part, the bitmap.
 //
 // The footer is the only part of the file that changes when a bank is
 // appended to. It records the bank identity (content CRC, data length,
@@ -49,10 +50,11 @@ package ixdisk
 // rejects it on identity and the store heals by rebuild, like any
 // rejected file.
 //
-// A file is the index: mapped, every block's sections are adopted in
-// place as one part of it (index.FromBlocks), however many appends
-// wrote them. No write rewrites a byte of a stored block, so a mapping
-// stays valid while the store appends to its file (Mapping).
+// A file is the index: every block's sections are adopted in place,
+// out of the file's image, as one part of it (index.FromBlocks),
+// however many appends wrote them. No write rewrites a byte of a stored
+// block, so a mapping stays valid while the store appends to its file
+// (Mapping).
 
 import (
 	"bufio"
@@ -375,11 +377,12 @@ func encodeBlock(w io.Writer, bp *index.BlockParts) (length int, crc uint32, err
 }
 
 // decodeBlock validates one block's bytes against its directory entry
-// and returns its parts, aliasing buf when alias is set (the mmap route)
-// and copying otherwise.
+// and returns its parts, which alias buf. On a big-endian host the
+// sections' words are byte-swapped in place first, after the CRC check,
+// so buf must then be writable: a read image, never a mapping.
 //
 //scorislint:validator
-func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error) {
+func decodeBlock(buf []byte, ent dirEntry) (index.BlockParts, error) {
 	var bp index.BlockParts
 	if uint64(len(buf)) != ent.length {
 		return bp, fmt.Errorf("ixdisk: %w: block has %d bytes, directory records %d",
@@ -418,21 +421,13 @@ func decodeBlock(buf []byte, ent dirEntry, alias bool) (index.BlockParts, error)
 	bp.DataLo, bp.DataHi = int(ent.dataLo), int(ent.dataHi)
 	bp.MaskedOut, bp.SampledOut = int(masked), int(sampled)
 	secs := buf[blockHdrSize:raw]
-	c, n := int(nCodes), int(nOcc)
-	cut := func(elems int) []byte {
-		s := secs[:4*elems]
-		secs = secs[4*elems:]
-		return s
+	if !nativeLittleEndian {
+		swapWords(secs)
 	}
-	if alias {
-		bp.Codes = aliasWords[seed.Code](cut(c))
-		bp.Offsets = aliasWords[int32](cut(c + 1))
-		bp.Pos = aliasWords[int32](cut(n))
-	} else {
-		bp.Codes = decodeWords[seed.Code](cut(c))
-		bp.Offsets = decodeWords[int32](cut(c + 1))
-		bp.Pos = decodeWords[int32](cut(n))
-	}
+	c := 4 * int(nCodes)
+	bp.Codes = aliasWords[seed.Code](secs[:c])
+	bp.Offsets = aliasWords[int32](secs[c : 2*c+4])
+	bp.Pos = aliasWords[int32](secs[2*c+4:])
 	return bp, nil
 }
 

@@ -77,8 +77,8 @@ func layouts(n int) map[string][]int {
 }
 
 // saveLoad stores the index of bank b under opts in dir, laid out in
-// the blocks cuts makes (saveCut), and loads it back by the copying or
-// the mapped reader.
+// the blocks cuts makes (saveCut), and loads it back from a read or a
+// mapped image.
 func saveLoad(t *testing.T, dir string, b *bank.Bank, opts index.Options, cuts []int, mapped bool) *index.Index {
 	t.Helper()
 	path := filepath.Join(dir, b.Name+FileExt)

@@ -160,9 +160,9 @@ func loadInvariants(t *testing.T, data []byte, p *index.Index, b *bank.Bank, opt
 	}
 }
 
-// FuzzLoad feeds arbitrary bytes to the copying .orix reader. Any input
-// may be rejected with an error; none may panic, and an accepted input
-// must yield a structurally sound index.
+// FuzzLoad feeds arbitrary bytes to the .orix reader over a read image.
+// Any input may be rejected with an error; none may panic, and an
+// accepted input must yield a structurally sound index.
 func FuzzLoad(f *testing.F) {
 	multi, single, b, opts := fuzzSeedFile(f)
 	addFrameSeeds(f, multi, single)
@@ -179,7 +179,7 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzLoadMapped is FuzzLoad for the aliasing reader: the same
+// FuzzLoadMapped is FuzzLoad over a mapped image: the same
 // no-panic/sound-on-success contract, plus the mapping must close
 // cleanly whatever the parse did.
 func FuzzLoadMapped(f *testing.F) {

@@ -127,16 +127,6 @@ func writeWords[T word](w io.Writer, vals []T) error {
 	return nil
 }
 
-// decodeWords copies a validated byte section into a fresh slice —
-// the copying load's portable path, correct on any host byte order.
-func decodeWords[T word](sec []byte) []T {
-	out := make([]T, len(sec)/4)
-	for i := range out {
-		out[i] = T(binary.LittleEndian.Uint32(sec[4*i:]))
-	}
-	return out
-}
-
 // touchFile refreshes a file's mtime so the GC's oldest-first eviction
 // approximates LRU over actual use, not save order. Best-effort.
 func touchFile(path string) {
@@ -172,10 +162,10 @@ func sanitizeName(name string) string {
 // atomic rename makes concurrent writers last-wins, both writing
 // identical bytes).
 //
-// By default loads map the file where the platform supports it, and the
-// index aliases the mapping; SetMapped(false) forces the copying
-// reader. Mappings opened by a mapped store stay alive until Close —
-// closing invalidates every index the store has loaded, so long-lived
+// A load's index aliases the file's image (Mapping): a mapping where the
+// host can alias one, and otherwise, or under SetMapped(false), the file
+// read into one buffer. Mappings stay alive until Close — closing
+// invalidates every mapped index the store has loaded, so long-lived
 // callers (CLI sessions, the experiment harness) simply let process
 // exit reclaim them.
 //
@@ -272,14 +262,14 @@ type loadedEntry struct {
 }
 
 // NewDirStore creates the directory if needed and returns a store
-// rooted there, memory-mapped where supported. Opening a store sweeps
-// temp-file litter left by writers killed mid-Save (older than
-// DefaultTmpGrace, so live concurrent writers are never raced).
+// rooted there, whose loads map their files where the host can. Opening
+// a store sweeps temp-file litter left by writers killed mid-Save (older
+// than DefaultTmpGrace, so live concurrent writers are never raced).
 func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ixdisk: %w", err)
 	}
-	s := &DirStore{dir: dir, mapped: mmapSupported && nativeLittleEndian, dbBanks: map[[20]byte]struct{}{}}
+	s := &DirStore{dir: dir, mapped: true, dbBanks: map[[20]byte]struct{}{}}
 	s.sweepTmp(time.Now())
 	return s, nil
 }
@@ -287,11 +277,12 @@ func NewDirStore(dir string) (*DirStore, error) {
 // Dir returns the store's root directory.
 func (s *DirStore) Dir() string { return s.dir }
 
-// SetMapped toggles mmap-backed loads (no-op toward true on platforms
-// without support). Call before sharing the store.
+// SetMapped picks the image a load takes: a mapping (the default,
+// where the host can alias one) or a read buffer. Call before sharing
+// the store.
 func (s *DirStore) SetMapped(on bool) {
 	s.mu.Lock()
-	s.mapped = on && mmapSupported && nativeLittleEndian
+	s.mapped = on
 	s.mu.Unlock()
 }
 
@@ -338,14 +329,14 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) 
 		return e.ix, nil
 	}
 
-	ix, m, blocks, err := loadExact(path, b, opts, mapped)
+	ix, m, _, ftr, err := loadFile(path, b, opts, mapped, true)
 	if errors.Is(err, fs.ErrNotExist) {
-		return s.loadViaPrefix(b, opts, path)
+		return s.loadViaPrefix(b, opts, path, mapped)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.blockLoads.Add(int64(blocks))
+	s.blockLoads.Add(int64(len(ftr.dir)))
 	touchFile(path)
 	s.memoize(path, path, ix, m)
 	return ix, nil
@@ -377,7 +368,7 @@ func (s *DirStore) memoize(keyPath, backing string, ix *index.Index, m *Mapping)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.loaded.put(keyPath, loadedEntry{ix: ix, path: backing})
-	if m != nil && m.Mapped() {
+	if m.Mapped() {
 		// A superseded entry's mapping (same path, different bank
 		// pointer) stays in maps: its index may still be referenced, so
 		// it is only released at Close.

@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bank"
 	"repro/internal/dust"
@@ -19,18 +22,17 @@ import (
 	"repro/internal/seed"
 )
 
-// load is the exact load by the copying route, as a DirStore with
+// load is the exact load of a read image, as a DirStore with
 // SetMapped(false) runs it.
 func load(path string, b *bank.Bank, opts index.Options) (*index.Index, error) {
-	ix, _, _, err := loadExact(path, b, opts, false)
+	ix, _, _, _, err := loadFile(path, b, opts, false, true)
 	return ix, err
 }
 
-// loadMapped is the exact load by the mapped route where the host can
-// alias the file — a default DirStore's — and by the copying one
-// elsewhere.
+// loadMapped is the exact load of a mapped image where the host can
+// alias one — a default DirStore's — and of a read image elsewhere.
 func loadMapped(path string, b *bank.Bank, opts index.Options) (*index.Index, *Mapping, error) {
-	ix, m, _, err := loadExact(path, b, opts, mmapSupported && nativeLittleEndian)
+	ix, m, _, _, err := loadFile(path, b, opts, true, true)
 	return ix, m, err
 }
 
@@ -245,7 +247,7 @@ func TestRoundTripLoadMapped(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			if mmapSupported && nativeLittleEndian && !m.Mapped() {
+			if canMap() && !m.Mapped() {
 				t.Error("expected a real mapping on this platform")
 			}
 			assertIndexEqual(t, built, loaded)
@@ -261,8 +263,9 @@ func TestRoundTripLoadMapped(t *testing.T) {
 	}
 }
 
-// TestLoadIsIndependentOfFile pins the copying load's contract: deleting
-// (or corrupting) the file after the load must not affect the index.
+// TestLoadIsIndependentOfFile pins the read image's contract: the file
+// is read whole at load, so deleting it afterwards must not affect the
+// index.
 func TestLoadIsIndependentOfFile(t *testing.T) {
 	b := genBank(t, "ind", 2048)
 	opts := index.Options{W: 8}
@@ -279,6 +282,132 @@ func TestLoadIsIndependentOfFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIndexEqual(t, built, loaded)
+}
+
+// TestReadLoadHoldsOneImage pins the read route's contract: a load that
+// reads its file (a store under SetMapped(false), or a host that cannot
+// map) holds the file as one buffer, its image, and every part aliases
+// it as a mapped load's parts alias a mapping. On a 3-block file it
+// allocates the file once beside what TestMultiBlockLoadIsMapped bounds
+// a mapped load to, every part's Offsets and Pos lie inside the image,
+// and the index is still Build's after the image is closed and the file
+// unlinked: closing drops the buffer, and the garbage collector frees it
+// only once no part holds it.
+func TestReadLoadHoldsOneImage(t *testing.T) {
+	b := genBank(t, "img", 1<<17)
+	opts := index.Options{W: 8}
+	path := filepath.Join(t.TempDir(), "ix"+FileExt)
+	built := index.Build(b, opts)
+	saveTiled(t, path, b, opts, 1)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, m, _, _, err := loadFile(path, b, opts, false, true)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Mapped() || int64(len(m.data)) != fi.Size() || len(p.Parts()) != 3 {
+		t.Fatalf("read load: mapped %v, a %d-byte image of a %d-byte file, %d parts — want a read image of the whole file and 3 parts",
+			m.Mapped(), len(m.data), fi.Size(), len(p.Parts()))
+	}
+	lookup, proof := 0, 0
+	for _, q := range p.Parts() {
+		lookup += 4*len(q.Top) + 8*len(q.Bits) + 4*len(q.Rank)
+		proof += 8 * ((q.NumCodes() + 63) / 64)
+	}
+	footer := 8*b.NumSeqs() + 64<<10
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(fi.Size())+uint64(lookup+proof+footer); got > max {
+		t.Errorf("the read load of a %d-byte 3-block file allocated %d bytes, want ≤ file + lookup %d + proof bits %d + footer %d = %d",
+			fi.Size(), got, lookup, proof, footer, max)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(m.data)))
+	hi := lo + uintptr(len(m.data))
+	inImage := func(words []int32) bool {
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(words)))
+		return len(words) == 0 || start >= lo && start+4*uintptr(len(words)) <= hi
+	}
+	for i, q := range p.Parts() {
+		if !inImage(q.Offsets) || !inImage(q.Pos) {
+			t.Errorf("part %d: Offsets or Pos lies outside the image: the read load copied it", i)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	assertIndexEqual(t, built, p)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	assertIndexEqual(t, built, p)
+}
+
+// TestBigEndianSwapsOnce takes a big-endian host's path on this one, by
+// setting nativeLittleEndian to false. decodeBlock must then give every
+// word of every section byte-reversed from the built value — each
+// section swapped exactly once, and after the CRC check, which passed
+// over the bytes as stored — and image must read the file, since a
+// mapping cannot be swapped in place.
+func TestBigEndianSwapsOnce(t *testing.T) {
+	b := genBank(t, "be", 4096)
+	opts := index.Options{W: 8}
+	built := index.Build(b, opts)
+	path := filepath.Join(t.TempDir(), "ix"+FileExt)
+	if err := Save(path, built); err != nil {
+		t.Fatal(err)
+	}
+	defer func(was bool) { nativeLittleEndian = was }(nativeLittleEndian)
+	nativeLittleEndian = false
+
+	want := built.Blocks()[0]
+	var buf bytes.Buffer
+	length, crc, err := encodeBlock(&buf, &want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeBlock(buf.Bytes(), dirEntry{
+		length: uint64(length), crc: crc,
+		seqLo: uint32(want.SeqLo), seqHi: uint32(want.SeqHi),
+		dataLo: uint64(want.DataLo), dataHi: uint64(want.DataHi),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSwapped(t, "Codes", got.Codes, want.Codes)
+	assertSwapped(t, "Offsets", got.Offsets, want.Offsets)
+	assertSwapped(t, "Pos", got.Pos, want.Pos)
+
+	x, err := openIndexFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.f.Close()
+	m, err := x.image(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if m.Mapped() {
+		t.Error("a big-endian host mapped its image, which it must swap in place")
+	}
+}
+
+// assertSwapped requires each word of got to be the matching word of
+// want with its bytes reversed.
+func assertSwapped[T word](t *testing.T, name string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d words, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if uint32(got[i]) != bits.ReverseBytes32(uint32(want[i])) {
+			t.Fatalf("%s[%d] = %#08x, want %#08x byte-reversed", name, i, uint32(got[i]), uint32(want[i]))
+		}
+	}
 }
 
 // saveValid writes a fresh valid file and returns its bytes and path.
@@ -304,7 +433,7 @@ func loadBoth(t *testing.T, path string, b *bank.Bank, opts index.Options, want 
 	if p != nil && m != nil {
 		m.Close()
 	}
-	for which, err := range map[string]error{"copying load": errL, "mapped load": errM} {
+	for which, err := range map[string]error{"read load": errL, "mapped load": errM} {
 		if !errors.Is(err, want) {
 			t.Errorf("%s: got error %v, want %v", which, err, want)
 		}
@@ -492,7 +621,7 @@ func TestDirStoreHealsCorruptFile(t *testing.T) {
 	}
 }
 
-// TestDirStoreUnmappedMode covers the copying path of the store.
+// TestDirStoreUnmappedMode covers a store whose loads read their image.
 func TestDirStoreUnmappedMode(t *testing.T) {
 	dir := t.TempDir()
 	b := genBank(t, "copy", 2048)

@@ -516,7 +516,7 @@ func TestCraftedPositionsRejected(t *testing.T) {
 			if m != nil {
 				m.Close()
 			}
-			for which, err := range map[string]error{"copying load": errL, "mapped load": errM} {
+			for which, err := range map[string]error{"read load": errL, "mapped load": errM} {
 				if tc.atLoad && (err == nil || !strings.Contains(err.Error(), "window")) {
 					t.Errorf("%s of a resealed file with a crafted position: %v, want the structural check's rejection", which, err)
 				}
@@ -593,10 +593,10 @@ func assertRefusedOnRead(t *testing.T, b *bank.Bank, opts index.Options, file []
 // allocates what TestFreshSaveIsOneBlock bounds a one-block load to,
 // summed over the parts: each part's lookup structure and proof bits,
 // and the footer — nothing sized by Pos, no copy of a code list or of
-// offsets. The copying reader reads the file into a buffer and decodes
-// each block out of it, so the gap between the two routes' allocations
-// is at least twice the file. The index outlives its file's name: the
-// mapping survives an unlink, as it does the GC's.
+// offsets. The read load allocates the file once, as its image, so the
+// gap between the two routes' allocations is at least the file. The
+// index outlives its file's name: the mapping survives an unlink, as it
+// does the GC's.
 func TestMultiBlockLoadIsMapped(t *testing.T) {
 	b := genBank(t, "mb", 1<<17)
 	opts := index.Options{W: 8}
@@ -613,7 +613,7 @@ func TestMultiBlockLoadIsMapped(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	copied := allocated(func() {
+	readLoad := allocated(func() {
 		if _, err := load(path, b, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -634,7 +634,7 @@ func TestMultiBlockLoadIsMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mmapSupported && nativeLittleEndian {
+	if canMap() {
 		if !m.Mapped() {
 			t.Error("the mapped load of a multi-block file did not keep its mapping")
 		}
@@ -648,9 +648,9 @@ func TestMultiBlockLoadIsMapped(t *testing.T) {
 			t.Errorf("the mapped load of a 3-block file allocated %d bytes, want ≤ lookup %d + proof bits %d + footer %d = %d (Pos alone is %d)",
 				mapped, lookup, proof, footer, max, 4*p.Indexed)
 		}
-		if mapped+2*uint64(fi.Size()) > copied {
-			t.Errorf("the mapped load of a %d-byte multi-block file allocated %d bytes, the copying load %d: the mapped route copies blocks",
-				fi.Size(), mapped, copied)
+		if mapped+uint64(fi.Size()) > readLoad {
+			t.Errorf("the mapped load of a %d-byte multi-block file allocated %d bytes, the read load %d: the mapped route copies blocks",
+				fi.Size(), mapped, readLoad)
 		}
 	}
 	assertIndexEqual(t, built, p)
@@ -699,7 +699,7 @@ func TestMappedIndexSurvivesItsAppend(t *testing.T) {
 	store.mu.Lock()
 	maps := slices.Clone(store.maps)
 	store.mu.Unlock()
-	if mmapSupported && nativeLittleEndian && (len(maps) != 1 || !maps[0].Mapped()) {
+	if canMap() && (len(maps) != 1 || !maps[0].Mapped()) {
 		t.Fatal("the extended index's mapping is not held by the store")
 	}
 	readAll(t, p)
@@ -761,7 +761,7 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		if mmapSupported && nativeLittleEndian {
+		if canMap() {
 			if !m.Mapped() {
 				t.Error("the mapped load of a fresh save did not keep its mapping")
 			}
@@ -779,11 +779,11 @@ func TestFreshSaveIsOneBlock(t *testing.T) {
 			}
 		}
 		assertIndexEqual(t, built, p)
-		copied, err := load(path, b, opts)
+		readLoad, err := load(path, b, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIndexEqual(t, built, copied)
+		assertIndexEqual(t, built, readLoad)
 	}
 }
 
@@ -843,11 +843,11 @@ func TestOlderSaveLayoutLoads(t *testing.T) {
 		t.Fatalf("stored file: %+v, %v — want 2 blocks", info, err)
 	}
 	want := index.Build(grown, opts)
-	copied, err := load(path, grown, opts)
+	readLoad, err := load(path, grown, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIndexEqual(t, want, copied)
+	assertIndexEqual(t, want, readLoad)
 	mapped, m, err := loadMapped(path, grown, opts)
 	if err != nil {
 		t.Fatal(err)

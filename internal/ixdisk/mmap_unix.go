@@ -7,8 +7,8 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates the zero-copy mapped load; on unsupported
-// platforms a DirStore loads by copying.
+// mmapSupported is half of canMap: where it is false, every load reads
+// its file into one buffer and aliases that instead.
 const mmapSupported = true
 
 // mmapFile maps size bytes of f read-only and private: the index never

@@ -76,65 +76,21 @@ func (s *DirStore) prefixCandidates(b *bank.Bank, opts index.Options, exactPath 
 	return out
 }
 
-// extend completes a stored prefix file into the full index for
-// (b, opts): decode the stored blocks (each CRC-checked) against the
-// grown bank — block coordinates are append-stable, so they are valid
-// verbatim — build one block over the appended suffix, and take them
-// all as the index's parts. Only the suffix is scanned and no stored
-// block is copied; the returned footer and suffix block let the caller
-// append in place. The file's identity as a strict prefix of b is
-// re-checked from scratch — the file may have changed since the
-// candidate scan read it. A mapped store reads the stored blocks in
-// place, and the parts keep aliasing the mapping, returned for the
-// caller to hold as long as the index lives: the append the caller
-// then writes to the same file rewrites none of their bytes (Mapping).
-func (s *DirStore) extend(path string, b *bank.Bank, opts index.Options) (*index.Index, *Mapping, *index.BlockParts, *footer, error) {
-	key := opts.Key()
-	x, err := openIndexFile(path, &key)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	defer x.f.Close()
-	k, err := x.ftr.prefixOf(b)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	s.mu.Lock()
-	mapped := s.mapped
-	s.mu.Unlock()
-	m, err := x.mapping(mapped)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	blocks, err := x.allBlocks(m)
-	if err != nil {
-		m.Close()
-		return nil, nil, nil, nil, err
-	}
-	s.blockLoads.Add(int64(len(blocks)))
-	suffix, err := index.BuildBlock(b, opts, k, b.NumSeqs())
-	if err != nil {
-		m.Close()
-		return nil, nil, nil, nil, err
-	}
-	ix, err := index.FromBlocks(b, opts, append(blocks, suffix))
-	if err != nil {
-		m.Close()
-		return nil, nil, nil, nil, err
-	}
-	return ix, m, &suffix, x.ftr, nil
-}
-
 // loadViaPrefix is the exact-miss fallback of DirStore.Load: complete
-// the longest stored prefix of (b, opts) and persist the result. A clean
-// (nil, nil) miss when no candidate survives — never an error, reuse is
-// best-effort.
-func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath string) (*index.Index, error) {
+// the longest stored prefix of (b, opts) and persist the result. loadFile
+// takes the stored blocks in place — block coordinates are append-stable,
+// so they are valid verbatim against the grown bank — and builds one
+// block over the suffix; the append persistAppend then writes to the
+// same file rewrites none of the bytes the parts alias (Mapping). A
+// clean (nil, nil) miss when no candidate survives — never an error,
+// reuse is best-effort.
+func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath string, mapped bool) (*index.Index, error) {
 	for _, cand := range s.prefixCandidates(b, opts, exactPath) {
-		ix, m, suffix, ftr, err := s.extend(cand.path, b, opts)
+		ix, m, suffix, ftr, err := loadFile(cand.path, b, opts, mapped, false)
 		if err != nil {
 			continue
 		}
+		s.blockLoads.Add(int64(len(ftr.dir)))
 		s.extends.Add(1)
 		backing := s.persistAppend(cand.path, exactPath, ix, suffix, ftr)
 		s.memoize(exactPath, backing, ix, m)

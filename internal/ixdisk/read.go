@@ -1,10 +1,10 @@
 package ixdisk
 
-// The read side: one way to open an .orix file, and the exact load built
-// on it by its two block routes (copying and mmap). (The append base,
-// DirStore.extend, its candidate scan and Probe are the other callers of
-// the opener; the append base takes its blocks by whichever route its
-// store uses.)
+// The read side: one way to open an .orix file, and one way to load it.
+// openIndexFile reads a file's metadata (Probe and the candidate scan
+// stop there); loadFile takes the file's image, mapped or read, and
+// decodes every block in place, for the exact load and the append base
+// alike.
 
 import (
 	"encoding/binary"
@@ -96,51 +96,41 @@ func readFooterAt(f io.ReaderAt, size int64) (*footer, error) {
 	return parseFooter(tail, size)
 }
 
-// readBlocks reads every block in one ReadAt — they are contiguous from
-// the header to the footer, by the footer's back-to-back invariant — and
-// decodes them into fresh arrays: the copying route.
-func (x *indexFile) readBlocks() ([]index.BlockParts, error) {
-	buf := make([]byte, x.ftr.start-headerSize)
-	if _, err := x.f.ReadAt(buf, headerSize); err != nil {
-		return nil, fmt.Errorf("ixdisk: %w: reading %d blocks: %v", ErrTruncated, len(x.ftr.dir), err)
-	}
-	return decodeBlocks(buf, headerSize, x.ftr.dir, false)
-}
+// canMap reports whether a load may map its file: the platform has mmap
+// and the host stores words little-endian, the file's order, so a
+// mapping's sections can be aliased as they stand.
+func canMap() bool { return mmapSupported && nativeLittleEndian }
 
-// mapping maps the whole file when mapped is set — the zero-copy block
-// route, taken by the mapped exact load and by the append base of a
-// mapped store — and is the no-op Mapping otherwise. The caller closes
-// it once nothing aliases it.
-func (x *indexFile) mapping(mapped bool) (*Mapping, error) {
-	if !mapped {
-		return &Mapping{}, nil
-	}
+// image returns the whole file, whose blocks the index's parts will
+// alias: mapped when mapped is set and canMap, read into one buffer by
+// one ReadAt otherwise. Either way decodeBlocks takes every block in
+// place. A read buffer is 8-byte aligned, as the Go allocator aligns
+// every allocation of 16 bytes or more and a file holds at least 64, so
+// its sections alias as a mapping's do.
+func (x *indexFile) image(mapped bool) (*Mapping, error) {
 	if x.size > math.MaxInt32*8 {
 		return nil, fmt.Errorf("ixdisk: %w: file is %d bytes", ErrTruncated, x.size)
 	}
-	data, err := mmapFile(x.f, int(x.size))
-	if err != nil {
-		return nil, fmt.Errorf("ixdisk: mmap %s: %w", x.f.Name(), err)
+	if mapped && canMap() {
+		data, err := mmapFile(x.f, int(x.size))
+		if err != nil {
+			return nil, fmt.Errorf("ixdisk: mmap %s: %w", x.f.Name(), err)
+		}
+		return &Mapping{data: data, mapped: true}, nil
+	}
+	data := make([]byte, x.size)
+	if _, err := x.f.ReadAt(data, 0); err != nil {
+		return nil, fmt.Errorf("ixdisk: %w: reading %d bytes: %v", ErrTruncated, x.size, err)
 	}
 	return &Mapping{data: data}, nil
 }
 
-// allBlocks returns every block of the file, each validated: in place
-// out of m, which they then alias, when the file is mapped; read and
-// copied otherwise.
-func (x *indexFile) allBlocks(m *Mapping) ([]index.BlockParts, error) {
-	if m.Mapped() {
-		return decodeBlocks(m.data, 0, x.ftr.dir, true)
-	}
-	return x.readBlocks()
-}
-
-// decodeBlocks validates each directory entry's block out of buf, whose
-// first byte sits at file offset base.
-func decodeBlocks(buf []byte, base uint64, dir []dirEntry, alias bool) ([]index.BlockParts, error) {
+// decodeBlocks validates each directory entry's block out of the file's
+// image and takes it in place.
+func decodeBlocks(image []byte, dir []dirEntry) ([]index.BlockParts, error) {
 	blocks := make([]index.BlockParts, len(dir))
 	for i, e := range dir {
-		bp, err := decodeBlock(buf[e.offset-base:e.offset-base+e.length], e, alias)
+		bp, err := decodeBlock(image[e.offset:e.offset+e.length], e)
 		if err != nil {
 			return nil, err
 		}
@@ -149,44 +139,58 @@ func decodeBlocks(buf []byte, base uint64, dir []dirEntry, alias bool) ([]index.
 	return blocks, nil
 }
 
-// loadExact is the exact load — the file must record exactly bank b
-// and opts' key — by either block route, with the blocks taken as the
-// parts of b's index by index.FromBlocks. It reports how many blocks
-// were decoded (the BlockLoads accounting). Every block's arrays become
-// its part's own, however many blocks the file holds, so a mapped file
-// stays aliased to the returned Mapping, which the caller keeps for as
-// long as the index lives; a copying load's Mapping is the no-op one.
-func loadExact(path string, b *bank.Bank, opts index.Options, mapped bool) (*index.Index, *Mapping, int, error) {
+// loadFile is the one load of a stored index. It opens path, checks that
+// the file records exactly bank b (exact) or a strict prefix of it (an
+// append base; checked afresh, whatever a candidate scan read), decodes
+// every block in place out of the file's image, builds one block over
+// the sequences b has beyond the file, and takes them all as the parts
+// of b's index (index.FromBlocks). The parts alias the returned Mapping,
+// which the caller keeps as long as the index lives. The suffix block
+// (nil on an exact load) and the footer are for persistAppend.
+func loadFile(path string, b *bank.Bank, opts index.Options, mapped, exact bool) (*index.Index, *Mapping, *index.BlockParts, *footer, error) {
 	key := opts.Key()
 	x, err := openIndexFile(path, &key)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, nil, err
 	}
 	defer x.f.Close()
-	if err := x.ftr.checkExactBank(b); err != nil {
-		return nil, nil, 0, err
+	k := b.NumSeqs()
+	if exact {
+		err = x.ftr.checkExactBank(b)
+	} else {
+		k, err = x.ftr.prefixOf(b)
 	}
-	m, err := x.mapping(mapped)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, nil, err
 	}
-	blocks, err := x.allBlocks(m)
+	m, err := x.image(mapped)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	blocks, err := decodeBlocks(m.data, x.ftr.dir)
+	var suffix *index.BlockParts
+	if err == nil && k < b.NumSeqs() {
+		var bp index.BlockParts
+		bp, err = index.BuildBlock(b, opts, k, b.NumSeqs())
+		suffix, blocks = &bp, append(blocks, bp)
+	}
+	var ix *index.Index
+	if err == nil {
+		ix, err = index.FromBlocks(b, opts, blocks)
+	}
 	if err != nil {
 		m.Close()
-		return nil, nil, 0, err
+		return nil, nil, nil, nil, err
 	}
-	ix, err := index.FromBlocks(b, opts, blocks)
-	if err != nil {
-		m.Close()
-		return nil, nil, 0, err
-	}
-	return ix, m, len(blocks), nil
+	return ix, m, suffix, x.ftr, nil
 }
 
-// Mapping owns the mmap'd region backing a mapped load's index. Close
-// releases it — after which every slice of the index it backed is
-// invalid and must not be touched (see DESIGN.md §7 on the aliasing
-// caveats). A no-op Mapping (a copying load's) closes safely.
+// Mapping is the image a loaded index's parts alias: the file mapped,
+// or read into one buffer. Close unmaps a mapping — after which every
+// slice of the index it backed is invalid and must not be touched (see
+// DESIGN.md §7 on the aliasing caveats) — and drops a read buffer, which
+// the garbage collector frees once no part holds it, so closing a read
+// image never invalidates its index.
 //
 // A mapped region stays valid while the store writes to its file,
 // because no write rewrites a byte a part reads: appendBlockAt writes
@@ -195,22 +199,24 @@ func loadExact(path string, b *bank.Bank, opts index.Options, mapped bool) (*ind
 // unlinks; and an index reads its blocks through the mapping, never the
 // footer (TestMappedIndexSurvivesItsAppend).
 type Mapping struct {
-	data []byte
-	once sync.Once
-	err  error
+	data   []byte
+	mapped bool
+	once   sync.Once
+	err    error
 }
 
-// Close unmaps the region. Safe to call more than once.
+// Close unmaps a mapped image and drops a read one. Safe to call more
+// than once.
 func (m *Mapping) Close() error {
 	m.once.Do(func() {
-		if m.data != nil {
+		if m.mapped {
 			m.err = munmap(m.data)
-			m.data = nil
 		}
+		m.data, m.mapped = nil, false
 	})
 	return m.err
 }
 
-// Mapped reports whether the load actually aliased an mmap'd file (as
-// opposed to copying it).
-func (m *Mapping) Mapped() bool { return m.data != nil }
+// Mapped reports whether the image is a live mapping of the file (as
+// opposed to a read buffer, or closed).
+func (m *Mapping) Mapped() bool { return m.mapped }
