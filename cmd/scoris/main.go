@@ -195,9 +195,9 @@ func main() {
 	// against an appended-to bank must report a suffix extension
 	// instead of a rebuild.
 	if store != nil {
-		// Declined saves and write-back errors come from the store's
-		// counters, not only the cache's: extension write-backs never
-		// pass through the cache's save path.
+		// Declined saves and failed write-backs are the store's
+		// counters; "store errors" adds the stored indexes the cache
+		// could not use (rejected loads, revoked indexes).
 		fmt.Fprintf(os.Stderr,
 			"scoris: index store: %d builds, %d disk hits (%d suffix extensions), %d block loads, %d block appends, %d lookups, %d declined saves, %d store errors (%s)\n",
 			cache.Builds(), cache.DiskHits(), store.Extends(), store.BlockLoads(), store.BlockAppends(),

@@ -13,9 +13,10 @@
 // (bank identity, index.Key), with single-flight semantics so
 // concurrent callers share one build per (bank, options) pair, an
 // optional persistent second tier (Store, implemented by package
-// ixdisk) so the build amortizes across processes, not just within
-// one, and Drop for the owner of a bank that is going away, so the
-// cache never pins the indexes of banks nobody can name any more.
+// ixdisk, which counts its own reads and writes) so the build amortizes
+// across processes, not just within one, and Drop for the owner of a
+// bank that is going away, so the cache never pins the indexes of banks
+// nobody can name any more.
 //
 // # Reuse contract
 //
@@ -38,7 +39,6 @@ package ixcache
 
 import (
 	"container/list"
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -79,35 +79,21 @@ type entry struct {
 	done  atomic.Bool
 }
 
-// ErrSaveDeclined is returned by Store.Save when the store's save
-// policy declines to persist the value (ixdisk.SavePolicy: with DBOnly
-// set, a bank not registered through MarkDB is not saved). A declined
-// save is deliberate housekeeping, not a failure: the cache counts it
-// under SavesDeclined instead of DiskErrors.
-var ErrSaveDeclined = errors.New("ixcache: store save declined by policy")
-
 // Store is an optional persistent second tier below the in-memory LRU:
 // Load returns a previously saved index for exactly (b, opts), or
 // (nil, nil) on a clean miss; Save persists a freshly built one. A
 // non-nil Load error means a file existed but was rejected (corrupt,
 // wrong key) — the cache falls back to a fresh build and writes it
-// back, healing the store. Save may decline by policy with an error
-// wrapping ErrSaveDeclined. Implementations must be safe for concurrent
-// use; package ixdisk provides the on-disk implementation (whose Load
-// also satisfies a miss from a stored prefix of the bank, completed by
-// one appended block — transparent to this interface).
+// back, healing the store. What becomes of a write-back — written,
+// declined by the store's policy, or failed — is the store's to count:
+// the cache ignores Save's result, and a failed write never fails a
+// Get. Implementations must be safe for concurrent use; package ixdisk
+// provides the on-disk implementation (whose Load also satisfies a miss
+// from a stored prefix of the bank, completed by one appended block —
+// transparent to this interface).
 type Store interface {
 	Load(b *bank.Bank, opts index.Options) (*index.Index, error)
 	Save(ix *index.Index) error
-}
-
-// BlockCounters is the optional observability face of a block-aware
-// store: how many blocks it has decoded from disk and how many
-// in-place block appends it has performed. Cache.Counters folds these
-// into its snapshot when the attached store provides them.
-type BlockCounters interface {
-	BlockLoads() int64
-	BlockAppends() int64
 }
 
 // Cache is a concurrency-safe, size-bounded LRU of built indexes.
@@ -119,12 +105,11 @@ type Cache struct {
 	order *list.List            // guardedby: mu ; front = most recently used
 	store Store
 
-	builds        atomic.Int64
-	lookups       atomic.Int64
-	evictions     atomic.Int64
-	diskHits      atomic.Int64
-	diskErrs      atomic.Int64
-	savesDeclined atomic.Int64
+	builds    atomic.Int64
+	lookups   atomic.Int64
+	evictions atomic.Int64
+	diskHits  atomic.Int64
+	diskErrs  atomic.Int64
 }
 
 // New returns a cache bounded to maxEntries indexes
@@ -198,12 +183,7 @@ func (c *Cache) Get(b *bank.Bank, opts index.Options) *index.Index {
 	// processes are last-wins over identical bytes.
 	if builtHere {
 		if s := c.getStore(); s != nil {
-			switch err := s.Save(e.ready); {
-			case errors.Is(err, ErrSaveDeclined):
-				c.savesDeclined.Add(1)
-			case err != nil:
-				c.diskErrs.Add(1)
-			}
+			_ = s.Save(e.ready) // the store counts a declined or failed write
 		}
 	}
 	return e.ready
@@ -309,55 +289,38 @@ func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 // warm process over K keys should report K disk hits and zero Builds.
 func (c *Cache) DiskHits() int64 { return c.diskHits.Load() }
 
-// DiskErrors returns how many Store operations failed (rejected files
-// on Load, write failures on Save, loaded indexes revoked by a failed
-// window proof). Store errors never fail a Get — the cache builds
-// fresh — so this counter is the only trace. Saves declined by the
-// store's policy are not errors; see SavesDeclined.
+// DiskErrors returns how many stored indexes the cache could not use:
+// files the store's Load rejected, and loaded indexes revoked by a
+// failed window proof. Neither fails a Get — the cache builds fresh —
+// so this counter is the only trace. A failed or declined write-back is
+// the store's to count (ixdisk.DirStore.WriteBackErrors and
+// SavesDeclined).
 func (c *Cache) DiskErrors() int64 { return c.diskErrs.Load() }
-
-// SavesDeclined returns how many write-backs the store's save policy
-// declined (ErrSaveDeclined) — the trace that single-use query indexes
-// are being kept out of a policy-bounded store, not silently lost.
-func (c *Cache) SavesDeclined() int64 { return c.savesDeclined.Load() }
 
 // Counters is a point-in-time snapshot of the cache's counters, in one
 // value so observers (the scorisd /stats endpoint, log lines) read a
 // coherent set instead of six racing loads. The JSON tags are the wire
 // names scorisd serves.
 type Counters struct {
-	Builds        int64 `json:"builds"`
-	Lookups       int64 `json:"lookups"`
-	Evictions     int64 `json:"evictions"`
-	DiskHits      int64 `json:"disk_hits"`
-	DiskErrors    int64 `json:"disk_errors"`
-	SavesDeclined int64 `json:"saves_declined"`
-	// BlockLoads and BlockAppends come from the attached store when it
-	// implements BlockCounters (block-granular I/O); zero otherwise.
-	BlockLoads   int64 `json:"block_loads"`
-	BlockAppends int64 `json:"block_appends"`
-	Entries      int   `json:"entries"`
+	Builds     int64 `json:"builds"`
+	Lookups    int64 `json:"lookups"`
+	Evictions  int64 `json:"evictions"`
+	DiskHits   int64 `json:"disk_hits"`
+	DiskErrors int64 `json:"disk_errors"`
+	Entries    int   `json:"entries"`
 }
 
 // Counters snapshots the cache's counters and current size. Each field
 // is individually atomic; the snapshot is taken without the cache lock
 // (except Entries), so counts racing with in-flight Gets may be off by
 // the in-flight operation — fine for the monitoring use it serves.
-// When the attached store implements BlockCounters its block-granular
-// counters are folded into the snapshot.
 func (c *Cache) Counters() Counters {
-	cs := Counters{
-		Builds:        c.builds.Load(),
-		Lookups:       c.lookups.Load(),
-		Evictions:     c.evictions.Load(),
-		DiskHits:      c.diskHits.Load(),
-		DiskErrors:    c.diskErrs.Load(),
-		SavesDeclined: c.savesDeclined.Load(),
-		Entries:       c.Len(),
+	return Counters{
+		Builds:     c.builds.Load(),
+		Lookups:    c.lookups.Load(),
+		Evictions:  c.evictions.Load(),
+		DiskHits:   c.diskHits.Load(),
+		DiskErrors: c.diskErrs.Load(),
+		Entries:    c.Len(),
 	}
-	if bc, ok := c.getStore().(BlockCounters); ok {
-		cs.BlockLoads = bc.BlockLoads()
-		cs.BlockAppends = bc.BlockAppends()
-	}
-	return cs
 }

@@ -233,9 +233,9 @@ func encodeFooter(bankCRC uint64, dataLen uint64, seqSums []uint64, dir []dirEnt
 	return f
 }
 
-// parseFooter decodes and validates the footer given the file's
-// trailing bytes (tail must reach back to at least the footer start;
-// fileSize locates offsets). Beyond framing and CRC it enforces the
+// parseFooter decodes and validates the footer f, read from file
+// offset start (readFooterAt has checked the trailer's end magic and
+// length, which sized f). Beyond framing and CRC it enforces the
 // structural directory invariants every reader depends on: blocks
 // tile the sequence and Data spaces contiguously in ascending order,
 // are laid out back-to-back from the header to the footer, and each is
@@ -244,21 +244,12 @@ func encodeFooter(bankCRC uint64, dataLen uint64, seqSums []uint64, dir []dirEnt
 // block byte is touched.
 //
 //scorislint:validator
-func parseFooter(tail []byte, fileSize int64) (*footer, error) {
-	if len(tail) < trailerSize {
-		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the %d-byte trailer",
-			ErrTruncated, len(tail), trailerSize)
+func parseFooter(f []byte, start int64) (*footer, error) {
+	flen := int64(len(f))
+	if flen < footerFixed+trailerSize {
+		return nil, fmt.Errorf("ixdisk: %w: a %d-byte footer is below the %d-byte minimum",
+			ErrTruncated, flen, footerFixed+trailerSize)
 	}
-	tr := tail[len(tail)-trailerSize:]
-	if string(tr[8:16]) != endMagic {
-		return nil, fmt.Errorf("ixdisk: %w: end magic is %q", ErrTruncated, tr[8:16])
-	}
-	flen := int64(binary.LittleEndian.Uint32(tr[4:8]))
-	if flen < footerFixed+trailerSize || flen > int64(len(tail)) || fileSize-flen < headerSize {
-		return nil, fmt.Errorf("ixdisk: %w: footer claims %d bytes of a %d-byte file",
-			ErrTruncated, flen, fileSize)
-	}
-	f := tail[int64(len(tail))-flen:]
 	if string(f[0:8]) != footerMagic {
 		return nil, fmt.Errorf("ixdisk: %w: footer magic is %q", ErrTruncated, f[0:8])
 	}
@@ -271,7 +262,7 @@ func parseFooter(tail []byte, fileSize int64) (*footer, error) {
 		bankCRC: binary.LittleEndian.Uint64(f[8:]),
 		dataLen: binary.LittleEndian.Uint64(f[16:]),
 		numSeqs: binary.LittleEndian.Uint32(f[24:]),
-		start:   fileSize - flen,
+		start:   start,
 	}
 	numBlocks := binary.LittleEndian.Uint32(f[28:])
 	if flen != int64(footerFixed)+8*int64(ftr.numSeqs)+dirEntSize*int64(numBlocks)+trailerSize {

@@ -44,9 +44,8 @@ func (p SavePolicy) allows(isDB bool) bool {
 	return isDB || !p.DBOnly
 }
 
-// SetSavePolicy installs the store's save policy. Declined saves return
-// ixcache.ErrSaveDeclined to the cache tier and count under
-// SavesDeclined.
+// SetSavePolicy installs the store's save policy. A declined write-back
+// writes nothing, is no error, and counts under SavesDeclined.
 func (s *DirStore) SetSavePolicy(p SavePolicy) {
 	s.mu.Lock()
 	s.policy = p
@@ -77,7 +76,7 @@ type GCConfig struct {
 }
 
 // SetGC installs the store's GC bounds. When either cap is set, every
-// successful Save also runs a best-effort collection, so a long-lived
+// successful write-back also runs a best-effort collection, so a long-lived
 // store converges toward its bounds without explicit GC calls.
 func (s *DirStore) SetGC(cfg GCConfig) {
 	s.mu.Lock()

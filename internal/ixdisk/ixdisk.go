@@ -66,7 +66,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,7 +73,6 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 )
 
 // File naming constants; the layout constants live with the codec in
@@ -181,8 +179,9 @@ type DirStore struct {
 	mu      sync.Mutex
 	policy  SavePolicy
 	gcCfg   GCConfig
-	dbBanks map[[20]byte]struct{} // bankID of each MarkDB bank
-	loaded  memo[string, loadedEntry]
+	dbBanks map[[20]byte]struct{}  // bankID of each MarkDB bank
+	loaded  map[string]loadedEntry // by key path; bounded by memoBound
+	order   []string               // keys of loaded, oldest first
 	maps    []*Mapping
 
 	extends       atomic.Int64
@@ -192,55 +191,12 @@ type DirStore struct {
 	blockAppends  atomic.Int64
 }
 
-// DirStore is the cache's disk tier, and its block counters are what
-// ixcache.Cache folds into its snapshot.
-var (
-	_ ixcache.Store         = (*DirStore)(nil)
-	_ ixcache.BlockCounters = (*DirStore)(nil)
-)
-
 // memoBound caps the per-path memo of loaded indexes. A long-lived
 // process churning through query banks would otherwise grow it without
 // bound (every retired index pinned forever); the bound makes the memo
 // a cache, evicted FIFO, at a worst cost of one re-validate per evicted
 // key. 64 comfortably covers the harness's ~30-key working set.
 const memoBound = 64
-
-// memo is a map bounded to memoBound keys, evicting the oldest key
-// first. The zero value is empty and ready; DirStore guards its memos
-// with its mutex.
-type memo[K comparable, V any] struct {
-	m     map[K]V
-	order []K // keys in insertion order
-}
-
-func (c *memo[K, V]) get(k K) (V, bool) {
-	v, ok := c.m[k]
-	return v, ok
-}
-
-// put records v under k; a new key past the bound evicts the oldest.
-func (c *memo[K, V]) put(k K, v V) {
-	if c.m == nil {
-		c.m = map[K]V{}
-	}
-	if _, ok := c.m[k]; !ok {
-		c.order = append(c.order, k)
-		if len(c.order) > memoBound {
-			delete(c.m, c.order[0])
-			c.order = c.order[1:]
-		}
-	}
-	c.m[k] = v
-}
-
-// drop forgets k.
-func (c *memo[K, V]) drop(k K) {
-	if _, ok := c.m[k]; ok {
-		delete(c.m, k)
-		c.order = slices.DeleteFunc(c.order, func(o K) bool { return o == k })
-	}
-}
 
 // loadedEntry memoizes one successful load per key path, so LRU
 // evict-and-reload cycles in a bounded cache above the store return
@@ -269,7 +225,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ixdisk: %w", err)
 	}
-	s := &DirStore{dir: dir, mapped: true, dbBanks: map[[20]byte]struct{}{}}
+	s := &DirStore{dir: dir, mapped: true, dbBanks: map[[20]byte]struct{}{}, loaded: map[string]loadedEntry{}}
 	s.sweepTmp(time.Now())
 	return s, nil
 }
@@ -318,7 +274,7 @@ func bankID(b *bank.Bank) (id [20]byte) {
 func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) {
 	path := s.Path(b, opts)
 	s.mu.Lock()
-	e, ok := s.loaded.get(path)
+	e, ok := s.loaded[path]
 	mapped := s.mapped
 	s.mu.Unlock()
 	if ok && e.ix.Bank == b && e.ix.Options().Key() == opts.Key() && !e.ix.Revoked() {
@@ -359,15 +315,24 @@ func (s *DirStore) Load(b *bank.Bank, opts index.Options) (*index.Index, error) 
 func (s *DirStore) memoize(keyPath, backing string, ix *index.Index, m *Mapping) {
 	ix.OnRevoke(func() {
 		s.mu.Lock()
-		if e, ok := s.loaded.get(keyPath); ok && e.ix == ix {
-			s.loaded.drop(keyPath)
+		// The key keeps its slot in order: at worst that slot evicts a
+		// later entry of the same key early, one re-validate.
+		if e, ok := s.loaded[keyPath]; ok && e.ix == ix {
+			delete(s.loaded, keyPath)
 		}
 		s.mu.Unlock()
 		_ = os.Remove(backing)
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.loaded.put(keyPath, loadedEntry{ix: ix, path: backing})
+	if _, ok := s.loaded[keyPath]; !ok {
+		s.order = append(s.order, keyPath)
+		if len(s.order) > memoBound {
+			delete(s.loaded, s.order[0])
+			s.order = s.order[1:]
+		}
+	}
+	s.loaded[keyPath] = loadedEntry{ix: ix, path: backing}
 	if m.Mapped() {
 		// A superseded entry's mapping (same path, different bank
 		// pointer) stays in maps: its index may still be referenced, so
@@ -377,30 +342,40 @@ func (s *DirStore) memoize(keyPath, backing string, ix *index.Index, m *Mapping)
 }
 
 // Save implements ixcache.Store: persist a freshly built index under
-// its key's path, unless the store's SavePolicy declines it (the
-// ixcache.ErrSaveDeclined contract). When GC caps are configured, a
-// successful save triggers a best-effort collection so the store
-// converges toward its bounds under sustained traffic without anyone
-// calling GC explicitly.
+// its key's path, through the store's write-back gate (writeBack). A
+// save the SavePolicy declines writes nothing and returns nil; a failed
+// one returns its error. Either is counted by the store.
 func (s *DirStore) Save(ix *index.Index) error {
-	id := bankID(ix.Bank)
+	_, err := s.writeBack(ix.Bank, func() error { return Save(s.Path(ix.Bank, ix.Options()), ix) })
+	return err
+}
+
+// writeBack is the store's one gate for a write of bank b's index: a
+// fresh save and an append base's completion alike. It runs write unless
+// the SavePolicy declines b, counting a decline under SavesDeclined and
+// a failed write under WriteBackErrors, and after a successful write
+// runs a best-effort GC when caps are configured, so the store converges
+// toward its bounds under sustained traffic without anyone calling GC.
+// written reports whether write ran and succeeded.
+func (s *DirStore) writeBack(b *bank.Bank, write func() error) (written bool, err error) {
+	id := bankID(b)
 	s.mu.Lock()
-	pol := s.policy
 	_, isDB := s.dbBanks[id]
-	gcCfg := s.gcCfg
+	allowed := s.policy.allows(isDB)
+	gc := s.gcCfg.MaxBytes > 0 || s.gcCfg.MaxAge > 0
 	s.mu.Unlock()
-	if !pol.allows(isDB) {
+	if !allowed {
 		s.savesDeclined.Add(1)
-		return fmt.Errorf("ixdisk: DirStore.Save: bank %q (%d bases): %w",
-			ix.Bank.Name, ix.Bank.TotalBases(), ixcache.ErrSaveDeclined)
+		return false, nil
 	}
-	if err := Save(s.Path(ix.Bank, ix.Options()), ix); err != nil {
-		return err
+	if err := write(); err != nil {
+		s.writeBackErrs.Add(1)
+		return false, err
 	}
-	if gcCfg.MaxBytes > 0 || gcCfg.MaxAge > 0 {
+	if gc {
 		_, _ = s.GC()
 	}
-	return nil
+	return true, nil
 }
 
 // Close releases every mapping the store opened. Every mmap-backed
@@ -410,7 +385,7 @@ func (s *DirStore) Close() error {
 	s.mu.Lock()
 	maps := s.maps
 	s.maps = nil
-	s.loaded = memo[string, loadedEntry]{}
+	s.loaded, s.order = map[string]loadedEntry{}, nil
 	s.mu.Unlock()
 	var first error
 	for _, m := range maps {

@@ -473,6 +473,23 @@ func TestHostileFiles(t *testing.T) {
 		path := rewrite(t, func(buf []byte) []byte { return append(buf, 1, 2, 3) })
 		loadBoth(t, path, b, opts, ErrTruncated)
 	})
+	t.Run("footer-longer-than-file", func(t *testing.T) {
+		// The trailer claims a 64 MiB footer of a few-KB file: refused
+		// before the claim can size the footer's read.
+		size := 0
+		path := rewrite(t, func(buf []byte) []byte {
+			binary.LittleEndian.PutUint32(buf[len(buf)-12:], 64<<20)
+			size = len(buf)
+			return buf
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loadBoth(t, path, b, opts, ErrTruncated)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("loading a %d-byte file whose trailer claims a 64 MiB footer allocated %d bytes", size, d)
+		}
+	})
 	t.Run("bad-magic", func(t *testing.T) {
 		path := rewrite(t, func(buf []byte) []byte { buf[0] ^= 0xFF; return buf })
 		loadBoth(t, path, b, opts, ErrBadMagic)

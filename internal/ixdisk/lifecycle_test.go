@@ -438,8 +438,9 @@ func TestGCRunsOnSave(t *testing.T) {
 	}
 }
 
-// TestSavePolicy covers DBOnly (a MarkDB bank still persists) and the
-// declined-save plumbing through the cache tier.
+// TestSavePolicy covers DBOnly (a MarkDB bank still persists): a
+// declined save writes nothing, returns nil and is counted by the
+// store, once — the cache above it counts nothing.
 func TestSavePolicy(t *testing.T) {
 	t.Run("db-only", func(t *testing.T) {
 		store, err := NewDirStore(t.TempDir())
@@ -455,9 +456,8 @@ func TestSavePolicy(t *testing.T) {
 		if err := store.Save(index.Build(db, index.Options{W: 8})); err != nil {
 			t.Fatalf("db bank declined: %v", err)
 		}
-		err = store.Save(index.Build(query, index.Options{W: 8}))
-		if !errors.Is(err, ixcache.ErrSaveDeclined) {
-			t.Fatalf("query bank save: %v, want ErrSaveDeclined", err)
+		if err := store.Save(index.Build(query, index.Options{W: 8})); err != nil {
+			t.Fatalf("declined query bank save: %v, want nil", err)
 		}
 		if store.SavesDeclined() != 1 {
 			t.Errorf("SavesDeclined = %d, want 1", store.SavesDeclined())
@@ -476,10 +476,77 @@ func TestSavePolicy(t *testing.T) {
 		c := ixcache.New(4)
 		c.SetStore(store)
 		c.Get(genBank(t, "q", 2048), index.Options{W: 8})
-		if c.SavesDeclined() != 1 || c.DiskErrors() != 0 {
-			t.Errorf("declined=%d diskErrs=%d, want 1/0", c.SavesDeclined(), c.DiskErrors())
+		if store.SavesDeclined() != 1 || store.WriteBackErrors() != 0 || c.DiskErrors() != 0 {
+			t.Errorf("declined=%d writeBackErrs=%d diskErrs=%d, want 1/0/0",
+				store.SavesDeclined(), store.WriteBackErrors(), c.DiskErrors())
 		}
 	})
+}
+
+// TestWriteBackCountedOnce: whatever becomes of a write-back — a
+// decline, a failed fresh save under a cache, a failed append whose
+// fallback save fails too — is counted by the store, once, and the
+// cache above it counts none of it.
+func TestWriteBackCountedOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	store := openStore(t, dir)
+	c := ixcache.New(8)
+	c.SetStore(store)
+	opts := index.Options{W: 8}
+
+	store.SetSavePolicy(SavePolicy{DBOnly: true})
+	query := genBank(t, "query", 2048)
+	c.Get(query, opts)
+	if _, err := os.Stat(store.Path(query, opts)); !errors.Is(err, os.ErrNotExist) {
+		t.Error("declined save still wrote a file")
+	}
+	if store.SavesDeclined() != 1 || store.WriteBackErrors() != 0 || c.DiskErrors() != 0 {
+		t.Fatalf("after a decline: declined=%d writeBackErrs=%d diskErrs=%d, want 1/0/0",
+			store.SavesDeclined(), store.WriteBackErrors(), c.DiskErrors())
+	}
+
+	// An append base, loaded while the store can still be written.
+	store.SetSavePolicy(SavePolicy{})
+	recs := genRecs(t, 600, 5)
+	short, grown := bank.New("db", recs[:4]), bank.New("db", recs)
+	if err := store.Save(index.Build(short, opts)); err != nil {
+		t.Fatal(err)
+	}
+	oldPath := store.Path(short, opts)
+	ix, m, suffix, ftr, err := loadFile(oldPath, grown, opts, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	// The directory moved aside, as an unmounted volume does: permission
+	// bits would not bind uid 0. A fresh build's save now fails.
+	offline := dir + ".offline"
+	if err := os.Rename(dir, offline); err != nil {
+		t.Fatal(err)
+	}
+	if c.Get(genBank(t, "fresh", 2048), opts) == nil {
+		t.Fatal("Get returned no index under an unwritable store")
+	}
+	if store.WriteBackErrors() != 1 || store.SavesDeclined() != 1 || c.DiskErrors() != 0 {
+		t.Errorf("after a failed save: writeBackErrs=%d declined=%d diskErrs=%d, want 1/1/0",
+			store.WriteBackErrors(), store.SavesDeclined(), c.DiskErrors())
+	}
+	for _, d := range []string{dir, offline} {
+		if litter, _ := filepath.Glob(filepath.Join(d, tmpPattern)); len(litter) != 0 {
+			t.Errorf("failed save left temp files: %v", litter)
+		}
+	}
+
+	// The append fails (its file is gone) and so does its fallback save:
+	// one write-back, one error, and the old path still backs the index.
+	if got := store.persistAppend(oldPath, store.Path(grown, opts), ix, suffix, ftr); got != oldPath {
+		t.Errorf("failed append returned %s, want the old path %s", got, oldPath)
+	}
+	if store.WriteBackErrors() != 2 || store.BlockAppends() != 0 {
+		t.Errorf("after a failed append: writeBackErrs=%d blockAppends=%d, want 2/0",
+			store.WriteBackErrors(), store.BlockAppends())
+	}
 }
 
 // TestMarkDBKeepsEveryMark: under DBOnly, a database bank stays marked
@@ -526,7 +593,7 @@ func TestMemoMapsBounded(t *testing.T) {
 		}
 	}
 	store.mu.Lock()
-	nLoaded, nOrderL := len(store.loaded.m), len(store.loaded.order)
+	nLoaded, nOrderL := len(store.loaded), len(store.order)
 	store.mu.Unlock()
 	if nLoaded > memoBound || nOrderL > memoBound {
 		t.Errorf("loaded grew to %d entries (order %d), bound is %d", nLoaded, nOrderL, memoBound)

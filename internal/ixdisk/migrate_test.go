@@ -398,7 +398,7 @@ func TestHostileV3Files(t *testing.T) {
 			// re-seal the footer CRC so only the structural check can
 			// object.
 			fs := footerStart(buf)
-			ftr, err := parseFooter(buf[fs:], int64(len(buf)))
+			ftr, err := parseFooter(buf[fs:], int64(fs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,7 +410,7 @@ func TestHostileV3Files(t *testing.T) {
 		}, ErrTruncated},
 		"dirSeqGap": {func(t *testing.T, buf []byte) []byte {
 			fs := footerStart(buf)
-			ftr, err := parseFooter(buf[fs:], int64(len(buf)))
+			ftr, err := parseFooter(buf[fs:], int64(fs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -466,7 +466,7 @@ func resealFooter(buf []byte, fs int) {
 func craftPos0(t *testing.T, buf []byte, pos int32) {
 	t.Helper()
 	fs := len(buf) - int(binary.LittleEndian.Uint32(buf[len(buf)-12:]))
-	ftr, err := parseFooter(buf[fs:], int64(len(buf)))
+	ftr, err := parseFooter(buf[fs:], int64(fs))
 	if err != nil || len(ftr.dir) != 1 {
 		t.Fatalf("want a single-block file: %v", err)
 	}

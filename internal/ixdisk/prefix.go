@@ -1,7 +1,6 @@
 package ixdisk
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/index"
-	"repro/internal/ixcache"
 )
 
 // Append-aware reuse: satisfying an exact miss from the bank's lineage.
@@ -101,37 +99,23 @@ func (s *DirStore) loadViaPrefix(b *bank.Bank, opts index.Options, exactPath str
 
 // persistAppend makes a completed extension durable by the O(suffix)
 // route: write the suffix block over the old footer, write the grown
-// footer, rename the file to the exact key's path. Policy-gated and
-// best-effort like every write-back — failure never fails the load,
-// the next cold process just extends again — but if the in-place
-// append fails a full save is attempted, and a genuine I/O failure of
-// that is counted (WriteBackErrors) so a store that can no longer be
-// written doesn't read as healthy. It returns the path now backing the
-// index: exactPath once written, else the untouched oldPath.
+// footer, rename the file to the exact key's path — and, if that
+// in-place append fails, a full save to the exact path. It is one
+// write-back through the store's gate (writeBack), so a decline and a
+// failure are counted like a save's, and neither fails the load: the
+// next cold process just extends again. It returns the path now
+// backing the index: exactPath once written, else the untouched oldPath.
 func (s *DirStore) persistAppend(oldPath, exactPath string, ix *index.Index, suffix *index.BlockParts, ftr *footer) string {
-	id := bankID(ix.Bank)
-	s.mu.Lock()
-	pol := s.policy
-	_, isDB := s.dbBanks[id]
-	gcCfg := s.gcCfg
-	s.mu.Unlock()
-	if !pol.allows(isDB) {
-		s.savesDeclined.Add(1)
-		return oldPath
-	}
-	if err := appendBlockAt(oldPath, exactPath, ix.Bank, suffix, ftr); err != nil {
-		if err := s.Save(ix); err != nil {
-			if !errors.Is(err, ixcache.ErrSaveDeclined) {
-				s.writeBackErrs.Add(1)
-			}
-			return oldPath
+	written, _ := s.writeBack(ix.Bank, func() error {
+		if err := appendBlockAt(oldPath, exactPath, ix.Bank, suffix, ftr); err != nil {
+			return Save(exactPath, ix)
 		}
-		return exactPath
-	}
-	s.blockAppends.Add(1)
-	touchFile(exactPath)
-	if gcCfg.MaxBytes > 0 || gcCfg.MaxAge > 0 {
-		_, _ = s.GC()
+		s.blockAppends.Add(1)
+		touchFile(exactPath)
+		return nil
+	})
+	if !written {
+		return oldPath
 	}
 	return exactPath
 }
@@ -142,13 +126,14 @@ func (s *DirStore) persistAppend(oldPath, exactPath string, ix *index.Index, suf
 // next to builds and disk hits.
 func (s *DirStore) Extends() int64 { return s.extends.Load() }
 
-// SavesDeclined returns how many saves the store's SavePolicy refused.
+// SavesDeclined returns how many write-backs — saves and appends — the
+// store's SavePolicy refused. Each decline is counted here and nowhere
+// else.
 func (s *DirStore) SavesDeclined() int64 { return s.savesDeclined.Load() }
 
-// WriteBackErrors returns how many extension write-backs failed with a
-// genuine I/O error (policy declines excluded). These never pass
-// through the cache's save path, so they are invisible to
-// ixcache.Cache.DiskErrors; the CLIs add the two counters together.
+// WriteBackErrors returns how many write-backs — fresh saves, and
+// appends whose fallback save failed too — failed with an I/O error
+// (declines excluded). Each failure is counted here and nowhere else.
 func (s *DirStore) WriteBackErrors() int64 { return s.writeBackErrs.Load() }
 
 // BlockLoads returns how many blocks the store has decoded and

@@ -72,10 +72,11 @@ func openIndexFile(path string, want *index.Key) (x *indexFile, err error) {
 
 // readFooterAt reads and parses just the footer of an open file — the
 // last rung of openIndexFile: two small ReadAt calls (trailer, then
-// footer), never the blocks. The trailer's length field only sizes the
-// second read, so all it is held to here is the file's size (a hostile
-// one allocates no more than that); the trailer's magic, the footer's
-// real bounds and its CRC are parseFooter's to check, once.
+// footer), never the blocks. The trailer's fields are checked here,
+// once, before its length sizes the second read: the end magic, and a
+// length that holds at least the fixed footer and leaves room for the
+// header, so a hostile one allocates no more than the file holds. The
+// footer's own magic, its CRC and its directory are parseFooter's.
 func readFooterAt(f io.ReaderAt, size int64) (*footer, error) {
 	if size < headerSize+trailerSize {
 		return nil, fmt.Errorf("ixdisk: %w: %d bytes is below the minimum file size", ErrTruncated, size)
@@ -84,16 +85,19 @@ func readFooterAt(f io.ReaderAt, size int64) (*footer, error) {
 	if _, err := f.ReadAt(tr[:], size-trailerSize); err != nil {
 		return nil, fmt.Errorf("ixdisk: %w: reading trailer: %v", ErrTruncated, err)
 	}
+	if string(tr[8:16]) != endMagic {
+		return nil, fmt.Errorf("ixdisk: %w: end magic is %q", ErrTruncated, tr[8:16])
+	}
 	flen := int64(binary.LittleEndian.Uint32(tr[4:8]))
-	if flen < trailerSize || flen > size {
+	if flen < footerFixed+trailerSize || flen > size-headerSize {
 		return nil, fmt.Errorf("ixdisk: %w: footer claims %d bytes of a %d-byte file",
 			ErrTruncated, flen, size)
 	}
-	tail := make([]byte, flen)
-	if _, err := f.ReadAt(tail, size-flen); err != nil {
+	buf := make([]byte, flen)
+	if _, err := f.ReadAt(buf, size-flen); err != nil {
 		return nil, fmt.Errorf("ixdisk: %w: reading footer: %v", ErrTruncated, err)
 	}
-	return parseFooter(tail, size)
+	return parseFooter(buf, size-flen)
 }
 
 // canMap reports whether a load may map its file: the platform has mmap

@@ -733,10 +733,14 @@ type Stats struct {
 	Jobs   JobStats    `json:"jobs"`
 }
 
-// StoreStats are the DirStore-side counters (the cache's DiskHits /
-// DiskErrors / SavesDeclined live under Cache).
+// StoreStats are the DirStore's counters: what it extended, the blocks
+// it read and appended, and what became of each write-back. Each is
+// counted once, here; the cache's DiskHits and DiskErrors (stored
+// indexes it could not use) live under Cache.
 type StoreStats struct {
 	Extends         int64  `json:"suffix_extensions"`
+	BlockLoads      int64  `json:"block_loads"`
+	BlockAppends    int64  `json:"block_appends"`
 	SavesDeclined   int64  `json:"saves_declined"`
 	WriteBackErrors int64  `json:"write_back_errors"`
 	Dir             string `json:"dir"`
@@ -805,6 +809,8 @@ func (s *Server) StatsSnapshot() Stats {
 	if s.store != nil {
 		st.Store = &StoreStats{
 			Extends:         s.store.Extends(),
+			BlockLoads:      s.store.BlockLoads(),
+			BlockAppends:    s.store.BlockAppends(),
 			SavesDeclined:   s.store.SavesDeclined(),
 			WriteBackErrors: s.store.WriteBackErrors(),
 			Dir:             s.store.Dir(),

@@ -141,7 +141,10 @@ type IndexStore = ixcache.Store
 // The store is operable under sustained traffic: SetSavePolicy bounds
 // what is persisted (IndexSavePolicy), SetGC + GC bound the directory
 // itself (IndexGCConfig), and MarkDB hints the long-lived database
-// side of a workload.
+// side of a workload. It counts everything that happens to its files:
+// Extends, BlockLoads, BlockAppends, and what became of each write-back
+// (SavesDeclined, WriteBackErrors), each in one place; the cache counts
+// only the stored indexes it could not use (IndexCache.DiskErrors).
 type DirIndexStore = ixdisk.DirStore
 
 // IndexSavePolicy bounds what a DirIndexStore persists: with DBOnly,
@@ -156,12 +159,6 @@ type IndexGCConfig = ixdisk.GCConfig
 
 // IndexGCStats reports one store collection.
 type IndexGCStats = ixdisk.GCStats
-
-// BlockIndexCounters exposes the block-level amortization ledger a
-// block-aware store keeps: how many blocks were decoded from disk and
-// how many appends landed in place. IndexCache.Counters folds these in
-// when its store implements them.
-type BlockIndexCounters = ixcache.BlockCounters
 
 // IndexFileInfo is the metadata ProbeIndexFile reads from a stored
 // index file without touching its payload: format version, options and
