@@ -54,7 +54,7 @@ func main() {
 		ixSave   = flag.String("index-save", "all", "store save policy: 'all' persists every built index, 'db' persists only the -d bank's (single-use query indexes never hit disk)")
 		ixMaxMB  = flag.Int64("index-max-mb", 0, "garbage-collect the index store down to this many megabytes, oldest files first (0 = unbounded)")
 		ixMaxAge = flag.Duration("index-max-age", 0, "garbage-collect index files unused for longer than this duration, e.g. 720h (0 = no age bound)")
-		ixProbe  = flag.String("index-probe", "", "print the named .orix index file's metadata (format version, bank identity, block directory) as key: value lines and exit; no comparison is run")
+		ixProbe  = flag.String("index-probe", "", "print the named .orix index file's metadata (format version, index key, bank identity, block directory) as key: value lines and exit; no comparison is run")
 		verbose  = flag.Bool("v", false, "print per-step metrics to stderr")
 	)
 	flag.Var(&qPaths, "i", "query bank FASTA (bank 2; repeatable — the -d index is built once and reused)")
@@ -227,6 +227,9 @@ func probeIndexFile(out io.Writer, path string) error {
 	}
 	fmt.Fprintf(out, "file: %s\n", path)
 	fmt.Fprintf(out, "version: %d\n", info.Version)
+	fmt.Fprintf(out, "w: %d\n", info.Key.W)
+	fmt.Fprintf(out, "sample_step: %d\n", info.Key.SampleStep)
+	fmt.Fprintf(out, "dust: %v\n", info.Key.Dust)
 	fmt.Fprintf(out, "sequences: %d\n", info.NumSeqs)
 	fmt.Fprintf(out, "data_bytes: %d\n", info.DataLen)
 	fmt.Fprintf(out, "bank_crc: %016x\n", info.BankCRC)

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/gapped"
 	"repro/internal/hsp"
 	"repro/internal/seed"
@@ -82,14 +81,6 @@ func (p Params) Validate() error {
 		return errors.New("MaxEValue must be positive")
 	}
 	return nil
-}
-
-// Masker returns the dust masker p asks for, nil when Dust is off.
-func (p Params) Masker() *dust.Masker {
-	if !p.Dust {
-		return nil
-	}
-	return dust.New(0, 0)
 }
 
 // Ungapped returns the step-2 extender p describes; ordered turns on the

@@ -174,13 +174,12 @@ func (s *scratch) grow(scanWord, dbLen, maxQ int) {
 }
 
 // engine is one call's search state: the db and options, the scratch
-// it holds, and the extender and masker built from the options.
+// it holds, and the extender built from the options.
 type engine struct {
 	*scratch
-	opt    Options
-	db     *bank.Bank
-	ext    hsp.Extender
-	masker *dust.Masker
+	opt Options
+	db  *bank.Bank
+	ext hsp.Extender
 }
 
 // Compare searches every sequence of queries against db and returns the
@@ -221,7 +220,6 @@ func (s *scratch) compareStream(ctx context.Context, db, queries *bank.Bank, opt
 		opt:     opt,
 		db:      db,
 		ext:     opt.Ungapped(false), // BLAST has no ordered-seed rule
-		masker:  opt.Masker(),
 	}
 	var met Metrics
 	met.SetupTime = time.Since(t0)
@@ -256,7 +254,7 @@ func (e *engine) searchQuery(queries *bank.Bank, qi int, met *Metrics) []hsp.HSP
 	t0 := time.Now()
 	e.curGen++
 	gen := e.curGen
-	mask := e.masker.Windows(queries.Data[qLo:qHi])
+	mask := dust.Scan(queries.Data[qLo:qHi], opt.Dust)
 	scanWord, stride := opt.scanParams()
 	sw := int32(scanWord)
 	clear(e.present)

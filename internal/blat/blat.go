@@ -196,7 +196,6 @@ func CompareStreamWithIndex(ctx context.Context, ix *index.Index, queries *bank.
 	db := ix.Bank
 	var met Metrics
 	met.TilesIndexed = ix.Indexed
-	masker := opt.Masker()
 	ext := opt.Ungapped(false)
 	tp := &tileProbe{
 		parts:    ix.Parts(),
@@ -212,7 +211,7 @@ func CompareStreamWithIndex(ctx context.Context, ix *index.Index, queries *bank.
 	// order from this goroutine.
 	err := opt.Run(ctx, db, queries, nil, &met.Stats, func(qi int) ([]hsp.HSP, []hsp.HSP, error) {
 		qLo, qHi := queries.SeqBounds(qi)
-		tp.mask = masker.Windows(queries.Data[qLo:qHi])
+		tp.mask = dust.Scan(queries.Data[qLo:qHi], opt.Dust)
 		t0 := time.Now()
 		tp.qLo = qLo
 		clear(tp.diagEnd)

@@ -168,16 +168,13 @@ type Result = align.Result[Metrics]
 
 // IndexOptions reports the exact index.Options Compare derives from o
 // for bank 1 and bank 2 — the options a prepared index must have been
-// built with to be valid for CompareWithIndex under o. Each call
-// returns fresh dust.Masker values; maskers are compared by parameter,
-// not identity, so that is harmless.
+// built with to be valid for CompareWithIndex under o.
 func (o Options) IndexOptions() (o1, o2 index.Options) {
-	masker := o.Masker()
-	o1 = index.Options{W: o.W, Dust: masker, Workers: o.Workers}
+	o1 = index.Options{W: o.W, Dust: o.Dust, Workers: o.Workers}
 	if o.Asymmetric {
 		o1.SampleStep = 2
 	}
-	o2 = index.Options{W: o.W, Dust: masker, Workers: o.Workers}
+	o2 = index.Options{W: o.W, Dust: o.Dust, Workers: o.Workers}
 	return o1, o2
 }
 

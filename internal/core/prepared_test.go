@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/bank"
-	"repro/internal/dust"
-	"repro/internal/index"
 	"repro/internal/ixcache"
 )
 
@@ -160,15 +158,6 @@ func TestCompareWithIndexRejectsMismatch(t *testing.T) {
 		}
 	}
 
-	// Dust parameters are part of an index's identity where the key is
-	// computed — index.Options.Dust: an index masked with another window
-	// is not the one the engine's masker would have built.
-	o1, _ := opt.IndexOptions()
-	otherDust := o1
-	otherDust.Dust = dust.New(16, 0)
-	if _, err := CompareWithIndex(index.Build(b1, otherDust), p2, opt); err == nil {
-		t.Error("dust window mismatch: accepted a prepared index built for different options")
-	}
 	if _, err := CompareWithIndex(nil, p2, opt); err == nil {
 		t.Error("accepted a nil bank-1 index")
 	}

@@ -63,11 +63,11 @@ func CompareStreamWithIndex(ctx context.Context, ix1, ix2 *index.Index, opt Opti
 	o1, o2 := opt.IndexOptions()
 	if ix1 == nil || ix1.Options().Key() != o1.Key() {
 		return nil, fmt.Errorf("core: bank 1's index does not match options (want W=%d, sample step %d, dust %v)",
-			o1.W, o1.SampleStep, o1.Dust != nil)
+			o1.W, o1.SampleStep, o1.Dust)
 	}
 	if ix2 == nil || ix2.Options().Key() != o2.Key() {
 		return nil, fmt.Errorf("core: bank 2's index does not match options (want W=%d, dust %v)",
-			o2.W, o2.Dust != nil)
+			o2.W, o2.Dust)
 	}
 	return compareStream(ctx, ix1, ix2, opt, emit)
 }

@@ -10,7 +10,7 @@
 //	score = Σ_t c_t(c_t-1)/2 / (k-1)
 //
 // A uniform-random window scores ≈0.5; poly-A or dinucleotide repeats
-// score far above the default threshold of 2.0 (NCBI dust "level 20").
+// score far above the threshold of 2.0 (NCBI dust "level 20").
 package dust
 
 import (
@@ -19,32 +19,12 @@ import (
 	"repro/internal/dna"
 )
 
-// DefaultWindow is the classic dust window size.
-const DefaultWindow = 64
+// Window is the sliding-window length in bases: the classic dust window.
+const Window = 64
 
-// DefaultThreshold corresponds to NCBI dust level 20 (score×10 > 20).
-const DefaultThreshold = 2.0
-
-// Masker holds filter parameters. The zero value is not ready; use New.
-type Masker struct {
-	// Window is the sliding-window length in bases.
-	Window int
-	// Threshold is the triplet score above which a window is masked.
-	Threshold float64
-}
-
-// New returns a Masker with the given parameters; non-positive values
-// select the defaults.
-func New(window int, threshold float64) *Masker {
-	m := &Masker{Window: window, Threshold: threshold}
-	if m.Window <= 4 {
-		m.Window = DefaultWindow
-	}
-	if m.Threshold <= 0 {
-		m.Threshold = DefaultThreshold
-	}
-	return m
-}
+// Threshold is the triplet score above which a window is masked: NCBI
+// dust level 20 (score×10 > 20).
+const Threshold = 2.0
 
 // Interval is a half-open masked range [Start,End) in the coordinates of
 // the scanned slice.
@@ -55,7 +35,7 @@ type Interval struct {
 // Mask returns merged masked intervals for a coded sequence. Ambiguous
 // or sentinel bytes split the sequence into independently scanned runs
 // (and are never themselves masked — the indexer skips them anyway).
-func (m *Masker) Mask(codes []byte) []Interval {
+func Mask(codes []byte) []Interval {
 	var out []Interval
 	runStart := -1
 	for i := 0; i <= len(codes); i++ {
@@ -64,7 +44,7 @@ func (m *Masker) Mask(codes []byte) []Interval {
 		case valid && runStart < 0:
 			runStart = i
 		case !valid && runStart >= 0:
-			out = appendMerged(out, m.maskRun(codes, runStart, i)...)
+			out = appendMerged(out, maskRun(codes, runStart, i)...)
 			runStart = -1
 		}
 	}
@@ -72,15 +52,12 @@ func (m *Masker) Mask(codes []byte) []Interval {
 }
 
 // maskRun scans one all-valid run [lo,hi) and returns masked intervals.
-func (m *Masker) maskRun(codes []byte, lo, hi int) []Interval {
+func maskRun(codes []byte, lo, hi int) []Interval {
 	n := hi - lo
 	if n < 3 {
 		return nil
 	}
-	w := m.Window
-	if w > n {
-		w = n
-	}
+	w := min(Window, n)
 	// Triplet codes for positions lo..hi-3.
 	var counts [64]int16
 	tripAt := func(p int) int {
@@ -102,7 +79,7 @@ func (m *Masker) maskRun(codes []byte, lo, hi int) []Interval {
 	for p := lo; p < lo+k; p++ {
 		add(tripAt(p))
 	}
-	limit := pairLimit(m.Threshold, max(k-1, 1), k*(k-1)/2)
+	limit := pairLimit(Threshold, max(k-1, 1), k*(k-1)/2)
 	for start := lo; ; start++ {
 		if pairs > limit {
 			out = appendMerged(out, Interval{start, start + w})
@@ -144,9 +121,9 @@ func appendMerged(out []Interval, ivs ...Interval) []Interval {
 
 // MaskBits returns a per-position masked flag for codes: the plain form
 // of the mask, which tests hold Windows against.
-func (m *Masker) MaskBits(codes []byte) []bool {
+func MaskBits(codes []byte) []bool {
 	bits := make([]bool, len(codes))
-	for _, iv := range m.Mask(codes) {
+	for _, iv := range Mask(codes) {
 		for i := iv.Start; i < iv.End && i < len(bits); i++ {
 			bits[i] = true
 		}
@@ -160,13 +137,13 @@ type Windows struct {
 	ivs []Interval
 }
 
-// Windows returns the mask of codes. On a nil Masker (the filter off)
-// it is the zero Windows, which masks nothing.
-func (m *Masker) Windows(codes []byte) Windows {
-	if m == nil {
+// Scan returns the mask of codes with the filter on, and the zero
+// Windows, which masks nothing, with it off.
+func Scan(codes []byte, on bool) Windows {
+	if !on {
 		return Windows{}
 	}
-	return Windows{ivs: m.Mask(codes)}
+	return Windows{ivs: Mask(codes)}
 }
 
 // Masked reports whether the window [start, start+n) touches a masked
@@ -180,12 +157,12 @@ func (w *Windows) Masked(start, n int) bool {
 }
 
 // MaskedFraction reports the fraction of positions masked.
-func (m *Masker) MaskedFraction(codes []byte) float64 {
+func MaskedFraction(codes []byte) float64 {
 	if len(codes) == 0 {
 		return 0
 	}
 	n := 0
-	for _, iv := range m.Mask(codes) {
+	for _, iv := range Mask(codes) {
 		n += iv.End - iv.Start
 	}
 	return float64(n) / float64(len(codes))

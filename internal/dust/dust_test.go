@@ -9,14 +9,13 @@ import (
 	"repro/internal/dna"
 )
 
-func maskString(t *testing.T, m *Masker, s string) []Interval {
+func maskString(t *testing.T, s string) []Interval {
 	t.Helper()
-	return m.Mask(dna.Encode([]byte(s)))
+	return Mask(dna.Encode([]byte(s)))
 }
 
 func TestPolyARunIsMasked(t *testing.T) {
-	m := New(0, 0)
-	ivs := maskString(t, m, strings.Repeat("A", 200))
+	ivs := maskString(t, strings.Repeat("A", 200))
 	if len(ivs) != 1 {
 		t.Fatalf("intervals = %v", ivs)
 	}
@@ -26,16 +25,14 @@ func TestPolyARunIsMasked(t *testing.T) {
 }
 
 func TestDinucleotideRepeatIsMasked(t *testing.T) {
-	m := New(0, 0)
-	ivs := maskString(t, m, strings.Repeat("AT", 100))
+	ivs := maskString(t, strings.Repeat("AT", 100))
 	if len(ivs) == 0 {
 		t.Fatal("AT repeat not masked")
 	}
 }
 
 func TestTrinucleotideRepeatIsMasked(t *testing.T) {
-	m := New(0, 0)
-	ivs := maskString(t, m, strings.Repeat("CAG", 70))
+	ivs := maskString(t, strings.Repeat("CAG", 70))
 	if len(ivs) == 0 {
 		t.Fatal("CAG repeat not masked")
 	}
@@ -48,8 +45,7 @@ func TestRandomSequenceMostlyUnmasked(t *testing.T) {
 	for i := range s {
 		s[i] = letters[rng.Intn(4)]
 	}
-	m := New(0, 0)
-	frac := m.MaskedFraction(dna.Encode(s))
+	frac := MaskedFraction(dna.Encode(s))
 	if frac > 0.05 {
 		t.Errorf("random sequence masked fraction = %v, want < 0.05", frac)
 	}
@@ -67,8 +63,7 @@ func TestEmbeddedRepeatMaskedRandomContextNot(t *testing.T) {
 	}
 	left, right := mkRand(500), mkRand(500)
 	s := left + strings.Repeat("A", 120) + right
-	m := New(0, 0)
-	bits := m.MaskBits(dna.Encode([]byte(s)))
+	bits := MaskBits(dna.Encode([]byte(s)))
 	// The center of the poly-A must be masked.
 	for p := 540; p < 580; p++ {
 		if !bits[p] {
@@ -84,20 +79,18 @@ func TestEmbeddedRepeatMaskedRandomContextNot(t *testing.T) {
 }
 
 func TestShortSequencesNoPanic(t *testing.T) {
-	m := New(0, 0)
 	for _, s := range []string{"", "A", "AC", "ACG", "AAAA"} {
-		if ivs := maskString(t, m, s); len(ivs) != 0 && len(s) < 4 {
+		if ivs := maskString(t, s); len(ivs) != 0 && len(s) < 4 {
 			t.Errorf("%q masked: %v", s, ivs)
 		}
 	}
 }
 
 func TestAmbiguousBasesSplitRuns(t *testing.T) {
-	m := New(16, 2.0)
 	s := strings.Repeat("A", 40) + "N" + strings.Repeat("A", 40)
-	ivs := maskString(t, m, s)
+	ivs := maskString(t, s)
 	// Both poly-A runs are masked; the N position (40) never is.
-	bits := m.MaskBits(dna.Encode([]byte(s)))
+	bits := MaskBits(dna.Encode([]byte(s)))
 	if bits[40] {
 		t.Error("N position masked")
 	}
@@ -107,8 +100,7 @@ func TestAmbiguousBasesSplitRuns(t *testing.T) {
 }
 
 func TestIntervalsAreMergedAndSorted(t *testing.T) {
-	m := New(0, 0)
-	ivs := maskString(t, m, strings.Repeat("A", 300))
+	ivs := maskString(t, strings.Repeat("A", 300))
 	for i := 1; i < len(ivs); i++ {
 		if ivs[i].Start <= ivs[i-1].End {
 			t.Fatalf("intervals not merged: %v", ivs)
@@ -116,33 +108,10 @@ func TestIntervalsAreMergedAndSorted(t *testing.T) {
 	}
 }
 
-func TestThresholdMonotonicity(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	letters := []byte("ACGT")
-	s := make([]byte, 3000)
-	for i := range s {
-		if i/100%2 == 0 {
-			s[i] = 'A' // alternating biased and random stretches
-		} else {
-			s[i] = letters[rng.Intn(4)]
-		}
-	}
-	codes := dna.Encode(s)
-	loose := New(0, 1.0).MaskedFraction(codes)
-	strict := New(0, 4.0).MaskedFraction(codes)
-	if strict > loose {
-		t.Errorf("higher threshold masked more: strict %v > loose %v", strict, loose)
-	}
-	if loose == 0 {
-		t.Error("loose threshold masked nothing on biased input")
-	}
-}
-
 func TestMaskDeterministic(t *testing.T) {
 	s := strings.Repeat("ACGTAAAAAAAAAAAAAAAAAAAAAAAAAAAAGTCA", 10)
-	m := New(0, 0)
-	a := maskString(t, m, s)
-	b := maskString(t, m, s)
+	a := maskString(t, s)
+	b := maskString(t, s)
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic interval count")
 	}
@@ -150,17 +119,6 @@ func TestMaskDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("interval %d differs: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestNewDefaults(t *testing.T) {
-	m := New(0, 0)
-	if m.Window != DefaultWindow || m.Threshold != DefaultThreshold {
-		t.Errorf("defaults not applied: %+v", m)
-	}
-	m = New(32, 3.5)
-	if m.Window != 32 || m.Threshold != 3.5 {
-		t.Errorf("explicit params ignored: %+v", m)
 	}
 }
 
@@ -172,11 +130,10 @@ func BenchmarkMask1Mb(b *testing.B) {
 		s[i] = letters[rng.Intn(4)]
 	}
 	codes := dna.Encode(s)
-	m := New(0, 0)
 	b.SetBytes(int64(len(codes)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Mask(codes)
+		Mask(codes)
 	}
 }
 
@@ -185,7 +142,7 @@ func BenchmarkMask1Mb(b *testing.B) {
 // window of up to 128 bases can reach, at the default threshold and at
 // fractional ones — including thresholds a quotient meets exactly.
 func TestPairLimitMatchesFloatRule(t *testing.T) {
-	for _, threshold := range []float64{DefaultThreshold, 0.1, 0.5, 1.0 / 3, 1.37, 2.05, 2.5, 10.0 / 3, 7.999} {
+	for _, threshold := range []float64{Threshold, 0.1, 0.5, 1.0 / 3, 1.37, 2.05, 2.5, 10.0 / 3, 7.999} {
 		for w := 5; w <= 128; w++ {
 			k := w - 2
 			denom, most := max(k-1, 1), k*(k-1)/2
@@ -204,7 +161,7 @@ func TestPairLimitMatchesFloatRule(t *testing.T) {
 // ascending order, a window of the fuzzed width is masked exactly when
 // some position of it is, and a cursor that skips starts agrees. The
 // bytes are arbitrary, so ambiguous and sentinel bytes split the runs
-// the masker scans; a nil Masker masks nothing.
+// the filter scans; with the filter off, Scan masks nothing.
 func FuzzWindows(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	mixed := dna.Encode([]byte(strings.Repeat("AT", 40) + "N" + strings.Repeat("A", 90)))
@@ -217,30 +174,23 @@ func FuzzWindows(f *testing.F) {
 		f.Add(mixed, n)
 	}
 	f.Add(dna.Encode([]byte(strings.Repeat("A", 200))), uint8(11))
-	maskers := []*Masker{New(0, 0), New(16, 0)}
 	f.Fuzz(func(t *testing.T, codes []byte, width uint8) {
 		n := max(int(width), 1)
-		for _, m := range maskers {
-			bits := m.MaskBits(codes)
-			masked := func(start int) bool {
-				return slices.Contains(bits[start:min(start+n, len(bits))], true)
-			}
-			all, skip := m.Windows(codes), m.Windows(codes)
-			step := 1 + n%5
-			for start := range codes {
-				if got, want := all.Masked(start, n), masked(start); got != want {
-					t.Fatalf("window %d (width %d, masker window %d): Masked = %v, MaskBits says %v",
-						start, n, m.Window, got, want)
-				}
-				if start%step == 0 && skip.Masked(start, n) != masked(start) {
-					t.Fatalf("window %d (width %d, every %d-th start): Masked disagrees with MaskBits", start, n, step)
-				}
-			}
+		bits := MaskBits(codes)
+		masked := func(start int) bool {
+			return slices.Contains(bits[start:min(start+n, len(bits))], true)
 		}
-		none := (*Masker)(nil).Windows(codes)
+		all, skip, none := Scan(codes, true), Scan(codes, true), Scan(codes, false)
+		step := 1 + n%5
 		for start := range codes {
+			if got, want := all.Masked(start, n), masked(start); got != want {
+				t.Fatalf("window %d (width %d): Masked = %v, MaskBits says %v", start, n, got, want)
+			}
+			if start%step == 0 && skip.Masked(start, n) != masked(start) {
+				t.Fatalf("window %d (width %d, every %d-th start): Masked disagrees with MaskBits", start, n, step)
+			}
 			if none.Masked(start, n) {
-				t.Fatalf("a nil Masker masked window %d", start)
+				t.Fatalf("the filter off masked window %d", start)
 			}
 		}
 	})

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/simulate"
 )
@@ -46,7 +45,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 			b.SetBytes(int64(tc.reads * 450))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Build(bk, Options{W: 11, Dust: dust.New(0, 0)})
+				Build(bk, Options{W: 11, Dust: true})
 			}
 		})
 	}
@@ -87,7 +86,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 				b.SetBytes(int64(shape.reads * 450))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					Build(est, Options{W: 11, Dust: dust.New(0, 0), Workers: tc.workers})
+					Build(est, Options{W: 11, Dust: true, Workers: tc.workers})
 				}
 			})
 		}
@@ -233,7 +232,7 @@ func BenchmarkIndexExtend(b *testing.B) {
 		seqLen = 1 << 14 // 256 × 16 Kb = 4 Mb total
 	)
 	full := benchBankSeqs(seqs, seqLen)
-	opts := Options{W: 11, Workers: 1, Dust: dust.New(0, 0)}
+	opts := Options{W: 11, Workers: 1, Dust: true}
 	for _, suffix := range []int{1, 16, 64} {
 		k := seqs - suffix
 		b.Run(fmt.Sprintf("suffix%d", suffix), func(b *testing.B) {

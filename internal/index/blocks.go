@@ -80,7 +80,7 @@ type BlockParts struct {
 //     is invalid by construction).
 //   - Sampling: SampleStep selects absolute Data residues (multiples
 //     of the step), which do not move.
-//   - Dust masking: the masker splits runs at invalid bytes (sentinels
+//   - Dust masking: the filter splits runs at invalid bytes (sentinels
 //     included), so masking the range in isolation agrees with a
 //     whole-bank pass.
 func BuildBlock(b *bank.Bank, opts Options, seqLo, seqHi int) (BlockParts, error) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/seed"
 )
@@ -172,7 +171,7 @@ func TestSplitAndFromBlocksRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, k := range []int{1, 2, 3, 17, 200} {
 		for _, workers := range []int{1, 2, 7} {
-			for _, opts := range []Options{{W: 11, Workers: workers}, {W: 8, Dust: dust.New(0, 0), SampleStep: 2, Workers: workers}} {
+			for _, opts := range []Options{{W: 11, Workers: workers}, {W: 8, Dust: true, SampleStep: 2, Workers: workers}} {
 				t.Run(fmt.Sprintf("k=%d/workers=%d/W=%d", k, workers, opts.W), func(t *testing.T) {
 					var cuts []int
 					if k > 1 {

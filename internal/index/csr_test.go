@@ -34,8 +34,8 @@ func buildChainRef(b *bank.Bank, opts Options) *chainRef {
 		r.next[i] = -1
 	}
 	var maskBits []bool
-	if opts.Dust != nil {
-		maskBits = opts.Dust.MaskBits(b.Data)
+	if opts.Dust {
+		maskBits = dust.MaskBits(b.Data)
 	}
 	tails := make([]int32, n)
 	for i := range tails {
@@ -117,25 +117,42 @@ func matchesChainRef(ix *Index, ref *chainRef) bool {
 // Property: every directory entry's occurrence run equals the legacy
 // chain walk, and the runs total the chains — across random banks, dust
 // on/off, and SampleStep in {1, 2, W} (every position, paper half-words,
-// BLAT tiles).
+// BLAT tiles). Random bases almost never score as low-complexity, so a
+// dusted case splices an 80-base (AT)40 run into its first sequence, and
+// every dusted case must mask some window: the oracle's mask is then
+// checked, not vacuously empty.
 func TestQuickCSRMatchesLegacyChain(t *testing.T) {
+	dusted, masking := 0, 0
 	f := func(seedVal int64, nRaw, wRaw, cfgRaw uint8) bool {
 		w := int(wRaw)%4 + 3
-		opts := Options{W: w}
+		opts := Options{W: w, Dust: cfgRaw%2 == 1}
 		switch cfgRaw % 3 {
 		case 1:
 			opts.SampleStep = 2
 		case 2:
 			opts.SampleStep = w
 		}
-		if cfgRaw%2 == 1 {
-			opts.Dust = dust.New(16, 1.5)
+		recs := randomRecords(seedVal, int(nRaw)%5+1, 200)
+		if opts.Dust {
+			s := recs[0].Seq
+			mid := len(s) / 2
+			recs[0].Seq = slices.Concat(s[:mid], bytes.Repeat([]byte("AT"), 40), s[mid:])
 		}
-		b := randomBank(seedVal, int(nRaw)%5+1, 200)
-		return matchesChainRef(Build(b, opts), buildChainRef(b, opts))
+		b := bank.New("q", recs)
+		ix := Build(b, opts)
+		if opts.Dust {
+			dusted++
+			if ix.MaskedOut > 0 {
+				masking++
+			}
+		}
+		return matchesChainRef(ix, buildChainRef(b, opts))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+	if masking == 0 || masking != dusted {
+		t.Errorf("%d of %d dusted cases masked a window: the dust half checks no mask", masking, dusted)
 	}
 }
 
@@ -145,7 +162,7 @@ func TestQuickCSRMatchesLegacyChain(t *testing.T) {
 func TestSortDigitCountsMatchLegacyChain(t *testing.T) {
 	b := randomBank(12, 5, 6000)
 	for _, w := range []int{4, 11, 12} {
-		for _, opts := range []Options{{W: w}, {W: w, SampleStep: 2}, {W: w, Dust: dust.New(0, 0)}} {
+		for _, opts := range []Options{{W: w}, {W: w, SampleStep: 2}, {W: w, Dust: true}} {
 			if !matchesChainRef(Build(b, opts), buildChainRef(b, opts)) {
 				t.Errorf("W=%d opts=%+v: index differs from the chain oracle", w, opts)
 			}
@@ -207,10 +224,10 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		cases := []buildCase{
 			{random, Options{W: w}},
 			{random, Options{W: w, SampleStep: 2}},
-			{random, Options{W: w, Dust: dust.New(0, 0)}},
+			{random, Options{W: w, Dust: true}},
 			{repeats, Options{W: w}},
-			{repeats, Options{W: w, Dust: dust.New(0, 0)}},
-			{tracts, Options{W: w, Dust: dust.New(0, 0)}},
+			{repeats, Options{W: w, Dust: true}},
+			{tracts, Options{W: w, Dust: true}},
 			{skewed, Options{W: w}},
 		}
 		for _, c := range cutoff {
@@ -239,7 +256,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 				if !matchesChainRef(want, buildChainRef(tc.b, tc.opts)) {
 					t.Fatalf("W=%d opts=%+v: serial build differs from the chain oracle", w, tc.opts)
 				}
-			} else if tc.opts.Dust == nil {
+			} else if !tc.opts.Dust {
 				step := int32(max(1, tc.opts.SampleStep))
 				brute := map[seed.Code][]int32{}
 				seed.ForEach(tc.b.Data, w, func(p int32, c seed.Code) {

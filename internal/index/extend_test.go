@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/seed"
 )
@@ -34,10 +33,10 @@ func extendRecs(n int) []*fasta.Record {
 func extendVariants() map[string]Options {
 	return map[string]Options{
 		"plain":      {W: 8},
-		"dust":       {W: 8, Dust: dust.New(0, 0)},
+		"dust":       {W: 8, Dust: true},
 		"halfword":   {W: 7, SampleStep: 2},
 		"everyThird": {W: 7, SampleStep: 3},
-		"dust+half":  {W: 8, Dust: dust.New(32, 1.5), SampleStep: 2},
+		"dust+half":  {W: 8, Dust: true, SampleStep: 2},
 	}
 }
 
@@ -105,7 +104,7 @@ func TestExtendPreservesAccessors(t *testing.T) {
 	recs := extendRecs(2000)
 	full := bank.New("b", recs)
 	prefix := bank.New("b", recs[:3])
-	opts := Options{W: 6, Dust: dust.New(0, 0)}
+	opts := Options{W: 6, Dust: true}
 	want := Build(full, opts)
 	tail, err := BuildBlock(full, opts, 3, full.NumSeqs())
 	if err != nil {

@@ -72,7 +72,7 @@
 // reused for as long as its bank lives. The converse bound: an Index
 // is valid only for the exact (bank, Options) pair it was built from —
 // the bank whose Data it indexed and the exact W, sampling schedule,
-// and dust parameters, its Key (Workers changes nothing: the build is
+// and dust on/off, its Key (Workers changes nothing: the build is
 // canonical for any worker count). Callers that reuse indexes across
 // comparisons should go through package ixcache, which keys cached
 // builds by (bank, Key), and whose consumers (core.CompareWithIndex,
@@ -96,8 +96,9 @@ import (
 type Options struct {
 	// W is the seed length in nucleotides (paper default 11).
 	W int
-	// Dust, when non-nil, masks low-complexity W-words out of the index.
-	Dust *dust.Masker
+	// Dust masks low-complexity W-words out of the index (the dust
+	// package's one filter: window dust.Window, threshold dust.Threshold).
+	Dust bool
 	// SampleStep inserts only positions p with p % SampleStep == 0 (in
 	// bank Data coordinates). 0 or 1 means every position.
 	// SampleStep=2 is the paper's "half words" mode.
@@ -117,35 +118,19 @@ func (o Options) normalized() Options {
 }
 
 // Key is the identity of the index an Options value builds: W, the
-// normalized sampling schedule and the dust parameters, not Workers.
-// Two option values build the same index of a bank exactly when their
-// Keys are equal. The cache keys on it, the engines check a prepared
-// index against it, and the on-disk store writes it.
+// normalized sampling schedule and dust on/off, not Workers. Two option
+// values build the same index of a bank exactly when their Keys are
+// equal. The cache keys on it, the engines check a prepared index
+// against it, and the on-disk store writes it.
 type Key struct {
 	W, SampleStep int
 	Dust          bool
-	DustWindow    int
-	DustThreshold float64
 }
 
 // Key returns the identity of the index o builds.
 func (o Options) Key() Key {
 	o = o.normalized()
-	k := Key{W: o.W, SampleStep: o.SampleStep}
-	if o.Dust != nil {
-		k.Dust, k.DustWindow, k.DustThreshold = true, o.Dust.Window, o.Dust.Threshold
-	}
-	return k
-}
-
-// Options returns options that build the index k identifies, with
-// Workers left at 0.
-func (k Key) Options() Options {
-	o := Options{W: k.W, SampleStep: k.SampleStep}
-	if k.Dust {
-		o.Dust = dust.New(k.DustWindow, k.DustThreshold)
-	}
-	return o
+	return Key{W: o.W, SampleStep: o.SampleStep, Dust: o.Dust}
 }
 
 // Index is a bank's index: the parts it is made of, in block order,
@@ -332,7 +317,7 @@ func shardCuts(data []byte, opts Options, dataLo, dataHi, workers int) []int {
 	cuts[0], cuts[workers] = dataLo, dataHi
 	for i := 1; i < workers; i++ {
 		c := max(dataLo+i*(dataHi-dataLo)/workers, cuts[i-1])
-		for opts.Dust != nil && c < dataHi && dna.IsValid(data[c]) {
+		for opts.Dust && c < dataHi && dna.IsValid(data[c]) {
 			c++
 		}
 		cuts[i] = c
@@ -425,7 +410,7 @@ func scanBuckets(data []byte, opts Options, dataLo, dataHi, workers int) ([]uint
 			// A shift of 2W leaves every code's digit 0, and h[0] is the
 			// shard's cursor in its region.
 			h := [1 << digitBits]int32{int32(regions[sid])}
-			tallies[sid] = walk(data, opts, lo, hi, opts.Dust.Windows(data[lo:hi]), shift, &h, words)
+			tallies[sid] = walk(data, opts, lo, hi, dust.Scan(data[lo:hi], opts.Dust), shift, &h, words)
 			ends[sid] = int(h[0])
 		})
 		n := 0
@@ -438,7 +423,7 @@ func scanBuckets(data []byte, opts Options, dataLo, dataHi, workers int) ([]uint
 		hists := make([][1 << digitBits]int32, workers)
 		runShards(workers, func(sid int) {
 			lo, hi := cuts[sid], cuts[sid+1]
-			masks[sid] = opts.Dust.Windows(data[lo:hi])
+			masks[sid] = dust.Scan(data[lo:hi], opts.Dust)
 			tallies[sid] = walk(data, opts, lo, hi, masks[sid], shift, &hists[sid], nil)
 		})
 		var sum int32

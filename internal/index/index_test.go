@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/seed"
 )
@@ -186,7 +185,7 @@ func TestDustMaskingRemovesLowComplexitySeeds(t *testing.T) {
 	b := mkBank(s)
 	const w = 11
 	plain := Build(b, Options{W: w})
-	masked := Build(b, Options{W: w, Dust: dust.New(0, 0)})
+	masked := Build(b, Options{W: w, Dust: true})
 	if masked.MaskedOut == 0 {
 		t.Fatal("dust masked nothing")
 	}
@@ -422,7 +421,7 @@ func TestCheckPartsRejectsHostileParts(t *testing.T) {
 // build allocations at W=12, 16 MiB resident at W=11) cannot creep back.
 func TestSmallBankIndexIsSmall(t *testing.T) {
 	b := benchBankSeqs(16, 450)
-	opts := Options{W: 11, Dust: dust.New(0, 0)}
+	opts := Options{W: 11, Dust: true}
 	const runs = 8
 	var ix *Index
 	var before, after runtime.MemStats
@@ -454,7 +453,7 @@ func TestSmallBankIndexIsSmall(t *testing.T) {
 func TestLargeBankBuildScratch(t *testing.T) {
 	for _, b := range []*bank.Bank{benchBankSeqs(1300, 450), benchBankSeqs(1000, 450)} {
 		for _, workers := range []int{1, 2} {
-			opts := Options{W: 11, Dust: dust.New(0, 0), Workers: workers}
+			opts := Options{W: 11, Dust: true, Workers: workers}
 			ix := Build(b, opts)
 			if topDigit(opts.normalized(), len(b.Data)) == 0 {
 				t.Fatalf("a bank of %d bytes is one bucket: not a bucketed build", len(b.Data))
@@ -526,15 +525,13 @@ func TestWindowCheckAgreesWithSeedCoding(t *testing.T) {
 
 // TestOptionsKey pins what an index's identity is: options that change
 // the built index never share a Key, and those that cannot change it —
-// Workers, equivalent sampling spellings, another masker instance with
-// the same parameters — always do.
+// Workers and equivalent sampling spellings — always do.
 func TestOptionsKey(t *testing.T) {
-	base := Options{W: 8, Dust: dust.New(0, 0)}
+	base := Options{W: 8, Dust: true}
 	same := []Options{
-		{W: 8, Dust: dust.New(64, 2.0)},
-		{W: 8, Dust: dust.New(0, 0), Workers: 7},
-		{W: 8, Dust: dust.New(0, 0), SampleStep: 1},
-		{W: 8, Dust: dust.New(0, 0), SampleStep: 0},
+		{W: 8, Dust: true, Workers: 7},
+		{W: 8, Dust: true, SampleStep: 1},
+		{W: 8, Dust: true, SampleStep: 0},
 	}
 	for _, o := range same {
 		if o.Key() != base.Key() {
@@ -544,11 +541,9 @@ func TestOptionsKey(t *testing.T) {
 	distinct := []Options{
 		base,
 		{W: 8},
-		{W: 9, Dust: dust.New(0, 0)},
-		{W: 8, Dust: dust.New(0, 0), SampleStep: 2},
-		{W: 8, Dust: dust.New(0, 0), SampleStep: 3},
-		{W: 8, Dust: dust.New(32, 0)},
-		{W: 8, Dust: dust.New(0, 1.5)},
+		{W: 9, Dust: true},
+		{W: 8, Dust: true, SampleStep: 2},
+		{W: 8, Dust: true, SampleStep: 3},
 	}
 	seen := map[Key]Options{}
 	for _, o := range distinct {
@@ -556,9 +551,6 @@ func TestOptionsKey(t *testing.T) {
 			t.Errorf("%+v and %+v build different indexes but share Key %+v", prev, o, o.Key())
 		}
 		seen[o.Key()] = o
-		if back := o.Key().Options(); back.Key() != o.Key() || back.Workers != 0 {
-			t.Errorf("%+v: Key().Options() = %+v, which keys as %+v", o, back, back.Key())
-		}
 	}
 	if ix := Build(mkBank("ACGTTGCAAGGCTTAACGG"), distinct[4]); ix.Options().Key() != distinct[4].Key() {
 		t.Errorf("an index built with %+v reports Key %+v", distinct[4], ix.Options().Key())

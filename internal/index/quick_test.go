@@ -13,6 +13,11 @@ import (
 
 // randomBank derives a bank (with occasional Ns) from fuzz input.
 func randomBank(seedVal int64, nSeqs, maxLen int) *bank.Bank {
+	return bank.New("q", randomRecords(seedVal, nSeqs, maxLen))
+}
+
+// randomRecords is randomBank's sequences, before they become a bank.
+func randomRecords(seedVal int64, nSeqs, maxLen int) []*fasta.Record {
 	rng := rand.New(rand.NewSource(seedVal))
 	letters := []byte("ACGTACGTACGTACGTN") // ~6% N
 	recs := make([]*fasta.Record, nSeqs)
@@ -24,7 +29,7 @@ func randomBank(seedVal int64, nSeqs, maxLen int) *bank.Bank {
 		}
 		recs[i] = &fasta.Record{ID: "r", Seq: s}
 	}
-	return bank.New("q", recs)
+	return recs
 }
 
 // Invariant: occurrence lists are strictly ascending, every listed

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/seed"
 )
 
@@ -341,7 +340,7 @@ func TestDenseIndexHoldsNoCodeList(t *testing.T) {
 		opts Options
 	}{
 		{4, benchBankSeqs(40, 450), Options{W: 4}},
-		{8, benchBankSeqs(60, 450), Options{W: 8, Dust: dust.New(0, 0)}},
+		{8, benchBankSeqs(60, 450), Options{W: 8, Dust: true}},
 		{11, benchBankSeqs(310, 450), Options{W: 11}},
 		{11, benchBankSeqs(700, 450), Options{W: 11, SampleStep: 2}},
 	} {

@@ -26,7 +26,7 @@
 // the exact (bank, Options) pair it was built from: the bank value it
 // captured (banks are immutable, so identity is the right notion of
 // sameness) and its index.Key — the exact seed length, sampling
-// schedule, and dust parameters. Comparing with an index built for
+// schedule, and dust on/off. Comparing with an index built for
 // different options silently changes which seeds exist — which is why
 // core.CompareWithIndex and blat.CompareWithIndex check the Key and
 // refuse mismatched indexes instead of producing wrong output.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/index"
 )
@@ -59,9 +58,7 @@ func TestKeyDiscrimination(t *testing.T) {
 		{W: 9},
 		{W: 8, SampleStep: 2},
 		{W: 8, SampleStep: 4},
-		{W: 8, Dust: dust.New(0, 0)},
-		{W: 8, Dust: dust.New(32, 0)},
-		{W: 8, Dust: dust.New(0, 1.5)},
+		{W: 8, Dust: true},
 	}
 	for _, o := range distinct {
 		c.Get(b, o)
@@ -77,8 +74,7 @@ func TestKeyDiscrimination(t *testing.T) {
 	}
 
 	// Aliases: Workers is excluded; SampleStep 0 and 1 both mean "every
-	// position"; a fresh dust.Masker with equal parameters is the same
-	// filter.
+	// position".
 	aliases := []index.Options{
 		{W: 8, Workers: 3},
 		{W: 8, SampleStep: 1},
@@ -88,7 +84,6 @@ func TestKeyDiscrimination(t *testing.T) {
 	for _, o := range aliases {
 		c.Get(b, o)
 	}
-	c.Get(b, index.Options{W: 8, Dust: dust.New(0, 0)})
 	if got := c.Builds(); got != before {
 		t.Errorf("equivalent options rebuilt: builds went %d -> %d", before, got)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/index"
 	"repro/internal/simulate"
 )
@@ -64,7 +63,7 @@ func est5500() (*bank.Bank, index.Options) {
 	return simulate.EST(simulate.ESTSpec{
 		Name: "est5500", Seed: 5500, NumSeqs: 5500, MeanLen: 450, GeneFraction: 0.5,
 		Mut: simulate.Mutation{Sub: 0.035, Indel: 0.004}, PolyATailFraction: 0.15,
-	}, simulate.NewPool(1001, 400, 900)), index.Options{W: 11, Dust: dust.New(0, 0)}
+	}, simulate.NewPool(1001, 400, 900)), index.Options{W: 11, Dust: true}
 }
 
 // benchEST5500 saves est5500 as a fresh save does: one block.

@@ -68,6 +68,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/bank"
+	"repro/internal/dust"
 	"repro/internal/index"
 	"repro/internal/seed"
 )
@@ -87,39 +88,44 @@ const (
 	trailerSize   = 16 // footerCRC + footerLen + endMagic
 )
 
-// keySize is the length of an index.Key as putKey writes it: W,
-// SampleStep, a reserved word that is always 0 (it held a sampling
-// phase no index is built with any more), dust on/off and dust window
-// as 4-byte words, then the dust threshold's float64 bits —
-// little-endian. The header
-// holds one (bytes 16–44) and so does the filename key DirStore hashes
-// (DirStore.Path, bytes 20–48), so the layout is frozen twice over: a
-// change would reject every stored file and rename it too.
+// keySize is the length of an index.Key as putKey writes it, in
+// little-endian words: W, SampleStep, a reserved 0 (it held a sampling
+// phase no index is built with any more), dust on/off, the dust window
+// and the dust threshold's float64 bits. The last two date from settable
+// filter parameters: they hold dust.Window and dust.Threshold with dust
+// on, 0 with it off. The header holds one key (bytes 16–44) and so does
+// the filename key DirStore hashes (DirStore.Path, bytes 20–48), so the
+// layout is frozen twice over: a change would reject every stored file
+// and rename it too.
 const keySize = 28
 
 // putKey writes k into dst[:keySize].
 func putKey(dst []byte, k index.Key) {
-	var dustOn uint32
-	if k.Dust {
-		dustOn = 1
-	}
 	binary.LittleEndian.PutUint32(dst[0:], uint32(k.W))
 	binary.LittleEndian.PutUint32(dst[4:], uint32(k.SampleStep))
-	binary.LittleEndian.PutUint32(dst[8:], 0) // reserved
-	binary.LittleEndian.PutUint32(dst[12:], dustOn)
-	binary.LittleEndian.PutUint32(dst[16:], uint32(k.DustWindow))
-	binary.LittleEndian.PutUint64(dst[20:], math.Float64bits(k.DustThreshold))
+	clear(dst[8:keySize]) // the reserved word, and dust off
+	if k.Dust {
+		binary.LittleEndian.PutUint32(dst[12:], 1)
+		binary.LittleEndian.PutUint32(dst[16:], dust.Window)
+		binary.LittleEndian.PutUint64(dst[20:], math.Float64bits(dust.Threshold))
+	}
 }
 
-// getKey reads the key putKey wrote into src[:keySize].
-func getKey(src []byte) index.Key {
-	return index.Key{
-		W:             int(binary.LittleEndian.Uint32(src[0:])),
-		SampleStep:    int(binary.LittleEndian.Uint32(src[4:])),
-		Dust:          binary.LittleEndian.Uint32(src[12:]) != 0,
-		DustWindow:    int(binary.LittleEndian.Uint32(src[16:])),
-		DustThreshold: math.Float64frombits(binary.LittleEndian.Uint64(src[20:])),
+// getKey reads the key putKey wrote into src[:keySize], and refuses with
+// ErrKeyMismatch bytes that are not putKey's bytes for that key.
+func getKey(src []byte) (index.Key, error) {
+	k := index.Key{
+		W:          int(binary.LittleEndian.Uint32(src[0:])),
+		SampleStep: int(binary.LittleEndian.Uint32(src[4:])),
+		Dust:       binary.LittleEndian.Uint32(src[12:]) != 0,
 	}
+	var want [keySize]byte
+	putKey(want[:], k)
+	if !bytes.Equal(src[:keySize], want[:]) {
+		return index.Key{}, fmt.Errorf("ixdisk: %w: key words %x are not the key of any index (W=%d step=%d dust=%v writes %x)",
+			ErrKeyMismatch, src[:keySize], k.W, k.SampleStep, k.Dust, want)
+	}
+	return k, nil
 }
 
 // checkKey verifies the key a file records against the requesting one.
@@ -171,10 +177,7 @@ func decodeHeader(buf []byte) (index.Key, error) {
 	if want := binary.LittleEndian.Uint32(buf[44:]); crc32.Checksum(buf[:44], crc32Table) != want {
 		return index.Key{}, fmt.Errorf("ixdisk: %w: header CRC mismatch", ErrChecksum)
 	}
-	if phase := binary.LittleEndian.Uint32(buf[24:]); phase != 0 {
-		return index.Key{}, fmt.Errorf("ixdisk: %w: file samples at phase %d, and every index samples at 0", ErrKeyMismatch, phase)
-	}
-	return getKey(buf[16:]), nil
+	return getKey(buf[16:])
 }
 
 // dirEntry is one footer directory row: where a block lives and what

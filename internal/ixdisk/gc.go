@@ -84,23 +84,19 @@ func (s *DirStore) SetGC(cfg GCConfig) {
 	s.mu.Unlock()
 }
 
-// GCStats reports one collection. Block counts come from each file's
-// footer directory (one cheap Probe per file — metadata only); a file
-// the probe rejects counts zero blocks.
+// GCStats reports one collection.
 type GCStats struct {
-	Scanned         int   // .orix files examined
-	Removed         int   // .orix files deleted (age or size cap)
-	RemovedBytes    int64 // bytes those files held
-	RemovedBlocks   int   // blocks those files held
-	RemovedTmps     int   // stale .orix-tmp-* staging files swept
-	Remaining       int   // .orix files left
-	RemainingBytes  int64 // bytes they hold
-	RemainingBlocks int   // blocks they hold
+	Scanned        int   // .orix files examined
+	Removed        int   // .orix files deleted (age or size cap)
+	RemovedBytes   int64 // bytes those files held
+	RemovedTmps    int   // stale .orix-tmp-* staging files swept
+	Remaining      int   // .orix files left
+	RemainingBytes int64 // bytes they hold
 }
 
 func (g GCStats) String() string {
-	return fmt.Sprintf("removed %d files (%d bytes, %d blocks) and %d stale temp files; %d files (%d bytes, %d blocks) remain",
-		g.Removed, g.RemovedBytes, g.RemovedBlocks, g.RemovedTmps, g.Remaining, g.RemainingBytes, g.RemainingBlocks)
+	return fmt.Sprintf("removed %d files (%d bytes) and %d stale temp files; %d files (%d bytes) remain",
+		g.Removed, g.RemovedBytes, g.RemovedTmps, g.Remaining, g.RemainingBytes)
 }
 
 // GC collects the store directory under the configured bounds: sweep
@@ -129,14 +125,12 @@ func (s *DirStore) gcWith(cfg GCConfig, now time.Time) (GCStats, error) {
 		return st, fmt.Errorf("ixdisk: GC: %w", err)
 	}
 	type file struct {
-		path   string
-		size   int64
-		mod    time.Time
-		blocks int
+		path string
+		size int64
+		mod  time.Time
 	}
 	var files []file
 	var total int64
-	var totalBlocks int
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), FileExt) {
 			continue
@@ -146,22 +140,15 @@ func (s *DirStore) gcWith(cfg GCConfig, now time.Time) (GCStats, error) {
 			continue // raced with a concurrent delete
 		}
 		st.Scanned++
-		f := file{path: filepath.Join(s.dir, e.Name()), size: fi.Size(), mod: fi.ModTime()}
-		if info, err := Probe(f.path); err == nil {
-			f.blocks = len(info.Blocks)
-		}
-		files = append(files, f)
-		total += f.size
-		totalBlocks += f.blocks
+		files = append(files, file{path: filepath.Join(s.dir, e.Name()), size: fi.Size(), mod: fi.ModTime()})
+		total += fi.Size()
 	}
 
 	remove := func(f file) {
 		if os.Remove(f.path) == nil {
 			st.Removed++
 			st.RemovedBytes += f.size
-			st.RemovedBlocks += f.blocks
 			total -= f.size
-			totalBlocks -= f.blocks
 		}
 	}
 	if cfg.MaxAge > 0 {
@@ -186,7 +173,6 @@ func (s *DirStore) gcWith(cfg GCConfig, now time.Time) (GCStats, error) {
 	}
 	st.Remaining = st.Scanned - st.Removed
 	st.RemainingBytes = total
-	st.RemainingBlocks = totalBlocks
 	return st, nil
 }
 

@@ -42,7 +42,7 @@
 // saved from. DirStore's loads reject, with descriptive errors:
 // wrong magic, unknown version, truncated or size-inconsistent files,
 // checksum mismatches, and key mismatches (different bank content, W,
-// sampling, or dust parameters). Rejection is always safe: the caller
+// sampling, or dust on/off). Rejection is always safe: the caller
 // (ixcache's disk tier) falls back to a fresh build and overwrites the
 // bad file, healing the store in place.
 //

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -15,7 +16,6 @@ import (
 	"unsafe"
 
 	"repro/internal/bank"
-	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/index"
 	"repro/internal/ixcache"
@@ -98,9 +98,9 @@ func saveCut(tb testing.TB, path string, b *bank.Bank, opts index.Options, cuts 
 func optionVariants() map[string]index.Options {
 	return map[string]index.Options{
 		"plain":      {W: 8},
-		"dust":       {W: 8, Dust: dust.New(0, 0)},
+		"dust":       {W: 8, Dust: true},
 		"halfword":   {W: 7, SampleStep: 2},
-		"dust+half":  {W: 8, Dust: dust.New(32, 1.5), SampleStep: 2},
+		"dust+half":  {W: 8, Dust: true, SampleStep: 2},
 		"everyThird": {W: 6, SampleStep: 3},
 	}
 }
@@ -445,7 +445,7 @@ func loadBoth(t *testing.T, path string, b *bank.Bank, opts index.Options, want 
 
 func TestHostileFiles(t *testing.T) {
 	b := genBank(t, "hostile", 2048)
-	opts := index.Options{W: 8, Dust: dust.New(0, 0)}
+	opts := index.Options{W: 8, Dust: true}
 	other := genBank(t, "hostile", 2040) // same name, different content
 
 	rewrite := func(t *testing.T, mutate func(buf []byte) []byte) string {
@@ -504,26 +504,46 @@ func TestHostileFiles(t *testing.T) {
 	})
 	t.Run("key-mismatch-W", func(t *testing.T) {
 		path, _ := saveValid(t, b, opts)
-		loadBoth(t, path, b, index.Options{W: 9, Dust: dust.New(0, 0)}, ErrKeyMismatch)
+		loadBoth(t, path, b, index.Options{W: 9, Dust: true}, ErrKeyMismatch)
 	})
 	t.Run("key-mismatch-dust", func(t *testing.T) {
 		path, _ := saveValid(t, b, opts)
 		loadBoth(t, path, b, index.Options{W: 8}, ErrKeyMismatch)
-		loadBoth(t, path, b, index.Options{W: 8, Dust: dust.New(32, 1.5)}, ErrKeyMismatch)
 	})
 	t.Run("key-mismatch-sampling", func(t *testing.T) {
 		path, _ := saveValid(t, b, opts)
-		loadBoth(t, path, b, index.Options{W: 8, Dust: dust.New(0, 0), SampleStep: 2}, ErrKeyMismatch)
+		loadBoth(t, path, b, index.Options{W: 8, Dust: true, SampleStep: 2}, ErrKeyMismatch)
 	})
-	t.Run("key-phase-nonzero", func(t *testing.T) {
-		// The retired sampling-phase word (key bytes 8–12), set under a
-		// header CRC that still holds: the key, not the CRC, refuses it.
-		path := rewrite(t, func(buf []byte) []byte {
-			binary.LittleEndian.PutUint32(buf[24:], 1)
+	// Key words no build writes, planted under a header CRC that still
+	// holds, each loaded with the options the rest of its key names: the
+	// key, not the CRC, refuses them. The key is header bytes 16–44: W,
+	// step, the retired sampling phase, dust on/off, the dust window,
+	// then the dust threshold's float64 bits.
+	planted := func(t *testing.T, plant func(key []byte)) string {
+		return rewrite(t, func(buf []byte) []byte {
+			plant(buf[16:44])
 			binary.LittleEndian.PutUint32(buf[44:], crc32.Checksum(buf[:44], crc32Table))
 			return buf
 		})
+	}
+	t.Run("key-phase-nonzero", func(t *testing.T) {
+		path := planted(t, func(key []byte) { binary.LittleEndian.PutUint32(key[8:], 1) })
 		loadBoth(t, path, b, opts, ErrKeyMismatch)
+	})
+	t.Run("key-dust-window-32", func(t *testing.T) {
+		path := planted(t, func(key []byte) { binary.LittleEndian.PutUint32(key[16:], 32) })
+		loadBoth(t, path, b, opts, ErrKeyMismatch)
+	})
+	t.Run("key-dust-threshold-1.5", func(t *testing.T) {
+		path := planted(t, func(key []byte) { binary.LittleEndian.PutUint64(key[20:], math.Float64bits(1.5)) })
+		loadBoth(t, path, b, opts, ErrKeyMismatch)
+	})
+	t.Run("key-dust-off-window-nonzero", func(t *testing.T) {
+		path := planted(t, func(key []byte) {
+			binary.LittleEndian.PutUint32(key[12:], 0)
+			binary.LittleEndian.PutUint64(key[20:], 0)
+		})
+		loadBoth(t, path, b, index.Options{W: 8}, ErrKeyMismatch)
 	})
 	t.Run("key-mismatch-bank", func(t *testing.T) {
 		path, _ := saveValid(t, b, opts)

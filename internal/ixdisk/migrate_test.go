@@ -26,7 +26,6 @@ import (
 	"repro/internal/align"
 	"repro/internal/bank"
 	"repro/internal/core"
-	"repro/internal/dust"
 	"repro/internal/fasta"
 	"repro/internal/index"
 	"repro/internal/ixcache"
@@ -129,9 +128,9 @@ func TestLegacyV4Rejected(t *testing.T) {
 // TestPathStable pins both frozen places an index.Key is written — the
 // filename key a (bank, options) pair hashes to and the 48-byte header
 // Save writes — to the literals an earlier release produced for the same
-// keys: one with dust off and no sampling, one with dust on and
-// half-word sampling, so a field the key packer shifts shows here
-// instead of turning every stored file cold.
+// keys: one with dust off and no sampling, one with dust on (its frozen
+// window and threshold words) and half-word sampling, so a field the key
+// packer shifts shows here instead of turning every stored file cold.
 func TestPathStable(t *testing.T) {
 	store, err := NewDirStore(t.TempDir())
 	if err != nil {
@@ -144,8 +143,8 @@ func TestPathStable(t *testing.T) {
 		t.Errorf("Path = %s, want %s — every stored file would go cold", got, want)
 	}
 
-	sampled := index.Options{W: 4, Dust: dust.New(16, 1.5), SampleStep: 2}
-	const wantSampled = "legacy-37170d9674496c14.orix"
+	sampled := index.Options{W: 4, Dust: true, SampleStep: 2}
+	const wantSampled = "legacy-32e223caff88ccd6.orix"
 	path := store.Path(b, sampled)
 	if got := filepath.Base(path); got != wantSampled {
 		t.Errorf("Path = %s, want %s — every stored file would go cold", got, wantSampled)
@@ -157,7 +156,7 @@ func TestPathStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantHeader = "4f5249534958444205000000300000000400000002000000000000000100000010000000000000000000f83f89711530"
+	const wantHeader = "4f52495349584442050000003000000004000000020000000000000001000000400000000000000000000040394c9ebb"
 	if got := hex.EncodeToString(data[:headerSize]); got != wantHeader {
 		t.Errorf("header = %s, want %s — every stored file would be rejected", got, wantHeader)
 	}
@@ -187,7 +186,7 @@ func TestFreshSaveBytesStable(t *testing.T) {
 		{600, true, "c43e03846b86fdf5cd8030137eeb720a8d7f7b3b532250ce0897c575946d3509"},
 	} {
 		b := orixPinBank(tc.reads)
-		ix := index.Build(b, index.Options{W: 11, Dust: dust.New(0, 0)})
+		ix := index.Build(b, index.Options{W: 11, Dust: true})
 		if only(ix).Dense() != tc.dense {
 			t.Fatalf("%d reads, %d codes: Dense() = %v, the row is meant to be %v", tc.reads, only(ix).NumCodes(), only(ix).Dense(), tc.dense)
 		}
@@ -856,11 +855,11 @@ func TestOlderSaveLayoutLoads(t *testing.T) {
 	assertIndexEqual(t, want, mapped)
 }
 
-// TestProbeMetadata: the probe reports version, identity, and the block
-// directory without payload access.
+// TestProbeMetadata: the probe reports version, index key, identity,
+// and the block directory without payload access.
 func TestProbeMetadata(t *testing.T) {
 	b := genBank(t, "probe", 2048)
-	opts := index.Options{W: 8}
+	opts := index.Options{W: 8, Dust: true, SampleStep: 2}
 	path := filepath.Join(t.TempDir(), "ix"+FileExt)
 	saveTiled(t, path, b, opts, 1)
 	info, err := Probe(path)
@@ -874,13 +873,8 @@ func TestProbeMetadata(t *testing.T) {
 		info.NumSeqs != b.NumSeqs() {
 		t.Errorf("identity %+v does not match bank", info)
 	}
-	if info.Opts.Key() != opts.Key() {
-		t.Errorf("options %+v do not key-match", info.Opts)
-	}
-	for i, sum := range b.SeqChecksums() {
-		if info.SeqSums[i] != sum {
-			t.Fatalf("SeqSums[%d] mismatch", i)
-		}
+	if info.Key != opts.Key() {
+		t.Errorf("key %+v, want %+v", info.Key, opts.Key())
 	}
 	if len(info.Blocks) != b.NumSeqs() {
 		t.Errorf("probe found %d blocks, want %d (blockSeqs=1)", len(info.Blocks), b.NumSeqs())

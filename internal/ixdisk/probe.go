@@ -1,10 +1,9 @@
 package ixdisk
 
 // The metadata probe: answering "what does this .orix file hold?"
-// without reading its index payload. The GC counts blocks with it and
-// scoris -index-probe prints it. Probe reads the fixed header plus the
-// footer (identity and block directory) — a few KiB regardless of index
-// size.
+// without reading its index payload. scoris -index-probe prints it.
+// Probe reads the fixed header plus the footer (identity and block
+// directory) — a few KiB regardless of index size.
 
 import "repro/internal/index"
 
@@ -22,7 +21,7 @@ type BlockInfo struct {
 }
 
 // FileInfo is what Probe learns about an index file from its metadata
-// alone: format version, the options and bank identity it was built
+// alone: format version, the index key and bank identity it was built
 // for, and the block directory. The payload is not read and no
 // payload checksum is verified — Probe answers "what does this file
 // claim to hold?", and the loaders re-validate every claim before any
@@ -31,14 +30,12 @@ type FileInfo struct {
 	// Version is the format version — always 5, the only one Probe
 	// accepts.
 	Version int
-	// Opts is the recorded index key, as options that build it.
-	Opts index.Options
+	// Key is the recorded index key.
+	Key index.Key
 	// BankCRC, DataLen, NumSeqs identify the recorded bank.
 	BankCRC uint64
 	DataLen int64
 	NumSeqs int
-	// SeqSums is the per-sequence checksum vector.
-	SeqSums []uint64
 	// Blocks is the footer directory in file order.
 	Blocks []BlockInfo
 	// PayloadEnd is the offset where index payload ends: the footer
@@ -62,16 +59,12 @@ func Probe(path string) (*FileInfo, error) {
 	ftr := x.ftr
 	info := &FileInfo{
 		Version:    formatVersion,
-		Opts:       x.key.Options(),
+		Key:        x.key,
 		BankCRC:    ftr.bankCRC,
 		DataLen:    int64(ftr.dataLen),
 		NumSeqs:    int(ftr.numSeqs),
-		SeqSums:    make([]uint64, ftr.numSeqs),
 		Blocks:     make([]BlockInfo, len(ftr.dir)),
 		PayloadEnd: ftr.start,
-	}
-	for i := range info.SeqSums {
-		info.SeqSums[i] = ftr.seqSum(i)
 	}
 	for i, e := range ftr.dir {
 		info.Blocks[i] = BlockInfo{

@@ -82,7 +82,7 @@ func TestGenomicHasLowComplexityTracts(t *testing.T) {
 		Name: "G", Seed: 5, NumSeqs: 1, SeqLen: 100000,
 		LowComplexityDensity: 10, Mut: Mutation{Sub: 0.02, Indel: 0.002},
 	}, pool)
-	frac := dust.New(0, 0).MaskedFraction(g.SeqCodes(0))
+	frac := dust.MaskedFraction(g.SeqCodes(0))
 	if frac < 0.005 {
 		t.Errorf("masked fraction %v too low; tracts missing", frac)
 	}
